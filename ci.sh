@@ -14,6 +14,9 @@ cargo build --release
 echo "==> tier-1: tests"
 cargo test -q
 
+echo "==> workspace tests (crate-level unit, codec fuzz, CRC oracle, bytes shim)"
+cargo test --workspace -q
+
 echo "==> docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpfs_proto::{frame, Request};
+use dpfs_proto::{frame, Request, Response};
 
 fn bench_codec(c: &mut Criterion) {
     let write_req = Request::Write {
@@ -26,6 +26,35 @@ fn bench_codec(c: &mut Criterion) {
             frame::read_frame(&mut std::io::Cursor::new(&buf))
                 .unwrap()
                 .len()
+        })
+    });
+    // Floor references for the byte path: what one checksum pass and one
+    // trip through the framing layer cost per payload size.
+    for (name, len) in [("crc32_4k", 4 << 10), ("crc32_1m", 1 << 20)] {
+        let block = vec![0xA5u8; len];
+        c.bench_function(name, |b| b.iter(|| frame::crc32(black_box(&block))));
+    }
+    let payload = vec![0x5Au8; 1 << 20];
+    c.bench_function("frame_write_read_1m", |b| {
+        b.iter(|| {
+            let mut buf = Vec::with_capacity(payload.len() + 32);
+            frame::write_frame_v2(&mut buf, 7, black_box(&payload)).unwrap();
+            frame::read_frame_any(&mut &buf[..]).unwrap().payload.len()
+        })
+    });
+    // A 1 MiB list-read reply as the server sends it (parts, one CRC pass,
+    // gathered write) and as the client takes it apart again.
+    let reply = Response::DataList {
+        data: Bytes::from(payload),
+    };
+    c.bench_function("datalist_encode_decode_1m", |b| {
+        b.iter(|| {
+            let parts = black_box(&reply).encode_parts();
+            let refs: Vec<&[u8]> = parts.iter().map(|p| &p[..]).collect();
+            let mut wire = Vec::with_capacity((1 << 20) + 64);
+            frame::write_frame_v2_parts(&mut wire, 7, &refs).unwrap();
+            let frame = frame::read_frame_any(&mut &wire[..]).unwrap();
+            Response::decode(frame.payload).unwrap()
         })
     });
 }

@@ -5,7 +5,10 @@
 //! (cheaply-cloneable immutable byte buffer with zero-copy `split_to` /
 //! `slice`), [`BytesMut`] (append-only builder), and the [`Buf`] /
 //! [`BufMut`] cursor traits. Semantics match the real crate for this
-//! subset; anything else is intentionally absent.
+//! subset — including its cost contract: `Bytes::from(Vec<u8>)` and
+//! [`BytesMut::freeze`] take ownership of the vector's heap block in O(1),
+//! and `clone` / `slice` / `split_to` share that block. Anything else is
+//! intentionally absent.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -15,11 +18,13 @@ use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
 ///
-/// Internally an `Arc<[u8]>` plus a window; `clone`, `slice`, and
-/// `split_to` share the allocation.
+/// Internally an `Arc<Vec<u8>>` plus a window: adopting a `Vec` moves
+/// its heap block under the refcount instead of copying it, and `clone`,
+/// `slice`, and `split_to` share that block. `None` is the empty buffer,
+/// which owns nothing.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -38,11 +43,7 @@ impl Bytes {
 
     /// Buffer holding a copy of `data`.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-            start: 0,
-            end: data.len(),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
@@ -98,7 +99,10 @@ impl Bytes {
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -122,10 +126,15 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// O(1): the vector's heap block moves under the refcount, no bytes
+    /// are copied (spare capacity rides along until the last clone drops).
     fn from(v: Vec<u8>) -> Bytes {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let len = v.len();
         Bytes {
-            data: Arc::from(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end: len,
         }
@@ -318,7 +327,8 @@ impl BytesMut {
         self.buf.extend_from_slice(data);
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// Convert into an immutable [`Bytes`] — an ownership transfer, not a
+    /// copy.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -370,6 +380,35 @@ mod tests {
         assert_eq!(&b[..], &[3, 4, 5]);
         assert_eq!(&b.slice(1..3)[..], &[4, 5]);
         assert_eq!(&b.slice(..2)[..], &[3, 4]);
+    }
+
+    /// The copy budget the data path is built on: adopting a `Vec` keeps
+    /// its heap block, and every view of it points into that same block.
+    #[test]
+    fn from_vec_and_freeze_adopt_the_heap_block() {
+        let v = vec![7u8; 4096];
+        let block = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), block, "Bytes::from(Vec) must not copy");
+        assert_eq!(b.clone().as_ptr(), block);
+        assert_eq!(b.slice(16..32).as_ptr(), block.wrapping_add(16));
+        let mut rest = b.clone();
+        let head = rest.split_to(100);
+        assert_eq!(head.as_ptr(), block);
+        assert_eq!(rest.as_ptr(), block.wrapping_add(100));
+
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(b"frozen in place");
+        let block = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), block, "freeze must not copy");
+    }
+
+    #[test]
+    fn empty_buffers_own_nothing_and_compare_equal() {
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::from(Vec::new()), Bytes::new());
+        assert_eq!(Bytes::from(vec![1u8]).slice(1..), Bytes::new());
+        assert_eq!(&Bytes::new()[..], b"");
     }
 
     #[test]

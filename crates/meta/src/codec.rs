@@ -206,16 +206,87 @@ pub fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
     Schema::new(cols)
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) used to detect torn/corrupt
-/// records in the WAL and snapshot.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Slicing tables for [`crc32_update`], generated at compile time.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of the reflected
+/// IEEE 802.3 polynomial; `CRC_TABLES[k][b]` is the CRC state after byte
+/// `b` followed by `k` zero bytes, which lets one step fold 16 input
+/// bytes with 16 independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = {
     const POLY: u32 = 0xEDB8_8320;
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// Fold `data` into a running CRC-32 state (IEEE 802.3 polynomial,
+/// reflected — the one WAL records, snapshots and every wire frame
+/// version carry, so it can never change). Start from `u32::MAX` and
+/// finish with a bitwise NOT, or use [`crc32`] for the one-shot case;
+/// folding a buffer in pieces gives the same state as folding it whole.
+/// Slicing-by-16: table lookups only, no `unsafe`, no CPU-specific code.
+pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let w = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(w & 0xFF) as usize]
+            ^ t[14][((w >> 8) & 0xFF) as usize]
+            ^ t[13][((w >> 16) & 0xFF) as usize]
+            ^ t[12][(w >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// CRC-32 (IEEE) of `data`: detects torn/corrupt records in the WAL and
+/// snapshot, and corrupt frames on the wire.
+pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(u32::MAX, data)
+}
+
+/// The bit-at-a-time CRC-32 the table version replaced, kept as the test
+/// oracle: files and frames it checksummed must stay readable.
+#[cfg(test)]
+pub(crate) fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in data {
         crc ^= b as u32;
         for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
         }
     }
     !crc
@@ -224,6 +295,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn value_round_trip() {
@@ -274,6 +346,53 @@ mod tests {
         // CRC-32("123456789") = 0xCBF43926 (standard check value)
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc_tables_follow_the_zero_byte_recurrence() {
+        // Table k is table k-1 advanced over one zero byte; pin the first
+        // row's textbook entries so the generator cannot drift as a whole.
+        assert_eq!(CRC_TABLES[0][1], 0x7707_3096);
+        assert_eq!(CRC_TABLES[0][255], 0x2D02_EF8D);
+        for k in 1..16 {
+            for (&prev, &next) in CRC_TABLES[k - 1].iter().zip(&CRC_TABLES[k]) {
+                assert_eq!(next, (prev >> 8) ^ CRC_TABLES[0][(prev & 0xFF) as usize]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table version is the bitwise oracle, for every length
+        /// (block loop, remainder loop, both) and start alignment.
+        #[test]
+        fn crc32_matches_bitwise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..70_001),
+            skew in 0usize..32,
+        ) {
+            let data = &data[skew.min(data.len())..];
+            prop_assert_eq!(crc32(data), crc32_bitwise(data));
+        }
+
+        /// Folding a buffer piecewise equals the one-shot value, wherever
+        /// the cuts fall (the vectored frame writers depend on it).
+        #[test]
+        fn crc32_update_folds_over_any_split(
+            data in proptest::collection::vec(any::<u8>(), 0..70_001),
+            cuts in proptest::collection::vec(0usize..70_001, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut crc = u32::MAX;
+            let mut at = 0;
+            for cut in cuts {
+                crc = crc32_update(crc, &data[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(!crc, crc32_bitwise(&data));
+        }
     }
 
     #[test]

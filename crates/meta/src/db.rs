@@ -615,3 +615,67 @@ fn load_snapshot(path: &Path) -> Result<(BTreeMap<String, Table>, u64)> {
     }
     Ok((tables, next_txn))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::crc32_bitwise;
+
+    /// The on-disk format is frozen: a WAL and a snapshot whose checksums
+    /// were stamped by the bit-at-a-time CRC (the implementation every
+    /// existing file was written with) replay and open under the table
+    /// version.
+    #[test]
+    fn files_checksummed_by_the_bitwise_oracle_open_cleanly() {
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-oracle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rows = |db: &Database| {
+            db.execute("SELECT v FROM t WHERE k = 'b'")
+                .unwrap()
+                .scalar()
+                .cloned()
+        };
+
+        // A WAL of committed work, never checkpointed.
+        {
+            let db = Database::open_with_sync(&dir, false).unwrap();
+            db.execute("CREATE TABLE t (k TEXT PRIMARY KEY, v INT)")
+                .unwrap();
+            db.execute("INSERT INTO t VALUES ('a', 1)").unwrap();
+            db.execute("INSERT INTO t VALUES ('b', 2)").unwrap();
+        }
+        let wal_path = dir.join(WAL_FILE);
+        let mut wal = std::fs::read(&wal_path).unwrap();
+        let (mut pos, mut records) = (0usize, 0);
+        while pos < wal.len() {
+            let len = u32::from_le_bytes(wal[pos..pos + 4].try_into().unwrap()) as usize;
+            let crc = crc32_bitwise(&wal[pos + 8..pos + 8 + len]);
+            wal[pos + 4..pos + 8].copy_from_slice(&crc.to_le_bytes());
+            pos += 8 + len;
+            records += 1;
+        }
+        assert!(
+            records >= 9,
+            "3 transactions of >= 3 records, got {records}"
+        );
+        std::fs::write(&wal_path, &wal).unwrap();
+        {
+            let db = Database::open_with_sync(&dir, false).unwrap();
+            assert_eq!(rows(&db).unwrap(), Value::Int(2));
+            db.checkpoint().unwrap();
+        }
+
+        // The snapshot that checkpoint wrote, re-stamped the same way.
+        let snap_path = dir.join(SNAPSHOT_FILE);
+        let mut snap = std::fs::read(&snap_path).unwrap();
+        let body = snap.len() - 4;
+        let crc = crc32_bitwise(&snap[..body]);
+        snap[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&snap_path, &snap).unwrap();
+        assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 0);
+        let db = Database::open_with_sync(&dir, false).unwrap();
+        assert_eq!(rows(&db).unwrap(), Value::Int(2));
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

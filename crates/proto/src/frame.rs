@@ -20,7 +20,7 @@
 use std::fmt;
 use std::io::{Read, Write};
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 
 /// `"DPFS"` — first four bytes of every v1 frame.
 pub const MAGIC: [u8; 4] = *b"DPFS";
@@ -85,30 +85,69 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Fold `data` into a running CRC-32 (IEEE) state. Start from
-/// `u32::MAX`, finish with a bitwise NOT — or use [`crc32`] for the
-/// one-shot case. The incremental form lets the vectored frame writers
+/// The CRC-32 (IEEE) every frame carries, one-shot and incremental. One
+/// implementation serves the wire, the WAL and the snapshot, so it lives
+/// in the bottom crate; the incremental form lets the vectored writers
 /// checksum a payload spread over several slices without gluing them.
-pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
+pub use dpfs_meta::codec::{crc32, crc32_update};
+
+/// Which header a frame carries, with the IDs that header holds.
+#[derive(Clone, Copy)]
+enum Version {
+    V1,
+    V2 { corr_id: u64 },
+    V3 { corr_id: u64, trace_id: u64 },
+}
+
+/// Longest header on the wire (v3).
+const MAX_HEADER_LEN: usize = 28;
+
+/// Build the header that frames the concatenation of `parts`: magic, IDs,
+/// total length and one CRC streamed across the parts — the single place
+/// the header layouts are written down. The payload is read once, here.
+fn header<'a>(
+    version: Version,
+    parts: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Vec<u8>, FrameError> {
+    let (len, crc) = parts.into_iter().fold((0usize, u32::MAX), |(len, crc), p| {
+        (len + p.len(), crc32_update(crc, p))
+    });
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(len));
+    }
+    let mut h = Vec::with_capacity(MAX_HEADER_LEN);
+    match version {
+        Version::V1 => h.extend_from_slice(&MAGIC),
+        Version::V2 { corr_id } => {
+            h.extend_from_slice(&MAGIC_V2);
+            h.extend_from_slice(&corr_id.to_le_bytes());
+        }
+        Version::V3 { corr_id, trace_id } => {
+            h.extend_from_slice(&MAGIC_V3);
+            h.extend_from_slice(&corr_id.to_le_bytes());
+            h.extend_from_slice(&trace_id.to_le_bytes());
         }
     }
-    crc
+    h.extend_from_slice(&(len as u32).to_le_bytes());
+    h.extend_from_slice(&(!crc).to_le_bytes());
+    Ok(h)
 }
 
-/// CRC-32 (IEEE) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(u32::MAX, data)
-}
-
-/// CRC-32 (IEEE) over the concatenation of `parts`.
-fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    !parts.iter().fold(u32::MAX, |crc, p| crc32_update(crc, p))
+/// The header of a response frame whose payload is the concatenation of
+/// `parts`: v2 echoing `corr_id`, or v1 for a lockstep peer that sent
+/// none. For writers that queue `[header, parts...]` instead of writing
+/// through a `Write` — the server's outbound queue — so a reply is
+/// checksummed once, outside any lock, and its payload is never glued
+/// into a frame buffer.
+pub fn response_header<'a>(
+    corr_id: Option<u64>,
+    parts: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Vec<u8>, FrameError> {
+    let version = match corr_id {
+        Some(corr_id) => Version::V2 { corr_id },
+        None => Version::V1,
+    };
+    header(version, parts)
 }
 
 /// Write every byte of `bufs`, preferring one `write_vectored` syscall
@@ -150,29 +189,23 @@ fn write_all_vectored<W: Write>(w: &mut W, bufs: &[&[u8]]) -> std::io::Result<()
     Ok(())
 }
 
-/// Total length of a multi-part payload, bounds-checked against
-/// [`MAX_FRAME_LEN`].
-fn parts_len(parts: &[&[u8]]) -> Result<usize, FrameError> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    Ok(len)
+/// Write one frame whose payload is the concatenation of `parts`: header
+/// and parts leave through one gathered `write_vectored`, so a message
+/// split into (head, payload) parts hits the wire without ever being
+/// copied into a contiguous buffer.
+fn write_parts<W: Write>(w: &mut W, version: Version, parts: &[&[u8]]) -> Result<(), FrameError> {
+    let header = header(version, parts.iter().copied())?;
+    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
+    bufs.push(&header);
+    bufs.extend_from_slice(parts);
+    write_all_vectored(w, &bufs)?;
+    w.flush()?;
+    Ok(())
 }
 
 /// Write one v1 frame containing `payload`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(payload.len()));
-    }
-    let mut header = [0u8; 12];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    write_parts(w, Version::V1, &[payload])
 }
 
 /// Write one v2 frame carrying `corr_id` and `payload`.
@@ -181,27 +214,13 @@ pub fn write_frame_v2<W: Write>(w: &mut W, corr_id: u64, payload: &[u8]) -> Resu
 }
 
 /// Write one v2 frame whose payload is the concatenation of `parts` —
-/// the scatter-gather send path. The CRC streams across the slices and
-/// header + parts leave through one gathered `write_vectored`, so a
-/// message split into (header, payload) parts hits the wire without ever
-/// being copied into a contiguous buffer.
+/// the scatter-gather send path.
 pub fn write_frame_v2_parts<W: Write>(
     w: &mut W,
     corr_id: u64,
     parts: &[&[u8]],
 ) -> Result<(), FrameError> {
-    let len = parts_len(parts)?;
-    let mut header = [0u8; 20];
-    header[..4].copy_from_slice(&MAGIC_V2);
-    header[4..12].copy_from_slice(&corr_id.to_le_bytes());
-    header[12..16].copy_from_slice(&(len as u32).to_le_bytes());
-    header[16..20].copy_from_slice(&crc32_parts(parts).to_le_bytes());
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    bufs.push(&header);
-    bufs.extend_from_slice(parts);
-    write_all_vectored(w, &bufs)?;
-    w.flush()?;
-    Ok(())
+    write_parts(w, Version::V2 { corr_id }, parts)
 }
 
 /// Write one v3 frame carrying `corr_id`, `trace_id`, and `payload`.
@@ -222,19 +241,7 @@ pub fn write_frame_v3_parts<W: Write>(
     trace_id: u64,
     parts: &[&[u8]],
 ) -> Result<(), FrameError> {
-    let len = parts_len(parts)?;
-    let mut header = [0u8; 28];
-    header[..4].copy_from_slice(&MAGIC_V3);
-    header[4..12].copy_from_slice(&corr_id.to_le_bytes());
-    header[12..20].copy_from_slice(&trace_id.to_le_bytes());
-    header[20..24].copy_from_slice(&(len as u32).to_le_bytes());
-    header[24..28].copy_from_slice(&crc32_parts(parts).to_le_bytes());
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    bufs.push(&header);
-    bufs.extend_from_slice(parts);
-    write_all_vectored(w, &bufs)?;
-    w.flush()?;
-    Ok(())
+    write_parts(w, Version::V3 { corr_id, trace_id }, parts)
 }
 
 /// One decoded frame of any version. `corr_id` is `None` for v1 frames
@@ -248,6 +255,123 @@ pub struct Frame {
     pub trace_id: u64,
     /// The frame payload.
     pub payload: Bytes,
+}
+
+/// Header length announced by a frame's magic.
+fn header_len(magic: [u8; 4]) -> Result<usize, FrameError> {
+    match magic {
+        MAGIC => Ok(12),
+        MAGIC_V2 => Ok(20),
+        MAGIC_V3 => Ok(28),
+        other => Err(FrameError::BadMagic(other)),
+    }
+}
+
+/// What a frame header says about its frame.
+struct Header {
+    corr_id: Option<u64>,
+    trace_id: u64,
+    /// Payload length, already checked against [`MAX_FRAME_LEN`].
+    len: usize,
+    crc: u32,
+}
+
+impl Header {
+    /// Parse a complete header: `h.len()` is what [`header_len`] gave for
+    /// its magic.
+    fn parse(h: &[u8]) -> Result<Header, FrameError> {
+        let u64_at = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().unwrap());
+        let u32_at = |at: usize| u32::from_le_bytes(h[at..at + 4].try_into().unwrap());
+        // The `[len u32][crc u32]` tail sits at the end of every header.
+        let len = u32_at(h.len() - 8) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(FrameError::Oversized(len));
+        }
+        Ok(Header {
+            corr_id: (h.len() > 12).then(|| u64_at(4)),
+            trace_id: if h.len() > 20 { u64_at(12) } else { 0 },
+            len,
+            crc: u32_at(h.len() - 4),
+        })
+    }
+
+    /// Checksum `payload` against the header and wrap it up as a frame.
+    fn frame(&self, payload: Bytes) -> Result<Frame, FrameError> {
+        let actual = crc32(&payload);
+        if actual != self.crc {
+            return Err(FrameError::BadChecksum {
+                expected: self.crc,
+                actual,
+            });
+        }
+        Ok(Frame {
+            corr_id: self.corr_id,
+            trace_id: self.trace_id,
+            payload,
+        })
+    }
+}
+
+/// The header at the front of `buf` and its length, or `None` while the
+/// header is still incomplete.
+fn peek_header(buf: &[u8]) -> Result<Option<(Header, usize)>, FrameError> {
+    if buf.len() < 4 {
+        return Ok(None);
+    }
+    let n = header_len(buf[..4].try_into().unwrap())?;
+    if buf.len() < n {
+        return Ok(None);
+    }
+    Ok(Some((Header::parse(&buf[..n])?, n)))
+}
+
+/// [`peek_header`], but `None` until the whole frame it announces is in
+/// `buf` too.
+fn peek_frame(buf: &[u8]) -> Result<Option<(Header, usize)>, FrameError> {
+    Ok(peek_header(buf)?.filter(|(h, n)| buf.len() >= n + h.len))
+}
+
+/// Total length (header + payload) of the frame at the front of `buf`,
+/// as soon as its header is complete — before the payload has arrived,
+/// so a reader can make room for exactly the bytes still to come.
+/// `Ok(None)` while the header itself is incomplete; `Err(_)` when the
+/// prefix can never become a valid frame (bad magic, oversized length).
+pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
+    Ok(peek_header(buf)?.map(|(h, n)| n + h.len))
+}
+
+/// Try to decode one frame (any version) from the front of `buf` without
+/// consuming anything on failure.
+///
+/// - `Ok(Some((frame, consumed)))` — a complete frame; the caller should
+///   drop the first `consumed` bytes.
+/// - `Ok(None)` — the buffer holds only a prefix of a frame; read more.
+/// - `Err(_)` — the prefix can never become a valid frame (bad magic,
+///   oversized length, checksum mismatch); the connection is corrupt.
+///
+/// The payload is copied out of `buf`; [`decode_bytes`] is the zero-copy
+/// form for a caller that owns its buffer.
+pub fn decode_slice(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+    let Some((h, n)) = peek_frame(buf)? else {
+        return Ok(None);
+    };
+    let frame = h.frame(Bytes::copy_from_slice(&buf[n..n + h.len]))?;
+    Ok(Some((frame, n + h.len)))
+}
+
+/// [`decode_slice`] without the copy: split one complete frame off the
+/// front of `buf`, its payload a refcounted window of the same
+/// allocation. `buf` is left untouched on `Ok(None)` and on `Err(_)`.
+/// The readiness-driven server runtime reads nonblockingly into a
+/// per-connection buffer, freezes it once a whole frame is in, and calls
+/// this until it returns `Ok(None)`.
+pub fn decode_bytes(buf: &mut Bytes) -> Result<Option<Frame>, FrameError> {
+    let Some((h, n)) = peek_frame(buf)? else {
+        return Ok(None);
+    };
+    let frame = h.frame(buf.slice(n..n + h.len))?;
+    buf.advance(n + h.len);
+    Ok(Some(frame))
 }
 
 /// Read exactly `buf.len()` bytes, distinguishing clean EOF before the
@@ -275,82 +399,24 @@ fn read_exactly<R: Read>(
     Ok(())
 }
 
-/// Read the `[len u32][crc u32][payload]` tail shared by both versions.
-fn read_tail<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
-    let mut tail = [0u8; 8];
-    read_exactly(r, &mut tail, false)?;
-    let len = u32::from_le_bytes(tail[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
+/// Read the frame that began with `magic` (already consumed from `r`).
+fn read_after_magic<R: Read>(r: &mut R, magic: [u8; 4]) -> Result<Frame, FrameError> {
+    let n = header_len(magic)?;
+    let mut h = [0u8; MAX_HEADER_LEN];
+    h[..4].copy_from_slice(&magic);
+    read_exactly(r, &mut h[4..n], false)?;
+    let header = Header::parse(&h[..n])?;
+    // The stream fills the payload's own allocation in place: no zeroing
+    // pass before it, no copy after it.
+    let mut payload = Vec::with_capacity(header.len);
+    r.take(header.len as u64).read_to_end(&mut payload)?;
+    if payload.len() < header.len {
+        return Err(FrameError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "torn frame payload",
+        )));
     }
-    let expected = u32::from_le_bytes(tail[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(FrameError::BadChecksum { expected, actual });
-    }
-    Ok(Bytes::from(payload))
-}
-
-/// Try to decode one frame (any version) from the front of `buf` without
-/// consuming anything on failure. The readiness-driven server runtime
-/// accumulates nonblocking reads into a per-connection buffer and calls
-/// this until it returns `Ok(None)`.
-///
-/// - `Ok(Some((frame, consumed)))` — a complete frame; the caller should
-///   drop the first `consumed` bytes.
-/// - `Ok(None)` — the buffer holds only a prefix of a frame; read more.
-/// - `Err(_)` — the prefix can never become a valid frame (bad magic,
-///   oversized length, checksum mismatch); the connection is corrupt.
-pub fn decode_slice(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let magic: [u8; 4] = buf[..4].try_into().unwrap();
-    let header_len = if magic == MAGIC {
-        12
-    } else if magic == MAGIC_V2 {
-        20
-    } else if magic == MAGIC_V3 {
-        28
-    } else {
-        return Err(FrameError::BadMagic(magic));
-    };
-    if buf.len() < header_len {
-        return Ok(None);
-    }
-    // The `[len u32][crc u32]` tail sits at the end of every header.
-    let len = u32::from_le_bytes(buf[header_len - 8..header_len - 4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let expected = u32::from_le_bytes(buf[header_len - 4..header_len].try_into().unwrap());
-    if buf.len() < header_len + len {
-        return Ok(None);
-    }
-    let payload = &buf[header_len..header_len + len];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(FrameError::BadChecksum { expected, actual });
-    }
-    let mut trace_id = 0u64;
-    let corr_id = if magic == MAGIC {
-        None
-    } else if magic == MAGIC_V2 {
-        Some(u64::from_le_bytes(buf[4..12].try_into().unwrap()))
-    } else {
-        trace_id = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        Some(u64::from_le_bytes(buf[4..12].try_into().unwrap()))
-    };
-    Ok(Some((
-        Frame {
-            corr_id,
-            trace_id,
-            payload: Bytes::copy_from_slice(payload),
-        },
-        header_len + len,
-    )))
+    header.frame(Bytes::from(payload))
 }
 
 /// Read one v1 frame, returning its payload. `Err(Closed)` when the peer
@@ -361,7 +427,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
     if magic != MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    read_tail(r)
+    Ok(read_after_magic(r, magic)?.payload)
 }
 
 /// Read one frame of any version. v1 frames come back with
@@ -370,27 +436,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
 pub fn read_frame_any<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     let mut magic = [0u8; 4];
     read_exactly(r, &mut magic, true)?;
-    let mut trace_id = 0u64;
-    let corr_id = if magic == MAGIC {
-        None
-    } else if magic == MAGIC_V2 {
-        let mut id = [0u8; 8];
-        read_exactly(r, &mut id, false)?;
-        Some(u64::from_le_bytes(id))
-    } else if magic == MAGIC_V3 {
-        let mut ids = [0u8; 16];
-        read_exactly(r, &mut ids, false)?;
-        trace_id = u64::from_le_bytes(ids[8..16].try_into().unwrap());
-        Some(u64::from_le_bytes(ids[..8].try_into().unwrap()))
-    } else {
-        return Err(FrameError::BadMagic(magic));
-    };
-    let payload = read_tail(r)?;
-    Ok(Frame {
-        corr_id,
-        trace_id,
-        payload,
-    })
+    read_after_magic(r, magic)
 }
 
 #[cfg(test)]
@@ -675,6 +721,129 @@ mod tests {
         assert!(matches!(
             decode_slice(&buf),
             Err(FrameError::BadChecksum { .. })
+        ));
+    }
+
+    #[test]
+    fn crc32_check_values() {
+        // The CRC-32/ISO-HDLC check value: the polynomial is frozen, every
+        // frame version carries it.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            !crc32_update(crc32_update(u32::MAX, b"1234"), b"56789"),
+            0xCBF4_3926
+        );
+    }
+
+    /// One fixed payload framed as v1, v2 and v3, byte for byte (headers
+    /// computed independently with zlib's CRC-32): the wire format a
+    /// faster checksum must not move.
+    #[test]
+    fn golden_frame_bytes() {
+        const PAYLOAD: &[u8] = b"dpfs golden payload \x00\x01\xfe\xff";
+        const LEN_CRC: [u8; 8] = [0x18, 0x00, 0x00, 0x00, 0xb0, 0xa3, 0xdf, 0x06];
+        const CORR: [u8; 8] = [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01];
+        const TRACE: [u8; 8] = [0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11];
+        let golden = |pieces: &[&[u8]]| pieces.concat();
+
+        let v1 = golden(&[b"DPFS", &LEN_CRC, PAYLOAD]);
+        let v2 = golden(&[b"DPF2", &CORR, &LEN_CRC, PAYLOAD]);
+        let v3 = golden(&[b"DPF3", &CORR, &TRACE, &LEN_CRC, PAYLOAD]);
+        let (corr_id, trace_id) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
+
+        let mut out = Vec::new();
+        write_frame(&mut out, PAYLOAD).unwrap();
+        assert_eq!(out, v1);
+        out.clear();
+        write_frame_v2(&mut out, corr_id, PAYLOAD).unwrap();
+        assert_eq!(out, v2);
+        out.clear();
+        write_frame_v3_parts(&mut out, corr_id, trace_id, &[&PAYLOAD[..5], &PAYLOAD[5..]]).unwrap();
+        assert_eq!(out, v3);
+        // The queued-writer header is the same header.
+        assert_eq!(response_header(None, [PAYLOAD]).unwrap(), v1[..12]);
+        assert_eq!(response_header(Some(corr_id), [PAYLOAD]).unwrap(), v2[..20]);
+
+        for (bytes, corr, trace) in [
+            (&v1, None, 0),
+            (&v2, Some(corr_id), 0),
+            (&v3, Some(corr_id), trace_id),
+        ] {
+            let f = read_frame_any(&mut Cursor::new(bytes)).unwrap();
+            assert_eq!(
+                (f.corr_id, f.trace_id, &f.payload[..]),
+                (corr, trace, PAYLOAD)
+            );
+            let (f, used) = decode_slice(bytes).unwrap().unwrap();
+            assert_eq!(
+                (f.corr_id, f.trace_id, &f.payload[..]),
+                (corr, trace, PAYLOAD)
+            );
+            assert_eq!(used, bytes.len());
+        }
+    }
+
+    #[test]
+    fn decode_bytes_matches_decode_slice_without_copying() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"one").unwrap();
+        write_frame_v2(&mut wire, 2, b"two").unwrap();
+        write_frame_v3(&mut wire, 3, 33, b"three").unwrap();
+        let whole = wire.len();
+        wire.extend_from_slice(b"DPF2\x01"); // a partial fourth header
+        let mut buf = Bytes::from(wire.clone());
+        let block = buf.as_ptr();
+        let mut at = 0;
+        for _ in 0..3 {
+            let (want, used) = decode_slice(&wire[at..]).unwrap().unwrap();
+            let got = decode_bytes(&mut buf).unwrap().unwrap();
+            assert_eq!(got, want);
+            // the payload is a window of the buffer that was frozen
+            let off = got.payload.as_ptr() as usize - block as usize;
+            assert_eq!(&wire[off..off + got.payload.len()], &want.payload[..]);
+            at += used;
+        }
+        assert_eq!(at, whole);
+        assert!(decode_bytes(&mut buf).unwrap().is_none());
+        assert_eq!(&buf[..], b"DPF2\x01", "a partial frame is left in place");
+    }
+
+    #[test]
+    fn decode_bytes_rejects_corruption_and_leaves_the_buffer() {
+        let mut wire = Vec::new();
+        write_frame_v2(&mut wire, 1, b"payload").unwrap();
+        let n = wire.len();
+        wire[n - 1] ^= 0xFF;
+        let mut buf = Bytes::from(wire);
+        assert!(matches!(
+            decode_bytes(&mut buf),
+            Err(FrameError::BadChecksum { .. })
+        ));
+        assert_eq!(buf.len(), n);
+        assert!(matches!(
+            decode_bytes(&mut Bytes::from_static(b"XXXX____")),
+            Err(FrameError::BadMagic(_))
+        ));
+    }
+
+    #[test]
+    fn frame_len_known_once_the_header_is_in() {
+        let mut wire = Vec::new();
+        write_frame_v3(&mut wire, 7, 8, b"announced").unwrap();
+        for cut in 0..28 {
+            assert_eq!(frame_len(&wire[..cut]).unwrap(), None, "cut {cut}");
+        }
+        for cut in 28..=wire.len() {
+            assert_eq!(frame_len(&wire[..cut]).unwrap(), Some(wire.len()));
+        }
+        assert!(matches!(frame_len(b"XXXX"), Err(FrameError::BadMagic(_))));
+        let mut oversized = MAGIC.to_vec();
+        oversized.extend_from_slice(&u32::MAX.to_le_bytes());
+        oversized.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            frame_len(&oversized),
+            Err(FrameError::Oversized(_))
         ));
     }
 

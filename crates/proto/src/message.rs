@@ -223,6 +223,51 @@ fn get_bytes(buf: &mut Bytes) -> Result<Bytes, FrameError> {
     Ok(buf.split_to(len))
 }
 
+/// Payloads shorter than this are copied into the surrounding head part
+/// even on the scatter-gather path: below it one more iovec and refcount
+/// cost more than the copy (a legacy `Data` reply can carry thousands of
+/// 64-byte chunks).
+const SPLIT_MIN: usize = 1024;
+
+/// Where the encoders write. Scalars, strings and patterns go to `head`;
+/// a bulk payload is either copied in behind them (contiguous encoding)
+/// or, when `split` is set, closes the head and rides as a refcounted part
+/// of its own. One encoder per message type serves both shapes, so the
+/// parts always concatenate to the contiguous encoding.
+struct Parts {
+    done: Vec<Bytes>,
+    head: BytesMut,
+    split: bool,
+}
+
+impl Parts {
+    fn new(split: bool) -> Parts {
+        Parts {
+            done: Vec::new(),
+            head: BytesMut::new(),
+            split,
+        }
+    }
+
+    /// Append `payload` behind its `u64` length prefix.
+    fn put_bytes(&mut self, payload: &Bytes) {
+        self.head.put_u64_le(payload.len() as u64);
+        if self.split && payload.len() >= SPLIT_MIN {
+            self.done.push(std::mem::take(&mut self.head).freeze());
+            self.done.push(payload.clone());
+        } else {
+            self.head.put_slice(payload);
+        }
+    }
+
+    fn finish(mut self) -> Vec<Bytes> {
+        if !self.head.is_empty() {
+            self.done.push(self.head.freeze());
+        }
+        self.done
+    }
+}
+
 fn ensure_done(buf: &Bytes) -> Result<(), FrameError> {
     if buf.has_remaining() {
         Err(FrameError::BadMessage(format!(
@@ -235,24 +280,22 @@ fn ensure_done(buf: &Bytes) -> Result<(), FrameError> {
 }
 
 impl Request {
-    /// Encode to a frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    fn encode_to(&self, out: &mut Parts) {
+        let buf = &mut out.head;
         match self {
             Request::Ping => buf.put_u8(1),
             Request::Write { subfile, ranges } => {
                 buf.put_u8(2);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
                 buf.put_u32_le(ranges.len() as u32);
                 for (off, data) in ranges {
-                    buf.put_u64_le(*off);
-                    buf.put_u64_le(data.len() as u64);
-                    buf.put_slice(data);
+                    out.head.put_u64_le(*off);
+                    out.put_bytes(data);
                 }
             }
             Request::Read { subfile, ranges } => {
                 buf.put_u8(3);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
                 buf.put_u32_le(ranges.len() as u32);
                 for (off, len) in ranges {
                     buf.put_u64_le(*off);
@@ -261,31 +304,31 @@ impl Request {
             }
             Request::Delete { subfile } => {
                 buf.put_u8(4);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
             }
             Request::Stat { subfile } => {
                 buf.put_u8(5);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
             }
             Request::Truncate { subfile, size } => {
                 buf.put_u8(6);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
                 buf.put_u64_le(*size);
             }
             Request::Sync { subfile } => {
                 buf.put_u8(7);
-                put_str(&mut buf, subfile);
+                put_str(buf, subfile);
             }
             Request::Shutdown => buf.put_u8(8),
             Request::Stats => buf.put_u8(9),
             Request::Meta { op } => {
                 buf.put_u8(10);
-                op.encode_into(&mut buf);
+                op.encode_into(buf);
             }
             Request::ReadList { subfile, pattern } => {
                 buf.put_u8(11);
-                put_str(&mut buf, subfile);
-                pattern.encode_into(&mut buf);
+                put_str(buf, subfile);
+                pattern.encode_into(buf);
             }
             Request::WriteList {
                 subfile,
@@ -293,37 +336,30 @@ impl Request {
                 payload,
             } => {
                 buf.put_u8(12);
-                put_str(&mut buf, subfile);
-                pattern.encode_into(&mut buf);
-                buf.put_u64_le(payload.len() as u64);
-                buf.put_slice(payload);
+                put_str(buf, subfile);
+                pattern.encode_into(buf);
+                out.put_bytes(payload);
             }
         }
-        buf.freeze()
+    }
+
+    /// Encode to a frame payload.
+    pub fn encode(&self) -> Bytes {
+        let mut out = Parts::new(false);
+        self.encode_to(&mut out);
+        out.head.freeze()
     }
 
     /// Encode as a list of byte slices whose concatenation equals
-    /// [`Request::encode`]. For `WriteList` the gathered payload comes
-    /// back as its own (refcounted) part, untouched — the transport hands
-    /// all parts to one `write_vectored` frame write, so the payload is
-    /// never copied into a message buffer on the hot path. Everything
-    /// else is a single part.
+    /// [`Request::encode`]. Bulk payloads (`WriteList`'s gathered bytes,
+    /// `Write`'s larger ranges) come back as their own refcounted parts,
+    /// untouched — the transport hands all parts to one `write_vectored`
+    /// frame write, so a payload is never copied into a message buffer on
+    /// the hot path. Everything else is a single part.
     pub fn encode_parts(&self) -> Vec<Bytes> {
-        match self {
-            Request::WriteList {
-                subfile,
-                pattern,
-                payload,
-            } => {
-                let mut head = BytesMut::new();
-                head.put_u8(12);
-                put_str(&mut head, subfile);
-                pattern.encode_into(&mut head);
-                head.put_u64_le(payload.len() as u64);
-                vec![head.freeze(), payload.clone()]
-            }
-            other => vec![other.encode()],
-        }
+        let mut out = Parts::new(true);
+        self.encode_to(&mut out);
+        out.finish()
     }
 
     /// Decode from a frame payload.
@@ -410,9 +446,8 @@ impl Request {
 }
 
 impl Response {
-    /// Encode to a frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    fn encode_to(&self, out: &mut Parts) {
+        let buf = &mut out.head;
         match self {
             Response::Pong => buf.put_u8(1),
             Response::Written { bytes } => {
@@ -423,8 +458,7 @@ impl Response {
                 buf.put_u8(3);
                 buf.put_u32_le(chunks.len() as u32);
                 for c in chunks {
-                    buf.put_u64_le(c.len() as u64);
-                    buf.put_slice(c);
+                    out.put_bytes(c);
                 }
             }
             Response::Deleted { existed } => {
@@ -440,26 +474,42 @@ impl Response {
             Response::Error { code, message } => {
                 buf.put_u8(7);
                 buf.put_u8(code.to_u8());
-                put_str(&mut buf, message);
+                put_str(buf, message);
             }
             Response::Stats { payload } => {
                 buf.put_u8(8);
-                buf.put_u64_le(payload.len() as u64);
-                buf.put_slice(payload);
+                out.put_bytes(payload);
             }
             Response::Meta { shard, gen, result } => {
                 buf.put_u8(9);
                 buf.put_u32_le(*shard);
                 buf.put_u64_le(*gen);
-                result.encode_into(&mut buf);
+                result.encode_into(buf);
             }
             Response::DataList { data } => {
                 buf.put_u8(10);
-                buf.put_u64_le(data.len() as u64);
-                buf.put_slice(data);
+                out.put_bytes(data);
             }
         }
-        buf.freeze()
+    }
+
+    /// Encode to a frame payload.
+    pub fn encode(&self) -> Bytes {
+        let mut out = Parts::new(false);
+        self.encode_to(&mut out);
+        out.head.freeze()
+    }
+
+    /// Encode as a list of byte slices whose concatenation equals
+    /// [`Response::encode`]: the reply-side twin of
+    /// [`Request::encode_parts`]. Read data (`Data` chunks, the `DataList`
+    /// payload) and `Stats` blobs come back as refcounted parts behind a
+    /// small head, so the server queues the very buffer it read the
+    /// subfile into instead of copying it into a message.
+    pub fn encode_parts(&self) -> Vec<Bytes> {
+        let mut out = Parts::new(true);
+        self.encode_to(&mut out);
+        out.finish()
     }
 
     /// Decode from a frame payload.
@@ -590,6 +640,10 @@ mod tests {
         assert_eq!(w.payload_bytes(), 16 * 32);
     }
 
+    fn glue(parts: &[Bytes]) -> Vec<u8> {
+        parts.iter().flat_map(|p| p.iter().copied()).collect()
+    }
+
     #[test]
     fn encode_parts_concatenates_to_encode() {
         let reqs = [
@@ -607,23 +661,75 @@ mod tests {
                 pattern: strided_pattern(),
                 payload: Bytes::from(vec![9u8; 16 * 32]),
             },
+            Request::WriteList {
+                subfile: "f".into(),
+                pattern: AccessPattern::from_runs(&[(0, 4096)]),
+                payload: Bytes::from(vec![9u8; 4096]),
+            },
+            Request::Write {
+                subfile: "f".into(),
+                ranges: vec![
+                    (0, Bytes::from(vec![1u8; SPLIT_MIN])),
+                    (9000, Bytes::from_static(b"tiny")),
+                    (10_000, Bytes::from(vec![2u8; 2 * SPLIT_MIN])),
+                ],
+            },
         ];
         for req in reqs {
             let whole = req.encode();
             let parts = req.encode_parts();
-            let glued: Vec<u8> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-            assert_eq!(&glued[..], &whole[..], "parts must concatenate to encode");
+            assert_eq!(&glue(&parts)[..], &whole[..], "{}", req.kind_str());
+            assert!(parts.iter().all(|p| !p.is_empty()));
         }
-        // and the WriteList payload part is the refcounted payload itself
-        let payload = Bytes::from(vec![1u8; 64]);
-        let req = Request::WriteList {
+        let resps = [
+            Response::Pong,
+            Response::DataList { data: Bytes::new() },
+            Response::DataList {
+                data: Bytes::from(vec![3u8; 4096]),
+            },
+            Response::Data {
+                chunks: vec![
+                    Bytes::from(vec![4u8; SPLIT_MIN - 1]),
+                    Bytes::from(vec![5u8; SPLIT_MIN]),
+                    Bytes::new(),
+                ],
+            },
+            Response::Stats {
+                payload: Bytes::from(vec![6u8; 2048]),
+            },
+        ];
+        for resp in resps {
+            let whole = resp.encode();
+            let parts = resp.encode_parts();
+            assert_eq!(&glue(&parts)[..], &whole[..], "{resp:?}");
+            assert_eq!(Response::decode(Bytes::from(glue(&parts))).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn bulk_payload_parts_are_the_callers_buffers() {
+        // Scatter-gather means *the same allocation*, not an equal copy.
+        let payload = Bytes::from(vec![1u8; SPLIT_MIN]);
+        let parts = Request::WriteList {
             subfile: "f".into(),
-            pattern: AccessPattern::from_runs(&[(0, 64)]),
+            pattern: AccessPattern::from_runs(&[(0, SPLIT_MIN as u64)]),
             payload: payload.clone(),
-        };
-        let parts = req.encode_parts();
+        }
+        .encode_parts();
         assert_eq!(parts.len(), 2);
-        assert_eq!(parts[1], payload);
+        assert_eq!(parts[1].as_ptr(), payload.as_ptr());
+        let parts = Response::DataList {
+            data: payload.clone(),
+        }
+        .encode_parts();
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0].len(), 1 + 8);
+        assert_eq!(parts[1].as_ptr(), payload.as_ptr());
+        // Small payloads are cheaper to copy than to scatter.
+        let small = Response::DataList {
+            data: Bytes::from(vec![1u8; SPLIT_MIN - 1]),
+        };
+        assert_eq!(small.encode_parts().len(), 1);
     }
 
     #[test]

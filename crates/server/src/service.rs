@@ -9,9 +9,9 @@
 //!   polls the listener; a small set of I/O *shards* each own many
 //!   nonblocking connections, accumulating reads into per-connection
 //!   buffers and decoding frames incrementally
-//!   ([`dpfs_proto::frame::decode_slice`]); a shared worker pool services
-//!   decoded requests and appends encoded response frames to the owning
-//!   connection's outbound buffer, which its shard flushes. C10K-ready:
+//!   ([`dpfs_proto::frame::decode_bytes`]); a shared worker pool services
+//!   decoded requests and appends framed responses to the owning
+//!   connection's outbound queue, which its shard flushes. C10K-ready:
 //!   thread count is `1 + shards + workers`, independent of connections.
 //! - [`RuntimeMode::ThreadPerConn`]: the original thread-per-connection
 //!   model (one decode thread plus a [`CONN_WORKERS`]-deep pool *per
@@ -26,14 +26,15 @@
 //! they cannot attribute; and the `decode`/`queue`/`respond` server trace
 //! events survive unchanged.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bytes::{Buf, Bytes};
 use dpfs_proto::{frame, Request, Response};
 use parking_lot::Mutex;
 
@@ -109,10 +110,19 @@ const IDLE_SLEEP_MAX: Duration = Duration::from_millis(1);
 /// shard moves on (fairness between connections on one shard).
 const READ_BUDGET: usize = 256 * 1024;
 
-/// Outbound-buffer cap per connection. A peer that stops reading while
-/// responses pile up past this is severed rather than allowed to pin
-/// unbounded memory. Must fit at least one max-size frame.
+/// Cap on the bytes queued outbound per connection. A peer that stops
+/// reading while responses pile up past this is severed rather than
+/// allowed to pin unbounded memory. Must fit at least one max-size frame.
 const OUTBUF_LIMIT: usize = 2 * frame::MAX_FRAME_LEN + 4096;
+
+/// The first read of a frame lands in a shard-owned buffer this big: room
+/// for a header and any small request behind it, so a connection between
+/// frames — an idle one above all — owns no read buffer.
+const PROBE_LEN: usize = 4096;
+
+/// Parts one `write_vectored` takes from an outbound queue (a framed
+/// reply is a header, a head and usually one payload).
+const FLUSH_PARTS: usize = 16;
 
 /// How long a draining shard waits for in-flight requests to finish and
 /// their responses to flush before severing connections anyway.
@@ -142,25 +152,84 @@ fn idle_pause(idle_passes: u32) {
 // Readiness runtime
 // ---------------------------------------------------------------------
 
-/// Outbound bytes for one connection: encoded response frames appended by
-/// workers, flushed (nonblocking) by the owning shard. `pos` marks how
-/// far the flush has gotten.
+/// Outbound frames of one connection, as the refcounted parts they were
+/// framed from: the queue holds references to reply payloads, never
+/// copies. Whole frames are pushed (by workers, or by a per-connection
+/// writer); whoever owns the socket flushes with gathered writes. Empty
+/// until used, so an idle connection costs nothing.
 #[derive(Default)]
-struct OutBuf {
-    buf: Vec<u8>,
-    pos: usize,
+struct OutQueue {
+    /// Unwritten parts in wire order. A partial write advances the front
+    /// part in place.
+    parts: VecDeque<Bytes>,
+    /// Unwritten bytes across `parts`: what [`OUTBUF_LIMIT`] bounds.
+    pending: usize,
 }
 
-impl OutBuf {
-    fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+impl OutQueue {
+    /// Append one whole frame. Frames only — the queue never holds a
+    /// partial frame at its append edge, so per-connection responses stay
+    /// serialized.
+    fn push(&mut self, framed: Vec<Bytes>) {
+        for part in framed {
+            if !part.is_empty() {
+                self.pending += part.len();
+                self.parts.push_back(part);
+            }
+        }
     }
+
+    /// Write queued bytes until the queue empties or `w` would block (a
+    /// blocking `w` always empties it). Returns the bytes written.
+    fn flush(&mut self, w: &mut impl Write) -> io::Result<usize> {
+        let mut wrote = 0usize;
+        while self.pending > 0 {
+            let mut iov = [IoSlice::new(&[]); FLUSH_PARTS];
+            let mut n = 0;
+            for (slot, part) in iov.iter_mut().zip(&self.parts) {
+                *slot = IoSlice::new(part);
+                n += 1;
+            }
+            let mut sent = match w.write_vectored(&iov[..n]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(sent) => sent,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            wrote += sent;
+            self.pending -= sent;
+            while sent > 0 {
+                let front = &mut self.parts[0];
+                if sent >= front.len() {
+                    sent -= front.len();
+                    self.parts.pop_front();
+                } else {
+                    front.advance(sent);
+                    sent = 0;
+                }
+            }
+        }
+        Ok(wrote)
+    }
+}
+
+/// Frame one response: encode it to parts (the payload stays the
+/// refcounted buffer the handler produced), checksum them in one pass,
+/// and prepend the header — echoing the request's correlation ID, v1
+/// framing when it had none. Touches no connection state, so callers run
+/// it outside their locks; both runtimes' writers send exactly this.
+fn frame_response(corr_id: Option<u64>, resp: &Response) -> Result<Vec<Bytes>, frame::FrameError> {
+    let mut framed = resp.encode_parts();
+    let header = frame::response_header(corr_id, framed.iter().map(|p| &p[..]))?;
+    framed.insert(0, Bytes::from(header));
+    Ok(framed)
 }
 
 /// The worker-visible half of one connection: where responses go, plus
 /// the counters the shard uses for lockstep and drain decisions.
 struct ConnIo {
-    outbuf: Mutex<OutBuf>,
+    outbuf: Mutex<OutQueue>,
     /// Requests dispatched but not yet answered into `outbuf`.
     inflight: AtomicUsize,
     /// A wire-v1 (uncorrelated) request is in flight: the shard must not
@@ -174,7 +243,7 @@ struct ConnIo {
 impl ConnIo {
     fn new() -> Arc<ConnIo> {
         Arc::new(ConnIo {
-            outbuf: Mutex::new(OutBuf::default()),
+            outbuf: Mutex::new(OutQueue::default()),
             inflight: AtomicUsize::new(0),
             v1_pending: AtomicBool::new(false),
             dead: AtomicBool::new(false),
@@ -182,18 +251,19 @@ impl ConnIo {
     }
 }
 
-/// Encode one response frame (echoing the request's correlation ID, v1
-/// framing when it had none) and append it to the connection's outbound
-/// buffer. Whole frames only — the buffer never holds a partial frame at
-/// its append edge, so per-connection responses stay serialized.
+/// Queue one response on its connection. Encoding and the checksum pass
+/// happen before the lock: it is the lock the shard holds across its
+/// socket write, so holding it for a megabyte of CRC would stall that
+/// shard's whole turn. Under the lock only the finished frame is pushed
+/// and the byte count checked.
 fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) {
-    let payload = resp.encode();
+    let framed = frame_response(corr_id, resp);
     let mut out = io.outbuf.lock();
-    let res = match corr_id {
-        Some(id) => frame::write_frame_v2(&mut out.buf, id, &payload),
-        None => frame::write_frame(&mut out.buf, &payload),
-    };
-    if res.is_err() || out.pending() > OUTBUF_LIMIT {
+    match framed {
+        Ok(framed) => out.push(framed),
+        Err(_) => io.dead.store(true, Ordering::SeqCst),
+    }
+    if out.pending > OUTBUF_LIMIT {
         io.dead.store(true, Ordering::SeqCst);
     }
 }
@@ -217,13 +287,22 @@ struct Shard {
 /// One connection owned by a shard.
 struct ShardConn {
     stream: TcpStream,
-    /// Unparsed bytes read off the socket.
+    /// Unparsed bytes read off the socket: at most one partial frame
+    /// between passes (plus whole frames the lockstep gate holds back).
     inbuf: Vec<u8>,
     io: Arc<ConnIo>,
     /// Peer sent FIN; stop reading, finish what's in flight, then close.
     peer_eof: bool,
     /// A `Shutdown` request was decoded; stop reading ahead of the drain.
     stop_reading: bool,
+}
+
+impl ShardConn {
+    /// No further frame may be decoded (or read) for now: a `Shutdown` was
+    /// decoded, or a lockstep (wire v1) request is still in flight.
+    fn gated(&self) -> bool {
+        self.stop_reading || self.io.v1_pending.load(Ordering::SeqCst)
+    }
 }
 
 /// Why a connection left its shard.
@@ -240,7 +319,7 @@ fn shard_loop(
     conn_count: Arc<AtomicUsize>,
 ) {
     let mut conns: Vec<ShardConn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    let mut probe = [0u8; PROBE_LEN];
     let mut idle_passes: u32 = 0;
     let mut draining_since: Option<Instant> = None;
     loop {
@@ -269,7 +348,7 @@ fn shard_loop(
                 draining,
                 &service,
                 &jobs,
-                &mut scratch,
+                &mut probe,
                 &mut progressed,
             );
             match fate {
@@ -285,7 +364,7 @@ fn shard_loop(
         if draining {
             let started = *draining_since.get_or_insert_with(Instant::now);
             let drained = conns.iter().all(|c| {
-                c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending() == 0
+                c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending == 0
             });
             if drained || started.elapsed() > DRAIN_DEADLINE {
                 for c in conns.drain(..) {
@@ -313,6 +392,68 @@ fn shard_loop(
     }
 }
 
+/// One read off `c`'s socket into its buffer; `Ok(0)` is end of stream.
+///
+/// Until a header says how long its frame is, bytes land in the shard's
+/// `probe` and are appended from there. Once it does, the buffer grows —
+/// once — to exactly the frame's length and the socket fills the rest in
+/// place: no bounce buffer, no doubling re-copies, and (with the zero-copy
+/// decode) the payload's final home. The in-place read stops at the
+/// frame's end; the caller decodes between reads, so the front of the
+/// buffer is always the one frame still arriving.
+fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<usize> {
+    let have = c.inbuf.len();
+    let rest = match frame::frame_len(&c.inbuf) {
+        Ok(Some(total)) if total > have => total - have,
+        _ => {
+            let n = c.stream.read(probe)?;
+            c.inbuf.extend_from_slice(&probe[..n]);
+            return Ok(n);
+        }
+    };
+    c.inbuf
+        .try_reserve_exact(rest)
+        .map_err(|_| io::Error::from(io::ErrorKind::OutOfMemory))?;
+    let res = (&c.stream)
+        .take(rest.min(budget) as u64)
+        .read_to_end(&mut c.inbuf);
+    match res {
+        // Nothing arrived: report why. Otherwise report the progress; a
+        // `WouldBlock` that cut it short shows again on the next call.
+        Err(e) if c.inbuf.len() == have => Err(e),
+        _ => Ok(c.inbuf.len() - have),
+    }
+}
+
+/// Dispatch every complete frame in `c`'s buffer; false means drop the
+/// connection (corrupt stream, or the worker pool is gone).
+///
+/// Once a whole frame is in, the buffer is frozen and frames are split off
+/// it: each request's payload is a refcounted window of the bytes the
+/// socket delivered, not a copy. What is left over — a partial frame, or
+/// whole frames the lockstep gate holds back — starts the next buffer.
+fn decode_ready(c: &mut ShardConn, service: &Arc<dyn Service>, jobs: &mpsc::Sender<Job>) -> bool {
+    match frame::frame_len(&c.inbuf) {
+        Ok(Some(total)) if total <= c.inbuf.len() && !c.gated() => {}
+        Ok(_) => return true,
+        Err(_) => return false,
+    }
+    let mut buf = Bytes::from(std::mem::take(&mut c.inbuf));
+    while !c.gated() {
+        match frame::decode_bytes(&mut buf) {
+            Ok(Some(fr)) => {
+                if !dispatch_frame(c, fr, service, jobs) {
+                    return false;
+                }
+            }
+            Ok(None) => break,
+            Err(_) => return false,
+        }
+    }
+    c.inbuf.extend_from_slice(&buf);
+    true
+}
+
 /// One shard pass over one connection: flush pending responses, then (if
 /// not draining) read, decode, and dispatch new requests.
 fn service_conn(
@@ -320,91 +461,50 @@ fn service_conn(
     draining: bool,
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
-    scratch: &mut [u8],
+    probe: &mut [u8],
     progressed: &mut bool,
 ) -> ConnFate {
     if c.io.dead.load(Ordering::SeqCst) {
         return ConnFate::Close;
     }
-    // Flush: nonblocking writes until the buffer empties or the socket
-    // would block. The lock is held across the write; workers appending
-    // concurrently wait a bounded syscall, never a handler.
-    {
-        let mut out = c.io.outbuf.lock();
-        while out.pending() > 0 {
-            let pos = out.pos;
-            match c.stream.write(&out.buf[pos..]) {
-                Ok(0) => return ConnFate::Close,
-                Ok(n) => {
-                    out.pos += n;
-                    *progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-        if out.pending() == 0 && out.pos > 0 {
-            out.buf.clear();
-            out.pos = 0;
-        }
+    // Flush: nonblocking gathered writes until the queue empties or the
+    // socket would block. The lock is held across the write; workers
+    // pushing concurrently wait a bounded syscall, never a handler.
+    match c.io.outbuf.lock().flush(&mut c.stream) {
+        Ok(0) => {}
+        Ok(_) => *progressed = true,
+        Err(_) => return ConnFate::Close,
     }
     if draining {
         return ConnFate::Keep;
     }
-    // Read: pull bytes while the lockstep gate is open and the fairness
-    // budget lasts.
-    if !c.peer_eof && !c.stop_reading && !c.io.v1_pending.load(Ordering::SeqCst) {
-        let mut read_total = 0usize;
-        loop {
-            match c.stream.read(scratch) {
-                Ok(0) => {
-                    c.peer_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    c.inbuf.extend_from_slice(&scratch[..n]);
-                    *progressed = true;
-                    read_total += n;
-                    if read_total >= READ_BUDGET {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return ConnFate::Close,
-            }
-        }
-    }
-    // Decode: complete frames become jobs (or inline error replies);
-    // partial frames wait for more bytes; corruption drops the
-    // connection, exactly like the blocking runtime did.
-    let mut consumed = 0usize;
-    let fate = loop {
-        if c.stop_reading || c.io.v1_pending.load(Ordering::SeqCst) {
-            break ConnFate::Keep;
-        }
-        match frame::decode_slice(&c.inbuf[consumed..]) {
-            Ok(Some((fr, used))) => {
-                consumed += used;
-                if !dispatch_frame(c, fr, service, jobs) {
-                    break ConnFate::Close;
-                }
-            }
-            Ok(None) => break ConnFate::Keep,
-            Err(_) => break ConnFate::Close,
-        }
-    };
-    if consumed > 0 {
-        c.inbuf.drain(..consumed);
-    }
-    if matches!(fate, ConnFate::Close) {
+    // Frames the lockstep gate held back last pass go first.
+    if !decode_ready(c, service, jobs) {
         return ConnFate::Close;
+    }
+    // Read and decode while the lockstep gate is open and the fairness
+    // budget lasts. Complete frames become jobs (or inline error
+    // replies); partial frames wait for more bytes; corruption drops the
+    // connection, exactly like the blocking runtime does.
+    let mut read_total = 0usize;
+    while read_total < READ_BUDGET && !c.peer_eof && !c.gated() {
+        match read_more(c, probe, READ_BUDGET - read_total) {
+            Ok(0) => c.peer_eof = true,
+            Ok(n) => {
+                *progressed = true;
+                read_total += n;
+                if !decode_ready(c, service, jobs) {
+                    return ConnFate::Close;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return ConnFate::Close,
+        }
     }
     // Peer gone: close once everything it asked for has been answered and
     // flushed (workers may still be producing the last responses).
-    if c.peer_eof && c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending() == 0
-    {
+    if c.peer_eof && c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending == 0 {
         return ConnFate::Close;
     }
     ConnFate::Keep
@@ -462,8 +562,8 @@ fn dispatch_frame(
     jobs.send(job).is_ok()
 }
 
-/// One shared worker: pull jobs, handle, append the encoded response to
-/// the owning connection's outbound buffer.
+/// One shared worker: pull jobs, handle, push the framed response onto
+/// the owning connection's outbound queue.
 fn worker_loop(
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     service: Arc<dyn Service>,
@@ -501,8 +601,8 @@ fn worker_loop(
             0,
         );
         // Only decrement (and reopen the lockstep gate) after the
-        // response is in the buffer: a shard that observes zero in-flight
-        // and an empty buffer knows nothing is still owed.
+        // response is in the queue: a shard that observes zero in-flight
+        // and an empty queue knows nothing is still owed.
         job.io.inflight.fetch_sub(1, Ordering::SeqCst);
         if job.corr_id.is_none() {
             job.io.v1_pending.store(false, Ordering::SeqCst);
@@ -693,18 +793,18 @@ fn connection_loop(
     conns.lock().remove(&id);
 }
 
-/// Write one response frame, echoing the request's correlation ID when it
-/// had one. The writer lock serializes whole frames, never partial ones.
+/// Write one response frame: the same [`frame_response`] the readiness
+/// runtime queues, framed and checksummed before the writer lock, which
+/// then serializes whole frames, never partial ones.
 fn write_response(
     writer: &Mutex<TcpStream>,
     corr_id: Option<u64>,
     resp: &Response,
 ) -> Result<(), frame::FrameError> {
-    let mut w = writer.lock();
-    match corr_id {
-        Some(id) => frame::write_frame_v2(&mut *w, id, &resp.encode()),
-        None => frame::write_frame(&mut *w, &resp.encode()),
-    }
+    let mut out = OutQueue::default();
+    out.push(frame_response(corr_id, resp)?);
+    out.flush(&mut *writer.lock())?;
+    Ok(())
 }
 
 /// One decoded request bound for a per-connection worker pool.
@@ -1086,6 +1186,90 @@ impl Drop for ServeCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A socket stand-in that takes at most `cap` bytes per call and
+    /// would-block on every other call.
+    struct Choppy {
+        wire: Vec<u8>,
+        cap: usize,
+        block: bool,
+    }
+
+    impl Write for Choppy {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.block = !self.block;
+            if self.block {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let mut room = self.cap;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.wire.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.cap - room)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn out_queue_flushes_whole_frames_across_short_and_blocked_writes() {
+        let replies = [
+            Response::Pong,
+            Response::DataList {
+                data: Bytes::from((0..5000u32).map(|i| i as u8).collect::<Vec<u8>>()),
+            },
+            Response::Data {
+                // more parts than one gathered write takes
+                chunks: (0..FLUSH_PARTS)
+                    .map(|i| Bytes::from(vec![i as u8; 1500]))
+                    .collect(),
+            },
+        ];
+        let mut want = Vec::new();
+        for (i, r) in replies.iter().enumerate() {
+            frame::write_frame_v2(&mut want, i as u64, &r.encode()).unwrap();
+        }
+        for cap in [1, 7, 1499, 1 << 20] {
+            let mut q = OutQueue::default();
+            for (i, r) in replies.iter().enumerate() {
+                q.push(frame_response(Some(i as u64), r).unwrap());
+            }
+            assert_eq!(q.pending, want.len());
+            let mut sock = Choppy {
+                wire: Vec::new(),
+                cap,
+                block: false,
+            };
+            while q.pending > 0 {
+                let before = q.pending;
+                let wrote = q.flush(&mut sock).unwrap();
+                assert_eq!(q.pending, before - wrote, "cap {cap}");
+            }
+            assert!(q.parts.is_empty());
+            assert_eq!(sock.wire, want, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn framed_response_carries_the_handlers_buffer() {
+        let data = Bytes::from(vec![9u8; 1 << 16]);
+        let framed = frame_response(None, &Response::DataList { data: data.clone() }).unwrap();
+        assert_eq!(framed.len(), 3, "header, head, payload");
+        assert_eq!(framed[2].as_ptr(), data.as_ptr());
+        let wire: Vec<u8> = framed.iter().flat_map(|p| p.iter().copied()).collect();
+        let fr = frame::read_frame_any(&mut &wire[..]).unwrap();
+        assert_eq!(fr.corr_id, None, "no correlation ID: v1 framing");
+        assert_eq!(
+            Response::decode(fr.payload).unwrap(),
+            Response::DataList { data }
+        );
+    }
 
     #[test]
     fn accept_error_backoff_is_bounded_and_grows() {

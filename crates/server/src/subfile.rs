@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,8 +26,9 @@ type HandleSlot = Arc<Mutex<Option<File>>>;
 /// Locking is per subfile: the store-wide map lock is held only to look up
 /// (or insert) a subfile's handle slot, and the slot's own lock is held
 /// across the local I/O. Requests for *different* subfiles proceed in
-/// parallel; requests for the same subfile serialize, which sharing one
-/// seek position requires.
+/// parallel; requests for the same subfile serialize, so `delete` and
+/// `truncate` never interleave with a half-done range list. The I/O itself
+/// is positional (`pread`/`pwrite`): one syscall per range, no seek.
 pub struct SubfileStore {
     root: PathBuf,
     /// Open-handle cache: repeated brick requests hit the same descriptor.
@@ -186,8 +187,7 @@ impl SubfileStore {
         }
         self.with_file(subfile, true, |file| {
             for (off, data) in ranges {
-                file.seek(SeekFrom::Start(*off))?;
-                file.write_all(data)?;
+                file.write_all_at(data, *off)?;
             }
             Ok(total)
         })
@@ -207,8 +207,7 @@ impl SubfileStore {
                 let mut buf = vec![0u8; len as usize];
                 if off < size {
                     let avail = ((size - off) as usize).min(len as usize);
-                    file.seek(SeekFrom::Start(off))?;
-                    file.read_exact(&mut buf[..avail])?;
+                    file.read_exact_at(&mut buf[..avail], off)?;
                 }
                 out.push(Bytes::from(buf));
             }
@@ -234,8 +233,7 @@ impl SubfileStore {
                 let dst = &mut buf[at..at + len as usize];
                 if off < size {
                     let avail = ((size - off) as usize).min(len as usize);
-                    file.seek(SeekFrom::Start(off))?;
-                    file.read_exact(&mut dst[..avail])?;
+                    file.read_exact_at(&mut dst[..avail], off)?;
                 }
                 at += len as usize;
             }
