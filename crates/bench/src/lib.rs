@@ -14,6 +14,8 @@
 //! paper's request-count ratios faithfully (scaled ~100× in wall-clock,
 //! see `dpfs-server::perf`).
 
+#![deny(unsafe_code)]
+
 pub mod ablation;
 pub mod figures;
 pub mod report;

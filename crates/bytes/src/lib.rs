@@ -10,6 +10,8 @@
 //! and `clone` / `slice` / `split_to` share that block. Anything else is
 //! intentionally absent.
 
+#![deny(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -7,6 +7,8 @@
 //! localhost with class-calibrated delay models — the substitution argued in
 //! DESIGN.md.
 
+#![deny(unsafe_code)]
+
 pub mod faultproxy;
 pub mod scrape;
 pub mod testbed;

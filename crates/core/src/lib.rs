@@ -23,6 +23,8 @@
 //! ID carried in v3 frames, and per-kind latency histograms accumulate in
 //! [`TransportStats`].
 
+#![deny(unsafe_code)]
+
 pub mod api;
 pub mod cache;
 pub mod collective;

@@ -401,9 +401,10 @@ impl Transport {
 
 /// A submitted request awaiting its response.
 ///
-/// Dropping a `Pending` abandons the response: the demux reader discards it
-/// on arrival (the entry stays in the in-flight table until then, or until
-/// the connection dies). Callers should `wait` every submission.
+/// Dropping a `Pending` abandons the response: its waiter leaves the
+/// in-flight table with it and the demux reader discards the response on
+/// arrival. The connection is not poisoned — that stays [`Pending::wait`]'s
+/// deadline behaviour.
 pub struct Pending {
     server: String,
     id: u64,
@@ -450,7 +451,7 @@ impl Pending {
                 Ok(resp)
             }
             Ok(Err(reason)) => Err(DpfsError::Disconnected {
-                server: self.server,
+                server: self.server.clone(),
                 reason,
             }),
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -459,7 +460,7 @@ impl Pending {
                 self.conn
                     .poison(&format!("request {} timed out after {timeout:?}", self.id));
                 Err(DpfsError::Timeout {
-                    server: self.server,
+                    server: self.server.clone(),
                     timeout,
                 })
             }
@@ -467,7 +468,7 @@ impl Pending {
             // so via poison, which sends first — this arm is belt and
             // braces against a panicking reader).
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(DpfsError::Disconnected {
-                server: self.server,
+                server: self.server.clone(),
                 reason: "connection reader exited".to_string(),
             }),
         }
@@ -476,6 +477,16 @@ impl Pending {
     /// The correlation ID this request went out under (tests).
     pub fn corr_id(&self) -> u64 {
         self.id
+    }
+}
+
+impl Drop for Pending {
+    /// Evict this request's waiter: an abandoned fan-out sibling (an early
+    /// `?` drops the rest) must not sit in the table — and in
+    /// [`TransportStats::in_flight`] — until a server that may never
+    /// answer does. After a `wait` the entry is already gone.
+    fn drop(&mut self) {
+        self.conn.inflight.lock().waiters.remove(&self.id);
     }
 }
 

@@ -6,6 +6,8 @@
 //! batches and reports the best mean per iteration — honest enough to
 //! compare hot paths release-to-release in an offline environment.
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -68,6 +70,24 @@ impl Bencher {
                 black_box(routine());
             }
             let mean = start.elapsed() / self.batch_iters as u32;
+            if mean < self.best {
+                self.best = mean;
+            }
+        }
+    }
+}
+
+impl Bencher {
+    /// Like [`Bencher::iter`], but `routine` runs the iterations it is
+    /// asked for itself and returns the time to count for them — for a
+    /// measurement with untimed work (an idle gap) between iterations.
+    pub fn iter_custom<R>(&mut self, mut routine: R)
+    where
+        R: FnMut(u64) -> Duration,
+    {
+        routine(self.warm_up_iters);
+        for _ in 0..self.batches {
+            let mean = routine(self.batch_iters) / self.batch_iters as u32;
             if mean < self.best {
                 self.best = mean;
             }

@@ -18,6 +18,8 @@
 //! window, two vantage points. The `scenarios` binary emits the committed
 //! `BENCH_scenarios.json`; `bench-diff` gates CI against it.
 
+#![deny(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;

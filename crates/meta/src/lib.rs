@@ -32,6 +32,8 @@
 //! assert_eq!(rs.rows.len(), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod catalog;
 pub mod codec;
 pub mod db;

@@ -14,6 +14,8 @@
 //! every op lands in a per-op service-time histogram exported through the
 //! `Stats` RPC as a [`MetadStatsSnapshot`].
 
+#![deny(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::io;
 use std::net::SocketAddr;

@@ -21,6 +21,8 @@
 //! graph so both sides of the wire share one event vocabulary; `dpfs-core`
 //! re-exports it as `dpfs_core::trace`.
 
+#![deny(unsafe_code)]
+
 pub mod hist;
 pub mod log;
 pub mod metrics;

@@ -5,6 +5,8 @@
 //! poison flag on the next acquisition, matching `parking_lot`'s
 //! behaviour closely enough for this workspace.
 
+#![deny(unsafe_code)]
+
 use std::fmt;
 use std::sync::{self, TryLockError};
 

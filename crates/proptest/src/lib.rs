@@ -13,6 +13,8 @@
 //! - String strategies accept only the `[class]{m,n}` regex shape the
 //!   tests use, not full regex syntax.
 
+#![deny(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

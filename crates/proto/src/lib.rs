@@ -36,6 +36,8 @@
 //! The CRC detects torn or corrupted frames; a bad frame is a protocol error
 //! surfaced to the peer, never a panic.
 
+#![deny(unsafe_code)]
+
 pub mod frame;
 pub mod message;
 pub mod meta;

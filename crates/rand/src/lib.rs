@@ -7,6 +7,8 @@
 //! it is NOT cryptographic and the stream differs from upstream `rand`
 //! (only determinism per seed is promised, not cross-crate streams).
 
+#![deny(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level entropy source: a stream of `u64`s.

@@ -25,12 +25,15 @@
 //! println!("serving on {}", server.addr());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod handler;
 pub mod perf;
 pub mod server;
 pub mod service;
 pub mod stats;
 pub mod subfile;
+mod sys;
 
 pub use dpfs_obs::HistSnapshot;
 pub use handler::Handler;

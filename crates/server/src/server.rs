@@ -387,13 +387,33 @@ mod tests {
 
     #[test]
     fn shutdown_request_stops_server() {
-        let (server, dir) = start_server("shutreq");
-        let mut c = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(rpc(&mut c, Request::Shutdown), Response::Pong);
-        // subsequent requests on a new connection fail or connection refused
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        drop(server);
-        std::fs::remove_dir_all(dir).unwrap();
+        for mode in [RuntimeMode::Readiness, RuntimeMode::ThreadPerConn] {
+            let (server, dir) = start_server_mode("shutreq", mode);
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            assert_eq!(rpc(&mut c, Request::Shutdown), Response::Pong);
+            // From here on a fresh connection is refused, or reset before
+            // it gets an answer, and the server lets go of every
+            // connection it held.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            loop {
+                let answered = TcpStream::connect(server.addr()).is_ok_and(|mut fresh| {
+                    frame::write_frame(&mut fresh, &Request::Ping.encode()).is_ok()
+                        && frame::read_frame(&mut fresh).is_ok()
+                });
+                if !answered && server.open_connections() == 0 {
+                    break;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{mode:?}: still serving after a wire shutdown \
+                     (answered: {answered}, open: {})",
+                    server.open_connections()
+                );
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            drop(server);
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     /// A wire `Request::Shutdown` must quiesce the whole server on its

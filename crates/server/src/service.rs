@@ -5,14 +5,17 @@
 //! Two runtimes live here, selected by [`RuntimeMode`]:
 //!
 //! - [`RuntimeMode::Readiness`] (the default): a **fixed** set of threads
-//!   regardless of how many clients connect. One nonblocking acceptor
-//!   polls the listener; a small set of I/O *shards* each own many
-//!   nonblocking connections, accumulating reads into per-connection
-//!   buffers and decoding frames incrementally
-//!   ([`dpfs_proto::frame::decode_bytes`]); a shared worker pool services
-//!   decoded requests and appends framed responses to the owning
-//!   connection's outbound queue, which its shard flushes. C10K-ready:
-//!   thread count is `1 + shards + workers`, independent of connections.
+//!   regardless of how many clients connect, every one of them asleep in
+//!   the kernel until there is work — no timer anywhere. The acceptor
+//!   blocks in `poll(2)` on the listener; a small set of I/O *shards* each
+//!   block in one `poll` over their many nonblocking connections,
+//!   accumulating reads into per-connection buffers and decoding frames
+//!   incrementally ([`dpfs_proto::frame::decode_bytes`]); a shared worker
+//!   pool services decoded requests and writes each framed response to
+//!   the owning connection's socket itself, leaving to the shard only what
+//!   the socket would not take. Whatever a sleeping thread cannot see on
+//!   its descriptors reaches it through its wake fd. C10K-ready: thread
+//!   count is `1 + shards + workers`, independent of connections.
 //! - [`RuntimeMode::ThreadPerConn`]: the original thread-per-connection
 //!   model (one decode thread plus a [`CONN_WORKERS`]-deep pool *per
 //!   connection*), kept as the ablation baseline the readiness runtime is
@@ -27,8 +30,11 @@
 //! events survive unchanged.
 
 use std::collections::{HashMap, VecDeque};
+use std::ffi::c_short;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -39,6 +45,7 @@ use dpfs_proto::{frame, Request, Response};
 use parking_lot::Mutex;
 
 use crate::handler::server_event;
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// A request handler an accept loop can serve: one response per request,
 /// shared across shards and workers.
@@ -56,8 +63,8 @@ pub trait Service: Send + Sync + 'static {
 /// Which serving runtime a [`ServeCore`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeMode {
-    /// Fixed thread count: nonblocking acceptor + I/O shards + shared
-    /// worker pool. The default.
+    /// Fixed thread count: acceptor + I/O shards, each blocked in
+    /// `poll(2)`, + shared worker pool. The default.
     Readiness,
     /// One decode thread and a [`CONN_WORKERS`] pool per connection
     /// (PR 2/5 behaviour). Ablation baseline only.
@@ -75,7 +82,7 @@ pub struct ServeConfig {
     /// Shared request-handling workers (readiness mode): the depth to
     /// which independent requests — across *all* connections — overlap
     /// their service times. Clamped to at least 2 so one connection's
-    /// pipelined requests still overlap. Clamped to at least 2.
+    /// pipelined requests still overlap.
     pub workers: usize,
 }
 
@@ -99,13 +106,6 @@ const DEFAULT_SHARDS: usize = 2;
 /// Default shared workers for the readiness runtime.
 const DEFAULT_WORKERS: usize = 8;
 
-/// Acceptor poll interval while the listener has no pending connection.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// Cap on a shard's idle sleep. Bounds the latency a freshly-arrived
-/// request can sit unread while its shard naps.
-const IDLE_SLEEP_MAX: Duration = Duration::from_millis(1);
-
 /// Bytes one connection may pull off its socket per shard pass before the
 /// shard moves on (fairness between connections on one shard).
 const READ_BUDGET: usize = 256 * 1024;
@@ -125,7 +125,8 @@ const PROBE_LEN: usize = 4096;
 const FLUSH_PARTS: usize = 16;
 
 /// How long a draining shard waits for in-flight requests to finish and
-/// their responses to flush before severing connections anyway.
+/// their responses to flush before severing connections anyway: the only
+/// timeout a shard's `poll` ever carries.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Backoff before retrying `accept()` after `consecutive` straight
@@ -134,18 +135,6 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 pub(crate) fn accept_error_backoff(consecutive: u32) -> Duration {
     let ms = 1u64 << consecutive.saturating_sub(1).min(7);
     Duration::from_millis(ms.min(100))
-}
-
-/// Escalating idle sleep: yield for the first few empty passes (a worker
-/// is probably about to publish a response), then back off exponentially
-/// to [`IDLE_SLEEP_MAX`].
-fn idle_pause(idle_passes: u32) {
-    if idle_passes <= 3 {
-        std::thread::yield_now();
-        return;
-    }
-    let us = 50u64 << (idle_passes - 4).min(5);
-    std::thread::sleep(Duration::from_micros(us).min(IDLE_SLEEP_MAX));
 }
 
 // ---------------------------------------------------------------------
@@ -226,45 +215,160 @@ fn frame_response(corr_id: Option<u64>, resp: &Response) -> Result<Vec<Bytes>, f
     Ok(framed)
 }
 
-/// The worker-visible half of one connection: where responses go, plus
-/// the counters the shard uses for lockstep and drain decisions.
+/// Wakes one thread asleep in [`sys::poll`]: a nonblocking socket pair
+/// whose read end sits in that thread's poll set.
+///
+/// With no timer behind it, a lost wake-up is a hang, so both sides keep
+/// an order. The waking side **publishes first** — a `SeqCst` store, or a
+/// change under a lock — **and wakes second**. The sleeping side **drains
+/// the pair, clears `pending`, and only then scans** what wakers publish.
+/// A change is therefore either seen by the scan in progress or leaves a
+/// byte that ends the next `poll` at once. `pending` folds a burst of
+/// wakes into that one byte.
+struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+    pending: AtomicBool,
+}
+
+impl Waker {
+    fn new() -> io::Result<Waker> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker {
+            tx,
+            rx,
+            pending: AtomicBool::new(false),
+        })
+    }
+
+    /// Call after publishing what the sleeper should look at.
+    fn wake(&self) {
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            // One byte per drain at most, so the pair is never full.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// The sleeper's poll entry for this waker.
+    fn pollfd(&self) -> PollFd {
+        PollFd::new(self.rx.as_raw_fd(), POLLIN)
+    }
+
+    /// Sleeper side, once `poll` reports the entry readable and before
+    /// looking at anything a waker may have published.
+    fn drain(&self) {
+        let mut sink = [0u8; 8];
+        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+        self.pending.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Hand-off point between the acceptor and one shard thread, and the way
+/// to get that thread out of `poll`.
+struct Shard {
+    inbox: Mutex<Vec<TcpStream>>,
+    waker: Waker,
+}
+
+/// What the readiness runtime's threads share.
+struct Readiness {
+    shutdown: Arc<AtomicBool>,
+    acceptor: Waker,
+    shards: Vec<Arc<Shard>>,
+    conn_count: AtomicUsize,
+}
+
+impl Readiness {
+    /// Raise the shutdown flag, then wake every thread that sleeps in
+    /// `poll`: the acceptor exits, the shards start draining.
+    fn shut_down(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.acceptor.wake();
+        for shard in &self.shards {
+            shard.waker.wake();
+        }
+    }
+}
+
+/// The half of one connection its shard shares with the workers: the
+/// socket and where responses go, plus the state the shard derives its
+/// poll interest and its lockstep and drain decisions from. A worker that
+/// changes any of it in a way the shard must act on wakes the shard.
 struct ConnIo {
+    /// Nonblocking. Only the owning shard reads it; whoever holds the
+    /// `outbuf` lock writes it.
+    stream: TcpStream,
+    shard: Arc<Shard>,
     outbuf: Mutex<OutQueue>,
+    /// `outbuf` holds bytes the socket would not take — the shard keeps
+    /// `POLLOUT` armed and flushes. Changed only under the `outbuf` lock,
+    /// where it equals `pending > 0`; read without it.
+    want_write: AtomicBool,
     /// Requests dispatched but not yet answered into `outbuf`.
     inflight: AtomicUsize,
     /// A wire-v1 (uncorrelated) request is in flight: the shard must not
     /// decode further frames from this connection until it completes,
     /// preserving lockstep order for legacy peers.
     v1_pending: AtomicBool,
-    /// Set by a worker when `outbuf` overflowed; the shard severs.
+    /// Peer sent FIN; the shard stopped reading and closes once what is
+    /// in flight has been answered and flushed.
+    peer_eof: AtomicBool,
+    /// The connection is beyond use (`outbuf` overflowed, the socket
+    /// failed, a reply could not be framed); the shard severs.
     dead: AtomicBool,
 }
 
 impl ConnIo {
-    fn new() -> Arc<ConnIo> {
-        Arc::new(ConnIo {
+    fn new(stream: TcpStream, shard: Arc<Shard>) -> ConnIo {
+        ConnIo {
+            stream,
+            shard,
             outbuf: Mutex::new(OutQueue::default()),
+            want_write: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             v1_pending: AtomicBool::new(false),
+            peer_eof: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-        })
+        }
     }
 }
 
-/// Queue one response on its connection. Encoding and the checksum pass
-/// happen before the lock: it is the lock the shard holds across its
-/// socket write, so holding it for a megabyte of CRC would stall that
-/// shard's whole turn. Under the lock only the finished frame is pushed
-/// and the byte count checked.
+/// Queue one response on its connection and, if nothing was queued ahead
+/// of it, write it to the socket from here: the shard is not flushing an
+/// empty queue, so the reply leaves one thread hop sooner and the shard
+/// hears of it only when the socket takes less than all of it (`POLLOUT`
+/// is armed through `want_write`, then the wake). Behind queued bytes the
+/// frame just joins the queue the shard is already flushing.
+///
+/// Encoding and the checksum pass happen before the lock: it is the lock
+/// every writer of this socket holds across its write — which keeps
+/// frames whole and in push order — so holding it for a megabyte of CRC
+/// would stall them. The write under it never blocks.
 fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) {
-    let framed = frame_response(corr_id, resp);
-    let mut out = io.outbuf.lock();
-    match framed {
-        Ok(framed) => out.push(framed),
-        Err(_) => io.dead.store(true, Ordering::SeqCst),
+    let mut stuck = false;
+    let mut fatal = true;
+    if let Ok(framed) = frame_response(corr_id, resp) {
+        let mut out = io.outbuf.lock();
+        let direct = out.pending == 0;
+        out.push(framed);
+        let wrote = if direct {
+            out.flush(&mut &io.stream)
+        } else {
+            Ok(0)
+        };
+        stuck = direct && out.pending > 0;
+        if stuck {
+            io.want_write.store(true, Ordering::SeqCst);
+        }
+        fatal = wrote.is_err() || out.pending > OUTBUF_LIMIT;
     }
-    if out.pending > OUTBUF_LIMIT {
+    if fatal {
         io.dead.store(true, Ordering::SeqCst);
+    }
+    if fatal || stuck {
+        io.shard.waker.wake();
     }
 }
 
@@ -279,20 +383,12 @@ struct Job {
     io: Arc<ConnIo>,
 }
 
-/// Hand-off point between the acceptor and one shard thread.
-struct Shard {
-    inbox: Mutex<Vec<TcpStream>>,
-}
-
 /// One connection owned by a shard.
 struct ShardConn {
-    stream: TcpStream,
     /// Unparsed bytes read off the socket: at most one partial frame
     /// between passes (plus whole frames the lockstep gate holds back).
     inbuf: Vec<u8>,
     io: Arc<ConnIo>,
-    /// Peer sent FIN; stop reading, finish what's in flight, then close.
-    peer_eof: bool,
     /// A `Shutdown` request was decoded; stop reading ahead of the drain.
     stop_reading: bool,
 }
@@ -302,6 +398,21 @@ impl ShardConn {
     /// decoded, or a lockstep (wire v1) request is still in flight.
     fn gated(&self) -> bool {
         self.stop_reading || self.io.v1_pending.load(Ordering::SeqCst)
+    }
+
+    /// The poll interest this connection's state calls for. Readiness is
+    /// level-triggered: asking for input nobody will read (gated, at EOF,
+    /// draining), or for room to write nothing, would turn the shard's
+    /// `poll` into a spin.
+    fn interest(&self, draining: bool) -> c_short {
+        let mut events = 0;
+        if !draining && !self.gated() && !self.io.peer_eof.load(Ordering::SeqCst) {
+            events |= POLLIN;
+        }
+        if self.io.want_write.load(Ordering::SeqCst) {
+            events |= POLLOUT;
+        }
+        events
     }
 }
 
@@ -314,80 +425,86 @@ enum ConnFate {
 fn shard_loop(
     shard: Arc<Shard>,
     service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
+    rt: Arc<Readiness>,
     jobs: mpsc::Sender<Job>,
-    conn_count: Arc<AtomicUsize>,
 ) {
     let mut conns: Vec<ShardConn> = Vec::new();
+    // `fds[0]` is the wake entry and `fds[i + 1]` belongs to `conns[i]`:
+    // the two vectors grow and shrink together and are never rebuilt, so
+    // a pass costs the kernel's scan plus the connections that are ready.
+    let mut fds = vec![shard.waker.pollfd()];
     let mut probe = [0u8; PROBE_LEN];
-    let mut idle_passes: u32 = 0;
     let mut draining_since: Option<Instant> = None;
+    let sever = |c: ShardConn| {
+        let _ = c.io.stream.shutdown(Shutdown::Both);
+        rt.conn_count.fetch_sub(1, Ordering::SeqCst);
+    };
     loop {
-        let mut progressed = false;
+        let timeout = draining_since.map(|t| DRAIN_DEADLINE.saturating_sub(t.elapsed()));
+        // Woken: something changed that no descriptor shows (see the
+        // wakers of `ConnIo` and `Readiness`), on any connection. A failed
+        // `poll` (the kernel is out of memory; `EINTR` is retried) reports
+        // nothing, and is handled the same way: look at everything.
+        let woken = match sys::poll(&mut fds, timeout) {
+            Ok(_) => fds[0].revents != 0,
+            Err(_) => {
+                fds.iter_mut().for_each(|fd| fd.revents = 0);
+                true
+            }
+        };
+        if woken {
+            shard.waker.drain();
+        }
         for stream in shard.inbox.lock().drain(..) {
             stream.set_nodelay(true).ok();
             if stream.set_nonblocking(true).is_err() {
                 let _ = stream.shutdown(Shutdown::Both);
-                conn_count.fetch_sub(1, Ordering::SeqCst);
+                rt.conn_count.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
+            fds.push(PollFd::new(stream.as_raw_fd(), POLLIN));
             conns.push(ShardConn {
-                stream,
                 inbuf: Vec::new(),
-                io: ConnIo::new(),
-                peer_eof: false,
+                io: Arc::new(ConnIo::new(stream, shard.clone())),
                 stop_reading: false,
             });
-            progressed = true;
         }
-        let draining = shutdown.load(Ordering::SeqCst);
+        let draining = rt.shutdown.load(Ordering::SeqCst);
+        // The pass that starts the drain takes every connection's
+        // `POLLIN` away, whatever ended the `poll`.
+        let all = woken || (draining && draining_since.is_none());
         let mut i = 0;
         while i < conns.len() {
-            let fate = service_conn(
-                &mut conns[i],
-                draining,
-                &service,
-                &jobs,
-                &mut probe,
-                &mut progressed,
-            );
-            match fate {
-                ConnFate::Keep => i += 1,
+            let revents = fds[i + 1].revents;
+            if revents == 0 && !all {
+                i += 1;
+                continue;
+            }
+            let c = &mut conns[i];
+            match service_conn(c, revents, draining, &service, &jobs, &mut probe) {
+                ConnFate::Keep => {
+                    fds[i + 1].events = c.interest(draining);
+                    i += 1;
+                }
                 ConnFate::Close => {
-                    let c = conns.swap_remove(i);
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
-                    progressed = true;
+                    fds.swap_remove(i + 1);
+                    sever(conns.swap_remove(i));
                 }
             }
         }
         if draining {
             let started = *draining_since.get_or_insert_with(Instant::now);
             let drained = conns.iter().all(|c| {
-                c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending == 0
+                c.io.inflight.load(Ordering::SeqCst) == 0 && !c.io.want_write.load(Ordering::SeqCst)
             });
-            if drained || started.elapsed() > DRAIN_DEADLINE {
-                for c in conns.drain(..) {
-                    let _ = c.stream.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
-                }
+            if drained || started.elapsed() >= DRAIN_DEADLINE {
+                conns.drain(..).for_each(sever);
                 for s in shard.inbox.lock().drain(..) {
                     let _ = s.shutdown(Shutdown::Both);
-                    conn_count.fetch_sub(1, Ordering::SeqCst);
+                    rt.conn_count.fetch_sub(1, Ordering::SeqCst);
                 }
                 return;
             }
-        }
-        if progressed {
-            idle_passes = 0;
-            // Hand the core to the workers this pass just fed. Without
-            // this a busy shard re-polls back-to-back and, on small CPU
-            // counts, starves the pool it is filling — queued jobs age
-            // while the shard burns the core discovering nothing new.
-            std::thread::yield_now();
-        } else {
-            idle_passes = idle_passes.saturating_add(1);
-            idle_pause(idle_passes);
         }
     }
 }
@@ -406,7 +523,7 @@ fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<u
     let rest = match frame::frame_len(&c.inbuf) {
         Ok(Some(total)) if total > have => total - have,
         _ => {
-            let n = c.stream.read(probe)?;
+            let n = (&c.io.stream).read(probe)?;
             c.inbuf.extend_from_slice(&probe[..n]);
             return Ok(n);
         }
@@ -414,7 +531,7 @@ fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<u
     c.inbuf
         .try_reserve_exact(rest)
         .map_err(|_| io::Error::from(io::ErrorKind::OutOfMemory))?;
-    let res = (&c.stream)
+    let res = (&c.io.stream)
         .take(rest.min(budget) as u64)
         .read_to_end(&mut c.inbuf);
     match res {
@@ -454,44 +571,60 @@ fn decode_ready(c: &mut ShardConn, service: &Arc<dyn Service>, jobs: &mpsc::Send
     true
 }
 
-/// One shard pass over one connection: flush pending responses, then (if
-/// not draining) read, decode, and dispatch new requests.
+/// One shard pass over one connection, doing what `revents` — what `poll`
+/// found on its socket; 0 on a pass a wake caused — says can be done:
+/// flush what workers left behind, then (if not draining) read, decode,
+/// and dispatch new requests.
 fn service_conn(
     c: &mut ShardConn,
+    revents: c_short,
     draining: bool,
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
     probe: &mut [u8],
-    progressed: &mut bool,
 ) -> ConnFate {
-    if c.io.dead.load(Ordering::SeqCst) {
+    // Anything but `POLLIN`/`POLLOUT` is `POLLERR`/`POLLHUP`/`POLLNVAL`:
+    // reset or closed both ways, so nothing more can be read or delivered
+    // — and `poll` reports those whatever the interest set, so they are
+    // not left standing.
+    if c.io.dead.load(Ordering::SeqCst) || revents & !(POLLIN | POLLOUT) != 0 {
         return ConnFate::Close;
     }
     // Flush: nonblocking gathered writes until the queue empties or the
     // socket would block. The lock is held across the write; workers
     // pushing concurrently wait a bounded syscall, never a handler.
-    match c.io.outbuf.lock().flush(&mut c.stream) {
-        Ok(0) => {}
-        Ok(_) => *progressed = true,
-        Err(_) => return ConnFate::Close,
+    if revents & POLLOUT != 0 {
+        let mut out = c.io.outbuf.lock();
+        if out.flush(&mut &c.io.stream).is_err() {
+            return ConnFate::Close;
+        }
+        if out.pending == 0 {
+            c.io.want_write.store(false, Ordering::SeqCst);
+        }
     }
     if draining {
         return ConnFate::Keep;
     }
-    // Frames the lockstep gate held back last pass go first.
+    // Frames the lockstep gate held back go first, now that a worker
+    // reopened it (and woke this shard to say so).
     if !decode_ready(c, service, jobs) {
         return ConnFate::Close;
     }
     // Read and decode while the lockstep gate is open and the fairness
     // budget lasts. Complete frames become jobs (or inline error
     // replies); partial frames wait for more bytes; corruption drops the
-    // connection, exactly like the blocking runtime does.
+    // connection, exactly like the blocking runtime does. Input left
+    // unread — budget spent, gate closed — is still there, and reported
+    // again, whenever the interest set next asks for it.
     let mut read_total = 0usize;
-    while read_total < READ_BUDGET && !c.peer_eof && !c.gated() {
+    while revents & POLLIN != 0
+        && read_total < READ_BUDGET
+        && !c.io.peer_eof.load(Ordering::SeqCst)
+        && !c.gated()
+    {
         match read_more(c, probe, READ_BUDGET - read_total) {
-            Ok(0) => c.peer_eof = true,
+            Ok(0) => c.io.peer_eof.store(true, Ordering::SeqCst),
             Ok(n) => {
-                *progressed = true;
                 read_total += n;
                 if !decode_ready(c, service, jobs) {
                     return ConnFate::Close;
@@ -503,8 +636,12 @@ fn service_conn(
         }
     }
     // Peer gone: close once everything it asked for has been answered and
-    // flushed (workers may still be producing the last responses).
-    if c.peer_eof && c.io.inflight.load(Ordering::SeqCst) == 0 && c.io.outbuf.lock().pending == 0 {
+    // flushed (workers may still be producing the last responses; the one
+    // that brings `inflight` to zero wakes this shard).
+    if c.io.peer_eof.load(Ordering::SeqCst)
+        && c.io.inflight.load(Ordering::SeqCst) == 0
+        && !c.io.want_write.load(Ordering::SeqCst)
+    {
         return ConnFate::Close;
     }
     ConnFate::Keep
@@ -562,13 +699,9 @@ fn dispatch_frame(
     jobs.send(job).is_ok()
 }
 
-/// One shared worker: pull jobs, handle, push the framed response onto
-/// the owning connection's outbound queue.
-fn worker_loop(
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// One shared worker: pull jobs, handle, send the framed response on the
+/// owning connection (see [`enqueue_response`]).
+fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, rt: Arc<Readiness>) {
     loop {
         // Classic shared-receiver pool: the guard drops as soon as recv
         // returns, handing the receiver to the next idle worker.
@@ -602,50 +735,70 @@ fn worker_loop(
         );
         // Only decrement (and reopen the lockstep gate) after the
         // response is in the queue: a shard that observes zero in-flight
-        // and an empty queue knows nothing is still owed.
-        job.io.inflight.fetch_sub(1, Ordering::SeqCst);
-        if job.corr_id.is_none() {
+        // and an empty queue knows nothing is still owed. The shard is
+        // asleep, so tell it what it is waiting to hear: the gate is open
+        // again, or the last request of a connection it wants to close
+        // (peer at EOF, server draining) is answered.
+        let idle = job.io.inflight.fetch_sub(1, Ordering::SeqCst) == 1;
+        let lockstep = job.corr_id.is_none();
+        if lockstep {
             job.io.v1_pending.store(false, Ordering::SeqCst);
         }
+        let closing =
+            || job.io.peer_eof.load(Ordering::SeqCst) || rt.shutdown.load(Ordering::SeqCst);
+        if lockstep || (idle && closing()) {
+            job.io.shard.waker.wake();
+        }
         if is_shutdown {
-            // The response is already queued; raising the flag drains the
+            // The response is already sent; raising the flag drains the
             // whole server — acceptor, shards, and idle connections —
             // exactly like ServeCore::stop.
-            shutdown.store(true, Ordering::SeqCst);
+            rt.shut_down();
         }
     }
 }
 
-/// The nonblocking accept loop: polls the listener, parks new connections
-/// in shard inboxes round-robin, backs off on persistent accept errors,
-/// and exits as soon as the shutdown flag rises (no self-dial needed —
-/// wire shutdowns wake it by construction).
-fn poll_accept_loop(
-    listener: TcpListener,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    shards: Vec<Arc<Shard>>,
-    conn_count: Arc<AtomicUsize>,
-) {
+/// The accept loop: blocks in `poll` on the listener and the acceptor's
+/// waker, parks new connections in shard inboxes round-robin and wakes
+/// the shard, backs off on persistent accept errors, and exits as soon as
+/// the shutdown flag rises (no self-dial needed — [`Readiness::shut_down`]
+/// wakes it, whoever calls it).
+fn poll_accept_loop(listener: TcpListener, service: Arc<dyn Service>, rt: Arc<Readiness>) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
+    // The waker is never drained: it is written once, at shutdown.
+    let mut fds = [
+        PollFd::new(listener.as_raw_fd(), POLLIN),
+        rt.acceptor.pollfd(),
+    ];
     let mut next = 0usize;
     accept_loop_impl(
-        || listener.accept().map(|(s, _)| s),
-        &shutdown,
+        || match listener.accept() {
+            Ok((stream, _)) => Ok(stream),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                sys::poll(&mut fds, None)?;
+                Err(e)
+            }
+            Err(e) => Err(e),
+        },
+        &rt.shutdown,
         |stream| {
             service.note_connection();
-            conn_count.fetch_add(1, Ordering::SeqCst);
-            shards[next % shards.len()].inbox.lock().push(stream);
+            rt.conn_count.fetch_add(1, Ordering::SeqCst);
+            let shard = &rt.shards[next % rt.shards.len()];
+            shard.inbox.lock().push(stream);
+            shard.waker.wake();
             next += 1;
         },
     );
 }
 
 /// The accept policy, factored out so tests can inject a failing
-/// `accept`: `WouldBlock` polls at [`ACCEPT_POLL`]; success resets the
-/// error streak; any other error sleeps [`accept_error_backoff`].
+/// `accept`. `accept` returns `WouldBlock` only after it has waited for
+/// the listener or a wake, so that arm just looks at the flag again;
+/// success resets the error streak; any other error sleeps
+/// [`accept_error_backoff`].
 fn accept_loop_impl(
     mut accept: impl FnMut() -> io::Result<TcpStream>,
     shutdown: &AtomicBool,
@@ -661,9 +814,7 @@ fn accept_loop_impl(
                 consecutive_errors = 0;
                 dispatch(stream);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(_) => {
                 consecutive_errors = consecutive_errors.saturating_add(1);
                 std::thread::sleep(accept_error_backoff(consecutive_errors));
@@ -980,10 +1131,9 @@ pub struct ServeCore {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     // Readiness runtime.
-    shards: Vec<Arc<Shard>>,
+    readiness: Option<Arc<Readiness>>,
     shard_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    conn_count: Arc<AtomicUsize>,
     // Baseline runtime.
     conns: ConnRegistry,
     conn_threads: ConnThreads,
@@ -1008,8 +1158,7 @@ impl ServeCore {
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
         let conn_threads: ConnThreads = Arc::new(Mutex::new(Vec::new()));
-        let conn_count = Arc::new(AtomicUsize::new(0));
-        let mut shards: Vec<Arc<Shard>> = Vec::new();
+        let mut readiness = None;
         let mut shard_threads = Vec::new();
         let mut worker_threads = Vec::new();
 
@@ -1017,21 +1166,31 @@ impl ServeCore {
             RuntimeMode::Readiness => {
                 let n_shards = config.shards.max(1);
                 let n_workers = config.workers.max(2);
+                let mut shards = Vec::with_capacity(n_shards);
+                for _ in 0..n_shards {
+                    shards.push(Arc::new(Shard {
+                        inbox: Mutex::new(Vec::new()),
+                        waker: Waker::new()?,
+                    }));
+                }
+                let rt = Arc::new(Readiness {
+                    shutdown: shutdown.clone(),
+                    acceptor: Waker::new()?,
+                    shards,
+                    conn_count: AtomicUsize::new(0),
+                });
+                readiness = Some(rt.clone());
                 let (tx, rx) = mpsc::channel::<Job>();
                 let rx = Arc::new(Mutex::new(rx));
-                for i in 0..n_shards {
-                    let shard = Arc::new(Shard {
-                        inbox: Mutex::new(Vec::new()),
-                    });
-                    shards.push(shard.clone());
+                for (i, shard) in rt.shards.iter().enumerate() {
+                    let shard = shard.clone();
                     let service = service.clone();
-                    let shutdown = shutdown.clone();
+                    let rt = rt.clone();
                     let jobs = tx.clone();
-                    let count = conn_count.clone();
                     shard_threads.push(
                         std::thread::Builder::new()
                             .name(format!("dpfs-shard-{i}-{}", service.name()))
-                            .spawn(move || shard_loop(shard, service, shutdown, jobs, count))?,
+                            .spawn(move || shard_loop(shard, service, rt, jobs))?,
                     );
                 }
                 // Only shards hold senders: when the last shard drains and
@@ -1040,22 +1199,17 @@ impl ServeCore {
                 for _ in 0..n_workers {
                     let rx = rx.clone();
                     let service = service.clone();
-                    let shutdown = shutdown.clone();
+                    let rt = rt.clone();
                     worker_threads.push(
                         std::thread::Builder::new()
                             .name(format!("dpfs-worker-{}", service.name()))
-                            .spawn(move || worker_loop(rx, service, shutdown))?,
+                            .spawn(move || worker_loop(rx, service, rt))?,
                     );
                 }
                 let service = service.clone();
-                let shutdown = shutdown.clone();
-                let accept_shards = shards.clone();
-                let count = conn_count.clone();
                 std::thread::Builder::new()
                     .name(format!("dpfs-accept-{}", service.name()))
-                    .spawn(move || {
-                        poll_accept_loop(listener, service, shutdown, accept_shards, count)
-                    })?
+                    .spawn(move || poll_accept_loop(listener, service, rt))?
             }
             RuntimeMode::ThreadPerConn => {
                 let accept_service = service.clone();
@@ -1081,10 +1235,9 @@ impl ServeCore {
             mode: config.mode,
             shutdown,
             accept_thread: Some(accept_thread),
-            shards,
+            readiness,
             shard_threads,
             worker_threads,
-            conn_count,
             conns,
             conn_threads,
         })
@@ -1104,9 +1257,9 @@ impl ServeCore {
     /// deregister asynchronously after the peer closes, so a just-closed
     /// connection may be counted briefly.)
     pub fn open_connections(&self) -> usize {
-        match self.mode {
-            RuntimeMode::Readiness => self.conn_count.load(Ordering::SeqCst),
-            RuntimeMode::ThreadPerConn => self.conns.lock().len(),
+        match &self.readiness {
+            Some(rt) => rt.conn_count.load(Ordering::SeqCst),
+            None => self.conns.lock().len(),
         }
     }
 
@@ -1134,8 +1287,12 @@ impl ServeCore {
     /// finishes the job after a wire `Request::Shutdown` already quiesced
     /// the threads.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if self.mode == RuntimeMode::ThreadPerConn {
+        if let Some(rt) = &self.readiness {
+            // Flag, then the wake fds: every runtime thread is asleep in
+            // the kernel and none of them looks at the flag on a timer.
+            rt.shut_down();
+        } else {
+            self.shutdown.store(true, Ordering::SeqCst);
             // Unblock accept() by dialing ourselves (use loopback if we
             // bound a wildcard address).
             let mut dial = self.addr;
@@ -1161,10 +1318,12 @@ impl ServeCore {
             let _ = t.join();
         }
         // Connections the acceptor parked after the shards exited.
-        for shard in &self.shards {
-            for s in shard.inbox.lock().drain(..) {
-                let _ = s.shutdown(Shutdown::Both);
-                self.conn_count.fetch_sub(1, Ordering::SeqCst);
+        if let Some(rt) = &self.readiness {
+            for shard in &rt.shards {
+                for s in shard.inbox.lock().drain(..) {
+                    let _ = s.shutdown(Shutdown::Both);
+                    rt.conn_count.fetch_sub(1, Ordering::SeqCst);
+                }
             }
         }
         // Baseline runtime: reap connection threads. Every spawned
@@ -1269,6 +1428,55 @@ mod tests {
             Response::decode(fr.payload).unwrap(),
             Response::DataList { data }
         );
+    }
+
+    /// A reply to a peer that does not read: the worker's direct write
+    /// takes what the socket takes and hands the rest to the shard
+    /// (`want_write`, one wake); replies past [`OUTBUF_LIMIT`] sever.
+    #[test]
+    fn direct_write_hands_over_a_short_write_and_the_limit_still_severs() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let shard = Arc::new(Shard {
+            inbox: Mutex::new(Vec::new()),
+            waker: Waker::new().unwrap(),
+        });
+        let io = ConnIo::new(stream, shard.clone());
+        let woken = || {
+            let mut fds = [shard.waker.pollfd()];
+            sys::poll(&mut fds, Some(Duration::ZERO)).unwrap() == 1
+        };
+
+        enqueue_response(&io, Some(1), &Response::Pong);
+        assert_eq!(
+            io.outbuf.lock().pending,
+            0,
+            "a small reply goes straight out"
+        );
+        assert!(!io.want_write.load(Ordering::SeqCst) && !woken());
+
+        // One shared 32 MiB buffer: the queue holds references, not copies.
+        let data = Bytes::from(vec![7u8; 32 << 20]);
+        let big = Response::DataList { data };
+        enqueue_response(&io, Some(2), &big);
+        let stuck = io.outbuf.lock().pending;
+        assert!(stuck > 0 && stuck < 32 << 20, "short write, {stuck} left");
+        assert!(io.want_write.load(Ordering::SeqCst) && woken());
+        assert!(!io.dead.load(Ordering::SeqCst));
+        shard.waker.drain();
+        assert!(!woken());
+
+        // Behind queued bytes a frame only joins the queue: no write, no
+        // wake — until the queue outgrows its limit.
+        for id in 3..=5 {
+            enqueue_response(&io, Some(id), &big);
+            assert!(!io.dead.load(Ordering::SeqCst) && !woken());
+        }
+        enqueue_response(&io, Some(6), &big);
+        assert!(io.outbuf.lock().pending > OUTBUF_LIMIT);
+        assert!(io.dead.load(Ordering::SeqCst) && woken());
     }
 
     #[test]

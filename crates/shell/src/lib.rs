@@ -6,6 +6,8 @@
 //! rm, ls, pwd and so on. DPFS also allows data transfer between sequential
 //! files and DPFS" — implemented here as `import`/`export`.
 
+#![deny(unsafe_code)]
+
 pub mod commands;
 pub mod parse;
 

@@ -6,6 +6,8 @@
 //! [`dpfs_shell`] for the user interface, and [`dpfs_cluster`] for the
 //! in-process testbed harness.
 
+#![deny(unsafe_code)]
+
 pub use dpfs_cluster as cluster;
 pub use dpfs_core as core;
 pub use dpfs_meta as meta;

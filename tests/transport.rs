@@ -7,6 +7,7 @@
 //! - a request that exceeds its deadline surfaces a typed `Timeout` within
 //!   bound, pending peers on the poisoned connection get transport errors
 //!   instead of hanging, and the next RPC redials successfully;
+//! - dropping a `Pending` evicts its waiter without poisoning;
 //! - `ping` counts any protocol-level answer — including
 //!   `Error { ShuttingDown }` — as *reachable*.
 
@@ -219,6 +220,27 @@ fn deadline_poisons_connection_and_next_rpc_redials() {
         stats.in_flight_peak >= 2,
         "two pings were in flight at once"
     );
+}
+
+/// Regression: a dropped `Pending` used to leave its waiter in the
+/// in-flight table until the response arrived or the connection died —
+/// against a server that never answers, forever, with `in_flight`
+/// over-reporting every abandoned fan-out sibling.
+#[test]
+fn dropped_pendings_leave_the_in_flight_table() {
+    // Connection 0 swallows everything and never replies.
+    let addr = start_stalling_then_healthy_server().to_string();
+    let pool = ConnPool::new(Arc::new(Resolver::direct()));
+    let pendings: Vec<_> = (0..100)
+        .map(|_| pool.submit(&addr, &Request::Ping).unwrap())
+        .collect();
+    assert_eq!(pool.in_flight(&addr), 100);
+    drop(pendings);
+    assert_eq!(pool.in_flight(&addr), 0);
+    let stats = pool.transport_stats(&addr).unwrap();
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(stats.disconnected, 0, "abandoning must not poison");
+    assert_eq!(stats.dials, 1);
 }
 
 /// A server that answers every request with `Error { ShuttingDown }`.
