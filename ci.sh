@@ -5,6 +5,20 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> metadata SQL: values are bound as parameters, never written into the text"
+if grep -rnE 'sql_quote\(|int_list_literal\(' crates/ --include='*.rs'; then
+    echo "FAIL: the SQL escaping helpers are back (bind the value with execute_with)"
+    exit 1
+fi
+# A format! whose string opens a SQL statement (on its own line or the next)
+# is a statement built from run-time values. Statement texts in the catalog
+# are constants; a table name that is a `const` belongs in the literal.
+if grep -nE -A1 'format!\(' crates/meta/src/catalog.rs crates/meta/src/store.rs |
+    grep -E '"(SELECT|INSERT|UPDATE|DELETE|CREATE|DROP|EXPLAIN) '; then
+    echo "FAIL: catalog.rs/store.rs format a value into SQL text (bind it with execute_with)"
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -623,7 +623,7 @@ pub struct RepairSummary {
 /// directory rows. Anything touching file data (missing/corrupt brick
 /// lists, bad attributes, unknown servers) is reported, never guessed.
 pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
-    use dpfs_meta::catalog::{parent_dir, sql_quote};
+    use dpfs_meta::catalog::parent_dir;
     let before = fsck(fs, false)?;
     let mut summary = RepairSummary::default();
     let catalog = fs.catalog().ok_or_else(embedded_only)?;
@@ -631,11 +631,10 @@ pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
     for issue in &before.issues {
         match issue {
             Issue::OrphanDistribution { filename, server } => {
-                db.execute(&format!(
-                    "DELETE FROM dpfs_file_distribution WHERE filename = '{}' AND server = '{}'",
-                    sql_quote(filename),
-                    sql_quote(server)
-                ))?;
+                db.execute_with(
+                    "DELETE FROM dpfs_file_distribution WHERE filename = ? AND server = ?",
+                    &[filename.as_str().into(), server.as_str().into()],
+                )?;
                 summary.fixed.push(format!(
                     "dropped orphan distribution row {server}:{filename}"
                 ));
@@ -644,11 +643,10 @@ pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
                 if let Some(entry) = catalog.get_dir(dir)? {
                     let files: Vec<String> =
                         entry.files.into_iter().filter(|f| f != name).collect();
-                    db.execute(&format!(
-                        "UPDATE dpfs_directory SET files = '{}' WHERE main_dir = '{}'",
-                        sql_quote(&files.join("\n")),
-                        sql_quote(dir)
-                    ))?;
+                    db.execute_with(
+                        "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
+                        &[files.join("\n").into(), dir.as_str().into()],
+                    )?;
                     summary
                         .fixed
                         .push(format!("removed dangling entry {name} from {dir}"));
@@ -663,11 +661,10 @@ pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
                     Some(entry) => {
                         let mut files = entry.files;
                         files.push(filename.clone());
-                        db.execute(&format!(
-                            "UPDATE dpfs_directory SET files = '{}' WHERE main_dir = '{}'",
-                            sql_quote(&files.join("\n")),
-                            sql_quote(&parent)
-                        ))?;
+                        db.execute_with(
+                            "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
+                            &[files.join("\n").into(), parent.as_str().into()],
+                        )?;
                         summary
                             .fixed
                             .push(format!("re-linked {filename} into {parent}"));
@@ -686,11 +683,10 @@ pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
                         if !subs.contains(dir) {
                             subs.push(dir.clone());
                         }
-                        db.execute(&format!(
-                            "UPDATE dpfs_directory SET sub_dirs = '{}' WHERE main_dir = '{}'",
-                            sql_quote(&subs.join("\n")),
-                            sql_quote(&parent)
-                        ))?;
+                        db.execute_with(
+                            "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
+                            &[subs.join("\n").into(), parent.as_str().into()],
+                        )?;
                         summary
                             .fixed
                             .push(format!("re-linked directory {dir} into {parent}"));
@@ -699,10 +695,10 @@ pub fn fsck_repair(fs: &Dpfs) -> Result<(FsckReport, RepairSummary)> {
                 }
             }
             Issue::MissingDirectory { dir, .. } => {
-                db.execute(&format!(
-                    "INSERT INTO dpfs_directory VALUES ('{}', '', '')",
-                    sql_quote(dir)
-                ))?;
+                db.execute_with(
+                    "INSERT INTO dpfs_directory VALUES (?, '', '')",
+                    &[dir.as_str().into()],
+                )?;
                 summary
                     .fixed
                     .push(format!("created missing directory row {dir}"));

@@ -12,17 +12,28 @@
 //! Deviation from the paper: POSTGRES has native array/text-list columns; our
 //! engine has INTLIST but no TEXTLIST, so `sub_dirs` and `files` are stored
 //! as `\n`-joined TEXT. Brick lists use INTLIST, as in the paper.
+//!
+//! Every statement here is a constant text with `?` placeholders; values
+//! travel as bound parameters, never as SQL. A name can therefore hold any
+//! character without an escaping rule, and each text is parsed once.
+//!
+//! # Generation
+//!
+//! The single row of `dpfs_meta_gen` counts committed catalog mutations.
+//! Every mutating accessor runs in one transaction (`Catalog::write`) that
+//! first bumps the counter and then changes the tables, so a mutation and
+//! its bump are one WAL commit: no crash can leave one durable without the
+//! other. Clients stamp cached layouts with the generation and drop them
+//! when it moves (`dpfs-core::meta_cache`).
 
 use std::sync::Arc;
 
-use crate::db::{Database, Txn};
+use crate::db::{Database, ResultSet, Txn};
 use crate::error::{MetaError, Result};
 use crate::value::Value;
 
-/// Escape a string for embedding in a single-quoted SQL literal.
-pub fn sql_quote(s: &str) -> String {
-    s.replace('\'', "''")
-}
+/// Name of the generation table (exposed for the SQL-level tests).
+pub const GEN_TABLE: &str = "dpfs_meta_gen";
 
 /// Marker tag written on the destination copy during a cross-shard rename.
 /// Its value is the intent id on the source shard; its presence is the
@@ -100,69 +111,78 @@ pub struct FileAttrRow {
     pub redundancy: String,
 }
 
-/// Typed facade over the four DPFS metadata tables.
+/// Typed facade over the DPFS metadata tables.
 #[derive(Clone)]
 pub struct Catalog {
     db: Arc<Database>,
 }
 
+/// The tables, and the secondary indexes behind every by-filename lookup
+/// that is not a primary-key lookup. Indexes are derived state the engine
+/// neither logs nor snapshots, so they are declared on every open — which
+/// is also how a directory written before they existed gets them.
+const SCHEMA: &[&str] = &[
+    "CREATE TABLE IF NOT EXISTS dpfs_server (
+        server_name TEXT PRIMARY KEY,
+        capacity INT NOT NULL,
+        performance INT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_file_distribution (
+        dist_key TEXT PRIMARY KEY,
+        server TEXT NOT NULL,
+        filename TEXT NOT NULL,
+        bricklist INTLIST NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_directory (
+        main_dir TEXT PRIMARY KEY,
+        sub_dirs TEXT NOT NULL,
+        files TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_file_attr (
+        filename TEXT PRIMARY KEY,
+        owner TEXT NOT NULL,
+        permission INT NOT NULL,
+        size INT NOT NULL,
+        filelevel TEXT NOT NULL,
+        dims INT NOT NULL,
+        dimsize INTLIST NOT NULL,
+        stripe_dims INTLIST NOT NULL,
+        stripe_size INT NOT NULL,
+        pattern TEXT NOT NULL,
+        placement TEXT NOT NULL,
+        redundancy TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_file_tags (
+        tag_id TEXT PRIMARY KEY,
+        filename TEXT NOT NULL,
+        tag TEXT NOT NULL,
+        value TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_rename_intent (
+        intent_id INT PRIMARY KEY,
+        src TEXT NOT NULL,
+        dst TEXT NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS dpfs_meta_gen (k TEXT PRIMARY KEY, gen INT NOT NULL)",
+    "CREATE INDEX IF NOT EXISTS dpfs_file_distribution_by_filename
+        ON dpfs_file_distribution (filename)",
+    "CREATE INDEX IF NOT EXISTS dpfs_file_tags_by_filename ON dpfs_file_tags (filename)",
+];
+
 impl Catalog {
-    /// Wrap a database, creating the DPFS tables if they don't exist and
-    /// ensuring the root directory `/` is present.
+    /// Wrap a database, creating the DPFS tables if they don't exist,
+    /// declaring their indexes, and ensuring the root directory `/` and the
+    /// generation row are present.
     pub fn new(db: Arc<Database>) -> Result<Catalog> {
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_server (
-                server_name TEXT PRIMARY KEY,
-                capacity INT NOT NULL,
-                performance INT NOT NULL)",
-        )?;
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_distribution (
-                dist_key TEXT PRIMARY KEY,
-                server TEXT NOT NULL,
-                filename TEXT NOT NULL,
-                bricklist INTLIST NOT NULL)",
-        )?;
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_directory (
-                main_dir TEXT PRIMARY KEY,
-                sub_dirs TEXT NOT NULL,
-                files TEXT NOT NULL)",
-        )?;
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_attr (
-                filename TEXT PRIMARY KEY,
-                owner TEXT NOT NULL,
-                permission INT NOT NULL,
-                size INT NOT NULL,
-                filelevel TEXT NOT NULL,
-                dims INT NOT NULL,
-                dimsize INTLIST NOT NULL,
-                stripe_dims INTLIST NOT NULL,
-                stripe_size INT NOT NULL,
-                pattern TEXT NOT NULL,
-                placement TEXT NOT NULL,
-                redundancy TEXT NOT NULL)",
-        )?;
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_file_tags (
-                tag_id TEXT PRIMARY KEY,
-                filename TEXT NOT NULL,
-                tag TEXT NOT NULL,
-                value TEXT NOT NULL)",
-        )?;
-        db.execute(
-            "CREATE TABLE IF NOT EXISTS dpfs_rename_intent (
-                intent_id INT PRIMARY KEY,
-                src TEXT NOT NULL,
-                dst TEXT NOT NULL)",
-        )?;
-        let cat = Catalog { db };
-        if cat.get_dir("/")?.is_none() {
-            cat.db
-                .execute("INSERT INTO dpfs_directory VALUES ('/', '', '')")?;
+        for ddl in SCHEMA {
+            db.execute(ddl)?;
         }
-        Ok(cat)
+        // One transaction, so concurrent first mounts race safely (one
+        // seeds, the other sees it).
+        db.transaction(|txn| {
+            if get_dir(txn, "/")?.is_none() {
+                txn.execute("INSERT INTO dpfs_directory VALUES ('/', '', '')")?;
+            }
+            if txn.execute(GENERATION)?.rows.is_empty() {
+                txn.execute("INSERT INTO dpfs_meta_gen VALUES ('g', 1)")?;
+            }
+            Ok(())
+        })?;
+        Ok(Catalog { db })
     }
 
     /// The underlying database (for raw SQL, checkpointing, inspection).
@@ -170,23 +190,47 @@ impl Catalog {
         &self.db
     }
 
+    /// Run a mutation and its generation bump as one transaction: both
+    /// commit (one WAL commit record) or, if `f` fails, neither does.
+    fn write<T>(&self, f: impl FnOnce(&Txn<'_>) -> Result<T>) -> Result<T> {
+        self.db.transaction(|txn| {
+            txn.execute("UPDATE dpfs_meta_gen SET gen = gen + 1 WHERE k = 'g'")?;
+            f(txn)
+        })
+    }
+
+    /// The current metadata generation: strictly greater after every
+    /// committed mutation through any catalog over this database.
+    pub fn generation(&self) -> Result<u64> {
+        self.db.transaction(read_generation)
+    }
+
     // ---- dpfs_server ----
 
     /// Register an I/O server (or update its capacity/performance if it
     /// already exists).
     pub fn register_server(&self, info: &ServerInfo) -> Result<()> {
-        let name = sql_quote(&info.name);
-        let updated = self.db.execute(&format!(
-            "UPDATE dpfs_server SET capacity = {}, performance = {} WHERE server_name = '{}'",
-            info.capacity, info.performance, name
-        ))?;
-        if updated.scalar()?.as_int()? == 0 {
-            self.db.execute(&format!(
-                "INSERT INTO dpfs_server VALUES ('{}', {}, {})",
-                name, info.capacity, info.performance
-            ))?;
-        }
-        Ok(())
+        self.write(|txn| {
+            let updated = txn.execute_with(
+                "UPDATE dpfs_server SET capacity = ?, performance = ? WHERE server_name = ?",
+                &[
+                    info.capacity.into(),
+                    info.performance.into(),
+                    info.name.as_str().into(),
+                ],
+            )?;
+            if affected(&updated)? == 0 {
+                txn.execute_with(
+                    "INSERT INTO dpfs_server VALUES (?, ?, ?)",
+                    &[
+                        info.name.as_str().into(),
+                        info.capacity.into(),
+                        info.performance.into(),
+                    ],
+                )?;
+            }
+            Ok(())
+        })
     }
 
     /// All registered servers ordered by name.
@@ -194,41 +238,27 @@ impl Catalog {
         let rs = self.db.execute(
             "SELECT server_name, capacity, performance FROM dpfs_server ORDER BY server_name",
         )?;
-        rs.rows
-            .iter()
-            .map(|r| {
-                Ok(ServerInfo {
-                    name: r[0].as_text()?.to_string(),
-                    capacity: r[1].as_int()?,
-                    performance: r[2].as_int()?,
-                })
-            })
-            .collect()
+        rs.rows.iter().map(|r| server_from_row(r)).collect()
     }
 
     /// Look up one server.
     pub fn get_server(&self, name: &str) -> Result<Option<ServerInfo>> {
-        let rs = self.db.execute(&format!(
-            "SELECT server_name, capacity, performance FROM dpfs_server WHERE server_name = '{}'",
-            sql_quote(name)
-        ))?;
-        match rs.rows.first() {
-            None => Ok(None),
-            Some(r) => Ok(Some(ServerInfo {
-                name: r[0].as_text()?.to_string(),
-                capacity: r[1].as_int()?,
-                performance: r[2].as_int()?,
-            })),
-        }
+        let rs = self.db.execute_with(
+            "SELECT server_name, capacity, performance FROM dpfs_server WHERE server_name = ?",
+            &[name.into()],
+        )?;
+        rs.rows.first().map(|r| server_from_row(r)).transpose()
     }
 
     /// Remove a server from the pool.
     pub fn remove_server(&self, name: &str) -> Result<bool> {
-        let rs = self.db.execute(&format!(
-            "DELETE FROM dpfs_server WHERE server_name = '{}'",
-            sql_quote(name)
-        ))?;
-        Ok(rs.scalar()?.as_int()? > 0)
+        self.write(|txn| {
+            let rs = txn.execute_with(
+                "DELETE FROM dpfs_server WHERE server_name = ?",
+                &[name.into()],
+            )?;
+            Ok(affected(&rs)? > 0)
+        })
     }
 
     // ---- file creation / deletion (transactional across all four tables) ----
@@ -238,61 +268,17 @@ impl Catalog {
     /// one transaction (the consistency property the paper buys from the
     /// database).
     pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
-        let parent = parent_dir(&attr.filename)
-            .ok_or_else(|| MetaError::Txn(format!("file path {} has no parent", attr.filename)))?;
-        self.db.transaction(|txn| {
-            // parent directory must exist
-            let dir = get_dir_txn(txn, &parent)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
-            if dir.files.iter().any(|f| f == &attr.filename) {
-                return Err(MetaError::DuplicateKey(format!(
-                    "file {} already exists",
-                    attr.filename
-                )));
-            }
-            insert_attr_txn(txn, attr)?;
-            for d in dist {
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_distribution VALUES ('{}', '{}', '{}', {})",
-                    sql_quote(&dist_key(&d.server, &d.filename)),
-                    sql_quote(&d.server),
-                    sql_quote(&d.filename),
-                    int_list_literal(&d.bricklist)
-                ))?;
-            }
-            let mut files = dir.files;
-            files.push(attr.filename.clone());
-            set_dir_files_txn(txn, &parent, &files)?;
-            Ok(())
-        })
+        self.write(|txn| create_entry(txn, attr, dist, &[]))
     }
 
     /// Delete a file: removes attributes, distribution rows, and the
     /// directory link in one transaction. Returns the distribution that was
     /// removed (callers use it to delete the subfiles on each server).
     pub fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
-        let parent = parent_dir(filename)
-            .ok_or_else(|| MetaError::Txn(format!("file path {filename} has no parent")))?;
-        self.db.transaction(|txn| {
-            let dist = get_distribution_txn(txn, filename)?;
-            let removed = txn.execute(&format!(
-                "DELETE FROM dpfs_file_attr WHERE filename = '{}'",
-                sql_quote(filename)
-            ))?;
-            if removed.scalar()?.as_int()? == 0 {
+        self.write(|txn| {
+            let dist = get_distribution(txn, filename)?;
+            if !remove_entry(txn, filename)? {
                 return Err(MetaError::NoSuchTable(format!("file {filename}")));
-            }
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_distribution WHERE filename = '{}'",
-                sql_quote(filename)
-            ))?;
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_tags WHERE filename = '{}'",
-                sql_quote(filename)
-            ))?;
-            if let Some(dir) = get_dir_txn(txn, &parent)? {
-                let files: Vec<String> = dir.files.into_iter().filter(|f| f != filename).collect();
-                set_dir_files_txn(txn, &parent, &files)?;
             }
             Ok(dist)
         })
@@ -300,53 +286,45 @@ impl Catalog {
 
     /// Fetch a file's attribute row.
     pub fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
-        let rs = self.db.execute(&format!(
-            "SELECT * FROM dpfs_file_attr WHERE filename = '{}'",
-            sql_quote(filename)
-        ))?;
-        match rs.rows.first() {
-            None => Ok(None),
-            Some(r) => Ok(Some(attr_from_row(r)?)),
-        }
+        self.db.transaction(|txn| get_attr(txn, filename))
+    }
+
+    /// Set one attribute column of an existing file.
+    fn set_attr(&self, sql: &str, value: Value, filename: &str) -> Result<()> {
+        self.write(|txn| {
+            let rs = txn.execute_with(sql, &[value, filename.into()])?;
+            if affected(&rs)? == 0 {
+                return Err(MetaError::NoSuchTable(format!("file {filename}")));
+            }
+            Ok(())
+        })
     }
 
     /// Update a file's recorded size (grows on write).
     pub fn set_file_size(&self, filename: &str, size: i64) -> Result<()> {
-        let rs = self.db.execute(&format!(
-            "UPDATE dpfs_file_attr SET size = {} WHERE filename = '{}'",
-            size,
-            sql_quote(filename)
-        ))?;
-        if rs.scalar()?.as_int()? == 0 {
-            return Err(MetaError::NoSuchTable(format!("file {filename}")));
-        }
-        Ok(())
+        self.set_attr(
+            "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
+            Value::Int(size),
+            filename,
+        )
     }
 
     /// Update a file's permission bits.
     pub fn set_file_permission(&self, filename: &str, permission: i64) -> Result<()> {
-        let rs = self.db.execute(&format!(
-            "UPDATE dpfs_file_attr SET permission = {} WHERE filename = '{}'",
-            permission,
-            sql_quote(filename)
-        ))?;
-        if rs.scalar()?.as_int()? == 0 {
-            return Err(MetaError::NoSuchTable(format!("file {filename}")));
-        }
-        Ok(())
+        self.set_attr(
+            "UPDATE dpfs_file_attr SET permission = ? WHERE filename = ?",
+            Value::Int(permission),
+            filename,
+        )
     }
 
     /// Update a file's owner.
     pub fn set_file_owner(&self, filename: &str, owner: &str) -> Result<()> {
-        let rs = self.db.execute(&format!(
-            "UPDATE dpfs_file_attr SET owner = '{}' WHERE filename = '{}'",
-            sql_quote(owner),
-            sql_quote(filename)
-        ))?;
-        if rs.scalar()?.as_int()? == 0 {
-            return Err(MetaError::NoSuchTable(format!("file {filename}")));
-        }
-        Ok(())
+        self.set_attr(
+            "UPDATE dpfs_file_attr SET owner = ? WHERE filename = ?",
+            owner.into(),
+            filename,
+        )
     }
 
     // ---- dpfs_file_tags (MDMS-style dataset attributes; extension) ----
@@ -356,34 +334,27 @@ impl Catalog {
     /// databases (§9 group 4, §10): free-form key/value metadata that the
     /// SQL engine can then query.
     pub fn set_tag(&self, filename: &str, tag: &str, value: &str) -> Result<()> {
-        if self.get_file_attr(filename)?.is_none() {
-            return Err(MetaError::NoSuchTable(format!("file {filename}")));
-        }
-        let id = tag_key(filename, tag);
-        let updated = self.db.execute(&format!(
-            "UPDATE dpfs_file_tags SET value = '{}' WHERE tag_id = '{}'",
-            sql_quote(value),
-            sql_quote(&id)
-        ))?;
-        if updated.scalar()?.as_int()? == 0 {
-            self.db.execute(&format!(
-                "INSERT INTO dpfs_file_tags VALUES ('{}', '{}', '{}', '{}')",
-                sql_quote(&id),
-                sql_quote(filename),
-                sql_quote(tag),
-                sql_quote(value)
-            ))?;
-        }
-        Ok(())
+        self.write(|txn| {
+            if !file_exists(txn, filename)? {
+                return Err(MetaError::NoSuchTable(format!("file {filename}")));
+            }
+            let updated = txn.execute_with(
+                "UPDATE dpfs_file_tags SET value = ? WHERE tag_id = ?",
+                &[value.into(), tag_key(filename, tag).into()],
+            )?;
+            if affected(&updated)? == 0 {
+                insert_tag(txn, filename, tag, value)?;
+            }
+            Ok(())
+        })
     }
 
     /// Read one tag.
     pub fn get_tag(&self, filename: &str, tag: &str) -> Result<Option<String>> {
-        let rs = self.db.execute(&format!(
-            "SELECT value FROM dpfs_file_tags WHERE filename = '{}' AND tag = '{}'",
-            sql_quote(filename),
-            sql_quote(tag)
-        ))?;
+        let rs = self.db.execute_with(
+            "SELECT value FROM dpfs_file_tags WHERE tag_id = ?",
+            &[tag_key(filename, tag).into()],
+        )?;
         match rs.rows.first() {
             None => Ok(None),
             Some(r) => Ok(Some(r[0].as_text()?.to_string())),
@@ -392,36 +363,29 @@ impl Catalog {
 
     /// All tags on a file, sorted by key.
     pub fn list_tags(&self, filename: &str) -> Result<Vec<(String, String)>> {
-        let rs = self.db.execute(&format!(
-            "SELECT tag, value FROM dpfs_file_tags WHERE filename = '{}' ORDER BY tag",
-            sql_quote(filename)
-        ))?;
-        rs.rows
-            .iter()
-            .map(|r| Ok((r[0].as_text()?.to_string(), r[1].as_text()?.to_string())))
-            .collect()
+        self.db.transaction(|txn| list_tags(txn, filename))
     }
 
     /// Remove a tag; returns whether it existed.
     pub fn remove_tag(&self, filename: &str, tag: &str) -> Result<bool> {
-        let rs = self.db.execute(&format!(
-            "DELETE FROM dpfs_file_tags WHERE filename = '{}' AND tag = '{}'",
-            sql_quote(filename),
-            sql_quote(tag)
-        ))?;
-        Ok(rs.scalar()?.as_int()? > 0)
+        self.write(|txn| {
+            let rs = txn.execute_with(
+                "DELETE FROM dpfs_file_tags WHERE tag_id = ?",
+                &[tag_key(filename, tag).into()],
+            )?;
+            Ok(affected(&rs)? > 0)
+        })
     }
 
     /// Find files whose `tag` value matches a LIKE `pattern`; returns
     /// `(filename, value, size)` via a join against the attribute table.
     pub fn find_by_tag(&self, tag: &str, pattern: &str) -> Result<Vec<(String, String, i64)>> {
-        let rs = self.db.execute(&format!(
+        let rs = self.db.execute_with(
             "SELECT dpfs_file_tags.filename, value, size FROM dpfs_file_tags \
              JOIN dpfs_file_attr ON dpfs_file_tags.filename = dpfs_file_attr.filename \
-             WHERE tag = '{}' AND value LIKE '{}' ORDER BY dpfs_file_tags.filename",
-            sql_quote(tag),
-            sql_quote(pattern)
-        ))?;
+             WHERE tag = ? AND value LIKE ? ORDER BY dpfs_file_tags.filename",
+            &[tag.into(), pattern.into()],
+        )?;
         rs.rows
             .iter()
             .map(|r| {
@@ -436,41 +400,18 @@ impl Catalog {
 
     /// The per-server brick distribution of a file, ordered by server name.
     pub fn get_distribution(&self, filename: &str) -> Result<Vec<Distribution>> {
-        let rs = self.db.execute(&format!(
-            "SELECT server, filename, bricklist FROM dpfs_file_distribution \
-             WHERE filename = '{}' ORDER BY server",
-            sql_quote(filename)
-        ))?;
-        rs.rows
-            .iter()
-            .map(|r| {
-                Ok(Distribution {
-                    server: r[0].as_text()?.to_string(),
-                    filename: r[1].as_text()?.to_string(),
-                    bricklist: r[2].as_int_list()?.to_vec(),
-                })
-            })
-            .collect()
+        self.db.transaction(|txn| get_distribution(txn, filename))
     }
 
     /// Replace a file's distribution rows atomically (used when a linear
     /// file grows and its brick lists extend).
     pub fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
-        self.db.transaction(|txn| {
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_distribution WHERE filename = '{}'",
-                sql_quote(filename)
-            ))?;
-            for d in dist {
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_distribution VALUES ('{}', '{}', '{}', {})",
-                    sql_quote(&dist_key(&d.server, &d.filename)),
-                    sql_quote(&d.server),
-                    sql_quote(&d.filename),
-                    int_list_literal(&d.bricklist)
-                ))?;
-            }
-            Ok(())
+        self.write(|txn| {
+            txn.execute_with(
+                "DELETE FROM dpfs_file_distribution WHERE filename = ?",
+                &[filename.into()],
+            )?;
+            insert_distribution(txn, dist)
         })
     }
 
@@ -483,26 +424,19 @@ impl Catalog {
             return Err(MetaError::DuplicateKey("/ always exists".into()));
         }
         let parent = parent_dir(&path).expect("non-root path has a parent");
-        self.db.transaction(|txn| {
-            let dir = get_dir_txn(txn, &parent)?
+        self.write(|txn| {
+            let dir = get_dir(txn, &parent)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
-            if dir.sub_dirs.iter().any(|d| d == &path) {
-                return Err(MetaError::DuplicateKey(format!("directory {path} exists")));
-            }
-            if get_dir_txn(txn, &path)?.is_some() {
+            if dir.sub_dirs.iter().any(|d| d == &path) || get_dir(txn, &path)?.is_some() {
                 return Err(MetaError::DuplicateKey(format!("directory {path} exists")));
             }
             let mut subs = dir.sub_dirs;
             subs.push(path.clone());
-            txn.execute(&format!(
-                "UPDATE dpfs_directory SET sub_dirs = '{}' WHERE main_dir = '{}'",
-                sql_quote(&join_list(&subs)),
-                sql_quote(&parent)
-            ))?;
-            txn.execute(&format!(
-                "INSERT INTO dpfs_directory VALUES ('{}', '', '')",
-                sql_quote(&path)
-            ))?;
+            set_sub_dirs(txn, &parent, &subs)?;
+            txn.execute_with(
+                "INSERT INTO dpfs_directory VALUES (?, '', '')",
+                &[path.as_str().into()],
+            )?;
             Ok(())
         })
     }
@@ -514,23 +448,19 @@ impl Catalog {
             return Err(MetaError::Txn("cannot remove /".into()));
         }
         let parent = parent_dir(&path).expect("non-root path has a parent");
-        self.db.transaction(|txn| {
-            let dir = get_dir_txn(txn, &path)?
+        self.write(|txn| {
+            let dir = get_dir(txn, &path)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("directory {path}")))?;
             if !dir.sub_dirs.is_empty() || !dir.files.is_empty() {
                 return Err(MetaError::Txn(format!("directory {path} not empty")));
             }
-            txn.execute(&format!(
-                "DELETE FROM dpfs_directory WHERE main_dir = '{}'",
-                sql_quote(&path)
-            ))?;
-            if let Some(p) = get_dir_txn(txn, &parent)? {
+            txn.execute_with(
+                "DELETE FROM dpfs_directory WHERE main_dir = ?",
+                &[path.as_str().into()],
+            )?;
+            if let Some(p) = get_dir(txn, &parent)? {
                 let subs: Vec<String> = p.sub_dirs.into_iter().filter(|d| d != &path).collect();
-                txn.execute(&format!(
-                    "UPDATE dpfs_directory SET sub_dirs = '{}' WHERE main_dir = '{}'",
-                    sql_quote(&join_list(&subs)),
-                    sql_quote(&parent)
-                ))?;
+                set_sub_dirs(txn, &parent, &subs)?;
             }
             Ok(())
         })
@@ -539,86 +469,32 @@ impl Catalog {
     /// Fetch one directory entry.
     pub fn get_dir(&self, path: &str) -> Result<Option<DirEntry>> {
         let path = normalize_path(path)?;
-        let rs = self.db.execute(&format!(
-            "SELECT main_dir, sub_dirs, files FROM dpfs_directory WHERE main_dir = '{}'",
-            sql_quote(&path)
-        ))?;
-        match rs.rows.first() {
-            None => Ok(None),
-            Some(r) => Ok(Some(DirEntry {
-                main_dir: r[0].as_text()?.to_string(),
-                sub_dirs: split_list(r[1].as_text()?),
-                files: split_list(r[2].as_text()?),
-            })),
-        }
+        self.db.transaction(|txn| get_dir(txn, &path))
     }
 
     /// Rename a file within the same directory tree (metadata only).
     pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
-        let from_parent =
-            parent_dir(&from).ok_or_else(|| MetaError::Txn(format!("{from} has no parent")))?;
-        let to_parent =
-            parent_dir(&to).ok_or_else(|| MetaError::Txn(format!("{to} has no parent")))?;
-        self.db.transaction(|txn| {
-            if get_attr_txn(txn, &to)?.is_some() {
+        if parent_dir(&from).is_none() {
+            return Err(MetaError::Txn(format!("{from} has no parent")));
+        }
+        self.write(|txn| {
+            if file_exists(txn, &to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
-            if get_attr_txn(txn, &from)?.is_none() {
-                return Err(MetaError::NoSuchTable(format!("file {from}")));
+            let mut attr = get_attr(txn, &from)?
+                .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
+            let mut dist = get_distribution(txn, &from)?;
+            let tags = list_tags(txn, &from)?;
+            // Unlink before linking: when both names share a directory the
+            // second rewrite of its file list must see the first.
+            remove_entry(txn, &from)?;
+            attr.filename = to.clone();
+            for d in &mut dist {
+                d.filename = to.clone();
             }
-            txn.execute(&format!(
-                "UPDATE dpfs_file_attr SET filename = '{}' WHERE filename = '{}'",
-                sql_quote(&to),
-                sql_quote(&from)
-            ))?;
-            // distribution rows: rewrite filename and dist keys
-            let dist = get_distribution_txn(txn, &from)?;
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_distribution WHERE filename = '{}'",
-                sql_quote(&from)
-            ))?;
-            for d in dist {
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_distribution VALUES ('{}', '{}', '{}', {})",
-                    sql_quote(&dist_key(&d.server, &to)),
-                    sql_quote(&d.server),
-                    sql_quote(&to),
-                    int_list_literal(&d.bricklist)
-                ))?;
-            }
-            // move tags to the new name
-            let tags = txn.execute(&format!(
-                "SELECT tag, value FROM dpfs_file_tags WHERE filename = '{}'",
-                sql_quote(&from)
-            ))?;
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_tags WHERE filename = '{}'",
-                sql_quote(&from)
-            ))?;
-            for row in &tags.rows {
-                let tag = row[0].as_text()?;
-                let value = row[1].as_text()?;
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_tags VALUES ('{}', '{}', '{}', '{}')",
-                    sql_quote(&tag_key(&to, tag)),
-                    sql_quote(&to),
-                    sql_quote(tag),
-                    sql_quote(value)
-                ))?;
-            }
-            // directory links
-            let fdir = get_dir_txn(txn, &from_parent)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {from_parent}")))?;
-            let files: Vec<String> = fdir.files.into_iter().filter(|f| f != &from).collect();
-            set_dir_files_txn(txn, &from_parent, &files)?;
-            let tdir = get_dir_txn(txn, &to_parent)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {to_parent}")))?;
-            let mut files = tdir.files;
-            files.push(to.clone());
-            set_dir_files_txn(txn, &to_parent, &files)?;
-            Ok(())
+            create_entry(txn, &attr, &dist, &tags)
         })
     }
 
@@ -651,32 +527,21 @@ impl Catalog {
     ) -> Result<(i64, FileAttrRow, Vec<Distribution>, Vec<(String, String)>)> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
-        self.db.transaction(|txn| {
-            let attr = get_attr_txn(txn, &from)?
+        self.write(|txn| {
+            let attr = get_attr(txn, &from)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
-            let dist = get_distribution_txn(txn, &from)?;
-            let tag_rows = txn.execute(&format!(
-                "SELECT tag, value FROM dpfs_file_tags WHERE filename = '{}' ORDER BY tag",
-                sql_quote(&from)
-            ))?;
-            let mut tags = Vec::with_capacity(tag_rows.rows.len());
-            for r in &tag_rows.rows {
-                tags.push((r[0].as_text()?.to_string(), r[1].as_text()?.to_string()));
-            }
-            // Intent ids are allocated by scanning; the table only ever
-            // holds in-flight renames, so it is tiny.
-            let existing = txn.execute("SELECT intent_id FROM dpfs_rename_intent")?;
-            let mut next: i64 = 1;
-            for r in &existing.rows {
-                next = next.max(r[0].as_int()? + 1);
-            }
-            txn.execute(&format!(
-                "INSERT INTO dpfs_rename_intent VALUES ({}, '{}', '{}')",
-                next,
-                sql_quote(&from),
-                sql_quote(&to)
-            ))?;
-            Ok((next, attr, dist, tags))
+            let dist = get_distribution(txn, &from)?;
+            let tags = list_tags(txn, &from)?;
+            // The intent's id is the generation this transaction commits
+            // at: unique on this shard, since no two commits share one, and
+            // above every id of the counter scheme it replaces (that
+            // counter never outran the generation).
+            let id = read_generation(txn)? as i64;
+            txn.execute_with(
+                "INSERT INTO dpfs_rename_intent VALUES (?, ?, ?)",
+                &[Value::Int(id), from.as_str().into(), to.as_str().into()],
+            )?;
+            Ok((id, attr, dist, tags))
         })
     }
 
@@ -692,79 +557,26 @@ impl Catalog {
         dist: &[Distribution],
         tags: &[(String, String)],
     ) -> Result<()> {
-        let parent = parent_dir(&attr.filename)
-            .ok_or_else(|| MetaError::Txn(format!("file path {} has no parent", attr.filename)))?;
-        self.db.transaction(|txn| {
-            let dir = get_dir_txn(txn, &parent)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
-            if dir.files.iter().any(|f| f == &attr.filename)
-                || get_attr_txn(txn, &attr.filename)?.is_some()
-            {
-                return Err(MetaError::DuplicateKey(format!(
-                    "file {} already exists",
-                    attr.filename
-                )));
-            }
-            insert_attr_txn(txn, attr)?;
-            for d in dist {
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_distribution VALUES ('{}', '{}', '{}', {})",
-                    sql_quote(&dist_key(&d.server, &d.filename)),
-                    sql_quote(&d.server),
-                    sql_quote(&d.filename),
-                    int_list_literal(&d.bricklist)
-                ))?;
-            }
-            let marker = (RENAME_INTENT_TAG.to_string(), intent.to_string());
-            for (tag, value) in tags.iter().chain(std::iter::once(&marker)) {
-                txn.execute(&format!(
-                    "INSERT INTO dpfs_file_tags VALUES ('{}', '{}', '{}', '{}')",
-                    sql_quote(&tag_key(&attr.filename, tag)),
-                    sql_quote(&attr.filename),
-                    sql_quote(tag),
-                    sql_quote(value)
-                ))?;
-            }
-            let mut files = dir.files;
-            files.push(attr.filename.clone());
-            set_dir_files_txn(txn, &parent, &files)?;
-            Ok(())
-        })
+        let mut tags = tags.to_vec();
+        tags.push((RENAME_INTENT_TAG.to_string(), intent.to_string()));
+        self.write(|txn| create_entry(txn, attr, dist, &tags))
     }
 
     /// Phase 3 on the source shard: drop the source entry and its intent.
     /// Idempotent with respect to the source rows (a crash-resumed finish
     /// may find them already gone); errors only if the intent is unknown.
     pub fn rename_finish(&self, intent: i64) -> Result<()> {
-        self.db.transaction(|txn| {
-            let rs = txn.execute(&format!(
-                "SELECT src FROM dpfs_rename_intent WHERE intent_id = {intent}"
-            ))?;
+        self.write(|txn| {
+            let rs = txn.execute_with(
+                "SELECT src FROM dpfs_rename_intent WHERE intent_id = ?",
+                &[Value::Int(intent)],
+            )?;
             let src = match rs.rows.first() {
                 Some(r) => r[0].as_text()?.to_string(),
                 None => return Err(MetaError::NoSuchTable(format!("rename intent {intent}"))),
             };
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_attr WHERE filename = '{}'",
-                sql_quote(&src)
-            ))?;
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_distribution WHERE filename = '{}'",
-                sql_quote(&src)
-            ))?;
-            txn.execute(&format!(
-                "DELETE FROM dpfs_file_tags WHERE filename = '{}'",
-                sql_quote(&src)
-            ))?;
-            if let Some(parent) = parent_dir(&src) {
-                if let Some(dir) = get_dir_txn(txn, &parent)? {
-                    let files: Vec<String> = dir.files.into_iter().filter(|f| f != &src).collect();
-                    set_dir_files_txn(txn, &parent, &files)?;
-                }
-            }
-            txn.execute(&format!(
-                "DELETE FROM dpfs_rename_intent WHERE intent_id = {intent}"
-            ))?;
+            remove_entry(txn, &src)?;
+            delete_intent(txn, intent)?;
             Ok(())
         })
     }
@@ -772,10 +584,7 @@ impl Catalog {
     /// Abandon a prepared rename; returns whether the intent existed. The
     /// source entry was never hidden, so there is nothing else to undo.
     pub fn rename_abort(&self, intent: i64) -> Result<bool> {
-        let rs = self.db.execute(&format!(
-            "DELETE FROM dpfs_rename_intent WHERE intent_id = {intent}"
-        ))?;
-        Ok(rs.scalar()?.as_int()? > 0)
+        self.write(|txn| delete_intent(txn, intent))
     }
 
     /// All pending cross-shard rename intents on this shard, oldest first.
@@ -873,28 +682,8 @@ pub(crate) fn composite_key(parts: &[&str]) -> String {
     out
 }
 
-fn dist_key(server: &str, filename: &str) -> String {
-    composite_key(&[server, filename])
-}
-
 fn tag_key(filename: &str, tag: &str) -> String {
     composite_key(&[filename, tag])
-}
-
-fn int_list_literal(xs: &[i64]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&x.to_string());
-    }
-    s.push(']');
-    s
-}
-
-fn join_list(items: &[String]) -> String {
-    items.join("\n")
 }
 
 fn split_list(s: &str) -> Vec<String> {
@@ -903,6 +692,30 @@ fn split_list(s: &str) -> Vec<String> {
     } else {
         s.split('\n').map(|x| x.to_string()).collect()
     }
+}
+
+// ---- statements shared by the accessors ----
+
+/// The count a mutating statement reports.
+fn affected(rs: &ResultSet) -> Result<i64> {
+    rs.scalar()?.as_int()
+}
+
+const GENERATION: &str = "SELECT gen FROM dpfs_meta_gen WHERE k = 'g'";
+
+fn read_generation(txn: &Txn<'_>) -> Result<u64> {
+    match txn.execute(GENERATION)?.rows.first() {
+        Some(r) => Ok(r[0].as_int()? as u64),
+        None => Err(MetaError::Storage(format!("{GEN_TABLE} has no row"))),
+    }
+}
+
+fn server_from_row(r: &[Value]) -> Result<ServerInfo> {
+    Ok(ServerInfo {
+        name: r[0].as_text()?.to_string(),
+        capacity: r[1].as_int()?,
+        performance: r[2].as_int()?,
+    })
 }
 
 fn attr_from_row(r: &[Value]) -> Result<FileAttrRow> {
@@ -922,41 +735,27 @@ fn attr_from_row(r: &[Value]) -> Result<FileAttrRow> {
     })
 }
 
-fn insert_attr_txn(txn: &Txn<'_>, attr: &FileAttrRow) -> Result<()> {
-    txn.execute(&format!(
-        "INSERT INTO dpfs_file_attr VALUES ('{}', '{}', {}, {}, '{}', {}, {}, {}, {}, '{}', '{}', '{}')",
-        sql_quote(&attr.filename),
-        sql_quote(&attr.owner),
-        attr.permission,
-        attr.size,
-        sql_quote(&attr.filelevel),
-        attr.dims,
-        int_list_literal(&attr.dimsize),
-        int_list_literal(&attr.stripe_dims),
-        attr.stripe_size,
-        sql_quote(&attr.pattern),
-        sql_quote(&attr.placement),
-        sql_quote(&attr.redundancy),
-    ))?;
-    Ok(())
+fn get_attr(txn: &Txn<'_>, filename: &str) -> Result<Option<FileAttrRow>> {
+    let rs = txn.execute_with(
+        "SELECT * FROM dpfs_file_attr WHERE filename = ?",
+        &[filename.into()],
+    )?;
+    rs.rows.first().map(|r| attr_from_row(r)).transpose()
 }
 
-fn get_attr_txn(txn: &Txn<'_>, filename: &str) -> Result<Option<FileAttrRow>> {
-    let rs = txn.execute(&format!(
-        "SELECT * FROM dpfs_file_attr WHERE filename = '{}'",
-        sql_quote(filename)
-    ))?;
-    match rs.rows.first() {
-        None => Ok(None),
-        Some(r) => Ok(Some(attr_from_row(r)?)),
-    }
+fn file_exists(txn: &Txn<'_>, filename: &str) -> Result<bool> {
+    let rs = txn.execute_with(
+        "SELECT filename FROM dpfs_file_attr WHERE filename = ?",
+        &[filename.into()],
+    )?;
+    Ok(!rs.rows.is_empty())
 }
 
-fn get_dir_txn(txn: &Txn<'_>, path: &str) -> Result<Option<DirEntry>> {
-    let rs = txn.execute(&format!(
-        "SELECT main_dir, sub_dirs, files FROM dpfs_directory WHERE main_dir = '{}'",
-        sql_quote(path)
-    ))?;
+fn get_dir(txn: &Txn<'_>, path: &str) -> Result<Option<DirEntry>> {
+    let rs = txn.execute_with(
+        "SELECT main_dir, sub_dirs, files FROM dpfs_directory WHERE main_dir = ?",
+        &[path.into()],
+    )?;
     match rs.rows.first() {
         None => Ok(None),
         Some(r) => Ok(Some(DirEntry {
@@ -967,21 +766,12 @@ fn get_dir_txn(txn: &Txn<'_>, path: &str) -> Result<Option<DirEntry>> {
     }
 }
 
-fn set_dir_files_txn(txn: &Txn<'_>, path: &str, files: &[String]) -> Result<()> {
-    txn.execute(&format!(
-        "UPDATE dpfs_directory SET files = '{}' WHERE main_dir = '{}'",
-        sql_quote(&join_list(files)),
-        sql_quote(path)
-    ))?;
-    Ok(())
-}
-
-fn get_distribution_txn(txn: &Txn<'_>, filename: &str) -> Result<Vec<Distribution>> {
-    let rs = txn.execute(&format!(
+fn get_distribution(txn: &Txn<'_>, filename: &str) -> Result<Vec<Distribution>> {
+    let rs = txn.execute_with(
         "SELECT server, filename, bricklist FROM dpfs_file_distribution \
-         WHERE filename = '{}' ORDER BY server",
-        sql_quote(filename)
-    ))?;
+         WHERE filename = ? ORDER BY server",
+        &[filename.into()],
+    )?;
     rs.rows
         .iter()
         .map(|r| {
@@ -992,6 +782,139 @@ fn get_distribution_txn(txn: &Txn<'_>, filename: &str) -> Result<Vec<Distributio
             })
         })
         .collect()
+}
+
+fn list_tags(txn: &Txn<'_>, filename: &str) -> Result<Vec<(String, String)>> {
+    let rs = txn.execute_with(
+        "SELECT tag, value FROM dpfs_file_tags WHERE filename = ? ORDER BY tag",
+        &[filename.into()],
+    )?;
+    rs.rows
+        .iter()
+        .map(|r| Ok((r[0].as_text()?.to_string(), r[1].as_text()?.to_string())))
+        .collect()
+}
+
+fn set_dir_files(txn: &Txn<'_>, path: &str, files: &[String]) -> Result<()> {
+    txn.execute_with(
+        "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
+        &[files.join("\n").into(), path.into()],
+    )?;
+    Ok(())
+}
+
+fn set_sub_dirs(txn: &Txn<'_>, path: &str, subs: &[String]) -> Result<()> {
+    txn.execute_with(
+        "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
+        &[subs.join("\n").into(), path.into()],
+    )?;
+    Ok(())
+}
+
+fn insert_distribution(txn: &Txn<'_>, dist: &[Distribution]) -> Result<()> {
+    for d in dist {
+        txn.execute_with(
+            "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
+            &[
+                composite_key(&[&d.server, &d.filename]).into(),
+                d.server.as_str().into(),
+                d.filename.as_str().into(),
+                d.bricklist.clone().into(),
+            ],
+        )?;
+    }
+    Ok(())
+}
+
+fn insert_tag(txn: &Txn<'_>, filename: &str, tag: &str, value: &str) -> Result<()> {
+    txn.execute_with(
+        "INSERT INTO dpfs_file_tags VALUES (?, ?, ?, ?)",
+        &[
+            tag_key(filename, tag).into(),
+            filename.into(),
+            tag.into(),
+            value.into(),
+        ],
+    )?;
+    Ok(())
+}
+
+fn delete_intent(txn: &Txn<'_>, intent: i64) -> Result<bool> {
+    let rs = txn.execute_with(
+        "DELETE FROM dpfs_rename_intent WHERE intent_id = ?",
+        &[Value::Int(intent)],
+    )?;
+    Ok(affected(&rs)? > 0)
+}
+
+/// Create the entry `attr.filename`: attributes, distribution, tags and the
+/// link in its parent directory, which must exist. `DuplicateKey` if the
+/// name is taken.
+fn create_entry(
+    txn: &Txn<'_>,
+    attr: &FileAttrRow,
+    dist: &[Distribution],
+    tags: &[(String, String)],
+) -> Result<()> {
+    let parent = parent_dir(&attr.filename)
+        .ok_or_else(|| MetaError::Txn(format!("file path {} has no parent", attr.filename)))?;
+    let dir = get_dir(txn, &parent)?
+        .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
+    if dir.files.iter().any(|f| f == &attr.filename) || file_exists(txn, &attr.filename)? {
+        return Err(MetaError::DuplicateKey(format!(
+            "file {} already exists",
+            attr.filename
+        )));
+    }
+    txn.execute_with(
+        "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        &[
+            attr.filename.as_str().into(),
+            attr.owner.as_str().into(),
+            Value::Int(attr.permission),
+            Value::Int(attr.size),
+            attr.filelevel.as_str().into(),
+            Value::Int(attr.dims),
+            attr.dimsize.clone().into(),
+            attr.stripe_dims.clone().into(),
+            Value::Int(attr.stripe_size),
+            attr.pattern.as_str().into(),
+            attr.placement.as_str().into(),
+            attr.redundancy.as_str().into(),
+        ],
+    )?;
+    insert_distribution(txn, dist)?;
+    for (tag, value) in tags {
+        insert_tag(txn, &attr.filename, tag, value)?;
+    }
+    let mut files = dir.files;
+    files.push(attr.filename.clone());
+    set_dir_files(txn, &parent, &files)
+}
+
+/// Remove the entry `filename`: attributes, distribution, tags and the link
+/// in its parent directory. Returns whether the attribute row existed; the
+/// other rows are removed either way.
+fn remove_entry(txn: &Txn<'_>, filename: &str) -> Result<bool> {
+    let existed = affected(&txn.execute_with(
+        "DELETE FROM dpfs_file_attr WHERE filename = ?",
+        &[filename.into()],
+    )?)? > 0;
+    txn.execute_with(
+        "DELETE FROM dpfs_file_distribution WHERE filename = ?",
+        &[filename.into()],
+    )?;
+    txn.execute_with(
+        "DELETE FROM dpfs_file_tags WHERE filename = ?",
+        &[filename.into()],
+    )?;
+    if let Some(parent) = parent_dir(filename) {
+        if let Some(dir) = get_dir(txn, &parent)? {
+            let files: Vec<String> = dir.files.into_iter().filter(|f| f != filename).collect();
+            set_dir_files(txn, &parent, &files)?;
+        }
+    }
+    Ok(existed)
 }
 
 #[cfg(test)]
@@ -1423,13 +1346,80 @@ mod tests {
         assert_eq!(rs.rows[0][0], Value::Int(0));
     }
 
+    /// Run every accessor on the create / stat / open / rename / unlink /
+    /// tag paths once, so that each statement they issue is in the cache.
+    fn exercise_hot_paths(c: &Catalog) {
+        c.mkdir("/a").unwrap();
+        c.mkdir("/b").unwrap();
+        let dist = |name: &str| {
+            vec![Distribution {
+                server: "s0".into(),
+                filename: name.into(),
+                bricklist: vec![0, 1],
+            }]
+        };
+        c.create_file(&sample_attr("/a/f"), &dist("/a/f")).unwrap();
+        c.generation().unwrap();
+        c.get_file_attr("/a/f").unwrap();
+        c.get_distribution("/a/f").unwrap();
+        c.get_server("s0").unwrap();
+        c.get_dir("/a").unwrap();
+        c.set_file_size("/a/f", 1).unwrap();
+        c.update_distribution("/a/f", &dist("/a/f")).unwrap();
+        c.set_tag("/a/f", "k", "v").unwrap();
+        c.set_tag("/a/f", "k", "w").unwrap();
+        c.get_tag("/a/f", "k").unwrap();
+        c.list_tags("/a/f").unwrap();
+        c.rename_file("/a/f", "/b/g").unwrap();
+        let (intent, mut attr, _, tags) = c.rename_prepare("/b/g", "/a/h").unwrap();
+        attr.filename = "/a/h".into();
+        c.rename_commit_dest(intent, &attr, &dist("/a/h"), &tags)
+            .unwrap();
+        c.rename_finish(intent).unwrap();
+        c.remove_tag("/a/h", RENAME_INTENT_TAG).unwrap();
+        let (intent, ..) = c.rename_prepare("/a/h", "/b/i").unwrap();
+        c.rename_abort(intent).unwrap();
+        c.delete_file("/a/h").unwrap();
+        c.rmdir("/b").unwrap();
+    }
+
+    fn access_path(c: &Catalog, sql: &str) -> String {
+        let rs = c.db().execute(&["EXPLAIN ", sql].concat()).unwrap();
+        rs.scalar().unwrap().as_text().unwrap().to_string()
+    }
+
     #[test]
-    fn names_with_quotes_are_escaped() {
+    fn hot_path_statements_are_served_by_an_index() {
         let c = catalog();
-        let mut attr = sample_attr("/it's a file");
-        attr.owner = "o'brien".into();
-        c.create_file(&attr, &[]).unwrap();
-        let got = c.get_file_attr("/it's a file").unwrap().unwrap();
-        assert_eq!(got.owner, "o'brien");
+        exercise_hot_paths(&c);
+        let hot = c.db().cached_statements();
+        let mut planned = 0;
+        for sql in &hot {
+            if sql.starts_with("INSERT") || sql.starts_with("CREATE") {
+                continue; // no access path to choose
+            }
+            let path = access_path(&c, sql);
+            assert!(!path.starts_with("scan"), "{sql}\n  explains to `{path}`");
+            planned += 1;
+        }
+        assert!(planned >= 20, "only {planned} statements were checked");
+        assert!(hot.iter().any(|s| s.contains("dpfs_rename_intent")));
+        assert!(hot.iter().any(|s| s.contains("dpfs_meta_gen SET")));
+
+        // The named exceptions, and the only ones: whole-table reports.
+        c.list_servers().unwrap();
+        c.server_brick_counts().unwrap();
+        c.find_by_tag("k", "%").unwrap();
+        c.list_rename_intents().unwrap();
+        let reports: Vec<String> = c
+            .db()
+            .cached_statements()
+            .into_iter()
+            .filter(|s| !hot.contains(s) && !s.starts_with("EXPLAIN"))
+            .collect();
+        assert_eq!(reports.len(), 4);
+        for sql in &reports {
+            assert!(access_path(&c, sql).starts_with("scan"), "{sql}");
+        }
     }
 }

@@ -8,12 +8,17 @@
 //! Concurrency model: the engine serializes all statements behind one lock
 //! (single-writer, like a single POSTGRES session). `transaction()` runs a
 //! closure atomically; plain `execute()` autocommits.
+//!
+//! Values travel beside the SQL text, not inside it: `execute_with(sql,
+//! params)` binds `params` to the statement's `?` placeholders. Each
+//! statement text is parsed once and kept in a bounded cache on the
+//! `Database`, so a hot statement costs a map lookup, not a parse.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::codec::{self, Reader};
 use crate::error::{MetaError, Result};
@@ -111,6 +116,35 @@ pub(crate) struct Inner {
     sync_on_commit: bool,
 }
 
+/// A parsed statement and the number of `?` placeholders it binds.
+struct Prepared {
+    stmt: Statement,
+    params: usize,
+}
+
+/// Most statement texts the cache holds. The catalog issues a few dozen
+/// distinct texts; the bound only keeps ad-hoc SQL with inlined literals
+/// (every text different) from growing the map forever.
+const STATEMENT_CACHE_CAP: usize = 256;
+
+#[derive(Default)]
+struct StatementCache {
+    by_text: HashMap<String, Arc<Prepared>>,
+    hits: u64,
+    misses: u64,
+}
+
+/// Counters of the parsed-statement cache ([`Database::statement_cache_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatementCacheStats {
+    /// Executions served by an already parsed statement.
+    pub hits: u64,
+    /// Executions that had to parse their text.
+    pub misses: u64,
+    /// Statement texts held now.
+    pub entries: usize,
+}
+
 /// The embedded metadata database.
 pub struct Database {
     inner: Mutex<Inner>,
@@ -122,22 +156,28 @@ pub struct Database {
     /// thread's acknowledged write. Concurrent writers (metad's
     /// per-connection workers, racing embedded clients) block here instead.
     txn_gate: Mutex<()>,
+    statements: Mutex<StatementCache>,
 }
 
 impl Database {
     /// Purely in-memory database (no durability); used by tests and by the
     /// simulation harness where metadata persistence is irrelevant.
     pub fn in_memory() -> Database {
+        Database::from_inner(Inner {
+            tables: BTreeMap::new(),
+            dir: None,
+            wal: None,
+            next_txn: 1,
+            txn: None,
+            sync_on_commit: false,
+        })
+    }
+
+    fn from_inner(inner: Inner) -> Database {
         Database {
-            inner: Mutex::new(Inner {
-                tables: BTreeMap::new(),
-                dir: None,
-                wal: None,
-                next_txn: 1,
-                txn: None,
-                sync_on_commit: false,
-            }),
+            inner: Mutex::new(inner),
             txn_gate: Mutex::new(()),
+            statements: Mutex::new(StatementCache::default()),
         }
     }
 
@@ -183,17 +223,83 @@ impl Database {
         if wal_len > 1 << 20 {
             inner.checkpoint()?;
         }
-        Ok(Database {
-            inner: Mutex::new(inner),
-            txn_gate: Mutex::new(()),
-        })
+        Ok(Database::from_inner(inner))
     }
 
-    /// Parse and execute one SQL statement. Autocommits unless a `BEGIN`
-    /// transaction is open on this database.
+    /// Execute one SQL statement that binds no parameters. Autocommits
+    /// unless a `BEGIN` transaction is open on this database.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
-        let stmt = parser::parse(sql)?;
-        self.execute_stmt(stmt)
+        self.execute_with(sql, &[])
+    }
+
+    /// Execute one SQL statement with `params` bound, in order, to its `?`
+    /// placeholders. The text is parsed on first use and cached; binding
+    /// fewer or more values than the statement has placeholders is an
+    /// error. Autocommits like [`Database::execute`].
+    pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
+        let prepared = self.prepare(sql, params)?;
+        self.run(&prepared.stmt, params)
+    }
+
+    /// The parsed form of `sql`, from the cache or parsed now, checked
+    /// against the number of `params` about to be bound.
+    fn prepare(&self, sql: &str, params: &[Value]) -> Result<Arc<Prepared>> {
+        let mut cache = self.statements.lock().unwrap();
+        let prepared = match cache.by_text.get(sql).cloned() {
+            Some(p) => {
+                cache.hits += 1;
+                p
+            }
+            None => {
+                let (stmt, n) = parser::parse_counted(sql)?;
+                cache.misses += 1;
+                if cache.by_text.len() >= STATEMENT_CACHE_CAP {
+                    // Hot statements are back after one parse each.
+                    cache.by_text.clear();
+                }
+                let p = Arc::new(Prepared { stmt, params: n });
+                cache.by_text.insert(sql.to_string(), p.clone());
+                p
+            }
+        };
+        drop(cache);
+        // EXPLAIN may leave its statement's parameters unbound.
+        let explain_unbound = params.is_empty() && matches!(prepared.stmt, Statement::Explain(_));
+        if params.len() != prepared.params && !explain_unbound {
+            return Err(MetaError::TypeError(format!(
+                "statement has {} parameters, {} bound",
+                prepared.params,
+                params.len()
+            )));
+        }
+        Ok(prepared)
+    }
+
+    /// Hit, miss and size counters of the parsed-statement cache.
+    pub fn statement_cache_stats(&self) -> StatementCacheStats {
+        let cache = self.statements.lock().unwrap();
+        StatementCacheStats {
+            hits: cache.hits,
+            misses: cache.misses,
+            entries: cache.by_text.len(),
+        }
+    }
+
+    /// Panic unless every index of every table equals a rebuild from rows.
+    #[cfg(test)]
+    pub(crate) fn assert_indexes_match_rows(&self) {
+        for table in self.inner.lock().unwrap().tables.values() {
+            table.assert_indexes_match_rows();
+        }
+    }
+
+    /// The statement texts the cache holds, sorted.
+    #[cfg(test)]
+    pub(crate) fn cached_statements(&self) -> Vec<String> {
+        let cache = self.statements.lock().unwrap();
+        let mut texts: Vec<String> = cache.by_text.keys().cloned().collect();
+        texts.sort();
+        texts
     }
 
     /// Execute a `;`-separated script; returns the result of the last
@@ -207,8 +313,12 @@ impl Database {
         Ok(last)
     }
 
-    /// Execute a pre-parsed statement.
+    /// Execute a pre-parsed statement that binds no parameters.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<ResultSet> {
+        self.run(&stmt, &[])
+    }
+
+    fn run(&self, stmt: &Statement, params: &[Value]) -> Result<ResultSet> {
         // Wait out any in-flight `transaction()` so this statement cannot
         // land inside another thread's atomic section. An *explicit*
         // SQL-level BEGIN left open by this same session is unaffected: the
@@ -233,7 +343,7 @@ impl Database {
                 if implicit {
                     inner.begin()?;
                 }
-                let result = exec::execute(&mut inner, &other);
+                let result = exec::execute(&mut inner, other, params);
                 if implicit {
                     match &result {
                         Ok(_) => inner.commit()?,
@@ -293,14 +403,20 @@ pub struct Txn<'a> {
 impl Txn<'_> {
     /// Execute a statement inside the enclosing transaction.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
-        let stmt = parser::parse(sql)?;
-        match stmt {
+        self.execute_with(sql, &[])
+    }
+
+    /// Execute a statement with bound parameters (see
+    /// [`Database::execute_with`]) inside the enclosing transaction.
+    pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
+        let prepared = self.db.prepare(sql, params)?;
+        match &prepared.stmt {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(MetaError::Txn(
                 "transaction control inside transaction() closure".into(),
             )),
             other => {
                 let mut inner = self.db.inner.lock().unwrap();
-                exec::execute(&mut inner, &other)
+                exec::execute(&mut inner, other, params)
             }
         }
     }
@@ -403,6 +519,32 @@ impl Inner {
         txn.undo.push(UndoOp::Create {
             name: name.to_string(),
         });
+        Ok(())
+    }
+
+    /// Declare a secondary index. Derived state: nothing is logged, and a
+    /// rollback leaves the (always consistent) index in place.
+    pub(crate) fn create_index(
+        &mut self,
+        name: &str,
+        table: &str,
+        column: &str,
+        if_not_exists: bool,
+    ) -> Result<()> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| MetaError::NoSuchTable(table.to_string()))?;
+        let col = t.schema().column_index(column)?;
+        if t.schema().pk_index() == Some(col) || t.has_index(col) {
+            if if_not_exists {
+                return Ok(());
+            }
+            return Err(MetaError::SchemaViolation(format!(
+                "index {name}: {table}.{column} is already indexed"
+            )));
+        }
+        t.create_index(col);
         Ok(())
     }
 
@@ -677,5 +819,81 @@ mod tests {
         assert_eq!(rows(&db).unwrap(), Value::Int(2));
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_statement_text_is_parsed_once_and_the_cache_is_bounded() {
+        let db = Database::in_memory();
+        db.execute("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        let insert = "INSERT INTO t VALUES (?, ?)";
+        let before = db.statement_cache_stats();
+        for k in 0..10 {
+            db.execute_with(insert, &[Value::Int(k), "v".into()])
+                .unwrap();
+        }
+        // transactions share the database's cache
+        db.transaction(|txn| txn.execute_with(insert, &[Value::Int(10), "v".into()]))
+            .unwrap();
+        let after = db.statement_cache_stats();
+        assert_eq!(after.misses, before.misses + 1, "parsed on first use only");
+        assert_eq!(after.hits, before.hits + 10);
+        assert_eq!(after.entries, before.entries + 1);
+
+        // Text that does not parse is not remembered.
+        assert!(db.execute("SELEKT 1").is_err());
+        assert_eq!(db.statement_cache_stats().entries, after.entries);
+
+        // Ad-hoc SQL with inlined literals is a new text every time; the
+        // cache stays bounded and the hot statement keeps working.
+        for k in 0..4 * STATEMENT_CACHE_CAP as i64 {
+            let rs = db
+                .execute(&format!("SELECT v FROM t WHERE k = {}", k % 11))
+                .unwrap();
+            assert_eq!(rs.rows.len(), 1);
+            let _ = db.execute(&format!("SELECT v FROM t WHERE k = {}", 1000 + k));
+            assert!(db.statement_cache_stats().entries <= STATEMENT_CACHE_CAP);
+        }
+        db.execute_with(insert, &[Value::Int(11), "v".into()])
+            .unwrap();
+    }
+
+    #[test]
+    fn binding_the_wrong_number_or_type_of_parameters_is_an_error() {
+        let db = Database::in_memory();
+        db.execute("CREATE TABLE t (k INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        let insert = "INSERT INTO t VALUES (?, ?)";
+        db.execute_with(insert, &[Value::Int(1), "one".into()])
+            .unwrap();
+        // arity, both ways, also inside a transaction and on txn control
+        for params in [vec![], vec![Value::Int(2)], vec![Value::Int(2); 3]] {
+            let err = db.execute_with(insert, &params).unwrap_err();
+            assert!(matches!(err, MetaError::TypeError(_)), "{err}");
+            assert!(db.transaction(|t| t.execute_with(insert, &params)).is_err());
+        }
+        assert!(db.execute_with("BEGIN", &[Value::Int(1)]).is_err());
+        assert!(db.execute_with("SELECT * FROM t", &[Value::Null]).is_err());
+        // type: into a column, against an indexed key, into LIKE
+        let err = db
+            .execute_with(insert, &["two".into(), Value::Int(2)])
+            .unwrap_err();
+        assert!(matches!(err, MetaError::SchemaViolation(_)), "{err}");
+        let by_key = "SELECT v FROM t WHERE k = ?";
+        assert!(db.execute_with(by_key, &["1".into()]).is_err());
+        assert!(db
+            .execute_with("SELECT k FROM t WHERE v LIKE ?", &[Value::Int(1)])
+            .is_err());
+        // a pre-parsed statement has nothing bound: an error, not a panic
+        let stmt = parser::parse(by_key).unwrap();
+        assert!(db.execute_stmt(stmt).is_err());
+        assert!(db.execute_script(by_key).is_err());
+        // none of the refusals left anything behind
+        let rs = db.execute_with(by_key, &[Value::Int(1)]).unwrap();
+        assert_eq!(rs.scalar().unwrap(), &Value::from("one"));
+        assert_eq!(
+            db.execute("SELECT COUNT(*) FROM t").unwrap().rows[0][0],
+            Value::Int(1)
+        );
     }
 }

@@ -8,9 +8,12 @@
 //! This crate is the substrate standing in for POSTGRES: a small embedded
 //! relational engine with
 //!
-//! - a SQL subset (`CREATE/DROP TABLE`, `INSERT`, `SELECT` with
-//!   `WHERE`/`ORDER BY`/`LIMIT` and aggregates, `UPDATE`, `DELETE`,
-//!   `BEGIN`/`COMMIT`/`ROLLBACK`),
+//! - a SQL subset (`CREATE/DROP TABLE`, `CREATE INDEX`, `INSERT`, `SELECT`
+//!   with `WHERE`/`ORDER BY`/`LIMIT`, aggregates and one inner join,
+//!   `UPDATE`, `DELETE`, `EXPLAIN`, `BEGIN`/`COMMIT`/`ROLLBACK`),
+//! - bound parameters (`?`) with each statement text parsed once,
+//! - an access-path planner: a primary-key or secondary-index lookup where
+//!   the `WHERE` clause pins an indexed column, a scan otherwise,
 //! - typed columns including `INTLIST` for the paper's brick lists,
 //! - write-ahead logging with CRC-protected records and crash recovery,
 //! - snapshot checkpointing,
@@ -30,6 +33,11 @@
 //! db.execute("INSERT INTO servers VALUES ('ccn60.mcs.anl.gov', 1), ('aruba.ece.nwu.edu', 3)").unwrap();
 //! let rs = db.execute("SELECT name FROM servers WHERE perf = 1").unwrap();
 //! assert_eq!(rs.rows.len(), 1);
+//! // values travel beside the text, not in it
+//! let rs = db
+//!     .execute_with("SELECT perf FROM servers WHERE name = ?", &["aruba.ece.nwu.edu".into()])
+//!     .unwrap();
+//! assert_eq!(rs.scalar().unwrap().as_int().unwrap(), 3);
 //! ```
 
 #![deny(unsafe_code)]

@@ -13,6 +13,14 @@ pub enum Statement {
     },
     /// `DROP TABLE [IF EXISTS] name`
     DropTable { name: String, if_exists: bool },
+    /// `CREATE INDEX [IF NOT EXISTS] name ON table (column)` — a non-unique
+    /// secondary index. Derived state: never logged, re-declared after open.
+    CreateIndex {
+        name: String,
+        if_not_exists: bool,
+        table: String,
+        column: String,
+    },
     /// `INSERT INTO name [(cols)] VALUES (...), (...)`
     Insert {
         table: String,
@@ -35,6 +43,8 @@ pub enum Statement {
     Commit,
     /// `ROLLBACK`
     Rollback,
+    /// `EXPLAIN stmt` — one row naming the access path `stmt` would take.
+    Explain(Box<Statement>),
 }
 
 /// Column definition in CREATE TABLE.
@@ -112,6 +122,8 @@ pub enum Expr {
     Literal(Value),
     /// Column reference.
     Column(String),
+    /// The n-th `?` of the statement (0-based), bound at execution.
+    Param(usize),
     /// Binary operation.
     Binary {
         op: BinOp,
@@ -128,10 +140,11 @@ pub enum Expr {
         list: Vec<Expr>,
         negated: bool,
     },
-    /// `e [NOT] LIKE 'pattern'` (`%` any run, `_` any single char)
+    /// `e [NOT] LIKE 'pattern'` (`%` any run, `_` any single char); the
+    /// pattern is a string literal or a parameter.
     Like {
         expr: Box<Expr>,
-        pattern: String,
+        pattern: Box<Expr>,
         negated: bool,
     },
     /// Scalar function call: `contains(list, x)`, `len(x)`, `append(list, x)`,

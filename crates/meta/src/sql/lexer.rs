@@ -39,6 +39,8 @@ pub enum Sym {
     GtEq,
     Semicolon,
     Dot,
+    /// `?`, a bound-parameter placeholder.
+    Question,
 }
 
 const KEYWORDS: &[&str] = &[
@@ -85,6 +87,8 @@ const KEYWORDS: &[&str] = &[
     "JOIN",
     "ON",
     "INNER",
+    "INDEX",
+    "EXPLAIN",
 ];
 
 /// Tokenize `input` into a vector of tokens.
@@ -148,6 +152,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             }
             '.' => {
                 tokens.push(Token::Sym(Sym::Dot));
+                i += 1;
+            }
+            '?' => {
+                tokens.push(Token::Sym(Sym::Question));
                 i += 1;
             }
             '=' => {

@@ -4,6 +4,8 @@ pub mod ast;
 pub(crate) mod exec;
 pub mod lexer;
 pub mod parser;
+#[cfg(test)]
+mod planner_tests;
 
 pub use ast::Statement;
 pub use parser::{parse, parse_script};

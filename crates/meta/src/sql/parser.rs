@@ -8,8 +8,12 @@ use super::lexer::{lex, Sym, Token};
 
 /// Parse a single SQL statement (a trailing `;` is permitted).
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    parse_counted(sql).map(|(stmt, _)| stmt)
+}
+
+/// [`parse`], also returning how many `?` placeholders the statement holds.
+pub(crate) fn parse_counted(sql: &str) -> Result<(Statement, usize)> {
+    let mut p = Parser::new(lex(sql)?);
     let stmt = p.statement()?;
     p.eat_sym(Sym::Semicolon); // optional
     if p.pos != p.tokens.len() {
@@ -18,13 +22,12 @@ pub fn parse(sql: &str) -> Result<Statement> {
             &p.tokens[p.pos..]
         )));
     }
-    Ok(stmt)
+    Ok((stmt, p.params))
 }
 
 /// Parse a `;`-separated script into statements.
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(sql)?);
     let mut stmts = Vec::new();
     loop {
         while p.eat_sym(Sym::Semicolon) {}
@@ -39,9 +42,19 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `?` placeholders seen so far; the next one gets this index.
+    params: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            params: 0,
+        }
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -119,7 +132,18 @@ impl Parser {
     fn statement(&mut self) -> Result<Statement> {
         match self.peek() {
             Some(Token::Keyword(k)) => match k.as_str() {
-                "CREATE" => self.create_table(),
+                "CREATE" => {
+                    self.pos += 1;
+                    if self.eat_kw("INDEX") {
+                        self.create_index()
+                    } else {
+                        self.create_table()
+                    }
+                }
+                "EXPLAIN" => {
+                    self.pos += 1;
+                    Ok(Statement::Explain(Box::new(self.statement()?)))
+                }
                 "DROP" => self.drop_table(),
                 "INSERT" => self.insert(),
                 "SELECT" => self.select().map(Statement::Select),
@@ -146,16 +170,37 @@ impl Parser {
         }
     }
 
-    fn create_table(&mut self) -> Result<Statement> {
-        self.expect_kw("CREATE")?;
-        self.expect_kw("TABLE")?;
-        let if_not_exists = if self.eat_kw("IF") {
+    fn if_not_exists(&mut self) -> Result<bool> {
+        if self.eat_kw("IF") {
             self.expect_kw("NOT")?;
             self.expect_kw("EXISTS")?;
-            true
+            Ok(true)
         } else {
-            false
-        };
+            Ok(false)
+        }
+    }
+
+    /// After `CREATE INDEX`.
+    fn create_index(&mut self) -> Result<Statement> {
+        let if_not_exists = self.if_not_exists()?;
+        let name = self.ident()?;
+        self.expect_kw("ON")?;
+        let table = self.ident()?;
+        self.expect_sym(Sym::LParen)?;
+        let column = self.ident()?;
+        self.expect_sym(Sym::RParen)?;
+        Ok(Statement::CreateIndex {
+            name,
+            if_not_exists,
+            table,
+            column,
+        })
+    }
+
+    /// After `CREATE`.
+    fn create_table(&mut self) -> Result<Statement> {
+        self.expect_kw("TABLE")?;
+        let if_not_exists = self.if_not_exists()?;
         let name = self.ident()?;
         self.expect_sym(Sym::LParen)?;
         let mut columns = Vec::new();
@@ -466,17 +511,17 @@ impl Parser {
             });
         }
         if self.eat_kw("LIKE") {
-            let pattern = match self.next()? {
-                Token::Str(s) => s,
+            let pattern = match self.atom()? {
+                e @ (Expr::Literal(Value::Text(_)) | Expr::Param(_)) => e,
                 other => {
                     return Err(MetaError::Parse(format!(
-                        "LIKE expects a string pattern, found {other:?}"
+                        "LIKE expects a string pattern or ?, found {other:?}"
                     )))
                 }
             };
             return Ok(Expr::Like {
                 expr: Box::new(lhs),
-                pattern,
+                pattern: Box::new(pattern),
                 negated,
             });
         }
@@ -548,6 +593,10 @@ impl Parser {
             Token::Int(n) => Ok(Expr::Literal(Value::Int(n))),
             Token::Str(s) => Ok(Expr::Literal(Value::Text(s))),
             Token::Keyword(k) if k == "NULL" => Ok(Expr::Literal(Value::Null)),
+            Token::Sym(Sym::Question) => {
+                self.params += 1;
+                Ok(Expr::Param(self.params - 1))
+            }
             Token::Sym(Sym::Minus) => {
                 // unary minus on an integer literal or expression
                 let inner = self.atom()?;
@@ -799,5 +848,46 @@ mod tests {
             assert_eq!(rows[0][0], Expr::Literal(Value::Int(-5)));
             assert_eq!(rows[0][1], Expr::Literal(Value::IntList(vec![-1, 2])));
         }
+    }
+
+    #[test]
+    fn placeholders_are_numbered_in_order_of_appearance() {
+        let (s, n) =
+            parse_counted("UPDATE t SET a = ?, b = ? + 1 WHERE k = ? AND v LIKE ?").unwrap();
+        assert_eq!(n, 4);
+        let Statement::Update { sets, filter, .. } = s else {
+            panic!("not an update")
+        };
+        assert_eq!(sets[0].1, Expr::Param(0));
+        let Some(Expr::Binary { lhs, rhs, .. }) = filter else {
+            panic!("no AND")
+        };
+        assert!(matches!(*lhs, Expr::Binary { rhs: ref k, .. } if **k == Expr::Param(2)));
+        assert!(matches!(*rhs, Expr::Like { ref pattern, .. } if **pattern == Expr::Param(3)));
+        // a question mark inside a string literal is text, not a placeholder
+        assert_eq!(parse_counted("SELECT * FROM t WHERE a = '?'").unwrap().1, 0);
+        assert!(parse("SELECT * FROM t WHERE a LIKE 5").is_err());
+    }
+
+    #[test]
+    fn create_index_and_explain() {
+        assert_eq!(
+            parse("CREATE INDEX IF NOT EXISTS by_name ON files (name)").unwrap(),
+            Statement::CreateIndex {
+                name: "by_name".into(),
+                if_not_exists: true,
+                table: "files".into(),
+                column: "name".into(),
+            }
+        );
+        assert!(
+            parse("CREATE INDEX ON files (name)").is_err(),
+            "name required"
+        );
+        assert!(parse("CREATE VIEW v").is_err());
+        let s = parse("EXPLAIN DELETE FROM t WHERE k = ?").unwrap();
+        assert!(
+            matches!(s, Statement::Explain(inner) if matches!(*inner, Statement::Delete { .. }))
+        );
     }
 }

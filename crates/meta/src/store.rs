@@ -16,13 +16,15 @@
 //! instances over one database observe the same counter. Clients stamp
 //! cached attrs/layouts with the generation at fetch time and invalidate
 //! when it moves — the cheapest possible invalidation protocol that never
-//! serves a stale layout for I/O (see `dpfs-core::meta_cache`). The bump
-//! happens *after* the mutation commits and *before* the call returns, so
-//! by the time a mutation is acknowledged the generation already reflects
-//! it.
+//! serves a stale layout for I/O (see `dpfs-core::meta_cache`). The bump is
+//! part of the mutation's own transaction (the catalog's doing, see
+//! `catalog.rs` "Generation"): the two are one WAL commit, so neither a
+//! crash nor a concurrent reader can see a mutation under the generation
+//! that preceded it.
 
 use std::sync::Arc;
 
+pub use crate::catalog::GEN_TABLE;
 use crate::catalog::{Catalog, DirEntry, Distribution, FileAttrRow, ServerInfo};
 use crate::db::Database;
 use crate::error::Result;
@@ -114,113 +116,37 @@ pub trait MetaStore: Send + Sync {
     }
 }
 
-/// Name of the generation table (exposed for the SQL-level tests).
-pub const GEN_TABLE: &str = "dpfs_meta_gen";
-
-/// The embedded backend: a [`Catalog`] plus the persisted generation
-/// counter. First backend of the trait and the one `dpfs-metad` serves
-/// remotely.
+/// The embedded backend: the [`Catalog`] behind the trait. First backend of
+/// the trait and the one `dpfs-metad` serves remotely.
 #[derive(Clone)]
 pub struct EmbeddedMetaStore {
     catalog: Catalog,
 }
 
 impl EmbeddedMetaStore {
-    /// Wrap a database: creates the DPFS tables (via [`Catalog::new`]) and
-    /// the generation table if missing.
+    /// Wrap a database: creates the DPFS tables and the generation row if
+    /// missing (via [`Catalog::new`]).
     pub fn new(db: Arc<Database>) -> Result<EmbeddedMetaStore> {
         Self::from_catalog(Catalog::new(db)?)
     }
 
-    /// Wrap an existing catalog, ensuring the generation table exists.
+    /// Wrap an existing catalog.
     pub fn from_catalog(catalog: Catalog) -> Result<EmbeddedMetaStore> {
-        catalog.db().execute(&format!(
-            "CREATE TABLE IF NOT EXISTS {GEN_TABLE} (k TEXT PRIMARY KEY, gen INT NOT NULL)"
-        ))?;
-        // Seed the single row; the transaction makes concurrent first
-        // mounts race safely (one inserts, the other sees it).
-        catalog.db().transaction(|txn| {
-            let rs = txn.execute(&format!("SELECT gen FROM {GEN_TABLE} WHERE k = 'g'"))?;
-            if rs.rows.is_empty() {
-                txn.execute(&format!("INSERT INTO {GEN_TABLE} VALUES ('g', 1)"))?;
-            }
-            Ok(())
-        })?;
         Ok(EmbeddedMetaStore { catalog })
     }
 
-    /// The wrapped catalog.
+    /// The wrapped catalog. The cross-shard rename primitives
+    /// (`rename_prepare` … `rename_abort`) are reached through it: an
+    /// embedded mount never needs them — `rename_file` is atomic there —
+    /// so they are not part of the trait; `dpfs-metad` serves them.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Bump the persisted generation; returns the new value. Called after
-    /// each successful mutation.
-    fn bump(&self) -> Result<u64> {
-        self.catalog.db().transaction(|txn| {
-            let rs = txn.execute(&format!("SELECT gen FROM {GEN_TABLE} WHERE k = 'g'"))?;
-            let next = rs.scalar()?.as_int()? + 1;
-            txn.execute(&format!(
-                "UPDATE {GEN_TABLE} SET gen = {next} WHERE k = 'g'"
-            ))?;
-            Ok(next as u64)
-        })
-    }
-
-    /// Run a mutation, bumping the generation only if it succeeded.
-    fn mutate<T>(&self, f: impl FnOnce(&Catalog) -> Result<T>) -> Result<T> {
-        let v = f(&self.catalog)?;
-        self.bump()?;
-        Ok(v)
-    }
-
-    // ---- cross-shard rename primitives (served by dpfs-metad) ----
-    //
-    // These are inherent methods, not part of the `MetaStore` trait: an
-    // embedded (single-database) mount never needs them — `rename_file`
-    // is already atomic there. Only the sharded remote store drives them,
-    // through the daemon, and each one bumps this shard's generation.
-
-    /// Phase 1 of a cross-shard rename (see [`Catalog::rename_prepare`]).
-    #[allow(clippy::type_complexity)]
-    pub fn rename_prepare(
-        &self,
-        from: &str,
-        to: &str,
-    ) -> Result<(i64, FileAttrRow, Vec<Distribution>, Vec<(String, String)>)> {
-        self.mutate(|c| c.rename_prepare(from, to))
-    }
-
-    /// Phase 2 on the destination shard (see [`Catalog::rename_commit_dest`]).
-    pub fn rename_commit_dest(
-        &self,
-        intent: i64,
-        attr: &FileAttrRow,
-        dist: &[Distribution],
-        tags: &[(String, String)],
-    ) -> Result<()> {
-        self.mutate(|c| c.rename_commit_dest(intent, attr, dist, tags))
-    }
-
-    /// Phase 3 on the source shard (see [`Catalog::rename_finish`]).
-    pub fn rename_finish(&self, intent: i64) -> Result<()> {
-        self.mutate(|c| c.rename_finish(intent))
-    }
-
-    /// Abandon a prepared rename (see [`Catalog::rename_abort`]).
-    pub fn rename_abort(&self, intent: i64) -> Result<bool> {
-        self.mutate(|c| c.rename_abort(intent))
-    }
-
-    /// Pending rename intents on this shard (read-only).
-    pub fn list_rename_intents(&self) -> Result<Vec<crate::catalog::RenameIntent>> {
-        self.catalog.list_rename_intents()
     }
 }
 
 impl MetaStore for EmbeddedMetaStore {
     fn register_server(&self, info: &ServerInfo) -> Result<()> {
-        self.mutate(|c| c.register_server(info))
+        self.catalog.register_server(info)
     }
     fn list_servers(&self) -> Result<Vec<ServerInfo>> {
         self.catalog.list_servers()
@@ -229,50 +155,50 @@ impl MetaStore for EmbeddedMetaStore {
         self.catalog.get_server(name)
     }
     fn remove_server(&self, name: &str) -> Result<bool> {
-        self.mutate(|c| c.remove_server(name))
+        self.catalog.remove_server(name)
     }
 
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
-        self.mutate(|c| c.create_file(attr, dist))
+        self.catalog.create_file(attr, dist)
     }
     fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
-        self.mutate(|c| c.delete_file(filename))
+        self.catalog.delete_file(filename)
     }
     fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-        self.mutate(|c| c.rename_file(from, to))
+        self.catalog.rename_file(from, to)
     }
     fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
         self.catalog.get_file_attr(filename)
     }
     fn set_file_size(&self, filename: &str, size: i64) -> Result<()> {
-        self.mutate(|c| c.set_file_size(filename, size))
+        self.catalog.set_file_size(filename, size)
     }
     fn set_file_permission(&self, filename: &str, permission: i64) -> Result<()> {
-        self.mutate(|c| c.set_file_permission(filename, permission))
+        self.catalog.set_file_permission(filename, permission)
     }
     fn set_file_owner(&self, filename: &str, owner: &str) -> Result<()> {
-        self.mutate(|c| c.set_file_owner(filename, owner))
+        self.catalog.set_file_owner(filename, owner)
     }
 
     fn get_distribution(&self, filename: &str) -> Result<Vec<Distribution>> {
         self.catalog.get_distribution(filename)
     }
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
-        self.mutate(|c| c.update_distribution(filename, dist))
+        self.catalog.update_distribution(filename, dist)
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
-        self.mutate(|c| c.mkdir(path))
+        self.catalog.mkdir(path)
     }
     fn rmdir(&self, path: &str) -> Result<()> {
-        self.mutate(|c| c.rmdir(path))
+        self.catalog.rmdir(path)
     }
     fn get_dir(&self, path: &str) -> Result<Option<DirEntry>> {
         self.catalog.get_dir(path)
     }
 
     fn set_tag(&self, filename: &str, tag: &str, value: &str) -> Result<()> {
-        self.mutate(|c| c.set_tag(filename, tag, value))
+        self.catalog.set_tag(filename, tag, value)
     }
     fn get_tag(&self, filename: &str, tag: &str) -> Result<Option<String>> {
         self.catalog.get_tag(filename, tag)
@@ -281,7 +207,7 @@ impl MetaStore for EmbeddedMetaStore {
         self.catalog.list_tags(filename)
     }
     fn remove_tag(&self, filename: &str, tag: &str) -> Result<bool> {
-        self.mutate(|c| c.remove_tag(filename, tag))
+        self.catalog.remove_tag(filename, tag)
     }
     fn find_by_tag(&self, tag: &str, pattern: &str) -> Result<Vec<(String, String, i64)>> {
         self.catalog.find_by_tag(tag, pattern)
@@ -292,11 +218,7 @@ impl MetaStore for EmbeddedMetaStore {
     }
 
     fn generation(&self) -> Result<u64> {
-        let rs = self
-            .catalog
-            .db()
-            .execute(&format!("SELECT gen FROM {GEN_TABLE} WHERE k = 'g'"))?;
-        Ok(rs.scalar()?.as_int()? as u64)
+        self.catalog.generation()
     }
 
     fn as_catalog(&self) -> Option<&Catalog> {
@@ -468,5 +390,121 @@ mod tests {
         }
         let dir = s.get_dir("/c").unwrap().unwrap();
         assert_eq!(dir.files.len(), 10, "one directory entry per path");
+    }
+
+    /// The generation moves in the same WAL transaction as the mutation it
+    /// announces: a crash cannot leave one durable without the other (the
+    /// parent of this test bumped in a second transaction, so a crash
+    /// between the two left a mutation under a generation that clients'
+    /// cached layouts still trusted).
+    #[test]
+    fn every_mutation_and_its_generation_bump_are_one_wal_commit() {
+        use crate::wal::{read_wal, WalRecord};
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-gen-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = dir.join("wal.log");
+        let s = EmbeddedMetaStore::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()))
+            .unwrap();
+        let commits = || {
+            let records = read_wal(&wal).unwrap();
+            let n = records
+                .iter()
+                .filter(|r| matches!(r, WalRecord::Commit { .. }))
+                .count();
+            (n, records)
+        };
+        let dist = |name: &str| Distribution {
+            server: "s0".into(),
+            filename: name.into(),
+            bricklist: vec![0],
+        };
+        let server = ServerInfo {
+            name: "s0".into(),
+            capacity: 1,
+            performance: 1,
+        };
+        let c = s.catalog();
+        type Mutation<'a> = Box<dyn Fn() -> Result<()> + 'a>;
+        let mutations: Vec<(&str, Mutation<'_>)> = vec![
+            ("register_server", Box::new(|| s.register_server(&server))),
+            ("mkdir", Box::new(|| s.mkdir("/d"))),
+            (
+                "create_file",
+                Box::new(|| s.create_file(&attr("/d/f"), &[dist("/d/f")])),
+            ),
+            ("set_file_size", Box::new(|| s.set_file_size("/d/f", 9))),
+            ("set_file_owner", Box::new(|| s.set_file_owner("/d/f", "o"))),
+            (
+                "set_file_permission",
+                Box::new(|| s.set_file_permission("/d/f", 0o600)),
+            ),
+            (
+                "update_distribution",
+                Box::new(|| s.update_distribution("/d/f", &[dist("/d/f")])),
+            ),
+            ("set_tag", Box::new(|| s.set_tag("/d/f", "k", "v"))),
+            ("rename_file", Box::new(|| s.rename_file("/d/f", "/d/g"))),
+            (
+                "remove_tag",
+                Box::new(|| s.remove_tag("/d/g", "k").map(|_| ())),
+            ),
+            (
+                "rename 2pc",
+                Box::new(|| {
+                    let (intent, mut a, _, tags) = c.rename_prepare("/d/g", "/d/h")?;
+                    a.filename = "/d/h".into();
+                    c.rename_commit_dest(intent, &a, &[dist("/d/h")], &tags)?;
+                    c.rename_finish(intent)?;
+                    c.rename_abort(intent).map(|_| ())
+                }),
+            ),
+            (
+                "delete_file",
+                Box::new(|| s.delete_file("/d/h").map(|_| ())),
+            ),
+            ("rmdir", Box::new(|| s.rmdir("/d"))),
+            (
+                "remove_server",
+                Box::new(|| s.remove_server("s0").map(|_| ())),
+            ),
+        ];
+        for (name, mutation) in &mutations {
+            let (before, gen) = (commits().0, s.generation().unwrap());
+            mutation().unwrap();
+            let expect = if *name == "rename 2pc" { 4 } else { 1 };
+            assert_eq!(commits().0, before + expect, "{name}: WAL commits");
+            assert_eq!(s.generation().unwrap(), gen + expect as u64, "{name}");
+        }
+        // a refused mutation and a read commit nothing
+        let before = commits().0;
+        assert!(s.mkdir("/no/parent").is_err());
+        s.get_file_attr("/d/h").unwrap();
+        assert_eq!(commits().0, before);
+
+        // No transaction in the log changes a catalog table without also
+        // changing the generation row.
+        let (_, records) = commits();
+        let mut touched: std::collections::BTreeMap<u64, (bool, bool)> = Default::default();
+        for r in &records {
+            let table = match r {
+                WalRecord::Insert { table, .. }
+                | WalRecord::Update { table, .. }
+                | WalRecord::Delete { table, .. } => table,
+                _ => continue,
+            };
+            let entry = touched.entry(r.txn()).or_default();
+            if table == GEN_TABLE {
+                entry.0 |= matches!(r, WalRecord::Update { .. });
+            } else {
+                entry.1 = true;
+            }
+        }
+        let unannounced: Vec<_> = touched
+            .iter()
+            .filter(|(_, (gen, catalog))| *catalog && !*gen)
+            .collect();
+        // the one exception is Catalog::new seeding `/` and the row itself
+        assert_eq!(unannounced.len(), 1, "{unannounced:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

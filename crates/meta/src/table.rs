@@ -1,7 +1,14 @@
-//! In-memory table: a heap of rows addressed by stable `RowId`s plus a
-//! unique index on the primary-key column (when declared).
+//! In-memory table: a heap of rows addressed by stable `RowId`s, a unique
+//! index on the primary-key column (when declared) and any number of
+//! non-unique secondary indexes.
+//!
+//! Indexes are derived state: `insert`/`update`/`delete` are the only ways a
+//! row changes, and each keeps every index in step, so WAL replay, snapshot
+//! load and transaction undo (all of which go through those three) never
+//! see an index disagree with the heap. Secondary indexes are not logged or
+//! snapshotted; whoever wants one declares it after opening the database.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::{MetaError, Result};
 use crate::schema::Schema;
@@ -11,28 +18,17 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowId(pub u64);
 
-/// Key wrapper giving `Value` the total order required by `BTreeMap`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct IndexKey(Value);
+/// Key → ids of the rows holding it, ascending (scan order).
+type SecondaryIndex = BTreeMap<Value, BTreeSet<RowId>>;
 
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A single table: schema + row heap + optional primary-key index.
+/// A single table: schema + row heap + indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: BTreeMap<RowId, Vec<Value>>,
-    pk_index: BTreeMap<IndexKey, RowId>,
+    pk_index: BTreeMap<Value, RowId>,
+    /// Secondary indexes by column position.
+    indexes: BTreeMap<usize, SecondaryIndex>,
     next_row_id: u64,
 }
 
@@ -43,6 +39,7 @@ impl Table {
             schema,
             rows: BTreeMap::new(),
             pk_index: BTreeMap::new(),
+            indexes: BTreeMap::new(),
             next_row_id: 0,
         }
     }
@@ -65,42 +62,30 @@ impl Table {
     /// Insert a row; validates schema and primary-key uniqueness. Returns the
     /// new row's id.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<RowId> {
-        self.schema.check_row(&values)?;
-        if let Some(pk) = self.schema.pk_index() {
-            let key = IndexKey(values[pk].clone());
-            if self.pk_index.contains_key(&key) {
-                return Err(MetaError::DuplicateKey(format!(
-                    "{} = {}",
-                    self.schema.columns()[pk].name,
-                    values[pk]
-                )));
-            }
-            let id = RowId(self.next_row_id);
-            self.next_row_id += 1;
-            self.pk_index.insert(key, id);
-            self.rows.insert(id, values);
-            Ok(id)
-        } else {
-            let id = RowId(self.next_row_id);
-            self.next_row_id += 1;
-            self.rows.insert(id, values);
-            Ok(id)
-        }
+        let id = RowId(self.next_row_id);
+        self.insert_with_id(id, values)?;
+        Ok(id)
     }
 
-    /// Insert with a caller-provided row id (used by WAL replay so ids are
-    /// stable across recovery).
+    /// Insert with a caller-provided row id (used by WAL replay and undo so
+    /// ids are stable across recovery).
     pub fn insert_with_id(&mut self, id: RowId, values: Vec<Value>) -> Result<()> {
         self.schema.check_row(&values)?;
         if self.rows.contains_key(&id) {
             return Err(MetaError::Storage(format!("row id {} already live", id.0)));
         }
         if let Some(pk) = self.schema.pk_index() {
-            let key = IndexKey(values[pk].clone());
-            if self.pk_index.contains_key(&key) {
-                return Err(MetaError::DuplicateKey(format!("{}", values[pk])));
+            if self.pk_index.contains_key(&values[pk]) {
+                return Err(MetaError::DuplicateKey(format!(
+                    "{} = {}",
+                    self.schema.columns()[pk].name,
+                    values[pk]
+                )));
             }
-            self.pk_index.insert(key, id);
+            self.pk_index.insert(values[pk].clone(), id);
+        }
+        for (col, index) in &mut self.indexes {
+            index.entry(values[*col].clone()).or_default().insert(id);
         }
         self.next_row_id = self.next_row_id.max(id.0 + 1);
         self.rows.insert(id, values);
@@ -114,7 +99,32 @@ impl Table {
 
     /// Look up a row id via the primary-key index.
     pub fn find_pk(&self, key: &Value) -> Option<RowId> {
-        self.pk_index.get(&IndexKey(key.clone())).copied()
+        self.pk_index.get(key).copied()
+    }
+
+    /// Declare a secondary index on column `col`, building it from the live
+    /// rows. Declaring an indexed column again is a no-op.
+    pub fn create_index(&mut self, col: usize) {
+        let rows = &self.rows;
+        self.indexes.entry(col).or_insert_with(|| {
+            let mut index = SecondaryIndex::new();
+            for (id, row) in rows {
+                index.entry(row[col].clone()).or_default().insert(*id);
+            }
+            index
+        });
+    }
+
+    /// Whether column `col` carries a secondary index.
+    pub fn has_index(&self, col: usize) -> bool {
+        self.indexes.contains_key(&col)
+    }
+
+    /// Ids of the rows whose column `col` equals `key`, ascending; `None` if
+    /// the column is not indexed.
+    pub fn find_index(&self, col: usize, key: &Value) -> Option<impl Iterator<Item = RowId> + '_> {
+        let index = self.indexes.get(&col)?;
+        Some(index.get(key).into_iter().flatten().copied())
     }
 
     /// Replace the row at `id` with `values`; returns the old values.
@@ -123,20 +133,26 @@ impl Table {
         let old = self
             .rows
             .get(&id)
-            .cloned()
             .ok_or_else(|| MetaError::Storage(format!("no row with id {}", id.0)))?;
         if let Some(pk) = self.schema.pk_index() {
             if old[pk] != values[pk] {
-                let new_key = IndexKey(values[pk].clone());
-                if self.pk_index.contains_key(&new_key) {
+                if self.pk_index.contains_key(&values[pk]) {
                     return Err(MetaError::DuplicateKey(format!("{}", values[pk])));
                 }
-                self.pk_index.remove(&IndexKey(old[pk].clone()));
-                self.pk_index.insert(new_key, id);
+                self.pk_index.remove(&old[pk]);
+                self.pk_index.insert(values[pk].clone(), id);
             }
         }
-        self.rows.insert(id, values);
-        Ok(old)
+        for (col, index) in &mut self.indexes {
+            if old[*col] != values[*col] {
+                unindex(index, &old[*col], id);
+                index.entry(values[*col].clone()).or_default().insert(id);
+            }
+        }
+        Ok(self
+            .rows
+            .insert(id, values)
+            .expect("row was looked up above"))
     }
 
     /// Remove the row at `id`; returns the removed values.
@@ -146,7 +162,10 @@ impl Table {
             .remove(&id)
             .ok_or_else(|| MetaError::Storage(format!("no row with id {}", id.0)))?;
         if let Some(pk) = self.schema.pk_index() {
-            self.pk_index.remove(&IndexKey(old[pk].clone()));
+            self.pk_index.remove(&old[pk]);
+        }
+        for (col, index) in &mut self.indexes {
+            unindex(index, &old[*col], id);
         }
         Ok(old)
     }
@@ -154,6 +173,30 @@ impl Table {
     /// Iterate all live rows in row-id order.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &[Value])> {
         self.rows.iter().map(|(id, v)| (*id, v.as_slice()))
+    }
+
+    /// Panic unless every index equals one rebuilt from the rows.
+    #[cfg(test)]
+    pub(crate) fn assert_indexes_match_rows(&self) {
+        let mut fresh = Table::new(self.schema.clone());
+        for col in self.indexes.keys() {
+            fresh.create_index(*col);
+        }
+        for (id, row) in &self.rows {
+            fresh.insert_with_id(*id, row.clone()).unwrap();
+        }
+        assert_eq!(self.pk_index, fresh.pk_index, "primary-key index drifted");
+        assert_eq!(self.indexes, fresh.indexes, "secondary index drifted");
+    }
+}
+
+/// Drop `id` from `key`'s entry, and the entry with its last id.
+fn unindex(index: &mut SecondaryIndex, key: &Value, id: RowId) {
+    if let Some(ids) = index.get_mut(key) {
+        ids.remove(&id);
+        if ids.is_empty() {
+            index.remove(key);
+        }
     }
 }
 
@@ -250,5 +293,41 @@ mod tests {
         assert!(t
             .insert_with_id(RowId(7), vec!["c".into(), Value::Int(3)])
             .is_err());
+    }
+
+    fn ids(t: &Table, col: usize, key: &Value) -> Vec<RowId> {
+        t.find_index(col, key).unwrap().collect()
+    }
+
+    #[test]
+    fn secondary_index_follows_insert_update_delete() {
+        let mut t = table();
+        let a = t.insert(vec!["a".into(), Value::Int(1)]).unwrap();
+        // declared over live rows: built from them
+        t.create_index(1);
+        assert!(t.has_index(1) && !t.has_index(0));
+        assert!(t.find_index(0, &"a".into()).is_none());
+        let b = t.insert(vec!["b".into(), Value::Int(1)]).unwrap();
+        let c = t.insert(vec!["c".into(), Value::Int(2)]).unwrap();
+        assert_eq!(ids(&t, 1, &Value::Int(1)), vec![a, b], "duplicate keys");
+        // an update moves the row between keys; the primary key may move too
+        t.update(a, vec!["z".into(), Value::Int(2)]).unwrap();
+        assert_eq!(ids(&t, 1, &Value::Int(1)), vec![b]);
+        assert_eq!(ids(&t, 1, &Value::Int(2)), vec![a, c], "row-id order");
+        // a refused update changes no index
+        assert!(t.update(b, vec!["c".into(), Value::Int(9)]).is_err());
+        assert_eq!(ids(&t, 1, &Value::Int(1)), vec![b]);
+        assert!(ids(&t, 1, &Value::Int(9)).is_empty());
+        t.delete(b).unwrap();
+        assert!(ids(&t, 1, &Value::Int(1)).is_empty());
+        // undo of a delete re-inserts under the old id, below newer ones
+        t.insert_with_id(b, vec!["b".into(), Value::Int(2)])
+            .unwrap();
+        assert_eq!(ids(&t, 1, &Value::Int(2)), vec![a, b, c]);
+        t.insert(vec!["n".into(), Value::Null]).unwrap();
+        t.assert_indexes_match_rows();
+        // declaring again keeps the index
+        t.create_index(1);
+        t.assert_indexes_match_rows();
     }
 }

@@ -143,6 +143,21 @@ impl Value {
     }
 }
 
+/// `Ord` is [`Value::total_cmp`], the index and ORDER BY order — not SQL
+/// comparison, which is three-valued ([`Value::sql_cmp`]). It lets index
+/// maps be keyed by `Value` and probed with a borrowed key.
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

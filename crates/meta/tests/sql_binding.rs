@@ -1,19 +1,28 @@
-//! SQL-escaping property tests: every catalog string travels through
-//! hand-built SQL literals, so names containing quotes, separator control
-//! bytes (`\u{1}`, `\u{2}` — the composite-key machinery's own escape
-//! alphabet), and other hostile characters must round-trip through the full
-//! file lifecycle without corrupting the `dist_key`/`tag_key` composite
-//! keys or leaking into neighboring rows.
+//! Parameter-binding tests: every catalog string travels beside the SQL
+//! text as a bound parameter, never inside it, so a name may hold anything
+//! — quotes, NUL, `?`, a statement of its own, the separator control bytes
+//! of the composite keys (`\u{1}`, `\u{2}`) — and must round-trip through
+//! the full file lifecycle without corrupting the `dist_key`/`tag_key`
+//! composite keys or leaking into neighboring rows.
+//!
+//! One character is not a binding matter and stays out of *path* segments:
+//! `dpfs_directory` keeps its entries as `\n`-joined TEXT (the catalog's
+//! stated deviation from the paper's text-list columns), so a newline
+//! inside a file name splits its directory entry. Every other string
+//! (owner, server, tag, value) takes newlines too.
 
 use proptest::prelude::*;
 
 use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, ServerInfo};
 
-/// Path segments, server names, tags, and values drawn from an alphabet of
-/// troublemakers: single quotes (SQL literal escape), the composite-key
-/// separator and escape bytes, a bell, SQL LIKE wildcards, backslash, and
-/// spaces — plus plain letters so the strings stay distinguishable.
-const NASTY: &str = "[ab'\u{1}\u{2}\u{7}%_\\ ]{1,8}";
+/// Path segments drawn from an alphabet of troublemakers: single and double
+/// quotes, the placeholder, NUL, the composite-key separator and escape
+/// bytes, a bell, SQL LIKE wildcards, a statement separator and comment
+/// dashes, backslash, and spaces — plus plain letters so the strings stay
+/// distinguishable.
+const NASTY: &str = "[ab'\"?\0\u{1}\u{2}\u{7}%_;\\ -]{1,8}";
+/// Server names, tags, owners and values: the same, and newlines.
+const NASTIER: &str = "[ab'\"?\0\u{1}\u{2}\u{7}%_;\\ \n-]{1,8}";
 
 fn attr(name: &str, owner: &str) -> FileAttrRow {
     FileAttrRow {
@@ -37,9 +46,9 @@ proptest! {
     fn hostile_names_survive_the_file_lifecycle(
         seg1 in NASTY,
         seg2 in NASTY,
-        srv in NASTY,
-        tag in NASTY,
-        value in NASTY,
+        srv in NASTIER,
+        tag in NASTIER,
+        value in NASTIER,
     ) {
         // Prefixes keep the two filenames (and the two tags below) distinct
         // even when the generated segments collide.
@@ -107,4 +116,23 @@ proptest! {
         prop_assert!(catalog.get_distribution(&file2).unwrap().is_empty());
         prop_assert!(catalog.list_tags(&file2).unwrap().is_empty());
     }
+}
+
+#[test]
+fn a_name_that_is_sql_is_still_a_name() {
+    // What used to need escaping, or broke: a quote, a placeholder, NUL,
+    // the key separators, a statement of its own.
+    let c = Catalog::new(std::sync::Arc::new(Database::in_memory())).unwrap();
+    let name = "/it's a ?\0\u{1}\u{2}'; DROP TABLE dpfs_file_attr; --";
+    let file = attr(name, "o'brien\n?");
+    c.create_file(&file, &[]).unwrap();
+    assert_eq!(c.get_file_attr(name).unwrap().unwrap(), file);
+    c.set_tag(name, "t'?", "v'\n?").unwrap();
+    c.rename_file(name, "/plain").unwrap();
+    assert_eq!(c.get_tag("/plain", "t'?").unwrap().unwrap(), "v'\n?");
+    c.rename_file("/plain", name).unwrap();
+    assert_eq!(c.get_dir("/").unwrap().unwrap().files, vec![name]);
+    c.delete_file(name).unwrap();
+    assert!(c.get_file_attr(name).unwrap().is_none());
+    assert!(c.get_dir("/").unwrap().unwrap().files.is_empty());
 }

@@ -339,7 +339,8 @@ impl MetaHandler {
                 shards: self.shard_map.shards,
             }),
             Op::RenamePrepare { from, to } => {
-                s.rename_prepare(&from, &to)
+                s.catalog()
+                    .rename_prepare(&from, &to)
                     .map(|(intent, attr, dist, tags)| R::RenamePrepared {
                         intent,
                         attr,
@@ -353,11 +354,13 @@ impl MetaHandler {
                 dist,
                 tags,
             } => s
+                .catalog()
                 .rename_commit_dest(intent, &attr, &dist, &tags)
                 .map(|()| R::Unit),
-            Op::RenameFinish { intent } => s.rename_finish(intent).map(|()| R::Unit),
-            Op::RenameAbort { intent } => s.rename_abort(intent).map(R::Bool),
+            Op::RenameFinish { intent } => s.catalog().rename_finish(intent).map(|()| R::Unit),
+            Op::RenameAbort { intent } => s.catalog().rename_abort(intent).map(R::Bool),
             Op::ListRenameIntents => s
+                .catalog()
                 .list_rename_intents()
                 .map(|xs| R::Intents(xs.into_iter().map(|i| (i.id, i.src, i.dst)).collect())),
         };

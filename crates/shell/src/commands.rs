@@ -39,6 +39,12 @@ impl Shell {
 
     /// Execute one command line; returns the text to print.
     pub fn exec(&mut self, line: &str) -> Result<String> {
+        // SQL has its own quoting: `sql` takes the rest of the line raw.
+        if let Some(statement) = line.trim_start().strip_prefix("sql") {
+            if statement.is_empty() || statement.starts_with(char::is_whitespace) {
+                return self.cmd_sql(statement.trim());
+            }
+        }
         let words = split_words(line).map_err(DpfsError::InvalidArgument)?;
         let Some((cmd, args)) = words.split_first() else {
             return Ok(String::new());
@@ -700,6 +706,25 @@ impl Shell {
         }
         Ok(out)
     }
+
+    /// `sql <statement>`: run one statement on the embedded metadata
+    /// database. `EXPLAIN <statement>` names the access path; `?`
+    /// placeholders may stay unbound there.
+    fn cmd_sql(&mut self, statement: &str) -> Result<String> {
+        let catalog = self.fs.catalog().ok_or_else(|| {
+            DpfsError::InvalidArgument(
+                "sql: the metadata database of a remote mount lives in its daemon".into(),
+            )
+        })?;
+        let rs = catalog.db().execute(statement)?;
+        let mut out = rs.columns.join("\t");
+        out.push('\n');
+        for row in &rs.rows {
+            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+            writeln!(out, "{}", cells.join("\t")).unwrap();
+        }
+        Ok(out)
+    }
 }
 
 /// Base name helper for tree output.
@@ -737,6 +762,8 @@ DPFS shell commands:
   tags <file>              list tags
   untag <file> <k>         remove a tag
   find <k> <pattern>       find files by tag value (LIKE pattern)
+  sql <statement>          run SQL on the embedded metadata database;
+                           EXPLAIN <statement> names its access path
   help                     this text
 ";
 
@@ -905,6 +932,29 @@ mod tests {
         let out = sh.exec("fsck").unwrap();
         assert!(out.contains("MissingDistribution"), "{out}");
         std::fs::remove_file(tmp).unwrap();
+    }
+
+    #[test]
+    fn sql_command_runs_statements_and_explains_them() {
+        let (mut sh, _tb) = shell();
+        sh.exec("mkdir /d").unwrap();
+        sh.exec("sql UPDATE dpfs_directory SET files = 'it''s' WHERE main_dir = '/d'")
+            .unwrap();
+        let out = sh
+            .exec("sql SELECT main_dir, files FROM dpfs_directory WHERE files = 'it''s'")
+            .unwrap();
+        assert_eq!(out, "main_dir\tfiles\n'/d'\t'it's'\n");
+        let out = sh
+            .exec("sql EXPLAIN SELECT * FROM dpfs_file_distribution WHERE filename = ?")
+            .unwrap();
+        assert!(
+            out.contains("index-eq dpfs_file_distribution.filename"),
+            "{out}"
+        );
+        let out = sh.exec("sql EXPLAIN SELECT * FROM dpfs_file_attr").unwrap();
+        assert!(out.contains("scan dpfs_file_attr"), "{out}");
+        assert!(sh.exec("sql SELEKT").is_err());
+        assert!(sh.exec("sql").is_err());
     }
 
     #[test]
