@@ -19,6 +19,18 @@ if grep -nE -A1 'format!\(' crates/meta/src/catalog.rs crates/meta/src/store.rs 
     exit 1
 fi
 
+echo "==> one path per job: the deleted code paths and their options stay deleted"
+if git grep -nE 'ThreadPerConn|RuntimeMode|serial_dispatch|lockstep_rpc|rpc_lockstep|lockstep_gate|set_lockstep|v1_pending|plan_reads|plan_writes|ScatterPiece|fn read_frame<|fn write_frame<' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: a second client executor, dispatch mode, serving runtime or the v1 frame is back"
+    exit 1
+fi
+if sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -n 'list_io'; then
+    echo "FAIL: ClientOptions regained a list_io field (the wire shape is chosen per request)"
+    exit 1
+fi
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l)"
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -30,6 +42,9 @@ cargo test -q
 
 echo "==> workspace tests (crate-level unit, codec fuzz, CRC oracle, bytes shim)"
 cargo test --workspace -q
+
+echo "==> the benchmark still builds against the library surface it froze"
+cargo build --release --offline --manifest-path examples/benchmark/Cargo.toml
 
 echo "==> docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -22,9 +22,10 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("frame_roundtrip_256k", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(payload.len() + 16);
-            frame::write_frame(&mut buf, black_box(&payload)).unwrap();
-            frame::read_frame(&mut std::io::Cursor::new(&buf))
+            frame::write_frame_v2(&mut buf, 1, black_box(&payload)).unwrap();
+            frame::read_frame_any(&mut std::io::Cursor::new(&buf))
                 .unwrap()
+                .payload
                 .len()
         })
     });

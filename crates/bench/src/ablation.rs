@@ -1,14 +1,14 @@
 //! Ablation studies on DPFS design choices beyond the paper's figures:
 //! brick-size sweep, read granularity (brick vs exact), the staggered
-//! schedule, I/O-node scaling, the client-side brick cache, parallel vs
-//! serial per-server dispatch, and transport pipelining depth.
+//! schedule, I/O-node scaling, the client-side brick cache, and metadata
+//! placement.
 
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use dpfs_cluster::{run_clients, NodeSpec, Testbed};
+use dpfs_cluster::{run_clients, Testbed};
 use dpfs_core::{ClientOptions, Granularity, Hint, Region, Shape};
-use dpfs_server::{PerfModel, StorageClass};
+use dpfs_server::StorageClass;
 
 use crate::figures::FigScale;
 
@@ -215,135 +215,6 @@ pub fn cache_ablation(scale: FigScale) -> Vec<Point> {
     out
 }
 
-/// Dispatch ablation: one client issuing combined accesses striped over
-/// every server — parallel per-server dispatch (scoped-thread fan-out) vs
-/// the original serial request loop. With combination on, a single client's
-/// access becomes one request per server; overlapping them bounds the cost
-/// by the slowest server instead of the sum.
-pub fn dispatch_ablation(scale: FigScale) -> Vec<Point> {
-    let n = scale.array_side();
-    let file_bytes = n * n / 2;
-    let servers = 4usize;
-    // one brick per server: each combined read is exactly one request each
-    let brick = file_bytes / servers as u64;
-    let mut out = Vec::new();
-    for (label, serial) in [("parallel dispatch", false), ("serial dispatch", true)] {
-        let tb = Testbed::homogeneous(servers, StorageClass::Class3).unwrap();
-        let client = tb.client_opts(ClientOptions {
-            serial_dispatch: serial,
-            ..ClientOptions::default()
-        });
-        client
-            .create("/d", &Hint::linear(brick, file_bytes))
-            .unwrap();
-        let mut f = client.open("/d").unwrap();
-        f.write_bytes(0, &vec![4u8; file_bytes as usize]).unwrap();
-        let rounds = 4u64;
-        let start = Instant::now();
-        let mut bytes = 0u64;
-        for _ in 0..rounds {
-            bytes += f.read_bytes(0, file_bytes).unwrap().len() as u64;
-        }
-        let mbps = bytes as f64 / 1e6 / start.elapsed().as_secs_f64();
-        out.push((label.to_string(), mbps));
-    }
-    out
-}
-
-/// Transport-pipelining ablation: two file handles of ONE client — hence
-/// sharing one connection per server — each stream combined reads of their
-/// own file. The delay model is pure per-request latency (no device time),
-/// isolating what the wire layer can overlap:
-///
-/// - **multiplexed** (this PR): both handles' requests ride the shared
-///   connections concurrently under distinct correlation IDs;
-/// - **lockstep** (PR 1 baseline): one in-flight RPC per server connection,
-///   so the handles' round-trips to each server serialize;
-/// - **serial** (PR 0 baseline): each handle additionally issues its own
-///   per-server requests one at a time.
-pub fn pipeline_ablation(scale: FigScale) -> Vec<Point> {
-    let latency = Duration::from_millis(5);
-    let model = PerfModel {
-        request_latency: latency,
-        bandwidth: u64::MAX,
-        seek_latency: Duration::ZERO,
-    };
-    let servers = 4usize;
-    let n = scale.array_side();
-    let file_bytes = n * n / 8;
-    // one brick per server: a combined read is exactly one request per server
-    let brick = file_bytes / servers as u64;
-    let handles = 2usize;
-    let rounds = match scale {
-        FigScale::Full => 16u64,
-        FigScale::Quick => 6,
-    };
-    let mut out = Vec::new();
-    for (label, opts) in [
-        (
-            "multiplexed connections (pipelined)",
-            ClientOptions::default(),
-        ),
-        (
-            "lockstep connections (PR 1)",
-            ClientOptions {
-                lockstep_rpc: true,
-                ..ClientOptions::default()
-            },
-        ),
-        (
-            "serial dispatch",
-            ClientOptions {
-                serial_dispatch: true,
-                ..ClientOptions::default()
-            },
-        ),
-    ] {
-        let specs: Vec<NodeSpec> = (0..servers)
-            .map(|i| NodeSpec::with_model(i, model))
-            .collect();
-        let tb = Testbed::start(&specs).unwrap();
-        let client = tb.client_opts(opts);
-        for h in 0..handles {
-            let path = format!("/p{h}");
-            client
-                .create(&path, &Hint::linear(brick, file_bytes))
-                .unwrap();
-            let mut f = client.open(&path).unwrap();
-            f.write_bytes(0, &vec![1u8; file_bytes as usize]).unwrap();
-        }
-        let barrier = Barrier::new(handles + 1);
-        let client = &client;
-        let mut elapsed = Duration::ZERO;
-        let mut bytes = 0u64;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..handles)
-                .map(|h| {
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        let mut f = client.open(&format!("/p{h}")).unwrap();
-                        barrier.wait();
-                        let mut bytes = 0u64;
-                        for _ in 0..rounds {
-                            bytes += f.read_bytes(0, file_bytes).unwrap().len() as u64;
-                        }
-                        bytes
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let start = Instant::now();
-            for w in workers {
-                bytes += w.join().unwrap();
-            }
-            elapsed = start.elapsed();
-        });
-        let mbps = bytes as f64 / 1e6 / elapsed.as_secs_f64();
-        out.push((label.to_string(), mbps));
-    }
-    out
-}
-
 /// Metadata-service ablation: an open/stat-heavy workload (tiny files, no
 /// meaningful data transfer) against (a) the embedded in-process catalog,
 /// (b) a networked `dpfs-metad` with the client cache disabled — every
@@ -405,55 +276,6 @@ pub fn metadata_ablation(scale: FigScale) -> Vec<Point> {
     out
 }
 
-/// List-I/O ablation: one client reading the whole striped file at exact
-/// granularity. Client-side enumeration must keep one range per brick —
-/// each range is its own framed chunk, and the bricks a server holds land
-/// at non-adjacent buffer positions — so every brick pays a simulated
-/// seek. The pattern descriptor coalesces ranges adjacent in *subfile*
-/// space regardless of buffer layout, so each server does one seek and
-/// one stream per round.
-pub fn list_io_ablation(scale: FigScale) -> Vec<Point> {
-    let n = scale.array_side();
-    let servers = 4usize;
-    let bricks_per_server = 16u64;
-    let brick = (n * n / 8 / (servers as u64 * bricks_per_server)).max(64);
-    let file_bytes = brick * servers as u64 * bricks_per_server;
-    let model = PerfModel {
-        request_latency: Duration::from_micros(500),
-        bandwidth: 200 << 20,
-        seek_latency: Duration::from_millis(2),
-    };
-    let specs: Vec<NodeSpec> = (0..servers)
-        .map(|i| NodeSpec::with_model(i, model))
-        .collect();
-    let mut out = Vec::new();
-    for (label, list_io) in [
-        ("list-io (pattern descriptor)", true),
-        ("enumerated ranges (combined)", false),
-    ] {
-        let tb = Testbed::start(&specs).unwrap();
-        let client = tb.client_opts(ClientOptions {
-            list_io,
-            granularity: Granularity::Exact,
-            ..ClientOptions::default()
-        });
-        client
-            .create("/list", &Hint::linear(brick, file_bytes))
-            .unwrap();
-        let mut f = client.open("/list").unwrap();
-        f.write_bytes(0, &vec![3u8; file_bytes as usize]).unwrap();
-        let rounds = 3u64;
-        let start = Instant::now();
-        let mut bytes = 0u64;
-        for _ in 0..rounds {
-            bytes += f.read_bytes(0, file_bytes).unwrap().len() as u64;
-        }
-        let mbps = bytes as f64 / 1e6 / start.elapsed().as_secs_f64();
-        out.push((label.to_string(), mbps));
-    }
-    out
-}
-
 /// Render a list of points as an aligned table.
 pub fn print_points(title: &str, points: &[Point]) {
     println!("{title}");
@@ -498,21 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_ablation_multiplexed_wins() {
-        let pts = pipeline_ablation(FigScale::Quick);
-        assert_eq!(pts.len(), 3);
-        let (multiplexed, lockstep, serial) = (pts[0].1, pts[1].1, pts[2].1);
-        assert!(
-            multiplexed > lockstep,
-            "multiplexed {multiplexed} MB/s must beat lockstep {lockstep} MB/s"
-        );
-        assert!(
-            multiplexed > serial,
-            "multiplexed {multiplexed} MB/s must beat serial {serial} MB/s"
-        );
-    }
-
-    #[test]
     fn metadata_ablation_cache_wins_over_uncached_remote() {
         let pts = metadata_ablation(FigScale::Quick);
         assert_eq!(pts.len(), 3);
@@ -521,30 +328,6 @@ mod tests {
             pts[2].1 > pts[1].1,
             "cached remote {} ops/s must beat uncached remote {} ops/s",
             pts[2].1,
-            pts[1].1
-        );
-    }
-
-    #[test]
-    fn list_io_ablation_pattern_wins() {
-        let pts = list_io_ablation(FigScale::Quick);
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[0].1 > pts[1].1,
-            "list I/O {} MB/s must beat enumerated ranges {} MB/s",
-            pts[0].1,
-            pts[1].1
-        );
-    }
-
-    #[test]
-    fn dispatch_ablation_parallel_wins() {
-        let pts = dispatch_ablation(FigScale::Quick);
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[0].1 > pts[1].1,
-            "parallel {} MB/s must beat serial {} MB/s",
-            pts[0].1,
             pts[1].1
         );
     }

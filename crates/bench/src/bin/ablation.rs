@@ -1,11 +1,13 @@
 //! Ablation studies: brick size, read granularity, staggered schedule,
-//! I/O-node scaling, client cache, dispatch mode, transport pipelining.
-//! Not paper figures — these probe the design choices DESIGN.md calls out.
+//! I/O-node scaling, client cache, metadata placement. Not paper figures —
+//! these probe the design choices DESIGN.md calls out. (Rows 6, 7 and 9
+//! compared code paths that no longer exist; their last numbers are frozen
+//! in EXPERIMENTS.md.)
 //!
 //! `--quick` forces the small workload scale and turns the run into a smoke
-//! test: the directional regression checks (cache wins, parallel dispatch
-//! wins, multiplexed transport wins) are asserted and a violation exits
-//! nonzero, so CI can run the real binary end to end.
+//! test: the directional regression checks (brick cache wins, metadata
+//! cache wins) are asserted and a violation exits nonzero, so CI can run
+//! the real binary end to end.
 
 use dpfs_bench::ablation::*;
 use dpfs_bench::{FigScale, TraceSummary};
@@ -42,25 +44,10 @@ fn main() {
         "Ablation 5: client-side brick cache (hot-region re-reads)",
         &cache,
     );
-    let dispatch = dispatch_ablation(scale);
-    print_points(
-        "Ablation 6: parallel vs serial per-server dispatch (1 client, 4 class-3 servers)",
-        &dispatch,
-    );
-    let pipeline = pipeline_ablation(scale);
-    print_points(
-        "Ablation 7: transport pipelining depth (2 handles sharing per-server connections)",
-        &pipeline,
-    );
     let metadata = metadata_ablation(scale);
     print_ops_points(
         "Ablation 8: metadata placement on an open/stat-heavy workload",
         &metadata,
-    );
-    let list_io = list_io_ablation(scale);
-    print_points(
-        "Ablation 9: server-side list I/O vs enumerated ranges (exact-granularity read)",
-        &list_io,
     );
 
     // Per-phase latency table from the spans the run just recorded. The
@@ -99,24 +86,8 @@ fn main() {
             cache[1].1 > cache[0].1,
         );
         check(
-            "parallel per-server dispatch must beat the serial request loop",
-            dispatch[0].1 > dispatch[1].1,
-        );
-        check(
-            "multiplexed transport must beat lockstep connections (PR 1)",
-            pipeline[0].1 > pipeline[1].1,
-        );
-        check(
-            "multiplexed transport must beat serial dispatch",
-            pipeline[0].1 > pipeline[2].1,
-        );
-        check(
             "metadata client cache must beat the uncached remote mount",
             metadata[2].1 > metadata[1].1,
-        );
-        check(
-            "server-side list I/O must beat client-side enumeration",
-            list_io[0].1 > list_io[1].1,
         );
         if failures.is_empty() {
             println!("quick smoke checks: all passed");

@@ -1,8 +1,8 @@
-//! C10K smoke gate: hold many concurrent connections against one
-//! readiness-runtime I/O server and prove three things end to end —
-//! every response arrives (zero drops), every byte round-trips exactly,
-//! and the server's thread count stays flat while the connections pile
-//! up. Exits nonzero on any violation, so CI can run the real binary.
+//! C10K smoke gate: hold many concurrent connections against one I/O
+//! server and prove three things end to end — every response arrives
+//! (zero drops), every byte round-trips exactly, and the server's thread
+//! count stays flat while the connections pile up. Exits nonzero on any
+//! violation, so CI can run the real binary.
 //!
 //! Usage: `c10k [--connections N]` (default 256 — the scaled-down CI
 //! gate; the full integration test drives 1024).
@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use dpfs_proto::{frame, Request, Response};
-use dpfs_server::{IoServer, PerfModel, RuntimeMode, ServerConfig};
+use dpfs_server::{IoServer, PerfModel, ServerConfig};
 
 /// Current thread count of this process, from `/proc/self/status`.
 fn process_threads() -> usize {
@@ -54,11 +54,8 @@ fn main() {
 
     let root = std::env::temp_dir().join(format!("dpfs-c10k-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let server = IoServer::start(
-        ServerConfig::new("c10k00", &root, PerfModel::unthrottled())
-            .runtime(RuntimeMode::Readiness),
-    )
-    .expect("server start");
+    let server = IoServer::start(ServerConfig::new("c10k00", &root, PerfModel::unthrottled()))
+        .expect("server start");
     let addr = server.addr();
     let budget = server.runtime_threads();
     let start = Instant::now();
@@ -98,7 +95,7 @@ fn main() {
                 dropped += 1;
                 continue;
             };
-            if f.corr_id != Some(i as u64) {
+            if f.corr_id != i as u64 {
                 eprintln!("conn {i}: bad corr-ID echo {:?}", f.corr_id);
                 failures += 1;
                 continue;
@@ -140,7 +137,7 @@ fn main() {
     if under_load > baseline {
         eprintln!(
             "FAIL: thread count grew with connections ({baseline} -> {under_load}); \
-             the readiness runtime must stay at its fixed budget"
+             the serving runtime must stay at its fixed budget"
         );
         bad = true;
     }

@@ -1,7 +1,7 @@
 //! A fault-injecting TCP proxy for chaos testing.
 //!
 //! Sits between a DPFS client and one I/O server, relaying whole protocol
-//! frames (any wire version) and misbehaving on demand: delaying frames,
+//! frames (either wire version) and misbehaving on demand: delaying frames,
 //! severing connections after every N frames, truncating a response
 //! mid-frame, or refusing connections outright. Because it cuts at frame
 //! granularity it exercises exactly the failure surface the client's retry
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dpfs_proto::{read_frame_any, write_frame, write_frame_v2, write_frame_v3, Frame, FrameError};
+use dpfs_proto::{read_frame_any, write_frame_v2, write_frame_v3, Frame, FrameError};
 
 /// Live-tunable fault injection knobs. All relaxed atomics: tests flip them
 /// while traffic is flowing.
@@ -265,10 +265,10 @@ fn pump(
 
 /// Re-encode a decoded frame in its original wire version.
 fn encode_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), FrameError> {
-    match frame.corr_id {
-        None => write_frame(w, &frame.payload),
-        Some(id) if frame.trace_id != 0 => write_frame_v3(w, id, frame.trace_id, &frame.payload),
-        Some(id) => write_frame_v2(w, id, &frame.payload),
+    if frame.trace_id != 0 {
+        write_frame_v3(w, frame.corr_id, frame.trace_id, &frame.payload)
+    } else {
+        write_frame_v2(w, frame.corr_id, &frame.payload)
     }
 }
 
@@ -278,7 +278,7 @@ mod tests {
     use dpfs_proto::{Request, Response};
     use std::io::Read;
 
-    /// A minimal upstream echoing Pong to every request, any frame version.
+    /// A minimal upstream echoing Pong to every request.
     fn pong_upstream() -> (SocketAddr, JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -288,11 +288,7 @@ mod tests {
                 std::thread::spawn(move || {
                     while let Ok(frame) = read_frame_any(&mut stream) {
                         let payload = Response::Pong.encode();
-                        let ok = match frame.corr_id {
-                            None => write_frame(&mut stream, &payload),
-                            Some(id) => write_frame_v2(&mut stream, id, &payload),
-                        };
-                        if ok.is_err() {
+                        if write_frame_v2(&mut stream, frame.corr_id, &payload).is_err() {
                             break;
                         }
                     }
@@ -310,7 +306,7 @@ mod tests {
         for corr in 1..=3u64 {
             write_frame_v2(&mut conn, corr, &Request::Ping.encode()).unwrap();
             let frame = read_frame_any(&mut conn).unwrap();
-            assert_eq!(frame.corr_id, Some(corr));
+            assert_eq!(frame.corr_id, corr);
             assert_eq!(Response::decode(frame.payload).unwrap(), Response::Pong);
         }
         assert_eq!(proxy.connections(), 1);

@@ -11,7 +11,7 @@
 //! stable display names aliased to their ephemeral localhost ports.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,19 +50,14 @@ impl Resolver {
 /// client.
 ///
 /// The pool-wide map lock is held only long enough to look up (or insert)
-/// a server's [`Transport`]; RPCs to different servers — and, new with the
-/// multiplexed transport, *independent RPCs to the same server* — proceed
-/// in parallel. `lockstep` restores PR 1's one-in-flight-per-server
-/// behaviour as an ablation baseline.
+/// a server's [`Transport`]; RPCs to different servers — and independent
+/// RPCs to the same server — proceed in parallel.
 pub struct ConnPool {
     resolver: Arc<Resolver>,
     transports: Mutex<HashMap<String, Arc<Transport>>>,
     /// Per-request deadline in nanoseconds (atomic so handles sharing the
     /// pool can tighten it without extra locking).
     timeout_ns: AtomicU64,
-    /// Ablation: serialize RPCs per server by holding the transport gate
-    /// across submit+wait (the PR 1 baseline).
-    lockstep: AtomicBool,
     /// Fault-tolerance policy for transient failures. Disabled on raw
     /// pools (transport tests count exact attempts); [`crate::fs::Dpfs`]
     /// installs the mount's [`crate::file::ClientOptions::retry`].
@@ -77,7 +72,6 @@ impl ConnPool {
             resolver,
             transports: Mutex::new(HashMap::new()),
             timeout_ns: AtomicU64::new(DEFAULT_RPC_TIMEOUT.as_nanos() as u64),
-            lockstep: AtomicBool::new(false),
             retry: Mutex::new(RetryPolicy::disabled()),
         }
     }
@@ -107,12 +101,6 @@ impl ConnPool {
             timeout.as_nanos().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
-    }
-
-    /// Toggle the PR 1 lockstep ablation mode (one in-flight RPC per
-    /// server, the round-trip serialized under the transport gate).
-    pub fn set_lockstep(&self, on: bool) {
-        self.lockstep.store(on, Ordering::Relaxed);
     }
 
     /// The transport for `server`, created on first sight. Holds the map
@@ -145,9 +133,6 @@ impl ConnPool {
     /// use; a transport error or timeout poisons the cached connection so
     /// the next call redials.
     pub fn rpc(&self, server: &str, req: &Request) -> Result<Response> {
-        if self.lockstep.load(Ordering::Relaxed) {
-            return self.rpc_lockstep(server, req);
-        }
         let timeout = self.rpc_timeout();
         let first = self
             .transport(server)
@@ -252,27 +237,6 @@ impl ConnPool {
     /// Count one metadata-cache miss against `server`.
     pub(crate) fn note_meta_cache_miss(&self, server: &str) {
         self.transport(server).note_meta_cache_miss();
-    }
-
-    /// [`ConnPool::rpc`], but with the transport's lockstep gate held across
-    /// the whole round-trip: at most one RPC in flight on this server's
-    /// connection. This is PR 1's wire behaviour, kept as the ablation
-    /// baseline for transport pipelining.
-    pub fn rpc_lockstep(&self, server: &str, req: &Request) -> Result<Response> {
-        self.rpc_lockstep_traced(server, req, 0)
-    }
-
-    /// [`ConnPool::rpc_lockstep`] with a trace ID stamped on the frame.
-    pub fn rpc_lockstep_traced(
-        &self,
-        server: &str,
-        req: &Request,
-        trace_id: u64,
-    ) -> Result<Response> {
-        let transport = self.transport(server);
-        let timeout = self.rpc_timeout();
-        let _gate = transport.lockstep_gate();
-        transport.submit_traced(req, trace_id)?.wait(timeout)
     }
 
     /// Like [`ConnPool::rpc`] but converts server-side `Error` responses

@@ -3,15 +3,14 @@
 //! A [`FileHandle`] owns everything needed to turn a user access into server
 //! requests: the file's layout, its brick map, the server name list, and the
 //! client's options (request combination on/off, stagger rank, read
-//! granularity). Per-server requests are *submitted* through the pool's
-//! multiplexed transport in the planner's staggered order — every frame
-//! goes on the wire before any response is awaited — then completions are
-//! collected in plan order. One client thereby overlaps the service time of
-//! every server it stripes over, and two handles striped over the same
-//! servers overlap on the shared per-server connections.
-//! [`ClientOptions::serial_dispatch`] restores the original
-//! one-request-at-a-time loop and [`ClientOptions::lockstep_rpc`] the PR 1
-//! thread-fan-out-with-lockstep-connections client, both for ablation.
+//! granularity). Every access takes one path: the runs are planned into
+//! per-server requests ([`crate::plan::plan_list`]), each request picks the
+//! smaller of its two wire shapes, and `issue` *submits* them all through
+//! the pool's multiplexed transport in the planner's staggered order —
+//! every frame goes on the wire before any response is awaited — then
+//! collects completions in plan order. One client thereby overlaps the
+//! service time of every server it stripes over, and two handles striped
+//! over the same servers overlap on the shared per-server connections.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,7 +27,7 @@ use crate::geometry::Region;
 use crate::hints::{FileLevel, Placement, RedundancyPolicy};
 use crate::layout::{bricks_for, BrickRun, Layout};
 use crate::placement::BrickMap;
-use crate::plan::{plan_list, plan_reads, plan_writes, Granularity, ListRequest};
+use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
 use crate::trace;
 use crate::transport::DEFAULT_RPC_TIMEOUT;
@@ -36,29 +35,14 @@ use crate::transport::DEFAULT_RPC_TIMEOUT;
 /// Per-client I/O options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientOptions {
-    /// Apply the paper's request-combination optimization (§4.2).
+    /// Apply the paper's request-combination optimization (§4.2): one
+    /// request per server, staggered by `rank`. Off is the paper's general
+    /// approach: one request per touched brick, in ascending brick order.
     pub combine: bool,
     /// Read transfer granularity (whole bricks by default, as in the paper).
     pub granularity: Granularity,
-    /// Ship combined I/O as compact [`AccessPattern`] descriptors
-    /// (`ReadList`/`WriteList`): the server expands the pattern against
-    /// its own subfile geometry and one coalesced payload travels per
-    /// request, instead of an enumerated range list with per-range
-    /// framing. Engages only under `combine` (and, for reads, with the
-    /// brick cache off — cache fills need per-brick chunks); a per-request
-    /// cost model transparently falls back to the legacy shape when the
-    /// descriptor would encode no smaller than the enumerated list.
-    pub list_io: bool,
     /// This client's rank; sets the staggered schedule's starting server.
     pub rank: usize,
-    /// Issue per-server requests one at a time, awaiting each response
-    /// before submitting the next (the original lockstep client; kept for
-    /// ablation).
-    pub serial_dispatch: bool,
-    /// Serialize RPCs per server connection (one in flight at a time) while
-    /// still fanning out across servers on threads — the PR 1 client, kept
-    /// as the ablation baseline for transport pipelining.
-    pub lockstep_rpc: bool,
     /// Per-request deadline. An RPC that exceeds it poisons its connection
     /// and surfaces [`DpfsError::Timeout`].
     pub rpc_timeout: Duration,
@@ -87,10 +71,7 @@ impl Default for ClientOptions {
         ClientOptions {
             combine: true,
             granularity: Granularity::Brick,
-            list_io: true,
             rank: 0,
-            serial_dispatch: false,
-            lockstep_rpc: false,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::default(),
             degraded_reads: false,
@@ -579,6 +560,45 @@ impl FileHandle {
 
     // -------------------------------------------------------- execution
 
+    /// Plan `runs` under the client's options: combined and staggered, or
+    /// — the general approach — each brick alone, in ascending brick order.
+    fn plan(&self, runs: &[BrickRun], granularity: Granularity) -> Vec<ListRequest> {
+        let plan = |runs: &[BrickRun]| {
+            plan_list(runs, &self.map, &self.layout, granularity, self.opts.rank)
+                .expect("plan_list plans every run")
+        };
+        if self.opts.combine {
+            return plan(runs);
+        }
+        let mut by_brick = runs.to_vec();
+        // Stable: run order within a brick is kept.
+        by_brick.sort_by_key(|r| r.brick);
+        by_brick
+            .chunk_by(|a, b| a.brick == b.brick)
+            .flat_map(plan)
+            .collect()
+    }
+
+    /// Account one write acknowledgement from `server`: anything but
+    /// exactly `expected` bytes written is a [`DpfsError::ShortWrite`].
+    fn note_written(&mut self, server: usize, expected: u64, res: Result<Response>) -> Result<()> {
+        self.stats.requests += 1;
+        let written = expect_written(res?)?;
+        if written != expected {
+            return Err(DpfsError::ShortWrite {
+                server: self.servers[server].clone(),
+                expected,
+                written,
+            });
+        }
+        self.stats.wire_written += expected;
+        Ok(())
+    }
+
+    /// The write path: one request per planned item carrying one coalesced
+    /// payload, in whichever wire shape encodes smaller. Redundancy fans
+    /// the same refcounted payloads out to mirrors and keeps parity
+    /// byte-exact.
     fn execute_writes(&mut self, runs: &[BrickRun], data: &[u8]) -> Result<()> {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;
@@ -588,139 +608,13 @@ impl FileHandle {
                 cache.invalidate(r.brick);
             }
         }
-        // List I/O: coalesce in subfile space and ship a pattern descriptor
-        // (or the legacy shape, per request, when the descriptor would be
-        // larger). `plan_list` declines self-overlapping runs — those keep
-        // the legacy planner's in-order overlap semantics.
-        if self.opts.combine && self.opts.list_io {
-            // Writes always use exact ranges: whole-brick granularity
-            // would clobber bytes the caller never supplied.
-            if let Some(reqs) = plan_list(
-                runs,
-                &self.map,
-                &self.layout,
-                Granularity::Exact,
-                self.opts.rank,
-            ) {
-                return self.execute_writes_list(&reqs, data, trace_id, op_start);
-            }
-        }
-        let reqs = plan_writes(
-            runs,
-            &self.map,
-            &self.layout,
-            self.opts.combine,
-            self.opts.rank,
-        );
-        // Slice each request's payload out of `data` up front, so issuing
-        // only touches owned message buffers. `Bytes` payloads are
-        // refcounted, so replica fan-out below reuses them without copying.
-        let payloads: Vec<Vec<(u64, Bytes)>> = reqs
-            .iter()
-            .map(|req| {
-                req.ranges
-                    .iter()
-                    .map(|&(sub_off, buf_off, len)| {
-                        (
-                            sub_off,
-                            Bytes::copy_from_slice(
-                                &data[buf_off as usize..(buf_off + len) as usize],
-                            ),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut work: Vec<(&str, Request)> = Vec::with_capacity(reqs.len());
-        // `(server index, expected Written bytes)` parallel to `work`.
-        let mut expect: Vec<(usize, u64)> = Vec::with_capacity(reqs.len());
-        for (req, ranges) in reqs.iter().zip(&payloads) {
-            work.push((
-                self.servers[req.server].as_str(),
-                Request::Write {
-                    subfile: self.path.clone(),
-                    ranges: ranges.clone(),
-                },
-            ));
-            expect.push((req.server, req.wire_bytes()));
-        }
-        if let RedundancyPolicy::Replica(k) = self.redundancy {
-            // Copy `i` of server `s`'s subfile rides on server
-            // `(s + i) % n` under the mirror name, same byte offsets —
-            // one extra Write per copy in the same pipelined dispatch.
-            let n = self.servers.len();
-            for copy in 1..k {
-                for (req, ranges) in reqs.iter().zip(&payloads) {
-                    let mirror = (req.server + copy) % n;
-                    work.push((
-                        self.servers[mirror].as_str(),
-                        Request::Write {
-                            subfile: mirror_subfile(&self.path, copy),
-                            ranges: ranges.clone(),
-                        },
-                    ));
-                    expect.push((mirror, req.wire_bytes()));
-                }
-            }
-        }
-        trace::client_event(
-            trace_id,
-            "plan",
-            "write",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            data.len() as u64,
-        );
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
-        for (&(server, expected), res) in expect.iter().zip(results) {
-            self.stats.requests += 1;
-            let written = expect_written(res?)?;
-            if written != expected {
-                return Err(DpfsError::ShortWrite {
-                    server: self.servers[server].clone(),
-                    expected,
-                    written,
-                });
-            }
-            self.stats.wire_written += expected;
-        }
-        if self.redundancy == RedundancyPolicy::XorParity {
-            let touched: Vec<(u64, u64)> = reqs
-                .iter()
-                .flat_map(|r| r.ranges.iter().map(|&(sub_off, _, len)| (sub_off, len)))
-                .collect();
-            self.write_parity(&touched, trace_id)?;
-        }
-        trace::client_event(
-            trace_id,
-            "op",
-            "write",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            data.len() as u64,
-        );
-        Ok(())
-    }
-
-    /// List-I/O write path: one request per server carrying one coalesced
-    /// payload. The per-request cost model picks the wire shape —
-    /// `WriteList` with a pattern descriptor, or legacy `Write` over the
-    /// same coalesced ranges when the descriptor would be larger.
-    /// Redundancy fans the same refcounted payloads out to mirrors and
-    /// keeps parity byte-exact.
-    fn execute_writes_list(
-        &mut self,
-        reqs: &[ListRequest],
-        data: &[u8],
-        trace_id: u64,
-        op_start: u64,
-    ) -> Result<()> {
-        // Gather each request's payload out of `data` up front (the pieces
-        // map buffer bytes to payload offsets). `Bytes` payloads are
-        // refcounted: replica fan-out and legacy-shape slicing below reuse
-        // them without copying.
+        // Writes always use exact ranges: whole-brick granularity would
+        // clobber bytes the caller never supplied.
+        let reqs = self.plan(runs, Granularity::Exact);
+        // Gather each request's payload out of `data` up front, in piece
+        // order: where self-overlapping runs share payload bytes, the later
+        // piece wins. `Bytes` payloads are refcounted, so replica fan-out
+        // and enumerated-shape slicing reuse them without copying.
         let payloads: Vec<Bytes> = reqs
             .iter()
             .map(|req| {
@@ -733,47 +627,29 @@ impl FileHandle {
             })
             .collect();
         let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
-        let request_for =
-            |req: &ListRequest, shape: &ListShape, payload: &Bytes, subfile: String| match shape {
-                ListShape::Pattern(pattern) => Request::WriteList {
-                    subfile,
-                    pattern: pattern.clone(),
-                    payload: payload.clone(),
-                },
-                ListShape::Legacy => {
-                    let mut at = 0usize;
-                    let ranges = req
-                        .ranges
-                        .iter()
-                        .map(|&(off, len)| {
-                            let slice = payload.slice(at..at + len as usize);
-                            at += len as usize;
-                            (off, slice)
-                        })
-                        .collect();
-                    Request::Write { subfile, ranges }
-                }
-            };
-        let mut work: Vec<(&str, Request)> = Vec::with_capacity(reqs.len());
-        let mut expect: Vec<(usize, u64)> = Vec::with_capacity(reqs.len());
-        for ((req, shape), payload) in reqs.iter().zip(&shaped).zip(&payloads) {
-            work.push((
-                self.servers[req.server].as_str(),
-                request_for(req, shape, payload, self.path.clone()),
-            ));
-            expect.push((req.server, req.wire_bytes()));
-        }
-        if let RedundancyPolicy::Replica(k) = self.redundancy {
-            let n = self.servers.len();
-            for copy in 1..k {
-                for ((req, shape), payload) in reqs.iter().zip(&shaped).zip(&payloads) {
-                    let mirror = (req.server + copy) % n;
-                    work.push((
-                        self.servers[mirror].as_str(),
-                        request_for(req, shape, payload, mirror_subfile(&self.path, copy)),
-                    ));
-                    expect.push((mirror, req.wire_bytes()));
-                }
+        // Copy 0 is the primary. Copy `i` of server `s`'s subfile rides on
+        // server `(s + i) % n` under the mirror name, same byte offsets —
+        // one extra request per copy in the same pipelined dispatch.
+        let copies = match self.redundancy {
+            RedundancyPolicy::Replica(k) => k,
+            _ => 1,
+        };
+        let n = self.servers.len();
+        let mut work: Vec<(&str, Request)> = Vec::with_capacity(reqs.len() * copies);
+        // `(server index, expected Written bytes)` parallel to `work`.
+        let mut expect: Vec<(usize, u64)> = Vec::with_capacity(reqs.len() * copies);
+        for copy in 0..copies {
+            for ((req, shape), payload) in reqs.iter().zip(&shaped).zip(&payloads) {
+                let server = (req.server + copy) % n;
+                let subfile = match copy {
+                    0 => self.path.clone(),
+                    _ => mirror_subfile(&self.path, copy),
+                };
+                work.push((
+                    self.servers[server].as_str(),
+                    shape.write(req, payload, subfile),
+                ));
+                expect.push((server, req.wire_bytes()));
             }
         }
         trace::client_event(
@@ -785,18 +661,9 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             data.len() as u64,
         );
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
-        for (&(server, expected), res) in expect.iter().zip(results) {
-            self.stats.requests += 1;
-            let written = expect_written(res?)?;
-            if written != expected {
-                return Err(DpfsError::ShortWrite {
-                    server: self.servers[server].clone(),
-                    expected,
-                    written,
-                });
-            }
-            self.stats.wire_written += expected;
+        let results = issue(&self.pool, &self.opts, work, trace_id);
+        for ((server, expected), res) in expect.into_iter().zip(results) {
+            self.note_written(server, expected, res)?;
         }
         if self.redundancy == RedundancyPolicy::XorParity {
             let touched: Vec<(u64, u64)> =
@@ -858,7 +725,7 @@ impl FileHandle {
                 )
             })
             .collect();
-        let results = issue(&self.pool, &self.opts, true, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let mut acc: Vec<Vec<u8>> = union
             .iter()
             .map(|&(_, len)| vec![0u8; len as usize])
@@ -873,37 +740,30 @@ impl FileHandle {
                 }
             }
         }
-        let parity_server = self.servers[data_servers].clone();
         let expected: u64 = union.iter().map(|&(_, len)| len).sum();
         let ranges: Vec<(u64, Bytes)> = union
             .iter()
             .zip(acc)
             .map(|(&(off, _), bytes)| (off, Bytes::from(bytes)))
             .collect();
-        let resp = self.pool.rpc(
-            &parity_server,
-            &Request::Write {
-                subfile: parity_subfile(&self.path),
-                ranges,
-            },
-        )?;
-        self.stats.requests += 1;
-        let written = expect_written(resp)?;
-        if written != expected {
-            return Err(DpfsError::ShortWrite {
-                server: parity_server,
-                expected,
-                written,
-            });
-        }
-        self.stats.wire_written += expected;
-        Ok(())
+        let parity = Request::Write {
+            subfile: parity_subfile(&self.path),
+            ranges,
+        };
+        let res = issue_one(
+            &self.pool,
+            &self.opts,
+            &self.servers[data_servers],
+            parity,
+            trace_id,
+        );
+        self.note_written(data_servers, expected, res)
     }
 
     /// Re-materialize the exact bytes lost `server` owed for `ranges`,
     /// using the file's redundancy: the first answering mirror copy under
     /// `Replica(k)`, or the XOR of every surviving data subfile plus the
-    /// parity subfile under `XorParity`. Always speaks legacy `Read` —
+    /// parity subfile under `XorParity`. Always speaks enumerated `Read` —
     /// reconstruction wants one chunk per range back, byte-exact, and the
     /// degraded path is not the one to optimize wire bytes on.
     fn reconstruct_ranges(
@@ -921,13 +781,11 @@ impl FileHandle {
                 let mut last_err = None;
                 for copy in 1..k {
                     let mirror = &self.servers[(server + copy) % n];
-                    let resp = self.pool.rpc(
-                        mirror,
-                        &Request::Read {
-                            subfile: mirror_subfile(&self.path, copy),
-                            ranges: ranges.to_vec(),
-                        },
-                    );
+                    let read = Request::Read {
+                        subfile: mirror_subfile(&self.path, copy),
+                        ranges: ranges.to_vec(),
+                    };
+                    let resp = issue_one(&self.pool, &self.opts, mirror, read, trace_id);
                     match resp.and_then(|r| expect_chunks(r, ranges, mirror)) {
                         Ok(chunks) => return Ok(chunks),
                         Err(e) => last_err = Some(e),
@@ -963,7 +821,7 @@ impl FileHandle {
                     .filter(|&d| d != server)
                     .chain(std::iter::once(data_servers))
                     .collect();
-                let results = issue(&self.pool, &self.opts, true, peers, trace_id);
+                let results = issue(&self.pool, &self.opts, peers, trace_id);
                 let mut acc: Vec<Vec<u8>> = ranges
                     .iter()
                     .map(|&(_, len)| vec![0u8; len as usize])
@@ -981,10 +839,58 @@ impl FileHandle {
         }
     }
 
+    /// A degraded-read hole: zero-fill the bytes `req`'s server owed,
+    /// count and trace it, and report the outcome.
+    fn hole(
+        &mut self,
+        req: &ListRequest,
+        buf: &mut [u8],
+        trace_id: u64,
+        err: &DpfsError,
+    ) -> SubfileOutcome {
+        let server = &self.servers[req.server];
+        for p in &req.pieces {
+            buf[p.buf_off as usize..(p.buf_off + p.len) as usize].fill(0);
+        }
+        let bytes = req.useful_bytes();
+        self.stats.requests += 1;
+        self.pool.note_degraded(server);
+        trace::client_event(
+            trace_id,
+            "degraded",
+            "read",
+            server,
+            trace::now_ns(),
+            0,
+            bytes,
+        );
+        SubfileOutcome {
+            server: server.clone(),
+            bytes,
+            error: err.to_string(),
+        }
+    }
+
+    /// The read path: runs whose bricks sit in the cache are served from
+    /// it; the rest go out as one request per planned item, each answered
+    /// with its payload (one blob, or one chunk per range) that the pieces
+    /// scatter into `buf` and whole fetched bricks fill the cache from.
     fn execute_reads(&mut self, runs: &[BrickRun], buf: &mut [u8]) -> Result<()> {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;
         let op_start = trace::now_ns();
+        let op_bytes = buf.len() as u64;
+        let op_done = || {
+            trace::client_event(
+                trace_id,
+                "op",
+                "read",
+                "",
+                op_start,
+                trace::now_ns().saturating_sub(op_start),
+                op_bytes,
+            )
+        };
         // Serve runs whose bricks are cached locally; fetch the rest.
         let mut remaining: Vec<BrickRun> = Vec::with_capacity(runs.len());
         if let (Some(cache), Granularity::Brick) = (&mut self.cache, self.opts.granularity) {
@@ -999,56 +905,21 @@ impl FileHandle {
                 }
             }
             if remaining.is_empty() {
-                trace::client_event(
-                    trace_id,
-                    "op",
-                    "read",
-                    "",
-                    op_start,
-                    trace::now_ns().saturating_sub(op_start),
-                    buf.len() as u64,
-                );
+                op_done();
                 return Ok(());
             }
         } else {
             remaining.extend_from_slice(runs);
         }
-        let runs = remaining.as_slice();
-        // List I/O: ship the access pattern, not the brick list. Gated on
-        // the cache being off — cache fills need the per-brick chunks only
-        // the legacy shape returns — and declined by `plan_list` for
-        // self-overlapping runs.
-        if self.opts.combine && self.opts.list_io && self.cache.is_none() {
-            if let Some(reqs) = plan_list(
-                runs,
-                &self.map,
-                &self.layout,
-                self.opts.granularity,
-                self.opts.rank,
-            ) {
-                return self.execute_reads_list(&reqs, buf, trace_id, op_start);
-            }
-        }
-        let reqs = plan_reads(
-            runs,
-            &self.map,
-            &self.layout,
-            self.opts.combine,
-            self.opts.granularity,
-            self.opts.rank,
-        );
-        // Put every request on the wire, then scatter each server's chunks
-        // into `buf` as completions arrive (collect-then-scatter keeps the
-        // hot buffer single-writer).
+        let reqs = self.plan(&remaining, self.opts.granularity);
+        let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
         let work: Vec<(&str, Request)> = reqs
             .iter()
-            .map(|req| {
+            .zip(&shaped)
+            .map(|(req, shape)| {
                 (
                     self.servers[req.server].as_str(),
-                    Request::Read {
-                        subfile: self.path.clone(),
-                        ranges: req.ranges.clone(),
-                    },
+                    shape.read(req, self.path.clone()),
                 )
             })
             .collect();
@@ -1059,34 +930,20 @@ impl FileHandle {
             "",
             op_start,
             trace::now_ns().saturating_sub(op_start),
-            buf.len() as u64,
+            op_bytes,
         );
-        // With degraded reads on, every server must be attempted even in
-        // serial mode — a failed one becomes a hole, not an early exit.
-        // Likewise on a redundant file, where a failed server becomes a
-        // reconstruction, not an error.
-        let stop_at_first_error =
-            !self.opts.degraded_reads && self.redundancy == RedundancyPolicy::None;
-        let results = issue(&self.pool, &self.opts, stop_at_first_error, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let mut outcomes: Vec<SubfileOutcome> = Vec::new();
-        for (req, res) in reqs.iter().zip(results) {
-            match res {
+        for ((req, shape), res) in reqs.iter().zip(&shaped).zip(results) {
+            // The reply as consecutive slices of the request's payload.
+            let chunks = match res {
                 Ok(resp) => {
-                    let chunks = expect_chunks(resp, &req.ranges, &self.servers[req.server])?;
-                    self.stats.requests += 1;
-                    self.stats.wire_read += req.wire_bytes();
-                    for piece in &req.scatter {
-                        let chunk = &chunks[piece.chunk];
-                        let src = &chunk
-                            [piece.chunk_off as usize..(piece.chunk_off + piece.len) as usize];
-                        buf[piece.buf_off as usize..(piece.buf_off + piece.len) as usize]
-                            .copy_from_slice(src);
-                        self.stats.useful_read += piece.len;
-                    }
-                    if let Some(cache) = &mut self.cache {
-                        for (i, &brick) in req.bricks.iter().enumerate() {
-                            cache.insert(brick, chunks[i].clone());
+                    let server = &self.servers[req.server];
+                    match shape {
+                        ListShape::Pattern(_) => {
+                            vec![expect_list_data(resp, req.wire_bytes(), server)?]
                         }
+                        ListShape::Enumerated => expect_chunks(resp, &req.ranges, server)?,
                     }
                 }
                 // Transport-class failure on a redundant file: read
@@ -1101,197 +958,6 @@ impl FileHandle {
                     match self.reconstruct_ranges(req.server, &req.ranges, trace_id) {
                         Ok(chunks) => {
                             let server = &self.servers[req.server];
-                            self.stats.requests += 1;
-                            self.stats.wire_read += req.wire_bytes();
-                            let mut bytes = 0u64;
-                            for piece in &req.scatter {
-                                let chunk = &chunks[piece.chunk];
-                                let src = &chunk[piece.chunk_off as usize
-                                    ..(piece.chunk_off + piece.len) as usize];
-                                buf[piece.buf_off as usize..(piece.buf_off + piece.len) as usize]
-                                    .copy_from_slice(src);
-                                self.stats.useful_read += piece.len;
-                                bytes += piece.len;
-                            }
-                            self.pool.note_reconstruct(server);
-                            trace::client_event(
-                                trace_id,
-                                "reconstruct",
-                                "read",
-                                server,
-                                t0,
-                                trace::now_ns().saturating_sub(t0),
-                                bytes,
-                            );
-                            if let Some(cache) = &mut self.cache {
-                                for (i, &brick) in req.bricks.iter().enumerate() {
-                                    cache.insert(brick, chunks[i].clone());
-                                }
-                            }
-                        }
-                        // Reconstruction itself failed (a second server
-                        // down): fall back to the zero-fill contract if the
-                        // caller opted in, else surface the original error.
-                        Err(rec_err) if self.opts.degraded_reads => {
-                            let server = &self.servers[req.server];
-                            let mut bytes = 0u64;
-                            for piece in &req.scatter {
-                                buf[piece.buf_off as usize..(piece.buf_off + piece.len) as usize]
-                                    .fill(0);
-                                bytes += piece.len;
-                            }
-                            self.stats.requests += 1;
-                            self.pool.note_degraded(server);
-                            trace::client_event(
-                                trace_id,
-                                "degraded",
-                                "read",
-                                server,
-                                trace::now_ns(),
-                                0,
-                                bytes,
-                            );
-                            outcomes.push(SubfileOutcome {
-                                server: server.clone(),
-                                bytes,
-                                error: rec_err.to_string(),
-                            });
-                        }
-                        Err(_) => return Err(err),
-                    }
-                }
-                // Transport-class failure after retries on an unprotected
-                // file: zero-fill the ranges this server owed us and carry
-                // on. Application errors still fail the read — the server
-                // processed the request and said no.
-                Err(err) if self.opts.degraded_reads && RetryPolicy::retryable(&err) => {
-                    let server = &self.servers[req.server];
-                    let mut bytes = 0u64;
-                    for piece in &req.scatter {
-                        buf[piece.buf_off as usize..(piece.buf_off + piece.len) as usize].fill(0);
-                        bytes += piece.len;
-                    }
-                    self.stats.requests += 1;
-                    self.pool.note_degraded(server);
-                    trace::client_event(
-                        trace_id,
-                        "degraded",
-                        "read",
-                        server,
-                        trace::now_ns(),
-                        0,
-                        bytes,
-                    );
-                    outcomes.push(SubfileOutcome {
-                        server: server.clone(),
-                        bytes,
-                        error: err.to_string(),
-                    });
-                }
-                Err(err) => return Err(err),
-            }
-        }
-        trace::client_event(
-            trace_id,
-            "op",
-            "read",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            buf.len() as u64,
-        );
-        if outcomes.is_empty() {
-            Ok(())
-        } else {
-            // The byte-returning wrappers attach the holed buffer.
-            Err(DpfsError::Degraded {
-                op: "read",
-                data: Vec::new(),
-                outcomes,
-            })
-        }
-    }
-
-    /// List-I/O read path: one request per server, answered with one
-    /// coalesced payload that the pieces scatter into `buf`. Wire shape
-    /// per the cost model; reconstruction and degraded holes match the
-    /// legacy path byte-for-byte.
-    fn execute_reads_list(
-        &mut self,
-        reqs: &[ListRequest],
-        buf: &mut [u8],
-        trace_id: u64,
-        op_start: u64,
-    ) -> Result<()> {
-        let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
-        let work: Vec<(&str, Request)> = reqs
-            .iter()
-            .zip(&shaped)
-            .map(|(req, shape)| {
-                let r = match shape {
-                    ListShape::Pattern(pattern) => Request::ReadList {
-                        subfile: self.path.clone(),
-                        pattern: pattern.clone(),
-                    },
-                    ListShape::Legacy => Request::Read {
-                        subfile: self.path.clone(),
-                        ranges: req.ranges.clone(),
-                    },
-                };
-                (self.servers[req.server].as_str(), r)
-            })
-            .collect();
-        trace::client_event(
-            trace_id,
-            "plan",
-            "read",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            buf.len() as u64,
-        );
-        let stop_at_first_error =
-            !self.opts.degraded_reads && self.redundancy == RedundancyPolicy::None;
-        let results = issue(&self.pool, &self.opts, stop_at_first_error, work, trace_id);
-        let mut outcomes: Vec<SubfileOutcome> = Vec::new();
-        for ((req, shape), res) in reqs.iter().zip(&shaped).zip(results) {
-            match res {
-                Ok(resp) => {
-                    let server = &self.servers[req.server];
-                    match shape {
-                        ListShape::Pattern(_) => {
-                            let data = expect_list_data(resp, req.wire_bytes(), server)?;
-                            for p in &req.pieces {
-                                let src =
-                                    &data[p.payload_off as usize..(p.payload_off + p.len) as usize];
-                                buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
-                                    .copy_from_slice(src);
-                            }
-                        }
-                        ListShape::Legacy => {
-                            let chunks = expect_chunks(resp, &req.ranges, server)?;
-                            scatter_list_pieces(req, &chunks, buf);
-                        }
-                    }
-                    self.stats.requests += 1;
-                    self.stats.wire_read += req.wire_bytes();
-                    self.stats.useful_read += req.useful_bytes();
-                }
-                // Transport-class failure on a redundant file: rebuild the
-                // lost server's ranges from mirrors / XOR peers + parity
-                // (over legacy `Read`) and scatter as if it had answered.
-                Err(err)
-                    if self.redundancy != RedundancyPolicy::None
-                        && RetryPolicy::retryable(&err) =>
-                {
-                    let t0 = trace::now_ns();
-                    match self.reconstruct_ranges(req.server, &req.ranges, trace_id) {
-                        Ok(chunks) => {
-                            let server = &self.servers[req.server];
-                            scatter_list_pieces(req, &chunks, buf);
-                            self.stats.requests += 1;
-                            self.stats.wire_read += req.wire_bytes();
-                            self.stats.useful_read += req.useful_bytes();
                             self.pool.note_reconstruct(server);
                             trace::client_event(
                                 trace_id,
@@ -1302,65 +968,63 @@ impl FileHandle {
                                 trace::now_ns().saturating_sub(t0),
                                 req.useful_bytes(),
                             );
+                            chunks
                         }
+                        // Reconstruction itself failed (a second server
+                        // down): fall back to the zero-fill contract if the
+                        // caller opted in, else surface the original error.
                         Err(rec_err) if self.opts.degraded_reads => {
-                            let server = &self.servers[req.server];
-                            let bytes = zero_fill_list_pieces(req, buf);
-                            self.stats.requests += 1;
-                            self.pool.note_degraded(server);
-                            trace::client_event(
-                                trace_id,
-                                "degraded",
-                                "read",
-                                server,
-                                trace::now_ns(),
-                                0,
-                                bytes,
-                            );
-                            outcomes.push(SubfileOutcome {
-                                server: server.clone(),
-                                bytes,
-                                error: rec_err.to_string(),
-                            });
+                            outcomes.push(self.hole(req, buf, trace_id, &rec_err));
+                            continue;
                         }
                         Err(_) => return Err(err),
                     }
                 }
+                // Transport-class failure after retries on an unprotected
+                // file: zero-fill the ranges this server owed us and carry
+                // on. Application errors still fail the read — the server
+                // processed the request and said no.
                 Err(err) if self.opts.degraded_reads && RetryPolicy::retryable(&err) => {
-                    let server = &self.servers[req.server];
-                    let bytes = zero_fill_list_pieces(req, buf);
-                    self.stats.requests += 1;
-                    self.pool.note_degraded(server);
-                    trace::client_event(
-                        trace_id,
-                        "degraded",
-                        "read",
-                        server,
-                        trace::now_ns(),
-                        0,
-                        bytes,
-                    );
-                    outcomes.push(SubfileOutcome {
-                        server: server.clone(),
-                        bytes,
-                        error: err.to_string(),
-                    });
+                    outcomes.push(self.hole(req, buf, trace_id, &err));
+                    continue;
                 }
                 Err(err) => return Err(err),
+            };
+            // Each piece (and each whole brick) lies within one range,
+            // hence within one chunk.
+            let starts: Vec<u64> = chunks
+                .iter()
+                .scan(0u64, |at, c| {
+                    let start = *at;
+                    *at += c.len() as u64;
+                    Some(start)
+                })
+                .collect();
+            let locate = |payload_off: u64| {
+                let i = starts.partition_point(|&s| s <= payload_off) - 1;
+                (i, (payload_off - starts[i]) as usize)
+            };
+            for p in &req.pieces {
+                let (i, off) = locate(p.payload_off);
+                buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
+                    .copy_from_slice(&chunks[i][off..off + p.len as usize]);
+            }
+            self.stats.requests += 1;
+            self.stats.wire_read += req.wire_bytes();
+            self.stats.useful_read += req.useful_bytes();
+            if let Some(cache) = &mut self.cache {
+                for &(brick, at) in &req.bricks {
+                    let (i, off) = locate(at);
+                    let len = self.layout.brick_len(brick) as usize;
+                    cache.insert(brick, chunks[i].slice(off..off + len));
+                }
             }
         }
-        trace::client_event(
-            trace_id,
-            "op",
-            "read",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            buf.len() as u64,
-        );
+        op_done();
         if outcomes.is_empty() {
             Ok(())
         } else {
+            // The byte-returning wrappers attach the holed buffer.
             Err(DpfsError::Degraded {
                 op: "read",
                 data: Vec::new(),
@@ -1453,9 +1117,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             0,
         );
-        // `stop_at_first_error = false`: every server is attempted even in
-        // serial mode.
-        let results = issue(&self.pool, &self.opts, false, work, trace_id);
+        let results = issue(&self.pool, &self.opts, work, trace_id);
         let failures: Vec<(String, DpfsError)> = targets
             .iter()
             .zip(results)
@@ -1498,23 +1160,15 @@ impl FileHandle {
 }
 
 /// Issue one request per planned item, returning raw responses in plan
-/// order.
-///
-/// - **Pipelined** (default): every frame goes on the wire first — the
-///   transport assigns correlation IDs and the per-server demux thread
-///   completes them out of order — then completions are collected in plan
-///   order. One slow server no longer stalls requests to the others, and
-///   multiple requests to *one* server overlap inside its connection.
-/// - **Serial** (`serial_dispatch`): the original one-request-at-a-time
-///   client loop, stopping at the first failure when `stop_at_first_error`
-///   (the `Err` is then the final element).
-/// - **Lockstep** (`lockstep_rpc`): the PR 1 baseline — a scoped thread per
-///   request, but each server connection carries at most one in-flight RPC
-///   (the transport's lockstep gate is held across the round-trip).
+/// order. Every frame goes on the wire first — the transport assigns
+/// correlation IDs and the per-server demux thread completes them out of
+/// order — then completions are collected in plan order, so one slow
+/// server stalls no request to the others and several requests to *one*
+/// server overlap inside its connection. Every item is attempted; each
+/// waiter retries its own transient failure.
 fn issue(
     pool: &ConnPool,
     opts: &ClientOptions,
-    stop_at_first_error: bool,
     work: Vec<(&str, Request)>,
     trace_id: u64,
 ) -> Vec<Result<Response>> {
@@ -1523,149 +1177,117 @@ fn issue(
         .map(|(_, req)| req.kind_str())
         .unwrap_or("other");
     let t0 = trace::now_ns();
-    if opts.serial_dispatch {
-        let timeout = opts.rpc_timeout;
-        let mut out = Vec::with_capacity(work.len());
-        for (server, req) in work {
-            // Same round-trip as `ConnPool::rpc`, with the trace stamped;
-            // lockstep_rpc additionally holds the per-server gate (and
-            // stays retry-free: it is the PR 1 ablation baseline).
-            let res = if opts.lockstep_rpc {
-                pool.rpc_lockstep_traced(server, &req, trace_id)
-            } else {
-                let first = pool
-                    .submit_traced(server, &req, trace_id)
-                    .and_then(|pending| pending.wait(timeout));
-                retry_if_transient(pool, opts, server, &req, trace_id, first)
-            };
-            let failed = res.is_err();
-            out.push(res);
-            if failed && stop_at_first_error {
-                break;
+    // Keep each request alongside its pending completion: a waiter that
+    // fails with a transient error reissues the request itself (the other
+    // servers' responses keep arriving meanwhile).
+    let submitted: Vec<_> = work
+        .into_iter()
+        .map(|(server, req)| {
+            let pending = pool.submit_traced(server, &req, trace_id);
+            (server, req, pending)
+        })
+        .collect();
+    let t1 = trace::now_ns();
+    trace::client_event(trace_id, "submit", kind, "", t0, t1.saturating_sub(t0), 0);
+    let out = submitted
+        .into_iter()
+        .map(|(server, req, pending)| {
+            match pending.and_then(|pending| pending.wait(opts.rpc_timeout)) {
+                Err(err) if opts.retry.enabled() && RetryPolicy::retryable(&err) => {
+                    pool.retry_after(server, &req, trace_id, err, opts.retry)
+                }
+                other => other,
             }
-        }
-        // Serial dispatch interleaves submission and waiting; the whole
-        // loop is one await span.
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t0,
-            trace::now_ns().saturating_sub(t0),
-            0,
-        );
-        out
-    } else if opts.lockstep_rpc {
-        let out = std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(server, req)| {
-                    scope.spawn(move || pool.rpc_lockstep_traced(server, &req, trace_id))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dispatch thread panicked"))
-                .collect()
-        });
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t0,
-            trace::now_ns().saturating_sub(t0),
-            0,
-        );
-        out
-    } else {
-        let timeout = opts.rpc_timeout;
-        // Keep each request alongside its pending completion: a waiter
-        // that fails with a transient error reissues the request itself
-        // (the other servers' responses keep arriving meanwhile).
-        let submitted: Vec<_> = work
-            .into_iter()
-            .map(|(server, req)| {
-                let pending = pool.submit_traced(server, &req, trace_id);
-                (server, req, pending)
-            })
-            .collect();
-        let t1 = trace::now_ns();
-        trace::client_event(trace_id, "submit", kind, "", t0, t1.saturating_sub(t0), 0);
-        let out = submitted
-            .into_iter()
-            .map(|(server, req, pending)| {
-                let first = pending.and_then(|pending| pending.wait(timeout));
-                retry_if_transient(pool, opts, server, &req, trace_id, first)
-            })
-            .collect();
-        trace::client_event(
-            trace_id,
-            "await",
-            kind,
-            "",
-            t1,
-            trace::now_ns().saturating_sub(t1),
-            0,
-        );
-        out
-    }
+        })
+        .collect();
+    trace::client_event(
+        trace_id,
+        "await",
+        kind,
+        "",
+        t1,
+        trace::now_ns().saturating_sub(t1),
+        0,
+    );
+    out
 }
 
-/// The wire shape the cost model picked for one list request.
+/// [`issue`] for a single request.
+fn issue_one(
+    pool: &ConnPool,
+    opts: &ClientOptions,
+    server: &str,
+    req: Request,
+    trace_id: u64,
+) -> Result<Response> {
+    issue(pool, opts, vec![(server, req)], trace_id)
+        .pop()
+        .expect("one result per request")
+}
+
+/// The wire shape of one request.
 enum ListShape {
     /// Compact descriptor: `ReadList` / `WriteList`.
     Pattern(AccessPattern),
     /// Irregular access — the descriptor would encode no smaller than the
-    /// enumerated range list; ship legacy `Read` / `Write` over the same
+    /// enumerated range list; ship `Read` / `Write` over the same
     /// coalesced ranges.
-    Legacy,
+    Enumerated,
 }
 
-/// The cost model: a pattern descriptor pays off iff it encodes smaller
-/// than the legacy enumerated range list (`u32` count + 16 bytes per
-/// range).
+/// A pattern descriptor ships iff it encodes smaller than the enumerated
+/// range list (`u32` count + 16 bytes per range).
 fn list_shape(req: &ListRequest) -> ListShape {
     if req.ranges.len() > MAX_PATTERN_RANGES {
-        return ListShape::Legacy;
+        return ListShape::Enumerated;
     }
     let pattern = AccessPattern::from_runs(&req.ranges);
     if pattern.encoded_len() < 4 + 16 * req.ranges.len() {
         ListShape::Pattern(pattern)
     } else {
-        ListShape::Legacy
+        ListShape::Enumerated
     }
 }
 
-/// Scatter legacy per-range chunks through a list request's pieces. Each
-/// piece lies within exactly one coalesced range (payload offsets never
-/// cross range boundaries by construction), so the owning chunk is found
-/// by payload-offset prefix sums.
-fn scatter_list_pieces(req: &ListRequest, chunks: &[Bytes], buf: &mut [u8]) {
-    let mut prefix = Vec::with_capacity(req.ranges.len());
-    let mut at = 0u64;
-    for &(_, len) in &req.ranges {
-        prefix.push(at);
-        at += len;
+impl ListShape {
+    /// The read of `req`'s ranges from `subfile`, in this shape.
+    fn read(&self, req: &ListRequest, subfile: String) -> Request {
+        match self {
+            ListShape::Pattern(pattern) => Request::ReadList {
+                subfile,
+                pattern: pattern.clone(),
+            },
+            ListShape::Enumerated => Request::Read {
+                subfile,
+                ranges: req.ranges.clone(),
+            },
+        }
     }
-    for p in &req.pieces {
-        let idx = prefix.partition_point(|&q| q <= p.payload_off) - 1;
-        let off = (p.payload_off - prefix[idx]) as usize;
-        let src = &chunks[idx][off..off + p.len as usize];
-        buf[p.buf_off as usize..(p.buf_off + p.len) as usize].copy_from_slice(src);
-    }
-}
 
-/// Zero-fill a list request's useful bytes in `buf` (degraded hole);
-/// returns the byte count holed.
-fn zero_fill_list_pieces(req: &ListRequest, buf: &mut [u8]) -> u64 {
-    let mut bytes = 0u64;
-    for p in &req.pieces {
-        buf[p.buf_off as usize..(p.buf_off + p.len) as usize].fill(0);
-        bytes += p.len;
+    /// The write of `payload` (`req`'s ranges, concatenated) to `subfile`,
+    /// in this shape.
+    fn write(&self, req: &ListRequest, payload: &Bytes, subfile: String) -> Request {
+        match self {
+            ListShape::Pattern(pattern) => Request::WriteList {
+                subfile,
+                pattern: pattern.clone(),
+                payload: payload.clone(),
+            },
+            ListShape::Enumerated => {
+                let mut at = 0usize;
+                let ranges = req
+                    .ranges
+                    .iter()
+                    .map(|&(off, len)| {
+                        let slice = payload.slice(at..at + len as usize);
+                        at += len as usize;
+                        (off, slice)
+                    })
+                    .collect();
+                Request::Write { subfile, ranges }
+            }
+        }
     }
-    bytes
 }
 
 /// Attach the (zero-holed) buffer to a [`DpfsError::Degraded`] bubbling
@@ -1682,25 +1304,6 @@ fn attach_degraded_data(err: DpfsError, buf: Vec<u8>) -> DpfsError {
     }
 }
 
-/// Apply the client's retry policy to one completed RPC: transient
-/// failures are reissued through [`ConnPool::retry_after`] (which counts
-/// and traces each attempt); everything else passes through.
-fn retry_if_transient(
-    pool: &ConnPool,
-    opts: &ClientOptions,
-    server: &str,
-    req: &Request,
-    trace_id: u64,
-    first: Result<Response>,
-) -> Result<Response> {
-    match first {
-        Err(err) if opts.retry.enabled() && RetryPolicy::retryable(&err) => {
-            pool.retry_after(server, req, trace_id, err, opts.retry)
-        }
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1710,19 +1313,20 @@ mod tests {
             server: 0,
             ranges,
             pieces: vec![],
+            bricks: vec![],
         }
     }
 
-    /// The cost-model crossover: a pattern ships iff its descriptor
+    /// The wire-shape crossover: a pattern ships iff its descriptor
     /// encodes strictly smaller than the enumerated range list
     /// (`u32` count + 16 bytes per range).
     #[test]
-    fn cost_model_crossover() {
+    fn wire_shape_crossover() {
         // A single range never pays: one Run segment (21 bytes) beats a
         // one-range enumeration (20 bytes) nowhere.
         assert!(matches!(
             list_shape(&req(vec![(0, 4096)])),
-            ListShape::Legacy
+            ListShape::Enumerated
         ));
 
         // Regular strides compress to one Vector segment (29 bytes
@@ -1743,16 +1347,16 @@ mod tests {
         for count in 1u64..16 {
             let ranges: Vec<(u64, u64)> = (0..count).map(|i| (i * i * 97 + i, i + 1)).collect();
             assert!(
-                matches!(list_shape(&req(ranges)), ListShape::Legacy),
-                "irregular {count}-range access should ship legacy"
+                matches!(list_shape(&req(ranges)), ListShape::Enumerated),
+                "irregular {count}-range access should ship enumerated"
             );
         }
 
-        // Over the per-pattern range cap, always legacy (the descriptor
+        // Over the per-pattern range cap, always enumerated (the descriptor
         // would be rejected server-side).
         let huge: Vec<(u64, u64)> = (0..=MAX_PATTERN_RANGES as u64)
             .map(|i| (i * 64, 16))
             .collect();
-        assert!(matches!(list_shape(&req(huge)), ListShape::Legacy));
+        assert!(matches!(list_shape(&req(huge)), ListShape::Enumerated));
     }
 }

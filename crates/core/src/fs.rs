@@ -44,7 +44,6 @@ pub struct Dpfs {
 fn new_pool(resolver: Resolver, opts: &ClientOptions) -> Arc<ConnPool> {
     let pool = Arc::new(ConnPool::new(Arc::new(resolver)));
     pool.set_rpc_timeout(opts.rpc_timeout);
-    pool.set_lockstep(opts.lockstep_rpc);
     // Per-mount jitter seed: an unseeded (default) policy is derived
     // fresh here, so fleets of default-configured clients never retry in
     // lockstep; explicitly seeded policies stay deterministic.

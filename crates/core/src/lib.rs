@@ -57,7 +57,7 @@ pub use hints::{Dist, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, 
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
 pub use meta_cache::CachingMetaStore;
 pub use placement::{greedy, round_robin, BrickMap};
-pub use plan::{Granularity, ReadRequest, WriteRequest};
+pub use plan::Granularity;
 pub use remote_meta::RemoteMetaStore;
 pub use retry::RetryPolicy;
 pub use transport::{Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};

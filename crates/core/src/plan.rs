@@ -1,26 +1,24 @@
-//! Request planning: brick runs → per-server requests.
+//! Request planning: brick runs → per-server list requests.
 //!
-//! Two strategies, after paper §4.2:
+//! The paper's *request combination* (§4.2): all bricks bound for one
+//! server coalesce into a single framed request, and the per-client request
+//! sequence is *staggered* — client `k` starts from server `(k mod S)`, so
+//! the S combined requests of S clients land on S distinct devices
+//! simultaneously. "As these combined bricks are located on the different
+//! physical storage devices, the maximum parallelism can be exploited."
 //!
-//! - **General approach** — one framed request per touched brick, in brick
-//!   order. With round-robin striping this makes all clients hammer the
-//!   same server in lock-step (client `k`'s first brick and client `k+1`'s
-//!   first brick land on the same device), and the request count equals the
-//!   brick count.
-//! - **Request combination** — all bricks bound for one server coalesce
-//!   into a single framed request, and the per-client request sequence is
-//!   *staggered*: client `k` starts from server `(k mod S)`, so the S
-//!   combined requests of S clients land on S distinct devices
-//!   simultaneously. "As these combined bricks are located on the different
-//!   physical storage devices, the maximum parallelism can be exploited."
+//! [`plan_list`] is that planner, and the only one. The paper's *general
+//! approach* — one request per touched brick, in brick order, which with
+//! round-robin striping makes all clients hammer the same server at once —
+//! is the same planner handed one brick's runs at a time, which is what the
+//! executor does with [`crate::file::ClientOptions::combine`] off.
 //!
 //! Reads transfer at brick granularity by default ([`Granularity::Brick`]):
 //! the client fetches whole bricks and discards unneeded bytes — exactly the
 //! paper's linear-striping behaviour ("only the first two elements of each
 //! brick are really useful, the second half will be discarded", §3.2).
-//! [`Granularity::Exact`] requests only the needed byte ranges; it is kept
-//! as an ablation knob. Writes always use exact ranges (no read-modify-write
-//! is ever needed).
+//! [`Granularity::Exact`] requests only the needed byte ranges. Writes
+//! always use exact ranges (no read-modify-write is ever needed).
 
 use std::collections::BTreeMap;
 
@@ -35,62 +33,6 @@ pub enum Granularity {
     Brick,
     /// Fetch exactly the needed byte ranges (ablation).
     Exact,
-}
-
-/// How one response chunk scatters into the user's buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScatterPiece {
-    /// Index of the chunk within the response.
-    pub chunk: usize,
-    /// Byte offset within that chunk.
-    pub chunk_off: u64,
-    /// Byte offset within the user's buffer.
-    pub buf_off: u64,
-    /// Length in bytes.
-    pub len: u64,
-}
-
-/// One read request bound for one server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadRequest {
-    /// Target server index (into the file's server list).
-    pub server: usize,
-    /// `(subfile_offset, len)` ranges to fetch, one response chunk each.
-    pub ranges: Vec<(u64, u64)>,
-    /// Placement of response bytes into the user's buffer.
-    pub scatter: Vec<ScatterPiece>,
-    /// For [`Granularity::Brick`]: the brick behind each range (parallel to
-    /// `ranges`; lets the client cache whole fetched bricks). Empty in
-    /// exact mode.
-    pub bricks: Vec<u64>,
-}
-
-/// One write request bound for one server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteRequest {
-    /// Target server index.
-    pub server: usize,
-    /// `(subfile_offset, buffer_offset, len)` gather ranges.
-    pub ranges: Vec<(u64, u64, u64)>,
-}
-
-impl ReadRequest {
-    /// Total bytes this request will transfer over the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        self.ranges.iter().map(|(_, l)| l).sum()
-    }
-
-    /// Bytes actually placed in the user's buffer.
-    pub fn useful_bytes(&self) -> u64 {
-        self.scatter.iter().map(|p| p.len).sum()
-    }
-}
-
-impl WriteRequest {
-    /// Total bytes this request carries.
-    pub fn wire_bytes(&self) -> u64 {
-        self.ranges.iter().map(|(_, _, l)| l).sum()
-    }
 }
 
 /// One payload-byte ↔ user-buffer mapping within a [`ListRequest`].
@@ -109,24 +51,28 @@ pub struct ListPiece {
     pub len: u64,
 }
 
-/// One list-I/O request bound for one server: the subfile ranges the
-/// server will touch, plus the payload↔buffer mapping. Unlike legacy
-/// planning there is no per-range framing — whether the ranges travel as
-/// a compact [`dpfs_proto::AccessPattern`] or as an enumerated list is
-/// the transport cost model's call, made per request in `file.rs`.
+/// One request bound for one server: the subfile ranges the server will
+/// touch, plus the payload↔buffer mapping. Whether the ranges travel as a
+/// compact [`dpfs_proto::AccessPattern`] or as an enumerated list is
+/// decided per request in `file.rs`, by which encodes smaller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListRequest {
     /// Target server index (into the file's server list).
     pub server: usize,
-    /// Sorted, disjoint `(subfile_offset, len)` ranges, coalesced where
-    /// adjacent in *subfile* space. Legacy Exact planning also demands
-    /// buffer adjacency before merging (each range is its own framed
-    /// chunk, so a merged range must scatter contiguously); here the
-    /// payload is one blob and the pieces carry the buffer mapping, so
-    /// subfile adjacency alone suffices — strictly more coalescing.
+    /// Sorted, disjoint `(subfile_offset, len)` ranges: runs adjacent or
+    /// overlapping in *subfile* space are one range, wherever they sit in
+    /// the buffer — the payload is one blob and the pieces carry the
+    /// buffer mapping.
     pub ranges: Vec<(u64, u64)>,
-    /// Payload bytes useful to the caller.
+    /// Payload bytes useful to the caller, each inside one range. Exact
+    /// pieces are ordered, within a brick, by brick offset (ties in run
+    /// order); pieces of self-overlapping runs share payload bytes, and a
+    /// writer gathering them in this order gives those bytes to the later
+    /// piece.
     pub pieces: Vec<ListPiece>,
+    /// `(brick, payload_off)` of every whole brick in the payload — what a
+    /// brick cache fills from. [`Granularity::Brick`] only.
+    pub bricks: Vec<(u64, u64)>,
 }
 
 impl ListRequest {
@@ -141,39 +87,41 @@ impl ListRequest {
     }
 }
 
-/// Append `(off, len)` to a sorted range list, merging with the last range
-/// when exactly adjacent in subfile space. Returns the payload offset at
-/// which this range's bytes begin, or `None` when the range overlaps (or
-/// precedes) the previous one — the caller falls back to legacy planning,
-/// which tolerates overlap.
+/// Add `(off, len)` to a range list built in ascending `off` order,
+/// growing the last range when the new one touches or overlaps it.
+/// Returns the payload offset at which this range's bytes begin.
 fn append_list_range(
     ranges: &mut Vec<(u64, u64)>,
     payload_len: &mut u64,
     off: u64,
     len: u64,
-) -> Option<u64> {
-    match ranges.last_mut() {
-        Some((prev_off, prev_len)) if *prev_off + *prev_len == off => *prev_len += len,
-        Some((prev_off, prev_len)) if *prev_off + *prev_len > off => return None,
-        _ => ranges.push((off, len)),
+) -> u64 {
+    if let Some((prev_off, prev_len)) = ranges.last_mut() {
+        if off <= *prev_off + *prev_len {
+            let at = *payload_len - *prev_len + (off - *prev_off);
+            let grown = (*prev_len).max(off - *prev_off + len);
+            *payload_len += grown - *prev_len;
+            *prev_len = grown;
+            return at;
+        }
     }
+    ranges.push((off, len));
     let at = *payload_len;
     *payload_len += len;
-    Some(at)
+    at
 }
 
-/// Plan list-I/O requests for `runs`: one request per touched server,
-/// staggered from `start_server` (the list path always combines — shipping
-/// one descriptor per brick would defeat its purpose).
+/// Plan `runs`: one request per touched server, staggered from
+/// `start_server`.
 ///
 /// Reads pass the configured `granularity` (Brick fetches whole bricks and
 /// the pieces skip the discard bytes); writes must pass
 /// [`Granularity::Exact`] — writing whole bricks would clobber bytes the
 /// caller never supplied.
 ///
-/// Returns `None` when the runs touch overlapping subfile bytes within one
-/// server (possible with self-overlapping datatypes); the caller falls
-/// back to legacy planning, which preserves in-order overlap semantics.
+/// Always `Some`: every set of runs plans (self-overlapping runs merge
+/// into one range). The `Option` is the signature `examples/benchmark`
+/// compiles against.
 pub fn plan_list(
     runs: &[BrickRun],
     map: &BrickMap,
@@ -181,7 +129,11 @@ pub fn plan_list(
     granularity: Granularity,
     start_server: usize,
 ) -> Option<Vec<ListRequest>> {
-    let by_brick = runs_by_brick(runs);
+    // Group runs by brick, preserving run order within each brick.
+    let mut by_brick: BTreeMap<u64, Vec<BrickRun>> = BTreeMap::new();
+    for r in runs {
+        by_brick.entry(r.brick).or_default().push(*r);
+    }
     let mut by_server: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for &brick in by_brick.keys() {
         by_server
@@ -195,38 +147,42 @@ pub fn plan_list(
     }
     let mut out = Vec::with_capacity(by_server.len());
     for server in rotated_servers(by_server.keys().copied(), map.num_servers(), start_server) {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        let mut pieces: Vec<ListPiece> = Vec::new();
+        let mut req = ListRequest {
+            server,
+            ranges: Vec::new(),
+            pieces: Vec::new(),
+            bricks: Vec::new(),
+        };
         let mut payload_len: u64 = 0;
         for &brick in &by_server[&server] {
             let base = map.subfile_offset(brick, layout);
             match granularity {
                 Granularity::Brick => {
                     let at = append_list_range(
-                        &mut ranges,
+                        &mut req.ranges,
                         &mut payload_len,
                         base,
                         layout.brick_len(brick),
-                    )?;
-                    for r in &by_brick[&brick] {
-                        pieces.push(ListPiece {
+                    );
+                    req.bricks.push((brick, at));
+                    req.pieces
+                        .extend(by_brick[&brick].iter().map(|r| ListPiece {
                             payload_off: at + r.brick_off,
                             buf_off: r.buf_off,
                             len: r.len,
-                        });
-                    }
+                        }));
                 }
                 Granularity::Exact => {
                     let mut sorted: Vec<&BrickRun> = by_brick[&brick].iter().collect();
                     sorted.sort_by_key(|r| r.brick_off);
                     for r in sorted {
                         let at = append_list_range(
-                            &mut ranges,
+                            &mut req.ranges,
                             &mut payload_len,
                             base + r.brick_off,
                             r.len,
-                        )?;
-                        pieces.push(ListPiece {
+                        );
+                        req.pieces.push(ListPiece {
                             payload_off: at,
                             buf_off: r.buf_off,
                             len: r.len,
@@ -235,22 +191,9 @@ pub fn plan_list(
                 }
             }
         }
-        out.push(ListRequest {
-            server,
-            ranges,
-            pieces,
-        });
+        out.push(req);
     }
     Some(out)
-}
-
-/// Group runs by brick, preserving run order within each brick.
-fn runs_by_brick(runs: &[BrickRun]) -> BTreeMap<u64, Vec<BrickRun>> {
-    let mut by_brick: BTreeMap<u64, Vec<BrickRun>> = BTreeMap::new();
-    for r in runs {
-        by_brick.entry(r.brick).or_default().push(*r);
-    }
-    by_brick
 }
 
 /// Rotate server indices so the sequence begins at `start`: the paper's
@@ -273,183 +216,6 @@ fn rotated_servers(
     out.extend_from_slice(&present[pivot..]);
     out.extend_from_slice(&present[..pivot]);
     out
-}
-
-/// Plan read requests for `runs`. `start_server` is this client's stagger
-/// origin (its rank); only meaningful with `combine`.
-pub fn plan_reads(
-    runs: &[BrickRun],
-    map: &BrickMap,
-    layout: &Layout,
-    combine: bool,
-    granularity: Granularity,
-    start_server: usize,
-) -> Vec<ReadRequest> {
-    let by_brick = runs_by_brick(runs);
-    if !combine {
-        // one request per brick, ascending brick order
-        return by_brick
-            .iter()
-            .map(|(&brick, brick_runs)| {
-                read_request_for_bricks(
-                    map.server_of(brick),
-                    [(brick, brick_runs.as_slice())].into_iter(),
-                    map,
-                    layout,
-                    granularity,
-                )
-            })
-            .collect();
-    }
-    // combined: group bricks by server, one request per server, staggered
-    let mut by_server: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    for &brick in by_brick.keys() {
-        by_server
-            .entry(map.server_of(brick))
-            .or_default()
-            .push(brick);
-    }
-    // within a server, order bricks by subfile position for sequential I/O
-    for bricks in by_server.values_mut() {
-        bricks.sort_by_key(|&b| map.slot_of(b));
-    }
-    rotated_servers(by_server.keys().copied(), map.num_servers(), start_server)
-        .into_iter()
-        .map(|server| {
-            let bricks = &by_server[&server];
-            read_request_for_bricks(
-                server,
-                bricks.iter().map(|b| (*b, by_brick[b].as_slice())),
-                map,
-                layout,
-                granularity,
-            )
-        })
-        .collect()
-}
-
-fn read_request_for_bricks<'a>(
-    server: usize,
-    bricks: impl Iterator<Item = (u64, &'a [BrickRun])>,
-    map: &BrickMap,
-    layout: &Layout,
-    granularity: Granularity,
-) -> ReadRequest {
-    let mut ranges = Vec::new();
-    let mut scatter = Vec::new();
-    let mut brick_ids = Vec::new();
-    for (brick, brick_runs) in bricks {
-        let base = map.subfile_offset(brick, layout);
-        match granularity {
-            Granularity::Brick => {
-                let chunk = ranges.len();
-                ranges.push((base, layout.brick_len(brick)));
-                brick_ids.push(brick);
-                for r in brick_runs {
-                    scatter.push(ScatterPiece {
-                        chunk,
-                        chunk_off: r.brick_off,
-                        buf_off: r.buf_off,
-                        len: r.len,
-                    });
-                }
-            }
-            Granularity::Exact => {
-                // one range per run, coalescing runs adjacent in both the
-                // subfile and the buffer
-                let mut sorted: Vec<&BrickRun> = brick_runs.iter().collect();
-                sorted.sort_by_key(|r| r.brick_off);
-                for r in sorted {
-                    let last_chunk = ranges.len().wrapping_sub(1);
-                    let coalesced = match (ranges.last_mut(), scatter.last_mut()) {
-                        (Some((off, len)), Some(piece))
-                            if *off + *len == base + r.brick_off
-                                && piece.buf_off + piece.len == r.buf_off
-                                && piece.chunk == last_chunk =>
-                        {
-                            *len += r.len;
-                            piece.len += r.len;
-                            true
-                        }
-                        _ => false,
-                    };
-                    if !coalesced {
-                        let chunk = ranges.len();
-                        ranges.push((base + r.brick_off, r.len));
-                        scatter.push(ScatterPiece {
-                            chunk,
-                            chunk_off: 0,
-                            buf_off: r.buf_off,
-                            len: r.len,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    ReadRequest {
-        server,
-        ranges,
-        scatter,
-        bricks: brick_ids,
-    }
-}
-
-/// Plan write requests for `runs`.
-pub fn plan_writes(
-    runs: &[BrickRun],
-    map: &BrickMap,
-    layout: &Layout,
-    combine: bool,
-    start_server: usize,
-) -> Vec<WriteRequest> {
-    let by_brick = runs_by_brick(runs);
-    let brick_ranges = |brick: u64, brick_runs: &[BrickRun]| -> Vec<(u64, u64, u64)> {
-        let base = map.subfile_offset(brick, layout);
-        let mut sorted: Vec<&BrickRun> = brick_runs.iter().collect();
-        sorted.sort_by_key(|r| r.brick_off);
-        let mut out: Vec<(u64, u64, u64)> = Vec::with_capacity(sorted.len());
-        for r in sorted {
-            match out.last_mut() {
-                Some((off, boff, len))
-                    if *off + *len == base + r.brick_off && *boff + *len == r.buf_off =>
-                {
-                    *len += r.len;
-                }
-                _ => out.push((base + r.brick_off, r.buf_off, r.len)),
-            }
-        }
-        out
-    };
-    if !combine {
-        return by_brick
-            .iter()
-            .map(|(&brick, brick_runs)| WriteRequest {
-                server: map.server_of(brick),
-                ranges: brick_ranges(brick, brick_runs),
-            })
-            .collect();
-    }
-    let mut by_server: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    for &brick in by_brick.keys() {
-        by_server
-            .entry(map.server_of(brick))
-            .or_default()
-            .push(brick);
-    }
-    for bricks in by_server.values_mut() {
-        bricks.sort_by_key(|&b| map.slot_of(b));
-    }
-    rotated_servers(by_server.keys().copied(), map.num_servers(), start_server)
-        .into_iter()
-        .map(|server| {
-            let mut ranges = Vec::new();
-            for &brick in &by_server[&server] {
-                ranges.extend(brick_ranges(brick, &by_brick[&brick]));
-            }
-            WriteRequest { server, ranges }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -477,31 +243,63 @@ mod tests {
             .collect()
     }
 
+    fn run(brick: u64, brick_off: u64, buf_off: u64, len: u64) -> BrickRun {
+        BrickRun {
+            brick,
+            brick_off,
+            buf_off,
+            len,
+        }
+    }
+
+    fn piece(payload_off: u64, buf_off: u64, len: u64) -> ListPiece {
+        ListPiece {
+            payload_off,
+            buf_off,
+            len,
+        }
+    }
+
+    fn plan(runs: &[BrickRun], granularity: Granularity, rank: usize) -> Vec<ListRequest> {
+        let (layout, map) = fig3();
+        plan_list(runs, &map, &layout, granularity, rank).unwrap()
+    }
+
     #[test]
     fn general_approach_one_request_per_brick() {
-        // §4.2: processor 0 accesses bricks 0-7 -> 8 requests
-        let (layout, map) = fig3();
+        // §4.2: processor 0 accesses bricks 0-7 -> 8 requests, each brick
+        // planned alone, in brick order: servers cycle 0,1,2,3,0,1,2,3
+        let (layout, _) = fig3();
         let runs = whole_brick_runs(&layout, 0, 8);
-        let reqs = plan_reads(&runs, &map, &layout, false, Granularity::Brick, 0);
+        let reqs: Vec<ListRequest> = runs
+            .iter()
+            .flat_map(|r| plan(std::slice::from_ref(r), Granularity::Brick, 0))
+            .collect();
         assert_eq!(reqs.len(), 8);
-        // requests in brick order: servers cycle 0,1,2,3,0,1,2,3
         let servers: Vec<usize> = reqs.iter().map(|r| r.server).collect();
         assert_eq!(servers, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert!(reqs.iter().all(|r| r.ranges.len() == 1));
     }
 
     #[test]
     fn combined_approach_one_request_per_server() {
         // §4.2: "there are only 4 requests needed for each processor, much
         // smaller than 8 requests of general approach"
-        let (layout, map) = fig3();
+        let (layout, _) = fig3();
         let runs = whole_brick_runs(&layout, 0, 8);
-        let reqs = plan_reads(&runs, &map, &layout, true, Granularity::Brick, 0);
+        let reqs = plan(&runs, Granularity::Brick, 0);
         assert_eq!(reqs.len(), 4);
-        // processor 0 starts from server 0 with bricks 0 and 4 in one request
+        // processor 0 starts from server 0 with bricks 0 and 4 in one
+        // request: slots 0 and 1 of subfile-0, adjacent, so one range —
+        // the pieces carry the (far apart) buffer positions
         assert_eq!(reqs[0].server, 0);
-        assert_eq!(reqs[0].ranges.len(), 2);
-        assert_eq!(reqs[0].ranges[0], (0, 64)); // brick 0 at slot 0
-        assert_eq!(reqs[0].ranges[1], (64, 64)); // brick 4 at slot 1
+        assert_eq!(reqs[0].ranges, vec![(0, 128)]);
+        assert_eq!(reqs[0].bricks, vec![(0, 0), (4, 64)]);
+        assert_eq!(reqs[0].pieces, vec![piece(0, 0, 64), piece(64, 4 * 64, 64)]);
+        assert_eq!(reqs[0].wire_bytes(), 128);
+        assert_eq!(reqs[0].useful_bytes(), 128);
+        let total: u64 = reqs.iter().map(|r| r.wire_bytes()).sum();
+        assert_eq!(total, 8 * 64);
     }
 
     #[test]
@@ -510,251 +308,91 @@ mod tests {
         // while processor 1 starts from subfile-1 (brick 9, 13), processor 2
         // from subfile-2 (brick 18, 22) and processor 3 from subfile-3
         // (brick 27, 31)"
-        let (layout, map) = fig3();
+        let (layout, _) = fig3();
         for rank in 0..4usize {
             let lo = rank as u64 * 8;
             let runs = whole_brick_runs(&layout, lo, lo + 8);
-            let reqs = plan_reads(&runs, &map, &layout, true, Granularity::Brick, rank);
+            let reqs = plan(&runs, Granularity::Brick, rank);
             assert_eq!(
                 reqs[0].server, rank,
                 "processor {rank} starts at subfile-{rank}"
             );
-            // the first request's bricks match the paper's listing
-            let expected_first_bricks: Vec<u64> = match rank {
+            let first_bricks: Vec<u64> = reqs[0].bricks.iter().map(|&(b, _)| b).collect();
+            let expected: Vec<u64> = match rank {
                 0 => vec![0, 4],
                 1 => vec![9, 13],
                 2 => vec![18, 22],
                 3 => vec![27, 31],
                 _ => unreachable!(),
             };
-            let first_offsets: Vec<u64> = expected_first_bricks
-                .iter()
-                .map(|&b| map.subfile_offset(b, &layout))
-                .collect();
-            let got_offsets: Vec<u64> = reqs[0].ranges.iter().map(|(o, _)| *o).collect();
-            assert_eq!(got_offsets, first_offsets);
+            assert_eq!(first_bricks, expected);
         }
     }
 
     #[test]
     fn brick_granularity_fetches_whole_bricks() {
-        let (layout, map) = fig3();
         // 2 useful bytes from brick 0
-        let runs = vec![BrickRun {
-            brick: 0,
-            brick_off: 10,
-            buf_off: 0,
-            len: 2,
-        }];
-        let reqs = plan_reads(&runs, &map, &layout, false, Granularity::Brick, 0);
+        let reqs = plan(&[run(0, 10, 0, 2)], Granularity::Brick, 0);
         assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].wire_bytes(), 64); // whole brick on the wire
-        assert_eq!(reqs[0].useful_bytes(), 2); // 2 bytes kept
-        assert_eq!(
-            reqs[0].scatter,
-            vec![ScatterPiece {
-                chunk: 0,
-                chunk_off: 10,
-                buf_off: 0,
-                len: 2
-            }]
-        );
+        assert_eq!(reqs[0].ranges, vec![(0, 64)]); // whole brick on the wire
+        assert_eq!(reqs[0].pieces, vec![piece(10, 0, 2)]); // 2 bytes kept
+        assert_eq!(reqs[0].wire_bytes(), 64);
+        assert_eq!(reqs[0].useful_bytes(), 2);
     }
 
     #[test]
     fn exact_granularity_fetches_only_needed() {
-        let (layout, map) = fig3();
-        let runs = vec![BrickRun {
-            brick: 0,
-            brick_off: 10,
-            buf_off: 0,
-            len: 2,
-        }];
-        let reqs = plan_reads(&runs, &map, &layout, false, Granularity::Exact, 0);
+        let reqs = plan(&[run(0, 10, 0, 2)], Granularity::Exact, 0);
         assert_eq!(reqs[0].wire_bytes(), 2);
         assert_eq!(reqs[0].ranges, vec![(10, 2)]);
+        assert!(reqs[0].bricks.is_empty());
     }
 
     #[test]
     fn exact_granularity_coalesces_adjacent() {
-        let (layout, map) = fig3();
-        let runs = vec![
-            BrickRun {
-                brick: 0,
-                brick_off: 0,
-                buf_off: 0,
-                len: 8,
-            },
-            BrickRun {
-                brick: 0,
-                brick_off: 8,
-                buf_off: 8,
-                len: 8,
-            },
-            BrickRun {
-                brick: 0,
-                brick_off: 32,
-                buf_off: 16,
-                len: 4,
-            },
-        ];
-        let reqs = plan_reads(&runs, &map, &layout, false, Granularity::Exact, 0);
+        let runs = [run(0, 0, 0, 8), run(0, 8, 8, 8), run(0, 32, 16, 4)];
+        let reqs = plan(&runs, Granularity::Exact, 0);
         assert_eq!(reqs[0].ranges, vec![(0, 16), (32, 4)]);
-    }
-
-    #[test]
-    fn writes_use_exact_ranges_and_combine() {
-        let (layout, map) = fig3();
-        let runs = whole_brick_runs(&layout, 0, 8);
-        let general = plan_writes(&runs, &map, &layout, false, 0);
-        assert_eq!(general.len(), 8);
-        let combined = plan_writes(&runs, &map, &layout, true, 0);
-        assert_eq!(combined.len(), 4);
-        // server 0 receives bricks 0 and 4, contiguous slots 0 and 1:
-        // ranges coalesce only if buffer offsets are also adjacent;
-        // buffer offsets are 0 and 4*64=256, so they stay separate
-        assert_eq!(combined[0].ranges.len(), 2);
-        let total: u64 = combined.iter().map(|r| r.wire_bytes()).sum();
-        assert_eq!(total, 8 * 64);
-    }
-
-    #[test]
-    fn write_coalescing_when_buffer_adjacent() {
-        let (layout, map) = fig3();
-        // two runs adjacent in both subfile and buffer within brick 0
-        let runs = vec![
-            BrickRun {
-                brick: 0,
-                brick_off: 0,
-                buf_off: 0,
-                len: 4,
-            },
-            BrickRun {
-                brick: 0,
-                brick_off: 4,
-                buf_off: 4,
-                len: 4,
-            },
-        ];
-        let reqs = plan_writes(&runs, &map, &layout, false, 0);
-        assert_eq!(reqs[0].ranges, vec![(0, 0, 8)]);
+        assert_eq!(
+            reqs[0].pieces,
+            vec![piece(0, 0, 8), piece(8, 8, 8), piece(16, 16, 4)]
+        );
     }
 
     #[test]
     fn rotation_with_absent_servers() {
         // only servers 1 and 3 touched; start at 2 -> order 3, 1
-        let (layout, map) = fig3();
-        let runs = vec![
-            BrickRun {
-                brick: 1,
-                brick_off: 0,
-                buf_off: 0,
-                len: 64,
-            },
-            BrickRun {
-                brick: 3,
-                brick_off: 0,
-                buf_off: 64,
-                len: 64,
-            },
-        ];
-        let reqs = plan_reads(&runs, &map, &layout, true, Granularity::Brick, 2);
+        let runs = [run(1, 0, 0, 64), run(3, 0, 64, 64)];
+        let reqs = plan(&runs, Granularity::Brick, 2);
         let servers: Vec<usize> = reqs.iter().map(|r| r.server).collect();
         assert_eq!(servers, vec![3, 1]);
     }
 
     #[test]
     fn empty_runs_plan_nothing() {
-        let (layout, map) = fig3();
-        assert!(plan_reads(&[], &map, &layout, true, Granularity::Brick, 0).is_empty());
-        assert!(plan_writes(&[], &map, &layout, false, 0).is_empty());
-        assert!(plan_list(&[], &map, &layout, Granularity::Exact, 0)
-            .unwrap()
-            .is_empty());
+        assert!(plan(&[], Granularity::Brick, 0).is_empty());
+        assert!(plan(&[], Granularity::Exact, 0).is_empty());
     }
 
     #[test]
-    fn list_plan_coalesces_on_subfile_adjacency_alone() {
-        let (layout, map) = fig3();
-        // Bricks 0 and 4 live at server 0 slots 0 and 1 — adjacent in the
-        // subfile but far apart in the buffer. Legacy write planning keeps
-        // them as two ranges (`writes_use_exact_ranges_and_combine`); the
-        // list planner merges them and lets the pieces carry the mapping.
-        let runs = whole_brick_runs(&layout, 0, 8);
-        let reqs = plan_list(&runs, &map, &layout, Granularity::Exact, 0).unwrap();
-        assert_eq!(reqs.len(), 4);
-        assert_eq!(reqs[0].server, 0);
-        assert_eq!(reqs[0].ranges, vec![(0, 128)]); // bricks 0+4 merged
+    fn overlapping_runs_merge_into_one_range() {
+        // Runs given out of offset order, the second overlapping the
+        // first's bytes 4..8 and a third nested inside: one range, pieces
+        // in brick-offset order, payload offsets relative to the range.
+        let runs = [run(0, 4, 8, 8), run(0, 0, 0, 8), run(0, 6, 16, 2)];
+        let reqs = plan(&runs, Granularity::Exact, 0);
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].ranges, vec![(0, 12)]);
         assert_eq!(
             reqs[0].pieces,
-            vec![
-                ListPiece {
-                    payload_off: 0,
-                    buf_off: 0,
-                    len: 64
-                },
-                ListPiece {
-                    payload_off: 64,
-                    buf_off: 4 * 64,
-                    len: 64
-                },
-            ]
+            vec![piece(0, 0, 8), piece(4, 8, 8), piece(6, 16, 2)]
         );
-        assert_eq!(reqs[0].wire_bytes(), 128);
-        assert_eq!(reqs[0].useful_bytes(), 128);
-    }
-
-    #[test]
-    fn list_plan_brick_granularity_marks_discard_bytes() {
-        let (layout, map) = fig3();
-        let runs = vec![BrickRun {
-            brick: 0,
-            brick_off: 10,
-            buf_off: 0,
-            len: 2,
-        }];
-        let reqs = plan_list(&runs, &map, &layout, Granularity::Brick, 0).unwrap();
-        assert_eq!(reqs[0].ranges, vec![(0, 64)]); // whole brick on the wire
-        assert_eq!(
-            reqs[0].pieces,
-            vec![ListPiece {
-                payload_off: 10,
-                buf_off: 0,
-                len: 2
-            }]
-        );
-        assert_eq!(reqs[0].useful_bytes(), 2);
-    }
-
-    #[test]
-    fn list_plan_staggers_like_legacy() {
-        let (layout, map) = fig3();
-        let runs = whole_brick_runs(&layout, 0, 8);
-        for rank in 0..4usize {
-            let reqs = plan_list(&runs, &map, &layout, Granularity::Exact, rank).unwrap();
-            assert_eq!(reqs[0].server, rank);
-        }
-    }
-
-    #[test]
-    fn list_plan_rejects_overlapping_runs() {
-        let (layout, map) = fig3();
-        let runs = vec![
-            BrickRun {
-                brick: 0,
-                brick_off: 0,
-                buf_off: 0,
-                len: 8,
-            },
-            BrickRun {
-                brick: 0,
-                brick_off: 4, // overlaps the first run's bytes 4..8
-                buf_off: 8,
-                len: 8,
-            },
-        ];
-        assert!(plan_list(&runs, &map, &layout, Granularity::Exact, 0).is_none());
-        // legacy planning still accepts them
-        assert!(!plan_writes(&runs, &map, &layout, true, 0).is_empty());
+        assert_eq!(reqs[0].wire_bytes(), 12);
+        assert_eq!(reqs[0].useful_bytes(), 18);
+        // A later, disjoint run starts a new range after the merged one.
+        let runs = [run(0, 0, 0, 8), run(0, 4, 8, 8), run(0, 20, 16, 4)];
+        let reqs = plan(&runs, Granularity::Exact, 0);
+        assert_eq!(reqs[0].ranges, vec![(0, 12), (20, 4)]);
+        assert_eq!(reqs[0].pieces[2], piece(12, 16, 4));
     }
 }

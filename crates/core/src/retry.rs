@@ -11,9 +11,9 @@
 //! number, so test runs replay exactly).
 //!
 //! The policy is wired into [`crate::conn::ConnPool`]: `rpc` and the
-//! [`crate::file::FileHandle`] fan-out retry transparently; the lockstep
-//! ablation path stays retry-free so PR 1/2 baselines measure what they
-//! always measured.
+//! [`crate::file::FileHandle`] fan-out retry transparently, each waiter
+//! reissuing its own request while the other servers' responses keep
+//! arriving.
 
 use std::time::Duration;
 

@@ -1,14 +1,12 @@
 //! Multiplexed RPC transport: pipelined per-server connections.
 //!
 //! The paper's client "invokes system communication API such as socket"
-//! per request (§2); PR 1 reproduced that as lockstep — one in-flight RPC
-//! per server connection, the slot lock held across the whole round-trip.
-//! This module replaces that with a multiplexed transport in the style of
-//! PVFS-era pipelined I/O stacks:
+//! per request (§2). Here each server gets one persistent connection that
+//! carries many requests at once:
 //!
 //! - **Writer path**: [`Transport::submit`] stamps the request with a fresh
 //!   correlation ID, registers a waiter in the in-flight table, writes the
-//!   v2 frame under a short writer lock, and returns a [`Pending`] without
+//!   frame under a short writer lock, and returns a [`Pending`] without
 //!   waiting for the response. Many requests can be on the wire at once.
 //! - **Demux reader**: one dedicated thread per connection reads response
 //!   frames, looks the correlation ID up in the in-flight table, and
@@ -20,10 +18,6 @@
 //! - **Error fan-out**: when a connection dies — read error, write error,
 //!   undecodable response, peer close — every in-flight waiter is completed
 //!   with [`DpfsError::Disconnected`]. Nothing hangs.
-//!
-//! [`Transport::lockstep_gate`] restores PR 1's one-RPC-at-a-time-per-server
-//! behaviour for ablation: holding the gate across submit+wait serializes
-//! callers without touching the pipelined machinery.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
@@ -33,7 +27,7 @@ use std::time::Duration;
 
 use dpfs_obs::{HistSnapshot, Histogram};
 use dpfs_proto::{frame, Request, Response};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::conn::Resolver;
 use crate::error::{DpfsError, Result};
@@ -186,9 +180,6 @@ pub struct Transport {
     /// observed. Held only to look up / replace the `Arc`.
     slot: Mutex<Option<Arc<Conn>>>,
     next_id: AtomicU64,
-    /// Ablation gate (PR 1 baseline): held across submit+wait to allow at
-    /// most one in-flight RPC on this server. Unused in multiplexed mode.
-    gate: Mutex<()>,
     counters: Arc<Counters>,
 }
 
@@ -200,7 +191,6 @@ impl Transport {
             resolver,
             slot: Mutex::new(None),
             next_id: AtomicU64::new(1),
-            gate: Mutex::new(()),
             counters: Arc::new(Counters::default()),
         }
     }
@@ -391,12 +381,6 @@ impl Transport {
             .meta_cache_misses
             .fetch_add(1, Ordering::Relaxed);
     }
-
-    /// The PR 1 ablation gate: hold the returned guard across submit+wait
-    /// to restore one-in-flight-per-server lockstep.
-    pub fn lockstep_gate(&self) -> MutexGuard<'_, ()> {
-        self.gate.lock()
-    }
 }
 
 /// A submitted request awaiting its response.
@@ -501,15 +485,7 @@ fn demux_loop(mut stream: TcpStream, conn: Arc<Conn>) {
                 return;
             }
         };
-        let Some(id) = frame.corr_id else {
-            // We only ever send v2 requests; a v1 response frame means the
-            // peer is confused about which protocol this connection speaks.
-            conn.poison(&format!(
-                "server {} sent an uncorrelated frame",
-                conn.server
-            ));
-            return;
-        };
+        let id = frame.corr_id;
         let resp = match Response::decode(frame.payload) {
             Ok(r) => r,
             Err(e) => {

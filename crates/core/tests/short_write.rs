@@ -38,11 +38,7 @@ fn serve(mut stream: TcpStream) {
             }
             _ => Response::Pong,
         };
-        let wrote = match frame.corr_id {
-            Some(id) => frame::write_frame_v2(&mut stream, id, &resp.encode()),
-            None => frame::write_frame(&mut stream, &resp.encode()),
-        };
-        if wrote.is_err() {
+        if frame::write_frame_v2(&mut stream, frame.corr_id, &resp.encode()).is_err() {
             return;
         }
     }

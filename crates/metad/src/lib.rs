@@ -56,7 +56,7 @@ fn metad_event(
 }
 
 /// Request-path counters plus per-op service-time histograms. Shared by
-/// connection threads and per-connection workers; everything is atomic or
+/// the serve core's workers; everything is atomic or
 /// behind a short registry lock (the histograms themselves record
 /// lock-free).
 #[derive(Default)]
@@ -951,8 +951,8 @@ mod tests {
         let mut server = MetaServer::start(MetadConfig::in_memory()).unwrap();
         let mut c = TcpStream::connect(server.addr()).unwrap();
         let rpc = |c: &mut TcpStream, req: Request| -> Response {
-            frame::write_frame(c, &req.encode()).unwrap();
-            Response::decode(frame::read_frame(c).unwrap()).unwrap()
+            frame::write_frame_v2(c, 1, &req.encode()).unwrap();
+            Response::decode(frame::read_frame_any(c).unwrap().payload).unwrap()
         };
         assert_eq!(rpc(&mut c, Request::Ping), Response::Pong);
         let resp = rpc(

@@ -1,29 +1,24 @@
 //! Length-prefixed, CRC-protected framing over any `Read`/`Write` stream.
 //!
-//! Three header versions coexist on the wire:
+//! Two headers are on the wire; the magic says which:
 //!
-//! - **v1** (`"DPFS"`): `[magic][len u32][crc u32][payload]` — the original
-//!   lockstep protocol. Kept for ablation and for old peers.
 //! - **v2** (`"DPF2"`): `[magic][correlation id u64][len u32][crc u32]
-//!   [payload]` — the multiplexed transport. The correlation ID ties a
-//!   response frame back to the request it answers, so many requests can be
-//!   in flight on one connection and complete out of order.
+//!   [payload]`. The correlation ID ties a response frame back to the
+//!   request it answers, so many requests can be in flight on one
+//!   connection and complete out of order.
 //! - **v3** (`"DPF3"`): `[magic][correlation id u64][trace id u64][len u32]
 //!   [crc u32][payload]` — v2 plus a trace ID, so server-side events join
-//!   the client operation's trace. Clients only emit v3 for traced
-//!   requests; untraced traffic stays v2, and servers keep answering in v2
-//!   (the client already knows the trace ID it sent).
+//!   the client operation's trace. Clients emit v3 for traced requests
+//!   only; untraced traffic stays v2, and servers always answer in v2 (the
+//!   client already knows the trace ID it sent).
 //!
-//! [`read_frame_any`] accepts all versions (the magic disambiguates), so a
-//! current server still serves v1 clients; [`read_frame`] accepts only v1.
+//! Anything else — the uncorrelated `"DPFS"` v1 header included — is
+//! [`FrameError::BadMagic`], and the connection that sent it is corrupt.
 
 use std::fmt;
 use std::io::{Read, Write};
 
 use bytes::{Buf, Bytes};
-
-/// `"DPFS"` — first four bytes of every v1 frame.
-pub const MAGIC: [u8; 4] = *b"DPFS";
 
 /// `"DPF2"` — first four bytes of every v2 (correlated) frame.
 pub const MAGIC_V2: [u8; 4] = *b"DPF2";
@@ -40,7 +35,7 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 pub enum FrameError {
     /// Underlying stream I/O failed.
     Io(std::io::Error),
-    /// First four bytes were not the DPFS magic.
+    /// First four bytes were not a frame magic.
     BadMagic([u8; 4]),
     /// Declared payload length exceeds [`MAX_FRAME_LEN`].
     Oversized(usize),
@@ -94,7 +89,6 @@ pub use dpfs_meta::codec::{crc32, crc32_update};
 /// Which header a frame carries, with the IDs that header holds.
 #[derive(Clone, Copy)]
 enum Version {
-    V1,
     V2 { corr_id: u64 },
     V3 { corr_id: u64, trace_id: u64 },
 }
@@ -117,7 +111,6 @@ fn header<'a>(
     }
     let mut h = Vec::with_capacity(MAX_HEADER_LEN);
     match version {
-        Version::V1 => h.extend_from_slice(&MAGIC),
         Version::V2 { corr_id } => {
             h.extend_from_slice(&MAGIC_V2);
             h.extend_from_slice(&corr_id.to_le_bytes());
@@ -133,21 +126,16 @@ fn header<'a>(
     Ok(h)
 }
 
-/// The header of a response frame whose payload is the concatenation of
-/// `parts`: v2 echoing `corr_id`, or v1 for a lockstep peer that sent
-/// none. For writers that queue `[header, parts...]` instead of writing
-/// through a `Write` — the server's outbound queue — so a reply is
-/// checksummed once, outside any lock, and its payload is never glued
-/// into a frame buffer.
+/// The v2 header of a response frame echoing `corr_id`, whose payload is
+/// the concatenation of `parts`. For writers that queue `[header,
+/// parts...]` instead of writing through a `Write` — the server's outbound
+/// queue — so a reply is checksummed once, outside any lock, and its
+/// payload is never glued into a frame buffer.
 pub fn response_header<'a>(
-    corr_id: Option<u64>,
+    corr_id: u64,
     parts: impl IntoIterator<Item = &'a [u8]>,
 ) -> Result<Vec<u8>, FrameError> {
-    let version = match corr_id {
-        Some(corr_id) => Version::V2 { corr_id },
-        None => Version::V1,
-    };
-    header(version, parts)
+    header(Version::V2 { corr_id }, parts)
 }
 
 /// Write every byte of `bufs`, preferring one `write_vectored` syscall
@@ -203,11 +191,6 @@ fn write_parts<W: Write>(w: &mut W, version: Version, parts: &[&[u8]]) -> Result
     Ok(())
 }
 
-/// Write one v1 frame containing `payload`.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    write_parts(w, Version::V1, &[payload])
-}
-
 /// Write one v2 frame carrying `corr_id` and `payload`.
 pub fn write_frame_v2<W: Write>(w: &mut W, corr_id: u64, payload: &[u8]) -> Result<(), FrameError> {
     write_frame_v2_parts(w, corr_id, &[payload])
@@ -244,14 +227,13 @@ pub fn write_frame_v3_parts<W: Write>(
     write_parts(w, Version::V3 { corr_id, trace_id }, parts)
 }
 
-/// One decoded frame of any version. `corr_id` is `None` for v1 frames
-/// (the lockstep protocol has no correlation) and `Some(id)` for v2/v3.
+/// One decoded frame of either version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Correlation ID (v2/v3), or `None` (v1).
-    pub corr_id: Option<u64>,
-    /// Trace ID (v3); 0 means untraced (v1/v2, or a v3 frame that chose
-    /// not to trace).
+    /// Correlation ID: a response echoes its request's.
+    pub corr_id: u64,
+    /// Trace ID (v3); 0 means untraced (v2, or a v3 frame that chose not
+    /// to trace).
     pub trace_id: u64,
     /// The frame payload.
     pub payload: Bytes,
@@ -260,7 +242,6 @@ pub struct Frame {
 /// Header length announced by a frame's magic.
 fn header_len(magic: [u8; 4]) -> Result<usize, FrameError> {
     match magic {
-        MAGIC => Ok(12),
         MAGIC_V2 => Ok(20),
         MAGIC_V3 => Ok(28),
         other => Err(FrameError::BadMagic(other)),
@@ -269,7 +250,7 @@ fn header_len(magic: [u8; 4]) -> Result<usize, FrameError> {
 
 /// What a frame header says about its frame.
 struct Header {
-    corr_id: Option<u64>,
+    corr_id: u64,
     trace_id: u64,
     /// Payload length, already checked against [`MAX_FRAME_LEN`].
     len: usize,
@@ -288,7 +269,7 @@ impl Header {
             return Err(FrameError::Oversized(len));
         }
         Ok(Header {
-            corr_id: (h.len() > 12).then(|| u64_at(4)),
+            corr_id: u64_at(4),
             trace_id: if h.len() > 20 { u64_at(12) } else { 0 },
             len,
             crc: u32_at(h.len() - 4),
@@ -340,7 +321,7 @@ pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
     Ok(peek_header(buf)?.map(|(h, n)| n + h.len))
 }
 
-/// Try to decode one frame (any version) from the front of `buf` without
+/// Try to decode one frame (either version) from the front of `buf` without
 /// consuming anything on failure.
 ///
 /// - `Ok(Some((frame, consumed)))` — a complete frame; the caller should
@@ -419,20 +400,9 @@ fn read_after_magic<R: Read>(r: &mut R, magic: [u8; 4]) -> Result<Frame, FrameEr
     header.frame(Bytes::from(payload))
 }
 
-/// Read one v1 frame, returning its payload. `Err(Closed)` when the peer
-/// shut the stream down cleanly before a new frame began.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Bytes, FrameError> {
-    let mut magic = [0u8; 4];
-    read_exactly(r, &mut magic, true)?;
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    Ok(read_after_magic(r, magic)?.payload)
-}
-
-/// Read one frame of any version. v1 frames come back with
-/// `corr_id: None`; v2/v3 frames carry their correlation ID, and v3
-/// frames additionally carry a trace ID (0 elsewhere).
+/// Read one frame of either version (a v2 frame's trace ID is 0).
+/// `Err(Closed)` when the peer shut the stream down cleanly before a new
+/// frame began.
 pub fn read_frame_any<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
     let mut magic = [0u8; 4];
     read_exactly(r, &mut magic, true)?;
@@ -445,73 +415,49 @@ mod tests {
     use std::io::Cursor;
 
     #[test]
-    fn round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello dpfs").unwrap();
-        let got = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(&got[..], b"hello dpfs");
-    }
-
-    #[test]
     fn empty_payload_round_trip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"").unwrap();
-        let got = read_frame(&mut Cursor::new(&buf)).unwrap();
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn several_frames_in_sequence() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
-        let mut c = Cursor::new(&buf);
-        assert_eq!(&read_frame(&mut c).unwrap()[..], b"one");
-        assert_eq!(&read_frame(&mut c).unwrap()[..], b"two");
-        assert!(matches!(read_frame(&mut c), Err(FrameError::Closed)));
+        write_frame_v2(&mut buf, 1, b"").unwrap();
+        let got = read_frame_any(&mut Cursor::new(&buf)).unwrap();
+        assert!(got.payload.is_empty());
     }
 
     #[test]
     fn clean_eof_is_closed() {
         let empty: &[u8] = &[];
         assert!(matches!(
-            read_frame(&mut Cursor::new(empty)),
+            read_frame_any(&mut Cursor::new(empty)),
             Err(FrameError::Closed)
-        ));
-    }
-
-    #[test]
-    fn torn_header_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        buf.truncate(6);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_payload_detected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"payload").unwrap();
-        let n = buf.len();
-        buf[n - 1] ^= 0xFF;
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadChecksum { .. })
         ));
     }
 
     #[test]
     fn bad_magic_detected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"x").unwrap();
+        write_frame_v2(&mut buf, 1, b"x").unwrap();
         buf[0] = b'X';
         assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
+            read_frame_any(&mut Cursor::new(&buf)),
             Err(FrameError::BadMagic(_))
         ));
+    }
+
+    /// The uncorrelated v1 header (`"DPFS"`, length, CRC) is no longer a
+    /// frame: every reader refuses it by its magic.
+    #[test]
+    fn v1_frame_is_bad_magic() {
+        let payload = b"legacy";
+        let mut v1 = b"DPFS".to_vec();
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&crc32(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        let refused = |e: FrameError| matches!(e, FrameError::BadMagic(m) if &m == b"DPFS");
+        assert!(refused(read_frame_any(&mut Cursor::new(&v1)).unwrap_err()));
+        assert!(refused(decode_slice(&v1).unwrap_err()));
+        assert!(refused(
+            decode_bytes(&mut Bytes::from(v1.clone())).unwrap_err()
+        ));
+        assert!(refused(frame_len(&v1).unwrap_err()));
     }
 
     #[test]
@@ -519,45 +465,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_v2(&mut buf, 0xDEAD_BEEF_0042, b"pipelined").unwrap();
         let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, Some(0xDEAD_BEEF_0042));
+        assert_eq!(frame.corr_id, 0xDEAD_BEEF_0042);
+        assert_eq!(frame.trace_id, 0, "v2 frames are untraced");
         assert_eq!(&frame.payload[..], b"pipelined");
-    }
-
-    #[test]
-    fn read_frame_any_accepts_v1() {
-        // forward compat: a demuxing reader still understands old peers
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"legacy").unwrap();
-        let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, None);
-        assert_eq!(&frame.payload[..], b"legacy");
-    }
-
-    #[test]
-    fn v1_reader_rejects_v2_frames() {
-        // old peers see a clean BadMagic, not silent corruption
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 7, b"new").unwrap();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadMagic(m)) if m == MAGIC_V2
-        ));
-    }
-
-    #[test]
-    fn mixed_version_stream_demuxes() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 1, b"one").unwrap();
-        write_frame(&mut buf, b"two").unwrap();
-        write_frame_v2(&mut buf, u64::MAX, b"three").unwrap();
-        let mut c = Cursor::new(&buf);
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(1), &b"one"[..]));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (None, &b"two"[..]));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(u64::MAX), &b"three"[..]));
-        assert!(matches!(read_frame_any(&mut c), Err(FrameError::Closed)));
     }
 
     #[test]
@@ -594,44 +504,26 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_v3(&mut buf, 0x1122, 0xABCD_EF01_2345, b"traced").unwrap();
         let frame = read_frame_any(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(frame.corr_id, Some(0x1122));
+        assert_eq!(frame.corr_id, 0x1122);
         assert_eq!(frame.trace_id, 0xABCD_EF01_2345);
         assert_eq!(&frame.payload[..], b"traced");
     }
 
     #[test]
-    fn v1_and_v2_frames_report_zero_trace_id() {
+    fn mixed_version_stream_demuxes() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
-        write_frame_v2(&mut buf, 5, b"two").unwrap();
-        let mut c = Cursor::new(&buf);
-        assert_eq!(read_frame_any(&mut c).unwrap().trace_id, 0);
-        assert_eq!(read_frame_any(&mut c).unwrap().trace_id, 0);
-    }
-
-    #[test]
-    fn v1_reader_rejects_v3_frames() {
-        let mut buf = Vec::new();
-        write_frame_v3(&mut buf, 1, 2, b"new").unwrap();
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
-            Err(FrameError::BadMagic(m)) if m == MAGIC_V3
-        ));
-    }
-
-    #[test]
-    fn mixed_v123_stream_demuxes() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
         write_frame_v2(&mut buf, 2, b"two").unwrap();
         write_frame_v3(&mut buf, 3, 33, b"three").unwrap();
+        write_frame_v2(&mut buf, u64::MAX, b"four").unwrap();
         let mut c = Cursor::new(&buf);
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (None, 0));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (Some(2), 0));
-        let f = read_frame_any(&mut c).unwrap();
-        assert_eq!((f.corr_id, f.trace_id), (Some(3), 33));
+        for want in [
+            (2, 0, &b"two"[..]),
+            (3, 33, b"three"),
+            (u64::MAX, 0, b"four"),
+        ] {
+            let f = read_frame_any(&mut c).unwrap();
+            assert_eq!((f.corr_id, f.trace_id, &f.payload[..]), want);
+        }
         assert!(matches!(read_frame_any(&mut c), Err(FrameError::Closed)));
     }
 
@@ -665,25 +557,18 @@ mod tests {
     }
 
     #[test]
-    fn decode_slice_round_trips_every_version() {
+    fn decode_slice_round_trips_both_versions() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"one").unwrap();
         write_frame_v2(&mut buf, 2, b"two").unwrap();
         write_frame_v3(&mut buf, 3, 33, b"three").unwrap();
-        let (f, n) = decode_slice(&buf).unwrap().unwrap();
+        let (f, n2) = decode_slice(&buf).unwrap().unwrap();
+        assert_eq!((f.corr_id, f.trace_id, &f.payload[..]), (2, 0, &b"two"[..]));
+        let (f, n3) = decode_slice(&buf[n2..]).unwrap().unwrap();
         assert_eq!(
             (f.corr_id, f.trace_id, &f.payload[..]),
-            (None, 0, &b"one"[..])
+            (3, 33, &b"three"[..])
         );
-        let rest = &buf[n..];
-        let (f, n2) = decode_slice(rest).unwrap().unwrap();
-        assert_eq!((f.corr_id, &f.payload[..]), (Some(2), &b"two"[..]));
-        let (f, n3) = decode_slice(&rest[n2..]).unwrap().unwrap();
-        assert_eq!(
-            (f.corr_id, f.trace_id, &f.payload[..]),
-            (Some(3), 33, &b"three"[..])
-        );
-        assert_eq!(n + n2 + n3, buf.len());
+        assert_eq!(n2 + n3, buf.len());
         assert!(decode_slice(&[]).unwrap().is_none());
     }
 
@@ -707,7 +592,8 @@ mod tests {
             Err(FrameError::BadMagic(_))
         ));
         let mut oversized = Vec::new();
-        oversized.extend_from_slice(&MAGIC);
+        oversized.extend_from_slice(&MAGIC_V2);
+        oversized.extend_from_slice(&1u64.to_le_bytes());
         oversized.extend_from_slice(&u32::MAX.to_le_bytes());
         oversized.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
@@ -736,7 +622,7 @@ mod tests {
         );
     }
 
-    /// One fixed payload framed as v1, v2 and v3, byte for byte (headers
+    /// One fixed payload framed as v2 and v3, byte for byte (headers
     /// computed independently with zlib's CRC-32): the wire format a
     /// faster checksum must not move.
     #[test]
@@ -747,38 +633,29 @@ mod tests {
         const TRACE: [u8; 8] = [0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11];
         let golden = |pieces: &[&[u8]]| pieces.concat();
 
-        let v1 = golden(&[b"DPFS", &LEN_CRC, PAYLOAD]);
         let v2 = golden(&[b"DPF2", &CORR, &LEN_CRC, PAYLOAD]);
         let v3 = golden(&[b"DPF3", &CORR, &TRACE, &LEN_CRC, PAYLOAD]);
         let (corr_id, trace_id) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718);
 
         let mut out = Vec::new();
-        write_frame(&mut out, PAYLOAD).unwrap();
-        assert_eq!(out, v1);
-        out.clear();
         write_frame_v2(&mut out, corr_id, PAYLOAD).unwrap();
         assert_eq!(out, v2);
         out.clear();
         write_frame_v3_parts(&mut out, corr_id, trace_id, &[&PAYLOAD[..5], &PAYLOAD[5..]]).unwrap();
         assert_eq!(out, v3);
         // The queued-writer header is the same header.
-        assert_eq!(response_header(None, [PAYLOAD]).unwrap(), v1[..12]);
-        assert_eq!(response_header(Some(corr_id), [PAYLOAD]).unwrap(), v2[..20]);
+        assert_eq!(response_header(corr_id, [PAYLOAD]).unwrap(), v2[..20]);
 
-        for (bytes, corr, trace) in [
-            (&v1, None, 0),
-            (&v2, Some(corr_id), 0),
-            (&v3, Some(corr_id), trace_id),
-        ] {
+        for (bytes, trace) in [(&v2, 0), (&v3, trace_id)] {
             let f = read_frame_any(&mut Cursor::new(bytes)).unwrap();
             assert_eq!(
                 (f.corr_id, f.trace_id, &f.payload[..]),
-                (corr, trace, PAYLOAD)
+                (corr_id, trace, PAYLOAD)
             );
             let (f, used) = decode_slice(bytes).unwrap().unwrap();
             assert_eq!(
                 (f.corr_id, f.trace_id, &f.payload[..]),
-                (corr, trace, PAYLOAD)
+                (corr_id, trace, PAYLOAD)
             );
             assert_eq!(used, bytes.len());
         }
@@ -787,7 +664,7 @@ mod tests {
     #[test]
     fn decode_bytes_matches_decode_slice_without_copying() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"one").unwrap();
+        write_frame_v2(&mut wire, 1, b"one").unwrap();
         write_frame_v2(&mut wire, 2, b"two").unwrap();
         write_frame_v3(&mut wire, 3, 33, b"three").unwrap();
         let whole = wire.len();
@@ -838,7 +715,8 @@ mod tests {
             assert_eq!(frame_len(&wire[..cut]).unwrap(), Some(wire.len()));
         }
         assert!(matches!(frame_len(b"XXXX"), Err(FrameError::BadMagic(_))));
-        let mut oversized = MAGIC.to_vec();
+        let mut oversized = MAGIC_V2.to_vec();
+        oversized.extend_from_slice(&1u64.to_le_bytes());
         oversized.extend_from_slice(&u32::MAX.to_le_bytes());
         oversized.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
@@ -863,7 +741,7 @@ mod tests {
         assert_eq!(whole, split);
         // and the result still reads back as one frame
         let frame = read_frame_any(&mut Cursor::new(&split)).unwrap();
-        assert_eq!((frame.corr_id, frame.trace_id), (Some(42), 77));
+        assert_eq!((frame.corr_id, frame.trace_id), (42, 77));
         assert_eq!(&frame.payload[..], &payload[..]);
     }
 
@@ -927,11 +805,12 @@ mod tests {
     #[test]
     fn oversized_length_rejected_without_allocation() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&MAGIC_V2);
+        buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
-            read_frame(&mut Cursor::new(&buf)),
+            read_frame_any(&mut Cursor::new(&buf)),
             Err(FrameError::Oversized(_))
         ));
     }

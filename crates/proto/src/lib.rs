@@ -10,28 +10,25 @@
 //! bound for one server into one framed message instead of one message per
 //! brick.
 //!
-//! Framing (all integers little-endian) comes in three versions; the magic
-//! bytes disambiguate on the wire:
+//! Framing (all integers little-endian) has two headers; the magic bytes
+//! say which:
 //!
 //! ```text
-//! v1: [magic "DPFS": 4][payload len: u32][crc32(payload): u32][payload]
 //! v2: [magic "DPF2": 4][correlation id: u64][payload len: u32]
 //!     [crc32(payload): u32][payload]
 //! v3: [magic "DPF3": 4][correlation id: u64][trace id: u64]
 //!     [payload len: u32][crc32(payload): u32][payload]
 //! ```
 //!
-//! v2 adds a *correlation ID*: the client stamps each request, the server
+//! The client stamps each request with a *correlation ID*, the server
 //! echoes the stamp on the response, and the client's demultiplexing reader
 //! matches responses back to waiters — many requests can be in flight on
-//! one connection and complete out of order (the multiplexed transport in
-//! `dpfs-core::transport`). v1 remains the lockstep protocol, still decoded
-//! by every peer for backward compatibility and ablation.
+//! one connection and complete out of order (`dpfs-core::transport`).
 //!
 //! v3 adds a *trace ID* so server-side events (decode, queue wait, device
 //! time, injected delay, response write) join the client operation's trace.
-//! Clients emit v3 only for traced requests; responses stay v2 because the
-//! client already knows which trace it stamped.
+//! Clients emit v3 only for traced requests; responses are always v2
+//! because the client already knows which trace it stamped.
 //!
 //! The CRC detects torn or corrupted frames; a bad frame is a protocol error
 //! surfaced to the peer, never a panic.
@@ -44,8 +41,8 @@ pub mod meta;
 pub mod pattern;
 
 pub use frame::{
-    read_frame, read_frame_any, write_frame, write_frame_v2, write_frame_v2_parts, write_frame_v3,
-    write_frame_v3_parts, Frame, FrameError, MAX_FRAME_LEN,
+    read_frame_any, write_frame_v2, write_frame_v2_parts, write_frame_v3, write_frame_v3_parts,
+    Frame, FrameError, MAX_FRAME_LEN,
 };
 pub use message::{ErrorCode, Request, Response};
 pub use meta::{MetaOp, MetaResult};

@@ -13,11 +13,9 @@ use dpfs_proto::{Request, Response};
 
 use crate::handler::Handler;
 use crate::perf::PerfModel;
-use crate::service::{RuntimeMode, ServeConfig, ServeCore, Service};
+use crate::service::{ServeConfig, ServeCore, Service};
 use crate::stats::StatsSnapshot;
 use crate::subfile::SubfileStore;
-
-pub use crate::service::CONN_WORKERS;
 
 /// Configuration for one I/O server.
 #[derive(Debug, Clone)]
@@ -33,8 +31,8 @@ pub struct ServerConfig {
     pub perf: PerfModel,
     /// Listen address; `127.0.0.1:0` (ephemeral localhost port) by default.
     pub bind: String,
-    /// Serving-runtime selection and sizing (readiness shards by default).
-    pub runtime: ServeConfig,
+    /// Serving-core sizing (I/O shards and workers).
+    pub serve: ServeConfig,
 }
 
 impl ServerConfig {
@@ -46,7 +44,7 @@ impl ServerConfig {
             capacity: 0,
             perf,
             bind: "127.0.0.1:0".to_string(),
-            runtime: ServeConfig::default(),
+            serve: ServeConfig::default(),
         }
     }
 
@@ -54,13 +52,6 @@ impl ServerConfig {
     /// deployment).
     pub fn bind(mut self, addr: &str) -> Self {
         self.bind = addr.to_string();
-        self
-    }
-
-    /// Select a serving runtime (ablation baselines use
-    /// [`RuntimeMode::ThreadPerConn`]).
-    pub fn runtime(mut self, mode: RuntimeMode) -> Self {
-        self.runtime.mode = mode;
         self
     }
 }
@@ -93,7 +84,7 @@ impl IoServer {
         let store = SubfileStore::open(&config.root, config.capacity)
             .map_err(|e| io::Error::other(e.to_string()))?;
         let handler = Arc::new(Handler::new(&config.name, store, config.perf));
-        let core = ServeCore::start_with(&config.bind, handler.clone(), config.runtime)?;
+        let core = ServeCore::start_with(&config.bind, handler.clone(), config.serve)?;
         Ok(IoServer {
             name: config.name,
             handler,
@@ -121,30 +112,21 @@ impl IoServer {
         &self.handler
     }
 
-    /// Number of currently open client connections. (Connection threads
+    /// Number of currently open client connections. (Connections
     /// deregister asynchronously after the peer closes, so a just-closed
     /// connection may be counted briefly.)
     pub fn open_connections(&self) -> usize {
         self.core.open_connections()
     }
 
-    /// Number of per-connection threads not yet reaped (0 after [`stop`],
-    /// and always 0 in the readiness runtime, which has none).
-    ///
-    /// [`stop`]: IoServer::stop
-    pub fn live_connection_threads(&self) -> usize {
-        self.core.live_connection_threads()
-    }
-
-    /// Threads the serving runtime owns independent of connections
-    /// (acceptor + shards + workers). Fixed at start in the readiness
-    /// runtime — the C10K invariant.
+    /// The server's thread count (acceptor + shards + workers), fixed at
+    /// start whatever the number of connections — the C10K invariant.
     pub fn runtime_threads(&self) -> usize {
         self.core.runtime_threads()
     }
 
-    /// Stop accepting, sever live connections, and join the accept thread
-    /// *and every connection thread*. When this returns, the listener is
+    /// Stop accepting, drain or sever live connections, and join every
+    /// server thread. When this returns, the listener is
     /// closed, no server thread is running, and the port can be rebound
     /// immediately — a later restart on the same address never races a
     /// lingering listener or half-dead connection handler.
@@ -161,27 +143,22 @@ mod tests {
     use std::net::TcpStream;
 
     fn start_server(tag: &str) -> (IoServer, PathBuf) {
-        start_server_mode(tag, RuntimeMode::Readiness)
-    }
-
-    fn start_server_mode(tag: &str, mode: RuntimeMode) -> (IoServer, PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "dpfs-server-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let server = IoServer::start(
-            ServerConfig::new("test", &dir, PerfModel::unthrottled()).runtime(mode),
-        )
-        .unwrap();
+        let server =
+            IoServer::start(ServerConfig::new("test", &dir, PerfModel::unthrottled())).unwrap();
         (server, dir)
     }
 
     fn rpc(stream: &mut TcpStream, req: Request) -> Response {
-        frame::write_frame(stream, &req.encode()).unwrap();
-        let payload = frame::read_frame(stream).unwrap();
-        Response::decode(payload).unwrap()
+        frame::write_frame_v2(stream, 1, &req.encode()).unwrap();
+        let reply = frame::read_frame_any(stream).unwrap();
+        assert_eq!(reply.corr_id, 1);
+        Response::decode(reply.payload).unwrap()
     }
 
     #[test]
@@ -261,7 +238,7 @@ mod tests {
         let mut c = TcpStream::connect(server.addr()).unwrap();
         c.write_all(b"NOTDPFS_GARBAGE_____").unwrap();
         // server should close on us; a read sees EOF eventually
-        let res = frame::read_frame(&mut c);
+        let res = frame::read_frame_any(&mut c);
         assert!(res.is_err());
         // server still alive for new connections
         let mut c2 = TcpStream::connect(server.addr()).unwrap();
@@ -284,7 +261,7 @@ mod tests {
                 "round {round}: live connection should be registered"
             );
             drop(c);
-            // Deregistration happens on the connection thread after it sees
+            // Deregistration happens on the shard thread after it sees
             // EOF; poll briefly rather than assuming immediacy.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
             while server.open_connections() > 0 {
@@ -306,55 +283,17 @@ mod tests {
         server.stop();
         server.stop();
         assert!(TcpStream::connect(server.addr())
-            .map(|mut s| frame::read_frame(&mut s).is_err())
+            .map(|mut s| frame::read_frame_any(&mut s).is_err())
             .unwrap_or(true));
         drop(server);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn stop_reaps_connection_threads_and_frees_port() {
-        // Regression (ThreadPerConn baseline): connection threads used to
-        // be spawned detached, so stop() returned while handlers (and,
-        // transitively, anything racing the listener port) were still
-        // alive. stop() must join every server thread; the port must be
-        // immediately rebindable.
-        let (mut server, dir) = start_server_mode("reap", RuntimeMode::ThreadPerConn);
-        let addr = server.addr();
-        let mut clients: Vec<TcpStream> =
-            (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        for c in clients.iter_mut() {
-            assert_eq!(rpc(c, Request::Ping), Response::Pong);
-        }
-        assert!(server.live_connection_threads() >= 1);
-        server.stop();
-        assert_eq!(
-            server.live_connection_threads(),
-            0,
-            "stop() must reap every connection thread"
-        );
-        assert_eq!(server.open_connections(), 0);
-        // Same port, immediately: no lingering listener to race.
-        for round in 0..3 {
-            let cfg =
-                ServerConfig::new("test", &dir, PerfModel::unthrottled()).bind(&addr.to_string());
-            let mut restarted = IoServer::start(cfg)
-                .unwrap_or_else(|e| panic!("round {round}: rebind of {addr} failed: {e}"));
-            assert_eq!(restarted.addr(), addr);
-            let mut c = TcpStream::connect(addr).unwrap();
-            assert_eq!(rpc(&mut c, Request::Ping), Response::Pong);
-            drop(c);
-            restarted.stop();
-            assert_eq!(restarted.live_connection_threads(), 0);
-        }
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn readiness_thread_count_is_flat_and_stop_frees_port() {
-        // The C10K invariant at unit scale: the readiness runtime never
-        // grows a thread per connection, and stop() leaves the port
-        // immediately rebindable (same guarantee the baseline test pins).
+    fn thread_count_is_flat_and_stop_frees_port() {
+        // The C10K invariant at unit scale: the runtime never grows a
+        // thread per connection, and stop() — which joins every server
+        // thread — leaves the port immediately rebindable.
         let (mut server, dir) = start_server("flat");
         let addr = server.addr();
         let fixed = server.runtime_threads();
@@ -369,7 +308,6 @@ mod tests {
             fixed,
             "16 connections must not change the thread count"
         );
-        assert_eq!(server.live_connection_threads(), 0);
         server.stop();
         assert_eq!(server.open_connections(), 0);
         for round in 0..3 {
@@ -387,92 +325,86 @@ mod tests {
 
     #[test]
     fn shutdown_request_stops_server() {
-        for mode in [RuntimeMode::Readiness, RuntimeMode::ThreadPerConn] {
-            let (server, dir) = start_server_mode("shutreq", mode);
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            assert_eq!(rpc(&mut c, Request::Shutdown), Response::Pong);
-            // From here on a fresh connection is refused, or reset before
-            // it gets an answer, and the server lets go of every
-            // connection it held.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            loop {
-                let answered = TcpStream::connect(server.addr()).is_ok_and(|mut fresh| {
-                    frame::write_frame(&mut fresh, &Request::Ping.encode()).is_ok()
-                        && frame::read_frame(&mut fresh).is_ok()
-                });
-                if !answered && server.open_connections() == 0 {
-                    break;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{mode:?}: still serving after a wire shutdown \
-                     (answered: {answered}, open: {})",
-                    server.open_connections()
-                );
-                std::thread::sleep(std::time::Duration::from_millis(2));
+        let (server, dir) = start_server("shutreq");
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        assert_eq!(rpc(&mut c, Request::Shutdown), Response::Pong);
+        // From here on a fresh connection is refused, or reset before it
+        // gets an answer, and the server lets go of every connection it
+        // held.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let answered = TcpStream::connect(server.addr()).is_ok_and(|mut fresh| {
+                frame::write_frame_v2(&mut fresh, 1, &Request::Ping.encode()).is_ok()
+                    && frame::read_frame_any(&mut fresh).is_ok()
+            });
+            if !answered && server.open_connections() == 0 {
+                break;
             }
-            drop(server);
-            std::fs::remove_dir_all(dir).unwrap();
+            assert!(
+                std::time::Instant::now() < deadline,
+                "still serving after a wire shutdown (answered: {answered}, open: {})",
+                server.open_connections()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
+        drop(server);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// A wire `Request::Shutdown` must quiesce the whole server on its
     /// own — wake the acceptor, sever idle connections, close the
-    /// listener — without a follow-up connection (which is exactly what
-    /// the old runtime needed: only stop()'s self-dial ever unblocked
-    /// accept()).
+    /// listener — without a follow-up connection dialing in to unblock
+    /// anything.
     #[test]
     fn wire_shutdown_quiesces_without_a_followup_connection() {
-        for mode in [RuntimeMode::Readiness, RuntimeMode::ThreadPerConn] {
-            let (server, dir) = start_server_mode("wiredrain", mode);
-            let addr = server.addr();
-            // An *idle* second connection: nothing will ever poke it.
-            let mut idle = TcpStream::connect(addr).unwrap();
-            assert_eq!(rpc(&mut idle, Request::Ping), Response::Pong);
-            let mut c = TcpStream::connect(addr).unwrap();
-            assert_eq!(
-                rpc(&mut c, Request::Shutdown),
-                Response::Pong,
-                "{mode:?}: shutdown must be acknowledged before the drain"
-            );
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            // The idle connection gets severed...
-            idle.set_read_timeout(Some(std::time::Duration::from_millis(50)))
-                .unwrap();
-            let mut scratch = [0u8; 1];
-            loop {
-                use std::io::Read;
-                match idle.read(&mut scratch) {
-                    Ok(0) => break, // EOF: severed
-                    Ok(_) => panic!("{mode:?}: unsolicited bytes on the idle connection"),
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        assert!(
-                            std::time::Instant::now() < deadline,
-                            "{mode:?}: idle connection never severed by wire shutdown"
-                        );
-                    }
-                    Err(_) => break, // reset: also severed
+        let (server, dir) = start_server("wiredrain");
+        let addr = server.addr();
+        // An *idle* second connection: nothing will ever poke it.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        assert_eq!(rpc(&mut idle, Request::Ping), Response::Pong);
+        let mut c = TcpStream::connect(addr).unwrap();
+        assert_eq!(
+            rpc(&mut c, Request::Shutdown),
+            Response::Pong,
+            "shutdown must be acknowledged before the drain"
+        );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        // The idle connection gets severed...
+        idle.set_read_timeout(Some(std::time::Duration::from_millis(50)))
+            .unwrap();
+        let mut scratch = [0u8; 1];
+        loop {
+            use std::io::Read;
+            match idle.read(&mut scratch) {
+                Ok(0) => break, // EOF: severed
+                Ok(_) => panic!("unsolicited bytes on the idle connection"),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "idle connection never severed by wire shutdown"
+                    );
                 }
+                Err(_) => break, // reset: also severed
             }
-            // ...and the listener closes, with no client ever dialing in
-            // to wake it.
-            loop {
-                match TcpStream::connect(addr) {
-                    Err(_) => break,
-                    Ok(_) => {
-                        assert!(
-                            std::time::Instant::now() < deadline,
-                            "{mode:?}: listener still accepting after wire shutdown"
-                        );
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                }
-            }
-            drop(server);
-            std::fs::remove_dir_all(dir).unwrap();
         }
+        // ...and the listener closes, with no client ever dialing in to
+        // wake it.
+        loop {
+            match TcpStream::connect(addr) {
+                Err(_) => break,
+                Ok(_) => {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "listener still accepting after wire shutdown"
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+            }
+        }
+        drop(server);
+        std::fs::remove_dir_all(dir).unwrap();
     }
 }

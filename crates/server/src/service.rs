@@ -2,34 +2,25 @@
 //! request handler — the subfile [`Handler`](crate::Handler) or
 //! `dpfs-metad`'s metadata handler — can sit behind the same runtime.
 //!
-//! Two runtimes live here, selected by [`RuntimeMode`]:
+//! The runtime is a **fixed** set of threads regardless of how many clients
+//! connect, every one of them asleep in the kernel until there is work — no
+//! timer anywhere. The acceptor blocks in `poll(2)` on the listener; a small
+//! set of I/O *shards* each block in one `poll` over their many nonblocking
+//! connections, accumulating reads into per-connection buffers and decoding
+//! frames incrementally ([`dpfs_proto::frame::decode_bytes`]); a shared
+//! worker pool services decoded requests and writes each framed response to
+//! the owning connection's socket itself, leaving to the shard only what the
+//! socket would not take. Whatever a sleeping thread cannot see on its
+//! descriptors reaches it through its wake fd. C10K-ready: thread count is
+//! `1 + shards + workers`, independent of connections.
 //!
-//! - [`RuntimeMode::Readiness`] (the default): a **fixed** set of threads
-//!   regardless of how many clients connect, every one of them asleep in
-//!   the kernel until there is work — no timer anywhere. The acceptor
-//!   blocks in `poll(2)` on the listener; a small set of I/O *shards* each
-//!   block in one `poll` over their many nonblocking connections,
-//!   accumulating reads into per-connection buffers and decoding frames
-//!   incrementally ([`dpfs_proto::frame::decode_bytes`]); a shared worker
-//!   pool services decoded requests and writes each framed response to
-//!   the owning connection's socket itself, leaving to the shard only what
-//!   the socket would not take. Whatever a sleeping thread cannot see on
-//!   its descriptors reaches it through its wake fd. C10K-ready: thread
-//!   count is `1 + shards + workers`, independent of connections.
-//! - [`RuntimeMode::ThreadPerConn`]: the original thread-per-connection
-//!   model (one decode thread plus a [`CONN_WORKERS`]-deep pool *per
-//!   connection*), kept as the ablation baseline the readiness runtime is
-//!   measured against.
-//!
-//! Both runtimes preserve the serving contract: requests on one
-//! connection may overlap their service times and complete out of order,
-//! each response frame echoing its request's correlation ID; uncorrelated
-//! (wire v1) frames keep lockstep semantics — at most one in flight per
-//! connection, answered in order — so legacy peers never see responses
-//! they cannot attribute; and the `decode`/`queue`/`respond` server trace
-//! events survive unchanged.
+//! The serving contract: requests on one connection may overlap their
+//! service times and complete out of order, each response frame echoing its
+//! request's correlation ID; a frame that is not v2/v3 (bad magic, bad
+//! checksum, oversized) severs the connection that sent it and no other;
+//! and every request leaves `decode`/`queue`/`respond` server trace events.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ffi::c_short;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -60,26 +51,13 @@ pub trait Service: Send + Sync + 'static {
     fn note_connection(&self) {}
 }
 
-/// Which serving runtime a [`ServeCore`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Fixed thread count: acceptor + I/O shards, each blocked in
-    /// `poll(2)`, + shared worker pool. The default.
-    Readiness,
-    /// One decode thread and a [`CONN_WORKERS`] pool per connection
-    /// (PR 2/5 behaviour). Ablation baseline only.
-    ThreadPerConn,
-}
-
 /// Sizing knobs for the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Which runtime to run.
-    pub mode: RuntimeMode,
-    /// I/O shard threads (readiness mode). Each shard owns a slice of the
-    /// open connections. Clamped to at least 1.
+    /// I/O shard threads. Each shard owns a slice of the open connections.
+    /// Clamped to at least 1.
     pub shards: usize,
-    /// Shared request-handling workers (readiness mode): the depth to
+    /// Shared request-handling workers: the depth to
     /// which independent requests — across *all* connections — overlap
     /// their service times. Clamped to at least 2 so one connection's
     /// pipelined requests still overlap.
@@ -89,21 +67,16 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            mode: RuntimeMode::Readiness,
             shards: DEFAULT_SHARDS,
             workers: DEFAULT_WORKERS,
         }
     }
 }
 
-/// Worker threads per connection in [`RuntimeMode::ThreadPerConn`]: the
-/// pipelining depth one connection's requests can overlap at.
-pub const CONN_WORKERS: usize = 4;
-
-/// Default I/O shards for the readiness runtime.
+/// Default I/O shards.
 const DEFAULT_SHARDS: usize = 2;
 
-/// Default shared workers for the readiness runtime.
+/// Default shared workers.
 const DEFAULT_WORKERS: usize = 8;
 
 /// Bytes one connection may pull off its socket per shard pass before the
@@ -138,14 +111,14 @@ pub(crate) fn accept_error_backoff(consecutive: u32) -> Duration {
 }
 
 // ---------------------------------------------------------------------
-// Readiness runtime
+// Connections, shards, workers
 // ---------------------------------------------------------------------
 
 /// Outbound frames of one connection, as the refcounted parts they were
 /// framed from: the queue holds references to reply payloads, never
-/// copies. Whole frames are pushed (by workers, or by a per-connection
-/// writer); whoever owns the socket flushes with gathered writes. Empty
-/// until used, so an idle connection costs nothing.
+/// copies. Whole frames are pushed by workers; whoever holds the socket's
+/// lock flushes with gathered writes. Empty until used, so an idle
+/// connection costs nothing.
 #[derive(Default)]
 struct OutQueue {
     /// Unwritten parts in wire order. A partial write advances the front
@@ -205,10 +178,9 @@ impl OutQueue {
 
 /// Frame one response: encode it to parts (the payload stays the
 /// refcounted buffer the handler produced), checksum them in one pass,
-/// and prepend the header — echoing the request's correlation ID, v1
-/// framing when it had none. Touches no connection state, so callers run
-/// it outside their locks; both runtimes' writers send exactly this.
-fn frame_response(corr_id: Option<u64>, resp: &Response) -> Result<Vec<Bytes>, frame::FrameError> {
+/// and prepend the v2 header echoing the request's correlation ID.
+/// Touches no connection state, so callers run it outside their locks.
+fn frame_response(corr_id: u64, resp: &Response) -> Result<Vec<Bytes>, frame::FrameError> {
     let mut framed = resp.encode_parts();
     let header = frame::response_header(corr_id, framed.iter().map(|p| &p[..]))?;
     framed.insert(0, Bytes::from(header));
@@ -272,9 +244,9 @@ struct Shard {
     waker: Waker,
 }
 
-/// What the readiness runtime's threads share.
+/// What the runtime's threads share.
 struct Readiness {
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     acceptor: Waker,
     shards: Vec<Arc<Shard>>,
     conn_count: AtomicUsize,
@@ -294,7 +266,7 @@ impl Readiness {
 
 /// The half of one connection its shard shares with the workers: the
 /// socket and where responses go, plus the state the shard derives its
-/// poll interest and its lockstep and drain decisions from. A worker that
+/// poll interest and its drain decisions from. A worker that
 /// changes any of it in a way the shard must act on wakes the shard.
 struct ConnIo {
     /// Nonblocking. Only the owning shard reads it; whoever holds the
@@ -308,10 +280,6 @@ struct ConnIo {
     want_write: AtomicBool,
     /// Requests dispatched but not yet answered into `outbuf`.
     inflight: AtomicUsize,
-    /// A wire-v1 (uncorrelated) request is in flight: the shard must not
-    /// decode further frames from this connection until it completes,
-    /// preserving lockstep order for legacy peers.
-    v1_pending: AtomicBool,
     /// Peer sent FIN; the shard stopped reading and closes once what is
     /// in flight has been answered and flushed.
     peer_eof: AtomicBool,
@@ -328,7 +296,6 @@ impl ConnIo {
             outbuf: Mutex::new(OutQueue::default()),
             want_write: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
-            v1_pending: AtomicBool::new(false),
             peer_eof: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         }
@@ -346,7 +313,7 @@ impl ConnIo {
 /// every writer of this socket holds across its write — which keeps
 /// frames whole and in push order — so holding it for a megabyte of CRC
 /// would stall them. The write under it never blocks.
-fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) {
+fn enqueue_response(io: &ConnIo, corr_id: u64, resp: &Response) {
     let mut stuck = false;
     let mut fatal = true;
     if let Ok(framed) = frame_response(corr_id, resp) {
@@ -374,7 +341,7 @@ fn enqueue_response(io: &ConnIo, corr_id: Option<u64>, resp: &Response) {
 
 /// One decoded request bound for the shared worker pool.
 struct Job {
-    corr_id: Option<u64>,
+    corr_id: u64,
     /// Trace ID from the v3 frame (0 = untraced).
     trace_id: u64,
     /// [`dpfs_obs::now_ns`] at enqueue, for the queue-wait span.
@@ -386,7 +353,7 @@ struct Job {
 /// One connection owned by a shard.
 struct ShardConn {
     /// Unparsed bytes read off the socket: at most one partial frame
-    /// between passes (plus whole frames the lockstep gate holds back).
+    /// between passes.
     inbuf: Vec<u8>,
     io: Arc<ConnIo>,
     /// A `Shutdown` request was decoded; stop reading ahead of the drain.
@@ -394,19 +361,13 @@ struct ShardConn {
 }
 
 impl ShardConn {
-    /// No further frame may be decoded (or read) for now: a `Shutdown` was
-    /// decoded, or a lockstep (wire v1) request is still in flight.
-    fn gated(&self) -> bool {
-        self.stop_reading || self.io.v1_pending.load(Ordering::SeqCst)
-    }
-
     /// The poll interest this connection's state calls for. Readiness is
-    /// level-triggered: asking for input nobody will read (gated, at EOF,
-    /// draining), or for room to write nothing, would turn the shard's
-    /// `poll` into a spin.
+    /// level-triggered: asking for input nobody will read (after a
+    /// `Shutdown`, at EOF, draining), or for room to write nothing, would
+    /// turn the shard's `poll` into a spin.
     fn interest(&self, draining: bool) -> c_short {
         let mut events = 0;
-        if !draining && !self.gated() && !self.io.peer_eof.load(Ordering::SeqCst) {
+        if !draining && !self.stop_reading && !self.io.peer_eof.load(Ordering::SeqCst) {
             events |= POLLIN;
         }
         if self.io.want_write.load(Ordering::SeqCst) {
@@ -548,15 +509,15 @@ fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<u
 /// Once a whole frame is in, the buffer is frozen and frames are split off
 /// it: each request's payload is a refcounted window of the bytes the
 /// socket delivered, not a copy. What is left over — a partial frame, or
-/// whole frames the lockstep gate holds back — starts the next buffer.
+/// whatever followed a `Shutdown` — starts the next buffer.
 fn decode_ready(c: &mut ShardConn, service: &Arc<dyn Service>, jobs: &mpsc::Sender<Job>) -> bool {
     match frame::frame_len(&c.inbuf) {
-        Ok(Some(total)) if total <= c.inbuf.len() && !c.gated() => {}
+        Ok(Some(total)) if total <= c.inbuf.len() && !c.stop_reading => {}
         Ok(_) => return true,
         Err(_) => return false,
     }
     let mut buf = Bytes::from(std::mem::take(&mut c.inbuf));
-    while !c.gated() {
+    while !c.stop_reading {
         match frame::decode_bytes(&mut buf) {
             Ok(Some(fr)) => {
                 if !dispatch_frame(c, fr, service, jobs) {
@@ -605,22 +566,16 @@ fn service_conn(
     if draining {
         return ConnFate::Keep;
     }
-    // Frames the lockstep gate held back go first, now that a worker
-    // reopened it (and woke this shard to say so).
-    if !decode_ready(c, service, jobs) {
-        return ConnFate::Close;
-    }
-    // Read and decode while the lockstep gate is open and the fairness
-    // budget lasts. Complete frames become jobs (or inline error
-    // replies); partial frames wait for more bytes; corruption drops the
-    // connection, exactly like the blocking runtime does. Input left
-    // unread — budget spent, gate closed — is still there, and reported
-    // again, whenever the interest set next asks for it.
+    // Read and decode while the fairness budget lasts. Complete frames
+    // become jobs (or inline error replies); partial frames wait for more
+    // bytes; corruption drops the connection. Input left unread once the
+    // budget is spent is still there, and reported again by the next
+    // `poll`.
     let mut read_total = 0usize;
     while revents & POLLIN != 0
         && read_total < READ_BUDGET
         && !c.io.peer_eof.load(Ordering::SeqCst)
-        && !c.gated()
+        && !c.stop_reading
     {
         match read_more(c, probe, READ_BUDGET - read_total) {
             Ok(0) => c.io.peer_eof.store(true, Ordering::SeqCst),
@@ -685,9 +640,6 @@ fn dispatch_frame(
     if matches!(req, Request::Shutdown) {
         c.stop_reading = true;
     }
-    if corr_id.is_none() {
-        c.io.v1_pending.store(true, Ordering::SeqCst);
-    }
     c.io.inflight.fetch_add(1, Ordering::SeqCst);
     let job = Job {
         corr_id,
@@ -733,20 +685,13 @@ fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, r
             dpfs_obs::now_ns().saturating_sub(t0),
             0,
         );
-        // Only decrement (and reopen the lockstep gate) after the
-        // response is in the queue: a shard that observes zero in-flight
-        // and an empty queue knows nothing is still owed. The shard is
-        // asleep, so tell it what it is waiting to hear: the gate is open
-        // again, or the last request of a connection it wants to close
+        // Only decrement after the response is in the queue: a shard that
+        // observes zero in-flight and an empty queue knows nothing is
+        // still owed. The shard is asleep, so tell it what it is waiting
+        // to hear: the last request of a connection it wants to close
         // (peer at EOF, server draining) is answered.
         let idle = job.io.inflight.fetch_sub(1, Ordering::SeqCst) == 1;
-        let lockstep = job.corr_id.is_none();
-        if lockstep {
-            job.io.v1_pending.store(false, Ordering::SeqCst);
-        }
-        let closing =
-            || job.io.peer_eof.load(Ordering::SeqCst) || rt.shutdown.load(Ordering::SeqCst);
-        if lockstep || (idle && closing()) {
+        if idle && (job.io.peer_eof.load(Ordering::SeqCst) || rt.shutdown.load(Ordering::SeqCst)) {
             job.io.shard.waker.wake();
         }
         if is_shutdown {
@@ -761,8 +706,8 @@ fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, r
 /// The accept loop: blocks in `poll` on the listener and the acceptor's
 /// waker, parks new connections in shard inboxes round-robin and wakes
 /// the shard, backs off on persistent accept errors, and exits as soon as
-/// the shutdown flag rises (no self-dial needed — [`Readiness::shut_down`]
-/// wakes it, whoever calls it).
+/// the shutdown flag rises ([`Readiness::shut_down`] wakes it, whoever
+/// calls it).
 fn poll_accept_loop(listener: TcpListener, service: Arc<dyn Service>, rt: Arc<Readiness>) {
     if listener.set_nonblocking(true).is_err() {
         return;
@@ -824,302 +769,6 @@ fn accept_loop_impl(
 }
 
 // ---------------------------------------------------------------------
-// Thread-per-connection runtime (ablation baseline)
-// ---------------------------------------------------------------------
-
-/// Live-connection registry: id → the accept loop's clone of the stream.
-/// Each connection thread removes its own entry on exit, so the registry
-/// stays bounded by the number of *open* connections rather than growing
-/// with every connection ever accepted.
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
-
-/// Join handles of live connection threads, so [`ServeCore::stop`] can reap
-/// them deterministically instead of leaving detached threads racing a
-/// restart on the same port. The accept loop reaps finished entries before
-/// pushing new ones, keeping the vector bounded by *open* connections.
-type ConnThreads = Arc<Mutex<Vec<JoinHandle<()>>>>;
-
-/// What a wire `Request::Shutdown` needs to drain the baseline runtime
-/// like `stop()` does: dial the listener so the blocking `accept()`
-/// returns and sees the flag, then sever every registered connection so
-/// idle decode loops exit too.
-struct WireShutdownWake {
-    addr: SocketAddr,
-    conns: ConnRegistry,
-}
-
-impl WireShutdownWake {
-    fn wake(&self) {
-        let mut dial = self.addr;
-        if dial.ip().is_unspecified() {
-            dial.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
-        }
-        let _ = TcpStream::connect(dial);
-        for (_, c) in self.conns.lock().iter() {
-            let _ = c.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    conns: ConnRegistry,
-    threads: ConnThreads,
-) {
-    let addr = listener.local_addr().ok();
-    let mut next_id: u64 = 0;
-    let mut consecutive_errors: u32 = 0;
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent accept failures (EMFILE...) back off instead
-                // of spinning a core at 100%.
-                consecutive_errors = consecutive_errors.saturating_add(1);
-                std::thread::sleep(accept_error_backoff(consecutive_errors));
-                continue;
-            }
-        };
-        consecutive_errors = 0;
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        service.note_connection();
-        let id = next_id;
-        next_id += 1;
-        // Register the stream *before* spawning: stop() can only sever —
-        // and therefore only promise to reap — connections it can see. A
-        // connection that cannot be registered is refused outright.
-        let Ok(clone) = stream.try_clone() else {
-            let _ = stream.shutdown(Shutdown::Both);
-            continue;
-        };
-        conns.lock().insert(id, clone);
-        let s = service.clone();
-        let sd = shutdown.clone();
-        let cs = conns.clone();
-        let wake = addr.map(|addr| WireShutdownWake {
-            addr,
-            conns: conns.clone(),
-        });
-        let spawned = std::thread::Builder::new()
-            .name("dpfs-conn".to_string())
-            .spawn(move || connection_loop(id, stream, s, sd, cs, wake));
-        if let Ok(t) = spawned {
-            let mut threads = threads.lock();
-            // Reap finished threads in passing so the vector tracks open
-            // connections, not connections ever accepted.
-            let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut *threads)
-                .into_iter()
-                .partition(|t| t.is_finished());
-            for d in done {
-                let _ = d.join();
-            }
-            *threads = live;
-            threads.push(t);
-        } else {
-            conns.lock().remove(&id);
-        }
-    }
-}
-
-fn connection_loop(
-    id: u64,
-    stream: TcpStream,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    conns: ConnRegistry,
-    wake: Option<WireShutdownWake>,
-) {
-    connection_loop_inner(&stream, service, shutdown, wake);
-    // The accept loop holds a clone of this stream (for forced shutdown), so
-    // dropping ours would NOT send FIN — shut the socket down explicitly so
-    // the peer sees EOF, then deregister so the registry does not leak.
-    let _ = stream.shutdown(Shutdown::Both);
-    conns.lock().remove(&id);
-}
-
-/// Write one response frame: the same [`frame_response`] the readiness
-/// runtime queues, framed and checksummed before the writer lock, which
-/// then serializes whole frames, never partial ones.
-fn write_response(
-    writer: &Mutex<TcpStream>,
-    corr_id: Option<u64>,
-    resp: &Response,
-) -> Result<(), frame::FrameError> {
-    let mut out = OutQueue::default();
-    out.push(frame_response(corr_id, resp)?);
-    out.flush(&mut *writer.lock())?;
-    Ok(())
-}
-
-/// One decoded request bound for a per-connection worker pool.
-struct ConnJob {
-    corr_id: u64,
-    trace_id: u64,
-    enqueued_ns: u64,
-    req: Request,
-}
-
-fn connection_loop_inner(
-    mut stream: &TcpStream,
-    service: Arc<dyn Service>,
-    shutdown: Arc<AtomicBool>,
-    wake: Option<WireShutdownWake>,
-) {
-    stream.set_nodelay(true).ok();
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let wake = wake.map(Arc::new);
-
-    // Worker pool: decode loop sends jobs, workers pull them off the shared
-    // receiver, handle, and reply through the serialized writer.
-    let (tx, rx) = mpsc::channel::<ConnJob>();
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(CONN_WORKERS);
-    for _ in 0..CONN_WORKERS {
-        let rx = rx.clone();
-        let writer = writer.clone();
-        let service = service.clone();
-        let shutdown = shutdown.clone();
-        let wake = wake.clone();
-        let worker = std::thread::Builder::new()
-            .name("dpfs-conn-worker".to_string())
-            .spawn(move || loop {
-                let job = match rx.lock().recv() {
-                    Ok(j) => j,
-                    Err(_) => return, // decode loop gone: drain finished
-                };
-                let is_shutdown = matches!(job.req, Request::Shutdown);
-                let kind = job.req.kind_str();
-                let dequeued = dpfs_obs::now_ns();
-                server_event(
-                    job.trace_id,
-                    "queue",
-                    kind,
-                    service.name(),
-                    job.enqueued_ns,
-                    dequeued.saturating_sub(job.enqueued_ns),
-                    0,
-                );
-                let resp = service.handle_traced(job.req, job.trace_id);
-                let t0 = dpfs_obs::now_ns();
-                let _ = write_response(&writer, Some(job.corr_id), &resp);
-                server_event(
-                    job.trace_id,
-                    "respond",
-                    kind,
-                    service.name(),
-                    t0,
-                    dpfs_obs::now_ns().saturating_sub(t0),
-                    0,
-                );
-                if is_shutdown {
-                    shutdown.store(true, Ordering::SeqCst);
-                    if let Some(w) = &wake {
-                        w.wake();
-                    }
-                }
-            });
-        match worker {
-            Ok(w) => workers.push(w),
-            Err(_) => break, // degrade to however many workers spawned
-        }
-    }
-
-    // Frame-decode loop: v2 requests dispatch to the pool; v1 requests are
-    // handled inline (lockstep), preserving in-order responses for peers
-    // that cannot correlate.
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let decoded = match frame::read_frame_any(&mut stream) {
-            Ok(f) => f,
-            Err(_) => break, // closed or corrupt: drop the connection
-        };
-        let decode_start = dpfs_obs::now_ns();
-        let trace_id = decoded.trace_id;
-        let req = match Request::decode(decoded.payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // malformed request: report and keep the connection
-                let resp = Response::Error {
-                    code: dpfs_proto::ErrorCode::BadRequest,
-                    message: e.to_string(),
-                };
-                if write_response(&writer, decoded.corr_id, &resp).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let kind = req.kind_str();
-        server_event(
-            trace_id,
-            "decode",
-            kind,
-            service.name(),
-            decode_start,
-            dpfs_obs::now_ns().saturating_sub(decode_start),
-            req.payload_bytes(),
-        );
-        match decoded.corr_id {
-            Some(corr_id) if !workers.is_empty() => {
-                let job = ConnJob {
-                    corr_id,
-                    trace_id,
-                    enqueued_ns: dpfs_obs::now_ns(),
-                    req,
-                };
-                if tx.send(job).is_err() {
-                    break;
-                }
-            }
-            corr_id => {
-                let resp = service.handle_traced(req, trace_id);
-                let t0 = dpfs_obs::now_ns();
-                if write_response(&writer, corr_id, &resp).is_err() {
-                    break;
-                }
-                server_event(
-                    trace_id,
-                    "respond",
-                    kind,
-                    service.name(),
-                    t0,
-                    dpfs_obs::now_ns().saturating_sub(t0),
-                    0,
-                );
-                if is_shutdown {
-                    shutdown.store(true, Ordering::SeqCst);
-                    if let Some(w) = &wake {
-                        w.wake();
-                    }
-                }
-            }
-        }
-        if is_shutdown {
-            // Stop reading; the pool drains queued requests (replying to
-            // each) before the connection closes.
-            break;
-        }
-    }
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-// ---------------------------------------------------------------------
 // The serving handle
 // ---------------------------------------------------------------------
 
@@ -1127,27 +776,21 @@ fn connection_loop_inner(
 /// it down.
 pub struct ServeCore {
     addr: SocketAddr,
-    mode: RuntimeMode,
-    shutdown: Arc<AtomicBool>,
+    rt: Arc<Readiness>,
     accept_thread: Option<JoinHandle<()>>,
-    // Readiness runtime.
-    readiness: Option<Arc<Readiness>>,
     shard_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    // Baseline runtime.
-    conns: ConnRegistry,
-    conn_threads: ConnThreads,
 }
 
 impl ServeCore {
     /// Bind `bind` (ephemeral port with `:0`) and start serving `service`
-    /// on the default (readiness) runtime.
+    /// with the default sizing.
     pub fn start(bind: &str, service: Arc<dyn Service>) -> io::Result<ServeCore> {
         Self::start_with(bind, service, ServeConfig::default())
     }
 
-    /// Bind `bind` and start serving `service` on the runtime `config`
-    /// selects.
+    /// Bind `bind` and start serving `service` on `config`'s shard and
+    /// worker counts.
     pub fn start_with(
         bind: &str,
         service: Arc<dyn Service>,
@@ -1155,91 +798,58 @@ impl ServeCore {
     ) -> io::Result<ServeCore> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let conn_threads: ConnThreads = Arc::new(Mutex::new(Vec::new()));
-        let mut readiness = None;
+        let mut shards = Vec::new();
+        for _ in 0..config.shards.max(1) {
+            shards.push(Arc::new(Shard {
+                inbox: Mutex::new(Vec::new()),
+                waker: Waker::new()?,
+            }));
+        }
+        let rt = Arc::new(Readiness {
+            shutdown: AtomicBool::new(false),
+            acceptor: Waker::new()?,
+            shards,
+            conn_count: AtomicUsize::new(0),
+        });
+        let (tx, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let mut shard_threads = Vec::new();
+        for (i, shard) in rt.shards.iter().enumerate() {
+            let shard = shard.clone();
+            let service = service.clone();
+            let rt = rt.clone();
+            let jobs = tx.clone();
+            shard_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("dpfs-shard-{i}-{}", service.name()))
+                    .spawn(move || shard_loop(shard, service, rt, jobs))?,
+            );
+        }
+        // Only shards hold senders: when the last shard drains and exits,
+        // the channel closes and the workers follow.
+        drop(tx);
         let mut worker_threads = Vec::new();
-
-        let accept_thread = match config.mode {
-            RuntimeMode::Readiness => {
-                let n_shards = config.shards.max(1);
-                let n_workers = config.workers.max(2);
-                let mut shards = Vec::with_capacity(n_shards);
-                for _ in 0..n_shards {
-                    shards.push(Arc::new(Shard {
-                        inbox: Mutex::new(Vec::new()),
-                        waker: Waker::new()?,
-                    }));
-                }
-                let rt = Arc::new(Readiness {
-                    shutdown: shutdown.clone(),
-                    acceptor: Waker::new()?,
-                    shards,
-                    conn_count: AtomicUsize::new(0),
-                });
-                readiness = Some(rt.clone());
-                let (tx, rx) = mpsc::channel::<Job>();
-                let rx = Arc::new(Mutex::new(rx));
-                for (i, shard) in rt.shards.iter().enumerate() {
-                    let shard = shard.clone();
-                    let service = service.clone();
-                    let rt = rt.clone();
-                    let jobs = tx.clone();
-                    shard_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("dpfs-shard-{i}-{}", service.name()))
-                            .spawn(move || shard_loop(shard, service, rt, jobs))?,
-                    );
-                }
-                // Only shards hold senders: when the last shard drains and
-                // exits, the channel closes and the workers follow.
-                drop(tx);
-                for _ in 0..n_workers {
-                    let rx = rx.clone();
-                    let service = service.clone();
-                    let rt = rt.clone();
-                    worker_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("dpfs-worker-{}", service.name()))
-                            .spawn(move || worker_loop(rx, service, rt))?,
-                    );
-                }
-                let service = service.clone();
+        for _ in 0..config.workers.max(2) {
+            let rx = rx.clone();
+            let service = service.clone();
+            let rt = rt.clone();
+            worker_threads.push(
                 std::thread::Builder::new()
-                    .name(format!("dpfs-accept-{}", service.name()))
-                    .spawn(move || poll_accept_loop(listener, service, rt))?
-            }
-            RuntimeMode::ThreadPerConn => {
-                let accept_service = service.clone();
-                let accept_shutdown = shutdown.clone();
-                let accept_conns = conns.clone();
-                let accept_threads = conn_threads.clone();
-                std::thread::Builder::new()
-                    .name(format!("dpfs-accept-{}", service.name()))
-                    .spawn(move || {
-                        accept_loop(
-                            listener,
-                            accept_service,
-                            accept_shutdown,
-                            accept_conns,
-                            accept_threads,
-                        );
-                    })?
-            }
-        };
+                    .name(format!("dpfs-worker-{}", service.name()))
+                    .spawn(move || worker_loop(rx, service, rt))?,
+            );
+        }
+        let accept_rt = rt.clone();
+        let accept_thread = std::thread::Builder::new()
+            .name(format!("dpfs-accept-{}", service.name()))
+            .spawn(move || poll_accept_loop(listener, service, accept_rt))?;
 
         Ok(ServeCore {
             addr,
-            mode: config.mode,
-            shutdown,
+            rt,
             accept_thread: Some(accept_thread),
-            readiness,
             shard_threads,
             worker_threads,
-            conns,
-            conn_threads,
         })
     }
 
@@ -1248,35 +858,17 @@ impl ServeCore {
         self.addr
     }
 
-    /// The runtime this core was started with.
-    pub fn mode(&self) -> RuntimeMode {
-        self.mode
-    }
-
     /// Number of currently open client connections. (Connections
     /// deregister asynchronously after the peer closes, so a just-closed
     /// connection may be counted briefly.)
     pub fn open_connections(&self) -> usize {
-        match &self.readiness {
-            Some(rt) => rt.conn_count.load(Ordering::SeqCst),
-            None => self.conns.lock().len(),
-        }
+        self.rt.conn_count.load(Ordering::SeqCst)
     }
 
-    /// Threads this runtime owns *independent of connections*: acceptor +
-    /// shards + workers. In the readiness runtime this is the server's
-    /// entire thread count, fixed at start; the baseline runtime adds
-    /// `(1 + CONN_WORKERS)` more per open connection on top of it.
+    /// The server's entire thread count, fixed at start whatever the
+    /// number of connections: acceptor + shards + workers.
     pub fn runtime_threads(&self) -> usize {
         1 + self.shard_threads.len() + self.worker_threads.len()
-    }
-
-    /// Number of per-connection threads not yet reaped (0 after [`stop`],
-    /// and always 0 in the readiness runtime, which has none).
-    ///
-    /// [`stop`]: ServeCore::stop
-    pub fn live_connection_threads(&self) -> usize {
-        self.conn_threads.lock().len()
     }
 
     /// Stop accepting, drain or sever live connections, and join every
@@ -1287,30 +879,15 @@ impl ServeCore {
     /// finishes the job after a wire `Request::Shutdown` already quiesced
     /// the threads.
     pub fn stop(&mut self) {
-        if let Some(rt) = &self.readiness {
-            // Flag, then the wake fds: every runtime thread is asleep in
-            // the kernel and none of them looks at the flag on a timer.
-            rt.shut_down();
-        } else {
-            self.shutdown.store(true, Ordering::SeqCst);
-            // Unblock accept() by dialing ourselves (use loopback if we
-            // bound a wildcard address).
-            let mut dial = self.addr;
-            if dial.ip().is_unspecified() {
-                dial.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
-            }
-            let _ = TcpStream::connect(dial);
-            // Sever in-flight connections so their threads exit.
-            for (_, c) in self.conns.lock().drain() {
-                let _ = c.shutdown(Shutdown::Both);
-            }
-        }
+        // Flag, then the wake fds: every runtime thread is asleep in the
+        // kernel and none of them looks at the flag on a timer.
+        self.rt.shut_down();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Readiness runtime: shards drain in-flight work (bounded by
-        // DRAIN_DEADLINE), sever their connections, and exit; the job
-        // channel closes with them and the workers follow.
+        // Shards drain in-flight work (bounded by DRAIN_DEADLINE), sever
+        // their connections, and exit; the job channel closes with them
+        // and the workers follow.
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
         }
@@ -1318,20 +895,11 @@ impl ServeCore {
             let _ = t.join();
         }
         // Connections the acceptor parked after the shards exited.
-        if let Some(rt) = &self.readiness {
-            for shard in &rt.shards {
-                for s in shard.inbox.lock().drain(..) {
-                    let _ = s.shutdown(Shutdown::Both);
-                    rt.conn_count.fetch_sub(1, Ordering::SeqCst);
-                }
+        for shard in &self.rt.shards {
+            for s in shard.inbox.lock().drain(..) {
+                let _ = s.shutdown(Shutdown::Both);
+                self.rt.conn_count.fetch_sub(1, Ordering::SeqCst);
             }
-        }
-        // Baseline runtime: reap connection threads. Every spawned
-        // thread's stream is either severed above or already closed, so
-        // these joins terminate.
-        let threads = std::mem::take(&mut *self.conn_threads.lock());
-        for t in threads {
-            let _ = t.join();
         }
     }
 }
@@ -1397,7 +965,7 @@ mod tests {
         for cap in [1, 7, 1499, 1 << 20] {
             let mut q = OutQueue::default();
             for (i, r) in replies.iter().enumerate() {
-                q.push(frame_response(Some(i as u64), r).unwrap());
+                q.push(frame_response(i as u64, r).unwrap());
             }
             assert_eq!(q.pending, want.len());
             let mut sock = Choppy {
@@ -1418,12 +986,12 @@ mod tests {
     #[test]
     fn framed_response_carries_the_handlers_buffer() {
         let data = Bytes::from(vec![9u8; 1 << 16]);
-        let framed = frame_response(None, &Response::DataList { data: data.clone() }).unwrap();
+        let framed = frame_response(5, &Response::DataList { data: data.clone() }).unwrap();
         assert_eq!(framed.len(), 3, "header, head, payload");
         assert_eq!(framed[2].as_ptr(), data.as_ptr());
         let wire: Vec<u8> = framed.iter().flat_map(|p| p.iter().copied()).collect();
         let fr = frame::read_frame_any(&mut &wire[..]).unwrap();
-        assert_eq!(fr.corr_id, None, "no correlation ID: v1 framing");
+        assert_eq!(fr.corr_id, 5);
         assert_eq!(
             Response::decode(fr.payload).unwrap(),
             Response::DataList { data }
@@ -1449,7 +1017,7 @@ mod tests {
             sys::poll(&mut fds, Some(Duration::ZERO)).unwrap() == 1
         };
 
-        enqueue_response(&io, Some(1), &Response::Pong);
+        enqueue_response(&io, 1, &Response::Pong);
         assert_eq!(
             io.outbuf.lock().pending,
             0,
@@ -1460,7 +1028,7 @@ mod tests {
         // One shared 32 MiB buffer: the queue holds references, not copies.
         let data = Bytes::from(vec![7u8; 32 << 20]);
         let big = Response::DataList { data };
-        enqueue_response(&io, Some(2), &big);
+        enqueue_response(&io, 2, &big);
         let stuck = io.outbuf.lock().pending;
         assert!(stuck > 0 && stuck < 32 << 20, "short write, {stuck} left");
         assert!(io.want_write.load(Ordering::SeqCst) && woken());
@@ -1471,10 +1039,10 @@ mod tests {
         // Behind queued bytes a frame only joins the queue: no write, no
         // wake — until the queue outgrows its limit.
         for id in 3..=5 {
-            enqueue_response(&io, Some(id), &big);
+            enqueue_response(&io, id, &big);
             assert!(!io.dead.load(Ordering::SeqCst) && !woken());
         }
-        enqueue_response(&io, Some(6), &big);
+        enqueue_response(&io, 6, &big);
         assert!(io.outbuf.lock().pending > OUTBUF_LIMIT);
         assert!(io.dead.load(Ordering::SeqCst) && woken());
     }

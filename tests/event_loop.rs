@@ -4,10 +4,11 @@
 //! longer a late reply but a hang or a spinning core, so these tests pin
 //! the new failure modes:
 //!
-//! - *idle is free*: idle and lockstep-gated connections cost no CPU —
-//!   catches a surviving timer and a level-triggered spin alike;
-//! - *no lost wake-ups*: pipelined v2 traffic and lockstep v1 traffic
-//!   (one shard wake per request) on one shard and two workers all finish;
+//! - *idle is free*: idle connections, and one whose request is still in
+//!   service, cost no CPU — catches a surviving timer and a level-triggered
+//!   spin alike;
+//! - *no lost wake-ups*: pipelined traffic on one shard and two workers
+//!   all finishes;
 //! - *cold wake latency*: a request after an idle gap is answered at
 //!   context-switch cost, not at a nap's;
 //! - *deferred flush*: a reply the socket would not take whole goes out
@@ -39,8 +40,8 @@ fn start_ion(tag: &str, perf: PerfModel, shards: usize, workers: usize) -> IoSer
     let root = std::env::temp_dir().join(format!("dpfs-evloop-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut config = ServerConfig::new("evloop00", root, perf);
-    config.runtime.shards = shards;
-    config.runtime.workers = workers;
+    config.serve.shards = shards;
+    config.serve.workers = workers;
     IoServer::start(config).unwrap()
 }
 
@@ -55,7 +56,7 @@ fn connect(addr: SocketAddr) -> TcpStream {
 fn rpc(c: &mut TcpStream, id: u64, req: &Request) -> Response {
     frame::write_frame_v2(c, id, &req.encode()).unwrap();
     let f = frame::read_frame_any(c).unwrap();
-    assert_eq!(f.corr_id, Some(id));
+    assert_eq!(f.corr_id, id);
     Response::decode(f.payload).unwrap()
 }
 
@@ -99,7 +100,7 @@ fn idle_second_cpu() -> Duration {
 }
 
 #[test]
-fn idle_and_gated_connections_cost_no_cpu() {
+fn idle_and_waiting_connections_cost_no_cpu() {
     let _guard = sequential();
     // Every request but a ping is held 1.5 s in service.
     let slow = PerfModel {
@@ -117,25 +118,28 @@ fn idle_and_gated_connections_cost_no_cpu() {
             idle.push(c);
         }
     }
-    // A lockstep (v1) peer with a request in service and more input
-    // queued behind it: readable for the whole second, and not to be read.
-    let mut gated = connect(ion.addr());
-    frame::write_frame(&mut gated, &read_req("/nothing", 1).encode()).unwrap();
-    frame::write_frame(&mut gated, &Request::Ping.encode()).unwrap();
+    // A peer with a request in service for the whole second, and a ping
+    // pipelined behind it that overtakes it.
+    let mut waiting = connect(ion.addr());
+    frame::write_frame_v2(&mut waiting, 1, &read_req("/nothing", 1).encode()).unwrap();
+    frame::write_frame_v2(&mut waiting, 2, &Request::Ping.encode()).unwrap();
 
     let cpu = idle_second_cpu();
     eprintln!("event_loop: 129 quiet connections cost {cpu:?} of CPU in one second");
     assert!(
         cpu < Duration::from_millis(20),
-        "128 idle connections and one gated one burned {cpu:?} of CPU in a second: \
+        "128 idle connections and one waiting one burned {cpu:?} of CPU in a second: \
          a timer survived, or poll is spinning on a descriptor nobody reads"
     );
 
-    // The gate does reopen: both answers arrive, in order.
-    let first = Response::decode(frame::read_frame(&mut gated).unwrap()).unwrap();
-    assert!(matches!(first, Response::Data { .. }), "got {first:?}");
-    let second = Response::decode(frame::read_frame(&mut gated).unwrap()).unwrap();
-    assert_eq!(second, Response::Pong);
+    // Both answers arrive, the quick one first.
+    let first = frame::read_frame_any(&mut waiting).unwrap();
+    assert_eq!(first.corr_id, 2);
+    assert_eq!(Response::decode(first.payload).unwrap(), Response::Pong);
+    let second = frame::read_frame_any(&mut waiting).unwrap();
+    assert_eq!(second.corr_id, 1);
+    let second = Response::decode(second.payload).unwrap();
+    assert!(matches!(second, Response::Data { .. }), "got {second:?}");
     assert_eq!(ion.open_connections(), 65);
     assert_eq!(metad.open_connections(), 64);
 }
@@ -172,8 +176,8 @@ fn check_stress_reply(n: u64, payload: Bytes, want: &[u8]) {
 #[test]
 fn no_wake_up_is_lost_under_contention() {
     let _guard = sequential();
-    // One shard and two workers: every connection's reads, gate reopenings
-    // and replies meet on one poll loop.
+    // One shard and two workers: every connection's reads and replies meet
+    // on one poll loop.
     let server = start_ion("stress", PerfModel::unthrottled(), 1, 2);
     let addr = server.addr();
     let want: Vec<u8> = (0..64u8).collect();
@@ -184,22 +188,14 @@ fn no_wake_up_is_lost_under_contention() {
         for _ in 0..8 {
             s.spawn(|| {
                 let mut conns: Vec<TcpStream> = (0..4).map(|_| connect(addr)).collect();
-                // Connection 0 speaks v1: the server must hold its
-                // pipelined frames back and answer strictly in order, which
-                // takes one shard wake per request. The others are
-                // correlated and may complete out of order.
+                // Replies may complete out of order.
                 let mut outstanding: Vec<HashSet<u64>> = vec![HashSet::new(); 4];
-                let send = |c: &mut TcpStream, k: usize, n: u64| {
-                    let payload = stress_req(n).encode();
-                    if k == 0 {
-                        frame::write_frame(c, &payload).unwrap();
-                    } else {
-                        frame::write_frame_v2(c, n, &payload).unwrap();
-                    }
+                let send = |c: &mut TcpStream, n: u64| {
+                    frame::write_frame_v2(c, n, &stress_req(n).encode()).unwrap();
                 };
                 for n in 0..DEPTH {
                     for (k, c) in conns.iter_mut().enumerate() {
-                        send(c, k, n);
+                        send(c, n);
                         outstanding[k].insert(n);
                     }
                 }
@@ -207,17 +203,12 @@ fn no_wake_up_is_lost_under_contention() {
                     for (k, c) in conns.iter_mut().enumerate() {
                         let f = frame::read_frame_any(c)
                             .unwrap_or_else(|e| panic!("conn {k}, reply {done}: {e}"));
-                        let n = if k == 0 {
-                            assert_eq!(f.corr_id, None);
-                            done
-                        } else {
-                            f.corr_id.expect("correlated request, correlated reply")
-                        };
+                        let n = f.corr_id;
                         assert!(outstanding[k].remove(&n), "conn {k}: stray reply {n}");
                         check_stress_reply(n, f.payload, &want);
                         let next = done + DEPTH;
                         if next < PER_CONN {
-                            send(c, k, next);
+                            send(c, next);
                             outstanding[k].insert(next);
                         }
                     }
@@ -227,7 +218,7 @@ fn no_wake_up_is_lost_under_contention() {
         }
     });
     let took = started.elapsed();
-    eprintln!("event_loop: 320 000 requests (a quarter lockstep) in {took:?}");
+    eprintln!("event_loop: 320 000 requests in {took:?}");
     assert!(
         took < Duration::from_secs(10),
         "320 000 requests took {took:?}"
@@ -329,7 +320,7 @@ fn a_stalled_reader_gets_its_reply_through_the_shard() {
     let mut ids = HashSet::new();
     for _ in 0..REPLIES {
         let f = frame::read_frame_any(&mut wire).unwrap();
-        assert!(ids.insert(f.corr_id.unwrap()));
+        assert!(ids.insert(f.corr_id));
         match Response::decode(f.payload).unwrap() {
             Response::DataList { data } => assert!(data[..] == want[..]),
             other => panic!("unexpected {other:?}"),

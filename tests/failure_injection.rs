@@ -230,6 +230,8 @@ fn degraded_read_reports_per_subfile_outcomes() {
 
     tb.kill_server(1);
 
+    let before = f.stats();
+    let cursor = dpfs::core::trace::ring().cursor();
     let err = f.read_bytes(0, TOTAL as u64).unwrap_err();
     let DpfsError::Degraded {
         data: got,
@@ -268,4 +270,25 @@ fn degraded_read_reports_per_subfile_outcomes() {
         outcomes.iter().map(|o| o.bytes).sum::<u64>() as usize,
         "outcome byte accounting must match the holes"
     );
+
+    // The hole is counted as a request that moved no bytes, against the
+    // server that owed them, and traced under the read's ID.
+    let after = f.stats();
+    assert_eq!(after.requests - before.requests, 3, "one per server");
+    assert_eq!(after.wire_read - before.wire_read, (exact * BRICK) as u64);
+    assert_eq!(
+        after.useful_read - before.useful_read,
+        (exact * BRICK) as u64
+    );
+    for (server, degraded) in [("ion00", 0), ("ion01", 1), ("ion02", 0)] {
+        let stats = client.pool().transport_stats(server).unwrap();
+        assert_eq!(stats.degraded, degraded, "{server}: {stats:?}");
+    }
+    let traced: Vec<_> = dpfs::core::trace::ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.trace_id == f.last_trace_id() && e.phase == "degraded")
+        .map(|e| (e.server, e.bytes))
+        .collect();
+    assert_eq!(traced, [("ion01".to_string(), (holes * BRICK) as u64)]);
 }

@@ -45,7 +45,7 @@ fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
                         },
                         _ => Response::Pong,
                     };
-                    let id = f.corr_id.unwrap_or(0);
+                    let id = f.corr_id;
                     if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
                         return;
                     }
@@ -94,7 +94,7 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
                         },
                         _ => Response::Pong,
                     };
-                    let id = f.corr_id.unwrap_or(0);
+                    let id = f.corr_id;
                     if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
                         return;
                     }

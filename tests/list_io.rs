@@ -1,26 +1,31 @@
-//! List-I/O equivalence: shipping a compact [`AccessPattern`] descriptor
-//! must be byte-identical to enumerating the ranges client-side, end to
-//! end through real TCP servers — for reads, writes, and redundant
-//! layouts — and the cost model must route irregular access over the
-//! legacy wire shape transparently.
+//! List I/O, the one data path: strided, self-overlapping and redundant
+//! accesses through real TCP servers must leave — and read back — exactly
+//! the bytes an in-memory model of the file holds, with request
+//! combination on and off; and each request must travel in whichever wire
+//! shape encodes smaller.
 //!
 //! Also pins the headline win deterministically: for a dense strided
-//! read, the list client's request wire bytes are at least 5x smaller
-//! than the legacy enumerated client's for the same traffic.
+//! read, the pattern descriptor the client sends is at least 5x smaller
+//! than the enumerated range list for the same planned request.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use dpfs::cluster::Testbed;
-use dpfs::core::{ClientOptions, Datatype, Dpfs, Granularity, Hint, RedundancyPolicy, RetryPolicy};
+use dpfs::core::plan::plan_list;
+use dpfs::core::{
+    ClientOptions, Datatype, Dpfs, Granularity, Hint, Layout, RedundancyPolicy, Region,
+    RetryPolicy, Shape,
+};
+use dpfs::proto::{AccessPattern, Request};
 
-/// Exact-granularity client with the list path toggled. Exact granularity
-/// keeps strided reads strided on the wire (Brick would fetch whole
-/// bricks), which is where the descriptor shape matters.
-fn opts(list_io: bool) -> ClientOptions {
+/// Exact-granularity client. Exact granularity keeps strided reads
+/// strided on the wire (Brick would fetch whole bricks), which is where
+/// the descriptor shape matters.
+fn opts(combine: bool) -> ClientOptions {
     ClientOptions {
-        list_io,
+        combine,
         granularity: Granularity::Exact,
         ..ClientOptions::default()
     }
@@ -29,7 +34,7 @@ fn opts(list_io: bool) -> ClientOptions {
 /// `opts` plus tight retries, for tests that kill a server: a dead
 /// server refuses connections immediately, so two quick attempts
 /// suffice before the read falls over to reconstruction.
-fn fast_retry(list_io: bool) -> ClientOptions {
+fn fast_retry(combine: bool) -> ClientOptions {
     ClientOptions {
         retry: RetryPolicy {
             max_attempts: 2,
@@ -37,7 +42,7 @@ fn fast_retry(list_io: bool) -> ClientOptions {
             max_backoff: Duration::from_millis(4),
             ..RetryPolicy::default()
         },
-        ..opts(list_io)
+        ..opts(combine)
     }
 }
 
@@ -55,15 +60,34 @@ fn counter_sum(client: &Dpfs, n: usize, pick: fn(&dpfs::core::TransportStats) ->
         .sum()
 }
 
+/// Apply a datatype write to the model: runs land in `flatten` order, so
+/// where they overlap the later run wins.
+fn overlay(model: &mut [u8], base: u64, dt: &Datatype, payload: &[u8]) {
+    let mut at = 0usize;
+    for (off, run_len) in dt.flatten() {
+        let dst = (base + off) as usize;
+        model[dst..dst + run_len as usize].copy_from_slice(&payload[at..at + run_len as usize]);
+        at += run_len as usize;
+    }
+}
+
+/// What a datatype read of the model returns: each run's bytes, packed.
+fn gather(model: &[u8], base: u64, dt: &Datatype) -> Vec<u8> {
+    dt.flatten()
+        .into_iter()
+        .flat_map(|(off, len)| model[(base + off) as usize..(base + off + len) as usize].to_vec())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A strided write shipped as a `WriteList` pattern lands byte-exactly
-    /// where client-side enumeration would have put it: the legacy client
-    /// reads the whole file back and agrees with the model, and the list
-    /// client's own strided read agrees with the legacy client's.
+    /// A strided write lands byte-exactly where the model puts it, and
+    /// both the whole file and the strided view read back as the model
+    /// holds them — combined or brick by brick.
     #[test]
-    fn strided_list_io_matches_enumeration(
+    fn strided_list_io_matches_model(
+        combine in any::<bool>(),
         n in 1usize..=4,
         brick in prop_oneof![Just(512u64), Just(1000u64), Just(4096u64)],
         count in 2u64..24,
@@ -78,42 +102,87 @@ proptest! {
         let len = base + dt.extent() + tail;
 
         let tb = Testbed::unthrottled(n).unwrap();
-        let list = tb.client_opts(opts(true));
-        let legacy = tb.client_opts(opts(false));
-        list.create("/lio", &Hint::linear(brick, len)).unwrap();
+        let client = tb.client_opts(opts(combine));
+        client.create("/lio", &Hint::linear(brick, len)).unwrap();
 
-        // Model: full-file background written legacy, strided overlay
-        // written through the list path.
         let mut model: Vec<u8> = (0..len).map(|i| pat(i, salt)).collect();
-        {
-            let mut f = legacy.open("/lio").unwrap();
-            f.write_bytes(0, &model).unwrap();
-        }
         let payload: Vec<u8> = (0..dt.size()).map(|i| pat(i, salt + 1)).collect();
         {
-            let mut f = list.open("/lio").unwrap();
+            let mut f = client.open("/lio").unwrap();
+            f.write_bytes(0, &model).unwrap();
             f.write_datatype(base, &dt, &payload).unwrap();
         }
-        let mut at = 0usize;
-        for (off, run_len) in dt.flatten() {
-            let dst = (base + off) as usize;
-            model[dst..dst + run_len as usize]
-                .copy_from_slice(&payload[at..at + run_len as usize]);
-            at += run_len as usize;
-        }
+        overlay(&mut model, base, &dt, &payload);
 
-        // Both wire shapes read the same bytes back.
-        let mut lf = list.open("/lio").unwrap();
-        let mut gf = legacy.open("/lio").unwrap();
-        prop_assert_eq!(&lf.read_bytes(0, len).unwrap(), &model);
-        prop_assert_eq!(&gf.read_bytes(0, len).unwrap(), &model);
-        prop_assert_eq!(&lf.read_datatype(base, &dt).unwrap(), &payload);
-        prop_assert_eq!(&gf.read_datatype(base, &dt).unwrap(), &payload);
+        let mut f = client.open("/lio").unwrap();
+        prop_assert_eq!(&f.read_bytes(0, len).unwrap(), &model);
+        prop_assert_eq!(&f.read_datatype(base, &dt).unwrap(), &payload);
     }
 
-    /// Redundant layouts stay byte-exact over the list path: strided
-    /// writes under `Replica(2)` and `XorParity` survive the loss of any
-    /// single server, the holes reconstructed from the surviving peers.
+    /// A vector whose stride is shorter than its block overlaps itself.
+    /// Written, the later run wins each shared byte; read, every run gets
+    /// the file's bytes, shared ones more than once. Holds combined and
+    /// brick by brick, at both granularities, and under redundancy — whose
+    /// mirrors and parity must agree with the data after losing a server.
+    #[test]
+    fn self_overlapping_vector_is_later_run_wins(
+        combine in any::<bool>(),
+        exact in any::<bool>(),
+        policy in prop_oneof![
+            Just(RedundancyPolicy::None),
+            Just(RedundancyPolicy::Replica(2)),
+            Just(RedundancyPolicy::XorParity),
+        ],
+        n in 3usize..=4,
+        brick in prop_oneof![Just(64u64), Just(500u64), Just(4096u64)],
+        count in 2u64..20,
+        blocklen in 2u64..160,
+        stride_seed in 0u64..160,
+        base in 0u64..3000,
+        victim_seed in 0usize..16,
+        salt in 0u64..251,
+    ) {
+        let stride = 1 + stride_seed % (blocklen - 1);
+        prop_assert!(stride < blocklen);
+        let dt = Datatype::vector(count, blocklen, stride);
+        let len = base + dt.extent() + 333;
+        let options = ClientOptions {
+            granularity: if exact { Granularity::Exact } else { Granularity::Brick },
+            ..fast_retry(combine)
+        };
+
+        let mut tb = Testbed::unthrottled(n).unwrap();
+        let client = tb.client_opts(options);
+        client
+            .create("/overlap", &Hint::linear(brick, len).with_redundancy(policy))
+            .unwrap();
+
+        let mut model: Vec<u8> = (0..len).map(|i| pat(i, salt)).collect();
+        let payload: Vec<u8> = (0..dt.size()).map(|i| pat(i, salt + 1)).collect();
+        {
+            let mut f = client.open("/overlap").unwrap();
+            f.write_bytes(0, &model).unwrap();
+            f.write_datatype(base, &dt, &payload).unwrap();
+            f.sync().unwrap();
+        }
+        overlay(&mut model, base, &dt, &payload);
+
+        let mut f = client.open("/overlap").unwrap();
+        prop_assert_eq!(&f.read_bytes(0, len).unwrap(), &model);
+        prop_assert_eq!(f.read_datatype(base, &dt).unwrap(), gather(&model, base, &dt));
+
+        if policy != RedundancyPolicy::None {
+            tb.kill_server(victim_seed % n);
+            let reader = tb.client_opts(options);
+            let mut f = reader.open("/overlap").unwrap();
+            prop_assert_eq!(&f.read_bytes(0, len).unwrap(), &model);
+            prop_assert_eq!(f.read_datatype(base, &dt).unwrap(), gather(&model, base, &dt));
+        }
+    }
+
+    /// Redundant layouts stay byte-exact: strided writes under
+    /// `Replica(2)` and `XorParity` survive the loss of any single server,
+    /// the holes reconstructed from the surviving peers.
     #[test]
     fn redundancy_survives_list_writes(
         replica in any::<bool>(),
@@ -147,12 +216,7 @@ proptest! {
             f.write_datatype(0, &dt, &payload).unwrap();
             f.sync().unwrap();
         }
-        let mut at = 0usize;
-        for (off, run_len) in dt.flatten() {
-            model[off as usize..(off + run_len) as usize]
-                .copy_from_slice(&payload[at..at + run_len as usize]);
-            at += run_len as usize;
-        }
+        overlay(&mut model, 0, &dt, &payload);
 
         tb.kill_server(victim_seed % n);
         let reader = tb.client_opts(fast_retry(true));
@@ -162,56 +226,129 @@ proptest! {
     }
 }
 
-/// Dense strided reads: the descriptor request is at least 5x smaller on
-/// the wire than the enumerated range list, and the list client actually
-/// used the pattern shape (`rpc.list_io` moved).
+/// Dense strided reads: for the very requests the client plans, the
+/// pattern descriptor is at least 5x smaller on the wire than the
+/// enumerated range list, and the descriptor is what the client sends
+/// (`rpc.req_bytes` moves by exactly its size, `rpc.list_io` by one per
+/// server).
 #[test]
 fn dense_stride_shrinks_request_bytes_at_least_5x() {
     const N: usize = 2;
     let tb = Testbed::unthrottled(N).unwrap();
-    let list = tb.client_opts(opts(true));
-    let legacy = tb.client_opts(opts(false));
+    let client = tb.client_opts(opts(true));
 
     // 256 ranges of 8 bytes every 16: one Vector segment (~25 wire
     // bytes) versus 256 enumerated ranges (~4 KiB of request framing).
     let dt = Datatype::vector(256, 8, 16);
     let payload: Vec<u8> = (0..dt.size()).map(|i| pat(i, 9)).collect();
-    list.create("/dense", &Hint::linear(4096, dt.extent()))
+    client
+        .create("/dense", &Hint::linear(1024, dt.extent()))
         .unwrap();
-    {
-        let mut f = list.open("/dense").unwrap();
-        f.write_datatype(0, &dt, &payload).unwrap();
-    }
+    let mut f = client.open("/dense").unwrap();
+    f.write_datatype(0, &dt, &payload).unwrap();
 
-    let read_request_bytes = |client: &Dpfs| {
-        let before = counter_sum(client, N, |t| t.req_bytes);
-        let mut f = client.open("/dense").unwrap();
-        assert_eq!(f.read_datatype(0, &dt).unwrap(), payload);
-        counter_sum(client, N, |t| t.req_bytes) - before
+    // The requests this read plans, in both wire shapes.
+    let Layout::Linear(lin) = f.layout() else {
+        panic!("linear file");
     };
-
-    let list_bytes = read_request_bytes(&list);
-    let legacy_bytes = read_request_bytes(&legacy);
-    assert!(list_bytes > 0);
+    let mut runs = Vec::new();
+    let mut buf_off = 0;
+    for (off, len) in dt.flatten() {
+        runs.extend(lin.map_bytes(off, len, buf_off));
+        buf_off += len;
+    }
+    let reqs = plan_list(&runs, f.brick_map(), f.layout(), Granularity::Exact, 0).unwrap();
+    assert_eq!(reqs.len(), N);
+    let (mut pattern_bytes, mut enumerated_bytes) = (0u64, 0u64);
+    for req in &reqs {
+        let subfile = "/dense".to_string();
+        let pattern = AccessPattern::from_runs(&req.ranges);
+        pattern_bytes += Request::ReadList {
+            subfile: subfile.clone(),
+            pattern,
+        }
+        .encode()
+        .len() as u64;
+        enumerated_bytes += Request::Read {
+            subfile,
+            ranges: req.ranges.clone(),
+        }
+        .encode()
+        .len() as u64;
+    }
     assert!(
-        legacy_bytes >= 5 * list_bytes,
-        "dense-stride request bytes: list={list_bytes}, legacy={legacy_bytes} (want >= 5x)"
+        enumerated_bytes >= 5 * pattern_bytes,
+        "dense-stride request bytes: pattern={pattern_bytes}, \
+         enumerated={enumerated_bytes} (want >= 5x)"
     );
 
-    assert!(
-        counter_sum(&list, N, |t| t.list_io) >= 2,
-        "list client should have shipped pattern-shaped requests"
+    let sent_before = counter_sum(&client, N, |t| t.req_bytes);
+    let list_before = counter_sum(&client, N, |t| t.list_io);
+    assert_eq!(f.read_datatype(0, &dt).unwrap(), payload);
+    assert_eq!(
+        counter_sum(&client, N, |t| t.req_bytes) - sent_before,
+        pattern_bytes,
+        "the client sends the pattern shape, byte for byte"
     );
     assert_eq!(
-        counter_sum(&legacy, N, |t| t.list_io),
-        0,
-        "legacy client must never ship list requests"
+        counter_sum(&client, N, |t| t.list_io) - list_before,
+        N as u64
     );
 }
 
+/// A brick cache fills from the same requests everything else uses: a
+/// Brick-granularity column read goes out as one pattern request per
+/// server, every fetched brick is cached whole, and re-reads — the same
+/// region or any other inside those bricks — are all hits, send nothing,
+/// and return the same bytes.
+#[test]
+fn brick_cache_fills_from_list_requests() {
+    const N: usize = 4;
+    let tb = Testbed::unthrottled(N).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    // 64x64 bytes in 8x8-byte bricks: brick (r, c) is number 8r + c, on
+    // server (8r + c) % 4, slot (8r + c) / 4.
+    let shape = Shape::new(vec![64, 64]).unwrap();
+    let hint = Hint::multidim(shape.clone(), Shape::new(vec![8, 8]).unwrap(), 1);
+    let data: Vec<u8> = (0..64 * 64).map(|i| pat(i, 5)).collect();
+    let mut f = client.create("/cached", &hint).unwrap();
+    f.write_region(&shape.full_region(), &data).unwrap();
+
+    // The left half: brick columns 0..4, so each server holds one brick
+    // per brick row, every other slot — a strided pattern per server.
+    let left = Region::new(vec![0, 0], vec![64, 32]).unwrap();
+    let expected: Vec<u8> = (0..64usize)
+        .flat_map(|row| data[row * 64..row * 64 + 32].to_vec())
+        .collect();
+
+    let mut f = client.open("/cached").unwrap();
+    f.enable_cache(1 << 20);
+    let list_before = counter_sum(&client, N, |t| t.list_io);
+    assert_eq!(f.read_region(&left).unwrap(), expected);
+    assert_eq!(f.stats().requests, N as u64, "one request per server");
+    assert_eq!(
+        counter_sum(&client, N, |t| t.list_io) - list_before,
+        N as u64,
+        "each a pattern descriptor"
+    );
+    // One run per (row, brick column), each a miss.
+    assert_eq!(f.cache_stats(), Some((0, 64 * 4)));
+
+    assert_eq!(f.read_region(&left).unwrap(), expected);
+    assert_eq!(f.cache_stats(), Some((64 * 4, 64 * 4)), "re-read: all hits");
+    // Bytes the first read discarded on the wire were cached with their
+    // bricks: rows 8..24 of the same brick columns.
+    let inner = Region::new(vec![8, 4], vec![16, 20]).unwrap();
+    let inner_expected: Vec<u8> = (8..24usize)
+        .flat_map(|row| data[row * 64 + 4..row * 64 + 24].to_vec())
+        .collect();
+    assert_eq!(f.read_region(&inner).unwrap(), inner_expected);
+    assert_eq!(f.stats().requests, N as u64, "the cache answered it all");
+}
+
 /// Irregular indexed access (distinct lengths, no arithmetic structure)
-/// costs more as a descriptor than enumerated, so the cost model ships
-/// it legacy — transparently, with the data still round-tripping.
+/// costs more as a descriptor than enumerated, so it ships enumerated —
+/// transparently, with the data still round-tripping.
 #[test]
 fn irregular_indexed_access_ships_legacy_wire() {
     const N: usize = 2;

@@ -1,13 +1,14 @@
 //! Timing proof of parallel per-server dispatch: with four servers each
 //! injecting a 20 ms per-request delay, a combined access touching all four
-//! must cost about one server's delay, not the sum. The `serial_dispatch`
-//! knob is asserted to still pay the full sequential cost, pinning both
-//! sides of the dispatch ablation.
+//! must cost about one server's delay, not the sum. And the shape of the
+//! paper's general approach (`combine = false`): one request per touched
+//! brick, submitted in ascending brick order whatever the client's rank.
 
 use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
-use dpfs::core::{ClientOptions, Hint};
+use dpfs::core::trace::{ring, Side};
+use dpfs::core::{ClientOptions, FileHandle, Hint};
 use dpfs::server::PerfModel;
 
 const DELAY: Duration = Duration::from_millis(20);
@@ -67,27 +68,49 @@ fn combined_access_overlaps_server_delays() {
     );
 }
 
+/// The servers of the client `rpc` spans of `f`'s last operation, in the
+/// order the requests were awaited — which is the order they were planned
+/// and submitted in.
+fn rpc_order(f: &FileHandle, cursor: u64) -> Vec<String> {
+    ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.trace_id == f.last_trace_id() && e.side == Side::Client && e.phase == "rpc")
+        .map(|e| e.server)
+        .collect()
+}
+
 #[test]
-fn serial_dispatch_pays_each_server_in_turn() {
-    let tb = delayed_testbed();
+fn general_approach_issues_one_request_per_brick_in_brick_order() {
+    let tb = Testbed::unthrottled(SERVERS).unwrap();
+    // Rank 2: a combined access would start at server 2. Each brick planned
+    // alone has nothing to stagger.
     let client = tb.client_opts(ClientOptions {
-        serial_dispatch: true,
+        combine: false,
+        rank: 2,
         ..ClientOptions::default()
     });
-    let mut f = client.create("/ser", &Hint::linear(64, 0)).unwrap();
-    let data = vec![7u8; 64 * SERVERS];
+    const BRICKS: usize = 8;
+    let mut f = client.create("/general", &Hint::linear(64, 0)).unwrap();
+    let data: Vec<u8> = (0..64 * BRICKS).map(|x| (x % 251) as u8).collect();
+    let brick_order: Vec<String> = (0..BRICKS)
+        .map(|b| format!("ion{:02}", b % SERVERS))
+        .collect();
+
+    let cursor = ring().cursor();
     f.write_bytes(0, &data).unwrap();
+    assert_eq!(f.stats().requests, BRICKS as u64);
+    assert_eq!(rpc_order(&f, cursor), brick_order);
 
-    let start = Instant::now();
+    let cursor = ring().cursor();
     let back = f.read_bytes(0, data.len() as u64).unwrap();
-    let elapsed = start.elapsed();
-
     assert_eq!(back, data);
-    // Four injected 20 ms sleeps, one after another: sleep() guarantees at
-    // least the full duration, so the lower bound is exact.
-    assert!(
-        elapsed >= DELAY * SERVERS as u32,
-        "serial dispatch took {elapsed:?}, expected at least {:?}",
-        DELAY * SERVERS as u32
-    );
+    assert_eq!(f.stats().requests, 2 * BRICKS as u64);
+    assert_eq!(rpc_order(&f, cursor), brick_order);
+
+    // A partial access touches (and asks for) only its own bricks: bytes
+    // 100..300 live in bricks 1..=4.
+    let before = f.stats().requests;
+    assert_eq!(f.read_bytes(100, 200).unwrap(), data[100..300]);
+    assert_eq!(f.stats().requests - before, 4);
 }

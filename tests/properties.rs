@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use dpfs::core::plan::{plan_reads, plan_writes};
+use dpfs::core::plan::{plan_list, ListRequest};
 use dpfs::core::{
-    greedy, round_robin, ArrayLayout, BrickMap, Datatype, Granularity, HpfPattern, Layout,
-    LinearLayout, MultidimLayout, Region, Shape,
+    greedy, round_robin, ArrayLayout, BrickMap, BrickRun, Datatype, Granularity, HpfPattern,
+    Layout, LinearLayout, MultidimLayout, Region, Shape,
 };
 
 // ---------- layout coverage invariants ----------
@@ -207,93 +207,185 @@ proptest! {
 
 // ---------- planning invariants ----------
 
+/// A strided (for `stride < blocklen`, self-overlapping) access to a
+/// 64-byte-brick linear file striped round-robin: the layout, the map, and
+/// the access's brick runs.
+fn strided_access(
+    bricks: u64,
+    servers: usize,
+    base: u64,
+    count: u64,
+    blocklen: u64,
+    stride: u64,
+) -> (Layout, BrickMap, Vec<BrickRun>) {
+    let lin = LinearLayout::new(64, bricks * 64).unwrap();
+    let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
+    let dt = Datatype::vector(count, blocklen, stride);
+    // Clip the access to the file.
+    let mut runs = Vec::new();
+    let mut buf_off = 0u64;
+    for (off, len) in dt.flatten() {
+        let off = base + off;
+        if off + len <= bricks * 64 {
+            runs.extend(lin.map_bytes(off, len, buf_off));
+            buf_off += len;
+        }
+    }
+    (Layout::Linear(lin), map, runs)
+}
+
+/// The general approach (`combine = false`): each brick planned alone, in
+/// ascending brick order.
+fn plan_general(
+    runs: &[BrickRun],
+    map: &BrickMap,
+    layout: &Layout,
+    granularity: Granularity,
+    rank: usize,
+) -> Vec<ListRequest> {
+    let mut by_brick = runs.to_vec();
+    by_brick.sort_by_key(|r| r.brick);
+    by_brick
+        .chunk_by(|a, b| a.brick == b.brick)
+        .flat_map(|one| plan_list(one, map, layout, granularity, rank).unwrap())
+        .collect()
+}
+
+/// Every useful byte a plan moves, as sorted `(server, subfile byte,
+/// buffer byte)` triples. Panics if a piece leaves its range.
+fn planned_bytes(reqs: &[ListRequest]) -> Vec<(usize, u64, u64)> {
+    let mut out = Vec::new();
+    for req in reqs {
+        let starts: Vec<u64> = req
+            .ranges
+            .iter()
+            .scan(0u64, |at, &(_, len)| {
+                let start = *at;
+                *at += len;
+                Some(start)
+            })
+            .collect();
+        for p in &req.pieces {
+            let i = starts.partition_point(|&s| s <= p.payload_off) - 1;
+            let (range_off, range_len) = req.ranges[i];
+            let within = p.payload_off - starts[i];
+            assert!(within + p.len <= range_len, "piece {p:?} leaves its range");
+            out.extend((0..p.len).map(|b| (req.server, range_off + within + b, p.buf_off + b)));
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// The same triples straight from the runs: what was asked for.
+fn requested_bytes(runs: &[BrickRun], map: &BrickMap, layout: &Layout) -> Vec<(usize, u64, u64)> {
+    let mut out: Vec<(usize, u64, u64)> = runs
+        .iter()
+        .flat_map(|r| {
+            let server = map.server_of(r.brick);
+            let at = map.subfile_offset(r.brick, layout) + r.brick_off;
+            (0..r.len).map(move |b| (server, at + b, r.buf_off + b))
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Every requested byte is planned exactly once — same server, same
+    /// subfile byte, same buffer byte — with every piece inside one of its
+    /// request's ranges, and the ranges sorted, disjoint and coalesced.
     /// Request combination never changes WHAT is transferred, only HOW:
-    /// combined and general plans scatter exactly the same buffer bytes
-    /// from exactly the same subfile bytes.
+    /// the general plan moves the same bytes. Self-overlapping accesses
+    /// included.
     #[test]
-    fn combination_preserves_read_byte_set(
+    fn every_requested_byte_is_planned_exactly_once(
         bricks in 4u64..200,
         servers in 1usize..8,
-        start in 0u64..100,
-        count in 1u64..50,
+        base in 0u64..2000,
+        count in 1u64..40,
+        blocklen in 1u64..150,
+        stride in 1u64..300,
+        exact in any::<bool>(),
         rank in 0usize..16,
     ) {
-        let brick_bytes = 64u64;
-        let layout = Layout::Linear(LinearLayout::new(brick_bytes, bricks * brick_bytes).unwrap());
-        let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
-        let start = start.min(bricks - 1);
-        let count = count.min(bricks - start);
-        let lin = match &layout { Layout::Linear(l) => l.clone(), _ => unreachable!() };
-        let runs = lin.map_bytes(start * brick_bytes, count * brick_bytes, 0);
-
-        let collect = |combine: bool| {
-            let mut pairs = Vec::new(); // (server, subfile_byte, buf_byte)
-            for req in plan_reads(&runs, &map, &layout, combine, Granularity::Brick, rank) {
-                for piece in &req.scatter {
-                    let (range_off, _) = req.ranges[piece.chunk];
-                    for i in 0..piece.len {
-                        pairs.push((req.server, range_off + piece.chunk_off + i, piece.buf_off + i));
-                    }
-                }
+        let (layout, map, runs) = strided_access(bricks, servers, base, count, blocklen, stride);
+        let granularity = if exact { Granularity::Exact } else { Granularity::Brick };
+        let combined = plan_list(&runs, &map, &layout, granularity, rank).unwrap();
+        let general = plan_general(&runs, &map, &layout, granularity, rank);
+        let asked = requested_bytes(&runs, &map, &layout);
+        prop_assert_eq!(&planned_bytes(&combined), &asked);
+        prop_assert_eq!(&planned_bytes(&general), &asked);
+        for req in combined.iter().chain(&general) {
+            for w in req.ranges.windows(2) {
+                prop_assert!(w[0].0 + w[0].1 < w[1].0, "ranges {:?} touch or overlap", w);
             }
-            pairs.sort_unstable();
-            pairs
-        };
-        prop_assert_eq!(collect(false), collect(true));
+            if exact {
+                // Exact ranges carry nothing but requested bytes.
+                let useful: std::collections::HashSet<u64> = planned_bytes(std::slice::from_ref(req))
+                    .into_iter()
+                    .map(|(_, sub, _)| sub)
+                    .collect();
+                prop_assert_eq!(useful.len() as u64, req.wire_bytes());
+            }
+        }
     }
 
-    /// Same for writes.
+    /// Combined plans issue one request per touched server, in the
+    /// staggered order: ascending from `rank % servers`, wrapping once.
     #[test]
-    fn combination_preserves_write_byte_set(
-        bricks in 4u64..200,
-        servers in 1usize..8,
-        start in 0u64..100,
-        count in 1u64..50,
-        rank in 0usize..16,
-    ) {
-        let brick_bytes = 64u64;
-        let layout = Layout::Linear(LinearLayout::new(brick_bytes, bricks * brick_bytes).unwrap());
-        let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
-        let start = start.min(bricks - 1);
-        let count = count.min(bricks - start);
-        let lin = match &layout { Layout::Linear(l) => l.clone(), _ => unreachable!() };
-        let runs = lin.map_bytes(start * brick_bytes, count * brick_bytes, 0);
-
-        let collect = |combine: bool| {
-            let mut pairs = Vec::new();
-            for req in plan_writes(&runs, &map, &layout, combine, rank) {
-                for &(sub, buf, len) in &req.ranges {
-                    for i in 0..len {
-                        pairs.push((req.server, sub + i, buf + i));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            pairs
-        };
-        prop_assert_eq!(collect(false), collect(true));
-    }
-
-    /// Combined plans issue at most one request per server.
-    #[test]
-    fn combined_reads_one_request_per_server(
+    fn combined_plan_is_one_request_per_server_staggered_from_rank(
         bricks in 1u64..300,
         servers in 1usize..10,
+        base in 0u64..2000,
+        count in 1u64..40,
+        blocklen in 1u64..150,
+        stride in 1u64..300,
+        rank in 0usize..32,
     ) {
-        let brick_bytes = 32u64;
-        let layout = Layout::Linear(LinearLayout::new(brick_bytes, bricks * brick_bytes).unwrap());
-        let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
-        let lin = match &layout { Layout::Linear(l) => l.clone(), _ => unreachable!() };
-        let runs = lin.map_bytes(0, bricks * brick_bytes, 0);
-        let reqs = plan_reads(&runs, &map, &layout, true, Granularity::Brick, 0);
-        let mut seen = std::collections::HashSet::new();
-        for r in &reqs {
-            prop_assert!(seen.insert(r.server), "server {} got two requests", r.server);
+        let (layout, map, runs) = strided_access(bricks, servers, base, count, blocklen, stride);
+        let reqs = plan_list(&runs, &map, &layout, Granularity::Brick, rank).unwrap();
+        let mut touched: Vec<usize> = runs.iter().map(|r| map.server_of(r.brick)).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let start = rank % servers;
+        let pivot = touched.partition_point(|&s| s < start);
+        touched.rotate_left(pivot);
+        let order: Vec<usize> = reqs.iter().map(|r| r.server).collect();
+        prop_assert_eq!(order, touched);
+    }
+
+    /// The general approach issues one request per touched brick, in
+    /// ascending brick order, each to the brick's own server and covering
+    /// nothing outside the brick.
+    #[test]
+    fn general_plan_is_one_request_per_brick_in_brick_order(
+        bricks in 1u64..300,
+        servers in 1usize..10,
+        base in 0u64..2000,
+        count in 1u64..40,
+        blocklen in 1u64..150,
+        stride in 1u64..300,
+        exact in any::<bool>(),
+        rank in 0usize..32,
+    ) {
+        let (layout, map, runs) = strided_access(bricks, servers, base, count, blocklen, stride);
+        let granularity = if exact { Granularity::Exact } else { Granularity::Brick };
+        let reqs = plan_general(&runs, &map, &layout, granularity, rank);
+        let mut touched: Vec<u64> = runs.iter().map(|r| r.brick).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        prop_assert_eq!(reqs.len(), touched.len());
+        for (req, &brick) in reqs.iter().zip(&touched) {
+            prop_assert_eq!(req.server, map.server_of(brick));
+            let lo = map.subfile_offset(brick, &layout);
+            let hi = lo + layout.brick_len(brick);
+            for &(off, len) in &req.ranges {
+                prop_assert!(lo <= off && off + len <= hi, "range outside brick {}", brick);
+            }
         }
-        prop_assert!(reqs.len() <= servers);
     }
 }
 
@@ -395,14 +487,14 @@ proptest! {
 
 // ---------- wire robustness: corrupted frames error, never panic ----------
 
-/// Encode `payload` as a v1, v2, or v3 frame depending on `version`.
-fn encode_frame_version(version: u8, corr: u64, trace: u64, payload: &[u8]) -> Vec<u8> {
+/// Encode `payload` as a v3 frame if `traced`, else as a v2 frame.
+fn encode_frame_version(traced: bool, corr: u64, trace: u64, payload: &[u8]) -> Vec<u8> {
     use dpfs::proto::frame;
     let mut buf = Vec::new();
-    match version {
-        0 => frame::write_frame(&mut buf, payload).unwrap(),
-        1 => frame::write_frame_v2(&mut buf, corr, payload).unwrap(),
-        _ => frame::write_frame_v3(&mut buf, corr, trace, payload).unwrap(),
+    if traced {
+        frame::write_frame_v3(&mut buf, corr, trace, payload).unwrap();
+    } else {
+        frame::write_frame_v2(&mut buf, corr, payload).unwrap();
     }
     buf
 }
@@ -416,13 +508,13 @@ proptest! {
     /// decoder never over-reads.
     #[test]
     fn truncated_frames_error_cleanly(
-        version in 0u8..3,
+        traced in any::<bool>(),
         corr in any::<u64>(),
         trace in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..256),
         cut_pick in any::<usize>(),
     ) {
-        let buf = encode_frame_version(version, corr, trace, &payload);
+        let buf = encode_frame_version(traced, corr, trace, &payload);
         let cut = cut_pick % buf.len(); // strict prefix: 0..len
         let mut reader = &buf[..cut];
         let res = dpfs::proto::frame::read_frame_any(&mut reader);
@@ -436,14 +528,14 @@ proptest! {
     /// the correlation or trace ID).
     #[test]
     fn bit_flips_never_panic_or_corrupt_payload(
-        version in 0u8..3,
+        traced in any::<bool>(),
         corr in any::<u64>(),
         trace in any::<u64>(),
         payload in proptest::collection::vec(any::<u8>(), 0..256),
         pos_pick in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut buf = encode_frame_version(version, corr, trace, &payload);
+        let mut buf = encode_frame_version(traced, corr, trace, &payload);
         let pos = pos_pick % buf.len();
         buf[pos] ^= 1 << bit;
         let mut reader = &buf[..];

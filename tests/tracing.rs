@@ -3,20 +3,25 @@
 //! - one traced `DPFS_Read` spanning several servers produces a single
 //!   trace: the client's plan/submit/await phases and every involved
 //!   server's queue/device/delay/handle events share one trace ID;
+//! - the redundant tail of an operation — the parity rewrite of an
+//!   `XorParity` write, the mirror read of a `Replica` reconstruction —
+//!   travels under the operation's trace ID like everything before it;
 //! - the `Stats` RPC returns a decodable snapshot with populated latency
 //!   histograms;
-//! - v1 lockstep peers (bare frames, no correlation or trace IDs) still
-//!   interoperate with a server that now speaks v3.
+//! - a v1 (`DPFS`, uncorrelated) frame is refused by both daemons: its
+//!   connection is severed, and no other.
 
 use std::collections::HashSet;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
-use dpfs::core::trace::{ring, Side};
-use dpfs::core::{ClientOptions, Hint};
+use dpfs::core::trace::{ring, Side, TraceEvent};
+use dpfs::core::{ClientOptions, Hint, RedundancyPolicy, RetryPolicy};
+use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, Request, Response};
-use dpfs::server::{PerfModel, StatsSnapshot};
+use dpfs::server::{IoServer, PerfModel, ServerConfig, StatsSnapshot};
 
 /// Servers with enough injected latency that queue/device/delay spans have
 /// visible (nonzero) durations.
@@ -144,26 +149,126 @@ fn stats_rpc_returns_live_histograms() {
     }
 }
 
-#[test]
-fn v1_lockstep_peer_still_interoperates() {
-    let tb = Testbed::unthrottled(1).unwrap();
-    // A trace-aware client exercises the server with v3 frames first.
-    let client = tb.client_opts(ClientOptions::default());
-    client.create("/v1", &Hint::linear(512, 512)).unwrap();
-    {
-        let mut f = client.open("/v1").unwrap();
-        f.write_bytes(0, &[9u8; 512]).unwrap();
-    }
+/// The events recorded since `cursor` under `trace`.
+fn events_of(trace: u64, cursor: u64) -> Vec<TraceEvent> {
+    ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.trace_id == trace)
+        .collect()
+}
 
-    // Now a bare v1 peer: un-multiplexed frames, no correlation or trace
-    // IDs, strict lockstep. The server must answer in kind (v1 frames).
-    let addr = tb.resolver().resolve("ion00").to_string();
-    let mut stream = TcpStream::connect(&addr).unwrap();
-    for _ in 0..3 {
-        frame::write_frame(&mut stream, &Request::Ping.encode()).unwrap();
-        let f = frame::read_frame_any(&mut stream).unwrap();
-        assert_eq!(f.corr_id, None, "v1 peers must get v1 replies");
-        assert_eq!(f.trace_id, 0);
-        assert_eq!(Response::decode(f.payload).unwrap(), Response::Pong);
+/// `server` answered a `kind` RPC of this trace: the client recorded its
+/// `rpc` span and the server its own `handle` event.
+fn answered(events: &[TraceEvent], server: &str, kind: &str) -> bool {
+    let has = |side: Side, phase: &str| {
+        events
+            .iter()
+            .any(|e| e.side == side && e.phase == phase && e.kind == kind && e.server == server)
+    };
+    has(Side::Client, "rpc") && has(Side::Server, "handle")
+}
+
+#[test]
+fn parity_rewrite_joins_the_writes_trace() {
+    // Two data servers and the parity server, ion02.
+    let tb = Testbed::unthrottled(3).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    let hint = Hint::linear(512, 4 * 512).with_redundancy(RedundancyPolicy::XorParity);
+    let mut f = client.create("/xor", &hint).unwrap();
+
+    let cursor = ring().cursor();
+    f.write_bytes(0, &[7u8; 4 * 512]).unwrap();
+    let events = events_of(f.last_trace_id(), cursor);
+    for data_server in ["ion00", "ion01"] {
+        assert!(answered(&events, data_server, "write"), "{events:?}");
+        // ...and the read-back the parity is recomputed from.
+        assert!(answered(&events, data_server, "read"), "{events:?}");
     }
+    assert!(
+        answered(&events, "ion02", "write"),
+        "the parity write left the operation's trace: {events:?}"
+    );
+}
+
+#[test]
+fn mirror_read_joins_the_reads_trace() {
+    let mut tb = Testbed::unthrottled(3).unwrap();
+    let client = tb.client_opts(ClientOptions {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            ..RetryPolicy::default()
+        },
+        ..ClientOptions::default()
+    });
+    let hint = Hint::linear(512, 3 * 512).with_redundancy(RedundancyPolicy::Replica(2));
+    let mut f = client.create("/mirrored", &hint).unwrap();
+    let data: Vec<u8> = (0..3 * 512).map(|i| (i % 251) as u8).collect();
+    f.write_bytes(0, &data).unwrap();
+
+    // Brick 0 lives on ion00 and is mirrored on ion01. With ion00 dead, a
+    // read of that brick alone talks to nobody but the mirror.
+    tb.kill_server(0);
+    let cursor = ring().cursor();
+    assert_eq!(f.read_bytes(0, 512).unwrap(), data[..512]);
+    let events = events_of(f.last_trace_id(), cursor);
+    assert!(
+        answered(&events, "ion01", "read"),
+        "the mirror read left the operation's trace: {events:?}"
+    );
+    assert!(events.iter().any(|e| e.phase == "reconstruct"));
+}
+
+/// A v1 frame — `DPFS`, length, CRC, payload; no correlation ID — sent to
+/// `addr`: the server must sever that connection without answering, keep
+/// serving the v2 connection next to it, and end up holding only that one.
+fn v1_frame_is_refused(addr: SocketAddr, open_connections: &dyn Fn() -> usize) {
+    let mut neighbour = TcpStream::connect(addr).unwrap();
+    let ping = |c: &mut TcpStream, id: u64| {
+        frame::write_frame_v2(c, id, &Request::Ping.encode()).unwrap();
+        let f = frame::read_frame_any(c).unwrap();
+        assert_eq!(f.corr_id, id);
+        assert_eq!(Response::decode(f.payload).unwrap(), Response::Pong);
+    };
+    ping(&mut neighbour, 1);
+
+    let payload = Request::Ping.encode();
+    let mut v1 = b"DPFS".to_vec();
+    v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v1.extend_from_slice(&frame::crc32(&payload).to_le_bytes());
+    v1.extend_from_slice(&payload);
+    let mut old_peer = TcpStream::connect(addr).unwrap();
+    old_peer.write_all(&v1).unwrap();
+    old_peer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = Vec::new();
+    // End of stream (or a reset), and not one byte of an answer.
+    let _ = old_peer.read_to_end(&mut reply);
+    assert!(reply.is_empty(), "a v1 frame was answered: {reply:?}");
+
+    ping(&mut neighbour, 2);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while open_connections() != 1 {
+        assert!(
+            Instant::now() < deadline,
+            "{} connections still open",
+            open_connections()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn v1_frame_is_refused_by_both_daemons() {
+    let root = std::env::temp_dir().join(format!("dpfs-v1-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let ion = IoServer::start(ServerConfig::new("ion", &root, PerfModel::unthrottled())).unwrap();
+    v1_frame_is_refused(ion.addr(), &|| ion.open_connections());
+    let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
+    v1_frame_is_refused(metad.addr(), &|| metad.open_connections());
+    drop(ion);
+    let _ = std::fs::remove_dir_all(&root);
 }

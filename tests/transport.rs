@@ -1,9 +1,7 @@
-//! Transport-level proofs for the multiplexed wire protocol (v2):
+//! Transport-level proofs for the multiplexed wire protocol:
 //!
 //! - two requests pipelined on ONE server connection overlap their service
 //!   time (~D, not ~2D) — the point of correlation IDs;
-//! - the lockstep ablation gate restores PR 1's one-in-flight behaviour
-//!   (~2D) on the same rig;
 //! - a request that exceeds its deadline surfaces a typed `Timeout` within
 //!   bound, pending peers on the poisoned connection get transport errors
 //!   instead of hanging, and the next RPC redials successfully;
@@ -94,33 +92,6 @@ fn two_requests_pipeline_on_one_connection() {
     );
 }
 
-#[test]
-fn lockstep_gate_serializes_one_connection() {
-    let tb = one_delayed_server();
-    let client = tb.client_opts(ClientOptions::default());
-    let pool = client.pool();
-    pool.rpc("ion00", &Request::Ping).unwrap(); // warm up the dial
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| pool.rpc_lockstep("ion00", &delayed_req()).unwrap());
-        let h2 = scope.spawn(|| pool.rpc_lockstep("ion00", &delayed_req()).unwrap());
-        h1.join().unwrap();
-        h2.join().unwrap();
-    });
-    let elapsed = start.elapsed();
-
-    // sleep() guarantees at least the full duration, so with one RPC in
-    // flight at a time the lower bound is exact: 2×DELAY back-to-back.
-    assert!(
-        elapsed >= DELAY * 2,
-        "lockstep round-trips took {elapsed:?}, expected at least {:?}",
-        DELAY * 2
-    );
-    let stats = pool.transport_stats("ion00").unwrap();
-    assert_eq!(stats.dials, 1);
-}
-
 /// A server whose FIRST connection swallows requests without ever replying;
 /// every later connection answers `Pong` properly. Models a hung server
 /// that recovers by the time the client redials.
@@ -158,7 +129,7 @@ fn serve_pong(mut stream: TcpStream) {
         if Request::decode(f.payload).is_err() {
             return;
         }
-        let id = f.corr_id.unwrap_or(0);
+        let id = f.corr_id;
         if frame::write_frame_v2(&mut stream, id, &Response::Pong.encode()).is_err() {
             return;
         }
@@ -256,7 +227,7 @@ fn start_shutting_down_server() -> SocketAddr {
                         code: ErrorCode::ShuttingDown,
                         message: "draining".into(),
                     };
-                    let id = f.corr_id.unwrap_or(0);
+                    let id = f.corr_id;
                     if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
                         return;
                     }
