@@ -29,6 +29,13 @@ if sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -
     echo "FAIL: ClientOptions regained a list_io field (the wire shape is chosen per request)"
     exit 1
 fi
+# The planner is one flat pass over the runs (bucket by server, walk the
+# bucket). A map of per-brick Vecs above the test module means the
+# allocation-per-brick planner is back; tests/alloc_budget.rs counts it too.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan.rs | grep -nE 'BTreeMap|HashMap'; then
+    echo "FAIL: crates/core/src/plan.rs uses a BTreeMap/HashMap outside #[cfg(test)]"
+    exit 1
+fi
 echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> cargo clippy (deny warnings)"
@@ -37,7 +44,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: release build"
 cargo build --release
 
-echo "==> tier-1: tests"
+echo "==> tier-1: tests (tests/alloc_budget.rs gates the map -> plan allocation counts)"
 cargo test -q
 
 echo "==> workspace tests (crate-level unit, codec fuzz, CRC oracle, bytes shim)"

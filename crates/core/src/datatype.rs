@@ -135,7 +135,8 @@ impl Datatype {
     pub fn flatten(&self) -> Vec<(u64, u64)> {
         let mut runs = Vec::new();
         self.flatten_into(0, &mut runs);
-        coalesce(runs)
+        coalesce(&mut runs);
+        runs
     }
 
     fn flatten_into(&self, base_off: u64, out: &mut Vec<(u64, u64)>) {
@@ -152,6 +153,7 @@ impl Datatype {
                 base,
             } => {
                 let unit = base.size();
+                out.reserve(*count as usize);
                 for i in 0..*count {
                     let block_start = base_off + i * stride * unit;
                     // blocklen consecutive base copies are contiguous iff
@@ -180,26 +182,22 @@ impl Datatype {
                 }
             }
             Datatype::Indexed { blocks } => {
-                for &(disp, len) in blocks {
-                    out.push((base_off + disp, len));
-                }
+                out.extend(blocks.iter().map(|&(disp, len)| (base_off + disp, len)));
             }
         }
     }
 }
 
-/// Merge adjacent `(offset, len)` runs. Input must be sorted by offset.
-fn coalesce(runs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
-    for (off, len) in runs {
-        match out.last_mut() {
-            Some((last_off, last_len)) if *last_off + *last_len == off => {
-                *last_len += len;
-            }
-            _ => out.push((off, len)),
+/// Merge adjacent `(offset, len)` runs in place. Input must be sorted by
+/// offset.
+fn coalesce(runs: &mut Vec<(u64, u64)>) {
+    runs.dedup_by(|next, kept| {
+        let adjacent = kept.0 + kept.1 == next.0;
+        if adjacent {
+            kept.1 += next.1;
         }
-    }
-    out
+        adjacent
+    });
 }
 
 #[cfg(test)]

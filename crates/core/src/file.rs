@@ -25,7 +25,7 @@ use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result, SubfileOutcome};
 use crate::geometry::Region;
 use crate::hints::{FileLevel, Placement, RedundancyPolicy};
-use crate::layout::{bricks_for, BrickRun, Layout};
+use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::placement::BrickMap;
 use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
@@ -252,17 +252,23 @@ impl FileHandle {
         }
     }
 
+    /// The layout of a linear file; the byte and datatype APIs' level check.
+    fn linear(&self) -> Result<&LinearLayout> {
+        match &self.layout {
+            Layout::Linear(lin) => Ok(lin),
+            other => Err(DpfsError::WrongLevel {
+                expected: "linear",
+                actual: other.level().as_str().into(),
+            }),
+        }
+    }
+
     // ---------------------------------------------------------- byte API
 
     /// Write `data` at byte `offset` (linear files only). Grows the file —
     /// and its brick distribution — as needed.
     pub fn write_bytes(&mut self, offset: u64, data: &[u8]) -> Result<()> {
-        let Layout::Linear(lin) = &self.layout else {
-            return Err(DpfsError::WrongLevel {
-                expected: "linear",
-                actual: self.level().as_str().into(),
-            });
-        };
+        let lin = self.linear()?;
         if data.is_empty() {
             return Ok(());
         }
@@ -271,9 +277,7 @@ impl FileHandle {
         if needed > self.map.num_bricks() {
             self.grow_to(needed)?;
         }
-        let Layout::Linear(lin) = &self.layout else {
-            unreachable!()
-        };
+        let lin = self.linear()?;
         let runs = lin.map_bytes(offset, data.len() as u64, 0);
         self.execute_writes(&runs, data)?;
         if end > self.size {
@@ -286,12 +290,7 @@ impl FileHandle {
     /// Read `len` bytes at `offset` (linear files only). Bytes past the
     /// written extent come back zero-filled.
     pub fn read_bytes(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let Layout::Linear(lin) = &self.layout else {
-            return Err(DpfsError::WrongLevel {
-                expected: "linear",
-                actual: self.level().as_str().into(),
-            });
-        };
+        let lin = self.linear()?;
         let mut buf = vec![0u8; len as usize];
         if len == 0 {
             return Ok(buf);
@@ -408,27 +407,15 @@ impl FileHandle {
                 dtype.size()
             )));
         }
-        let mut buf_off = 0u64;
-        // materialize runs then write as one planned batch
-        let Layout::Linear(lin) = &self.layout else {
-            return Err(DpfsError::WrongLevel {
-                expected: "linear",
-                actual: self.level().as_str().into(),
-            });
-        };
+        let lin = self.linear()?;
         let end = base + dtype.extent();
         let needed = bricks_for(end.max(1), lin.brick_bytes);
         if needed > self.map.num_bricks() {
             self.grow_to(needed)?;
         }
-        let Layout::Linear(lin) = &self.layout else {
-            unreachable!()
-        };
-        let mut runs = Vec::new();
-        for (off, len) in dtype.flatten() {
-            runs.extend(lin.map_bytes(base + off, len, buf_off));
-            buf_off += len;
-        }
+        let lin = self.linear()?;
+        // materialize runs then write as one planned batch
+        let runs = datatype_runs(lin, base, dtype);
         self.execute_writes(&runs, data)?;
         if end > self.size {
             self.size = end;
@@ -440,12 +427,7 @@ impl FileHandle {
     /// Read through a derived datatype anchored at byte `base` of a linear
     /// file; returns the packed bytes.
     pub fn read_datatype(&mut self, base: u64, dtype: &Datatype) -> Result<Vec<u8>> {
-        let Layout::Linear(lin) = &self.layout else {
-            return Err(DpfsError::WrongLevel {
-                expected: "linear",
-                actual: self.level().as_str().into(),
-            });
-        };
+        let lin = self.linear()?;
         let end = base + dtype.extent();
         if bricks_for(end.max(1), lin.brick_bytes) > self.map.num_bricks() {
             return Err(DpfsError::InvalidArgument(
@@ -453,12 +435,7 @@ impl FileHandle {
             ));
         }
         let mut buf = vec![0u8; dtype.size() as usize];
-        let mut runs = Vec::new();
-        let mut buf_off = 0u64;
-        for (off, len) in dtype.flatten() {
-            runs.extend(lin.map_bytes(base + off, len, buf_off));
-            buf_off += len;
-        }
+        let runs = datatype_runs(lin, base, dtype);
         if let Err(e) = self.execute_reads(&runs, &mut buf) {
             return Err(attach_degraded_data(e, buf));
         }
@@ -892,7 +869,8 @@ impl FileHandle {
             )
         };
         // Serve runs whose bricks are cached locally; fetch the rest.
-        let mut remaining: Vec<BrickRun> = Vec::with_capacity(runs.len());
+        let mut uncached: Vec<BrickRun> = Vec::new();
+        let mut runs = runs;
         if let (Some(cache), Granularity::Brick) = (&mut self.cache, self.opts.granularity) {
             for r in runs {
                 match cache.get(r.brick) {
@@ -901,17 +879,16 @@ impl FileHandle {
                         buf[r.buf_off as usize..(r.buf_off + r.len) as usize].copy_from_slice(src);
                         self.stats.useful_read += r.len;
                     }
-                    None => remaining.push(*r),
+                    None => uncached.push(*r),
                 }
             }
-            if remaining.is_empty() {
+            if uncached.is_empty() {
                 op_done();
                 return Ok(());
             }
-        } else {
-            remaining.extend_from_slice(runs);
+            runs = &uncached;
         }
-        let reqs = self.plan(&remaining, self.opts.granularity);
+        let reqs = self.plan(runs, self.opts.granularity);
         let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
         let work: Vec<(&str, Request)> = reqs
             .iter()
@@ -1157,6 +1134,19 @@ impl FileHandle {
         self.meta.set_file_size(&self.path, self.size as i64)?;
         Ok(())
     }
+}
+
+/// The brick runs of `dtype` anchored at byte `base` of a linear file; the
+/// buffer packs the datatype's flattened ranges contiguously, in order.
+pub fn datatype_runs(lin: &LinearLayout, base: u64, dtype: &Datatype) -> Vec<BrickRun> {
+    let ranges = dtype.flatten();
+    let mut runs = Vec::with_capacity(ranges.len());
+    let mut buf_off = 0u64;
+    for (off, len) in ranges {
+        lin.map_bytes_into(base + off, len, buf_off, &mut runs);
+        buf_off += len;
+    }
+    runs
 }
 
 /// Issue one request per planned item, returning raw responses in plan

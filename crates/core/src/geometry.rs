@@ -50,7 +50,7 @@ impl Shape {
     /// Linear (row-major) index of a coordinate.
     pub fn linearize(&self, coord: &[u64]) -> u64 {
         debug_assert_eq!(coord.len(), self.0.len());
-        self.strides().iter().zip(coord).map(|(s, c)| s * c).sum()
+        self.0.iter().zip(coord).fold(0, |acc, (d, c)| acc * d + c)
     }
 
     /// Coordinate of a linear index.

@@ -142,6 +142,13 @@ impl LinearLayout {
     /// the buffer offset corresponding to `file_off`.
     pub fn map_bytes(&self, file_off: u64, len: u64, buf_base: u64) -> Vec<BrickRun> {
         let mut runs = Vec::new();
+        self.map_bytes_into(file_off, len, buf_base, &mut runs);
+        runs
+    }
+
+    /// [`LinearLayout::map_bytes`], appending to the caller's `runs`: a
+    /// many-range access (a datatype) builds one list, not one per range.
+    pub fn map_bytes_into(&self, file_off: u64, len: u64, buf_base: u64, runs: &mut Vec<BrickRun>) {
         let mut off = file_off;
         let end = file_off + len;
         while off < end {
@@ -156,7 +163,6 @@ impl LinearLayout {
             });
             off += take;
         }
-        runs
     }
 }
 
@@ -268,69 +274,57 @@ impl MultidimLayout {
                 region.origin, region.extent, self.array.0
             )));
         }
-        let mut runs = Vec::new();
-        let region_shape = Shape(region.extent.clone());
+        let n = region.ndims();
+        // brick-local offsets use the *full* tile shape
+        let tile_strides = self.brick.strides();
+        let buf_strides = Shape(region.extent.clone()).strides();
+        // at least one run per row of the region
+        let mut runs = Vec::with_capacity((region.volume() / region.extent[n - 1]) as usize);
         for b in self.bricks_of_region(region) {
             let brect = self.brick_region(b);
             let Some(inter) = region.intersect(&brect) else {
                 continue;
             };
-            // Iterate row segments of the intersection (innermost dim runs):
-            // contiguous both in brick storage and in the region buffer.
+            // where the intersection starts, in the brick and in the buffer
+            let (mut brick_off, mut buf_off) = (0, 0);
+            for i in 0..n {
+                brick_off += (inter.origin[i] - brect.origin[i]) * tile_strides[i];
+                buf_off += (inter.origin[i] - region.origin[i]) * buf_strides[i];
+            }
             push_row_segments(
-                &inter,
+                &inter.extent,
+                b,
+                (brick_off, buf_off),
+                (&tile_strides[..], &buf_strides[..]),
                 self.elem_bytes,
                 &mut runs,
-                b,
-                // brick-local coordinates use the *full* tile shape
-                |coord| {
-                    let local: Vec<u64> = coord
-                        .iter()
-                        .zip(&brect.origin)
-                        .map(|(c, o)| c - o)
-                        .collect();
-                    // position of this brick's origin within the tile is 0;
-                    // tile strides come from the uniform brick shape
-                    self.brick.linearize(&local)
-                },
-                |coord| {
-                    let local: Vec<u64> = coord
-                        .iter()
-                        .zip(&region.origin)
-                        .map(|(c, o)| c - o)
-                        .collect();
-                    region_shape.linearize(&local)
-                },
             );
         }
         Ok(runs)
     }
 }
 
-/// Shared helper: walk the row segments (innermost-dimension runs) of
-/// `inter`, emitting a [`BrickRun`] per segment with offsets produced by the
-/// two linearizers (element units, scaled by `elem_bytes`).
+/// Walk the row segments (innermost-dimension runs) of a box of `extent`
+/// elements — contiguous both in brick storage and in the region buffer —
+/// emitting a [`BrickRun`] per segment. Offsets of the box's first element
+/// and strides come as `(brick, buffer)` pairs, in elements; the odometer
+/// over the outer dimensions advances both offsets by their strides.
 fn push_row_segments(
-    inter: &Region,
+    extent: &[u64],
+    brick: u64,
+    (mut brick_off, mut buf_off): (u64, u64),
+    (brick_strides, buf_strides): (&[u64], &[u64]),
     elem_bytes: u64,
     runs: &mut Vec<BrickRun>,
-    brick: u64,
-    brick_linear: impl Fn(&[u64]) -> u64,
-    buf_linear: impl Fn(&[u64]) -> u64,
 ) {
-    let n = inter.ndims();
-    let row_len = inter.extent[n - 1];
+    let n = extent.len();
     let mut counter = vec![0u64; n - 1];
     loop {
-        let mut coord = inter.origin.clone();
-        for i in 0..n - 1 {
-            coord[i] += counter[i];
-        }
         runs.push(BrickRun {
             brick,
-            brick_off: brick_linear(&coord) * elem_bytes,
-            buf_off: buf_linear(&coord) * elem_bytes,
-            len: row_len * elem_bytes,
+            brick_off: brick_off * elem_bytes,
+            buf_off: buf_off * elem_bytes,
+            len: extent[n - 1] * elem_bytes,
         });
         // odometer over outer dims
         let mut i = n - 1;
@@ -340,9 +334,13 @@ fn push_row_segments(
             }
             i -= 1;
             counter[i] += 1;
-            if counter[i] < inter.extent[i] {
+            brick_off += brick_strides[i];
+            buf_off += buf_strides[i];
+            if counter[i] < extent[i] {
                 break;
             }
+            brick_off -= counter[i] * brick_strides[i];
+            buf_off -= counter[i] * buf_strides[i];
             counter[i] = 0;
         }
     }
@@ -469,7 +467,16 @@ impl ArrayLayout {
 
     /// On-disk bytes of chunk `b`.
     pub fn chunk_len(&self, b: u64) -> u64 {
-        self.chunk_local_shape(b).volume() * self.elem_bytes
+        #[cfg(test)]
+        CHUNK_LEN_CALLS.with(|c| c.set(c.get() + 1));
+        // peel `b`'s grid coordinates off, last dimension first
+        let mut rest = b;
+        let mut volume = 1;
+        for (p, owned) in self.grid.0.iter().zip(&self.owned).rev() {
+            volume *= owned[(rest % p) as usize];
+            rest /= p;
+        }
+        volume * self.elem_bytes
     }
 
     /// True when every distributed dimension completes in a single cycle —
@@ -525,44 +532,33 @@ impl ArrayLayout {
             )));
         }
         let n = region.ndims();
-        let region_shape = Shape(region.extent.clone());
-        let region_strides = region_shape.strides();
-        let inner_b = self.block[n - 1];
+        let buf_strides = Shape(region.extent.clone()).strides();
+        let (inner_b, inner_p) = (self.block[n - 1], self.grid.0[n - 1]);
         let mut runs = Vec::new();
         let mut counter = vec![0u64; n - 1];
         loop {
-            // fixed outer coordinates for this row
-            let mut gcoord: Vec<u64> = region.origin.clone();
+            // This row's owner and local index over the outer dims, each
+            // folded row-major (the innermost dim joins per segment), and
+            // the buffer offset of the row start.
+            let (mut chunk, mut local, mut row_buf) = (0u64, 0u64, 0u64);
             for i in 0..n - 1 {
-                gcoord[i] += counter[i];
-            }
-            // owner grid coords + local indices for the outer dims
-            let mut g = vec![0u64; n];
-            let mut local = vec![0u64; n];
-            for i in 0..n - 1 {
-                g[i] = (gcoord[i] / self.block[i]) % self.grid.0[i];
-                local[i] = self.local_index(i, gcoord[i]);
-            }
-            // buffer offset of the row start
-            let mut row_buf: u64 = 0;
-            for i in 0..n - 1 {
-                row_buf += counter[i] * region_strides[i];
+                let x = region.origin[i] + counter[i];
+                let g = (x / self.block[i]) % self.grid.0[i];
+                chunk = chunk * self.grid.0[i] + g;
+                local = local * self.owned[i][g as usize] + self.local_index(i, x);
+                row_buf += counter[i] * buf_strides[i];
             }
             // walk the innermost run, splitting at block boundaries
             let mut x = region.origin[n - 1];
             let row_end = x + region.extent[n - 1];
             while x < row_end {
                 let seg_end = row_end.min((x / inner_b + 1) * inner_b);
-                g[n - 1] = (x / inner_b) % self.grid.0[n - 1];
-                local[n - 1] = self.local_index(n - 1, x);
-                let brick = self.grid.linearize(&g);
-                let local_shape = self.chunk_local_shape(brick);
-                let brick_off = local_shape.linearize(&local) * self.elem_bytes;
-                let buf_off = (row_buf + (x - region.origin[n - 1])) * self.elem_bytes;
+                let g = (x / inner_b) % inner_p;
+                let inner = local * self.owned[n - 1][g as usize] + self.local_index(n - 1, x);
                 runs.push(BrickRun {
-                    brick,
-                    brick_off,
-                    buf_off,
+                    brick: chunk * inner_p + g,
+                    brick_off: inner * self.elem_bytes,
+                    buf_off: (row_buf + (x - region.origin[n - 1])) * self.elem_bytes,
                     len: (seg_end - x) * self.elem_bytes,
                 });
                 x = seg_end;
@@ -571,7 +567,9 @@ impl ArrayLayout {
             let mut i = n - 1;
             loop {
                 if i == 0 {
-                    runs.sort_by_key(|r| (r.brick, r.brick_off));
+                    // No two segments share a disk byte, so the keys are
+                    // distinct and the unstable sort has one outcome.
+                    runs.sort_unstable_by_key(|r| (r.brick, r.brick_off));
                     return Ok(runs);
                 }
                 i -= 1;
@@ -585,6 +583,13 @@ impl ArrayLayout {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`ArrayLayout::chunk_len`] on this thread: the unit of work
+    /// the planner's flat-cost test counts.
+    pub(crate) static CHUNK_LEN_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Debug helper for error messages in [`ArrayLayout::new`].
 fn self_dist(grid: &Shape, dim: usize, block: u64) -> String {
     format!("p={} b={block} (dim {dim})", grid.0[dim])
@@ -592,6 +597,8 @@ fn self_dist(grid: &Shape, dim: usize, block: u64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn shape(d: &[u64]) -> Shape {
@@ -1012,5 +1019,126 @@ mod tests {
         assert_eq!(ar.level(), FileLevel::Array);
         assert_eq!(ar.num_bricks(), 4);
         assert_eq!(ar.file_bytes(), 64);
+    }
+
+    // ---- mappers against an element-wise model ----
+
+    /// Every coordinate of `region`, row-major: the order the buffer packs.
+    fn coords(region: &Region) -> Vec<Vec<u64>> {
+        let shape = Shape(region.extent.clone());
+        (0..shape.volume())
+            .map(|i| {
+                let local = shape.delinearize(i);
+                local
+                    .iter()
+                    .zip(&region.origin)
+                    .map(|(l, o)| l + o)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `runs` must place element `i` of the packed buffer at
+    /// `model[i] = (brick, element offset in the brick)`, each element
+    /// exactly once, in ascending `(brick, brick_off)` order — the order
+    /// that lets the planner skip its sort.
+    fn assert_runs_match(
+        runs: &[BrickRun],
+        model: &[(u64, u64)],
+        elem_bytes: u64,
+    ) -> std::result::Result<(), TestCaseError> {
+        let mut seen = vec![None; model.len()];
+        for r in runs {
+            prop_assert!(r.len > 0 && r.len % elem_bytes == 0 && r.buf_off % elem_bytes == 0);
+            prop_assert_eq!(r.brick_off % elem_bytes, 0);
+            for k in 0..r.len / elem_bytes {
+                let slot = &mut seen[(r.buf_off / elem_bytes + k) as usize];
+                prop_assert!(slot.is_none(), "buffer element mapped twice");
+                *slot = Some((r.brick, r.brick_off / elem_bytes + k));
+            }
+        }
+        let seen: Vec<(u64, u64)> = seen.into_iter().flatten().collect();
+        prop_assert_eq!(&seen[..], model);
+        prop_assert!(runs
+            .windows(2)
+            .all(|w| (w[0].brick, w[0].brick_off) < (w[1].brick, w[1].brick_off)));
+        Ok(())
+    }
+
+    /// `(array extent, tile extent, region origin, region extent)` per
+    /// dimension, 1–4 dimensions; tiles need not divide the array.
+    fn geometry() -> impl Strategy<Value = Vec<(u64, u64, u64, u64)>> {
+        proptest::collection::vec((1u64..10, 1u64..5, any::<u64>(), any::<u64>()), 1..5).prop_map(
+            |dims| {
+                dims.into_iter()
+                    .map(|(d, t, o, e)| (d, t, o % d, 1 + e % (d - o % d)))
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn multidim_map_region_matches_element_model(dims in geometry(), elem_bytes in 1u64..4) {
+            let pick = |f: fn(&(u64, u64, u64, u64)) -> u64| dims.iter().map(f).collect::<Vec<_>>();
+            let l = MultidimLayout::new(shape(&pick(|d| d.0)), shape(&pick(|d| d.1)), elem_bytes)
+                .unwrap();
+            let r = region(&pick(|d| d.2), &pick(|d| d.3));
+            let model: Vec<(u64, u64)> = coords(&r)
+                .iter()
+                .map(|c| {
+                    let tile: Vec<u64> = c.iter().zip(&l.brick.0).map(|(c, t)| c / t).collect();
+                    let within: Vec<u64> = c.iter().zip(&l.brick.0).map(|(c, t)| c % t).collect();
+                    (l.grid.linearize(&tile), l.brick.linearize(&within))
+                })
+                .collect();
+            assert_runs_match(&l.map_region(&r).unwrap(), &model, elem_bytes)?;
+        }
+
+        #[test]
+        fn array_map_region_matches_element_model(
+            dims in geometry(),
+            dists in proptest::collection::vec((0usize..4, 1u64..5, 1u64..4), 4..5),
+            elem_bytes in 1u64..4,
+        ) {
+            let pick = |f: fn(&(u64, u64, u64, u64)) -> u64| dims.iter().map(f).collect::<Vec<_>>();
+            // `*`, BLOCK, CYCLIC and CYCLIC(b) in any mix: (BLOCK,*),
+            // (*,BLOCK) and (BLOCK,BLOCK) are among the 2-d draws.
+            let pattern = HpfPattern(
+                dims.iter()
+                    .zip(&dists)
+                    .map(|(d, &(kind, p, b))| match kind {
+                        0 => Dist::Star,
+                        1 => Dist::Block(p.min(d.0)),
+                        2 => Dist::Cyclic(p.min(d.0)),
+                        _ => Dist::BlockCyclic { procs: p.min(d.0), block: b },
+                    })
+                    .collect(),
+            );
+            // Patterns that leave a processor empty are rejected at creation.
+            let Ok(l) = ArrayLayout::new(shape(&pick(|d| d.0)), pattern, elem_bytes) else {
+                return Err(TestCaseError::reject("empty chunk"));
+            };
+            let r = region(&pick(|d| d.2), &pick(|d| d.3));
+            // Along one dim, index `x` belongs to processor `(x / b) % p`
+            // and sits after the indices below it that processor owns.
+            let owner = |dim: usize, x: u64| (x / l.block[dim]) % l.grid.0[dim];
+            let owned_below =
+                |dim: usize, x: u64| (0..x).filter(|&y| owner(dim, y) == owner(dim, x)).count() as u64;
+            let model: Vec<(u64, u64)> = coords(&r)
+                .iter()
+                .map(|c| {
+                    let g: Vec<u64> = (0..c.len()).map(|i| owner(i, c[i])).collect();
+                    let local: Vec<u64> = (0..c.len()).map(|i| owned_below(i, c[i])).collect();
+                    let extent: Vec<u64> = (0..c.len())
+                        .map(|i| (0..l.array.0[i]).filter(|&y| owner(i, y) == g[i]).count() as u64)
+                        .collect();
+                    (l.grid.linearize(&g), Shape(extent).linearize(&local))
+                })
+                .collect();
+            assert_runs_match(&l.map_region(&r).unwrap(), &model, elem_bytes)?;
+        }
     }
 }

@@ -20,8 +20,6 @@
 //! [`Granularity::Exact`] requests only the needed byte ranges. Writes
 //! always use exact ranges (no read-modify-write is ever needed).
 
-use std::collections::BTreeMap;
-
 use crate::layout::{BrickRun, Layout};
 use crate::placement::BrickMap;
 
@@ -119,6 +117,11 @@ fn append_list_range(
 /// [`Granularity::Exact`] — writing whole bricks would clobber bytes the
 /// caller never supplied.
 ///
+/// One pass, O(runs): run indices are bucketed by server, a bucket is
+/// sorted only when its runs are not already in subfile order (every
+/// mapper in [`crate::layout`] emits them in it), and the request is built
+/// walking the bucket — a constant number of allocations per server.
+///
 /// Always `Some`: every set of runs plans (self-overlapping runs merge
 /// into one range). The `Option` is the signature `examples/benchmark`
 /// compiles against.
@@ -129,100 +132,98 @@ pub fn plan_list(
     granularity: Granularity,
     start_server: usize,
 ) -> Option<Vec<ListRequest>> {
-    // Group runs by brick, preserving run order within each brick.
-    let mut by_brick: BTreeMap<u64, Vec<BrickRun>> = BTreeMap::new();
+    if runs.is_empty() {
+        return Some(Vec::new());
+    }
+    let servers = map.num_servers();
+    let start = start_server % servers;
+    let exact = granularity == Granularity::Exact;
+    let mut counts = vec![0usize; servers];
     for r in runs {
-        by_brick.entry(r.brick).or_default().push(*r);
+        counts[map.server_of(r.brick)] += 1;
     }
-    let mut by_server: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    for &brick in by_brick.keys() {
-        by_server
-            .entry(map.server_of(brick))
-            .or_default()
-            .push(brick);
+    let mut buckets: Vec<Vec<usize>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (i, r) in runs.iter().enumerate() {
+        buckets[map.server_of(r.brick)].push(i);
     }
-    // within a server, subfile order == slot order
-    for bricks in by_server.values_mut() {
-        bricks.sort_by_key(|&b| map.slot_of(b));
-    }
-    let mut out = Vec::with_capacity(by_server.len());
-    for server in rotated_servers(by_server.keys().copied(), map.num_servers(), start_server) {
+    // Subfile order: ascending slot; within a brick, run order (Brick) or
+    // ascending brick offset with ties in run order (Exact).
+    let key = |i: usize| {
+        let r = &runs[i];
+        (map.slot_of(r.brick), if exact { r.brick_off } else { 0 }, i)
+    };
+    let mut out = Vec::with_capacity(counts.iter().filter(|&&n| n > 0).count());
+    // The paper's staggered schedule: servers rotated to begin at `start`.
+    for server in (0..servers).map(|k| (start + k) % servers) {
+        let bucket = &mut buckets[server];
+        if bucket.is_empty() {
+            continue;
+        }
+        if !bucket.is_sorted_by_key(|&i| key(i)) {
+            bucket.sort_unstable_by_key(|&i| key(i));
+        }
         let mut req = ListRequest {
             server,
-            ranges: Vec::new(),
-            pieces: Vec::new(),
+            ranges: Vec::with_capacity(if exact { bucket.len() } else { 0 }),
+            pieces: Vec::with_capacity(bucket.len()),
             bricks: Vec::new(),
         };
         let mut payload_len: u64 = 0;
-        for &brick in &by_server[&server] {
-            let base = map.subfile_offset(brick, layout);
-            match granularity {
-                Granularity::Brick => {
-                    let at = append_list_range(
-                        &mut req.ranges,
-                        &mut payload_len,
-                        base,
-                        layout.brick_len(brick),
-                    );
-                    req.bricks.push((brick, at));
-                    req.pieces
-                        .extend(by_brick[&brick].iter().map(|r| ListPiece {
-                            payload_off: at + r.brick_off,
-                            buf_off: r.buf_off,
-                            len: r.len,
-                        }));
-                }
-                Granularity::Exact => {
-                    let mut sorted: Vec<&BrickRun> = by_brick[&brick].iter().collect();
-                    sorted.sort_by_key(|r| r.brick_off);
-                    for r in sorted {
-                        let at = append_list_range(
-                            &mut req.ranges,
-                            &mut payload_len,
-                            base + r.brick_off,
-                            r.len,
-                        );
-                        req.pieces.push(ListPiece {
-                            payload_off: at,
-                            buf_off: r.buf_off,
-                            len: r.len,
-                        });
+        // Array-level chunks differ in size, so a chunk's subfile offset is
+        // the sum of the chunks before it on its server: carried along the
+        // ascending slots, not re-summed per chunk.
+        let (mut next_slot, mut prefix) = (0usize, 0u64);
+        let mut brick = None;
+        // Subfile offset of `brick`, and (Brick) its payload offset.
+        let (mut base, mut at) = (0u64, 0u64);
+        for &i in bucket.iter() {
+            let r = &runs[i];
+            if brick != Some(r.brick) {
+                brick = Some(r.brick);
+                base = match layout {
+                    Layout::Array(ar) => {
+                        let slot = map.slot_of(r.brick) as usize;
+                        let earlier = &map.bricklists()[server][next_slot..slot];
+                        prefix += earlier.iter().map(|&b| ar.chunk_len(b)).sum::<u64>();
+                        next_slot = slot;
+                        prefix
                     }
+                    _ => map.subfile_offset(r.brick, layout),
+                };
+                if !exact {
+                    let len = layout.brick_len(r.brick);
+                    at = append_list_range(&mut req.ranges, &mut payload_len, base, len);
+                    req.bricks.push((r.brick, at));
                 }
             }
+            let payload_off = if exact {
+                let off = base + r.brick_off;
+                append_list_range(&mut req.ranges, &mut payload_len, off, r.len)
+            } else {
+                at + r.brick_off
+            };
+            req.pieces.push(ListPiece {
+                payload_off,
+                buf_off: r.buf_off,
+                len: r.len,
+            });
         }
         out.push(req);
     }
     Some(out)
 }
 
-/// Rotate server indices so the sequence begins at `start`: the paper's
-/// staggered schedule.
-fn rotated_servers(
-    servers: impl Iterator<Item = usize>,
-    num_servers: usize,
-    start: usize,
-) -> Vec<usize> {
-    let mut present: Vec<usize> = servers.collect();
-    present.sort_unstable();
-    present.dedup();
-    let start = if num_servers == 0 {
-        0
-    } else {
-        start % num_servers
-    };
-    let pivot = present.partition_point(|&s| s < start);
-    let mut out = Vec::with_capacity(present.len());
-    out.extend_from_slice(&present[pivot..]);
-    out.extend_from_slice(&present[..pivot]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::layout::LinearLayout;
-    use crate::placement::round_robin;
+    use crate::geometry::Shape;
+    use crate::hints::{Dist, HpfPattern};
+    use crate::layout::{ArrayLayout, LinearLayout, MultidimLayout, CHUNK_LEN_CALLS};
+    use crate::placement::{greedy, round_robin};
 
     /// Figure 3 setting: 32-brick linear file round-robin over 4 servers.
     fn fig3() -> (Layout, BrickMap) {
@@ -394,5 +395,174 @@ mod tests {
         let reqs = plan(&runs, Granularity::Exact, 0);
         assert_eq!(reqs[0].ranges, vec![(0, 12), (20, 4)]);
         assert_eq!(reqs[0].pieces[2], piece(12, 16, 4));
+    }
+
+    /// The planner this module had before the flat one — group by brick,
+    /// group bricks by server, sort, emit — kept as the reference the flat
+    /// planner must equal request for request.
+    fn oracle(
+        runs: &[BrickRun],
+        map: &BrickMap,
+        layout: &Layout,
+        granularity: Granularity,
+        start_server: usize,
+    ) -> Vec<ListRequest> {
+        let mut by_brick: BTreeMap<u64, Vec<BrickRun>> = BTreeMap::new();
+        for r in runs {
+            by_brick.entry(r.brick).or_default().push(*r);
+        }
+        let mut by_server: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        for &brick in by_brick.keys() {
+            by_server
+                .entry(map.server_of(brick))
+                .or_default()
+                .push(brick);
+        }
+        for bricks in by_server.values_mut() {
+            bricks.sort_by_key(|&b| map.slot_of(b));
+        }
+        let present: Vec<usize> = by_server.keys().copied().collect();
+        let pivot = present.partition_point(|&s| s < start_server % map.num_servers());
+        let mut out = Vec::new();
+        for &server in present[pivot..].iter().chain(&present[..pivot]) {
+            let mut req = ListRequest {
+                server,
+                ranges: Vec::new(),
+                pieces: Vec::new(),
+                bricks: Vec::new(),
+            };
+            let mut payload_len: u64 = 0;
+            for &brick in &by_server[&server] {
+                let base = map.subfile_offset(brick, layout);
+                match granularity {
+                    Granularity::Brick => {
+                        let at = append_list_range(
+                            &mut req.ranges,
+                            &mut payload_len,
+                            base,
+                            layout.brick_len(brick),
+                        );
+                        req.bricks.push((brick, at));
+                        req.pieces.extend(
+                            by_brick[&brick]
+                                .iter()
+                                .map(|r| piece(at + r.brick_off, r.buf_off, r.len)),
+                        );
+                    }
+                    Granularity::Exact => {
+                        let mut sorted: Vec<&BrickRun> = by_brick[&brick].iter().collect();
+                        sorted.sort_by_key(|r| r.brick_off);
+                        for r in sorted {
+                            let at = append_list_range(
+                                &mut req.ranges,
+                                &mut payload_len,
+                                base + r.brick_off,
+                                r.len,
+                            );
+                            req.pieces.push(piece(at, r.buf_off, r.len));
+                        }
+                    }
+                }
+            }
+            out.push(req);
+        }
+        out
+    }
+
+    /// One layout of each level, each with bricks of more than one byte
+    /// (the array level's chunks differ in size: 10 rows over 4 procs).
+    fn level(which: usize) -> Layout {
+        let shape = |d: &[u64]| Shape::new(d.to_vec()).unwrap();
+        match which {
+            0 => Layout::Linear(LinearLayout::new(64, 24 * 64).unwrap()),
+            1 => Layout::Multidim(MultidimLayout::new(shape(&[9, 20]), shape(&[2, 4]), 2).unwrap()),
+            _ => Layout::Array(
+                ArrayLayout::new(
+                    shape(&[10, 12]),
+                    HpfPattern(vec![Dist::Block(4), Dist::Cyclic(5)]),
+                    3,
+                )
+                .unwrap(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any runs — unsorted, duplicated, self-overlapping — over every
+        /// level, placement, granularity and starting server plan exactly
+        /// as the reference planner plans them.
+        #[test]
+        fn plan_list_equals_the_reference_planner(
+            which in 0usize..3,
+            perf in proptest::collection::vec(1i64..4, 1..6),
+            use_greedy in proptest::bool::ANY,
+            exact in proptest::bool::ANY,
+            start in 0usize..16,
+            ascending in proptest::bool::ANY,
+            raw in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), 0u64..4096),
+                0..48,
+            ),
+        ) {
+            let layout = level(which);
+            let bricks = layout.num_bricks();
+            let map = if use_greedy {
+                BrickMap::from_assignment(greedy(bricks, &perf), perf.len())
+            } else {
+                BrickMap::from_assignment(round_robin(bricks, perf.len()), perf.len())
+            };
+            let mut runs: Vec<BrickRun> = raw
+                .iter()
+                .map(|&(b, off, len, buf_off)| {
+                    let brick = b % bricks;
+                    let brick_off = off % layout.brick_len(brick);
+                    let len = 1 + len % (layout.brick_len(brick) - brick_off);
+                    run(brick, brick_off, buf_off, len)
+                })
+                .collect();
+            if ascending {
+                // what the mappers emit: the no-sort path
+                runs.sort_by_key(|r| (r.brick, r.brick_off));
+            }
+            let granularity = if exact { Granularity::Exact } else { Granularity::Brick };
+            let got = plan_list(&runs, &map, &layout, granularity, start).unwrap();
+            prop_assert_eq!(got, oracle(&runs, &map, &layout, granularity, start));
+        }
+    }
+
+    /// Planning every chunk of an array-level file costs the same per chunk
+    /// at 4096 chunks as at 64 — counted in `chunk_len` calls, the work
+    /// that was quadratic when each chunk's subfile offset re-summed every
+    /// earlier chunk on its server.
+    #[test]
+    fn array_level_planning_is_linear_in_chunks() {
+        let chunk_len_calls_per_chunk = |procs: u64| {
+            let layout = Layout::Array(
+                ArrayLayout::new(
+                    Shape::new(vec![procs * 2, 8]).unwrap(),
+                    HpfPattern::block_star(procs, 2),
+                    1,
+                )
+                .unwrap(),
+            );
+            let map = BrickMap::from_assignment(round_robin(procs, 4), 4);
+            let runs = whole_brick_runs(&layout, 0, procs);
+            let before = CHUNK_LEN_CALLS.with(|c| c.get());
+            let reqs = plan_list(&runs, &map, &layout, Granularity::Exact, 0).unwrap();
+            let calls = CHUNK_LEN_CALLS.with(|c| c.get()) - before;
+            assert_eq!(reqs, oracle(&runs, &map, &layout, Granularity::Exact, 0));
+            calls as f64 / procs as f64
+        };
+        let (small, large) = (
+            chunk_len_calls_per_chunk(64),
+            chunk_len_calls_per_chunk(4096),
+        );
+        assert!(small > 0.0, "the counter counts");
+        assert!(
+            large <= 3.0 * small,
+            "per-chunk planning cost {large} at 4096 chunks vs {small} at 64"
+        );
     }
 }

@@ -14,21 +14,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// One subfile's open-handle slot: `None` until first use and after
 /// `delete` closes the descriptor.
-type HandleSlot = Arc<Mutex<Option<File>>>;
+type HandleSlot = Arc<RwLock<Option<File>>>;
+
+/// How a request holds its subfile's slot across its local I/O.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Reads: shared once the handle is open; the subfile must exist.
+    Shared,
+    /// Exclusive; the subfile must exist.
+    Exclusive,
+    /// Exclusive; the subfile is created if absent.
+    Create,
+}
 
 /// Store rooted at a local directory; subfile names (DPFS paths) map to
 /// files under the root.
 ///
 /// Locking is per subfile: the store-wide map lock is held only to look up
-/// (or insert) a subfile's handle slot, and the slot's own lock is held
-/// across the local I/O. Requests for *different* subfiles proceed in
-/// parallel; requests for the same subfile serialize, so `delete` and
-/// `truncate` never interleave with a half-done range list. The I/O itself
-/// is positional (`pread`/`pwrite`): one syscall per range, no seek.
+/// (or insert) a subfile's handle slot, and the slot's own reader-writer
+/// lock is held across the local I/O. Requests for *different* subfiles
+/// proceed in parallel, and so do *reads* of one subfile (`pread` needs
+/// only `&File`): they share the slot for their whole range list. Writes,
+/// `truncate`, `delete`, `sync` and the lazy open take it exclusively, so
+/// `delete` and `truncate` never interleave with a half-done range list.
+/// The I/O itself is positional (`pread`/`pwrite`): one syscall per range,
+/// no seek.
 pub struct SubfileStore {
     root: PathBuf,
     /// Open-handle cache: repeated brick requests hit the same descriptor.
@@ -136,15 +150,20 @@ impl SubfileStore {
     fn with_file<T>(
         &self,
         subfile: &str,
-        create: bool,
-        f: impl FnOnce(&mut File) -> Result<T, StoreError>,
+        access: Access,
+        f: impl FnOnce(&File) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let slot = self.slot(subfile);
-        let mut handle = slot.lock();
+        if access == Access::Shared {
+            if let Some(file) = slot.read().as_ref() {
+                return f(file);
+            }
+        }
+        let mut handle = slot.write();
         if handle.is_none() {
             let path = self.path_of(subfile);
             let existed = path.exists();
-            let file = if create {
+            let file = if access == Access::Create {
                 OpenOptions::new()
                     .read(true)
                     .write(true)
@@ -165,7 +184,7 @@ impl SubfileStore {
             }
             *handle = Some(file);
         }
-        f(handle.as_mut().expect("just opened"))
+        f(handle.as_ref().expect("just opened"))
     }
 
     /// Write scatter/gather ranges; creates the subfile if needed.
@@ -185,7 +204,7 @@ impl SubfileStore {
                 });
             }
         }
-        self.with_file(subfile, true, |file| {
+        self.with_file(subfile, Access::Create, |file| {
             for (off, data) in ranges {
                 file.write_all_at(data, *off)?;
             }
@@ -200,7 +219,7 @@ impl SubfileStore {
         subfile: &str,
         ranges: &[(u64, u64)],
     ) -> Result<Vec<Bytes>, StoreError> {
-        self.with_file(subfile, false, |file| {
+        self.with_file(subfile, Access::Shared, |file| {
             let size = file.metadata()?.len();
             let mut out = Vec::with_capacity(ranges.len());
             for &(off, len) in ranges {
@@ -225,7 +244,7 @@ impl SubfileStore {
         ranges: &[(u64, u64)],
     ) -> Result<Bytes, StoreError> {
         let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
-        self.with_file(subfile, false, |file| {
+        self.with_file(subfile, Access::Shared, |file| {
             let size = file.metadata()?.len();
             let mut buf = vec![0u8; total];
             let mut at = 0usize;
@@ -247,7 +266,7 @@ impl SubfileStore {
         // on this subfile, so the unlink below observes a quiesced file.
         let slot = self.handles.lock().remove(subfile);
         if let Some(slot) = slot {
-            *slot.lock() = None;
+            *slot.write() = None;
         }
         match std::fs::remove_file(self.path_of(subfile)) {
             Ok(()) => Ok(true),
@@ -268,7 +287,7 @@ impl SubfileStore {
     /// Truncate or extend the subfile to `size` bytes (creating it if
     /// absent).
     pub fn truncate(&self, subfile: &str, size: u64) -> Result<(), StoreError> {
-        self.with_file(subfile, true, |file| {
+        self.with_file(subfile, Access::Create, |file| {
             file.set_len(size)?;
             Ok(())
         })
@@ -276,7 +295,7 @@ impl SubfileStore {
 
     /// Flush a subfile's data to stable storage.
     pub fn sync(&self, subfile: &str) -> Result<(), StoreError> {
-        self.with_file(subfile, false, |file| {
+        self.with_file(subfile, Access::Exclusive, |file| {
             file.sync_data()?;
             Ok(())
         })
@@ -467,6 +486,99 @@ mod tests {
         let two = s.read_ranges("/a%b", &[(0, 3)]).unwrap();
         assert_eq!(&one[0][..], b"one");
         assert_eq!(&two[0][..], b"two");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn readers_share_a_subfile_and_delete_waits_for_them() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (s, dir) = store();
+        let s = Arc::new(s);
+        s.write_ranges("/f", &[(0, Bytes::from_static(b"abcdefgh"))])
+            .unwrap();
+        s.read_ranges("/f", &[(0, 1)]).unwrap(); // the handle is open now
+        let slot = s.slot("/f");
+        let reading = slot.read();
+
+        // A second reader gets through while the first still holds the slot
+        // (with an exclusive slot it would wait for `reading` forever).
+        let (tx, rx) = mpsc::channel();
+        let reader = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                let got = s.read_ranges_coalesced("/f", &[(0, 4), (4, 4)]).unwrap();
+                tx.send(got).unwrap();
+            })
+        };
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a read of /f waited for another reader of /f");
+        assert_eq!(&got[..], b"abcdefgh");
+        reader.join().unwrap();
+
+        // `delete` does not: it completes only once the reader lets go.
+        let (tx, rx) = mpsc::channel();
+        let deleter = {
+            let s = s.clone();
+            std::thread::spawn(move || tx.send(s.delete("/f").unwrap()).unwrap())
+        };
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "delete went ahead under a reader's half-done range list"
+        );
+        drop(reading);
+        assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap());
+        deleter.join().unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_readers_never_see_a_torn_range_list() {
+        use std::sync::Barrier;
+
+        const READERS: usize = 4;
+        const RANGES: u64 = 64;
+        let (s, dir) = store();
+        let ranges: Vec<(u64, u64)> = (0..RANGES).map(|i| (i * 512, 512)).collect();
+        let data = Bytes::from(vec![0xA5u8; (RANGES * 512) as usize]);
+        // Each round: readers and one truncate-then-delete race from a
+        // barrier; the file is rewritten while everyone waits at the next.
+        let round = Barrier::new(READERS + 2);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    for _ in 0..32 {
+                        round.wait();
+                        for _ in 0..8 {
+                            match s.read_ranges_coalesced("/f", &ranges) {
+                                Ok(got) => assert!(
+                                    got == data || got.iter().all(|&b| b == 0),
+                                    "torn read: truncate/delete ran inside a range list"
+                                ),
+                                Err(StoreError::NotFound) => {}
+                                Err(e) => panic!("{e}"),
+                            }
+                        }
+                        round.wait();
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for _ in 0..32 {
+                    round.wait();
+                    s.truncate("/f", 0).unwrap();
+                    s.delete("/f").unwrap();
+                    round.wait();
+                }
+            });
+            for _ in 0..32 {
+                s.write_ranges("/f", &[(0, data.clone())]).unwrap();
+                round.wait();
+                round.wait();
+            }
+        });
         std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -224,6 +224,101 @@ proptest! {
         prop_assert_eq!(&f.read_bytes(0, len).unwrap(), &model);
         prop_assert_eq!(&f.read_datatype(0, &dt).unwrap(), &payload);
     }
+
+    /// A 3-d sub-block of a multidim file whose tiles overhang the array:
+    /// written and read back, block and whole array, it is what a row-major
+    /// model of the array holds — combined or brick by brick, at both read
+    /// granularities.
+    #[test]
+    fn subarray_3d_over_multidim_matches_model(
+        combine in any::<bool>(),
+        exact in any::<bool>(),
+        n in 1usize..=4,
+        dims in proptest::collection::vec((2u64..12, 1u64..5, any::<u64>(), any::<u64>()), 3..4),
+        elem in 1u64..4,
+        salt in 0u64..251,
+    ) {
+        let pick = |f: fn(&(u64, u64, u64, u64)) -> u64| dims.iter().map(f).collect::<Vec<_>>();
+        let array = Shape::new(pick(|d| d.0)).unwrap();
+        let sub = Region::new(pick(|d| d.2 % d.0), pick(|d| 1 + d.3 % (d.0 - d.2 % d.0))).unwrap();
+        let options = ClientOptions {
+            granularity: if exact { Granularity::Exact } else { Granularity::Brick },
+            ..opts(combine)
+        };
+        let tb = Testbed::unthrottled(n).unwrap();
+        let client = tb.client_opts(options);
+        let hint = Hint::multidim(array.clone(), Shape::new(pick(|d| d.1)).unwrap(), elem);
+        client.create("/cube", &hint).unwrap();
+
+        let mut model: Vec<u8> = (0..array.volume() * elem).map(|i| pat(i, salt)).collect();
+        let payload: Vec<u8> = (0..sub.volume() * elem).map(|i| pat(i, salt + 1)).collect();
+        {
+            let mut f = client.open("/cube").unwrap();
+            f.write_region(&array.full_region(), &model).unwrap();
+            f.write_region(&sub, &payload).unwrap();
+        }
+        // the block's row segments, in the order the buffer packs them
+        let mut at = 0usize;
+        for (start, len) in sub.contiguous_runs(&array) {
+            let (dst, len) = ((start * elem) as usize, (len * elem) as usize);
+            model[dst..dst + len].copy_from_slice(&payload[at..at + len]);
+            at += len;
+        }
+
+        let mut f = client.open("/cube").unwrap();
+        prop_assert_eq!(&f.read_region(&array.full_region()).unwrap(), &model);
+        prop_assert_eq!(&f.read_region(&sub).unwrap(), &payload);
+    }
+
+    /// An indexed datatype every block of which straddles a brick boundary
+    /// (so each maps to two runs on two servers) matches the model.
+    #[test]
+    fn indexed_blocks_straddling_bricks_match_model(
+        combine in any::<bool>(),
+        exact in any::<bool>(),
+        n in 1usize..=4,
+        brick in prop_oneof![Just(64u64), Just(500u64), Just(4096u64)],
+        cuts in proptest::collection::vec((1u64..4, 1u64..30, 1u64..30), 1..12),
+        base in 0u64..30,
+        salt in 0u64..251,
+    ) {
+        // Anchored at `base`, block k starts `before` bytes short of a
+        // brick boundary `skip` bricks past the previous one and runs
+        // `after` bytes beyond it.
+        let mut boundary = 0;
+        let blocks: Vec<(u64, u64)> = cuts
+            .iter()
+            .map(|&(skip, before, after)| {
+                boundary += skip * brick;
+                (boundary - before - base, before + after)
+            })
+            .collect();
+        let dt = Datatype::indexed(blocks).unwrap();
+        let len = base + dt.extent() + 99;
+        let options = ClientOptions {
+            granularity: if exact { Granularity::Exact } else { Granularity::Brick },
+            ..opts(combine)
+        };
+        let tb = Testbed::unthrottled(n).unwrap();
+        let client = tb.client_opts(options);
+        client.create("/idx", &Hint::linear(brick, len)).unwrap();
+
+        let mut model: Vec<u8> = (0..len).map(|i| pat(i, salt)).collect();
+        let payload: Vec<u8> = (0..dt.size()).map(|i| pat(i, salt + 1)).collect();
+        {
+            let mut f = client.open("/idx").unwrap();
+            f.write_bytes(0, &model).unwrap();
+            f.write_datatype(base, &dt, &payload).unwrap();
+        }
+        overlay(&mut model, base, &dt, &payload);
+        for (off, len) in dt.flatten() {
+            prop_assert!((base + off) / brick < (base + off + len - 1) / brick);
+        }
+
+        let mut f = client.open("/idx").unwrap();
+        prop_assert_eq!(&f.read_bytes(0, len).unwrap(), &model);
+        prop_assert_eq!(&f.read_datatype(base, &dt).unwrap(), &payload);
+    }
 }
 
 /// Dense strided reads: for the very requests the client plans, the
