@@ -29,6 +29,18 @@ if sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -
     echo "FAIL: ClientOptions regained a list_io field (the wire shape is chosen per request)"
     exit 1
 fi
+# A client holds no metadata between calls: the generation-probing cache,
+# its two options, the stat-flavoured trait twin and its counters are gone.
+if git grep -nE 'CachingMetaStore|meta_cache_ttl|stat_file_attr|note_meta_cache|get_file_attr_with_gen' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: the client-side metadata cache (or a piece of its plumbing) is back"
+    exit 1
+fi
+fields=$(sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -c '^    pub ')
+if [ "$fields" -ne 6 ]; then
+    echo "FAIL: ClientOptions has $fields fields, expected 6 (an option needs two callers that differ)"
+    exit 1
+fi
 # The planner is one flat pass over the runs (bucket by server, walk the
 # bucket). A map of per-brick Vecs above the test module means the
 # allocation-per-brick planner is back; tests/alloc_budget.rs counts it too.
@@ -44,7 +56,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: release build"
 cargo build --release
 
-echo "==> tier-1: tests (tests/alloc_budget.rs gates the map -> plan allocation counts)"
+echo "==> tier-1: tests (tests/alloc_budget.rs gates the map -> plan allocation counts, tests/rpc_budget.rs the metad round trips per namespace op)"
 cargo test -q
 
 echo "==> workspace tests (crate-level unit, codec fuzz, CRC oracle, bytes shim)"

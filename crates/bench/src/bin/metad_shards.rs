@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dpfs_cluster::Testbed;
-use dpfs_core::{ClientOptions, Hint};
+use dpfs_core::Hint;
 
 const CLIENTS: usize = 4;
 const DIRS_PER_CLIENT: usize = 8;
@@ -32,19 +32,9 @@ struct Run {
 
 fn storm(shards: usize, per_thread: usize) -> Run {
     let tb = Testbed::unthrottled_with_metad_shards(2, shards).expect("testbed");
-    // TTL zero: every stat is a real (generation-validated) lookup, so
-    // the daemons see the full storm instead of the client TTL absorbing
-    // it.
-    let opts = |rank: usize| ClientOptions {
-        rank,
-        meta_cache_ttl: std::time::Duration::ZERO,
-        ..ClientOptions::default()
-    };
     // Pre-create each thread's directories outside the timed window
     // (mkdir broadcasts to every shard; the storm itself is per-shard).
-    let clients: Vec<_> = (0..CLIENTS)
-        .map(|t| tb.remote_client_opts(opts(t)))
-        .collect();
+    let clients: Vec<_> = (0..CLIENTS).map(|t| tb.remote_client(t, true)).collect();
     for (t, c) in clients.iter().enumerate() {
         for d in 0..DIRS_PER_CLIENT {
             c.mkdir(&format!("/c{t}-d{d}")).expect("mkdir");

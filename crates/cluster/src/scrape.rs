@@ -22,9 +22,8 @@
 //!   `shards`; hists `meta.<op>` per op label (service time).
 //! - client (one node per peer): counters `rpc.submitted`,
 //!   `rpc.completed`, `rpc.timed_out`, `rpc.dials`, `rpc.disconnected`,
-//!   `rpc.retries`, `rpc.degraded`, `rpc.list_io`, `rpc.req_bytes`,
-//!   `cache.hits`, `cache.misses`; gauges
-//!   `in_flight`, `in_flight_peak`; hists `lat.read`, `lat.write`,
+//!   `rpc.retries`, `rpc.degraded`, `rpc.list_io`, `rpc.req_bytes`;
+//!   gauges `in_flight`, `in_flight_peak`; hists `lat.read`, `lat.write`,
 //!   `lat.other` (round trip). Plus one `client` node carrying process
 //!   observability: `trace.recorded`, `trace.dropped`, `slow_ops`.
 //! - a node that failed to answer its Stats RPC carries the single
@@ -104,8 +103,6 @@ fn client_node_for(fs: &Dpfs, server: &str) -> Option<NodeSnapshot> {
         name: server.to_string(),
         role: NodeRole::Client,
         counters: vec![
-            ("cache.hits".to_string(), t.meta_cache_hits),
-            ("cache.misses".to_string(), t.meta_cache_misses),
             ("rpc.completed".to_string(), t.completed),
             ("rpc.degraded".to_string(), t.degraded),
             ("rpc.reconstructs".to_string(), t.reconstructs),

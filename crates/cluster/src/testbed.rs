@@ -275,8 +275,7 @@ impl Testbed {
         })
     }
 
-    /// A remote-mounted client with explicit [`ClientOptions`]
-    /// (`opts.meta_cache` / `opts.meta_cache_ttl` select the cache).
+    /// A remote-mounted client with explicit [`ClientOptions`].
     pub fn remote_client_opts(&self, opts: ClientOptions) -> Dpfs {
         assert!(
             !self.metads.is_empty(),

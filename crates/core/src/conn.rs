@@ -228,17 +228,6 @@ impl ConnPool {
         self.transport(server).note_reconstruct();
     }
 
-    /// Count one metadata-cache hit against `server` (the metadata daemon
-    /// whose fetch the cache absorbed).
-    pub(crate) fn note_meta_cache_hit(&self, server: &str) {
-        self.transport(server).note_meta_cache_hit();
-    }
-
-    /// Count one metadata-cache miss against `server`.
-    pub(crate) fn note_meta_cache_miss(&self, server: &str) {
-        self.transport(server).note_meta_cache_miss();
-    }
-
     /// Like [`ConnPool::rpc`] but converts server-side `Error` responses
     /// into `DpfsError::Server`.
     pub fn rpc_ok(&self, server: &str, req: &Request) -> Result<Response> {

@@ -55,15 +55,6 @@ pub struct ClientOptions {
     /// [`DpfsError::Degraded`] — carrying the holed buffer and per-subfile
     /// outcomes — instead of failing the whole read. Off by default.
     pub degraded_reads: bool,
-    /// On remote (metad-backed) mounts, cache file attrs and layouts
-    /// client-side, generation-validated against the daemon. Embedded
-    /// mounts ignore this (the catalog is already in-process).
-    pub meta_cache: bool,
-    /// How long stat-path attr reads may be served from the metadata
-    /// cache without revalidation. Layout reads always revalidate, so
-    /// this staleness window never reaches I/O. Zero = revalidate every
-    /// lookup.
-    pub meta_cache_ttl: Duration,
 }
 
 impl Default for ClientOptions {
@@ -75,8 +66,6 @@ impl Default for ClientOptions {
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::default(),
             degraded_reads: false,
-            meta_cache: true,
-            meta_cache_ttl: Duration::from_millis(500),
         }
     }
 }
@@ -116,8 +105,6 @@ pub struct FileHandle {
     pool: Arc<ConnPool>,
     /// Server names in catalog order; request `server` indices point here.
     servers: Vec<String>,
-    /// Performance numbers of `servers` (greedy extension needs them).
-    perf: Vec<i64>,
     layout: Layout,
     map: BrickMap,
     placement: Placement,
@@ -145,7 +132,6 @@ impl FileHandle {
         meta: Arc<dyn MetaStore>,
         pool: Arc<ConnPool>,
         servers: Vec<String>,
-        perf: Vec<i64>,
         layout: Layout,
         map: BrickMap,
         placement: Placement,
@@ -158,7 +144,6 @@ impl FileHandle {
             meta,
             pool,
             servers,
-            perf,
             layout,
             map,
             placement,
@@ -1015,8 +1000,23 @@ impl FileHandle {
     fn grow_to(&mut self, needed: u64) -> Result<()> {
         let extra = needed - self.map.num_bricks();
         match self.placement {
-            Placement::RoundRobin => self.map.extend(extra, None),
-            Placement::Greedy => self.map.extend(extra, Some(&self.perf)),
+            Placement::RoundRobin => self.map.extend(extra, None)?,
+            Placement::Greedy => {
+                // The registry is read when a greedy file actually grows,
+                // for the numbers of the servers that hold its bricks (the
+                // parity server of an XOR file holds none).
+                let registry = self.meta.list_servers()?;
+                let perf: Vec<i64> = self.servers[..self.map.num_servers()]
+                    .iter()
+                    .map(|name| {
+                        registry
+                            .iter()
+                            .find(|s| s.name == *name)
+                            .map_or(1, |s| s.performance.max(1))
+                    })
+                    .collect();
+                self.map.extend(extra, Some(&perf))?;
+            }
         }
         if let Layout::Linear(lin) = &mut self.layout {
             lin.file_bytes = lin.file_bytes.max(needed * lin.brick_bytes);

@@ -4,8 +4,8 @@
 //! The metadata side is a [`MetaStore`]: [`Dpfs::mount`] backs it with the
 //! in-process SQL catalog (embedded, the original mode), while
 //! [`Dpfs::mount_remote`] speaks metadata RPCs to a `dpfs-metad` daemon
-//! (paper §5's networked database server), optionally through the
-//! generation-validated client cache ([`crate::meta_cache`]). Everything
+//! (paper §5's networked database server). The client holds no metadata
+//! between calls; a handle's layout is the one its `open` read. Everything
 //! above the store — create/open/rename/readdir and the I/O path — is
 //! identical in both modes.
 
@@ -23,7 +23,6 @@ use crate::file::{mirror_subfile, parity_subfile, ClientOptions, FileHandle};
 use crate::geometry::Shape;
 use crate::hints::{FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 use crate::layout::Layout;
-use crate::meta_cache::CachingMetaStore;
 use crate::placement::{greedy, round_robin, BrickMap};
 use crate::remote_meta::RemoteMetaStore;
 
@@ -31,12 +30,9 @@ use crate::remote_meta::RemoteMetaStore;
 /// makes its own, sharing the metadata database or daemon.
 pub struct Dpfs {
     meta: Arc<dyn MetaStore>,
-    /// Set on remote mounts: the RPC layer under `meta` (trace IDs,
-    /// observed generation).
+    /// Set on remote mounts: `meta` again, under its concrete type (trace
+    /// IDs, observed generation, shard routing).
     remote_meta: Option<Arc<RemoteMetaStore>>,
-    /// Set on remote mounts with caching enabled: the cache layer
-    /// (hit/miss counters, explicit invalidation).
-    meta_cache: Option<Arc<CachingMetaStore>>,
     pool: Arc<ConnPool>,
     opts: ClientOptions,
 }
@@ -59,7 +55,6 @@ impl Dpfs {
         Ok(Dpfs {
             meta: Arc::new(EmbeddedMetaStore::new(db)?),
             remote_meta: None,
-            meta_cache: None,
             pool,
             opts,
         })
@@ -72,9 +67,7 @@ impl Dpfs {
 
     /// Mount DPFS against a `dpfs-metad` daemon: every metadata operation
     /// becomes an RPC to `metad_server` (a name the resolver can dial),
-    /// riding the same transport as I/O. With `opts.meta_cache` set (the
-    /// default), attrs and layouts are cached client-side under generation
-    /// validation; `opts.meta_cache_ttl` bounds how stale `stat` may be.
+    /// riding the same transport as I/O.
     pub fn mount_remote(
         metad_server: &str,
         resolver: Resolver,
@@ -86,8 +79,7 @@ impl Dpfs {
     /// Mount DPFS against a *sharded* metadata plane: `metad_servers[i]`
     /// is the daemon serving shard `i` of an `N`-wide partition (the
     /// order must match the daemons' `--shard` ids). Each op routes to
-    /// the shard owning its path; the client cache validates each shard's
-    /// generation independently. With one server this is exactly
+    /// the shard owning its path. With one server this is exactly
     /// [`Dpfs::mount_remote`].
     ///
     /// When more than one shard is mounted, shard 0's advertised map is
@@ -111,17 +103,9 @@ impl Dpfs {
                 ))));
             }
         }
-        let (meta, cache): (Arc<dyn MetaStore>, Option<Arc<CachingMetaStore>>) = if opts.meta_cache
-        {
-            let c = Arc::new(CachingMetaStore::new(remote.clone(), opts.meta_cache_ttl));
-            (c.clone(), Some(c))
-        } else {
-            (remote.clone(), None)
-        };
         Ok(Dpfs {
-            meta,
+            meta: remote.clone(),
             remote_meta: Some(remote),
-            meta_cache: cache,
             pool,
             opts,
         })
@@ -144,9 +128,10 @@ impl Dpfs {
         self.remote_meta.as_ref()
     }
 
-    /// On cached remote mounts, `(hits, misses)` of the metadata cache.
+    /// Always `None`: the client keeps no metadata cache. Exists only
+    /// because `examples/benchmark/src/layers.rs` calls it.
     pub fn meta_cache_stats(&self) -> Option<(u64, u64)> {
-        self.meta_cache.as_ref().map(|c| c.cache_stats())
+        None
     }
 
     /// This client's default options.
@@ -175,7 +160,6 @@ impl Dpfs {
         // Deterministic choice: first n servers in name order.
         let chosen: Vec<ServerInfo> = all.into_iter().take(n).collect();
         let names: Vec<String> = chosen.iter().map(|s| s.name.clone()).collect();
-        let perf: Vec<i64> = chosen.iter().map(|s| s.performance.max(1)).collect();
 
         let layout = Layout::from_striping(&hint.striping)?;
         // Under XOR parity the last-named server is dedicated to parity:
@@ -209,7 +193,13 @@ impl Dpfs {
         let num_bricks = layout.num_bricks();
         let assignment = match hint.placement {
             Placement::RoundRobin => round_robin(num_bricks, data_servers),
-            Placement::Greedy => greedy(num_bricks, &perf[..data_servers]),
+            Placement::Greedy => {
+                let perf: Vec<i64> = chosen[..data_servers]
+                    .iter()
+                    .map(|s| s.performance.max(1))
+                    .collect();
+                greedy(num_bricks, &perf)
+            }
         };
         let map = BrickMap::from_assignment(assignment, data_servers);
 
@@ -242,7 +232,6 @@ impl Dpfs {
             self.meta.clone(),
             self.pool.clone(),
             names,
-            perf,
             layout,
             map,
             hint.placement,
@@ -289,15 +278,6 @@ impl Dpfs {
             lists.pop();
         }
         let map = BrickMap::from_bricklists(&lists)?;
-        let mut perf = Vec::with_capacity(names.len());
-        for name in &names {
-            perf.push(
-                self.meta
-                    .get_server(name)?
-                    .map(|s| s.performance.max(1))
-                    .unwrap_or(1),
-            );
-        }
         let placement = match attr.placement.as_str() {
             "greedy" => Placement::Greedy,
             _ => Placement::RoundRobin,
@@ -307,7 +287,6 @@ impl Dpfs {
             self.meta.clone(),
             self.pool.clone(),
             names,
-            perf,
             layout,
             map,
             placement,
@@ -379,18 +358,17 @@ impl Dpfs {
         Ok((dirs, files))
     }
 
-    /// Stat a file. On cached remote mounts this takes the stat path —
-    /// the answer may be served from cache within the configured TTL.
+    /// Stat a file.
     pub fn stat(&self, path: &str) -> Result<FileAttrRow> {
         let path = normalize_path(path)?;
         self.meta
-            .stat_file_attr(&path)?
+            .get_file_attr(&path)?
             .ok_or(DpfsError::NoSuchFile(path))
     }
 
     /// True if the path names an existing file.
     pub fn exists(&self, path: &str) -> Result<bool> {
-        Ok(self.meta.stat_file_attr(&normalize_path(path)?)?.is_some())
+        Ok(self.meta.get_file_attr(&normalize_path(path)?)?.is_some())
     }
 
     /// True if the path names an existing directory.

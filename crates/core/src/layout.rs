@@ -453,18 +453,6 @@ impl ArrayLayout {
         self.grid.volume()
     }
 
-    /// The local-array shape of chunk `b` (extent each processor owns per
-    /// dimension).
-    pub fn chunk_local_shape(&self, b: u64) -> Shape {
-        let g = self.grid.delinearize(b);
-        Shape(
-            g.iter()
-                .enumerate()
-                .map(|(i, &gi)| self.owned[i][gi as usize])
-                .collect(),
-        )
-    }
-
     /// On-disk bytes of chunk `b`.
     pub fn chunk_len(&self, b: u64) -> u64 {
         #[cfg(test)]

@@ -37,7 +37,6 @@ pub mod fsck;
 pub mod geometry;
 pub mod hints;
 pub mod layout;
-pub mod meta_cache;
 pub mod placement;
 pub mod plan;
 pub mod remote_meta;
@@ -55,7 +54,6 @@ pub use fs::Dpfs;
 pub use geometry::{Region, Shape};
 pub use hints::{Dist, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
-pub use meta_cache::CachingMetaStore;
 pub use placement::{greedy, round_robin, BrickMap};
 pub use plan::Granularity;
 pub use remote_meta::RemoteMetaStore;

@@ -166,8 +166,18 @@ impl BrickMap {
     }
 
     /// Extend the map with `extra` bricks using the same algorithm state
-    /// (used when a linear file grows past its declared size).
-    pub fn extend(&mut self, extra: u64, perf: Option<&[i64]>) {
+    /// (used when a linear file grows past its declared size). `perf`, when
+    /// given, holds one performance number per server of this map.
+    pub fn extend(&mut self, extra: u64, perf: Option<&[i64]>) -> Result<()> {
+        if let Some(perf) = perf {
+            if perf.len() != self.per_server.len() {
+                return Err(DpfsError::InvalidArgument(format!(
+                    "greedy extension got {} performance numbers for {} servers",
+                    perf.len(),
+                    self.per_server.len()
+                )));
+            }
+        }
         let start = self.assignment.len() as u64;
         let extra_assignment = match perf {
             None => {
@@ -201,6 +211,7 @@ impl BrickMap {
             self.per_server[s].push(b);
             self.assignment.push(s);
         }
+        Ok(())
     }
 
     /// Group a set of `(brick, ...)` items by owning server: returns
@@ -347,7 +358,7 @@ mod tests {
     #[test]
     fn extend_round_robin_continues_pattern() {
         let mut m = BrickMap::from_assignment(round_robin(6, 4), 4);
-        m.extend(4, None);
+        m.extend(4, None).unwrap();
         assert_eq!(m.num_bricks(), 10);
         assert_eq!(m.server_of(6), 2);
         assert_eq!(m.server_of(9), 1);
@@ -358,8 +369,18 @@ mod tests {
     fn extend_greedy_preserves_ratio() {
         let perf = [1i64, 3];
         let mut m = BrickMap::from_assignment(greedy(40, &perf), 2);
-        m.extend(40, Some(&perf));
+        m.extend(40, Some(&perf)).unwrap();
         assert_eq!(m.loads(), vec![60, 20]);
+    }
+
+    #[test]
+    fn extend_rejects_a_perf_list_of_the_wrong_length() {
+        // An XOR-parity file's map covers n - 1 data servers; handing it
+        // all n numbers used to index past the accumulated loads.
+        let mut m = BrickMap::from_assignment(greedy(10, &[1, 1]), 2);
+        assert!(m.extend(2, Some(&[1, 1, 1])).is_err());
+        assert!(m.extend(2, Some(&[1])).is_err());
+        assert_eq!(m.num_bricks(), 10);
     }
 
     #[test]

@@ -25,10 +25,12 @@
 //! - a rename whose source and destination live on different shards runs
 //!   the two-phase intent protocol (see [`RemoteMetaStore::rename_file`]).
 //!
-//! Every reply's envelope carries `(shard, generation)`; the store tracks
-//! a per-shard generation high-water mark, republished via
-//! [`RemoteMetaStore::last_gen_of`] for the caching layer
-//! ([`crate::meta_cache`]), which revalidates each shard independently.
+//! Every reply's envelope carries `(shard, generation)`: the shard id is
+//! checked against the routing on every reply, and the store keeps a
+//! per-shard generation high-water mark for diagnostics
+//! ([`RemoteMetaStore::last_gen_of`]). Nothing else is kept between
+//! calls — no attribute, layout or registry row outlives the call that
+//! fetched it.
 //!
 //! Errors: server-side `MetaError`s travel as wire codes and reconstruct
 //! into the exact variant ([`dpfs_meta::MetaError::from_wire`]), so
@@ -140,15 +142,6 @@ impl RemoteMetaStore {
         &self.pool
     }
 
-    /// Sum of the per-shard generation high-water marks (0 before the
-    /// first RPC). Monotonic per store; any mutation anywhere moves it.
-    pub fn last_gen(&self) -> u64 {
-        self.last_gens
-            .iter()
-            .map(|g| g.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Highest generation observed on any reply from shard `shard`.
     pub fn last_gen_of(&self, shard: usize) -> u64 {
         self.last_gens[shard].load(Ordering::Relaxed)
@@ -208,7 +201,7 @@ impl RemoteMetaStore {
                 if reply_shard as usize != shard {
                     // Misconfigured topology: the daemon at this address
                     // serves a different namespace slice than we route to
-                    // it. Caching its answers would corrupt the mount.
+                    // it. Using its answers would corrupt the mount.
                     return Err(MetaError::Remote(format!(
                         "metadata server {server} answered as shard {reply_shard}, \
                          but this mount routes shard {shard} to it \
@@ -266,49 +259,6 @@ impl RemoteMetaStore {
             }
         }
         Ok(())
-    }
-
-    /// [`MetaStore::get_file_attr`] plus the generation the reply was
-    /// stamped with (the caching layer stamps entries with it).
-    pub(crate) fn get_file_attr_with_gen(
-        &self,
-        filename: &str,
-    ) -> Result<(u64, Option<FileAttrRow>), MetaError> {
-        let shard = self.route_file(filename);
-        match self.call(
-            shard,
-            MetaOp::GetFileAttr {
-                filename: filename.to_string(),
-            },
-        )? {
-            (gen, MetaResult::MaybeAttr(a)) => Ok((gen, a)),
-            (_, other) => Err(self.shape(shard, &other)),
-        }
-    }
-
-    /// [`MetaStore::get_distribution`] plus the reply's generation.
-    pub(crate) fn get_distribution_with_gen(
-        &self,
-        filename: &str,
-    ) -> Result<(u64, Vec<Distribution>), MetaError> {
-        let shard = self.route_file(filename);
-        match self.call(
-            shard,
-            MetaOp::GetDistribution {
-                filename: filename.to_string(),
-            },
-        )? {
-            (gen, MetaResult::Distributions(ds)) => Ok((gen, ds)),
-            (_, other) => Err(self.shape(shard, &other)),
-        }
-    }
-
-    /// Shard `shard`'s current generation (cheap revalidation RPC).
-    pub(crate) fn generation_of(&self, shard: usize) -> MetaResultT<u64> {
-        match self.call(shard, MetaOp::Generation)? {
-            (gen, MetaResult::Unit) => Ok(gen),
-            (_, other) => Err(self.shape(shard, &other)),
-        }
     }
 
     /// Rename across shards: the two-phase intent protocol.
@@ -585,7 +535,12 @@ impl MetaStore for RemoteMetaStore {
         self.rename_across_shards(src, dst, from, to)
     }
     fn get_file_attr(&self, filename: &str) -> MetaResultT<Option<FileAttrRow>> {
-        Ok(self.get_file_attr_with_gen(filename)?.1)
+        expect!(
+            self,
+            self.route_file(filename),
+            MetaOp::GetFileAttr { filename: filename.into() },
+            MetaResult::MaybeAttr(a) => a
+        )
     }
     fn set_file_size(&self, filename: &str, size: i64) -> MetaResultT<()> {
         expect!(
@@ -613,7 +568,12 @@ impl MetaStore for RemoteMetaStore {
     }
 
     fn get_distribution(&self, filename: &str) -> MetaResultT<Vec<Distribution>> {
-        Ok(self.get_distribution_with_gen(filename)?.1)
+        expect!(
+            self,
+            self.route_file(filename),
+            MetaOp::GetDistribution { filename: filename.into() },
+            MetaResult::Distributions(ds) => ds
+        )
     }
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> MetaResultT<()> {
         expect!(
@@ -735,7 +695,10 @@ impl MetaStore for RemoteMetaStore {
     fn generation(&self) -> MetaResultT<u64> {
         let mut sum = 0;
         for shard in 0..self.shards.len() {
-            sum += self.generation_of(shard)?;
+            sum += match self.call(shard, MetaOp::Generation)? {
+                (gen, MetaResult::Unit) => gen,
+                (_, other) => return Err(self.shape(shard, &other)),
+            };
         }
         Ok(sum)
     }

@@ -119,11 +119,6 @@ pub struct TransportStats {
     /// Per-server read requests that failed terminally and were rebuilt
     /// byte-exact from this server's mirrors or XOR peers + parity.
     pub reconstructs: u64,
-    /// Metadata lookups served from the client-side attr/layout cache
-    /// instead of a full fetch from this (metadata) server.
-    pub meta_cache_hits: u64,
-    /// Metadata lookups that had to fetch from this (metadata) server.
-    pub meta_cache_misses: u64,
     /// List-I/O RPCs submitted (`ReadList`/`WriteList`: one access-pattern
     /// descriptor on the wire instead of an enumerated range list).
     pub list_io: u64,
@@ -150,8 +145,6 @@ struct Counters {
     retries: AtomicU64,
     degraded: AtomicU64,
     reconstructs: AtomicU64,
-    meta_cache_hits: AtomicU64,
-    meta_cache_misses: AtomicU64,
     list_io: AtomicU64,
     req_bytes: AtomicU64,
     hist_read: Histogram,
@@ -342,8 +335,6 @@ impl Transport {
             retries: self.counters.retries.load(Ordering::Relaxed),
             degraded: self.counters.degraded.load(Ordering::Relaxed),
             reconstructs: self.counters.reconstructs.load(Ordering::Relaxed),
-            meta_cache_hits: self.counters.meta_cache_hits.load(Ordering::Relaxed),
-            meta_cache_misses: self.counters.meta_cache_misses.load(Ordering::Relaxed),
             list_io: self.counters.list_io.load(Ordering::Relaxed),
             req_bytes: self.counters.req_bytes.load(Ordering::Relaxed),
             read_latency: self.counters.hist_read.snapshot(),
@@ -366,20 +357,6 @@ impl Transport {
     /// Count one reconstructed (redundancy-rebuilt) per-server read.
     pub fn note_reconstruct(&self) {
         self.counters.reconstructs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one metadata lookup served from the client-side cache.
-    pub fn note_meta_cache_hit(&self) {
-        self.counters
-            .meta_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one metadata lookup that missed the client-side cache.
-    pub fn note_meta_cache_miss(&self) {
-        self.counters
-            .meta_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
     }
 }
 

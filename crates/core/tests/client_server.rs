@@ -5,10 +5,11 @@
 use std::sync::Arc;
 
 use dpfs_core::{
-    ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint, HpfPattern, Placement, Region,
-    Resolver, Shape,
+    parity_subfile, ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint, HpfPattern,
+    Placement, RedundancyPolicy, Region, Resolver, Shape,
 };
 use dpfs_meta::{Database, ServerInfo};
+use dpfs_proto::{Request, Response};
 use dpfs_server::{IoServer, PerfModel, ServerConfig};
 
 struct Rig {
@@ -135,6 +136,49 @@ fn greedy_growth_keeps_ratio() {
     assert_eq!(f.brick_map().loads(), vec![30, 10]);
     f.write_bytes(0, &vec![1u8; 800]).unwrap();
     assert_eq!(f.brick_map().loads(), vec![60, 20]);
+}
+
+/// Growing an XOR-parity file placed greedily: the brick map covers the
+/// n - 1 data servers, so the extension must take exactly their
+/// performance numbers (handing it all n indexed out of bounds).
+#[test]
+fn xor_greedy_file_grows_and_parity_still_covers_the_data() {
+    let r = rig(3, "xorgreedygrow");
+    let hint = Hint::linear(10, 400)
+        .with_placement(Placement::Greedy)
+        .with_redundancy(RedundancyPolicy::XorParity);
+    let mut f = r.fs.create("/xg", &hint).unwrap();
+    assert_eq!(f.brick_map().loads(), vec![20, 20]);
+    let data: Vec<u8> = (0..800u32).map(|i| (i % 251) as u8 + 1).collect();
+    f.write_bytes(0, &data).unwrap();
+    assert_eq!(f.brick_map().loads(), vec![40, 40]);
+    assert_eq!(f.read_bytes(0, 800).unwrap(), data);
+    f.close().unwrap();
+    let mut f = r.fs.open("/xg").unwrap();
+    assert_eq!(f.brick_map().loads(), vec![40, 40]);
+    assert_eq!(f.read_bytes(0, 800).unwrap(), data);
+
+    // parity == XOR(data subfiles), byte for byte, over the grown extent
+    let subfile = |server: &str, name: String| -> Vec<u8> {
+        let req = Request::Read {
+            subfile: name,
+            ranges: vec![(0, 400)],
+        };
+        match r.fs.pool().rpc_ok(server, &req).unwrap() {
+            Response::Data { chunks } => chunks[0].to_vec(),
+            other => panic!("unexpected response {other:?}"),
+        }
+    };
+    let d0 = subfile("node00", "/xg".into());
+    let d1 = subfile("node01", "/xg".into());
+    let parity = subfile("node02", parity_subfile("/xg"));
+    assert_eq!((d0.len(), d1.len(), parity.len()), (400, 400, 400));
+    assert!(
+        (0..400).all(|i| parity[i] == d0[i] ^ d1[i]),
+        "parity diverged from XOR(data) after growth"
+    );
+    let report = dpfs_core::fsck::fsck(&r.fs, true).unwrap();
+    assert!(report.clean(), "{report:?}");
 }
 
 #[test]

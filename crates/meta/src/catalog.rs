@@ -23,8 +23,7 @@
 //! Every mutating accessor runs in one transaction (`Catalog::write`) that
 //! first bumps the counter and then changes the tables, so a mutation and
 //! its bump are one WAL commit: no crash can leave one durable without the
-//! other. Clients stamp cached layouts with the generation and drop them
-//! when it moves (`dpfs-core::meta_cache`).
+//! other. `dpfs-metad` stamps it on every reply; nothing acts on it.
 
 use std::sync::Arc;
 

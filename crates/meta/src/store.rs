@@ -13,10 +13,9 @@
 //!
 //! Every mutation bumps a monotonically increasing *metadata generation*,
 //! persisted in the shared database (table `dpfs_meta_gen`) so all store
-//! instances over one database observe the same counter. Clients stamp
-//! cached attrs/layouts with the generation at fetch time and invalidate
-//! when it moves — the cheapest possible invalidation protocol that never
-//! serves a stale layout for I/O (see `dpfs-core::meta_cache`). The bump is
+//! instances over one database observe the same counter. Every `dpfs-metad`
+//! reply carries it on its envelope and `dpfs-sh stats` prints it; no
+//! client acts on it (clients keep no metadata between calls). The bump is
 //! part of the mutation's own transaction (the catalog's doing, see
 //! `catalog.rs` "Generation"): the two are one WAL commit, so neither a
 //! crash nor a concurrent reader can see a mutation under the generation
@@ -54,13 +53,6 @@ pub trait MetaStore: Send + Sync {
     fn rename_file(&self, from: &str, to: &str) -> Result<()>;
     /// Fetch a file's attribute row.
     fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>>;
-    /// Like [`MetaStore::get_file_attr`] but explicitly `stat`-flavoured:
-    /// caching backends may serve this from a TTL-bounded cache entry
-    /// without revalidating the generation. Layout decisions must use
-    /// `get_file_attr`/`get_distribution`, never this.
-    fn stat_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
-        self.get_file_attr(filename)
-    }
     /// Update a file's recorded size.
     fn set_file_size(&self, filename: &str, size: i64) -> Result<()>;
     /// Update a file's permission bits.
@@ -102,7 +94,7 @@ pub trait MetaStore: Send + Sync {
     /// Per-server brick counts across all files (`df`-style output).
     fn server_brick_counts(&self) -> Result<Vec<(String, i64)>>;
 
-    // ---- cache-coherence protocol ----
+    // ---- generation ----
 
     /// The current metadata generation. Moves (strictly increases) whenever
     /// any mutation commits through any store over the same database.

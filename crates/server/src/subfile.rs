@@ -262,17 +262,27 @@ impl SubfileStore {
 
     /// Delete the subfile; returns whether it existed.
     pub fn delete(&self, subfile: &str) -> Result<bool, StoreError> {
-        // Close the cached descriptor first, waiting out any in-flight I/O
-        // on this subfile, so the unlink below observes a quiesced file.
-        let slot = self.handles.lock().remove(subfile);
-        if let Some(slot) = slot {
-            *slot.write() = None;
-        }
-        match std::fs::remove_file(self.path_of(subfile)) {
+        // Hold the slot exclusively from closing the descriptor to the end
+        // of the unlink: in-flight I/O is waited out, and a request that
+        // looks the name up meanwhile queues on this slot and reopens the
+        // *path* afterwards — it can never keep a descriptor to the
+        // unlinked inode.
+        let slot = self.slot(subfile);
+        let mut handle = slot.write();
+        *handle = None;
+        let removed = match std::fs::remove_file(self.path_of(subfile)) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
+        };
+        // Forget the entry unless somebody queued on it (clones are only
+        // handed out under the map lock, so 2 = the map's and ours): they
+        // keep the one slot per name, and a later delete forgets it.
+        let mut handles = self.handles.lock();
+        if Arc::strong_count(&slot) == 2 {
+            handles.remove(subfile);
         }
+        removed
     }
 
     /// Stat the subfile: `(exists, size)`.
@@ -531,6 +541,62 @@ mod tests {
         drop(reading);
         assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap());
         deleter.join().unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A write that looks the name up while `delete` is between closing
+    /// the descriptor and unlinking must not end up holding the doomed
+    /// inode: whatever order the two finish in, the name is either a file
+    /// with the writer's bytes or absent — and then the next write creates
+    /// a file `stat` can see.
+    #[test]
+    fn a_write_racing_a_delete_never_lands_on_the_unlinked_inode() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (s, dir) = store();
+        let s = &s;
+        s.write_ranges("/f", &[(0, Bytes::from_static(b"old bytes"))])
+            .unwrap();
+        // Holding the slot shared parks the deleter inside `delete`, after
+        // its lookup and before its unlink.
+        let slot = s.slot("/f");
+        let reading = slot.read();
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let deleter = scope.spawn(move || tx.send(s.delete("/f").unwrap()).unwrap());
+            assert!(
+                rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "delete went ahead under a reader"
+            );
+            let writer = scope.spawn(|| {
+                s.write_ranges("/f", &[(0, Bytes::from_static(b"new"))])
+                    .unwrap()
+            });
+            drop(reading);
+            assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap());
+            deleter.join().unwrap();
+            assert_eq!(writer.join().unwrap(), 3);
+        });
+        match s.stat("/f").unwrap() {
+            (true, size) => {
+                // the write came second: a fresh file holding exactly it
+                assert_eq!(size, 3);
+                assert_eq!(&s.read_ranges("/f", &[(0, 3)]).unwrap()[0][..], b"new");
+            }
+            (false, _) => assert!(matches!(
+                s.read_ranges("/f", &[(0, 3)]),
+                Err(StoreError::NotFound)
+            )),
+        }
+        s.write_ranges("/f", &[(0, Bytes::from_static(b"after"))])
+            .unwrap();
+        assert_eq!(
+            s.stat("/f").unwrap(),
+            (true, 5),
+            "a write after the delete went to an unlinked inode"
+        );
+        assert_eq!(&s.read_ranges("/f", &[(0, 5)]).unwrap()[0][..], b"after");
         std::fs::remove_dir_all(dir).unwrap();
     }
 

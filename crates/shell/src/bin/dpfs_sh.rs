@@ -5,13 +5,12 @@
 //! - `dpfs-sh [num-servers] [class]` — ephemeral in-process testbed:
 //!   starts `num-servers` I/O servers (default 4, unthrottled) with an
 //!   embedded metadata catalog. Self-contained; nothing survives exit.
-//! - `dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...
-//!   [--no-cache]` — attach to running `dpfs-metad` daemons (and
-//!   `dpfs-iond` I/O servers): all metadata goes over TCP, and any
-//!   `--server` not yet in the catalog is registered on mount. Repeat
-//!   `--metad` to mount a sharded metadata plane — the i-th occurrence
-//!   must be the daemon started with `--shard i`. `--no-cache` disables
-//!   the client-side attr/layout cache.
+//! - `dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...` —
+//!   attach to running `dpfs-metad` daemons (and `dpfs-iond` I/O
+//!   servers): all metadata goes over TCP, and any `--server` not yet in
+//!   the catalog is registered on mount. Repeat `--metad` to mount a
+//!   sharded metadata plane — the i-th occurrence must be the daemon
+//!   started with `--shard i`.
 //!
 //! Type `help` at the prompt for the command list.
 
@@ -28,13 +27,12 @@ struct RemoteArgs {
     /// Metadata daemon addresses, in shard order (one = unsharded).
     metads: Vec<String>,
     servers: Vec<(String, String)>,
-    cache: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: dpfs-sh [num-servers] [class]\n       \
-         dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]... [--no-cache]\n       \
+         dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...\n       \
          (repeat --metad in shard order to mount a sharded metadata plane)"
     );
     std::process::exit(2);
@@ -46,7 +44,6 @@ fn parse_remote(args: &[String]) -> Option<RemoteArgs> {
     }
     let mut metads = Vec::new();
     let mut servers = Vec::new();
-    let mut cache = true;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -58,18 +55,13 @@ fn parse_remote(args: &[String]) -> Option<RemoteArgs> {
                 Some((name, addr)) => servers.push((name.to_string(), addr.to_string())),
                 None => usage(),
             },
-            "--no-cache" => cache = false,
             _ => usage(),
         }
     }
     if metads.is_empty() {
         usage()
     }
-    Some(RemoteArgs {
-        metads,
-        servers,
-        cache,
-    })
+    Some(RemoteArgs { metads, servers })
 }
 
 /// Mount against external metads, registering any new I/O servers.
@@ -84,12 +76,8 @@ fn mount_remote(ra: &RemoteArgs) -> Result<Dpfs, String> {
     for (name, addr) in &ra.servers {
         resolver.alias(name, addr);
     }
-    let opts = ClientOptions {
-        meta_cache: ra.cache,
-        ..ClientOptions::default()
-    };
-    let client =
-        Dpfs::mount_sharded(names, resolver, opts).map_err(|e| format!("mount failed: {e}"))?;
+    let client = Dpfs::mount_sharded(names, resolver, ClientOptions::default())
+        .map_err(|e| format!("mount failed: {e}"))?;
     for (name, _) in &ra.servers {
         let known = client
             .meta()
@@ -118,11 +106,10 @@ fn main() {
         Some(ra) => match mount_remote(&ra) {
             Ok(c) => {
                 println!(
-                    "DPFS shell — metadata via {} dpfs-metad shard(s) at {} ({} I/O servers named, cache {}).",
+                    "DPFS shell — metadata via {} dpfs-metad shard(s) at {} ({} I/O servers named).",
                     ra.metads.len(),
                     ra.metads.join(", "),
-                    ra.servers.len(),
-                    if ra.cache { "on" } else { "off" }
+                    ra.servers.len()
                 );
                 c
             }

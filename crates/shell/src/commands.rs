@@ -300,10 +300,9 @@ impl Shell {
     }
 
     /// The metadata half of `stats`: where metadata lives, and — on remote
-    /// mounts — the client cache counters plus the daemons' own per-op
-    /// service-time histograms fetched over their `Stats` RPC. On a
-    /// sharded plane every shard gets its own section (generation, cache
-    /// hits/misses against it, daemon counters, per-op percentiles).
+    /// mounts — the daemons' own per-op service-time histograms fetched
+    /// over their `Stats` RPC. On a sharded plane every shard gets its own
+    /// section (generation, daemon counters, per-op percentiles).
     fn metadata_section(&self) -> String {
         let Some(remote) = self.fs.remote_meta() else {
             return "metadata: embedded (in-process catalog)\n".to_string();
@@ -326,17 +325,6 @@ impl Shell {
                     remote.last_gen_of(shard)
                 )
                 .unwrap();
-            }
-            if self.fs.meta_cache_stats().is_some() {
-                // Hits/misses are mirrored into the per-server transport
-                // counters, which is what makes them per-shard.
-                let (hits, misses) = self
-                    .fs
-                    .pool()
-                    .transport_stats(&name)
-                    .map(|t| (t.meta_cache_hits, t.meta_cache_misses))
-                    .unwrap_or((0, 0));
-                writeln!(out, "meta cache:  {hits} hits / {misses} misses").unwrap();
             }
             let snap = match self.fs.pool().rpc_ok(&name, &Request::Stats) {
                 Ok(Response::Stats { payload }) => MetadStatsSnapshot::decode(&payload),
@@ -1047,7 +1035,6 @@ mod tests {
         sh.exec("ls").unwrap();
         let out = sh.exec("stats").unwrap();
         assert!(out.contains("metadata: remote via metad0"), "{out}");
-        assert!(out.contains("meta cache:"), "{out}");
         assert!(out.contains("meta ops"), "{out}");
         assert!(out.contains("meta.mkdir"), "{out}");
     }
@@ -1068,8 +1055,7 @@ mod tests {
             out.contains("metadata: remote via metad1") && out.contains("[shard 1 of 2]"),
             "{out}"
         );
-        // one cache line and one daemon-counter line per shard
-        assert_eq!(out.matches("meta cache:").count(), 2, "{out}");
+        // one daemon-counter line per shard
         assert_eq!(out.matches("meta ops").count(), 2, "{out}");
         // mkdir broadcasts, so both daemons saw it
         assert_eq!(out.matches("meta.mkdir").count(), 2, "{out}");

@@ -8,16 +8,16 @@
 //!   wire, and no stale cached layout is ever used for I/O;
 //! - one metadata RPC carries a single trace ID from the client's `rpc`
 //!   span to the daemon's `handle` event;
-//! - the client-side attr cache takes hits on repeat stats, visible both in
-//!   the cache's own counters and the transport stats.
+//! - a client holds no metadata between calls: every `stat`/`exists`/`open`
+//!   reflects what any other client committed before the call was issued.
 
 use std::sync::atomic::Ordering;
 
 use dpfs::cluster::{metad_name, FaultProxy, Testbed, METAD_NAME};
 use dpfs::core::trace::{ring, Side};
-use dpfs::core::{ClientOptions, Dpfs, DpfsError, Hint};
+use dpfs::core::{ClientOptions, Dpfs, DpfsError, Hint, Placement};
 use dpfs::meta::catalog::RENAME_INTENT_TAG;
-use dpfs::meta::{MetaError, ShardMap};
+use dpfs::meta::{MetaError, ServerInfo, ShardMap};
 
 #[test]
 fn two_clients_share_one_metad_over_tcp() {
@@ -59,18 +59,8 @@ fn two_clients_share_one_metad_over_tcp() {
         "metad handle event missing: {events:?}"
     );
 
-    // Repeat stats hit the client cache; the transport stats agree.
-    let (h0, _) = a.meta_cache_stats().unwrap();
-    a.stat("/shared.dat").unwrap();
-    a.stat("/shared.dat").unwrap();
-    let (h1, _) = a.meta_cache_stats().unwrap();
-    assert!(h1 > h0, "repeat stat must hit the cache ({h0} -> {h1})");
-    let ts = a.pool().transport_stats(METAD_NAME).unwrap();
-    assert!(ts.meta_cache_hits > 0);
-
-    // Warm A's layout cache, then rename from B. A must observe the rename:
-    // the old name is gone and the new name reads back byte-exactly — the
-    // generation check forbids serving A's stale layout.
+    // A opens the file, then B renames it. A must observe the rename: the
+    // old name is gone and the new name reads back byte-exactly.
     a.open("/shared.dat").unwrap();
     b.rename("/shared.dat", "/renamed.dat").unwrap();
     match a.open("/shared.dat") {
@@ -141,65 +131,70 @@ fn ambiguous_mutation_failures_are_not_replayed() {
     assert!(retried > retries_before, "the read must have retried");
 }
 
-/// A lookup that merely misses (entry absent, generation unchanged) must
-/// not evict what the cache already holds — only an observed generation
-/// move may wipe it.
+/// The coherence rule, under default options: a client holds no metadata
+/// between calls, so the call *immediately following* another client's
+/// committed mutation sees it — no staleness window on `stat`, no cached
+/// absence or presence on `exists`.
 #[test]
-fn plain_cache_misses_do_not_evict_other_entries() {
+fn a_stat_or_exists_reflects_the_other_clients_last_commit() {
     let tb = Testbed::unthrottled_with_metad(2).unwrap();
     let a = tb.remote_client(0, true);
-    for name in ["/warm.dat", "/cold.dat"] {
-        let mut f = a.create(name, &Hint::linear(256, 256)).unwrap();
-        f.write_bytes(0, &[9u8; 256]).unwrap();
-        f.close().unwrap();
-    }
-    let meta = a.meta();
-    // Layout-path lookups (no TTL): warm the first entry, miss on the
-    // second, then the first must still be cached.
-    assert!(meta.get_file_attr("/warm.dat").unwrap().is_some());
-    assert!(meta.get_file_attr("/cold.dat").unwrap().is_some());
-    let (h0, m0) = a.meta_cache_stats().unwrap();
-    assert!(meta.get_file_attr("/warm.dat").unwrap().is_some());
-    let (h1, m1) = a.meta_cache_stats().unwrap();
+    let b = tb.remote_client(1, true);
+    mk_file(&b, "/grow.dat");
+    assert_eq!(a.stat("/grow.dat").unwrap().size, 256);
+
+    // B extends the file and closes it; A's very next stat has the size.
+    let mut f = b.open("/grow.dat").unwrap();
+    f.write_bytes(256, &[7u8; 512]).unwrap();
+    f.close().unwrap();
     assert_eq!(
-        (h1, m1),
-        (h0 + 1, m0),
-        "an unrelated miss under an unchanged generation wiped the cache"
+        a.stat("/grow.dat").unwrap().size,
+        768,
+        "a stat right after another client's close served the old size"
     );
+
+    // B unlinks it; A's very next exists says so.
+    assert!(a.exists("/grow.dat").unwrap());
+    b.unlink("/grow.dat").unwrap();
+    assert!(
+        !a.exists("/grow.dat").unwrap(),
+        "exists right after another client's unlink still said yes"
+    );
+    // ... and a re-create is seen as promptly as the unlink was.
+    mk_file(&b, "/grow.dat");
+    assert!(a.exists("/grow.dat").unwrap());
 }
 
+/// A greedy file grown through a handle that `open` produced on a remote
+/// mount places its new bricks exactly as the creating handle would: the
+/// handle carries no performance numbers, it reads the registry when it
+/// grows.
 #[test]
-fn negative_lookups_are_cached_and_invalidated_by_creates() {
+fn greedy_growth_through_a_remotely_opened_handle_keeps_the_ratio() {
     let tb = Testbed::unthrottled_with_metad(2).unwrap();
     let a = tb.remote_client(0, true);
-    let meta = a.meta();
-
-    // First probe of an absent file is a miss; the "no such file" answer
-    // is generation-stamped and cached, so repeating the probe under an
-    // unchanged generation is a hit, not another attr fetch.
-    assert!(meta.get_file_attr("/ghost.dat").unwrap().is_none());
-    let (h0, m0) = a.meta_cache_stats().unwrap();
-    assert!(meta.get_file_attr("/ghost.dat").unwrap().is_none());
-    assert!(meta.get_distribution("/ghost.dat").unwrap().is_empty());
-    assert!(meta.get_distribution("/ghost.dat").unwrap().is_empty());
-    let (h1, m1) = a.meta_cache_stats().unwrap();
-    assert_eq!(
-        h1,
-        h0 + 2,
-        "repeat negative attr + distribution probes must be cache hits"
-    );
-    assert_eq!(m1, m0 + 1, "only the first distribution probe may miss");
-
-    // A create bumps the generation, so the cached absence must not
-    // outlive it: the very next lookup sees the new file.
-    let mut f = a.create("/ghost.dat", &Hint::linear(256, 256)).unwrap();
-    f.write_bytes(0, &[3u8; 256]).unwrap();
+    let b = tb.remote_client(1, true);
+    // A heterogeneous (1 : 3) pair.
+    for (i, performance) in [(0usize, 1i64), (1, 3)] {
+        a.register_server(&ServerInfo {
+            name: tb.specs()[i].name.clone(),
+            capacity: i64::MAX,
+            performance,
+        })
+        .unwrap();
+    }
+    let hint = Hint::linear(10, 400).with_placement(Placement::Greedy);
+    let f = a.create("/gg", &hint).unwrap();
+    assert_eq!(f.brick_map().loads(), vec![30, 10]);
     f.close().unwrap();
-    assert!(
-        meta.get_file_attr("/ghost.dat").unwrap().is_some(),
-        "stale negative entry served after the file was created"
-    );
-    assert!(!meta.get_distribution("/ghost.dat").unwrap().is_empty());
+
+    let mut g = b.open("/gg").unwrap();
+    assert_eq!(g.brick_map().loads(), vec![30, 10]);
+    let data: Vec<u8> = (0..800u32).map(|i| (i % 241) as u8).collect();
+    g.write_bytes(0, &data).unwrap();
+    assert_eq!(g.brick_map().loads(), vec![60, 20]);
+    g.close().unwrap();
+    assert_eq!(a.open("/gg").unwrap().read_bytes(0, 800).unwrap(), data);
 }
 
 /// Two directories that a 2-wide [`ShardMap`] routes to shard 0 and
@@ -221,12 +216,12 @@ fn mk_file(c: &Dpfs, name: &str) {
     f.close().unwrap();
 }
 
-/// The tentpole acceptance test: two clients mount a 2-shard metadata
-/// plane, see each other's mutations across both shards, and each
-/// client's cache validates generations *per shard* — a mutation on
-/// shard B must not invalidate (or miss-refetch) entries from shard A.
+/// Two clients mount a 2-shard metadata plane and see each other's
+/// creates, renames and unlinks on both shards at their next call; each
+/// daemon's generation, carried on every reply's envelope, advances with
+/// that shard's mutations only.
 #[test]
-fn two_clients_through_two_shards_validate_generations_per_shard() {
+fn two_clients_through_two_shards_see_each_other_and_generations_advance_per_shard() {
     let tb = Testbed::unthrottled_with_metad_shards(3, 2).unwrap();
     let a = tb.remote_client(0, true);
     let b = tb.remote_client(1, true);
@@ -246,43 +241,52 @@ fn two_clients_through_two_shards_validate_generations_per_shard() {
         vec![8u8; 256]
     );
 
-    // Warm a's layout-path entry for fa (home: shard 0), then prove the
-    // per-shard validation protocol on a's cache counters.
-    let meta = a.meta();
-    assert!(meta.get_file_attr(&fa).unwrap().is_some());
-    let (h0, m0) = a.meta_cache_stats().unwrap();
-    assert!(meta.get_file_attr(&fa).unwrap().is_some());
-    let (h1, m1) = a.meta_cache_stats().unwrap();
-    assert_eq!((h1, m1), (h0 + 1, m0), "repeat lookup hits");
+    // A's view of each shard's generation, refreshed by a read from it.
+    let remote = a.remote_meta().unwrap();
+    let gens = || {
+        assert!(a.exists(&fa).unwrap());
+        assert!(a.exists(&fb).unwrap());
+        (remote.last_gen_of(0), remote.last_gen_of(1))
+    };
+    let (g0, g1) = gens();
+    assert!(g0 > 0 && g1 > 0);
 
-    // B mutates shard 1 only; shard 0's generation is untouched, so a's
-    // shard-0 entry must still be served as a hit.
-    mk_file(&b, &format!("{d1}/b2.dat"));
-    assert!(meta.get_file_attr(&fa).unwrap().is_some());
-    let (h2, m2) = a.meta_cache_stats().unwrap();
-    assert_eq!(
-        (h2, m2),
-        (h1 + 1, m1),
-        "a shard-1 mutation invalidated a shard-0 cache entry"
+    // B mutates shard 1 only: A sees the file, and only shard 1 moved.
+    let fb2 = format!("{d1}/b2.dat");
+    mk_file(&b, &fb2);
+    assert!(
+        a.exists(&fb2).unwrap(),
+        "b's shard-1 create is visible to a"
     );
+    let (h0, h1) = gens();
+    assert_eq!(h0, g0, "a shard-1 mutation moved shard 0's generation");
+    assert!(h1 > g1, "shard 1's generation did not advance");
 
-    // B mutates shard 0: now the entry is suspect and must refetch.
-    mk_file(&b, &format!("{d0}/a2.dat"));
-    assert!(meta.get_file_attr(&fa).unwrap().is_some());
-    let (h3, m3) = a.meta_cache_stats().unwrap();
-    assert_eq!(
-        (h3, m3),
-        (h2, m2 + 1),
-        "a shard-0 mutation must force a refetch of shard-0 entries"
+    // B mutates shard 0 only: the other way round.
+    let fa2 = format!("{d0}/a2.dat");
+    mk_file(&b, &fa2);
+    assert!(
+        a.exists(&fa2).unwrap(),
+        "b's shard-0 create is visible to a"
     );
+    let (i0, i1) = gens();
+    assert!(i0 > h0, "shard 0's generation did not advance");
+    assert_eq!(i1, h1, "a shard-0 mutation moved shard 1's generation");
+
+    // B renames across shards and unlinks: A's next calls agree.
+    let moved = format!("{d1}/a2-moved.dat");
+    b.rename(&fa2, &moved).unwrap();
+    assert!(!a.exists(&fa2).unwrap(), "renamed-away name still visible");
+    assert_eq!(a.stat(&moved).unwrap().size, 256);
+    b.unlink(&fb2).unwrap();
+    assert!(!a.exists(&fb2).unwrap(), "unlinked name still visible");
+    assert!(matches!(a.open(&fb2), Err(DpfsError::NoSuchFile(_))));
 
     // Both daemons genuinely served metadata, stamped with their ids.
     let stats = tb.metad_stats_all();
     assert_eq!((stats[0].shard_id, stats[0].shards), (0, 2));
     assert_eq!((stats[1].shard_id, stats[1].shards), (1, 2));
     assert!(stats.iter().all(|s| s.meta_ops > 0), "{stats:?}");
-    let remote = a.remote_meta().unwrap();
-    assert!(remote.last_gen_of(0) > 0 && remote.last_gen_of(1) > 0);
 }
 
 /// A sharded mount whose destination-shard daemon tears the connection on

@@ -197,8 +197,8 @@ proptest! {
         servers in 1usize..8,
     ) {
         let mut two_step = BrickMap::from_assignment(round_robin(first, servers), servers);
-        two_step.extend(extra1, None);
-        two_step.extend(extra2, None);
+        two_step.extend(extra1, None).unwrap();
+        two_step.extend(extra2, None).unwrap();
         let one_shot = BrickMap::from_assignment(
             round_robin(first + extra1 + extra2, servers), servers);
         prop_assert_eq!(two_step, one_shot);
