@@ -48,6 +48,20 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan.rs | grep -nE 'BTreeMap|HashM
     echo "FAIL: crates/core/src/plan.rs uses a BTreeMap/HashMap outside #[cfg(test)]"
     exit 1
 fi
+# Namespace ops ride the one dispatch (file.rs::issue, through issue_all):
+# fs.rs talks to no I/O server on its own.
+if grep -nE 'pool\.rpc\(|rpc_ok\(' crates/core/src/fs.rs; then
+    echo "FAIL: crates/core/src/fs.rs has a private dispatch again (build a work list, call issue_all)"
+    exit 1
+fi
+# Which subfile of a file lives on which server is written down once, in
+# RedundancyPolicy::subfiles / copy_home; nobody else derives a mirror or
+# parity name (definitions and re-exports carry no call parenthesis).
+if grep -rnE '(mirror|parity)_subfile\(' crates/*/src --include='*.rs' |
+    grep -v '^crates/core/src/hints.rs:'; then
+    echo "FAIL: a mirror/parity subfile name is derived outside crates/core/src/hints.rs"
+    exit 1
+fi
 echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l)"
 
 echo "==> cargo clippy (deny warnings)"
@@ -111,9 +125,10 @@ printf '%s\n' \
     'mkdir /ci' \
     'import README.md /ci/readme.md' \
     'ls -l /ci' \
-    'export /ci/readme.md target/metad-smoke/readme.roundtrip' \
+    'mv /ci/readme.md /ci/moved.md' \
+    'export /ci/moved.md target/metad-smoke/readme.roundtrip' \
     'stats' \
-    'rm /ci/readme.md' \
+    'rm /ci/moved.md' \
     | ./target/release/dpfs-sh \
         --metad 127.0.0.1:17441 --metad 127.0.0.1:17442 \
         --server ion0=127.0.0.1:17440 \
@@ -122,7 +137,8 @@ kill "$METAD0_PID" "$METAD1_PID" "$IOND_PID" 2>/dev/null || :
 trap - EXIT
 # The stats sections prove metadata went over TCP to *both* shards; the
 # broadcast mkdir row proves each daemon executed ops; cmp proves data
-# round-tripped through the real I/O daemon byte-for-byte.
+# round-tripped through the real I/O daemon byte-for-byte — under the name
+# a server-side Rename gave its subfile.
 grep -q 'metadata: remote via metad0' target/metad-smoke/shell.out
 grep -q 'metadata: remote via metad1' target/metad-smoke/shell.out
 test "$(grep -c 'meta ops,' target/metad-smoke/shell.out)" -eq 2
@@ -150,7 +166,8 @@ trap 'kill $RMETAD_PID $RION0_PID $RION1_PID $RION2_PID 2>/dev/null || :' EXIT
 sleep 1
 printf '%s\n' \
     'import README.md /readme.md 4096 replica:2' \
-    'stat /readme.md' \
+    'mv /readme.md /moved.md' \
+    'stat /moved.md' \
     | ./target/release/dpfs-sh \
         --metad 127.0.0.1:17451 \
         --server ion0=127.0.0.1:17452 \
@@ -159,10 +176,11 @@ printf '%s\n' \
     >target/red-smoke/shell1.out 2>&1
 grep -q 'redundancy: replica:2' target/red-smoke/shell1.out
 # One I/O server goes dark; the export below must reconstruct its bricks
-# from the mirrors and still round-trip byte-for-byte.
+# from the mirrors — renamed along with the primaries — and still
+# round-trip byte-for-byte.
 kill "$RION1_PID" 2>/dev/null || :
 printf '%s\n' \
-    'export /readme.md target/red-smoke/readme.roundtrip' \
+    'export /moved.md target/red-smoke/readme.roundtrip' \
     | ./target/release/dpfs-sh \
         --metad 127.0.0.1:17451 \
         --server ion0=127.0.0.1:17452 \

@@ -326,6 +326,12 @@ impl Testbed {
             .collect()
     }
 
+    /// The directory server `idx` keeps its subfiles in (tests compare it
+    /// with what the client believes the server holds).
+    pub fn server_root(&self, idx: usize) -> PathBuf {
+        self.root.join(&self.specs[idx].name)
+    }
+
     /// Stop server `idx` (failure injection). Its connections die; clients
     /// talking to it see transport errors. The listener socket and all
     /// connection threads are reaped before this returns, so the port is

@@ -24,7 +24,8 @@ use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result, SubfileOutcome};
 use crate::geometry::Region;
-use crate::hints::{FileLevel, Placement, RedundancyPolicy};
+use crate::hints::{copy_home, FileLevel, Placement, RedundancyPolicy};
+pub use crate::hints::{mirror_subfile, parity_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::placement::BrickMap;
 use crate::plan::{plan_list, Granularity, ListRequest};
@@ -81,21 +82,6 @@ pub struct ClientStats {
     pub useful_read: u64,
     /// Bytes sent over the wire.
     pub wire_written: u64,
-}
-
-/// Subfile name of replica copy `copy` (1-based) of `path`: copy `i` of
-/// server `s`'s subfile lives on server `(s + i) % n` under this name.
-/// The scheme is purely name-derived so every client (and fsck) can find
-/// the mirrors without extra metadata rows.
-pub fn mirror_subfile(path: &str, copy: usize) -> String {
-    format!("{path}#r{copy}")
-}
-
-/// Subfile name of the XOR parity sibling of `path`, held by the last
-/// server in the file's distribution: `parity[off]` is the XOR of every
-/// data subfile's byte at `off` (absent bytes count as zero).
-pub fn parity_subfile(path: &str) -> String {
-    format!("{path}#p")
 }
 
 /// An open DPFS file.
@@ -203,11 +189,6 @@ impl FileHandle {
     /// I/O statistics accumulated on this handle.
     pub fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// Override client options (rank, combination) after open.
-    pub fn set_options(&mut self, opts: ClientOptions) {
-        self.opts = opts;
     }
 
     /// Enable a client-side brick cache of `capacity` bytes (0 disables).
@@ -589,24 +570,17 @@ impl FileHandle {
             })
             .collect();
         let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
-        // Copy 0 is the primary. Copy `i` of server `s`'s subfile rides on
-        // server `(s + i) % n` under the mirror name, same byte offsets —
-        // one extra request per copy in the same pipelined dispatch.
-        let copies = match self.redundancy {
-            RedundancyPolicy::Replica(k) => k,
-            _ => 1,
-        };
+        // Copy 0 is the primary; every further copy is the same request at
+        // the same byte offsets, aimed at the copy's home — one extra
+        // request per copy in the same pipelined dispatch.
+        let copies = self.redundancy.copies();
         let n = self.servers.len();
         let mut work: Vec<(&str, Request)> = Vec::with_capacity(reqs.len() * copies);
         // `(server index, expected Written bytes)` parallel to `work`.
         let mut expect: Vec<(usize, u64)> = Vec::with_capacity(reqs.len() * copies);
         for copy in 0..copies {
             for ((req, shape), payload) in reqs.iter().zip(&shaped).zip(&payloads) {
-                let server = (req.server + copy) % n;
-                let subfile = match copy {
-                    0 => self.path.clone(),
-                    _ => mirror_subfile(&self.path, copy),
-                };
+                let (server, subfile) = copy_home(&self.path, req.server, copy, n);
                 work.push((
                     self.servers[server].as_str(),
                     shape.write(req, payload, subfile),
@@ -674,16 +648,15 @@ impl FileHandle {
         if union.is_empty() {
             return Ok(());
         }
-        let data_servers = self.servers.len() - 1;
-        let work: Vec<(&str, Request)> = self.servers[..data_servers]
-            .iter()
-            .map(|server| {
+        let mut subfiles = self.redundancy.subfiles(&self.path, self.servers.len());
+        let (parity_server, parity_name) = subfiles.pop().expect("xor parity enumerates parity");
+        let work: Vec<(&str, Request)> = subfiles
+            .into_iter()
+            .map(|(server, subfile)| {
+                let ranges = union.clone();
                 (
-                    server.as_str(),
-                    Request::Read {
-                        subfile: self.path.clone(),
-                        ranges: union.clone(),
-                    },
+                    self.servers[server].as_str(),
+                    Request::Read { subfile, ranges },
                 )
             })
             .collect();
@@ -709,17 +682,17 @@ impl FileHandle {
             .map(|(&(off, _), bytes)| (off, Bytes::from(bytes)))
             .collect();
         let parity = Request::Write {
-            subfile: parity_subfile(&self.path),
+            subfile: parity_name,
             ranges,
         };
         let res = issue_one(
             &self.pool,
             &self.opts,
-            &self.servers[data_servers],
+            &self.servers[parity_server],
             parity,
             trace_id,
         );
-        self.note_written(data_servers, expected, res)
+        self.note_written(parity_server, expected, res)
     }
 
     /// Re-materialize the exact bytes lost `server` owed for `ranges`,
@@ -742,9 +715,10 @@ impl FileHandle {
             RedundancyPolicy::Replica(k) => {
                 let mut last_err = None;
                 for copy in 1..k {
-                    let mirror = &self.servers[(server + copy) % n];
+                    let (home, subfile) = copy_home(&self.path, server, copy, n);
+                    let mirror = &self.servers[home];
                     let read = Request::Read {
-                        subfile: mirror_subfile(&self.path, copy),
+                        subfile,
                         ranges: ranges.to_vec(),
                     };
                     let resp = issue_one(&self.pool, &self.opts, mirror, read, trace_id);
@@ -756,40 +730,32 @@ impl FileHandle {
                 Err(last_err.expect("replica policy has k >= 2"))
             }
             RedundancyPolicy::XorParity => {
-                let data_servers = n - 1;
                 // Same byte ranges from every surviving data subfile and
                 // the parity subfile, XORed together: parity's definition
                 // solved for the missing term.
-                let peers: Vec<(&str, Request)> = (0..data_servers)
-                    .filter(|&d| d != server)
-                    .map(|d| {
-                        (
-                            self.servers[d].as_str(),
-                            Request::Read {
-                                subfile: self.path.clone(),
-                                ranges: ranges.to_vec(),
-                            },
-                        )
-                    })
-                    .chain(std::iter::once((
-                        self.servers[data_servers].as_str(),
-                        Request::Read {
-                            subfile: parity_subfile(&self.path),
-                            ranges: ranges.to_vec(),
-                        },
-                    )))
+                let survivors: Vec<(usize, String)> = self
+                    .redundancy
+                    .subfiles(&self.path, n)
+                    .into_iter()
+                    .filter(|&(peer, _)| peer != server)
                     .collect();
-                let names: Vec<usize> = (0..data_servers)
-                    .filter(|&d| d != server)
-                    .chain(std::iter::once(data_servers))
+                let peers: Vec<(&str, Request)> = survivors
+                    .iter()
+                    .map(|(peer, subfile)| {
+                        let read = Request::Read {
+                            subfile: subfile.clone(),
+                            ranges: ranges.to_vec(),
+                        };
+                        (self.servers[*peer].as_str(), read)
+                    })
                     .collect();
                 let results = issue(&self.pool, &self.opts, peers, trace_id);
                 let mut acc: Vec<Vec<u8>> = ranges
                     .iter()
                     .map(|&(_, len)| vec![0u8; len as usize])
                     .collect();
-                for (&peer, res) in names.iter().zip(results) {
-                    let chunks = expect_chunks(res?, ranges, &self.servers[peer])?;
+                for ((peer, _), res) in survivors.iter().zip(results) {
+                    let chunks = expect_chunks(res?, ranges, &self.servers[*peer])?;
                     for (a, chunk) in acc.iter_mut().zip(&chunks) {
                         for (ab, cb) in a.iter_mut().zip(chunk.iter()) {
                             *ab ^= cb;
@@ -1044,88 +1010,20 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Ask every server holding this file to flush its subfile. Every
-    /// server is attempted even when some fail — one dead server must not
-    /// leave the others' subfiles unflushed — and the failures come back
+    /// Ask every server holding this file to flush its subfiles — the
+    /// primaries, the mirror copies and the parity sibling (a server
+    /// answers `Pong` for a subfile it never created). Every server is
+    /// attempted even when some fail, and the failures come back
     /// aggregated in a single [`DpfsError::Aggregate`].
     pub fn sync(&mut self) -> Result<()> {
-        let trace_id = trace::sampled_trace_id();
-        self.last_trace_id = trace_id;
-        let op_start = trace::now_ns();
-        // Every subfile this file materialises, per server: primaries,
-        // each server's mirror copies, and the parity sibling. (A server
-        // answers Pong for a subfile it never created.)
-        let n = self.servers.len();
-        let mut targets: Vec<(usize, String)> = Vec::new();
-        match self.redundancy {
-            RedundancyPolicy::None => {
-                targets.extend((0..n).map(|s| (s, self.path.clone())));
-            }
-            RedundancyPolicy::Replica(k) => {
-                for s in 0..n {
-                    targets.push((s, self.path.clone()));
-                    for copy in 1..k {
-                        targets.push(((s + copy) % n, mirror_subfile(&self.path, copy)));
-                    }
-                }
-            }
-            RedundancyPolicy::XorParity => {
-                targets.extend((0..n - 1).map(|s| (s, self.path.clone())));
-                targets.push((n - 1, parity_subfile(&self.path)));
-            }
-        }
-        let work: Vec<(&str, Request)> = targets
-            .iter()
-            .map(|(server, subfile)| {
-                (
-                    self.servers[*server].as_str(),
-                    Request::Sync {
-                        subfile: subfile.clone(),
-                    },
-                )
-            })
+        self.last_trace_id = trace::sampled_trace_id();
+        let work = self
+            .redundancy
+            .subfiles(&self.path, self.servers.len())
+            .into_iter()
+            .map(|(s, subfile)| (self.servers[s].as_str(), Request::Sync { subfile }))
             .collect();
-        trace::client_event(
-            trace_id,
-            "plan",
-            "sync",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            0,
-        );
-        let results = issue(&self.pool, &self.opts, work, trace_id);
-        let failures: Vec<(String, DpfsError)> = targets
-            .iter()
-            .zip(results)
-            .filter_map(|((server, _), res)| {
-                let err = match res {
-                    Ok(Response::Error { code, message }) => {
-                        Some(DpfsError::Server { code, message })
-                    }
-                    Ok(_) => None,
-                    Err(e) => Some(e),
-                };
-                err.map(|e| (self.servers[*server].clone(), e))
-            })
-            .collect();
-        trace::client_event(
-            trace_id,
-            "op",
-            "sync",
-            "",
-            op_start,
-            trace::now_ns().saturating_sub(op_start),
-            0,
-        );
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(DpfsError::Aggregate {
-                op: "sync",
-                failures,
-            })
-        }
+        issue_all(&self.pool, &self.opts, "sync", work, self.last_trace_id)
     }
 
     /// Close the handle, persisting the final size. (Dropping the handle
@@ -1200,6 +1098,50 @@ fn issue(
         0,
     );
     out
+}
+
+/// One whole-file operation `op` (`sync`, `unlink`, `rename`): `work` holds
+/// one request per subfile. They go through [`issue`] like a read's — all
+/// on the wire before the first is awaited — and every one is attempted
+/// even when some fail: one dead server must not leave the others'
+/// subfiles untouched. The failures, transport errors and `Error` replies
+/// alike, come back as a single [`DpfsError::Aggregate`] naming their
+/// servers.
+pub(crate) fn issue_all(
+    pool: &ConnPool,
+    opts: &ClientOptions,
+    op: &'static str,
+    work: Vec<(&str, Request)>,
+    trace_id: u64,
+) -> Result<()> {
+    let op_start = trace::now_ns();
+    let servers: Vec<&str> = work.iter().map(|&(server, _)| server).collect();
+    let failures: Vec<(String, DpfsError)> = servers
+        .into_iter()
+        .zip(issue(pool, opts, work, trace_id))
+        .filter_map(|(server, res)| {
+            let err = match res {
+                Ok(Response::Error { code, message }) => DpfsError::Server { code, message },
+                Ok(_) => return None,
+                Err(e) => e,
+            };
+            Some((server.to_string(), err))
+        })
+        .collect();
+    trace::client_event(
+        trace_id,
+        "op",
+        op,
+        "",
+        op_start,
+        trace::now_ns().saturating_sub(op_start),
+        0,
+    );
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(DpfsError::Aggregate { op, failures })
+    }
 }
 
 /// [`issue`] for a single request.

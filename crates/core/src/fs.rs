@@ -13,18 +13,20 @@ use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
 use dpfs_meta::{
-    Catalog, Database, Distribution, EmbeddedMetaStore, FileAttrRow, MetaStore, ServerInfo,
+    Catalog, Database, Distribution, EmbeddedMetaStore, FileAttrRow, MetaError, MetaStore,
+    ServerInfo,
 };
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
 use crate::error::{DpfsError, Result};
-use crate::file::{mirror_subfile, parity_subfile, ClientOptions, FileHandle};
+use crate::file::{issue_all, ClientOptions, FileHandle};
 use crate::geometry::Shape;
 use crate::hints::{FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 use crate::layout::Layout;
 use crate::placement::{greedy, round_robin, BrickMap};
 use crate::remote_meta::RemoteMetaStore;
+use crate::trace;
 
 /// A DPFS client instance. Cheap to create; each compute node (thread)
 /// makes its own, sharing the metadata database or daemon.
@@ -60,11 +62,6 @@ impl Dpfs {
         })
     }
 
-    /// Mount with default options and direct name resolution.
-    pub fn mount_simple(db: Arc<Database>) -> Result<Dpfs> {
-        Self::mount(db, Resolver::direct(), ClientOptions::default())
-    }
-
     /// Mount DPFS against a `dpfs-metad` daemon: every metadata operation
     /// becomes an RPC to `metad_server` (a name the resolver can dial),
     /// riding the same transport as I/O.
@@ -95,7 +92,7 @@ impl Dpfs {
         if remote.shard_count() > 1 {
             let (_, width) = remote.fetch_shard_map(0).map_err(DpfsError::Meta)?;
             if width as usize != remote.shard_count() {
-                return Err(DpfsError::Meta(dpfs_meta::MetaError::Remote(format!(
+                return Err(DpfsError::Meta(MetaError::Remote(format!(
                     "metadata shard 0 ({}) serves a {width}-shard plane, \
                      but {} --metad servers were mounted",
                     remote.server(),
@@ -223,7 +220,7 @@ impl Dpfs {
             });
         }
         self.meta.create_file(&attr, &dist).map_err(|e| match e {
-            dpfs_meta::MetaError::DuplicateKey(_) => DpfsError::FileExists(path.clone()),
+            MetaError::DuplicateKey(_) => DpfsError::FileExists(path.clone()),
             other => other.into(),
         })?;
 
@@ -298,8 +295,8 @@ impl Dpfs {
 
     // --------------------------------------------------- namespace ops
 
-    /// Delete a file: metadata first (transactional), then each server's
-    /// subfile.
+    /// Delete a file: metadata first (transactional), then one `Delete`
+    /// per subfile, all servers at once.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = normalize_path(path)?;
         // Redundant files carry derived subfiles under other names; note
@@ -311,22 +308,25 @@ impl Dpfs {
             .transpose()?
             .unwrap_or_default();
         let dist = self.meta.delete_file(&path).map_err(|e| match e {
-            dpfs_meta::MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(path.clone()),
+            MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(path.clone()),
             other => other.into(),
         })?;
-        for d in dist {
-            // best effort: a dead server must not strand the namespace
-            for subfile in subfile_names(&path, redundancy) {
-                let _ = self.pool.rpc(&d.server, &Request::Delete { subfile });
-            }
-        }
+        let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
+        let work = redundancy
+            .subfiles(&path, servers.len())
+            .into_iter()
+            .map(|(s, subfile)| (servers[s].as_str(), Request::Delete { subfile }))
+            .collect();
+        let trace_id = trace::sampled_trace_id();
+        // best effort: a dead server must not strand the namespace
+        let _ = issue_all(&self.pool, &self.opts, "unlink", work, trace_id);
         Ok(())
     }
 
     /// Create a directory.
     pub fn mkdir(&self, path: &str) -> Result<()> {
         self.meta.mkdir(path).map_err(|e| match e {
-            dpfs_meta::MetaError::NoSuchTable(m) => DpfsError::NoSuchDirectory(m),
+            MetaError::NoSuchTable(m) => DpfsError::NoSuchDirectory(m),
             other => other.into(),
         })
     }
@@ -376,63 +376,39 @@ impl Dpfs {
         Ok(self.meta.get_dir(path)?.is_some())
     }
 
-    /// Rename a file. Metadata moves atomically in the catalog; since
-    /// subfiles are keyed by DPFS path, each server then copies its subfile
-    /// to the new name and deletes the old one.
+    /// Rename a file: metadata first (atomic in the catalog), then — since
+    /// subfiles are keyed by DPFS path — one server-side `Rename` per
+    /// subfile, all servers at once. Names move; no byte does. A server that
+    /// cannot be reached keeps its subfiles under the old name and is named
+    /// in the returned [`DpfsError::Aggregate`].
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from_n = normalize_path(from)?;
         let to_n = normalize_path(to)?;
-        // Move the bytes: read whole subfiles server-side is overkill at
-        // this layer; instead we re-point metadata and copy per server.
-        let redundancy = self
+        let attr = self
             .meta
             .get_file_attr(&from_n)?
-            .map(|a| RedundancyPolicy::parse(&a.redundancy))
-            .transpose()?
-            .unwrap_or_default();
+            .ok_or_else(|| DpfsError::NoSuchFile(from_n.clone()))?;
+        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
         let dist = self.meta.get_distribution(&from_n)?;
-        self.meta.rename_file(&from_n, &to_n)?;
-        let from_subs = subfile_names(&from_n, redundancy);
-        let to_subs = subfile_names(&to_n, redundancy);
-        for d in &dist {
-            // copy subfile content (and any derived redundant subfiles)
-            // under the new name on the same server
-            for (from_sub, to_sub) in from_subs.iter().zip(&to_subs) {
-                let stat = self.pool.rpc_ok(
-                    &d.server,
-                    &Request::Stat {
-                        subfile: from_sub.clone(),
-                    },
-                );
-                let size = match stat {
-                    Ok(dpfs_proto::Response::Stat { exists: true, size }) => size,
-                    _ => continue, // nothing written yet on this server
-                };
-                let data = self.pool.rpc_ok(
-                    &d.server,
-                    &Request::Read {
-                        subfile: from_sub.clone(),
-                        ranges: vec![(0, size)],
-                    },
-                )?;
-                if let dpfs_proto::Response::Data { chunks } = data {
-                    self.pool.rpc_ok(
-                        &d.server,
-                        &Request::Write {
-                            subfile: to_sub.clone(),
-                            ranges: vec![(0, chunks[0].clone())],
-                        },
-                    )?;
-                }
-                let _ = self.pool.rpc(
-                    &d.server,
-                    &Request::Delete {
-                        subfile: from_sub.clone(),
-                    },
-                );
-            }
-        }
-        Ok(())
+        self.meta.rename_file(&from_n, &to_n).map_err(|e| match e {
+            MetaError::DuplicateKey(_) => DpfsError::FileExists(to_n.clone()),
+            // The catalog misses the source (an unlink raced us) or the
+            // destination's directory; a second look tells which.
+            MetaError::NoSuchTable(m) => match self.meta.get_file_attr(&from_n) {
+                Ok(Some(_)) => DpfsError::NoSuchDirectory(m),
+                _ => DpfsError::NoSuchFile(from_n.clone()),
+            },
+            other => other.into(),
+        })?;
+        let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
+        let work = redundancy
+            .subfiles(&from_n, servers.len())
+            .into_iter()
+            .zip(redundancy.subfiles(&to_n, servers.len()))
+            .map(|((s, from), (_, to))| (servers[s].as_str(), Request::Rename { from, to }))
+            .collect();
+        let trace_id = trace::sampled_trace_id();
+        issue_all(&self.pool, &self.opts, "rename", work, trace_id)
     }
 
     /// Connection pool (the shell and tests reach through for pings).
@@ -497,23 +473,6 @@ fn attr_for(path: &str, hint: &Hint, layout: &Layout) -> FileAttrRow {
         },
         redundancy: hint.redundancy.as_str(),
     }
-}
-
-/// Every subfile name a server may hold for `path` under `policy`: the
-/// primary plus any replica mirrors or the parity sibling. Namespace ops
-/// (unlink, rename) sweep all of them per server.
-fn subfile_names(path: &str, policy: RedundancyPolicy) -> Vec<String> {
-    let mut names = vec![path.to_string()];
-    match policy {
-        RedundancyPolicy::None => {}
-        RedundancyPolicy::Replica(k) => {
-            for copy in 1..k {
-                names.push(mirror_subfile(path, copy));
-            }
-        }
-        RedundancyPolicy::XorParity => names.push(parity_subfile(path)),
-    }
-    names
 }
 
 /// Reconstruct striping geometry from a catalog attribute row.

@@ -11,6 +11,7 @@ use dpfs_proto::Request;
 
 use crate::error::{DpfsError, Result};
 use crate::fs::{striping_from_attr, Dpfs};
+use crate::hints::RedundancyPolicy;
 use crate::layout::Layout;
 use crate::placement::BrickMap;
 
@@ -194,12 +195,11 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                 && matches!(layout, Layout::Linear(_))
                 && attr.size as u64 >= layout.file_bytes()
                 && attr.size > 0;
-            let policy = crate::hints::RedundancyPolicy::parse(&attr.redundancy);
-            // Under XOR parity the last distribution row is the brickless
-            // parity holder; primary-subfile checks cover the data rows.
-            let data_rows = match policy {
-                Ok(crate::hints::RedundancyPolicy::XorParity) if dist.len() >= 2 => dist.len() - 1,
-                _ => dist.len(),
+            let policy = RedundancyPolicy::parse(&attr.redundancy);
+            // Primary-subfile checks cover the rows that hold bricks.
+            let data_rows = match &policy {
+                Ok(p) => p.data_servers(dist.len()),
+                Err(_) => dist.len(),
             };
             let mut primary_sizes: Vec<Option<u64>> = Vec::with_capacity(data_rows);
             for (server, list) in dist.iter().take(data_rows) {
@@ -354,55 +354,49 @@ fn write_subfile(fs: &Dpfs, server: &str, subfile: &str, data: Vec<u8>) -> Resul
 fn check_protection(
     fs: &Dpfs,
     filename: &str,
-    policy: crate::hints::RedundancyPolicy,
+    policy: RedundancyPolicy,
     dist: &[(String, Vec<i64>)],
     primary_sizes: &[Option<u64>],
     report: &mut FsckReport,
 ) {
-    use crate::file::{mirror_subfile, parity_subfile};
-    use crate::hints::RedundancyPolicy;
-    let n = dist.len();
+    let mut subfiles = policy.subfiles(filename, dist.len());
     match policy {
         RedundancyPolicy::None => {}
         RedundancyPolicy::Replica(k) => {
             // Copies of a stripe are byte-identical by construction, so a
             // copy smaller than the largest in its group lost data.
-            for s in 0..n {
-                let mut group: Vec<(usize, String, Option<u64>)> = vec![(
-                    s,
-                    filename.to_string(),
-                    primary_sizes.get(s).copied().flatten(),
-                )];
-                for copy in 1..k {
-                    let host = (s + copy) % n;
-                    let sub = mirror_subfile(filename, copy);
-                    report.subfiles_checked += 1;
-                    let size = stat_subfile(fs, &dist[host].0, &sub);
-                    group.push((host, sub, size));
-                }
-                let best = group.iter().filter_map(|(_, _, sz)| *sz).max().unwrap_or(0);
-                if best == 0 {
-                    continue;
-                }
-                for (host, sub, sz) in group {
+            for group in subfiles.chunks(k) {
+                let sizes: Vec<Option<u64>> = group
+                    .iter()
+                    .enumerate()
+                    .map(|(copy, (host, sub))| {
+                        if copy == 0 {
+                            return primary_sizes.get(*host).copied().flatten();
+                        }
+                        report.subfiles_checked += 1;
+                        stat_subfile(fs, &dist[*host].0, sub)
+                    })
+                    .collect();
+                let best = sizes.iter().flatten().copied().max().unwrap_or(0);
+                for ((host, sub), sz) in group.iter().zip(sizes) {
                     if sz.is_some_and(|sz| sz < best) {
                         report.issues.push(Issue::UnderProtected {
                             filename: filename.to_string(),
-                            server: dist[host].0.clone(),
-                            subfile: sub,
+                            server: dist[*host].0.clone(),
+                            subfile: sub.clone(),
                         });
                     }
                 }
             }
         }
         RedundancyPolicy::XorParity => {
-            if n < 2 {
+            if dist.len() < 2 {
                 return; // MissingDistribution / open() reject this already
             }
-            let data_n = n - 1;
-            let psub = parity_subfile(filename);
+            let (parity_host, psub) = subfiles.pop().expect("xor parity enumerates parity");
+            let data_n = subfiles.len();
             report.subfiles_checked += 1;
-            let parity_size = stat_subfile(fs, &dist[data_n].0, &psub);
+            let parity_size = stat_subfile(fs, &dist[parity_host].0, &psub);
             let data_max = primary_sizes[..data_n]
                 .iter()
                 .filter_map(|s| *s)
@@ -413,7 +407,7 @@ fn check_protection(
                 if psize < data_max {
                     report.issues.push(Issue::UnderProtected {
                         filename: filename.to_string(),
-                        server: dist[data_n].0.clone(),
+                        server: dist[parity_host].0.clone(),
                         subfile: psub,
                     });
                 }
@@ -446,7 +440,6 @@ fn check_protection(
 /// servers are left alone; a data subfile whose parity is also lost is
 /// reported unfixable. Requires an embedded mount, like [`fsck`].
 pub fn fsck_reprotect(fs: &Dpfs) -> Result<RepairSummary> {
-    use crate::hints::RedundancyPolicy;
     let catalog = fs.catalog().ok_or_else(embedded_only)?;
     let db = catalog.db();
     let mut summary = RepairSummary::default();
@@ -484,13 +477,10 @@ fn reprotect_replica(
     k: usize,
     summary: &mut RepairSummary,
 ) -> Result<()> {
-    use crate::file::mirror_subfile;
-    let n = dist.len();
-    for s in 0..n {
-        let mut group: Vec<(usize, String)> = vec![(s, filename.to_string())];
-        for copy in 1..k {
-            group.push(((s + copy) % n, mirror_subfile(filename, copy)));
-        }
+    for group in RedundancyPolicy::Replica(k)
+        .subfiles(filename, dist.len())
+        .chunks(k)
+    {
         let sizes: Vec<Option<u64>> = group
             .iter()
             .map(|(host, sub)| stat_subfile(fs, &dist[*host].server, sub))
@@ -529,14 +519,13 @@ fn reprotect_parity(
     layout: &Layout,
     summary: &mut RepairSummary,
 ) -> Result<()> {
-    use crate::file::parity_subfile;
-    let n = dist.len();
-    if n < 2 {
+    if dist.len() < 2 {
         return Ok(());
     }
-    let data_n = n - 1;
-    let psub = parity_subfile(filename);
-    let parity_server = dist[data_n].server.clone();
+    let mut subfiles = RedundancyPolicy::XorParity.subfiles(filename, dist.len());
+    let (parity_host, psub) = subfiles.pop().expect("xor parity enumerates parity");
+    let data_n = subfiles.len();
+    let parity_server = dist[parity_host].server.clone();
     let sizes: Vec<Option<u64>> = (0..data_n)
         .map(|s| stat_subfile(fs, &dist[s].server, filename))
         .collect();

@@ -234,6 +234,63 @@ impl RedundancyPolicy {
             "unknown redundancy policy {s:?}"
         )))
     }
+
+    /// How many of a file's `n` servers hold bricks: all of them, except
+    /// that under XOR parity the last one holds only the parity subfile.
+    pub fn data_servers(self, n: usize) -> usize {
+        match self {
+            RedundancyPolicy::XorParity => n.saturating_sub(1),
+            _ => n,
+        }
+    }
+
+    /// Copies kept of every data subfile, the primary included.
+    pub fn copies(self) -> usize {
+        match self {
+            RedundancyPolicy::Replica(k) => k,
+            _ => 1,
+        }
+    }
+
+    /// Every subfile a file materialises on its `n` servers, as `(server
+    /// index, subfile name)` — *the* definition of "the subfiles of a
+    /// file" that sync, unlink, rename, parity, reconstruction and fsck all
+    /// enumerate. Primaries come in server order; under `Replica(k)` each
+    /// primary is followed by its `k - 1` mirrors, so `chunks(k)` yields
+    /// the copy groups; under `XorParity` the parity subfile comes last.
+    pub fn subfiles(self, path: &str, n: usize) -> Vec<(usize, String)> {
+        let mut out: Vec<(usize, String)> = (0..self.data_servers(n))
+            .flat_map(|s| (0..self.copies()).map(move |copy| copy_home(path, s, copy, n)))
+            .collect();
+        if self == RedundancyPolicy::XorParity && n > 0 {
+            out.push((n - 1, parity_subfile(path)));
+        }
+        out
+    }
+}
+
+/// Subfile name of replica copy `copy` (1-based) of `path`. The scheme is
+/// purely name-derived so every client (and fsck) can find the mirrors
+/// without extra metadata rows; [`copy_home`] says which server holds it.
+pub fn mirror_subfile(path: &str, copy: usize) -> String {
+    format!("{path}#r{copy}")
+}
+
+/// Subfile name of the XOR parity sibling of `path`, held by the last
+/// server in the file's distribution: `parity[off]` is the XOR of every
+/// data subfile's byte at `off` (absent bytes count as zero).
+pub fn parity_subfile(path: &str) -> String {
+    format!("{path}#p")
+}
+
+/// Where copy `copy` of server `s`'s subfile of `path` lives among the
+/// file's `n` servers: copy 0 is the primary, on `s` under the path itself;
+/// copy `i` rides on server `(s + i) mod n` under the mirror name.
+pub fn copy_home(path: &str, s: usize, copy: usize, n: usize) -> (usize, String) {
+    match copy {
+        0 => (s, path.to_string()),
+        _ => ((s + copy) % n, mirror_subfile(path, copy)),
+    }
 }
 
 /// Placement (striping) algorithm choice (paper §4.1).
@@ -442,6 +499,37 @@ mod tests {
             HpfPattern::block_cyclic_star(3, 16, 2).to_pattern_string(),
             "CYCLIC(16),*"
         );
+    }
+
+    #[test]
+    fn subfiles_per_policy() {
+        let named = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
+            v.iter().map(|&(s, name)| (s, name.to_string())).collect()
+        };
+        assert_eq!(
+            RedundancyPolicy::None.subfiles("/f", 3),
+            named(&[(0, "/f"), (1, "/f"), (2, "/f")])
+        );
+        // Copy groups are consecutive: primary, then its mirrors, wrapping.
+        assert_eq!(
+            RedundancyPolicy::Replica(2).subfiles("/f", 3),
+            named(&[
+                (0, "/f"),
+                (1, "/f#r1"),
+                (1, "/f"),
+                (2, "/f#r1"),
+                (2, "/f"),
+                (0, "/f#r1"),
+            ])
+        );
+        // The last server holds parity and no primary.
+        assert_eq!(
+            RedundancyPolicy::XorParity.subfiles("/f", 3),
+            named(&[(0, "/f"), (1, "/f"), (2, "/f#p")])
+        );
+        assert!(RedundancyPolicy::XorParity.subfiles("/f", 0).is_empty());
+        assert_eq!(RedundancyPolicy::XorParity.data_servers(4), 3);
+        assert_eq!(RedundancyPolicy::Replica(3).data_servers(4), 4);
     }
 
     #[test]

@@ -49,10 +49,13 @@ pub use collective::{Collective, CollectiveGroup};
 pub use conn::{ConnPool, Resolver};
 pub use datatype::Datatype;
 pub use error::{DpfsError, Result, SubfileOutcome};
-pub use file::{mirror_subfile, parity_subfile, ClientOptions, ClientStats, FileHandle};
+pub use file::{ClientOptions, ClientStats, FileHandle};
 pub use fs::Dpfs;
 pub use geometry::{Region, Shape};
-pub use hints::{Dist, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
+pub use hints::{
+    mirror_subfile, parity_subfile, Dist, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy,
+    Striping,
+};
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
 pub use placement::{greedy, round_robin, BrickMap};
 pub use plan::Granularity;

@@ -19,8 +19,8 @@
 
 pub use dpfs_obs::{
     export_jsonl, export_jsonl_to, next_trace_id, now_ns, ring, sampled_trace_id,
-    set_trace_sample_every, slowlog, ClusterSnapshot, Counter, Gauge, HistSnapshot, Histogram,
-    MetricsRegistry, NodeRole, NodeSnapshot, Side, SlowLog, TraceEvent, TraceRing, HIST_BUCKETS,
+    set_trace_sample_every, slowlog, ClusterSnapshot, HistSnapshot, Histogram, NodeRole,
+    NodeSnapshot, Side, SlowLog, TraceEvent, TraceRing, HIST_BUCKETS,
 };
 
 /// Record one client-side span into the global ring. No-op when

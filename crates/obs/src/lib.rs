@@ -25,13 +25,11 @@
 
 pub mod hist;
 pub mod log;
-pub mod metrics;
 pub mod ring;
 pub mod slowlog;
 pub mod snapshot;
 
 pub use hist::{HistSnapshot, Histogram, HIST_BUCKETS};
-pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use ring::{export_jsonl, export_jsonl_to, ring, Side, TraceEvent, TraceRing};
 pub use slowlog::{slowlog, SlowLog};
 pub use snapshot::{ClusterSnapshot, NodeRole, NodeSnapshot};

@@ -112,6 +112,9 @@ pub enum Request {
         pattern: AccessPattern,
         payload: Bytes,
     },
+    /// Rename the subfile `from` to `to` in place, replacing whatever `to`
+    /// named (file rename: names move, no byte does).
+    Rename { from: String, to: String },
 }
 
 impl Request {
@@ -130,6 +133,7 @@ impl Request {
             Request::Meta { op } => op.op_str(),
             Request::ReadList { .. } => "read_list",
             Request::WriteList { .. } => "write_list",
+            Request::Rename { .. } => "rename",
         }
     }
 }
@@ -176,6 +180,8 @@ pub enum Response {
     /// — the client already knows the pattern it sent, so it scatters
     /// straight from this buffer into the caller's.
     DataList { data: Bytes },
+    /// Subfile renamed (`existed` tells whether there was one to rename).
+    Renamed { existed: bool },
 }
 
 // ---- codec helpers ----
@@ -340,6 +346,11 @@ impl Request {
                 pattern.encode_into(buf);
                 out.put_bytes(payload);
             }
+            Request::Rename { from, to } => {
+                buf.put_u8(13);
+                put_str(buf, from);
+                put_str(buf, to);
+            }
         }
     }
 
@@ -426,6 +437,10 @@ impl Request {
                     payload,
                 }
             }
+            13 => Request::Rename {
+                from: get_str(&mut buf)?,
+                to: get_str(&mut buf)?,
+            },
             other => return Err(FrameError::BadMessage(format!("bad request tag {other}"))),
         };
         ensure_done(&buf)?;
@@ -490,6 +505,10 @@ impl Response {
                 buf.put_u8(10);
                 out.put_bytes(data);
             }
+            Response::Renamed { existed } => {
+                buf.put_u8(11);
+                buf.put_u8(*existed as u8);
+            }
         }
     }
 
@@ -551,6 +570,9 @@ impl Response {
             10 => Response::DataList {
                 data: get_bytes(&mut buf)?,
             },
+            11 => Response::Renamed {
+                existed: get_u8(&mut buf)? != 0,
+            },
             other => return Err(FrameError::BadMessage(format!("bad response tag {other}"))),
         };
         ensure_done(&buf)?;
@@ -600,6 +622,10 @@ mod tests {
         });
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::Stats);
+        round_trip_req(Request::Rename {
+            from: "/a/f#r1".into(),
+            to: "/b/g#r1".into(),
+        });
     }
 
     fn strided_pattern() -> AccessPattern {
@@ -816,6 +842,8 @@ mod tests {
         round_trip_resp(Response::Stats {
             payload: Bytes::new(),
         });
+        round_trip_resp(Response::Renamed { existed: true });
+        round_trip_resp(Response::Renamed { existed: false });
     }
 
     #[test]

@@ -136,6 +136,38 @@ proptest! {
         let _ = Request::decode(Bytes::from(flipped));
     }
 
+    /// `Rename` round-trips for any pair of names, every strict prefix of
+    /// its encoding is refused (both strings are length-prefixed), trailing
+    /// garbage is refused, and a flipped `Renamed` never panics.
+    #[test]
+    fn rename_round_trips_and_rejects_truncation_and_garbage(
+        from in "[a-zA-Z0-9/_.%#-]{0,64}",
+        to in "[a-zA-Z0-9/_.%#-]{0,64}",
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+        existed in any::<bool>(),
+        x in 1u8..=255,
+    ) {
+        let req = Request::Rename { from, to };
+        let enc = req.encode();
+        prop_assert_eq!(&Request::decode(enc.clone()).unwrap(), &req);
+        for cut in 0..enc.len() {
+            prop_assert!(Request::decode(enc.slice(..cut)).is_err(), "cut at {}", cut);
+        }
+        let mut long = enc.to_vec();
+        long.extend_from_slice(&garbage);
+        prop_assert!(Request::decode(Bytes::from(long)).is_err());
+
+        let resp = Response::Renamed { existed };
+        let enc = resp.encode().to_vec();
+        prop_assert_eq!(Response::decode(Bytes::from(enc.clone())).unwrap(), resp);
+        prop_assert!(Response::decode(Bytes::copy_from_slice(&enc[..1])).is_err());
+        for i in 0..enc.len() {
+            let mut flipped = enc.clone();
+            flipped[i] ^= x;
+            let _ = Response::decode(Bytes::from(flipped));
+        }
+    }
+
     /// `DataList` responses survive the same treatment.
     #[test]
     fn mutated_list_responses_never_panic(

@@ -289,6 +289,57 @@ fn two_clients_through_two_shards_see_each_other_and_generations_advance_per_sha
     assert!(stats.iter().all(|s| s.meta_ops > 0), "{stats:?}");
 }
 
+/// `rename` answers in the client's own error vocabulary, like `create`
+/// and `unlink` do, and the same way on every kind of mount: embedded,
+/// remote within one shard, and remote across two.
+#[test]
+fn rename_errors_are_typed_and_agree_across_mounts() {
+    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let (d0, d1) = dirs_on_distinct_shards();
+    let remote = tb.remote_client(0, true);
+    remote.mkdir(&d0).unwrap();
+    remote.mkdir(&d1).unwrap();
+    // The embedded mount reads shard 0's database: give it the same shape
+    // inside one directory of that shard.
+    let embedded = tb.client(0, true);
+    let cases = [
+        ("embedded", &embedded, d0.clone(), d0.clone()),
+        ("same shard", &remote, d1.clone(), d1.clone()),
+        ("cross shard", &remote, d0.clone(), d1.clone()),
+    ];
+    for (mount, fs, src_dir, dst_dir) in cases {
+        let (src, dst) = (
+            format!("{src_dir}/src-{mount}"),
+            format!("{dst_dir}/dst-{mount}"),
+        );
+        match fs.rename(&src, &dst) {
+            Err(DpfsError::NoSuchFile(p)) => assert_eq!(p, src, "{mount}"),
+            other => panic!("{mount}: missing source gave {other:?}"),
+        }
+        mk_file(fs, &src);
+        mk_file(fs, &dst);
+        match fs.rename(&src, &dst) {
+            Err(DpfsError::FileExists(p)) => assert_eq!(p, dst, "{mount}"),
+            other => panic!("{mount}: existing destination gave {other:?}"),
+        }
+        let nowhere = format!("/no-such-dir-{}/x", src.len());
+        let got = fs.rename(&src, &nowhere);
+        assert!(
+            matches!(got, Err(DpfsError::NoSuchDirectory(_))),
+            "{mount}: missing destination directory gave {got:?}"
+        );
+        // None of the refusals moved anything.
+        assert_eq!(
+            fs.open(&src).unwrap().read_bytes(0, 256).unwrap(),
+            [8u8; 256]
+        );
+        assert_eq!(
+            fs.open(&dst).unwrap().read_bytes(0, 256).unwrap(),
+            [8u8; 256]
+        );
+    }
+}
+
 /// A sharded mount whose destination-shard daemon tears the connection on
 /// the `RenameCommit` *reply* (the commit itself lands): the client must
 /// resolve the ambiguity via the destination's intent marker and roll the

@@ -7,11 +7,17 @@
 //! client call: they repeat exactly, so this is a regression test, not a
 //! timing. A compound `Open`/`Unlink`/`Rename` (ROADMAP item 1(a)) has
 //! these numbers to beat.
+//!
+//! The data-plane half is counted the same way at the I/O servers: `unlink`
+//! and `rename` send one request per subfile the file materialises — the
+//! servers' own request counters around the call, the kinds read off the
+//! `handle` events of the op's trace — whatever the file holds.
 
 use std::collections::BTreeMap;
 
 use dpfs::cluster::Testbed;
-use dpfs::core::{Dpfs, Hint};
+use dpfs::core::trace::{ring, Side};
+use dpfs::core::{Dpfs, DpfsError, Hint, RedundancyPolicy};
 use dpfs::meta::ShardMap;
 
 type Counts = BTreeMap<String, u64>;
@@ -37,6 +43,35 @@ fn spent(tb: &Testbed, call: impl FnOnce()) -> Counts {
         *n > 0
     });
     after
+}
+
+/// What the I/O servers served while `call` — one namespace op, traced as
+/// `op` — ran: `[requests, reads, writes]` summed over the servers, and the
+/// kinds of the `handle` events recorded under the op's trace id.
+fn iond_spent(tb: &Testbed, op: &str, call: impl FnOnce()) -> ([u64; 3], Vec<&'static str>) {
+    let totals = |tb: &Testbed| {
+        tb.server_stats().iter().fold([0u64; 3], |t, (_, s)| {
+            [t[0] + s.requests, t[1] + s.reads, t[2] + s.writes]
+        })
+    };
+    let before = totals(tb);
+    let cursor = ring().cursor();
+    call();
+    let after = totals(tb);
+    let events = ring().events_since(cursor);
+    // Only one test of this file renames or unlinks, so the op span is ours.
+    let trace = events
+        .iter()
+        .find(|e| e.side == Side::Client && e.phase == "op" && e.kind == op)
+        .unwrap_or_else(|| panic!("no traced {op}"))
+        .trace_id;
+    assert_ne!(trace, 0);
+    let kinds = events
+        .iter()
+        .filter(|e| e.trace_id == trace && e.side == Side::Server && e.phase == "handle")
+        .map(|e| e.kind)
+        .collect();
+    (std::array::from_fn(|i| after[i] - before[i]), kinds)
 }
 
 fn budget(ops: &[(&str, u64)]) -> Counts {
@@ -108,6 +143,13 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         budget(&[("meta.create_file", 1), ("meta.list_servers", 1)])
     );
 
+    // A source that is not there is found out in the first round trip.
+    let missing = spent(&tb, || {
+        let gone = fs.rename(&format!("{d0}/nope"), &format!("{d0}/m"));
+        assert!(matches!(gone, Err(DpfsError::NoSuchFile(_))));
+    });
+    assert_eq!(missing, budget(&[("meta.get_file_attr", 1)]));
+
     let same_shard = spent(&tb, || {
         fs.rename(&format!("{d0}/n"), &format!("{d0}/m")).unwrap()
     });
@@ -140,4 +182,29 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         unlinked,
         budget(&[("meta.delete_file", 1), ("meta.get_file_attr", 1)])
     );
+
+    // The I/O servers' side, on written files: one request per enumerated
+    // subfile, of the op's one kind, and no byte read or written.
+    for (policy, subfiles) in [
+        (RedundancyPolicy::None, 4),
+        (RedundancyPolicy::Replica(2), 8),
+        (RedundancyPolicy::XorParity, 3 + 1),
+    ] {
+        let (old, new) = (format!("{d0}/w"), format!("{d1}/w"));
+        let hint = Hint::linear(4096, 49152).with_redundancy(policy);
+        let mut f = fs.create(&old, &hint).unwrap();
+        f.write_bytes(0, &[6u8; 49152]).unwrap();
+        f.close().unwrap();
+        assert_eq!(policy.subfiles(&old, 4).len(), subfiles);
+
+        let (sent, kinds) = iond_spent(&tb, "rename", || fs.rename(&old, &new).unwrap());
+        assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} rename");
+        assert_eq!(kinds, vec!["rename"; subfiles], "{policy:?} rename");
+        let mut f = fs.open(&new).unwrap();
+        assert_eq!(f.read_bytes(0, 49152).unwrap(), [6u8; 49152]);
+
+        let (sent, kinds) = iond_spent(&tb, "unlink", || fs.unlink(&new).unwrap());
+        assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} unlink");
+        assert_eq!(kinds, vec!["delete"; subfiles], "{policy:?} unlink");
+    }
 }

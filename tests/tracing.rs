@@ -6,6 +6,8 @@
 //! - the redundant tail of an operation — the parity rewrite of an
 //!   `XorParity` write, the mirror read of a `Replica` reconstruction —
 //!   travels under the operation's trace ID like everything before it;
+//! - `unlink` and `rename` — no handle, no data — are operations like any
+//!   other: one trace ID each, one submit, one await, every server in it;
 //! - the `Stats` RPC returns a decodable snapshot with populated latency
 //!   histograms;
 //! - a v1 (`DPFS`, uncorrelated) frame is refused by both daemons: its
@@ -219,6 +221,46 @@ fn mirror_read_joins_the_reads_trace() {
         "the mirror read left the operation's trace: {events:?}"
     );
     assert!(events.iter().any(|e| e.phase == "reconstruct"));
+}
+
+#[test]
+fn unlink_and_rename_are_one_trace_each() {
+    let tb = Testbed::unthrottled(4).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    client
+        .create("/ns", &Hint::linear(4096, 16 * 4096))
+        .unwrap();
+    let rename = || client.rename("/ns", "/ns2").unwrap();
+    let unlink = || client.unlink("/ns2").unwrap();
+    let ops: [(&str, &dyn Fn()); 2] = [("rename", &rename), ("delete", &unlink)];
+    for (kind, op) in ops {
+        // No other test of this file renames or deletes.
+        let cursor = ring().cursor();
+        op();
+        let events: Vec<TraceEvent> = ring()
+            .events_since(cursor)
+            .into_iter()
+            .filter(|e| e.kind == kind)
+            .collect();
+        let traces: HashSet<u64> = events.iter().map(|e| e.trace_id).collect();
+        assert_eq!(traces.len(), 1, "{kind}: one operation, one trace");
+        assert!(!traces.contains(&0));
+        let servers = |side: Side, phase: &str| -> Vec<&str> {
+            let mut servers: Vec<&str> = events
+                .iter()
+                .filter(|e| e.side == side && e.phase == phase)
+                .map(|e| e.server.as_str())
+                .collect();
+            servers.sort_unstable();
+            servers
+        };
+        // Submitted together and awaited together, not server by server.
+        assert_eq!(servers(Side::Client, "submit"), [""], "{kind}");
+        assert_eq!(servers(Side::Client, "await"), [""], "{kind}");
+        let all = ["ion00", "ion01", "ion02", "ion03"];
+        assert_eq!(servers(Side::Client, "rpc"), all, "{kind}");
+        assert_eq!(servers(Side::Server, "handle"), all, "{kind}");
+    }
 }
 
 /// A v1 frame — `DPFS`, length, CRC, payload; no correlation ID — sent to
