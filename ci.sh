@@ -41,6 +41,31 @@ if [ "$fields" -ne 6 ]; then
     echo "FAIL: ClientOptions has $fields fields, expected 6 (an option needs two callers that differ)"
     exit 1
 fi
+# A handle holds no file data between calls: the handle-local brick cache,
+# its read-ahead and their setters are gone (`meta_cache_stats`, the shim
+# the benchmark pins, is a different name and stays), and nothing a caller
+# can set on an open handle changes how its later reads behave.
+if git grep -nE 'BrickCache|enable_cache|enable_prefetch|prefetch_after|[^_]cache_stats\(|last_read_end' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: the client-side brick cache or read-ahead (or a piece of its plumbing) is back"
+    exit 1
+fi
+setters=$(sed -n '/^impl FileHandle {/,/^}/p' crates/core/src/file.rs |
+    grep -cE '^    pub fn (set_|enable_)' || :)
+if [ "$setters" -ne 0 ]; then
+    echo "FAIL: FileHandle has $setters public setter(s); how a handle reads is fixed at open"
+    exit 1
+fi
+# The extension audit's deletions: one `figures` binary takes the figure
+# numbers; the flat metad-shards ablation is frozen in EXPERIMENTS.md.
+for gone in crates/bench/src/bin/fig11.rs crates/bench/src/bin/fig12.rs \
+    crates/bench/src/bin/fig13.rs crates/bench/src/bin/fig14.rs \
+    crates/bench/src/bin/metad_shards.rs crates/core/src/cache.rs; do
+    if [ -e "$gone" ]; then
+        echo "FAIL: $gone is back"
+        exit 1
+    fi
+done
 # The planner is one flat pass over the runs (bucket by server, walk the
 # bucket). A map of per-brick Vecs above the test module means the
 # allocation-per-brick planner is back; tests/alloc_budget.rs counts it too.
@@ -62,7 +87,7 @@ if grep -rnE '(mirror|parity)_subfile\(' crates/*/src --include='*.rs' |
     echo "FAIL: a mirror/parity subfile name is derived outside crates/core/src/hints.rs"
     exit 1
 fi
-echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l)"
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters"
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -191,11 +216,6 @@ kill "$RMETAD_PID" "$RION0_PID" "$RION2_PID" 2>/dev/null || :
 trap - EXIT
 cmp -s README.md target/red-smoke/readme.roundtrip
 echo "redundancy smoke: ok"
-
-echo "==> metad sharding ablation smoke (--quick): 1/2/4-shard storm"
-cargo run --release -q -p dpfs-bench --bin metad-shards -- --quick \
-    --out target/metad-shards-quick.json
-grep -q '"bench":"metad_shards"' target/metad-shards-quick.json
 
 echo "==> scenario harness (--quick) with slow-op log enabled"
 rm -f target/slowops.jsonl

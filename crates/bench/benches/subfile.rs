@@ -1,32 +1,8 @@
-//! Microbenchmarks: client brick cache and server subfile store.
+//! Microbenchmarks: the server subfile store, and sieving against it.
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dpfs_core::BrickCache;
 use dpfs_server::SubfileStore;
-
-fn bench_cache(c: &mut Criterion) {
-    c.bench_function("cache_hit_4k_brick", |b| {
-        let mut cache = BrickCache::new(64 << 20);
-        for brick in 0..1024u64 {
-            cache.insert(brick, Bytes::from(vec![0u8; 4096]));
-        }
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 1024;
-            cache.get(black_box(i)).unwrap().len()
-        })
-    });
-
-    c.bench_function("cache_insert_evict_4k", |b| {
-        let mut cache = BrickCache::new(256 * 4096); // 256-brick capacity
-        let mut brick = 0u64;
-        b.iter(|| {
-            brick += 1;
-            cache.insert(black_box(brick), Bytes::from(vec![0u8; 4096]));
-        })
-    });
-}
 
 fn bench_subfile(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("dpfs-bench-subfile-{}", std::process::id()));
@@ -131,5 +107,5 @@ fn bench_sieve(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(benches, bench_cache, bench_subfile, bench_sieve);
+criterion_group!(benches, bench_subfile, bench_sieve);
 criterion_main!(benches);

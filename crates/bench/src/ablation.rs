@@ -1,7 +1,6 @@
 //! Ablation studies on DPFS design choices beyond the paper's figures:
 //! brick-size sweep, read granularity (brick vs exact), the staggered
-//! schedule, I/O-node scaling, the client-side brick cache, and metadata
-//! placement.
+//! schedule, I/O-node scaling, and metadata placement.
 
 use std::sync::Barrier;
 use std::time::Instant;
@@ -180,41 +179,6 @@ pub fn io_node_scaling(scale: FigScale) -> Vec<Point> {
     out
 }
 
-/// Client-cache ablation: one client re-reads a hot region many times.
-pub fn cache_ablation(scale: FigScale) -> Vec<Point> {
-    let n = scale.array_side() / 2;
-    let md = scale.md_brick_side();
-    let shape = Shape::new(vec![n, n]).unwrap();
-    let mut out = Vec::new();
-    for (label, cache_bytes) in [("no cache", 0u64), ("brick cache", 64 << 20)] {
-        let tb = Testbed::homogeneous(4, StorageClass::Class3).unwrap();
-        let client = tb.client(0, true);
-        client
-            .create(
-                "/hot",
-                &Hint::multidim(shape.clone(), Shape::new(vec![md, md]).unwrap(), 1),
-            )
-            .unwrap();
-        let mut f = client.open("/hot").unwrap();
-        f.write_region(&shape.full_region(), &vec![9u8; (n * n) as usize])
-            .unwrap();
-        let mut f = client.open("/hot").unwrap();
-        if cache_bytes > 0 {
-            f.enable_cache(cache_bytes);
-        }
-        let hot = Region::new(vec![0, 0], vec![n / 2, n / 2]).unwrap();
-        let rounds = 10u64;
-        let start = Instant::now();
-        let mut bytes = 0u64;
-        for _ in 0..rounds {
-            bytes += f.read_region(&hot).unwrap().len() as u64;
-        }
-        let mbps = bytes as f64 / 1e6 / start.elapsed().as_secs_f64();
-        out.push((label.to_string(), mbps));
-    }
-    out
-}
-
 /// Metadata-service ablation: an open/stat-heavy workload (tiny files, no
 /// meaningful data transfer) against (a) the embedded in-process catalog
 /// and (b) a networked `dpfs-metad` — every open costs an attr and a
@@ -295,18 +259,6 @@ pub fn print_ops_points(title: &str, points: &[Point]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_ablation_cache_wins() {
-        let pts = cache_ablation(FigScale::Quick);
-        assert_eq!(pts.len(), 2);
-        assert!(
-            pts[1].1 > pts[0].1,
-            "cached {} must beat uncached {}",
-            pts[1].1,
-            pts[0].1
-        );
-    }
 
     #[test]
     fn granularity_ablation_runs() {

@@ -19,7 +19,6 @@ use bytes::Bytes;
 use dpfs_meta::{Distribution, MetaStore};
 use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
-use crate::cache::BrickCache;
 use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result, SubfileOutcome};
@@ -101,12 +100,6 @@ pub struct FileHandle {
     /// Current logical size in bytes.
     size: u64,
     stats: ClientStats,
-    /// Optional client-side brick cache (extension; see [`crate::cache`]).
-    cache: Option<BrickCache>,
-    /// Bricks of sequential read-ahead (0 = off). Requires the cache.
-    prefetch_bricks: u64,
-    /// End offset of the last byte-API read (sequential-pattern detector).
-    last_read_end: u64,
     /// Trace ID of the most recent traced operation on this handle.
     last_trace_id: u64,
 }
@@ -137,9 +130,6 @@ impl FileHandle {
             opts,
             size,
             stats: ClientStats::default(),
-            cache: None,
-            prefetch_bricks: 0,
-            last_read_end: u64::MAX,
             last_trace_id: 0,
         }
     }
@@ -191,33 +181,6 @@ impl FileHandle {
         self.stats
     }
 
-    /// Enable a client-side brick cache of `capacity` bytes (0 disables).
-    /// Only effective with [`Granularity::Brick`] reads, where whole bricks
-    /// travel the wire anyway.
-    pub fn enable_cache(&mut self, capacity: u64) {
-        self.cache = if capacity == 0 {
-            None
-        } else {
-            Some(BrickCache::new(capacity))
-        };
-    }
-
-    /// `(hits, misses)` of the brick cache, if enabled.
-    pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Enable sequential read-ahead: when a byte-API read continues where
-    /// the previous one ended, the next `bricks` bricks are fetched into
-    /// the cache alongside it (extension; the paper relies on the server's
-    /// local-FS prefetching only). Implies enabling the cache if it is off.
-    pub fn enable_prefetch(&mut self, bricks: u64, cache_capacity: u64) {
-        self.prefetch_bricks = bricks;
-        if bricks > 0 && self.cache.is_none() {
-            self.enable_cache(cache_capacity.max(1));
-        }
-    }
-
     /// The layout of a linear file; the byte and datatype APIs' level check.
     fn linear(&self) -> Result<&LinearLayout> {
         match &self.layout {
@@ -238,7 +201,7 @@ impl FileHandle {
         if data.is_empty() {
             return Ok(());
         }
-        let end = offset + data.len() as u64;
+        let end = checked_end(offset, data.len() as u64)?;
         let needed = bricks_for(end, lin.brick_bytes);
         if needed > self.map.num_bricks() {
             self.grow_to(needed)?;
@@ -257,11 +220,10 @@ impl FileHandle {
     /// written extent come back zero-filled.
     pub fn read_bytes(&mut self, offset: u64, len: u64) -> Result<Vec<u8>> {
         let lin = self.linear()?;
-        let mut buf = vec![0u8; len as usize];
         if len == 0 {
-            return Ok(buf);
+            return Ok(Vec::new());
         }
-        let end = offset + len;
+        let end = checked_end(offset, len)?;
         if bricks_for(end, lin.brick_bytes) > self.map.num_bricks() {
             return Err(DpfsError::InvalidArgument(format!(
                 "read [{offset}, {end}) beyond file's {} bricks",
@@ -269,56 +231,11 @@ impl FileHandle {
             )));
         }
         let runs = lin.map_bytes(offset, len, 0);
-        let sequential = offset == self.last_read_end;
-        self.last_read_end = end;
+        let mut buf = vec![0u8; len as usize];
         if let Err(e) = self.execute_reads(&runs, &mut buf) {
             return Err(attach_degraded_data(e, buf));
         }
-        if sequential && self.prefetch_bricks > 0 {
-            self.prefetch_after(end)?;
-        }
         Ok(buf)
-    }
-
-    /// Fetch the next `prefetch_bricks` bricks after byte `end` into the
-    /// cache (best effort: stops at end of file; skips cached bricks).
-    fn prefetch_after(&mut self, end: u64) -> Result<()> {
-        let Layout::Linear(lin) = &self.layout else {
-            return Ok(());
-        };
-        let brick_bytes = lin.brick_bytes;
-        let first = end.div_ceil(brick_bytes);
-        let last = (first + self.prefetch_bricks).min(self.map.num_bricks());
-        let Some(cache) = &self.cache else {
-            return Ok(());
-        };
-        // Refill only when the window is exhausted (the very next brick is
-        // uncached); a sliding one-brick-at-a-time refill would defeat
-        // batching.
-        if first >= last || cache.contains(first) {
-            return Ok(());
-        }
-        let runs: Vec<BrickRun> = (first..last)
-            .filter(|b| !cache.contains(*b))
-            .map(|b| BrickRun {
-                brick: b,
-                brick_off: 0,
-                buf_off: (b - first) * brick_bytes,
-                len: brick_bytes,
-            })
-            .collect();
-        if runs.is_empty() {
-            return Ok(());
-        }
-        let total: u64 = runs.iter().map(|r| r.len).sum();
-        let mut scratch = vec![0u8; ((last - first) * brick_bytes) as usize];
-        let _ = total;
-        match self.execute_reads(&runs, &mut scratch) {
-            // Prefetch is best-effort: a degraded fetch cached whatever
-            // arrived; don't fail the (already successful) foreground read.
-            Err(DpfsError::Degraded { .. }) => Ok(()),
-            other => other,
-        }
     }
 
     // -------------------------------------------------------- region API
@@ -374,7 +291,7 @@ impl FileHandle {
             )));
         }
         let lin = self.linear()?;
-        let end = base + dtype.extent();
+        let end = checked_end(base, dtype.extent())?;
         let needed = bricks_for(end.max(1), lin.brick_bytes);
         if needed > self.map.num_bricks() {
             self.grow_to(needed)?;
@@ -394,7 +311,7 @@ impl FileHandle {
     /// file; returns the packed bytes.
     pub fn read_datatype(&mut self, base: u64, dtype: &Datatype) -> Result<Vec<u8>> {
         let lin = self.linear()?;
-        let end = base + dtype.extent();
+        let end = checked_end(base, dtype.extent())?;
         if bricks_for(end.max(1), lin.brick_bytes) > self.map.num_bricks() {
             return Err(DpfsError::InvalidArgument(
                 "datatype extends beyond file".into(),
@@ -546,11 +463,6 @@ impl FileHandle {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;
         let op_start = trace::now_ns();
-        if let Some(cache) = &mut self.cache {
-            for r in runs {
-                cache.invalidate(r.brick);
-            }
-        }
         // Writes always use exact ranges: whole-brick granularity would
         // clobber bytes the caller never supplied.
         let reqs = self.plan(runs, Granularity::Exact);
@@ -799,46 +711,17 @@ impl FileHandle {
         }
     }
 
-    /// The read path: runs whose bricks sit in the cache are served from
-    /// it; the rest go out as one request per planned item, each answered
-    /// with its payload (one blob, or one chunk per range) that the pieces
-    /// scatter into `buf` and whole fetched bricks fill the cache from.
+    /// The read path, three steps: plan the runs, `issue` one request per
+    /// planned item, scatter each reply's payload (one blob, or one chunk
+    /// per range) into `buf` through the request's pieces. There is no
+    /// other way for a byte to reach the caller — a handle holds no file
+    /// data between calls, so a read reflects every write acknowledged
+    /// before it was issued, through any handle.
     fn execute_reads(&mut self, runs: &[BrickRun], buf: &mut [u8]) -> Result<()> {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;
         let op_start = trace::now_ns();
         let op_bytes = buf.len() as u64;
-        let op_done = || {
-            trace::client_event(
-                trace_id,
-                "op",
-                "read",
-                "",
-                op_start,
-                trace::now_ns().saturating_sub(op_start),
-                op_bytes,
-            )
-        };
-        // Serve runs whose bricks are cached locally; fetch the rest.
-        let mut uncached: Vec<BrickRun> = Vec::new();
-        let mut runs = runs;
-        if let (Some(cache), Granularity::Brick) = (&mut self.cache, self.opts.granularity) {
-            for r in runs {
-                match cache.get(r.brick) {
-                    Some(data) => {
-                        let src = &data[r.brick_off as usize..(r.brick_off + r.len) as usize];
-                        buf[r.buf_off as usize..(r.buf_off + r.len) as usize].copy_from_slice(src);
-                        self.stats.useful_read += r.len;
-                    }
-                    None => uncached.push(*r),
-                }
-            }
-            if uncached.is_empty() {
-                op_done();
-                return Ok(());
-            }
-            runs = &uncached;
-        }
         let reqs = self.plan(runs, self.opts.granularity);
         let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
         let work: Vec<(&str, Request)> = reqs
@@ -918,8 +801,7 @@ impl FileHandle {
                 }
                 Err(err) => return Err(err),
             };
-            // Each piece (and each whole brick) lies within one range,
-            // hence within one chunk.
+            // Each piece lies within one range, hence within one chunk.
             let starts: Vec<u64> = chunks
                 .iter()
                 .scan(0u64, |at, c| {
@@ -940,15 +822,16 @@ impl FileHandle {
             self.stats.requests += 1;
             self.stats.wire_read += req.wire_bytes();
             self.stats.useful_read += req.useful_bytes();
-            if let Some(cache) = &mut self.cache {
-                for &(brick, at) in &req.bricks {
-                    let (i, off) = locate(at);
-                    let len = self.layout.brick_len(brick) as usize;
-                    cache.insert(brick, chunks[i].slice(off..off + len));
-                }
-            }
         }
-        op_done();
+        trace::client_event(
+            trace_id,
+            "op",
+            "read",
+            "",
+            op_start,
+            trace::now_ns().saturating_sub(op_start),
+            op_bytes,
+        );
         if outcomes.is_empty() {
             Ok(())
         } else {
@@ -1032,6 +915,16 @@ impl FileHandle {
         self.meta.set_file_size(&self.path, self.size as i64)?;
         Ok(())
     }
+}
+
+/// One past the last byte of a `len`-byte access at `offset`; an access
+/// that runs off the end of the offset space is the caller's error.
+fn checked_end(offset: u64, len: u64) -> Result<u64> {
+    offset.checked_add(len).ok_or_else(|| {
+        DpfsError::InvalidArgument(format!(
+            "{len} bytes at offset {offset} overflow the offset space"
+        ))
+    })
 }
 
 /// The brick runs of `dtype` anchored at byte `base` of a linear file; the
@@ -1245,7 +1138,6 @@ mod tests {
             server: 0,
             ranges,
             pieces: vec![],
-            bricks: vec![],
         }
     }
 

@@ -26,7 +26,6 @@
 #![deny(unsafe_code)]
 
 pub mod api;
-pub mod cache;
 pub mod collective;
 pub mod conn;
 pub mod datatype;
@@ -44,7 +43,6 @@ pub mod retry;
 pub mod trace;
 pub mod transport;
 
-pub use cache::BrickCache;
 pub use collective::{Collective, CollectiveGroup};
 pub use conn::{ConnPool, Resolver};
 pub use datatype::Datatype;

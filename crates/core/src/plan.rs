@@ -68,9 +68,6 @@ pub struct ListRequest {
     /// writer gathering them in this order gives those bytes to the later
     /// piece.
     pub pieces: Vec<ListPiece>,
-    /// `(brick, payload_off)` of every whole brick in the payload — what a
-    /// brick cache fills from. [`Granularity::Brick`] only.
-    pub bricks: Vec<(u64, u64)>,
 }
 
 impl ListRequest {
@@ -166,7 +163,6 @@ pub fn plan_list(
             server,
             ranges: Vec::with_capacity(if exact { bucket.len() } else { 0 }),
             pieces: Vec::with_capacity(bucket.len()),
-            bricks: Vec::new(),
         };
         let mut payload_len: u64 = 0;
         // Array-level chunks differ in size, so a chunk's subfile offset is
@@ -193,7 +189,6 @@ pub fn plan_list(
                 if !exact {
                     let len = layout.brick_len(r.brick);
                     at = append_list_range(&mut req.ranges, &mut payload_len, base, len);
-                    req.bricks.push((r.brick, at));
                 }
             }
             let payload_off = if exact {
@@ -295,7 +290,6 @@ mod tests {
         // the pieces carry the (far apart) buffer positions
         assert_eq!(reqs[0].server, 0);
         assert_eq!(reqs[0].ranges, vec![(0, 128)]);
-        assert_eq!(reqs[0].bricks, vec![(0, 0), (4, 64)]);
         assert_eq!(reqs[0].pieces, vec![piece(0, 0, 64), piece(64, 4 * 64, 64)]);
         assert_eq!(reqs[0].wire_bytes(), 128);
         assert_eq!(reqs[0].useful_bytes(), 128);
@@ -318,7 +312,11 @@ mod tests {
                 reqs[0].server, rank,
                 "processor {rank} starts at subfile-{rank}"
             );
-            let first_bricks: Vec<u64> = reqs[0].bricks.iter().map(|&(b, _)| b).collect();
+            // whole-brick runs packed in brick order: a piece's buffer
+            // offset names its brick
+            let first_bricks: Vec<u64> =
+                reqs[0].pieces.iter().map(|p| lo + p.buf_off / 64).collect();
+            assert_eq!(reqs[0].wire_bytes(), 2 * 64, "two whole bricks on the wire");
             let expected: Vec<u64> = match rank {
                 0 => vec![0, 4],
                 1 => vec![9, 13],
@@ -346,7 +344,6 @@ mod tests {
         let reqs = plan(&[run(0, 10, 0, 2)], Granularity::Exact, 0);
         assert_eq!(reqs[0].wire_bytes(), 2);
         assert_eq!(reqs[0].ranges, vec![(10, 2)]);
-        assert!(reqs[0].bricks.is_empty());
     }
 
     #[test]
@@ -429,7 +426,6 @@ mod tests {
                 server,
                 ranges: Vec::new(),
                 pieces: Vec::new(),
-                bricks: Vec::new(),
             };
             let mut payload_len: u64 = 0;
             for &brick in &by_server[&server] {
@@ -442,7 +438,6 @@ mod tests {
                             base,
                             layout.brick_len(brick),
                         );
-                        req.bricks.push((brick, at));
                         req.pieces.extend(
                             by_brick[&brick]
                                 .iter()

@@ -343,77 +343,6 @@ fn stagger_rank_changes_first_server() {
 }
 
 #[test]
-fn brick_cache_serves_repeat_reads_locally() {
-    let r = rig(2, "cache");
-    let shape = Shape::new(vec![32, 32]).unwrap();
-    let mut f =
-        r.fs.create(
-            "/c",
-            &Hint::multidim(shape.clone(), Shape::new(vec![8, 8]).unwrap(), 1),
-        )
-        .unwrap();
-    let data: Vec<u8> = (0..1024u32).map(|x| x as u8).collect();
-    f.write_region(&shape.full_region(), &data).unwrap();
-    let mut f = r.fs.open("/c").unwrap();
-    f.enable_cache(64 * 1024);
-    let region = Region::new(vec![0, 0], vec![16, 16]).unwrap();
-    let first = f.read_region(&region).unwrap();
-    let wire_after_first = f.stats().wire_read;
-    assert!(wire_after_first > 0);
-    // repeat read: fully served from cache, zero new wire traffic
-    let second = f.read_region(&region).unwrap();
-    assert_eq!(first, second);
-    assert_eq!(f.stats().wire_read, wire_after_first, "no new wire bytes");
-    let (hits, misses) = f.cache_stats().unwrap();
-    assert!(
-        hits >= 4,
-        "expected hits on the 4 cached bricks, got {hits}"
-    );
-    assert!(misses >= 4);
-    // a write through the same handle invalidates; next read refetches
-    f.write_region(&Region::new(vec![0, 0], vec![1, 1]).unwrap(), &[0xFF])
-        .unwrap();
-    let third = f
-        .read_region(&Region::new(vec![0, 0], vec![1, 1]).unwrap())
-        .unwrap();
-    assert_eq!(third, vec![0xFF]);
-    assert!(
-        f.stats().wire_read > wire_after_first,
-        "invalidated brick refetched"
-    );
-}
-
-#[test]
-fn cache_correctness_matches_uncached_reads() {
-    let r = rig(3, "cache-eq");
-    let shape = Shape::new(vec![40, 40]).unwrap();
-    let mut f =
-        r.fs.create(
-            "/ceq",
-            &Hint::multidim(shape.clone(), Shape::new(vec![7, 9]).unwrap(), 1),
-        )
-        .unwrap();
-    let data: Vec<u8> = (0..1600u32).map(|x| (x % 251) as u8).collect();
-    f.write_region(&shape.full_region(), &data).unwrap();
-    let mut cached = r.fs.open("/ceq").unwrap();
-    cached.enable_cache(512); // tiny: constant eviction pressure
-    let mut plain = r.fs.open("/ceq").unwrap();
-    for (o, e) in [
-        ([0u64, 0u64], [10u64, 10u64]),
-        ([5, 5], [20, 20]),
-        ([0, 0], [10, 10]),
-        ([30, 30], [10, 10]),
-        ([5, 5], [20, 20]),
-    ] {
-        let region = Region::new(o.to_vec(), e.to_vec()).unwrap();
-        assert_eq!(
-            cached.read_region(&region).unwrap(),
-            plain.read_region(&region).unwrap()
-        );
-    }
-}
-
-#[test]
 fn cyclic_array_file_end_to_end() {
     let r = rig(3, "cyclic");
     let shape = Shape::new(vec![12, 8]).unwrap();
@@ -476,56 +405,4 @@ fn block_cyclic_region_write_read() {
         let col = 2 + (i as u64) % 13;
         assert_eq!(b, data[(row * 20 + col) as usize], "({row},{col})");
     }
-}
-
-#[test]
-fn prefetch_warms_cache_on_sequential_reads() {
-    let r = rig(2, "prefetch");
-    let brick = 256u64;
-    let mut f =
-        r.fs.create("/seq", &Hint::linear(brick, 64 * brick))
-            .unwrap();
-    let data: Vec<u8> = (0..64 * brick).map(|i| (i % 251) as u8).collect();
-    f.write_bytes(0, &data).unwrap();
-    f.close().unwrap();
-
-    let mut f = r.fs.open("/seq").unwrap();
-    f.enable_prefetch(8, 1 << 20);
-    // sequential scan, one brick at a time
-    let mut total_correct = true;
-    for b in 0..64u64 {
-        let got = f.read_bytes(b * brick, brick).unwrap();
-        total_correct &= got == data[(b * brick) as usize..((b + 1) * brick) as usize];
-    }
-    assert!(total_correct);
-    let (hits, _misses) = f.cache_stats().unwrap();
-    assert!(
-        hits >= 40,
-        "sequential scan should hit prefetched bricks, hits={hits}"
-    );
-    // far fewer requests than 64 brick reads thanks to batched read-ahead
-    assert!(
-        f.stats().requests < 40,
-        "prefetching should batch requests, got {}",
-        f.stats().requests
-    );
-
-    // a non-sequential handle issues one request per brick group
-    let mut g = r.fs.open("/seq").unwrap();
-    for b in [5u64, 50, 20, 63, 0] {
-        let got = g.read_bytes(b * brick, brick).unwrap();
-        assert_eq!(got, data[(b * brick) as usize..((b + 1) * brick) as usize]);
-    }
-}
-
-#[test]
-fn prefetch_stops_at_file_end() {
-    let r = rig(2, "prefetch-end");
-    let mut f = r.fs.create("/short", &Hint::linear(100, 300)).unwrap();
-    f.write_bytes(0, &[1u8; 300]).unwrap();
-    f.close().unwrap();
-    let mut f = r.fs.open("/short").unwrap();
-    f.enable_prefetch(16, 1 << 16);
-    assert_eq!(f.read_bytes(0, 100).unwrap(), vec![1u8; 100]);
-    assert_eq!(f.read_bytes(100, 200).unwrap(), vec![1u8; 200]);
 }

@@ -415,15 +415,23 @@ impl Shell {
 
     /// Read a whole file regardless of level.
     pub fn read_all(&self, path: &str) -> Result<Vec<u8>> {
+        self.read_prefix(path, u64::MAX)
+    }
+
+    /// The first `limit` bytes of a file (all of it if shorter). A linear
+    /// file's first bytes are a byte range and only they are read; a
+    /// multidim or array file has no byte order to take a prefix of short
+    /// of reading the whole region.
+    fn read_prefix(&self, path: &str, limit: u64) -> Result<Vec<u8>> {
         let mut f = self.fs.open(path)?;
-        match f.layout().clone() {
-            Layout::Linear(_) => {
-                let size = f.size();
-                f.read_bytes(0, size)
-            }
-            Layout::Multidim(md) => f.read_region(&md.array.full_region()),
-            Layout::Array(ar) => f.read_region(&ar.array.full_region()),
-        }
+        let region = match f.layout() {
+            Layout::Linear(_) => return f.read_bytes(0, f.size().min(limit)),
+            Layout::Multidim(md) => md.array.full_region(),
+            Layout::Array(ar) => ar.array.full_region(),
+        };
+        let mut all = f.read_region(&region)?;
+        all.truncate(limit.min(all.len() as u64) as usize);
+        Ok(all)
     }
 
     fn cmd_cp(&mut self, args: &[String]) -> Result<String> {
@@ -640,9 +648,8 @@ impl Shell {
             }
         };
         let full = resolve_path(&self.cwd, path);
-        let data = self.read_all(&full)?;
-        let take = (n as usize).min(data.len());
-        Ok(String::from_utf8_lossy(&data[..take]).into_owned())
+        let data = self.read_prefix(&full, n)?;
+        Ok(String::from_utf8_lossy(&data).into_owned())
     }
 }
 
@@ -888,16 +895,21 @@ mod tests {
 
     #[test]
     fn chmod_chown_head() {
-        let (mut sh, _tb) = shell();
+        let (mut sh, tb) = shell();
         let tmp = std::env::temp_dir().join(format!("dpfs-shell-ch-{}", std::process::id()));
         std::fs::write(&tmp, b"0123456789abcdef").unwrap();
-        sh.exec(&format!("import {} /f", tmp.display())).unwrap();
+        // 4-byte bricks: one brick on each of the four servers
+        sh.exec(&format!("import {} /f 4", tmp.display())).unwrap();
         sh.exec("chmod 600 /f").unwrap();
         sh.exec("chown alice /f").unwrap();
         let attr = sh.fs().stat("/f").unwrap();
         assert_eq!(attr.permission, 0o600);
         assert_eq!(attr.owner, "alice");
+        let reads = || tb.server_stats().iter().map(|(_, s)| s.reads).sum::<u64>();
+        let before = reads();
         assert_eq!(sh.exec("head /f 4").unwrap(), "0123");
+        assert_eq!(reads() - before, 1, "head reads the brick it prints");
+        assert_eq!(sh.exec("head /f").unwrap(), "0123456789abcdef");
         assert!(sh.exec("chmod 99x /f").is_err());
         std::fs::remove_file(tmp).unwrap();
     }

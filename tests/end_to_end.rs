@@ -3,8 +3,8 @@
 
 use dpfs::cluster::{run_clients, Testbed};
 use dpfs::core::{
-    ClientOptions, Datatype, Dpfs, Granularity, Hint, HpfPattern, Placement, Region, Resolver,
-    Shape,
+    ClientOptions, Datatype, Dpfs, Granularity, Hint, HpfPattern, Placement, RedundancyPolicy,
+    Region, Resolver, Shape,
 };
 use dpfs::meta::Database;
 use std::sync::Arc;
@@ -131,6 +131,47 @@ fn sixteen_clients_disjoint_then_shared_read() {
         }
         all.len() as u64
     });
+}
+
+/// A handle holds no file data between calls: every read is answered by
+/// the servers, so it reflects every write acknowledged before it was
+/// issued, through any handle. Handle A reads a brick, handle B — opened
+/// through another mount — overwrites it and returns, and A's next read of
+/// the same bytes is B's data; linear and multidim, unprotected and
+/// mirrored.
+#[test]
+fn a_read_sees_a_write_acknowledged_through_another_handle() {
+    let tb = Testbed::unthrottled(4).unwrap();
+    let (mount_a, mount_b) = (tb.client(0, true), tb.client(1, true));
+    let shape = Shape::new(vec![32, 32]).unwrap();
+    let tile = Region::new(vec![8, 8], vec![8, 8]).unwrap();
+    for (tag, policy) in [
+        ("plain", RedundancyPolicy::None),
+        ("mirrored", RedundancyPolicy::Replica(2)),
+    ] {
+        let (old, new) = (pattern_bytes(64, 3), pattern_bytes(64, 4));
+
+        let path = format!("/coherent-lin-{tag}");
+        let mut a = mount_a
+            .create(&path, &Hint::linear(64, 256).with_redundancy(policy))
+            .unwrap();
+        a.write_bytes(64, &old).unwrap();
+        assert_eq!(a.read_bytes(64, 64).unwrap(), old);
+        let mut b = mount_b.open(&path).unwrap();
+        b.write_bytes(64, &new).unwrap();
+        assert_eq!(a.read_bytes(64, 64).unwrap(), new, "linear, {tag}");
+
+        let path = format!("/coherent-md-{tag}");
+        let hint = Hint::multidim(shape.clone(), Shape::new(vec![8, 8]).unwrap(), 1);
+        let mut a = mount_a
+            .create(&path, &hint.with_redundancy(policy))
+            .unwrap();
+        a.write_region(&tile, &old).unwrap();
+        assert_eq!(a.read_region(&tile).unwrap(), old);
+        let mut b = mount_b.open(&path).unwrap();
+        b.write_region(&tile, &new).unwrap();
+        assert_eq!(a.read_region(&tile).unwrap(), new, "multidim, {tag}");
+    }
 }
 
 #[test]
