@@ -87,7 +87,25 @@ if grep -rnE '(mirror|parity)_subfile\(' crates/*/src --include='*.rs' |
     echo "FAIL: a mirror/parity subfile name is derived outside crates/core/src/hints.rs"
     exit 1
 fi
-echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters"
+# Nothing stamps, carries or stores a metadata generation, and the wrapper
+# that existed to carry it is gone: `Catalog` is the embedded `MetaStore`.
+# (`MetaError::from_wire(code, message)` is a different signature and stays.)
+if git grep -nE 'MetaOp::Generation|last_gen_of|last_gens|fn generation\(|GEN_TABLE|EmbeddedMetaStore|pre_gen|from_wire\(.*shards' \
+    -- 'crates/*/src/*' src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: the metadata generation, EmbeddedMetaStore or the shard-map version is back"
+    exit 1
+fi
+# `dpfs_meta_gen` is the rename-intent id sequence and nothing else: only
+# the schema, the seeding in `Catalog::new` and `next_intent_id` name it.
+if sed -e '/^#\[cfg(test)\]/,$d' -e '/^const SCHEMA/,/^\];/d' \
+    -e '/^    pub fn new(db/,/^    }/d' -e '/^fn next_intent_id/,/^}/d' \
+    crates/meta/src/catalog.rs | grep -v '^ *//' | grep -n 'dpfs_meta_gen'; then
+    echo "FAIL: catalog.rs touches dpfs_meta_gen outside the DDL, the seed row and next_intent_id"
+    exit 1
+fi
+meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
+store_methods=$(sed -n '/^pub trait MetaStore/,/^}/p' crates/meta/src/store.rs | grep -c '^    fn ')
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaStore trait methods: $store_methods"
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -136,7 +154,7 @@ cargo build --release -q -p dpfs-metad -p dpfs-server -p dpfs-shell --bins
 rm -rf target/metad-smoke
 mkdir -p target/metad-smoke/ion0
 ./target/release/dpfs-metad --bind 127.0.0.1:17441 --shard 0 --shards 2 \
-    >target/metad-smoke/metad0.log 2>&1 &
+    --stats-interval 1 >target/metad-smoke/metad0.log 2>&1 &
 METAD0_PID=$!
 ./target/release/dpfs-metad --bind 127.0.0.1:17442 --shard 1 --shards 2 \
     >target/metad-smoke/metad1.log 2>&1 &
@@ -158,6 +176,17 @@ printf '%s\n' \
         --metad 127.0.0.1:17441 --metad 127.0.0.1:17442 \
         --server ion0=127.0.0.1:17440 \
     >target/metad-smoke/shell.out 2>&1
+# `--stats-interval 1` prints every second (it used to be clamped *up* to a
+# minute): the first stats line must be there within five.
+tries=0
+until grep -q 'stats: conns=' target/metad-smoke/metad0.log; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 25 ]; then
+        echo "FAIL: dpfs-metad --stats-interval 1 printed no stats line within 5 s"
+        exit 1
+    fi
+    sleep 0.2
+done
 kill "$METAD0_PID" "$METAD1_PID" "$IOND_PID" 2>/dev/null || :
 trap - EXIT
 # The stats sections prove metadata went over TCP to *both* shards; the

@@ -35,12 +35,12 @@ fn bench_rpc_floor(c: &mut Criterion) {
             timed
         })
     });
-    let generation = Request::Meta {
-        op: MetaOp::Generation,
+    // The metad op that touches no SQL: the daemon-side floor of a
+    // metadata round trip.
+    let shard_map = Request::Meta {
+        op: MetaOp::GetShardMap,
     };
-    c.bench_function("meta_generation_rtt", |b| {
-        b.iter(|| rpc(&metad, &generation))
-    });
+    c.bench_function("meta_shard_map_rtt", |b| b.iter(|| rpc(&metad, &shard_map)));
     let block = Request::Write {
         subfile: "/floor.dat".into(),
         ranges: vec![(0, Bytes::from(vec![0x5Au8; 8192]))],

@@ -18,8 +18,7 @@
 //!   hists `lat.read`, `lat.write`, `lat.other` (service time; list I/O
 //!   folds into the read/write histograms).
 //! - metad counters: `meta.requests`, `meta.ops`, `meta.errors`,
-//!   `meta.connections`; gauges `in_flight`, `generation`, `shard_id`,
-//!   `shards`; hists `meta.<op>` per op label (service time).
+//!   `meta.connections`; gauges `in_flight`, `shard_id`, `shards`; hists `meta.<op>` per op label (service time).
 //! - client (one node per peer): counters `rpc.submitted`,
 //!   `rpc.completed`, `rpc.timed_out`, `rpc.dials`, `rpc.disconnected`,
 //!   `rpc.retries`, `rpc.degraded`, `rpc.list_io`, `rpc.req_bytes`;
@@ -82,7 +81,6 @@ fn metad_node(name: String, s: &MetadStatsSnapshot) -> NodeSnapshot {
             ("meta.requests".to_string(), s.requests),
         ],
         gauges: vec![
-            ("generation".to_string(), s.generation),
             ("in_flight".to_string(), s.in_flight),
             ("shard_id".to_string(), s.shard_id),
             ("shards".to_string(), s.shards),

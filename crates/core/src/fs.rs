@@ -12,10 +12,7 @@
 use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
-use dpfs_meta::{
-    Catalog, Database, Distribution, EmbeddedMetaStore, FileAttrRow, MetaError, MetaStore,
-    ServerInfo,
-};
+use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, MetaError, MetaStore, ServerInfo};
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
@@ -33,7 +30,7 @@ use crate::trace;
 pub struct Dpfs {
     meta: Arc<dyn MetaStore>,
     /// Set on remote mounts: `meta` again, under its concrete type (trace
-    /// IDs, observed generation, shard routing).
+    /// IDs, shard routing).
     remote_meta: Option<Arc<RemoteMetaStore>>,
     pool: Arc<ConnPool>,
     opts: ClientOptions,
@@ -55,7 +52,7 @@ impl Dpfs {
     pub fn mount(db: Arc<Database>, resolver: Resolver, opts: ClientOptions) -> Result<Dpfs> {
         let pool = new_pool(resolver, &opts);
         Ok(Dpfs {
-            meta: Arc::new(EmbeddedMetaStore::new(db)?),
+            meta: Arc::new(Catalog::new(db)?),
             remote_meta: None,
             pool,
             opts,
@@ -90,7 +87,7 @@ impl Dpfs {
         let pool = new_pool(resolver, &opts);
         let remote = Arc::new(RemoteMetaStore::new_sharded(pool.clone(), metad_servers));
         if remote.shard_count() > 1 {
-            let (_, width) = remote.fetch_shard_map(0).map_err(DpfsError::Meta)?;
+            let width = remote.fetch_shard_map(0).map_err(DpfsError::Meta)?;
             if width as usize != remote.shard_count() {
                 return Err(DpfsError::Meta(MetaError::Remote(format!(
                     "metadata shard 0 ({}) serves a {width}-shard plane, \
@@ -119,8 +116,8 @@ impl Dpfs {
         self.meta.as_catalog()
     }
 
-    /// On remote mounts, the RPC-level metadata store (trace IDs, last
-    /// observed generation).
+    /// On remote mounts, the RPC-level metadata store (trace IDs, shard
+    /// routing).
     pub fn remote_meta(&self) -> Option<&Arc<RemoteMetaStore>> {
         self.remote_meta.as_ref()
     }

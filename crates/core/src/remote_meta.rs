@@ -25,10 +25,8 @@
 //! - a rename whose source and destination live on different shards runs
 //!   the two-phase intent protocol (see [`RemoteMetaStore::rename_file`]).
 //!
-//! Every reply's envelope carries `(shard, generation)`: the shard id is
-//! checked against the routing on every reply, and the store keeps a
-//! per-shard generation high-water mark for diagnostics
-//! ([`RemoteMetaStore::last_gen_of`]). Nothing else is kept between
+//! Every reply's envelope carries the shard id of the daemon that served
+//! it, checked against the routing on every reply. Nothing is kept between
 //! calls — no attribute, layout or registry row outlives the call that
 //! fetched it.
 //!
@@ -72,8 +70,6 @@ pub struct RemoteMetaStore {
     shards: Vec<String>,
     /// Routing map over `shards.len()` shards.
     map: ShardMap,
-    /// Per-shard highest generation seen on any reply envelope.
-    last_gens: Vec<AtomicU64>,
     /// Round-robin cursor for replicated-registry reads.
     rr: AtomicUsize,
     /// Trace ID of the most recent metadata RPC (tests and diagnostics).
@@ -91,12 +87,10 @@ impl RemoteMetaStore {
     /// serving shard `i`. The order must match the daemons' `--shard` ids.
     pub fn new_sharded(pool: Arc<ConnPool>, servers: Vec<String>) -> RemoteMetaStore {
         assert!(!servers.is_empty(), "at least one metad shard required");
-        let n = servers.len();
         RemoteMetaStore {
             pool,
+            map: ShardMap::new(servers.len() as u32),
             shards: servers,
-            map: ShardMap::new(n as u32),
-            last_gens: (0..n).map(|_| AtomicU64::new(0)).collect(),
             rr: AtomicUsize::new(0),
             last_trace_id: AtomicU64::new(0),
         }
@@ -142,11 +136,6 @@ impl RemoteMetaStore {
         &self.pool
     }
 
-    /// Highest generation observed on any reply from shard `shard`.
-    pub fn last_gen_of(&self, shard: usize) -> u64 {
-        self.last_gens[shard].load(Ordering::Relaxed)
-    }
-
     /// Trace ID stamped on the most recent metadata RPC. Filter
     /// [`trace::ring()`] events on it to see the RPC's client span and the
     /// daemon-side decode/queue/handle/respond events.
@@ -154,22 +143,22 @@ impl RemoteMetaStore {
         self.last_trace_id.load(Ordering::Relaxed)
     }
 
-    /// Fetch shard `shard`'s map view `(version, shards)` — used at mount
-    /// time to cross-check the client topology against the daemons.
-    pub fn fetch_shard_map(&self, shard: usize) -> MetaResultT<(u64, u32)> {
+    /// Fetch the shard count daemon `shard` was launched with — used at
+    /// mount time to cross-check the client topology against the daemons.
+    pub fn fetch_shard_map(&self, shard: usize) -> MetaResultT<u32> {
         match self.call(shard, MetaOp::GetShardMap)? {
-            (_, MetaResult::ShardMap { version, shards }) => Ok((version, shards)),
-            (_, other) => Err(self.shape(shard, &other)),
+            MetaResult::ShardMap { shards } => Ok(shards),
+            other => Err(self.shape(shard, &other)),
         }
     }
 
-    /// Issue one metadata op to `shard` and return `(generation, result)`.
-    /// The result is never the `Err` variant — remote errors are
+    /// Issue one metadata op to `shard` and return its result. The result
+    /// is never the `Err` variant — remote errors are
     /// reconstructed into `MetaError` here. Transient transport failures
     /// are retried under the pool's policy, each retry traced like any
     /// other RPC; mutating ops retry only the connect class (see
     /// [`mutation_retryable`]).
-    fn call(&self, shard: usize, op: MetaOp) -> Result<(u64, MetaResult), MetaError> {
+    fn call(&self, shard: usize, op: MetaOp) -> Result<MetaResult, MetaError> {
         let server = &self.shards[shard];
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id.store(trace_id, Ordering::Relaxed);
@@ -195,7 +184,6 @@ impl RemoteMetaStore {
         match resp {
             Response::Meta {
                 shard: reply_shard,
-                gen,
                 result,
             } => {
                 if reply_shard as usize != shard {
@@ -208,10 +196,9 @@ impl RemoteMetaStore {
                          (check the --metad flag order against the daemons' --shard ids)"
                     )));
                 }
-                self.last_gens[shard].fetch_max(gen, Ordering::Relaxed);
                 match result {
                     MetaResult::Err { code, message } => Err(MetaError::from_wire(code, message)),
-                    ok => Ok((gen, ok)),
+                    ok => Ok(ok),
                 }
             }
             Response::Error { code, message } => Err(MetaError::Remote(format!(
@@ -244,16 +231,16 @@ impl RemoteMetaStore {
         tolerate: impl Fn(&MetaError) -> bool,
     ) -> MetaResultT<()> {
         match self.call(home, op())? {
-            (_, MetaResult::Unit) => {}
-            (_, other) => return Err(self.shape(home, &other)),
+            MetaResult::Unit => {}
+            other => return Err(self.shape(home, &other)),
         }
         for shard in 0..self.shards.len() {
             if shard == home {
                 continue;
             }
             match self.call(shard, op()) {
-                Ok((_, MetaResult::Unit)) => {}
-                Ok((_, other)) => return Err(self.shape(shard, &other)),
+                Ok(MetaResult::Unit) => {}
+                Ok(other) => return Err(self.shape(shard, &other)),
                 Err(e) if tolerate(&e) => {}
                 Err(e) => return Err(e),
             }
@@ -295,16 +282,13 @@ impl RemoteMetaStore {
                 to: to.to_string(),
             },
         )? {
-            (
-                _,
-                MetaResult::RenamePrepared {
-                    intent,
-                    attr,
-                    dist,
-                    tags,
-                },
-            ) => (intent, attr, dist, tags),
-            (_, other) => return Err(self.shape(src, &other)),
+            MetaResult::RenamePrepared {
+                intent,
+                attr,
+                dist,
+                tags,
+            } => (intent, attr, dist, tags),
+            other => return Err(self.shape(src, &other)),
         };
         // Rewrite the snapshot to the destination path. The subfiles on
         // the I/O servers are keyed by path too; `Dpfs::rename` migrates
@@ -332,8 +316,8 @@ impl RemoteMetaStore {
                 tags,
             },
         ) {
-            Ok((_, MetaResult::Unit)) => {}
-            Ok((_, other)) => {
+            Ok(MetaResult::Unit) => {}
+            Ok(other) => {
                 let _ = self.call(src, MetaOp::RenameAbort { intent });
                 return Err(self.shape(dst, &other));
             }
@@ -348,7 +332,7 @@ impl RemoteMetaStore {
                         tag: RENAME_INTENT_TAG.to_string(),
                     },
                 ) {
-                    Ok((_, MetaResult::MaybeString(Some(v)))) if v == intent.to_string() => {
+                    Ok(MetaResult::MaybeString(Some(v))) if v == intent.to_string() => {
                         // Committed — roll forward below.
                     }
                     Ok(_) => {
@@ -379,8 +363,8 @@ impl RemoteMetaStore {
         // rename HAS committed; the intent stays behind and
         // recover_rename_intents() will finish it.
         match self.call(src, MetaOp::RenameFinish { intent })? {
-            (_, MetaResult::Unit) => {}
-            (_, other) => return Err(self.shape(src, &other)),
+            MetaResult::Unit => {}
+            other => return Err(self.shape(src, &other)),
         }
         // Best-effort marker cleanup; a leftover marker is harmless (the
         // intent it points at no longer exists).
@@ -402,8 +386,8 @@ impl RemoteMetaStore {
         let mut resolved = 0;
         for src in 0..self.shards.len() {
             let intents = match self.call(src, MetaOp::ListRenameIntents)? {
-                (_, MetaResult::Intents(xs)) => xs,
-                (_, other) => return Err(self.shape(src, &other)),
+                MetaResult::Intents(xs) => xs,
+                other => return Err(self.shape(src, &other)),
             };
             for (intent, _from, to) in intents {
                 let dst = self.route_file(&to);
@@ -416,12 +400,12 @@ impl RemoteMetaStore {
                                 tag: RENAME_INTENT_TAG.to_string(),
                             },
                         )?,
-                        (_, MetaResult::MaybeString(Some(ref v))) if *v == intent.to_string()
+                        MetaResult::MaybeString(Some(ref v)) if *v == intent.to_string()
                     );
                 if committed {
                     match self.call(src, MetaOp::RenameFinish { intent })? {
-                        (_, MetaResult::Unit) => {}
-                        (_, other) => return Err(self.shape(src, &other)),
+                        MetaResult::Unit => {}
+                        other => return Err(self.shape(src, &other)),
                     }
                     let _ = self.call(
                         dst,
@@ -466,8 +450,8 @@ macro_rules! expect {
     ($self:ident, $shard:expr, $op:expr, $pat:pat => $out:expr) => {{
         let shard = $shard;
         match $self.call(shard, $op)? {
-            (_, $pat) => Ok($out),
-            (_, other) => Err($self.shape(shard, &other)),
+            $pat => Ok($out),
+            other => Err($self.shape(shard, &other)),
         }
     }};
 }
@@ -498,8 +482,8 @@ impl MetaStore for RemoteMetaStore {
         let mut existed = false;
         for shard in 0..self.shards.len() {
             existed |= match self.call(shard, MetaOp::RemoveServer { name: name.into() })? {
-                (_, MetaResult::Bool(b)) => b,
-                (_, other) => return Err(self.shape(shard, &other)),
+                MetaResult::Bool(b) => b,
+                other => return Err(self.shape(shard, &other)),
             };
         }
         Ok(existed)
@@ -664,8 +648,8 @@ impl MetaStore for RemoteMetaStore {
                     pattern: pattern.into(),
                 },
             )? {
-                (_, MetaResult::TagHits(xs)) => all.extend(xs),
-                (_, other) => return Err(self.shape(shard, &other)),
+                MetaResult::TagHits(xs) => all.extend(xs),
+                other => return Err(self.shape(shard, &other)),
             }
         }
         all.sort();
@@ -678,29 +662,15 @@ impl MetaStore for RemoteMetaStore {
         let mut counts: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
         for shard in 0..self.shards.len() {
             match self.call(shard, MetaOp::ServerBrickCounts)? {
-                (_, MetaResult::BrickCounts(xs)) => {
+                MetaResult::BrickCounts(xs) => {
                     for (server, n) in xs {
                         *counts.entry(server).or_insert(0) += n;
                     }
                 }
-                (_, other) => return Err(self.shape(shard, &other)),
+                other => return Err(self.shape(shard, &other)),
             }
         }
         Ok(counts.into_iter().collect())
-    }
-
-    /// The plane-wide generation: the sum of every shard's counter.
-    /// Monotonic (each per-shard counter only grows), and any mutation
-    /// anywhere moves it — the property the embedded single counter had.
-    fn generation(&self) -> MetaResultT<u64> {
-        let mut sum = 0;
-        for shard in 0..self.shards.len() {
-            sum += match self.call(shard, MetaOp::Generation)? {
-                (gen, MetaResult::Unit) => gen,
-                (_, other) => return Err(self.shape(shard, &other)),
-            };
-        }
-        Ok(sum)
     }
 }
 

@@ -16,23 +16,12 @@
 //! Every statement here is a constant text with `?` placeholders; values
 //! travel as bound parameters, never as SQL. A name can therefore hold any
 //! character without an escaping rule, and each text is parsed once.
-//!
-//! # Generation
-//!
-//! The single row of `dpfs_meta_gen` counts committed catalog mutations.
-//! Every mutating accessor runs in one transaction (`Catalog::write`) that
-//! first bumps the counter and then changes the tables, so a mutation and
-//! its bump are one WAL commit: no crash can leave one durable without the
-//! other. `dpfs-metad` stamps it on every reply; nothing acts on it.
 
 use std::sync::Arc;
 
 use crate::db::{Database, ResultSet, Txn};
 use crate::error::{MetaError, Result};
 use crate::value::Value;
-
-/// Name of the generation table (exposed for the SQL-level tests).
-pub const GEN_TABLE: &str = "dpfs_meta_gen";
 
 /// Marker tag written on the destination copy during a cross-shard rename.
 /// Its value is the intent id on the source shard; its presence is the
@@ -165,7 +154,7 @@ const SCHEMA: &[&str] = &[
 impl Catalog {
     /// Wrap a database, creating the DPFS tables if they don't exist,
     /// declaring their indexes, and ensuring the root directory `/` and the
-    /// generation row are present.
+    /// rename-intent sequence row are present.
     pub fn new(db: Arc<Database>) -> Result<Catalog> {
         for ddl in SCHEMA {
             db.execute(ddl)?;
@@ -176,7 +165,11 @@ impl Catalog {
             if get_dir(txn, "/")?.is_none() {
                 txn.execute("INSERT INTO dpfs_directory VALUES ('/', '', '')")?;
             }
-            if txn.execute(GENERATION)?.rows.is_empty() {
+            if txn
+                .execute("SELECT gen FROM dpfs_meta_gen WHERE k = 'g'")?
+                .rows
+                .is_empty()
+            {
                 txn.execute("INSERT INTO dpfs_meta_gen VALUES ('g', 1)")?;
             }
             Ok(())
@@ -189,27 +182,12 @@ impl Catalog {
         &self.db
     }
 
-    /// Run a mutation and its generation bump as one transaction: both
-    /// commit (one WAL commit record) or, if `f` fails, neither does.
-    fn write<T>(&self, f: impl FnOnce(&Txn<'_>) -> Result<T>) -> Result<T> {
-        self.db.transaction(|txn| {
-            txn.execute("UPDATE dpfs_meta_gen SET gen = gen + 1 WHERE k = 'g'")?;
-            f(txn)
-        })
-    }
-
-    /// The current metadata generation: strictly greater after every
-    /// committed mutation through any catalog over this database.
-    pub fn generation(&self) -> Result<u64> {
-        self.db.transaction(read_generation)
-    }
-
     // ---- dpfs_server ----
 
     /// Register an I/O server (or update its capacity/performance if it
     /// already exists).
     pub fn register_server(&self, info: &ServerInfo) -> Result<()> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let updated = txn.execute_with(
                 "UPDATE dpfs_server SET capacity = ?, performance = ? WHERE server_name = ?",
                 &[
@@ -251,7 +229,7 @@ impl Catalog {
 
     /// Remove a server from the pool.
     pub fn remove_server(&self, name: &str) -> Result<bool> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let rs = txn.execute_with(
                 "DELETE FROM dpfs_server WHERE server_name = ?",
                 &[name.into()],
@@ -267,14 +245,15 @@ impl Catalog {
     /// one transaction (the consistency property the paper buys from the
     /// database).
     pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
-        self.write(|txn| create_entry(txn, attr, dist, &[]))
+        self.db
+            .transaction(|txn| create_entry(txn, attr, dist, &[]))
     }
 
     /// Delete a file: removes attributes, distribution rows, and the
     /// directory link in one transaction. Returns the distribution that was
     /// removed (callers use it to delete the subfiles on each server).
     pub fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let dist = get_distribution(txn, filename)?;
             if !remove_entry(txn, filename)? {
                 return Err(MetaError::NoSuchTable(format!("file {filename}")));
@@ -290,7 +269,7 @@ impl Catalog {
 
     /// Set one attribute column of an existing file.
     fn set_attr(&self, sql: &str, value: Value, filename: &str) -> Result<()> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let rs = txn.execute_with(sql, &[value, filename.into()])?;
             if affected(&rs)? == 0 {
                 return Err(MetaError::NoSuchTable(format!("file {filename}")));
@@ -333,7 +312,7 @@ impl Catalog {
     /// databases (§9 group 4, §10): free-form key/value metadata that the
     /// SQL engine can then query.
     pub fn set_tag(&self, filename: &str, tag: &str, value: &str) -> Result<()> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             if !file_exists(txn, filename)? {
                 return Err(MetaError::NoSuchTable(format!("file {filename}")));
             }
@@ -367,7 +346,7 @@ impl Catalog {
 
     /// Remove a tag; returns whether it existed.
     pub fn remove_tag(&self, filename: &str, tag: &str) -> Result<bool> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let rs = txn.execute_with(
                 "DELETE FROM dpfs_file_tags WHERE tag_id = ?",
                 &[tag_key(filename, tag).into()],
@@ -405,7 +384,7 @@ impl Catalog {
     /// Replace a file's distribution rows atomically (used when a linear
     /// file grows and its brick lists extend).
     pub fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             txn.execute_with(
                 "DELETE FROM dpfs_file_distribution WHERE filename = ?",
                 &[filename.into()],
@@ -423,7 +402,7 @@ impl Catalog {
             return Err(MetaError::DuplicateKey("/ always exists".into()));
         }
         let parent = parent_dir(&path).expect("non-root path has a parent");
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let dir = get_dir(txn, &parent)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
             if dir.sub_dirs.iter().any(|d| d == &path) || get_dir(txn, &path)?.is_some() {
@@ -447,7 +426,7 @@ impl Catalog {
             return Err(MetaError::Txn("cannot remove /".into()));
         }
         let parent = parent_dir(&path).expect("non-root path has a parent");
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let dir = get_dir(txn, &path)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("directory {path}")))?;
             if !dir.sub_dirs.is_empty() || !dir.files.is_empty() {
@@ -478,7 +457,7 @@ impl Catalog {
         if parent_dir(&from).is_none() {
             return Err(MetaError::Txn(format!("{from} has no parent")));
         }
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             if file_exists(txn, &to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
@@ -526,16 +505,12 @@ impl Catalog {
     ) -> Result<(i64, FileAttrRow, Vec<Distribution>, Vec<(String, String)>)> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let attr = get_attr(txn, &from)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
             let dist = get_distribution(txn, &from)?;
             let tags = list_tags(txn, &from)?;
-            // The intent's id is the generation this transaction commits
-            // at: unique on this shard, since no two commits share one, and
-            // above every id of the counter scheme it replaces (that
-            // counter never outran the generation).
-            let id = read_generation(txn)? as i64;
+            let id = next_intent_id(txn)?;
             txn.execute_with(
                 "INSERT INTO dpfs_rename_intent VALUES (?, ?, ?)",
                 &[Value::Int(id), from.as_str().into(), to.as_str().into()],
@@ -558,14 +533,15 @@ impl Catalog {
     ) -> Result<()> {
         let mut tags = tags.to_vec();
         tags.push((RENAME_INTENT_TAG.to_string(), intent.to_string()));
-        self.write(|txn| create_entry(txn, attr, dist, &tags))
+        self.db
+            .transaction(|txn| create_entry(txn, attr, dist, &tags))
     }
 
     /// Phase 3 on the source shard: drop the source entry and its intent.
     /// Idempotent with respect to the source rows (a crash-resumed finish
     /// may find them already gone); errors only if the intent is unknown.
     pub fn rename_finish(&self, intent: i64) -> Result<()> {
-        self.write(|txn| {
+        self.db.transaction(|txn| {
             let rs = txn.execute_with(
                 "SELECT src FROM dpfs_rename_intent WHERE intent_id = ?",
                 &[Value::Int(intent)],
@@ -583,7 +559,7 @@ impl Catalog {
     /// Abandon a prepared rename; returns whether the intent existed. The
     /// source entry was never hidden, so there is nothing else to undo.
     pub fn rename_abort(&self, intent: i64) -> Result<bool> {
-        self.write(|txn| delete_intent(txn, intent))
+        self.db.transaction(|txn| delete_intent(txn, intent))
     }
 
     /// All pending cross-shard rename intents on this shard, oldest first.
@@ -700,13 +676,20 @@ fn affected(rs: &ResultSet) -> Result<i64> {
     rs.scalar()?.as_int()
 }
 
-const GENERATION: &str = "SELECT gen FROM dpfs_meta_gen WHERE k = 'g'";
-
-fn read_generation(txn: &Txn<'_>) -> Result<u64> {
-    match txn.execute(GENERATION)?.rows.first() {
-        Some(r) => Ok(r[0].as_int()? as u64),
-        None => Err(MetaError::Storage(format!("{GEN_TABLE} has no row"))),
-    }
+/// The next rename-intent id: the one-row sequence in `dpfs_meta_gen`,
+/// advanced inside the caller's transaction. Ids are never reused, which is
+/// what makes a leftover marker tag harmless (the intent it names no longer
+/// exists); `MAX(intent_id) + 1` would reuse them after `rename_finish`. The
+/// table keeps the name every directory on disk knows it by (it began as a
+/// counter of all mutations), so an old directory opens without a migration
+/// and continues above every id it ever issued.
+fn next_intent_id(txn: &Txn<'_>) -> Result<i64> {
+    txn.execute("UPDATE dpfs_meta_gen SET gen = gen + 1 WHERE k = 'g'")?;
+    txn.execute("SELECT gen FROM dpfs_meta_gen WHERE k = 'g'")?
+        .rows
+        .first()
+        .ok_or_else(|| MetaError::Storage("dpfs_meta_gen has no row".into()))?[0]
+        .as_int()
 }
 
 fn server_from_row(r: &[Value]) -> Result<ServerInfo> {
@@ -1049,6 +1032,80 @@ mod tests {
         ));
     }
 
+    /// "A leftover marker is harmless (the intent it points at no longer
+    /// exists)" holds only if an intent id is never issued twice — not after
+    /// its intent finished or aborted, not after a reopen. Nothing but
+    /// `rename_prepare` draws from the sequence.
+    #[test]
+    fn intent_ids_only_grow_and_only_renames_consume_them() {
+        let dir = std::env::temp_dir().join(format!("dpfs-intent-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()));
+        let mut c = open().unwrap();
+        c.mkdir("/d").unwrap();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let (mut files, mut pending, mut created) = (Vec::new(), Vec::new(), 0);
+        let mut last = 1; // the seeded row; the first id issued is 2
+        let (mut prepares, mut reopens) = (0, 0);
+        for step in 0..400 {
+            match draw(6) {
+                0 | 1 if !files.is_empty() => {
+                    let from: &String = &files[draw(files.len())];
+                    let (id, ..) = c.rename_prepare(from, "/elsewhere/f").unwrap();
+                    assert_eq!(id, last + 1, "step {step}: id reused or skipped");
+                    last = id;
+                    pending.push((id, from.clone()));
+                    prepares += 1;
+                }
+                2 if !pending.is_empty() => {
+                    let (id, from) = pending.swap_remove(draw(pending.len()));
+                    c.rename_finish(id).unwrap();
+                    files.retain(|f| *f != from);
+                }
+                3 if !pending.is_empty() => {
+                    let (id, _) = pending.swap_remove(draw(pending.len()));
+                    assert!(c.rename_abort(id).unwrap());
+                }
+                4 => {
+                    drop(c);
+                    c = open().unwrap();
+                    if reopens % 2 == 0 {
+                        c.db().checkpoint().unwrap();
+                    }
+                    reopens += 1;
+                }
+                _ => {
+                    // Mutations that are not renames.
+                    let name = format!("/d/f{created}");
+                    created += 1;
+                    c.create_file(&sample_attr(&name), &[]).unwrap();
+                    c.set_file_size(&name, step).unwrap();
+                    c.set_tag(&name, "k", "v").unwrap();
+                    assert!(c.remove_tag(&name, "k").unwrap());
+                    files.push(name);
+                }
+            }
+        }
+        assert!(prepares > 50 && reopens > 20, "{prepares} {reopens}");
+        // `list_rename_intents` answers oldest first.
+        let listed: Vec<i64> = c
+            .list_rename_intents()
+            .unwrap()
+            .iter()
+            .map(|i| i.id)
+            .collect();
+        let mut expect: Vec<i64> = pending.iter().map(|(id, _)| *id).collect();
+        expect.sort();
+        assert_eq!(listed, expect);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn path_normalization() {
         assert_eq!(normalize_path("/a//b/").unwrap(), "/a/b");
@@ -1358,7 +1415,6 @@ mod tests {
             }]
         };
         c.create_file(&sample_attr("/a/f"), &dist("/a/f")).unwrap();
-        c.generation().unwrap();
         c.get_file_attr("/a/f").unwrap();
         c.get_distribution("/a/f").unwrap();
         c.get_server("s0").unwrap();

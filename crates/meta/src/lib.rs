@@ -58,5 +58,5 @@ pub use catalog::{Catalog, DirEntry, Distribution, FileAttrRow, RenameIntent, Se
 pub use db::{Database, ResultSet};
 pub use error::{MetaError, Result};
 pub use shard::ShardMap;
-pub use store::{EmbeddedMetaStore, MetaStore};
+pub use store::MetaStore;
 pub use value::{DataType, Value};

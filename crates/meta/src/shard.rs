@@ -9,29 +9,26 @@
 //! each shard can enforce "parent must exist" locally; a directory's
 //! authoritative file list lives only on its home shard.
 //!
-//! The map itself is tiny — `(version, shard count)` — and travels on the
-//! wire (`MetaOp::GetShardMap` / `MetaResult::ShardMap`) so clients can
-//! fetch and cross-check it at mount time.
+//! The map itself is tiny — the shard count — and travels on the wire
+//! (`MetaOp::GetShardMap` / `MetaResult::ShardMap`) so clients can fetch and
+//! cross-check it at mount time.
 
 use crate::catalog::{normalize_path, parent_dir};
 
-/// Versioned description of the metadata shard topology.
+/// Description of the metadata shard topology.
 ///
 /// Routing is pure: the same path always maps to the same shard for a
 /// given `shards` count, on any machine, in any process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
-    /// Topology version; bumped when the shard count changes.
-    pub version: u64,
     /// Number of metadata shards (always >= 1).
     pub shards: u32,
 }
 
 impl ShardMap {
-    /// A map over `shards` daemons (clamped to at least 1), version 1.
+    /// A map over `shards` daemons (clamped to at least 1).
     pub fn new(shards: u32) -> Self {
         ShardMap {
-            version: 1,
             shards: shards.max(1),
         }
     }
@@ -39,14 +36,6 @@ impl ShardMap {
     /// The degenerate single-shard map: everything routes to shard 0.
     pub fn single() -> Self {
         ShardMap::new(1)
-    }
-
-    /// Rebuild a map from wire fields.
-    pub fn from_wire(version: u64, shards: u32) -> Self {
-        ShardMap {
-            version,
-            shards: shards.max(1),
-        }
     }
 
     /// Shard that owns directory `path` (i.e. the file list of `path`).
@@ -69,7 +58,7 @@ impl ShardMap {
 }
 
 /// FNV-1a 64-bit. Stable across platforms; this is the routing hash and
-/// must never change without bumping the shard-map version.
+/// must never change: every stored entry's home shard depends on it.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -118,7 +107,6 @@ mod tests {
     fn zero_count_is_clamped() {
         let m = ShardMap::new(0);
         assert_eq!(m.shards, 1);
-        assert_eq!(ShardMap::from_wire(3, 0).shards, 1);
     }
 
     #[test]

@@ -1,36 +1,20 @@
 //! The `MetaStore` trait: the catalog surface as an abstract metadata
-//! service, plus the embedded backend.
+//! service.
 //!
 //! The paper's clients reach the four DPFS tables through a *database
 //! server* over the network (§5); earlier revisions of this repo instead
 //! handed every client a shared in-process `Arc<Database>`. `MetaStore`
-//! makes the access path pluggable: [`EmbeddedMetaStore`] keeps the
-//! in-process catalog (tests, single-node tools), while `dpfs-core`'s
-//! `RemoteMetaStore` speaks the same surface over the metadata RPCs to a
-//! `dpfs-metad` daemon.
-//!
-//! # Generations
-//!
-//! Every mutation bumps a monotonically increasing *metadata generation*,
-//! persisted in the shared database (table `dpfs_meta_gen`) so all store
-//! instances over one database observe the same counter. Every `dpfs-metad`
-//! reply carries it on its envelope and `dpfs-sh stats` prints it; no
-//! client acts on it (clients keep no metadata between calls). The bump is
-//! part of the mutation's own transaction (the catalog's doing, see
-//! `catalog.rs` "Generation"): the two are one WAL commit, so neither a
-//! crash nor a concurrent reader can see a mutation under the generation
-//! that preceded it.
+//! makes the access path pluggable: [`Catalog`] itself is the in-process
+//! backend (tests, single-node tools, and what `dpfs-metad` serves), while
+//! `dpfs-core`'s `RemoteMetaStore` speaks the same surface over the metadata
+//! RPCs to a `dpfs-metad` daemon.
 
-use std::sync::Arc;
-
-pub use crate::catalog::GEN_TABLE;
 use crate::catalog::{Catalog, DirEntry, Distribution, FileAttrRow, ServerInfo};
-use crate::db::Database;
 use crate::error::Result;
 
-/// Abstract metadata service: the [`Catalog`] surface plus a generation
-/// counter. Object-safe; `Dpfs` holds an `Arc<dyn MetaStore>` so embedded
-/// and remote mounts are interchangeable.
+/// Abstract metadata service: the [`Catalog`] surface. Object-safe; `Dpfs`
+/// holds an `Arc<dyn MetaStore>` so embedded and remote mounts are
+/// interchangeable.
 pub trait MetaStore: Send + Sync {
     // ---- servers ----
 
@@ -94,12 +78,6 @@ pub trait MetaStore: Send + Sync {
     /// Per-server brick counts across all files (`df`-style output).
     fn server_brick_counts(&self) -> Result<Vec<(String, i64)>>;
 
-    // ---- generation ----
-
-    /// The current metadata generation. Moves (strictly increases) whenever
-    /// any mutation commits through any store over the same database.
-    fn generation(&self) -> Result<u64>;
-
     /// The embedded catalog behind this store, if it has one in-process
     /// (`None` for networked backends). Lets single-process tools (fsck,
     /// raw-SQL examples) keep catalog access without downcasting.
@@ -108,122 +86,96 @@ pub trait MetaStore: Send + Sync {
     }
 }
 
-/// The embedded backend: the [`Catalog`] behind the trait. First backend of
-/// the trait and the one `dpfs-metad` serves remotely.
-#[derive(Clone)]
-pub struct EmbeddedMetaStore {
-    catalog: Catalog,
-}
-
-impl EmbeddedMetaStore {
-    /// Wrap a database: creates the DPFS tables and the generation row if
-    /// missing (via [`Catalog::new`]).
-    pub fn new(db: Arc<Database>) -> Result<EmbeddedMetaStore> {
-        Self::from_catalog(Catalog::new(db)?)
-    }
-
-    /// Wrap an existing catalog.
-    pub fn from_catalog(catalog: Catalog) -> Result<EmbeddedMetaStore> {
-        Ok(EmbeddedMetaStore { catalog })
-    }
-
-    /// The wrapped catalog. The cross-shard rename primitives
-    /// (`rename_prepare` … `rename_abort`) are reached through it: an
-    /// embedded mount never needs them — `rename_file` is atomic there —
-    /// so they are not part of the trait; `dpfs-metad` serves them.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-}
-
-impl MetaStore for EmbeddedMetaStore {
+/// The embedded backend, and the one `dpfs-metad` serves remotely. The
+/// cross-shard rename primitives (`rename_prepare` … `rename_abort`) stay
+/// inherent: an embedded mount never needs them — `rename_file` is atomic
+/// there — so they are not part of the trait.
+impl MetaStore for Catalog {
     fn register_server(&self, info: &ServerInfo) -> Result<()> {
-        self.catalog.register_server(info)
+        Catalog::register_server(self, info)
     }
     fn list_servers(&self) -> Result<Vec<ServerInfo>> {
-        self.catalog.list_servers()
+        Catalog::list_servers(self)
     }
     fn get_server(&self, name: &str) -> Result<Option<ServerInfo>> {
-        self.catalog.get_server(name)
+        Catalog::get_server(self, name)
     }
     fn remove_server(&self, name: &str) -> Result<bool> {
-        self.catalog.remove_server(name)
+        Catalog::remove_server(self, name)
     }
 
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
-        self.catalog.create_file(attr, dist)
+        Catalog::create_file(self, attr, dist)
     }
     fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
-        self.catalog.delete_file(filename)
+        Catalog::delete_file(self, filename)
     }
     fn rename_file(&self, from: &str, to: &str) -> Result<()> {
-        self.catalog.rename_file(from, to)
+        Catalog::rename_file(self, from, to)
     }
     fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
-        self.catalog.get_file_attr(filename)
+        Catalog::get_file_attr(self, filename)
     }
     fn set_file_size(&self, filename: &str, size: i64) -> Result<()> {
-        self.catalog.set_file_size(filename, size)
+        Catalog::set_file_size(self, filename, size)
     }
     fn set_file_permission(&self, filename: &str, permission: i64) -> Result<()> {
-        self.catalog.set_file_permission(filename, permission)
+        Catalog::set_file_permission(self, filename, permission)
     }
     fn set_file_owner(&self, filename: &str, owner: &str) -> Result<()> {
-        self.catalog.set_file_owner(filename, owner)
+        Catalog::set_file_owner(self, filename, owner)
     }
 
     fn get_distribution(&self, filename: &str) -> Result<Vec<Distribution>> {
-        self.catalog.get_distribution(filename)
+        Catalog::get_distribution(self, filename)
     }
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
-        self.catalog.update_distribution(filename, dist)
+        Catalog::update_distribution(self, filename, dist)
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
-        self.catalog.mkdir(path)
+        Catalog::mkdir(self, path)
     }
     fn rmdir(&self, path: &str) -> Result<()> {
-        self.catalog.rmdir(path)
+        Catalog::rmdir(self, path)
     }
     fn get_dir(&self, path: &str) -> Result<Option<DirEntry>> {
-        self.catalog.get_dir(path)
+        Catalog::get_dir(self, path)
     }
 
     fn set_tag(&self, filename: &str, tag: &str, value: &str) -> Result<()> {
-        self.catalog.set_tag(filename, tag, value)
+        Catalog::set_tag(self, filename, tag, value)
     }
     fn get_tag(&self, filename: &str, tag: &str) -> Result<Option<String>> {
-        self.catalog.get_tag(filename, tag)
+        Catalog::get_tag(self, filename, tag)
     }
     fn list_tags(&self, filename: &str) -> Result<Vec<(String, String)>> {
-        self.catalog.list_tags(filename)
+        Catalog::list_tags(self, filename)
     }
     fn remove_tag(&self, filename: &str, tag: &str) -> Result<bool> {
-        self.catalog.remove_tag(filename, tag)
+        Catalog::remove_tag(self, filename, tag)
     }
     fn find_by_tag(&self, tag: &str, pattern: &str) -> Result<Vec<(String, String, i64)>> {
-        self.catalog.find_by_tag(tag, pattern)
+        Catalog::find_by_tag(self, tag, pattern)
     }
 
     fn server_brick_counts(&self) -> Result<Vec<(String, i64)>> {
-        self.catalog.server_brick_counts()
-    }
-
-    fn generation(&self) -> Result<u64> {
-        self.catalog.generation()
+        Catalog::server_brick_counts(self)
     }
 
     fn as_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
+        Some(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
+    use std::sync::Arc;
 
-    fn store() -> EmbeddedMetaStore {
-        EmbeddedMetaStore::new(Arc::new(Database::in_memory())).unwrap()
+    fn store() -> Catalog {
+        Catalog::new(Arc::new(Database::in_memory())).unwrap()
     }
 
     fn attr(name: &str) -> FileAttrRow {
@@ -241,34 +193,6 @@ mod tests {
             placement: "round_robin".into(),
             redundancy: String::new(),
         }
-    }
-
-    #[test]
-    fn generation_bumps_on_mutations_only() {
-        let s = store();
-        let g0 = s.generation().unwrap();
-        s.mkdir("/d").unwrap();
-        let g1 = s.generation().unwrap();
-        assert!(g1 > g0);
-        // reads leave the generation alone
-        s.get_dir("/d").unwrap();
-        s.get_file_attr("/nope").unwrap();
-        assert_eq!(s.generation().unwrap(), g1);
-        // a failed mutation leaves it alone too
-        assert!(s.mkdir("/d").is_err());
-        assert_eq!(s.generation().unwrap(), g1);
-        s.create_file(&attr("/d/f"), &[]).unwrap();
-        assert!(s.generation().unwrap() > g1);
-    }
-
-    #[test]
-    fn generation_is_shared_across_stores_over_one_database() {
-        let db = Arc::new(Database::in_memory());
-        let a = EmbeddedMetaStore::new(db.clone()).unwrap();
-        let b = EmbeddedMetaStore::new(db).unwrap();
-        let g0 = b.generation().unwrap();
-        a.mkdir("/from-a").unwrap();
-        assert!(b.generation().unwrap() > g0, "b must see a's bump");
     }
 
     #[test]
@@ -307,8 +231,7 @@ mod tests {
         // database-wide transaction gate must serialize them: every file a
         // thread successfully created (and didn't delete) has a directory
         // entry, and no entry is duplicated or orphaned.
-        let db = Arc::new(Database::in_memory());
-        let s = Arc::new(EmbeddedMetaStore::new(db).unwrap());
+        let s = Arc::new(store());
         s.mkdir("/race").unwrap();
         let mut handles = Vec::new();
         for t in 0..2 {
@@ -384,19 +307,16 @@ mod tests {
         assert_eq!(dir.files.len(), 10, "one directory entry per path");
     }
 
-    /// The generation moves in the same WAL transaction as the mutation it
-    /// announces: a crash cannot leave one durable without the other (the
-    /// parent of this test bumped in a second transaction, so a crash
-    /// between the two left a mutation under a generation that clients'
-    /// cached layouts still trusted).
+    /// Every mutating accessor is one transaction, so one WAL commit record:
+    /// a crash cannot leave half of one durable. A mutation that changes
+    /// nothing, a refused one and a read append nothing at all.
     #[test]
-    fn every_mutation_and_its_generation_bump_are_one_wal_commit() {
+    fn every_mutation_is_one_wal_commit() {
         use crate::wal::{read_wal, WalRecord};
-        let dir = std::env::temp_dir().join(format!("dpfs-meta-gen-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-commits-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = dir.join("wal.log");
-        let s = EmbeddedMetaStore::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()))
-            .unwrap();
+        let s = Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap())).unwrap();
         let commits = || {
             let records = read_wal(&wal).unwrap();
             let n = records
@@ -415,7 +335,6 @@ mod tests {
             capacity: 1,
             performance: 1,
         };
-        let c = s.catalog();
         type Mutation<'a> = Box<dyn Fn() -> Result<()> + 'a>;
         let mutations: Vec<(&str, Mutation<'_>)> = vec![
             ("register_server", Box::new(|| s.register_server(&server))),
@@ -443,11 +362,17 @@ mod tests {
             (
                 "rename 2pc",
                 Box::new(|| {
-                    let (intent, mut a, _, tags) = c.rename_prepare("/d/g", "/d/h")?;
+                    let (intent, mut a, _, tags) = s.rename_prepare("/d/g", "/d/h")?;
                     a.filename = "/d/h".into();
-                    c.rename_commit_dest(intent, &a, &[dist("/d/h")], &tags)?;
-                    c.rename_finish(intent)?;
-                    c.rename_abort(intent).map(|_| ())
+                    s.rename_commit_dest(intent, &a, &[dist("/d/h")], &tags)?;
+                    s.rename_finish(intent)
+                }),
+            ),
+            (
+                "rename_abort",
+                Box::new(|| {
+                    let (intent, ..) = s.rename_prepare("/d/h", "/d/i")?;
+                    s.rename_abort(intent).map(|_| ())
                 }),
             ),
             (
@@ -461,42 +386,39 @@ mod tests {
             ),
         ];
         for (name, mutation) in &mutations {
-            let (before, gen) = (commits().0, s.generation().unwrap());
+            let before = commits().0;
             mutation().unwrap();
-            let expect = if *name == "rename 2pc" { 4 } else { 1 };
+            let expect = match *name {
+                "rename 2pc" => 3,
+                "rename_abort" => 2,
+                _ => 1,
+            };
             assert_eq!(commits().0, before + expect, "{name}: WAL commits");
-            assert_eq!(s.generation().unwrap(), gen + expect as u64, "{name}");
         }
-        // a refused mutation and a read commit nothing
-        let before = commits().0;
+        // A refused mutation, a read, and a mutation that finds nothing to
+        // change append not one byte.
+        let before = std::fs::metadata(&wal).unwrap().len();
         assert!(s.mkdir("/no/parent").is_err());
         s.get_file_attr("/d/h").unwrap();
-        assert_eq!(commits().0, before);
+        assert!(!s.remove_tag("/d/h", "k").unwrap());
+        assert!(!s.remove_server("s0").unwrap());
+        assert!(!s.rename_abort(99).unwrap());
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), before);
 
-        // No transaction in the log changes a catalog table without also
-        // changing the generation row.
-        let (_, records) = commits();
+        // `rename_prepare`'s transaction holds the sequence step *and* the
+        // intent row: no crash can issue an id without recording its intent,
+        // or record an intent under an id the sequence may issue again.
         let mut touched: std::collections::BTreeMap<u64, (bool, bool)> = Default::default();
-        for r in &records {
-            let table = match r {
-                WalRecord::Insert { table, .. }
-                | WalRecord::Update { table, .. }
-                | WalRecord::Delete { table, .. } => table,
-                _ => continue,
-            };
+        for r in &commits().1 {
             let entry = touched.entry(r.txn()).or_default();
-            if table == GEN_TABLE {
-                entry.0 |= matches!(r, WalRecord::Update { .. });
-            } else {
-                entry.1 = true;
+            match r {
+                WalRecord::Update { table, .. } if table == "dpfs_meta_gen" => entry.0 = true,
+                WalRecord::Insert { table, .. } if table == "dpfs_rename_intent" => entry.1 = true,
+                _ => {}
             }
         }
-        let unannounced: Vec<_> = touched
-            .iter()
-            .filter(|(_, (gen, catalog))| *catalog && !*gen)
-            .collect();
-        // the one exception is Catalog::new seeding `/` and the row itself
-        assert_eq!(unannounced.len(), 1, "{unannounced:?}");
+        let prepares: Vec<_> = touched.values().filter(|t| t.0 || t.1).collect();
+        assert_eq!(prepares, [&(true, true); 2], "{touched:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

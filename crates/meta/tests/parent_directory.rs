@@ -1,6 +1,6 @@
-//! A metadata directory written by the parent commit — snapshot plus WAL
-//! tail, no index ever declared in it, the generation bumped in separate
-//! transactions — opens under this engine as it is: the on-disk formats did
+//! A metadata directory written by PR 13's parent — snapshot plus WAL tail,
+//! no index ever declared in it, `dpfs_meta_gen` advanced by every mutation
+//! in a transaction of its own — opens under this engine as it is: the on-disk formats did
 //! not change, `Catalog::new` builds the indexes the directory never had,
 //! and every answer is the one the old engine scanned for.
 //! `fixtures/pr13-dir/README.md` lists what was written.
@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dpfs_meta::{Catalog, Database, EmbeddedMetaStore, MetaStore, Value};
+use dpfs_meta::{Catalog, Database, Value};
 
 fn copy_of_fixture(tag: &str) -> PathBuf {
     let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr13-dir");
@@ -80,10 +80,8 @@ fn a_directory_of_the_parent_commit_opens_indexed_and_answers_the_same() {
         .map(|f| std::fs::read(dir.join(f)).unwrap())
         .collect();
     let db = Arc::new(Database::open_with_sync(&dir, false).unwrap());
-    let store = EmbeddedMetaStore::new(db.clone()).unwrap();
-    let c = store.catalog();
-    assert_eq!(store.generation().unwrap(), 22);
-    check_contents(c, 4242);
+    let c = Catalog::new(db.clone()).unwrap();
+    check_contents(&c, 4242);
     let intents = c.list_rename_intents().unwrap();
     assert_eq!(intents.len(), 1);
     assert_eq!((intents[0].id, intents[0].src.as_str()), (1, "/a/f3"));
@@ -106,21 +104,26 @@ fn a_directory_of_the_parent_commit_opens_indexed_and_answers_the_same() {
         assert_eq!(&std::fs::read(dir.join(f)).unwrap(), old, "{f} changed");
     }
 
-    // New work lands on top: a second intent gets an id above the old one,
-    // and the directory reopens (WAL replay over the old snapshot) and
-    // checkpoints (a snapshot this engine wrote) with the same contents.
-    let (intent, ..) = c.rename_prepare("/a/f4", "/elsewhere/f4").unwrap();
-    assert!(intent > 1);
-    c.rename_abort(intent).unwrap();
-    store.set_file_size("/a/f2", 5).unwrap();
-    let generation = store.generation().unwrap();
-    assert_eq!(generation, 25);
-    drop(store);
+    // New work lands on top. The old engine left the sequence row at 22
+    // (it counted every mutation), so the next intent is 23: above every id
+    // the directory ever issued. An aborted id is never issued again, across
+    // a reopen by WAL replay over the old snapshot and one from a snapshot
+    // this engine wrote, and other mutations do not consume one.
+    let mut next_id = 23;
+    let mut prepare_and_abort = |c: &Catalog| {
+        let (intent, ..) = c.rename_prepare("/a/f4", "/elsewhere/f4").unwrap();
+        assert_eq!(intent, next_id);
+        assert!(c.rename_abort(intent).unwrap());
+        next_id += 1;
+    };
+    prepare_and_abort(&c);
+    c.set_file_size("/a/f2", 5).unwrap();
+    drop(c);
     drop(db);
     for checkpoint in [true, false] {
         let db = Arc::new(Database::open_with_sync(&dir, false).unwrap());
         let c = Catalog::new(db.clone()).unwrap();
-        assert_eq!(c.generation().unwrap(), generation);
+        prepare_and_abort(&c);
         check_contents(&c, 5);
         assert_eq!(
             db.execute("SELECT COUNT(*) FROM dpfs_rename_intent")

@@ -128,17 +128,19 @@ fn main() {
 
     // Serve until killed; optionally print stats periodically.
     loop {
-        std::thread::sleep(Duration::from_secs(args.stats_interval.max(60)));
+        std::thread::sleep(Duration::from_secs(match args.stats_interval {
+            0 => 60, // off: nothing to print, just stay alive
+            n => n,
+        }));
         if args.stats_interval > 0 {
             let s = server.stats();
             log_info!(
-                "stats: conns={} reqs={} meta_ops={} errors={} in_flight={} gen={}",
+                "stats: conns={} reqs={} meta_ops={} errors={} in_flight={}",
                 s.connections,
                 s.requests,
                 s.meta_ops,
                 s.errors,
-                s.in_flight,
-                s.generation
+                s.in_flight
             );
             for (op, h) in &s.op_latency {
                 log_info!("  {op}: n={} lat_us={}", h.count, h.summary_us());

@@ -3,11 +3,8 @@
 //! The paper's clients reach the four metadata tables through a *database
 //! server* over the network (§5). This crate is that server: it owns the
 //! embedded [`Database`] (no client ever touches the database directly),
-//! serves the [`MetaOp`] RPCs through the same accept-loop/worker-pool
-//! core as the I/O servers ([`dpfs_server::ServeCore`]), and answers every
-//! metadata reply with the current *metadata generation* so clients can
-//! keep attr/layout caches coherent without a dedicated invalidation
-//! channel.
+//! and serves the [`MetaOp`] RPCs through the same accept-loop/worker-pool
+//! core as the I/O servers ([`dpfs_server::ServeCore`]).
 //!
 //! Observability mirrors the I/O servers: traced requests record
 //! `decode`/`queue`/`handle`/`respond` spans into the global ring, and
@@ -23,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpfs_meta::{Database, EmbeddedMetaStore, MetaStore, ShardMap};
+use dpfs_meta::{Catalog, Database, ShardMap};
 use dpfs_obs::{now_ns, ring, HistSnapshot, Histogram, Side, TraceEvent};
 use dpfs_proto::{ErrorCode, MetaOp, MetaResult, Request, Response};
 use dpfs_server::{ServeCore, Service};
@@ -83,7 +80,7 @@ impl MetadStats {
     }
 
     /// Snapshot every counter and histogram.
-    pub fn snapshot(&self, generation: u64, shard_id: u64, shards: u64) -> MetadStatsSnapshot {
+    pub fn snapshot(&self, shard_id: u64, shards: u64) -> MetadStatsSnapshot {
         let op_latency = self
             .hists
             .lock()
@@ -96,7 +93,6 @@ impl MetadStats {
             errors: self.errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            generation,
             shard_id,
             shards,
             op_latency,
@@ -115,8 +111,6 @@ pub struct MetadStatsSnapshot {
     pub errors: u64,
     pub connections: u64,
     pub in_flight: u64,
-    /// Metadata generation at snapshot time.
-    pub generation: u64,
     /// Which shard this daemon serves (0 for a single-shard deployment).
     pub shard_id: u64,
     /// Total shard count in the daemon's shard-map view (>= 1).
@@ -127,14 +121,17 @@ pub struct MetadStatsSnapshot {
 
 /// Version byte leading a metad stats blob. The I/O server's snapshots
 /// start at 1 and count up slowly; metad claims a disjoint range so the
-/// two payloads can never be confused.
-const METAD_SNAPSHOT_VERSION: u8 = 0x4d; // 'M'
+/// two payloads can never be confused. 0x4d ('M') is retired with the
+/// longer layout it led and must not be reused: a shell and a daemon from
+/// either side of that change decode each other's blob to `None`, not to
+/// shifted fields.
+const METAD_SNAPSHOT_VERSION: u8 = 0x4e;
 
 impl MetadStatsSnapshot {
     /// Serialize to the versioned `Stats` payload blob.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
-            1 + 8 * 8
+            1 + 7 * 8
                 + 4
                 + self
                     .op_latency
@@ -149,7 +146,6 @@ impl MetadStatsSnapshot {
             self.errors,
             self.connections,
             self.in_flight,
-            self.generation,
             self.shard_id,
             self.shards,
         ] {
@@ -182,7 +178,6 @@ impl MetadStatsSnapshot {
         let errors = read_u64(&mut rest)?;
         let connections = read_u64(&mut rest)?;
         let in_flight = read_u64(&mut rest)?;
-        let generation = read_u64(&mut rest)?;
         let shard_id = read_u64(&mut rest)?;
         let shards = read_u64(&mut rest)?;
         let (head, mut tail) = rest.split_at_checked(4)?;
@@ -203,7 +198,6 @@ impl MetadStatsSnapshot {
             errors,
             connections,
             in_flight,
-            generation,
             shard_id,
             shards,
             op_latency,
@@ -211,13 +205,12 @@ impl MetadStatsSnapshot {
     }
 }
 
-/// The metadata request handler: [`MetaOp`] in, [`MetaResult`] +
-/// generation out. Owns the [`EmbeddedMetaStore`] (and through it the
-/// database); every connection worker dispatches through one shared
-/// `MetaHandler`.
+/// The metadata request handler: [`MetaOp`] in, [`MetaResult`] out. Owns
+/// the [`Catalog`] (and through it the database); every connection worker
+/// dispatches through one shared `MetaHandler`.
 pub struct MetaHandler {
     name: String,
-    store: EmbeddedMetaStore,
+    store: Catalog,
     stats: MetadStats,
     /// Which shard of the namespace this daemon serves.
     shard_id: u32,
@@ -228,8 +221,7 @@ pub struct MetaHandler {
 
 impl MetaHandler {
     /// Build a single-shard handler over a database, creating the DPFS
-    /// tables and the generation table if missing. `name` labels trace
-    /// events.
+    /// tables if missing. `name` labels trace events.
     pub fn new(name: impl Into<String>, db: Arc<Database>) -> dpfs_meta::Result<MetaHandler> {
         Self::new_sharded(name, db, 0, 1)
     }
@@ -246,7 +238,7 @@ impl MetaHandler {
     ) -> dpfs_meta::Result<MetaHandler> {
         Ok(MetaHandler {
             name: name.into(),
-            store: EmbeddedMetaStore::new(db)?,
+            store: Catalog::new(db)?,
             stats: MetadStats::default(),
             shard_id,
             shard_map: ShardMap::new(shards),
@@ -270,7 +262,7 @@ impl MetaHandler {
 
     /// The backing store (in-process tests and the testbed reach through
     /// to seed the catalog).
-    pub fn store(&self) -> &EmbeddedMetaStore {
+    pub fn store(&self) -> &Catalog {
         &self.store
     }
 
@@ -279,17 +271,13 @@ impl MetaHandler {
         &self.stats
     }
 
-    /// A stats snapshot stamped with the current generation and shard.
+    /// A stats snapshot stamped with this daemon's shard.
     pub fn stats_snapshot(&self) -> MetadStatsSnapshot {
-        let generation = self.store.generation().unwrap_or(0);
-        self.stats.snapshot(
-            generation,
-            u64::from(self.shard_id),
-            u64::from(self.shard_map.shards),
-        )
+        self.stats
+            .snapshot(u64::from(self.shard_id), u64::from(self.shard_map.shards))
     }
 
-    /// Apply one metadata op against the store. Pure dispatch: every
+    /// Apply one metadata op against the catalog. Pure dispatch: every
     /// `MetaStore` method maps to exactly one `MetaOp` variant.
     fn apply(&self, op: MetaOp) -> MetaResult {
         use MetaOp as Op;
@@ -333,14 +321,11 @@ impl MetaHandler {
             Op::RemoveTag { filename, tag } => s.remove_tag(&filename, &tag).map(R::Bool),
             Op::FindByTag { tag, pattern } => s.find_by_tag(&tag, &pattern).map(R::TagHits),
             Op::ServerBrickCounts => s.server_brick_counts().map(R::BrickCounts),
-            Op::Generation => Ok(R::Unit), // gen rides in the envelope
             Op::GetShardMap => Ok(R::ShardMap {
-                version: self.shard_map.version,
                 shards: self.shard_map.shards,
             }),
             Op::RenamePrepare { from, to } => {
-                s.catalog()
-                    .rename_prepare(&from, &to)
+                s.rename_prepare(&from, &to)
                     .map(|(intent, attr, dist, tags)| R::RenamePrepared {
                         intent,
                         attr,
@@ -354,13 +339,11 @@ impl MetaHandler {
                 dist,
                 tags,
             } => s
-                .catalog()
                 .rename_commit_dest(intent, &attr, &dist, &tags)
                 .map(|()| R::Unit),
-            Op::RenameFinish { intent } => s.catalog().rename_finish(intent).map(|()| R::Unit),
-            Op::RenameAbort { intent } => s.catalog().rename_abort(intent).map(R::Bool),
+            Op::RenameFinish { intent } => s.rename_finish(intent).map(|()| R::Unit),
+            Op::RenameAbort { intent } => s.rename_abort(intent).map(R::Bool),
             Op::ListRenameIntents => s
-                .catalog()
                 .list_rename_intents()
                 .map(|xs| R::Intents(xs.into_iter().map(|i| (i.id, i.src, i.dst)).collect())),
         };
@@ -373,15 +356,7 @@ impl MetaHandler {
     }
 
     /// Handle one request stamped with `trace_id` (0 = untraced): records
-    /// a `handle` span and the per-op service-time histogram sample, and
-    /// answers every metadata op with a generation stamp. Mutations stamp
-    /// *after* applying — the bump has committed by the time the store
-    /// call returns, so an acknowledged mutation is always reflected in
-    /// the generation its own reply carries. Reads stamp *before* — a
-    /// concurrent mutation committing between the stamp and the catalog
-    /// read makes the stamp conservatively old (clients refetch once),
-    /// never newer than the data (which would let a cache serve a stale
-    /// layout as current).
+    /// a `handle` span and the per-op service-time histogram sample.
     pub fn handle_traced(&self, req: Request, trace_id: u64) -> Response {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
@@ -393,19 +368,8 @@ impl MetaHandler {
             Request::Meta { op } => {
                 self.stats.meta_ops.fetch_add(1, Ordering::Relaxed);
                 let kind = op.op_str();
-                let is_mutation = op.is_mutation();
-                let pre_gen = if is_mutation {
-                    0
-                } else {
-                    self.store.generation().unwrap_or(0)
-                };
                 let t0 = now_ns();
                 let result = self.apply(op);
-                let gen = if is_mutation {
-                    self.store.generation().unwrap_or(0)
-                } else {
-                    pre_gen
-                };
                 let dur = now_ns().saturating_sub(t0);
                 self.stats.hist_for(kind).record(dur);
                 metad_event(trace_id, "handle", kind, &self.name, t0, dur);
@@ -422,7 +386,6 @@ impl MetaHandler {
                 }
                 Response::Meta {
                     shard: self.shard_id,
-                    gen,
                     result,
                 }
             }
@@ -555,7 +518,7 @@ impl MetaServer {
         &self.handler
     }
 
-    /// Statistics snapshot stamped with the current generation.
+    /// Statistics snapshot (see [`MetaHandler::stats_snapshot`]).
     pub fn stats(&self) -> MetadStatsSnapshot {
         self.handler.stats_snapshot()
     }
@@ -600,9 +563,9 @@ mod tests {
         }
     }
 
-    fn meta(h: &MetaHandler, op: MetaOp) -> (u64, MetaResult) {
+    fn meta(h: &MetaHandler, op: MetaOp) -> MetaResult {
         match h.handle(Request::Meta { op }) {
-            Response::Meta { gen, result, .. } => (gen, result),
+            Response::Meta { result, .. } => result,
             other => panic!("expected Meta response, got {other:?}"),
         }
     }
@@ -610,7 +573,7 @@ mod tests {
     #[test]
     fn full_surface_dispatches() {
         let h = handler();
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::RegisterServer {
                 info: ServerInfo {
@@ -621,11 +584,11 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(&h, MetaOp::ListServers);
+        let r = meta(&h, MetaOp::ListServers);
         assert!(matches!(r, MetaResult::Servers(ref xs) if xs.len() == 1));
-        let (_, r) = meta(&h, MetaOp::Mkdir { path: "/d".into() });
+        let r = meta(&h, MetaOp::Mkdir { path: "/d".into() });
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::CreateFile {
                 attr: attr("/d/f"),
@@ -637,14 +600,14 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::GetFileAttr {
                 filename: "/d/f".into(),
             },
         );
         assert!(matches!(r, MetaResult::MaybeAttr(Some(_))));
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::SetTag {
                 filename: "/d/f".into(),
@@ -653,7 +616,7 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::FindByTag {
                 tag: "k".into(),
@@ -661,9 +624,9 @@ mod tests {
             },
         );
         assert!(matches!(r, MetaResult::TagHits(ref xs) if xs.len() == 1));
-        let (_, r) = meta(&h, MetaOp::ServerBrickCounts);
+        let r = meta(&h, MetaOp::ServerBrickCounts);
         assert_eq!(r, MetaResult::BrickCounts(vec![("s0".into(), 3)]));
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::RenameFile {
                 from: "/d/f".into(),
@@ -671,7 +634,7 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(
+        let r = meta(
             &h,
             MetaOp::DeleteFile {
                 filename: "/d/g".into(),
@@ -681,91 +644,11 @@ mod tests {
     }
 
     #[test]
-    fn replies_carry_a_moving_generation() {
-        let h = handler();
-        let (g0, _) = meta(&h, MetaOp::Generation);
-        let (g1, r) = meta(&h, MetaOp::Mkdir { path: "/d".into() });
-        assert_eq!(r, MetaResult::Unit);
-        assert!(g1 > g0, "mutation reply must carry the bumped generation");
-        let (g2, _) = meta(&h, MetaOp::GetDir { path: "/d".into() });
-        assert_eq!(g2, g1, "reads leave the generation alone");
-    }
-
-    /// The stamp a read reply carries must never be newer than the data
-    /// it describes: if a reader's generation is >= a mutation's reply
-    /// generation, the reader must observe that mutation. (A mutation
-    /// committing between a read's catalog fetch and its generation stamp
-    /// used to produce exactly that violation, letting client caches
-    /// validate stale attrs/layouts as current.)
-    #[test]
-    fn read_replies_never_stamp_stale_data_as_current() {
-        let h = handler();
-        let (_, r) = meta(
-            &h,
-            MetaOp::CreateFile {
-                attr: attr("/f"),
-                dist: vec![],
-            },
-        );
-        assert_eq!(r, MetaResult::Unit);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let (muts, reads) = std::thread::scope(|s| {
-            let mutator = s.spawn(|| {
-                let mut muts = Vec::new();
-                for size in 1..=400i64 {
-                    let (gen, r) = meta(
-                        &h,
-                        MetaOp::SetFileSize {
-                            filename: "/f".into(),
-                            size,
-                        },
-                    );
-                    assert_eq!(r, MetaResult::Unit);
-                    muts.push((gen, size));
-                }
-                done.store(true, Ordering::Relaxed);
-                muts
-            });
-            let reader = s.spawn(|| {
-                let mut reads = Vec::new();
-                while !done.load(Ordering::Relaxed) {
-                    let (gen, r) = meta(
-                        &h,
-                        MetaOp::GetFileAttr {
-                            filename: "/f".into(),
-                        },
-                    );
-                    let MetaResult::MaybeAttr(Some(a)) = r else {
-                        panic!("expected attr, got {r:?}");
-                    };
-                    reads.push((gen, a.size));
-                }
-                reads
-            });
-            (mutator.join().unwrap(), reader.join().unwrap())
-        });
-        // Mutation reply gens are strictly increasing alongside sizes.
-        for (read_gen, read_size) in reads {
-            let newest_committed = muts
-                .partition_point(|&(mut_gen, _)| mut_gen <= read_gen)
-                .checked_sub(1)
-                .map(|i| muts[i].1)
-                .unwrap_or(0);
-            assert!(
-                read_size >= newest_committed,
-                "reply stamped gen {read_gen} carries size {read_size}, \
-                 but a mutation to size {newest_committed} committed at or \
-                 before that generation"
-            );
-        }
-    }
-
-    #[test]
     fn errors_travel_as_results_not_protocol_errors() {
         let h = handler();
-        let (_, r) = meta(&h, MetaOp::Mkdir { path: "/d".into() });
+        let r = meta(&h, MetaOp::Mkdir { path: "/d".into() });
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(&h, MetaOp::Mkdir { path: "/d".into() });
+        let r = meta(&h, MetaOp::Mkdir { path: "/d".into() });
         let MetaResult::Err { code, message } = r else {
             panic!("duplicate mkdir must fail, got {r:?}");
         };
@@ -804,7 +687,6 @@ mod tests {
         };
         let snap = MetadStatsSnapshot::decode(&payload).unwrap();
         assert_eq!(snap.meta_ops, 3);
-        assert!(snap.generation >= 2);
         let get_dir = snap
             .op_latency
             .iter()
@@ -821,6 +703,11 @@ mod tests {
         // byte) is rejected, not misparsed.
         assert!(MetadStatsSnapshot::decode(&[1, 0, 0]).is_none());
         assert!(MetadStatsSnapshot::decode(&[]).is_none());
+        // So is a blob led by the retired version byte: a shell and a daemon
+        // built on either side of the layout change fail closed.
+        let mut old = payload.to_vec();
+        old[0] = 0x4d;
+        assert!(MetadStatsSnapshot::decode(&old).is_none());
     }
 
     #[test]
@@ -831,14 +718,12 @@ mod tests {
         });
         let Response::Meta {
             shard,
-            result: MetaResult::ShardMap { version, shards },
-            ..
+            result: MetaResult::ShardMap { shards },
         } = resp
         else {
             panic!("expected shard map, got {resp:?}");
         };
         assert_eq!(shard, 1);
-        assert_eq!(version, 1);
         assert_eq!(shards, 4);
         let snap = h.stats_snapshot();
         assert_eq!((snap.shard_id, snap.shards), (1, 4));
@@ -848,7 +733,7 @@ mod tests {
         // the default constructor stays shard 0-of-1
         let h0 = handler();
         let resp = h0.handle(Request::Meta {
-            op: MetaOp::Generation,
+            op: MetaOp::GetShardMap,
         });
         assert!(matches!(resp, Response::Meta { shard: 0, .. }));
     }
@@ -859,10 +744,10 @@ mod tests {
         let src = MetaHandler::new_sharded("m0", Arc::new(Database::in_memory()), 0, 2).unwrap();
         let dst = MetaHandler::new_sharded("m1", Arc::new(Database::in_memory()), 1, 2).unwrap();
         for h in [&src, &dst] {
-            let (_, r) = meta(h, MetaOp::Mkdir { path: "/d".into() });
+            let r = meta(h, MetaOp::Mkdir { path: "/d".into() });
             assert_eq!(r, MetaResult::Unit);
         }
-        let (_, r) = meta(
+        let r = meta(
             &src,
             MetaOp::CreateFile {
                 attr: attr("/d/f"),
@@ -870,8 +755,7 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (g0, _) = meta(&src, MetaOp::Generation);
-        let (g1, r) = meta(
+        let r = meta(
             &src,
             MetaOp::RenamePrepare {
                 from: "/d/f".into(),
@@ -884,10 +768,9 @@ mod tests {
         else {
             panic!("expected RenamePrepared, got {r:?}");
         };
-        assert!(g1 > g0, "prepare is a mutation and must bump the gen");
         let mut moved = a;
         moved.filename = "/d/g".into();
-        let (_, r) = meta(
+        let r = meta(
             &dst,
             MetaOp::RenameCommit {
                 intent,
@@ -897,23 +780,23 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(&src, MetaOp::ListRenameIntents);
+        let r = meta(&src, MetaOp::ListRenameIntents);
         assert_eq!(
             r,
             MetaResult::Intents(vec![(intent, "/d/f".into(), "/d/g".into())])
         );
-        let (_, r) = meta(&src, MetaOp::RenameFinish { intent });
+        let r = meta(&src, MetaOp::RenameFinish { intent });
         assert_eq!(r, MetaResult::Unit);
-        let (_, r) = meta(&src, MetaOp::ListRenameIntents);
+        let r = meta(&src, MetaOp::ListRenameIntents);
         assert_eq!(r, MetaResult::Intents(vec![]));
-        let (_, r) = meta(
+        let r = meta(
             &dst,
             MetaOp::GetFileAttr {
                 filename: "/d/g".into(),
             },
         );
         assert!(matches!(r, MetaResult::MaybeAttr(Some(_))));
-        let (_, r) = meta(
+        let r = meta(
             &src,
             MetaOp::GetFileAttr {
                 filename: "/d/f".into(),
@@ -963,11 +846,10 @@ mod tests {
                 },
             },
         );
-        let Response::Meta { gen, result, .. } = resp else {
+        let Response::Meta { result, .. } = resp else {
             panic!("expected Meta response, got {resp:?}");
         };
         assert_eq!(result, MetaResult::Unit);
-        assert!(gen >= 2);
         let resp = rpc(
             &mut c,
             Request::Meta {
@@ -998,12 +880,10 @@ mod tests {
         let config = MetadConfig::in_memory().dir(&dir);
         let mut server = MetaServer::start(config.clone()).unwrap();
         server.handler().store().mkdir("/kept").unwrap();
-        let gen_before = server.handler().store().generation().unwrap();
         server.stop();
         drop(server);
         let server = MetaServer::start(config).unwrap();
         assert!(server.handler().store().get_dir("/kept").unwrap().is_some());
-        assert!(server.handler().store().generation().unwrap() >= gen_before);
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -166,15 +166,9 @@ pub enum Response {
     /// without a wire-protocol change.
     Stats { payload: Bytes },
     /// Reply to [`Request::Meta`]. `shard` identifies the metadata shard
-    /// that served the op and `gen` is *that shard's* current metadata
-    /// generation — carried on *every* metadata reply so client caches
-    /// revalidate for free (a moved generation invalidates only the
-    /// entries owned by that shard).
-    Meta {
-        shard: u32,
-        gen: u64,
-        result: MetaResult,
-    },
+    /// that served the op; the client checks it against the shard it
+    /// routed to, so a mis-wired mount fails loudly.
+    Meta { shard: u32, result: MetaResult },
     /// Reply to [`Request::ReadList`]: the pattern's ranges coalesced
     /// into one payload, in pattern order. No per-chunk length prefixes
     /// — the client already knows the pattern it sent, so it scatters
@@ -495,10 +489,9 @@ impl Response {
                 buf.put_u8(8);
                 out.put_bytes(payload);
             }
-            Response::Meta { shard, gen, result } => {
+            Response::Meta { shard, result } => {
                 buf.put_u8(9);
                 buf.put_u32_le(*shard);
-                buf.put_u64_le(*gen);
                 result.encode_into(buf);
             }
             Response::DataList { data } => {
@@ -564,7 +557,6 @@ impl Response {
             },
             9 => Response::Meta {
                 shard: get_u32(&mut buf)?,
-                gen: get_u64(&mut buf)?,
                 result: MetaResult::decode_from(&mut buf)?,
             },
             10 => Response::DataList {

@@ -5,11 +5,6 @@
 //! ordinary framed envelope as [`crate::Request::Meta`] /
 //! [`crate::Response::Meta`] so metadata traffic inherits the transport's
 //! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged.
-//!
-//! Every `Response::Meta` also carries the server's current *metadata
-//! generation*, piggybacking the cache-coherence signal on every reply:
-//! clients stamp cached attrs/layouts with it and a moved generation
-//! invalidates them without a dedicated RPC.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dpfs_meta::{DirEntry, Distribution, FileAttrRow, MetaError, ServerInfo};
@@ -92,10 +87,8 @@ pub enum MetaOp {
         pattern: String,
     },
     ServerBrickCounts,
-    /// Read the current metadata generation (cheap cache revalidation).
-    Generation,
-    /// Read the daemon's shard-map view (version + shard count), so clients
-    /// can cross-check their mount topology.
+    /// Read the daemon's shard-map view (the shard count), so clients can
+    /// cross-check their mount topology.
     GetShardMap,
     /// Cross-shard rename phase 1, sent to the *source* shard: record an
     /// intent and snapshot the entry.
@@ -146,7 +139,6 @@ pub enum MetaResult {
     },
     /// The daemon's shard-map view (reply to `GetShardMap`).
     ShardMap {
-        version: u64,
         shards: u32,
     },
     /// Reply to `RenamePrepare`: the intent id plus the entry snapshot the
@@ -188,7 +180,6 @@ impl MetaOp {
             MetaOp::RemoveTag { .. } => "meta.remove_tag",
             MetaOp::FindByTag { .. } => "meta.find_by_tag",
             MetaOp::ServerBrickCounts => "meta.server_brick_counts",
-            MetaOp::Generation => "meta.generation",
             MetaOp::GetShardMap => "meta.get_shard_map",
             MetaOp::RenamePrepare { .. } => "meta.rename_prepare",
             MetaOp::RenameCommit { .. } => "meta.rename_commit",
@@ -198,8 +189,8 @@ impl MetaOp {
         }
     }
 
-    /// True for operations that change metadata (the ones that bump the
-    /// generation server-side and must invalidate client caches).
+    /// True for operations that change metadata (a client must not blindly
+    /// re-send one whose first attempt may have been applied).
     pub fn is_mutation(&self) -> bool {
         matches!(
             self,
@@ -504,7 +495,6 @@ impl MetaOp {
                 put_str(buf, pattern);
             }
             MetaOp::ServerBrickCounts => buf.put_u8(22),
-            MetaOp::Generation => buf.put_u8(23),
             MetaOp::GetShardMap => buf.put_u8(24),
             MetaOp::RenamePrepare { from, to } => {
                 buf.put_u8(25);
@@ -612,7 +602,6 @@ impl MetaOp {
                 pattern: get_str(buf)?,
             },
             22 => MetaOp::ServerBrickCounts,
-            23 => MetaOp::Generation,
             24 => MetaOp::GetShardMap,
             25 => MetaOp::RenamePrepare {
                 from: get_str(buf)?,
@@ -729,9 +718,8 @@ impl MetaResult {
                 buf.put_u8(*code);
                 put_str(buf, message);
             }
-            MetaResult::ShardMap { version, shards } => {
+            MetaResult::ShardMap { shards } => {
                 buf.put_u8(13);
-                buf.put_u64_le(*version);
                 buf.put_u32_le(*shards);
             }
             MetaResult::RenamePrepared {
@@ -826,7 +814,6 @@ impl MetaResult {
                 message: get_str(buf)?,
             },
             13 => MetaResult::ShardMap {
-                version: get_i64(buf)? as u64,
                 shards: get_u32(buf)?,
             },
             14 => MetaResult::RenamePrepared {
@@ -898,7 +885,6 @@ mod tests {
     fn round_trip_result(result: MetaResult) {
         let resp = Response::Meta {
             shard: 3,
-            gen: 42,
             result: result.clone(),
         };
         let dec = Response::decode(resp.encode()).unwrap();
@@ -974,7 +960,6 @@ mod tests {
             pattern: "astro-%".into(),
         });
         round_trip_op(MetaOp::ServerBrickCounts);
-        round_trip_op(MetaOp::Generation);
         round_trip_op(MetaOp::GetShardMap);
         round_trip_op(MetaOp::RenamePrepare {
             from: "/a/f".into(),
@@ -1026,10 +1011,7 @@ mod tests {
             code: 7,
             message: "duplicate key: file /f already exists".into(),
         });
-        round_trip_result(MetaResult::ShardMap {
-            version: 1,
-            shards: 4,
-        });
+        round_trip_result(MetaResult::ShardMap { shards: 4 });
         round_trip_result(MetaResult::RenamePrepared {
             intent: 9,
             attr: sample_attr(),
@@ -1042,10 +1024,24 @@ mod tests {
         ]));
     }
 
+    /// Tag 23 was `Generation`: retired, not reassigned, so a request from
+    /// an older client is refused instead of decoding to another verb.
+    #[test]
+    fn retired_op_tag_is_rejected() {
+        let mut enc = Request::Meta {
+            op: MetaOp::GetShardMap,
+        }
+        .encode()
+        .to_vec();
+        assert_eq!(enc.pop(), Some(24));
+        enc.push(23);
+        assert!(Request::decode(Bytes::from(enc)).is_err());
+    }
+
     #[test]
     fn op_labels_are_stable_and_prefixed() {
         assert_eq!(MetaOp::ListServers.op_str(), "meta.list_servers");
-        assert_eq!(MetaOp::Generation.op_str(), "meta.generation");
+        assert_eq!(MetaOp::GetShardMap.op_str(), "meta.get_shard_map");
         assert!(MetaOp::Mkdir { path: "/d".into() }
             .op_str()
             .starts_with("meta."));
@@ -1064,7 +1060,6 @@ mod tests {
             filename: "/f".into()
         }
         .is_mutation());
-        assert!(!MetaOp::Generation.is_mutation());
         // The rename 2PC phases all mutate; the map fetch and the intent
         // listing are reads (safe to retry on any transient failure).
         assert!(MetaOp::RenamePrepare {
@@ -1120,7 +1115,6 @@ mod tests {
         }
         let enc = Response::Meta {
             shard: 1,
-            gen: 5,
             result: MetaResult::RenamePrepared {
                 intent: 3,
                 attr: sample_attr(),

@@ -113,7 +113,10 @@ fn main() {
 
     // Serve until killed; optionally print stats periodically.
     loop {
-        std::thread::sleep(Duration::from_secs(args.stats_interval.max(60)));
+        std::thread::sleep(Duration::from_secs(match args.stats_interval {
+            0 => 60, // off: nothing to print, just stay alive
+            n => n,
+        }));
         if args.stats_interval > 0 {
             let s = server.stats();
             log_info!(

@@ -302,7 +302,7 @@ impl Shell {
     /// The metadata half of `stats`: where metadata lives, and — on remote
     /// mounts — the daemons' own per-op service-time histograms fetched
     /// over their `Stats` RPC. On a sharded plane every shard gets its own
-    /// section (generation, daemon counters, per-op percentiles).
+    /// section (daemon counters, per-op percentiles).
     fn metadata_section(&self) -> String {
         let Some(remote) = self.fs.remote_meta() else {
             return "metadata: embedded (in-process catalog)\n".to_string();
@@ -312,17 +312,11 @@ impl Shell {
         for shard in 0..shards {
             let name = remote.shard_server(shard).to_string();
             if shards == 1 {
-                writeln!(
-                    out,
-                    "metadata: remote via {name} (generation {})",
-                    remote.last_gen_of(shard)
-                )
-                .unwrap();
+                writeln!(out, "metadata: remote via {name}").unwrap();
             } else {
                 writeln!(
                     out,
-                    "metadata: remote via {name} (generation {}) [shard {shard} of {shards}]",
-                    remote.last_gen_of(shard)
+                    "metadata: remote via {name} [shard {shard} of {shards}]"
                 )
                 .unwrap();
             }
@@ -511,8 +505,23 @@ impl Shell {
         let online = args.iter().any(|a| a == "--online");
         let strict = args.iter().any(|a| a == "--strict");
         if args.iter().any(|a| a == "--repair") {
-            let (report, summary) = dpfs_core::fsck::fsck_repair(&self.fs)?;
             let mut out = String::new();
+            // An operator action, not a mount-time one: recovery aborts
+            // every uncommitted intent it finds, including the one of a
+            // rename another live client is half-way through.
+            let remote = self.fs.remote_meta();
+            if let Some(remote) = remote {
+                let resolved = remote.recover_rename_intents()?;
+                writeln!(out, "resolved {resolved} rename intent(s)").unwrap();
+            }
+            let (report, summary) = match dpfs_core::fsck::fsck_repair(&self.fs) {
+                Ok(audit) => audit,
+                Err(e) if remote.is_some() => {
+                    writeln!(out, "catalog audit: {e}").unwrap();
+                    return Ok(out);
+                }
+                Err(e) => return Err(e),
+            };
             for f in &summary.fixed {
                 writeln!(out, "fixed: {f}").unwrap();
             }
@@ -752,7 +761,10 @@ DPFS shell commands:
   tree [dir]               directory tree
   chmod <mode> <file>      change permission bits (octal)
   chown <owner> <file>     change owner
-  fsck [--online|--repair] check (and repair) catalog consistency
+  fsck [--online|--repair] check (and repair) catalog consistency; on a
+                           --metad mount --repair resolves the intents of
+                           cross-shard renames whose client died (run it
+                           when no rename is in flight)
   tag <file> <k> <v>       attach a metadata tag
   tags <file>              list tags
   untag <file> <k>         remove a tag
@@ -1071,6 +1083,87 @@ mod tests {
         assert_eq!(out.matches("meta ops").count(), 2, "{out}");
         // mkdir broadcasts, so both daemons saw it
         assert_eq!(out.matches("meta.mkdir").count(), 2, "{out}");
+    }
+
+    /// A client that died between `RenameCommit` and `RenameFinish` leaves
+    /// the file visible under both names; `fsck --repair` is the operator's
+    /// way to finish the rename.
+    #[test]
+    fn fsck_repair_on_a_remote_mount_resolves_crashed_cross_shard_renames() {
+        use dpfs_proto::{MetaOp, MetaResult};
+        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tmp = std::env::temp_dir().join(format!("dpfs-shell-intent-{}", std::process::id()));
+        std::fs::write(&tmp, [3u8; 64]).unwrap();
+        sh.exec("mkdir /sd0").unwrap();
+        sh.exec("mkdir /sd1").unwrap();
+        sh.exec(&format!("import {} /sd1/f", tmp.display()))
+            .unwrap();
+        std::fs::remove_file(&tmp).unwrap();
+        let (from, to) = ("/sd1/f", "/sd0/g");
+        let remote = sh.fs().remote_meta().unwrap().clone();
+        let (src, dst) = (remote.route_file(from), remote.route_file(to));
+        assert_ne!(src, dst, "the two directories live on different shards");
+        let meta = |shard: usize, op: MetaOp| {
+            let reply = remote
+                .pool()
+                .rpc_ok(remote.shard_server(shard), &Request::Meta { op });
+            match reply {
+                Ok(Response::Meta { result, .. }) => result,
+                other => panic!("expected a metadata reply, got {other:?}"),
+            }
+        };
+
+        // Prepare and commit through the raw ops; never finish.
+        let prepared = meta(
+            src,
+            MetaOp::RenamePrepare {
+                from: from.into(),
+                to: to.into(),
+            },
+        );
+        let MetaResult::RenamePrepared {
+            intent,
+            mut attr,
+            mut dist,
+            tags,
+        } = prepared
+        else {
+            panic!("expected RenamePrepared, got {prepared:?}");
+        };
+        attr.filename = to.into();
+        dist.iter_mut().for_each(|d| d.filename = to.into());
+        let committed = meta(
+            dst,
+            MetaOp::RenameCommit {
+                intent,
+                attr,
+                dist,
+                tags,
+            },
+        );
+        assert_eq!(committed, MetaResult::Unit);
+        sh.exec(&format!("stat {from}")).unwrap();
+        sh.exec(&format!("stat {to}")).unwrap();
+
+        let out = sh.exec("fsck --repair").unwrap();
+        assert!(out.contains("resolved 1 rename intent(s)"), "{out}");
+        assert!(out.contains("requires an embedded mount"), "{out}");
+        assert!(sh.exec(&format!("stat {from}")).is_err(), "source is gone");
+        sh.exec(&format!("stat {to}")).unwrap();
+        let marker = MetaOp::GetTag {
+            filename: to.into(),
+            tag: dpfs_meta::catalog::RENAME_INTENT_TAG.into(),
+        };
+        assert_eq!(meta(dst, marker), MetaResult::MaybeString(None));
+        assert_eq!(
+            meta(src, MetaOp::ListRenameIntents),
+            MetaResult::Intents(vec![])
+        );
+        let out = sh.exec("fsck --repair").unwrap();
+        assert!(out.contains("resolved 0 rename intent(s)"), "{out}");
+        // The other forms still need the database in-process.
+        assert!(sh.exec("fsck").is_err());
     }
 
     #[test]

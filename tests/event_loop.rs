@@ -245,12 +245,12 @@ fn a_request_after_an_idle_gap_is_answered_at_once() {
     let _guard = sequential();
     let ion = start_ion("cold", PerfModel::unthrottled(), 2, 8);
     let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
-    let generation = Request::Meta {
-        op: MetaOp::Generation,
+    let shard_map = Request::Meta {
+        op: MetaOp::GetShardMap,
     };
     for (who, addr, req) in [
         ("iond", ion.addr(), Request::Ping),
-        ("metad", metad.addr(), generation),
+        ("metad", metad.addr(), shard_map),
     ] {
         // A server napping between polls takes a millisecond here.
         let median = cold_rtt(addr, &req);

@@ -218,10 +218,10 @@ fn mk_file(c: &Dpfs, name: &str) {
 
 /// Two clients mount a 2-shard metadata plane and see each other's
 /// creates, renames and unlinks on both shards at their next call; each
-/// daemon's generation, carried on every reply's envelope, advances with
-/// that shard's mutations only.
+/// daemon serves the files of its own directories and nothing of the
+/// other's, counted in the daemons' own `meta_ops`.
 #[test]
-fn two_clients_through_two_shards_see_each_other_and_generations_advance_per_shard() {
+fn two_clients_through_two_shards_see_each_other_and_each_shard_serves_only_its_own_files() {
     let tb = Testbed::unthrottled_with_metad_shards(3, 2).unwrap();
     let a = tb.remote_client(0, true);
     let b = tb.remote_client(1, true);
@@ -241,43 +241,52 @@ fn two_clients_through_two_shards_see_each_other_and_generations_advance_per_sha
         vec![8u8; 256]
     );
 
-    // A's view of each shard's generation, refreshed by a read from it.
-    let remote = a.remote_meta().unwrap();
-    let gens = || {
-        assert!(a.exists(&fa).unwrap());
-        assert!(a.exists(&fb).unwrap());
-        (remote.last_gen_of(0), remote.last_gen_of(1))
+    // Metadata ops each daemon has served. `create` stays outside the
+    // counted windows: its placement read of the replicated server
+    // registry goes to whichever shard is next in the rotation.
+    let ops = || {
+        let stats = tb.metad_stats_all();
+        (stats[0].meta_ops, stats[1].meta_ops)
     };
-    let (g0, g1) = gens();
-    assert!(g0 > 0 && g1 > 0);
+    // B grows a file (open, write past the end, close) and A reads it back.
+    let grow = |f: &str| {
+        let mut h = b.open(f).unwrap();
+        h.write_bytes(256, &[9u8; 256]).unwrap();
+        h.close().unwrap();
+        assert_eq!(a.stat(f).unwrap().size, 512, "b's write is visible to a");
+    };
 
-    // B mutates shard 1 only: A sees the file, and only shard 1 moved.
+    // In shard 1's directory: only shard 1 is asked.
     let fb2 = format!("{d1}/b2.dat");
     mk_file(&b, &fb2);
     assert!(
         a.exists(&fb2).unwrap(),
         "b's shard-1 create is visible to a"
     );
-    let (h0, h1) = gens();
-    assert_eq!(h0, g0, "a shard-1 mutation moved shard 0's generation");
-    assert!(h1 > g1, "shard 1's generation did not advance");
+    let (g0, g1) = ops();
+    grow(&fb2);
+    let (h0, h1) = ops();
+    assert_eq!(h0, g0, "a file op in shard 1's directory reached shard 0");
+    assert!(h1 > g1, "shard 1 did not serve its own file");
 
-    // B mutates shard 0 only: the other way round.
+    // In shard 0's directory: the other way round.
     let fa2 = format!("{d0}/a2.dat");
     mk_file(&b, &fa2);
     assert!(
         a.exists(&fa2).unwrap(),
         "b's shard-0 create is visible to a"
     );
-    let (i0, i1) = gens();
-    assert!(i0 > h0, "shard 0's generation did not advance");
-    assert_eq!(i1, h1, "a shard-0 mutation moved shard 1's generation");
+    let (h0, h1) = ops();
+    grow(&fa2);
+    let (i0, i1) = ops();
+    assert!(i0 > h0, "shard 0 did not serve its own file");
+    assert_eq!(i1, h1, "a file op in shard 0's directory reached shard 1");
 
     // B renames across shards and unlinks: A's next calls agree.
     let moved = format!("{d1}/a2-moved.dat");
     b.rename(&fa2, &moved).unwrap();
     assert!(!a.exists(&fa2).unwrap(), "renamed-away name still visible");
-    assert_eq!(a.stat(&moved).unwrap().size, 256);
+    assert_eq!(a.stat(&moved).unwrap().size, 512);
     b.unlink(&fb2).unwrap();
     assert!(!a.exists(&fb2).unwrap(), "unlinked name still visible");
     assert!(matches!(a.open(&fb2), Err(DpfsError::NoSuchFile(_))));

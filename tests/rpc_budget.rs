@@ -105,8 +105,8 @@ fn rig() -> (Testbed, Dpfs, String, String) {
 fn open_is_two_round_trips_and_never_probes() {
     let (tb, fs, d0, _) = rig();
     let path = format!("{d0}/f");
-    // Striped over all four servers: no per-server registry read, no
-    // generation probe, first open and repeat open alike.
+    // Striped over all four servers: no per-server registry read, first
+    // open and repeat open alike.
     for _ in 0..2 {
         let got = spent(&tb, || drop(fs.open(&path).unwrap()));
         assert_eq!(
