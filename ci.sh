@@ -37,8 +37,8 @@ if git grep -nE 'CachingMetaStore|meta_cache_ttl|stat_file_attr|note_meta_cache|
     exit 1
 fi
 fields=$(sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -c '^    pub ')
-if [ "$fields" -ne 6 ]; then
-    echo "FAIL: ClientOptions has $fields fields, expected 6 (an option needs two callers that differ)"
+if [ "$fields" -ne 5 ]; then
+    echo "FAIL: ClientOptions has $fields fields, expected 5 (an option needs two callers that differ)"
     exit 1
 fi
 # A handle holds no file data between calls: the handle-local brick cache,
@@ -103,9 +103,43 @@ if sed -e '/^#\[cfg(test)\]/,$d' -e '/^const SCHEMA/,/^\];/d' \
     echo "FAIL: catalog.rs touches dpfs_meta_gen outside the DDL, the seed row and next_intent_id"
     exit 1
 fi
+# One failure path: a read returns the file's bytes (direct or rebuilt) or the
+# error that lost them — the zero-fill mode, its error variant and counter
+# are gone; a pool's deadline and retry policy are fixed when it is built;
+# fsck moves no byte on its own (the file's handle rebuilds, in chunks).
+if git grep -nE 'degraded_reads|SubfileOutcome|attach_degraded_data|note_degraded|DpfsError::Degraded|set_rpc_timeout|set_retry_policy|retry_after' \
+    -- crates/ src/ tests/ 'examples/*.rs' ||
+    git grep -nE 'fn (read|write)_subfile' -- 'crates/*/src/*'; then
+    echo "FAIL: the zero-fill read mode, a ConnPool setter, retry_after or fsck's whole-subfile frames are back"
+    exit 1
+fi
+if grep -nE 'Request::(Read|Write)\b' crates/core/src/fsck.rs; then
+    echo "FAIL: crates/core/src/fsck.rs builds a Read/Write request (re-protection goes through FileHandle::reprotect)"
+    exit 1
+fi
+# The redundancy algebra is written once (FileHandle::rebuild): one XOR loop
+# above the test modules of the client library.
+core_src=$(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
+xors=$(echo "$core_src" | grep -c '\^=' || :)
+if [ "$xors" -ne 1 ]; then
+    echo "FAIL: $xors XOR loops in crates/core/src, expected 1 (call FileHandle::rebuild)"
+    exit 1
+fi
+# "Await, then retry" is written once (ConnPool::wait_retrying): its own two
+# waits are the only deadline waits above the test modules, and issue,
+# ConnPool::rpc and RemoteMetaStore::call are its three callers.
+waits=$(echo "$core_src" | grep -cE '\.wait\([a-z_.()]*timeout' || :)
+callers=$(($(echo "$core_src" | grep -o 'wait_retrying(' | wc -l) - 1))
+pool_setters=$(grep -cE '^    pub(\(crate\))? fn set_' crates/core/src/conn.rs || :)
+if [ "$waits" -ne 2 ] || [ "$callers" -ne 3 ] || [ "$pool_setters" -ne 0 ]; then
+    echo "FAIL: $waits deadline waits (expected 2, both in wait_retrying), $callers wait_retrying callers (expected 3), $pool_setters ConnPool setters (expected 0)"
+    exit 1
+fi
+nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
+    while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
 store_methods=$(sed -n '/^pub trait MetaStore/,/^}/p' crates/meta/src/store.rs | grep -c '^    fn ')
-echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaStore trait methods: $store_methods"
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaStore trait methods: $store_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -8,13 +8,17 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dpfs_cluster::Testbed;
-use dpfs_core::ConnPool;
+use dpfs_core::{ConnPool, RetryPolicy, DEFAULT_RPC_TIMEOUT};
 use dpfs_proto::{MetaOp, Request, Response};
 use std::sync::Arc;
 
 fn bench_rpc_floor(c: &mut Criterion) {
     let tb = Testbed::unthrottled_with_metad(1).expect("testbed");
-    let pool = ConnPool::new(Arc::new(dpfs_core::Resolver::direct()));
+    let pool = ConnPool::new(
+        Arc::new(dpfs_core::Resolver::direct()),
+        DEFAULT_RPC_TIMEOUT,
+        RetryPolicy::disabled(),
+    );
     let ion = tb.server_addr(0).to_string();
     let metad = tb.metad_addr().expect("testbed has a metad").to_string();
     let rpc = |server: &str, req: &Request| pool.rpc(server, req).expect("rpc");

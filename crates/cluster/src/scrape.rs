@@ -21,7 +21,7 @@
 //!   `meta.connections`; gauges `in_flight`, `shard_id`, `shards`; hists `meta.<op>` per op label (service time).
 //! - client (one node per peer): counters `rpc.submitted`,
 //!   `rpc.completed`, `rpc.timed_out`, `rpc.dials`, `rpc.disconnected`,
-//!   `rpc.retries`, `rpc.degraded`, `rpc.list_io`, `rpc.req_bytes`;
+//!   `rpc.retries`, `rpc.reconstructs`, `rpc.list_io`, `rpc.req_bytes`;
 //!   gauges `in_flight`, `in_flight_peak`; hists `lat.read`, `lat.write`,
 //!   `lat.other` (round trip). Plus one `client` node carrying process
 //!   observability: `trace.recorded`, `trace.dropped`, `slow_ops`.
@@ -102,7 +102,6 @@ fn client_node_for(fs: &Dpfs, server: &str) -> Option<NodeSnapshot> {
         role: NodeRole::Client,
         counters: vec![
             ("rpc.completed".to_string(), t.completed),
-            ("rpc.degraded".to_string(), t.degraded),
             ("rpc.reconstructs".to_string(), t.reconstructs),
             ("rpc.dials".to_string(), t.dials),
             ("rpc.disconnected".to_string(), t.disconnected),

@@ -54,7 +54,7 @@ pub fn dpfs_read(handle: &mut FileHandle, offset: u64, datatype: &Datatype) -> R
     handle.read_datatype(offset, datatype)
 }
 
-/// `DPFS-Close()`: close the file, persisting final metadata.
+/// `DPFS-Close()`: close the file (its metadata was persisted as it changed).
 pub fn dpfs_close(handle: FileHandle) -> Result<()> {
     handle.close()
 }

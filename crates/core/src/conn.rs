@@ -11,7 +11,6 @@
 //! stable display names aliased to their ephemeral localhost ports.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +20,7 @@ use parking_lot::Mutex;
 use crate::error::{DpfsError, Result};
 use crate::retry::RetryPolicy;
 use crate::trace;
-use crate::transport::{Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};
+use crate::transport::{Pending, Transport, TransportStats};
 
 /// Maps server names to dial addresses. Empty = dial the name itself.
 #[derive(Debug, Clone, Default)]
@@ -55,52 +54,34 @@ impl Resolver {
 pub struct ConnPool {
     resolver: Arc<Resolver>,
     transports: Mutex<HashMap<String, Arc<Transport>>>,
-    /// Per-request deadline in nanoseconds (atomic so handles sharing the
-    /// pool can tighten it without extra locking).
-    timeout_ns: AtomicU64,
-    /// Fault-tolerance policy for transient failures. Disabled on raw
-    /// pools (transport tests count exact attempts); [`crate::fs::Dpfs`]
-    /// installs the mount's [`crate::file::ClientOptions::retry`].
-    retry: Mutex<RetryPolicy>,
+    /// Per-request deadline of [`ConnPool::rpc`] and the metadata RPCs.
+    rpc_timeout: Duration,
+    /// Fault-tolerance policy for transient failures of the same calls
+    /// (a file handle brings its own deadline and policy).
+    retry: RetryPolicy,
 }
 
 impl ConnPool {
-    /// New pool using `resolver` for name resolution and the default
-    /// per-request deadline.
-    pub fn new(resolver: Arc<Resolver>) -> ConnPool {
+    /// New pool using `resolver` for name resolution, `rpc_timeout` as the
+    /// per-request deadline and `retry` as the policy for transient
+    /// failures ([`RetryPolicy::disabled()`]: exactly one attempt per call).
+    pub fn new(resolver: Arc<Resolver>, rpc_timeout: Duration, retry: RetryPolicy) -> ConnPool {
         ConnPool {
             resolver,
             transports: Mutex::new(HashMap::new()),
-            timeout_ns: AtomicU64::new(DEFAULT_RPC_TIMEOUT.as_nanos() as u64),
-            retry: Mutex::new(RetryPolicy::disabled()),
+            rpc_timeout,
+            retry,
         }
     }
 
     /// The pool's retry policy for transient transport failures.
     pub fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.lock()
+        self.retry
     }
 
-    /// Install a retry policy: subsequent [`ConnPool::rpc`] calls (and the
-    /// file fan-out paths that wait on this pool's submissions) reissue
-    /// requests that fail with transport-class errors, with backoff.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.lock() = policy;
-    }
-
-    /// The per-request deadline applied by [`ConnPool::rpc`] and
-    /// [`crate::transport::Pending::wait`] callers that use this pool's
-    /// default.
+    /// The per-request deadline applied by [`ConnPool::rpc`].
     pub fn rpc_timeout(&self) -> Duration {
-        Duration::from_nanos(self.timeout_ns.load(Ordering::Relaxed))
-    }
-
-    /// Set the per-request deadline for every subsequent RPC on this pool.
-    pub fn set_rpc_timeout(&self, timeout: Duration) {
-        self.timeout_ns.store(
-            timeout.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
+        self.rpc_timeout
     }
 
     /// The transport for `server`, created on first sight. Holds the map
@@ -129,74 +110,54 @@ impl ConnPool {
     }
 
     /// Issue one request to `server` and await its response (submit +
-    /// wait under this pool's deadline). Opens the connection on first
-    /// use; a transport error or timeout poisons the cached connection so
-    /// the next call redials.
+    /// wait under this pool's deadline and retry policy). Opens the
+    /// connection on first use; a transport error or timeout poisons the
+    /// cached connection so the next call redials.
     pub fn rpc(&self, server: &str, req: &Request) -> Result<Response> {
-        let timeout = self.rpc_timeout();
-        let first = self
-            .transport(server)
-            .submit(req)
-            .and_then(|p| p.wait(timeout));
-        match first {
-            Err(err) if self.retry_policy().enabled() && RetryPolicy::retryable(&err) => {
-                self.retry_after(server, req, 0, err, self.retry_policy())
-            }
-            other => other,
-        }
-    }
-
-    /// Reissue `req` after a retryable first failure, with backoff, until
-    /// it succeeds terminally or the policy's attempts run out. Each retry
-    /// is counted in [`TransportStats::retries`] and recorded as a `retry`
-    /// span in the trace ring (when `trace_id != 0`), so recovery is
-    /// observable. Returns the *last* error when all attempts fail —
-    /// preserving the error class callers already match on.
-    pub(crate) fn retry_after(
-        &self,
-        server: &str,
-        req: &Request,
-        trace_id: u64,
-        first_err: DpfsError,
-        policy: RetryPolicy,
-    ) -> Result<Response> {
-        self.retry_after_if(
+        let first = self.submit(server, req);
+        self.wait_retrying(
             server,
             req,
-            trace_id,
-            first_err,
-            policy,
+            0,
+            first,
+            self.rpc_timeout,
+            self.retry,
             RetryPolicy::retryable,
         )
     }
 
-    /// [`ConnPool::retry_after`] with a caller-supplied retryability
-    /// predicate, for requests that are only safe to replay after a
-    /// subset of transport failures (e.g. metadata mutations, which must
-    /// not be reissued when the first attempt may already have reached
-    /// the server). The predicate gates every attempt, not just the
-    /// first: a later attempt failing outside the allowed class stops
-    /// the loop and surfaces that error.
-    pub(crate) fn retry_after_if(
+    /// Wait, then retry — the one place a failed RPC is reissued. Awaits
+    /// `first` for at most `timeout`; while the result is an error
+    /// `retryable` accepts and `policy` has attempts left, backs off and
+    /// reissues `req`, each attempt under the same `timeout`. Every retry
+    /// is counted in [`TransportStats::retries`] and recorded as a `retry`
+    /// span in the trace ring (when `trace_id != 0`), so recovery is
+    /// observable. Returns the *last* error when all attempts fail —
+    /// preserving the error class callers already match on. The predicate
+    /// gates every attempt: requests that are only safe to replay after a
+    /// subset of transport failures (metadata mutations) stop at the first
+    /// error outside it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn wait_retrying(
         &self,
         server: &str,
         req: &Request,
         trace_id: u64,
-        first_err: DpfsError,
+        first: Result<Pending>,
+        timeout: Duration,
         policy: RetryPolicy,
         retryable: fn(&DpfsError) -> bool,
     ) -> Result<Response> {
-        let timeout = self.rpc_timeout();
-        let mut err = first_err;
+        let mut res = first.and_then(|p| p.wait(timeout));
         for attempt in 1..policy.max_attempts {
-            if !retryable(&err) {
+            if !matches!(&res, Err(err) if retryable(err)) {
                 break;
             }
             std::thread::sleep(policy.backoff_for(server, attempt));
             let transport = self.transport(server);
             transport.note_retry();
             let t0 = trace::now_ns();
-            let res = transport
+            res = transport
                 .submit_traced(req, trace_id)
                 .and_then(|p| p.wait(timeout));
             trace::client_event(
@@ -208,18 +169,8 @@ impl ConnPool {
                 trace::now_ns().saturating_sub(t0),
                 req.payload_bytes(),
             );
-            match res {
-                Ok(resp) => return Ok(resp),
-                Err(e) => err = e,
-            }
         }
-        Err(err)
-    }
-
-    /// Count one degraded (zero-filled) read completion against `server`
-    /// (called by the file layer when it accepts a partial read).
-    pub(crate) fn note_degraded(&self, server: &str) {
-        self.transport(server).note_degraded();
+        res
     }
 
     /// Count one reconstructed per-server read against `server` (the one
@@ -369,7 +320,11 @@ mod tests {
 
     #[test]
     fn connect_failure_is_typed() {
-        let pool = ConnPool::new(Arc::new(Resolver::direct()));
+        let pool = ConnPool::new(
+            Arc::new(Resolver::direct()),
+            crate::transport::DEFAULT_RPC_TIMEOUT,
+            RetryPolicy::disabled(),
+        );
         // port 1 on localhost: nothing listens there
         let err = pool.rpc("127.0.0.1:1", &Request::Ping).unwrap_err();
         assert!(matches!(err, DpfsError::Connect { .. }));

@@ -54,20 +54,6 @@ pub enum DpfsError {
         op: &'static str,
         failures: Vec<(String, DpfsError)>,
     },
-    /// A read completed *partially*: some subfile requests failed at the
-    /// transport level (after retries) and their byte ranges were
-    /// zero-filled. Only surfaced when the caller opted in via
-    /// [`crate::file::ClientOptions::degraded_reads`]; `data` carries the
-    /// buffer with holes so callers can accept it, and `outcomes` says
-    /// which servers failed and why.
-    Degraded {
-        op: &'static str,
-        /// The read buffer, zero-filled where servers failed. Empty for
-        /// APIs that scatter into a caller-owned buffer.
-        data: Vec<u8>,
-        /// One entry per failed per-server request.
-        outcomes: Vec<SubfileOutcome>,
-    },
     /// The named file does not exist.
     NoSuchFile(String),
     /// The named file already exists.
@@ -83,17 +69,6 @@ pub enum DpfsError {
     },
     /// Local I/O error (import/export of sequential files).
     Io(std::io::Error),
-}
-
-/// How one per-server subfile request of a degraded read ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubfileOutcome {
-    /// Server the request targeted.
-    pub server: String,
-    /// Bytes of the read buffer this request covered (all zero-filled).
-    pub bytes: u64,
-    /// Why the request failed (the final error after retries).
-    pub error: String,
 }
 
 impl fmt::Display for DpfsError {
@@ -140,19 +115,6 @@ impl fmt::Display for DpfsError {
                 write!(f, "{op} failed on {} server(s):", failures.len())?;
                 for (server, err) in failures {
                     write!(f, " [{server}: {err}]")?;
-                }
-                Ok(())
-            }
-            DpfsError::Degraded { op, data, outcomes } => {
-                write!(
-                    f,
-                    "{op} degraded: {} of {} bytes zero-filled across {} server(s):",
-                    outcomes.iter().map(|o| o.bytes).sum::<u64>(),
-                    data.len(),
-                    outcomes.len()
-                )?;
-                for o in outcomes {
-                    write!(f, " [{}: {}]", o.server, o.error)?;
                 }
                 Ok(())
             }

@@ -21,9 +21,9 @@ use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
 use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
-use crate::error::{DpfsError, Result, SubfileOutcome};
+use crate::error::{DpfsError, Result};
 use crate::geometry::Region;
-use crate::hints::{copy_home, FileLevel, Placement, RedundancyPolicy};
+use crate::hints::{copy_home, FileLevel, Placement, RedundancyPolicy, Subfile};
 pub use crate::hints::{mirror_subfile, parity_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::placement::BrickMap;
@@ -31,6 +31,10 @@ use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
 use crate::trace;
 use crate::transport::DEFAULT_RPC_TIMEOUT;
+
+/// Bytes of one subfile a re-protection round trip moves — per source read
+/// and per write, far under the frame limit whatever the subfile's size.
+const REPROTECT_CHUNK: u64 = 4 << 20;
 
 /// Per-client I/O options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +54,6 @@ pub struct ClientOptions {
     /// timeout, disconnect) are retried with backoff; application errors
     /// are not. [`RetryPolicy::disabled()`] restores fail-fast behaviour.
     pub retry: RetryPolicy,
-    /// Accept partial reads: when a per-server read request fails
-    /// terminally (after retries), zero-fill its byte ranges and surface
-    /// [`DpfsError::Degraded`] — carrying the holed buffer and per-subfile
-    /// outcomes — instead of failing the whole read. Off by default.
-    pub degraded_reads: bool,
 }
 
 impl Default for ClientOptions {
@@ -65,7 +64,6 @@ impl Default for ClientOptions {
             rank: 0,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::default(),
-            degraded_reads: false,
         }
     }
 }
@@ -232,9 +230,7 @@ impl FileHandle {
         }
         let runs = lin.map_bytes(offset, len, 0);
         let mut buf = vec![0u8; len as usize];
-        if let Err(e) = self.execute_reads(&runs, &mut buf) {
-            return Err(attach_degraded_data(e, buf));
-        }
+        self.execute_reads(&runs, &mut buf)?;
         Ok(buf)
     }
 
@@ -261,9 +257,7 @@ impl FileHandle {
         let runs = self.region_runs(region)?;
         let len: u64 = runs.iter().map(|r| r.len).sum();
         let mut buf = vec![0u8; len as usize];
-        if let Err(e) = self.execute_reads(&runs, &mut buf) {
-            return Err(attach_degraded_data(e, buf));
-        }
+        self.execute_reads(&runs, &mut buf)?;
         Ok(buf)
     }
 
@@ -319,9 +313,7 @@ impl FileHandle {
         }
         let mut buf = vec![0u8; dtype.size() as usize];
         let runs = datatype_runs(lin, base, dtype);
-        if let Err(e) = self.execute_reads(&runs, &mut buf) {
-            return Err(attach_degraded_data(e, buf));
-        }
+        self.execute_reads(&runs, &mut buf)?;
         Ok(buf)
     }
 
@@ -390,9 +382,7 @@ impl FileHandle {
             buf_off: 0,
             len,
         }];
-        if let Err(e) = self.execute_reads(&runs, &mut buf) {
-            return Err(attach_degraded_data(e, buf));
-        }
+        self.execute_reads(&runs, &mut buf)?;
         Ok(buf)
     }
 
@@ -530,15 +520,14 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Bring the parity subfile up to date after a data write: re-read the
-    /// freshly-written subfile-offset ranges from *every* data server
+    /// Bring the parity subfile up to date after a data write: parity is
+    /// the member of the file's one protection group that is the XOR of all
+    /// the data subfiles, so the stale ranges are simply [`Self::restore`]d
     /// (reads past a subfile's extent come back zero-filled, so short and
-    /// absent subfiles contribute zeros), XOR them together, and write the
-    /// result to the parity server. Recomputing from the data — instead of
-    /// delta-XORing old vs new bytes — needs no read-before-write ordering
-    /// and self-heals any previously stale parity range it touches.
-    /// `touched` is the `(subfile_offset, len)` ranges the write dirtied,
-    /// in any order, overlap allowed.
+    /// absent subfiles contribute zeros). Recomputing from the data —
+    /// instead of delta-XORing old vs new bytes — self-heals any previously
+    /// stale parity range it touches. `touched` is the `(subfile_offset,
+    /// len)` ranges the write dirtied, in any order, overlap allowed.
     fn write_parity(&mut self, touched: &[(u64, u64)], trace_id: u64) -> Result<()> {
         // Union of touched subfile-offset ranges across all data servers:
         // parity[off] covers byte `off` of every data subfile, so exactly
@@ -560,115 +549,46 @@ impl FileHandle {
         if union.is_empty() {
             return Ok(());
         }
-        let mut subfiles = self.redundancy.subfiles(&self.path, self.servers.len());
-        let (parity_server, parity_name) = subfiles.pop().expect("xor parity enumerates parity");
-        let work: Vec<(&str, Request)> = subfiles
-            .into_iter()
-            .map(|(server, subfile)| {
-                let ranges = union.clone();
-                (
-                    self.servers[server].as_str(),
-                    Request::Read { subfile, ranges },
-                )
-            })
-            .collect();
-        let results = issue(&self.pool, &self.opts, work, trace_id);
-        let mut acc: Vec<Vec<u8>> = union
-            .iter()
-            .map(|&(_, len)| vec![0u8; len as usize])
-            .collect();
-        for (i, res) in results.into_iter().enumerate() {
-            let chunks = expect_chunks(res?, &union, &self.servers[i])?;
-            self.stats.requests += 1;
-            for (a, chunk) in acc.iter_mut().zip(&chunks) {
-                self.stats.wire_read += chunk.len() as u64;
-                for (ab, cb) in a.iter_mut().zip(chunk.iter()) {
-                    *ab ^= cb;
-                }
-            }
-        }
-        let expected: u64 = union.iter().map(|&(_, len)| len).sum();
-        let ranges: Vec<(u64, Bytes)> = union
-            .iter()
-            .zip(acc)
-            .map(|(&(off, _), bytes)| (off, Bytes::from(bytes)))
-            .collect();
-        let parity = Request::Write {
-            subfile: parity_name,
-            ranges,
-        };
-        let res = issue_one(
-            &self.pool,
-            &self.opts,
-            &self.servers[parity_server],
-            parity,
-            trace_id,
-        );
-        self.note_written(parity_server, expected, res)
+        let mut data = self.redundancy.subfiles(&self.path, self.servers.len());
+        let parity = data.pop().expect("xor parity enumerates parity");
+        self.restore(&parity, &data, &union, trace_id)
     }
 
-    /// Re-materialize the exact bytes lost `server` owed for `ranges`,
-    /// using the file's redundancy: the first answering mirror copy under
-    /// `Replica(k)`, or the XOR of every surviving data subfile plus the
-    /// parity subfile under `XorParity`. Always speaks enumerated `Read` —
-    /// reconstruction wants one chunk per range back, byte-exact, and the
-    /// degraded path is not the one to optimize wire bytes on.
-    fn reconstruct_ranges(
-        &self,
-        server: usize,
+    /// The bytes one member of a protection group holds at `ranges`,
+    /// computed from `sources` — the group's other members
+    /// ([`RedundancyPolicy::groups`]). Under `Replica(k)` every member holds
+    /// the same bytes, so the first listed source that answers has them;
+    /// under `XorParity` a member is the XOR of all the others (parity is
+    /// just one more member). The one place redundancy turns into bytes: a
+    /// read around a dead server, the parity update of a write and fsck's
+    /// re-protection all come here. Always speaks enumerated `Read` — one
+    /// chunk per range back, byte-exact.
+    fn rebuild(
+        &mut self,
+        sources: &[Subfile],
         ranges: &[(u64, u64)],
         trace_id: u64,
     ) -> Result<Vec<Bytes>> {
-        let n = self.servers.len();
+        let mut failed = DpfsError::InvalidArgument("no redundant copy to rebuild from".into());
         match self.redundancy {
-            RedundancyPolicy::None => Err(DpfsError::InvalidArgument(
-                "reconstruct on an unprotected file".into(),
-            )),
-            RedundancyPolicy::Replica(k) => {
-                let mut last_err = None;
-                for copy in 1..k {
-                    let (home, subfile) = copy_home(&self.path, server, copy, n);
-                    let mirror = &self.servers[home];
-                    let read = Request::Read {
-                        subfile,
-                        ranges: ranges.to_vec(),
-                    };
-                    let resp = issue_one(&self.pool, &self.opts, mirror, read, trace_id);
-                    match resp.and_then(|r| expect_chunks(r, ranges, mirror)) {
+            RedundancyPolicy::None => Err(failed),
+            RedundancyPolicy::Replica(_) => {
+                for source in sources {
+                    let mut one = self.fetch(std::slice::from_ref(source), ranges, trace_id);
+                    match one.pop().expect("one result per request") {
                         Ok(chunks) => return Ok(chunks),
-                        Err(e) => last_err = Some(e),
+                        Err(e) => failed = e,
                     }
                 }
-                Err(last_err.expect("replica policy has k >= 2"))
+                Err(failed)
             }
             RedundancyPolicy::XorParity => {
-                // Same byte ranges from every surviving data subfile and
-                // the parity subfile, XORed together: parity's definition
-                // solved for the missing term.
-                let survivors: Vec<(usize, String)> = self
-                    .redundancy
-                    .subfiles(&self.path, n)
-                    .into_iter()
-                    .filter(|&(peer, _)| peer != server)
-                    .collect();
-                let peers: Vec<(&str, Request)> = survivors
-                    .iter()
-                    .map(|(peer, subfile)| {
-                        let read = Request::Read {
-                            subfile: subfile.clone(),
-                            ranges: ranges.to_vec(),
-                        };
-                        (self.servers[*peer].as_str(), read)
-                    })
-                    .collect();
-                let results = issue(&self.pool, &self.opts, peers, trace_id);
                 let mut acc: Vec<Vec<u8>> = ranges
                     .iter()
                     .map(|&(_, len)| vec![0u8; len as usize])
                     .collect();
-                for ((peer, _), res) in survivors.iter().zip(results) {
-                    let chunks = expect_chunks(res?, ranges, &self.servers[*peer])?;
-                    for (a, chunk) in acc.iter_mut().zip(&chunks) {
+                for chunks in self.fetch(sources, ranges, trace_id) {
+                    for (a, chunk) in acc.iter_mut().zip(&chunks?) {
                         for (ab, cb) in a.iter_mut().zip(chunk.iter()) {
                             *ab ^= cb;
                         }
@@ -679,36 +599,81 @@ impl FileHandle {
         }
     }
 
-    /// A degraded-read hole: zero-fill the bytes `req`'s server owed,
-    /// count and trace it, and report the outcome.
-    fn hole(
+    /// `ranges` of every subfile in `batch`, all requests on the wire at
+    /// once: one shape-checked, counted chunk list per subfile, in `batch`
+    /// order.
+    fn fetch(
         &mut self,
-        req: &ListRequest,
-        buf: &mut [u8],
+        batch: &[Subfile],
+        ranges: &[(u64, u64)],
         trace_id: u64,
-        err: &DpfsError,
-    ) -> SubfileOutcome {
-        let server = &self.servers[req.server];
-        for p in &req.pieces {
-            buf[p.buf_off as usize..(p.buf_off + p.len) as usize].fill(0);
-        }
-        let bytes = req.useful_bytes();
-        self.stats.requests += 1;
-        self.pool.note_degraded(server);
-        trace::client_event(
+    ) -> Vec<Result<Vec<Bytes>>> {
+        let work = batch
+            .iter()
+            .map(|(host, subfile)| {
+                let read = Request::Read {
+                    subfile: subfile.clone(),
+                    ranges: ranges.to_vec(),
+                };
+                (self.servers[*host].as_str(), read)
+            })
+            .collect();
+        let results = issue(&self.pool, &self.opts, work, trace_id);
+        self.stats.requests += batch.len() as u64;
+        let bytes: u64 = ranges.iter().map(|&(_, len)| len).sum();
+        batch
+            .iter()
+            .zip(results)
+            .map(|((host, _), res)| {
+                let chunks = expect_chunks(res?, ranges, &self.servers[*host])?;
+                self.stats.wire_read += bytes;
+                Ok(chunks)
+            })
+            .collect()
+    }
+
+    /// Recompute the bytes `member` must hold at `ranges` from `sources`
+    /// (see [`Self::rebuild`]) and write them to it.
+    fn restore(
+        &mut self,
+        member: &Subfile,
+        sources: &[Subfile],
+        ranges: &[(u64, u64)],
+        trace_id: u64,
+    ) -> Result<()> {
+        let chunks = self.rebuild(sources, ranges, trace_id)?;
+        let expected: u64 = ranges.iter().map(|&(_, len)| len).sum();
+        let (host, subfile) = member;
+        let write = Request::Write {
+            subfile: subfile.clone(),
+            ranges: ranges.iter().map(|&(off, _)| off).zip(chunks).collect(),
+        };
+        let res = issue_one(
+            &self.pool,
+            &self.opts,
+            &self.servers[*host],
+            write,
             trace_id,
-            "degraded",
-            "read",
-            server,
-            trace::now_ns(),
-            0,
-            bytes,
         );
-        SubfileOutcome {
-            server: server.clone(),
-            bytes,
-            error: err.to_string(),
+        self.note_written(*host, expected, res)
+    }
+
+    /// Re-protection (fsck): rewrite the first `want` bytes of `member` from
+    /// `sources`, [`REPROTECT_CHUNK`] bytes per round trip, so a subfile of
+    /// any size fits the frame limit.
+    pub(crate) fn reprotect(
+        &mut self,
+        member: &Subfile,
+        sources: &[Subfile],
+        want: u64,
+    ) -> Result<()> {
+        let trace_id = trace::sampled_trace_id();
+        self.last_trace_id = trace_id;
+        for off in (0..want).step_by(REPROTECT_CHUNK as usize) {
+            let len = REPROTECT_CHUNK.min(want - off);
+            self.restore(member, sources, &[(off, len)], trace_id)?;
         }
+        Ok(())
     }
 
     /// The read path, three steps: plan the runs, `issue` one request per
@@ -744,7 +709,6 @@ impl FileHandle {
             op_bytes,
         );
         let results = issue(&self.pool, &self.opts, work, trace_id);
-        let mut outcomes: Vec<SubfileOutcome> = Vec::new();
         for ((req, shape), res) in reqs.iter().zip(&shaped).zip(results) {
             // The reply as consecutive slices of the request's payload.
             let chunks = match res {
@@ -757,47 +721,32 @@ impl FileHandle {
                         ListShape::Enumerated => expect_chunks(resp, &req.ranges, server)?,
                     }
                 }
-                // Transport-class failure on a redundant file: read
-                // *around* the lost server first — the surviving mirror or
-                // the XOR of peers + parity rebuilds the exact bytes, so
-                // the caller sees neither holes nor a `Degraded` outcome.
-                Err(err)
-                    if self.redundancy != RedundancyPolicy::None
-                        && RetryPolicy::retryable(&err) =>
-                {
+                // Terminal transport-class failure: read *around* the lost
+                // server — the surviving mirror or the XOR of peers + parity
+                // rebuilds the exact bytes. When that fails too (no
+                // redundancy, or a second server down) the read fails with
+                // the error that lost the bytes. Application errors always
+                // fail the read — the server processed the request and
+                // said no.
+                Err(err) if RetryPolicy::retryable(&err) => {
                     let t0 = trace::now_ns();
-                    match self.reconstruct_ranges(req.server, &req.ranges, trace_id) {
-                        Ok(chunks) => {
-                            let server = &self.servers[req.server];
-                            self.pool.note_reconstruct(server);
-                            trace::client_event(
-                                trace_id,
-                                "reconstruct",
-                                "read",
-                                server,
-                                t0,
-                                trace::now_ns().saturating_sub(t0),
-                                req.useful_bytes(),
-                            );
-                            chunks
-                        }
-                        // Reconstruction itself failed (a second server
-                        // down): fall back to the zero-fill contract if the
-                        // caller opted in, else surface the original error.
-                        Err(rec_err) if self.opts.degraded_reads => {
-                            outcomes.push(self.hole(req, buf, trace_id, &rec_err));
-                            continue;
-                        }
-                        Err(_) => return Err(err),
-                    }
-                }
-                // Transport-class failure after retries on an unprotected
-                // file: zero-fill the ranges this server owed us and carry
-                // on. Application errors still fail the read — the server
-                // processed the request and said no.
-                Err(err) if self.opts.degraded_reads && RetryPolicy::retryable(&err) => {
-                    outcomes.push(self.hole(req, buf, trace_id, &err));
-                    continue;
+                    let lost = (req.server, self.path.clone());
+                    let sources = self.redundancy.peers(&self.path, self.servers.len(), &lost);
+                    let Ok(chunks) = self.rebuild(&sources, &req.ranges, trace_id) else {
+                        return Err(err);
+                    };
+                    let server = &self.servers[req.server];
+                    self.pool.note_reconstruct(server);
+                    trace::client_event(
+                        trace_id,
+                        "reconstruct",
+                        "read",
+                        server,
+                        t0,
+                        trace::now_ns().saturating_sub(t0),
+                        req.useful_bytes(),
+                    );
+                    chunks
                 }
                 Err(err) => return Err(err),
             };
@@ -832,16 +781,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             op_bytes,
         );
-        if outcomes.is_empty() {
-            Ok(())
-        } else {
-            // The byte-returning wrappers attach the holed buffer.
-            Err(DpfsError::Degraded {
-                op: "read",
-                data: Vec::new(),
-                outcomes,
-            })
-        }
+        Ok(())
     }
 
     /// Grow a linear file's brick map to `needed` bricks, persisting the new
@@ -909,10 +849,10 @@ impl FileHandle {
         issue_all(&self.pool, &self.opts, "sync", work, self.last_trace_id)
     }
 
-    /// Close the handle, persisting the final size. (Dropping the handle
-    /// also works; `close` surfaces errors.)
+    /// Close the handle. Nothing is sent: the write that grew the file
+    /// already persisted its size, and the size this handle read at `open`
+    /// may be older than what another handle has written since.
     pub fn close(self) -> Result<()> {
-        self.meta.set_file_size(&self.path, self.size as i64)?;
         Ok(())
     }
 }
@@ -973,12 +913,15 @@ fn issue(
     let out = submitted
         .into_iter()
         .map(|(server, req, pending)| {
-            match pending.and_then(|pending| pending.wait(opts.rpc_timeout)) {
-                Err(err) if opts.retry.enabled() && RetryPolicy::retryable(&err) => {
-                    pool.retry_after(server, &req, trace_id, err, opts.retry)
-                }
-                other => other,
-            }
+            pool.wait_retrying(
+                server,
+                &req,
+                trace_id,
+                pending,
+                opts.rpc_timeout,
+                opts.retry,
+                RetryPolicy::retryable,
+            )
         })
         .collect();
     trace::client_event(
@@ -1112,20 +1055,6 @@ impl ListShape {
                 Request::Write { subfile, ranges }
             }
         }
-    }
-}
-
-/// Attach the (zero-holed) buffer to a [`DpfsError::Degraded`] bubbling
-/// out of `execute_reads`, so callers that opted in can keep the bytes
-/// that did arrive. Other errors pass through untouched.
-fn attach_degraded_data(err: DpfsError, buf: Vec<u8>) -> DpfsError {
-    match err {
-        DpfsError::Degraded { op, outcomes, .. } => DpfsError::Degraded {
-            op,
-            data: buf,
-            outcomes,
-        },
-        other => other,
     }
 }
 

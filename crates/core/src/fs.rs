@@ -37,13 +37,14 @@ pub struct Dpfs {
 }
 
 fn new_pool(resolver: Resolver, opts: &ClientOptions) -> Arc<ConnPool> {
-    let pool = Arc::new(ConnPool::new(Arc::new(resolver)));
-    pool.set_rpc_timeout(opts.rpc_timeout);
     // Per-mount jitter seed: an unseeded (default) policy is derived
     // fresh here, so fleets of default-configured clients never retry in
     // lockstep; explicitly seeded policies stay deterministic.
-    pool.set_retry_policy(opts.retry.seeded_for_mount());
-    pool
+    Arc::new(ConnPool::new(
+        Arc::new(resolver),
+        opts.rpc_timeout,
+        opts.retry.seeded_for_mount(),
+    ))
 }
 
 impl Dpfs {

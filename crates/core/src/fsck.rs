@@ -10,8 +10,9 @@ use std::collections::{BTreeSet, HashMap};
 use dpfs_proto::Request;
 
 use crate::error::{DpfsError, Result};
+use crate::file::FileHandle;
 use crate::fs::{striping_from_attr, Dpfs};
-use crate::hints::RedundancyPolicy;
+use crate::hints::{RedundancyPolicy, Subfile};
 use crate::layout::Layout;
 use crate::placement::BrickMap;
 
@@ -240,7 +241,9 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                 }
             }
             match policy {
-                Ok(p) => check_protection(fs, filename, p, dist, &primary_sizes, &mut report),
+                Ok(p) => {
+                    check_protection(fs, filename, p, &layout, dist, &primary_sizes, &mut report)
+                }
                 Err(e) => report.issues.push(Issue::BadAttributes {
                     filename: filename.clone(),
                     detail: e.to_string(),
@@ -319,279 +322,172 @@ fn stat_subfile(fs: &Dpfs, server: &str, subfile: &str) -> Option<u64> {
     }
 }
 
-fn read_subfile(fs: &Dpfs, server: &str, subfile: &str, len: u64) -> Result<Vec<u8>> {
-    if len == 0 {
-        return Ok(Vec::new());
-    }
-    match fs.pool().rpc_ok(
-        server,
-        &Request::Read {
-            subfile: subfile.to_string(),
-            ranges: vec![(0, len)],
-        },
-    )? {
-        dpfs_proto::Response::Data { chunks } => Ok(chunks[0].to_vec()),
-        other => Err(DpfsError::InvalidArgument(format!(
-            "expected Data from {server}, got {other:?}"
-        ))),
-    }
+/// Is member `i` of `group` a data subfile under parity? Those legitimately
+/// differ in length — a sparse or partly written file leaves some empty.
+fn xor_data(policy: RedundancyPolicy, group: &[Subfile], i: usize) -> bool {
+    policy == RedundancyPolicy::XorParity && i + 1 < group.len()
 }
 
-fn write_subfile(fs: &Dpfs, server: &str, subfile: &str, data: Vec<u8>) -> Result<()> {
-    fs.pool().rpc_ok(
-        server,
-        &Request::Write {
-            subfile: subfile.to_string(),
-            ranges: vec![(0, bytes::Bytes::from(data))],
-        },
-    )?;
-    Ok(())
+/// The members of one protection group that hold less than the group says
+/// they must, as `(index into the group, bytes the member should hold)`.
+/// `sizes[i]` is member `i`'s subfile size (`None`: unreachable, left
+/// alone); `cap(host)` is the most the bricks assigned to `host` allow.
+///
+/// The largest reachable member is authoritative: the copies of a stripe
+/// are written together and parity covers the longest data subfile, so a
+/// shorter copy or parity lost its tail or everything. Data subfiles under
+/// parity legitimately differ in length, so there only an empty one with
+/// bricks to hold — a replaced disk — counts (conservatively: rebuilding a
+/// legitimately unwritten one just rewrites its zeros), clamped to its brick
+/// allotment so the rebuilt subfile never trips the `SubfileOversized` check.
+fn short_members(
+    policy: RedundancyPolicy,
+    group: &[Subfile],
+    sizes: &[Option<u64>],
+    cap: impl Fn(usize) -> u64,
+) -> Vec<(usize, u64)> {
+    let target = sizes.iter().flatten().copied().max().unwrap_or(0);
+    (0..group.len())
+        .filter_map(|i| {
+            let have = sizes[i]?;
+            let (want, short) = if xor_data(policy, group, i) {
+                let want = target.min(cap(group[i].0));
+                (want, have == 0 && want > 0)
+            } else {
+                (target, have < target)
+            };
+            short.then_some((i, want))
+        })
+        .collect()
 }
 
-/// Online protection audit for one redundant file: every copy group
-/// (primary + mirrors under `Replica(k)`, data + parity under
-/// `XorParity`) must be mutually consistent in size.
+/// Online protection audit for one redundant file: every protection group
+/// (primary + mirrors under `Replica(k)`, data + parity under `XorParity`)
+/// must be mutually consistent in size.
 fn check_protection(
     fs: &Dpfs,
     filename: &str,
     policy: RedundancyPolicy,
+    layout: &Layout,
     dist: &[(String, Vec<i64>)],
     primary_sizes: &[Option<u64>],
     report: &mut FsckReport,
 ) {
-    let mut subfiles = policy.subfiles(filename, dist.len());
-    match policy {
-        RedundancyPolicy::None => {}
-        RedundancyPolicy::Replica(k) => {
-            // Copies of a stripe are byte-identical by construction, so a
-            // copy smaller than the largest in its group lost data.
-            for group in subfiles.chunks(k) {
-                let sizes: Vec<Option<u64>> = group
-                    .iter()
-                    .enumerate()
-                    .map(|(copy, (host, sub))| {
-                        if copy == 0 {
-                            return primary_sizes.get(*host).copied().flatten();
-                        }
-                        report.subfiles_checked += 1;
-                        stat_subfile(fs, &dist[*host].0, sub)
-                    })
-                    .collect();
-                let best = sizes.iter().flatten().copied().max().unwrap_or(0);
-                for ((host, sub), sz) in group.iter().zip(sizes) {
-                    if sz.is_some_and(|sz| sz < best) {
-                        report.issues.push(Issue::UnderProtected {
-                            filename: filename.to_string(),
-                            server: dist[*host].0.clone(),
-                            subfile: sub.clone(),
-                        });
-                    }
+    let cap = |host: usize| {
+        dist[host]
+            .1
+            .iter()
+            .map(|&b| layout.brick_len(b as u64))
+            .sum()
+    };
+    for group in policy.groups(filename, dist.len()) {
+        let sizes: Vec<Option<u64>> = group
+            .iter()
+            .map(|(host, sub)| {
+                if sub == filename {
+                    return primary_sizes.get(*host).copied().flatten();
                 }
+                report.subfiles_checked += 1;
+                stat_subfile(fs, &dist[*host].0, sub)
+            })
+            .collect();
+        // An empty data subfile is evidence of a loss only beside live
+        // parity: without it the file may just be sparse or partly written.
+        let parity_live = sizes.last().copied().flatten().is_some_and(|p| p > 0);
+        for (i, _) in short_members(policy, &group, &sizes, cap) {
+            if xor_data(policy, &group, i) && !parity_live {
+                continue;
             }
-        }
-        RedundancyPolicy::XorParity => {
-            if dist.len() < 2 {
-                return; // MissingDistribution / open() reject this already
-            }
-            let (parity_host, psub) = subfiles.pop().expect("xor parity enumerates parity");
-            let data_n = subfiles.len();
-            report.subfiles_checked += 1;
-            let parity_size = stat_subfile(fs, &dist[parity_host].0, &psub);
-            let data_max = primary_sizes[..data_n]
-                .iter()
-                .filter_map(|s| *s)
-                .max()
-                .unwrap_or(0);
-            if let Some(psize) = parity_size {
-                // Parity must cover the longest data subfile.
-                if psize < data_max {
-                    report.issues.push(Issue::UnderProtected {
-                        filename: filename.to_string(),
-                        server: dist[parity_host].0.clone(),
-                        subfile: psub,
-                    });
-                }
-                // A data server with assigned bricks and nothing on disk
-                // while live parity exists has (conservatively) lost its
-                // subfile; reconstruction of a legitimately-unwritten one
-                // just rewrites its zeros.
-                if psize > 0 {
-                    for (s, (server, bricks)) in dist.iter().take(data_n).enumerate() {
-                        if primary_sizes.get(s).copied().flatten() == Some(0) && !bricks.is_empty()
-                        {
-                            report.issues.push(Issue::UnderProtected {
-                                filename: filename.to_string(),
-                                server: server.clone(),
-                                subfile: filename.to_string(),
-                            });
-                        }
-                    }
-                }
-            }
+            let (host, subfile) = group[i].clone();
+            report.issues.push(Issue::UnderProtected {
+                filename: filename.to_string(),
+                server: dist[host].0.clone(),
+                subfile,
+            });
         }
     }
 }
 
 /// Rebuild lost redundancy after a server came back with an empty disk:
-/// for every redundant file, compare all copies of each subfile and
-/// rewrite the deficient ones from the survivors — the largest replica
-/// copy under `Replica(k)`, parity ⊕ surviving peers under `XorParity` —
-/// then bring stale parity itself up to date. Copies on unreachable
-/// servers are left alone; a data subfile whose parity is also lost is
-/// reported unfixable. Requires an embedded mount, like [`fsck`].
+/// for every redundant file, find the members of each protection group that
+/// fall short (`short_members`) and have the file's own handle rewrite
+/// them from the rest of the group — any whole copy under `Replica(k)`, the
+/// XOR of *all* the other members under `XorParity`, data before parity.
+/// Members on unreachable servers are left alone; one that could only be
+/// rebuilt by reading an unreachable member, a short copy or short parity
+/// is reported unfixable rather than overwritten with a guess. Requires an
+/// embedded mount, like [`fsck`].
 pub fn fsck_reprotect(fs: &Dpfs) -> Result<RepairSummary> {
     let catalog = fs.catalog().ok_or_else(embedded_only)?;
-    let db = catalog.db();
     let mut summary = RepairSummary::default();
-    let files = db.execute("SELECT filename FROM dpfs_file_attr ORDER BY filename")?;
+    let files = catalog
+        .db()
+        .execute("SELECT filename FROM dpfs_file_attr ORDER BY filename")?;
     for row in &files.rows {
-        let filename = row[0].as_text()?.to_string();
-        let Some(attr) = catalog.get_file_attr(&filename)? else {
-            continue;
+        let filename = row[0].as_text()?;
+        let mut file = match fs.open(filename) {
+            Ok(file) => file,
+            // Attributes that do not parse, fsck reports (BadAttributes,
+            // ...): nothing to rebuild from. A catalog failure is not that.
+            Err(DpfsError::InvalidArgument(_) | DpfsError::NoSuchFile(_)) => continue,
+            Err(e) => return Err(e),
         };
-        let Ok(policy) = RedundancyPolicy::parse(&attr.redundancy) else {
-            continue; // fsck reports BadAttributes; nothing to rebuild from
-        };
-        let dist = catalog.get_distribution(&filename)?;
-        match policy {
-            RedundancyPolicy::None => {}
-            RedundancyPolicy::Replica(k) => {
-                reprotect_replica(fs, &filename, &dist, k, &mut summary)?;
-            }
-            RedundancyPolicy::XorParity => {
-                let Ok(layout) = striping_from_attr(&attr).and_then(|s| Layout::from_striping(&s))
-                else {
-                    continue;
-                };
-                reprotect_parity(fs, &filename, &dist, &layout, &mut summary)?;
-            }
+        for group in file.redundancy().groups(filename, file.servers().len()) {
+            reprotect_group(fs, &mut file, &group, &mut summary)?;
         }
     }
     Ok(summary)
 }
 
-fn reprotect_replica(
+fn reprotect_group(
     fs: &Dpfs,
-    filename: &str,
-    dist: &[dpfs_meta::Distribution],
-    k: usize,
+    file: &mut FileHandle,
+    group: &[Subfile],
     summary: &mut RepairSummary,
 ) -> Result<()> {
-    for group in RedundancyPolicy::Replica(k)
-        .subfiles(filename, dist.len())
-        .chunks(k)
-    {
-        let sizes: Vec<Option<u64>> = group
-            .iter()
-            .map(|(host, sub)| stat_subfile(fs, &dist[*host].server, sub))
-            .collect();
-        // The largest reachable copy is authoritative (copies are written
-        // in lockstep, so a shorter one lost its tail or everything).
-        let Some(best_idx) = (0..group.len())
-            .filter(|&i| sizes[i].is_some())
-            .max_by_key(|&i| sizes[i])
-        else {
-            continue;
-        };
-        let best = sizes[best_idx].expect("filtered to reachable");
-        if best == 0 {
-            continue;
-        }
-        let (best_host, best_sub) = &group[best_idx];
-        let data = read_subfile(fs, &dist[*best_host].server, best_sub, best)?;
-        for (i, (host, sub)) in group.iter().enumerate() {
-            if sizes[i].is_some_and(|sz| sz < best) {
-                write_subfile(fs, &dist[*host].server, sub, data.clone())?;
-                summary.fixed.push(format!(
-                    "rebuilt replica copy {sub} on {}",
-                    dist[*host].server
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn reprotect_parity(
-    fs: &Dpfs,
-    filename: &str,
-    dist: &[dpfs_meta::Distribution],
-    layout: &Layout,
-    summary: &mut RepairSummary,
-) -> Result<()> {
-    if dist.len() < 2 {
-        return Ok(());
-    }
-    let mut subfiles = RedundancyPolicy::XorParity.subfiles(filename, dist.len());
-    let (parity_host, psub) = subfiles.pop().expect("xor parity enumerates parity");
-    let data_n = subfiles.len();
-    let parity_server = dist[parity_host].server.clone();
-    let sizes: Vec<Option<u64>> = (0..data_n)
-        .map(|s| stat_subfile(fs, &dist[s].server, filename))
-        .collect();
-    let parity_size = stat_subfile(fs, &parity_server, &psub);
-    let target = sizes
+    let policy = file.redundancy();
+    let sizes: Vec<Option<u64>> = group
         .iter()
-        .filter_map(|s| *s)
-        .chain(parity_size)
-        .max()
-        .unwrap_or(0);
-    if target == 0 {
-        return Ok(());
-    }
-    // Rebuild lost data subfiles first — recomputing parity from partial
-    // data would destroy the only copy of what they held.
-    for s in 0..data_n {
-        let max_expected: u64 = dist[s]
-            .bricklist
-            .iter()
-            .map(|&b| layout.brick_len(b as u64))
-            .sum();
-        // Clamp to the server's brick allotment so the rebuilt subfile
-        // never trips the SubfileOversized check.
-        let want = target.min(max_expected);
-        let Some(have) = sizes[s] else {
-            continue; // unreachable: leave it alone
+        .map(|(host, sub)| stat_subfile(fs, &file.servers()[*host], sub))
+        .collect();
+    let cap = |host: usize| {
+        let bricks = &file.brick_map().bricklists()[host];
+        bricks.iter().map(|&b| file.layout().brick_len(b)).sum()
+    };
+    let short = short_members(policy, group, &sizes, cap);
+    // Members a rebuild must not read: unreachable, or a copy or parity
+    // that is short until rebuilt. An empty data subfile under parity stays
+    // a source — it reads back as the zeros parity holds for a part of the
+    // file never written, and sizes alone cannot tell that from a loss.
+    let mut bad: Vec<bool> = (0..group.len())
+        .map(|i| {
+            sizes[i].is_none()
+                || (!xor_data(policy, group, i) && short.iter().any(|&(j, _)| j == i))
+        })
+        .collect();
+    for (i, want) in short {
+        let sources: Vec<Subfile> = (0..group.len())
+            .filter(|&j| j != i && !bad[j])
+            .map(|j| group[j].clone())
+            .collect();
+        // One whole copy rebuilds a replica; XOR needs every other member.
+        let enough = match policy {
+            RedundancyPolicy::XorParity => sources.len() + 1 == group.len(),
+            _ => !sources.is_empty(),
         };
-        if have > 0 || want == 0 || dist[s].bricklist.is_empty() {
-            continue; // conservative: rebuild only empty-disk losses
-        }
-        if parity_size.is_none_or(|p| p < want) {
+        let (host, subfile) = &group[i];
+        let server = file.servers()[*host].clone();
+        if !enough {
             summary.unfixable.push(Issue::UnderProtected {
-                filename: filename.to_string(),
-                server: dist[s].server.clone(),
-                subfile: filename.to_string(),
+                filename: file.path().to_string(),
+                server,
+                subfile: subfile.clone(),
             });
             continue;
         }
-        // parity ⊕ surviving peers over [0, want): reads past a subfile's
-        // extent zero-fill, so short peers contribute zeros.
-        let mut acc = read_subfile(fs, &parity_server, &psub, want)?;
-        for p in (0..data_n).filter(|&p| p != s) {
-            let peer = read_subfile(fs, &dist[p].server, filename, want)?;
-            for (a, b) in acc.iter_mut().zip(&peer) {
-                *a ^= b;
-            }
-        }
-        write_subfile(fs, &dist[s].server, filename, acc)?;
-        summary.fixed.push(format!(
-            "reconstructed data subfile {filename} on {}",
-            dist[s].server
-        ));
-    }
-    // Then bring parity itself up to date.
-    if parity_size.is_some_and(|p| p < target) {
-        let mut acc = vec![0u8; target as usize];
-        for row in dist.iter().take(data_n) {
-            let peer = read_subfile(fs, &row.server, filename, target)?;
-            for (a, b) in acc.iter_mut().zip(&peer) {
-                *a ^= b;
-            }
-        }
-        write_subfile(fs, &parity_server, &psub, acc)?;
-        summary
-            .fixed
-            .push(format!("recomputed parity {psub} on {parity_server}"));
+        file.reprotect(&group[i], &sources, want)?;
+        bad[i] = false;
+        summary.fixed.push(format!("rebuilt {subfile} on {server}"));
     }
     Ok(())
 }

@@ -180,11 +180,15 @@ impl HpfPattern {
     }
 }
 
+/// One subfile of a file: `(index into the file's server list, subfile
+/// name)`.
+pub type Subfile = (usize, String);
+
 /// Per-file redundancy policy (extension; ROADMAP item 2). Selected at
 /// create time, persisted in the catalog attribute row, and honored by
 /// every client that opens the file: writes fan out to the redundant
 /// subfiles, and a read aimed at a dead server is reconstructed from the
-/// survivors instead of failing or zero-filling.
+/// survivors instead of failing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RedundancyPolicy {
     /// No redundancy: one subfile per data server (the original layout).
@@ -256,16 +260,45 @@ impl RedundancyPolicy {
     /// index, subfile name)` — *the* definition of "the subfiles of a
     /// file" that sync, unlink, rename, parity, reconstruction and fsck all
     /// enumerate. Primaries come in server order; under `Replica(k)` each
-    /// primary is followed by its `k - 1` mirrors, so `chunks(k)` yields
-    /// the copy groups; under `XorParity` the parity subfile comes last.
-    pub fn subfiles(self, path: &str, n: usize) -> Vec<(usize, String)> {
-        let mut out: Vec<(usize, String)> = (0..self.data_servers(n))
+    /// primary is followed by its `k - 1` mirrors; under `XorParity` the
+    /// parity subfile comes last ([`RedundancyPolicy::groups`] cuts the list
+    /// accordingly).
+    pub fn subfiles(self, path: &str, n: usize) -> Vec<Subfile> {
+        let mut out: Vec<Subfile> = (0..self.data_servers(n))
             .flat_map(|s| (0..self.copies()).map(move |copy| copy_home(path, s, copy, n)))
             .collect();
         if self == RedundancyPolicy::XorParity && n > 0 {
             out.push((n - 1, parity_subfile(path)));
         }
         out
+    }
+
+    /// The protection groups of a file: [`RedundancyPolicy::subfiles`] cut
+    /// so that every member of a group is a function of the group's other
+    /// members — under `Replica(k)` a stripe's `k` copies, each equal to any
+    /// other; under `XorParity` the data subfiles and the parity subfile
+    /// together, each the XOR of all the others. An unprotected file has
+    /// none. Reconstruction, the parity update and fsck's audit and
+    /// re-protection all read the algebra off this one list.
+    pub fn groups(self, path: &str, n: usize) -> Vec<Vec<Subfile>> {
+        let subfiles = self.subfiles(path, n);
+        match self {
+            RedundancyPolicy::None => Vec::new(),
+            RedundancyPolicy::Replica(k) => subfiles.chunks(k).map(<[_]>::to_vec).collect(),
+            RedundancyPolicy::XorParity => vec![subfiles],
+        }
+    }
+
+    /// The other members of `member`'s protection group — what its bytes can
+    /// be rebuilt from (empty for a subfile no group protects).
+    pub fn peers(self, path: &str, n: usize, member: &Subfile) -> Vec<Subfile> {
+        let mut group = self
+            .groups(path, n)
+            .into_iter()
+            .find(|g| g.contains(member))
+            .unwrap_or_default();
+        group.retain(|m| m != member);
+        group
     }
 }
 
@@ -286,7 +319,7 @@ pub fn parity_subfile(path: &str) -> String {
 /// Where copy `copy` of server `s`'s subfile of `path` lives among the
 /// file's `n` servers: copy 0 is the primary, on `s` under the path itself;
 /// copy `i` rides on server `(s + i) mod n` under the mirror name.
-pub fn copy_home(path: &str, s: usize, copy: usize, n: usize) -> (usize, String) {
+pub fn copy_home(path: &str, s: usize, copy: usize, n: usize) -> Subfile {
     match copy {
         0 => (s, path.to_string()),
         _ => ((s + copy) % n, mirror_subfile(path, copy)),
@@ -528,6 +561,27 @@ mod tests {
             named(&[(0, "/f"), (1, "/f"), (2, "/f#p")])
         );
         assert!(RedundancyPolicy::XorParity.subfiles("/f", 0).is_empty());
+        // A lost member is rebuilt from the rest of its group: its stripe's
+        // other copies, or every other data subfile plus parity.
+        assert!(RedundancyPolicy::None
+            .peers("/f", 3, &(1, "/f".into()))
+            .is_empty());
+        assert_eq!(
+            RedundancyPolicy::Replica(2).peers("/f", 3, &(2, "/f".into())),
+            named(&[(0, "/f#r1")])
+        );
+        assert_eq!(
+            RedundancyPolicy::Replica(2).peers("/f", 3, &(0, "/f#r1".into())),
+            named(&[(2, "/f")])
+        );
+        assert_eq!(
+            RedundancyPolicy::XorParity.peers("/f", 3, &(2, "/f#p".into())),
+            named(&[(0, "/f"), (1, "/f")])
+        );
+        assert_eq!(
+            RedundancyPolicy::XorParity.peers("/f", 3, &(0, "/f".into())),
+            named(&[(1, "/f"), (2, "/f#p")])
+        );
         assert_eq!(RedundancyPolicy::XorParity.data_servers(4), 3);
         assert_eq!(RedundancyPolicy::Replica(3).data_servers(4), 4);
     }

@@ -46,7 +46,7 @@ pub mod transport;
 pub use collective::{Collective, CollectiveGroup};
 pub use conn::{ConnPool, Resolver};
 pub use datatype::Datatype;
-pub use error::{DpfsError, Result, SubfileOutcome};
+pub use error::{DpfsError, Result};
 pub use file::{ClientOptions, ClientStats, FileHandle};
 pub use fs::Dpfs;
 pub use geometry::{Region, Shape};

@@ -168,19 +168,19 @@ impl RemoteMetaStore {
             RetryPolicy::retryable
         };
         let req = Request::Meta { op };
-        let timeout = self.pool.rpc_timeout();
-        let first = self
+        let first = self.pool.submit_traced(server, &req, trace_id);
+        let resp = self
             .pool
-            .submit_traced(server, &req, trace_id)
-            .and_then(|p| p.wait(timeout));
-        let policy = self.pool.retry_policy();
-        let resp = match first {
-            Err(err) if policy.enabled() && retryable(&err) => self
-                .pool
-                .retry_after_if(server, &req, trace_id, err, policy, retryable),
-            other => other,
-        }
-        .map_err(|e| remote_err(server, &e))?;
+            .wait_retrying(
+                server,
+                &req,
+                trace_id,
+                first,
+                self.pool.rpc_timeout(),
+                self.pool.retry_policy(),
+                retryable,
+            )
+            .map_err(|e| remote_err(server, &e))?;
         match resp {
             Response::Meta {
                 shard: reply_shard,

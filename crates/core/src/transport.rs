@@ -34,8 +34,8 @@ use crate::error::{DpfsError, Result};
 use crate::trace;
 
 /// Default per-request deadline. Generous: it exists to catch hung servers
-/// and dead TCP peers, not to race healthy ones. Tighten per pool with
-/// [`crate::conn::ConnPool::set_rpc_timeout`].
+/// and dead TCP peers, not to race healthy ones. Tighten per mount or per
+/// handle with [`crate::file::ClientOptions::rpc_timeout`].
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What the demux reader delivers to a waiter: the decoded response, or the
@@ -113,9 +113,6 @@ pub struct TransportStats {
     /// Retry attempts issued after transient (transport-class) failures.
     /// Application errors never count here.
     pub retries: u64,
-    /// Per-server read requests that failed terminally and were
-    /// zero-filled under [`crate::file::ClientOptions::degraded_reads`].
-    pub degraded: u64,
     /// Per-server read requests that failed terminally and were rebuilt
     /// byte-exact from this server's mirrors or XOR peers + parity.
     pub reconstructs: u64,
@@ -143,7 +140,6 @@ struct Counters {
     disconnected: AtomicU64,
     in_flight_peak: AtomicU64,
     retries: AtomicU64,
-    degraded: AtomicU64,
     reconstructs: AtomicU64,
     list_io: AtomicU64,
     req_bytes: AtomicU64,
@@ -333,7 +329,6 @@ impl Transport {
             disconnected: self.counters.disconnected.load(Ordering::Relaxed),
             in_flight_peak: self.counters.in_flight_peak.load(Ordering::Relaxed),
             retries: self.counters.retries.load(Ordering::Relaxed),
-            degraded: self.counters.degraded.load(Ordering::Relaxed),
             reconstructs: self.counters.reconstructs.load(Ordering::Relaxed),
             list_io: self.counters.list_io.load(Ordering::Relaxed),
             req_bytes: self.counters.req_bytes.load(Ordering::Relaxed),
@@ -347,11 +342,6 @@ impl Transport {
     /// layer calls this right before reissuing a request).
     pub fn note_retry(&self) {
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one degraded (zero-filled) per-server read completion.
-    pub fn note_degraded(&self) {
-        self.counters.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one reconstructed (redundancy-rebuilt) per-server read.

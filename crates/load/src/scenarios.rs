@@ -226,14 +226,16 @@ pub fn zipfian_mixed(quick: bool) -> ScenarioOutcome {
 const DEGRADED_FILES: usize = 24;
 const DEGRADED_FILE_BYTES: u64 = 64 * 1024;
 
-/// Degraded-mode read storm: a population of redundant files (alternating
-/// `Replica(2)` and `XorParity`) striped across four servers, one of which
-/// is killed *before* the storm. Every read that lands a range on the dead
-/// server reconstructs it — from the mirror or from peers + parity — so
-/// this row prices the reconstruction path under fan-in, next to the
-/// healthy-cluster scenarios. Retries are tight (a dead server refuses
-/// connections immediately), and each read is verified byte-exact: a
-/// zero-filled hole would trip the zero-free payload check.
+/// Reconstruction read storm (the row keeps the name `bench-diff` keys on):
+/// a population of redundant files (alternating `Replica(2)` and
+/// `XorParity`) striped across four servers, one of which is killed
+/// *before* the storm. Every read that lands a range on the dead server
+/// rebuilds it — from the mirror or from peers + parity — so this row
+/// prices the rebuild path under fan-in, next to the healthy-cluster
+/// scenarios: the one committed number that runs it under load. Retries are
+/// tight (a dead server refuses connections immediately). A read returns
+/// the file's bytes or an error, so a failed rebuild panics the `expect`
+/// and a wrong one the byte-exact check over the zero-free payload.
 pub fn degraded_read_storm(quick: bool) -> ScenarioOutcome {
     let sim_clients = if quick { 100 } else { 400 };
     let reads_each = if quick { 2 } else { 5 };

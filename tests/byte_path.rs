@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use dpfs::core::{ConnPool, Resolver};
+use dpfs::core::{ConnPool, Resolver, RetryPolicy, DEFAULT_RPC_TIMEOUT};
 use dpfs::proto::{AccessPattern, Request, Response};
 use dpfs::server::{IoServer, PerfModel, ServerConfig};
 
@@ -72,7 +72,11 @@ fn one_mib_list_round_trips_stay_within_the_copy_budget() {
         IoServer::start(ServerConfig::new("ion00", &root, PerfModel::unthrottled())).unwrap();
     let mut resolver = Resolver::direct();
     resolver.alias("ion00", &server.addr().to_string());
-    let pool = ConnPool::new(Arc::new(resolver));
+    let pool = ConnPool::new(
+        Arc::new(resolver),
+        DEFAULT_RPC_TIMEOUT,
+        RetryPolicy::disabled(),
+    );
 
     let pattern = AccessPattern::from_runs(&[(0, MIB as u64)]);
     let payload = Bytes::from((0..MIB).map(|i| (i * 31 % 251) as u8).collect::<Vec<u8>>());

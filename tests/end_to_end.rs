@@ -174,6 +174,29 @@ fn a_read_sees_a_write_acknowledged_through_another_handle() {
     }
 }
 
+/// Regression: `close` rewrote the size its handle read at `open`, so a
+/// reader opened before another handle's growth shrank the file back on its
+/// way out. The write that grows a file persists its size; `close` sends
+/// nothing.
+#[test]
+fn closing_a_handle_opened_before_a_growth_does_not_shrink_the_file() {
+    const GROWN: usize = 1 << 20;
+    let tb = Testbed::unthrottled(2).unwrap();
+    let client = tb.client(0, true);
+    drop(client.create("/grown", &Hint::linear(64 << 10, 0)).unwrap());
+    let a = client.open("/grown").unwrap();
+    let mut b = client.open("/grown").unwrap();
+    let data = pattern_bytes(GROWN, 9);
+    b.write_bytes(0, &data).unwrap();
+    assert_eq!(client.stat("/grown").unwrap().size, GROWN as i64);
+    a.close().unwrap();
+    assert_eq!(client.stat("/grown").unwrap().size, GROWN as i64);
+    b.close().unwrap();
+    let mut c = client.open("/grown").unwrap();
+    assert_eq!(c.size(), GROWN as u64);
+    assert!(c.read_bytes(0, GROWN as u64).unwrap() == data);
+}
+
 #[test]
 fn metadata_survives_database_reopen() {
     // durable catalog + fresh servers: file metadata (attr, distribution,

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dpfs::cluster::Testbed;
-use dpfs::core::{ClientOptions, DpfsError, Hint, RetryPolicy, Shape};
+use dpfs::core::{DpfsError, Hint, Shape};
 use dpfs::meta::Database;
 use dpfs::proto::ErrorCode;
 
@@ -201,94 +201,4 @@ fn dead_server_then_restart_round_trip_preserves_bytes() {
     let mut f = client.open("/lazarus").unwrap();
     let back = f.read_bytes(0, TOTAL as u64).unwrap();
     assert!(back == data, "restarted server served different bytes");
-}
-
-/// With `degraded_reads` on, a read spanning a dead server comes back as
-/// `Degraded`: the surviving servers' bytes are intact, the dead server's
-/// byte ranges are zero-filled, and `outcomes` names exactly the dead
-/// server. Retries are disabled so the test exercises the degraded path,
-/// not the recovery path.
-#[test]
-fn degraded_read_reports_per_subfile_outcomes() {
-    let mut tb = Testbed::unthrottled(3).unwrap();
-    let client = tb.client_opts(ClientOptions {
-        degraded_reads: true,
-        retry: RetryPolicy::disabled(),
-        ..ClientOptions::default()
-    });
-
-    const BRICK: usize = 1024;
-    const TOTAL: usize = 64 * BRICK;
-    // Zero-free payload: any all-zero brick in the result is a hole, never
-    // legitimate data.
-    let data: Vec<u8> = (0..TOTAL).map(|i| (i % 251) as u8 + 1).collect();
-    let mut f = client
-        .create("/holes", &Hint::linear(BRICK as u64, TOTAL as u64))
-        .unwrap();
-    f.write_bytes(0, &data).unwrap();
-    f.sync().unwrap();
-
-    tb.kill_server(1);
-
-    let before = f.stats();
-    let cursor = dpfs::core::trace::ring().cursor();
-    let err = f.read_bytes(0, TOTAL as u64).unwrap_err();
-    let DpfsError::Degraded {
-        data: got,
-        outcomes,
-        ..
-    } = err
-    else {
-        panic!("expected Degraded, got some other error");
-    };
-    assert_eq!(got.len(), TOTAL);
-    assert!(!outcomes.is_empty(), "a failed server must be reported");
-    for o in &outcomes {
-        assert_eq!(o.server, "ion01", "only the killed server may fail: {o:?}");
-        assert!(o.bytes > 0, "a failed request must cover some bytes: {o:?}");
-    }
-
-    // Every brick is either byte-exact or a zero-filled hole — and both
-    // kinds exist (the read really was partial, and partially *served*).
-    let (mut holes, mut exact) = (0usize, 0usize);
-    for (i, brick) in got.chunks(BRICK).enumerate() {
-        if brick.iter().all(|&b| b == 0) {
-            holes += 1;
-        } else {
-            assert_eq!(
-                brick,
-                &data[i * BRICK..(i + 1) * BRICK],
-                "brick {i} is neither hole nor intact"
-            );
-            exact += 1;
-        }
-    }
-    assert!(holes > 0, "killed server left no holes?");
-    assert!(exact > 0, "surviving servers produced nothing?");
-    assert_eq!(
-        holes * BRICK,
-        outcomes.iter().map(|o| o.bytes).sum::<u64>() as usize,
-        "outcome byte accounting must match the holes"
-    );
-
-    // The hole is counted as a request that moved no bytes, against the
-    // server that owed them, and traced under the read's ID.
-    let after = f.stats();
-    assert_eq!(after.requests - before.requests, 3, "one per server");
-    assert_eq!(after.wire_read - before.wire_read, (exact * BRICK) as u64);
-    assert_eq!(
-        after.useful_read - before.useful_read,
-        (exact * BRICK) as u64
-    );
-    for (server, degraded) in [("ion00", 0), ("ion01", 1), ("ion02", 0)] {
-        let stats = client.pool().transport_stats(server).unwrap();
-        assert_eq!(stats.degraded, degraded, "{server}: {stats:?}");
-    }
-    let traced: Vec<_> = dpfs::core::trace::ring()
-        .events_since(cursor)
-        .into_iter()
-        .filter(|e| e.trace_id == f.last_trace_id() && e.phase == "degraded")
-        .map(|e| (e.server, e.bytes))
-        .collect();
-    assert_eq!(traced, [("ion01".to_string(), (holes * BRICK) as u64)]);
 }

@@ -74,13 +74,9 @@ proptest! {
         tb.kill_server(victim);
         let back = f.read_bytes(0, len).unwrap();
         prop_assert_eq!(&back, &model, "xor reconstruction diverged");
-
-        // Zero Degraded outcomes: reconstruction, not zero-fill.
-        for i in 0..n {
-            if let Some(stats) = client.pool().transport_stats(&format!("ion{i:02}")) {
-                prop_assert_eq!(stats.degraded, 0, "server ion{:02} degraded", i);
-            }
-        }
+        // Rebuilt, and counted against the server that was lost.
+        let stats = client.pool().transport_stats(&format!("ion{victim:02}")).unwrap();
+        prop_assert!(stats.reconstructs >= 1, "no reconstruction counted: {:?}", stats);
     }
 
     /// Replica-K reads agree with the written bytes no matter which
@@ -111,11 +107,6 @@ proptest! {
             let back = f.read_bytes(0, len).unwrap();
             prop_assert_eq!(&back, &model, "read through killed ion{:02} diverged", victim);
             tb.restart_server(victim).unwrap();
-        }
-        for i in 0..n {
-            if let Some(stats) = client.pool().transport_stats(&format!("ion{i:02}")) {
-                prop_assert_eq!(stats.degraded, 0, "server ion{:02} degraded", i);
-            }
         }
     }
 }

@@ -118,6 +118,20 @@ fn open_is_two_round_trips_and_never_probes() {
     assert_eq!(missing, budget(&[("meta.get_file_attr", 1)]));
 }
 
+/// The write that grows a file persists its size; `close` has nothing left
+/// to say, after a read and after a growing write alike.
+#[test]
+fn close_is_no_round_trip() {
+    let (tb, fs, d0, _) = rig();
+    let path = format!("{d0}/f");
+    let f = fs.open(&path).unwrap();
+    assert_eq!(spent(&tb, || f.close().unwrap()), Counts::new());
+    let mut f = fs.open(&path).unwrap();
+    f.write_bytes(16384, &[6u8; 4096]).unwrap();
+    assert_eq!(spent(&tb, || f.close().unwrap()), Counts::new());
+    assert_eq!(fs.stat(&path).unwrap().size, 20480);
+}
+
 #[test]
 fn stat_and_exists_are_one_round_trip_each() {
     let (tb, fs, d0, _) = rig();

@@ -15,11 +15,25 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
-use dpfs::core::{ClientOptions, ConnPool, DpfsError, Resolver, RetryPolicy};
+use dpfs::core::{
+    ClientOptions, ConnPool, DpfsError, Hint, Resolver, RetryPolicy, DEFAULT_RPC_TIMEOUT,
+};
 use dpfs::proto::{frame, ErrorCode, Request, Response};
 use dpfs::server::PerfModel;
 
 const DELAY: Duration = Duration::from_millis(40);
+
+/// A raw pool dialing names directly: its deadline and retry policy are
+/// fixed when it is built.
+fn raw_pool(rpc_timeout: Duration, retry: RetryPolicy) -> ConnPool {
+    ConnPool::new(Arc::new(Resolver::direct()), rpc_timeout, retry)
+}
+
+/// A raw pool that attempts every call exactly once, as the exact-count
+/// assertions in this file need.
+fn one_shot_pool() -> ConnPool {
+    raw_pool(DEFAULT_RPC_TIMEOUT, RetryPolicy::disabled())
+}
 
 /// One server injecting `DELAY` of per-request (overlappable) latency.
 fn one_delayed_server() -> Testbed {
@@ -139,9 +153,8 @@ fn serve_pong(mut stream: TcpStream) {
 #[test]
 fn deadline_poisons_connection_and_next_rpc_redials() {
     let addr = start_stalling_then_healthy_server().to_string();
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
     let timeout = Duration::from_millis(150);
-    pool.set_rpc_timeout(timeout);
+    let pool = raw_pool(timeout, RetryPolicy::disabled());
 
     // Two requests in flight on the stalled connection.
     let p1 = pool.submit(&addr, &Request::Ping).unwrap();
@@ -201,7 +214,7 @@ fn deadline_poisons_connection_and_next_rpc_redials() {
 fn dropped_pendings_leave_the_in_flight_table() {
     // Connection 0 swallows everything and never replies.
     let addr = start_stalling_then_healthy_server().to_string();
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
+    let pool = one_shot_pool();
     let pendings: Vec<_> = (0..100)
         .map(|_| pool.submit(&addr, &Request::Ping).unwrap())
         .collect();
@@ -249,7 +262,7 @@ fn ping_counts_protocol_errors_as_reachable() {
     // decoded our request and framed a reply, so it is *reachable* — the
     // old ping treated any non-Pong as down.
     let addr = start_shutting_down_server().to_string();
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
+    let pool = one_shot_pool();
     assert!(pool.ping(&addr), "ShuttingDown answer must count as alive");
 
     // Nothing listening at all: down.
@@ -283,13 +296,15 @@ fn start_drop_first_request_server() -> SocketAddr {
 #[test]
 fn one_transient_failure_counts_exactly_one_retry() {
     let addr = start_drop_first_request_server().to_string();
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
-    pool.set_retry_policy(RetryPolicy {
-        max_attempts: 4,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(4),
-        ..RetryPolicy::default()
-    });
+    let pool = raw_pool(
+        DEFAULT_RPC_TIMEOUT,
+        RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            ..RetryPolicy::default()
+        },
+    );
 
     // The call succeeds despite the first connection dying mid-request.
     assert_eq!(pool.rpc(&addr, &Request::Ping).unwrap(), Response::Pong);
@@ -312,13 +327,15 @@ fn application_errors_are_answered_not_retried() {
     // on a processed request, not a transport failure: the retry layer must
     // stay out of it even when armed with an aggressive policy.
     let addr = start_shutting_down_server().to_string();
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
-    pool.set_retry_policy(RetryPolicy {
-        max_attempts: 8,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(2),
-        ..RetryPolicy::default()
-    });
+    let pool = raw_pool(
+        DEFAULT_RPC_TIMEOUT,
+        RetryPolicy {
+            max_attempts: 8,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        },
+    );
 
     let resp = pool.rpc(&addr, &Request::Ping).unwrap();
     assert!(
@@ -343,13 +360,15 @@ fn exhausted_retries_surface_the_last_error() {
     // Nothing listens on port 1: every attempt is a connect refusal. The
     // policy's whole budget is spent, each retry is counted, and the caller
     // still gets the typed transport error the no-retry path would return.
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
-    pool.set_retry_policy(RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(2),
-        ..RetryPolicy::default()
-    });
+    let pool = raw_pool(
+        DEFAULT_RPC_TIMEOUT,
+        RetryPolicy {
+            max_attempts: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(2),
+            ..RetryPolicy::default()
+        },
+    );
 
     let err = pool.rpc("127.0.0.1:1", &Request::Ping).unwrap_err();
     assert!(
@@ -362,15 +381,77 @@ fn exhausted_retries_surface_the_last_error() {
 }
 
 #[test]
-fn raw_pools_default_to_no_retries() {
-    // Raw ConnPools (no ClientOptions) keep the pre-fault-tolerance
-    // behaviour: exactly one attempt per call. Every exact-count assertion
-    // in this file depends on that default.
-    let pool = ConnPool::new(Arc::new(Resolver::direct()));
+fn a_disabled_policy_attempts_exactly_once() {
+    // `RetryPolicy::disabled()` is the pre-fault-tolerance behaviour:
+    // exactly one attempt per call. Every exact-count assertion in this
+    // file depends on it.
+    let pool = one_shot_pool();
     assert!(!pool.retry_policy().enabled());
 
     let err = pool.rpc("127.0.0.1:1", &Request::Ping).unwrap_err();
     assert!(matches!(err, DpfsError::Connect { .. }), "got {err}");
     let stats = pool.transport_stats("127.0.0.1:1").unwrap();
     assert_eq!(stats.retries, 0);
+}
+
+/// A server that accepts every connection and answers nothing, ever.
+fn start_stalled_server() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            std::thread::spawn(move || swallow(stream));
+        }
+    });
+    addr
+}
+
+/// Regression: a handle opened with its own deadline waited that deadline
+/// on the first attempt only — every retry waited the *mount's*. A 100 ms
+/// handle on a 30 s mount, three attempts against a stalled server: all
+/// three must expire under the handle's deadline.
+#[test]
+fn retries_wait_the_handles_deadline_not_the_mounts() {
+    // One registered server whose name dials a listener that answers
+    // nothing, on a mount with the default 30 s deadline.
+    let tb = Testbed::unthrottled(1).unwrap();
+    let mut resolver = tb.resolver();
+    resolver.alias("ion00", &start_stalled_server().to_string());
+    let stalled = dpfs::core::Dpfs::mount(tb.db(), resolver, ClientOptions::default()).unwrap();
+    assert_eq!(stalled.pool().rpc_timeout(), DEFAULT_RPC_TIMEOUT);
+    drop(stalled.create("/stall", &Hint::linear(4096, 4096)).unwrap());
+
+    let deadline = Duration::from_millis(100);
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        ..RetryPolicy::default()
+    };
+    let mut f = stalled
+        .open_with(
+            "/stall",
+            ClientOptions {
+                rpc_timeout: deadline,
+                retry,
+                ..ClientOptions::default()
+            },
+        )
+        .unwrap();
+    let start = Instant::now();
+    let err = f.read_bytes(0, 4096).unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(err, DpfsError::Timeout { timeout, .. } if timeout == deadline),
+        "expected the handle's Timeout, got {err}"
+    );
+    let stats = stalled.pool().transport_stats("ion00").unwrap();
+    assert_eq!(stats.timed_out, 3, "three attempts, three expiries");
+    assert_eq!(stats.retries, 2);
+    assert!(elapsed >= deadline * 3, "expired early: {elapsed:?}");
+    assert!(
+        elapsed < deadline * 3 + retry.max_backoff * 2 + Duration::from_secs(2),
+        "3 attempts took {elapsed:?}: a retry waited the mount's deadline"
+    );
 }
