@@ -135,6 +135,23 @@ if [ "$waits" -ne 2 ] || [ "$callers" -ne 3 ] || [ "$pool_setters" -ne 0 ]; then
     echo "FAIL: $waits deadline waits (expected 2, both in wait_retrying), $callers wait_retrying callers (expected 3), $pool_setters ConnPool setters (expected 0)"
     exit 1
 fi
+# `unsafe` has two homes, each one safe function over one foreign thing:
+# `poll(2)` and the carry-less-multiply CRC kernel. Every crate root denies
+# it; only these two files lift the lint, and no other source says the word.
+want_unsafe='crates/meta/src/clmul.rs crates/server/src/sys.rs'
+lifts=$(git grep -l 'allow(unsafe_code)' -- 'crates/*/src/*' src | sort | tr '\n' ' ')
+users=$(git grep -lw 'unsafe' -- 'crates/*/src/*' src | sort | tr '\n' ' ')
+if [ "$lifts" != "$want_unsafe " ] || [ "$users" != "$want_unsafe " ]; then
+    echo "FAIL: allow(unsafe_code) in [$lifts], unsafe in [$users]; expected exactly [$want_unsafe]"
+    exit 1
+fi
+# One checksum, and one function that picks its arm: only `crc32_update`
+# (codec.rs) calls the kernel.
+kernel_callers=$(git grep -l 'clmul::' -- crates/ src/ tests/ examples/ | tr '\n' ' ')
+if [ "$kernel_callers" != "crates/meta/src/codec.rs " ]; then
+    echo "FAIL: the CRC kernel is named in [$kernel_callers]; only crates/meta/src/codec.rs may call it"
+    exit 1
+fi
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
@@ -153,8 +170,16 @@ cargo test -q
 echo "==> workspace tests (crate-level unit, codec fuzz, CRC oracle, bytes shim)"
 cargo test --workspace -q
 
+echo "==> release tests of the two bottom crates (the CRC kernel's unsafe, wrapping arithmetic: debug alone is not enough)"
+cargo test --release -q -p dpfs-meta -p dpfs-proto
+
 echo "==> the benchmark still builds against the library surface it froze"
 cargo build --release --offline --manifest-path examples/benchmark/Cargo.toml
+
+echo "==> the benchmark's own smoke (--quick: every workload, exits non-zero on any failed operation)"
+cargo run --release --quiet --offline --manifest-path examples/benchmark/Cargo.toml -- --quick \
+    >target/benchmark-quick.out
+tail -n 1 target/benchmark-quick.out
 
 echo "==> docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -30,8 +30,15 @@ fn bench_codec(c: &mut Criterion) {
         })
     });
     // Floor references for the byte path: what one checksum pass and one
-    // trip through the framing layer cost per payload size.
-    for (name, len) in [("crc32_4k", 4 << 10), ("crc32_1m", 1 << 20)] {
+    // trip through the framing layer cost per payload size. 64 B is where
+    // `crc32_update` switches from its tables to the carry-less-multiply
+    // kernel; WAL records and metadata frames sit around that size.
+    for (name, len) in [
+        ("crc32_64", 64),
+        ("crc32_256", 256),
+        ("crc32_4k", 4 << 10),
+        ("crc32_1m", 1 << 20),
+    ] {
         let block = vec![0xA5u8; len];
         c.bench_function(name, |b| b.iter(|| frame::crc32(black_box(&block))));
     }

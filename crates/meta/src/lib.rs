@@ -43,6 +43,7 @@
 #![deny(unsafe_code)]
 
 pub mod catalog;
+mod clmul;
 pub mod codec;
 pub mod db;
 pub mod error;

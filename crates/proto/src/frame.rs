@@ -30,6 +30,15 @@ pub const MAGIC_V3: [u8; 4] = *b"DPF3";
 /// unbounded memory on a corrupt or hostile length field.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// `total + more` payload bytes, if a single frame can still carry them:
+/// the bound on what a read request — enumerated or pattern — may ask for,
+/// since its reply is one frame and the server allocates it up front.
+pub(crate) fn within_one_frame(total: u64, more: u64) -> Option<u64> {
+    total
+        .checked_add(more)
+        .filter(|&t| t <= MAX_FRAME_LEN as u64)
+}
+
 /// Framing-layer errors.
 #[derive(Debug)]
 pub enum FrameError {

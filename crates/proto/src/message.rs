@@ -2,7 +2,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::frame::FrameError;
+use crate::frame::{within_one_frame, FrameError};
 use crate::meta::{MetaOp, MetaResult};
 use crate::pattern::AccessPattern;
 
@@ -387,8 +387,15 @@ impl Request {
                 let subfile = get_str(&mut buf)?;
                 let n = get_u32(&mut buf)? as usize;
                 let mut ranges = Vec::with_capacity(n.min(1 << 16));
+                // The bound `ReadList`'s pattern carries, where the
+                // lengths enter: the server allocates what they ask for.
+                let mut total = 0u64;
                 for _ in 0..n {
-                    ranges.push((get_u64(&mut buf)?, get_u64(&mut buf)?));
+                    let (off, len) = (get_u64(&mut buf)?, get_u64(&mut buf)?);
+                    total = within_one_frame(total, len).ok_or_else(|| {
+                        FrameError::BadMessage("read covers more than one frame".into())
+                    })?;
+                    ranges.push((off, len));
                 }
                 Request::Read { subfile, ranges }
             }

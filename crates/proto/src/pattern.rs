@@ -27,7 +27,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::frame::{FrameError, MAX_FRAME_LEN};
+use crate::frame::{within_one_frame, FrameError};
 
 /// Hard cap on the number of ranges one pattern may expand to. Keeps a
 /// 25-byte hostile descriptor from demanding millions of server seeks.
@@ -265,12 +265,9 @@ impl AccessPattern {
                     "pattern expands past {MAX_PATTERN_RANGES} ranges"
                 )));
             }
-            total = total
-                .checked_add(seg.total_bytes())
-                .filter(|&t| t <= MAX_FRAME_LEN as u64)
-                .ok_or_else(|| {
-                    FrameError::BadMessage("pattern covers more than one frame".into())
-                })?;
+            total = within_one_frame(total, seg.total_bytes()).ok_or_else(|| {
+                FrameError::BadMessage("pattern covers more than one frame".into())
+            })?;
         }
         Ok(())
     }

@@ -189,4 +189,29 @@ proptest! {
         flipped[i] ^= x;
         let _ = Response::decode(Bytes::from(flipped));
     }
+
+    /// An enumerated `Read` asks the server to allocate its lengths: one
+    /// whose lengths sum past a frame — or past `u64::MAX`, where a plain
+    /// sum would wrap back under the bound — is refused at decode.
+    #[test]
+    fn oversized_reads_are_refused_at_decode(
+        subfile in "[a-z/]{1,20}",
+        within in proptest::collection::vec((any::<u64>(), 0u64..4096), 0..8),
+        over in 1u64..=u64::MAX - frame::MAX_FRAME_LEN as u64,
+    ) {
+        let fits: u64 = within.iter().map(|&(_, len)| len).sum();
+        let ok = Request::Read { subfile: subfile.clone(), ranges: within.clone() };
+        prop_assert_eq!(&Request::decode(ok.encode()).unwrap(), &ok);
+
+        let mut ranges = within;
+        ranges.push((0, frame::MAX_FRAME_LEN as u64 - fits + over));
+        let too_long = Request::Read { subfile: subfile.clone(), ranges: ranges.clone() };
+        prop_assert!(Request::decode(too_long.encode()).is_err());
+
+        // (u64::MAX, 1, ...) wraps an unchecked sum to a small number.
+        ranges.pop();
+        ranges.extend([(0, u64::MAX), (0, 1)]);
+        let wraps = Request::Read { subfile, ranges };
+        prop_assert!(Request::decode(wraps.encode()).is_err());
+    }
 }

@@ -1,5 +1,6 @@
-//! `poll(2)`: the one foreign call — and the only `unsafe` — in the tree.
-//! Every other crate root carries `#![deny(unsafe_code)]`.
+//! `poll(2)`: the one foreign call in the tree, and one of its two `unsafe`
+//! sites (the other is `dpfs-meta`'s CRC kernel, `clmul.rs`). Every crate
+//! root carries `#![deny(unsafe_code)]`; these two files alone lift it.
 #![allow(unsafe_code)]
 
 use std::ffi::{c_int, c_short};

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use dpfs::metad::{MetaServer, MetadConfig};
-use dpfs::proto::{frame, AccessPattern, MetaOp, Request, Response};
+use dpfs::proto::{frame, AccessPattern, ErrorCode, MetaOp, Request, Response};
 use dpfs::server::{IoServer, PerfModel, ServerConfig};
 
 /// Serializes the tests in this binary: they measure process-wide CPU
@@ -397,4 +397,30 @@ fn stop_and_wire_shutdown_reach_sleeping_threads_at_once() {
     // Both ports are free again.
     drop(std::net::TcpListener::bind(ion.addr()).unwrap());
     drop(std::net::TcpListener::bind(metad.addr()).unwrap());
+}
+
+/// A 30-byte request must not be able to make an I/O server allocate what
+/// its lengths claim: an enumerated `Read` of 64 TiB used to end in a
+/// failed allocation and abort the whole process. It is refused where it
+/// is decoded, and the connection it came in on keeps working.
+#[test]
+fn a_read_larger_than_a_frame_is_refused_and_the_server_lives() {
+    let _guard = sequential();
+    let ion = start_ion("hostile-read", PerfModel::unthrottled(), 1, 2);
+    let mut c = connect(ion.addr());
+    for (id, ranges) in [
+        (1, vec![(0, 1 << 46)]),
+        (2, vec![(0, u64::MAX), (0, 2)]),
+        (3, vec![(0, frame::MAX_FRAME_LEN as u64), (0, 1)]),
+    ] {
+        let req = Request::Read {
+            subfile: "/f".into(),
+            ranges,
+        };
+        match rpc(&mut c, id, &req) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("request {id}: expected BadRequest, got {other:?}"),
+        }
+    }
+    assert_eq!(rpc(&mut c, 4, &Request::Ping), Response::Pong);
 }
