@@ -152,6 +152,14 @@ if [ "$kernel_callers" != "crates/meta/src/codec.rs " ]; then
     echo "FAIL: the CRC kernel is named in [$kernel_callers]; only crates/meta/src/codec.rs may call it"
     exit 1
 fi
+# `open` reads the attribute row and the distribution in one `OpenFile`;
+# the distribution-only lookup is gone from the wire and from `MetaStore`
+# (`Catalog::get_distribution` stays inherent, for the catalog's own tests).
+if git grep -nE 'GetDistribution|fn get_distribution' \
+    -- crates/proto/src crates/core/src crates/metad/src crates/shell/src; then
+    echo "FAIL: MetaOp::GetDistribution / MetaStore::get_distribution is back (use open_file)"
+    exit 1
+fi
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
@@ -281,6 +289,9 @@ printf '%s\n' \
     'import README.md /readme.md 4096 replica:2' \
     'mv /readme.md /moved.md' \
     'stat /moved.md' \
+    'import README.md /short-lived.md 4096 replica:2' \
+    'mv /short-lived.md /short-lived-2.md' \
+    'rm /short-lived-2.md' \
     | ./target/release/dpfs-sh \
         --metad 127.0.0.1:17451 \
         --server ion0=127.0.0.1:17452 \
@@ -288,6 +299,14 @@ printf '%s\n' \
         --server ion2=127.0.0.1:17454 \
     >target/red-smoke/shell1.out 2>&1
 grep -q 'redundancy: replica:2' target/red-smoke/shell1.out
+# `mv` and `rm` take the redundancy policy from the row their one metadata
+# call moved or removed: the mirrors follow the primaries, and a file that
+# was created, moved and removed leaves nothing on any iond root.
+test "$(ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep -c 'moved\.md')" -eq 6
+if ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep 'short-lived'; then
+    echo "FAIL: create / mv / rm of a replica:2 file left a subfile behind"
+    exit 1
+fi
 # One I/O server goes dark; the export below must reconstruct its bricks
 # from the mirrors — renamed along with the primaries — and still
 # round-trip byte-for-byte.

@@ -332,6 +332,22 @@ impl Testbed {
         self.root.join(&self.specs[idx].name)
     }
 
+    /// `(server index, subfile name)` of every file under the servers'
+    /// directories, the local file names decoded back (`%s` = `/`; a test
+    /// that calls this names no file with a `%`).
+    pub fn on_disk(&self) -> std::collections::BTreeSet<(usize, String)> {
+        (0..self.servers.len())
+            .flat_map(|i| {
+                std::fs::read_dir(self.server_root(i))
+                    .expect("server root")
+                    .map(move |entry| {
+                        let local = entry.expect("dir entry").file_name();
+                        (i, local.to_string_lossy().replace("%s", "/"))
+                    })
+            })
+            .collect()
+    }
+
     /// Stop server `idx` (failure injection). Its connections die; clients
     /// talking to it see transport errors. The listener socket and all
     /// connection threads are reaped before this returns, so the port is

@@ -246,13 +246,12 @@ impl Dpfs {
     /// Open with explicit client options (rank, combination, granularity).
     pub fn open_with(&self, path: &str, opts: ClientOptions) -> Result<FileHandle> {
         let path = normalize_path(path)?;
-        let attr = self
+        let (attr, dist) = self
             .meta
-            .get_file_attr(&path)?
+            .open_file(&path)?
             .ok_or_else(|| DpfsError::NoSuchFile(path.clone()))?;
         let striping = striping_from_attr(&attr)?;
         let layout = Layout::from_striping(&striping)?;
-        let dist = self.meta.get_distribution(&path)?;
         if dist.is_empty() {
             return Err(DpfsError::InvalidArgument(format!(
                 "file {path} has no distribution rows"
@@ -294,21 +293,16 @@ impl Dpfs {
     // --------------------------------------------------- namespace ops
 
     /// Delete a file: metadata first (transactional), then one `Delete`
-    /// per subfile, all servers at once.
+    /// per subfile, all servers at once. Redundant files carry derived
+    /// subfiles under other names; the policy comes from the attribute row
+    /// the transaction removed.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = normalize_path(path)?;
-        // Redundant files carry derived subfiles under other names; note
-        // the policy before the attribute row disappears.
-        let redundancy = self
-            .meta
-            .get_file_attr(&path)?
-            .map(|a| RedundancyPolicy::parse(&a.redundancy))
-            .transpose()?
-            .unwrap_or_default();
-        let dist = self.meta.delete_file(&path).map_err(|e| match e {
+        let (attr, dist) = self.meta.delete_file(&path).map_err(|e| match e {
             MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(path.clone()),
             other => other.into(),
         })?;
+        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
         let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
         let work = redundancy
             .subfiles(&path, servers.len())
@@ -382,22 +376,18 @@ impl Dpfs {
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from_n = normalize_path(from)?;
         let to_n = normalize_path(to)?;
-        let attr = self
-            .meta
-            .get_file_attr(&from_n)?
-            .ok_or_else(|| DpfsError::NoSuchFile(from_n.clone()))?;
-        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
-        let dist = self.meta.get_distribution(&from_n)?;
-        self.meta.rename_file(&from_n, &to_n).map_err(|e| match e {
+        let moved = self.meta.rename_file(&from_n, &to_n);
+        let (attr, dist) = moved.map_err(|e| match e {
             MetaError::DuplicateKey(_) => DpfsError::FileExists(to_n.clone()),
-            // The catalog misses the source (an unlink raced us) or the
-            // destination's directory; a second look tells which.
+            // The catalog misses the source or the destination's directory;
+            // a second look tells which.
             MetaError::NoSuchTable(m) => match self.meta.get_file_attr(&from_n) {
                 Ok(Some(_)) => DpfsError::NoSuchDirectory(m),
                 _ => DpfsError::NoSuchFile(from_n.clone()),
             },
             other => other.into(),
         })?;
+        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
         let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
         let work = redundancy
             .subfiles(&from_n, servers.len())

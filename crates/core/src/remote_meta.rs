@@ -51,8 +51,8 @@ use std::sync::Arc;
 
 use dpfs_meta::catalog::RENAME_INTENT_TAG;
 use dpfs_meta::{
-    DirEntry, Distribution, FileAttrRow, MetaError, MetaStore, Result as MetaResultT, ServerInfo,
-    ShardMap,
+    DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, MetaStore, Result as MetaResultT,
+    ServerInfo, ShardMap,
 };
 use dpfs_proto::{MetaOp, MetaResult, Request, Response};
 
@@ -266,14 +266,15 @@ impl RemoteMetaStore {
     /// unknown (timeout/disconnect), the marker tag on the destination is
     /// the authority: present → roll forward, absent → abort. If even
     /// that read fails, the intent stays recorded for
-    /// [`RemoteMetaStore::recover_rename_intents`].
+    /// [`RemoteMetaStore::recover_rename_intents`]. Returns the entry as
+    /// committed on the destination shard.
     fn rename_across_shards(
         &self,
         src: usize,
         dst: usize,
         from: &str,
         to: &str,
-    ) -> MetaResultT<()> {
+    ) -> MetaResultT<FileEntry> {
         // Phase 1: intent + snapshot on the source shard.
         let (intent, attr, dist, tags) = match self.call(
             src,
@@ -311,8 +312,8 @@ impl RemoteMetaStore {
             dst,
             MetaOp::RenameCommit {
                 intent,
-                attr: moved,
-                dist: moved_dist,
+                attr: moved.clone(),
+                dist: moved_dist.clone(),
                 tags,
             },
         ) {
@@ -375,7 +376,7 @@ impl RemoteMetaStore {
                 tag: RENAME_INTENT_TAG.to_string(),
             },
         );
-        Ok(())
+        Ok((moved, moved_dist))
     }
 
     /// Resolve every pending cross-shard rename intent left behind by a
@@ -497,15 +498,15 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Unit => ()
         )
     }
-    fn delete_file(&self, filename: &str) -> MetaResultT<Vec<Distribution>> {
+    fn delete_file(&self, filename: &str) -> MetaResultT<FileEntry> {
         expect!(
             self,
             self.route_file(filename),
             MetaOp::DeleteFile { filename: filename.into() },
-            MetaResult::Distributions(ds) => ds
+            MetaResult::MaybeEntry(Some(entry)) => entry
         )
     }
-    fn rename_file(&self, from: &str, to: &str) -> MetaResultT<()> {
+    fn rename_file(&self, from: &str, to: &str) -> MetaResultT<FileEntry> {
         let src = self.route_file(from);
         let dst = self.route_file(to);
         if src == dst {
@@ -513,7 +514,7 @@ impl MetaStore for RemoteMetaStore {
                 self,
                 src,
                 MetaOp::RenameFile { from: from.into(), to: to.into() },
-                MetaResult::Unit => ()
+                MetaResult::MaybeEntry(Some(entry)) => entry
             );
         }
         self.rename_across_shards(src, dst, from, to)
@@ -524,6 +525,14 @@ impl MetaStore for RemoteMetaStore {
             self.route_file(filename),
             MetaOp::GetFileAttr { filename: filename.into() },
             MetaResult::MaybeAttr(a) => a
+        )
+    }
+    fn open_file(&self, filename: &str) -> MetaResultT<Option<FileEntry>> {
+        expect!(
+            self,
+            self.route_file(filename),
+            MetaOp::OpenFile { filename: filename.into() },
+            MetaResult::MaybeEntry(entry) => entry
         )
     }
     fn set_file_size(&self, filename: &str, size: i64) -> MetaResultT<()> {
@@ -551,14 +560,6 @@ impl MetaStore for RemoteMetaStore {
         )
     }
 
-    fn get_distribution(&self, filename: &str) -> MetaResultT<Vec<Distribution>> {
-        expect!(
-            self,
-            self.route_file(filename),
-            MetaOp::GetDistribution { filename: filename.into() },
-            MetaResult::Distributions(ds) => ds
-        )
-    }
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> MetaResultT<()> {
         expect!(
             self,

@@ -99,6 +99,11 @@ pub struct FileAttrRow {
     pub redundancy: String,
 }
 
+/// A file's catalog entry as `open`, `unlink` and `rename` need it: the
+/// attribute row and the per-server distribution, read (or removed, or moved)
+/// in one transaction.
+pub type FileEntry = (FileAttrRow, Vec<Distribution>);
+
 /// Typed facade over the DPFS metadata tables.
 #[derive(Clone)]
 pub struct Catalog {
@@ -250,21 +255,27 @@ impl Catalog {
     }
 
     /// Delete a file: removes attributes, distribution rows, and the
-    /// directory link in one transaction. Returns the distribution that was
-    /// removed (callers use it to delete the subfiles on each server).
-    pub fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
+    /// directory link in one transaction. Returns the entry that was removed
+    /// (callers use it to delete the subfiles — the redundancy policy's
+    /// derived ones included — on each server).
+    pub fn delete_file(&self, filename: &str) -> Result<FileEntry> {
         self.db.transaction(|txn| {
-            let dist = get_distribution(txn, filename)?;
-            if !remove_entry(txn, filename)? {
-                return Err(MetaError::NoSuchTable(format!("file {filename}")));
-            }
-            Ok(dist)
+            let entry = get_entry(txn, filename)?
+                .ok_or_else(|| MetaError::NoSuchTable(format!("file {filename}")))?;
+            remove_entry(txn, filename)?;
+            Ok(entry)
         })
     }
 
     /// Fetch a file's attribute row.
     pub fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
         self.db.transaction(|txn| get_attr(txn, filename))
+    }
+
+    /// Fetch a file's attribute row and distribution, consistent with each
+    /// other: everything `open` needs.
+    pub fn open_file(&self, filename: &str) -> Result<Option<FileEntry>> {
+        self.db.transaction(|txn| get_entry(txn, filename))
     }
 
     /// Set one attribute column of an existing file.
@@ -278,13 +289,21 @@ impl Catalog {
         })
     }
 
-    /// Update a file's recorded size (grows on write).
+    /// Grow a file's recorded size to at least `size` — `size = max(size,
+    /// ?)` in one transaction, so the result does not depend on the order in
+    /// which the growing writes of several handles arrive. A file already
+    /// that long is left alone; a missing file is `NoSuchTable`.
     pub fn set_file_size(&self, filename: &str, size: i64) -> Result<()> {
-        self.set_attr(
-            "UPDATE dpfs_file_attr SET size = ? WHERE filename = ?",
-            Value::Int(size),
-            filename,
-        )
+        self.db.transaction(|txn| {
+            let grown = txn.execute_with(
+                "UPDATE dpfs_file_attr SET size = ? WHERE filename = ? AND size < ?",
+                &[Value::Int(size), filename.into(), Value::Int(size)],
+            )?;
+            if affected(&grown)? == 0 && !file_exists(txn, filename)? {
+                return Err(MetaError::NoSuchTable(format!("file {filename}")));
+            }
+            Ok(())
+        })
     }
 
     /// Update a file's permission bits.
@@ -451,19 +470,19 @@ impl Catalog {
     }
 
     /// Rename a file within the same directory tree (metadata only).
-    pub fn rename_file(&self, from: &str, to: &str) -> Result<()> {
+    /// Returns the entry that moved, under its new name.
+    pub fn rename_file(&self, from: &str, to: &str) -> Result<FileEntry> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
         if parent_dir(&from).is_none() {
             return Err(MetaError::Txn(format!("{from} has no parent")));
         }
         self.db.transaction(|txn| {
+            let (mut attr, mut dist) = get_entry(txn, &from)?
+                .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
             if file_exists(txn, &to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
-            let mut attr = get_attr(txn, &from)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
-            let mut dist = get_distribution(txn, &from)?;
             let tags = list_tags(txn, &from)?;
             // Unlink before linking: when both names share a directory the
             // second rewrite of its file list must see the first.
@@ -472,7 +491,8 @@ impl Catalog {
             for d in &mut dist {
                 d.filename = to.clone();
             }
-            create_entry(txn, &attr, &dist, &tags)
+            create_entry(txn, &attr, &dist, &tags)?;
+            Ok((attr, dist))
         })
     }
 
@@ -725,6 +745,13 @@ fn get_attr(txn: &Txn<'_>, filename: &str) -> Result<Option<FileAttrRow>> {
     rs.rows.first().map(|r| attr_from_row(r)).transpose()
 }
 
+fn get_entry(txn: &Txn<'_>, filename: &str) -> Result<Option<FileEntry>> {
+    match get_attr(txn, filename)? {
+        Some(attr) => Ok(Some((attr, get_distribution(txn, filename)?))),
+        None => Ok(None),
+    }
+}
+
 fn file_exists(txn: &Txn<'_>, filename: &str) -> Result<bool> {
     let rs = txn.execute_with(
         "SELECT filename FROM dpfs_file_attr WHERE filename = ?",
@@ -875,13 +902,12 @@ fn create_entry(
 }
 
 /// Remove the entry `filename`: attributes, distribution, tags and the link
-/// in its parent directory. Returns whether the attribute row existed; the
-/// other rows are removed either way.
-fn remove_entry(txn: &Txn<'_>, filename: &str) -> Result<bool> {
-    let existed = affected(&txn.execute_with(
+/// in its parent directory — whichever of them exist.
+fn remove_entry(txn: &Txn<'_>, filename: &str) -> Result<()> {
+    txn.execute_with(
         "DELETE FROM dpfs_file_attr WHERE filename = ?",
         &[filename.into()],
-    )?)? > 0;
+    )?;
     txn.execute_with(
         "DELETE FROM dpfs_file_distribution WHERE filename = ?",
         &[filename.into()],
@@ -896,7 +922,7 @@ fn remove_entry(txn: &Txn<'_>, filename: &str) -> Result<bool> {
             set_dir_files(txn, &parent, &files)?;
         }
     }
-    Ok(existed)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1223,8 +1249,12 @@ mod tests {
             bricklist: vec![0, 1],
         }];
         c.create_file(&attr, &dist).unwrap();
-        let removed = c.delete_file("/f").unwrap();
-        assert_eq!(removed.len(), 1);
+        assert_eq!(
+            c.open_file("/f").unwrap(),
+            Some((attr.clone(), dist.clone()))
+        );
+        assert_eq!(c.delete_file("/f").unwrap(), (attr, dist));
+        assert_eq!(c.open_file("/f").unwrap(), None);
         assert!(c.get_file_attr("/f").unwrap().is_none());
         assert!(c.get_distribution("/f").unwrap().is_empty());
         assert!(c.get_dir("/").unwrap().unwrap().files.is_empty());
@@ -1326,9 +1356,20 @@ mod tests {
     fn set_file_size() {
         let c = catalog();
         c.create_file(&sample_attr("/f"), &[]).unwrap();
+        let size = |c: &Catalog| c.get_file_attr("/f").unwrap().unwrap().size;
+        let was = size(&c);
+        // Grow-only: whichever order two handles' growing writes arrive in,
+        // the file ends as long as the longer one.
         c.set_file_size("/f", 999).unwrap();
-        assert_eq!(c.get_file_attr("/f").unwrap().unwrap().size, 999);
-        assert!(c.set_file_size("/missing", 1).is_err());
+        assert_eq!(size(&c), was);
+        c.set_file_size("/f", was + 999).unwrap();
+        assert_eq!(size(&c), was + 999);
+        c.set_file_size("/f", was + 1).unwrap();
+        assert_eq!(size(&c), was + 999);
+        assert!(matches!(
+            c.set_file_size("/missing", 1),
+            Err(MetaError::NoSuchTable(_))
+        ));
     }
 
     #[test]

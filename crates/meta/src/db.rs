@@ -226,6 +226,11 @@ impl Database {
         Ok(Database::from_inner(inner))
     }
 
+    /// Whether a commit waits for its WAL record to reach the disk.
+    pub fn syncs_on_commit(&self) -> bool {
+        self.inner.lock().unwrap().sync_on_commit
+    }
+
     /// Execute one SQL statement that binds no parameters. Autocommits
     /// unless a `BEGIN` transaction is open on this database.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {

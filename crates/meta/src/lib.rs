@@ -55,7 +55,9 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use catalog::{Catalog, DirEntry, Distribution, FileAttrRow, RenameIntent, ServerInfo};
+pub use catalog::{
+    Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, RenameIntent, ServerInfo,
+};
 pub use db::{Database, ResultSet};
 pub use error::{MetaError, Result};
 pub use shard::ShardMap;

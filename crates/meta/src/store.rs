@@ -9,7 +9,7 @@
 //! `dpfs-core`'s `RemoteMetaStore` speaks the same surface over the metadata
 //! RPCs to a `dpfs-metad` daemon.
 
-use crate::catalog::{Catalog, DirEntry, Distribution, FileAttrRow, ServerInfo};
+use crate::catalog::{Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, ServerInfo};
 use crate::error::Result;
 
 /// Abstract metadata service: the [`Catalog`] surface. Object-safe; `Dpfs`
@@ -31,13 +31,15 @@ pub trait MetaStore: Send + Sync {
 
     /// Create a file (attrs + distribution + directory link, atomically).
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()>;
-    /// Delete a file; returns the removed distribution.
-    fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>>;
-    /// Rename a file (metadata only).
-    fn rename_file(&self, from: &str, to: &str) -> Result<()>;
+    /// Delete a file; returns the removed entry.
+    fn delete_file(&self, filename: &str) -> Result<FileEntry>;
+    /// Rename a file (metadata only); returns the entry under its new name.
+    fn rename_file(&self, from: &str, to: &str) -> Result<FileEntry>;
     /// Fetch a file's attribute row.
     fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>>;
-    /// Update a file's recorded size.
+    /// Fetch a file's attribute row and distribution in one consistent read.
+    fn open_file(&self, filename: &str) -> Result<Option<FileEntry>>;
+    /// Grow a file's recorded size to at least `size`.
     fn set_file_size(&self, filename: &str, size: i64) -> Result<()>;
     /// Update a file's permission bits.
     fn set_file_permission(&self, filename: &str, permission: i64) -> Result<()>;
@@ -46,8 +48,6 @@ pub trait MetaStore: Send + Sync {
 
     // ---- distribution ----
 
-    /// The per-server brick distribution of a file, ordered by server.
-    fn get_distribution(&self, filename: &str) -> Result<Vec<Distribution>>;
     /// Replace a file's distribution rows atomically.
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()>;
 
@@ -107,14 +107,17 @@ impl MetaStore for Catalog {
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
         Catalog::create_file(self, attr, dist)
     }
-    fn delete_file(&self, filename: &str) -> Result<Vec<Distribution>> {
+    fn delete_file(&self, filename: &str) -> Result<FileEntry> {
         Catalog::delete_file(self, filename)
     }
-    fn rename_file(&self, from: &str, to: &str) -> Result<()> {
+    fn rename_file(&self, from: &str, to: &str) -> Result<FileEntry> {
         Catalog::rename_file(self, from, to)
     }
     fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
         Catalog::get_file_attr(self, filename)
+    }
+    fn open_file(&self, filename: &str) -> Result<Option<FileEntry>> {
+        Catalog::open_file(self, filename)
     }
     fn set_file_size(&self, filename: &str, size: i64) -> Result<()> {
         Catalog::set_file_size(self, filename, size)
@@ -126,9 +129,6 @@ impl MetaStore for Catalog {
         Catalog::set_file_owner(self, filename, owner)
     }
 
-    fn get_distribution(&self, filename: &str) -> Result<Vec<Distribution>> {
-        Catalog::get_distribution(self, filename)
-    }
     fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
         Catalog::update_distribution(self, filename, dist)
     }
@@ -217,8 +217,10 @@ mod tests {
         .unwrap();
         s.set_tag("/home/f", "k", "v").unwrap();
         assert_eq!(s.get_tag("/home/f", "k").unwrap().unwrap(), "v");
-        s.rename_file("/home/f", "/home/g").unwrap();
-        assert_eq!(s.get_distribution("/home/g").unwrap().len(), 1);
+        let (moved, dist) = s.rename_file("/home/f", "/home/g").unwrap();
+        assert_eq!((moved.filename.as_str(), dist.len()), ("/home/g", 1));
+        assert_eq!(s.open_file("/home/g").unwrap(), Some((moved, dist)));
+        assert_eq!(s.open_file("/home/f").unwrap(), None);
         assert_eq!(s.server_brick_counts().unwrap(), vec![("s0".into(), 2)]);
         s.delete_file("/home/g").unwrap();
         assert!(s.get_file_attr("/home/g").unwrap().is_none());
@@ -354,7 +356,10 @@ mod tests {
                 Box::new(|| s.update_distribution("/d/f", &[dist("/d/f")])),
             ),
             ("set_tag", Box::new(|| s.set_tag("/d/f", "k", "v"))),
-            ("rename_file", Box::new(|| s.rename_file("/d/f", "/d/g"))),
+            (
+                "rename_file",
+                Box::new(|| s.rename_file("/d/f", "/d/g").map(|_| ())),
+            ),
             (
                 "remove_tag",
                 Box::new(|| s.remove_tag("/d/g", "k").map(|_| ())),

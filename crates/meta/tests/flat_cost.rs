@@ -91,7 +91,7 @@ fn costs(files: usize) -> Vec<(&'static str, Duration)> {
             cost(|_| {
                 c.create_file(&attr("/d1/probe"), &dist("/d1/probe"))
                     .unwrap();
-                assert_eq!(c.delete_file("/d1/probe").unwrap().len(), 4);
+                assert_eq!(c.delete_file("/d1/probe").unwrap().1.len(), 4);
             }),
         ),
         (

@@ -117,14 +117,14 @@ fn a_directory_of_the_parent_commit_opens_indexed_and_answers_the_same() {
         next_id += 1;
     };
     prepare_and_abort(&c);
-    c.set_file_size("/a/f2", 5).unwrap();
+    c.set_file_size("/a/f2", 5005).unwrap();
     drop(c);
     drop(db);
     for checkpoint in [true, false] {
         let db = Arc::new(Database::open_with_sync(&dir, false).unwrap());
         let c = Catalog::new(db.clone()).unwrap();
         prepare_and_abort(&c);
-        check_contents(&c, 5);
+        check_contents(&c, 5005);
         assert_eq!(
             db.execute("SELECT COUNT(*) FROM dpfs_rename_intent")
                 .unwrap()

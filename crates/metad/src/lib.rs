@@ -217,6 +217,8 @@ pub struct MetaHandler {
     /// The daemon's shard-map view; replies to `GetShardMap` and lets
     /// clients cross-check their mount topology.
     shard_map: ShardMap,
+    /// The database fsyncs on commit: any op may then wait behind one.
+    fsyncs: bool,
 }
 
 impl MetaHandler {
@@ -238,6 +240,7 @@ impl MetaHandler {
     ) -> dpfs_meta::Result<MetaHandler> {
         Ok(MetaHandler {
             name: name.into(),
+            fsyncs: db.syncs_on_commit(),
             store: Catalog::new(db)?,
             stats: MetadStats::default(),
             shard_id,
@@ -289,9 +292,12 @@ impl MetaHandler {
             Op::GetServer { name } => s.get_server(&name).map(R::MaybeServer),
             Op::RemoveServer { name } => s.remove_server(&name).map(R::Bool),
             Op::CreateFile { attr, dist } => s.create_file(&attr, &dist).map(|()| R::Unit),
-            Op::DeleteFile { filename } => s.delete_file(&filename).map(R::Distributions),
-            Op::RenameFile { from, to } => s.rename_file(&from, &to).map(|()| R::Unit),
+            Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
+            Op::RenameFile { from, to } => {
+                s.rename_file(&from, &to).map(|e| R::MaybeEntry(Some(e)))
+            }
             Op::GetFileAttr { filename } => s.get_file_attr(&filename).map(R::MaybeAttr),
+            Op::OpenFile { filename } => s.open_file(&filename).map(R::MaybeEntry),
             Op::SetFileSize { filename, size } => {
                 s.set_file_size(&filename, size).map(|()| R::Unit)
             }
@@ -304,7 +310,6 @@ impl MetaHandler {
             Op::SetFileOwner { filename, owner } => {
                 s.set_file_owner(&filename, &owner).map(|()| R::Unit)
             }
-            Op::GetDistribution { filename } => s.get_distribution(&filename).map(R::Distributions),
             Op::UpdateDistribution { filename, dist } => {
                 s.update_distribution(&filename, &dist).map(|()| R::Unit)
             }
@@ -411,6 +416,14 @@ impl Service for MetaHandler {
 
     fn handle_traced(&self, req: Request, trace_id: u64) -> Response {
         MetaHandler::handle_traced(self, req, trace_id)
+    }
+
+    /// A catalog op is microseconds of in-memory SQL and one buffered WAL
+    /// append, so it is answered where it was decoded — unless commits
+    /// fsync: then every op, reads included, may queue behind a flush under
+    /// the database's transaction gate, and all of them go to the workers.
+    fn may_block(&self, _req: &Request) -> bool {
+        self.fsyncs
     }
 
     fn note_connection(&self) {
@@ -633,14 +646,31 @@ mod tests {
                 to: "/d/g".into(),
             },
         );
-        assert_eq!(r, MetaResult::Unit);
+        let MetaResult::MaybeEntry(Some(moved)) = r else {
+            panic!("rename answers with the entry it moved, got {r:?}");
+        };
+        assert_eq!((moved.0.filename.as_str(), moved.1.len()), ("/d/g", 1));
+        let r = meta(
+            &h,
+            MetaOp::OpenFile {
+                filename: "/d/g".into(),
+            },
+        );
+        assert_eq!(r, MetaResult::MaybeEntry(Some(moved.clone())));
         let r = meta(
             &h,
             MetaOp::DeleteFile {
                 filename: "/d/g".into(),
             },
         );
-        assert!(matches!(r, MetaResult::Distributions(ref ds) if ds.len() == 1));
+        assert_eq!(r, MetaResult::MaybeEntry(Some(moved)));
+        let r = meta(
+            &h,
+            MetaOp::OpenFile {
+                filename: "/d/g".into(),
+            },
+        );
+        assert_eq!(r, MetaResult::MaybeEntry(None));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dpfs_meta::{DirEntry, Distribution, FileAttrRow, MetaError, ServerInfo};
+use dpfs_meta::{DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
 
 use crate::frame::FrameError;
 
@@ -38,6 +38,11 @@ pub enum MetaOp {
     GetFileAttr {
         filename: String,
     },
+    /// Everything `open` needs — the attribute row and the distribution —
+    /// read in one transaction.
+    OpenFile {
+        filename: String,
+    },
     SetFileSize {
         filename: String,
         size: i64,
@@ -49,9 +54,6 @@ pub enum MetaOp {
     SetFileOwner {
         filename: String,
         owner: String,
-    },
-    GetDistribution {
-        filename: String,
     },
     UpdateDistribution {
         filename: String,
@@ -129,7 +131,10 @@ pub enum MetaResult {
     MaybeAttr(Option<FileAttrRow>),
     MaybeDir(Option<DirEntry>),
     MaybeString(Option<String>),
-    Distributions(Vec<Distribution>),
+    /// A file's catalog entry, attribute row and distribution together:
+    /// what `OpenFile` found, what `DeleteFile` removed, what `RenameFile`
+    /// moved (under its new name).
+    MaybeEntry(Option<FileEntry>),
     Tags(Vec<(String, String)>),
     TagHits(Vec<(String, String, i64)>),
     BrickCounts(Vec<(String, i64)>),
@@ -166,10 +171,10 @@ impl MetaOp {
             MetaOp::DeleteFile { .. } => "meta.delete_file",
             MetaOp::RenameFile { .. } => "meta.rename_file",
             MetaOp::GetFileAttr { .. } => "meta.get_file_attr",
+            MetaOp::OpenFile { .. } => "meta.open_file",
             MetaOp::SetFileSize { .. } => "meta.set_file_size",
             MetaOp::SetFilePermission { .. } => "meta.set_file_permission",
             MetaOp::SetFileOwner { .. } => "meta.set_file_owner",
-            MetaOp::GetDistribution { .. } => "meta.get_distribution",
             MetaOp::UpdateDistribution { .. } => "meta.update_distribution",
             MetaOp::Mkdir { .. } => "meta.mkdir",
             MetaOp::Rmdir { .. } => "meta.rmdir",
@@ -444,10 +449,6 @@ impl MetaOp {
                 put_str(buf, filename);
                 put_str(buf, owner);
             }
-            MetaOp::GetDistribution { filename } => {
-                buf.put_u8(12);
-                put_str(buf, filename);
-            }
             MetaOp::UpdateDistribution { filename, dist } => {
                 buf.put_u8(13);
                 put_str(buf, filename);
@@ -522,6 +523,10 @@ impl MetaOp {
                 put_i64(buf, *intent);
             }
             MetaOp::ListRenameIntents => buf.put_u8(29),
+            MetaOp::OpenFile { filename } => {
+                buf.put_u8(30);
+                put_str(buf, filename);
+            }
         }
     }
 
@@ -564,9 +569,6 @@ impl MetaOp {
             11 => MetaOp::SetFileOwner {
                 filename: get_str(buf)?,
                 owner: get_str(buf)?,
-            },
-            12 => MetaOp::GetDistribution {
-                filename: get_str(buf)?,
             },
             13 => MetaOp::UpdateDistribution {
                 filename: get_str(buf)?,
@@ -620,6 +622,9 @@ impl MetaOp {
                 intent: get_i64(buf)?,
             },
             29 => MetaOp::ListRenameIntents,
+            30 => MetaOp::OpenFile {
+                filename: get_str(buf)?,
+            },
             other => return Err(FrameError::BadMessage(format!("bad meta op tag {other}"))),
         })
     }
@@ -684,10 +689,6 @@ impl MetaResult {
                     }
                 }
             }
-            MetaResult::Distributions(ds) => {
-                buf.put_u8(8);
-                put_dist_list(buf, ds);
-            }
             MetaResult::Tags(xs) => {
                 buf.put_u8(9);
                 buf.put_u32_le(xs.len() as u32);
@@ -743,6 +744,17 @@ impl MetaResult {
                     put_str(buf, dst);
                 }
             }
+            MetaResult::MaybeEntry(opt) => {
+                buf.put_u8(16);
+                match opt {
+                    None => buf.put_u8(0),
+                    Some((attr, dist)) => {
+                        buf.put_u8(1);
+                        put_attr(buf, attr);
+                        put_dist_list(buf, dist);
+                    }
+                }
+            }
         }
     }
 
@@ -784,7 +796,6 @@ impl MetaResult {
             } else {
                 None
             }),
-            8 => MetaResult::Distributions(get_dist_list(buf)?),
             9 => {
                 let n = get_u32(buf)? as usize;
                 let mut xs = Vec::with_capacity(n.min(1 << 16));
@@ -830,6 +841,11 @@ impl MetaResult {
                 }
                 MetaResult::Intents(xs)
             }
+            16 => MetaResult::MaybeEntry(if get_u8(buf)? != 0 {
+                Some((get_attr(buf)?, get_dist_list(buf)?))
+            } else {
+                None
+            }),
             other => {
                 return Err(FrameError::BadMessage(format!(
                     "bad meta result tag {other}"
@@ -929,7 +945,7 @@ mod tests {
             filename: "/f".into(),
             owner: "o'brien".into(),
         });
-        round_trip_op(MetaOp::GetDistribution {
+        round_trip_op(MetaOp::OpenFile {
             filename: "/f".into(),
         });
         round_trip_op(MetaOp::UpdateDistribution {
@@ -1002,8 +1018,9 @@ mod tests {
         })));
         round_trip_result(MetaResult::MaybeString(None));
         round_trip_result(MetaResult::MaybeString(Some("v".into())));
-        round_trip_result(MetaResult::Distributions(sample_dist()));
-        round_trip_result(MetaResult::Distributions(vec![]));
+        round_trip_result(MetaResult::MaybeEntry(None));
+        round_trip_result(MetaResult::MaybeEntry(Some((sample_attr(), sample_dist()))));
+        round_trip_result(MetaResult::MaybeEntry(Some((sample_attr(), vec![]))));
         round_trip_result(MetaResult::Tags(vec![("k".into(), "v".into())]));
         round_trip_result(MetaResult::TagHits(vec![("/f".into(), "v".into(), 9)]));
         round_trip_result(MetaResult::BrickCounts(vec![("s0".into(), 3)]));
@@ -1024,18 +1041,33 @@ mod tests {
         ]));
     }
 
-    /// Tag 23 was `Generation`: retired, not reassigned, so a request from
-    /// an older client is refused instead of decoding to another verb.
+    /// Op tags 12 (the distribution-only lookup) and 23 (`Generation`) and
+    /// result tag 8 (`Distributions`) are retired, not reassigned: a message
+    /// from an older peer is refused instead of decoding to another verb or
+    /// shape.
     #[test]
-    fn retired_op_tag_is_rejected() {
-        let mut enc = Request::Meta {
+    fn retired_tags_are_rejected() {
+        let enc = Request::Meta {
             op: MetaOp::GetShardMap,
         }
-        .encode()
-        .to_vec();
-        assert_eq!(enc.pop(), Some(24));
-        enc.push(23);
-        assert!(Request::decode(Bytes::from(enc)).is_err());
+        .encode();
+        assert_eq!(enc.last(), Some(&24));
+        for retired in [23u8, 12] {
+            let mut old = enc.to_vec();
+            *old.last_mut().unwrap() = retired;
+            old.extend_from_slice(&[2, 0, 0, 0, b'/', b'f']);
+            assert!(Request::decode(Bytes::from(old)).is_err(), "op {retired}");
+        }
+        let enc = Response::Meta {
+            shard: 0,
+            result: MetaResult::Unit,
+        }
+        .encode();
+        assert_eq!(enc.last(), Some(&1));
+        let mut old = enc.to_vec();
+        *old.last_mut().unwrap() = 8;
+        old.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(Response::decode(Bytes::from(old)).is_err());
     }
 
     #[test]
@@ -1127,6 +1159,17 @@ mod tests {
             assert!(
                 Response::decode(enc.slice(..cut)).is_err(),
                 "prepared cut at {cut} should fail"
+            );
+        }
+        let enc = Response::Meta {
+            shard: 1,
+            result: MetaResult::MaybeEntry(Some((sample_attr(), sample_dist()))),
+        }
+        .encode();
+        for cut in 1..enc.len() {
+            assert!(
+                Response::decode(enc.slice(..cut)).is_err(),
+                "entry cut at {cut} should fail"
             );
         }
     }

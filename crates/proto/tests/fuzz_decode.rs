@@ -2,7 +2,8 @@
 //! the framing layer — they either parse or error.
 
 use bytes::Bytes;
-use dpfs_proto::{frame, AccessPattern, Request, Response};
+use dpfs_meta::{Distribution, FileAttrRow};
+use dpfs_proto::{frame, AccessPattern, MetaOp, MetaResult, Request, Response};
 use proptest::prelude::*;
 
 /// Sorted, disjoint, non-empty `(offset, len)` ranges — the planner's
@@ -213,5 +214,75 @@ proptest! {
         ranges.extend([(0, u64::MAX), (0, 1)]);
         let wraps = Request::Read { subfile, ranges };
         prop_assert!(Request::decode(wraps.encode()).is_err());
+    }
+
+    /// `OpenFile` and the entry-carrying reply (`OpenFile`'s, `DeleteFile`'s,
+    /// `RenameFile`'s) round-trip; every strict prefix and any trailing
+    /// garbage is refused; a count that claims more rows than the message
+    /// holds is refused without being believed; flipped bytes never panic.
+    #[test]
+    fn open_file_and_its_entry_reply_survive_the_same_treatment(
+        filename in "[a-zA-Z0-9/_.%#-]{0,48}",
+        dims in proptest::collection::vec(any::<i64>(), 0..4),
+        rows in proptest::collection::vec(
+            ("[a-z0-9.]{1,12}", proptest::collection::vec(any::<i64>(), 0..8)),
+            0..5,
+        ),
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+        claimed in 1u32..=u32::MAX,
+        pos in any::<usize>(),
+        x in 1u8..=255,
+    ) {
+        let req = Request::Meta { op: MetaOp::OpenFile { filename: filename.clone() } };
+        let enc = req.encode();
+        prop_assert_eq!(&Request::decode(enc.clone()).unwrap(), &req);
+        for cut in 0..enc.len() {
+            prop_assert!(Request::decode(enc.slice(..cut)).is_err(), "cut at {}", cut);
+        }
+        let mut long = enc.to_vec();
+        long.extend_from_slice(&garbage);
+        prop_assert!(Request::decode(Bytes::from(long)).is_err());
+
+        let attr = FileAttrRow {
+            filename: filename.clone(),
+            owner: "o".into(),
+            permission: 0o644,
+            size: 1 << 20,
+            filelevel: "multidim".into(),
+            dims: dims.len() as i64,
+            dimsize: dims.clone(),
+            stripe_dims: dims,
+            stripe_size: 4096,
+            pattern: String::new(),
+            placement: "greedy".into(),
+            redundancy: "replica:2".into(),
+        };
+        let dist: Vec<Distribution> = rows
+            .into_iter()
+            .map(|(server, bricklist)| Distribution { server, filename: filename.clone(), bricklist })
+            .collect();
+        let reply = |entry| Response::Meta { shard: 1, result: MetaResult::MaybeEntry(entry) };
+        let none = reply(None);
+        prop_assert_eq!(&Response::decode(none.encode()).unwrap(), &none);
+        let resp = reply(Some((attr.clone(), dist)));
+        let enc = resp.encode();
+        prop_assert_eq!(&Response::decode(enc.clone()).unwrap(), &resp);
+        for cut in 0..enc.len() {
+            prop_assert!(Response::decode(enc.slice(..cut)).is_err(), "cut at {}", cut);
+        }
+        let mut long = enc.to_vec();
+        long.extend_from_slice(&garbage);
+        prop_assert!(Response::decode(Bytes::from(long)).is_err());
+        let mut flipped = enc.to_vec();
+        let i = pos % flipped.len();
+        flipped[i] ^= x;
+        let _ = Response::decode(Bytes::from(flipped));
+
+        // An empty distribution ends the message with its zero row count.
+        let mut lying = reply(Some((attr, Vec::new()))).encode().to_vec();
+        let at = lying.len() - 4;
+        prop_assert_eq!(&lying[at..], &[0u8; 4]);
+        lying[at..].copy_from_slice(&claimed.to_le_bytes());
+        prop_assert!(Response::decode(Bytes::from(lying)).is_err());
     }
 }

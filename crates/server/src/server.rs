@@ -65,6 +65,28 @@ impl Service for Handler {
         Handler::handle_traced(self, req, trace_id)
     }
 
+    /// Names and sizes are answered where they were decoded. Whatever moves
+    /// file bytes or flushes them waits for a device — modelled
+    /// (`inject_delay`) or real — and belongs to a worker, whatever the
+    /// performance model says.
+    fn may_block(&self, req: &Request) -> bool {
+        match req {
+            Request::Ping
+            | Request::Stats
+            | Request::Stat { .. }
+            | Request::Delete { .. }
+            | Request::Rename { .. }
+            | Request::Truncate { .. }
+            | Request::Meta { .. } => false,
+            Request::Read { .. }
+            | Request::Write { .. }
+            | Request::ReadList { .. }
+            | Request::WriteList { .. }
+            | Request::Sync { .. }
+            | Request::Shutdown => true,
+        }
+    }
+
     fn note_connection(&self) {
         self.stats().connections.fetch_add(1, Ordering::Relaxed);
     }

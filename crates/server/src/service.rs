@@ -7,18 +7,27 @@
 //! timer anywhere. The acceptor blocks in `poll(2)` on the listener; a small
 //! set of I/O *shards* each block in one `poll` over their many nonblocking
 //! connections, accumulating reads into per-connection buffers and decoding
-//! frames incrementally ([`dpfs_proto::frame::decode_bytes`]); a shared
-//! worker pool services decoded requests and writes each framed response to
-//! the owning connection's socket itself, leaving to the shard only what the
-//! socket would not take. Whatever a sleeping thread cannot see on its
-//! descriptors reaches it through its wake fd. C10K-ready: thread count is
-//! `1 + shards + workers`, independent of connections.
+//! frames incrementally ([`dpfs_proto::frame::decode_bytes`]). A request
+//! that cannot block ([`Service::may_block`] says so: a name or a size, not
+//! file bytes) is answered by the shard thread that decoded it — a round
+//! trip is then two thread wake-ups shorter. The shared worker pool serves
+//! what may block (a device, an fsync, a modelled delay), so a slow request
+//! never holds up a shard's other connections. Whoever handled the request
+//! writes its framed response to the owning connection's socket itself,
+//! leaving to the shard's flush only what the socket would not take.
+//! Whatever a sleeping thread cannot see on its descriptors reaches it
+//! through its wake fd. C10K-ready: thread count is `1 + shards + workers`,
+//! independent of connections.
 //!
 //! The serving contract: requests on one connection may overlap their
-//! service times and complete out of order, each response frame echoing its
-//! request's correlation ID; a frame that is not v2/v3 (bad magic, bad
-//! checksum, oversized) severs the connection that sent it and no other;
-//! and every request leaves `decode`/`queue`/`respond` server trace events.
+//! service times and complete out of order — a non-blocking request
+//! overtakes a blocking one ahead of it, while non-blocking requests among
+//! themselves are answered in the order they were sent — each response frame
+//! echoing its request's correlation ID; a frame that is not v2/v3 (bad
+//! magic, bad checksum, oversized) severs the connection that sent it and no
+//! other; and every request leaves `decode`/`queue`/`respond` server trace
+//! events (a request answered on the shard waited in no queue: its `queue`
+//! span has zero length).
 
 use std::collections::VecDeque;
 use std::ffi::c_short;
@@ -47,6 +56,17 @@ pub trait Service: Send + Sync + 'static {
     /// producing exactly one response. Must never panic on malformed
     /// input.
     fn handle_traced(&self, req: Request, trace_id: u64) -> Response;
+    /// May handling `req` wait for something — a device, an fsync, a lock
+    /// held across either, a modelled delay? A request that may is handled
+    /// by the worker pool; one that cannot is answered by the I/O shard
+    /// thread that decoded it, ahead of that shard's other connections, so
+    /// `false` is a promise of microseconds. A property of the request (and
+    /// of how the service was built), not a setting; the default keeps every
+    /// request on the workers. `Shutdown` is never asked about: it always
+    /// drains through a worker.
+    fn may_block(&self, _req: &Request) -> bool {
+        true
+    }
     /// Called once per accepted connection (statistics hook).
     fn note_connection(&self) {}
 }
@@ -80,7 +100,10 @@ const DEFAULT_SHARDS: usize = 2;
 const DEFAULT_WORKERS: usize = 8;
 
 /// Bytes one connection may pull off its socket per shard pass before the
-/// shard moves on (fairness between connections on one shard).
+/// shard moves on (fairness between connections on one shard). A request the
+/// shard answers itself is charged as [`PROBE_LEN`] bytes, so a peer that
+/// pipelines thousands of tiny requests gets 64 of them (and the rest of the
+/// read that crossed the line) answered per pass, not all of them.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Cap on the bytes queued outbound per connection. A peer that stops
@@ -116,9 +139,9 @@ pub(crate) fn accept_error_backoff(consecutive: u32) -> Duration {
 
 /// Outbound frames of one connection, as the refcounted parts they were
 /// framed from: the queue holds references to reply payloads, never
-/// copies. Whole frames are pushed by workers; whoever holds the socket's
-/// lock flushes with gathered writes. Empty until used, so an idle
-/// connection costs nothing.
+/// copies. Whole frames are pushed by whoever handled the request; whoever
+/// holds the socket's lock flushes with gathered writes. Empty until used,
+/// so an idle connection costs nothing.
 #[derive(Default)]
 struct OutQueue {
     /// Unwritten parts in wire order. A partial write advances the front
@@ -503,14 +526,20 @@ fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<u
     }
 }
 
-/// Dispatch every complete frame in `c`'s buffer; false means drop the
-/// connection (corrupt stream, or the worker pool is gone).
+/// Dispatch every complete frame in `c`'s buffer, adding to `answered` the
+/// requests replied to right here; false means drop the connection (corrupt
+/// stream, or the worker pool is gone).
 ///
 /// Once a whole frame is in, the buffer is frozen and frames are split off
 /// it: each request's payload is a refcounted window of the bytes the
 /// socket delivered, not a copy. What is left over — a partial frame, or
 /// whatever followed a `Shutdown` — starts the next buffer.
-fn decode_ready(c: &mut ShardConn, service: &Arc<dyn Service>, jobs: &mpsc::Sender<Job>) -> bool {
+fn decode_ready(
+    c: &mut ShardConn,
+    service: &Arc<dyn Service>,
+    jobs: &mpsc::Sender<Job>,
+    answered: &mut usize,
+) -> bool {
     match frame::frame_len(&c.inbuf) {
         Ok(Some(total)) if total <= c.inbuf.len() && !c.stop_reading => {}
         Ok(_) => return true,
@@ -520,7 +549,7 @@ fn decode_ready(c: &mut ShardConn, service: &Arc<dyn Service>, jobs: &mpsc::Send
     while !c.stop_reading {
         match frame::decode_bytes(&mut buf) {
             Ok(Some(fr)) => {
-                if !dispatch_frame(c, fr, service, jobs) {
+                if !dispatch_frame(c, fr, service, jobs, answered) {
                     return false;
                 }
             }
@@ -567,10 +596,10 @@ fn service_conn(
         return ConnFate::Keep;
     }
     // Read and decode while the fairness budget lasts. Complete frames
-    // become jobs (or inline error replies); partial frames wait for more
-    // bytes; corruption drops the connection. Input left unread once the
-    // budget is spent is still there, and reported again by the next
-    // `poll`.
+    // become jobs or are answered here, each answer charged to the budget;
+    // partial frames wait for more bytes; corruption drops the connection.
+    // Input left unread once the budget is spent is still there, and
+    // reported again by the next `poll`.
     let mut read_total = 0usize;
     while revents & POLLIN != 0
         && read_total < READ_BUDGET
@@ -580,10 +609,11 @@ fn service_conn(
         match read_more(c, probe, READ_BUDGET - read_total) {
             Ok(0) => c.io.peer_eof.store(true, Ordering::SeqCst),
             Ok(n) => {
-                read_total += n;
-                if !decode_ready(c, service, jobs) {
+                let mut answered = 0;
+                if !decode_ready(c, service, jobs, &mut answered) {
                     return ConnFate::Close;
                 }
+                read_total += n + answered * PROBE_LEN;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -602,13 +632,52 @@ fn service_conn(
     ConnFate::Keep
 }
 
-/// Decode one frame's request and dispatch it to the worker pool.
-/// Returns false when the connection should be dropped.
+/// Handle one request and send its framed response on the connection it
+/// came in on (see [`enqueue_response`]): what a worker does with a job, and
+/// what a shard does with a request that cannot block. `enqueued_ns` to
+/// `dequeued_ns` is the time the request waited for whoever calls this.
+fn answer(
+    service: &dyn Service,
+    io: &ConnIo,
+    corr_id: u64,
+    trace_id: u64,
+    enqueued_ns: u64,
+    dequeued_ns: u64,
+    req: Request,
+) {
+    let kind = req.kind_str();
+    server_event(
+        trace_id,
+        "queue",
+        kind,
+        service.name(),
+        enqueued_ns,
+        dequeued_ns.saturating_sub(enqueued_ns),
+        0,
+    );
+    let resp = service.handle_traced(req, trace_id);
+    let t0 = dpfs_obs::now_ns();
+    enqueue_response(io, corr_id, &resp);
+    server_event(
+        trace_id,
+        "respond",
+        kind,
+        service.name(),
+        t0,
+        dpfs_obs::now_ns().saturating_sub(t0),
+        0,
+    );
+}
+
+/// Decode one frame's request and answer it here if it cannot block (one
+/// more in `answered`), else hand it to the worker pool. Returns false when
+/// the connection should be dropped.
 fn dispatch_frame(
     c: &mut ShardConn,
     fr: frame::Frame,
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
+    answered: &mut usize,
 ) -> bool {
     let decode_start = dpfs_obs::now_ns();
     let trace_id = fr.trace_id;
@@ -625,34 +694,42 @@ fn dispatch_frame(
                     message: e.to_string(),
                 },
             );
+            *answered += 1;
             return true;
         }
     };
+    let decoded = dpfs_obs::now_ns();
     server_event(
         trace_id,
         "decode",
         req.kind_str(),
         service.name(),
         decode_start,
-        dpfs_obs::now_ns().saturating_sub(decode_start),
+        decoded.saturating_sub(decode_start),
         req.payload_bytes(),
     );
     if matches!(req, Request::Shutdown) {
         c.stop_reading = true;
+    } else if !service.may_block(&req) {
+        // The reply is queued before this returns, so `inflight` — what the
+        // shard still owes this connection — never sees the request.
+        let svc = service.as_ref();
+        answer(svc, &c.io, corr_id, trace_id, decoded, decoded, req);
+        *answered += 1;
+        return true;
     }
     c.io.inflight.fetch_add(1, Ordering::SeqCst);
     let job = Job {
         corr_id,
         trace_id,
-        enqueued_ns: dpfs_obs::now_ns(),
+        enqueued_ns: decoded,
         req,
         io: c.io.clone(),
     };
     jobs.send(job).is_ok()
 }
 
-/// One shared worker: pull jobs, handle, send the framed response on the
-/// owning connection (see [`enqueue_response`]).
+/// One shared worker: pull jobs and [`answer`] them.
 fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, rt: Arc<Readiness>) {
     loop {
         // Classic shared-receiver pool: the guard drops as soon as recv
@@ -661,38 +738,24 @@ fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, r
             Ok(j) => j,
             Err(_) => return, // every shard exited: drain finished
         };
-        let is_shutdown = matches!(job.req, Request::Shutdown);
-        let kind = job.req.kind_str();
-        let dequeued = dpfs_obs::now_ns();
-        server_event(
-            job.trace_id,
-            "queue",
-            kind,
-            service.name(),
-            job.enqueued_ns,
-            dequeued.saturating_sub(job.enqueued_ns),
-            0,
-        );
-        let resp = service.handle_traced(job.req, job.trace_id);
-        let t0 = dpfs_obs::now_ns();
-        enqueue_response(&job.io, job.corr_id, &resp);
-        server_event(
-            job.trace_id,
-            "respond",
-            kind,
-            service.name(),
-            t0,
-            dpfs_obs::now_ns().saturating_sub(t0),
-            0,
-        );
+        let Job {
+            corr_id,
+            trace_id,
+            enqueued_ns,
+            req,
+            io,
+        } = job;
+        let is_shutdown = matches!(req, Request::Shutdown);
+        let (svc, now) = (service.as_ref(), dpfs_obs::now_ns());
+        answer(svc, &io, corr_id, trace_id, enqueued_ns, now, req);
         // Only decrement after the response is in the queue: a shard that
         // observes zero in-flight and an empty queue knows nothing is
         // still owed. The shard is asleep, so tell it what it is waiting
         // to hear: the last request of a connection it wants to close
         // (peer at EOF, server draining) is answered.
-        let idle = job.io.inflight.fetch_sub(1, Ordering::SeqCst) == 1;
-        if idle && (job.io.peer_eof.load(Ordering::SeqCst) || rt.shutdown.load(Ordering::SeqCst)) {
-            job.io.shard.waker.wake();
+        let idle = io.inflight.fetch_sub(1, Ordering::SeqCst) == 1;
+        if idle && (io.peer_eof.load(Ordering::SeqCst) || rt.shutdown.load(Ordering::SeqCst)) {
+            io.shard.waker.wake();
         }
         if is_shutdown {
             // The response is already sent; raising the flag drains the

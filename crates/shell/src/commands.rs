@@ -166,7 +166,11 @@ impl Shell {
     fn cmd_stat(&mut self, args: &[String]) -> Result<String> {
         let p = self.one_arg(args, "stat <file>")?;
         let full = resolve_path(&self.cwd, p);
-        let attr = self.fs.stat(&full)?;
+        let (attr, dist) = self
+            .fs
+            .meta()
+            .open_file(&full)?
+            .ok_or(DpfsError::NoSuchFile(full))?;
         let mut out = String::new();
         writeln!(out, "file:       {}", attr.filename).unwrap();
         writeln!(out, "owner:      {}", attr.owner).unwrap();
@@ -185,7 +189,6 @@ impl Shell {
         if !attr.pattern.is_empty() {
             writeln!(out, "pattern:    ({})", attr.pattern).unwrap();
         }
-        let dist = self.fs.meta().get_distribution(&full)?;
         for d in &dist {
             writeln!(out, "  {} holds {} bricks", d.server, d.bricklist.len()).unwrap();
         }

@@ -71,7 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Show where the chunks physically live.
-    for d in client.meta().get_distribution("/ckpt/step_000042")? {
+    let entry = client.meta().open_file("/ckpt/step_000042")?;
+    for d in entry.map(|(_, dist)| dist).unwrap_or_default() {
         println!("  {} stores chunk(s) {:?}", d.server, d.bricklist);
     }
     Ok(())

@@ -37,7 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "stat: owner={} size={} level={} brick_bytes={}",
         attr.owner, attr.size, attr.filelevel, attr.stripe_size
     );
-    for d in client.meta().get_distribution("/home/hello.dat")? {
+    let entry = client.meta().open_file("/home/hello.dat")?;
+    for d in entry.map(|(_, dist)| dist).unwrap_or_default() {
         println!("  {} holds {} bricks", d.server, d.bricklist.len());
     }
 

@@ -197,6 +197,36 @@ fn closing_a_handle_opened_before_a_growth_does_not_shrink_the_file() {
     assert!(c.read_bytes(0, GROWN as u64).unwrap() == data);
 }
 
+/// Regression (ROADMAP item 1(i-b)): a growing write sent `set_file_size(end)`
+/// whenever `end` passed the size *its handle* read at `open`, and the
+/// catalog stored it blindly — a short write through a handle opened before
+/// another handle's growth shrank the file to 100 bytes. The catalog's update
+/// is grow-only, so the size ends at the longer write's end whichever arrives
+/// last. (One brick, so both handles grow the file to the same map: two
+/// handles extending a file by different brick counts is item 1(i-a).)
+#[test]
+fn a_short_write_through_a_stale_handle_does_not_shrink_the_file() {
+    const LONG: usize = 8192;
+    let embedded = Testbed::unthrottled(2).unwrap();
+    let remote = Testbed::unthrottled_with_metad(2).unwrap();
+    for (mount, client) in [
+        ("embedded", embedded.client(0, true)),
+        ("--metad", remote.remote_client(0, true)),
+    ] {
+        drop(client.create("/f", &Hint::linear(64 << 10, 0)).unwrap());
+        let mut a = client.open("/f").unwrap();
+        let mut b = client.open("/f").unwrap();
+        assert_eq!((a.size(), b.size()), (0, 0));
+        let long = pattern_bytes(LONG, 21);
+        a.write_bytes(0, &long).unwrap();
+        b.write_bytes(0, &long[..100]).unwrap();
+        assert_eq!(client.stat("/f").unwrap().size, LONG as i64, "{mount}");
+        let mut c = client.open("/f").unwrap();
+        assert_eq!(c.size(), LONG as u64, "{mount}");
+        assert!(c.read_bytes(0, LONG as u64).unwrap() == long, "{mount}");
+    }
+}
+
 #[test]
 fn metadata_survives_database_reopen() {
     // durable catalog + fresh servers: file metadata (attr, distribution,
@@ -262,7 +292,7 @@ fn greedy_file_distribution_matches_catalog() {
     assert!(loads[0] > 2 * loads[1], "loads {loads:?}");
     assert!(loads[2] > 2 * loads[3], "loads {loads:?}");
     // catalog rows agree with the in-memory map
-    let dist = client.meta().get_distribution("/g").unwrap();
+    let (_, dist) = client.meta().open_file("/g").unwrap().unwrap();
     for (d, load) in dist.iter().zip(&loads) {
         assert_eq!(d.bricklist.len(), *load);
     }

@@ -14,18 +14,25 @@
 //! - *deferred flush*: a reply the socket would not take whole goes out
 //!   through the shard, byte-exact, without holding up the shard's other
 //!   connections;
-//! - `stop()` and wire `Shutdown` reach sleeping threads at once.
+//! - `stop()` and wire `Shutdown` reach sleeping threads at once;
+//! - *the dispatch rule*: a request its service says cannot block is
+//!   answered by the shard thread that decoded it — overtaking a blocking
+//!   one ahead of it, never waiting for one on another connection, in
+//!   submission order, with the same trace events — and nothing else ever
+//!   runs there; a peer that pipelines a thousand such requests does not
+//!   starve its neighbour on the shard.
 
 use std::collections::HashSet;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use dpfs::core::trace::{ring, Side};
 use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, AccessPattern, ErrorCode, MetaOp, Request, Response};
-use dpfs::server::{IoServer, PerfModel, ServerConfig};
+use dpfs::server::{IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service};
 
 /// Serializes the tests in this binary: they measure process-wide CPU
 /// time and wall-clock latency.
@@ -423,4 +430,335 @@ fn a_read_larger_than_a_frame_is_refused_and_the_server_lives() {
         }
     }
     assert_eq!(rpc(&mut c, 4, &Request::Ping), Response::Pong);
+}
+
+// ---------------------------------------------------------------------
+// The dispatch rule
+// ---------------------------------------------------------------------
+
+/// What the test services below do with a request: note its subfile and the
+/// thread handling it, in handling order — and, for the subfile `gate`, hold
+/// that thread until the test opens the gate.
+#[derive(Default)]
+struct Recorder {
+    log: Mutex<Vec<(String, String)>>,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Recorder {
+    fn handle(&self, req: Request) -> Response {
+        let subfile = match req {
+            Request::Stat { subfile } | Request::Sync { subfile } => subfile,
+            other => other.kind_str().to_string(),
+        };
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.log.lock().unwrap().push((subfile.clone(), thread));
+        if subfile == "gate" {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+        Response::Pong
+    }
+
+    fn open_gate(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn log(&self) -> Vec<(String, String)> {
+        self.log.lock().unwrap().clone()
+    }
+
+    /// Block until a thread is held at the gate.
+    fn wait_for_gate(&self) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !self.log().iter().any(|(subfile, _)| subfile == "gate") {
+            assert!(Instant::now() < deadline, "nobody reached the gate");
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A service that says nothing about blocking: the trait's default.
+struct Unruled(Recorder);
+
+impl Service for Unruled {
+    fn name(&self) -> &str {
+        "unruled"
+    }
+    fn handle_traced(&self, req: Request, _trace_id: u64) -> Response {
+        self.0.handle(req)
+    }
+}
+
+/// A service with a rule: a `Sync` may block, nothing else can.
+struct Ruled(Recorder);
+
+impl Service for Ruled {
+    fn name(&self) -> &str {
+        "ruled"
+    }
+    fn handle_traced(&self, req: Request, _trace_id: u64) -> Response {
+        self.0.handle(req)
+    }
+    fn may_block(&self, req: &Request) -> bool {
+        matches!(req, Request::Sync { .. })
+    }
+}
+
+fn serve(service: Arc<dyn Service>, shards: usize) -> ServeCore {
+    let config = ServeConfig { shards, workers: 2 };
+    ServeCore::start_with("127.0.0.1:0", service, config).unwrap()
+}
+
+fn stat(subfile: &str) -> Request {
+    Request::Stat {
+        subfile: subfile.into(),
+    }
+}
+
+fn sync(subfile: &str) -> Request {
+    Request::Sync {
+        subfile: subfile.into(),
+    }
+}
+
+fn send(c: &mut TcpStream, id: u64, req: &Request) {
+    frame::write_frame_v2(c, id, &req.encode()).unwrap();
+}
+
+fn reply_id(c: &mut TcpStream) -> u64 {
+    let f = frame::read_frame_any(c).unwrap();
+    assert_eq!(Response::decode(f.payload).unwrap(), Response::Pong);
+    f.corr_id
+}
+
+#[test]
+fn a_service_without_a_rule_never_runs_on_a_shard_thread() {
+    let _guard = sequential();
+    let service = Arc::new(Unruled(Recorder::default()));
+    let core = serve(service.clone(), 2);
+    let mut conns: Vec<TcpStream> = (0..4).map(|_| connect(core.addr())).collect();
+    for (k, c) in conns.iter_mut().enumerate() {
+        for (id, req) in [Request::Ping, stat("/f"), sync("/f"), Request::Stats]
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(rpc(c, (4 * k + id) as u64, req), Response::Pong);
+        }
+    }
+    let log = service.0.log();
+    assert_eq!(log.len(), 16);
+    for (subfile, thread) in log {
+        assert_eq!(thread, "dpfs-worker-unruled", "{subfile}");
+    }
+}
+
+#[test]
+fn a_non_blocking_request_overtakes_a_blocking_one_and_keeps_its_order() {
+    let _guard = sequential();
+    let service = Arc::new(Ruled(Recorder::default()));
+    let core = serve(service.clone(), 1);
+    let mut c = connect(core.addr());
+    // A blocking request held in service, three that cannot block behind it.
+    send(&mut c, 1, &sync("gate"));
+    service.0.wait_for_gate();
+    for (id, subfile) in [(2, "a"), (3, "b"), (4, "c")] {
+        send(&mut c, id, &stat(subfile));
+    }
+    // They are answered while it is still held, in the order they were sent,
+    // each under its own correlation id...
+    assert_eq!(
+        [reply_id(&mut c), reply_id(&mut c), reply_id(&mut c)],
+        [2, 3, 4]
+    );
+    service.0.open_gate();
+    assert_eq!(reply_id(&mut c), 1);
+    // ... by the shard thread; the blocking one by a worker.
+    let threads: Vec<(String, String)> = service.0.log();
+    let on = |subfile: &str| {
+        let (_, thread) = threads.iter().find(|(s, _)| s == subfile).unwrap();
+        thread.clone()
+    };
+    assert_eq!(on("gate"), "dpfs-worker-ruled");
+    for subfile in ["a", "b", "c"] {
+        assert_eq!(on(subfile), "dpfs-shard-0-ruled");
+    }
+    let order: Vec<String> = threads.into_iter().map(|(s, _)| s).collect();
+    assert_eq!(order, ["gate", "a", "b", "c"]);
+}
+
+#[test]
+fn a_blocking_request_does_not_delay_its_shards_other_connections() {
+    let _guard = sequential();
+    let service = Arc::new(Ruled(Recorder::default()));
+    // One shard: both connections are its.
+    let core = serve(service.clone(), 1);
+    let (mut a, mut b) = (connect(core.addr()), connect(core.addr()));
+    send(&mut a, 1, &sync("gate"));
+    service.0.wait_for_gate();
+    // Were the shard the one held at the gate, these would never return.
+    assert_eq!(rpc(&mut b, 7, &Request::Ping), Response::Pong);
+    assert_eq!(rpc(&mut b, 8, &stat("/b")), Response::Pong);
+    assert_eq!(rpc(&mut a, 2, &stat("/a")), Response::Pong);
+    service.0.open_gate();
+    assert_eq!(reply_id(&mut a), 1);
+}
+
+#[test]
+fn a_thousand_pipelined_requests_do_not_starve_the_next_connection() {
+    let _guard = sequential();
+    const BURST: usize = 1000;
+    let service = Arc::new(Ruled(Recorder::default()));
+    let core = serve(service.clone(), 1);
+    let (mut a, mut b) = (connect(core.addr()), connect(core.addr()));
+    // Both known to the shard, which is then held inside a request of A's
+    // (the test's device: a "non-blocking" request that blocks) while the
+    // burst and B's one request arrive.
+    assert_eq!(rpc(&mut a, 0, &Request::Ping), Response::Pong);
+    assert_eq!(rpc(&mut b, 0, &Request::Ping), Response::Pong);
+    send(&mut a, 1, &stat("gate"));
+    service.0.wait_for_gate();
+    let mut burst = Vec::new();
+    for i in 0..BURST {
+        frame::write_frame_v2(&mut burst, 2 + i as u64, &stat(&format!("a{i}")).encode()).unwrap();
+    }
+    a.write_all(&burst).unwrap();
+    send(&mut b, 1, &stat("b"));
+    service.0.open_gate();
+    assert_eq!(reply_id(&mut b), 1);
+    for i in 0..=BURST {
+        assert_eq!(reply_id(&mut a), 1 + i as u64, "in submission order");
+    }
+    // All of it ran on the one shard thread, so the log is the order served:
+    // B's request came up before A's burst was through.
+    let order: Vec<String> = service.0.log().into_iter().map(|(s, _)| s).collect();
+    let at = |subfile: &str| order.iter().position(|s| s == subfile).unwrap();
+    eprintln!(
+        "event_loop: beside a {BURST}-request burst the neighbour's request was served {}th",
+        at("b")
+    );
+    assert!(
+        at("b") < at(&format!("a{}", BURST - 1)),
+        "B was served at {} of {}, after all of A's burst",
+        at("b"),
+        order.len()
+    );
+}
+
+/// The I/O server's rule, request kind by request kind, and the events an
+/// inline request leaves.
+#[test]
+fn names_and_sizes_are_answered_inline_and_file_bytes_are_not() {
+    let _guard = sequential();
+    let ion = start_ion("rule", PerfModel::unthrottled(), 1, 2);
+    let rule = ion.handler().as_ref() as &dyn Service;
+    let payload = Bytes::from_static(b"x");
+    let inline = [
+        Request::Ping,
+        Request::Stats,
+        stat("/f"),
+        Request::Delete {
+            subfile: "/f".into(),
+        },
+        Request::Rename {
+            from: "/f".into(),
+            to: "/g".into(),
+        },
+        Request::Truncate {
+            subfile: "/f".into(),
+            size: 0,
+        },
+    ];
+    let queued = [
+        read_req("/f", 1),
+        Request::Write {
+            subfile: "/f".into(),
+            ranges: vec![(0, payload.clone())],
+        },
+        Request::ReadList {
+            subfile: "/f".into(),
+            pattern: AccessPattern::from_runs(&[(0, 1)]),
+        },
+        Request::WriteList {
+            subfile: "/f".into(),
+            pattern: AccessPattern::from_runs(&[(0, 1)]),
+            payload,
+        },
+        sync("/f"),
+        Request::Shutdown,
+    ];
+    // Even unthrottled, file bytes wait for a device: a real one blocks.
+    for req in &inline {
+        assert!(!rule.may_block(req), "{}", req.kind_str());
+    }
+    for req in &queued {
+        assert!(rule.may_block(req), "{}", req.kind_str());
+    }
+
+    // A traced `Stat` leaves the four events of any request; it waited in
+    // no queue.
+    let mut c = connect(ion.addr());
+    let trace_id = dpfs::core::trace::next_trace_id();
+    let cursor = ring().cursor();
+    frame::write_frame_v3(&mut c, 1, trace_id, &stat("/f").encode()).unwrap();
+    assert_eq!(frame::read_frame_any(&mut c).unwrap().corr_id, 1);
+    let events: Vec<_> = ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.trace_id == trace_id && e.side == Side::Server)
+        .collect();
+    let phases: Vec<&str> = events.iter().map(|e| e.phase).collect();
+    assert_eq!(phases, ["decode", "queue", "handle", "respond"]);
+    assert!(events.iter().all(|e| e.kind == "stat"));
+    assert_eq!(events[1].dur_ns, 0, "an inline request waits in no queue");
+}
+
+/// metad answers every op inline — unless commits fsync, when any of them
+/// may wait behind one.
+#[test]
+fn a_metad_whose_commits_fsync_answers_nothing_inline() {
+    let _guard = sequential();
+    let dir = std::env::temp_dir().join(format!("dpfs-evloop-fsync-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = MetadConfig {
+        sync_on_commit: true,
+        ..MetadConfig::in_memory().dir(&dir)
+    };
+    let requests = [
+        Request::Ping,
+        Request::Stats,
+        Request::Meta {
+            op: MetaOp::GetShardMap,
+        },
+        Request::Meta {
+            op: MetaOp::Mkdir { path: "/d".into() },
+        },
+    ];
+    for (config, blocks) in [(MetadConfig::in_memory(), false), (durable, true)] {
+        let metad = MetaServer::start(config).unwrap();
+        let rule = metad.handler().as_ref() as &dyn Service;
+        for req in &requests {
+            assert_eq!(rule.may_block(req), blocks, "{}", req.kind_str());
+        }
+        // On the wire: a request that went through the job queue spent time
+        // in it, one answered on the shard none.
+        let mut c = connect(metad.addr());
+        let trace_id = dpfs::core::trace::next_trace_id();
+        let cursor = ring().cursor();
+        frame::write_frame_v3(&mut c, 1, trace_id, &requests[2].encode()).unwrap();
+        assert_eq!(frame::read_frame_any(&mut c).unwrap().corr_id, 1);
+        let queued: Vec<u64> = ring()
+            .events_since(cursor)
+            .iter()
+            .filter(|e| e.trace_id == trace_id && e.phase == "queue")
+            .map(|e| e.dur_ns)
+            .collect();
+        assert_eq!(queued.len(), 1);
+        assert_eq!(queued[0] > 0, blocks, "queued for {} ns", queued[0]);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

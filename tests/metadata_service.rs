@@ -394,7 +394,7 @@ fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
         "commit marker stripped after finish"
     );
     assert!(
-        !meta.get_distribution(&to).unwrap().is_empty(),
+        !meta.open_file(&to).unwrap().unwrap().1.is_empty(),
         "layout travelled with the rename"
     );
     let remote = client.remote_meta().unwrap();

@@ -53,22 +53,6 @@ impl Rig {
             other => panic!("expected Stat, got {other:?}"),
         }
     }
-
-    /// `(server index, subfile name)` of every file under the iond roots,
-    /// the local file names decoded back (`%s` = `/`; no test name holds a
-    /// `%`).
-    fn on_disk(&self) -> BTreeSet<(usize, String)> {
-        (0..SERVERS)
-            .flat_map(|i| {
-                std::fs::read_dir(self.tb.server_root(i))
-                    .unwrap()
-                    .map(move |entry| {
-                        let local = entry.unwrap().file_name().into_string().unwrap();
-                        (i, local.replace("%s", "/"))
-                    })
-            })
-            .collect()
-    }
 }
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -154,7 +138,7 @@ fn a_dead_server_is_named_and_the_others_renamed() {
     // The namespace moved; the dead server's brick still sits under "/f".
     assert!(r.fs.exists("/g").unwrap());
     assert!(!r.fs.exists("/f").unwrap());
-    assert!(r.on_disk().contains(&(1, "/f".to_string())));
+    assert!(r.tb.on_disk().contains(&(1, "/f".to_string())));
 }
 
 /// After `rename` nothing on any server decodes to the old path, after
@@ -191,11 +175,11 @@ fn disk_contents_equal_the_enumeration() {
             let expect = |path: &str| -> BTreeSet<(usize, String)> {
                 policy.subfiles(path, SERVERS).into_iter().collect()
             };
-            assert_eq!(r.on_disk(), expect(&old), "{policy:?} written");
+            assert_eq!(r.tb.on_disk(), expect(&old), "{policy:?} written");
 
             let _ = r.fs.mkdir("/d");
             r.fs.rename(&old, &new).unwrap();
-            assert_eq!(r.on_disk(), expect(&new), "{policy:?} renamed");
+            assert_eq!(r.tb.on_disk(), expect(&new), "{policy:?} renamed");
 
             let mut f = r.fs.open(&new).unwrap();
             let back = if multidim {
@@ -208,7 +192,7 @@ fn disk_contents_equal_the_enumeration() {
             assert_eq!(back, pattern(back.len(), salt), "{policy:?} bytes");
 
             r.fs.unlink(&new).unwrap();
-            assert_eq!(r.on_disk(), BTreeSet::new(), "{policy:?} unlinked");
+            assert_eq!(r.tb.on_disk(), BTreeSet::new(), "{policy:?} unlinked");
         }
     }
 }

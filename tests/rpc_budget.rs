@@ -1,19 +1,26 @@
 //! Round-trip budget of the namespace operations, counted at the daemons.
 //!
 //! An op on a remote mount is made of metadata round trips, and each one
-//! costs more than everything the daemon does inside it. The budgets here
-//! are the daemons' own per-op counters (`MetadStatsSnapshot::op_latency`
-//! counts, summed over both shards of a 2-shard plane) around exactly one
-//! client call: they repeat exactly, so this is a regression test, not a
-//! timing. A compound `Open`/`Unlink`/`Rename` (ROADMAP item 1(a)) has
-//! these numbers to beat.
+//! costs more than everything the daemon does inside it — so each op is one
+//! trip wherever one transaction can answer it: `open` is `OpenFile` (the
+//! attribute row and the distribution, read together), `unlink` is
+//! `DeleteFile` and a same-shard `rename` is `RenameFile`, both answering
+//! with the entry they removed or moved, which is where the data-plane half
+//! gets its server list and its redundancy policy. A cross-shard `rename` is
+//! the four steps of its two-phase protocol and nothing else. The budgets
+//! here are the daemons' own per-op counters
+//! (`MetadStatsSnapshot::op_latency` counts, summed over both shards of a
+//! 2-shard plane) around exactly one client call: they repeat exactly, so
+//! this is a regression test, not a timing. What is left to beat is
+//! `create`'s `list_servers` trip (ROADMAP item 5).
 //!
 //! The data-plane half is counted the same way at the I/O servers: `unlink`
 //! and `rename` send one request per subfile the file materialises — the
 //! servers' own request counters around the call, the kinds read off the
-//! `handle` events of the op's trace — whatever the file holds.
+//! `handle` events of the op's trace — whatever the file holds, and what the
+//! servers hold on disk afterwards is compared with the policy's enumeration.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dpfs::cluster::Testbed;
 use dpfs::core::trace::{ring, Side};
@@ -102,20 +109,20 @@ fn rig() -> (Testbed, Dpfs, String, String) {
 }
 
 #[test]
-fn open_is_two_round_trips_and_never_probes() {
+fn open_is_one_round_trip_and_never_probes() {
     let (tb, fs, d0, _) = rig();
     let path = format!("{d0}/f");
+    let one = budget(&[("meta.open_file", 1)]);
     // Striped over all four servers: no per-server registry read, first
     // open and repeat open alike.
     for _ in 0..2 {
-        let got = spent(&tb, || drop(fs.open(&path).unwrap()));
-        assert_eq!(
-            got,
-            budget(&[("meta.get_distribution", 1), ("meta.get_file_attr", 1)])
-        );
+        assert_eq!(spent(&tb, || drop(fs.open(&path).unwrap())), one);
     }
-    let missing = spent(&tb, || assert!(fs.open(&format!("{d0}/nope")).is_err()));
-    assert_eq!(missing, budget(&[("meta.get_file_attr", 1)]));
+    let missing = spent(&tb, || {
+        let gone = fs.open(&format!("{d0}/nope"));
+        assert!(matches!(gone, Err(DpfsError::NoSuchFile(_))));
+    });
+    assert_eq!(missing, one);
 }
 
 /// The write that grows a file persists its size; `close` has nothing left
@@ -157,24 +164,40 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         budget(&[("meta.create_file", 1), ("meta.list_servers", 1)])
     );
 
-    // A source that is not there is found out in the first round trip.
-    let missing = spent(&tb, || {
-        let gone = fs.rename(&format!("{d0}/nope"), &format!("{d0}/m"));
-        assert!(matches!(gone, Err(DpfsError::NoSuchFile(_))));
-    });
-    assert_eq!(missing, budget(&[("meta.get_file_attr", 1)]));
+    // A rename that cannot happen says why — which costs a second look only
+    // where the catalog's one answer covers two cases.
+    let refused = |from: &str, to: &str| {
+        let mut err = None;
+        let cost = spent(&tb, || err = fs.rename(from, to).err());
+        (err.expect("refused"), cost)
+    };
+    let (err, cost) = refused(&format!("{d0}/nope"), &format!("{d0}/m"));
+    assert!(matches!(err, DpfsError::NoSuchFile(_)), "{err}");
+    assert_eq!(
+        cost,
+        budget(&[("meta.get_file_attr", 1), ("meta.rename_file", 1)])
+    );
+    // ... whatever the destination holds: the source is looked at first.
+    let (err, _) = refused(&format!("{d0}/nope"), &format!("{d0}/f"));
+    assert!(matches!(err, DpfsError::NoSuchFile(_)), "{err}");
+    let (err, cost) = refused(&format!("{d0}/n"), &format!("{d0}/f"));
+    assert!(matches!(err, DpfsError::FileExists(_)), "{err}");
+    assert_eq!(cost, budget(&[("meta.rename_file", 1)]));
+    // (`nodir` hashes to a shard of its own: either path may run.)
+    let (err, _) = refused(&format!("{d0}/n"), &format!("{d0}/nodir/n"));
+    assert!(matches!(err, DpfsError::NoSuchDirectory(_)), "{err}");
+    let (err, _) = refused(&format!("{d0}/nope"), &format!("{d1}/m"));
+    assert!(matches!(err, DpfsError::NoSuchFile(_)), "{err}");
+    let (err, _) = refused(&format!("{d0}/n"), &format!("{d1}/nodir/n"));
+    assert!(matches!(err, DpfsError::NoSuchDirectory(_)), "{err}");
+    fs.create(&format!("{d1}/taken"), &hint).unwrap();
+    let (err, _) = refused(&format!("{d0}/n"), &format!("{d1}/taken"));
+    assert!(matches!(err, DpfsError::FileExists(_)), "{err}");
 
     let same_shard = spent(&tb, || {
         fs.rename(&format!("{d0}/n"), &format!("{d0}/m")).unwrap()
     });
-    assert_eq!(
-        same_shard,
-        budget(&[
-            ("meta.get_distribution", 1),
-            ("meta.get_file_attr", 1),
-            ("meta.rename_file", 1),
-        ])
-    );
+    assert_eq!(same_shard, budget(&[("meta.rename_file", 1)]));
 
     let cross_shard = spent(&tb, || {
         fs.rename(&format!("{d0}/m"), &format!("{d1}/m")).unwrap()
@@ -182,8 +205,6 @@ fn create_unlink_and_rename_cost_what_was_measured() {
     assert_eq!(
         cross_shard,
         budget(&[
-            ("meta.get_distribution", 1),
-            ("meta.get_file_attr", 1),
             ("meta.remove_tag", 1),
             ("meta.rename_commit", 1),
             ("meta.rename_finish", 1),
@@ -192,33 +213,50 @@ fn create_unlink_and_rename_cost_what_was_measured() {
     );
 
     let unlinked = spent(&tb, || fs.unlink(&format!("{d1}/m")).unwrap());
-    assert_eq!(
-        unlinked,
-        budget(&[("meta.delete_file", 1), ("meta.get_file_attr", 1)])
-    );
+    assert_eq!(unlinked, budget(&[("meta.delete_file", 1)]));
+    let gone = spent(&tb, || {
+        let again = fs.unlink(&format!("{d1}/m"));
+        assert!(matches!(again, Err(DpfsError::NoSuchFile(_))));
+    });
+    assert_eq!(gone, budget(&[("meta.delete_file", 1)]));
 
     // The I/O servers' side, on written files: one request per enumerated
-    // subfile, of the op's one kind, and no byte read or written.
+    // subfile, of the op's one kind, and no byte read or written. The policy
+    // comes from the row the metadata transaction moved or removed, so the
+    // derived subfiles (`#r1`, `#p`) follow the name and leave with it.
+    let elsewhere = tb.on_disk();
     for (policy, subfiles) in [
         (RedundancyPolicy::None, 4),
         (RedundancyPolicy::Replica(2), 8),
         (RedundancyPolicy::XorParity, 3 + 1),
     ] {
-        let (old, new) = (format!("{d0}/w"), format!("{d1}/w"));
         let hint = Hint::linear(4096, 49152).with_redundancy(policy);
+        let held = |path: &str| -> BTreeSet<(usize, String)> {
+            let mut all = elsewhere.clone();
+            all.extend(policy.subfiles(path, 4));
+            all
+        };
+        // Within a shard (one `RenameFile`), then across (the 2PC).
+        let mut old = format!("{d0}/w");
         let mut f = fs.create(&old, &hint).unwrap();
         f.write_bytes(0, &[6u8; 49152]).unwrap();
         f.close().unwrap();
         assert_eq!(policy.subfiles(&old, 4).len(), subfiles);
+        assert_eq!(tb.on_disk(), held(&old), "{policy:?} create");
 
-        let (sent, kinds) = iond_spent(&tb, "rename", || fs.rename(&old, &new).unwrap());
-        assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} rename");
-        assert_eq!(kinds, vec!["rename"; subfiles], "{policy:?} rename");
-        let mut f = fs.open(&new).unwrap();
-        assert_eq!(f.read_bytes(0, 49152).unwrap(), [6u8; 49152]);
+        for new in [format!("{d0}/v"), format!("{d1}/v")] {
+            let (sent, kinds) = iond_spent(&tb, "rename", || fs.rename(&old, &new).unwrap());
+            assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} rename");
+            assert_eq!(kinds, vec!["rename"; subfiles], "{policy:?} rename");
+            assert_eq!(tb.on_disk(), held(&new), "{policy:?} rename to {new}");
+            let mut f = fs.open(&new).unwrap();
+            assert_eq!(f.read_bytes(0, 49152).unwrap(), [6u8; 49152]);
+            old = new;
+        }
 
-        let (sent, kinds) = iond_spent(&tb, "unlink", || fs.unlink(&new).unwrap());
+        let (sent, kinds) = iond_spent(&tb, "unlink", || fs.unlink(&old).unwrap());
         assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} unlink");
         assert_eq!(kinds, vec!["delete"; subfiles], "{policy:?} unlink");
+        assert_eq!(tb.on_disk(), elsewhere, "{policy:?} unlink");
     }
 }
