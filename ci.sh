@@ -160,6 +160,15 @@ if git grep -nE 'GetDistribution|fn get_distribution' \
     echo "FAIL: MetaOp::GetDistribution / MetaStore::get_distribution is back (use open_file)"
     exit 1
 fi
+# A file's brick lists only grow, by compare-and-set (`ExtendDistribution`):
+# the blind whole-map overwrite is gone from the wire, the trait and the
+# catalog — it is what let the catalog forget bricks, and the exact
+# enumeration of unlink/rename/sync believes the catalog.
+if git grep -nE 'UpdateDistribution|fn update_distribution' \
+    -- crates/proto/src crates/meta/src crates/core/src crates/metad/src crates/shell/src; then
+    echo "FAIL: MetaOp::UpdateDistribution / update_distribution is back (grow with extend_distribution)"
+    exit 1
+fi
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
@@ -268,12 +277,15 @@ test "$(grep -c 'meta\.mkdir' target/metad-smoke/shell.out)" -eq 2
 cmp -s README.md target/metad-smoke/readme.roundtrip
 echo "metad smoke: ok"
 
-echo "==> redundancy smoke: Replica(2) import survives an iond kill byte-exact"
+echo "==> redundancy smoke: Replica(2) import survives an iond kill byte-exact; a one-brick file is its 2 subfiles"
 rm -rf target/red-smoke
 mkdir -p target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2
-./target/release/dpfs-metad --bind 127.0.0.1:17451 --shard 0 --shards 1 \
-    >target/red-smoke/metad.log 2>&1 &
-RMETAD_PID=$!
+./target/release/dpfs-metad --bind 127.0.0.1:17451 --shard 0 --shards 2 \
+    >target/red-smoke/metad0.log 2>&1 &
+RMETAD0_PID=$!
+./target/release/dpfs-metad --bind 127.0.0.1:17455 --shard 1 --shards 2 \
+    >target/red-smoke/metad1.log 2>&1 &
+RMETAD1_PID=$!
 ./target/release/dpfs-iond --root target/red-smoke/ion0 --bind 127.0.0.1:17452 \
     >target/red-smoke/iond0.log 2>&1 &
 RION0_PID=$!
@@ -283,8 +295,21 @@ RION1_PID=$!
 ./target/release/dpfs-iond --root target/red-smoke/ion2 --bind 127.0.0.1:17454 \
     >target/red-smoke/iond2.log 2>&1 &
 RION2_PID=$!
-trap 'kill $RMETAD_PID $RION0_PID $RION1_PID $RION2_PID 2>/dev/null || :' EXIT
+trap 'kill $RMETAD0_PID $RMETAD1_PID $RION0_PID $RION1_PID $RION2_PID 2>/dev/null || :' EXIT
 sleep 1
+# Commands on stdin, through a fresh `--metad` mount of the three ionds.
+red_sh() {
+    ./target/release/dpfs-sh \
+        --metad 127.0.0.1:17451 --metad 127.0.0.1:17455 \
+        --server ion0=127.0.0.1:17452 \
+        --server ion1=127.0.0.1:17453 \
+        --server ion2=127.0.0.1:17454
+}
+# Files under the three iond roots whose name contains $1.
+red_held() {
+    ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep -c "$1" || :
+}
+# (`/sd1` is homed on metad shard 0 and `/sd0` on shard 1.)
 printf '%s\n' \
     'import README.md /readme.md 4096 replica:2' \
     'mv /readme.md /moved.md' \
@@ -292,34 +317,35 @@ printf '%s\n' \
     'import README.md /short-lived.md 4096 replica:2' \
     'mv /short-lived.md /short-lived-2.md' \
     'rm /short-lived-2.md' \
-    | ./target/release/dpfs-sh \
-        --metad 127.0.0.1:17451 \
-        --server ion0=127.0.0.1:17452 \
-        --server ion1=127.0.0.1:17453 \
-        --server ion2=127.0.0.1:17454 \
-    >target/red-smoke/shell1.out 2>&1
+    'mkdir /sd0' \
+    'mkdir /sd1' \
+    'import README.md /sd1/one.md 1048576 replica:2' \
+    | red_sh >target/red-smoke/shell1.out 2>&1
 grep -q 'redundancy: replica:2' target/red-smoke/shell1.out
 # `mv` and `rm` take the redundancy policy from the row their one metadata
 # call moved or removed: the mirrors follow the primaries, and a file that
 # was created, moved and removed leaves nothing on any iond root.
-test "$(ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep -c 'moved\.md')" -eq 6
-if ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep 'short-lived'; then
+test "$(red_held 'moved\.md')" -eq 6
+if [ "$(red_held 'short-lived')" -ne 0 ]; then
     echo "FAIL: create / mv / rm of a replica:2 file left a subfile behind"
     exit 1
 fi
+# A file's subfiles are the servers its brick lists name: one brick is one
+# primary and one mirror on three ionds, under whichever name the catalog
+# holds — moved across metadata shards (the two-phase rename), then removed.
+test "$(red_held 'one\.md')" -eq 2
+echo 'mv /sd1/one.md /sd0/uno.md' | red_sh >target/red-smoke/shell-mv.out 2>&1
+test "$(red_held 'uno\.md')" -eq 2
+test "$(red_held 'one\.md')" -eq 0
+echo 'rm /sd0/uno.md' | red_sh >target/red-smoke/shell-rm.out 2>&1
+test "$(red_held 'uno\.md')" -eq 0
 # One I/O server goes dark; the export below must reconstruct its bricks
 # from the mirrors — renamed along with the primaries — and still
 # round-trip byte-for-byte.
 kill "$RION1_PID" 2>/dev/null || :
-printf '%s\n' \
-    'export /moved.md target/red-smoke/readme.roundtrip' \
-    | ./target/release/dpfs-sh \
-        --metad 127.0.0.1:17451 \
-        --server ion0=127.0.0.1:17452 \
-        --server ion1=127.0.0.1:17453 \
-        --server ion2=127.0.0.1:17454 \
-    >target/red-smoke/shell2.out 2>&1
-kill "$RMETAD_PID" "$RION0_PID" "$RION2_PID" 2>/dev/null || :
+echo 'export /moved.md target/red-smoke/readme.roundtrip' |
+    red_sh >target/red-smoke/shell2.out 2>&1
+kill "$RMETAD0_PID" "$RMETAD1_PID" "$RION0_PID" "$RION2_PID" 2>/dev/null || :
 trap - EXIT
 cmp -s README.md target/red-smoke/readme.roundtrip
 echo "redundancy smoke: ok"

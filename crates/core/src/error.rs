@@ -144,7 +144,10 @@ impl std::error::Error for DpfsError {
 
 impl From<MetaError> for DpfsError {
     fn from(e: MetaError) -> Self {
-        DpfsError::Meta(e)
+        match e {
+            MetaError::InvalidName(m) => DpfsError::InvalidArgument(m),
+            other => DpfsError::Meta(other),
+        }
     }
 }
 

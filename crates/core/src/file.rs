@@ -16,14 +16,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use dpfs_meta::{Distribution, MetaStore};
+use dpfs_meta::{Distribution, MetaError, MetaStore};
 use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
 use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result};
 use crate::geometry::Region;
-use crate::hints::{copy_home, FileLevel, Placement, RedundancyPolicy, Subfile};
+use crate::hints::{copy_home, holders, FileLevel, Placement, RedundancyPolicy, Subfile};
 pub use crate::hints::{mirror_subfile, parity_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::placement::BrickMap;
@@ -520,11 +520,24 @@ impl FileHandle {
         Ok(())
     }
 
+    /// The membership this handle's redundancy algebra — the parity update
+    /// and the reconstructing read — runs over: every server, whatever its
+    /// brick map says. The map is a snapshot another handle may have
+    /// outgrown, an XOR group couples all data servers, and a member the
+    /// catalog never gave a brick reads back as zeros; only the existence
+    /// enumerations (`sync` here, `unlink`/`rename`, fsck) go by brick lists.
+    fn every_server(&self) -> Vec<bool> {
+        vec![true; self.servers.len()]
+    }
+
     /// Bring the parity subfile up to date after a data write: parity is
     /// the member of the file's one protection group that is the XOR of all
     /// the data subfiles, so the stale ranges are simply [`Self::restore`]d
     /// (reads past a subfile's extent come back zero-filled, so short and
-    /// absent subfiles contribute zeros). Recomputing from the data —
+    /// absent subfiles contribute zeros). Every data server is read, not
+    /// only those this handle's brick map names: the map is a snapshot, and
+    /// another handle may since have grown the file onto a server it shows
+    /// empty. Recomputing from the data —
     /// instead of delta-XORing old vs new bytes — self-heals any previously
     /// stale parity range it touches. `touched` is the `(subfile_offset,
     /// len)` ranges the write dirtied, in any order, overlap allowed.
@@ -549,7 +562,7 @@ impl FileHandle {
         if union.is_empty() {
             return Ok(());
         }
-        let mut data = self.redundancy.subfiles(&self.path, self.servers.len());
+        let mut data = self.redundancy.subfiles(&self.path, &self.every_server());
         let parity = data.pop().expect("xor parity enumerates parity");
         self.restore(&parity, &data, &union, trace_id)
     }
@@ -731,7 +744,9 @@ impl FileHandle {
                 Err(err) if RetryPolicy::retryable(&err) => {
                     let t0 = trace::now_ns();
                     let lost = (req.server, self.path.clone());
-                    let sources = self.redundancy.peers(&self.path, self.servers.len(), &lost);
+                    let sources = self
+                        .redundancy
+                        .peers(&self.path, &self.every_server(), &lost);
                     let Ok(chunks) = self.rebuild(&sources, &req.ranges, trace_id) else {
                         return Err(err);
                     };
@@ -784,65 +799,85 @@ impl FileHandle {
         Ok(())
     }
 
-    /// Grow a linear file's brick map to `needed` bricks, persisting the new
-    /// brick lists to the catalog.
+    /// Grow a linear file's brick map to at least `needed` bricks. The
+    /// extension is a compare-and-set in the catalog, committed before this
+    /// returns — so before the first byte goes to a server the file had no
+    /// brick on — and answered with the file's entry as it now stands: this
+    /// handle's map is whatever the catalog says, its own plan if it won,
+    /// another handle's if that one got there first, extended again from
+    /// there if still short. Nothing else changes a brick list, so what the
+    /// I/O servers hold is always within [`RedundancyPolicy::subfiles`] over
+    /// the catalog.
     fn grow_to(&mut self, needed: u64) -> Result<()> {
-        let extra = needed - self.map.num_bricks();
-        match self.placement {
-            Placement::RoundRobin => self.map.extend(extra, None)?,
+        let perf = match self.placement {
+            Placement::RoundRobin => None,
             Placement::Greedy => {
                 // The registry is read when a greedy file actually grows,
                 // for the numbers of the servers that hold its bricks (the
                 // parity server of an XOR file holds none).
                 let registry = self.meta.list_servers()?;
-                let perf: Vec<i64> = self.servers[..self.map.num_servers()]
-                    .iter()
-                    .map(|name| {
-                        registry
-                            .iter()
-                            .find(|s| s.name == *name)
-                            .map_or(1, |s| s.performance.max(1))
-                    })
-                    .collect();
-                self.map.extend(extra, Some(&perf))?;
+                let number = |name: &String| {
+                    let found = registry.iter().find(|s| s.name == *name);
+                    found.map_or(1, |s| s.performance.max(1))
+                };
+                Some(
+                    self.servers[..self.map.num_servers()]
+                        .iter()
+                        .map(number)
+                        .collect::<Vec<i64>>(),
+                )
             }
+        };
+        while self.map.num_bricks() < needed {
+            let have = self.map.num_bricks();
+            let mut planned = self.map.clone();
+            planned.extend(needed - have, perf.as_deref())?;
+            let added: Vec<(String, Vec<i64>)> = self
+                .servers
+                .iter()
+                .zip(planned.bricklists())
+                .zip(self.map.bricklists())
+                .filter(|((_, new), old)| new.len() > old.len())
+                .map(|((server, new), old)| {
+                    let bricks = new[old.len()..].iter().map(|&b| b as i64).collect();
+                    (server.clone(), bricks)
+                })
+                .collect();
+            let (attr, dist) = self
+                .meta
+                .extend_distribution(&self.path, have as i64, &added)
+                .map_err(|e| match e {
+                    MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(self.path.clone()),
+                    other => other.into(),
+                })?;
+            if !dist.iter().map(|d| &d.server).eq(&self.servers) {
+                return Err(DpfsError::InvalidArgument(format!(
+                    "{} was replaced by another file while open",
+                    self.path
+                )));
+            }
+            self.map = brick_map(self.redundancy, &dist)?;
+            self.size = self.size.max(attr.size as u64);
         }
         if let Layout::Linear(lin) = &mut self.layout {
-            lin.file_bytes = lin.file_bytes.max(needed * lin.brick_bytes);
+            lin.file_bytes = lin.file_bytes.max(self.map.num_bricks() * lin.brick_bytes);
         }
-        let mut dist: Vec<Distribution> = self
-            .servers
-            .iter()
-            .zip(self.map.bricklists())
-            .map(|(server, bricks)| Distribution {
-                server: server.clone(),
-                filename: self.path.clone(),
-                bricklist: bricks.iter().map(|&b| b as i64).collect(),
-            })
-            .collect();
-        if self.redundancy == RedundancyPolicy::XorParity {
-            // The brick map covers only the data servers; re-append the
-            // brickless parity row the zip above dropped.
-            dist.push(Distribution {
-                server: self.servers.last().expect("xor parity has servers").clone(),
-                filename: self.path.clone(),
-                bricklist: Vec::new(),
-            });
-        }
-        self.meta.update_distribution(&self.path, &dist)?;
         Ok(())
     }
 
     /// Ask every server holding this file to flush its subfiles — the
-    /// primaries, the mirror copies and the parity sibling (a server
-    /// answers `Pong` for a subfile it never created). Every server is
-    /// attempted even when some fail, and the failures come back
-    /// aggregated in a single [`DpfsError::Aggregate`].
+    /// primaries, the mirror copies and the parity sibling, on the servers
+    /// this handle's brick map names (a server answers `Pong` for a subfile
+    /// never written). Every one is attempted even when some fail, and the
+    /// failures come back aggregated in a single [`DpfsError::Aggregate`].
     pub fn sync(&mut self) -> Result<()> {
         self.last_trace_id = trace::sampled_trace_id();
         let work = self
             .redundancy
-            .subfiles(&self.path, self.servers.len())
+            .subfiles(
+                &self.path,
+                &holders(self.servers.len(), self.map.bricklists()),
+            )
             .into_iter()
             .map(|(s, subfile)| (self.servers[s].as_str(), Request::Sync { subfile }))
             .collect();
@@ -855,6 +890,15 @@ impl FileHandle {
     pub fn close(self) -> Result<()> {
         Ok(())
     }
+}
+
+/// The brick map the catalog's distribution rows (server-name order) spell.
+/// Under XOR parity the last row is the brickless parity server's; the map
+/// covers the data servers.
+pub(crate) fn brick_map(redundancy: RedundancyPolicy, dist: &[Distribution]) -> Result<BrickMap> {
+    let rows = redundancy.data_servers(dist.len());
+    let lists: Vec<&[i64]> = dist[..rows].iter().map(|d| &d.bricklist[..]).collect();
+    BrickMap::from_bricklists(&lists)
 }
 
 /// One past the last byte of a `len`-byte access at `offset`; an access

@@ -12,14 +12,16 @@
 use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
-use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, MetaError, MetaStore, ServerInfo};
+use dpfs_meta::{
+    Catalog, Database, Distribution, FileAttrRow, FileEntry, MetaError, MetaStore, ServerInfo,
+};
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
 use crate::error::{DpfsError, Result};
-use crate::file::{issue_all, ClientOptions, FileHandle};
+use crate::file::{brick_map, issue_all, ClientOptions, FileHandle};
 use crate::geometry::Shape;
-use crate::hints::{FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
+use crate::hints::{holders, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 use crate::layout::Layout;
 use crate::placement::{greedy, round_robin, BrickMap};
 use crate::remote_meta::RemoteMetaStore;
@@ -259,19 +261,15 @@ impl Dpfs {
         }
         let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
         let names: Vec<String> = dist.iter().map(|d| d.server.clone()).collect();
-        let mut lists: Vec<Vec<i64>> = dist.iter().map(|d| d.bricklist.clone()).collect();
-        if redundancy == RedundancyPolicy::XorParity {
-            // The last (name-ordered) row is the brickless parity server;
-            // the brick map covers only the data servers.
-            if lists.len() < 2 {
-                return Err(DpfsError::InvalidArgument(format!(
-                    "xor-parity file {path} has {} distribution rows, needs >= 2",
-                    lists.len()
-                )));
-            }
-            lists.pop();
+        // Under XOR parity the last (name-ordered) row is the brickless
+        // parity server.
+        if redundancy == RedundancyPolicy::XorParity && dist.len() < 2 {
+            return Err(DpfsError::InvalidArgument(format!(
+                "xor-parity file {path} has {} distribution rows, needs >= 2",
+                dist.len()
+            )));
         }
-        let map = BrickMap::from_bricklists(&lists)?;
+        let map = brick_map(redundancy, &dist)?;
         let placement = match attr.placement.as_str() {
             "greedy" => Placement::Greedy,
             _ => Placement::RoundRobin,
@@ -293,21 +291,19 @@ impl Dpfs {
     // --------------------------------------------------- namespace ops
 
     /// Delete a file: metadata first (transactional), then one `Delete`
-    /// per subfile, all servers at once. Redundant files carry derived
-    /// subfiles under other names; the policy comes from the attribute row
-    /// the transaction removed.
+    /// per subfile, all servers at once. The entry the transaction removed
+    /// says which subfiles there can be: its brick lists name the servers
+    /// that were ever sent a byte, its policy the derived subfiles beside
+    /// them.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = normalize_path(path)?;
-        let (attr, dist) = self.meta.delete_file(&path).map_err(|e| match e {
+        let entry = self.meta.delete_file(&path).map_err(|e| match e {
             MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(path.clone()),
             other => other.into(),
         })?;
-        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
-        let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
-        let work = redundancy
-            .subfiles(&path, servers.len())
+        let work = subfiles_of(&entry, &path)?
             .into_iter()
-            .map(|(s, subfile)| (servers[s].as_str(), Request::Delete { subfile }))
+            .map(|(server, subfile)| (server, Request::Delete { subfile }))
             .collect();
         let trace_id = trace::sampled_trace_id();
         // best effort: a dead server must not strand the namespace
@@ -370,14 +366,15 @@ impl Dpfs {
 
     /// Rename a file: metadata first (atomic in the catalog), then — since
     /// subfiles are keyed by DPFS path — one server-side `Rename` per
-    /// subfile, all servers at once. Names move; no byte does. A server that
-    /// cannot be reached keeps its subfiles under the old name and is named
-    /// in the returned [`DpfsError::Aggregate`].
+    /// subfile the moved entry's brick lists name, all servers at once.
+    /// Names move; no byte does. A server that cannot be reached keeps its
+    /// subfiles under the old name and is named in the returned
+    /// [`DpfsError::Aggregate`].
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from_n = normalize_path(from)?;
         let to_n = normalize_path(to)?;
         let moved = self.meta.rename_file(&from_n, &to_n);
-        let (attr, dist) = moved.map_err(|e| match e {
+        let entry = moved.map_err(|e| match e {
             MetaError::DuplicateKey(_) => DpfsError::FileExists(to_n.clone()),
             // The catalog misses the source or the destination's directory;
             // a second look tells which.
@@ -387,13 +384,10 @@ impl Dpfs {
             },
             other => other.into(),
         })?;
-        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
-        let servers: Vec<String> = dist.into_iter().map(|d| d.server).collect();
-        let work = redundancy
-            .subfiles(&from_n, servers.len())
+        let work = subfiles_of(&entry, &from_n)?
             .into_iter()
-            .zip(redundancy.subfiles(&to_n, servers.len()))
-            .map(|((s, from), (_, to))| (servers[s].as_str(), Request::Rename { from, to }))
+            .zip(subfiles_of(&entry, &to_n)?)
+            .map(|((server, from), (_, to))| (server, Request::Rename { from, to }))
             .collect();
         let trace_id = trace::sampled_trace_id();
         issue_all(&self.pool, &self.opts, "rename", work, trace_id)
@@ -403,6 +397,18 @@ impl Dpfs {
     pub fn pool(&self) -> &Arc<ConnPool> {
         &self.pool
     }
+}
+
+/// The subfiles a catalog entry says its file can have, were it named
+/// `path`, as `(server name, subfile name)`: [`RedundancyPolicy::subfiles`]
+/// over the entry's brick lists.
+fn subfiles_of<'a>((attr, dist): &'a FileEntry, path: &str) -> Result<Vec<(&'a str, String)>> {
+    let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
+    let subfiles = RedundancyPolicy::parse(&attr.redundancy)?.subfiles(path, &holds);
+    Ok(subfiles
+        .into_iter()
+        .map(|(s, subfile)| (dist[s].server.as_str(), subfile))
+        .collect())
 }
 
 /// Build the catalog attribute row for a new file.

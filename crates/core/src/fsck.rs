@@ -12,7 +12,7 @@ use dpfs_proto::Request;
 use crate::error::{DpfsError, Result};
 use crate::file::FileHandle;
 use crate::fs::{striping_from_attr, Dpfs};
-use crate::hints::{RedundancyPolicy, Subfile};
+use crate::hints::{holders, RedundancyPolicy, Subfile};
 use crate::layout::Layout;
 use crate::placement::BrickMap;
 
@@ -197,13 +197,20 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                 && attr.size as u64 >= layout.file_bytes()
                 && attr.size > 0;
             let policy = RedundancyPolicy::parse(&attr.redundancy);
-            // Primary-subfile checks cover the rows that hold bricks.
+            // The audit covers the subfiles the brick lists name
+            // (`RedundancyPolicy::subfiles`): a row without bricks — the
+            // parity server's, a server a short file never reached — has no
+            // primary to stat.
             let data_rows = match &policy {
                 Ok(p) => p.data_servers(dist.len()),
                 Err(_) => dist.len(),
             };
-            let mut primary_sizes: Vec<Option<u64>> = Vec::with_capacity(data_rows);
-            for (server, list) in dist.iter().take(data_rows) {
+            // Indexed like `dist`; `None` = not statted or unreachable.
+            let mut primary_sizes: Vec<Option<u64>> = vec![None; dist.len()];
+            for (host, (server, list)) in dist.iter().enumerate().take(data_rows) {
+                if list.is_empty() {
+                    continue;
+                }
                 report.subfiles_checked += 1;
                 let max_expected: u64 = list.iter().map(|&b| layout.brick_len(b as u64)).sum();
                 match fs.pool().rpc(
@@ -216,7 +223,7 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                         // A partially-written file may legitimately have no
                         // subfile on some servers; a fully-written one may
                         // not.
-                        if !exists && fully_written && !list.is_empty() {
+                        if !exists && fully_written {
                             report.issues.push(Issue::SubfileMissing {
                                 filename: filename.clone(),
                                 server: server.clone(),
@@ -230,13 +237,12 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                                 actual: size,
                             });
                         }
-                        primary_sizes.push(Some(if exists { size } else { 0 }));
+                        primary_sizes[host] = Some(if exists { size } else { 0 });
                     }
                     Ok(_) | Err(_) => {
                         report.issues.push(Issue::ServerUnreachable {
                             server: server.clone(),
                         });
-                        primary_sizes.push(None);
                     }
                 }
             }
@@ -380,12 +386,13 @@ fn check_protection(
             .map(|&b| layout.brick_len(b as u64))
             .sum()
     };
-    for group in policy.groups(filename, dist.len()) {
+    let holds = holders(dist.len(), dist.iter().map(|(_, list)| list));
+    for group in policy.groups(filename, &holds) {
         let sizes: Vec<Option<u64>> = group
             .iter()
             .map(|(host, sub)| {
                 if sub == filename {
-                    return primary_sizes.get(*host).copied().flatten();
+                    return primary_sizes[*host];
                 }
                 report.subfiles_checked += 1;
                 stat_subfile(fs, &dist[*host].0, sub)
@@ -432,7 +439,9 @@ pub fn fsck_reprotect(fs: &Dpfs) -> Result<RepairSummary> {
             Err(DpfsError::InvalidArgument(_) | DpfsError::NoSuchFile(_)) => continue,
             Err(e) => return Err(e),
         };
-        for group in file.redundancy().groups(filename, file.servers().len()) {
+        // Just opened, so its brick map is the catalog's.
+        let holds = holders(file.servers().len(), file.brick_map().bricklists());
+        for group in file.redundancy().groups(filename, &holds) {
             reprotect_group(fs, &mut file, &group, &mut summary)?;
         }
     }

@@ -256,18 +256,24 @@ impl RedundancyPolicy {
         }
     }
 
-    /// Every subfile a file materialises on its `n` servers, as `(server
-    /// index, subfile name)` — *the* definition of "the subfiles of a
-    /// file" that sync, unlink, rename, parity, reconstruction and fsck all
-    /// enumerate. Primaries come in server order; under `Replica(k)` each
+    /// Every subfile a file can have on its servers, as `(server index,
+    /// subfile name)` — *the* definition of "the subfiles of a file" that
+    /// sync, unlink, rename, parity, reconstruction and fsck all enumerate.
+    /// `holds[s]` ([`holders`] of the catalog's brick lists) says whether
+    /// the file's `s`-th server was ever assigned a brick: one that was not
+    /// was never sent a byte, so it has no primary, its stripe has no
+    /// mirrors, and a file none of whose data servers holds a brick has no
+    /// parity. Primaries come in server order; under `Replica(k)` each
     /// primary is followed by its `k - 1` mirrors; under `XorParity` the
     /// parity subfile comes last ([`RedundancyPolicy::groups`] cuts the list
     /// accordingly).
-    pub fn subfiles(self, path: &str, n: usize) -> Vec<Subfile> {
+    pub fn subfiles(self, path: &str, holds: &[bool]) -> Vec<Subfile> {
+        let n = holds.len();
         let mut out: Vec<Subfile> = (0..self.data_servers(n))
+            .filter(|&s| holds[s])
             .flat_map(|s| (0..self.copies()).map(move |copy| copy_home(path, s, copy, n)))
             .collect();
-        if self == RedundancyPolicy::XorParity && n > 0 {
+        if self == RedundancyPolicy::XorParity && !out.is_empty() {
             out.push((n - 1, parity_subfile(path)));
         }
         out
@@ -276,30 +282,51 @@ impl RedundancyPolicy {
     /// The protection groups of a file: [`RedundancyPolicy::subfiles`] cut
     /// so that every member of a group is a function of the group's other
     /// members — under `Replica(k)` a stripe's `k` copies, each equal to any
-    /// other; under `XorParity` the data subfiles and the parity subfile
-    /// together, each the XOR of all the others. An unprotected file has
-    /// none. Reconstruction, the parity update and fsck's audit and
-    /// re-protection all read the algebra off this one list.
-    pub fn groups(self, path: &str, n: usize) -> Vec<Vec<Subfile>> {
-        let subfiles = self.subfiles(path, n);
+    /// other (a stripe with no bricks has no group); under `XorParity` the
+    /// data subfiles and the parity subfile together, each the XOR of all
+    /// the others (a data server with no bricks contributes zeros, so
+    /// leaving it out changes no byte). An unprotected file has none.
+    /// Reconstruction, the parity update and fsck's audit and re-protection
+    /// all read the algebra off this one list.
+    ///
+    /// An XOR group couples every data server, so `holds` must be current
+    /// when it leaves one out: fsck passes the lists it just read; a
+    /// [`FileHandle`](crate::FileHandle), whose brick map is a snapshot
+    /// another handle may have outgrown, passes every server.
+    pub fn groups(self, path: &str, holds: &[bool]) -> Vec<Vec<Subfile>> {
+        let subfiles = self.subfiles(path, holds);
         match self {
             RedundancyPolicy::None => Vec::new(),
             RedundancyPolicy::Replica(k) => subfiles.chunks(k).map(<[_]>::to_vec).collect(),
+            RedundancyPolicy::XorParity if subfiles.is_empty() => Vec::new(),
             RedundancyPolicy::XorParity => vec![subfiles],
         }
     }
 
     /// The other members of `member`'s protection group — what its bytes can
     /// be rebuilt from (empty for a subfile no group protects).
-    pub fn peers(self, path: &str, n: usize, member: &Subfile) -> Vec<Subfile> {
+    pub fn peers(self, path: &str, holds: &[bool], member: &Subfile) -> Vec<Subfile> {
         let mut group = self
-            .groups(path, n)
+            .groups(path, holds)
             .into_iter()
             .find(|g| g.contains(member))
             .unwrap_or_default();
         group.retain(|m| m != member);
         group
     }
+}
+
+/// Which of a file's `n` servers the catalog's brick lists say hold a brick
+/// — the `holds` of [`RedundancyPolicy::subfiles`]. `bricklists` is in
+/// server order and may stop short of `n` (an XOR file's brick map does not
+/// cover its parity server, which holds none).
+pub fn holders<B>(n: usize, bricklists: impl IntoIterator<Item = impl AsRef<[B]>>) -> Vec<bool> {
+    let mut holds: Vec<bool> = bricklists
+        .into_iter()
+        .map(|list| !list.as_ref().is_empty())
+        .collect();
+    holds.resize(n, false);
+    holds
 }
 
 /// Subfile name of replica copy `copy` (1-based) of `path`. The scheme is
@@ -539,13 +566,14 @@ mod tests {
         let named = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
             v.iter().map(|&(s, name)| (s, name.to_string())).collect()
         };
+        let all = [true; 3];
         assert_eq!(
-            RedundancyPolicy::None.subfiles("/f", 3),
+            RedundancyPolicy::None.subfiles("/f", &all),
             named(&[(0, "/f"), (1, "/f"), (2, "/f")])
         );
         // Copy groups are consecutive: primary, then its mirrors, wrapping.
         assert_eq!(
-            RedundancyPolicy::Replica(2).subfiles("/f", 3),
+            RedundancyPolicy::Replica(2).subfiles("/f", &all),
             named(&[
                 (0, "/f"),
                 (1, "/f#r1"),
@@ -557,33 +585,86 @@ mod tests {
         );
         // The last server holds parity and no primary.
         assert_eq!(
-            RedundancyPolicy::XorParity.subfiles("/f", 3),
+            RedundancyPolicy::XorParity.subfiles("/f", &[true, true, false]),
             named(&[(0, "/f"), (1, "/f"), (2, "/f#p")])
         );
-        assert!(RedundancyPolicy::XorParity.subfiles("/f", 0).is_empty());
+        assert!(RedundancyPolicy::XorParity.subfiles("/f", &[]).is_empty());
         // A lost member is rebuilt from the rest of its group: its stripe's
         // other copies, or every other data subfile plus parity.
         assert!(RedundancyPolicy::None
-            .peers("/f", 3, &(1, "/f".into()))
+            .peers("/f", &all, &(1, "/f".into()))
             .is_empty());
         assert_eq!(
-            RedundancyPolicy::Replica(2).peers("/f", 3, &(2, "/f".into())),
+            RedundancyPolicy::Replica(2).peers("/f", &all, &(2, "/f".into())),
             named(&[(0, "/f#r1")])
         );
         assert_eq!(
-            RedundancyPolicy::Replica(2).peers("/f", 3, &(0, "/f#r1".into())),
+            RedundancyPolicy::Replica(2).peers("/f", &all, &(0, "/f#r1".into())),
             named(&[(2, "/f")])
         );
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", 3, &(2, "/f#p".into())),
+            RedundancyPolicy::XorParity.peers("/f", &all, &(2, "/f#p".into())),
             named(&[(0, "/f"), (1, "/f")])
         );
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", 3, &(0, "/f".into())),
+            RedundancyPolicy::XorParity.peers("/f", &all, &(0, "/f".into())),
             named(&[(1, "/f"), (2, "/f#p")])
         );
         assert_eq!(RedundancyPolicy::XorParity.data_servers(4), 3);
         assert_eq!(RedundancyPolicy::Replica(3).data_servers(4), 4);
+    }
+
+    /// A server whose brick list is empty was never sent a byte: it has no
+    /// primary, its stripe no mirrors, and data servers that all hold
+    /// nothing leave no parity either.
+    #[test]
+    fn subfiles_follow_the_brick_lists() {
+        let named = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
+            v.iter().map(|&(s, name)| (s, name.to_string())).collect()
+        };
+        let one = [true, false, false, false];
+        assert_eq!(
+            RedundancyPolicy::None.subfiles("/f", &one),
+            named(&[(0, "/f")])
+        );
+        assert_eq!(
+            RedundancyPolicy::Replica(2).subfiles("/f", &[false, false, false, true]),
+            named(&[(3, "/f"), (0, "/f#r1")])
+        );
+        assert_eq!(
+            RedundancyPolicy::Replica(2).groups("/f", &[true, false, true, false]),
+            vec![
+                named(&[(0, "/f"), (1, "/f#r1")]),
+                named(&[(2, "/f"), (3, "/f#r1")])
+            ]
+        );
+        assert!(RedundancyPolicy::Replica(2)
+            .peers("/f", &one, &(1, "/f".into()))
+            .is_empty());
+        // The parity server's own row never holds bricks; whatever it says,
+        // parity exists iff a data subfile does.
+        for last in [false, true] {
+            assert_eq!(
+                RedundancyPolicy::XorParity.subfiles("/f", &[true, false, false, last]),
+                named(&[(0, "/f"), (3, "/f#p")])
+            );
+            assert!(RedundancyPolicy::XorParity
+                .subfiles("/f", &[false, false, false, last])
+                .is_empty());
+            assert!(RedundancyPolicy::XorParity
+                .groups("/f", &[false, false, false, last])
+                .is_empty());
+        }
+        // An absent XOR member is zeros: parity of a one-brick file is
+        // rebuilt from the one data subfile, and that subfile from parity.
+        assert_eq!(
+            RedundancyPolicy::XorParity.peers("/f", &one, &(3, "/f#p".into())),
+            named(&[(0, "/f")])
+        );
+        assert_eq!(
+            RedundancyPolicy::XorParity.peers("/f", &one, &(0, "/f".into())),
+            named(&[(3, "/f#p")])
+        );
     }
 
     #[test]

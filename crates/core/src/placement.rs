@@ -78,7 +78,8 @@ impl BrickMap {
     /// Rebuild from the catalog's per-server brick lists. `order` maps each
     /// bricklist to its server index (lists come back sorted by server
     /// name).
-    pub fn from_bricklists(lists: &[Vec<i64>]) -> Result<BrickMap> {
+    pub fn from_bricklists<L: AsRef<[i64]>>(lists: &[L]) -> Result<BrickMap> {
+        let lists: Vec<&[i64]> = lists.iter().map(AsRef::as_ref).collect();
         let total: usize = lists.iter().map(|l| l.len()).sum();
         let mut assignment = vec![usize::MAX; total];
         let mut slot = vec![0u64; total];

@@ -560,12 +560,21 @@ impl MetaStore for RemoteMetaStore {
         )
     }
 
-    fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> MetaResultT<()> {
+    fn extend_distribution(
+        &self,
+        filename: &str,
+        expected_bricks: i64,
+        added: &[(String, Vec<i64>)],
+    ) -> MetaResultT<FileEntry> {
         expect!(
             self,
             self.route_file(filename),
-            MetaOp::UpdateDistribution { filename: filename.into(), dist: dist.to_vec() },
-            MetaResult::Unit => ()
+            MetaOp::ExtendDistribution {
+                filename: filename.into(),
+                expected_bricks,
+                added: added.to_vec()
+            },
+            MetaResult::MaybeEntry(Some(entry)) => entry
         )
     }
 

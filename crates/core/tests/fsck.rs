@@ -86,6 +86,31 @@ fn healthy_system_is_clean_offline_and_online() {
     assert_eq!(report.subfiles_checked, 6);
 }
 
+/// The online audit stats the subfiles the brick lists name, not one per
+/// server per copy: a one-brick file has one primary, and beside it one
+/// mirror or the parity sibling.
+#[test]
+fn online_audit_covers_the_subfiles_the_brick_lists_name() {
+    use dpfs_core::RedundancyPolicy;
+    for (policy, subfiles) in [
+        (RedundancyPolicy::None, 1),
+        (RedundancyPolicy::Replica(2), 2),
+        (RedundancyPolicy::XorParity, 2),
+    ] {
+        let r = rig("exact");
+        let mut f =
+            r.fs.create("/one", &Hint::linear(64, 64).with_redundancy(policy))
+                .unwrap();
+        f.write_bytes(0, &[9u8; 64]).unwrap();
+        f.close().unwrap();
+        let report = dpfs_core::fsck::fsck_with(&r.fs, true, true).unwrap();
+        assert!(report.clean(), "{policy:?}: {:?}", report.issues);
+        assert_eq!(report.subfiles_checked, subfiles, "{policy:?}");
+        let fixed = dpfs_core::fsck::fsck_reprotect(&r.fs).unwrap();
+        assert!(fixed.fixed.is_empty() && fixed.unfixable.is_empty());
+    }
+}
+
 #[test]
 fn detects_orphan_distribution() {
     let r = rig("orphandist");

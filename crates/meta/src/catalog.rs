@@ -400,15 +400,54 @@ impl Catalog {
         self.db.transaction(|txn| get_distribution(txn, filename))
     }
 
-    /// Replace a file's distribution rows atomically (used when a linear
-    /// file grows and its brick lists extend).
-    pub fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
+    /// Extend a file's brick lists — compare-and-set on its brick count.
+    /// `added` names, per server, the new brick numbers to append to that
+    /// server's list; they are appended iff the file holds exactly
+    /// `expected_bricks` bricks now and `added` numbers the next bricks,
+    /// each once. Either way the answer is the file's entry as it stands
+    /// afterwards: the caller that lost a race adopts the winner's map from
+    /// the same reply. Brick lists only ever grow, and only here.
+    pub fn extend_distribution(
+        &self,
+        filename: &str,
+        expected_bricks: i64,
+        added: &[(String, Vec<i64>)],
+    ) -> Result<FileEntry> {
         self.db.transaction(|txn| {
-            txn.execute_with(
-                "DELETE FROM dpfs_file_distribution WHERE filename = ?",
-                &[filename.into()],
-            )?;
-            insert_distribution(txn, dist)
+            let (attr, mut dist) = get_entry(txn, filename)?
+                .ok_or_else(|| MetaError::NoSuchTable(format!("file {filename}")))?;
+            let have: usize = dist.iter().map(|d| d.bricklist.len()).sum();
+            if have as i64 != expected_bricks {
+                return Ok((attr, dist));
+            }
+            let mut numbers: Vec<i64> = added.iter().flat_map(|(_, b)| b).copied().collect();
+            numbers.sort_unstable();
+            if !numbers
+                .iter()
+                .copied()
+                .eq(expected_bricks..expected_bricks + numbers.len() as i64)
+            {
+                return Err(MetaError::Txn(format!(
+                    "extension of {filename} does not number the bricks after {expected_bricks}"
+                )));
+            }
+            for (server, bricks) in added {
+                let row = dist
+                    .iter_mut()
+                    .find(|d| d.server == *server)
+                    .ok_or_else(|| {
+                        MetaError::Txn(format!("file {filename} is not striped over {server}"))
+                    })?;
+                row.bricklist.extend(bricks);
+                txn.execute_with(
+                    "UPDATE dpfs_file_distribution SET bricklist = ? WHERE dist_key = ?",
+                    &[
+                        row.bricklist.clone().into(),
+                        composite_key(&[server, filename]).into(),
+                    ],
+                )?;
+            }
+            Ok((attr, dist))
         })
     }
 
@@ -417,6 +456,7 @@ impl Catalog {
     /// Create a directory. Parent must exist; fails on duplicates.
     pub fn mkdir(&self, path: &str) -> Result<()> {
         let path = normalize_path(path)?;
+        check_chars(&path)?;
         if path == "/" {
             return Err(MetaError::DuplicateKey("/ always exists".into()));
         }
@@ -640,6 +680,40 @@ pub fn normalize_path(p: &str) -> Result<String> {
     }
 }
 
+/// Refuse a name no new entry may take: one holding an ASCII control
+/// character. Directory entries are one `\n`-joined TEXT, so a newline in a
+/// name would split its entry in two that no `unlink` could remove. Checked
+/// where an entry is made (`mkdir`, `create_entry`), not where one is
+/// looked up: a name an older catalog already holds can still be opened,
+/// renamed away and unlinked.
+fn check_chars(p: &str) -> Result<()> {
+    if p.contains(|c: char| c.is_ascii_control()) {
+        return Err(MetaError::InvalidName(format!(
+            "path {p:?} holds a control character"
+        )));
+    }
+    Ok(())
+}
+
+/// Refuse a name no new file may take: one [`check_chars`] refuses, or one
+/// shaped like a derived subfile name. The I/O servers key subfiles by DPFS
+/// path, and a redundant file's mirrors and parity live under
+/// `{path}#r<copy>` and `{path}#p`: a user file of that name would share —
+/// overwrite, and on `unlink` delete — another file's redundancy.
+fn check_file_name(filename: &str) -> Result<()> {
+    check_chars(filename)?;
+    let base = base_name(filename);
+    let mirror = base
+        .rsplit_once("#r")
+        .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+    if mirror || base.ends_with("#p") {
+        return Err(MetaError::InvalidName(format!(
+            "{filename} is reserved: names ending in #p or #r<digits> name derived subfiles"
+        )));
+    }
+    Ok(())
+}
+
 /// Parent directory of an absolute path (`None` for `/`).
 pub fn parent_dir(p: &str) -> Option<String> {
     if p == "/" {
@@ -858,13 +932,14 @@ fn delete_intent(txn: &Txn<'_>, intent: i64) -> Result<bool> {
 
 /// Create the entry `attr.filename`: attributes, distribution, tags and the
 /// link in its parent directory, which must exist. `DuplicateKey` if the
-/// name is taken.
+/// name is taken, `InvalidName` if no file may take it.
 fn create_entry(
     txn: &Txn<'_>,
     attr: &FileAttrRow,
     dist: &[Distribution],
     tags: &[(String, String)],
 ) -> Result<()> {
+    check_file_name(&attr.filename)?;
     let parent = parent_dir(&attr.filename)
         .ok_or_else(|| MetaError::Txn(format!("file path {} has no parent", attr.filename)))?;
     let dir = get_dir(txn, &parent)?
@@ -1321,35 +1396,154 @@ mod tests {
     }
 
     #[test]
-    fn distributions_with_separator_bytes_in_names_stay_distinct() {
-        // Under the old naive key `format!("{server}\u{1}{filename}")`,
+    fn separator_bytes_stay_out_of_paths_and_are_escaped_elsewhere() {
+        // Under a naive key `format!("{server}\u{1}{filename}")`,
         // ("s", "/x\u{1}/y") and ("s\u{1}/x", "/y") both produced
-        // "s\u{1}/x\u{1}/y" — the second insert died on DuplicateKey.
-        // Escaped composite keys keep the rows distinct.
+        // "s\u{1}/x\u{1}/y". A path takes no control character at all now;
+        // a server name still may, and its rows stay its own.
         let c = catalog();
-        c.mkdir("/x\u{1}").unwrap();
-        c.create_file(
-            &sample_attr("/x\u{1}/y"),
-            &[Distribution {
-                server: "s".into(),
-                filename: "/x\u{1}/y".into(),
-                bricklist: vec![0],
-            }],
-        )
-        .unwrap();
-        c.create_file(
-            &sample_attr("/y"),
-            &[Distribution {
-                server: "s\u{1}/x".into(),
-                filename: "/y".into(),
-                bricklist: vec![1],
-            }],
-        )
-        .unwrap();
-        assert_eq!(c.get_distribution("/x\u{1}/y").unwrap().len(), 1);
+        assert!(matches!(c.mkdir("/x\u{1}"), Err(MetaError::InvalidName(_))));
+        assert!(matches!(
+            c.create_file(&sample_attr("/x\u{1}y"), &[]),
+            Err(MetaError::InvalidName(_))
+        ));
+        c.mkdir("/x").unwrap();
+        for (server, filename, brick) in [("s", "/x/y", 0), ("s\u{1}/x", "/y", 1)] {
+            c.create_file(
+                &sample_attr(filename),
+                &[Distribution {
+                    server: server.into(),
+                    filename: filename.into(),
+                    bricklist: vec![brick],
+                }],
+            )
+            .unwrap();
+        }
+        assert_eq!(c.get_distribution("/x/y").unwrap().len(), 1);
         let d = c.get_distribution("/y").unwrap();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].bricklist, vec![1]);
+    }
+
+    /// Directory entries are one `\n`-joined TEXT: a newline in a name used
+    /// to split its entry in two, neither of which `unlink` could remove, so
+    /// the directory answered "not empty" for good.
+    #[test]
+    fn a_control_character_in_a_name_is_refused_and_changes_nothing() {
+        let c = catalog();
+        c.mkdir("/d").unwrap();
+        c.create_file(&sample_attr("/d/keep"), &[]).unwrap();
+        let before = c.get_dir("/d").unwrap();
+        for bad in ["/d/a\nb", "/d/a\0b", "/d/\u{7}", "/d/a\rb/c"] {
+            let refused =
+                |r: Result<()>| assert!(matches!(r, Err(MetaError::InvalidName(_))), "{bad:?}");
+            refused(c.create_file(&sample_attr(bad), &[]));
+            refused(c.mkdir(bad));
+            refused(c.rename_file("/d/keep", bad).map(|_| ()));
+            assert_eq!(c.get_dir("/d").unwrap(), before, "{bad:?}");
+        }
+        // Only making an entry is refused: a name an older catalog holds
+        // (here: put there behind the catalog's back) still stats, renames
+        // away and unlinks.
+        let old = "/d/be\u{7}ll";
+        c.db()
+            .execute_with(
+                "UPDATE dpfs_file_attr SET filename = ? WHERE filename = '/d/keep'",
+                &[old.into()],
+            )
+            .unwrap();
+        c.db()
+            .execute_with(
+                "UPDATE dpfs_directory SET files = ? WHERE main_dir = '/d'",
+                &[old.into()],
+            )
+            .unwrap();
+        assert!(c.get_file_attr(old).unwrap().is_some());
+        c.rename_file(old, "/d/bell").unwrap();
+        c.delete_file("/d/bell").unwrap();
+        c.rmdir("/d").unwrap();
+    }
+
+    /// A redundant file's mirrors and parity are subfiles named
+    /// `{path}#r<copy>` and `{path}#p` on the I/O servers; no file may be
+    /// created under, or renamed to, a name of that shape.
+    #[test]
+    fn derived_subfile_names_are_reserved() {
+        let c = catalog();
+        c.create_file(&sample_attr("/f"), &[]).unwrap();
+        for reserved in ["/f#r1", "/f#r12", "/f#p", "/g#r1#p"] {
+            assert!(
+                matches!(
+                    c.create_file(&sample_attr(reserved), &[]),
+                    Err(MetaError::InvalidName(_))
+                ),
+                "{reserved}"
+            );
+            assert!(
+                matches!(
+                    c.rename_file("/f", reserved),
+                    Err(MetaError::InvalidName(_))
+                ),
+                "{reserved}"
+            );
+            // The refused rename rolled back whole.
+            assert!(c.get_file_attr("/f").unwrap().is_some());
+        }
+        // Only the final component, and only the whole suffix, is reserved.
+        c.mkdir("/d#p").unwrap();
+        for fine in ["/d#p/f", "/f#r", "/f#rx", "/f#r1x", "/f#px", "/#q"] {
+            c.create_file(&sample_attr(fine), &[]).unwrap();
+        }
+    }
+
+    #[test]
+    fn extend_distribution_is_a_compare_and_set_on_the_brick_count() {
+        let c = catalog();
+        let row = |server: &str, bricks: &[i64]| Distribution {
+            server: server.into(),
+            filename: "/f".into(),
+            bricklist: bricks.to_vec(),
+        };
+        let attr = sample_attr("/f");
+        c.create_file(&attr, &[row("s0", &[0]), row("s1", &[]), row("s2", &[])])
+            .unwrap();
+        let added = |pairs: &[(&str, &[i64])]| -> Vec<(String, Vec<i64>)> {
+            pairs
+                .iter()
+                .map(|(s, b)| (s.to_string(), b.to_vec()))
+                .collect()
+        };
+        // From one brick to four: the reply is the entry afterwards.
+        let grown = vec![row("s0", &[0, 3]), row("s1", &[1]), row("s2", &[2])];
+        let (got, dist) = c
+            .extend_distribution("/f", 1, &added(&[("s1", &[1]), ("s2", &[2]), ("s0", &[3])]))
+            .unwrap();
+        assert_eq!((got, &dist), (attr.clone(), &grown));
+        assert_eq!(c.get_distribution("/f").unwrap(), grown);
+        // A handle that still believes in one brick changes nothing and
+        // learns the four — however it would have numbered its own.
+        for stale in [added(&[("s1", &[1])]), added(&[("s2", &[1]), ("s1", &[2])])] {
+            assert_eq!(c.extend_distribution("/f", 1, &stale).unwrap().1, grown);
+            assert_eq!(c.get_distribution("/f").unwrap(), grown);
+        }
+        // At the right count, an extension must number the next bricks, each
+        // once, onto servers the file is striped over.
+        for bad in [
+            added(&[("s1", &[5])]),
+            added(&[("s1", &[4]), ("s2", &[4])]),
+            added(&[("s9", &[4])]),
+        ] {
+            assert!(matches!(
+                c.extend_distribution("/f", 4, &bad),
+                Err(MetaError::Txn(_))
+            ));
+            assert_eq!(c.get_distribution("/f").unwrap(), grown);
+        }
+        assert_eq!(c.extend_distribution("/f", 4, &[]).unwrap().1, grown);
+        assert!(matches!(
+            c.extend_distribution("/missing", 0, &[]),
+            Err(MetaError::NoSuchTable(_))
+        ));
     }
 
     #[test]
@@ -1461,7 +1655,8 @@ mod tests {
         c.get_server("s0").unwrap();
         c.get_dir("/a").unwrap();
         c.set_file_size("/a/f", 1).unwrap();
-        c.update_distribution("/a/f", &dist("/a/f")).unwrap();
+        c.extend_distribution("/a/f", 2, &[("s0".into(), vec![2])])
+            .unwrap();
         c.set_tag("/a/f", "k", "v").unwrap();
         c.set_tag("/a/f", "k", "w").unwrap();
         c.get_tag("/a/f", "k").unwrap();

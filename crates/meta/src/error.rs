@@ -30,6 +30,9 @@ pub enum MetaError {
     /// A remote metadata server failed to answer (transport-level failure
     /// surfaced through a networked `MetaStore` backend).
     Remote(String),
+    /// A path that cannot name a file or directory: relative, holding a
+    /// control character, or shaped like a derived subfile name.
+    InvalidName(String),
 }
 
 impl MetaError {
@@ -50,6 +53,7 @@ impl MetaError {
             MetaError::Io(_) => 10,
             MetaError::Txn(_) => 11,
             MetaError::Remote(_) => 12,
+            MetaError::InvalidName(_) => 13,
         }
     }
 
@@ -68,6 +72,7 @@ impl MetaError {
             9 => MetaError::Storage(message),
             10 => MetaError::Io(std::io::Error::other(message)),
             11 => MetaError::Txn(message),
+            13 => MetaError::InvalidName(message),
             _ => MetaError::Remote(message),
         }
     }
@@ -88,6 +93,7 @@ impl fmt::Display for MetaError {
             MetaError::Io(e) => write!(f, "io error: {e}"),
             MetaError::Txn(m) => write!(f, "transaction error: {m}"),
             MetaError::Remote(m) => write!(f, "remote metadata error: {m}"),
+            MetaError::InvalidName(m) => write!(f, "invalid name: {m}"),
         }
     }
 }

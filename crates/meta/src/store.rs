@@ -48,8 +48,15 @@ pub trait MetaStore: Send + Sync {
 
     // ---- distribution ----
 
-    /// Replace a file's distribution rows atomically.
-    fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()>;
+    /// Append `added` (per server, its new brick numbers) to a file's brick
+    /// lists iff it holds `expected_bricks` bricks; answers the entry as it
+    /// stands afterwards either way.
+    fn extend_distribution(
+        &self,
+        filename: &str,
+        expected_bricks: i64,
+        added: &[(String, Vec<i64>)],
+    ) -> Result<FileEntry>;
 
     // ---- directories ----
 
@@ -129,8 +136,13 @@ impl MetaStore for Catalog {
         Catalog::set_file_owner(self, filename, owner)
     }
 
-    fn update_distribution(&self, filename: &str, dist: &[Distribution]) -> Result<()> {
-        Catalog::update_distribution(self, filename, dist)
+    fn extend_distribution(
+        &self,
+        filename: &str,
+        expected_bricks: i64,
+        added: &[(String, Vec<i64>)],
+    ) -> Result<FileEntry> {
+        Catalog::extend_distribution(self, filename, expected_bricks, added)
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
@@ -352,8 +364,18 @@ mod tests {
                 Box::new(|| s.set_file_permission("/d/f", 0o600)),
             ),
             (
-                "update_distribution",
-                Box::new(|| s.update_distribution("/d/f", &[dist("/d/f")])),
+                "extend_distribution",
+                Box::new(|| {
+                    s.extend_distribution("/d/f", 1, &[("s0".into(), vec![1])])
+                        .map(|_| ())
+                }),
+            ),
+            (
+                "stale extend_distribution",
+                Box::new(|| {
+                    s.extend_distribution("/d/f", 1, &[("s0".into(), vec![1])])
+                        .map(|_| ())
+                }),
             ),
             ("set_tag", Box::new(|| s.set_tag("/d/f", "k", "v"))),
             (
@@ -396,6 +418,7 @@ mod tests {
             let expect = match *name {
                 "rename 2pc" => 3,
                 "rename_abort" => 2,
+                "stale extend_distribution" => 0,
                 _ => 1,
             };
             assert_eq!(commits().0, before + expect, "{name}: WAL commits");

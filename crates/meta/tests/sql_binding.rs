@@ -5,23 +5,27 @@
 //! the full file lifecycle without corrupting the `dist_key`/`tag_key`
 //! composite keys or leaking into neighboring rows.
 //!
-//! One character is not a binding matter and stays out of *path* segments:
+//! Control characters are not a binding matter and stay out of *paths*:
 //! `dpfs_directory` keeps its entries as `\n`-joined TEXT (the catalog's
 //! stated deviation from the paper's text-list columns), so a newline
-//! inside a file name splits its directory entry. Every other string
-//! (owner, server, tag, value) takes newlines too.
+//! inside a file name would split its directory entry — the catalog refuses
+//! any ASCII control character in a path, and the refusal leaves the
+//! directory as it was. Every other string (owner, server, tag, value) takes
+//! them all.
 
 use proptest::prelude::*;
 
-use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, ServerInfo};
+use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, MetaError, ServerInfo};
 
 /// Path segments drawn from an alphabet of troublemakers: single and double
-/// quotes, the placeholder, NUL, the composite-key separator and escape
-/// bytes, a bell, SQL LIKE wildcards, a statement separator and comment
-/// dashes, backslash, and spaces — plus plain letters so the strings stay
-/// distinguishable.
-const NASTY: &str = "[ab'\"?\0\u{1}\u{2}\u{7}%_;\\ -]{1,8}";
-/// Server names, tags, owners and values: the same, and newlines.
+/// quotes, the placeholder, SQL LIKE wildcards, a statement separator and
+/// comment dashes, backslash, the derived-subfile marker and spaces — plus
+/// plain letters so the strings stay distinguishable.
+const NASTY: &str = "[ab'\"?%_;\\ #-]{1,8}";
+/// What a path may not hold: NUL, the composite-key separator and escape
+/// bytes, a bell, the directory-entry separator and its relatives.
+const CONTROL: &str = "[\0\u{1}\u{2}\u{7}\n\r\t\u{7f}]{1}";
+/// Server names, tags, owners and values: all of the above.
 const NASTIER: &str = "[ab'\"?\0\u{1}\u{2}\u{7}%_;\\ \n-]{1,8}";
 
 fn attr(name: &str, owner: &str) -> FileAttrRow {
@@ -46,18 +50,23 @@ proptest! {
     fn hostile_names_survive_the_file_lifecycle(
         seg1 in NASTY,
         seg2 in NASTY,
+        head in NASTY,
+        control in CONTROL,
+        tail in NASTY,
         srv in NASTIER,
         tag in NASTIER,
         value in NASTIER,
     ) {
         // Prefixes keep the two filenames (and the two tags below) distinct
         // even when the generated segments collide.
-        let file1 = format!("/f1{seg1}");
-        let file2 = format!("/f2{seg2}");
+        let file1 = format!("/d/f1{seg1}");
+        let file2 = format!("/d/f2{seg2}");
+        let refused = format!("/d/{head}{control}{tail}");
         let server = format!("srv{srv}");
         let tag2 = format!("t2{tag}");
 
         let catalog = Catalog::new(std::sync::Arc::new(Database::in_memory())).unwrap();
+        catalog.mkdir("/d").unwrap();
         catalog
             .register_server(&ServerInfo {
                 name: server.clone(),
@@ -79,6 +88,16 @@ proptest! {
         catalog.create_file(&attr(&file1, &value), &dist).unwrap();
         let got = catalog.get_file_attr(&file1).unwrap().unwrap();
         prop_assert_eq!(&got.owner, &value);
+
+        // A control character anywhere in a path is refused — as a new file,
+        // as a new directory, as a rename's destination — and the directory
+        // is what it was.
+        let listed = catalog.get_dir("/d").unwrap();
+        let invalid = |r: dpfs_meta::Result<()>| matches!(r, Err(MetaError::InvalidName(_)));
+        prop_assert!(invalid(catalog.create_file(&attr(&refused, "o"), &[])));
+        prop_assert!(invalid(catalog.mkdir(&refused)));
+        prop_assert!(invalid(catalog.rename_file(&file1, &refused).map(|_| ())));
+        prop_assert_eq!(catalog.get_dir("/d").unwrap(), listed);
 
         catalog.set_tag(&file1, &tag, &value).unwrap();
         catalog.set_tag(&file1, &tag2, "other").unwrap();
@@ -115,15 +134,17 @@ proptest! {
         catalog.delete_file(&file2).unwrap();
         prop_assert!(catalog.get_distribution(&file2).unwrap().is_empty());
         prop_assert!(catalog.list_tags(&file2).unwrap().is_empty());
+        // Nothing was left behind in the directory, listed or not.
+        catalog.rmdir("/d").unwrap();
     }
 }
 
 #[test]
 fn a_name_that_is_sql_is_still_a_name() {
-    // What used to need escaping, or broke: a quote, a placeholder, NUL,
-    // the key separators, a statement of its own.
+    // What used to need escaping, or broke: a quote, a placeholder, a
+    // statement of its own.
     let c = Catalog::new(std::sync::Arc::new(Database::in_memory())).unwrap();
-    let name = "/it's a ?\0\u{1}\u{2}'; DROP TABLE dpfs_file_attr; --";
+    let name = "/it's a ?'; DROP TABLE dpfs_file_attr; --";
     let file = attr(name, "o'brien\n?");
     c.create_file(&file, &[]).unwrap();
     assert_eq!(c.get_file_attr(name).unwrap().unwrap(), file);

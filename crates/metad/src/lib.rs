@@ -310,9 +310,13 @@ impl MetaHandler {
             Op::SetFileOwner { filename, owner } => {
                 s.set_file_owner(&filename, &owner).map(|()| R::Unit)
             }
-            Op::UpdateDistribution { filename, dist } => {
-                s.update_distribution(&filename, &dist).map(|()| R::Unit)
-            }
+            Op::ExtendDistribution {
+                filename,
+                expected_bricks,
+                added,
+            } => s
+                .extend_distribution(&filename, expected_bricks, &added)
+                .map(|e| R::MaybeEntry(Some(e))),
             Op::Mkdir { path } => s.mkdir(&path).map(|()| R::Unit),
             Op::Rmdir { path } => s.rmdir(&path).map(|()| R::Unit),
             Op::GetDir { path } => s.get_dir(&path).map(R::MaybeDir),

@@ -55,9 +55,13 @@ pub enum MetaOp {
         filename: String,
         owner: String,
     },
-    UpdateDistribution {
+    /// Compare-and-set growth of a file's brick lists: append `added` (per
+    /// server, its new brick numbers) iff the file holds `expected_bricks`
+    /// bricks. Answers the entry as it stands afterwards either way.
+    ExtendDistribution {
         filename: String,
-        dist: Vec<Distribution>,
+        expected_bricks: i64,
+        added: Vec<(String, Vec<i64>)>,
     },
     Mkdir {
         path: String,
@@ -133,7 +137,7 @@ pub enum MetaResult {
     MaybeString(Option<String>),
     /// A file's catalog entry, attribute row and distribution together:
     /// what `OpenFile` found, what `DeleteFile` removed, what `RenameFile`
-    /// moved (under its new name).
+    /// moved (under its new name), what `ExtendDistribution` left.
     MaybeEntry(Option<FileEntry>),
     Tags(Vec<(String, String)>),
     TagHits(Vec<(String, String, i64)>),
@@ -175,7 +179,7 @@ impl MetaOp {
             MetaOp::SetFileSize { .. } => "meta.set_file_size",
             MetaOp::SetFilePermission { .. } => "meta.set_file_permission",
             MetaOp::SetFileOwner { .. } => "meta.set_file_owner",
-            MetaOp::UpdateDistribution { .. } => "meta.update_distribution",
+            MetaOp::ExtendDistribution { .. } => "meta.extend_distribution",
             MetaOp::Mkdir { .. } => "meta.mkdir",
             MetaOp::Rmdir { .. } => "meta.rmdir",
             MetaOp::GetDir { .. } => "meta.get_dir",
@@ -207,7 +211,7 @@ impl MetaOp {
                 | MetaOp::SetFileSize { .. }
                 | MetaOp::SetFilePermission { .. }
                 | MetaOp::SetFileOwner { .. }
-                | MetaOp::UpdateDistribution { .. }
+                | MetaOp::ExtendDistribution { .. }
                 | MetaOp::Mkdir { .. }
                 | MetaOp::Rmdir { .. }
                 | MetaOp::SetTag { .. }
@@ -449,11 +453,6 @@ impl MetaOp {
                 put_str(buf, filename);
                 put_str(buf, owner);
             }
-            MetaOp::UpdateDistribution { filename, dist } => {
-                buf.put_u8(13);
-                put_str(buf, filename);
-                put_dist_list(buf, dist);
-            }
             MetaOp::Mkdir { path } => {
                 buf.put_u8(14);
                 put_str(buf, path);
@@ -527,6 +526,20 @@ impl MetaOp {
                 buf.put_u8(30);
                 put_str(buf, filename);
             }
+            MetaOp::ExtendDistribution {
+                filename,
+                expected_bricks,
+                added,
+            } => {
+                buf.put_u8(31);
+                put_str(buf, filename);
+                put_i64(buf, *expected_bricks);
+                buf.put_u32_le(added.len() as u32);
+                for (server, bricks) in added {
+                    put_str(buf, server);
+                    put_i64_list(buf, bricks);
+                }
+            }
         }
     }
 
@@ -569,10 +582,6 @@ impl MetaOp {
             11 => MetaOp::SetFileOwner {
                 filename: get_str(buf)?,
                 owner: get_str(buf)?,
-            },
-            13 => MetaOp::UpdateDistribution {
-                filename: get_str(buf)?,
-                dist: get_dist_list(buf)?,
             },
             14 => MetaOp::Mkdir {
                 path: get_str(buf)?,
@@ -625,6 +634,20 @@ impl MetaOp {
             30 => MetaOp::OpenFile {
                 filename: get_str(buf)?,
             },
+            31 => {
+                let filename = get_str(buf)?;
+                let expected_bricks = get_i64(buf)?;
+                let n = get_u32(buf)? as usize;
+                let mut added = Vec::with_capacity(n.min(1 << 16));
+                for _ in 0..n {
+                    added.push((get_str(buf)?, get_i64_list(buf)?));
+                }
+                MetaOp::ExtendDistribution {
+                    filename,
+                    expected_bricks,
+                    added,
+                }
+            }
             other => return Err(FrameError::BadMessage(format!("bad meta op tag {other}"))),
         })
     }
@@ -892,6 +915,14 @@ mod tests {
         ]
     }
 
+    fn sample_extend() -> MetaOp {
+        MetaOp::ExtendDistribution {
+            filename: "/home/dpfs.test".into(),
+            expected_bricks: 5,
+            added: vec![("s1".into(), vec![5, 7]), ("s0".into(), vec![6])],
+        }
+    }
+
     fn round_trip_op(op: MetaOp) {
         let req = Request::Meta { op: op.clone() };
         let dec = Request::decode(req.encode()).unwrap();
@@ -948,9 +979,11 @@ mod tests {
         round_trip_op(MetaOp::OpenFile {
             filename: "/f".into(),
         });
-        round_trip_op(MetaOp::UpdateDistribution {
+        round_trip_op(sample_extend());
+        round_trip_op(MetaOp::ExtendDistribution {
             filename: "/f".into(),
-            dist: sample_dist(),
+            expected_bricks: 0,
+            added: vec![],
         });
         round_trip_op(MetaOp::Mkdir { path: "/d".into() });
         round_trip_op(MetaOp::Rmdir { path: "/d".into() });
@@ -1041,10 +1074,10 @@ mod tests {
         ]));
     }
 
-    /// Op tags 12 (the distribution-only lookup) and 23 (`Generation`) and
-    /// result tag 8 (`Distributions`) are retired, not reassigned: a message
-    /// from an older peer is refused instead of decoding to another verb or
-    /// shape.
+    /// Op tags 12 (the distribution-only lookup), 13 (the blind whole-map
+    /// distribution overwrite) and 23 (`Generation`) and result tag 8
+    /// (`Distributions`) are retired, not reassigned: a message from an older
+    /// peer is refused instead of decoding to another verb or shape.
     #[test]
     fn retired_tags_are_rejected() {
         let enc = Request::Meta {
@@ -1052,10 +1085,11 @@ mod tests {
         }
         .encode();
         assert_eq!(enc.last(), Some(&24));
-        for retired in [23u8, 12] {
+        for retired in [23u8, 13, 12] {
             let mut old = enc.to_vec();
             *old.last_mut().unwrap() = retired;
-            old.extend_from_slice(&[2, 0, 0, 0, b'/', b'f']);
+            // A filename, and (tag 13's body) an empty row list.
+            old.extend_from_slice(&[2, 0, 0, 0, b'/', b'f', 0, 0, 0, 0]);
             assert!(Request::decode(Bytes::from(old)).is_err(), "op {retired}");
         }
         let enc = Response::Meta {
@@ -1087,6 +1121,7 @@ mod tests {
             to: "/b".into()
         }
         .is_mutation());
+        assert!(sample_extend().is_mutation());
         assert!(!MetaOp::ListServers.is_mutation());
         assert!(!MetaOp::GetFileAttr {
             filename: "/f".into()
@@ -1143,6 +1178,16 @@ mod tests {
             assert!(
                 Request::decode(enc.slice(..cut)).is_err(),
                 "commit cut at {cut} should fail"
+            );
+        }
+        let enc = Request::Meta {
+            op: sample_extend(),
+        }
+        .encode();
+        for cut in 1..enc.len() {
+            assert!(
+                Request::decode(enc.slice(..cut)).is_err(),
+                "extend cut at {cut} should fail"
             );
         }
         let enc = Response::Meta {

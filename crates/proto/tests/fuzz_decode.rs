@@ -285,4 +285,45 @@ proptest! {
         lying[at..].copy_from_slice(&claimed.to_le_bytes());
         prop_assert!(Response::decode(Bytes::from(lying)).is_err());
     }
+
+    /// `ExtendDistribution` (its reply is the entry-carrying one above):
+    /// round trip, every strict prefix and trailing garbage refused, a lying
+    /// row count refused without being believed, flipped bytes never panic.
+    #[test]
+    fn extend_distribution_survives_the_same_treatment(
+        filename in "[a-zA-Z0-9/_.%#-]{0,48}",
+        expected_bricks in any::<i64>(),
+        added in proptest::collection::vec(
+            ("[a-z0-9.]{1,12}", proptest::collection::vec(any::<i64>(), 0..8)),
+            0..5,
+        ),
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+        claimed in 1u32..=u32::MAX,
+        pos in any::<usize>(),
+        x in 1u8..=255,
+    ) {
+        let extend = |added| Request::Meta {
+            op: MetaOp::ExtendDistribution { filename: filename.clone(), expected_bricks, added },
+        };
+        let req = extend(added);
+        let enc = req.encode();
+        prop_assert_eq!(&Request::decode(enc.clone()).unwrap(), &req);
+        for cut in 0..enc.len() {
+            prop_assert!(Request::decode(enc.slice(..cut)).is_err(), "cut at {}", cut);
+        }
+        let mut long = enc.to_vec();
+        long.extend_from_slice(&garbage);
+        prop_assert!(Request::decode(Bytes::from(long)).is_err());
+        let mut flipped = enc.to_vec();
+        let i = pos % flipped.len();
+        flipped[i] ^= x;
+        let _ = Request::decode(Bytes::from(flipped));
+
+        // No rows: the message ends with its zero row count.
+        let mut lying = extend(Vec::new()).encode().to_vec();
+        let at = lying.len() - 4;
+        prop_assert_eq!(&lying[at..], &[0u8; 4]);
+        lying[at..].copy_from_slice(&claimed.to_le_bytes());
+        prop_assert!(Request::decode(Bytes::from(lying)).is_err());
+    }
 }

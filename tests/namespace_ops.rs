@@ -173,7 +173,10 @@ fn disk_contents_equal_the_enumeration() {
                 f.close().unwrap();
             }
             let expect = |path: &str| -> BTreeSet<(usize, String)> {
-                policy.subfiles(path, SERVERS).into_iter().collect()
+                policy
+                    .subfiles(path, &[true; SERVERS])
+                    .into_iter()
+                    .collect()
             };
             assert_eq!(r.tb.on_disk(), expect(&old), "{policy:?} written");
 
@@ -193,6 +196,112 @@ fn disk_contents_equal_the_enumeration() {
 
             r.fs.unlink(&new).unwrap();
             assert_eq!(r.tb.on_disk(), BTreeSet::new(), "{policy:?} unlinked");
+        }
+    }
+}
+
+/// Mirrors and parity are subfiles named `{path}#r<copy>` and `{path}#p`, and
+/// the I/O servers key subfiles by name alone: a user file called `/f#r1`
+/// *was* `/f`'s mirror — writing it overwrote the mirror, unlinking it
+/// deleted the mirror on every server. No file may take such a name, by
+/// `create` or by `rename`, on an embedded mount and through `dpfs-metad`
+/// alike.
+#[test]
+fn a_file_cannot_be_named_like_another_files_mirror() {
+    let quick = ClientOptions {
+        retry: RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(4),
+            ..RetryPolicy::default()
+        },
+        ..ClientOptions::default()
+    };
+    for remote in [false, true] {
+        let mut tb = match remote {
+            false => Testbed::unthrottled(SERVERS).unwrap(),
+            true => Testbed::unthrottled_with_metad(SERVERS).unwrap(),
+        };
+        let fs = match remote {
+            false => tb.client_opts(quick),
+            true => tb.remote_client_opts(quick),
+        };
+        let hint = Hint::linear(4096, 16384);
+        let mut f = fs
+            .create(
+                "/f",
+                &hint.clone().with_redundancy(RedundancyPolicy::Replica(2)),
+            )
+            .unwrap();
+        f.write_bytes(0, &pattern(16384, 5)).unwrap();
+        f.close().unwrap();
+        let mut plain = fs.create("/plain", &hint).unwrap();
+        plain.write_bytes(0, &pattern(16384, 6)).unwrap();
+        plain.close().unwrap();
+        let before = tb.on_disk();
+
+        // Act the whole history out, whatever each step answers.
+        let created = fs.create("/f#r1", &hint).map(|mut g| {
+            g.write_bytes(0, &[0xEE; 16384]).unwrap();
+        });
+        let renamed = fs.rename("/plain", "/f#r1");
+        let _ = fs.unlink("/f#r1");
+
+        // The mirrors are all there, and they are still `/f`'s bytes: with a
+        // server down, every brick it held comes from its mirror.
+        assert_eq!(tb.on_disk(), before, "remote={remote}");
+        tb.kill_server(1);
+        let mut f = fs.open("/f").unwrap();
+        assert!(
+            f.read_bytes(0, 16384).unwrap() == pattern(16384, 5),
+            "remote={remote}"
+        );
+        for (what, refused) in [("create", created), ("rename", renamed)] {
+            assert!(
+                matches!(refused, Err(DpfsError::InvalidArgument(_))),
+                "remote={remote}: {what} answered {refused:?}"
+            );
+        }
+        assert!(fs.exists("/plain").unwrap() && !fs.exists("/f#r1").unwrap());
+        assert!(fs.create("/f#p", &hint).is_err(), "remote={remote}");
+    }
+}
+
+/// A directory's entries are one newline-joined text: `/d/a\nb` became two
+/// entries, `a` and `b`, that no `unlink` could remove, and `/d` answered
+/// "not empty" for good. A control character in a name is refused up front
+/// and leaves the directory as it was.
+#[test]
+fn a_newline_in_a_name_is_refused_and_the_directory_survives() {
+    for remote in [false, true] {
+        let tb = match remote {
+            false => Testbed::unthrottled(SERVERS).unwrap(),
+            true => Testbed::unthrottled_with_metad(SERVERS).unwrap(),
+        };
+        let fs = match remote {
+            false => tb.client(0, true),
+            true => tb.remote_client(0, true),
+        };
+        let hint = Hint::linear(4096, 4096);
+        fs.mkdir("/d").unwrap();
+        drop(fs.create("/d/keep", &hint).unwrap());
+        let listed = fs.readdir("/d").unwrap();
+        let answers = [
+            ("create", fs.create("/d/a\nb", &hint).map(drop)),
+            ("mkdir", fs.mkdir("/d/a\nb")),
+            ("rename", fs.rename("/d/keep", "/d/a\nb")),
+            ("create", fs.create("/d/tab\there", &hint).map(drop)),
+        ];
+        let _ = fs.unlink("/d/a\nb");
+        assert_eq!(fs.readdir("/d").unwrap(), listed, "remote={remote}");
+        fs.unlink("/d/keep").unwrap();
+        fs.rmdir("/d").unwrap();
+        assert_eq!(tb.on_disk(), BTreeSet::new(), "remote={remote}");
+        for (what, answer) in answers {
+            assert!(
+                matches!(answer, Err(DpfsError::InvalidArgument(_))),
+                "remote={remote}: {what} answered {answer:?}"
+            );
         }
     }
 }

@@ -14,15 +14,18 @@
 //! this is a regression test, not a timing. What is left to beat is
 //! `create`'s `list_servers` trip (ROADMAP item 5).
 //!
-//! The data-plane half is counted the same way at the I/O servers: `unlink`
-//! and `rename` send one request per subfile the file materialises — the
-//! servers' own request counters around the call, the kinds read off the
-//! `handle` events of the op's trace — whatever the file holds, and what the
-//! servers hold on disk afterwards is compared with the policy's enumeration.
+//! The data-plane half is counted the same way at the I/O servers: `unlink`,
+//! `rename` and `sync` send one request per subfile the file's brick lists
+//! name — the servers' own request counters around the call, the kinds read
+//! off the `handle` events of the op's trace — whatever the file holds: a
+//! one-brick file on four servers costs one request, not four. What the
+//! servers hold on disk afterwards is compared with the policy's enumeration
+//! over the catalog.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dpfs::cluster::Testbed;
+use dpfs::core::hints::holders;
 use dpfs::core::trace::{ring, Side};
 use dpfs::core::{Dpfs, DpfsError, Hint, RedundancyPolicy};
 use dpfs::meta::ShardMap;
@@ -52,19 +55,26 @@ fn spent(tb: &Testbed, call: impl FnOnce()) -> Counts {
     after
 }
 
-/// What the I/O servers served while `call` — one namespace op, traced as
-/// `op` — ran: `[requests, reads, writes]` summed over the servers, and the
-/// kinds of the `handle` events recorded under the op's trace id.
-fn iond_spent(tb: &Testbed, op: &str, call: impl FnOnce()) -> ([u64; 3], Vec<&'static str>) {
+/// `[requests, reads, writes]` the I/O servers served while `call` ran,
+/// summed over the servers.
+fn iond_counts(tb: &Testbed, call: impl FnOnce()) -> [u64; 3] {
     let totals = |tb: &Testbed| {
         tb.server_stats().iter().fold([0u64; 3], |t, (_, s)| {
             [t[0] + s.requests, t[1] + s.reads, t[2] + s.writes]
         })
     };
     let before = totals(tb);
-    let cursor = ring().cursor();
     call();
     let after = totals(tb);
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// What the I/O servers served while `call` — one namespace op, traced as
+/// `op` — ran: [`iond_counts`], and the kinds of the `handle` events
+/// recorded under the op's trace id.
+fn iond_spent(tb: &Testbed, op: &str, call: impl FnOnce()) -> ([u64; 3], Vec<&'static str>) {
+    let cursor = ring().cursor();
+    let sent = iond_counts(tb, call);
     let events = ring().events_since(cursor);
     // Only one test of this file renames or unlinks, so the op span is ours.
     let trace = events
@@ -78,7 +88,7 @@ fn iond_spent(tb: &Testbed, op: &str, call: impl FnOnce()) -> ([u64; 3], Vec<&'s
         .filter(|e| e.trace_id == trace && e.side == Side::Server && e.phase == "handle")
         .map(|e| e.kind)
         .collect();
-    (std::array::from_fn(|i| after[i] - before[i]), kinds)
+    (sent, kinds)
 }
 
 fn budget(ops: &[(&str, u64)]) -> Counts {
@@ -233,7 +243,7 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         let hint = Hint::linear(4096, 49152).with_redundancy(policy);
         let held = |path: &str| -> BTreeSet<(usize, String)> {
             let mut all = elsewhere.clone();
-            all.extend(policy.subfiles(path, 4));
+            all.extend(policy.subfiles(path, &[true; 4]));
             all
         };
         // Within a shard (one `RenameFile`), then across (the 2PC).
@@ -241,7 +251,7 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         let mut f = fs.create(&old, &hint).unwrap();
         f.write_bytes(0, &[6u8; 49152]).unwrap();
         f.close().unwrap();
-        assert_eq!(policy.subfiles(&old, 4).len(), subfiles);
+        assert_eq!(policy.subfiles(&old, &[true; 4]).len(), subfiles);
         assert_eq!(tb.on_disk(), held(&old), "{policy:?} create");
 
         for new in [format!("{d0}/v"), format!("{d1}/v")] {
@@ -259,4 +269,100 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         assert_eq!(kinds, vec!["delete"; subfiles], "{policy:?} unlink");
         assert_eq!(tb.on_disk(), elsewhere, "{policy:?} unlink");
     }
+}
+
+/// A file's subfiles are the servers its brick lists name: a one-brick file
+/// on four servers has one subfile (and its mirror, or its parity), and
+/// `sync`, `rename` — within a shard and across — and `unlink` each send
+/// exactly that many requests; the iond roots hold exactly that enumeration
+/// under whichever name the catalog holds. Every server used to get a
+/// request per op, three of them for a subfile that never existed.
+#[test]
+fn a_short_file_costs_its_subfiles_not_its_servers() {
+    let (tb, fs, d0, d1) = rig();
+    let elsewhere = tb.on_disk();
+    let named = |path: &str| -> BTreeSet<(usize, String)> {
+        let (attr, dist) = fs.meta().open_file(path).unwrap().unwrap();
+        let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
+        let policy = RedundancyPolicy::parse(&attr.redundancy).unwrap();
+        let mut all = elsewhere.clone();
+        all.extend(policy.subfiles(path, &holds));
+        all
+    };
+    for (policy, subfiles) in [
+        (RedundancyPolicy::None, 1),
+        (RedundancyPolicy::Replica(2), 2),
+        (RedundancyPolicy::XorParity, 1 + 1),
+    ] {
+        let hint = Hint::linear(4096, 4096).with_redundancy(policy);
+        let mut old = format!("{d0}/one");
+        let mut f = fs.create(&old, &hint).unwrap();
+        // Under parity the write reads the touched range back from every
+        // data server, not only the one its map names — another handle may
+        // have grown the file since this one looked; an absent subfile
+        // answers zeros and stays absent — and writes the parity sibling.
+        let sent = iond_counts(&tb, || f.write_bytes(0, &[7u8; 4096]).unwrap());
+        let expect = match policy {
+            RedundancyPolicy::None => [1, 0, 1],
+            RedundancyPolicy::Replica(_) => [2, 0, 2],
+            RedundancyPolicy::XorParity => [5, 3, 2],
+        };
+        assert_eq!(sent, expect, "{policy:?} write");
+        let sent = iond_counts(&tb, || f.sync().unwrap());
+        assert_eq!(sent, [subfiles, 0, 0], "{policy:?} sync");
+        f.close().unwrap();
+        assert_eq!(tb.on_disk().len(), elsewhere.len() + subfiles as usize);
+        assert_eq!(tb.on_disk(), named(&old), "{policy:?} create");
+
+        for new in [format!("{d0}/uno"), format!("{d1}/uno")] {
+            let sent = iond_counts(&tb, || fs.rename(&old, &new).unwrap());
+            assert_eq!(sent, [subfiles, 0, 0], "{policy:?} rename to {new}");
+            assert_eq!(tb.on_disk(), named(&new), "{policy:?} rename to {new}");
+            let mut f = fs.open(&new).unwrap();
+            assert_eq!(f.read_bytes(0, 4096).unwrap(), [7u8; 4096]);
+            old = new;
+        }
+        let sent = iond_counts(&tb, || fs.unlink(&old).unwrap());
+        assert_eq!(sent, [subfiles, 0, 0], "{policy:?} unlink");
+        assert_eq!(tb.on_disk(), elsewhere, "{policy:?} unlink");
+    }
+}
+
+/// A growing write is two metadata round trips — the compare-and-set
+/// extension, then the size — through the handle that wins a race and
+/// through the one that loses it: the loser's one `ExtendDistribution`
+/// answers with the winner's map (and size), so it re-plans without asking
+/// again.
+#[test]
+fn a_growing_write_is_two_round_trips_for_winner_and_loser() {
+    let (tb, fs, d0, _) = rig();
+    let path = format!("{d0}/grow");
+    drop(fs.create(&path, &Hint::linear(4096, 4096)).unwrap());
+    let mut winner = fs.open(&path).unwrap();
+    let mut loser = fs.open(&path).unwrap();
+    let won = spent(&tb, || winner.write_bytes(0, &[1u8; 16384]).unwrap());
+    assert_eq!(
+        won,
+        budget(&[("meta.extend_distribution", 1), ("meta.set_file_size", 1)])
+    );
+    // Two bricks wanted, from a one-brick map: refused, four adopted. The
+    // reply's size already covers this write's end.
+    let lost = spent(&tb, || loser.write_bytes(4096, &[2u8; 4096]).unwrap());
+    assert_eq!(lost, budget(&[("meta.extend_distribution", 1)]));
+    assert_eq!(loser.brick_map(), winner.brick_map());
+    // Past what it adopted: an extension of its own again.
+    let again = spent(&tb, || loser.write_bytes(16384, &[3u8; 4096]).unwrap());
+    assert_eq!(
+        again,
+        budget(&[("meta.extend_distribution", 1), ("meta.set_file_size", 1)])
+    );
+    // Within the map, within the size: no metadata at all.
+    let within = spent(&tb, || winner.write_bytes(0, &[4u8; 4096]).unwrap());
+    assert_eq!(within, Counts::new());
+    let mut f = fs.open(&path).unwrap();
+    let mut expect = vec![1u8; 20480];
+    expect[..4096].fill(4);
+    expect[4096..8192].fill(2);
+    expect[16384..].fill(3);
+    assert_eq!(f.read_bytes(0, 20480).unwrap(), expect);
 }
