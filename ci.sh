@@ -169,6 +169,15 @@ if git grep -nE 'UpdateDistribution|fn update_distribution' \
     echo "FAIL: MetaOp::UpdateDistribution / update_distribution is back (grow with extend_distribution)"
     exit 1
 fi
+# One stats document: both daemons answer `Stats` with their node of the
+# `ClusterSnapshot`, so the per-daemon blobs, their version bytes and the
+# scrape's translators stay gone — as do the subfile resize request, the
+# server-unregistering op and the brick grouping nothing called.
+if git grep -nE 'StatsSnapshot::(en|de)code|METAD_SNAPSHOT_VERSION|fn (iond|metad)_node|Request::Truncate|Response::Truncated|RemoveServer|group_by_server' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: a per-daemon stats codec or translator, Truncate, RemoveServer or group_by_server is back"
+    exit 1
+fi
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')

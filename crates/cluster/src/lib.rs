@@ -15,6 +15,6 @@ pub mod testbed;
 pub mod workload;
 
 pub use faultproxy::FaultProxy;
-pub use scrape::scrape_cluster;
+pub use scrape::{scrape_cluster, UNREACHABLE};
 pub use testbed::{metad_name, NodeSpec, Testbed, METAD_NAME};
 pub use workload::{run_clients, Bandwidth};

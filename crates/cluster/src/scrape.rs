@@ -2,125 +2,83 @@
 //!
 //! [`scrape_cluster`] walks every node a [`Dpfs`] client can see — each
 //! I/O server from the catalog, each metadata shard from the shard map,
-//! and the client's own per-server transport view — issues the existing
-//! `Stats` RPC to the remote ones, and flattens everything into one
-//! [`ClusterSnapshot`]. Because all nodes are read in one pass, the
-//! client-observed and server-side latencies in a scrape describe the
-//! same window of traffic: the scenario harness derives both sides of
-//! its percentile report from a single scrape rather than stitching
-//! together per-component dumps taken at different times.
+//! and the client's own per-server transport view — and concatenates
+//! them into one [`ClusterSnapshot`]. A daemon's `Stats` reply already is
+//! that document, one node long; the scrape keeps the node under the name
+//! it dialled. Because all nodes are read in one pass, the client-observed
+//! and server-side latencies in a scrape describe the same window of
+//! traffic: the scenario harness derives both sides of its percentile
+//! report from a single scrape rather than stitching together
+//! per-component dumps taken at different times.
 //!
-//! Metric names are dotted, stable, and documented here:
-//! - iond counters: `io.requests`, `io.reads`, `io.writes`,
-//!   `io.list_reads`, `io.list_writes`, `io.bytes_read`,
-//!   `io.bytes_written`, `io.errors`, `io.connections`,
-//!   `io.injected_delay_ns`, `io.subfiles_reopened`; gauge `in_flight`;
-//!   hists `lat.read`, `lat.write`, `lat.other` (service time; list I/O
-//!   folds into the read/write histograms).
-//! - metad counters: `meta.requests`, `meta.ops`, `meta.errors`,
-//!   `meta.connections`; gauges `in_flight`, `shard_id`, `shards`; hists `meta.<op>` per op label (service time).
-//! - client (one node per peer): counters `rpc.submitted`,
+//! Metric names are dotted and stable; each is minted in one place:
+//! - iond nodes: `dpfs-server`'s `StatsSnapshot::node` — counters `io.*`,
+//!   gauge `in_flight`, hists `lat.read`, `lat.write`, `lat.other`.
+//! - metad nodes: `dpfs-metad`'s `MetadStatsSnapshot::node` — counters
+//!   `meta.requests`, `meta.ops`, `meta.errors`, `meta.connections`;
+//!   gauges `in_flight`, `shard_id`, `shards`; hists `meta.<op>`.
+//! - client nodes, here: one per peer with counters `rpc.submitted`,
 //!   `rpc.completed`, `rpc.timed_out`, `rpc.dials`, `rpc.disconnected`,
 //!   `rpc.retries`, `rpc.reconstructs`, `rpc.list_io`, `rpc.req_bytes`;
 //!   gauges `in_flight`, `in_flight_peak`; hists `lat.read`, `lat.write`,
 //!   `lat.other` (round trip). Plus one `client` node carrying process
 //!   observability: `trace.recorded`, `trace.dropped`, `slow_ops`.
-//! - a node that failed to answer its Stats RPC carries the single
-//!   counter `scrape.unreachable = 1` instead of metrics.
+//! - here too: a node that failed to answer its Stats RPC with one node of
+//!   its role carries the single counter `scrape.unreachable = 1` instead
+//!   of metrics.
 
 use dpfs_core::trace::{self, ClusterSnapshot, NodeRole, NodeSnapshot};
 use dpfs_core::Dpfs;
-use dpfs_metad::MetadStatsSnapshot;
 use dpfs_proto::{Request, Response};
-use dpfs_server::StatsSnapshot;
 
-fn unreachable_node(name: String, role: NodeRole) -> NodeSnapshot {
-    NodeSnapshot {
-        name,
-        role,
-        counters: vec![("scrape.unreachable".to_string(), 1)],
-        gauges: vec![],
-        hists: vec![],
-    }
-}
+/// The one counter of a node that did not answer its `Stats` RPC.
+pub const UNREACHABLE: &str = "scrape.unreachable";
 
-fn iond_node(name: String, s: &StatsSnapshot) -> NodeSnapshot {
-    NodeSnapshot {
-        name,
-        role: NodeRole::Iond,
-        counters: vec![
-            ("io.bytes_read".to_string(), s.bytes_read),
-            ("io.bytes_written".to_string(), s.bytes_written),
-            ("io.connections".to_string(), s.connections),
-            ("io.errors".to_string(), s.errors),
-            ("io.injected_delay_ns".to_string(), s.injected_delay_ns),
-            ("io.list_reads".to_string(), s.list_reads),
-            ("io.list_writes".to_string(), s.list_writes),
-            ("io.reads".to_string(), s.reads),
-            ("io.requests".to_string(), s.requests),
-            ("io.subfiles_reopened".to_string(), s.subfiles_reopened),
-            ("io.writes".to_string(), s.writes),
-        ],
-        gauges: vec![("in_flight".to_string(), s.in_flight)],
-        hists: vec![
-            ("lat.other".to_string(), s.other_latency),
-            ("lat.read".to_string(), s.read_latency),
-            ("lat.write".to_string(), s.write_latency),
-        ],
-    }
-}
-
-fn metad_node(name: String, s: &MetadStatsSnapshot) -> NodeSnapshot {
-    NodeSnapshot {
-        name,
-        role: NodeRole::Metad,
-        counters: vec![
-            ("meta.connections".to_string(), s.connections),
-            ("meta.errors".to_string(), s.errors),
-            ("meta.ops".to_string(), s.meta_ops),
-            ("meta.requests".to_string(), s.requests),
-        ],
-        gauges: vec![
-            ("in_flight".to_string(), s.in_flight),
-            ("shard_id".to_string(), s.shard_id),
-            ("shards".to_string(), s.shards),
-        ],
-        // Daemon op kinds already carry the `meta.` prefix
-        // (`MetaOp::kind`), so the key is used as-is.
-        hists: s
-            .op_latency
-            .iter()
-            .map(|(op, h)| (op.clone(), *h))
-            .collect(),
+/// Ask the daemon dialled as `name` for its node of the stats document.
+/// No reply, a payload that does not decode (a peer that predates the
+/// document) or anything but one node of `role` is [`UNREACHABLE`].
+fn scrape_node(fs: &Dpfs, name: &str, role: NodeRole) -> NodeSnapshot {
+    let mut nodes = match fs.pool().rpc_ok(name, &Request::Stats) {
+        Ok(Response::Stats { payload }) => ClusterSnapshot::decode(&payload)
+            .map(|s| s.nodes)
+            .unwrap_or_default(),
+        _ => Vec::new(),
+    };
+    match nodes.pop() {
+        Some(mut node) if nodes.is_empty() && node.role == role => {
+            node.name = name.to_string();
+            node
+        }
+        _ => NodeSnapshot::new(name, role, [(UNREACHABLE, 1)], [], []),
     }
 }
 
 fn client_node_for(fs: &Dpfs, server: &str) -> Option<NodeSnapshot> {
     let t = fs.pool().transport_stats(server)?;
-    Some(NodeSnapshot {
-        name: server.to_string(),
-        role: NodeRole::Client,
-        counters: vec![
-            ("rpc.completed".to_string(), t.completed),
-            ("rpc.reconstructs".to_string(), t.reconstructs),
-            ("rpc.dials".to_string(), t.dials),
-            ("rpc.disconnected".to_string(), t.disconnected),
-            ("rpc.list_io".to_string(), t.list_io),
-            ("rpc.req_bytes".to_string(), t.req_bytes),
-            ("rpc.retries".to_string(), t.retries),
-            ("rpc.submitted".to_string(), t.submitted),
-            ("rpc.timed_out".to_string(), t.timed_out),
+    Some(NodeSnapshot::new(
+        server,
+        NodeRole::Client,
+        [
+            ("rpc.completed", t.completed),
+            ("rpc.reconstructs", t.reconstructs),
+            ("rpc.dials", t.dials),
+            ("rpc.disconnected", t.disconnected),
+            ("rpc.list_io", t.list_io),
+            ("rpc.req_bytes", t.req_bytes),
+            ("rpc.retries", t.retries),
+            ("rpc.submitted", t.submitted),
+            ("rpc.timed_out", t.timed_out),
         ],
-        gauges: vec![
-            ("in_flight".to_string(), t.in_flight),
-            ("in_flight_peak".to_string(), t.in_flight_peak),
+        [
+            ("in_flight", t.in_flight),
+            ("in_flight_peak", t.in_flight_peak),
         ],
-        hists: vec![
-            ("lat.other".to_string(), t.other_latency),
-            ("lat.read".to_string(), t.read_latency),
-            ("lat.write".to_string(), t.write_latency),
+        [
+            ("lat.other", t.other_latency),
+            ("lat.read", t.read_latency),
+            ("lat.write", t.write_latency),
         ],
-    })
+    ))
 }
 
 /// Scrape every node reachable through `fs` into one [`ClusterSnapshot`]:
@@ -128,59 +86,41 @@ fn client_node_for(fs: &Dpfs, server: &str) -> Option<NodeSnapshot> {
 /// the client's per-peer transport stats, and the client's process-wide
 /// trace-ring / slow-op counters.
 pub fn scrape_cluster(fs: &Dpfs) -> ClusterSnapshot {
-    let mut nodes = Vec::new();
-    let mut peers: Vec<String> = Vec::new();
-
-    // I/O servers, in catalog order.
+    let mut peers: Vec<(String, NodeRole)> = Vec::new();
+    // I/O servers in catalog order, then metadata shards in shard order
+    // (embedded-catalog mounts have none).
     if let Ok(servers) = fs.meta().list_servers() {
-        for s in &servers {
-            peers.push(s.name.clone());
-            let node = match fs.pool().rpc_ok(&s.name, &Request::Stats) {
-                Ok(Response::Stats { payload }) => {
-                    StatsSnapshot::decode(&payload).map(|snap| iond_node(s.name.clone(), &snap))
-                }
-                _ => None,
-            };
-            nodes.push(node.unwrap_or_else(|| unreachable_node(s.name.clone(), NodeRole::Iond)));
-        }
+        peers.extend(servers.into_iter().map(|s| (s.name, NodeRole::Iond)));
     }
-
-    // Metadata shards, in shard order (embedded-catalog mounts have none).
     if let Some(remote) = fs.remote_meta() {
-        for shard in 0..remote.shard_count() {
-            let name = remote.shard_server(shard).to_string();
-            peers.push(name.clone());
-            let node = match fs.pool().rpc_ok(&name, &Request::Stats) {
-                Ok(Response::Stats { payload }) => {
-                    MetadStatsSnapshot::decode(&payload).map(|snap| metad_node(name.clone(), &snap))
-                }
-                _ => None,
-            };
-            nodes.push(node.unwrap_or_else(|| unreachable_node(name.clone(), NodeRole::Metad)));
-        }
+        peers.extend(
+            (0..remote.shard_count())
+                .map(|i| (remote.shard_server(i).to_string(), NodeRole::Metad)),
+        );
     }
-
+    let mut nodes: Vec<NodeSnapshot> = peers
+        .iter()
+        .map(|(name, role)| scrape_node(fs, name, *role))
+        .collect();
     // The client's transport view of each peer it actually dialed.
-    for peer in &peers {
-        if let Some(node) = client_node_for(fs, peer) {
-            nodes.push(node);
-        }
-    }
-
+    nodes.extend(
+        peers
+            .iter()
+            .filter_map(|(name, _)| client_node_for(fs, name)),
+    );
     // Process-wide client observability: how much tracing survived and
     // how many slow-op lines were emitted.
-    nodes.push(NodeSnapshot {
-        name: "client".to_string(),
-        role: NodeRole::Client,
-        counters: vec![
-            ("slow_ops".to_string(), trace::slowlog().emitted()),
-            ("trace.dropped".to_string(), trace::ring().dropped()),
-            ("trace.recorded".to_string(), trace::ring().recorded()),
+    nodes.push(NodeSnapshot::new(
+        "client",
+        NodeRole::Client,
+        [
+            ("slow_ops", trace::slowlog().emitted()),
+            ("trace.dropped", trace::ring().dropped()),
+            ("trace.recorded", trace::ring().recorded()),
         ],
-        gauges: vec![],
-        hists: vec![],
-    });
-
+        [],
+        [],
+    ));
     ClusterSnapshot { nodes }
 }
 

@@ -11,8 +11,6 @@
 //! lists (the catalog's `bricklist` columns) and the inverse map from brick
 //! to `(server, subfile byte offset)`.
 
-use std::collections::HashMap;
-
 use crate::error::{DpfsError, Result};
 use crate::layout::Layout;
 
@@ -214,19 +212,6 @@ impl BrickMap {
         }
         Ok(())
     }
-
-    /// Group a set of `(brick, ...)` items by owning server: returns
-    /// `server -> bricks` preserving input order.
-    pub fn group_by_server(
-        &self,
-        bricks: impl IntoIterator<Item = u64>,
-    ) -> HashMap<usize, Vec<u64>> {
-        let mut groups: HashMap<usize, Vec<u64>> = HashMap::new();
-        for b in bricks {
-            groups.entry(self.server_of(b)).or_default().push(b);
-        }
-        groups
-    }
 }
 
 #[cfg(test)]
@@ -382,14 +367,5 @@ mod tests {
         assert!(m.extend(2, Some(&[1, 1, 1])).is_err());
         assert!(m.extend(2, Some(&[1])).is_err());
         assert_eq!(m.num_bricks(), 10);
-    }
-
-    #[test]
-    fn group_by_server() {
-        let m = BrickMap::from_assignment(round_robin(8, 4), 4);
-        let groups = m.group_by_server([0u64, 1, 4, 5]);
-        assert_eq!(groups[&0], vec![0, 4]);
-        assert_eq!(groups[&1], vec![1, 5]);
-        assert!(!groups.contains_key(&2));
     }
 }

@@ -479,16 +479,6 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::MaybeServer(s) => s
         )
     }
-    fn remove_server(&self, name: &str) -> MetaResultT<bool> {
-        let mut existed = false;
-        for shard in 0..self.shards.len() {
-            existed |= match self.call(shard, MetaOp::RemoveServer { name: name.into() })? {
-                MetaResult::Bool(b) => b,
-                other => return Err(self.shape(shard, &other)),
-            };
-        }
-        Ok(existed)
-    }
 
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<()> {
         expect!(

@@ -24,8 +24,6 @@ pub trait MetaStore: Send + Sync {
     fn list_servers(&self) -> Result<Vec<ServerInfo>>;
     /// Look up one server.
     fn get_server(&self, name: &str) -> Result<Option<ServerInfo>>;
-    /// Remove a server from the pool; returns whether it existed.
-    fn remove_server(&self, name: &str) -> Result<bool>;
 
     // ---- files ----
 
@@ -106,9 +104,6 @@ impl MetaStore for Catalog {
     }
     fn get_server(&self, name: &str) -> Result<Option<ServerInfo>> {
         Catalog::get_server(self, name)
-    }
-    fn remove_server(&self, name: &str) -> Result<bool> {
-        Catalog::remove_server(self, name)
     }
 
     fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {

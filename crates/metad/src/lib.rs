@@ -9,7 +9,8 @@
 //! Observability mirrors the I/O servers: traced requests record
 //! `decode`/`queue`/`handle`/`respond` spans into the global ring, and
 //! every op lands in a per-op service-time histogram exported through the
-//! `Stats` RPC as a [`MetadStatsSnapshot`].
+//! `Stats` RPC as one node of the stats document
+//! ([`MetadStatsSnapshot::node`]).
 
 #![deny(unsafe_code)]
 
@@ -21,7 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpfs_meta::{Catalog, Database, ShardMap};
-use dpfs_obs::{now_ns, ring, HistSnapshot, Histogram, Side, TraceEvent};
+use dpfs_obs::{
+    now_ns, ring, ClusterSnapshot, HistSnapshot, Histogram, NodeRole, NodeSnapshot, Side,
+    TraceEvent,
+};
 use dpfs_proto::{ErrorCode, MetaOp, MetaResult, Request, Response};
 use dpfs_server::{ServeCore, Service};
 use parking_lot::Mutex;
@@ -100,10 +104,8 @@ impl MetadStats {
     }
 }
 
-/// Point-in-time copy of [`MetadStats`], carried as the metadata daemon's
-/// `Stats` RPC payload. Its wire format is distinct from the I/O server's
-/// `StatsSnapshot` (different leading version byte), so a stats client can
-/// tell which kind of server it asked.
+/// Point-in-time copy of [`MetadStats`]; the `Stats` RPC carries it as
+/// [`MetadStatsSnapshot::node`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetadStatsSnapshot {
     pub requests: u64,
@@ -119,89 +121,30 @@ pub struct MetadStatsSnapshot {
     pub op_latency: Vec<(String, HistSnapshot)>,
 }
 
-/// Version byte leading a metad stats blob. The I/O server's snapshots
-/// start at 1 and count up slowly; metad claims a disjoint range so the
-/// two payloads can never be confused. 0x4d ('M') is retired with the
-/// longer layout it led and must not be reused: a shell and a daemon from
-/// either side of that change decode each other's blob to `None`, not to
-/// shifted fields.
-const METAD_SNAPSHOT_VERSION: u8 = 0x4e;
-
 impl MetadStatsSnapshot {
-    /// Serialize to the versioned `Stats` payload blob.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            1 + 7 * 8
-                + 4
-                + self
-                    .op_latency
-                    .iter()
-                    .map(|(op, _)| 4 + op.len() + HistSnapshot::ENCODED_LEN)
-                    .sum::<usize>(),
-        );
-        out.push(METAD_SNAPSHOT_VERSION);
-        for v in [
-            self.requests,
-            self.meta_ops,
-            self.errors,
-            self.connections,
-            self.in_flight,
-            self.shard_id,
-            self.shards,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.op_latency.len() as u32).to_le_bytes());
-        for (op, hist) in &self.op_latency {
-            out.extend_from_slice(&(op.len() as u32).to_le_bytes());
-            out.extend_from_slice(op.as_bytes());
-            hist.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// Decode a blob produced by [`MetadStatsSnapshot::encode`]. Returns
-    /// `None` on truncation or a foreign version byte (e.g. an I/O
-    /// server's snapshot).
-    pub fn decode(buf: &[u8]) -> Option<MetadStatsSnapshot> {
-        let (&version, mut rest) = buf.split_first()?;
-        if version != METAD_SNAPSHOT_VERSION {
-            return None;
-        }
-        let read_u64 = |rest: &mut &[u8]| -> Option<u64> {
-            let (head, tail) = rest.split_at_checked(8)?;
-            *rest = tail;
-            Some(u64::from_le_bytes(head.try_into().ok()?))
-        };
-        let requests = read_u64(&mut rest)?;
-        let meta_ops = read_u64(&mut rest)?;
-        let errors = read_u64(&mut rest)?;
-        let connections = read_u64(&mut rest)?;
-        let in_flight = read_u64(&mut rest)?;
-        let shard_id = read_u64(&mut rest)?;
-        let shards = read_u64(&mut rest)?;
-        let (head, mut tail) = rest.split_at_checked(4)?;
-        let n = u32::from_le_bytes(head.try_into().ok()?) as usize;
-        let mut op_latency = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let (head, rest2) = tail.split_at_checked(4)?;
-            let len = u32::from_le_bytes(head.try_into().ok()?) as usize;
-            let (name, rest3) = rest2.split_at_checked(len)?;
-            let op = String::from_utf8(name.to_vec()).ok()?;
-            let (hist, used) = HistSnapshot::decode_from(rest3)?;
-            tail = &rest3[used..];
-            op_latency.push((op, hist));
-        }
-        Some(MetadStatsSnapshot {
-            requests,
-            meta_ops,
-            errors,
-            connections,
-            in_flight,
-            shard_id,
-            shards,
-            op_latency,
-        })
+    /// This snapshot as one node of the stats document: the `Stats` RPC
+    /// answers `ClusterSnapshot { nodes: vec![node] }`. The metadata
+    /// daemon's metric names are minted here — counters `meta.requests`,
+    /// `meta.ops`, `meta.errors`, `meta.connections`; gauges `in_flight`,
+    /// `shard_id`, `shards`; one service-time histogram per op, under its
+    /// [`MetaOp::op_str`] label (already `meta.`-prefixed).
+    pub fn node(&self, name: &str) -> NodeSnapshot {
+        NodeSnapshot::new(
+            name,
+            NodeRole::Metad,
+            [
+                ("meta.connections", self.connections),
+                ("meta.errors", self.errors),
+                ("meta.ops", self.meta_ops),
+                ("meta.requests", self.requests),
+            ],
+            [
+                ("in_flight", self.in_flight),
+                ("shard_id", self.shard_id),
+                ("shards", self.shards),
+            ],
+            self.op_latency.iter().map(|(op, h)| (op.as_str(), *h)),
+        )
     }
 }
 
@@ -290,7 +233,6 @@ impl MetaHandler {
             Op::RegisterServer { info } => s.register_server(&info).map(|()| R::Unit),
             Op::ListServers => s.list_servers().map(R::Servers),
             Op::GetServer { name } => s.get_server(&name).map(R::MaybeServer),
-            Op::RemoveServer { name } => s.remove_server(&name).map(R::Bool),
             Op::CreateFile { attr, dist } => s.create_file(&attr, &dist).map(|()| R::Unit),
             Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
             Op::RenameFile { from, to } => {
@@ -372,7 +314,12 @@ impl MetaHandler {
         let resp = match req {
             Request::Ping | Request::Shutdown => Response::Pong,
             Request::Stats => Response::Stats {
-                payload: bytes::Bytes::from(self.stats_snapshot().encode()),
+                payload: bytes::Bytes::from(
+                    ClusterSnapshot {
+                        nodes: vec![self.stats_snapshot().node(&self.name)],
+                    }
+                    .encode(),
+                ),
             },
             Request::Meta { op } => {
                 self.stats.meta_ops.fetch_add(1, Ordering::Relaxed);
@@ -710,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn per_op_histograms_and_snapshot_round_trip() {
+    fn per_op_histograms_reach_the_stats_node() {
         let h = handler();
         meta(&h, MetaOp::Mkdir { path: "/d".into() });
         meta(&h, MetaOp::GetDir { path: "/d".into() });
@@ -719,29 +666,22 @@ mod tests {
         let Response::Stats { payload } = resp else {
             panic!("expected Stats response, got {resp:?}");
         };
-        let snap = MetadStatsSnapshot::decode(&payload).unwrap();
-        assert_eq!(snap.meta_ops, 3);
-        let get_dir = snap
-            .op_latency
-            .iter()
-            .find(|(op, _)| op == "meta.get_dir")
-            .expect("meta.get_dir histogram");
-        assert_eq!(get_dir.1.count, 2);
-        let mkdir = snap
-            .op_latency
-            .iter()
-            .find(|(op, _)| op == "meta.mkdir")
-            .expect("meta.mkdir histogram");
-        assert_eq!(mkdir.1.count, 1);
-        // A foreign blob (I/O server snapshot starts with a small version
-        // byte) is rejected, not misparsed.
-        assert!(MetadStatsSnapshot::decode(&[1, 0, 0]).is_none());
-        assert!(MetadStatsSnapshot::decode(&[]).is_none());
-        // So is a blob led by the retired version byte: a shell and a daemon
-        // built on either side of the layout change fail closed.
-        let mut old = payload.to_vec();
-        old[0] = 0x4d;
-        assert!(MetadStatsSnapshot::decode(&old).is_none());
+        let snap = ClusterSnapshot::decode(&payload).unwrap();
+        let [node] = &snap.nodes[..] else {
+            panic!("one node, got {snap:?}");
+        };
+        assert_eq!(
+            (node.name.as_str(), node.role),
+            ("metad-test", NodeRole::Metad)
+        );
+        assert_eq!(node.counter("meta.ops"), Some(3));
+        assert_eq!(node.counter("meta.requests"), Some(4));
+        assert_eq!(node.hist("meta.get_dir").map(|h| h.count), Some(2));
+        assert_eq!(node.hist("meta.mkdir").map(|h| h.count), Some(1));
+        assert_eq!(
+            (node.gauge("shard_id"), node.gauge("shards")),
+            (Some(0), Some(1))
+        );
     }
 
     #[test]
@@ -761,9 +701,11 @@ mod tests {
         assert_eq!(shards, 4);
         let snap = h.stats_snapshot();
         assert_eq!((snap.shard_id, snap.shards), (1, 4));
-        // and the snapshot survives its own wire format
-        let back = MetadStatsSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!((back.shard_id, back.shards), (1, 4));
+        let node = snap.node("metad1");
+        assert_eq!(
+            (node.gauge("shard_id"), node.gauge("shards")),
+            (Some(1), Some(4))
+        );
         // the default constructor stays shard 0-of-1
         let h0 = handler();
         let resp = h0.handle(Request::Meta {

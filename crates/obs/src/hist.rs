@@ -124,9 +124,10 @@ impl HistSnapshot {
     /// Linear interpolation within the winning bucket; an empty histogram
     /// reports 0, and the saturating top bucket reports its lower bound
     /// (its upper bound, `u64::MAX`, would be meaningless to interpolate
-    /// toward).
+    /// toward). Counts that arrived over the wire may sum past `u64::MAX`;
+    /// the running total saturates rather than overflows.
     pub fn percentile(&self, p: f64) -> u64 {
-        let total: u64 = self.counts.iter().sum();
+        let total = self.counts.iter().fold(0u64, |a, &c| a.saturating_add(c));
         if total == 0 {
             return 0;
         }
@@ -136,7 +137,7 @@ impl HistSnapshot {
             if c == 0 {
                 continue;
             }
-            if cum + c >= rank {
+            if cum.saturating_add(c) >= rank {
                 let lo = bucket_lo(i);
                 if i >= HIST_BUCKETS - 1 {
                     return lo;
@@ -145,7 +146,7 @@ impl HistSnapshot {
                 let frac = (rank - cum) as f64 / c as f64;
                 return lo + ((hi - lo) as f64 * frac) as u64;
             }
-            cum += c;
+            cum = cum.saturating_add(c);
         }
         bucket_lo(HIST_BUCKETS - 1)
     }
@@ -170,12 +171,13 @@ impl HistSnapshot {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Merge another snapshot into this one (bench aggregation).
+    /// Merge another snapshot into this one (bench aggregation). Saturating,
+    /// like [`HistSnapshot::percentile`]: either side may be a peer's.
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
     }
 

@@ -1,19 +1,18 @@
-//! The unified cluster scrape: one wire-serializable snapshot covering
-//! every node of a DPFS deployment.
+//! The one stats document: a wire-serializable snapshot covering every
+//! node of a DPFS deployment.
 //!
-//! Each component already exports its own versioned stats blob over the
-//! `Stats` RPC (`StatsSnapshot` for I/O servers, `MetadStatsSnapshot` for
-//! metadata daemons, `TransportStats` client-side). A [`ClusterSnapshot`]
-//! is the *aggregation*: every node flattened into the same generic shape
-//! — named counters, named gauges, named histograms — so the bench plane,
-//! the regression gate, and `stats --json` all consume one document
-//! instead of three bespoke formats.
+//! Every node is flattened into the same generic shape — named counters,
+//! named gauges, named histograms. A daemon's `Stats` RPC answers a
+//! one-node [`ClusterSnapshot`] (`StatsSnapshot::node` in `dpfs-server`,
+//! `MetadStatsSnapshot::node` in `dpfs-metad` name the rows), and a
+//! cluster scrape is those nodes concatenated with the client's own
+//! transport view, so the bench plane, the regression gate, `stats` and
+//! `stats --json` all read one document and one encoding.
 //!
-//! The wire encoding follows the Stats RPC's versioned-opaque convention:
-//! a leading version byte, then length-prefixed fields. Decoders return
-//! `None` (never panic) on unknown versions or truncation, and ignore
-//! trailing bytes, so old readers tolerate blobs from newer writers that
-//! append sections.
+//! The encoding is a leading version byte, then length-prefixed fields.
+//! Decoders return `None` (never panic) on unknown versions or truncation,
+//! and ignore trailing bytes, so old readers tolerate blobs from newer
+//! writers that append sections.
 
 use crate::hist::HistSnapshot;
 
@@ -76,6 +75,24 @@ pub struct NodeSnapshot {
 }
 
 impl NodeSnapshot {
+    /// A node from rows named by the crate that mints them, in the order
+    /// given.
+    pub fn new<'a>(
+        name: &str,
+        role: NodeRole,
+        counters: impl IntoIterator<Item = (&'a str, u64)>,
+        gauges: impl IntoIterator<Item = (&'a str, u64)>,
+        hists: impl IntoIterator<Item = (&'a str, HistSnapshot)>,
+    ) -> NodeSnapshot {
+        NodeSnapshot {
+            name: name.to_string(),
+            role,
+            counters: counters.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            gauges: gauges.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            hists: hists.into_iter().map(|(k, h)| (k.into(), h)).collect(),
+        }
+    }
+
     /// A counter's value, if the node exports it.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
@@ -95,8 +112,12 @@ impl NodeSnapshot {
     }
 }
 
-/// Version byte of the [`ClusterSnapshot`] wire encoding.
-const CLUSTER_SNAPSHOT_VERSION: u8 = 1;
+/// Version byte of the [`ClusterSnapshot`] wire encoding. The `Stats` RPC
+/// used to carry per-daemon blobs led by 1, 2, 3 (I/O server) and 0x4d,
+/// 0x4e (metadata daemon); this byte is none of them, so a peer from
+/// either side of that change decodes the other's payload to `None`, not
+/// to shifted fields.
+const CLUSTER_SNAPSHOT_VERSION: u8 = 0x43;
 
 /// One scrape of the whole cluster: every I/O server, every metadata
 /// shard, and the scraping client's transport view, in one document.
@@ -142,9 +163,12 @@ impl ClusterSnapshot {
         self.nodes.iter().filter(move |n| n.role == role)
     }
 
-    /// Sum of one counter across all nodes of `role`.
+    /// Sum of one counter across all nodes of `role` (saturating: the
+    /// values are the peers').
     pub fn counter_sum(&self, role: NodeRole, name: &str) -> u64 {
-        self.nodes_of(role).filter_map(|n| n.counter(name)).sum()
+        self.nodes_of(role)
+            .filter_map(|n| n.counter(name))
+            .fold(0, u64::saturating_add)
     }
 
     /// Merge every histogram matching `keep` on nodes of `role` into one

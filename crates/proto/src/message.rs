@@ -80,8 +80,6 @@ pub enum Request {
     Delete { subfile: String },
     /// Stat the subfile.
     Stat { subfile: String },
-    /// Truncate/extend the subfile to `size` bytes.
-    Truncate { subfile: String, size: u64 },
     /// Ask the server to flush a subfile's data to stable storage.
     Sync { subfile: String },
     /// Administrative shutdown (used by the in-process testbed).
@@ -126,7 +124,6 @@ impl Request {
             Request::Read { .. } => "read",
             Request::Delete { .. } => "delete",
             Request::Stat { .. } => "stat",
-            Request::Truncate { .. } => "truncate",
             Request::Sync { .. } => "sync",
             Request::Shutdown => "shutdown",
             Request::Stats => "stats",
@@ -156,14 +153,11 @@ pub enum Response {
     Deleted { existed: bool },
     /// Stat result.
     Stat { exists: bool, size: u64 },
-    /// Truncated to the requested size.
-    Truncated,
     /// Request failed.
     Error { code: ErrorCode, message: String },
-    /// Statistics snapshot. The payload is an opaque versioned blob
-    /// produced by the server's stats encoder (`dpfs-server` defines the
-    /// layout); keeping it opaque here lets the snapshot grow fields
-    /// without a wire-protocol change.
+    /// Statistics snapshot: the answering daemon as a one-node
+    /// `ClusterSnapshot` (`dpfs-obs` defines the encoding). Opaque here, so
+    /// the document can grow rows without a wire-protocol change.
     Stats { payload: Bytes },
     /// Reply to [`Request::Meta`]. `shard` identifies the metadata shard
     /// that served the op; the client checks it against the shard it
@@ -310,11 +304,6 @@ impl Request {
                 buf.put_u8(5);
                 put_str(buf, subfile);
             }
-            Request::Truncate { subfile, size } => {
-                buf.put_u8(6);
-                put_str(buf, subfile);
-                buf.put_u64_le(*size);
-            }
             Request::Sync { subfile } => {
                 buf.put_u8(7);
                 put_str(buf, subfile);
@@ -405,10 +394,6 @@ impl Request {
             5 => Request::Stat {
                 subfile: get_str(&mut buf)?,
             },
-            6 => Request::Truncate {
-                subfile: get_str(&mut buf)?,
-                size: get_u64(&mut buf)?,
-            },
             7 => Request::Sync {
                 subfile: get_str(&mut buf)?,
             },
@@ -486,7 +471,6 @@ impl Response {
                 buf.put_u8(*exists as u8);
                 buf.put_u64_le(*size);
             }
-            Response::Truncated => buf.put_u8(6),
             Response::Error { code, message } => {
                 buf.put_u8(7);
                 buf.put_u8(code.to_u8());
@@ -554,7 +538,6 @@ impl Response {
                 exists: get_u8(&mut buf)? != 0,
                 size: get_u64(&mut buf)?,
             },
-            6 => Response::Truncated,
             7 => Response::Error {
                 code: ErrorCode::from_u8(get_u8(&mut buf)?),
                 message: get_str(&mut buf)?,
@@ -611,10 +594,6 @@ mod tests {
         });
         round_trip_req(Request::Stat {
             subfile: "f".into(),
-        });
-        round_trip_req(Request::Truncate {
-            subfile: "f".into(),
-            size: 12345,
         });
         round_trip_req(Request::Sync {
             subfile: "f".into(),
@@ -830,7 +809,6 @@ mod tests {
             exists: false,
             size: 0,
         });
-        round_trip_resp(Response::Truncated);
         round_trip_resp(Response::Error {
             code: ErrorCode::NoSuchSubfile,
             message: "no subfile /x".into(),
@@ -889,6 +867,17 @@ mod tests {
     fn bad_tags_rejected() {
         assert!(Request::decode(Bytes::from_static(&[99])).is_err());
         assert!(Response::decode(Bytes::from_static(&[99])).is_err());
+    }
+
+    /// Tag 6 (resize a subfile, and its bare reply) is retired, not
+    /// reassigned: an older peer's message is refused instead of decoding
+    /// to another verb.
+    #[test]
+    fn retired_resize_tags_are_rejected() {
+        let mut old = vec![6u8, 1, 0, 0, 0, b'f'];
+        old.extend_from_slice(&4096u64.to_le_bytes());
+        assert!(Request::decode(Bytes::from(old)).is_err());
+        assert!(Response::decode(Bytes::from_static(&[6])).is_err());
     }
 
     #[test]

@@ -21,9 +21,6 @@ pub enum MetaOp {
     GetServer {
         name: String,
     },
-    RemoveServer {
-        name: String,
-    },
     CreateFile {
         attr: FileAttrRow,
         dist: Vec<Distribution>,
@@ -170,7 +167,6 @@ impl MetaOp {
             MetaOp::RegisterServer { .. } => "meta.register_server",
             MetaOp::ListServers => "meta.list_servers",
             MetaOp::GetServer { .. } => "meta.get_server",
-            MetaOp::RemoveServer { .. } => "meta.remove_server",
             MetaOp::CreateFile { .. } => "meta.create_file",
             MetaOp::DeleteFile { .. } => "meta.delete_file",
             MetaOp::RenameFile { .. } => "meta.rename_file",
@@ -204,7 +200,6 @@ impl MetaOp {
         matches!(
             self,
             MetaOp::RegisterServer { .. }
-                | MetaOp::RemoveServer { .. }
                 | MetaOp::CreateFile { .. }
                 | MetaOp::DeleteFile { .. }
                 | MetaOp::RenameFile { .. }
@@ -413,10 +408,6 @@ impl MetaOp {
                 buf.put_u8(3);
                 put_str(buf, name);
             }
-            MetaOp::RemoveServer { name } => {
-                buf.put_u8(4);
-                put_str(buf, name);
-            }
             MetaOp::CreateFile { attr, dist } => {
                 buf.put_u8(5);
                 put_attr(buf, attr);
@@ -552,9 +543,6 @@ impl MetaOp {
             },
             2 => MetaOp::ListServers,
             3 => MetaOp::GetServer {
-                name: get_str(buf)?,
-            },
-            4 => MetaOp::RemoveServer {
                 name: get_str(buf)?,
             },
             5 => MetaOp::CreateFile {
@@ -949,7 +937,6 @@ mod tests {
         });
         round_trip_op(MetaOp::ListServers);
         round_trip_op(MetaOp::GetServer { name: "s0".into() });
-        round_trip_op(MetaOp::RemoveServer { name: "s0".into() });
         round_trip_op(MetaOp::CreateFile {
             attr: sample_attr(),
             dist: sample_dist(),
@@ -1074,10 +1061,11 @@ mod tests {
         ]));
     }
 
-    /// Op tags 12 (the distribution-only lookup), 13 (the blind whole-map
-    /// distribution overwrite) and 23 (`Generation`) and result tag 8
-    /// (`Distributions`) are retired, not reassigned: a message from an older
-    /// peer is refused instead of decoding to another verb or shape.
+    /// Op tags 4 (unregistering a server), 12 (the distribution-only
+    /// lookup), 13 (the blind whole-map distribution overwrite) and 23
+    /// (`Generation`) and result tag 8 (`Distributions`) are retired, not
+    /// reassigned: a message from an older peer is refused instead of
+    /// decoding to another verb or shape.
     #[test]
     fn retired_tags_are_rejected() {
         let enc = Request::Meta {
@@ -1085,7 +1073,7 @@ mod tests {
         }
         .encode();
         assert_eq!(enc.last(), Some(&24));
-        for retired in [23u8, 13, 12] {
+        for retired in [23u8, 13, 12, 4] {
             let mut old = enc.to_vec();
             *old.last_mut().unwrap() = retired;
             // A filename, and (tag 13's body) an empty row list.

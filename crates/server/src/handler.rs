@@ -3,7 +3,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use dpfs_obs::{now_ns, ring, Side, TraceEvent};
+use dpfs_obs::{now_ns, ring, ClusterSnapshot, Side, TraceEvent};
 use dpfs_proto::{ErrorCode, Request, Response};
 use parking_lot::Mutex;
 
@@ -231,10 +231,6 @@ impl Handler {
                 Ok((exists, size)) => Response::Stat { exists, size },
                 Err(e) => self.error_response(e),
             },
-            Request::Truncate { subfile, size } => match self.store.truncate(&subfile, size) {
-                Ok(()) => Response::Truncated,
-                Err(e) => self.error_response(e),
-            },
             Request::Sync { subfile } => {
                 match self.store.sync(&subfile) {
                     Ok(()) => Response::Pong,
@@ -244,7 +240,12 @@ impl Handler {
             }
             Request::Shutdown => Response::Pong,
             Request::Stats => Response::Stats {
-                payload: bytes::Bytes::from(self.stats_snapshot().encode()),
+                payload: bytes::Bytes::from(
+                    ClusterSnapshot {
+                        nodes: vec![self.stats_snapshot().node(&self.name)],
+                    }
+                    .encode(),
+                ),
             },
             // Server-side list I/O: the client shipped one compact access
             // pattern; expand it against the local subfile and answer with
@@ -407,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn stat_delete_truncate() {
+    fn stat_rename_delete() {
         let (h, dir) = handler();
         h.handle(Request::Write {
             subfile: "/f".into(),
@@ -420,22 +421,6 @@ mod tests {
             Response::Stat {
                 exists: true,
                 size: 4
-            }
-        );
-        assert_eq!(
-            h.handle(Request::Truncate {
-                subfile: "/f".into(),
-                size: 2
-            }),
-            Response::Truncated
-        );
-        assert_eq!(
-            h.handle(Request::Stat {
-                subfile: "/f".into()
-            }),
-            Response::Stat {
-                exists: true,
-                size: 2
             }
         );
         let rename = |from: &str, to: &str| {
@@ -463,8 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_request_returns_decodable_snapshot() {
-        use crate::stats::StatsSnapshot;
+    fn stats_request_answers_one_node_of_the_stats_document() {
         let (h, dir) = handler();
         h.handle(Request::Write {
             subfile: "/f".into(),
@@ -474,13 +458,20 @@ mod tests {
         let Response::Stats { payload } = resp else {
             panic!("expected Stats response, got {resp:?}");
         };
-        let snap = StatsSnapshot::decode(&payload).unwrap();
-        assert_eq!(snap.writes, 1);
-        assert_eq!(snap.bytes_written, 4);
-        assert_eq!(snap.write_latency.count, 1);
+        let snap = ClusterSnapshot::decode(&payload).unwrap();
+        let [node] = &snap.nodes[..] else {
+            panic!("one node, got {snap:?}");
+        };
+        assert_eq!(
+            (node.name.as_str(), node.role),
+            ("test", dpfs_obs::NodeRole::Iond)
+        );
+        assert_eq!(node.counter("io.writes"), Some(1));
+        assert_eq!(node.counter("io.bytes_written"), Some(4));
+        assert_eq!(node.hist("lat.write").unwrap().count, 1);
         // The Stats request itself was counted before the snapshot was
         // taken, but its histogram sample lands after.
-        assert_eq!(snap.requests, 2);
+        assert_eq!(node.counter("io.requests"), Some(2));
         std::fs::remove_dir_all(dir).unwrap();
     }
 

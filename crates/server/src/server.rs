@@ -76,7 +76,6 @@ impl Service for Handler {
             | Request::Stat { .. }
             | Request::Delete { .. }
             | Request::Rename { .. }
-            | Request::Truncate { .. }
             | Request::Meta { .. } => false,
             Request::Read { .. }
             | Request::Write { .. }

@@ -1,10 +1,10 @@
 //! Per-server statistics counters (lock-free, relaxed ordering — they are
 //! monitoring data, not synchronization), per-kind service-time
-//! histograms, and the versioned snapshot blob the `Stats` RPC returns.
+//! histograms, and the node of the stats document the `Stats` RPC returns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dpfs_obs::{HistSnapshot, Histogram};
+use dpfs_obs::{HistSnapshot, Histogram, NodeRole, NodeSnapshot};
 
 /// Counters exported by a running server.
 #[derive(Debug, Default)]
@@ -28,12 +28,6 @@ pub struct ServerStats {
     pub injected_delay_ns: AtomicU64,
     /// Requests currently being serviced (gauge).
     pub in_flight: AtomicU64,
-    /// Subfiles lazily re-opened when the file already existed on disk —
-    /// near zero in steady state, one per surviving subfile after a
-    /// restart. Mirrored from `SubfileStore` into snapshots by the
-    /// handler; the atomic here only backs snapshots built directly from
-    /// `ServerStats`.
-    pub subfiles_reopened: AtomicU64,
     /// List-I/O reads handled (`ReadList`: one pattern descriptor expanded
     /// server-side instead of an enumerated range list).
     pub list_reads: AtomicU64,
@@ -60,7 +54,8 @@ pub struct StatsSnapshot {
     pub injected_delay_ns: u64,
     /// Requests being serviced at snapshot time (gauge).
     pub in_flight: u64,
-    /// Subfiles re-opened from surviving on-disk data (restart recovery).
+    /// Subfiles re-opened from surviving on-disk data (restart recovery):
+    /// the store counts them, `Handler::stats_snapshot` fills this in.
     pub subfiles_reopened: u64,
     /// List-I/O reads served (pattern descriptors expanded server-side).
     pub list_reads: u64,
@@ -73,11 +68,6 @@ pub struct StatsSnapshot {
     /// Service-time histogram of all other request kinds.
     pub other_latency: HistSnapshot,
 }
-
-/// Version byte of the snapshot wire encoding. v2 added the
-/// `subfiles_reopened` counter, v3 the `list_reads`/`list_writes`
-/// counters; older blobs still decode (missing counters read as zero).
-const SNAPSHOT_VERSION: u8 = 3;
 
 impl ServerStats {
     /// Capture a consistent-enough snapshot for reporting.
@@ -92,7 +82,7 @@ impl ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             injected_delay_ns: self.injected_delay_ns.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
-            subfiles_reopened: self.subfiles_reopened.load(Ordering::Relaxed),
+            subfiles_reopened: 0,
             list_reads: self.list_reads.load(Ordering::Relaxed),
             list_writes: self.list_writes.load(Ordering::Relaxed),
             read_latency: self.hist_read.snapshot(),
@@ -118,74 +108,35 @@ impl ServerStats {
 }
 
 impl StatsSnapshot {
-    /// Serialize for the `Stats` RPC: a version byte, the twelve u64
-    /// counters, then the three histograms. Carried opaquely by
-    /// `Response::Stats` so the layout can grow without touching the wire
-    /// protocol.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + 12 * 8 + 3 * HistSnapshot::ENCODED_LEN);
-        out.push(SNAPSHOT_VERSION);
-        for v in [
-            self.requests,
-            self.reads,
-            self.writes,
-            self.bytes_read,
-            self.bytes_written,
-            self.errors,
-            self.connections,
-            self.injected_delay_ns,
-            self.in_flight,
-            self.subfiles_reopened,
-            self.list_reads,
-            self.list_writes,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        self.read_latency.encode_into(&mut out);
-        self.write_latency.encode_into(&mut out);
-        self.other_latency.encode_into(&mut out);
-        out
-    }
-
-    /// Decode an [`StatsSnapshot::encode`] blob. `None` on a short buffer
-    /// or unknown version.
-    pub fn decode(buf: &[u8]) -> Option<StatsSnapshot> {
-        let (&version, mut rest) = buf.split_first()?;
-        let n_counters = match version {
-            1 => 9,
-            2 => 10,
-            3 => 12,
-            _ => return None,
-        };
-        let mut counters = [0u64; 12];
-        for slot in counters.iter_mut().take(n_counters) {
-            let (head, tail) = rest.split_at_checked(8)?;
-            *slot = u64::from_le_bytes(head.try_into().unwrap());
-            rest = tail;
-        }
-        let mut hists = [HistSnapshot::default(); 3];
-        for slot in hists.iter_mut() {
-            let (h, used) = HistSnapshot::decode_from(rest)?;
-            *slot = h;
-            rest = &rest[used..];
-        }
-        Some(StatsSnapshot {
-            requests: counters[0],
-            reads: counters[1],
-            writes: counters[2],
-            bytes_read: counters[3],
-            bytes_written: counters[4],
-            errors: counters[5],
-            connections: counters[6],
-            injected_delay_ns: counters[7],
-            in_flight: counters[8],
-            subfiles_reopened: counters[9],
-            list_reads: counters[10],
-            list_writes: counters[11],
-            read_latency: hists[0],
-            write_latency: hists[1],
-            other_latency: hists[2],
-        })
+    /// This snapshot as one node of the stats document: the `Stats` RPC
+    /// answers `ClusterSnapshot { nodes: vec![node] }`. The I/O server's
+    /// metric names are minted here — counters `io.*`, gauge `in_flight`,
+    /// service-time histograms `lat.read`, `lat.write`, `lat.other` (list
+    /// I/O folds into the read/write ones).
+    pub fn node(&self, name: &str) -> NodeSnapshot {
+        NodeSnapshot::new(
+            name,
+            NodeRole::Iond,
+            [
+                ("io.bytes_read", self.bytes_read),
+                ("io.bytes_written", self.bytes_written),
+                ("io.connections", self.connections),
+                ("io.errors", self.errors),
+                ("io.injected_delay_ns", self.injected_delay_ns),
+                ("io.list_reads", self.list_reads),
+                ("io.list_writes", self.list_writes),
+                ("io.reads", self.reads),
+                ("io.requests", self.requests),
+                ("io.subfiles_reopened", self.subfiles_reopened),
+                ("io.writes", self.writes),
+            ],
+            [("in_flight", self.in_flight)],
+            [
+                ("lat.other", self.other_latency),
+                ("lat.read", self.read_latency),
+                ("lat.write", self.write_latency),
+            ],
+        )
     }
 }
 
@@ -235,71 +186,38 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_encode_decode_round_trip() {
+    fn node_names_every_counter_and_survives_the_wire() {
         let s = ServerStats::default();
         s.add(&s.requests, 7);
         s.add(&s.reads, 4);
-        s.add(&s.bytes_written, 1 << 30);
-        s.in_flight.store(2, Ordering::Relaxed);
-        s.hist_read.record(5_000);
-        s.hist_read.record(50_000);
-        s.hist_write.record(9);
-        s.add(&s.subfiles_reopened, 5);
-        let snap = s.snapshot();
-        let blob = snap.encode();
-        let back = StatsSnapshot::decode(&blob).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.read_latency.count, 2);
-        assert_eq!(back.subfiles_reopened, 5);
-    }
-
-    #[test]
-    fn snapshot_decode_accepts_v1_blobs() {
-        let mut blob = ServerStats::default().snapshot().encode();
-        // Rewrite as a v1 blob: version byte 1, drop counters ten
-        // through twelve.
-        blob[0] = 1;
-        blob.drain(1 + 9 * 8..1 + 12 * 8);
-        let back = StatsSnapshot::decode(&blob).unwrap();
-        assert_eq!(back.subfiles_reopened, 0);
-        assert_eq!(back.list_reads, 0);
-    }
-
-    #[test]
-    fn snapshot_decode_accepts_v2_blobs() {
-        let s = ServerStats::default();
-        s.add(&s.subfiles_reopened, 4);
-        let mut blob = s.snapshot().encode();
-        // Rewrite as a v2 blob: version byte 2, drop the list counters.
-        blob[0] = 2;
-        blob.drain(1 + 10 * 8..1 + 12 * 8);
-        let back = StatsSnapshot::decode(&blob).unwrap();
-        assert_eq!(back.subfiles_reopened, 4);
-        assert_eq!(back.list_reads, 0);
-        assert_eq!(back.list_writes, 0);
-    }
-
-    #[test]
-    fn list_counters_round_trip_and_hists_route() {
-        let s = ServerStats::default();
         s.add(&s.list_reads, 3);
         s.add(&s.list_writes, 2);
-        s.hist_for("read_list").record(100);
-        s.hist_for("write_list").record(200);
-        let snap = s.snapshot();
-        assert_eq!(snap.read_latency.count, 1);
-        assert_eq!(snap.write_latency.count, 1);
-        let back = StatsSnapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.list_reads, 3);
-        assert_eq!(back.list_writes, 2);
-    }
-
-    #[test]
-    fn snapshot_decode_rejects_garbage() {
-        assert!(StatsSnapshot::decode(&[]).is_none());
-        assert!(StatsSnapshot::decode(&[99, 0, 0]).is_none()); // bad version
-        let blob = ServerStats::default().snapshot().encode();
-        assert!(StatsSnapshot::decode(&blob[..blob.len() - 1]).is_none());
-        assert!(StatsSnapshot::decode(&blob).is_some());
+        s.add(&s.bytes_written, 1 << 30);
+        s.in_flight.store(2, Ordering::Relaxed);
+        s.hist_for("read_list").record(5_000);
+        s.hist_for("write").record(9);
+        let snap = StatsSnapshot {
+            subfiles_reopened: 5,
+            ..s.snapshot()
+        };
+        let sent = dpfs_obs::ClusterSnapshot {
+            nodes: vec![snap.node("ion07")],
+        };
+        let back = dpfs_obs::ClusterSnapshot::decode(&sent.encode()).unwrap();
+        assert_eq!(back, sent);
+        let node = &back.nodes[0];
+        assert_eq!((node.name.as_str(), node.role), ("ion07", NodeRole::Iond));
+        assert_eq!(node.counters.len(), 11);
+        assert!(node.counters.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        assert_eq!(node.counter("io.requests"), Some(7));
+        assert_eq!(node.counter("io.reads"), Some(4));
+        assert_eq!(node.counter("io.list_reads"), Some(3));
+        assert_eq!(node.counter("io.list_writes"), Some(2));
+        assert_eq!(node.counter("io.bytes_written"), Some(1 << 30));
+        assert_eq!(node.counter("io.subfiles_reopened"), Some(5));
+        assert_eq!(node.gauge("in_flight"), Some(2));
+        assert_eq!(node.hist("lat.read").unwrap().count, 1);
+        assert_eq!(node.hist("lat.write").unwrap().count, 1);
+        assert_eq!(node.hist("lat.other").unwrap().count, 0);
     }
 }

@@ -39,9 +39,8 @@ enum Access {
 /// lock is held across the local I/O. Requests for *different* subfiles
 /// proceed in parallel, and so do *reads* of one subfile (`pread` needs
 /// only `&File`): they share the slot for their whole range list. Writes,
-/// `truncate`, `delete`, `rename`, `sync` and the lazy open take it
-/// exclusively, so `delete`, `rename` and `truncate` never interleave with
-/// a half-done range list.
+/// `delete`, `rename`, `sync` and the lazy open take it exclusively, so
+/// `delete` and `rename` never interleave with a half-done range list.
 /// The I/O itself is positional (`pread`/`pwrite`): one syscall per range,
 /// no seek.
 pub struct SubfileStore {
@@ -331,15 +330,6 @@ impl SubfileStore {
         }
     }
 
-    /// Truncate or extend the subfile to `size` bytes (creating it if
-    /// absent).
-    pub fn truncate(&self, subfile: &str, size: u64) -> Result<(), StoreError> {
-        self.with_file(subfile, Access::Create, |file| {
-            file.set_len(size)?;
-            Ok(())
-        })
-    }
-
     /// Flush a subfile's data to stable storage.
     pub fn sync(&self, subfile: &str) -> Result<(), StoreError> {
         self.with_file(subfile, Access::Exclusive, |file| {
@@ -498,16 +488,6 @@ mod tests {
             s.write_ranges("/f", &[(50, Bytes::from(vec![1u8; 100]))]),
             Err(StoreError::NoSpace { .. })
         ));
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn truncate_extends_and_shrinks() {
-        let (s, dir) = store();
-        s.truncate("/f", 100).unwrap();
-        assert_eq!(s.stat("/f").unwrap(), (true, 100));
-        s.truncate("/f", 10).unwrap();
-        assert_eq!(s.stat("/f").unwrap(), (true, 10));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -783,8 +763,8 @@ mod tests {
         let (s, dir) = store();
         let ranges: Vec<(u64, u64)> = (0..RANGES).map(|i| (i * 512, 512)).collect();
         let data = Bytes::from(vec![0xA5u8; (RANGES * 512) as usize]);
-        // Each round: readers and one truncate-then-delete race from a
-        // barrier; the file is rewritten while everyone waits at the next.
+        // Each round: readers and one delete race from a barrier; the file
+        // is rewritten while everyone waits at the next.
         let round = Barrier::new(READERS + 2);
         std::thread::scope(|scope| {
             for _ in 0..READERS {
@@ -794,8 +774,8 @@ mod tests {
                         for _ in 0..8 {
                             match s.read_ranges_coalesced("/f", &ranges) {
                                 Ok(got) => assert!(
-                                    got == data || got.iter().all(|&b| b == 0),
-                                    "torn read: truncate/delete ran inside a range list"
+                                    got == data,
+                                    "torn read: delete ran inside a range list"
                                 ),
                                 Err(StoreError::NotFound) => {}
                                 Err(e) => panic!("{e}"),
@@ -808,7 +788,6 @@ mod tests {
             scope.spawn(|| {
                 for _ in 0..32 {
                     round.wait();
-                    s.truncate("/f", 0).unwrap();
                     s.delete("/f").unwrap();
                     round.wait();
                 }

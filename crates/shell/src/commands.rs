@@ -2,10 +2,9 @@
 
 use std::fmt::Write as _;
 
+use dpfs_cluster::{scrape_cluster, UNREACHABLE};
+use dpfs_core::trace::{ClusterSnapshot, NodeRole};
 use dpfs_core::{Dpfs, DpfsError, FileLevel, Hint, Layout, Result};
-use dpfs_metad::MetadStatsSnapshot;
-use dpfs_proto::{Request, Response};
-use dpfs_server::StatsSnapshot;
 
 use crate::parse::{resolve_path, split_words};
 
@@ -236,27 +235,10 @@ impl Shell {
         Ok(out)
     }
 
-    /// Fetch a live [`StatsSnapshot`] from every registered server via the
-    /// `Stats` RPC. Unreachable servers report as `None`.
-    fn collect_stats(&self) -> Result<Vec<(String, Option<StatsSnapshot>)>> {
-        let servers = self.fs.meta().list_servers()?;
-        let mut out = Vec::with_capacity(servers.len());
-        for s in &servers {
-            let snap = match self.fs.pool().rpc_ok(&s.name, &Request::Stats) {
-                Ok(Response::Stats { payload }) => StatsSnapshot::decode(&payload),
-                _ => None,
-            };
-            out.push((s.name.clone(), snap));
-        }
-        Ok(out)
-    }
-
-    /// Render one stats table. With `prev`, counter columns show the delta
-    /// since the previous round next to the running total.
-    fn stats_table(
-        rows: &[(String, Option<StatsSnapshot>)],
-        prev: Option<&[(String, Option<StatsSnapshot>)]>,
-    ) -> String {
+    /// The I/O servers of one scrape, one row each. With `prev` (the
+    /// previous round of `--watch`), counter columns show the delta since
+    /// then, matched by server and counter name, next to the running total.
+    fn stats_table(snap: &ClusterSnapshot, prev: Option<&ClusterSnapshot>) -> String {
         let mut out = String::new();
         writeln!(
             out,
@@ -272,30 +254,33 @@ impl Shell {
             "write p50/p95/p99 us"
         )
         .unwrap();
-        for (i, (name, snap)) in rows.iter().enumerate() {
-            let Some(s) = snap else {
-                writeln!(out, "{name:<12} unreachable").unwrap();
+        for node in snap.nodes_of(NodeRole::Iond) {
+            if node.counter(UNREACHABLE).is_some() {
+                writeln!(out, "{:<12} unreachable", node.name).unwrap();
                 continue;
-            };
+            }
             let before =
-                prev.and_then(|p| p.get(i))
-                    .and_then(|(n, b)| if n == name { b.as_ref() } else { None });
-            let delta = |cur: u64, get: fn(&StatsSnapshot) -> u64| match before {
-                Some(b) => format!("{cur} (+{})", cur.saturating_sub(get(b))),
-                None => cur.to_string(),
+                prev.and_then(|p| p.nodes_of(NodeRole::Iond).find(|b| b.name == node.name));
+            let counter = |key: &str| {
+                let cur = node.counter(key).unwrap_or(0);
+                match before.and_then(|b| b.counter(key)) {
+                    Some(b) => format!("{cur} (+{})", cur.saturating_sub(b)),
+                    None => cur.to_string(),
+                }
             };
+            let summary = |key: &str| node.hist(key).copied().unwrap_or_default().summary_us();
             writeln!(
                 out,
                 "{:<12} {:>10} {:>10} {:>10} {:>6} {:>6} {:>5}  {:<20} {:<20}",
-                name,
-                delta(s.requests, |b| b.requests),
-                delta(s.reads, |b| b.reads),
-                delta(s.writes, |b| b.writes),
-                delta(s.errors, |b| b.errors),
-                delta(s.subfiles_reopened, |b| b.subfiles_reopened),
-                s.in_flight,
-                s.read_latency.summary_us(),
-                s.write_latency.summary_us()
+                node.name,
+                counter("io.requests"),
+                counter("io.reads"),
+                counter("io.writes"),
+                counter("io.errors"),
+                counter("io.subfiles_reopened"),
+                node.gauge("in_flight").unwrap_or(0),
+                summary("lat.read"),
+                summary("lat.write")
             )
             .unwrap();
         }
@@ -303,41 +288,41 @@ impl Shell {
     }
 
     /// The metadata half of `stats`: where metadata lives, and — on remote
-    /// mounts — the daemons' own per-op service-time histograms fetched
-    /// over their `Stats` RPC. On a sharded plane every shard gets its own
-    /// section (daemon counters, per-op percentiles).
-    fn metadata_section(&self) -> String {
-        let Some(remote) = self.fs.remote_meta() else {
+    /// mounts — each shard's daemon counters and per-op service-time
+    /// percentiles, one section per shard.
+    fn metadata_section(snap: &ClusterSnapshot) -> String {
+        let shards = snap.nodes_of(NodeRole::Metad).count();
+        if shards == 0 {
             return "metadata: embedded (in-process catalog)\n".to_string();
-        };
-        let shards = remote.shard_count();
+        }
         let mut out = String::new();
-        for shard in 0..shards {
-            let name = remote.shard_server(shard).to_string();
+        for (shard, node) in snap.nodes_of(NodeRole::Metad).enumerate() {
             if shards == 1 {
-                writeln!(out, "metadata: remote via {name}").unwrap();
+                writeln!(out, "metadata: remote via {}", node.name).unwrap();
             } else {
                 writeln!(
                     out,
-                    "metadata: remote via {name} [shard {shard} of {shards}]"
+                    "metadata: remote via {} [shard {shard} of {shards}]",
+                    node.name
                 )
                 .unwrap();
             }
-            let snap = match self.fs.pool().rpc_ok(&name, &Request::Stats) {
-                Ok(Response::Stats { payload }) => MetadStatsSnapshot::decode(&payload),
-                _ => None,
-            };
-            let Some(s) = snap else {
+            if node.counter(UNREACHABLE).is_some() {
                 writeln!(out, "metad:       unreachable").unwrap();
                 continue;
-            };
+            }
+            let counter = |key: &str| node.counter(key).unwrap_or(0);
             writeln!(
                 out,
                 "metad:       {} reqs, {} meta ops, {} errs, {} conns, {} in flight",
-                s.requests, s.meta_ops, s.errors, s.connections, s.in_flight
+                counter("meta.requests"),
+                counter("meta.ops"),
+                counter("meta.errors"),
+                counter("meta.connections"),
+                node.gauge("in_flight").unwrap_or(0)
             )
             .unwrap();
-            for (op, h) in &s.op_latency {
+            for (op, h) in &node.hists {
                 writeln!(
                     out,
                     "  {:<28} {:>8} calls  p50/p95/p99 us {}",
@@ -358,18 +343,17 @@ impl Shell {
             )
         };
         match args.first().map(|s| s.as_str()) {
-            None => Ok(format!(
-                "{}{}",
-                Self::stats_table(&self.collect_stats()?, None),
-                self.metadata_section()
-            )),
-            // Machine-readable mode: one unified cluster scrape rendered
-            // as JSON, so scripts stop parsing the human tables.
+            None => {
+                let snap = scrape_cluster(&self.fs);
+                Ok(Self::stats_table(&snap, None) + &Self::metadata_section(&snap))
+            }
+            // Machine-readable mode: the same scrape rendered as JSON, so
+            // scripts stop parsing the human tables.
             Some("--json") => {
                 if args.len() > 1 {
                     return Err(usage());
                 }
-                let mut json = dpfs_cluster::scrape_cluster(&self.fs).to_json();
+                let mut json = scrape_cluster(&self.fs).to_json();
                 json.push('\n');
                 Ok(json)
             }
@@ -387,17 +371,18 @@ impl Shell {
                     None => 1000,
                 };
                 let mut out = String::new();
-                let mut prev: Option<Vec<(String, Option<StatsSnapshot>)>> = None;
+                let mut prev: Option<ClusterSnapshot> = None;
                 for round in 1..=rounds {
                     if round > 1 {
                         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
                     }
-                    let rows = self.collect_stats()?;
+                    let snap = scrape_cluster(&self.fs);
                     writeln!(out, "round {round}/{rounds}:").unwrap();
-                    out.push_str(&Self::stats_table(&rows, prev.as_deref()));
-                    prev = Some(rows);
+                    out.push_str(&Self::stats_table(&snap, prev.as_ref()));
+                    prev = Some(snap);
                 }
-                out.push_str(&self.metadata_section());
+                let last = prev.unwrap_or_else(|| scrape_cluster(&self.fs));
+                out.push_str(&Self::metadata_section(&last));
                 Ok(out)
             }
             Some(_) => Err(usage()),
@@ -1088,12 +1073,54 @@ mod tests {
         assert_eq!(out.matches("meta.mkdir").count(), 2, "{out}");
     }
 
+    /// `stats` and `stats --json` are two renderings of one scrape: they
+    /// agree on every iond's `io.requests` and every shard's `meta.ops`.
+    #[test]
+    fn stats_and_stats_json_render_one_scrape_alike() {
+        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tmp = std::env::temp_dir().join(format!("dpfs-stats-same-{}", std::process::id()));
+        std::fs::write(&tmp, [9u8; 8192]).unwrap();
+        sh.exec("mkdir /a").unwrap();
+        sh.exec(&format!("import {} /a/f 4096", tmp.display()))
+            .unwrap();
+        std::fs::remove_file(&tmp).unwrap();
+
+        let snap = scrape_cluster(sh.fs());
+        let table = Shell::stats_table(&snap, None) + &Shell::metadata_section(&snap);
+        let json = snap.to_json();
+        // `key` of the `role` node `name` in the JSON document.
+        let in_json = |name: &str, role: &str, key: &str| -> u64 {
+            let head = format!("{name}\",\"role\":\"{role}\"");
+            let node = json.split("{\"name\":\"").find(|n| n.starts_with(&head));
+            let node = node.unwrap_or_else(|| panic!("no {role} {name} in {json}"));
+            let at = node.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let digits = node[at..].split(|c: char| !c.is_ascii_digit()).next();
+            digits.unwrap().parse().unwrap()
+        };
+        for ion in ["ion00", "ion01"] {
+            let row = table.lines().find(|l| l.starts_with(ion)).unwrap();
+            let reqs: u64 = row.split_whitespace().nth(1).unwrap().parse().unwrap();
+            assert!(reqs > 0, "{table}");
+            assert_eq!(reqs, in_json(ion, "iond", "io.requests"), "{table}\n{json}");
+        }
+        let sections: Vec<&str> = table.split("metadata: remote via ").skip(1).collect();
+        assert_eq!(sections.len(), 2, "{table}");
+        for (shard, section) in ["metad0", "metad1"].into_iter().zip(sections) {
+            assert!(section.starts_with(shard), "{table}");
+            let ops = section.split(" reqs, ").nth(1).unwrap();
+            let ops: u64 = ops.split(' ').next().unwrap().parse().unwrap();
+            assert!(ops > 0, "{table}");
+            assert_eq!(ops, in_json(shard, "metad", "meta.ops"), "{table}\n{json}");
+        }
+    }
+
     /// A client that died between `RenameCommit` and `RenameFinish` leaves
     /// the file visible under both names; `fsck --repair` is the operator's
     /// way to finish the rename.
     #[test]
     fn fsck_repair_on_a_remote_mount_resolves_crashed_cross_shard_renames() {
-        use dpfs_proto::{MetaOp, MetaResult};
+        use dpfs_proto::{MetaOp, MetaResult, Request, Response};
         let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
         let mut sh = Shell::new(tb.remote_client(0, true));
         let tmp = std::env::temp_dir().join(format!("dpfs-shell-intent-{}", std::process::id()));

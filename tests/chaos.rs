@@ -636,16 +636,11 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
     let size = MAX_FRAME_LEN as u64 + 1;
     let marker = b"the last bytes of a long subfile";
     let marker_at = size - marker.len() as u64;
-    let grow = Request::Truncate {
-        subfile: "/big".into(),
-        size,
-    };
     let mark = Request::Write {
         subfile: "/big".into(),
         ranges: vec![(marker_at, marker.to_vec().into())],
     };
     let pool = client.pool();
-    assert_eq!(pool.rpc_ok("ion02", &grow).unwrap(), Response::Truncated);
     pool.rpc_ok("ion02", &mark).unwrap();
 
     tb.kill_server(0);

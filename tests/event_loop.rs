@@ -668,10 +668,6 @@ fn names_and_sizes_are_answered_inline_and_file_bytes_are_not() {
             from: "/f".into(),
             to: "/g".into(),
         },
-        Request::Truncate {
-            subfile: "/f".into(),
-            size: 0,
-        },
     ];
     let queued = [
         read_req("/f", 1),

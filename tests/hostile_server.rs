@@ -7,17 +7,23 @@
 //! scatter copy in `file.rs`, which panicked slicing past the chunk's end.
 //! Now every chunk's length is checked against its range and the client
 //! returns [`DpfsError::ShortRead`] with the server's name attached.
+//!
+//! A `Stats` reply is a peer's word too: one that is not the stats document
+//! scrapes as unreachable instead of being read as one.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
+use dpfs::cluster::scrape_cluster;
+use dpfs::core::trace::{ClusterSnapshot, NodeRole, NodeSnapshot};
 use dpfs::core::{
     ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint, Resolver, RetryPolicy,
 };
 use dpfs::meta::{Database, ServerInfo};
 use dpfs::proto::{frame, AccessPattern, Request, Response};
+use dpfs::server::{ServeCore, Service};
 
 /// How the hostile server answers a `Read` for `ranges`.
 type ChunkForge = fn(&[(u64, u64)]) -> Vec<Bytes>;
@@ -319,4 +325,71 @@ fn honest_list_replies_still_round_trip() {
     assert_eq!(f.read_datatype(0, &strided()).unwrap(), vec![0u8; 128]);
     let t = client.pool().transport_stats("hostile00").unwrap();
     assert!(t.list_io >= 1, "the read should have gone out as ReadList");
+}
+
+/// A daemon whose `Stats` reply carries whatever payload the test sets.
+struct StatsForger(Mutex<Bytes>);
+
+impl Service for StatsForger {
+    fn name(&self) -> &str {
+        "forger"
+    }
+
+    fn handle_traced(&self, req: Request, _trace_id: u64) -> Response {
+        match req {
+            Request::Stats => Response::Stats {
+                payload: self.0.lock().unwrap().clone(),
+            },
+            _ => Response::Pong,
+        }
+    }
+}
+
+#[test]
+fn a_stats_payload_in_a_retired_format_scrapes_as_unreachable() {
+    let forger = Arc::new(StatsForger(Mutex::new(Bytes::new())));
+    let core = ServeCore::start("127.0.0.1:0", forger.clone()).unwrap();
+    let client = hostile_client("stats", core.addr());
+    let honest = ClusterSnapshot {
+        nodes: vec![NodeSnapshot::new(
+            "whatever-it-calls-itself",
+            NodeRole::Iond,
+            [("io.requests", 7)],
+            [],
+            [],
+        )],
+    }
+    .encode();
+    let scrape = |payload: Vec<u8>| {
+        *forger.0.lock().unwrap() = Bytes::from(payload);
+        let snap = scrape_cluster(&client);
+        snap.nodes_of(NodeRole::Iond).cloned().collect::<Vec<_>>()
+    };
+
+    // Control: one node of the document is kept under the dialled name.
+    let [node] = &scrape(honest.clone())[..] else {
+        panic!("one iond node");
+    };
+    assert_eq!(node.name, "hostile00");
+    assert_eq!(node.counters, vec![("io.requests".to_string(), 7)]);
+
+    // The leading bytes of the per-daemon blobs the `Stats` RPC used to
+    // carry (I/O server v1-v3, metadata daemon 0x4d/0x4e), in front of a
+    // body that would otherwise decode: refused, never read shifted.
+    for retired in [1u8, 2, 3, 0x4d, 0x4e] {
+        let mut old = honest.clone();
+        old[0] = retired;
+        let [node] = &scrape(old)[..] else {
+            panic!("one iond node for {retired:#x}");
+        };
+        assert_eq!(
+            node.counters,
+            vec![("scrape.unreachable".to_string(), 1)],
+            "{retired:#x}"
+        );
+        assert!(
+            node.hists.is_empty() && node.gauges.is_empty(),
+            "{retired:#x}"
+        );
+    }
 }

@@ -69,15 +69,15 @@ fn a_subfile_larger_than_a_frame_renames() {
     let mut f = r.fs.create("/big", &Hint::linear(4096, 16384)).unwrap();
     f.write_bytes(0, &pattern(16384, 1)).unwrap();
     f.close().unwrap();
-    // Sparse: no memory, no disk.
+    // One byte at the end, a hole before it: no memory, no disk.
     let size = MAX_FRAME_LEN as u64 + 1;
-    let grow = Request::Truncate {
+    let grow = Request::Write {
         subfile: "/big".into(),
-        size,
+        ranges: vec![(size - 1, vec![0u8].into())],
     };
     assert_eq!(
         r.fs.pool().rpc_ok(&name(2), &grow).unwrap(),
-        Response::Truncated
+        Response::Written { bytes: 1 }
     );
 
     r.fs.rename("/big", "/moved").unwrap();

@@ -8,8 +8,8 @@
 //!   travels under the operation's trace ID like everything before it;
 //! - `unlink` and `rename` — no handle, no data — are operations like any
 //!   other: one trace ID each, one submit, one await, every server in it;
-//! - the `Stats` RPC returns a decodable snapshot with populated latency
-//!   histograms;
+//! - the `Stats` RPC returns the server's node of the stats document, with
+//!   populated latency histograms;
 //! - a v1 (`DPFS`, uncorrelated) frame is refused by both daemons: its
 //!   connection is severed, and no other.
 
@@ -19,11 +19,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
-use dpfs::core::trace::{ring, Side, TraceEvent};
+use dpfs::core::trace::{ring, ClusterSnapshot, NodeRole, Side, TraceEvent};
 use dpfs::core::{ClientOptions, Hint, RedundancyPolicy, RetryPolicy};
 use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, Request, Response};
-use dpfs::server::{IoServer, PerfModel, ServerConfig, StatsSnapshot};
+use dpfs::server::{IoServer, PerfModel, ServerConfig};
 
 /// Servers with enough injected latency that queue/device/delay spans have
 /// visible (nonzero) durations.
@@ -136,17 +136,29 @@ fn stats_rpc_returns_live_histograms() {
         let Response::Stats { payload } = resp else {
             panic!("expected Stats response, got {resp:?}");
         };
-        let snap = StatsSnapshot::decode(&payload).expect("decodable snapshot");
-        assert!(snap.requests > 0, "{name}: {snap:?}");
-        assert!(snap.reads > 0, "{name}: {snap:?}");
-        assert!(snap.writes > 0, "{name}: {snap:?}");
-        assert!(snap.read_latency.count > 0, "{name}: {snap:?}");
-        assert!(snap.write_latency.count > 0, "{name}: {snap:?}");
+        // The payload is the stats document, one node long: the server's
+        // own, under the name it serves as.
+        let snap = ClusterSnapshot::decode(&payload).expect("decodable snapshot");
+        let [node] = &snap.nodes[..] else {
+            panic!("{name}: one node, got {snap:?}");
+        };
+        assert_eq!((node.name.as_str(), node.role), (name, NodeRole::Iond));
+        for counter in ["io.requests", "io.reads", "io.writes"] {
+            assert!(
+                node.counter(counter) > Some(0),
+                "{name} {counter}: {node:?}"
+            );
+        }
+        let (read, write) = (
+            node.hist("lat.read").unwrap(),
+            node.hist("lat.write").unwrap(),
+        );
+        assert!(read.count > 0 && write.count > 0, "{name}: {node:?}");
         // Service time includes the injected 2ms request latency.
         assert!(
-            snap.read_latency.p50() >= 2_000_000,
+            read.p50() >= 2_000_000,
             "{name}: read p50 {}ns below injected delay",
-            snap.read_latency.p50()
+            read.p50()
         );
     }
 }
