@@ -13,9 +13,9 @@ fi
 # A format! whose string opens a SQL statement (on its own line or the next)
 # is a statement built from run-time values. Statement texts in the catalog
 # are constants; a table name that is a `const` belongs in the literal.
-if grep -nE -A1 'format!\(' crates/meta/src/catalog.rs crates/meta/src/store.rs |
+if grep -nE -A1 'format!\(' crates/meta/src/catalog.rs |
     grep -E '"(SELECT|INSERT|UPDATE|DELETE|CREATE|DROP|EXPLAIN) '; then
-    echo "FAIL: catalog.rs/store.rs format a value into SQL text (bind it with execute_with)"
+    echo "FAIL: catalog.rs formats a value into SQL text (bind it with execute_with)"
     exit 1
 fi
 
@@ -88,7 +88,7 @@ if grep -rnE '(mirror|parity)_subfile\(' crates/*/src --include='*.rs' |
     exit 1
 fi
 # Nothing stamps, carries or stores a metadata generation, and the wrapper
-# that existed to carry it is gone: `Catalog` is the embedded `MetaStore`.
+# that existed to carry it is gone.
 # (`MetaError::from_wire(code, message)` is a different signature and stays.)
 if git grep -nE 'MetaOp::Generation|last_gen_of|last_gens|fn generation\(|GEN_TABLE|EmbeddedMetaStore|pre_gen|from_wire\(.*shards' \
     -- 'crates/*/src/*' src/ tests/ 'examples/*.rs'; then
@@ -127,7 +127,7 @@ if [ "$xors" -ne 1 ]; then
 fi
 # "Await, then retry" is written once (ConnPool::wait_retrying): its own two
 # waits are the only deadline waits above the test modules, and issue,
-# ConnPool::rpc and RemoteMetaStore::call are its three callers.
+# ConnPool::rpc and MetaClient::call are its three callers.
 waits=$(echo "$core_src" | grep -cE '\.wait\([a-z_.()]*timeout' || :)
 callers=$(($(echo "$core_src" | grep -o 'wait_retrying(' | wc -l) - 1))
 pool_setters=$(grep -cE '^    pub(\(crate\))? fn set_' crates/core/src/conn.rs || :)
@@ -153,15 +153,15 @@ if [ "$kernel_callers" != "crates/meta/src/codec.rs " ]; then
     exit 1
 fi
 # `open` reads the attribute row and the distribution in one `OpenFile`;
-# the distribution-only lookup is gone from the wire and from `MetaStore`
+# the distribution-only lookup is gone from the wire and from `MetaClient`
 # (`Catalog::get_distribution` stays inherent, for the catalog's own tests).
 if git grep -nE 'GetDistribution|fn get_distribution' \
     -- crates/proto/src crates/core/src crates/metad/src crates/shell/src; then
-    echo "FAIL: MetaOp::GetDistribution / MetaStore::get_distribution is back (use open_file)"
+    echo "FAIL: MetaOp::GetDistribution / MetaClient::get_distribution is back (use open_file)"
     exit 1
 fi
 # A file's brick lists only grow, by compare-and-set (`ExtendDistribution`):
-# the blind whole-map overwrite is gone from the wire, the trait and the
+# the blind whole-map overwrite is gone from the wire, the client and the
 # catalog — it is what let the catalog forget bricks, and the exact
 # enumeration of unlink/rename/sync believes the catalog.
 if git grep -nE 'UpdateDistribution|fn update_distribution' \
@@ -178,11 +178,21 @@ if git grep -nE 'StatsSnapshot::(en|de)code|METAD_SNAPSHOT_VERSION|fn (iond|meta
     echo "FAIL: a per-daemon stats codec or translator, Truncate, RemoveServer or group_by_server is back"
     exit 1
 fi
+# One metadata client: an embedded mount is a one-shard plane whose ops
+# `MetaOp::apply` answers in-process, the function `dpfs-metad` runs — so
+# no trait stands between `Dpfs` and its metadata, and nobody asks the
+# registry for one server (`Catalog::get_server` stays inherent, for the
+# catalog's own tests).
+if git grep -nE 'trait MetaStore|dyn MetaStore|as_catalog|RemoteMetaStore|MetaOp::GetServer' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: the MetaStore trait, its escape hatch, RemoteMetaStore or MetaOp::GetServer is back"
+    exit 1
+fi
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
-store_methods=$(sed -n '/^pub trait MetaStore/,/^}/p' crates/meta/src/store.rs | grep -c '^    fn ')
-echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaStore trait methods: $store_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
+client_methods=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/meta_client.rs | grep -c '^    pub fn ')
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaClient public methods: $client_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

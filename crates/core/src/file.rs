@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use dpfs_meta::{Distribution, MetaError, MetaStore};
+use dpfs_meta::{Distribution, MetaError};
 use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
 use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
@@ -26,6 +26,7 @@ use crate::geometry::Region;
 use crate::hints::{copy_home, holders, FileLevel, Placement, RedundancyPolicy, Subfile};
 pub use crate::hints::{mirror_subfile, parity_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
+use crate::meta_client::MetaClient;
 use crate::placement::BrickMap;
 use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
@@ -84,7 +85,7 @@ pub struct ClientStats {
 /// An open DPFS file.
 pub struct FileHandle {
     path: String,
-    meta: Arc<dyn MetaStore>,
+    meta: Arc<MetaClient>,
     pool: Arc<ConnPool>,
     /// Server names in catalog order; request `server` indices point here.
     servers: Vec<String>,
@@ -106,7 +107,7 @@ impl FileHandle {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         path: String,
-        meta: Arc<dyn MetaStore>,
+        meta: Arc<MetaClient>,
         pool: Arc<ConnPool>,
         servers: Vec<String>,
         layout: Layout,

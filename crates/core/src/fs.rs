@@ -1,20 +1,19 @@
-//! The DPFS client: file-system operations over a metadata store and
+//! The DPFS client: file-system operations over a metadata client and
 //! the I/O servers.
 //!
-//! The metadata side is a [`MetaStore`]: [`Dpfs::mount`] backs it with the
-//! in-process SQL catalog (embedded, the original mode), while
-//! [`Dpfs::mount_remote`] speaks metadata RPCs to a `dpfs-metad` daemon
-//! (paper §5's networked database server). The client holds no metadata
-//! between calls; a handle's layout is the one its `open` read. Everything
-//! above the store — create/open/rename/readdir and the I/O path — is
-//! identical in both modes.
+//! The metadata side is one [`MetaClient`]: [`Dpfs::mount`] gives it the
+//! in-process SQL catalog as a one-shard plane (embedded, the original
+//! mode), while [`Dpfs::mount_remote`] gives it metadata RPCs to a
+//! `dpfs-metad` daemon (paper §5's networked database server). The client
+//! holds no metadata between calls; a handle's layout is the one its `open`
+//! read. Everything above `MetaClient::call` — the typed metadata methods,
+//! create/open/rename/readdir and the I/O path — is identical in both
+//! modes.
 
 use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
-use dpfs_meta::{
-    Catalog, Database, Distribution, FileAttrRow, FileEntry, MetaError, MetaStore, ServerInfo,
-};
+use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
@@ -23,17 +22,14 @@ use crate::file::{brick_map, issue_all, ClientOptions, FileHandle};
 use crate::geometry::Shape;
 use crate::hints::{holders, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 use crate::layout::Layout;
-use crate::placement::{greedy, round_robin, BrickMap};
-use crate::remote_meta::RemoteMetaStore;
+use crate::meta_client::MetaClient;
+use crate::placement::BrickMap;
 use crate::trace;
 
 /// A DPFS client instance. Cheap to create; each compute node (thread)
 /// makes its own, sharing the metadata database or daemon.
 pub struct Dpfs {
-    meta: Arc<dyn MetaStore>,
-    /// Set on remote mounts: `meta` again, under its concrete type (trace
-    /// IDs, shard routing).
-    remote_meta: Option<Arc<RemoteMetaStore>>,
+    meta: Arc<MetaClient>,
     pool: Arc<ConnPool>,
     opts: ClientOptions,
 }
@@ -55,8 +51,7 @@ impl Dpfs {
     pub fn mount(db: Arc<Database>, resolver: Resolver, opts: ClientOptions) -> Result<Dpfs> {
         let pool = new_pool(resolver, &opts);
         Ok(Dpfs {
-            meta: Arc::new(Catalog::new(db)?),
-            remote_meta: None,
+            meta: Arc::new(MetaClient::local(Catalog::new(db)?)),
             pool,
             opts,
         })
@@ -88,41 +83,36 @@ impl Dpfs {
         opts: ClientOptions,
     ) -> Result<Dpfs> {
         let pool = new_pool(resolver, &opts);
-        let remote = Arc::new(RemoteMetaStore::new_sharded(pool.clone(), metad_servers));
-        if remote.shard_count() > 1 {
-            let width = remote.fetch_shard_map(0).map_err(DpfsError::Meta)?;
-            if width as usize != remote.shard_count() {
+        let meta = Arc::new(MetaClient::rpc(pool.clone(), metad_servers));
+        if meta.shard_count() > 1 {
+            let width = meta.fetch_shard_map(0).map_err(DpfsError::Meta)?;
+            if width as usize != meta.shard_count() {
                 return Err(DpfsError::Meta(MetaError::Remote(format!(
                     "metadata shard 0 ({}) serves a {width}-shard plane, \
                      but {} --metad servers were mounted",
-                    remote.server(),
-                    remote.shard_count()
+                    meta.shard_server(0),
+                    meta.shard_count()
                 ))));
             }
         }
-        Ok(Dpfs {
-            meta: remote.clone(),
-            remote_meta: Some(remote),
-            pool,
-            opts,
-        })
+        Ok(Dpfs { meta, pool, opts })
     }
 
-    /// The metadata store this client operates through.
-    pub fn meta(&self) -> &Arc<dyn MetaStore> {
+    /// The metadata client this mount operates through.
+    pub fn meta(&self) -> &Arc<MetaClient> {
         &self.meta
     }
 
     /// The embedded metadata catalog, if this mount is embedded. Remote
     /// mounts return `None` — the database lives in the daemon.
     pub fn catalog(&self) -> Option<&Catalog> {
-        self.meta.as_catalog()
+        self.meta.catalog()
     }
 
-    /// On remote mounts, the RPC-level metadata store (trace IDs, shard
-    /// routing).
-    pub fn remote_meta(&self) -> Option<&Arc<RemoteMetaStore>> {
-        self.remote_meta.as_ref()
+    /// On remote mounts, the metadata client again (trace IDs, shard
+    /// routing); `None` on embedded mounts.
+    pub fn remote_meta(&self) -> Option<&Arc<MetaClient>> {
+        self.meta.catalog().is_none().then_some(&self.meta)
     }
 
     /// Always `None`: the client keeps no metadata cache. Exists only
@@ -187,18 +177,17 @@ impl Dpfs {
                 n - 1
             }
         };
-        let num_bricks = layout.num_bricks();
-        let assignment = match hint.placement {
-            Placement::RoundRobin => round_robin(num_bricks, data_servers),
-            Placement::Greedy => {
-                let perf: Vec<i64> = chosen[..data_servers]
+        let perf: Option<Vec<i64>> = match hint.placement {
+            Placement::RoundRobin => None,
+            Placement::Greedy => Some(
+                chosen[..data_servers]
                     .iter()
                     .map(|s| s.performance.max(1))
-                    .collect();
-                greedy(num_bricks, &perf)
-            }
+                    .collect(),
+            ),
         };
-        let map = BrickMap::from_assignment(assignment, data_servers);
+        let mut map = BrickMap::from_assignment(Vec::new(), data_servers);
+        map.extend(layout.num_bricks(), perf.as_deref())?;
 
         let attr = attr_for(&path, hint, &layout);
         let mut dist: Vec<Distribution> = names

@@ -36,9 +36,9 @@ pub mod fsck;
 pub mod geometry;
 pub mod hints;
 pub mod layout;
+pub mod meta_client;
 pub mod placement;
 pub mod plan;
-pub mod remote_meta;
 pub mod retry;
 pub mod trace;
 pub mod transport;
@@ -55,8 +55,8 @@ pub use hints::{
     Striping,
 };
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
+pub use meta_client::MetaClient;
 pub use placement::{greedy, round_robin, BrickMap};
 pub use plan::Granularity;
-pub use remote_meta::RemoteMetaStore;
 pub use retry::RetryPolicy;
 pub use transport::{Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};

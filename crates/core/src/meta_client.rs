@@ -1,17 +1,24 @@
-//! `MetaStore` over the wire: the client half of the metadata service.
+//! The metadata client: every metadata call a mount makes, as one
+//! [`MetaOp`] down one of two pipes.
 //!
 //! The paper's clients send every metadata query "to the database server"
-//! over the network (§5). [`RemoteMetaStore`] is that path: each
-//! `MetaStore` call becomes one [`MetaOp`] RPC to a `dpfs-metad` daemon,
-//! carried by the same multiplexed [`ConnPool`] transport as data traffic
-//! — so metadata inherits correlation IDs, per-request deadlines, the
-//! retry error-class matrix, and tracing unchanged.
+//! over the network (§5). [`MetaClient`] is that client on every mount:
+//! each typed method builds a [`MetaOp`] and hands it to `call`, the only
+//! code that differs between the pipes:
+//!
+//! - **local** — an embedded mount: one shard, whose op is applied to the
+//!   mount's own [`Catalog`] in-process by [`MetaOp::apply`], the function
+//!   `dpfs-metad` runs too. No transport, no retry, no trace ID.
+//! - **RPC** — a daemon mount: one retrying connection per `dpfs-metad`
+//!   shard, carried by the same multiplexed [`ConnPool`] transport as data
+//!   traffic — so metadata inherits correlation IDs, per-request deadlines,
+//!   the retry error-class matrix, and tracing unchanged.
 //!
 //! # Sharding
 //!
 //! The metadata plane may be partitioned across N daemons behind a
-//! [`ShardMap`] (hash-of-parent-directory → shard). This store holds one
-//! retrying connection per shard and routes each op:
+//! [`ShardMap`] (hash-of-parent-directory → shard). The client routes each
+//! op:
 //!
 //! - file ops go to the file's home shard (`shard_of_file`),
 //! - directory reads go to the directory's home shard (`shard_of_dir`),
@@ -23,21 +30,23 @@
 //!   round-robin reads),
 //! - `find_by_tag` / `server_brick_counts` fan out and merge,
 //! - a rename whose source and destination live on different shards runs
-//!   the two-phase intent protocol (see [`RemoteMetaStore::rename_file`]).
+//!   the two-phase intent protocol (see [`MetaClient::rename_file`]).
 //!
-//! Every reply's envelope carries the shard id of the daemon that served
-//! it, checked against the routing on every reply. Nothing is kept between
-//! calls — no attribute, layout or registry row outlives the call that
-//! fetched it.
+//! The local pipe is a one-shard plane, so there a broadcast is the home
+//! shard, a fan-out is one call and a cross-shard rename cannot happen.
+//! Every daemon reply's envelope carries the shard id of the daemon that
+//! served it, checked against the routing on every reply. Nothing is kept
+//! between calls — no attribute, layout or registry row outlives the call
+//! that fetched it.
 //!
 //! Errors: server-side `MetaError`s travel as wire codes and reconstruct
 //! into the exact variant ([`dpfs_meta::MetaError::from_wire`]), so
 //! callers' error mapping (duplicate key → file exists, ...) works
-//! identically for embedded and remote mounts. Transport failures
+//! identically for embedded and daemon mounts. Transport failures
 //! (connect, timeout, disconnect — after the pool's retries) surface as
 //! [`dpfs_meta::MetaError::Remote`].
 //!
-//! Retries: read ops replay under the full PR-4 error-class matrix, but
+//! Retries: read ops replay under the full error-class matrix, but
 //! mutations are not idempotent — a replayed `CreateFile`/`RenameFile`
 //! whose first attempt actually committed answers `DuplicateKey`/
 //! `NoSuchTable` even though the op succeeded — so they are reissued
@@ -51,7 +60,7 @@ use std::sync::Arc;
 
 use dpfs_meta::catalog::RENAME_INTENT_TAG;
 use dpfs_meta::{
-    DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, MetaStore, Result as MetaResultT,
+    Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, Result as MetaResultT,
     ServerInfo, ShardMap,
 };
 use dpfs_proto::{MetaOp, MetaResult, Request, Response};
@@ -61,14 +70,11 @@ use crate::error::DpfsError;
 use crate::retry::RetryPolicy;
 use crate::trace;
 
-/// A [`MetaStore`] backed by metadata RPCs to one or more `dpfs-metad`
-/// shards.
-pub struct RemoteMetaStore {
-    pool: Arc<ConnPool>,
-    /// Per-shard daemon server names (dial strings or testbed aliases),
-    /// indexed by shard id.
-    shards: Vec<String>,
-    /// Routing map over `shards.len()` shards.
+/// A mount's metadata client: the catalog surface as typed methods over
+/// the local pipe or the `dpfs-metad` shards.
+pub struct MetaClient {
+    pipe: Pipe,
+    /// Routing map over the pipe's shards (one for the local pipe).
     map: ShardMap,
     /// Round-robin cursor for replicated-registry reads.
     rr: AtomicUsize,
@@ -76,49 +82,61 @@ pub struct RemoteMetaStore {
     last_trace_id: AtomicU64,
 }
 
-impl RemoteMetaStore {
-    /// A single-shard store speaking to the daemon registered as `server`
-    /// in `pool`'s resolver.
-    pub fn new(pool: Arc<ConnPool>, server: impl Into<String>) -> RemoteMetaStore {
-        Self::new_sharded(pool, vec![server.into()])
+/// Where [`MetaClient::call`] takes an op.
+enum Pipe {
+    /// An embedded mount's catalog, answered in-process.
+    Local(Catalog),
+    /// Per-shard daemon server names (dial strings or testbed aliases),
+    /// indexed by shard id, and the pool their connections ride.
+    Rpc {
+        pool: Arc<ConnPool>,
+        servers: Vec<String>,
+    },
+}
+
+impl MetaClient {
+    /// An embedded mount's client: one shard, `catalog` in-process.
+    pub(crate) fn local(catalog: Catalog) -> MetaClient {
+        MetaClient::over(Pipe::Local(catalog), 1)
     }
 
-    /// A store routing across `servers`, where `servers[i]` is the daemon
-    /// serving shard `i`. The order must match the daemons' `--shard` ids.
-    pub fn new_sharded(pool: Arc<ConnPool>, servers: Vec<String>) -> RemoteMetaStore {
+    /// A daemon mount's client routing across `servers`, where `servers[i]`
+    /// is the daemon serving shard `i`. The order must match the daemons'
+    /// `--shard` ids.
+    pub(crate) fn rpc(pool: Arc<ConnPool>, servers: Vec<String>) -> MetaClient {
         assert!(!servers.is_empty(), "at least one metad shard required");
-        RemoteMetaStore {
-            pool,
-            map: ShardMap::new(servers.len() as u32),
-            shards: servers,
+        let width = servers.len() as u32;
+        MetaClient::over(Pipe::Rpc { pool, servers }, width)
+    }
+
+    fn over(pipe: Pipe, shards: u32) -> MetaClient {
+        MetaClient {
+            pipe,
+            map: ShardMap::new(shards),
             rr: AtomicUsize::new(0),
             last_trace_id: AtomicU64::new(0),
         }
     }
 
-    /// The shard-0 daemon's server name (single-shard compatibility).
-    pub fn server(&self) -> &str {
-        &self.shards[0]
+    /// The embedded catalog behind the local pipe; `None` on daemon mounts.
+    pub(crate) fn catalog(&self) -> Option<&Catalog> {
+        match &self.pipe {
+            Pipe::Local(catalog) => Some(catalog),
+            Pipe::Rpc { .. } => None,
+        }
     }
 
-    /// The daemon serving shard `i`.
+    /// The daemon serving shard `i` (`"embedded"` on the local pipe).
     pub fn shard_server(&self, shard: usize) -> &str {
-        &self.shards[shard]
+        match &self.pipe {
+            Pipe::Local(_) => "embedded",
+            Pipe::Rpc { servers, .. } => &servers[shard],
+        }
     }
 
-    /// All shard daemon names, indexed by shard id.
-    pub fn shard_servers(&self) -> &[String] {
-        &self.shards
-    }
-
-    /// Number of metadata shards this store routes across.
+    /// Number of metadata shards this client routes across.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The routing map.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
+        self.map.shards as usize
     }
 
     /// The shard owning file `path` (the home shard of its parent dir).
@@ -131,14 +149,9 @@ impl RemoteMetaStore {
         self.map.shard_of_dir(path) as usize
     }
 
-    /// The connection pool metadata RPCs ride on.
-    pub fn pool(&self) -> &Arc<ConnPool> {
-        &self.pool
-    }
-
-    /// Trace ID stamped on the most recent metadata RPC. Filter
-    /// [`trace::ring()`] events on it to see the RPC's client span and the
-    /// daemon-side decode/queue/handle/respond events.
+    /// Trace ID stamped on the most recent metadata RPC (0 if none was
+    /// sent). Filter [`trace::ring()`] events on it to see the RPC's client
+    /// span and the daemon-side decode/queue/handle/respond events.
     pub fn last_trace_id(&self) -> u64 {
         self.last_trace_id.load(Ordering::Relaxed)
     }
@@ -153,13 +166,16 @@ impl RemoteMetaStore {
     }
 
     /// Issue one metadata op to `shard` and return its result. The result
-    /// is never the `Err` variant — remote errors are
-    /// reconstructed into `MetaError` here. Transient transport failures
-    /// are retried under the pool's policy, each retry traced like any
-    /// other RPC; mutating ops retry only the connect class (see
-    /// [`mutation_retryable`]).
+    /// is never the `Err` variant — remote errors are reconstructed into
+    /// `MetaError` here. On the local pipe the op is applied in-process.
+    /// Over RPC, transient transport failures are retried under the pool's
+    /// policy, each retry traced like any other RPC; mutating ops retry
+    /// only the connect class (see [`mutation_retryable`]).
     fn call(&self, shard: usize, op: MetaOp) -> Result<MetaResult, MetaError> {
-        let server = &self.shards[shard];
+        let (pool, server) = match &self.pipe {
+            Pipe::Local(catalog) => return op.apply(catalog),
+            Pipe::Rpc { pool, servers } => (pool, &servers[shard]),
+        };
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id.store(trace_id, Ordering::Relaxed);
         let retryable: fn(&DpfsError) -> bool = if op.is_mutation() {
@@ -168,16 +184,15 @@ impl RemoteMetaStore {
             RetryPolicy::retryable
         };
         let req = Request::Meta { op };
-        let first = self.pool.submit_traced(server, &req, trace_id);
-        let resp = self
-            .pool
+        let first = pool.submit_traced(server, &req, trace_id);
+        let resp = pool
             .wait_retrying(
                 server,
                 &req,
                 trace_id,
                 first,
-                self.pool.rpc_timeout(),
-                self.pool.retry_policy(),
+                pool.rpc_timeout(),
+                pool.retry_policy(),
                 retryable,
             )
             .map_err(|e| remote_err(server, &e))?;
@@ -209,15 +224,14 @@ impl RemoteMetaStore {
     }
 
     fn shape(&self, shard: usize, got: &MetaResult) -> MetaError {
-        shape_err(&self.shards[shard], &format!("{got:?}"))
+        shape_err(self.shard_server(shard), &format!("{got:?}"))
     }
 
-    /// A round-robin shard for replicated-registry reads (`list_servers`,
-    /// `get_server`): every shard holds the full registry, and rotating
-    /// spreads the per-create `list_servers` load instead of hammering
-    /// shard 0.
+    /// A round-robin shard for replicated-registry reads (`list_servers`):
+    /// every shard holds the full registry, and rotating spreads the
+    /// per-create `list_servers` load instead of hammering shard 0.
     fn registry_shard(&self) -> usize {
-        self.rr.fetch_add(1, Ordering::Relaxed) % self.shards.len()
+        self.rr.fetch_add(1, Ordering::Relaxed) % self.shard_count()
     }
 
     /// Run a mutating op on every shard, home shard first. `tolerate`
@@ -234,7 +248,7 @@ impl RemoteMetaStore {
             MetaResult::Unit => {}
             other => return Err(self.shape(home, &other)),
         }
-        for shard in 0..self.shards.len() {
+        for shard in 0..self.shard_count() {
             if shard == home {
                 continue;
             }
@@ -266,7 +280,7 @@ impl RemoteMetaStore {
     /// unknown (timeout/disconnect), the marker tag on the destination is
     /// the authority: present → roll forward, absent → abort. If even
     /// that read fails, the intent stays recorded for
-    /// [`RemoteMetaStore::recover_rename_intents`]. Returns the entry as
+    /// [`MetaClient::recover_rename_intents`]. Returns the entry as
     /// committed on the destination shard.
     fn rename_across_shards(
         &self,
@@ -385,7 +399,7 @@ impl RemoteMetaStore {
     /// intents were resolved.
     pub fn recover_rename_intents(&self) -> MetaResultT<usize> {
         let mut resolved = 0;
-        for src in 0..self.shards.len() {
+        for src in 0..self.shard_count() {
             let intents = match self.call(src, MetaOp::ListRenameIntents)? {
                 MetaResult::Intents(xs) => xs,
                 other => return Err(self.shape(src, &other)),
@@ -435,7 +449,7 @@ fn mutation_retryable(err: &DpfsError) -> bool {
     matches!(err, DpfsError::Connect { .. })
 }
 
-/// Wrap a transport-level failure for the `MetaStore` surface.
+/// Wrap a transport-level failure for the metadata surface.
 fn remote_err(server: &str, e: &DpfsError) -> MetaError {
     MetaError::Remote(format!("metadata rpc to {server} failed: {e}"))
 }
@@ -457,30 +471,26 @@ macro_rules! expect {
     }};
 }
 
-impl MetaStore for RemoteMetaStore {
-    /// The server registry is replicated: every shard answers placement
-    /// reads, so registration broadcasts (register is an idempotent
-    /// upsert — replaying it on every shard is safe).
-    fn register_server(&self, info: &ServerInfo) -> MetaResultT<()> {
+/// The catalog surface: one typed method per metadata verb.
+impl MetaClient {
+    /// Register an I/O server (or update capacity/performance in place).
+    /// The registry is replicated: every shard answers placement reads, so
+    /// registration broadcasts (an idempotent upsert — replaying it on
+    /// every shard is safe).
+    pub fn register_server(&self, info: &ServerInfo) -> MetaResultT<()> {
         self.broadcast(
             0,
             || MetaOp::RegisterServer { info: info.clone() },
             |_| false,
         )
     }
-    fn list_servers(&self) -> MetaResultT<Vec<ServerInfo>> {
+    /// All registered servers ordered by name.
+    pub fn list_servers(&self) -> MetaResultT<Vec<ServerInfo>> {
         expect!(self, self.registry_shard(), MetaOp::ListServers, MetaResult::Servers(xs) => xs)
     }
-    fn get_server(&self, name: &str) -> MetaResultT<Option<ServerInfo>> {
-        expect!(
-            self,
-            self.registry_shard(),
-            MetaOp::GetServer { name: name.into() },
-            MetaResult::MaybeServer(s) => s
-        )
-    }
 
-    fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<()> {
+    /// Create a file (attrs + distribution + directory link, atomically).
+    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<()> {
         expect!(
             self,
             self.route_file(&attr.filename),
@@ -488,7 +498,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Unit => ()
         )
     }
-    fn delete_file(&self, filename: &str) -> MetaResultT<FileEntry> {
+    /// Delete a file; returns the removed entry.
+    pub fn delete_file(&self, filename: &str) -> MetaResultT<FileEntry> {
         expect!(
             self,
             self.route_file(filename),
@@ -496,7 +507,10 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::MaybeEntry(Some(entry)) => entry
         )
     }
-    fn rename_file(&self, from: &str, to: &str) -> MetaResultT<FileEntry> {
+    /// Rename a file (metadata only); returns the entry under its new name.
+    /// Across shards this is the two-phase intent protocol
+    /// (`rename_across_shards`).
+    pub fn rename_file(&self, from: &str, to: &str) -> MetaResultT<FileEntry> {
         let src = self.route_file(from);
         let dst = self.route_file(to);
         if src == dst {
@@ -509,7 +523,8 @@ impl MetaStore for RemoteMetaStore {
         }
         self.rename_across_shards(src, dst, from, to)
     }
-    fn get_file_attr(&self, filename: &str) -> MetaResultT<Option<FileAttrRow>> {
+    /// Fetch a file's attribute row.
+    pub fn get_file_attr(&self, filename: &str) -> MetaResultT<Option<FileAttrRow>> {
         expect!(
             self,
             self.route_file(filename),
@@ -517,7 +532,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::MaybeAttr(a) => a
         )
     }
-    fn open_file(&self, filename: &str) -> MetaResultT<Option<FileEntry>> {
+    /// Fetch a file's attribute row and distribution in one consistent read.
+    pub fn open_file(&self, filename: &str) -> MetaResultT<Option<FileEntry>> {
         expect!(
             self,
             self.route_file(filename),
@@ -525,7 +541,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::MaybeEntry(entry) => entry
         )
     }
-    fn set_file_size(&self, filename: &str, size: i64) -> MetaResultT<()> {
+    /// Grow a file's recorded size to at least `size`.
+    pub fn set_file_size(&self, filename: &str, size: i64) -> MetaResultT<()> {
         expect!(
             self,
             self.route_file(filename),
@@ -533,7 +550,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Unit => ()
         )
     }
-    fn set_file_permission(&self, filename: &str, permission: i64) -> MetaResultT<()> {
+    /// Update a file's permission bits.
+    pub fn set_file_permission(&self, filename: &str, permission: i64) -> MetaResultT<()> {
         expect!(
             self,
             self.route_file(filename),
@@ -541,7 +559,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Unit => ()
         )
     }
-    fn set_file_owner(&self, filename: &str, owner: &str) -> MetaResultT<()> {
+    /// Update a file's owner.
+    pub fn set_file_owner(&self, filename: &str, owner: &str) -> MetaResultT<()> {
         expect!(
             self,
             self.route_file(filename),
@@ -550,7 +569,10 @@ impl MetaStore for RemoteMetaStore {
         )
     }
 
-    fn extend_distribution(
+    /// Append `added` (per server, its new brick numbers) to a file's brick
+    /// lists iff it holds `expected_bricks` bricks; answers the entry as it
+    /// stands afterwards either way.
+    pub fn extend_distribution(
         &self,
         filename: &str,
         expected_bricks: i64,
@@ -568,29 +590,31 @@ impl MetaStore for RemoteMetaStore {
         )
     }
 
-    /// Directory skeletons are replicated so every shard can check
-    /// "parent exists" locally. Home shard goes first — it owns the
-    /// directory's file list and serializes racing mkdirs of the same
-    /// path; a replica that already has the directory (an interrupted
-    /// earlier broadcast, or a racing client that won) is fine.
-    fn mkdir(&self, path: &str) -> MetaResultT<()> {
+    /// Create a directory (parent must exist). Directory skeletons are
+    /// replicated so every shard can check "parent exists" locally. Home
+    /// shard goes first — it owns the directory's file list and serializes
+    /// racing mkdirs of the same path; a replica that already has the
+    /// directory (an interrupted earlier broadcast, or a racing client that
+    /// won) is fine.
+    pub fn mkdir(&self, path: &str) -> MetaResultT<()> {
         self.broadcast(
             self.route_dir(path),
             || MetaOp::Mkdir { path: path.into() },
             |e| matches!(e, MetaError::DuplicateKey(_)),
         )
     }
-    /// Home shard first again: it holds the file list, so the emptiness
-    /// check happens where the files live. A replica that already lost
-    /// the directory is fine.
-    fn rmdir(&self, path: &str) -> MetaResultT<()> {
+    /// Remove an empty directory. Home shard first again: it holds the file
+    /// list, so the emptiness check happens where the files live. A replica
+    /// that already lost the directory is fine.
+    pub fn rmdir(&self, path: &str) -> MetaResultT<()> {
         self.broadcast(
             self.route_dir(path),
             || MetaOp::Rmdir { path: path.into() },
             |e| matches!(e, MetaError::NoSuchTable(_)),
         )
     }
-    fn get_dir(&self, path: &str) -> MetaResultT<Option<DirEntry>> {
+    /// Fetch one directory entry.
+    pub fn get_dir(&self, path: &str) -> MetaResultT<Option<DirEntry>> {
         expect!(
             self,
             self.route_dir(path),
@@ -599,7 +623,8 @@ impl MetaStore for RemoteMetaStore {
         )
     }
 
-    fn set_tag(&self, filename: &str, tag: &str, value: &str) -> MetaResultT<()> {
+    /// Attach (or replace) a user-defined tag on a file.
+    pub fn set_tag(&self, filename: &str, tag: &str, value: &str) -> MetaResultT<()> {
         expect!(
             self,
             self.route_file(filename),
@@ -611,7 +636,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Unit => ()
         )
     }
-    fn get_tag(&self, filename: &str, tag: &str) -> MetaResultT<Option<String>> {
+    /// Read one tag.
+    pub fn get_tag(&self, filename: &str, tag: &str) -> MetaResultT<Option<String>> {
         expect!(
             self,
             self.route_file(filename),
@@ -619,7 +645,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::MaybeString(s) => s
         )
     }
-    fn list_tags(&self, filename: &str) -> MetaResultT<Vec<(String, String)>> {
+    /// All tags on a file, sorted by key.
+    pub fn list_tags(&self, filename: &str) -> MetaResultT<Vec<(String, String)>> {
         expect!(
             self,
             self.route_file(filename),
@@ -627,7 +654,8 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Tags(xs) => xs
         )
     }
-    fn remove_tag(&self, filename: &str, tag: &str) -> MetaResultT<bool> {
+    /// Remove a tag; returns whether it existed.
+    pub fn remove_tag(&self, filename: &str, tag: &str) -> MetaResultT<bool> {
         expect!(
             self,
             self.route_file(filename),
@@ -635,12 +663,12 @@ impl MetaStore for RemoteMetaStore {
             MetaResult::Bool(b) => b
         )
     }
-    /// Tag search fans out: matches live wherever their file's directory
-    /// hashes. Results are merged and re-sorted to keep the single-shard
-    /// ordering contract (sorted by filename).
-    fn find_by_tag(&self, tag: &str, pattern: &str) -> MetaResultT<Vec<(String, String, i64)>> {
+    /// Files whose `tag` value matches a LIKE pattern, sorted by filename.
+    /// The search fans out: matches live wherever their file's directory
+    /// hashes.
+    pub fn find_by_tag(&self, tag: &str, pattern: &str) -> MetaResultT<Vec<(String, String, i64)>> {
         let mut all = Vec::new();
-        for shard in 0..self.shards.len() {
+        for shard in 0..self.shard_count() {
             match self.call(
                 shard,
                 MetaOp::FindByTag {
@@ -656,11 +684,12 @@ impl MetaStore for RemoteMetaStore {
         Ok(all)
     }
 
-    /// Brick counts fan out and merge-sum: each shard only knows the
-    /// distributions of the files it owns.
-    fn server_brick_counts(&self) -> MetaResultT<Vec<(String, i64)>> {
+    /// Per-server brick counts across all files (`df`-style output). They
+    /// fan out and merge-sum: each shard only knows the distributions of the
+    /// files it owns.
+    pub fn server_brick_counts(&self) -> MetaResultT<Vec<(String, i64)>> {
         let mut counts: std::collections::BTreeMap<String, i64> = std::collections::BTreeMap::new();
-        for shard in 0..self.shards.len() {
+        for shard in 0..self.shard_count() {
             match self.call(shard, MetaOp::ServerBrickCounts)? {
                 MetaResult::BrickCounts(xs) => {
                     for (server, n) in xs {
@@ -704,5 +733,56 @@ mod tests {
             assert!(RetryPolicy::retryable(err), "{err} retries as a read");
             assert!(!mutation_retryable(err), "{err} must not replay a mutation");
         }
+    }
+
+    /// Every verb an embedded mount makes goes down the local pipe: one
+    /// shard, applied to the mount's own catalog, no RPC and no trace ID.
+    #[test]
+    fn local_pipe_covers_catalog_surface() {
+        let db = Arc::new(dpfs_meta::Database::in_memory());
+        let s = MetaClient::local(Catalog::new(db).unwrap());
+        s.register_server(&ServerInfo {
+            name: "s0".into(),
+            capacity: 1 << 30,
+            performance: 1,
+        })
+        .unwrap();
+        assert_eq!(s.list_servers().unwrap().len(), 1);
+        s.mkdir("/home").unwrap();
+        let attr = FileAttrRow {
+            filename: "/home/f".into(),
+            owner: "t".into(),
+            permission: 0o644,
+            size: 0,
+            filelevel: "linear".into(),
+            dims: 0,
+            dimsize: vec![],
+            stripe_dims: vec![],
+            stripe_size: 65536,
+            pattern: String::new(),
+            placement: "round_robin".into(),
+            redundancy: String::new(),
+        };
+        s.create_file(
+            &attr,
+            &[Distribution {
+                server: "s0".into(),
+                filename: "/home/f".into(),
+                bricklist: vec![0, 1],
+            }],
+        )
+        .unwrap();
+        s.set_tag("/home/f", "k", "v").unwrap();
+        assert_eq!(s.get_tag("/home/f", "k").unwrap().unwrap(), "v");
+        let (moved, dist) = s.rename_file("/home/f", "/home/g").unwrap();
+        assert_eq!((moved.filename.as_str(), dist.len()), ("/home/g", 1));
+        assert_eq!(s.open_file("/home/g").unwrap(), Some((moved, dist)));
+        assert_eq!(s.open_file("/home/f").unwrap(), None);
+        assert_eq!(s.server_brick_counts().unwrap(), vec![("s0".into(), 2)]);
+        s.delete_file("/home/g").unwrap();
+        assert!(s.get_file_attr("/home/g").unwrap().is_none());
+        assert!(s.catalog().is_some());
+        assert_eq!(s.fetch_shard_map(0).unwrap(), 1);
+        assert_eq!((s.shard_count(), s.last_trace_id()), (1, 0));
     }
 }

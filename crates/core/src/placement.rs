@@ -17,9 +17,10 @@ use crate::layout::Layout;
 /// Round-robin assignment of `num_bricks` bricks over `num_servers`.
 pub fn round_robin(num_bricks: u64, num_servers: usize) -> Vec<usize> {
     assert!(num_servers > 0, "no servers");
-    (0..num_bricks)
-        .map(|b| (b % num_servers as u64) as usize)
-        .collect()
+    let mut map = BrickMap::from_assignment(Vec::new(), num_servers);
+    map.extend(num_bricks, None)
+        .expect("no performance numbers");
+    map.assignment
 }
 
 /// The paper's greedy algorithm (Figure 8). `perf[k]` is server `k`'s
@@ -32,17 +33,10 @@ pub fn greedy(num_bricks: u64, perf: &[i64]) -> Vec<usize> {
         perf.iter().all(|&p| p >= 1),
         "performance numbers must be >= 1"
     );
-    let mut accumulated: Vec<i64> = vec![0; perf.len()];
-    let mut assignment = Vec::with_capacity(num_bricks as usize);
-    for _ in 0..num_bricks {
-        // find k minimizing A[k] + P[k]; ties prefer small P[k], then small k
-        let k = (0..perf.len())
-            .min_by_key(|&k| (accumulated[k] + perf[k], perf[k], k))
-            .expect("non-empty");
-        assignment.push(k);
-        accumulated[k] += perf[k];
-    }
-    assignment
+    let mut map = BrickMap::from_assignment(Vec::new(), perf.len());
+    map.extend(num_bricks, Some(perf))
+        .expect("one number per server");
+    map.assignment
 }
 
 /// Brick-to-server map for one file.
@@ -164,48 +158,34 @@ impl BrickMap {
             .collect()
     }
 
-    /// Extend the map with `extra` bricks using the same algorithm state
-    /// (used when a linear file grows past its declared size). `perf`, when
-    /// given, holds one performance number per server of this map.
+    /// Extend the map with `extra` bricks, continuing the algorithm from
+    /// the bricks already placed: round-robin from the next brick number,
+    /// greedy from each server's weighted load. `perf`, when given, holds
+    /// one performance number per server of this map and selects greedy.
+    /// [`round_robin`] and [`greedy`] are this, over an empty map.
     pub fn extend(&mut self, extra: u64, perf: Option<&[i64]>) -> Result<()> {
-        if let Some(perf) = perf {
-            if perf.len() != self.per_server.len() {
-                return Err(DpfsError::InvalidArgument(format!(
-                    "greedy extension got {} performance numbers for {} servers",
-                    perf.len(),
-                    self.per_server.len()
-                )));
-            }
+        let n = self.per_server.len();
+        if let Some(perf) = perf.filter(|perf| perf.len() != n) {
+            return Err(DpfsError::InvalidArgument(format!(
+                "greedy extension got {} performance numbers for {n} servers",
+                perf.len(),
+            )));
         }
+        // Greedy's state A[k]: the weighted load server k carries so far.
+        let mut accumulated = self.weighted_loads(perf.unwrap_or(&[]));
         let start = self.assignment.len() as u64;
-        let extra_assignment = match perf {
-            None => {
-                // continue round-robin from where we left off
-                (start..start + extra)
-                    .map(|b| (b % self.per_server.len() as u64) as usize)
-                    .collect::<Vec<_>>()
-            }
-            Some(perf) => {
-                // reconstruct greedy accumulated state and continue
-                let mut accumulated: Vec<i64> = self
-                    .loads()
-                    .iter()
-                    .zip(perf)
-                    .map(|(&n, &p)| n as i64 * p)
-                    .collect();
-                let mut ext = Vec::with_capacity(extra as usize);
-                for _ in 0..extra {
-                    let k = (0..perf.len())
+        for b in start..start + extra {
+            let s = match perf {
+                None => (b % n as u64) as usize,
+                Some(perf) => {
+                    // k minimizing A[k] + P[k]; ties prefer small P[k], then small k
+                    let k = (0..n)
                         .min_by_key(|&k| (accumulated[k] + perf[k], perf[k], k))
                         .expect("non-empty");
-                    ext.push(k);
                     accumulated[k] += perf[k];
+                    k
                 }
-                ext
-            }
-        };
-        for (i, s) in extra_assignment.into_iter().enumerate() {
-            let b = start + i as u64;
+            };
             self.slot.push(self.per_server[s].len() as u64);
             self.per_server[s].push(b);
             self.assignment.push(s);

@@ -27,8 +27,8 @@ pub enum MetaError {
     Io(std::io::Error),
     /// Transaction misuse (commit without begin, nested begin, ...).
     Txn(String),
-    /// A remote metadata server failed to answer (transport-level failure
-    /// surfaced through a networked `MetaStore` backend).
+    /// A remote metadata server failed to answer (a transport-level failure
+    /// surfaced by a daemon-mounted metadata client).
     Remote(String),
     /// A path that cannot name a file or directory: relative, holding a
     /// control character, or shaped like a derived subfile name.

@@ -50,7 +50,6 @@ pub mod error;
 pub mod schema;
 pub mod shard;
 pub mod sql;
-pub mod store;
 pub mod table;
 pub mod value;
 pub mod wal;
@@ -61,5 +60,4 @@ pub use catalog::{
 pub use db::{Database, ResultSet};
 pub use error::{MetaError, Result};
 pub use shard::ShardMap;
-pub use store::MetaStore;
 pub use value::{DataType, Value};

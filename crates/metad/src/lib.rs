@@ -223,84 +223,6 @@ impl MetaHandler {
             .snapshot(u64::from(self.shard_id), u64::from(self.shard_map.shards))
     }
 
-    /// Apply one metadata op against the catalog. Pure dispatch: every
-    /// `MetaStore` method maps to exactly one `MetaOp` variant.
-    fn apply(&self, op: MetaOp) -> MetaResult {
-        use MetaOp as Op;
-        use MetaResult as R;
-        let s = &self.store;
-        let result = match op {
-            Op::RegisterServer { info } => s.register_server(&info).map(|()| R::Unit),
-            Op::ListServers => s.list_servers().map(R::Servers),
-            Op::GetServer { name } => s.get_server(&name).map(R::MaybeServer),
-            Op::CreateFile { attr, dist } => s.create_file(&attr, &dist).map(|()| R::Unit),
-            Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
-            Op::RenameFile { from, to } => {
-                s.rename_file(&from, &to).map(|e| R::MaybeEntry(Some(e)))
-            }
-            Op::GetFileAttr { filename } => s.get_file_attr(&filename).map(R::MaybeAttr),
-            Op::OpenFile { filename } => s.open_file(&filename).map(R::MaybeEntry),
-            Op::SetFileSize { filename, size } => {
-                s.set_file_size(&filename, size).map(|()| R::Unit)
-            }
-            Op::SetFilePermission {
-                filename,
-                permission,
-            } => s
-                .set_file_permission(&filename, permission)
-                .map(|()| R::Unit),
-            Op::SetFileOwner { filename, owner } => {
-                s.set_file_owner(&filename, &owner).map(|()| R::Unit)
-            }
-            Op::ExtendDistribution {
-                filename,
-                expected_bricks,
-                added,
-            } => s
-                .extend_distribution(&filename, expected_bricks, &added)
-                .map(|e| R::MaybeEntry(Some(e))),
-            Op::Mkdir { path } => s.mkdir(&path).map(|()| R::Unit),
-            Op::Rmdir { path } => s.rmdir(&path).map(|()| R::Unit),
-            Op::GetDir { path } => s.get_dir(&path).map(R::MaybeDir),
-            Op::SetTag {
-                filename,
-                tag,
-                value,
-            } => s.set_tag(&filename, &tag, &value).map(|()| R::Unit),
-            Op::GetTag { filename, tag } => s.get_tag(&filename, &tag).map(R::MaybeString),
-            Op::ListTags { filename } => s.list_tags(&filename).map(R::Tags),
-            Op::RemoveTag { filename, tag } => s.remove_tag(&filename, &tag).map(R::Bool),
-            Op::FindByTag { tag, pattern } => s.find_by_tag(&tag, &pattern).map(R::TagHits),
-            Op::ServerBrickCounts => s.server_brick_counts().map(R::BrickCounts),
-            Op::GetShardMap => Ok(R::ShardMap {
-                shards: self.shard_map.shards,
-            }),
-            Op::RenamePrepare { from, to } => {
-                s.rename_prepare(&from, &to)
-                    .map(|(intent, attr, dist, tags)| R::RenamePrepared {
-                        intent,
-                        attr,
-                        dist,
-                        tags,
-                    })
-            }
-            Op::RenameCommit {
-                intent,
-                attr,
-                dist,
-                tags,
-            } => s
-                .rename_commit_dest(intent, &attr, &dist, &tags)
-                .map(|()| R::Unit),
-            Op::RenameFinish { intent } => s.rename_finish(intent).map(|()| R::Unit),
-            Op::RenameAbort { intent } => s.rename_abort(intent).map(R::Bool),
-            Op::ListRenameIntents => s
-                .list_rename_intents()
-                .map(|xs| R::Intents(xs.into_iter().map(|i| (i.id, i.src, i.dst)).collect())),
-        };
-        result.unwrap_or_else(|e| MetaResult::from_err(&e))
-    }
-
     /// Handle one request (untraced); see [`MetaHandler::handle_traced`].
     pub fn handle(&self, req: Request) -> Response {
         self.handle_traced(req, 0)
@@ -325,7 +247,13 @@ impl MetaHandler {
                 self.stats.meta_ops.fetch_add(1, Ordering::Relaxed);
                 let kind = op.op_str();
                 let t0 = now_ns();
-                let result = self.apply(op);
+                let result = match op {
+                    MetaOp::GetShardMap => Ok(MetaResult::ShardMap {
+                        shards: self.shard_map.shards,
+                    }),
+                    op => op.apply(&self.store),
+                }
+                .unwrap_or_else(|e| MetaResult::from_err(&e));
                 let dur = now_ns().saturating_sub(t0);
                 self.stats.hist_for(kind).record(dur);
                 metad_event(trace_id, "handle", kind, &self.name, t0, dur);

@@ -172,14 +172,14 @@ pub enum Response {
     Renamed { existed: bool },
 }
 
-// ---- codec helpers ----
+// ---- codec helpers (meta.rs shares the string and integer ones) ----
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, FrameError> {
+pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, FrameError> {
     let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
         return Err(FrameError::BadMessage("short string".into()));
@@ -188,21 +188,21 @@ fn get_str(buf: &mut Bytes) -> Result<String, FrameError> {
     String::from_utf8(b.to_vec()).map_err(|_| FrameError::BadMessage("invalid utf-8".into()))
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, FrameError> {
+pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8, FrameError> {
     if buf.remaining() < 1 {
         return Err(FrameError::BadMessage("short message".into()));
     }
     Ok(buf.get_u8())
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, FrameError> {
+pub(crate) fn get_u32(buf: &mut Bytes) -> Result<u32, FrameError> {
     if buf.remaining() < 4 {
         return Err(FrameError::BadMessage("short message".into()));
     }
     Ok(buf.get_u32_le())
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64, FrameError> {
+pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, FrameError> {
     if buf.remaining() < 8 {
         return Err(FrameError::BadMessage("short message".into()));
     }

@@ -1,26 +1,27 @@
-//! Metadata RPC payloads: the `MetaStore` surface on the wire.
+//! Metadata operations: what each one means ([`MetaOp::apply`]) and how it
+//! travels.
 //!
 //! The paper's clients talk to a *database server* for every metadata
 //! operation (§5); these messages are that conversation, carried inside the
 //! ordinary framed envelope as [`crate::Request::Meta`] /
 //! [`crate::Response::Meta`] so metadata traffic inherits the transport's
-//! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged.
+//! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged. An
+//! embedded mount skips the envelope, not the op: it hands the same
+//! `MetaOp` to `apply` over its own catalog.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use dpfs_meta::{DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
+use bytes::{BufMut, Bytes, BytesMut};
+use dpfs_meta::{Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
 
 use crate::frame::FrameError;
+use crate::message::{get_str, get_u32, get_u64, get_u8, put_str};
 
-/// A metadata operation, mirroring the `MetaStore` trait surface.
+/// A metadata operation: one verb of the catalog surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaOp {
     RegisterServer {
         info: ServerInfo,
     },
     ListServers,
-    GetServer {
-        name: String,
-    },
     CreateFile {
         attr: FileAttrRow,
         dist: Vec<Distribution>,
@@ -128,7 +129,6 @@ pub enum MetaResult {
     Unit,
     Bool(bool),
     Servers(Vec<ServerInfo>),
-    MaybeServer(Option<ServerInfo>),
     MaybeAttr(Option<FileAttrRow>),
     MaybeDir(Option<DirEntry>),
     MaybeString(Option<String>),
@@ -166,7 +166,6 @@ impl MetaOp {
         match self {
             MetaOp::RegisterServer { .. } => "meta.register_server",
             MetaOp::ListServers => "meta.list_servers",
-            MetaOp::GetServer { .. } => "meta.get_server",
             MetaOp::CreateFile { .. } => "meta.create_file",
             MetaOp::DeleteFile { .. } => "meta.delete_file",
             MetaOp::RenameFile { .. } => "meta.rename_file",
@@ -217,6 +216,83 @@ impl MetaOp {
                 | MetaOp::RenameAbort { .. }
         )
     }
+
+    /// Apply this op to `catalog`: the one mapping from a metadata verb to
+    /// the catalog, whether the op arrived over the wire (`dpfs-metad`) or
+    /// from an embedded mount in the same process. A catalog on its own is
+    /// a one-shard plane, so `GetShardMap` answers 1 here; a daemon serving
+    /// a wider plane answers it with its own map instead.
+    pub fn apply(self, catalog: &Catalog) -> Result<MetaResult, MetaError> {
+        use MetaOp as Op;
+        use MetaResult as R;
+        let s = catalog;
+        match self {
+            Op::RegisterServer { info } => s.register_server(&info).map(|()| R::Unit),
+            Op::ListServers => s.list_servers().map(R::Servers),
+            Op::CreateFile { attr, dist } => s.create_file(&attr, &dist).map(|()| R::Unit),
+            Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
+            Op::RenameFile { from, to } => {
+                s.rename_file(&from, &to).map(|e| R::MaybeEntry(Some(e)))
+            }
+            Op::GetFileAttr { filename } => s.get_file_attr(&filename).map(R::MaybeAttr),
+            Op::OpenFile { filename } => s.open_file(&filename).map(R::MaybeEntry),
+            Op::SetFileSize { filename, size } => {
+                s.set_file_size(&filename, size).map(|()| R::Unit)
+            }
+            Op::SetFilePermission {
+                filename,
+                permission,
+            } => s
+                .set_file_permission(&filename, permission)
+                .map(|()| R::Unit),
+            Op::SetFileOwner { filename, owner } => {
+                s.set_file_owner(&filename, &owner).map(|()| R::Unit)
+            }
+            Op::ExtendDistribution {
+                filename,
+                expected_bricks,
+                added,
+            } => s
+                .extend_distribution(&filename, expected_bricks, &added)
+                .map(|e| R::MaybeEntry(Some(e))),
+            Op::Mkdir { path } => s.mkdir(&path).map(|()| R::Unit),
+            Op::Rmdir { path } => s.rmdir(&path).map(|()| R::Unit),
+            Op::GetDir { path } => s.get_dir(&path).map(R::MaybeDir),
+            Op::SetTag {
+                filename,
+                tag,
+                value,
+            } => s.set_tag(&filename, &tag, &value).map(|()| R::Unit),
+            Op::GetTag { filename, tag } => s.get_tag(&filename, &tag).map(R::MaybeString),
+            Op::ListTags { filename } => s.list_tags(&filename).map(R::Tags),
+            Op::RemoveTag { filename, tag } => s.remove_tag(&filename, &tag).map(R::Bool),
+            Op::FindByTag { tag, pattern } => s.find_by_tag(&tag, &pattern).map(R::TagHits),
+            Op::ServerBrickCounts => s.server_brick_counts().map(R::BrickCounts),
+            Op::GetShardMap => Ok(R::ShardMap { shards: 1 }),
+            Op::RenamePrepare { from, to } => {
+                s.rename_prepare(&from, &to)
+                    .map(|(intent, attr, dist, tags)| R::RenamePrepared {
+                        intent,
+                        attr,
+                        dist,
+                        tags,
+                    })
+            }
+            Op::RenameCommit {
+                intent,
+                attr,
+                dist,
+                tags,
+            } => s
+                .rename_commit_dest(intent, &attr, &dist, &tags)
+                .map(|()| R::Unit),
+            Op::RenameFinish { intent } => s.rename_finish(intent).map(|()| R::Unit),
+            Op::RenameAbort { intent } => s.rename_abort(intent).map(R::Bool),
+            Op::ListRenameIntents => s
+                .list_rename_intents()
+                .map(|xs| R::Intents(xs.into_iter().map(|i| (i.id, i.src, i.dst)).collect())),
+        }
+    }
 }
 
 impl MetaResult {
@@ -229,41 +305,10 @@ impl MetaResult {
     }
 }
 
-// ---- codec helpers (shared with message.rs via pub(crate)) ----
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, FrameError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FrameError::BadMessage("short string".into()));
-    }
-    let b = buf.split_to(len);
-    String::from_utf8(b.to_vec()).map_err(|_| FrameError::BadMessage("invalid utf-8".into()))
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, FrameError> {
-    if buf.remaining() < 1 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, FrameError> {
-    if buf.remaining() < 4 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u32_le())
-}
+// ---- codec helpers (the string and integer ones live in message.rs) ----
 
 fn get_i64(buf: &mut Bytes) -> Result<i64, FrameError> {
-    if buf.remaining() < 8 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u64_le() as i64)
+    Ok(get_u64(buf)? as i64)
 }
 
 fn put_i64(buf: &mut BytesMut, v: i64) {
@@ -404,10 +449,6 @@ impl MetaOp {
                 put_server_info(buf, info);
             }
             MetaOp::ListServers => buf.put_u8(2),
-            MetaOp::GetServer { name } => {
-                buf.put_u8(3);
-                put_str(buf, name);
-            }
             MetaOp::CreateFile { attr, dist } => {
                 buf.put_u8(5);
                 put_attr(buf, attr);
@@ -542,9 +583,6 @@ impl MetaOp {
                 info: get_server_info(buf)?,
             },
             2 => MetaOp::ListServers,
-            3 => MetaOp::GetServer {
-                name: get_str(buf)?,
-            },
             5 => MetaOp::CreateFile {
                 attr: get_attr(buf)?,
                 dist: get_dist_list(buf)?,
@@ -656,16 +694,6 @@ impl MetaResult {
                 buf.put_u32_le(xs.len() as u32);
                 for s in xs {
                     put_server_info(buf, s);
-                }
-            }
-            MetaResult::MaybeServer(opt) => {
-                buf.put_u8(4);
-                match opt {
-                    None => buf.put_u8(0),
-                    Some(s) => {
-                        buf.put_u8(1);
-                        put_server_info(buf, s);
-                    }
                 }
             }
             MetaResult::MaybeAttr(opt) => {
@@ -783,11 +811,6 @@ impl MetaResult {
                 }
                 MetaResult::Servers(xs)
             }
-            4 => MetaResult::MaybeServer(if get_u8(buf)? != 0 {
-                Some(get_server_info(buf)?)
-            } else {
-                None
-            }),
             5 => MetaResult::MaybeAttr(if get_u8(buf)? != 0 {
                 Some(get_attr(buf)?)
             } else {
@@ -936,7 +959,6 @@ mod tests {
             },
         });
         round_trip_op(MetaOp::ListServers);
-        round_trip_op(MetaOp::GetServer { name: "s0".into() });
         round_trip_op(MetaOp::CreateFile {
             attr: sample_attr(),
             dist: sample_dist(),
@@ -1022,12 +1044,6 @@ mod tests {
             capacity: 5,
             performance: 1,
         }]));
-        round_trip_result(MetaResult::MaybeServer(None));
-        round_trip_result(MetaResult::MaybeServer(Some(ServerInfo {
-            name: "s0".into(),
-            capacity: 5,
-            performance: 1,
-        })));
         round_trip_result(MetaResult::MaybeAttr(None));
         round_trip_result(MetaResult::MaybeAttr(Some(sample_attr())));
         round_trip_result(MetaResult::MaybeDir(None));
@@ -1089,6 +1105,31 @@ mod tests {
         let mut old = enc.to_vec();
         *old.last_mut().unwrap() = 8;
         old.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(Response::decode(Bytes::from(old)).is_err());
+    }
+
+    /// Op tag 3 (one server's registry row) and its result tag 4
+    /// (`MaybeServer`) are retired: the registry is read whole, with
+    /// `ListServers`. An older peer's lookup is refused, not answered.
+    #[test]
+    fn retired_get_server_tags_are_rejected() {
+        let mut old = Request::Meta {
+            op: MetaOp::ListServers,
+        }
+        .encode()
+        .to_vec();
+        old.pop();
+        old.extend_from_slice(&[3, 2, 0, 0, 0, b's', b'0']);
+        assert!(Request::decode(Bytes::from(old)).is_err());
+        // "No such server", complete: only the tag can refuse it.
+        let mut old = Response::Meta {
+            shard: 0,
+            result: MetaResult::Unit,
+        }
+        .encode()
+        .to_vec();
+        old.pop();
+        old.extend_from_slice(&[4, 0]);
         assert!(Response::decode(Bytes::from(old)).is_err());
     }
 

@@ -78,12 +78,14 @@ fn mount_remote(ra: &RemoteArgs) -> Result<Dpfs, String> {
     }
     let client = Dpfs::mount_sharded(names, resolver, ClientOptions::default())
         .map_err(|e| format!("mount failed: {e}"))?;
+    // An admin's row for a server (its capacity, its performance number)
+    // is left as it stands; only servers the registry lacks are added.
+    let known = client
+        .meta()
+        .list_servers()
+        .map_err(|e| format!("metad at {} unreachable: {e}", ra.metads[0]))?;
     for (name, _) in &ra.servers {
-        let known = client
-            .meta()
-            .get_server(name)
-            .map_err(|e| format!("metad at {} unreachable: {e}", ra.metads[0]))?;
-        if known.is_none() {
+        if !known.iter().any(|s| s.name == *name) {
             client
                 .meta()
                 .register_server(&ServerInfo {

@@ -1132,12 +1132,11 @@ mod tests {
         std::fs::remove_file(&tmp).unwrap();
         let (from, to) = ("/sd1/f", "/sd0/g");
         let remote = sh.fs().remote_meta().unwrap().clone();
+        let pool = sh.fs().pool().clone();
         let (src, dst) = (remote.route_file(from), remote.route_file(to));
         assert_ne!(src, dst, "the two directories live on different shards");
         let meta = |shard: usize, op: MetaOp| {
-            let reply = remote
-                .pool()
-                .rpc_ok(remote.shard_server(shard), &Request::Meta { op });
+            let reply = pool.rpc_ok(remote.shard_server(shard), &Request::Meta { op });
             match reply {
                 Ok(Response::Meta { result, .. }) => result,
                 other => panic!("expected a metadata reply, got {other:?}"),

@@ -9,7 +9,9 @@
 //! - one metadata RPC carries a single trace ID from the client's `rpc`
 //!   span to the daemon's `handle` event;
 //! - a client holds no metadata between calls: every `stat`/`exists`/`open`
-//!   reflects what any other client committed before the call was issued.
+//!   reflects what any other client committed before the call was issued;
+//! - there is one dispatch: an embedded mount and a daemon mount answer one
+//!   op script with equal results and the same error variants.
 
 use std::sync::atomic::Ordering;
 
@@ -17,7 +19,7 @@ use dpfs::cluster::{metad_name, FaultProxy, Testbed, METAD_NAME};
 use dpfs::core::trace::{ring, Side};
 use dpfs::core::{ClientOptions, Dpfs, DpfsError, Hint, Placement};
 use dpfs::meta::catalog::RENAME_INTENT_TAG;
-use dpfs::meta::{MetaError, ServerInfo, ShardMap};
+use dpfs::meta::{Distribution, FileAttrRow, MetaError, ServerInfo, ShardMap};
 
 #[test]
 fn two_clients_share_one_metad_over_tcp() {
@@ -495,4 +497,110 @@ fn concurrent_cross_client_mutations_serialize() {
     for f in &files {
         assert!(a.exists(&format!("/race/{f}")).unwrap());
     }
+}
+
+/// One metadata op script, step by step: each step's result (its `Debug`
+/// form) or its error's variant (its wire code).
+fn meta_script(fs: &Dpfs) -> Vec<(&'static str, Result<String, u8>)> {
+    fn step<T: std::fmt::Debug>(r: Result<T, MetaError>) -> Result<String, u8> {
+        r.map(|v| format!("{v:?}")).map_err(|e| e.wire_code())
+    }
+    let m = fs.meta();
+    let servers: Vec<String> = m
+        .list_servers()
+        .unwrap()
+        .into_iter()
+        .map(|s| s.name)
+        .collect();
+    let attr = FileAttrRow {
+        filename: "/d/f".into(),
+        owner: "t".into(),
+        permission: 0o644,
+        size: 4096,
+        filelevel: "linear".into(),
+        dims: 0,
+        dimsize: vec![],
+        stripe_dims: vec![],
+        stripe_size: 1024,
+        pattern: String::new(),
+        placement: "round_robin".into(),
+        redundancy: String::new(),
+    };
+    let dist: Vec<Distribution> = servers
+        .iter()
+        .enumerate()
+        .map(|(i, server)| Distribution {
+            server: server.clone(),
+            filename: "/d/f".into(),
+            bricklist: vec![i as i64],
+        })
+        .collect();
+    let grow = [(servers[0].clone(), vec![2])];
+    let bad_name = FileAttrRow {
+        filename: "/d/x#p".into(),
+        ..attr.clone()
+    };
+    vec![
+        ("mkdir", step(m.mkdir("/d"))),
+        ("create", step(m.create_file(&attr, &dist))),
+        ("duplicate create", step(m.create_file(&attr, &dist))),
+        ("open", step(m.open_file("/d/f"))),
+        (
+            "stale extend",
+            step(m.extend_distribution("/d/f", 5, &grow)),
+        ),
+        (
+            "fresh extend",
+            step(m.extend_distribution("/d/f", 2, &grow)),
+        ),
+        ("shrinking size", step(m.set_file_size("/d/f", 10))),
+        ("chmod", step(m.set_file_permission("/d/f", 0o600))),
+        ("chown", step(m.set_file_owner("/d/f", "other"))),
+        ("stat", step(m.get_file_attr("/d/f"))),
+        ("set tag", step(m.set_tag("/d/f", "run", "astro-7"))),
+        ("list tags", step(m.list_tags("/d/f"))),
+        ("find by tag", step(m.find_by_tag("run", "astro-%"))),
+        ("remove tag", step(m.remove_tag("/d/f", "run"))),
+        ("remove it again", step(m.remove_tag("/d/f", "run"))),
+        ("rename", step(m.rename_file("/d/f", "/d/g"))),
+        ("rmdir non-empty", step(m.rmdir("/d"))),
+        ("invalid name", step(m.create_file(&bad_name, &[]))),
+        ("unlink", step(m.delete_file("/d/g"))),
+        ("unlink again", step(m.delete_file("/d/g"))),
+        ("readdir", step(m.get_dir("/d"))),
+    ]
+}
+
+/// There is one dispatch: an embedded mount applies each `MetaOp` to its
+/// own catalog, a daemon mount sends it to `dpfs-metad`, which applies it
+/// to its catalog — so one script, run through each on a fresh cluster,
+/// answers alike at every step, refusals included.
+#[test]
+fn an_embedded_and_a_daemon_mount_answer_one_script_alike() {
+    let embedded = Testbed::unthrottled(2).unwrap();
+    let daemon = Testbed::unthrottled_with_metad(2).unwrap();
+    let local = meta_script(&embedded.client(0, true));
+    let remote = meta_script(&daemon.remote_client(0, true));
+    assert_eq!(local.len(), remote.len());
+    for ((name, l), (_, r)) in local.iter().zip(&remote) {
+        assert_eq!(l, r, "{name}: embedded vs daemon mount");
+    }
+    // The script reaches the refusals it is meant to compare.
+    let code = |step: &str| local.iter().find(|(n, _)| *n == step).unwrap().1.clone();
+    let wire = |e: MetaError| Err(e.wire_code());
+    assert_eq!(
+        code("duplicate create"),
+        wire(MetaError::DuplicateKey(String::new()))
+    );
+    assert_eq!(
+        code("invalid name"),
+        wire(MetaError::InvalidName(String::new()))
+    );
+    assert_eq!(
+        code("unlink again"),
+        wire(MetaError::NoSuchTable(String::new()))
+    );
+    assert!(code("rmdir non-empty").is_err());
+    assert!(code("fresh extend").unwrap().contains("[0, 2]"));
+    assert!(code("stat").unwrap().contains("size: 4096"));
 }
