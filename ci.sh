@@ -73,10 +73,18 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/plan.rs | grep -nE 'BTreeMap|HashM
     echo "FAIL: crates/core/src/plan.rs uses a BTreeMap/HashMap outside #[cfg(test)]"
     exit 1
 fi
-# Namespace ops ride the one dispatch (file.rs::issue, through issue_all):
-# fs.rs talks to no I/O server on its own.
-if grep -nE 'pool\.rpc\(|rpc_ok\(' crates/core/src/fs.rs; then
-    echo "FAIL: crates/core/src/fs.rs has a private dispatch again (build a work list, call issue_all)"
+# Namespace ops and fsck's stats ride the one dispatch (file.rs::issue):
+# fs.rs and fsck.rs talk to no I/O server on their own.
+if grep -nE 'pool\(?\)?\.rpc\(|rpc_ok\(' crates/core/src/fs.rs crates/core/src/fsck.rs; then
+    echo "FAIL: fs.rs or fsck.rs has a private dispatch again (build a work list, call issue or issue_all)"
+    exit 1
+fi
+# One read reply: every read, enumerated or pattern, is answered by one
+# coalesced `DataList`, so the per-range chunk reply, the store's per-range
+# reader and the client's chunk checks stay gone.
+if git grep -nE 'Response::Data\b|fn read_ranges\b|expect_chunks|fn expect_data' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: a second read reply shape (Response::Data, read_ranges, expect_chunks, expect_data) is back"
     exit 1
 fi
 # Which subfile of a file lives on which server is written down once, in

@@ -28,7 +28,7 @@ fn bench_subfile(c: &mut Criterion) {
         b.iter(|| {
             off = (off + 64 * 1024) % (1 << 20);
             store
-                .read_ranges("/bench", &[(off, 64 * 1024)])
+                .read_ranges_coalesced("/bench", &[(off, 64 * 1024)])
                 .unwrap()
                 .len()
         })
@@ -38,7 +38,7 @@ fn bench_subfile(c: &mut Criterion) {
         let ranges: Vec<(u64, u64)> = (0..16u64).map(|i| (i * 65536, 4096)).collect();
         b.iter(|| {
             store
-                .read_ranges("/bench", black_box(&ranges))
+                .read_ranges_coalesced("/bench", black_box(&ranges))
                 .unwrap()
                 .len()
         })

@@ -102,8 +102,7 @@ fn main() {
             }
             match (phase, Response::decode(f.payload)) {
                 ("write", Ok(Response::Written { bytes: 64 })) => {}
-                ("read", Ok(Response::Data { chunks }))
-                    if chunks.len() == 1 && chunks[0][..] == pattern(i)[..] => {}
+                ("read", Ok(Response::DataList { data })) if data[..] == pattern(i)[..] => {}
                 (_, resp) => {
                     eprintln!("conn {i}: wrong {phase} response: {resp:?}");
                     failures += 1;

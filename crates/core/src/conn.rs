@@ -222,63 +222,18 @@ impl ConnPool {
     }
 }
 
-/// Interpret a response to a read as data chunks.
-pub fn expect_data(resp: Response) -> Result<Vec<bytes::Bytes>> {
-    match resp {
-        Response::Data { chunks } => Ok(chunks),
-        Response::Error { code, message } => Err(DpfsError::Server { code, message }),
-        other => Err(DpfsError::Server {
-            code: ErrorCode::BadRequest,
-            message: format!("expected Data, got {other:?}"),
-        }),
-    }
-}
-
-/// Interpret a response to a read as data chunks and validate their
-/// *shape* against the request: one chunk per range, each exactly as long
-/// as its range asked (`ranges` is `(offset, len)` pairs; only the
-/// lengths are checkable client-side). A buggy or hostile server
-/// returning short (or long) chunks surfaces as a typed
+/// Interpret a response to a read ([`Request::Read`] or
+/// [`Request::ReadList`]) as one coalesced payload, validating its length
+/// against the `expected` bytes the request's ranges sum to. A buggy or
+/// hostile server returning a short (or long) payload surfaces as a typed
 /// [`DpfsError::ShortRead`] instead of letting the caller's scatter copy
 /// index out of bounds and panic.
-pub fn expect_chunks(
-    resp: Response,
-    ranges: &[(u64, u64)],
-    server: &str,
-) -> Result<Vec<bytes::Bytes>> {
-    let chunks = expect_data(resp)?;
-    if chunks.len() != ranges.len() {
-        return Err(DpfsError::InvalidArgument(format!(
-            "server {server} returned {} chunks for {} ranges",
-            chunks.len(),
-            ranges.len()
-        )));
-    }
-    for (i, (chunk, &(_, len))) in chunks.iter().zip(ranges).enumerate() {
-        if chunk.len() as u64 != len {
-            return Err(DpfsError::ShortRead {
-                server: server.to_string(),
-                chunk: i,
-                expected: len,
-                got: chunk.len() as u64,
-            });
-        }
-    }
-    Ok(chunks)
-}
-
-/// Interpret a response to a list read ([`Request::ReadList`]) as one
-/// coalesced payload, validating its length against the pattern's total
-/// byte count. A buggy or hostile server returning a short (or long)
-/// payload surfaces as a typed [`DpfsError::ShortRead`] instead of letting
-/// the caller's scatter copy index out of bounds and panic.
 pub fn expect_list_data(resp: Response, expected: u64, server: &str) -> Result<bytes::Bytes> {
     match resp {
         Response::DataList { data } => {
             if data.len() as u64 != expected {
                 return Err(DpfsError::ShortRead {
                     server: server.to_string(),
-                    chunk: 0,
                     expected,
                     got: data.len() as u64,
                 });
@@ -350,7 +305,6 @@ mod tests {
 
     #[test]
     fn expect_helpers() {
-        assert!(expect_data(Response::Pong).is_err());
         assert_eq!(expect_written(Response::Written { bytes: 9 }).unwrap(), 9);
         let err = expect_written(Response::Error {
             code: ErrorCode::NoSpace,

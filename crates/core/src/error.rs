@@ -35,15 +35,13 @@ pub enum DpfsError {
         expected: u64,
         written: u64,
     },
-    /// A server answered a read with a chunk whose length does not match
-    /// the range that requested it. The response is rejected before any
-    /// byte lands in the caller's buffer — a hostile or buggy server must
+    /// A server answered a read with a payload whose length is not the sum
+    /// of the request's ranges. The response is rejected before any byte
+    /// lands in the caller's buffer — a hostile or buggy server must
     /// surface as an error, never as an out-of-bounds scatter copy.
     ShortRead {
         server: String,
-        /// Index of the offending chunk within the response.
-        chunk: usize,
-        /// Bytes the range asked for.
+        /// Bytes the ranges asked for.
         expected: u64,
         /// Bytes the server returned.
         got: u64,
@@ -101,14 +99,12 @@ impl fmt::Display for DpfsError {
             }
             DpfsError::ShortRead {
                 server,
-                chunk,
                 expected,
                 got,
             } => {
                 write!(
                     f,
-                    "short read on server {server}: chunk {chunk} carried {got} \
-                     bytes for a {expected}-byte range"
+                    "short read on server {server}: {got} bytes for {expected} requested"
                 )
             }
             DpfsError::Aggregate { op, failures } => {

@@ -19,7 +19,7 @@ use bytes::Bytes;
 use dpfs_meta::{Distribution, MetaError};
 use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
-use crate::conn::{expect_chunks, expect_list_data, expect_written, ConnPool};
+use crate::conn::{expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result};
 use crate::geometry::Region;
@@ -575,14 +575,14 @@ impl FileHandle {
     /// under `XorParity` a member is the XOR of all the others (parity is
     /// just one more member). The one place redundancy turns into bytes: a
     /// read around a dead server, the parity update of a write and fsck's
-    /// re-protection all come here. Always speaks enumerated `Read` — one
-    /// chunk per range back, byte-exact.
+    /// re-protection all come here. Always speaks enumerated `Read`; the
+    /// bytes come back as one buffer, the ranges' bytes back to back.
     fn rebuild(
         &mut self,
         sources: &[Subfile],
         ranges: &[(u64, u64)],
         trace_id: u64,
-    ) -> Result<Vec<Bytes>> {
+    ) -> Result<Bytes> {
         let mut failed = DpfsError::InvalidArgument("no redundant copy to rebuild from".into());
         match self.redundancy {
             RedundancyPolicy::None => Err(failed),
@@ -590,38 +590,34 @@ impl FileHandle {
                 for source in sources {
                     let mut one = self.fetch(std::slice::from_ref(source), ranges, trace_id);
                     match one.pop().expect("one result per request") {
-                        Ok(chunks) => return Ok(chunks),
+                        Ok(data) => return Ok(data),
                         Err(e) => failed = e,
                     }
                 }
                 Err(failed)
             }
             RedundancyPolicy::XorParity => {
-                let mut acc: Vec<Vec<u8>> = ranges
-                    .iter()
-                    .map(|&(_, len)| vec![0u8; len as usize])
-                    .collect();
-                for chunks in self.fetch(sources, ranges, trace_id) {
-                    for (a, chunk) in acc.iter_mut().zip(&chunks?) {
-                        for (ab, cb) in a.iter_mut().zip(chunk.iter()) {
-                            *ab ^= cb;
-                        }
+                let total: u64 = ranges.iter().map(|&(_, len)| len).sum();
+                let mut acc = vec![0u8; total as usize];
+                for data in self.fetch(sources, ranges, trace_id) {
+                    for (a, b) in acc.iter_mut().zip(data?.iter()) {
+                        *a ^= b;
                     }
                 }
-                Ok(acc.into_iter().map(Bytes::from).collect())
+                Ok(Bytes::from(acc))
             }
         }
     }
 
     /// `ranges` of every subfile in `batch`, all requests on the wire at
-    /// once: one shape-checked, counted chunk list per subfile, in `batch`
+    /// once: one length-checked, counted buffer per subfile, in `batch`
     /// order.
     fn fetch(
         &mut self,
         batch: &[Subfile],
         ranges: &[(u64, u64)],
         trace_id: u64,
-    ) -> Vec<Result<Vec<Bytes>>> {
+    ) -> Vec<Result<Bytes>> {
         let work = batch
             .iter()
             .map(|(host, subfile)| {
@@ -639,9 +635,9 @@ impl FileHandle {
             .iter()
             .zip(results)
             .map(|((host, _), res)| {
-                let chunks = expect_chunks(res?, ranges, &self.servers[*host])?;
+                let data = expect_list_data(res?, bytes, &self.servers[*host])?;
                 self.stats.wire_read += bytes;
-                Ok(chunks)
+                Ok(data)
             })
             .collect()
     }
@@ -655,12 +651,11 @@ impl FileHandle {
         ranges: &[(u64, u64)],
         trace_id: u64,
     ) -> Result<()> {
-        let chunks = self.rebuild(sources, ranges, trace_id)?;
-        let expected: u64 = ranges.iter().map(|&(_, len)| len).sum();
+        let data = self.rebuild(sources, ranges, trace_id)?;
         let (host, subfile) = member;
         let write = Request::Write {
             subfile: subfile.clone(),
-            ranges: ranges.iter().map(|&(off, _)| off).zip(chunks).collect(),
+            ranges: slices(&data, ranges),
         };
         let res = issue_one(
             &self.pool,
@@ -669,7 +664,7 @@ impl FileHandle {
             write,
             trace_id,
         );
-        self.note_written(*host, expected, res)
+        self.note_written(*host, data.len() as u64, res)
     }
 
     /// Re-protection (fsck): rewrite the first `want` bytes of `member` from
@@ -691,25 +686,23 @@ impl FileHandle {
     }
 
     /// The read path, three steps: plan the runs, `issue` one request per
-    /// planned item, scatter each reply's payload (one blob, or one chunk
-    /// per range) into `buf` through the request's pieces. There is no
-    /// other way for a byte to reach the caller — a handle holds no file
-    /// data between calls, so a read reflects every write acknowledged
-    /// before it was issued, through any handle.
+    /// planned item, scatter each reply's one payload into `buf` through
+    /// the request's pieces. There is no other way for a byte to reach the
+    /// caller — a handle holds no file data between calls, so a read
+    /// reflects every write acknowledged before it was issued, through any
+    /// handle.
     fn execute_reads(&mut self, runs: &[BrickRun], buf: &mut [u8]) -> Result<()> {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;
         let op_start = trace::now_ns();
         let op_bytes = buf.len() as u64;
         let reqs = self.plan(runs, self.opts.granularity);
-        let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
         let work: Vec<(&str, Request)> = reqs
             .iter()
-            .zip(&shaped)
-            .map(|(req, shape)| {
+            .map(|req| {
                 (
                     self.servers[req.server].as_str(),
-                    shape.read(req, self.path.clone()),
+                    list_shape(req).read(req, self.path.clone()),
                 )
             })
             .collect();
@@ -723,18 +716,10 @@ impl FileHandle {
             op_bytes,
         );
         let results = issue(&self.pool, &self.opts, work, trace_id);
-        for ((req, shape), res) in reqs.iter().zip(&shaped).zip(results) {
-            // The reply as consecutive slices of the request's payload.
-            let chunks = match res {
-                Ok(resp) => {
-                    let server = &self.servers[req.server];
-                    match shape {
-                        ListShape::Pattern(_) => {
-                            vec![expect_list_data(resp, req.wire_bytes(), server)?]
-                        }
-                        ListShape::Enumerated => expect_chunks(resp, &req.ranges, server)?,
-                    }
-                }
+        for (req, res) in reqs.iter().zip(results) {
+            // The request's payload: its ranges' bytes back to back.
+            let payload = match res {
+                Ok(resp) => expect_list_data(resp, req.wire_bytes(), &self.servers[req.server])?,
                 // Terminal transport-class failure: read *around* the lost
                 // server — the surviving mirror or the XOR of peers + parity
                 // rebuilds the exact bytes. When that fails too (no
@@ -748,7 +733,7 @@ impl FileHandle {
                     let sources = self
                         .redundancy
                         .peers(&self.path, &self.every_server(), &lost);
-                    let Ok(chunks) = self.rebuild(&sources, &req.ranges, trace_id) else {
+                    let Ok(payload) = self.rebuild(&sources, &req.ranges, trace_id) else {
                         return Err(err);
                     };
                     let server = &self.servers[req.server];
@@ -762,27 +747,14 @@ impl FileHandle {
                         trace::now_ns().saturating_sub(t0),
                         req.useful_bytes(),
                     );
-                    chunks
+                    payload
                 }
                 Err(err) => return Err(err),
             };
-            // Each piece lies within one range, hence within one chunk.
-            let starts: Vec<u64> = chunks
-                .iter()
-                .scan(0u64, |at, c| {
-                    let start = *at;
-                    *at += c.len() as u64;
-                    Some(start)
-                })
-                .collect();
-            let locate = |payload_off: u64| {
-                let i = starts.partition_point(|&s| s <= payload_off) - 1;
-                (i, (payload_off - starts[i]) as usize)
-            };
             for p in &req.pieces {
-                let (i, off) = locate(p.payload_off);
+                let at = p.payload_off as usize;
                 buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
-                    .copy_from_slice(&chunks[i][off..off + p.len as usize]);
+                    .copy_from_slice(&payload[at..at + p.len as usize]);
             }
             self.stats.requests += 1;
             self.stats.wire_read += req.wire_bytes();
@@ -932,7 +904,7 @@ pub fn datatype_runs(lin: &LinearLayout, base: u64, dtype: &Datatype) -> Vec<Bri
 /// server stalls no request to the others and several requests to *one*
 /// server overlap inside its connection. Every item is attempted; each
 /// waiter retries its own transient failure.
-fn issue(
+pub(crate) fn issue(
     pool: &ConnPool,
     opts: &ClientOptions,
     work: Vec<(&str, Request)>,
@@ -1086,21 +1058,26 @@ impl ListShape {
                 pattern: pattern.clone(),
                 payload: payload.clone(),
             },
-            ListShape::Enumerated => {
-                let mut at = 0usize;
-                let ranges = req
-                    .ranges
-                    .iter()
-                    .map(|&(off, len)| {
-                        let slice = payload.slice(at..at + len as usize);
-                        at += len as usize;
-                        (off, slice)
-                    })
-                    .collect();
-                Request::Write { subfile, ranges }
-            }
+            ListShape::Enumerated => Request::Write {
+                subfile,
+                ranges: slices(payload, &req.ranges),
+            },
         }
     }
+}
+
+/// `data` — `ranges`' bytes back to back — cut into one refcounted slice per
+/// range, each beside its offset: the range list of an enumerated `Write`.
+fn slices(data: &Bytes, ranges: &[(u64, u64)]) -> Vec<(u64, Bytes)> {
+    let mut at = 0usize;
+    ranges
+        .iter()
+        .map(|&(off, len)| {
+            let slice = data.slice(at..at + len as usize);
+            at += len as usize;
+            (off, slice)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use dpfs_proto::Request;
+use dpfs_proto::{Request, Response};
 
 use crate::error::{DpfsError, Result};
-use crate::file::FileHandle;
+use crate::file::{issue, FileHandle};
 use crate::fs::{striping_from_attr, Dpfs};
 use crate::hints::{holders, RedundancyPolicy, Subfile};
 use crate::layout::Layout;
@@ -198,62 +198,79 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
                 && attr.size > 0;
             let policy = RedundancyPolicy::parse(&attr.redundancy);
             // The audit covers the subfiles the brick lists name
-            // (`RedundancyPolicy::subfiles`): a row without bricks — the
-            // parity server's, a server a short file never reached — has no
-            // primary to stat.
-            let data_rows = match &policy {
-                Ok(p) => p.data_servers(dist.len()),
-                Err(_) => dist.len(),
+            // (`RedundancyPolicy::subfiles`), statted in one batch: a row
+            // without bricks — the parity server's, a server a short file
+            // never reached — has no primary to stat.
+            let holds = holders(dist.len(), dist.iter().map(|(_, list)| list));
+            let subfiles = policy
+                .as_ref()
+                .map_or(RedundancyPolicy::None, |p| *p)
+                .subfiles(filename, &holds);
+            let servers: Vec<&str> = dist.iter().map(|(server, _)| server.as_str()).collect();
+            let stats = stat_all(fs, &servers, &subfiles);
+            report.subfiles_checked += subfiles.len();
+            let cap = |host: usize| -> u64 {
+                let bricks = dist[host].1.iter();
+                bricks.map(|&b| layout.brick_len(b as u64)).sum()
             };
-            // Indexed like `dist`; `None` = not statted or unreachable.
-            let mut primary_sizes: Vec<Option<u64>> = vec![None; dist.len()];
-            for (host, (server, list)) in dist.iter().enumerate().take(data_rows) {
-                if list.is_empty() {
+            for ((host, sub), stat) in subfiles.iter().zip(&stats) {
+                if sub != filename {
                     continue;
                 }
-                report.subfiles_checked += 1;
-                let max_expected: u64 = list.iter().map(|&b| layout.brick_len(b as u64)).sum();
-                match fs.pool().rpc(
-                    server,
-                    &Request::Stat {
-                        subfile: filename.clone(),
-                    },
-                ) {
-                    Ok(dpfs_proto::Response::Stat { exists, size }) => {
-                        // A partially-written file may legitimately have no
-                        // subfile on some servers; a fully-written one may
-                        // not.
-                        if !exists && fully_written {
-                            report.issues.push(Issue::SubfileMissing {
-                                filename: filename.clone(),
-                                server: server.clone(),
-                            });
-                        }
-                        if size > max_expected {
-                            report.issues.push(Issue::SubfileOversized {
-                                filename: filename.clone(),
-                                server: server.clone(),
-                                max_expected,
-                                actual: size,
-                            });
-                        }
-                        primary_sizes[host] = Some(if exists { size } else { 0 });
-                    }
-                    Ok(_) | Err(_) => {
-                        report.issues.push(Issue::ServerUnreachable {
-                            server: server.clone(),
-                        });
-                    }
+                let server = &dist[*host].0;
+                let Some((exists, size)) = *stat else {
+                    report.issues.push(Issue::ServerUnreachable {
+                        server: server.clone(),
+                    });
+                    continue;
+                };
+                // A partially-written file may legitimately have no subfile
+                // on some servers; a fully-written one may not.
+                if !exists && fully_written {
+                    report.issues.push(Issue::SubfileMissing {
+                        filename: filename.clone(),
+                        server: server.clone(),
+                    });
+                }
+                let max_expected = cap(*host);
+                if size > max_expected {
+                    report.issues.push(Issue::SubfileOversized {
+                        filename: filename.clone(),
+                        server: server.clone(),
+                        max_expected,
+                        actual: size,
+                    });
                 }
             }
-            match policy {
-                Ok(p) => {
-                    check_protection(fs, filename, p, &layout, dist, &primary_sizes, &mut report)
+            let policy = match policy {
+                Ok(p) => p,
+                Err(e) => {
+                    report.issues.push(Issue::BadAttributes {
+                        filename: filename.clone(),
+                        detail: e.to_string(),
+                    });
+                    continue;
                 }
-                Err(e) => report.issues.push(Issue::BadAttributes {
-                    filename: filename.clone(),
-                    detail: e.to_string(),
-                }),
+            };
+            // Every protection group (primary + mirrors under `Replica(k)`,
+            // data + parity under `XorParity`) must be mutually consistent
+            // in size.
+            for (group, sizes) in sized_groups(policy, filename, &holds, &stats) {
+                // An empty data subfile is evidence of a loss only beside
+                // live parity: without it the file may just be sparse or
+                // partly written.
+                let parity_live = sizes.last().copied().flatten().is_some_and(|p| p > 0);
+                for (i, _) in short_members(policy, &group, &sizes, cap) {
+                    if xor_data(policy, &group, i) && !parity_live {
+                        continue;
+                    }
+                    let (host, subfile) = group[i].clone();
+                    report.issues.push(Issue::UnderProtected {
+                        filename: filename.clone(),
+                        server: dist[host].0.clone(),
+                        subfile,
+                    });
+                }
             }
         }
     }
@@ -314,18 +331,53 @@ pub fn fsck_with(fs: &Dpfs, online: bool, strict: bool) -> Result<FsckReport> {
     Ok(report)
 }
 
-/// Stat one subfile: `Some(size)` (0 = absent) or `None` when the server
-/// is unreachable.
-fn stat_subfile(fs: &Dpfs, server: &str, subfile: &str) -> Option<u64> {
-    match fs.pool().rpc(
-        server,
-        &Request::Stat {
-            subfile: subfile.to_string(),
-        },
-    ) {
-        Ok(dpfs_proto::Response::Stat { exists, size }) => Some(if exists { size } else { 0 }),
-        _ => None,
-    }
+/// Stat `subfiles` (indices into `servers`) in one batch through the one
+/// dispatch: `(exists, size)` per subfile, in order, `None` where the server
+/// did not answer.
+fn stat_all(
+    fs: &Dpfs,
+    servers: &[impl AsRef<str>],
+    subfiles: &[Subfile],
+) -> Vec<Option<(bool, u64)>> {
+    let work = subfiles
+        .iter()
+        .map(|(host, sub)| {
+            let stat = Request::Stat {
+                subfile: sub.clone(),
+            };
+            (servers[*host].as_ref(), stat)
+        })
+        .collect();
+    issue(fs.pool(), &fs.options(), work, 0)
+        .into_iter()
+        .map(|res| match res {
+            Ok(Response::Stat { exists, size }) => Some((exists, size)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The groups of `policy` over `holds`, each beside its members' sizes
+/// (0 = absent, `None` = unreachable). `stats` answers
+/// [`RedundancyPolicy::subfiles`] over the same `holds` — the list the
+/// groups are cut from, in order.
+fn sized_groups(
+    policy: RedundancyPolicy,
+    filename: &str,
+    holds: &[bool],
+    stats: &[Option<(bool, u64)>],
+) -> Vec<(Vec<Subfile>, Vec<Option<u64>>)> {
+    let mut sizes = stats
+        .iter()
+        .map(|st| st.map(|(exists, size)| if exists { size } else { 0 }));
+    policy
+        .groups(filename, holds)
+        .into_iter()
+        .map(|group| {
+            let group_sizes = sizes.by_ref().take(group.len()).collect();
+            (group, group_sizes)
+        })
+        .collect()
 }
 
 /// Is member `i` of `group` a data subfile under parity? Those legitimately
@@ -367,54 +419,6 @@ fn short_members(
         .collect()
 }
 
-/// Online protection audit for one redundant file: every protection group
-/// (primary + mirrors under `Replica(k)`, data + parity under `XorParity`)
-/// must be mutually consistent in size.
-fn check_protection(
-    fs: &Dpfs,
-    filename: &str,
-    policy: RedundancyPolicy,
-    layout: &Layout,
-    dist: &[(String, Vec<i64>)],
-    primary_sizes: &[Option<u64>],
-    report: &mut FsckReport,
-) {
-    let cap = |host: usize| {
-        dist[host]
-            .1
-            .iter()
-            .map(|&b| layout.brick_len(b as u64))
-            .sum()
-    };
-    let holds = holders(dist.len(), dist.iter().map(|(_, list)| list));
-    for group in policy.groups(filename, &holds) {
-        let sizes: Vec<Option<u64>> = group
-            .iter()
-            .map(|(host, sub)| {
-                if sub == filename {
-                    return primary_sizes[*host];
-                }
-                report.subfiles_checked += 1;
-                stat_subfile(fs, &dist[*host].0, sub)
-            })
-            .collect();
-        // An empty data subfile is evidence of a loss only beside live
-        // parity: without it the file may just be sparse or partly written.
-        let parity_live = sizes.last().copied().flatten().is_some_and(|p| p > 0);
-        for (i, _) in short_members(policy, &group, &sizes, cap) {
-            if xor_data(policy, &group, i) && !parity_live {
-                continue;
-            }
-            let (host, subfile) = group[i].clone();
-            report.issues.push(Issue::UnderProtected {
-                filename: filename.to_string(),
-                server: dist[host].0.clone(),
-                subfile,
-            });
-        }
-    }
-}
-
 /// Rebuild lost redundancy after a server came back with an empty disk:
 /// for every redundant file, find the members of each protection group that
 /// fall short (`short_members`) and have the file's own handle rewrite
@@ -440,30 +444,31 @@ pub fn fsck_reprotect(fs: &Dpfs) -> Result<RepairSummary> {
             Err(e) => return Err(e),
         };
         // Just opened, so its brick map is the catalog's.
+        let policy = file.redundancy();
+        if policy == RedundancyPolicy::None {
+            continue;
+        }
         let holds = holders(file.servers().len(), file.brick_map().bricklists());
-        for group in file.redundancy().groups(filename, &holds) {
-            reprotect_group(fs, &mut file, &group, &mut summary)?;
+        let stats = stat_all(fs, file.servers(), &policy.subfiles(filename, &holds));
+        for (group, sizes) in sized_groups(policy, filename, &holds, &stats) {
+            reprotect_group(&mut file, &group, &sizes, &mut summary)?;
         }
     }
     Ok(summary)
 }
 
 fn reprotect_group(
-    fs: &Dpfs,
     file: &mut FileHandle,
     group: &[Subfile],
+    sizes: &[Option<u64>],
     summary: &mut RepairSummary,
 ) -> Result<()> {
     let policy = file.redundancy();
-    let sizes: Vec<Option<u64>> = group
-        .iter()
-        .map(|(host, sub)| stat_subfile(fs, &file.servers()[*host], sub))
-        .collect();
     let cap = |host: usize| {
         let bricks = &file.brick_map().bricklists()[host];
         bricks.iter().map(|&b| file.layout().brick_len(b)).sum()
     };
-    let short = short_members(policy, group, &sizes, cap);
+    let short = short_members(policy, group, sizes, cap);
     // Members a rebuild must not read: unreachable, or a copy or parity
     // that is short until rebuilt. An empty data subfile under parity stays
     // a source — it reads back as the zeros parity holds for a part of the

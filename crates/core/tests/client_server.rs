@@ -165,7 +165,7 @@ fn xor_greedy_file_grows_and_parity_still_covers_the_data() {
             ranges: vec![(0, 400)],
         };
         match r.fs.pool().rpc_ok(server, &req).unwrap() {
-            Response::Data { chunks } => chunks[0].to_vec(),
+            Response::DataList { data } => data.to_vec(),
             other => panic!("unexpected response {other:?}"),
         }
     };

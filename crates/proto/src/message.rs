@@ -71,7 +71,9 @@ pub enum Request {
         ranges: Vec<(u64, Bytes)>,
     },
     /// Read `ranges` (`(offset, len)` pairs) from the subfile. Reads beyond
-    /// EOF return zero-filled bytes, matching sparse local files.
+    /// EOF return zero-filled bytes, matching sparse local files. Answered
+    /// by [`Response::DataList`]: the ranges' bytes back to back, in
+    /// request order — the reply to a [`Request::ReadList`] too.
     Read {
         subfile: String,
         ranges: Vec<(u64, u64)>,
@@ -93,8 +95,7 @@ pub enum Request {
     Meta { op: MetaOp },
     /// List-I/O read: one compact [`AccessPattern`] instead of an
     /// enumerated range list. The server expands the pattern against its
-    /// local subfile and answers [`Response::DataList`] — one coalesced
-    /// payload, not per-range chunks.
+    /// local subfile and answers [`Response::DataList`], as for `Read`.
     ReadList {
         subfile: String,
         pattern: AccessPattern,
@@ -147,8 +148,6 @@ pub enum Response {
     Pong,
     /// Write accepted; total payload bytes written.
     Written { bytes: u64 },
-    /// Read data, one chunk per requested range, in request order.
-    Data { chunks: Vec<Bytes> },
     /// Subfile removed (`existed` tells whether it was present).
     Deleted { existed: bool },
     /// Stat result.
@@ -163,10 +162,11 @@ pub enum Response {
     /// that served the op; the client checks it against the shard it
     /// routed to, so a mis-wired mount fails loudly.
     Meta { shard: u32, result: MetaResult },
-    /// Reply to [`Request::ReadList`]: the pattern's ranges coalesced
-    /// into one payload, in pattern order. No per-chunk length prefixes
-    /// — the client already knows the pattern it sent, so it scatters
-    /// straight from this buffer into the caller's.
+    /// Reply to every read, [`Request::Read`] and [`Request::ReadList`]:
+    /// the ranges' bytes coalesced into one payload, in request order. No
+    /// per-range length prefixes — the client already knows the ranges it
+    /// sent, so it scatters straight from this buffer into the caller's.
+    /// (Tag 3, a per-range chunk list, is retired.)
     DataList { data: Bytes },
     /// Subfile renamed (`existed` tells whether there was one to rename).
     Renamed { existed: bool },
@@ -219,8 +219,8 @@ fn get_bytes(buf: &mut Bytes) -> Result<Bytes, FrameError> {
 
 /// Payloads shorter than this are copied into the surrounding head part
 /// even on the scatter-gather path: below it one more iovec and refcount
-/// cost more than the copy (a legacy `Data` reply can carry thousands of
-/// 64-byte chunks).
+/// cost more than the copy (an enumerated `Write` can carry thousands of
+/// 64-byte ranges).
 const SPLIT_MIN: usize = 1024;
 
 /// Where the encoders write. Scalars, strings and patterns go to `head`;
@@ -368,6 +368,13 @@ impl Request {
                 for _ in 0..n {
                     let off = get_u64(&mut buf)?;
                     let data = get_bytes(&mut buf)?;
+                    // The bound a pattern's decode puts on its ranges: the
+                    // store adds the two to find where a write ends.
+                    if off.checked_add(data.len() as u64).is_none() {
+                        return Err(FrameError::BadMessage(
+                            "write range overflows the offset space".into(),
+                        ));
+                    }
                     ranges.push((off, data));
                 }
                 Request::Write { subfile, ranges }
@@ -455,13 +462,6 @@ impl Response {
                 buf.put_u8(2);
                 buf.put_u64_le(*bytes);
             }
-            Response::Data { chunks } => {
-                buf.put_u8(3);
-                buf.put_u32_le(chunks.len() as u32);
-                for c in chunks {
-                    out.put_bytes(c);
-                }
-            }
             Response::Deleted { existed } => {
                 buf.put_u8(4);
                 buf.put_u8(*existed as u8);
@@ -505,8 +505,8 @@ impl Response {
 
     /// Encode as a list of byte slices whose concatenation equals
     /// [`Response::encode`]: the reply-side twin of
-    /// [`Request::encode_parts`]. Read data (`Data` chunks, the `DataList`
-    /// payload) and `Stats` blobs come back as refcounted parts behind a
+    /// [`Request::encode_parts`]. Read data (the `DataList` payload) and
+    /// `Stats` blobs come back as refcounted parts behind a
     /// small head, so the server queues the very buffer it read the
     /// subfile into instead of copying it into a message.
     pub fn encode_parts(&self) -> Vec<Bytes> {
@@ -523,14 +523,6 @@ impl Response {
             2 => Response::Written {
                 bytes: get_u64(&mut buf)?,
             },
-            3 => {
-                let n = get_u32(&mut buf)? as usize;
-                let mut chunks = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    chunks.push(get_bytes(&mut buf)?);
-                }
-                Response::Data { chunks }
-            }
             4 => Response::Deleted {
                 existed: get_u8(&mut buf)? != 0,
             },
@@ -691,13 +683,6 @@ mod tests {
             Response::DataList {
                 data: Bytes::from(vec![3u8; 4096]),
             },
-            Response::Data {
-                chunks: vec![
-                    Bytes::from(vec![4u8; SPLIT_MIN - 1]),
-                    Bytes::from(vec![5u8; SPLIT_MIN]),
-                    Bytes::new(),
-                ],
-            },
             Response::Stats {
                 payload: Bytes::from(vec![6u8; 2048]),
             },
@@ -801,9 +786,6 @@ mod tests {
     fn response_round_trips() {
         round_trip_resp(Response::Pong);
         round_trip_resp(Response::Written { bytes: 4096 });
-        round_trip_resp(Response::Data {
-            chunks: vec![Bytes::from_static(b"xyz"), Bytes::new()],
-        });
         round_trip_resp(Response::Deleted { existed: true });
         round_trip_resp(Response::Stat {
             exists: false,
@@ -878,6 +860,38 @@ mod tests {
         old.extend_from_slice(&4096u64.to_le_bytes());
         assert!(Request::decode(Bytes::from(old)).is_err());
         assert!(Response::decode(Bytes::from_static(&[6])).is_err());
+    }
+
+    /// Tag 3 (one length-prefixed chunk per range, the old answer to an
+    /// enumerated `Read`) is retired: every read is answered by `DataList`,
+    /// and an older peer's chunk list is refused instead of decoding to
+    /// another reply.
+    #[test]
+    fn retired_chunk_list_tag_is_rejected() {
+        let mut old = vec![3u8, 1, 0, 0, 0];
+        old.extend_from_slice(&3u64.to_le_bytes());
+        old.extend_from_slice(b"xyz");
+        assert!(Response::decode(Bytes::from(old)).is_err());
+        assert!(Response::decode(Bytes::from_static(&[3, 0, 0, 0, 0])).is_err());
+    }
+
+    /// A `Write` range whose end does not fit the offset space is refused
+    /// at decode, like a pattern's: the store computes that end.
+    #[test]
+    fn write_range_overflowing_the_offset_space_is_rejected() {
+        let at = |off: u64| {
+            Request::Write {
+                subfile: "f".into(),
+                ranges: vec![
+                    (0, Bytes::from_static(b"ok")),
+                    (off, Bytes::from_static(b"xy")),
+                ],
+            }
+            .encode()
+        };
+        assert!(Request::decode(at(u64::MAX - 1)).is_err());
+        assert!(Request::decode(at(u64::MAX)).is_err());
+        assert!(Request::decode(at(u64::MAX - 2)).is_ok());
     }
 
     #[test]

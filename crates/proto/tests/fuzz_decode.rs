@@ -216,6 +216,41 @@ proptest! {
         prop_assert!(Request::decode(wraps.encode()).is_err());
     }
 
+    /// An enumerated `Write` range is refused at decode iff its end does not
+    /// fit the offset space, wherever it sits in the list.
+    #[test]
+    fn writes_past_the_offset_space_are_refused_at_decode(
+        ranges in proptest::collection::vec(
+            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..16)),
+            1..6,
+        ),
+        slack in 0u64..32,
+    ) {
+        let mut ranges: Vec<(u64, Bytes)> = ranges
+            .into_iter()
+            .map(|(off, data)| (off, Bytes::from(data)))
+            .collect();
+        // The last range ends exactly `slack` bytes before the top, and at
+        // least one byte past it when pushed up by `slack + 1`.
+        let last = ranges.last_mut().unwrap();
+        let len = last.1.len() as u64;
+        last.0 = u64::MAX - len - slack;
+        let overflows = |ranges: &[(u64, Bytes)]| {
+            ranges.iter().any(|(off, d)| off.checked_add(d.len() as u64).is_none())
+        };
+        let req = Request::Write { subfile: "/f".into(), ranges: ranges.clone() };
+        let decoded = Request::decode(req.encode());
+        prop_assert_eq!(decoded.is_err(), overflows(&ranges));
+        if let Ok(back) = decoded {
+            prop_assert_eq!(back, req);
+        }
+        if len > 0 {
+            ranges.last_mut().unwrap().0 += slack + 1;
+            let past = Request::Write { subfile: "/f".into(), ranges };
+            prop_assert!(Request::decode(past.encode()).is_err());
+        }
+    }
+
     /// `OpenFile` and the entry-carrying reply (`OpenFile`'s, `DeleteFile`'s,
     /// `RenameFile`'s) round-trip; every strict prefix and any trailing
     /// garbage is refused; a count that claims more rows than the message

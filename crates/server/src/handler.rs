@@ -192,32 +192,32 @@ impl Handler {
                     Err(e) => self.error_response(e),
                 }
             }
-            Request::Read { subfile, ranges } => {
-                let bytes: u64 = ranges.iter().map(|(_, l)| *l).sum();
-                let nranges = ranges.len();
-                self.inject_delay(nranges, bytes, trace_id, "read");
-                match self.store.read_ranges(&subfile, &ranges) {
-                    Ok(chunks) => {
-                        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-                        Response::Data { chunks }
+            // Every read, enumerated or pattern, is answered alike: the
+            // ranges' bytes back to back in one payload. The request kind
+            // picks only the counter and the labels.
+            read @ (Request::Read { .. } | Request::ReadList { .. }) => {
+                let kind = read.kind_str();
+                let (subfile, ranges, reads) = match read {
+                    Request::Read { subfile, ranges } => (subfile, ranges, &self.stats.reads),
+                    Request::ReadList { subfile, pattern } => {
+                        (subfile, pattern.expand(), &self.stats.list_reads)
                     }
+                    _ => unreachable!("matched a read"),
+                };
+                let bytes: u64 = ranges.iter().map(|&(_, len)| len).sum();
+                self.inject_delay(ranges.len(), bytes, trace_id, kind);
+                let data = match self.store.read_ranges_coalesced(&subfile, &ranges) {
+                    Ok(data) => data,
                     // A subfile that was never written is all holes: reads
                     // come back zero-filled, exactly like reading a sparse
                     // region of an existing subfile. (`Stat` still reports
                     // exists=false, so fsck can tell the difference.)
-                    Err(StoreError::NotFound) => {
-                        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-                        Response::Data {
-                            chunks: ranges
-                                .iter()
-                                .map(|&(_, len)| bytes::Bytes::from(vec![0u8; len as usize]))
-                                .collect(),
-                        }
-                    }
-                    Err(e) => self.error_response(e),
-                }
+                    Err(StoreError::NotFound) => bytes::Bytes::from(vec![0u8; bytes as usize]),
+                    Err(e) => return self.error_response(e),
+                };
+                reads.fetch_add(1, Ordering::Relaxed);
+                self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+                Response::DataList { data }
             }
             Request::Delete { subfile } => match self.store.delete(&subfile) {
                 Ok(existed) => Response::Deleted { existed },
@@ -247,32 +247,6 @@ impl Handler {
                     .encode(),
                 ),
             },
-            // Server-side list I/O: the client shipped one compact access
-            // pattern; expand it against the local subfile and answer with
-            // one coalesced payload — no per-range request bytes in, no
-            // per-chunk framing out.
-            Request::ReadList { subfile, pattern } => {
-                let bytes = pattern.total_bytes();
-                let ranges = pattern.expand();
-                self.inject_delay(ranges.len(), bytes, trace_id, "read_list");
-                match self.store.read_ranges_coalesced(&subfile, &ranges) {
-                    Ok(data) => {
-                        self.stats.list_reads.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-                        Response::DataList { data }
-                    }
-                    // Sparse semantics, as for `Read`: an absent subfile is
-                    // all holes.
-                    Err(StoreError::NotFound) => {
-                        self.stats.list_reads.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-                        Response::DataList {
-                            data: bytes::Bytes::from(vec![0u8; bytes as usize]),
-                        }
-                    }
-                    Err(e) => self.error_response(e),
-                }
-            }
             Request::WriteList {
                 subfile,
                 pattern,
@@ -376,10 +350,12 @@ mod tests {
             subfile: "/f".into(),
             ranges: vec![(0, 5)],
         });
-        match resp {
-            Response::Data { chunks } => assert_eq!(&chunks[0][..], b"data!"),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            resp,
+            Response::DataList {
+                data: Bytes::from_static(b"data!")
+            }
+        );
         let snap = h.stats().snapshot();
         assert_eq!(snap.writes, 1);
         assert_eq!(snap.reads, 1);
@@ -388,22 +364,29 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// Holes read as zeros in the one reply shape: an enumerated read of a
+    /// subfile never written, and one past the end of a short subfile, each
+    /// answer one zero-filled payload of the ranges' summed length.
     #[test]
-    fn read_missing_subfile_returns_zeros() {
-        // sparse semantics: never-written subfiles read as holes
+    fn an_absent_or_short_subfile_reads_as_one_zero_filled_payload() {
         let (h, dir) = handler();
-        let resp = h.handle(Request::Read {
-            subfile: "/missing".into(),
-            ranges: vec![(0, 4), (100, 2)],
+        let read = |subfile: &str| {
+            h.handle(Request::Read {
+                subfile: subfile.into(),
+                ranges: vec![(4, 4), (100, 2), (7, 3)],
+            })
+        };
+        let zeros = Response::DataList {
+            data: Bytes::from(vec![0u8; 9]),
+        };
+        assert_eq!(read("/missing"), zeros);
+        h.handle(Request::Write {
+            subfile: "/short".into(),
+            ranges: vec![(0, Bytes::from_static(b"abcd"))],
         });
-        match resp {
-            Response::Data { chunks } => {
-                assert_eq!(&chunks[0][..], &[0u8; 4]);
-                assert_eq!(&chunks[1][..], &[0u8; 2]);
-            }
-            other => panic!("expected zero data, got {other:?}"),
-        }
-        assert_eq!(h.stats().snapshot().errors, 0);
+        assert_eq!(read("/short"), zeros);
+        let snap = h.stats().snapshot();
+        assert_eq!((snap.errors, snap.reads, snap.bytes_read), (0, 2, 18));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -530,11 +513,12 @@ mod tests {
             subfile: "/lf".into(),
             ranges,
         });
-        let Response::Data { chunks } = resp else {
-            panic!("expected Data");
-        };
-        let enumerated: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(enumerated, payload);
+        assert_eq!(
+            resp,
+            Response::DataList {
+                data: Bytes::from(payload)
+            }
+        );
         let snap = h.stats().snapshot();
         assert_eq!(snap.list_writes, 1);
         assert_eq!(snap.list_reads, 1);

@@ -203,7 +203,7 @@ mod tests {
             },
         );
         match resp {
-            Response::Data { chunks } => assert_eq!(&chunks[0][..], b"tcp"),
+            Response::DataList { data } => assert_eq!(&data[..], b"tcp"),
             other => panic!("unexpected {other:?}"),
         }
         drop(c);
@@ -236,7 +236,7 @@ mod tests {
                     },
                 );
                 match resp {
-                    Response::Data { chunks } => assert_eq!(chunks[0], data),
+                    Response::DataList { data: got } => assert_eq!(got, data),
                     other => panic!("unexpected {other:?}"),
                 }
             }));

@@ -1009,18 +1009,16 @@ mod tests {
 
     #[test]
     fn out_queue_flushes_whole_frames_across_short_and_blocked_writes() {
-        let replies = [
+        let mut replies = vec![
             Response::Pong,
             Response::DataList {
                 data: Bytes::from((0..5000u32).map(|i| i as u8).collect::<Vec<u8>>()),
             },
-            Response::Data {
-                // more parts than one gathered write takes
-                chunks: (0..FLUSH_PARTS)
-                    .map(|i| Bytes::from(vec![i as u8; 1500]))
-                    .collect(),
-            },
         ];
+        // more parts than one gathered write takes
+        replies.extend((0..FLUSH_PARTS).map(|i| Response::DataList {
+            data: Bytes::from(vec![i as u8; 1500]),
+        }));
         let mut want = Vec::new();
         for (i, r) in replies.iter().enumerate() {
             frame::write_frame_v2(&mut want, i as u64, &r.encode()).unwrap();

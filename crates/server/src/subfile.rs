@@ -192,9 +192,11 @@ impl SubfileStore {
     pub fn write_ranges(&self, subfile: &str, ranges: &[(u64, Bytes)]) -> Result<u64, StoreError> {
         let total: u64 = ranges.iter().map(|(_, d)| d.len() as u64).sum();
         if self.capacity > 0 {
+            // A range that runs off the offset space needs more than any
+            // capacity (decoded requests never carry one).
             let end = ranges
                 .iter()
-                .map(|(off, d)| off + d.len() as u64)
+                .map(|(off, d)| off.checked_add(d.len() as u64).unwrap_or(u64::MAX))
                 .max()
                 .unwrap_or(0);
             if end > self.capacity {
@@ -212,32 +214,10 @@ impl SubfileStore {
         })
     }
 
-    /// Read scatter/gather ranges. Ranges past EOF come back zero-filled
-    /// (sparse-file semantics, same as reading a hole).
-    pub fn read_ranges(
-        &self,
-        subfile: &str,
-        ranges: &[(u64, u64)],
-    ) -> Result<Vec<Bytes>, StoreError> {
-        self.with_file(subfile, Access::Shared, |file| {
-            let size = file.metadata()?.len();
-            let mut out = Vec::with_capacity(ranges.len());
-            for &(off, len) in ranges {
-                let mut buf = vec![0u8; len as usize];
-                if off < size {
-                    let avail = ((size - off) as usize).min(len as usize);
-                    file.read_exact_at(&mut buf[..avail], off)?;
-                }
-                out.push(Bytes::from(buf));
-            }
-            Ok(out)
-        })
-    }
-
     /// Read scatter/gather ranges into **one** coalesced buffer, in range
-    /// order — the reply shape of server-side list I/O. Ranges past EOF
-    /// come back zero-filled, like [`SubfileStore::read_ranges`], but the
-    /// result carries no per-chunk framing: one allocation, one payload.
+    /// order — the reply shape of every read. Ranges past EOF come back
+    /// zero-filled (sparse-file semantics, same as reading a hole): one
+    /// allocation, one payload.
     pub fn read_ranges_coalesced(
         &self,
         subfile: &str,
@@ -395,10 +375,22 @@ mod tests {
             .unwrap();
         s.write_ranges("%x", &[(0, Bytes::from_static(b"pct"))])
             .unwrap();
-        assert_eq!(&s.read_ranges("/a/b", &[(0, 3)]).unwrap()[0][..], b"abs");
-        assert_eq!(&s.read_ranges("a/b", &[(0, 3)]).unwrap()[0][..], b"rel");
-        assert_eq!(&s.read_ranges("/x", &[(0, 3)]).unwrap()[0][..], b"sla");
-        assert_eq!(&s.read_ranges("%x", &[(0, 3)]).unwrap()[0][..], b"pct");
+        assert_eq!(
+            &s.read_ranges_coalesced("/a/b", &[(0, 3)]).unwrap()[..],
+            b"abs"
+        );
+        assert_eq!(
+            &s.read_ranges_coalesced("a/b", &[(0, 3)]).unwrap()[..],
+            b"rel"
+        );
+        assert_eq!(
+            &s.read_ranges_coalesced("/x", &[(0, 3)]).unwrap()[..],
+            b"sla"
+        );
+        assert_eq!(
+            &s.read_ranges_coalesced("%x", &[(0, 3)]).unwrap()[..],
+            b"pct"
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -413,8 +405,8 @@ mod tests {
                     for round in 0..16u8 {
                         let payload = Bytes::from(vec![i ^ round; 64]);
                         s.write_ranges(&name, &[(0, payload.clone())]).unwrap();
-                        let back = s.read_ranges(&name, &[(0, 64)]).unwrap();
-                        assert_eq!(&back[0][..], &payload[..]);
+                        let back = s.read_ranges_coalesced(&name, &[(0, 64)]).unwrap();
+                        assert_eq!(&back[..], &payload[..]);
                     }
                 });
             }
@@ -433,12 +425,11 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = s.read_ranges("/f", &[(0, 5), (10, 5)]).unwrap();
-        assert_eq!(&out[0][..], b"hello");
-        assert_eq!(&out[1][..], b"world");
+        let out = s.read_ranges_coalesced("/f", &[(0, 5), (10, 5)]).unwrap();
+        assert_eq!(&out[..], b"helloworld");
         // the gap reads as zeros
-        let gap = s.read_ranges("/f", &[(5, 5)]).unwrap();
-        assert_eq!(&gap[0][..], &[0u8; 5]);
+        let gap = s.read_ranges_coalesced("/f", &[(5, 5)]).unwrap();
+        assert_eq!(&gap[..], &[0u8; 5]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -447,9 +438,9 @@ mod tests {
         let (s, dir) = store();
         s.write_ranges("/f", &[(0, Bytes::from_static(b"abc"))])
             .unwrap();
-        let out = s.read_ranges("/f", &[(1, 10)]).unwrap();
-        assert_eq!(&out[0][..2], b"bc");
-        assert_eq!(&out[0][2..], &[0u8; 8]);
+        let out = s.read_ranges_coalesced("/f", &[(1, 10)]).unwrap();
+        assert_eq!(&out[..2], b"bc");
+        assert_eq!(&out[2..], &[0u8; 8]);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -457,7 +448,7 @@ mod tests {
     fn read_missing_subfile_is_not_found() {
         let (s, dir) = store();
         assert!(matches!(
-            s.read_ranges("/nope", &[(0, 1)]),
+            s.read_ranges_coalesced("/nope", &[(0, 1)]),
             Err(StoreError::NotFound)
         ));
         std::fs::remove_dir_all(dir).unwrap();
@@ -488,6 +479,14 @@ mod tests {
             s.write_ranges("/f", &[(50, Bytes::from(vec![1u8; 100]))]),
             Err(StoreError::NoSpace { .. })
         ));
+        // A range past the end of the offset space is just as much too big.
+        assert!(matches!(
+            s.write_ranges("/f", &[(u64::MAX - 1, Bytes::from_static(b"xy"))]),
+            Err(StoreError::NoSpace {
+                needed: u64::MAX,
+                ..
+            })
+        ));
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -509,10 +508,10 @@ mod tests {
             .unwrap();
         s.write_ranges("/a%b", &[(0, Bytes::from_static(b"two"))])
             .unwrap();
-        let one = s.read_ranges("/a/b", &[(0, 3)]).unwrap();
-        let two = s.read_ranges("/a%b", &[(0, 3)]).unwrap();
-        assert_eq!(&one[0][..], b"one");
-        assert_eq!(&two[0][..], b"two");
+        let one = s.read_ranges_coalesced("/a/b", &[(0, 3)]).unwrap();
+        let two = s.read_ranges_coalesced("/a%b", &[(0, 3)]).unwrap();
+        assert_eq!(&one[..], b"one");
+        assert_eq!(&two[..], b"two");
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -525,7 +524,7 @@ mod tests {
         let s = Arc::new(s);
         s.write_ranges("/f", &[(0, Bytes::from_static(b"abcdefgh"))])
             .unwrap();
-        s.read_ranges("/f", &[(0, 1)]).unwrap(); // the handle is open now
+        s.read_ranges_coalesced("/f", &[(0, 1)]).unwrap(); // the handle is open now
         let slot = s.slot("/f");
         let reading = slot.read();
 
@@ -599,10 +598,13 @@ mod tests {
             (true, size) => {
                 // the write came second: a fresh file holding exactly it
                 assert_eq!(size, 3);
-                assert_eq!(&s.read_ranges("/f", &[(0, 3)]).unwrap()[0][..], b"new");
+                assert_eq!(
+                    &s.read_ranges_coalesced("/f", &[(0, 3)]).unwrap()[..],
+                    b"new"
+                );
             }
             (false, _) => assert!(matches!(
-                s.read_ranges("/f", &[(0, 3)]),
+                s.read_ranges_coalesced("/f", &[(0, 3)]),
                 Err(StoreError::NotFound)
             )),
         }
@@ -613,7 +615,10 @@ mod tests {
             (true, 5),
             "a write after the delete went to an unlinked inode"
         );
-        assert_eq!(&s.read_ranges("/f", &[(0, 5)]).unwrap()[0][..], b"after");
+        assert_eq!(
+            &s.read_ranges_coalesced("/f", &[(0, 5)]).unwrap()[..],
+            b"after"
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -627,13 +632,19 @@ mod tests {
         assert!(s.rename("/a", "/b").unwrap());
         assert_eq!(s.stat("/a").unwrap(), (false, 0));
         assert_eq!(s.stat("/b").unwrap(), (true, 5));
-        assert_eq!(&s.read_ranges("/b", &[(0, 5)]).unwrap()[0][..], b"short");
+        assert_eq!(
+            &s.read_ranges_coalesced("/b", &[(0, 5)]).unwrap()[..],
+            b"short"
+        );
         // Both cached descriptors went with the rename: a write to the old
         // name creates a new file instead of reaching the moved inode.
         s.write_ranges("/a", &[(0, Bytes::from_static(b"new"))])
             .unwrap();
         assert_eq!(s.stat("/a").unwrap(), (true, 3));
-        assert_eq!(&s.read_ranges("/b", &[(0, 5)]).unwrap()[0][..], b"short");
+        assert_eq!(
+            &s.read_ranges_coalesced("/b", &[(0, 5)]).unwrap()[..],
+            b"short"
+        );
         assert!(s.rename("/a", "/a").unwrap(), "a name renamed to itself");
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -733,8 +744,8 @@ mod tests {
             renamer.join().unwrap();
             assert_eq!(writer.join().unwrap(), 3);
         });
-        let head = |name: &str| match s.read_ranges(name, &[(0, 3)]) {
-            Ok(chunks) => Some(chunks[0].to_vec()),
+        let head = |name: &str| match s.read_ranges_coalesced(name, &[(0, 3)]) {
+            Ok(data) => Some(data.to_vec()),
             Err(StoreError::NotFound) => None,
             Err(e) => panic!("{e}"),
         };

@@ -104,9 +104,33 @@ fn one_mib_list_round_trips_stay_within_the_copy_budget() {
     };
     assert_eq!(data, payload);
 
+    // The same mebibyte read enumerated, 4096 ranges of 256 B in shuffled
+    // order: the reply is one payload too, not a length-prefixed chunk per
+    // range copied into a message buffer.
+    let ranges: Vec<(u64, u64)> = (0..4096u64)
+        .map(|i| ((i * 1031 % 4096) * 256, 256))
+        .collect();
+    let enumerated = Request::Read {
+        subfile: "/f".into(),
+        ranges: ranges.clone(),
+    };
+    pool.rpc("ion00", &enumerated).unwrap();
+    let (resp, read_enumerated) = allocated_during(|| pool.rpc("ion00", &enumerated).unwrap());
+    let Response::DataList { data } = resp else {
+        panic!("expected DataList, got {resp:?}");
+    };
+    let want: Vec<u8> = ranges
+        .iter()
+        .flat_map(|&(off, len)| payload[off as usize..(off + len) as usize].iter().copied())
+        .collect();
+    assert!(data[..] == want[..], "enumerated read returned other bytes");
+
     // Write: the caller's payload goes out by reference; the server's read
     // buffer is the only payload-sized block. Read: one block per side.
-    println!("1 MiB WriteList allocated {wrote} bytes, 1 MiB ReadList {read_back} bytes");
+    println!(
+        "1 MiB WriteList allocated {wrote} bytes, 1 MiB ReadList {read_back} bytes, \
+         1 MiB Read of 4096 ranges {read_enumerated} bytes"
+    );
     assert!(
         wrote < 2 * MIB,
         "1 MiB WriteList round trip allocated {wrote} bytes: a payload copy crept back in"
@@ -114,6 +138,10 @@ fn one_mib_list_round_trips_stay_within_the_copy_budget() {
     assert!(
         read_back < 3 * MIB,
         "1 MiB ReadList round trip allocated {read_back} bytes: a payload copy crept back in"
+    );
+    assert!(
+        read_enumerated < 3 * MIB,
+        "1 MiB enumerated Read round trip allocated {read_enumerated} bytes: a payload copy crept back in"
     );
 
     server.stop();

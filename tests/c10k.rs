@@ -109,15 +109,12 @@ fn c10k_byte_exact_service_on_a_flat_thread_budget() {
         let f = frame::read_frame_any(c).unwrap();
         assert_eq!(f.corr_id, (N + i) as u64);
         match Response::decode(f.payload).unwrap() {
-            Response::Data { chunks } => {
-                assert_eq!(chunks.len(), 1);
-                assert_eq!(
-                    &chunks[0][..],
-                    &pattern(i)[..],
-                    "conn {i} read someone else's bytes"
-                );
-            }
-            other => panic!("conn {i}: expected Data, got {other:?}"),
+            Response::DataList { data } => assert_eq!(
+                &data[..],
+                &pattern(i)[..],
+                "conn {i} read someone else's bytes"
+            ),
+            other => panic!("conn {i}: expected DataList, got {other:?}"),
         }
     }
 

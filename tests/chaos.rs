@@ -662,8 +662,8 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
         ranges: vec![(marker_at, marker.len() as u64)],
     };
     match pool.rpc_ok("ion00", &tail).unwrap() {
-        Response::Data { chunks } => assert_eq!(&chunks[0][..], marker),
-        other => panic!("expected Data, got {other:?}"),
+        Response::DataList { data } => assert_eq!(&data[..], marker),
+        other => panic!("expected DataList, got {other:?}"),
     }
     // ...and so is ion00's own primary: the file reads whole without ion02.
     tb.kill_server(2);

@@ -146,7 +146,10 @@ fn idle_and_waiting_connections_cost_no_cpu() {
     let second = frame::read_frame_any(&mut waiting).unwrap();
     assert_eq!(second.corr_id, 1);
     let second = Response::decode(second.payload).unwrap();
-    assert!(matches!(second, Response::Data { .. }), "got {second:?}");
+    assert!(
+        matches!(second, Response::DataList { .. }),
+        "got {second:?}"
+    );
     assert_eq!(ion.open_connections(), 65);
     assert_eq!(metad.open_connections(), 64);
 }
@@ -172,9 +175,9 @@ fn stress_req(n: u64) -> Request {
 fn check_stress_reply(n: u64, payload: Bytes, want: &[u8]) {
     match Response::decode(payload).unwrap() {
         Response::Pong => assert!(is_ping(n), "request {n}: Pong for a read"),
-        Response::Data { chunks } => {
+        Response::DataList { data } => {
             assert!(!is_ping(n), "request {n}: data for a ping");
-            assert_eq!(&chunks[0][..], want);
+            assert_eq!(&data[..], want);
         }
         other => panic!("request {n}: unexpected {other:?}"),
     }
@@ -430,6 +433,30 @@ fn a_read_larger_than_a_frame_is_refused_and_the_server_lives() {
         }
     }
     assert_eq!(rpc(&mut c, 4, &Request::Ping), Response::Pong);
+}
+
+/// A `Write` whose range ends past the offset space is refused where it is
+/// decoded, like the oversized `Read` above: a capacity-capped store adds
+/// the two to find the write's end, and that overflow used to kill the
+/// thread handling the request, which was never answered.
+#[test]
+fn a_write_past_the_offset_space_is_refused_and_the_server_lives() {
+    let _guard = sequential();
+    let root = std::env::temp_dir().join(format!("dpfs-evloop-wrap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut config = ServerConfig::new("evloop00", root, PerfModel::unthrottled());
+    config.capacity = 1 << 20;
+    let ion = IoServer::start(config).unwrap();
+    let mut c = connect(ion.addr());
+    let req = Request::Write {
+        subfile: "/f".into(),
+        ranges: vec![(u64::MAX - 1, Bytes::from_static(b"xy"))],
+    };
+    match rpc(&mut c, 1, &req) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    assert_eq!(rpc(&mut c, 2, &Request::Ping), Response::Pong);
 }
 
 // ---------------------------------------------------------------------

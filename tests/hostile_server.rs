@@ -2,11 +2,12 @@
 //! perfectly but lies in the payload must produce a *typed error*, never a
 //! client panic.
 //!
-//! Before the fix, the client validated only the chunk *count* of a read
-//! reply; a chunk shorter than its requested range slid through to the
-//! scatter copy in `file.rs`, which panicked slicing past the chunk's end.
-//! Now every chunk's length is checked against its range and the client
-//! returns [`DpfsError::ShortRead`] with the server's name attached.
+//! Every read is answered by one coalesced `DataList` whose length the
+//! client knows from the ranges it sent. A payload shorter (or longer) than
+//! that used to slide through to the scatter copy in `file.rs`, which
+//! panicked slicing past its end; now the reply is rejected first and the
+//! client returns [`DpfsError::ShortRead`] with the server's name attached.
+//! A reply in a retired shape does not decode at all.
 //!
 //! A `Stats` reply is a peer's word too: one that is not the stats document
 //! scrapes as unreachable instead of being read as one.
@@ -15,7 +16,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use dpfs::cluster::scrape_cluster;
 use dpfs::core::trace::{ClusterSnapshot, NodeRole, NodeSnapshot};
 use dpfs::core::{
@@ -25,13 +26,14 @@ use dpfs::meta::{Database, ServerInfo};
 use dpfs::proto::{frame, AccessPattern, Request, Response};
 use dpfs::server::{ServeCore, Service};
 
-/// How the hostile server answers a `Read` for `ranges`.
-type ChunkForge = fn(&[(u64, u64)]) -> Vec<Bytes>;
+/// How the hostile server answers an enumerated `Read` for `ranges`: the
+/// encoded reply, so it can be one no honest server sends.
+type ReadForge = fn(&[(u64, u64)]) -> Bytes;
 
-/// A protocol-correct server whose read replies carry chunks forged by
-/// `forge`. Writes and everything else are answered honestly enough for
-/// the client's metadata path to proceed.
-fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
+/// A protocol-correct server whose `Read` replies are forged by `forge`.
+/// Writes and everything else are answered honestly enough for the
+/// client's metadata path to proceed.
+fn start_hostile_server(forge: ReadForge) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
@@ -42,17 +44,16 @@ fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
                     let Ok(req) = Request::decode(f.payload) else {
                         return;
                     };
-                    let resp = match req {
-                        Request::Read { ranges, .. } => Response::Data {
-                            chunks: forge(&ranges),
-                        },
+                    let reply = match req {
+                        Request::Read { ranges, .. } => forge(&ranges),
                         Request::Write { ranges, .. } => Response::Written {
                             bytes: ranges.iter().map(|(_, d)| d.len() as u64).sum(),
-                        },
-                        _ => Response::Pong,
+                        }
+                        .encode(),
+                        _ => Response::Pong.encode(),
                     };
                     let id = f.corr_id;
-                    if frame::write_frame_v2(&mut stream, id, &resp.encode()).is_err() {
+                    if frame::write_frame_v2(&mut stream, id, &reply).is_err() {
                         return;
                     }
                 }
@@ -60,6 +61,19 @@ fn start_hostile_server(forge: ChunkForge) -> SocketAddr {
         }
     });
     addr
+}
+
+/// A `DataList` reply carrying `len` bytes of `fill`.
+fn data_list(len: u64, fill: u8) -> Bytes {
+    Response::DataList {
+        data: Bytes::from(vec![fill; len as usize]),
+    }
+    .encode()
+}
+
+/// The bytes `ranges` ask for.
+fn wanted(ranges: &[(u64, u64)]) -> u64 {
+    ranges.iter().map(|&(_, len)| len).sum()
 }
 
 /// How a list-speaking hostile server answers a `ReadList` pattern.
@@ -86,11 +100,8 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
                             Some(resp) => resp,
                             None => return,
                         },
-                        Request::Read { ranges, .. } => Response::Data {
-                            chunks: ranges
-                                .iter()
-                                .map(|&(_, len)| Bytes::from(vec![0u8; len as usize]))
-                                .collect(),
+                        Request::Read { ranges, .. } => Response::DataList {
+                            data: Bytes::from(vec![0u8; wanted(&ranges) as usize]),
                         },
                         Request::Write { ranges, .. } => Response::Written {
                             bytes: ranges.iter().map(|(_, d)| d.len() as u64).sum(),
@@ -138,25 +149,18 @@ fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Dpfs
 
 #[test]
 fn short_chunk_is_a_typed_error_not_a_panic() {
-    // Every chunk comes back one byte short of its promised range.
-    let addr = start_hostile_server(|ranges| {
-        ranges
-            .iter()
-            .map(|&(_, len)| Bytes::from(vec![7u8; len.saturating_sub(1) as usize]))
-            .collect()
-    });
+    // The one payload comes back one byte short of the ranges' sum.
+    let addr = start_hostile_server(|ranges| data_list(wanted(ranges) - 1, 7));
     let client = hostile_client("short", addr);
     let mut f = client.create("/lie.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_bytes(0, 256).unwrap_err();
     match err {
         DpfsError::ShortRead {
             server,
-            chunk,
             expected,
             got,
         } => {
             assert_eq!(server, "hostile00");
-            assert_eq!(chunk, 0);
             assert_eq!((expected, got), (256, 255));
         }
         other => panic!("expected ShortRead, got {other}"),
@@ -165,14 +169,9 @@ fn short_chunk_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn oversized_chunk_is_rejected_too() {
-    // A chunk *longer* than its range is just as much of a lie — and
+    // A payload *longer* than its ranges is just as much of a lie — and
     // silently truncating it would mask server bugs.
-    let addr = start_hostile_server(|ranges| {
-        ranges
-            .iter()
-            .map(|&(_, len)| Bytes::from(vec![7u8; len as usize + 9]))
-            .collect()
-    });
+    let addr = start_hostile_server(|ranges| data_list(wanted(ranges) + 9, 7));
     let client = hostile_client("long", addr);
     let mut f = client.create("/pad.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_bytes(0, 256).unwrap_err();
@@ -183,34 +182,47 @@ fn oversized_chunk_is_rejected_too() {
 }
 
 #[test]
-fn wrong_chunk_count_is_rejected() {
-    // The server answers every read with zero chunks, whatever was asked.
-    let addr = start_hostile_server(|_| Vec::new());
-    let client = hostile_client("count", addr);
-    let mut f = client
-        .create("/count.dat", &Hint::linear(128, 512))
-        .unwrap();
+fn a_peer_answering_a_read_with_retired_tag_3_is_a_typed_error_not_a_panic() {
+    // An older peer's reply to an enumerated `Read`: response tag 3, one
+    // length-prefixed chunk per range, every length honest. The tag is
+    // retired, so the reply does not decode; the connection is dropped and
+    // the read fails with a transport error once the retries are spent.
+    let addr = start_hostile_server(|ranges| {
+        let mut reply = BytesMut::new();
+        reply.put_u8(3);
+        reply.put_u32_le(ranges.len() as u32);
+        for &(_, len) in ranges {
+            reply.put_u64_le(len);
+            reply.put_slice(&vec![0u8; len as usize]);
+        }
+        reply.freeze()
+    });
+    let client = hostile_client_opts("tag3", addr, list_opts());
+    let mut f = client.create("/old.dat", &Hint::linear(128, 512)).unwrap();
     let err = f.read_bytes(0, 512).unwrap_err();
-    assert!(
-        matches!(err, DpfsError::InvalidArgument(_)),
-        "expected InvalidArgument, got {err}"
-    );
+    match err {
+        DpfsError::Disconnected { server, reason } => {
+            assert_eq!(server, "hostile00");
+            assert!(reason.contains("bad response tag 3"), "{reason}");
+        }
+        other => panic!("expected Disconnected, got {other}"),
+    }
 }
 
 #[test]
 fn honest_chunks_still_round_trip() {
     // Control: the same raw-server scaffolding answering honestly (zeros,
-    // matching lengths) passes validation — the checks reject lies, not
+    // the exact length) passes validation — the check rejects lies, not
     // well-formed replies.
-    let addr = start_hostile_server(|ranges| {
-        ranges
-            .iter()
-            .map(|&(_, len)| Bytes::from(vec![0u8; len as usize]))
-            .collect()
-    });
+    let addr = start_hostile_server(|ranges| data_list(wanted(ranges), 0));
     let client = hostile_client("honest", addr);
     let mut f = client.create("/ok.dat", &Hint::linear(256, 256)).unwrap();
     assert_eq!(f.read_bytes(0, 256).unwrap(), vec![0u8; 256]);
+    let t = client.pool().transport_stats("hostile00").unwrap();
+    assert_eq!(
+        t.list_io, 0,
+        "the read should have gone out as an enumerated Read"
+    );
 }
 
 /// Exact-granularity options with tight retries, for the list-path tests.

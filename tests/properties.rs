@@ -580,72 +580,45 @@ proptest! {
     }
 }
 
-// ---------- read-reply chunk validation (hostile-server shapes) ----------
+// ---------- read-reply validation (hostile-server shapes) ----------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `expect_chunks` accepts a reply iff it carries exactly one chunk per
-    /// requested range with exactly the promised length — and never panics,
-    /// whatever chunk shapes a hostile server forges. A rejected reply is
-    /// always a typed error naming the first offending chunk.
+    /// `expect_list_data` — the one check of a read reply — accepts a
+    /// `DataList` iff it carries exactly the bytes the ranges asked for, and
+    /// never panics whatever length a hostile server forges. A rejected
+    /// payload is a typed error naming the server and both lengths; a reply
+    /// of another kind is a server error.
     #[test]
-    fn expect_chunks_validates_every_chunk_shape(
-        lens in proptest::collection::vec(1u64..4096, 1..8),
-        deltas in proptest::collection::vec(-3i64..=3, 1..8),
-        extra in 0usize..3,
-        drop in 0usize..3,
+    fn expect_list_data_accepts_a_reply_iff_its_length_is_exact(
+        lens in proptest::collection::vec(0u64..4096, 1..8),
+        delta in -3i64..=3,
     ) {
-        use dpfs::core::conn::expect_chunks;
+        use dpfs::core::conn::expect_list_data;
         use dpfs::core::DpfsError;
         use dpfs::proto::Response;
 
-        let ranges: Vec<(u64, u64)> = lens
-            .iter()
-            .scan(0u64, |off, &len| {
-                let r = (*off, len);
-                *off += len;
-                Some(r)
-            })
-            .collect();
-        // Forge chunks: per-chunk length skew, then optionally append or
-        // drop whole chunks.
-        let mut chunks: Vec<bytes::Bytes> = ranges
-            .iter()
-            .zip(deltas.iter().cycle())
-            .map(|(&(_, len), &d)| {
-                let sz = (len as i64 + d).max(0) as usize;
-                bytes::Bytes::from(vec![0u8; sz])
-            })
-            .collect();
-        for _ in 0..extra {
-            chunks.push(bytes::Bytes::new());
-        }
-        chunks.truncate(chunks.len().saturating_sub(drop));
-
-        let count_ok = chunks.len() == ranges.len();
-        let first_bad = ranges
-            .iter()
-            .zip(chunks.iter())
-            .position(|(&(_, len), c)| c.len() as u64 != len);
-        let resp = Response::Data { chunks: chunks.clone() };
-        match expect_chunks(resp, &ranges, "forge00") {
+        let expected: u64 = lens.iter().sum();
+        let got = (expected as i64 + delta).max(0) as u64;
+        let data = bytes::Bytes::from(vec![0u8; got as usize]);
+        match expect_list_data(Response::DataList { data: data.clone() }, expected, "forge00") {
             Ok(out) => {
-                prop_assert!(count_ok && first_bad.is_none(),
-                    "accepted a forged reply: {} chunks for {} ranges", chunks.len(), ranges.len());
-                prop_assert_eq!(out.len(), ranges.len());
+                prop_assert_eq!(got, expected, "accepted a forged payload");
+                prop_assert_eq!(out, data);
             }
-            Err(DpfsError::InvalidArgument(_)) => prop_assert!(!count_ok),
-            Err(DpfsError::ShortRead { server, chunk, expected, got }) => {
-                prop_assert!(count_ok, "count mismatch must be InvalidArgument");
-                let bad = first_bad.expect("ShortRead with all chunks exact");
-                prop_assert_eq!(chunk, bad);
+            Err(DpfsError::ShortRead { server, expected: e, got: g }) => {
+                prop_assert_ne!(got, expected);
                 prop_assert_eq!(&server, "forge00");
-                prop_assert_eq!(expected, ranges[bad].1);
-                prop_assert_eq!(got, chunks[bad].len() as u64);
+                prop_assert_eq!((e, g), (expected, got));
             }
             Err(e) => prop_assert!(false, "unexpected error class: {e}"),
         }
+        let other = Response::Written { bytes: expected };
+        prop_assert!(matches!(
+            expect_list_data(other, expected, "forge00"),
+            Err(DpfsError::Server { .. })
+        ));
     }
 }
 

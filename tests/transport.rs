@@ -71,8 +71,8 @@ fn two_requests_pipeline_on_one_connection() {
     let r2 = p2.wait(Duration::from_secs(10)).unwrap();
     let elapsed = start.elapsed();
 
-    assert!(matches!(r1, Response::Data { .. }), "got {r1:?}");
-    assert!(matches!(r2, Response::Data { .. }), "got {r2:?}");
+    assert!(matches!(r1, Response::DataList { .. }), "got {r1:?}");
+    assert!(matches!(r2, Response::DataList { .. }), "got {r2:?}");
     assert!(
         elapsed >= DELAY,
         "two delayed requests finished in {elapsed:?}, below one delay {DELAY:?}?"
