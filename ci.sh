@@ -125,6 +125,14 @@ if grep -nE 'Request::(Read|Write)\b' crates/core/src/fsck.rs; then
     echo "FAIL: crates/core/src/fsck.rs builds a Read/Write request (re-protection goes through FileHandle::reprotect)"
     exit 1
 fi
+# One fsck: the checker reads the catalog through the metadata client, so it
+# runs on every mount. The table cross-checks and their repairs live in
+# `Catalog::audit` (one `MetaOp::Audit` per shard); fsck.rs holds no SQL and
+# never reaches for the database.
+if grep -nE 'SELECT|UPDATE|INSERT|DELETE FROM|\.db\(\)|catalog\(\)|embedded_only' crates/core/src/fsck.rs; then
+    echo "FAIL: crates/core/src/fsck.rs talks to the database itself (audit through MetaClient::audit)"
+    exit 1
+fi
 # The redundancy algebra is written once (FileHandle::rebuild): one XOR loop
 # above the test modules of the client library.
 core_src=$(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)
@@ -200,6 +208,10 @@ nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|pa
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
 client_methods=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/meta_client.rs | grep -c '^    pub fn ')
+if [ "$meta_ops" -ne 27 ]; then
+    echo "FAIL: MetaOp has $meta_ops variants, expected 27 (a verb needs a caller no existing verb serves)"
+    exit 1
+fi
 echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaClient public methods: $client_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
 
 echo "==> cargo clippy (deny warnings)"
@@ -304,7 +316,7 @@ test "$(grep -c 'meta\.mkdir' target/metad-smoke/shell.out)" -eq 2
 cmp -s README.md target/metad-smoke/readme.roundtrip
 echo "metad smoke: ok"
 
-echo "==> redundancy smoke: Replica(2) import survives an iond kill byte-exact; a one-brick file is its 2 subfiles"
+echo "==> redundancy smoke: Replica(2) import survives an iond kill byte-exact; a one-brick file is its 2 subfiles; fsck --repair over --metad re-protects an emptied iond"
 rm -rf target/red-smoke
 mkdir -p target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2
 ./target/release/dpfs-metad --bind 127.0.0.1:17451 --shard 0 --shards 2 \
@@ -372,9 +384,29 @@ test "$(red_held 'uno\.md')" -eq 0
 kill "$RION1_PID" 2>/dev/null || :
 echo 'export /moved.md target/red-smoke/readme.roundtrip' |
     red_sh >target/red-smoke/shell2.out 2>&1
-kill "$RMETAD0_PID" "$RMETAD1_PID" "$RION0_PID" "$RION2_PID" 2>/dev/null || :
-trap - EXIT
 cmp -s README.md target/red-smoke/readme.roundtrip
+# The dead iond comes back on an empty root — a replaced disk. `fsck
+# --repair` over both metadata shards audits each shard's catalog and
+# re-protects: what ion1 held is rebuilt from the survivors...
+rm -rf target/red-smoke/ion1
+mkdir -p target/red-smoke/ion1
+./target/release/dpfs-iond --root target/red-smoke/ion1 --bind 127.0.0.1:17453 \
+    >target/red-smoke/iond1-empty.log 2>&1 &
+RION1_PID=$!
+sleep 1
+echo 'fsck --repair' | red_sh >target/red-smoke/fsck-repair.out 2>&1
+grep -q 'fixed: rebuilt /moved.md on ion1' target/red-smoke/fsck-repair.out
+grep -q 'fixed: rebuilt /moved.md#r1 on ion1' target/red-smoke/fsck-repair.out
+grep -q ' 0 unfixable, 0 remaining issue(s)' target/red-smoke/fsck-repair.out
+echo 'fsck --online' | red_sh >target/red-smoke/fsck-online.out 2>&1
+grep -q '^clean' target/red-smoke/fsck-online.out
+# ...so a second iond may go dark and the file still exports byte-exact.
+kill "$RION2_PID" 2>/dev/null || :
+echo 'export /moved.md target/red-smoke/readme.roundtrip2' |
+    red_sh >target/red-smoke/shell3.out 2>&1
+kill "$RMETAD0_PID" "$RMETAD1_PID" "$RION0_PID" "$RION1_PID" 2>/dev/null || :
+trap - EXIT
+cmp -s README.md target/red-smoke/readme.roundtrip2
 echo "redundancy smoke: ok"
 
 echo "==> scenario harness (--quick) with slow-op log enabled"

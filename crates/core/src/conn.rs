@@ -160,7 +160,8 @@ impl ConnPool {
             res = transport
                 .submit_traced(req, trace_id)
                 .and_then(|p| p.wait(timeout));
-            trace::client_event(
+            trace::record_span(
+                trace::Side::Client,
                 trace_id,
                 "retry",
                 req.kind_str(),

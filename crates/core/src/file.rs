@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use dpfs_meta::{Distribution, MetaError};
-use dpfs_proto::{AccessPattern, Request, Response, MAX_PATTERN_RANGES};
+use dpfs_proto::{split_payload, AccessPattern, Request, Response, MAX_PATTERN_RANGES};
 
 use crate::conn::{expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
@@ -491,7 +491,8 @@ impl FileHandle {
                 expect.push((server, req.wire_bytes()));
             }
         }
-        trace::client_event(
+        trace::record_span(
+            trace::Side::Client,
             trace_id,
             "plan",
             "write",
@@ -509,7 +510,8 @@ impl FileHandle {
                 reqs.iter().flat_map(|r| r.ranges.iter().copied()).collect();
             self.write_parity(&touched, trace_id)?;
         }
-        trace::client_event(
+        trace::record_span(
+            trace::Side::Client,
             trace_id,
             "op",
             "write",
@@ -655,7 +657,7 @@ impl FileHandle {
         let (host, subfile) = member;
         let write = Request::Write {
             subfile: subfile.clone(),
-            ranges: slices(&data, ranges),
+            ranges: split_payload(&data, ranges),
         };
         let res = issue_one(
             &self.pool,
@@ -706,7 +708,8 @@ impl FileHandle {
                 )
             })
             .collect();
-        trace::client_event(
+        trace::record_span(
+            trace::Side::Client,
             trace_id,
             "plan",
             "read",
@@ -738,7 +741,8 @@ impl FileHandle {
                     };
                     let server = &self.servers[req.server];
                     self.pool.note_reconstruct(server);
-                    trace::client_event(
+                    trace::record_span(
+                        trace::Side::Client,
                         trace_id,
                         "reconstruct",
                         "read",
@@ -760,7 +764,8 @@ impl FileHandle {
             self.stats.wire_read += req.wire_bytes();
             self.stats.useful_read += req.useful_bytes();
         }
-        trace::client_event(
+        trace::record_span(
+            trace::Side::Client,
             trace_id,
             "op",
             "read",
@@ -926,7 +931,16 @@ pub(crate) fn issue(
         })
         .collect();
     let t1 = trace::now_ns();
-    trace::client_event(trace_id, "submit", kind, "", t0, t1.saturating_sub(t0), 0);
+    trace::record_span(
+        trace::Side::Client,
+        trace_id,
+        "submit",
+        kind,
+        "",
+        t0,
+        t1.saturating_sub(t0),
+        0,
+    );
     let out = submitted
         .into_iter()
         .map(|(server, req, pending)| {
@@ -941,7 +955,8 @@ pub(crate) fn issue(
             )
         })
         .collect();
-    trace::client_event(
+    trace::record_span(
+        trace::Side::Client,
         trace_id,
         "await",
         kind,
@@ -981,7 +996,8 @@ pub(crate) fn issue_all(
             Some((server.to_string(), err))
         })
         .collect();
-    trace::client_event(
+    trace::record_span(
+        trace::Side::Client,
         trace_id,
         "op",
         op,
@@ -1060,24 +1076,10 @@ impl ListShape {
             },
             ListShape::Enumerated => Request::Write {
                 subfile,
-                ranges: slices(payload, &req.ranges),
+                ranges: split_payload(payload, &req.ranges),
             },
         }
     }
-}
-
-/// `data` — `ranges`' bytes back to back — cut into one refcounted slice per
-/// range, each beside its offset: the range list of an enumerated `Write`.
-fn slices(data: &Bytes, ranges: &[(u64, u64)]) -> Vec<(u64, Bytes)> {
-    let mut at = 0usize;
-    ranges
-        .iter()
-        .map(|&(off, len)| {
-            let slice = data.slice(at..at + len as usize);
-            at += len as usize;
-            (off, slice)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@
 use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
-use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
+use dpfs_meta::{
+    Catalog, Database, Distribution, FileAttrRow, FileEntry, Issue, MetaError, ServerInfo,
+};
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
@@ -237,37 +239,61 @@ impl Dpfs {
     /// Open with explicit client options (rank, combination, granularity).
     pub fn open_with(&self, path: &str, opts: ClientOptions) -> Result<FileHandle> {
         let path = normalize_path(path)?;
-        let (attr, dist) = self
+        let entry = self
             .meta
             .open_file(&path)?
             .ok_or_else(|| DpfsError::NoSuchFile(path.clone()))?;
-        let striping = striping_from_attr(&attr)?;
-        let layout = Layout::from_striping(&striping)?;
-        if dist.is_empty() {
-            return Err(DpfsError::InvalidArgument(format!(
-                "file {path} has no distribution rows"
-            )));
-        }
-        let redundancy = RedundancyPolicy::parse(&attr.redundancy)?;
-        let names: Vec<String> = dist.iter().map(|d| d.server.clone()).collect();
-        // Under XOR parity the last (name-ordered) row is the brickless
-        // parity server.
-        if redundancy == RedundancyPolicy::XorParity && dist.len() < 2 {
-            return Err(DpfsError::InvalidArgument(format!(
-                "xor-parity file {path} has {} distribution rows, needs >= 2",
-                dist.len()
-            )));
-        }
-        let map = brick_map(redundancy, &dist)?;
-        let placement = match attr.placement.as_str() {
-            "greedy" => Placement::Greedy,
-            _ => Placement::RoundRobin,
+        self.open_entry(path, &entry, opts)
+            .map_err(|issue| DpfsError::InvalidArgument(format!("{issue:?}")))
+    }
+
+    /// The handle a file's catalog entry opens as — its servers, layout,
+    /// brick map, placement and redundancy — or the [`Issue`] that keeps
+    /// `open` from trusting the entry. `open` and fsck's per-file pass both
+    /// read entries here, so fsck flags exactly the files `open` refuses.
+    pub(crate) fn open_entry(
+        &self,
+        path: String,
+        (attr, dist): &FileEntry,
+        opts: ClientOptions,
+    ) -> std::result::Result<FileHandle, Issue> {
+        let bad = |e: DpfsError| Issue::BadAttributes {
+            filename: path.clone(),
+            detail: e.to_string(),
         };
+        let layout = striping_from_attr(attr).and_then(|s| Layout::from_striping(&s));
+        let layout = layout.map_err(bad)?;
+        let redundancy = RedundancyPolicy::parse(&attr.redundancy).map_err(bad)?;
+        let placement = Placement::parse(&attr.placement).map_err(bad)?;
+        if dist.is_empty() {
+            return Err(Issue::MissingDistribution { filename: path });
+        }
+        let corrupt = |detail: String| Issue::CorruptBricklists {
+            filename: path.clone(),
+            detail,
+        };
+        // Under XOR parity the last (name-ordered) row is the brickless
+        // parity server's.
+        if redundancy == RedundancyPolicy::XorParity && dist.len() < 2 {
+            let rows = dist.len();
+            return Err(corrupt(format!(
+                "xor parity over {rows} row(s), needs >= 2"
+            )));
+        }
+        let map = brick_map(redundancy, dist).map_err(|e| corrupt(e.to_string()))?;
+        // A linear file's map may run ahead of its size (growth extends the
+        // map before the size), never behind it.
+        if map.num_bricks() < layout.num_bricks() {
+            let (have, need) = (map.num_bricks(), layout.num_bricks());
+            return Err(corrupt(format!(
+                "{have} bricks mapped, layout requires {need}"
+            )));
+        }
         Ok(FileHandle::new(
             path,
             self.meta.clone(),
             self.pool.clone(),
-            names,
+            dist.iter().map(|d| d.server.clone()).collect(),
             layout,
             map,
             placement,
@@ -450,10 +476,7 @@ fn attr_for(path: &str, hint: &Hint, layout: &Layout) -> FileAttrRow {
         stripe_dims,
         stripe_size,
         pattern,
-        placement: match hint.placement {
-            Placement::RoundRobin => "round_robin".to_string(),
-            Placement::Greedy => "greedy".to_string(),
-        },
+        placement: hint.placement.as_str().to_string(),
         redundancy: hint.redundancy.as_str(),
     }
 }

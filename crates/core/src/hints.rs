@@ -364,6 +364,27 @@ pub enum Placement {
     Greedy,
 }
 
+impl Placement {
+    /// Catalog string for this algorithm.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Placement::RoundRobin => "round_robin",
+            Placement::Greedy => "greedy",
+        }
+    }
+
+    /// Parse the catalog string.
+    pub fn parse(s: &str) -> Result<Placement> {
+        match s {
+            "round_robin" => Ok(Placement::RoundRobin),
+            "greedy" => Ok(Placement::Greedy),
+            other => Err(DpfsError::InvalidArgument(format!(
+                "unknown placement {other:?}"
+            ))),
+        }
+    }
+}
+
 /// Striping geometry, one variant per file level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Striping {
@@ -497,6 +518,14 @@ mod tests {
             assert_eq!(FileLevel::parse(l.as_str()).unwrap(), l);
         }
         assert!(FileLevel::parse("nope").is_err());
+    }
+
+    #[test]
+    fn placement_round_trip() {
+        for p in [Placement::RoundRobin, Placement::Greedy] {
+            assert_eq!(Placement::parse(p.as_str()).unwrap(), p);
+        }
+        assert!(Placement::parse("").is_err());
     }
 
     #[test]

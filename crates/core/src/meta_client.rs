@@ -28,7 +28,7 @@
 //!   idempotent success),
 //! - the server registry is replicated to every shard (broadcast writes,
 //!   round-robin reads),
-//! - `find_by_tag` / `server_brick_counts` fan out and merge,
+//! - `find_by_tag` / `server_brick_counts` / `audit` fan out and merge,
 //! - a rename whose source and destination live on different shards runs
 //!   the two-phase intent protocol (see [`MetaClient::rename_file`]).
 //!
@@ -60,8 +60,8 @@ use std::sync::Arc;
 
 use dpfs_meta::catalog::RENAME_INTENT_TAG;
 use dpfs_meta::{
-    Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, Result as MetaResultT,
-    ServerInfo, ShardMap,
+    Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError,
+    Result as MetaResultT, ServerInfo, ShardMap,
 };
 use dpfs_proto::{MetaOp, MetaResult, Request, Response};
 
@@ -700,6 +700,29 @@ impl MetaClient {
             }
         }
         Ok(counts.into_iter().collect())
+    }
+
+    /// Audit every shard's tables ([`Catalog::audit`]) and merge the
+    /// answers: each shard holds its own files — their distribution rows and
+    /// their parent's file list with them — and a replica of the directory
+    /// skeleton, so each checks its own and the issues concatenate; the
+    /// tree walked is the widest replica's. With `repair` every shard also
+    /// applies its safe fixes.
+    pub fn audit(&self, repair: bool) -> MetaResultT<Audit> {
+        let mut all = Audit::default();
+        for shard in 0..self.shard_count() {
+            match self.call(shard, MetaOp::Audit { repair })? {
+                MetaResult::Audit(one) => {
+                    all.issues.extend(one.issues);
+                    all.fixed.extend(one.fixed);
+                    all.files.extend(one.files);
+                    all.dirs = all.dirs.max(one.dirs);
+                }
+                other => return Err(self.shape(shard, &other)),
+            }
+        }
+        all.files.sort();
+        Ok(all)
     }
 }
 

@@ -382,7 +382,8 @@ impl Pending {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
                 let dur = trace::now_ns().saturating_sub(self.submitted_ns);
                 self.counters.hist_for(self.kind).record(dur);
-                trace::client_event(
+                trace::record_span(
+                    trace::Side::Client,
                     self.trace_id,
                     "rpc",
                     self.kind,

@@ -17,6 +17,7 @@
 //! travel as bound parameters, never as SQL. A name can therefore hold any
 //! character without an escaping rule, and each text is parsed once.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::db::{Database, ResultSet, Txn};
@@ -104,6 +105,66 @@ pub struct FileAttrRow {
 /// in one transaction.
 pub type FileEntry = (FileAttrRow, Vec<Distribution>);
 
+/// One consistency violation: fsck's vocabulary. [`Catalog::audit`] finds
+/// the ones the tables show on their own; the client finds the entries
+/// `open` refuses and, online, what the subfiles on the servers show.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Issue {
+    /// A `dpfs_file_distribution` row references a file with no attribute
+    /// row.
+    OrphanDistribution { filename: String, server: String },
+    /// A file has an attribute row but no distribution rows.
+    MissingDistribution { filename: String },
+    /// A file's brick lists do not form a partition of `0..num_bricks`.
+    CorruptBricklists { filename: String, detail: String },
+    /// A file's attribute row cannot be interpreted (bad level/geometry).
+    BadAttributes { filename: String, detail: String },
+    /// A directory lists a file that has no attribute row.
+    DanglingDirEntry { dir: String, name: String },
+    /// A file's attribute row is not listed in its parent directory.
+    UnlistedFile { filename: String },
+    /// A directory row's parent is missing or does not list it.
+    OrphanDirectory { dir: String },
+    /// A directory listed as a child has no row of its own.
+    MissingDirectory { dir: String, parent: String },
+    /// A distribution row references a server absent from `dpfs_server`.
+    UnknownServer { filename: String, server: String },
+    /// Online check: a server that should hold data has no subfile.
+    SubfileMissing { filename: String, server: String },
+    /// Online check: a subfile is larger than its bricks allow.
+    SubfileOversized {
+        filename: String,
+        server: String,
+        max_expected: u64,
+        actual: u64,
+    },
+    /// Online check: a server did not respond.
+    ServerUnreachable { server: String },
+    /// Online check: a redundant file's mirror or parity subfile is
+    /// missing or shorter than the data it must protect (e.g. after a
+    /// server came back with an empty disk); re-protection rebuilds these
+    /// from the surviving copies.
+    UnderProtected {
+        filename: String,
+        server: String,
+        subfile: String,
+    },
+}
+
+/// What [`Catalog::audit`] found in one catalog, and did about it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Audit {
+    /// The violations the tables show, in discovery order (before any
+    /// repair).
+    pub issues: Vec<Issue>,
+    /// The repairs applied, one line each (none unless asked to repair).
+    pub fixed: Vec<String>,
+    /// Every file with an attribute row here, in name order.
+    pub files: Vec<String>,
+    /// Directories reached walking the tree from `/`.
+    pub dirs: u64,
+}
+
 /// Typed facade over the DPFS metadata tables.
 #[derive(Clone)]
 pub struct Catalog {
@@ -168,7 +229,7 @@ impl Catalog {
         // seeds, the other sees it).
         db.transaction(|txn| {
             if get_dir(txn, "/")?.is_none() {
-                txn.execute("INSERT INTO dpfs_directory VALUES ('/', '', '')")?;
+                insert_dir(txn, "/")?;
             }
             if txn
                 .execute("SELECT gen FROM dpfs_meta_gen WHERE k = 'g'")?
@@ -470,11 +531,7 @@ impl Catalog {
             let mut subs = dir.sub_dirs;
             subs.push(path.clone());
             set_sub_dirs(txn, &parent, &subs)?;
-            txn.execute_with(
-                "INSERT INTO dpfs_directory VALUES (?, '', '')",
-                &[path.as_str().into()],
-            )?;
-            Ok(())
+            insert_dir(txn, &path)
         })
     }
 
@@ -652,6 +709,93 @@ impl Catalog {
             *counts.entry(server).or_insert(0) += n;
         }
         Ok(counts.into_iter().collect())
+    }
+
+    // ---- consistency audit (fsck's catalog half) ----
+
+    /// Cross-check the tables against each other, in one transaction:
+    /// distribution rows of no file or of an unregistered server, files
+    /// without a distribution, directory entries naming no file, files no
+    /// directory lists, and the tree walked from `/` — rows it never
+    /// reaches, listed children without a row. With `repair`, the same
+    /// transaction also applies the safe fixes: drop orphan distribution
+    /// rows, unlink dangling entries, re-link unlisted files and orphan
+    /// directories into an existing parent, create missing directory rows.
+    /// Nothing that decides where a file's bytes live is guessed at.
+    pub fn audit(&self, repair: bool) -> Result<Audit> {
+        self.db.transaction(|txn| {
+            let mut issues = Vec::new();
+            let files = texts(txn.execute("SELECT filename FROM dpfs_file_attr")?)?;
+            let servers = texts(txn.execute("SELECT server_name FROM dpfs_server")?)?;
+            let rows = txn.execute(
+                "SELECT filename, server FROM dpfs_file_distribution ORDER BY filename, server",
+            )?;
+            let mut distributed = BTreeSet::new();
+            for r in &rows.rows {
+                let (filename, server) = (r[0].as_text()?.to_string(), r[1].as_text()?.to_string());
+                if !files.contains(&filename) {
+                    issues.push(Issue::OrphanDistribution {
+                        filename: filename.clone(),
+                        server: server.clone(),
+                    });
+                }
+                if !servers.contains(&server) {
+                    issues.push(Issue::UnknownServer {
+                        filename: filename.clone(),
+                        server,
+                    });
+                }
+                distributed.insert(filename);
+            }
+            for filename in files.difference(&distributed).cloned() {
+                issues.push(Issue::MissingDistribution { filename });
+            }
+            let dirs = texts(txn.execute("SELECT main_dir FROM dpfs_directory")?)?;
+            let (mut reached, mut listed) = (BTreeSet::new(), BTreeSet::new());
+            let mut stack = vec!["/".to_string()];
+            while let Some(dir) = stack.pop() {
+                if !reached.insert(dir.clone()) {
+                    continue;
+                }
+                let Some(entry) = get_dir(txn, &dir)? else {
+                    continue;
+                };
+                for sub in entry.sub_dirs {
+                    if dirs.contains(&sub) {
+                        stack.push(sub);
+                    } else {
+                        let parent = dir.clone();
+                        issues.push(Issue::MissingDirectory { dir: sub, parent });
+                    }
+                }
+                for name in entry.files {
+                    if !files.contains(&name) {
+                        let dir = dir.clone();
+                        issues.push(Issue::DanglingDirEntry {
+                            dir,
+                            name: name.clone(),
+                        });
+                    }
+                    listed.insert(name);
+                }
+            }
+            let orphans = dirs.difference(&reached).cloned();
+            issues.extend(orphans.map(|dir| Issue::OrphanDirectory { dir }));
+            let unlisted = files.difference(&listed).cloned();
+            issues.extend(unlisted.map(|filename| Issue::UnlistedFile { filename }));
+            let mut fixed = Vec::new();
+            if repair {
+                for issue in &issues {
+                    fixed.extend(fix(txn, issue)?);
+                }
+            }
+            Ok(Audit {
+                issues,
+                fixed,
+                files: files.into_iter().collect(),
+                dirs: reached.len() as u64,
+            })
+        })
     }
 }
 
@@ -892,6 +1036,79 @@ fn set_sub_dirs(txn: &Txn<'_>, path: &str, subs: &[String]) -> Result<()> {
         &[subs.join("\n").into(), path.into()],
     )?;
     Ok(())
+}
+
+/// Insert an empty directory row for `path`.
+fn insert_dir(txn: &Txn<'_>, path: &str) -> Result<()> {
+    txn.execute_with(
+        "INSERT INTO dpfs_directory VALUES (?, '', '')",
+        &[path.into()],
+    )?;
+    Ok(())
+}
+
+/// The first column of `rs`, as a set of texts.
+fn texts(rs: ResultSet) -> Result<BTreeSet<String>> {
+    rs.rows
+        .iter()
+        .map(|r| Ok(r[0].as_text()?.to_string()))
+        .collect()
+}
+
+/// The parent directory of `path` and its row, if both exist.
+fn parent_entry(txn: &Txn<'_>, path: &str) -> Result<Option<(String, DirEntry)>> {
+    let Some(parent) = parent_dir(path) else {
+        return Ok(None);
+    };
+    Ok(get_dir(txn, &parent)?.map(|entry| (parent, entry)))
+}
+
+/// Apply [`Catalog::audit`]'s safe repair for `issue`, if it has one (and
+/// the rows it needs still exist); returns what was done.
+fn fix(txn: &Txn<'_>, issue: &Issue) -> Result<Option<String>> {
+    Ok(Some(match issue {
+        Issue::OrphanDistribution { filename, server } => {
+            txn.execute_with(
+                "DELETE FROM dpfs_file_distribution WHERE filename = ?",
+                &[filename.as_str().into()],
+            )?;
+            format!("dropped orphan distribution row {server}:{filename}")
+        }
+        Issue::DanglingDirEntry { dir, name } => {
+            let Some(entry) = get_dir(txn, dir)? else {
+                return Ok(None);
+            };
+            let files: Vec<String> = entry.files.into_iter().filter(|f| f != name).collect();
+            set_dir_files(txn, dir, &files)?;
+            format!("removed dangling entry {name} from {dir}")
+        }
+        Issue::UnlistedFile { filename } => {
+            let Some((parent, entry)) = parent_entry(txn, filename)? else {
+                return Ok(None);
+            };
+            let mut files = entry.files;
+            files.push(filename.clone());
+            set_dir_files(txn, &parent, &files)?;
+            format!("re-linked {filename} into {parent}")
+        }
+        Issue::OrphanDirectory { dir } => {
+            let Some((parent, entry)) = parent_entry(txn, dir)? else {
+                return Ok(None);
+            };
+            let mut subs = entry.sub_dirs;
+            if !subs.contains(dir) {
+                subs.push(dir.clone());
+            }
+            set_sub_dirs(txn, &parent, &subs)?;
+            format!("re-linked directory {dir} into {parent}")
+        }
+        // Two parents may list one missing child: create its row once.
+        Issue::MissingDirectory { dir, .. } if get_dir(txn, dir)?.is_none() => {
+            insert_dir(txn, dir)?;
+            format!("created missing directory row {dir}")
+        }
+        _ => return Ok(None),
+    }))
 }
 
 fn insert_distribution(txn: &Txn<'_>, dist: &[Distribution]) -> Result<()> {
@@ -1674,6 +1891,68 @@ mod tests {
         c.rmdir("/b").unwrap();
     }
 
+    /// The audit names what the tables show, and its repair fixes the safe
+    /// part in the same transaction: afterwards only the files without a
+    /// distribution are left, and the tree is whole again.
+    #[test]
+    fn audit_names_each_inconsistency_and_repairs_the_safe_ones() {
+        let c = catalog();
+        exercise_hot_paths(&c);
+        assert_eq!(c.audit(false).unwrap().issues, vec![]);
+        c.mkdir("/d").unwrap();
+        c.create_file(&sample_attr("/d/f"), &[]).unwrap();
+        c.create_file(&sample_attr("/d/g"), &[]).unwrap();
+        for sql in [
+            "INSERT INTO dpfs_file_distribution VALUES ('k', 'gone', '/ghost', [0])",
+            "UPDATE dpfs_directory SET files = '/d/f\n/d/phantom' WHERE main_dir = '/d'",
+            "UPDATE dpfs_directory SET sub_dirs = '/a\n/d\n/void' WHERE main_dir = '/'",
+            "INSERT INTO dpfs_directory VALUES ('/d/lost', '', '')",
+        ] {
+            c.db().execute(sql).unwrap();
+        }
+        let s = |x: &str| x.to_string();
+        let found = vec![
+            Issue::OrphanDistribution {
+                filename: s("/ghost"),
+                server: s("gone"),
+            },
+            Issue::UnknownServer {
+                filename: s("/ghost"),
+                server: s("gone"),
+            },
+            Issue::MissingDistribution {
+                filename: s("/d/f"),
+            },
+            Issue::MissingDistribution {
+                filename: s("/d/g"),
+            },
+            Issue::MissingDirectory {
+                dir: s("/void"),
+                parent: s("/"),
+            },
+            Issue::DanglingDirEntry {
+                dir: s("/d"),
+                name: s("/d/phantom"),
+            },
+            Issue::OrphanDirectory { dir: s("/d/lost") },
+            Issue::UnlistedFile {
+                filename: s("/d/g"),
+            },
+        ];
+        let audit = c.audit(true).unwrap();
+        assert_eq!(audit.issues, found);
+        assert_eq!(audit.files, vec![s("/d/f"), s("/d/g")]);
+        assert_eq!(audit.fixed.len(), 5, "{:?}", audit.fixed);
+        let after = c.audit(false).unwrap();
+        assert_eq!(after.issues, found[2..4].to_vec());
+        assert_eq!(after.dirs, 5, "/, /a, /d, /d/lost, /void");
+        let d = c.get_dir("/d").unwrap().unwrap();
+        assert_eq!(
+            (d.files, d.sub_dirs),
+            (vec![s("/d/f"), s("/d/g")], vec![s("/d/lost")])
+        );
+    }
+
     fn access_path(c: &Catalog, sql: &str) -> String {
         let rs = c.db().execute(&["EXPLAIN ", sql].concat()).unwrap();
         rs.scalar().unwrap().as_text().unwrap().to_string()
@@ -1697,18 +1976,20 @@ mod tests {
         assert!(hot.iter().any(|s| s.contains("dpfs_rename_intent")));
         assert!(hot.iter().any(|s| s.contains("dpfs_meta_gen SET")));
 
-        // The named exceptions, and the only ones: whole-table reports.
+        // The named exceptions, and the only ones: whole-table reports (the
+        // audit reads four tables whole).
         c.list_servers().unwrap();
         c.server_brick_counts().unwrap();
         c.find_by_tag("k", "%").unwrap();
         c.list_rename_intents().unwrap();
+        c.audit(false).unwrap();
         let reports: Vec<String> = c
             .db()
             .cached_statements()
             .into_iter()
             .filter(|s| !hot.contains(s) && !s.starts_with("EXPLAIN"))
             .collect();
-        assert_eq!(reports.len(), 4);
+        assert_eq!(reports.len(), 8, "{reports:?}");
         for sql in &reports {
             assert!(access_path(&c, sql).starts_with("scan"), "{sql}");
         }

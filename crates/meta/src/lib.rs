@@ -55,7 +55,7 @@ pub mod value;
 pub mod wal;
 
 pub use catalog::{
-    Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, RenameIntent, ServerInfo,
+    Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, Issue, RenameIntent, ServerInfo,
 };
 pub use db::{Database, ResultSet};
 pub use error::{MetaError, Result};

@@ -23,38 +23,11 @@ use std::sync::Arc;
 
 use dpfs_meta::{Catalog, Database, ShardMap};
 use dpfs_obs::{
-    now_ns, ring, ClusterSnapshot, HistSnapshot, Histogram, NodeRole, NodeSnapshot, Side,
-    TraceEvent,
+    now_ns, record_span, ClusterSnapshot, HistSnapshot, Histogram, NodeRole, NodeSnapshot, Side,
 };
 use dpfs_proto::{ErrorCode, MetaOp, MetaResult, Request, Response};
 use dpfs_server::{ServeCore, Service};
 use parking_lot::Mutex;
-
-/// Record one metad-side span into the global trace ring. No-op when
-/// `trace_id` is 0 (untraced request).
-fn metad_event(
-    trace_id: u64,
-    phase: &'static str,
-    kind: &'static str,
-    server: &str,
-    start_ns: u64,
-    dur_ns: u64,
-) {
-    if trace_id == 0 {
-        return;
-    }
-    ring().record(TraceEvent {
-        seq: 0,
-        trace_id,
-        side: Side::Server,
-        phase,
-        kind,
-        server: server.to_string(),
-        start_ns,
-        dur_ns,
-        bytes: 0,
-    });
-}
 
 /// Request-path counters plus per-op service-time histograms. Shared by
 /// the serve core's workers; everything is atomic or
@@ -256,7 +229,16 @@ impl MetaHandler {
                 .unwrap_or_else(|e| MetaResult::from_err(&e));
                 let dur = now_ns().saturating_sub(t0);
                 self.stats.hist_for(kind).record(dur);
-                metad_event(trace_id, "handle", kind, &self.name, t0, dur);
+                record_span(
+                    Side::Server,
+                    trace_id,
+                    "handle",
+                    kind,
+                    &self.name,
+                    t0,
+                    dur,
+                    0,
+                );
                 dpfs_obs::slowlog().note(
                     dpfs_obs::Side::Server,
                     kind,
@@ -301,8 +283,16 @@ impl Service for MetaHandler {
     /// append, so it is answered where it was decoded — unless commits
     /// fsync: then every op, reads included, may queue behind a flush under
     /// the database's transaction gate, and all of them go to the workers.
-    fn may_block(&self, _req: &Request) -> bool {
+    /// An audit scans every table, which is not microseconds: it always
+    /// goes to a worker.
+    fn may_block(&self, req: &Request) -> bool {
         self.fsyncs
+            || matches!(
+                req,
+                Request::Meta {
+                    op: MetaOp::Audit { .. }
+                }
+            )
     }
 
     fn note_connection(&self) {
@@ -431,6 +421,7 @@ impl MetaServer {
 mod tests {
     use super::*;
     use dpfs_meta::{Distribution, FileAttrRow, MetaError, ServerInfo};
+    use dpfs_obs::ring;
     use dpfs_proto::frame;
     use std::net::TcpStream;
 
@@ -550,6 +541,27 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::MaybeEntry(None));
+    }
+
+    /// An audit reads every table, so no shard thread answers it, even on
+    /// a daemon whose other ops it would; it changes nothing unless asked to
+    /// repair.
+    #[test]
+    fn an_audit_goes_to_a_worker_and_answers_what_it_found() {
+        let h = handler();
+        let audit = |repair| Request::Meta {
+            op: MetaOp::Audit { repair },
+        };
+        assert!(!h.may_block(&Request::Meta {
+            op: MetaOp::ListServers
+        }));
+        assert!(h.may_block(&audit(false)) && h.may_block(&audit(true)));
+        meta(&h, MetaOp::Mkdir { path: "/d".into() });
+        let r = meta(&h, MetaOp::Audit { repair: false });
+        let MetaResult::Audit(found) = r else {
+            panic!("expected an audit, got {r:?}");
+        };
+        assert_eq!((found.issues.len(), found.dirs), (0, 2));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod slowlog;
 pub mod snapshot;
 
 pub use hist::{HistSnapshot, Histogram, HIST_BUCKETS};
-pub use ring::{export_jsonl, export_jsonl_to, ring, Side, TraceEvent, TraceRing};
+pub use ring::{export_jsonl, export_jsonl_to, record_span, ring, Side, TraceEvent, TraceRing};
 pub use slowlog::{slowlog, SlowLog};
 pub use snapshot::{ClusterSnapshot, NodeRole, NodeSnapshot};
 

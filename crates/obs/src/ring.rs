@@ -174,6 +174,36 @@ pub fn ring() -> &'static TraceRing {
     RING.get_or_init(TraceRing::new)
 }
 
+/// Record one span into the global ring — a client phase or a daemon's
+/// service event alike, told apart by `side`. No-op when `trace_id` is 0
+/// (an untraced operation), so call sites need no branches.
+#[allow(clippy::too_many_arguments)]
+pub fn record_span(
+    side: Side,
+    trace_id: u64,
+    phase: &'static str,
+    kind: &'static str,
+    server: &str,
+    start_ns: u64,
+    dur_ns: u64,
+    bytes: u64,
+) {
+    if trace_id == 0 {
+        return;
+    }
+    ring().record(TraceEvent {
+        seq: 0,
+        trace_id,
+        side,
+        phase,
+        kind,
+        server: server.to_string(),
+        start_ns,
+        dur_ns,
+        bytes,
+    });
+}
+
 /// Serialize `events` as JSONL (one JSON object per line).
 pub fn export_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
@@ -285,6 +315,27 @@ mod tests {
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         seqs.dedup();
         assert_eq!(seqs.len(), 8 * 1_000);
+    }
+
+    #[test]
+    fn a_span_lands_in_the_global_ring_unless_untraced() {
+        let cursor = ring().cursor();
+        record_span(Side::Client, 0, "plan", "read", "", 0, 1, 0);
+        assert_eq!(ring().cursor(), cursor);
+        let id = crate::next_trace_id();
+        record_span(Side::Server, id, "handle", "read", "ion0", 5, 6, 64);
+        let events: Vec<_> = ring()
+            .events_since(cursor)
+            .into_iter()
+            .filter(|e| e.trace_id == id)
+            .collect();
+        assert_eq!(events.len(), 1);
+        let e = &events[0];
+        assert_eq!(
+            (e.side, e.phase, e.server.as_str()),
+            (Side::Server, "handle", "ion0")
+        );
+        assert_eq!((e.start_ns, e.dur_ns, e.bytes), (5, 6, 64));
     }
 
     #[test]

@@ -44,6 +44,6 @@ pub use frame::{
     read_frame_any, write_frame_v2, write_frame_v2_parts, write_frame_v3, write_frame_v3_parts,
     Frame, FrameError, MAX_FRAME_LEN,
 };
-pub use message::{ErrorCode, Request, Response};
+pub use message::{split_payload, ErrorCode, Request, Response};
 pub use meta::{MetaOp, MetaResult};
 pub use pattern::{AccessPattern, PatternSeg, MAX_PATTERN_RANGES};

@@ -136,6 +136,22 @@ impl Request {
     }
 }
 
+/// `payload` — `ranges`' bytes back to back, as a `WriteList` or a read
+/// reply carries them — cut into one refcounted slice per range, beside
+/// its offset: the range list of a `Write`. No byte is copied. Panics if
+/// the payload is shorter than the ranges.
+pub fn split_payload(payload: &Bytes, ranges: &[(u64, u64)]) -> Vec<(u64, Bytes)> {
+    let mut at = 0usize;
+    ranges
+        .iter()
+        .map(|&(off, len)| {
+            let slice = payload.slice(at..at + len as usize);
+            at += len as usize;
+            (off, slice)
+        })
+        .collect()
+}
+
 /// A server response.
 //
 // Like [`Request`], the `Meta` variant (rename-prepare snapshots) dwarfs

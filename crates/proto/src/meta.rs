@@ -8,9 +8,15 @@
 //! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged. An
 //! embedded mount skips the envelope, not the op: it hands the same
 //! `MetaOp` to `apply` over its own catalog.
+//!
+//! The codec is one table per type (`wire_rows!`, `wire_enum!` below): a
+//! variant's tag and its fields in wire order, from which both directions
+//! are generated.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use dpfs_meta::{Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, ServerInfo};
+use dpfs_meta::{
+    Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, Issue, MetaError, ServerInfo,
+};
 
 use crate::frame::FrameError;
 use crate::message::{get_str, get_u32, get_u64, get_u8, put_str};
@@ -119,6 +125,11 @@ pub enum MetaOp {
     },
     /// List pending cross-shard rename intents (crash recovery).
     ListRenameIntents,
+    /// Cross-check the shard's tables ([`Catalog::audit`]) and, with
+    /// `repair`, apply the safe fixes.
+    Audit {
+        repair: bool,
+    },
 }
 
 /// Result of a metadata operation. One variant per result shape; `Err`
@@ -157,6 +168,8 @@ pub enum MetaResult {
     },
     /// Reply to `ListRenameIntents`: `(intent, src, dst)` triples.
     Intents(Vec<(i64, String, String)>),
+    /// Reply to `Audit`: what the shard's tables show, and what was fixed.
+    Audit(Audit),
 }
 
 impl MetaOp {
@@ -190,6 +203,7 @@ impl MetaOp {
             MetaOp::RenameFinish { .. } => "meta.rename_finish",
             MetaOp::RenameAbort { .. } => "meta.rename_abort",
             MetaOp::ListRenameIntents => "meta.list_rename_intents",
+            MetaOp::Audit { .. } => "meta.audit",
         }
     }
 
@@ -214,6 +228,7 @@ impl MetaOp {
                 | MetaOp::RenameCommit { .. }
                 | MetaOp::RenameFinish { .. }
                 | MetaOp::RenameAbort { .. }
+                | MetaOp::Audit { repair: true }
         )
     }
 
@@ -291,6 +306,7 @@ impl MetaOp {
             Op::ListRenameIntents => s
                 .list_rename_intents()
                 .map(|xs| R::Intents(xs.into_iter().map(|i| (i.id, i.src, i.dst)).collect())),
+            Op::Audit { repair } => s.audit(repair).map(R::Audit),
         }
     }
 }
@@ -305,377 +321,259 @@ impl MetaResult {
     }
 }
 
-// ---- codec helpers (the string and integer ones live in message.rs) ----
+// ---- the codec ----
 
-fn get_i64(buf: &mut Bytes) -> Result<i64, FrameError> {
-    Ok(get_u64(buf)? as i64)
+/// A value's wire form inside a metadata message, written once per shape:
+/// integers little-endian, a string or a list as a `u32` count then its
+/// bytes or items, an option as a 0/1 byte then the value, a row or a
+/// tuple as its fields in order.
+trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(buf: &mut Bytes) -> Result<Self, FrameError>;
 }
 
-fn put_i64(buf: &mut BytesMut, v: i64) {
-    buf.put_u64_le(v as u64);
-}
-
-fn put_i64_list(buf: &mut BytesMut, xs: &[i64]) {
-    buf.put_u32_le(xs.len() as u32);
-    for x in xs {
-        put_i64(buf, *x);
+impl Wire for bool {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self as u8);
+    }
+    fn get(buf: &mut Bytes) -> Result<bool, FrameError> {
+        Ok(get_u8(buf)? != 0)
     }
 }
 
-fn get_i64_list(buf: &mut Bytes) -> Result<Vec<i64>, FrameError> {
-    let n = get_u32(buf)? as usize;
-    let mut xs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        xs.push(get_i64(buf)?);
+impl Wire for u8 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(*self);
     }
-    Ok(xs)
-}
-
-fn put_str_list(buf: &mut BytesMut, xs: &[String]) {
-    buf.put_u32_le(xs.len() as u32);
-    for x in xs {
-        put_str(buf, x);
+    fn get(buf: &mut Bytes) -> Result<u8, FrameError> {
+        get_u8(buf)
     }
 }
 
-fn get_str_list(buf: &mut Bytes) -> Result<Vec<String>, FrameError> {
-    let n = get_u32(buf)? as usize;
-    let mut xs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        xs.push(get_str(buf)?);
+impl Wire for u32 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(*self);
     }
-    Ok(xs)
-}
-
-fn put_server_info(buf: &mut BytesMut, s: &ServerInfo) {
-    put_str(buf, &s.name);
-    put_i64(buf, s.capacity);
-    put_i64(buf, s.performance);
-}
-
-fn get_server_info(buf: &mut Bytes) -> Result<ServerInfo, FrameError> {
-    Ok(ServerInfo {
-        name: get_str(buf)?,
-        capacity: get_i64(buf)?,
-        performance: get_i64(buf)?,
-    })
-}
-
-fn put_attr(buf: &mut BytesMut, a: &FileAttrRow) {
-    put_str(buf, &a.filename);
-    put_str(buf, &a.owner);
-    put_i64(buf, a.permission);
-    put_i64(buf, a.size);
-    put_str(buf, &a.filelevel);
-    put_i64(buf, a.dims);
-    put_i64_list(buf, &a.dimsize);
-    put_i64_list(buf, &a.stripe_dims);
-    put_i64(buf, a.stripe_size);
-    put_str(buf, &a.pattern);
-    put_str(buf, &a.placement);
-    put_str(buf, &a.redundancy);
-}
-
-fn get_attr(buf: &mut Bytes) -> Result<FileAttrRow, FrameError> {
-    Ok(FileAttrRow {
-        filename: get_str(buf)?,
-        owner: get_str(buf)?,
-        permission: get_i64(buf)?,
-        size: get_i64(buf)?,
-        filelevel: get_str(buf)?,
-        dims: get_i64(buf)?,
-        dimsize: get_i64_list(buf)?,
-        stripe_dims: get_i64_list(buf)?,
-        stripe_size: get_i64(buf)?,
-        pattern: get_str(buf)?,
-        placement: get_str(buf)?,
-        redundancy: get_str(buf)?,
-    })
-}
-
-fn put_dist(buf: &mut BytesMut, d: &Distribution) {
-    put_str(buf, &d.server);
-    put_str(buf, &d.filename);
-    put_i64_list(buf, &d.bricklist);
-}
-
-fn get_dist(buf: &mut Bytes) -> Result<Distribution, FrameError> {
-    Ok(Distribution {
-        server: get_str(buf)?,
-        filename: get_str(buf)?,
-        bricklist: get_i64_list(buf)?,
-    })
-}
-
-fn put_tag_list(buf: &mut BytesMut, xs: &[(String, String)]) {
-    buf.put_u32_le(xs.len() as u32);
-    for (k, v) in xs {
-        put_str(buf, k);
-        put_str(buf, v);
+    fn get(buf: &mut Bytes) -> Result<u32, FrameError> {
+        get_u32(buf)
     }
 }
 
-fn get_tag_list(buf: &mut Bytes) -> Result<Vec<(String, String)>, FrameError> {
-    let n = get_u32(buf)? as usize;
-    let mut xs = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        xs.push((get_str(buf)?, get_str(buf)?));
+impl Wire for u64 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(*self);
     }
-    Ok(xs)
-}
-
-fn put_dist_list(buf: &mut BytesMut, ds: &[Distribution]) {
-    buf.put_u32_le(ds.len() as u32);
-    for d in ds {
-        put_dist(buf, d);
+    fn get(buf: &mut Bytes) -> Result<u64, FrameError> {
+        get_u64(buf)
     }
 }
 
-fn get_dist_list(buf: &mut Bytes) -> Result<Vec<Distribution>, FrameError> {
-    let n = get_u32(buf)? as usize;
-    let mut ds = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        ds.push(get_dist(buf)?);
+impl Wire for i64 {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u64_le(*self as u64);
     }
-    Ok(ds)
+    fn get(buf: &mut Bytes) -> Result<i64, FrameError> {
+        Ok(get_u64(buf)? as i64)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, buf: &mut BytesMut) {
+        put_str(buf, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<String, FrameError> {
+        get_str(buf)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Vec<T>, FrameError> {
+        let n = get_u32(buf)? as usize;
+        // A hostile count reserves no more than this up front.
+        let mut xs = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            xs.push(T::get(buf)?);
+        }
+        Ok(xs)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut BytesMut) {
+        self.is_some().put(buf);
+        if let Some(x) = self {
+            x.put(buf);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Option<T>, FrameError> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(buf: &mut Bytes) -> Result<(A, B), FrameError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, buf: &mut BytesMut) {
+        self.0.put(buf);
+        self.1.put(buf);
+        self.2.put(buf);
+    }
+    fn get(buf: &mut Bytes) -> Result<(A, B, C), FrameError> {
+        Ok((A::get(buf)?, B::get(buf)?, C::get(buf)?))
+    }
+}
+
+/// Rows travel as their fields, in the order listed.
+macro_rules! wire_rows {
+    ($($row:ident { $($field:ident),* })*) => {$(
+        impl Wire for $row {
+            fn put(&self, buf: &mut BytesMut) {
+                $(self.$field.put(buf);)*
+            }
+            fn get(buf: &mut Bytes) -> Result<$row, FrameError> {
+                Ok($row { $($field: Wire::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+wire_rows! {
+    ServerInfo { name, capacity, performance }
+    FileAttrRow {
+        filename, owner, permission, size, filelevel, dims, dimsize, stripe_dims, stripe_size,
+        pattern, placement, redundancy
+    }
+    Distribution { server, filename, bricklist }
+    DirEntry { main_dir, sub_dirs, files }
+    Audit { issues, fixed, files, dirs }
+}
+
+/// An enum travels as a one-byte tag, then the variant's fields in the
+/// order listed: `tag Variant`, `tag Variant { fields }` or `tag
+/// Variant(value)`. One table writes both directions; the encoder's match
+/// is exhaustive, so a variant the table misses does not compile, and a
+/// tag it does not list (a retired one included) does not decode.
+macro_rules! wire_enum {
+    ($enum:ident, $what:literal,
+     $($tag:literal $variant:ident $({ $($field:ident),* })? $(($value:ident))?)*) => {
+        impl Wire for $enum {
+            fn put(&self, buf: &mut BytesMut) {
+                match self {
+                    $($enum::$variant $({ $($field),* })? $(($value))? => {
+                        buf.put_u8($tag);
+                        $($($field.put(buf);)*)?
+                        $($value.put(buf);)?
+                    })*
+                }
+            }
+            fn get(buf: &mut Bytes) -> Result<$enum, FrameError> {
+                Ok(match get_u8(buf)? {
+                    $($tag => $enum::$variant
+                        $({ $($field: Wire::get(buf)?),* })?
+                        $(({ let $value = Wire::get(buf)?; $value }))?,)*
+                    other => {
+                        return Err(FrameError::BadMessage(format!("bad {} tag {other}", $what)))
+                    }
+                })
+            }
+        }
+    };
+}
+
+// Op tags 3, 4, 12, 13 and 23 and result tags 4 and 8 are retired, not
+// reassigned: a message from an older peer is refused instead of decoding
+// to another verb or shape.
+wire_enum! { MetaOp, "meta op",
+    1 RegisterServer { info }
+    2 ListServers
+    5 CreateFile { attr, dist }
+    6 DeleteFile { filename }
+    7 RenameFile { from, to }
+    8 GetFileAttr { filename }
+    9 SetFileSize { filename, size }
+    10 SetFilePermission { filename, permission }
+    11 SetFileOwner { filename, owner }
+    14 Mkdir { path }
+    15 Rmdir { path }
+    16 GetDir { path }
+    17 SetTag { filename, tag, value }
+    18 GetTag { filename, tag }
+    19 ListTags { filename }
+    20 RemoveTag { filename, tag }
+    21 FindByTag { tag, pattern }
+    22 ServerBrickCounts
+    24 GetShardMap
+    25 RenamePrepare { from, to }
+    26 RenameCommit { intent, attr, dist, tags }
+    27 RenameFinish { intent }
+    28 RenameAbort { intent }
+    29 ListRenameIntents
+    30 OpenFile { filename }
+    31 ExtendDistribution { filename, expected_bricks, added }
+    32 Audit { repair }
+}
+
+wire_enum! { MetaResult, "meta result",
+    1 Unit
+    2 Bool(value)
+    3 Servers(value)
+    5 MaybeAttr(value)
+    6 MaybeDir(value)
+    7 MaybeString(value)
+    9 Tags(value)
+    10 TagHits(value)
+    11 BrickCounts(value)
+    12 Err { code, message }
+    13 ShardMap { shards }
+    14 RenamePrepared { intent, attr, dist, tags }
+    15 Intents(value)
+    16 MaybeEntry(value)
+    17 Audit(value)
+}
+
+wire_enum! { Issue, "issue",
+    1 OrphanDistribution { filename, server }
+    2 MissingDistribution { filename }
+    3 CorruptBricklists { filename, detail }
+    4 BadAttributes { filename, detail }
+    5 DanglingDirEntry { dir, name }
+    6 UnlistedFile { filename }
+    7 OrphanDirectory { dir }
+    8 MissingDirectory { dir, parent }
+    9 UnknownServer { filename, server }
+    10 SubfileMissing { filename, server }
+    11 SubfileOversized { filename, server, max_expected, actual }
+    12 ServerUnreachable { server }
+    13 UnderProtected { filename, server, subfile }
 }
 
 impl MetaOp {
     /// Append this op's encoding to `buf` (called from `Request::encode`).
     pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            MetaOp::RegisterServer { info } => {
-                buf.put_u8(1);
-                put_server_info(buf, info);
-            }
-            MetaOp::ListServers => buf.put_u8(2),
-            MetaOp::CreateFile { attr, dist } => {
-                buf.put_u8(5);
-                put_attr(buf, attr);
-                put_dist_list(buf, dist);
-            }
-            MetaOp::DeleteFile { filename } => {
-                buf.put_u8(6);
-                put_str(buf, filename);
-            }
-            MetaOp::RenameFile { from, to } => {
-                buf.put_u8(7);
-                put_str(buf, from);
-                put_str(buf, to);
-            }
-            MetaOp::GetFileAttr { filename } => {
-                buf.put_u8(8);
-                put_str(buf, filename);
-            }
-            MetaOp::SetFileSize { filename, size } => {
-                buf.put_u8(9);
-                put_str(buf, filename);
-                put_i64(buf, *size);
-            }
-            MetaOp::SetFilePermission {
-                filename,
-                permission,
-            } => {
-                buf.put_u8(10);
-                put_str(buf, filename);
-                put_i64(buf, *permission);
-            }
-            MetaOp::SetFileOwner { filename, owner } => {
-                buf.put_u8(11);
-                put_str(buf, filename);
-                put_str(buf, owner);
-            }
-            MetaOp::Mkdir { path } => {
-                buf.put_u8(14);
-                put_str(buf, path);
-            }
-            MetaOp::Rmdir { path } => {
-                buf.put_u8(15);
-                put_str(buf, path);
-            }
-            MetaOp::GetDir { path } => {
-                buf.put_u8(16);
-                put_str(buf, path);
-            }
-            MetaOp::SetTag {
-                filename,
-                tag,
-                value,
-            } => {
-                buf.put_u8(17);
-                put_str(buf, filename);
-                put_str(buf, tag);
-                put_str(buf, value);
-            }
-            MetaOp::GetTag { filename, tag } => {
-                buf.put_u8(18);
-                put_str(buf, filename);
-                put_str(buf, tag);
-            }
-            MetaOp::ListTags { filename } => {
-                buf.put_u8(19);
-                put_str(buf, filename);
-            }
-            MetaOp::RemoveTag { filename, tag } => {
-                buf.put_u8(20);
-                put_str(buf, filename);
-                put_str(buf, tag);
-            }
-            MetaOp::FindByTag { tag, pattern } => {
-                buf.put_u8(21);
-                put_str(buf, tag);
-                put_str(buf, pattern);
-            }
-            MetaOp::ServerBrickCounts => buf.put_u8(22),
-            MetaOp::GetShardMap => buf.put_u8(24),
-            MetaOp::RenamePrepare { from, to } => {
-                buf.put_u8(25);
-                put_str(buf, from);
-                put_str(buf, to);
-            }
-            MetaOp::RenameCommit {
-                intent,
-                attr,
-                dist,
-                tags,
-            } => {
-                buf.put_u8(26);
-                put_i64(buf, *intent);
-                put_attr(buf, attr);
-                put_dist_list(buf, dist);
-                put_tag_list(buf, tags);
-            }
-            MetaOp::RenameFinish { intent } => {
-                buf.put_u8(27);
-                put_i64(buf, *intent);
-            }
-            MetaOp::RenameAbort { intent } => {
-                buf.put_u8(28);
-                put_i64(buf, *intent);
-            }
-            MetaOp::ListRenameIntents => buf.put_u8(29),
-            MetaOp::OpenFile { filename } => {
-                buf.put_u8(30);
-                put_str(buf, filename);
-            }
-            MetaOp::ExtendDistribution {
-                filename,
-                expected_bricks,
-                added,
-            } => {
-                buf.put_u8(31);
-                put_str(buf, filename);
-                put_i64(buf, *expected_bricks);
-                buf.put_u32_le(added.len() as u32);
-                for (server, bricks) in added {
-                    put_str(buf, server);
-                    put_i64_list(buf, bricks);
-                }
-            }
-        }
+        self.put(buf);
     }
 
     /// Decode one op from `buf` (called from `Request::decode`).
     pub(crate) fn decode_from(buf: &mut Bytes) -> Result<MetaOp, FrameError> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            1 => MetaOp::RegisterServer {
-                info: get_server_info(buf)?,
-            },
-            2 => MetaOp::ListServers,
-            5 => MetaOp::CreateFile {
-                attr: get_attr(buf)?,
-                dist: get_dist_list(buf)?,
-            },
-            6 => MetaOp::DeleteFile {
-                filename: get_str(buf)?,
-            },
-            7 => MetaOp::RenameFile {
-                from: get_str(buf)?,
-                to: get_str(buf)?,
-            },
-            8 => MetaOp::GetFileAttr {
-                filename: get_str(buf)?,
-            },
-            9 => MetaOp::SetFileSize {
-                filename: get_str(buf)?,
-                size: get_i64(buf)?,
-            },
-            10 => MetaOp::SetFilePermission {
-                filename: get_str(buf)?,
-                permission: get_i64(buf)?,
-            },
-            11 => MetaOp::SetFileOwner {
-                filename: get_str(buf)?,
-                owner: get_str(buf)?,
-            },
-            14 => MetaOp::Mkdir {
-                path: get_str(buf)?,
-            },
-            15 => MetaOp::Rmdir {
-                path: get_str(buf)?,
-            },
-            16 => MetaOp::GetDir {
-                path: get_str(buf)?,
-            },
-            17 => MetaOp::SetTag {
-                filename: get_str(buf)?,
-                tag: get_str(buf)?,
-                value: get_str(buf)?,
-            },
-            18 => MetaOp::GetTag {
-                filename: get_str(buf)?,
-                tag: get_str(buf)?,
-            },
-            19 => MetaOp::ListTags {
-                filename: get_str(buf)?,
-            },
-            20 => MetaOp::RemoveTag {
-                filename: get_str(buf)?,
-                tag: get_str(buf)?,
-            },
-            21 => MetaOp::FindByTag {
-                tag: get_str(buf)?,
-                pattern: get_str(buf)?,
-            },
-            22 => MetaOp::ServerBrickCounts,
-            24 => MetaOp::GetShardMap,
-            25 => MetaOp::RenamePrepare {
-                from: get_str(buf)?,
-                to: get_str(buf)?,
-            },
-            26 => MetaOp::RenameCommit {
-                intent: get_i64(buf)?,
-                attr: get_attr(buf)?,
-                dist: get_dist_list(buf)?,
-                tags: get_tag_list(buf)?,
-            },
-            27 => MetaOp::RenameFinish {
-                intent: get_i64(buf)?,
-            },
-            28 => MetaOp::RenameAbort {
-                intent: get_i64(buf)?,
-            },
-            29 => MetaOp::ListRenameIntents,
-            30 => MetaOp::OpenFile {
-                filename: get_str(buf)?,
-            },
-            31 => {
-                let filename = get_str(buf)?;
-                let expected_bricks = get_i64(buf)?;
-                let n = get_u32(buf)? as usize;
-                let mut added = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    added.push((get_str(buf)?, get_i64_list(buf)?));
-                }
-                MetaOp::ExtendDistribution {
-                    filename,
-                    expected_bricks,
-                    added,
-                }
-            }
-            other => return Err(FrameError::BadMessage(format!("bad meta op tag {other}"))),
-        })
+        MetaOp::get(buf)
     }
 }
 
@@ -683,209 +581,12 @@ impl MetaResult {
     /// Append this result's encoding to `buf` (called from
     /// `Response::encode`).
     pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            MetaResult::Unit => buf.put_u8(1),
-            MetaResult::Bool(b) => {
-                buf.put_u8(2);
-                buf.put_u8(*b as u8);
-            }
-            MetaResult::Servers(xs) => {
-                buf.put_u8(3);
-                buf.put_u32_le(xs.len() as u32);
-                for s in xs {
-                    put_server_info(buf, s);
-                }
-            }
-            MetaResult::MaybeAttr(opt) => {
-                buf.put_u8(5);
-                match opt {
-                    None => buf.put_u8(0),
-                    Some(a) => {
-                        buf.put_u8(1);
-                        put_attr(buf, a);
-                    }
-                }
-            }
-            MetaResult::MaybeDir(opt) => {
-                buf.put_u8(6);
-                match opt {
-                    None => buf.put_u8(0),
-                    Some(d) => {
-                        buf.put_u8(1);
-                        put_str(buf, &d.main_dir);
-                        put_str_list(buf, &d.sub_dirs);
-                        put_str_list(buf, &d.files);
-                    }
-                }
-            }
-            MetaResult::MaybeString(opt) => {
-                buf.put_u8(7);
-                match opt {
-                    None => buf.put_u8(0),
-                    Some(s) => {
-                        buf.put_u8(1);
-                        put_str(buf, s);
-                    }
-                }
-            }
-            MetaResult::Tags(xs) => {
-                buf.put_u8(9);
-                buf.put_u32_le(xs.len() as u32);
-                for (k, v) in xs {
-                    put_str(buf, k);
-                    put_str(buf, v);
-                }
-            }
-            MetaResult::TagHits(xs) => {
-                buf.put_u8(10);
-                buf.put_u32_le(xs.len() as u32);
-                for (f, v, size) in xs {
-                    put_str(buf, f);
-                    put_str(buf, v);
-                    put_i64(buf, *size);
-                }
-            }
-            MetaResult::BrickCounts(xs) => {
-                buf.put_u8(11);
-                buf.put_u32_le(xs.len() as u32);
-                for (s, n) in xs {
-                    put_str(buf, s);
-                    put_i64(buf, *n);
-                }
-            }
-            MetaResult::Err { code, message } => {
-                buf.put_u8(12);
-                buf.put_u8(*code);
-                put_str(buf, message);
-            }
-            MetaResult::ShardMap { shards } => {
-                buf.put_u8(13);
-                buf.put_u32_le(*shards);
-            }
-            MetaResult::RenamePrepared {
-                intent,
-                attr,
-                dist,
-                tags,
-            } => {
-                buf.put_u8(14);
-                put_i64(buf, *intent);
-                put_attr(buf, attr);
-                put_dist_list(buf, dist);
-                put_tag_list(buf, tags);
-            }
-            MetaResult::Intents(xs) => {
-                buf.put_u8(15);
-                buf.put_u32_le(xs.len() as u32);
-                for (intent, src, dst) in xs {
-                    put_i64(buf, *intent);
-                    put_str(buf, src);
-                    put_str(buf, dst);
-                }
-            }
-            MetaResult::MaybeEntry(opt) => {
-                buf.put_u8(16);
-                match opt {
-                    None => buf.put_u8(0),
-                    Some((attr, dist)) => {
-                        buf.put_u8(1);
-                        put_attr(buf, attr);
-                        put_dist_list(buf, dist);
-                    }
-                }
-            }
-        }
+        self.put(buf);
     }
 
     /// Decode one result from `buf` (called from `Response::decode`).
     pub(crate) fn decode_from(buf: &mut Bytes) -> Result<MetaResult, FrameError> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            1 => MetaResult::Unit,
-            2 => MetaResult::Bool(get_u8(buf)? != 0),
-            3 => {
-                let n = get_u32(buf)? as usize;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push(get_server_info(buf)?);
-                }
-                MetaResult::Servers(xs)
-            }
-            5 => MetaResult::MaybeAttr(if get_u8(buf)? != 0 {
-                Some(get_attr(buf)?)
-            } else {
-                None
-            }),
-            6 => MetaResult::MaybeDir(if get_u8(buf)? != 0 {
-                Some(DirEntry {
-                    main_dir: get_str(buf)?,
-                    sub_dirs: get_str_list(buf)?,
-                    files: get_str_list(buf)?,
-                })
-            } else {
-                None
-            }),
-            7 => MetaResult::MaybeString(if get_u8(buf)? != 0 {
-                Some(get_str(buf)?)
-            } else {
-                None
-            }),
-            9 => {
-                let n = get_u32(buf)? as usize;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push((get_str(buf)?, get_str(buf)?));
-                }
-                MetaResult::Tags(xs)
-            }
-            10 => {
-                let n = get_u32(buf)? as usize;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push((get_str(buf)?, get_str(buf)?, get_i64(buf)?));
-                }
-                MetaResult::TagHits(xs)
-            }
-            11 => {
-                let n = get_u32(buf)? as usize;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push((get_str(buf)?, get_i64(buf)?));
-                }
-                MetaResult::BrickCounts(xs)
-            }
-            12 => MetaResult::Err {
-                code: get_u8(buf)?,
-                message: get_str(buf)?,
-            },
-            13 => MetaResult::ShardMap {
-                shards: get_u32(buf)?,
-            },
-            14 => MetaResult::RenamePrepared {
-                intent: get_i64(buf)?,
-                attr: get_attr(buf)?,
-                dist: get_dist_list(buf)?,
-                tags: get_tag_list(buf)?,
-            },
-            15 => {
-                let n = get_u32(buf)? as usize;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push((get_i64(buf)?, get_str(buf)?, get_str(buf)?));
-                }
-                MetaResult::Intents(xs)
-            }
-            16 => MetaResult::MaybeEntry(if get_u8(buf)? != 0 {
-                Some((get_attr(buf)?, get_dist_list(buf)?))
-            } else {
-                None
-            }),
-            other => {
-                return Err(FrameError::BadMessage(format!(
-                    "bad meta result tag {other}"
-                )))
-            }
-        })
+        MetaResult::get(buf)
     }
 }
 
@@ -1032,6 +733,67 @@ mod tests {
         round_trip_op(MetaOp::RenameFinish { intent: 7 });
         round_trip_op(MetaOp::RenameAbort { intent: 7 });
         round_trip_op(MetaOp::ListRenameIntents);
+        round_trip_op(MetaOp::Audit { repair: false });
+        round_trip_op(MetaOp::Audit { repair: true });
+    }
+
+    /// One of every issue, so the codec is exercised variant by variant.
+    fn sample_audit() -> Audit {
+        let f = || "/home/f".to_string();
+        Audit {
+            issues: vec![
+                Issue::OrphanDistribution {
+                    filename: f(),
+                    server: "s0".into(),
+                },
+                Issue::MissingDistribution { filename: f() },
+                Issue::CorruptBricklists {
+                    filename: f(),
+                    detail: "brick 3 twice".into(),
+                },
+                Issue::BadAttributes {
+                    filename: f(),
+                    detail: "level \"x\"".into(),
+                },
+                Issue::DanglingDirEntry {
+                    dir: "/home".into(),
+                    name: f(),
+                },
+                Issue::UnlistedFile { filename: f() },
+                Issue::OrphanDirectory {
+                    dir: "/island".into(),
+                },
+                Issue::MissingDirectory {
+                    dir: "/a/b".into(),
+                    parent: "/a".into(),
+                },
+                Issue::UnknownServer {
+                    filename: f(),
+                    server: "gone".into(),
+                },
+                Issue::SubfileMissing {
+                    filename: f(),
+                    server: "s1".into(),
+                },
+                Issue::SubfileOversized {
+                    filename: f(),
+                    server: "s1".into(),
+                    max_expected: 4096,
+                    actual: u64::MAX,
+                },
+                Issue::ServerUnreachable {
+                    server: "s2".into(),
+                },
+                Issue::UnderProtected {
+                    filename: f(),
+                    server: "s2".into(),
+                    subfile: "/home/f#r1".into(),
+                },
+            ],
+            fixed: vec!["created missing directory row /a/b".into()],
+            files: vec!["/home/f".into(), "/home/g".into()],
+            dirs: 3,
+        }
     }
 
     #[test]
@@ -1075,6 +837,8 @@ mod tests {
             (1, "/a/f".into(), "/b/f".into()),
             (2, "/a/g".into(), "/c/g".into()),
         ]));
+        round_trip_result(MetaResult::Audit(Audit::default()));
+        round_trip_result(MetaResult::Audit(sample_audit()));
     }
 
     /// Op tags 4 (unregistering a server), 12 (the distribution-only
@@ -1167,6 +931,9 @@ mod tests {
         assert!(MetaOp::RenameAbort { intent: 1 }.is_mutation());
         assert!(!MetaOp::GetShardMap.is_mutation());
         assert!(!MetaOp::ListRenameIntents.is_mutation());
+        // An audit mutates exactly when it repairs.
+        assert!(!MetaOp::Audit { repair: false }.is_mutation());
+        assert!(MetaOp::Audit { repair: true }.is_mutation());
     }
 
     #[test]
@@ -1244,6 +1011,17 @@ mod tests {
             assert!(
                 Response::decode(enc.slice(..cut)).is_err(),
                 "entry cut at {cut} should fail"
+            );
+        }
+        let enc = Response::Meta {
+            shard: 1,
+            result: MetaResult::Audit(sample_audit()),
+        }
+        .encode();
+        for cut in 1..enc.len() {
+            assert!(
+                Response::decode(enc.slice(..cut)).is_err(),
+                "audit cut at {cut} should fail"
             );
         }
     }

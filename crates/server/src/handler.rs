@@ -3,40 +3,13 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use dpfs_obs::{now_ns, ring, ClusterSnapshot, Side, TraceEvent};
-use dpfs_proto::{ErrorCode, Request, Response};
+use dpfs_obs::{now_ns, record_span, ClusterSnapshot, Side};
+use dpfs_proto::{split_payload, ErrorCode, Request, Response};
 use parking_lot::Mutex;
 
 use crate::perf::PerfModel;
 use crate::stats::ServerStats;
 use crate::subfile::{StoreError, SubfileStore};
-
-/// Record one server-side span into the global trace ring. No-op when
-/// `trace_id` is 0 (untraced request), so call sites need no branches.
-pub(crate) fn server_event(
-    trace_id: u64,
-    phase: &'static str,
-    kind: &'static str,
-    server: &str,
-    start_ns: u64,
-    dur_ns: u64,
-    bytes: u64,
-) {
-    if trace_id == 0 {
-        return;
-    }
-    ring().record(TraceEvent {
-        seq: 0,
-        trace_id,
-        side: Side::Server,
-        phase,
-        kind,
-        server: server.to_string(),
-        start_ns,
-        dur_ns,
-        bytes,
-    });
-}
 
 /// Shared per-server handler state. Connection threads and per-connection
 /// workers all dispatch through one `Handler`; the `device` lock serializes
@@ -111,7 +84,8 @@ impl Handler {
                 .fetch_add(overhead.as_nanos() as u64, Ordering::Relaxed);
             let t0 = now_ns();
             std::thread::sleep(overhead);
-            server_event(
+            record_span(
+                Side::Server,
                 trace_id,
                 "delay",
                 kind,
@@ -132,7 +106,8 @@ impl Handler {
                 .injected_delay_ns
                 .fetch_add(dev.as_nanos() as u64, Ordering::Relaxed);
             std::thread::sleep(dev);
-            server_event(
+            record_span(
+                Side::Server,
                 trace_id,
                 "device",
                 kind,
@@ -163,7 +138,16 @@ impl Handler {
         let resp = self.dispatch(req, trace_id);
         let dur = now_ns().saturating_sub(t0);
         self.stats.hist_for(kind).record(dur);
-        server_event(trace_id, "handle", kind, &self.name, t0, dur, bytes);
+        record_span(
+            Side::Server,
+            trace_id,
+            "handle",
+            kind,
+            &self.name,
+            t0,
+            dur,
+            bytes,
+        );
         dpfs_obs::slowlog().note(
             dpfs_obs::Side::Server,
             kind,
@@ -179,13 +163,44 @@ impl Handler {
     fn dispatch(&self, req: Request, trace_id: u64) -> Response {
         match req {
             Request::Ping => Response::Pong,
-            Request::Write { subfile, ranges } => {
+            // Every write, enumerated or pattern, lands alike: one range
+            // list, each range's bytes a refcounted slice of what arrived —
+            // no copies on the way to disk. The request kind picks only the
+            // counter and the labels.
+            write @ (Request::Write { .. } | Request::WriteList { .. }) => {
+                let kind = write.kind_str();
+                let (subfile, ranges, writes) = match write {
+                    Request::Write { subfile, ranges } => (subfile, ranges, &self.stats.writes),
+                    Request::WriteList {
+                        subfile,
+                        pattern,
+                        payload,
+                    } => {
+                        // The codec already enforces payload == pattern
+                        // bytes on decoded requests; re-check here so
+                        // in-process callers (testbed, tests) get the same
+                        // contract.
+                        if payload.len() as u64 != pattern.total_bytes() {
+                            self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                            return Response::Error {
+                                code: ErrorCode::BadRequest,
+                                message: format!(
+                                    "write-list payload of {} bytes for a pattern of {}",
+                                    payload.len(),
+                                    pattern.total_bytes()
+                                ),
+                            };
+                        }
+                        let ranges = split_payload(&payload, &pattern.expand());
+                        (subfile, ranges, &self.stats.list_writes)
+                    }
+                    _ => unreachable!("matched a write"),
+                };
                 let bytes: u64 = ranges.iter().map(|(_, d)| d.len() as u64).sum();
-                let nranges = ranges.len();
-                self.inject_delay(nranges, bytes, trace_id, "write");
+                self.inject_delay(ranges.len(), bytes, trace_id, kind);
                 match self.store.write_ranges(&subfile, &ranges) {
                     Ok(n) => {
-                        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+                        writes.fetch_add(1, Ordering::Relaxed);
                         self.stats.bytes_written.fetch_add(n, Ordering::Relaxed);
                         Response::Written { bytes: n }
                     }
@@ -247,47 +262,6 @@ impl Handler {
                     .encode(),
                 ),
             },
-            Request::WriteList {
-                subfile,
-                pattern,
-                payload,
-            } => {
-                // The codec already enforces payload == pattern bytes on
-                // decoded requests; re-check here so in-process callers
-                // (testbed, tests) get the same contract.
-                if payload.len() as u64 != pattern.total_bytes() {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!(
-                            "write-list payload of {} bytes for a pattern of {}",
-                            payload.len(),
-                            pattern.total_bytes()
-                        ),
-                    };
-                }
-                let ranges = pattern.expand();
-                self.inject_delay(ranges.len(), payload.len() as u64, trace_id, "write_list");
-                // Scatter the gathered payload: each range gets a
-                // refcounted slice of it — no copies on the way to disk.
-                let mut at = 0usize;
-                let scatter: Vec<(u64, bytes::Bytes)> = ranges
-                    .iter()
-                    .map(|&(off, len)| {
-                        let slice = payload.slice(at..at + len as usize);
-                        at += len as usize;
-                        (off, slice)
-                    })
-                    .collect();
-                match self.store.write_ranges(&subfile, &scatter) {
-                    Ok(n) => {
-                        self.stats.list_writes.fetch_add(1, Ordering::Relaxed);
-                        self.stats.bytes_written.fetch_add(n, Ordering::Relaxed);
-                        Response::Written { bytes: n }
-                    }
-                    Err(e) => self.error_response(e),
-                }
-            }
             // I/O servers do not own the catalog; metadata belongs to
             // dpfs-metad. A client that dials the wrong port gets a clean
             // protocol error, not a hung connection.

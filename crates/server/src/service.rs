@@ -41,10 +41,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, Bytes};
+use dpfs_obs::{record_span, Side};
 use dpfs_proto::{frame, Request, Response};
 use parking_lot::Mutex;
 
-use crate::handler::server_event;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// A request handler an accept loop can serve: one response per request,
@@ -646,7 +646,8 @@ fn answer(
     req: Request,
 ) {
     let kind = req.kind_str();
-    server_event(
+    record_span(
+        Side::Server,
         trace_id,
         "queue",
         kind,
@@ -658,7 +659,8 @@ fn answer(
     let resp = service.handle_traced(req, trace_id);
     let t0 = dpfs_obs::now_ns();
     enqueue_response(io, corr_id, &resp);
-    server_event(
+    record_span(
+        Side::Server,
         trace_id,
         "respond",
         kind,
@@ -699,7 +701,8 @@ fn dispatch_frame(
         }
     };
     let decoded = dpfs_obs::now_ns();
-    server_event(
+    record_span(
+        Side::Server,
         trace_id,
         "decode",
         req.kind_str(),

@@ -427,10 +427,7 @@ impl Shell {
         let hint = Hint {
             striping,
             io_nodes: None,
-            placement: match attr.placement.as_str() {
-                "greedy" => dpfs_core::Placement::Greedy,
-                _ => dpfs_core::Placement::RoundRobin,
-            },
+            placement: dpfs_core::Placement::parse(&attr.placement)?,
             owner: attr.owner.clone(),
             permission: attr.permission,
             redundancy: dpfs_core::RedundancyPolicy::parse(&attr.redundancy)?,
@@ -497,19 +494,12 @@ impl Shell {
             // An operator action, not a mount-time one: recovery aborts
             // every uncommitted intent it finds, including the one of a
             // rename another live client is half-way through.
-            let remote = self.fs.remote_meta();
-            if let Some(remote) = remote {
-                let resolved = remote.recover_rename_intents()?;
-                writeln!(out, "resolved {resolved} rename intent(s)").unwrap();
-            }
-            let (report, summary) = match dpfs_core::fsck::fsck_repair(&self.fs) {
-                Ok(audit) => audit,
-                Err(e) if remote.is_some() => {
-                    writeln!(out, "catalog audit: {e}").unwrap();
-                    return Ok(out);
-                }
-                Err(e) => return Err(e),
-            };
+            let resolved = self.fs.meta().recover_rename_intents()?;
+            writeln!(out, "resolved {resolved} rename intent(s)").unwrap();
+            let (report, mut summary) = dpfs_core::fsck::fsck_repair(&self.fs)?;
+            let rebuilt = dpfs_core::fsck::fsck_reprotect(&self.fs)?;
+            summary.fixed.extend(rebuilt.fixed);
+            summary.unfixable.extend(rebuilt.unfixable);
             for f in &summary.fixed {
                 writeln!(out, "fixed: {f}").unwrap();
             }
@@ -749,10 +739,12 @@ DPFS shell commands:
   tree [dir]               directory tree
   chmod <mode> <file>      change permission bits (octal)
   chown <owner> <file>     change owner
-  fsck [--online|--repair] check (and repair) catalog consistency; on a
-                           --metad mount --repair resolves the intents of
-                           cross-shard renames whose client died (run it
-                           when no rename is in flight)
+  fsck [--online|--repair] check catalog consistency on any mount, every
+                           metadata shard; --online also stats every
+                           subfile; --repair fixes what is safe, resolves
+                           the intents of cross-shard renames whose client
+                           died (run it when no rename is in flight) and
+                           rebuilds lost mirrors and parity
   tag <file> <k> <v>       attach a metadata tag
   tags <file>              list tags
   untag <file> <k>         remove a tag
@@ -1177,7 +1169,7 @@ mod tests {
 
         let out = sh.exec("fsck --repair").unwrap();
         assert!(out.contains("resolved 1 rename intent(s)"), "{out}");
-        assert!(out.contains("requires an embedded mount"), "{out}");
+        assert!(out.contains("0 remaining issue(s)"), "{out}");
         assert!(sh.exec(&format!("stat {from}")).is_err(), "source is gone");
         sh.exec(&format!("stat {to}")).unwrap();
         let marker = MetaOp::GetTag {
@@ -1191,8 +1183,9 @@ mod tests {
         );
         let out = sh.exec("fsck --repair").unwrap();
         assert!(out.contains("resolved 0 rename intent(s)"), "{out}");
-        // The other forms still need the database in-process.
-        assert!(sh.exec("fsck").is_err());
+        // The catalog audit runs on the daemons: both shards are clean.
+        let out = sh.exec("fsck --online").unwrap();
+        assert!(out.contains("clean"), "{out}");
     }
 
     #[test]

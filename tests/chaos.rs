@@ -468,18 +468,43 @@ fn double_loss_replica2_fails_with_the_primarys_error() {
     assert!(back == data, "single loss after the double not byte-exact");
 }
 
-/// ISSUE satellite: a server comes back with an *empty disk* (lost
-/// subfiles); `fsck` flags the file under-protected, `fsck_reprotect`
-/// rebuilds the lost copies from the survivors, and a subsequent kill of
-/// a *different* server still reads byte-exact.
-fn reprotect_after_empty_restart(policy: RedundancyPolicy, path: &str, brick: u64, total: usize) {
+/// Where a test's mount finds its metadata: in-process, or on a two-shard
+/// `dpfs-metad` plane over TCP.
+#[derive(Debug, Clone, Copy)]
+enum Mount {
+    Embedded,
+    Metad,
+}
+
+/// A server comes back with an *empty disk* (lost subfiles); `fsck` flags
+/// the file under-protected, `fsck_reprotect` rebuilds the lost copies from
+/// the survivors, and a subsequent kill of a *different* server still reads
+/// byte-exact.
+fn reprotect_after_empty_restart(
+    mount: Mount,
+    policy: RedundancyPolicy,
+    path: &str,
+    brick: u64,
+    total: usize,
+) {
     use dpfs::core::fsck::{fsck_reprotect, fsck_with, Issue};
 
-    let mut tb = Testbed::unthrottled(4).unwrap();
-    let client = tb.client_opts(ClientOptions {
+    let opts = ClientOptions {
         retry: fast_retry(),
         ..ClientOptions::default()
-    });
+    };
+    let (mut tb, client) = match mount {
+        Mount::Embedded => {
+            let tb = Testbed::unthrottled(4).unwrap();
+            let client = tb.client_opts(opts);
+            (tb, client)
+        }
+        Mount::Metad => {
+            let tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
+            let client = tb.remote_client_opts(opts);
+            (tb, client)
+        }
+    };
 
     let mut f = client
         .create(
@@ -535,22 +560,28 @@ fn reprotect_after_empty_restart(policy: RedundancyPolicy, path: &str, brick: u6
 
 #[test]
 fn fsck_reprotects_replica2_after_empty_restart() {
-    reprotect_after_empty_restart(
-        RedundancyPolicy::Replica(2),
-        "/reprotect-rep",
-        16 << 10,
-        512 << 10,
-    );
+    for mount in [Mount::Embedded, Mount::Metad] {
+        reprotect_after_empty_restart(
+            mount,
+            RedundancyPolicy::Replica(2),
+            "/reprotect-rep",
+            16 << 10,
+            512 << 10,
+        );
+    }
 }
 
 #[test]
 fn fsck_reprotects_xor_parity_after_empty_restart() {
-    reprotect_after_empty_restart(
-        RedundancyPolicy::XorParity,
-        "/reprotect-xor",
-        16 << 10,
-        512 << 10,
-    );
+    for mount in [Mount::Embedded, Mount::Metad] {
+        reprotect_after_empty_restart(
+            mount,
+            RedundancyPolicy::XorParity,
+            "/reprotect-xor",
+            16 << 10,
+            512 << 10,
+        );
+    }
 }
 
 /// A sparse file re-protects: one brick of twelve is written, so two of the
@@ -678,6 +709,7 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
 #[test]
 fn fsck_reprotects_xor_parity_across_a_chunk_boundary() {
     reprotect_after_empty_restart(
+        Mount::Embedded,
         RedundancyPolicy::XorParity,
         "/reprotect-chunks",
         3000,

@@ -604,3 +604,47 @@ fn an_embedded_and_a_daemon_mount_answer_one_script_alike() {
     assert!(code("fresh extend").unwrap().contains("[0, 2]"));
     assert!(code("stat").unwrap().contains("size: 4096"));
 }
+
+/// The directory skeleton is replicated to every shard, and fsck audits
+/// every replica: a directory row one shard lost — the state a `mkdir`
+/// broadcast that reached the parent's link but not the row leaves — is
+/// reported once, for that shard, and `fsck_repair` restores it, after
+/// which a create that routes to that shard succeeds again.
+#[test]
+fn fsck_restores_a_directory_row_one_shard_lost() {
+    use dpfs::core::fsck::{fsck, fsck_repair, Issue};
+    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let fs = tb.remote_client(0, true);
+    fs.mkdir("/sd0").unwrap();
+    fs.mkdir("/sd1").unwrap();
+    // `/sd1` is homed on shard 0, whose database the testbed holds.
+    assert_eq!(fs.meta().route_dir("/sd1"), 0);
+    tb.db()
+        .execute("DELETE FROM dpfs_directory WHERE main_dir = '/sd1'")
+        .unwrap();
+    let hint = Hint::linear(64, 64);
+    assert!(
+        fs.create("/sd1/f", &hint).is_err(),
+        "its home shard lost it"
+    );
+
+    let report = fsck(&fs, false).unwrap();
+    let lost = Issue::MissingDirectory {
+        dir: "/sd1".into(),
+        parent: "/".into(),
+    };
+    // Once: shard 1's replica is whole.
+    assert_eq!(report.issues, vec![lost], "{:?}", report.issues);
+    let (after, summary) = fsck_repair(&fs).unwrap();
+    assert!(after.clean(), "{:?}", after.issues);
+    assert_eq!(summary.fixed, vec!["created missing directory row /sd1"]);
+    assert!(summary.unfixable.is_empty(), "{summary:?}");
+
+    let mut f = fs.create("/sd1/f", &hint).unwrap();
+    f.write_bytes(0, &[7u8; 64]).unwrap();
+    f.close().unwrap();
+    assert_eq!(fs.readdir("/sd1").unwrap().1, vec!["f".to_string()]);
+    let report = fsck(&fs, true).unwrap();
+    assert!(report.clean(), "{:?}", report.issues);
+    assert_eq!((report.files_checked, report.dirs_checked), (1, 3));
+}
