@@ -204,7 +204,39 @@ if git grep -nE 'trait MetaStore|dyn MetaStore|as_catalog|RemoteMetaStore|MetaOp
     echo "FAIL: the MetaStore trait, its escape hatch, RemoteMetaStore or MetaOp::GetServer is back"
     exit 1
 fi
+# One wire codec: every request, reply, metadata verb and pattern segment is
+# a row of the one `Wire` table (`wire_enum!`/`wire_rows!`,
+# crates/proto/src/message.rs), which writes its tag and its fields in wire
+# order for both directions. Above the test modules, no proto source writes
+# a literal tag byte or matches on a decoded tag outside `wire_enum!`.
+for f in crates/proto/src/*.rs; do
+    if sed -e '/^#\[cfg(test)\]/,$d' -e '/^macro_rules! wire_enum/,/^}/d' "$f" |
+        grep -nE 'put_u8\([0-9]|match [^{]*get(_u8)?\(|let tag\b'; then
+        echo "FAIL: $f writes or matches a wire tag by hand (add a row to its wire_enum! table)"
+        exit 1
+    fi
+done
+if git grep -nE 'fn encode_to\b|fn get_(u8|u32|u64|str|bytes)\b|(MetaOp|MetaResult)::(encode_into|decode_from)' \
+    -- crates/proto/src; then
+    echo "FAIL: a hand-written message encoder or a free get_* helper is back (write the type's Wire row)"
+    exit 1
+fi
+wire_enums=$(cat crates/proto/src/*.rs | grep -c '^wire_enum! {' || :)
+wire_rows=$(sed -n '/^wire_rows! {/,/^}/p' crates/proto/src/*.rs | grep -cE '^    [A-Z][A-Za-z]* \{' || :)
+wire_types=$((wire_enums + wire_rows))
+# Non-test lines: a file's lines above its test module, and no line of a
+# file whose `mod` declaration sits under `#[cfg(test)]` (`#[cfg(test)] mod
+# x;` in dir/mod.rs, lib.rs or main.rs is dir/x.rs; in dir/y.rs, dir/y/x.rs).
+test_files=$(grep -rn -A1 '^#\[cfg(test)\]$' crates/*/src --include='*.rs' |
+    sed -nE 's/^(.*)-[0-9]+-(pub )?mod ([a-z0-9_]+);$/\1 \3/p' |
+    while read -r parent name; do
+        case "$parent" in
+        */mod.rs | */lib.rs | */main.rs) echo "${parent%/*}/$name.rs" ;;
+        *) echo "${parent%.rs}/$name.rs" ;;
+        esac
+    done)
 nontest=$(find crates/*/src -name '*.rs' | grep -vE '^crates/(bytes|criterion|parking_lot|proptest|rand)/' |
+    grep -vxF "$test_files" |
     while read -r f; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | wc -l)
 meta_ops=$(sed -n '/^pub enum MetaOp {/,/^}/p' crates/proto/src/meta.rs | grep -cE '^    [A-Z][A-Za-z]*( \{|,)$')
 client_methods=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/meta_client.rs | grep -c '^    pub fn ')
@@ -212,7 +244,7 @@ if [ "$meta_ops" -ne 27 ]; then
     echo "FAIL: MetaOp has $meta_ops variants, expected 27 (a verb needs a caller no existing verb serves)"
     exit 1
 fi
-echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; MetaClient public methods: $client_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
+echo "lines in crates/core + crates/proto + crates/server: $(find crates/core crates/proto crates/server -name '*.rs' | xargs cat | wc -l); ClientOptions fields: $fields; public FileHandle setters: $setters; MetaOp variants: $meta_ops; types the wire table writes: $wire_types; MetaClient public methods: $client_methods; XOR loops in crates/core/src: $xors; non-test lines over crates/*/src (vendored shims excluded): $nontest"
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -152,6 +152,14 @@ fn read_str(rest: &mut &[u8]) -> Option<String> {
     String::from_utf8(head.to_vec()).ok()
 }
 
+/// A section's entry count, refused when `rest` could not hold that many
+/// entries of at least `min_len` bytes: the count is the peer's word, and
+/// what it reserves must not outgrow the blob.
+fn read_count(rest: &mut &[u8], min_len: usize) -> Option<usize> {
+    let n = read_u32(rest)? as usize;
+    (n <= rest.len() / min_len).then_some(n)
+}
+
 impl ClusterSnapshot {
     /// A node by name (first match).
     pub fn node(&self, name: &str) -> Option<&NodeSnapshot> {
@@ -267,39 +275,28 @@ impl ClusterSnapshot {
         if version != CLUSTER_SNAPSHOT_VERSION {
             return None;
         }
-        let n_nodes = read_u32(&mut rest)? as usize;
-        // Each node costs at least a role byte + three empty sections.
-        if n_nodes > rest.len() {
-            return None;
-        }
-        let mut nodes = Vec::with_capacity(n_nodes.min(1 << 12));
+        // A node is at least a role byte, a name and three section counts;
+        // a row at least its name's length and its value.
+        let n_nodes = read_count(&mut rest, 1 + 4 * 4)?;
+        let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let (&role, tail) = rest.split_first()?;
             rest = tail;
             let role = NodeRole::from_byte(role)?;
             let name = read_str(&mut rest)?;
-            let n = read_u32(&mut rest)? as usize;
-            if n > rest.len() {
-                return None;
-            }
+            let n = read_count(&mut rest, 4 + 8)?;
             let mut counters = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = read_str(&mut rest)?;
                 counters.push((key, read_u64(&mut rest)?));
             }
-            let n = read_u32(&mut rest)? as usize;
-            if n > rest.len() {
-                return None;
-            }
+            let n = read_count(&mut rest, 4 + 8)?;
             let mut gauges = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = read_str(&mut rest)?;
                 gauges.push((key, read_u64(&mut rest)?));
             }
-            let n = read_u32(&mut rest)? as usize;
-            if n > rest.len() {
-                return None;
-            }
+            let n = read_count(&mut rest, 4 + HistSnapshot::ENCODED_LEN)?;
             let mut hists = Vec::with_capacity(n);
             for _ in 0..n {
                 let key = read_str(&mut rest)?;

@@ -32,6 +32,14 @@
 //!
 //! The CRC detects torn or corrupted frames; a bad frame is a protocol error
 //! surfaced to the peer, never a panic.
+//!
+//! Inside a frame, every message — each [`Request`] and [`Response`], each
+//! metadata op and result, each [`AccessPattern`] segment — is written by one
+//! codec: a table row per type (`wire_enum!`/`wire_rows!` in `message`)
+//! gives a variant's tag and its fields in wire order, and both directions
+//! are generated from it. `frame` is the envelope, `message` the I/O verbs
+//! and the codec, `meta` the metadata verbs, `pattern` the list-I/O
+//! descriptor.
 
 #![deny(unsafe_code)]
 

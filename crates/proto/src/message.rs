@@ -1,4 +1,13 @@
-//! Request/response message types and their binary codec.
+//! Request/response messages and the one wire codec every message uses.
+//!
+//! A message's layout is written once, as a row of a table: `wire_enum!`
+//! gives an enum's tag per variant and each variant's fields in wire order,
+//! `wire_rows!` a struct's fields in wire order, and both directions of the
+//! `Wire` codec are generated from that row. [`Request`] and [`Response`]
+//! are tables here; the metadata verbs (`meta.rs`) and the list-I/O pattern
+//! segments (`pattern.rs`) are tables of the same codec. Decoding is "decode,
+//! then check": the table parses, then `Request::check` (and a pattern's
+//! own check) refuses what parses but must not be acted on.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -188,50 +197,7 @@ pub enum Response {
     Renamed { existed: bool },
 }
 
-// ---- codec helpers (meta.rs shares the string and integer ones) ----
-
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, FrameError> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FrameError::BadMessage("short string".into()));
-    }
-    let b = buf.split_to(len);
-    String::from_utf8(b.to_vec()).map_err(|_| FrameError::BadMessage("invalid utf-8".into()))
-}
-
-pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8, FrameError> {
-    if buf.remaining() < 1 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-pub(crate) fn get_u32(buf: &mut Bytes) -> Result<u32, FrameError> {
-    if buf.remaining() < 4 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, FrameError> {
-    if buf.remaining() < 8 {
-        return Err(FrameError::BadMessage("short message".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_bytes(buf: &mut Bytes) -> Result<Bytes, FrameError> {
-    let len = get_u64(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FrameError::BadMessage("short byte chunk".into()));
-    }
-    Ok(buf.split_to(len))
-}
+// ---- the codec ----
 
 /// Payloads shorter than this are copied into the surrounding head part
 /// even on the scatter-gather path: below it one more iovec and refcount
@@ -239,26 +205,18 @@ fn get_bytes(buf: &mut Bytes) -> Result<Bytes, FrameError> {
 /// 64-byte ranges).
 const SPLIT_MIN: usize = 1024;
 
-/// Where the encoders write. Scalars, strings and patterns go to `head`;
+/// Where `Wire::put` writes. Scalars, strings and patterns go to `head`;
 /// a bulk payload is either copied in behind them (contiguous encoding)
 /// or, when `split` is set, closes the head and rides as a refcounted part
-/// of its own. One encoder per message type serves both shapes, so the
-/// parts always concatenate to the contiguous encoding.
-struct Parts {
+/// of its own. One encoder per type serves both shapes, so the parts
+/// always concatenate to the contiguous encoding.
+pub(crate) struct Parts {
     done: Vec<Bytes>,
     head: BytesMut,
     split: bool,
 }
 
 impl Parts {
-    fn new(split: bool) -> Parts {
-        Parts {
-            done: Vec::new(),
-            head: BytesMut::new(),
-            split,
-        }
-    }
-
     /// Append `payload` behind its `u64` length prefix.
     fn put_bytes(&mut self, payload: &Bytes) {
         self.head.put_u64_le(payload.len() as u64);
@@ -269,95 +227,289 @@ impl Parts {
             self.head.put_slice(payload);
         }
     }
+}
 
-    fn finish(mut self) -> Vec<Bytes> {
-        if !self.head.is_empty() {
-            self.done.push(self.head.freeze());
+/// `x`'s encoding appended to `buf`, in one piece.
+pub(crate) fn put_into<T: Wire>(x: &T, buf: &mut BytesMut) {
+    let mut out = Parts {
+        done: Vec::new(),
+        head: std::mem::take(buf),
+        split: false,
+    };
+    x.put(&mut out);
+    *buf = out.head;
+}
+
+fn contiguous<T: Wire>(x: &T) -> Bytes {
+    let mut buf = BytesMut::new();
+    put_into(x, &mut buf);
+    buf.freeze()
+}
+
+fn parts<T: Wire>(x: &T) -> Vec<Bytes> {
+    let mut out = Parts {
+        done: Vec::new(),
+        head: BytesMut::new(),
+        split: true,
+    };
+    x.put(&mut out);
+    if !out.head.is_empty() {
+        out.done.push(out.head.freeze());
+    }
+    out.done
+}
+
+/// One `T` that is all of `buf`: trailing bytes are refused.
+fn whole<T: Wire>(mut buf: Bytes) -> Result<T, FrameError> {
+    let x = T::get(&mut buf)?;
+    if buf.has_remaining() {
+        return Err(FrameError::BadMessage(format!(
+            "{} trailing bytes",
+            buf.remaining()
+        )));
+    }
+    Ok(x)
+}
+
+/// A value's wire form, written once per shape: integers little-endian, a
+/// string as a `u32` length then its bytes, a byte payload as a `u64`
+/// length then its bytes, a list as a `u32` count then its items, an
+/// option as a 0/1 byte then the value, a row or a tuple as its fields in
+/// order, an enum as its `wire_enum!` row.
+pub(crate) trait Wire: Sized {
+    fn put(&self, out: &mut Parts);
+    fn get(buf: &mut Bytes) -> Result<Self, FrameError>;
+}
+
+fn short(what: &str) -> FrameError {
+    FrameError::BadMessage(format!("short {what}"))
+}
+
+macro_rules! wire_ints {
+    ($($int:ty: $put:ident $get:ident)*) => {$(
+        impl Wire for $int {
+            fn put(&self, out: &mut Parts) {
+                out.head.$put(*self);
+            }
+            fn get(buf: &mut Bytes) -> Result<$int, FrameError> {
+                if buf.remaining() < std::mem::size_of::<$int>() {
+                    return Err(short("message"));
+                }
+                Ok(buf.$get())
+            }
         }
-        self.done
+    )*};
+}
+
+wire_ints! {
+    u8: put_u8 get_u8
+    u32: put_u32_le get_u32_le
+    u64: put_u64_le get_u64_le
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Parts) {
+        (*self as u8).put(out);
+    }
+    fn get(buf: &mut Bytes) -> Result<bool, FrameError> {
+        Ok(u8::get(buf)? != 0)
     }
 }
 
-fn ensure_done(buf: &Bytes) -> Result<(), FrameError> {
-    if buf.has_remaining() {
-        Err(FrameError::BadMessage(format!(
-            "{} trailing bytes",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
+impl Wire for i64 {
+    fn put(&self, out: &mut Parts) {
+        (*self as u64).put(out);
     }
+    fn get(buf: &mut Bytes) -> Result<i64, FrameError> {
+        Ok(u64::get(buf)? as i64)
+    }
+}
+
+/// The code's byte; one this side does not know decodes as `Unknown`.
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Parts) {
+        self.to_u8().put(out);
+    }
+    fn get(buf: &mut Bytes) -> Result<ErrorCode, FrameError> {
+        u8::get(buf).map(ErrorCode::from_u8)
+    }
+}
+
+fn put_str(buf: &mut BytesMut, s: &str) {
+    buf.put_u32_le(s.len() as u32);
+    buf.put_slice(s.as_bytes());
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Parts) {
+        put_str(&mut out.head, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<String, FrameError> {
+        let len = u32::get(buf)? as usize;
+        if buf.remaining() < len {
+            return Err(short("string"));
+        }
+        String::from_utf8(buf.split_to(len).to_vec())
+            .map_err(|_| FrameError::BadMessage("invalid utf-8".into()))
+    }
+}
+
+/// A bulk payload: on the scatter-gather path one of 1 KiB or more rides
+/// as its own refcounted part (`Parts::put_bytes`); decoding slices it
+/// out of the frame without a copy.
+impl Wire for Bytes {
+    fn put(&self, out: &mut Parts) {
+        out.put_bytes(self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Bytes, FrameError> {
+        let len = u64::get(buf)?;
+        if (buf.remaining() as u64) < len {
+            return Err(short("byte chunk"));
+        }
+        Ok(buf.split_to(len as usize))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Parts) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Vec<T>, FrameError> {
+        let n = u32::get(buf)? as usize;
+        // Every item takes at least a byte: a hostile count reserves no
+        // more than the rest of the message could hold.
+        let mut xs = Vec::with_capacity(n.min(buf.remaining()).min(1 << 16));
+        for _ in 0..n {
+            xs.push(T::get(buf)?);
+        }
+        Ok(xs)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Parts) {
+        self.is_some().put(out);
+        if let Some(x) = self {
+            x.put(out);
+        }
+    }
+    fn get(buf: &mut Bytes) -> Result<Option<T>, FrameError> {
+        Ok(if bool::get(buf)? {
+            Some(T::get(buf)?)
+        } else {
+            None
+        })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Parts) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(buf: &mut Bytes) -> Result<(A, B), FrameError> {
+        Ok((A::get(buf)?, B::get(buf)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, out: &mut Parts) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(buf: &mut Bytes) -> Result<(A, B, C), FrameError> {
+        Ok((A::get(buf)?, B::get(buf)?, C::get(buf)?))
+    }
+}
+
+/// Rows travel as their fields, in the order listed. The invoking module
+/// names `Wire`, `Parts`, `Bytes` and `FrameError`.
+macro_rules! wire_rows {
+    ($($row:ident { $($field:ident),* })*) => {$(
+        impl Wire for $row {
+            fn put(&self, out: &mut Parts) {
+                $(self.$field.put(out);)*
+            }
+            fn get(buf: &mut Bytes) -> Result<$row, FrameError> {
+                Ok($row { $($field: Wire::get(buf)?),* })
+            }
+        }
+    )*};
+}
+
+/// An enum travels as a one-byte tag, then the variant's fields in the
+/// order listed: `tag Variant`, `tag Variant { fields }` or `tag
+/// Variant(value)`. One table writes both directions; the encoder's match
+/// is exhaustive, so a variant the table misses does not compile, and a
+/// tag it does not list (a retired one included) does not decode. The
+/// invoking module names `Wire`, `Parts`, `Bytes` and `FrameError`.
+macro_rules! wire_enum {
+    ($enum:ident, $what:literal,
+     $($tag:literal $variant:ident $({ $($field:ident),* })? $(($value:ident))?)*) => {
+        impl Wire for $enum {
+            fn put(&self, out: &mut Parts) {
+                match self {
+                    $($enum::$variant $({ $($field),* })? $(($value))? => {
+                        <u8 as Wire>::put(&$tag, out);
+                        $($($field.put(out);)*)?
+                        $($value.put(out);)?
+                    })*
+                }
+            }
+            fn get(buf: &mut Bytes) -> Result<$enum, FrameError> {
+                Ok(match <u8 as Wire>::get(buf)? {
+                    $($tag => $enum::$variant
+                        $({ $($field: Wire::get(buf)?),* })?
+                        $(({ let $value = Wire::get(buf)?; $value }))?,)*
+                    other => {
+                        return Err(FrameError::BadMessage(format!("bad {} tag {other}", $what)))
+                    }
+                })
+            }
+        }
+    };
+}
+
+pub(crate) use {wire_enum, wire_rows};
+
+// Request tag 6 (a subfile resize) and response tags 3 (a per-range chunk
+// list) and 6 (the resize's reply) are retired, not reassigned: an older
+// peer's message is refused instead of decoding to another verb or shape.
+wire_enum! { Request, "request",
+    1 Ping
+    2 Write { subfile, ranges }
+    3 Read { subfile, ranges }
+    4 Delete { subfile }
+    5 Stat { subfile }
+    7 Sync { subfile }
+    8 Shutdown
+    9 Stats
+    10 Meta { op }
+    11 ReadList { subfile, pattern }
+    12 WriteList { subfile, pattern, payload }
+    13 Rename { from, to }
+}
+
+wire_enum! { Response, "response",
+    1 Pong
+    2 Written { bytes }
+    4 Deleted { existed }
+    5 Stat { exists, size }
+    7 Error { code, message }
+    8 Stats { payload }
+    9 Meta { shard, result }
+    10 DataList { data }
+    11 Renamed { existed }
 }
 
 impl Request {
-    fn encode_to(&self, out: &mut Parts) {
-        let buf = &mut out.head;
-        match self {
-            Request::Ping => buf.put_u8(1),
-            Request::Write { subfile, ranges } => {
-                buf.put_u8(2);
-                put_str(buf, subfile);
-                buf.put_u32_le(ranges.len() as u32);
-                for (off, data) in ranges {
-                    out.head.put_u64_le(*off);
-                    out.put_bytes(data);
-                }
-            }
-            Request::Read { subfile, ranges } => {
-                buf.put_u8(3);
-                put_str(buf, subfile);
-                buf.put_u32_le(ranges.len() as u32);
-                for (off, len) in ranges {
-                    buf.put_u64_le(*off);
-                    buf.put_u64_le(*len);
-                }
-            }
-            Request::Delete { subfile } => {
-                buf.put_u8(4);
-                put_str(buf, subfile);
-            }
-            Request::Stat { subfile } => {
-                buf.put_u8(5);
-                put_str(buf, subfile);
-            }
-            Request::Sync { subfile } => {
-                buf.put_u8(7);
-                put_str(buf, subfile);
-            }
-            Request::Shutdown => buf.put_u8(8),
-            Request::Stats => buf.put_u8(9),
-            Request::Meta { op } => {
-                buf.put_u8(10);
-                op.encode_into(buf);
-            }
-            Request::ReadList { subfile, pattern } => {
-                buf.put_u8(11);
-                put_str(buf, subfile);
-                pattern.encode_into(buf);
-            }
-            Request::WriteList {
-                subfile,
-                pattern,
-                payload,
-            } => {
-                buf.put_u8(12);
-                put_str(buf, subfile);
-                pattern.encode_into(buf);
-                out.put_bytes(payload);
-            }
-            Request::Rename { from, to } => {
-                buf.put_u8(13);
-                put_str(buf, from);
-                put_str(buf, to);
-            }
-        }
-    }
-
     /// Encode to a frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Parts::new(false);
-        self.encode_to(&mut out);
-        out.head.freeze()
+        contiguous(self)
     }
 
     /// Encode as a list of byte slices whose concatenation equals
@@ -367,93 +519,48 @@ impl Request {
     /// frame write, so a payload is never copied into a message buffer on
     /// the hot path. Everything else is a single part.
     pub fn encode_parts(&self) -> Vec<Bytes> {
-        let mut out = Parts::new(true);
-        self.encode_to(&mut out);
-        out.finish()
+        parts(self)
     }
 
-    /// Decode from a frame payload.
-    pub fn decode(mut buf: Bytes) -> Result<Request, FrameError> {
-        let tag = get_u8(&mut buf)?;
-        let req = match tag {
-            1 => Request::Ping,
-            2 => {
-                let subfile = get_str(&mut buf)?;
-                let n = get_u32(&mut buf)? as usize;
-                let mut ranges = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let off = get_u64(&mut buf)?;
-                    let data = get_bytes(&mut buf)?;
-                    // The bound a pattern's decode puts on its ranges: the
-                    // store adds the two to find where a write ends.
-                    if off.checked_add(data.len() as u64).is_none() {
-                        return Err(FrameError::BadMessage(
-                            "write range overflows the offset space".into(),
-                        ));
-                    }
-                    ranges.push((off, data));
-                }
-                Request::Write { subfile, ranges }
-            }
-            3 => {
-                let subfile = get_str(&mut buf)?;
-                let n = get_u32(&mut buf)? as usize;
-                let mut ranges = Vec::with_capacity(n.min(1 << 16));
-                // The bound `ReadList`'s pattern carries, where the
-                // lengths enter: the server allocates what they ask for.
-                let mut total = 0u64;
-                for _ in 0..n {
-                    let (off, len) = (get_u64(&mut buf)?, get_u64(&mut buf)?);
-                    total = within_one_frame(total, len).ok_or_else(|| {
-                        FrameError::BadMessage("read covers more than one frame".into())
-                    })?;
-                    ranges.push((off, len));
-                }
-                Request::Read { subfile, ranges }
-            }
-            4 => Request::Delete {
-                subfile: get_str(&mut buf)?,
-            },
-            5 => Request::Stat {
-                subfile: get_str(&mut buf)?,
-            },
-            7 => Request::Sync {
-                subfile: get_str(&mut buf)?,
-            },
-            8 => Request::Shutdown,
-            9 => Request::Stats,
-            10 => Request::Meta {
-                op: MetaOp::decode_from(&mut buf)?,
-            },
-            11 => Request::ReadList {
-                subfile: get_str(&mut buf)?,
-                pattern: AccessPattern::decode_from(&mut buf)?,
-            },
-            12 => {
-                let subfile = get_str(&mut buf)?;
-                let pattern = AccessPattern::decode_from(&mut buf)?;
-                let payload = get_bytes(&mut buf)?;
-                if payload.len() as u64 != pattern.total_bytes() {
-                    return Err(FrameError::BadMessage(format!(
-                        "write-list payload of {} bytes for a pattern of {}",
-                        payload.len(),
-                        pattern.total_bytes()
-                    )));
-                }
-                Request::WriteList {
-                    subfile,
-                    pattern,
-                    payload,
-                }
-            }
-            13 => Request::Rename {
-                from: get_str(&mut buf)?,
-                to: get_str(&mut buf)?,
-            },
-            other => return Err(FrameError::BadMessage(format!("bad request tag {other}"))),
-        };
-        ensure_done(&buf)?;
+    /// Decode from a frame payload, then check it (`Request::check`).
+    pub fn decode(buf: Bytes) -> Result<Request, FrameError> {
+        let req: Request = whole(buf)?;
+        req.check()?;
         Ok(req)
+    }
+
+    /// The bounds a decoded request meets before anyone acts on it (a
+    /// pattern checks its own as it decodes): a `Write` range ends inside
+    /// the offset space, since the store adds the two; a `Read` asks for at
+    /// most one frame, since the server allocates what it asks for; a
+    /// `WriteList` payload is what its pattern covers.
+    fn check(&self) -> Result<(), FrameError> {
+        let refuse = |why: String| Err(FrameError::BadMessage(why));
+        match self {
+            Request::Write { ranges, .. }
+                if ranges
+                    .iter()
+                    .any(|(off, data)| off.checked_add(data.len() as u64).is_none()) =>
+            {
+                refuse("write range overflows the offset space".into())
+            }
+            Request::Read { ranges, .. }
+                if ranges
+                    .iter()
+                    .try_fold(0, |total, &(_, len)| within_one_frame(total, len))
+                    .is_none() =>
+            {
+                refuse("read covers more than one frame".into())
+            }
+            Request::WriteList {
+                pattern, payload, ..
+            } if payload.len() as u64 != pattern.total_bytes() => refuse(format!(
+                "write-list payload of {} bytes for a pattern of {}",
+                payload.len(),
+                pattern.total_bytes()
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Total payload bytes carried (writes) or requested (reads); used by
@@ -470,53 +577,9 @@ impl Request {
 }
 
 impl Response {
-    fn encode_to(&self, out: &mut Parts) {
-        let buf = &mut out.head;
-        match self {
-            Response::Pong => buf.put_u8(1),
-            Response::Written { bytes } => {
-                buf.put_u8(2);
-                buf.put_u64_le(*bytes);
-            }
-            Response::Deleted { existed } => {
-                buf.put_u8(4);
-                buf.put_u8(*existed as u8);
-            }
-            Response::Stat { exists, size } => {
-                buf.put_u8(5);
-                buf.put_u8(*exists as u8);
-                buf.put_u64_le(*size);
-            }
-            Response::Error { code, message } => {
-                buf.put_u8(7);
-                buf.put_u8(code.to_u8());
-                put_str(buf, message);
-            }
-            Response::Stats { payload } => {
-                buf.put_u8(8);
-                out.put_bytes(payload);
-            }
-            Response::Meta { shard, result } => {
-                buf.put_u8(9);
-                buf.put_u32_le(*shard);
-                result.encode_into(buf);
-            }
-            Response::DataList { data } => {
-                buf.put_u8(10);
-                out.put_bytes(data);
-            }
-            Response::Renamed { existed } => {
-                buf.put_u8(11);
-                buf.put_u8(*existed as u8);
-            }
-        }
-    }
-
     /// Encode to a frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut out = Parts::new(false);
-        self.encode_to(&mut out);
-        out.head.freeze()
+        contiguous(self)
     }
 
     /// Encode as a list of byte slices whose concatenation equals
@@ -526,47 +589,12 @@ impl Response {
     /// small head, so the server queues the very buffer it read the
     /// subfile into instead of copying it into a message.
     pub fn encode_parts(&self) -> Vec<Bytes> {
-        let mut out = Parts::new(true);
-        self.encode_to(&mut out);
-        out.finish()
+        parts(self)
     }
 
     /// Decode from a frame payload.
-    pub fn decode(mut buf: Bytes) -> Result<Response, FrameError> {
-        let tag = get_u8(&mut buf)?;
-        let resp = match tag {
-            1 => Response::Pong,
-            2 => Response::Written {
-                bytes: get_u64(&mut buf)?,
-            },
-            4 => Response::Deleted {
-                existed: get_u8(&mut buf)? != 0,
-            },
-            5 => Response::Stat {
-                exists: get_u8(&mut buf)? != 0,
-                size: get_u64(&mut buf)?,
-            },
-            7 => Response::Error {
-                code: ErrorCode::from_u8(get_u8(&mut buf)?),
-                message: get_str(&mut buf)?,
-            },
-            8 => Response::Stats {
-                payload: get_bytes(&mut buf)?,
-            },
-            9 => Response::Meta {
-                shard: get_u32(&mut buf)?,
-                result: MetaResult::decode_from(&mut buf)?,
-            },
-            10 => Response::DataList {
-                data: get_bytes(&mut buf)?,
-            },
-            11 => Response::Renamed {
-                existed: get_u8(&mut buf)? != 0,
-            },
-            other => return Err(FrameError::BadMessage(format!("bad response tag {other}"))),
-        };
-        ensure_done(&buf)?;
-        Ok(resp)
+    pub fn decode(buf: Bytes) -> Result<Response, FrameError> {
+        whole(buf)
     }
 }
 

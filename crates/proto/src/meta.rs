@@ -9,17 +9,18 @@
 //! embedded mount skips the envelope, not the op: it hands the same
 //! `MetaOp` to `apply` over its own catalog.
 //!
-//! The codec is one table per type (`wire_rows!`, `wire_enum!` below): a
-//! variant's tag and its fields in wire order, from which both directions
-//! are generated.
+//! How they travel is one row per type (`wire_rows!`, `wire_enum!` below):
+//! a variant's tag and its fields in wire order, from which the one wire
+//! codec (`crate::message`) generates both directions, as it does for every
+//! request and reply.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use dpfs_meta::{
     Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, Issue, MetaError, ServerInfo,
 };
 
 use crate::frame::FrameError;
-use crate::message::{get_str, get_u32, get_u64, get_u8, put_str};
+use crate::message::{wire_enum, wire_rows, Parts, Wire};
 
 /// A metadata operation: one verb of the catalog surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,139 +322,7 @@ impl MetaResult {
     }
 }
 
-// ---- the codec ----
-
-/// A value's wire form inside a metadata message, written once per shape:
-/// integers little-endian, a string or a list as a `u32` count then its
-/// bytes or items, an option as a 0/1 byte then the value, a row or a
-/// tuple as its fields in order.
-trait Wire: Sized {
-    fn put(&self, buf: &mut BytesMut);
-    fn get(buf: &mut Bytes) -> Result<Self, FrameError>;
-}
-
-impl Wire for bool {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self as u8);
-    }
-    fn get(buf: &mut Bytes) -> Result<bool, FrameError> {
-        Ok(get_u8(buf)? != 0)
-    }
-}
-
-impl Wire for u8 {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self);
-    }
-    fn get(buf: &mut Bytes) -> Result<u8, FrameError> {
-        get_u8(buf)
-    }
-}
-
-impl Wire for u32 {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(*self);
-    }
-    fn get(buf: &mut Bytes) -> Result<u32, FrameError> {
-        get_u32(buf)
-    }
-}
-
-impl Wire for u64 {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self);
-    }
-    fn get(buf: &mut Bytes) -> Result<u64, FrameError> {
-        get_u64(buf)
-    }
-}
-
-impl Wire for i64 {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self as u64);
-    }
-    fn get(buf: &mut Bytes) -> Result<i64, FrameError> {
-        Ok(get_u64(buf)? as i64)
-    }
-}
-
-impl Wire for String {
-    fn put(&self, buf: &mut BytesMut) {
-        put_str(buf, self);
-    }
-    fn get(buf: &mut Bytes) -> Result<String, FrameError> {
-        get_str(buf)
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.len() as u32);
-        for x in self {
-            x.put(buf);
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Vec<T>, FrameError> {
-        let n = get_u32(buf)? as usize;
-        // A hostile count reserves no more than this up front.
-        let mut xs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            xs.push(T::get(buf)?);
-        }
-        Ok(xs)
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, buf: &mut BytesMut) {
-        self.is_some().put(buf);
-        if let Some(x) = self {
-            x.put(buf);
-        }
-    }
-    fn get(buf: &mut Bytes) -> Result<Option<T>, FrameError> {
-        Ok(if bool::get(buf)? {
-            Some(T::get(buf)?)
-        } else {
-            None
-        })
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn put(&self, buf: &mut BytesMut) {
-        self.0.put(buf);
-        self.1.put(buf);
-    }
-    fn get(buf: &mut Bytes) -> Result<(A, B), FrameError> {
-        Ok((A::get(buf)?, B::get(buf)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn put(&self, buf: &mut BytesMut) {
-        self.0.put(buf);
-        self.1.put(buf);
-        self.2.put(buf);
-    }
-    fn get(buf: &mut Bytes) -> Result<(A, B, C), FrameError> {
-        Ok((A::get(buf)?, B::get(buf)?, C::get(buf)?))
-    }
-}
-
-/// Rows travel as their fields, in the order listed.
-macro_rules! wire_rows {
-    ($($row:ident { $($field:ident),* })*) => {$(
-        impl Wire for $row {
-            fn put(&self, buf: &mut BytesMut) {
-                $(self.$field.put(buf);)*
-            }
-            fn get(buf: &mut Bytes) -> Result<$row, FrameError> {
-                Ok($row { $($field: Wire::get(buf)?),* })
-            }
-        }
-    )*};
-}
+// ---- the codec: one row per type ----
 
 wire_rows! {
     ServerInfo { name, capacity, performance }
@@ -464,38 +333,6 @@ wire_rows! {
     Distribution { server, filename, bricklist }
     DirEntry { main_dir, sub_dirs, files }
     Audit { issues, fixed, files, dirs }
-}
-
-/// An enum travels as a one-byte tag, then the variant's fields in the
-/// order listed: `tag Variant`, `tag Variant { fields }` or `tag
-/// Variant(value)`. One table writes both directions; the encoder's match
-/// is exhaustive, so a variant the table misses does not compile, and a
-/// tag it does not list (a retired one included) does not decode.
-macro_rules! wire_enum {
-    ($enum:ident, $what:literal,
-     $($tag:literal $variant:ident $({ $($field:ident),* })? $(($value:ident))?)*) => {
-        impl Wire for $enum {
-            fn put(&self, buf: &mut BytesMut) {
-                match self {
-                    $($enum::$variant $({ $($field),* })? $(($value))? => {
-                        buf.put_u8($tag);
-                        $($($field.put(buf);)*)?
-                        $($value.put(buf);)?
-                    })*
-                }
-            }
-            fn get(buf: &mut Bytes) -> Result<$enum, FrameError> {
-                Ok(match get_u8(buf)? {
-                    $($tag => $enum::$variant
-                        $({ $($field: Wire::get(buf)?),* })?
-                        $(({ let $value = Wire::get(buf)?; $value }))?,)*
-                    other => {
-                        return Err(FrameError::BadMessage(format!("bad {} tag {other}", $what)))
-                    }
-                })
-            }
-        }
-    };
 }
 
 // Op tags 3, 4, 12, 13 and 23 and result tags 4 and 8 are retired, not
@@ -563,31 +400,6 @@ wire_enum! { Issue, "issue",
     11 SubfileOversized { filename, server, max_expected, actual }
     12 ServerUnreachable { server }
     13 UnderProtected { filename, server, subfile }
-}
-
-impl MetaOp {
-    /// Append this op's encoding to `buf` (called from `Request::encode`).
-    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        self.put(buf);
-    }
-
-    /// Decode one op from `buf` (called from `Request::decode`).
-    pub(crate) fn decode_from(buf: &mut Bytes) -> Result<MetaOp, FrameError> {
-        MetaOp::get(buf)
-    }
-}
-
-impl MetaResult {
-    /// Append this result's encoding to `buf` (called from
-    /// `Response::encode`).
-    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        self.put(buf);
-    }
-
-    /// Decode one result from `buf` (called from `Response::decode`).
-    pub(crate) fn decode_from(buf: &mut Bytes) -> Result<MetaResult, FrameError> {
-        MetaResult::get(buf)
-    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,10 @@
 //! bytes — so a hostile descriptor can neither overlap-amplify a write
 //! nor blow up server memory.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::frame::{within_one_frame, FrameError};
+use crate::message::{put_into, wire_enum, Parts, Wire};
 
 /// Hard cap on the number of ranges one pattern may expand to. Keeps a
 /// 25-byte hostile descriptor from demanding millions of server seeks.
@@ -272,31 +273,10 @@ impl AccessPattern {
         Ok(())
     }
 
-    /// Append the wire encoding: `[nsegs u32]` then per segment a tag
-    /// byte (1 = run, 2 = vector) and its fields, all little-endian.
+    /// Append the wire encoding: `[nsegs u32]` then per segment its
+    /// `wire_enum!` row below, all little-endian.
     pub fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.segs.len() as u32);
-        for seg in &self.segs {
-            match *seg {
-                PatternSeg::Run { offset, len } => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(offset);
-                    buf.put_u64_le(len);
-                }
-                PatternSeg::Vector {
-                    start,
-                    count,
-                    blocklen,
-                    stride,
-                } => {
-                    buf.put_u8(2);
-                    buf.put_u64_le(start);
-                    buf.put_u32_le(count);
-                    buf.put_u32_le(blocklen);
-                    buf.put_u64_le(stride);
-                }
-            }
-        }
+        put_into(self, buf);
     }
 
     /// Decode and validate a pattern from the front of `buf`. Hostile
@@ -304,58 +284,32 @@ impl AccessPattern {
     /// [`FrameError::BadMessage`], never a panic or an oversized
     /// allocation.
     pub fn decode_from(buf: &mut Bytes) -> Result<AccessPattern, FrameError> {
-        if buf.remaining() < 4 {
-            return Err(FrameError::BadMessage("short pattern".into()));
-        }
-        let nsegs = buf.get_u32_le() as usize;
-        // Each segment costs at least 17 encoded bytes; reject counts the
-        // remaining buffer cannot possibly hold before allocating.
-        if nsegs > buf.remaining() / 17 + 1 {
-            return Err(FrameError::BadMessage(format!(
-                "pattern claims {nsegs} segments in {} bytes",
-                buf.remaining()
-            )));
-        }
-        let mut segs = Vec::with_capacity(nsegs);
-        for _ in 0..nsegs {
-            if buf.remaining() < 1 {
-                return Err(FrameError::BadMessage("short pattern segment".into()));
-            }
-            let tag = buf.get_u8();
-            let seg = match tag {
-                1 => {
-                    if buf.remaining() < 16 {
-                        return Err(FrameError::BadMessage("short run segment".into()));
-                    }
-                    PatternSeg::Run {
-                        offset: buf.get_u64_le(),
-                        len: buf.get_u64_le(),
-                    }
-                }
-                2 => {
-                    if buf.remaining() < 24 {
-                        return Err(FrameError::BadMessage("short vector segment".into()));
-                    }
-                    PatternSeg::Vector {
-                        start: buf.get_u64_le(),
-                        count: buf.get_u32_le(),
-                        blocklen: buf.get_u32_le(),
-                        stride: buf.get_u64_le(),
-                    }
-                }
-                other => {
-                    return Err(FrameError::BadMessage(format!(
-                        "bad pattern segment tag {other}"
-                    )))
-                }
-            };
-            segs.push(seg);
-        }
-        let p = AccessPattern { segs };
+        AccessPattern::get(buf)
+    }
+}
+
+wire_enum! { PatternSeg, "pattern segment",
+    1 Run { offset, len }
+    2 Vector { start, count, blocklen, stride }
+}
+
+/// The segment list, then `AccessPattern::check`: decode, then check.
+impl Wire for AccessPattern {
+    fn put(&self, out: &mut Parts) {
+        self.segs.put(out);
+    }
+    fn get(buf: &mut Bytes) -> Result<AccessPattern, FrameError> {
+        let p = AccessPattern {
+            segs: Wire::get(buf)?,
+        };
         p.check()?;
         Ok(p)
     }
 }
+
+// What the tests below read and write the wire with.
+#[cfg(test)]
+use bytes::{Buf, BufMut};
 
 #[cfg(test)]
 mod tests {

@@ -311,18 +311,27 @@ fn a_stalled_reader_gets_its_reply_through_the_shard() {
     // has handed the rest to the shard, which waits for `POLLOUT`.
     let mut head = vec![0u8; 64 << 10];
     reader.read_exact(&mut head).unwrap();
+    // A shard blocked on the stalled socket answers no ping at all; one
+    // that is free answers them at its usual pace. (A single slow round
+    // trip on a loaded host is the scheduler, not the shard.)
     let stall = Instant::now();
-    let mut slowest = Duration::ZERO;
-    let mut id = 1;
+    let mut rtts = Vec::new();
     while stall.elapsed() < Duration::from_millis(100) {
         let t0 = Instant::now();
+        let id = rtts.len() as u64 + 1;
         assert_eq!(rpc(&mut lively, id, &Request::Ping), Response::Pong);
-        slowest = slowest.max(t0.elapsed());
-        id += 1;
+        rtts.push(t0.elapsed());
     }
+    rtts.sort();
     assert!(
-        slowest < Duration::from_millis(5),
-        "a ping beside a stalled 4 MiB reply took {slowest:?}"
+        rtts.len() >= 20,
+        "{} pings beside a stalled 4 MiB reply in 100 ms",
+        rtts.len()
+    );
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "pings beside a stalled 4 MiB reply: median {median:?}"
     );
 
     // Whole frames, in push order per connection, byte-exact.
@@ -729,11 +738,21 @@ fn names_and_sizes_are_answered_inline_and_file_bytes_are_not() {
     let cursor = ring().cursor();
     frame::write_frame_v3(&mut c, 1, trace_id, &stat("/f").encode()).unwrap();
     assert_eq!(frame::read_frame_any(&mut c).unwrap().corr_id, 1);
-    let events: Vec<_> = ring()
-        .events_since(cursor)
-        .into_iter()
-        .filter(|e| e.trace_id == trace_id && e.side == Side::Server)
-        .collect();
+    // The `respond` span measures the reply's write, so the server records
+    // it after the reply may already have reached us: wait for it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let events = loop {
+        let events: Vec<_> = ring()
+            .events_since(cursor)
+            .into_iter()
+            .filter(|e| e.trace_id == trace_id && e.side == Side::Server)
+            .collect();
+        if events.iter().any(|e| e.phase == "respond") {
+            break events;
+        }
+        assert!(Instant::now() < deadline, "no respond span: {events:?}");
+        std::thread::yield_now();
+    };
     let phases: Vec<&str> = events.iter().map(|e| e.phase).collect();
     assert_eq!(phases, ["decode", "queue", "handle", "respond"]);
     assert!(events.iter().all(|e| e.kind == "stat"));

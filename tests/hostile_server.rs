@@ -10,7 +10,8 @@
 //! A reply in a retired shape does not decode at all.
 //!
 //! A `Stats` reply is a peer's word too: one that is not the stats document
-//! scrapes as unreachable instead of being read as one.
+//! — a retired format, or a section count the blob cannot hold — scrapes as
+//! unreachable instead of being read as one.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
@@ -404,4 +405,28 @@ fn a_stats_payload_in_a_retired_format_scrapes_as_unreachable() {
             "{retired:#x}"
         );
     }
+}
+
+/// The current version byte, but a histogram count a 64 KiB reply cannot
+/// hold: refused before anything is reserved for it (the count used to
+/// reserve 552 bytes per claimed histogram, ~36 MB here).
+#[test]
+fn a_stats_reply_counting_more_rows_than_it_carries_scrapes_as_unreachable() {
+    let mut lying = ClusterSnapshot {
+        nodes: vec![NodeSnapshot::new("liar", NodeRole::Iond, [], [], [])],
+    }
+    .encode();
+    // A node's histogram count is its last four bytes.
+    let at = lying.len() - 4;
+    lying[at..].copy_from_slice(&65_000u32.to_le_bytes());
+    lying.resize(64 << 10, 0);
+    let forger = Arc::new(StatsForger(Mutex::new(Bytes::from(lying))));
+    let core = ServeCore::start("127.0.0.1:0", forger).unwrap();
+    let client = hostile_client("stats-count", core.addr());
+    let snap = scrape_cluster(&client);
+    let [node] = &snap.nodes_of(NodeRole::Iond).collect::<Vec<_>>()[..] else {
+        panic!("one iond node");
+    };
+    assert_eq!(node.counters, vec![("scrape.unreachable".to_string(), 1)]);
+    assert!(node.hists.is_empty() && node.gauges.is_empty());
 }
