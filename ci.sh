@@ -221,6 +221,15 @@ if git grep -nE 'fn encode_to\b|fn get_(u8|u32|u64|str|bytes)\b|(MetaOp|MetaResu
     echo "FAIL: a hand-written message encoder or a free get_* helper is back (write the type's Wire row)"
     exit 1
 fi
+# The caller reads its own reply: the client library starts no thread of
+# its own (tests/wakeups.rs counts threads and wake-ups per round trip), so
+# the per-connection reader thread and its waiter channels stay gone.
+core_spawns=$(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done |
+    grep -cE 'thread::(spawn|scope|Builder)|\.spawn\(' || :)
+if [ "$core_spawns" -ne 0 ] || git grep -nE 'demux_loop|dpfs-demux|mpsc' -- crates/core/src/transport.rs; then
+    echo "FAIL: crates/core/src starts $core_spawns thread(s) or transport.rs has a reader thread again (the caller reads its own reply)"
+    exit 1
+fi
 wire_enums=$(cat crates/proto/src/*.rs | grep -c '^wire_enum! {' || :)
 wire_rows=$(sed -n '/^wire_rows! {/,/^}/p' crates/proto/src/*.rs | grep -cE '^    [A-Z][A-Za-z]* \{' || :)
 wire_types=$((wire_enums + wire_rows))

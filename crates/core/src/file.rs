@@ -8,9 +8,10 @@
 //! smaller of its two wire shapes, and `issue` *submits* them all through
 //! the pool's multiplexed transport in the planner's staggered order —
 //! every frame goes on the wire before any response is awaited — then
-//! collects completions in plan order. One client thereby overlaps the
-//! service time of every server it stripes over, and two handles striped
-//! over the same servers overlap on the shared per-server connections.
+//! takes the completions in plan order as it consumes them. One client
+//! thereby overlaps the service time of every server it stripes over, and
+//! two handles striped over the same servers overlap on the shared
+//! per-server connections.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,7 +32,7 @@ use crate::placement::BrickMap;
 use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
 use crate::trace;
-use crate::transport::DEFAULT_RPC_TIMEOUT;
+use crate::transport::{Pending, DEFAULT_RPC_TIMEOUT};
 
 /// Bytes of one subfile a re-protection round trip moves — per source read
 /// and per write, far under the frame limit whatever the subfile's size.
@@ -501,7 +502,7 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             data.len() as u64,
         );
-        let results = issue(&self.pool, &self.opts, work, trace_id);
+        let results: Vec<_> = issue(&self.pool, &self.opts, work, trace_id).collect();
         for ((server, expected), res) in expect.into_iter().zip(results) {
             self.note_written(server, expected, res)?;
         }
@@ -718,52 +719,55 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             op_bytes,
         );
-        let results = issue(&self.pool, &self.opts, work, trace_id);
-        for (req, res) in reqs.iter().zip(results) {
-            // The request's payload: its ranges' bytes back to back.
-            let payload = match res {
-                Ok(resp) => expect_list_data(resp, req.wire_bytes(), &self.servers[req.server])?,
-                // Terminal transport-class failure: read *around* the lost
-                // server — the surviving mirror or the XOR of peers + parity
-                // rebuilds the exact bytes. When that fails too (no
-                // redundancy, or a second server down) the read fails with
-                // the error that lost the bytes. Application errors always
-                // fail the read — the server processed the request and
-                // said no.
-                Err(err) if RetryPolicy::retryable(&err) => {
-                    let t0 = trace::now_ns();
-                    let lost = (req.server, self.path.clone());
-                    let sources = self
-                        .redundancy
-                        .peers(&self.path, &self.every_server(), &lost);
-                    let Ok(payload) = self.rebuild(&sources, &req.ranges, trace_id) else {
-                        return Err(err);
-                    };
+        // Each reply is scattered, and its buffer dropped, before the next
+        // is awaited: the read holds one reply buffer at a time.
+        let mut lost = Vec::new();
+        for (req, res) in reqs
+            .iter()
+            .zip(issue(&self.pool, &self.opts, work, trace_id))
+        {
+            match res {
+                // The request's payload: its ranges' bytes back to back.
+                Ok(resp) => {
                     let server = &self.servers[req.server];
-                    self.pool.note_reconstruct(server);
-                    trace::record_span(
-                        trace::Side::Client,
-                        trace_id,
-                        "reconstruct",
-                        "read",
-                        server,
-                        t0,
-                        trace::now_ns().saturating_sub(t0),
-                        req.useful_bytes(),
-                    );
-                    payload
+                    scatter(req, &expect_list_data(resp, req.wire_bytes(), server)?, buf);
                 }
+                Err(err) if RetryPolicy::retryable(&err) => lost.push((req, err)),
+                // Application errors always fail the read — the server
+                // processed the request and said no.
                 Err(err) => return Err(err),
-            };
-            for p in &req.pieces {
-                let at = p.payload_off as usize;
-                buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
-                    .copy_from_slice(&payload[at..at + p.len as usize]);
             }
-            self.stats.requests += 1;
-            self.stats.wire_read += req.wire_bytes();
-            self.stats.useful_read += req.useful_bytes();
         }
+        // Terminal transport-class failure: read *around* the lost server —
+        // the surviving mirror or the XOR of peers + parity rebuilds the
+        // exact bytes. When that fails too (no redundancy, or a second
+        // server down) the read fails with the error that lost the bytes.
+        for (req, err) in lost {
+            let t0 = trace::now_ns();
+            let gone = (req.server, self.path.clone());
+            let sources = self
+                .redundancy
+                .peers(&self.path, &self.every_server(), &gone);
+            let Ok(payload) = self.rebuild(&sources, &req.ranges, trace_id) else {
+                return Err(err);
+            };
+            let server = &self.servers[req.server];
+            self.pool.note_reconstruct(server);
+            trace::record_span(
+                trace::Side::Client,
+                trace_id,
+                "reconstruct",
+                "read",
+                server,
+                t0,
+                trace::now_ns().saturating_sub(t0),
+                req.useful_bytes(),
+            );
+            scatter(req, &payload, buf);
+        }
+        self.stats.requests += reqs.len() as u64;
+        self.stats.wire_read += reqs.iter().map(ListRequest::wire_bytes).sum::<u64>();
+        self.stats.useful_read += reqs.iter().map(ListRequest::useful_bytes).sum::<u64>();
         trace::record_span(
             trace::Side::Client,
             trace_id,
@@ -902,19 +906,32 @@ pub fn datatype_runs(lin: &LinearLayout, base: u64, dtype: &Datatype) -> Vec<Bri
     runs
 }
 
-/// Issue one request per planned item, returning raw responses in plan
-/// order. Every frame goes on the wire first — the transport assigns
-/// correlation IDs and the per-server demux thread completes them out of
-/// order — then completions are collected in plan order, so one slow
-/// server stalls no request to the others and several requests to *one*
-/// server overlap inside its connection. Every item is attempted; each
-/// waiter retries its own transient failure.
-pub(crate) fn issue(
-    pool: &ConnPool,
-    opts: &ClientOptions,
-    work: Vec<(&str, Request)>,
+/// Copy one read reply's payload — its request's ranges back to back —
+/// into `buf` through the request's pieces.
+fn scatter(req: &ListRequest, payload: &[u8], buf: &mut [u8]) {
+    for p in &req.pieces {
+        let at = p.payload_off as usize;
+        buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
+            .copy_from_slice(&payload[at..at + p.len as usize]);
+    }
+}
+
+/// Issue one request per planned item; the raw responses come back in plan
+/// order as the returned [`Replies`] is advanced. Every frame goes on the
+/// wire first — the transport assigns correlation IDs, and whichever
+/// waiter reads a connection completes its replies out of order — so one
+/// slow server stalls no request to the others and several requests to
+/// *one* server overlap inside its connection. Each reply is awaited only
+/// when asked for: a caller that is done with one reply before it asks
+/// for the next holds one reply buffer at a time, while the other servers'
+/// replies keep arriving. Every item awaited is retried on its own
+/// transient failure.
+pub(crate) fn issue<'a>(
+    pool: &'a ConnPool,
+    opts: &'a ClientOptions,
+    work: Vec<(&'a str, Request)>,
     trace_id: u64,
-) -> Vec<Result<Response>> {
+) -> Replies<'a> {
     let kind = work
         .first()
         .map(|(_, req)| req.kind_str())
@@ -941,31 +958,58 @@ pub(crate) fn issue(
         t1.saturating_sub(t0),
         0,
     );
-    let out = submitted
-        .into_iter()
-        .map(|(server, req, pending)| {
-            pool.wait_retrying(
-                server,
-                &req,
-                trace_id,
-                pending,
-                opts.rpc_timeout,
-                opts.retry,
-                RetryPolicy::retryable,
-            )
-        })
-        .collect();
-    trace::record_span(
-        trace::Side::Client,
+    Replies {
+        pool,
+        opts,
         trace_id,
-        "await",
         kind,
-        "",
-        t1,
-        trace::now_ns().saturating_sub(t1),
-        0,
-    );
-    out
+        since: t1,
+        submitted: submitted.into_iter(),
+    }
+}
+
+/// The responses of one [`issue`], awaited in plan order as it is advanced.
+/// Dropping it abandons the requests not awaited yet and closes the
+/// operation's `await` span.
+pub(crate) struct Replies<'a> {
+    pool: &'a ConnPool,
+    opts: &'a ClientOptions,
+    trace_id: u64,
+    kind: &'static str,
+    since: u64,
+    submitted: std::vec::IntoIter<(&'a str, Request, Result<Pending>)>,
+}
+
+impl Iterator for Replies<'_> {
+    type Item = Result<Response>;
+
+    fn next(&mut self) -> Option<Result<Response>> {
+        let (server, req, pending) = self.submitted.next()?;
+        Some(self.pool.wait_retrying(
+            server,
+            &req,
+            self.trace_id,
+            pending,
+            self.opts.rpc_timeout,
+            self.opts.retry,
+            RetryPolicy::retryable,
+        ))
+    }
+}
+
+impl Drop for Replies<'_> {
+    fn drop(&mut self) {
+        trace::record_span(
+            trace::Side::Client,
+            self.trace_id,
+            "await",
+            self.kind,
+            "",
+            self.since,
+            trace::now_ns().saturating_sub(self.since),
+            0,
+        );
+    }
 }
 
 /// One whole-file operation `op` (`sync`, `unlink`, `rename`): `work` holds
@@ -1022,7 +1066,7 @@ fn issue_one(
     trace_id: u64,
 ) -> Result<Response> {
     issue(pool, opts, vec![(server, req)], trace_id)
-        .pop()
+        .next()
         .expect("one result per request")
 }
 

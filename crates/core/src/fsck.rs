@@ -228,7 +228,6 @@ fn stat_all(fs: &Dpfs, servers: &[String], subfiles: &[Subfile]) -> Vec<Option<(
         })
         .collect();
     issue(fs.pool(), &fs.options(), work, 0)
-        .into_iter()
         .map(|res| match res {
             Ok(Response::Stat { exists, size }) => Some((exists, size)),
             _ => None,

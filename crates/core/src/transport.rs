@@ -8,9 +8,14 @@
 //!   correlation ID, registers a waiter in the in-flight table, writes the
 //!   frame under a short writer lock, and returns a [`Pending`] without
 //!   waiting for the response. Many requests can be on the wire at once.
-//! - **Demux reader**: one dedicated thread per connection reads response
-//!   frames, looks the correlation ID up in the in-flight table, and
-//!   completes that waiter — responses may arrive out of order.
+//! - **The caller reads its own reply**: no client thread sits on the
+//!   socket. The first caller of [`Pending::wait`] to find it free becomes
+//!   the connection's reader: it reads response frames, keeps its own, and
+//!   hands every other one to its waiter by correlation ID — responses may
+//!   arrive out of order. Once its own is in, it leaves and unparks one
+//!   waiter still asleep, which reads next. So a round trip with nothing
+//!   else outstanding wakes one thread, the one that asked, straight from
+//!   the socket.
 //! - **Deadlines**: [`Pending::wait`] bounds the wait. A timeout evicts the
 //!   waiter, poisons the connection (everything behind a stalled response
 //!   is suspect), and surfaces [`DpfsError::Timeout`]; the next submission
@@ -18,12 +23,18 @@
 //! - **Error fan-out**: when a connection dies — read error, write error,
 //!   undecodable response, peer close — every in-flight waiter is completed
 //!   with [`DpfsError::Disconnected`]. Nothing hangs.
+//! - **Idle probe**: with nobody reading, a peer that closes is not seen
+//!   when it closes. So a submission onto an idle connection first peeks at
+//!   the socket without blocking, and a closed peer is redialed before a
+//!   request is written into it.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use dpfs_obs::{HistSnapshot, Histogram};
 use dpfs_proto::{frame, Request, Response};
@@ -38,27 +49,35 @@ use crate::trace;
 /// handle with [`crate::file::ClientOptions::rpc_timeout`].
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// What the demux reader delivers to a waiter: the decoded response, or the
-/// reason the connection died.
+/// What a waiter receives: the decoded response, or the reason the
+/// connection died.
 type WireResult = std::result::Result<Response, String>;
 
-/// In-flight table of one connection: correlation ID → waiter.
+/// In-flight table of one connection. A live request's ID is in exactly
+/// one of `waiters` and `ready` until its [`Pending`] is dropped.
 struct Inflight {
-    waiters: HashMap<u64, mpsc::Sender<WireResult>>,
+    /// Requests awaiting their response, each with the thread to unpark
+    /// when it arrives: set while that caller sleeps in [`Pending::wait`],
+    /// `None` while it is busy or reading.
+    waiters: HashMap<u64, Option<Thread>>,
+    /// Verdicts delivered to a waiter that has not picked them up yet.
+    ready: HashMap<u64, WireResult>,
+    /// A caller is reading the socket. At most one does at a time.
+    reading: bool,
     /// Set (with the reason) once the connection is poisoned. New
     /// submissions seeing this redial instead.
     dead: Option<String>,
 }
 
-/// One live connection: the shared state between submitters, the demux
-/// reader thread, and timed-out waiters.
+/// One live connection: the shared state between submitters, the caller
+/// reading replies, and timed-out waiters.
 struct Conn {
     server: String,
-    /// Handle used to sever the socket when poisoning; the reader thread
-    /// and the writer hold their own clones.
+    /// The socket. Frames are written under `writer`; replies are read by
+    /// the caller holding [`Inflight::reading`].
     stream: TcpStream,
-    /// Writer half. Held only for the duration of one frame write.
-    writer: Mutex<TcpStream>,
+    /// Held for the duration of one frame write.
+    writer: Mutex<()>,
     inflight: Mutex<Inflight>,
     /// The owning transport's counters, so poisoning can account the
     /// disconnect even after the transport dropped this connection.
@@ -67,26 +86,135 @@ struct Conn {
 
 impl Conn {
     /// Poison this connection: record `reason`, sever the socket (which
-    /// unblocks the reader thread), and fan the error out to every
-    /// in-flight waiter. Idempotent — the first reason wins (and is the
-    /// only one counted).
+    /// unblocks its reader), and complete every in-flight waiter with the
+    /// error. Idempotent — the first reason wins (and is the only one
+    /// counted).
     fn poison(&self, reason: &str) {
-        let waiters = {
+        let parked: Vec<Thread> = {
             let mut infl = self.inflight.lock();
             if infl.dead.is_none() {
                 infl.dead = Some(reason.to_string());
                 self.counters.disconnected.fetch_add(1, Ordering::Relaxed);
             }
-            std::mem::take(&mut infl.waiters)
+            let waiters = std::mem::take(&mut infl.waiters);
+            waiters
+                .into_iter()
+                .filter_map(|(id, parked)| {
+                    infl.ready.insert(id, Err(reason.to_string()));
+                    parked
+                })
+                .collect()
         };
         let _ = self.stream.shutdown(Shutdown::Both);
-        for tx in waiters.into_values() {
-            let _ = tx.send(Err(reason.to_string()));
-        }
+        parked.iter().for_each(Thread::unpark);
     }
 
-    fn is_dead(&self) -> bool {
-        self.inflight.lock().dead.is_some()
+    /// Whether this connection can take another request. An idle one —
+    /// nothing in flight, nobody reading — is probed first: a peer that
+    /// closed since its last reply is found here, not by the caller waiting
+    /// for a request written into the closed socket.
+    fn usable(&self) -> bool {
+        {
+            let mut infl = self.inflight.lock();
+            if infl.dead.is_some() {
+                return false;
+            }
+            if infl.reading || !infl.waiters.is_empty() {
+                return true;
+            }
+            infl.reading = true;
+        }
+        let _seat = Seat(self);
+        // Nonblocking mode belongs to the socket, not to one handle: the
+        // reader's seat and the writer lock keep everyone else off it.
+        let lost = {
+            let _w = self.writer.lock();
+            let mut byte = [0u8; 1];
+            let peeked = self
+                .stream
+                .set_nonblocking(true)
+                .and_then(|()| self.stream.peek(&mut byte));
+            let restored = self.stream.set_nonblocking(false);
+            match (peeked, restored) {
+                (Ok(0), _) => Some("peer closed the connection".to_string()),
+                (Err(e), _) if e.kind() != ErrorKind::WouldBlock => Some(e.to_string()),
+                (_, Err(e)) => Some(e.to_string()),
+                _ => None,
+            }
+        };
+        if let Some(e) = &lost {
+            self.poison(&format!("connection to {} lost: {e}", self.server));
+        }
+        lost.is_none()
+    }
+
+    /// Read response frames as this connection's reader until `id`'s
+    /// arrives (returned), the deadline passes or the connection dies
+    /// (`None`: the caller finds its verdict in the table, or times out).
+    /// Every other frame goes to its waiter; one nobody waits for any
+    /// more — its request timed out or was abandoned — is dropped.
+    fn read_for(&self, id: u64, deadline: Instant) -> Option<Response> {
+        let _seat = Seat(self);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            let read = self
+                .stream
+                .set_read_timeout(Some(left))
+                .map_err(frame::FrameError::Io)
+                .and_then(|()| frame::read_frame_any(&mut &self.stream));
+            let frame = match read {
+                Ok(f) => f,
+                // The caller's deadline poisons with its own reason.
+                Err(_) if Instant::now() >= deadline => return None,
+                Err(e) => {
+                    self.poison(&format!("connection to {} lost: {e}", self.server));
+                    return None;
+                }
+            };
+            let resp = match Response::decode(frame.payload) {
+                Ok(r) => r,
+                Err(e) => {
+                    self.poison(&format!("undecodable response from {}: {e}", self.server));
+                    return None;
+                }
+            };
+            if frame.corr_id == id {
+                return Some(resp);
+            }
+            let parked = {
+                let mut infl = self.inflight.lock();
+                let waiter = infl.waiters.remove(&frame.corr_id);
+                if waiter.is_some() {
+                    infl.ready.insert(frame.corr_id, Ok(resp));
+                }
+                waiter.flatten()
+            };
+            if let Some(t) = parked {
+                t.unpark();
+            }
+        }
+    }
+}
+
+/// The reader's seat of one connection, taken by setting
+/// [`Inflight::reading`]. Dropping it — also when the reader unwinds, so a
+/// panic cannot leave the socket unread — gives the seat up and unparks one
+/// waiter asleep for a reply, which takes the seat if nobody else has.
+struct Seat<'a>(&'a Conn);
+
+impl Drop for Seat<'_> {
+    fn drop(&mut self) {
+        let next = {
+            let mut infl = self.0.inflight.lock();
+            infl.reading = false;
+            infl.waiters.values().flatten().next().cloned()
+        };
+        if let Some(t) = next {
+            t.unpark();
+        }
     }
 }
 
@@ -184,40 +312,34 @@ impl Transport {
         }
     }
 
-    /// The current (or fresh) connection. Dials and spawns the demux reader
-    /// when the slot is empty or holds a poisoned connection.
+    /// The current (or fresh) connection. Dials when the slot is empty or
+    /// holds a connection that is poisoned or whose peer has gone.
     fn conn(&self) -> Result<Arc<Conn>> {
         let mut slot = self.slot.lock();
         if let Some(c) = slot.as_ref() {
-            if !c.is_dead() {
+            if c.usable() {
                 return Ok(c.clone());
             }
             *slot = None;
         }
         let addr = self.resolver.resolve(&self.server);
-        let connect = |e: std::io::Error| DpfsError::Connect {
+        let stream = TcpStream::connect(addr).map_err(|e| DpfsError::Connect {
             server: self.server.clone(),
             source: e,
-        };
-        let stream = TcpStream::connect(addr).map_err(connect)?;
+        })?;
         stream.set_nodelay(true).ok();
-        let writer = stream.try_clone().map_err(connect)?;
-        let reader = stream.try_clone().map_err(connect)?;
         let conn = Arc::new(Conn {
             server: self.server.clone(),
             stream,
-            writer: Mutex::new(writer),
+            writer: Mutex::new(()),
             inflight: Mutex::new(Inflight {
                 waiters: HashMap::new(),
+                ready: HashMap::new(),
+                reading: false,
                 dead: None,
             }),
             counters: self.counters.clone(),
         });
-        let reader_conn = conn.clone();
-        std::thread::Builder::new()
-            .name(format!("dpfs-demux-{}", self.server))
-            .spawn(move || demux_loop(reader, reader_conn))
-            .map_err(connect)?;
         self.counters.dials.fetch_add(1, Ordering::Relaxed);
         *slot = Some(conn.clone());
         Ok(conn)
@@ -245,7 +367,6 @@ impl Transport {
     fn try_submit(&self, req: &Request, trace_id: u64) -> Result<Pending> {
         let conn = self.conn()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
         {
             let mut infl = conn.inflight.lock();
             if let Some(reason) = &infl.dead {
@@ -254,7 +375,7 @@ impl Transport {
                     reason: reason.clone(),
                 });
             }
-            infl.waiters.insert(id, tx);
+            infl.waiters.insert(id, None);
             let depth = infl.waiters.len() as u64;
             self.counters
                 .in_flight_peak
@@ -268,11 +389,12 @@ impl Transport {
         let part_refs: Vec<&[u8]> = parts.iter().map(|p| &p[..]).collect();
         let wire_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
         let wrote = {
-            let mut w = conn.writer.lock();
+            let _w = conn.writer.lock();
+            let mut w = &conn.stream;
             if trace_id != 0 {
-                frame::write_frame_v3_parts(&mut *w, id, trace_id, &part_refs)
+                frame::write_frame_v3_parts(&mut w, id, trace_id, &part_refs)
             } else {
-                frame::write_frame_v2_parts(&mut *w, id, &part_refs)
+                frame::write_frame_v2_parts(&mut w, id, &part_refs)
             }
         };
         if let Err(e) = wrote {
@@ -291,7 +413,6 @@ impl Transport {
         Ok(Pending {
             server: self.server.clone(),
             id,
-            rx,
             conn,
             counters: self.counters.clone(),
             trace_id,
@@ -353,13 +474,12 @@ impl Transport {
 /// A submitted request awaiting its response.
 ///
 /// Dropping a `Pending` abandons the response: its waiter leaves the
-/// in-flight table with it and the demux reader discards the response on
-/// arrival. The connection is not poisoned — that stays [`Pending::wait`]'s
-/// deadline behaviour.
+/// in-flight table with it and whoever reads the connection discards the
+/// response on arrival. The connection is not poisoned — that stays
+/// [`Pending::wait`]'s deadline behaviour.
 pub struct Pending {
     server: String,
     id: u64,
-    rx: mpsc::Receiver<WireResult>,
     conn: Arc<Conn>,
     counters: Arc<Counters>,
     trace_id: u64,
@@ -369,7 +489,8 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Await the response for at most `timeout`.
+    /// Await the response for at most `timeout`, reading the connection
+    /// while nobody else does and sleeping while somebody does.
     ///
     /// On deadline: the waiter is evicted (a late response is discarded),
     /// the connection is poisoned — in-order framing means everything
@@ -377,8 +498,39 @@ impl Pending {
     /// get errors rather than hangs — and [`DpfsError::Timeout`] is
     /// returned. The next submission on this transport redials.
     pub fn wait(self, timeout: Duration) -> Result<Response> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(resp)) => {
+        // A timeout past what an `Instant` can hold waits a century.
+        let now = Instant::now();
+        let deadline = now
+            .checked_add(timeout)
+            .unwrap_or(now + Duration::from_secs(100 * 365 * 86_400));
+        let verdict = loop {
+            let reader = {
+                let mut infl = self.conn.inflight.lock();
+                if let Some(verdict) = infl.ready.remove(&self.id) {
+                    break Some(verdict);
+                }
+                if Instant::now() >= deadline {
+                    break None;
+                }
+                let reader = !infl.reading;
+                infl.reading |= reader;
+                if let Some(parked) = infl.waiters.get_mut(&self.id) {
+                    *parked = (!reader).then(thread::current);
+                }
+                reader
+            };
+            if reader {
+                if let Some(resp) = self.conn.read_for(self.id, deadline) {
+                    break Some(Ok(resp));
+                }
+            } else {
+                // Unparked by a delivery, a poison or a reader leaving its
+                // seat — or spuriously: the table says which.
+                thread::park_timeout(deadline.saturating_duration_since(Instant::now()));
+            }
+        };
+        match verdict {
+            Some(Ok(resp)) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
                 let dur = trace::now_ns().saturating_sub(self.submitted_ns);
                 self.counters.hist_for(self.kind).record(dur);
@@ -402,11 +554,11 @@ impl Pending {
                 );
                 Ok(resp)
             }
-            Ok(Err(reason)) => Err(DpfsError::Disconnected {
+            Some(Err(reason)) => Err(DpfsError::Disconnected {
                 server: self.server.clone(),
                 reason,
             }),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
+            None => {
                 self.counters.timed_out.fetch_add(1, Ordering::Relaxed);
                 self.conn.inflight.lock().waiters.remove(&self.id);
                 self.conn
@@ -416,13 +568,6 @@ impl Pending {
                     timeout,
                 })
             }
-            // The reader dropped the sender without a verdict (it only does
-            // so via poison, which sends first — this arm is belt and
-            // braces against a panicking reader).
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(DpfsError::Disconnected {
-                server: self.server.clone(),
-                reason: "connection reader exited".to_string(),
-            }),
         }
     }
 
@@ -436,34 +581,10 @@ impl Drop for Pending {
     /// Evict this request's waiter: an abandoned fan-out sibling (an early
     /// `?` drops the rest) must not sit in the table — and in
     /// [`TransportStats::in_flight`] — until a server that may never
-    /// answer does. After a `wait` the entry is already gone.
+    /// answer does. A `wait` ends here too, taking its own entry out.
     fn drop(&mut self) {
-        self.conn.inflight.lock().waiters.remove(&self.id);
-    }
-}
-
-/// The demux reader: completes waiters out of order by correlation ID until
-/// the connection dies, then fans the failure out.
-fn demux_loop(mut stream: TcpStream, conn: Arc<Conn>) {
-    loop {
-        let frame = match frame::read_frame_any(&mut stream) {
-            Ok(f) => f,
-            Err(e) => {
-                conn.poison(&format!("connection to {} lost: {e}", conn.server));
-                return;
-            }
-        };
-        let id = frame.corr_id;
-        let resp = match Response::decode(frame.payload) {
-            Ok(r) => r,
-            Err(e) => {
-                conn.poison(&format!("undecodable response from {}: {e}", conn.server));
-                return;
-            }
-        };
-        // A missing waiter timed out and was evicted; drop the response.
-        if let Some(tx) = conn.inflight.lock().waiters.remove(&id) {
-            let _ = tx.send(Ok(resp));
-        }
+        let mut infl = self.conn.inflight.lock();
+        infl.waiters.remove(&self.id);
+        infl.ready.remove(&self.id);
     }
 }

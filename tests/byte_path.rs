@@ -54,8 +54,8 @@ static GLOBAL: Counting = Counting;
 
 const MIB: usize = 1 << 20;
 
-/// Bytes allocated by the whole process (client, demux reader, server
-/// shards and workers) while `f` runs.
+/// Bytes allocated by the whole process (client, server shards and
+/// workers) while `f` runs.
 fn allocated_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATED.load(Ordering::Relaxed);
     let out = f();
@@ -89,8 +89,8 @@ fn one_mib_list_round_trips_stay_within_the_copy_budget() {
         subfile: "/f".into(),
         pattern,
     };
-    // Warm up: dial, spawn the demux reader, create the subfile, grow
-    // every lazily-sized structure on the way.
+    // Warm up: dial, create the subfile, grow every lazily-sized
+    // structure on the way.
     for _ in 0..2 {
         pool.rpc("ion00", &write).unwrap();
         pool.rpc("ion00", &read).unwrap();

@@ -6,12 +6,15 @@
 //!   bound, pending peers on the poisoned connection get transport errors
 //!   instead of hanging, and the next RPC redials successfully;
 //! - dropping a `Pending` evicts its waiter without poisoning;
+//! - callers sharing one connection each get their own reply, whichever of
+//!   them reads the socket, and a waiter's deadline fails the one reading;
+//! - a connection the peer closed while idle is redialed, not failed on;
 //! - `ping` counts any protocol-level answer — including
 //!   `Error { ShuttingDown }` — as *reachable*.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
@@ -20,6 +23,8 @@ use dpfs::core::{
 };
 use dpfs::proto::{frame, ErrorCode, Request, Response};
 use dpfs::server::PerfModel;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const DELAY: Duration = Duration::from_millis(40);
 
@@ -225,6 +230,178 @@ fn dropped_pendings_leave_the_in_flight_table() {
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.disconnected, 0, "abandoning must not poison");
     assert_eq!(stats.dials, 1);
+}
+
+/// A server whose one connection takes `callers` `Stat` requests per round,
+/// then answers them last first, each with the size its subfile name
+/// spells: a reply's size says whose it is. It keeps the connection open
+/// after the last round.
+fn start_reversing_server(callers: usize, rounds: usize) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        for _ in 0..rounds {
+            let mut round = Vec::with_capacity(callers);
+            for _ in 0..callers {
+                let f = frame::read_frame_any(&mut stream).unwrap();
+                let Request::Stat { subfile } = Request::decode(f.payload).unwrap() else {
+                    panic!("expected Stat");
+                };
+                round.push((f.corr_id, subfile.parse::<u64>().unwrap()));
+            }
+            for (id, size) in round.into_iter().rev() {
+                let resp = Response::Stat { exists: true, size };
+                frame::write_frame_v2(&mut stream, id, &resp.encode()).unwrap();
+            }
+        }
+        swallow(stream);
+    });
+    addr
+}
+
+#[test]
+fn callers_sharing_a_connection_each_get_their_own_reply() {
+    const CALLERS: usize = 8;
+    const ROUNDS: usize = 50;
+    let addr = start_reversing_server(CALLERS, ROUNDS).to_string();
+    let pool = one_shot_pool();
+    let barrier = Barrier::new(CALLERS);
+    // Every round, the server holds all replies until every caller's
+    // request is in, then sends the last caller's first: whoever reads the
+    // socket reads the others' replies before its own.
+    std::thread::scope(|s| {
+        for caller in 0..CALLERS as u64 {
+            let (pool, addr, barrier) = (&pool, &addr, &barrier);
+            s.spawn(move || {
+                for round in 0..ROUNDS as u64 {
+                    barrier.wait();
+                    let size = round * 100 + caller;
+                    let req = Request::Stat {
+                        subfile: size.to_string(),
+                    };
+                    let resp = pool.submit(addr, &req).unwrap().wait(DEFAULT_RPC_TIMEOUT);
+                    assert_eq!(resp.unwrap(), Response::Stat { exists: true, size });
+                }
+            });
+        }
+    });
+    let stats = pool.transport_stats(&addr).unwrap();
+    assert_eq!(stats.dials, 1, "every caller shares one connection");
+    assert_eq!(stats.completed, (CALLERS * ROUNDS) as u64);
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(stats.disconnected, 0);
+}
+
+#[test]
+fn callers_pipelining_on_one_connection_lose_no_reply() {
+    // Seeded: eight threads on one connection to a real server, each
+    // pipelining 1–4 requests, awaiting them in a random order and
+    // abandoning some. A reply that reached nobody, or a seat handed to
+    // nobody, leaves a caller asleep until its deadline: a timeout here.
+    const CALLERS: u64 = 8;
+    let tb = Testbed::unthrottled(1).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    let pool = client.pool();
+    std::thread::scope(|s| {
+        for caller in 0..CALLERS {
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x5eed + caller);
+                for _ in 0..300 {
+                    let mut pending: Vec<_> = (0..rng.gen_range(1..=4))
+                        .map(|_| pool.submit("ion00", &Request::Ping).unwrap())
+                        .collect();
+                    while !pending.is_empty() {
+                        let p = pending.swap_remove(rng.gen_range(0..pending.len()));
+                        if rng.gen_range(0..8) == 0 {
+                            drop(p);
+                        } else {
+                            let resp = p.wait(Duration::from_secs(10));
+                            assert_eq!(resp.unwrap(), Response::Pong);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let stats = pool.transport_stats("ion00").unwrap();
+    assert_eq!(stats.dials, 1);
+    assert_eq!(stats.timed_out, 0);
+    assert_eq!(stats.disconnected, 0);
+    assert_eq!(stats.in_flight, 0);
+}
+
+#[test]
+fn a_waiters_deadline_fails_the_caller_reading_the_socket() {
+    // Nothing ever answers. Two callers wait on one connection, one for
+    // 30 s and one for 100 ms; whichever of them reads the socket, the
+    // short deadline poisons the connection and the long wait ends with it.
+    let addr = start_stalled_server().to_string();
+    let pool = one_shot_pool();
+    let long = pool.submit(&addr, &Request::Ping).unwrap();
+    let short = pool.submit(&addr, &Request::Ping).unwrap();
+    let start = Instant::now();
+    let (long_res, short_res) = std::thread::scope(|s| {
+        let long = s.spawn(move || long.wait(Duration::from_secs(30)));
+        let short = short.wait(Duration::from_millis(100));
+        (long.join().unwrap(), short)
+    });
+    assert!(
+        matches!(short_res, Err(DpfsError::Timeout { .. })),
+        "got {short_res:?}"
+    );
+    assert!(
+        matches!(long_res, Err(DpfsError::Disconnected { .. })),
+        "got {long_res:?}"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the long wait outlived the poisoned connection: {:?}",
+        start.elapsed()
+    );
+}
+
+/// A server that answers the first request of every connection with
+/// `Pong`, closes the connection and reports on `closed` that it did.
+fn start_answer_once_server() -> (SocketAddr, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            if let Ok(f) = frame::read_frame_any(&mut stream) {
+                let _ = frame::write_frame_v2(&mut stream, f.corr_id, &Response::Pong.encode());
+            }
+            drop(stream);
+            if tx.send(()).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, rx)
+}
+
+#[test]
+fn a_connection_the_peer_closed_while_idle_is_redialed() {
+    // No thread watches an idle connection, so a submission finds out
+    // itself: with retries off, the second call must still succeed.
+    let (addr, closed) = start_answer_once_server();
+    let addr = addr.to_string();
+    let pool = one_shot_pool();
+    for round in 1..=3 {
+        assert_eq!(pool.rpc(&addr, &Request::Ping).unwrap(), Response::Pong);
+        closed.recv().unwrap();
+        let stats = pool.transport_stats(&addr).unwrap();
+        assert_eq!(stats.dials, round, "one dial per server connection");
+    }
+    let stats = pool.transport_stats(&addr).unwrap();
+    assert!(
+        stats.disconnected >= 2,
+        "each closed connection counts once"
+    );
+    assert_eq!(stats.retries, 0);
 }
 
 /// A server that answers every request with `Error { ShuttingDown }`.
