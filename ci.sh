@@ -161,6 +161,19 @@ if [ "$lifts" != "$want_unsafe " ] || [ "$users" != "$want_unsafe " ]; then
     echo "FAIL: allow(unsafe_code) in [$lifts], unsafe in [$users]; expected exactly [$want_unsafe]"
     exit 1
 fi
+# Which thread answers a request is its service's `try_handle`: answer now
+# or hand it back. The per-kind `may_block` rule stays gone, and the
+# kernel's "would wait" (`preadv2` with `RWF_NOWAIT`) is asked in one
+# place, `sys::pread_nowait`.
+if git grep -nw 'may_block' -- crates/ src/ tests/ examples/; then
+    echo "FAIL: Service::may_block is back (answer or hand back in try_handle)"
+    exit 1
+fi
+nowait_homes=$(git grep -lE 'preadv2|RWF_NOWAIT' -- crates/ src/ tests/ examples/ | tr '\n' ' ')
+if [ "$nowait_homes" != "crates/server/src/sys.rs " ]; then
+    echo "FAIL: preadv2/RWF_NOWAIT named in [$nowait_homes]; only crates/server/src/sys.rs may"
+    exit 1
+fi
 # One checksum, and one function that picks its arm: only `crc32_update`
 # (codec.rs) calls the kernel.
 kernel_callers=$(git grep -l 'clmul::' -- crates/ src/ tests/ examples/ | tr '\n' ' ')

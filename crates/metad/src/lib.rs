@@ -26,7 +26,7 @@ use dpfs_obs::{
     now_ns, record_span, ClusterSnapshot, HistSnapshot, Histogram, NodeRole, NodeSnapshot, Side,
 };
 use dpfs_proto::{ErrorCode, MetaOp, MetaResult, Request, Response};
-use dpfs_server::{ServeCore, Service};
+use dpfs_server::{Attempt, ServeCore, Service};
 use parking_lot::Mutex;
 
 /// Request-path counters plus per-op service-time histograms. Shared by
@@ -285,14 +285,17 @@ impl Service for MetaHandler {
     /// the database's transaction gate, and all of them go to the workers.
     /// An audit scans every table, which is not microseconds: it always
     /// goes to a worker.
-    fn may_block(&self, req: &Request) -> bool {
-        self.fsyncs
-            || matches!(
-                req,
-                Request::Meta {
-                    op: MetaOp::Audit { .. }
-                }
-            )
+    fn try_handle(&self, req: Request, trace_id: u64) -> Attempt {
+        let audit = matches!(
+            req,
+            Request::Meta {
+                op: MetaOp::Audit { .. }
+            }
+        );
+        if self.fsyncs || audit {
+            return Attempt::HandedBack(req);
+        }
+        Attempt::Answered(MetaHandler::handle_traced(self, req, trace_id))
     }
 
     fn note_connection(&self) {
@@ -552,10 +555,22 @@ mod tests {
         let audit = |repair| Request::Meta {
             op: MetaOp::Audit { repair },
         };
-        assert!(!h.may_block(&Request::Meta {
-            op: MetaOp::ListServers
-        }));
-        assert!(h.may_block(&audit(false)) && h.may_block(&audit(true)));
+        let listed = h.try_handle(
+            Request::Meta {
+                op: MetaOp::ListServers,
+            },
+            0,
+        );
+        assert!(
+            matches!(listed, Attempt::Answered(Response::Meta { .. })),
+            "answered inline: {listed:?}"
+        );
+        for repair in [false, true] {
+            assert_eq!(
+                h.try_handle(audit(repair), 0),
+                Attempt::HandedBack(audit(repair))
+            );
+        }
         meta(&h, MetaOp::Mkdir { path: "/d".into() });
         let r = meta(&h, MetaOp::Audit { repair: false });
         let MetaResult::Audit(found) = r else {

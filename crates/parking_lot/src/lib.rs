@@ -115,6 +115,16 @@ impl<T: ?Sized> RwLock<T> {
         }
     }
 
+    /// Acquire a shared read guard if that needs no wait right now: `None`
+    /// while a writer holds the lock or waits for it.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        match self.inner.try_read() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Block until the exclusive write guard is acquired.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         match self.inner.write() {
@@ -134,9 +144,9 @@ impl<T: ?Sized> RwLock<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            Err(_) => f.write_str("RwLock { <locked> }"),
+        match self.try_read() {
+            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
+            None => f.write_str("RwLock { <locked> }"),
         }
     }
 }
@@ -178,5 +188,27 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(*r1 + *r2, 10);
+    }
+
+    #[test]
+    fn try_read_shares_with_readers_and_yields_to_a_writer() {
+        let l = RwLock::new(5);
+        {
+            let _r = l.read();
+            assert_eq!(l.try_read().map(|g| *g), Some(5));
+        }
+        let w = l.write();
+        assert!(l.try_read().is_none());
+        drop(w);
+        assert_eq!(l.try_read().map(|g| *g), Some(5));
+        // A writer that panicked leaves the value readable.
+        let l = Arc::new(l);
+        let poisoner = l.clone();
+        let _ = thread::spawn(move || {
+            let _w = poisoner.write();
+            panic!("poison");
+        })
+        .join();
+        assert_eq!(l.try_read().map(|g| *g), Some(5));
     }
 }

@@ -3,11 +3,13 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use bytes::Bytes;
 use dpfs_obs::{now_ns, record_span, ClusterSnapshot, Side};
 use dpfs_proto::{split_payload, ErrorCode, Request, Response};
 use parking_lot::Mutex;
 
 use crate::perf::PerfModel;
+use crate::service::Attempt;
 use crate::stats::ServerStats;
 use crate::subfile::{StoreError, SubfileStore};
 
@@ -130,12 +132,46 @@ impl Handler {
     /// into the global trace ring, the service time into the per-kind
     /// histogram, and the in-flight gauge around the whole dispatch.
     pub fn handle_traced(&self, req: Request, trace_id: u64) -> Response {
+        self.serve(req, trace_id, now_ns(), None)
+    }
+
+    /// [`Handler::handle_traced`] of a `Read` or `ReadList` on a thread that
+    /// must not wait — an I/O shard's: answered only from an open
+    /// descriptor and the page cache, and only when the model injects no
+    /// delay. A read that would wait is handed back before anything is
+    /// counted; whoever handles it then counts it, once.
+    pub(crate) fn read_nowait(&self, req: Request, trace_id: u64) -> Attempt {
+        if !self.perf.is_unthrottled() {
+            return Attempt::HandedBack(req);
+        }
+        let t0 = now_ns();
+        let cached = match &req {
+            Request::Read { subfile, ranges } => self.store.read_ranges_nowait(subfile, ranges),
+            Request::ReadList { subfile, pattern } => {
+                self.store.read_ranges_nowait(subfile, &pattern.expand())
+            }
+            _ => Ok(None),
+        };
+        match cached.transpose() {
+            None => Attempt::HandedBack(req),
+            cached => Attempt::Answered(self.serve(req, trace_id, t0, cached)),
+        }
+    }
+
+    /// Count, time and trace one request from `t0` on; `cached` is a read's
+    /// outcome when the caller already read its bytes without waiting.
+    fn serve(
+        &self,
+        req: Request,
+        trace_id: u64,
+        t0: u64,
+        cached: Option<Result<Bytes, StoreError>>,
+    ) -> Response {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         let kind = req.kind_str();
         let bytes = req.payload_bytes();
-        let t0 = now_ns();
-        let resp = self.dispatch(req, trace_id);
+        let resp = self.dispatch(req, trace_id, cached);
         let dur = now_ns().saturating_sub(t0);
         self.stats.hist_for(kind).record(dur);
         record_span(
@@ -160,7 +196,12 @@ impl Handler {
         resp
     }
 
-    fn dispatch(&self, req: Request, trace_id: u64) -> Response {
+    fn dispatch(
+        &self,
+        req: Request,
+        trace_id: u64,
+        cached: Option<Result<Bytes, StoreError>>,
+    ) -> Response {
         match req {
             Request::Ping => Response::Pong,
             // Every write, enumerated or pattern, lands alike: one range
@@ -209,25 +250,31 @@ impl Handler {
             }
             // Every read, enumerated or pattern, is answered alike: the
             // ranges' bytes back to back in one payload. The request kind
-            // picks only the counter and the labels.
+            // picks only the counter and the labels. A read a shard served
+            // from the page cache arrives with its bytes (`cached`).
             read @ (Request::Read { .. } | Request::ReadList { .. }) => {
                 let kind = read.kind_str();
-                let (subfile, ranges, reads) = match read {
-                    Request::Read { subfile, ranges } => (subfile, ranges, &self.stats.reads),
-                    Request::ReadList { subfile, pattern } => {
-                        (subfile, pattern.expand(), &self.stats.list_reads)
-                    }
-                    _ => unreachable!("matched a read"),
+                let bytes = read.payload_bytes();
+                let reads = match read {
+                    Request::Read { .. } => &self.stats.reads,
+                    _ => &self.stats.list_reads,
                 };
-                let bytes: u64 = ranges.iter().map(|&(_, len)| len).sum();
-                self.inject_delay(ranges.len(), bytes, trace_id, kind);
-                let data = match self.store.read_ranges_coalesced(&subfile, &ranges) {
+                let data = cached.unwrap_or_else(|| {
+                    let (subfile, ranges) = match read {
+                        Request::Read { subfile, ranges } => (subfile, ranges),
+                        Request::ReadList { subfile, pattern } => (subfile, pattern.expand()),
+                        _ => unreachable!("matched a read"),
+                    };
+                    self.inject_delay(ranges.len(), bytes, trace_id, kind);
+                    self.store.read_ranges_coalesced(&subfile, &ranges)
+                });
+                let data = match data {
                     Ok(data) => data,
                     // A subfile that was never written is all holes: reads
                     // come back zero-filled, exactly like reading a sparse
                     // region of an existing subfile. (`Stat` still reports
                     // exists=false, so fsck can tell the difference.)
-                    Err(StoreError::NotFound) => bytes::Bytes::from(vec![0u8; bytes as usize]),
+                    Err(StoreError::NotFound) => Bytes::from(vec![0u8; bytes as usize]),
                     Err(e) => return self.error_response(e),
                 };
                 reads.fetch_add(1, Ordering::Relaxed);
@@ -255,7 +302,7 @@ impl Handler {
             }
             Request::Shutdown => Response::Pong,
             Request::Stats => Response::Stats {
-                payload: bytes::Bytes::from(
+                payload: Bytes::from(
                     ClusterSnapshot {
                         nodes: vec![self.stats_snapshot().node(&self.name)],
                     }
@@ -292,7 +339,6 @@ impl Handler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     fn handler() -> (Handler, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(

@@ -39,6 +39,6 @@ pub use dpfs_obs::HistSnapshot;
 pub use handler::Handler;
 pub use perf::{PerfModel, StorageClass};
 pub use server::{IoServer, ServerConfig};
-pub use service::{ServeConfig, ServeCore, Service};
+pub use service::{Attempt, ServeConfig, ServeCore, Service};
 pub use stats::{ServerStats, StatsSnapshot};
 pub use subfile::{StoreError, SubfileStore};

@@ -2,6 +2,13 @@
 //! around the subfile [`Handler`], mirroring the paper's "server's spawning
 //! multiple processes or threads to handle them" (§2). The metadata daemon
 //! (`dpfs-metad`) reuses the same core around its own handler.
+//!
+//! Which thread serves a request is the Flash server's rule (Pai et al.,
+//! USENIX ATC '99): the I/O shard that decoded it answers whatever it can
+//! without waiting — names, sizes, and reads the page cache holds, which
+//! the kernel tells apart (`sys::pread_nowait`) — and hands the rest to a
+//! worker: writes, flushes, reads that would touch the device, and every
+//! read under a throttled [`PerfModel`].
 
 use std::io;
 use std::net::SocketAddr;
@@ -13,7 +20,7 @@ use dpfs_proto::{Request, Response};
 
 use crate::handler::Handler;
 use crate::perf::PerfModel;
-use crate::service::{ServeConfig, ServeCore, Service};
+use crate::service::{Attempt, ServeConfig, ServeCore, Service};
 use crate::stats::StatsSnapshot;
 use crate::subfile::SubfileStore;
 
@@ -65,24 +72,25 @@ impl Service for Handler {
         Handler::handle_traced(self, req, trace_id)
     }
 
-    /// Names and sizes are answered where they were decoded. Whatever moves
-    /// file bytes or flushes them waits for a device — modelled
-    /// (`inject_delay`) or real — and belongs to a worker, whatever the
-    /// performance model says.
-    fn may_block(&self, req: &Request) -> bool {
+    /// Names and sizes are answered where they were decoded, and so is a
+    /// read the page cache can serve whole from an open descriptor with no
+    /// delay modelled (`Handler::read_nowait`: the kernel says whether it
+    /// would wait). Any other read, and whatever writes file bytes or
+    /// flushes them, waits for a device — modelled (`inject_delay`) or
+    /// real — and belongs to a worker.
+    fn try_handle(&self, req: Request, trace_id: u64) -> Attempt {
         match req {
             Request::Ping
             | Request::Stats
             | Request::Stat { .. }
             | Request::Delete { .. }
             | Request::Rename { .. }
-            | Request::Meta { .. } => false,
-            Request::Read { .. }
-            | Request::Write { .. }
-            | Request::ReadList { .. }
+            | Request::Meta { .. } => Attempt::Answered(self.handle_traced(req, trace_id)),
+            Request::Read { .. } | Request::ReadList { .. } => self.read_nowait(req, trace_id),
+            Request::Write { .. }
             | Request::WriteList { .. }
             | Request::Sync { .. }
-            | Request::Shutdown => true,
+            | Request::Shutdown => Attempt::HandedBack(req),
         }
     }
 

@@ -7,12 +7,13 @@
 //! timer anywhere. The acceptor blocks in `poll(2)` on the listener; a small
 //! set of I/O *shards* each block in one `poll` over their many nonblocking
 //! connections, accumulating reads into per-connection buffers and decoding
-//! frames incrementally ([`dpfs_proto::frame::decode_bytes`]). A request
-//! that cannot block ([`Service::may_block`] says so: a name or a size, not
-//! file bytes) is answered by the shard thread that decoded it — a round
-//! trip is then two thread wake-ups shorter. The shared worker pool serves
-//! what may block (a device, an fsync, a modelled delay), so a slow request
-//! never holds up a shard's other connections. Whoever handled the request
+//! frames incrementally ([`dpfs_proto::frame::decode_bytes`]). The shard
+//! offers each request to its service ([`Service::try_handle`]), which
+//! answers it there if nothing has to be waited for — a name, a size, bytes
+//! the page cache holds — so the round trip is two thread wake-ups shorter,
+//! or hands it back. The shared worker pool serves what is handed back (a
+//! device, an fsync, a modelled delay), so a slow request never holds up a
+//! shard's other connections. Whoever handled the request
 //! writes its framed response to the owning connection's socket itself,
 //! leaving to the shard's flush only what the socket would not take.
 //! Whatever a sleeping thread cannot see on its descriptors reaches it
@@ -20,9 +21,9 @@
 //! independent of connections.
 //!
 //! The serving contract: requests on one connection may overlap their
-//! service times and complete out of order — a non-blocking request
-//! overtakes a blocking one ahead of it, while non-blocking requests among
-//! themselves are answered in the order they were sent — each response frame
+//! service times and complete out of order — a request answered on the
+//! shard overtakes a handed-back one ahead of it, while requests answered on
+//! the shard are answered in the order they were sent — each response frame
 //! echoing its request's correlation ID; a frame that is not v2/v3 (bad
 //! magic, bad checksum, oversized) severs the connection that sent it and no
 //! other; and every request leaves `decode`/`queue`/`respond` server trace
@@ -47,6 +48,15 @@ use parking_lot::Mutex;
 
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
+/// What [`Service::try_handle`] made of a request.
+#[derive(Debug, PartialEq)]
+pub enum Attempt {
+    /// Answered on the calling I/O shard thread.
+    Answered(Response),
+    /// Handed back untouched and uncounted, for the worker pool.
+    HandedBack(Request),
+}
+
 /// A request handler an accept loop can serve: one response per request,
 /// shared across shards and workers.
 pub trait Service: Send + Sync + 'static {
@@ -56,16 +66,18 @@ pub trait Service: Send + Sync + 'static {
     /// producing exactly one response. Must never panic on malformed
     /// input.
     fn handle_traced(&self, req: Request, trace_id: u64) -> Response;
-    /// May handling `req` wait for something — a device, an fsync, a lock
-    /// held across either, a modelled delay? A request that may is handled
-    /// by the worker pool; one that cannot is answered by the I/O shard
-    /// thread that decoded it, ahead of that shard's other connections, so
-    /// `false` is a promise of microseconds. A property of the request (and
-    /// of how the service was built), not a setting; the default keeps every
-    /// request on the workers. `Shutdown` is never asked about: it always
-    /// drains through a worker.
-    fn may_block(&self, _req: &Request) -> bool {
-        true
+    /// Answer `req` now, on the I/O shard thread that decoded it, or hand
+    /// it back for the worker pool. Answering here is a promise that
+    /// nothing is waited for — a device, an fsync, a lock held across
+    /// either, a modelled delay — so the cost is CPU in proportion to the
+    /// reply, which the shard charges, by its framed length, to the
+    /// connection's per-pass fairness budget. A request handed back must be
+    /// untouched and uncounted, so that the worker's
+    /// [`Service::handle_traced`] is its one handling. The default hands
+    /// every request back. `Shutdown` is never offered: it always drains
+    /// through a worker.
+    fn try_handle(&self, req: Request, _trace_id: u64) -> Attempt {
+        Attempt::HandedBack(req)
     }
     /// Called once per accepted connection (statistics hook).
     fn note_connection(&self) {}
@@ -99,11 +111,13 @@ const DEFAULT_SHARDS: usize = 2;
 /// Default shared workers.
 const DEFAULT_WORKERS: usize = 8;
 
-/// Bytes one connection may pull off its socket per shard pass before the
-/// shard moves on (fairness between connections on one shard). A request the
-/// shard answers itself is charged as [`PROBE_LEN`] bytes, so a peer that
-/// pipelines thousands of tiny requests gets 64 of them (and the rest of the
-/// read that crossed the line) answered per pass, not all of them.
+/// Bytes one connection may move per shard pass before the shard moves on
+/// (fairness between connections on one shard): what it pulls off its
+/// socket, plus, for each request the shard answers itself, the framed
+/// reply — charged as at least [`PROBE_LEN`]. So a peer that pipelines
+/// thousands of tiny requests gets 64 of them answered per pass, one that
+/// pipelines cached megabyte reads one; the rest wait, read or not, for
+/// the next pass.
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Cap on the bytes queued outbound per connection. A peer that stops
@@ -122,7 +136,8 @@ const FLUSH_PARTS: usize = 16;
 
 /// How long a draining shard waits for in-flight requests to finish and
 /// their responses to flush before severing connections anyway: the only
-/// timeout a shard's `poll` ever carries.
+/// timeout a shard's `poll` ever carries, but for the zero of a pass that
+/// has a backlog to go back to.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Backoff before retrying `accept()` after `consecutive` straight
@@ -335,11 +350,14 @@ impl ConnIo {
 /// Encoding and the checksum pass happen before the lock: it is the lock
 /// every writer of this socket holds across its write — which keeps
 /// frames whole and in push order — so holding it for a megabyte of CRC
-/// would stall them. The write under it never blocks.
-fn enqueue_response(io: &ConnIo, corr_id: u64, resp: &Response) {
+/// would stall them. The write under it never blocks. Returns the framed
+/// reply's length (0 when it could not be framed).
+fn enqueue_response(io: &ConnIo, corr_id: u64, resp: &Response) -> usize {
     let mut stuck = false;
     let mut fatal = true;
+    let mut len = 0;
     if let Ok(framed) = frame_response(corr_id, resp) {
+        len = framed.iter().map(|part| part.len()).sum();
         let mut out = io.outbuf.lock();
         let direct = out.pending == 0;
         out.push(framed);
@@ -360,6 +378,7 @@ fn enqueue_response(io: &ConnIo, corr_id: u64, resp: &Response) {
     if fatal || stuck {
         io.shard.waker.wake();
     }
+    len
 }
 
 /// One decoded request bound for the shared worker pool.
@@ -375,12 +394,16 @@ struct Job {
 
 /// One connection owned by a shard.
 struct ShardConn {
-    /// Unparsed bytes read off the socket: at most one partial frame
-    /// between passes.
+    /// Unparsed bytes read off the socket: between passes, at most one
+    /// partial frame — behind the whole frames of a `backlog`.
     inbuf: Vec<u8>,
     io: Arc<ConnIo>,
     /// A `Shutdown` request was decoded; stop reading ahead of the drain.
     stop_reading: bool,
+    /// `inbuf` starts with a whole frame the pass's budget ran out before
+    /// (or a corrupt header): the shard comes back for it without waiting
+    /// for the socket.
+    backlog: bool,
 }
 
 impl ShardConn {
@@ -397,6 +420,13 @@ impl ShardConn {
             events |= POLLOUT;
         }
         events
+    }
+
+    /// Does `inbuf` start with a whole frame to decode? An error: with a
+    /// header no frame can have.
+    fn frame_ready(&self) -> Result<bool, frame::FrameError> {
+        let len = frame::frame_len(&self.inbuf)?;
+        Ok(!self.stop_reading && matches!(len, Some(total) if total <= self.inbuf.len()))
     }
 }
 
@@ -419,12 +449,19 @@ fn shard_loop(
     let mut fds = vec![shard.waker.pollfd()];
     let mut probe = [0u8; PROBE_LEN];
     let mut draining_since: Option<Instant> = None;
+    // Some connection's budget ran out before its whole frames did: the
+    // next `poll` only collects what else is ready.
+    let mut backlog = false;
     let sever = |c: ShardConn| {
         let _ = c.io.stream.shutdown(Shutdown::Both);
         rt.conn_count.fetch_sub(1, Ordering::SeqCst);
     };
     loop {
-        let timeout = draining_since.map(|t| DRAIN_DEADLINE.saturating_sub(t.elapsed()));
+        let timeout = match draining_since {
+            _ if backlog => Some(Duration::ZERO),
+            Some(t) => Some(DRAIN_DEADLINE.saturating_sub(t.elapsed())),
+            None => None,
+        };
         // Woken: something changed that no descriptor shows (see the
         // wakers of `ConnIo` and `Readiness`), on any connection. A failed
         // `poll` (the kernel is out of memory; `EINTR` is retried) reports
@@ -451,16 +488,18 @@ fn shard_loop(
                 inbuf: Vec::new(),
                 io: Arc::new(ConnIo::new(stream, shard.clone())),
                 stop_reading: false,
+                backlog: false,
             });
         }
         let draining = rt.shutdown.load(Ordering::SeqCst);
         // The pass that starts the drain takes every connection's
         // `POLLIN` away, whatever ended the `poll`.
         let all = woken || (draining && draining_since.is_none());
+        backlog = false;
         let mut i = 0;
         while i < conns.len() {
             let revents = fds[i + 1].revents;
-            if revents == 0 && !all {
+            if revents == 0 && !all && !conns[i].backlog {
                 i += 1;
                 continue;
             }
@@ -468,6 +507,7 @@ fn shard_loop(
             match service_conn(c, revents, draining, &service, &jobs, &mut probe) {
                 ConnFate::Keep => {
                     fds[i + 1].events = c.interest(draining);
+                    backlog |= c.backlog;
                     i += 1;
                 }
                 ConnFate::Close => {
@@ -526,30 +566,33 @@ fn read_more(c: &mut ShardConn, probe: &mut [u8], budget: usize) -> io::Result<u
     }
 }
 
-/// Dispatch every complete frame in `c`'s buffer, adding to `answered` the
-/// requests replied to right here; false means drop the connection (corrupt
-/// stream, or the worker pool is gone).
+/// Dispatch the complete frames in `c`'s buffer while the pass's budget
+/// lasts, adding to `spent` what each request replied to right here costs
+/// (see [`READ_BUDGET`]); false means drop the connection (corrupt stream,
+/// or the worker pool is gone).
 ///
 /// Once a whole frame is in, the buffer is frozen and frames are split off
 /// it: each request's payload is a refcounted window of the bytes the
-/// socket delivered, not a copy. What is left over — a partial frame, or
-/// whatever followed a `Shutdown` — starts the next buffer.
+/// socket delivered, not a copy. What is left over — a partial frame, the
+/// whole ones the budget did not reach (`c.backlog`), or whatever followed
+/// a `Shutdown` — starts the next buffer.
 fn decode_ready(
     c: &mut ShardConn,
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
-    answered: &mut usize,
+    spent: &mut usize,
 ) -> bool {
-    match frame::frame_len(&c.inbuf) {
-        Ok(Some(total)) if total <= c.inbuf.len() && !c.stop_reading => {}
-        Ok(_) => return true,
+    c.backlog = false;
+    match c.frame_ready() {
+        Ok(true) => {}
+        Ok(false) => return true,
         Err(_) => return false,
     }
     let mut buf = Bytes::from(std::mem::take(&mut c.inbuf));
-    while !c.stop_reading {
+    while !c.stop_reading && *spent < READ_BUDGET {
         match frame::decode_bytes(&mut buf) {
             Ok(Some(fr)) => {
-                if !dispatch_frame(c, fr, service, jobs, answered) {
+                if !dispatch_frame(c, fr, service, jobs, spent) {
                     return false;
                 }
             }
@@ -558,6 +601,7 @@ fn decode_ready(
         }
     }
     c.inbuf.extend_from_slice(&buf);
+    c.backlog = c.frame_ready().unwrap_or(true);
     true
 }
 
@@ -593,27 +637,34 @@ fn service_conn(
         }
     }
     if draining {
+        // A drain takes no more requests: not off the socket, not out of
+        // the backlog.
+        c.backlog = false;
         return ConnFate::Keep;
     }
-    // Read and decode while the fairness budget lasts. Complete frames
-    // become jobs or are answered here, each answer charged to the budget;
-    // partial frames wait for more bytes; corruption drops the connection.
-    // Input left unread once the budget is spent is still there, and
-    // reported again by the next `poll`.
-    let mut read_total = 0usize;
+    // Decode and read while the fairness budget lasts: first the whole
+    // frames the last pass's budget did not reach, then the socket.
+    // Complete frames become jobs or are answered here, each answer charged
+    // to the budget; partial frames wait for more bytes; corruption drops
+    // the connection. Whole frames left once the budget is spent make a
+    // backlog the next pass starts with; input left unread is still there,
+    // and reported again by the next `poll`.
+    let mut spent = 0usize;
+    if c.backlog && !decode_ready(c, service, jobs, &mut spent) {
+        return ConnFate::Close;
+    }
     while revents & POLLIN != 0
-        && read_total < READ_BUDGET
+        && spent < READ_BUDGET
         && !c.io.peer_eof.load(Ordering::SeqCst)
         && !c.stop_reading
     {
-        match read_more(c, probe, READ_BUDGET - read_total) {
+        match read_more(c, probe, READ_BUDGET - spent) {
             Ok(0) => c.io.peer_eof.store(true, Ordering::SeqCst),
             Ok(n) => {
-                let mut answered = 0;
-                if !decode_ready(c, service, jobs, &mut answered) {
+                if !decode_ready(c, service, jobs, &mut spent) {
                     return ConnFate::Close;
                 }
-                read_total += n + answered * PROBE_LEN;
+                spent += n;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -624,6 +675,7 @@ fn service_conn(
     // flushed (workers may still be producing the last responses; the one
     // that brings `inflight` to zero wakes this shard).
     if c.io.peer_eof.load(Ordering::SeqCst)
+        && !c.backlog
         && c.io.inflight.load(Ordering::SeqCst) == 0
         && !c.io.want_write.load(Ordering::SeqCst)
     {
@@ -632,33 +684,34 @@ fn service_conn(
     ConnFate::Keep
 }
 
-/// Handle one request and send its framed response on the connection it
-/// came in on (see [`enqueue_response`]): what a worker does with a job, and
-/// what a shard does with a request that cannot block. `enqueued_ns` to
-/// `dequeued_ns` is the time the request waited for whoever calls this.
-fn answer(
-    service: &dyn Service,
-    io: &ConnIo,
-    corr_id: u64,
-    trace_id: u64,
-    enqueued_ns: u64,
-    dequeued_ns: u64,
-    req: Request,
-) {
-    let kind = req.kind_str();
+/// The `queue` event: how long a request waited between being decoded and
+/// being handled.
+fn queue_span(service: &dyn Service, trace_id: u64, kind: &'static str, from: u64, to: u64) {
     record_span(
         Side::Server,
         trace_id,
         "queue",
         kind,
         service.name(),
-        enqueued_ns,
-        dequeued_ns.saturating_sub(enqueued_ns),
+        from,
+        to.saturating_sub(from),
         0,
     );
-    let resp = service.handle_traced(req, trace_id);
+}
+
+/// Send `resp` on its connection (see [`enqueue_response`]) and record the
+/// `respond` event: how a worker and a shard alike answer. Returns the
+/// framed reply's length.
+fn respond(
+    service: &dyn Service,
+    io: &ConnIo,
+    corr_id: u64,
+    trace_id: u64,
+    kind: &'static str,
+    resp: &Response,
+) -> usize {
     let t0 = dpfs_obs::now_ns();
-    enqueue_response(io, corr_id, &resp);
+    let len = enqueue_response(io, corr_id, resp);
     record_span(
         Side::Server,
         trace_id,
@@ -669,17 +722,18 @@ fn answer(
         dpfs_obs::now_ns().saturating_sub(t0),
         0,
     );
+    len
 }
 
-/// Decode one frame's request and answer it here if it cannot block (one
-/// more in `answered`), else hand it to the worker pool. Returns false when
-/// the connection should be dropped.
+/// Decode one frame's request and answer it here if its service can now
+/// (its reply, at least [`PROBE_LEN`], charged to `spent`), else hand it to
+/// the worker pool. Returns false when the connection should be dropped.
 fn dispatch_frame(
     c: &mut ShardConn,
     fr: frame::Frame,
     service: &Arc<dyn Service>,
     jobs: &mpsc::Sender<Job>,
-    answered: &mut usize,
+    spent: &mut usize,
 ) -> bool {
     let decode_start = dpfs_obs::now_ns();
     let trace_id = fr.trace_id;
@@ -688,39 +742,43 @@ fn dispatch_frame(
         Ok(r) => r,
         Err(e) => {
             // Malformed request: report and keep the connection.
-            enqueue_response(
-                &c.io,
-                corr_id,
-                &Response::Error {
-                    code: dpfs_proto::ErrorCode::BadRequest,
-                    message: e.to_string(),
-                },
-            );
-            *answered += 1;
+            let reply = Response::Error {
+                code: dpfs_proto::ErrorCode::BadRequest,
+                message: e.to_string(),
+            };
+            *spent += enqueue_response(&c.io, corr_id, &reply).max(PROBE_LEN);
             return true;
         }
     };
     let decoded = dpfs_obs::now_ns();
+    let kind = req.kind_str();
     record_span(
         Side::Server,
         trace_id,
         "decode",
-        req.kind_str(),
+        kind,
         service.name(),
         decode_start,
         decoded.saturating_sub(decode_start),
         req.payload_bytes(),
     );
-    if matches!(req, Request::Shutdown) {
+    let req = if matches!(req, Request::Shutdown) {
         c.stop_reading = true;
-    } else if !service.may_block(&req) {
-        // The reply is queued before this returns, so `inflight` — what the
-        // shard still owes this connection — never sees the request.
-        let svc = service.as_ref();
-        answer(svc, &c.io, corr_id, trace_id, decoded, decoded, req);
-        *answered += 1;
-        return true;
-    }
+        req
+    } else {
+        match service.try_handle(req, trace_id) {
+            Attempt::Answered(resp) => {
+                // Answered where it was decoded: it waited in no queue. The
+                // reply is queued before this returns, so `inflight` — what
+                // the shard still owes this connection — never sees it.
+                let svc = service.as_ref();
+                queue_span(svc, trace_id, kind, decoded, decoded);
+                *spent += respond(svc, &c.io, corr_id, trace_id, kind, &resp).max(PROBE_LEN);
+                return true;
+            }
+            Attempt::HandedBack(req) => req,
+        }
+    };
     c.io.inflight.fetch_add(1, Ordering::SeqCst);
     let job = Job {
         corr_id,
@@ -732,7 +790,8 @@ fn dispatch_frame(
     jobs.send(job).is_ok()
 }
 
-/// One shared worker: pull jobs and [`answer`] them.
+/// One shared worker: pull jobs, handle them and send their framed responses
+/// on the connections they came in on.
 fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, rt: Arc<Readiness>) {
     loop {
         // Classic shared-receiver pool: the guard drops as soon as recv
@@ -748,9 +807,11 @@ fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, service: Arc<dyn Service>, r
             req,
             io,
         } = job;
+        let (svc, kind) = (service.as_ref(), req.kind_str());
         let is_shutdown = matches!(req, Request::Shutdown);
-        let (svc, now) = (service.as_ref(), dpfs_obs::now_ns());
-        answer(svc, &io, corr_id, trace_id, enqueued_ns, now, req);
+        queue_span(svc, trace_id, kind, enqueued_ns, dpfs_obs::now_ns());
+        let resp = svc.handle_traced(req, trace_id);
+        respond(svc, &io, corr_id, trace_id, kind, &resp);
         // Only decrement after the response is in the queue: a shard that
         // observes zero in-flight and an empty queue knows nothing is
         // still owed. The shard is asleep, so tell it what it is waiting

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,6 +16,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+
+use crate::sys;
 
 /// One subfile's open-handle slot: `None` until first use and after
 /// `delete` or `rename` closes the descriptor.
@@ -85,6 +88,30 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
     }
+}
+
+/// The one range loop of both reads: each range's bytes below the end of the
+/// file land in place in one zeroed buffer, the rest stays zero. `nowait`
+/// reads through [`sys::pread_nowait`], and a range the page cache cannot
+/// fill whole ends the read with `WouldBlock`.
+fn read_coalesced(file: &File, ranges: &[(u64, u64)], nowait: bool) -> io::Result<Bytes> {
+    let size = file.metadata()?.len();
+    let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
+    let mut buf = vec![0u8; total];
+    let mut at = 0usize;
+    for &(off, len) in ranges {
+        if off < size {
+            let avail = ((size - off) as usize).min(len as usize);
+            let dst = &mut buf[at..at + avail];
+            if !nowait {
+                file.read_exact_at(dst, off)?;
+            } else if sys::pread_nowait(file, dst, off)? < avail {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+        }
+        at += len as usize;
+    }
+    Ok(Bytes::from(buf))
 }
 
 /// Map a DPFS subfile name to a safe single-component local file name.
@@ -223,21 +250,36 @@ impl SubfileStore {
         subfile: &str,
         ranges: &[(u64, u64)],
     ) -> Result<Bytes, StoreError> {
-        let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
         self.with_file(subfile, Access::Shared, |file| {
-            let size = file.metadata()?.len();
-            let mut buf = vec![0u8; total];
-            let mut at = 0usize;
-            for &(off, len) in ranges {
-                let dst = &mut buf[at..at + len as usize];
-                if off < size {
-                    let avail = ((size - off) as usize).min(len as usize);
-                    file.read_exact_at(&mut dst[..avail], off)?;
-                }
-                at += len as usize;
-            }
-            Ok(Bytes::from(buf))
+            Ok(read_coalesced(file, ranges, false)?)
         })
+    }
+
+    /// [`SubfileStore::read_ranges_coalesced`] for a thread that must not
+    /// wait: the same bytes if the subfile's descriptor is open, no writer
+    /// holds or waits for its slot, and the page cache holds every byte
+    /// asked for; `Ok(None)` — "would wait" — otherwise, with nothing
+    /// opened, created or locked. An absent subfile would wait too: its
+    /// zero fill is the blocking read's to give.
+    pub(crate) fn read_ranges_nowait(
+        &self,
+        subfile: &str,
+        ranges: &[(u64, u64)],
+    ) -> Result<Option<Bytes>, StoreError> {
+        let Some(slot) = self.handles.lock().get(subfile).cloned() else {
+            return Ok(None);
+        };
+        let Some(handle) = slot.try_read() else {
+            return Ok(None);
+        };
+        let Some(file) = handle.as_ref() else {
+            return Ok(None);
+        };
+        match read_coalesced(file, ranges, true) {
+            Ok(data) => Ok(Some(data)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Delete the subfile; returns whether it existed.
@@ -810,5 +852,65 @@ mod tests {
             }
         });
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The nonblocking read waits for nothing: not for a writer holding the
+    /// slot, not for the lazy open of a subfile no request has touched yet.
+    #[test]
+    fn a_nowait_read_would_wait_for_a_writer_or_an_unopened_subfile() {
+        let (s, dir) = store();
+        s.write_ranges("/f", &[(0, Bytes::from_static(b"abcdefgh"))])
+            .unwrap();
+        let got = s.read_ranges_nowait("/f", &[(2, 3)]).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"cde"[..]));
+
+        let slot = s.slot("/f");
+        let writing = slot.write();
+        assert!(s.read_ranges_nowait("/f", &[(2, 3)]).unwrap().is_none());
+        drop(writing);
+        assert!(s.read_ranges_nowait("/f", &[(2, 3)]).unwrap().is_some());
+
+        // A store reopened over the same root has no descriptor yet: the
+        // blocking read opens it, and from then on the shard can serve it.
+        // An absent subfile is the blocking read's to zero-fill.
+        let again = SubfileStore::open(&dir, 0).unwrap();
+        assert!(again.read_ranges_nowait("/f", &[(0, 8)]).unwrap().is_none());
+        assert!(again
+            .read_ranges_nowait("/nope", &[(0, 8)])
+            .unwrap()
+            .is_none());
+        assert!(
+            again.handles.lock().is_empty(),
+            "a nowait read opened a slot"
+        );
+        again.read_ranges_coalesced("/f", &[(0, 1)]).unwrap();
+        let got = again.read_ranges_nowait("/f", &[(0, 8)]).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"abcdefgh"[..]));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both reads are one range loop: once the blocking read has been
+        /// through the ranges (and so brought every page into the cache),
+        /// the nonblocking read returns the same bytes — written ranges,
+        /// holes between them and ranges past the end alike.
+        #[test]
+        fn nowait_and_blocking_reads_return_the_same_bytes(
+            writes in proptest::collection::vec((0u64..64 << 10, 1usize..9000, any::<u8>()), 1..6),
+            reads in proptest::collection::vec((0u64..96 << 10, 0u64..20_000), 1..12),
+        ) {
+            let (s, dir) = store();
+            for (off, len, fill) in &writes {
+                s.write_ranges("/p", &[(*off, Bytes::from(vec![*fill; *len]))]).unwrap();
+            }
+            let blocking = s.read_ranges_coalesced("/p", &reads).unwrap();
+            let nowait = s.read_ranges_nowait("/p", &reads).unwrap();
+            prop_assert!(nowait.as_ref() == Some(&blocking), "nowait read differs or would wait");
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 }

@@ -15,12 +15,14 @@
 //!   through the shard, byte-exact, without holding up the shard's other
 //!   connections;
 //! - `stop()` and wire `Shutdown` reach sleeping threads at once;
-//! - *the dispatch rule*: a request its service says cannot block is
-//!   answered by the shard thread that decoded it — overtaking a blocking
-//!   one ahead of it, never waiting for one on another connection, in
-//!   submission order, with the same trace events — and nothing else ever
-//!   runs there; a peer that pipelines a thousand such requests does not
-//!   starve its neighbour on the shard.
+//! - *the dispatch rule*: a request its service can answer without waiting
+//!   is answered by the shard thread that decoded it — overtaking a
+//!   handed-back one ahead of it, never waiting for one on another
+//!   connection, in submission order, with the same trace events — and
+//!   nothing else ever runs there; for the I/O server that is names, sizes
+//!   and unthrottled reads the page cache holds, and a read that would wait
+//!   falls back to a worker and is counted once; a peer that pipelines a
+//!   thousand such requests does not starve its neighbour on the shard.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -29,10 +31,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use dpfs::core::trace::{ring, Side};
+use dpfs::core::trace::{ring, Side, TraceEvent};
 use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, AccessPattern, ErrorCode, MetaOp, Request, Response};
-use dpfs::server::{IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service};
+use dpfs::server::{
+    Attempt, IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service, StorageClass,
+};
 
 /// Serializes the tests in this binary: they measure process-wide CPU
 /// time and wall-clock latency.
@@ -43,8 +47,15 @@ fn sequential() -> MutexGuard<'static, ()> {
     SEQUENTIAL.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// An I/O server's root, on the disk the build is on rather than in a temp
+/// dir that may be `tmpfs`: the reads the shard answers need a file system
+/// that can tell whether a read would wait.
+fn ion_root(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-{}", std::process::id()))
+}
+
 fn start_ion(tag: &str, perf: PerfModel, shards: usize, workers: usize) -> IoServer {
-    let root = std::env::temp_dir().join(format!("dpfs-evloop-{tag}-{}", std::process::id()));
+    let root = ion_root(&format!("dpfs-evloop-{tag}"));
     let _ = std::fs::remove_dir_all(&root);
     let mut config = ServerConfig::new("evloop00", root, perf);
     config.serve.shards = shards;
@@ -307,8 +318,8 @@ fn a_stalled_reader_gets_its_reply_through_the_shard() {
     // stays free from here on.
     assert_eq!(rpc(&mut lively, 0, &Request::Ping), Response::Pong);
 
-    // Stall in the middle of the first frame. The worker's short write
-    // has handed the rest to the shard, which waits for `POLLOUT`.
+    // Stall in the middle of the first frame. The direct write fell short
+    // and left the rest queued for the shard, which waits for `POLLOUT`.
     let mut head = vec![0u8; 64 << 10];
     reader.read_exact(&mut head).unwrap();
     // A shard blocked on the stalled socket answers no ping at all; one
@@ -530,7 +541,8 @@ impl Service for Unruled {
     }
 }
 
-/// A service with a rule: a `Sync` may block, nothing else can.
+/// A service with a rule: a `Sync` goes to a worker, everything else is
+/// answered where it was decoded.
 struct Ruled(Recorder);
 
 impl Service for Ruled {
@@ -540,8 +552,11 @@ impl Service for Ruled {
     fn handle_traced(&self, req: Request, _trace_id: u64) -> Response {
         self.0.handle(req)
     }
-    fn may_block(&self, req: &Request) -> bool {
-        matches!(req, Request::Sync { .. })
+    fn try_handle(&self, req: Request, _trace_id: u64) -> Attempt {
+        match req {
+            Request::Sync { .. } => Attempt::HandedBack(req),
+            req => Attempt::Answered(self.0.handle(req)),
+        }
     }
 }
 
@@ -685,51 +700,197 @@ fn a_thousand_pipelined_requests_do_not_starve_the_next_connection() {
     );
 }
 
-/// The I/O server's rule, request kind by request kind, and the events an
-/// inline request leaves.
+/// The budget counts what the shard answers, not only what it reads: a
+/// peer that pipelines megabyte reads the page cache holds gets one of them
+/// answered per pass, so a neighbour's ping waits behind a few, not behind
+/// the whole pipeline.
 #[test]
-fn names_and_sizes_are_answered_inline_and_file_bytes_are_not() {
+fn pipelined_cached_reads_do_not_starve_a_pinging_neighbour() {
+    let _guard = sequential();
+    const MIB: u64 = 1 << 20;
+    const PIPELINE: u64 = 32;
+    let ion = start_ion("fair", PerfModel::unthrottled(), 1, 2);
+    let (mut a, mut b) = (connect(ion.addr()), connect(ion.addr()));
+    write_subfile(&mut a, "/big", &vec![7u8; 16 * MIB as usize]);
+    assert_eq!(rpc(&mut b, 0, &Request::Ping), Response::Pong);
+    // A 16 MiB read and the pipeline behind it arrive at once; the ping
+    // arrives while the shard copies the 16 MiB.
+    let cursor = ring().cursor();
+    let traces: Vec<u64> = (0..=PIPELINE + 1)
+        .map(|_| dpfs::core::trace::next_trace_id())
+        .collect();
+    let trace = |id: u64| traces[id as usize];
+    let mut burst = Vec::new();
+    frame::write_frame_v3(
+        &mut burst,
+        0,
+        trace(0),
+        &read_req("/big", 16 * MIB).encode(),
+    )
+    .unwrap();
+    for id in 1..=PIPELINE {
+        frame::write_frame_v3(&mut burst, id, trace(id), &read_req("/big", MIB).encode()).unwrap();
+    }
+    a.write_all(&burst).unwrap();
+    frame::write_frame_v3(&mut b, 1, trace(PIPELINE + 1), &Request::Ping.encode()).unwrap();
+    assert_eq!(frame::read_frame_any(&mut b).unwrap().corr_id, 1);
+    for id in 0..=PIPELINE {
+        let reply = frame::read_frame_any(&mut a).unwrap();
+        assert_eq!(reply.corr_id, id, "in submission order");
+        let Response::DataList { data } = Response::decode(reply.payload).unwrap() else {
+            panic!("read {id} was not answered with its bytes");
+        };
+        assert!(data.iter().all(|&x| x == 7) && data.len() as u64 >= MIB);
+    }
+    // All of it ran on the one shard thread: its `handle` spans, by start,
+    // are the order served.
+    let mut handled: Vec<(u64, u64)> = ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.side == Side::Server && e.phase == "handle")
+        .filter(|e| traces.contains(&e.trace_id))
+        .map(|e| (e.start_ns, e.trace_id))
+        .collect();
+    handled.sort();
+    let at = |id: u64| handled.iter().position(|&(_, t)| t == trace(id)).unwrap();
+    let before = (1..=PIPELINE)
+        .filter(|&id| at(id) < at(PIPELINE + 1))
+        .count();
+    eprintln!(
+        "event_loop: beside {PIPELINE} pipelined 1 MiB cached reads the neighbour's ping \
+         waited behind {before} of them"
+    );
+    assert_eq!(handled.len() as u64, PIPELINE + 2, "{handled:?}");
+    assert!(
+        before < PIPELINE as usize / 2,
+        "the ping waited behind {before} of {PIPELINE} pipelined reads"
+    );
+}
+
+/// The server events of the request traced as `trace_id`, in the order
+/// they started, once its `respond` span — recorded after the reply may
+/// already have reached the client — is in.
+fn server_events(trace_id: u64, cursor: u64) -> Vec<TraceEvent> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut events: Vec<_> = ring()
+            .events_since(cursor)
+            .into_iter()
+            .filter(|e| e.trace_id == trace_id && e.side == Side::Server)
+            .collect();
+        if events.iter().any(|e| e.phase == "respond") {
+            events.sort_by_key(|e| (e.start_ns, e.start_ns + e.dur_ns));
+            return events;
+        }
+        assert!(Instant::now() < deadline, "no respond span: {events:?}");
+        std::thread::yield_now();
+    }
+}
+
+/// Send `req` traced and return how long it waited in the job queue: 0 when
+/// the shard that decoded it answered it.
+fn queued_ns(c: &mut TcpStream, req: &Request) -> u64 {
+    let trace_id = dpfs::core::trace::next_trace_id();
+    let cursor = ring().cursor();
+    frame::write_frame_v3(c, 1, trace_id, &req.encode()).unwrap();
+    let reply = frame::read_frame_any(c).unwrap();
+    assert_eq!(reply.corr_id, 1);
+    assert!(
+        matches!(
+            Response::decode(reply.payload).unwrap(),
+            Response::DataList { .. }
+        ),
+        "{}",
+        req.kind_str()
+    );
+    let queued: Vec<u64> = server_events(trace_id, cursor)
+        .iter()
+        .filter(|e| e.phase == "queue")
+        .map(|e| e.dur_ns)
+        .collect();
+    assert_eq!(
+        queued.len(),
+        1,
+        "one queue span per request, fallen back or not"
+    );
+    queued[0]
+}
+
+/// The I/O server's rule, request kind by request kind, and the events an
+/// inline request leaves: names, sizes and an unthrottled read the page
+/// cache holds are answered on the shard; writes, syncs and any read under
+/// a throttled model go to a worker.
+#[test]
+fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
     let _guard = sequential();
     let ion = start_ion("rule", PerfModel::unthrottled(), 1, 2);
+    let throttled = start_ion("rule-throttled", StorageClass::Class1.model(), 1, 2);
+    for server in [&ion, &throttled] {
+        write_subfile(&mut connect(server.addr()), "/f", b"resident");
+    }
     let rule = ion.handler().as_ref() as &dyn Service;
+    let slow = throttled.handler().as_ref() as &dyn Service;
     let payload = Bytes::from_static(b"x");
+    let pattern = AccessPattern::from_runs(&[(0, 1)]);
+    let list_read = Request::ReadList {
+        subfile: "/f".into(),
+        pattern: pattern.clone(),
+    };
     let inline = [
         Request::Ping,
         Request::Stats,
-        stat("/f"),
+        stat("/g"),
         Request::Delete {
-            subfile: "/f".into(),
+            subfile: "/g".into(),
         },
         Request::Rename {
-            from: "/f".into(),
-            to: "/g".into(),
+            from: "/g".into(),
+            to: "/h".into(),
         },
+        read_req("/f", 8),
+        list_read.clone(),
     ];
     let queued = [
-        read_req("/f", 1),
         Request::Write {
             subfile: "/f".into(),
             ranges: vec![(0, payload.clone())],
         },
-        Request::ReadList {
-            subfile: "/f".into(),
-            pattern: AccessPattern::from_runs(&[(0, 1)]),
-        },
         Request::WriteList {
             subfile: "/f".into(),
-            pattern: AccessPattern::from_runs(&[(0, 1)]),
+            pattern,
             payload,
         },
         sync("/f"),
         Request::Shutdown,
     ];
-    // Even unthrottled, file bytes wait for a device: a real one blocks.
-    for req in &inline {
-        assert!(!rule.may_block(req), "{}", req.kind_str());
+    // File bytes wait for a device only when the kernel says so: a resident
+    // read is answered here, its bytes exact.
+    for req in inline {
+        let kind = req.kind_str();
+        match rule.try_handle(req, 0) {
+            Attempt::Answered(Response::DataList { data }) => {
+                assert_eq!(&data[..], &b"resident"[..data.len()])
+            }
+            Attempt::Answered(Response::Error { message, .. }) => panic!("{kind}: {message}"),
+            Attempt::Answered(_) => {}
+            Attempt::HandedBack(req) => panic!("{kind} was handed back: {req:?}"),
+        }
     }
-    for req in &queued {
-        assert!(rule.may_block(req), "{}", req.kind_str());
+    // Handed back untouched, and nothing was written or flushed.
+    for req in queued {
+        assert_eq!(rule.try_handle(req.clone(), 0), Attempt::HandedBack(req));
     }
+    // A modelled device is waited for whatever the page cache holds.
+    for req in [read_req("/f", 8), list_read] {
+        assert_eq!(slow.try_handle(req.clone(), 0), Attempt::HandedBack(req));
+    }
+    let snap = ion.stats();
+    assert_eq!((snap.writes, snap.list_writes), (1, 0));
+    assert_eq!(
+        (snap.reads, snap.list_reads),
+        (1, 1),
+        "each read counted once"
+    );
 
     // A traced `Stat` leaves the four events of any request; it waited in
     // no queue.
@@ -738,25 +899,49 @@ fn names_and_sizes_are_answered_inline_and_file_bytes_are_not() {
     let cursor = ring().cursor();
     frame::write_frame_v3(&mut c, 1, trace_id, &stat("/f").encode()).unwrap();
     assert_eq!(frame::read_frame_any(&mut c).unwrap().corr_id, 1);
-    // The `respond` span measures the reply's write, so the server records
-    // it after the reply may already have reached us: wait for it.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let events = loop {
-        let events: Vec<_> = ring()
-            .events_since(cursor)
-            .into_iter()
-            .filter(|e| e.trace_id == trace_id && e.side == Side::Server)
-            .collect();
-        if events.iter().any(|e| e.phase == "respond") {
-            break events;
-        }
-        assert!(Instant::now() < deadline, "no respond span: {events:?}");
-        std::thread::yield_now();
-    };
+    let events = server_events(trace_id, cursor);
     let phases: Vec<&str> = events.iter().map(|e| e.phase).collect();
     assert_eq!(phases, ["decode", "queue", "handle", "respond"]);
     assert!(events.iter().all(|e| e.kind == "stat"));
     assert_eq!(events[1].dur_ns, 0, "an inline request waits in no queue");
+
+    // On the wire: a resident read waits in no queue; a throttled one
+    // waits for a worker.
+    assert_eq!(queued_ns(&mut c, &read_req("/f", 8)), 0);
+    let mut slow_c = connect(throttled.addr());
+    assert!(queued_ns(&mut slow_c, &read_req("/f", 8)) > 0);
+}
+
+/// A subfile whose descriptor nobody has opened yet — after a restart — is
+/// read first by a worker, which opens it; the next read is the shard's.
+/// The fallen-back read is counted once.
+#[test]
+fn the_first_read_after_a_restart_opens_the_subfile_on_a_worker() {
+    let _guard = sequential();
+    let mut ion = start_ion("reopen", PerfModel::unthrottled(), 1, 2);
+    write_subfile(&mut connect(ion.addr()), "/f", b"survives");
+    let addr = ion.addr();
+    ion.stop();
+    let root = ion_root("dpfs-evloop-reopen");
+    let ion = IoServer::start(
+        ServerConfig::new("evloop00", root, PerfModel::unthrottled()).bind(&addr.to_string()),
+    )
+    .unwrap();
+    let mut c = connect(ion.addr());
+    assert!(
+        queued_ns(&mut c, &read_req("/f", 8)) > 0,
+        "opened by a worker"
+    );
+    assert_eq!(
+        queued_ns(&mut c, &read_req("/f", 8)),
+        0,
+        "then served inline"
+    );
+    let snap = ion.stats();
+    assert_eq!(
+        (snap.reads, snap.requests, snap.subfiles_reopened),
+        (2, 2, 1)
+    );
 }
 
 /// metad answers every op inline — unless commits fsync, when any of them
@@ -784,7 +969,8 @@ fn a_metad_whose_commits_fsync_answers_nothing_inline() {
         let metad = MetaServer::start(config).unwrap();
         let rule = metad.handler().as_ref() as &dyn Service;
         for req in &requests {
-            assert_eq!(rule.may_block(req), blocks, "{}", req.kind_str());
+            let handed_back = matches!(rule.try_handle(req.clone(), 0), Attempt::HandedBack(_));
+            assert_eq!(handed_back, blocks, "{}", req.kind_str());
         }
         // On the wire: a request that went through the job queue spent time
         // in it, one answered on the shard none.
