@@ -164,7 +164,7 @@ fi
 # Which thread answers a request is its service's `try_handle`: answer now
 # or hand it back. The per-kind `may_block` rule stays gone, and the
 # kernel's "would wait" (`preadv2` with `RWF_NOWAIT`) is asked in one
-# place, `sys::pread_nowait`.
+# place, `sys::read_run`.
 if git grep -nw 'may_block' -- crates/ src/ tests/ examples/; then
     echo "FAIL: Service::may_block is back (answer or hand back in try_handle)"
     exit 1
@@ -172,6 +172,14 @@ fi
 nowait_homes=$(git grep -lE 'preadv2|RWF_NOWAIT' -- crates/ src/ tests/ examples/ | tr '\n' ' ')
 if [ "$nowait_homes" != "crates/server/src/sys.rs " ]; then
     echo "FAIL: preadv2/RWF_NOWAIT named in [$nowait_homes]; only crates/server/src/sys.rs may"
+    exit 1
+fi
+# A subfile read is one `preadv2` per run of page-adjacent ranges
+# (`sys::read_run`), written straight into a reply nothing zeroes first:
+# the per-range nowait read and the zero-filled reply buffer stay deleted.
+if git grep -nw 'fn pread_nowait' -- crates/ src/ tests/ examples/ ||
+    sed '/^#\[cfg(test)\]/,$d' crates/server/src/subfile.rs | grep -nE 'vec!\[0(u8)?;'; then
+    echo "FAIL: a per-range read or a zero-filled reply buffer is back in the subfile store"
     exit 1
 fi
 # One checksum, and one function that picks its arm: only `crc32_update`

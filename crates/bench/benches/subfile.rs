@@ -1,4 +1,4 @@
-//! Microbenchmarks: the server subfile store, and sieving against it.
+//! Microbenchmarks: the server subfile store, dense and strided.
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -45,14 +45,13 @@ fn bench_subfile(c: &mut Criterion) {
     });
 }
 
-/// Data sieving, measured not built (ROADMAP item 4(b)): 1024 ranges of
-/// 64 B read one `pread` each — what the store does — against one `pread`
-/// of their hull plus an in-memory gather, at stride 4096 (density 1/64,
-/// the `strided_read` per-server list) and at densities 1/32, 1/16, 1/4, 1/2.
-/// The hull read needs a scratch buffer of `1023 * stride + 64` bytes.
+/// Strided reads of the store: 1024 ranges of 64 B at strides 128 to
+/// 16384 (density 1/2 to 1/256; 4096 is the `strided_read` per-server
+/// list). Up to stride 4096 every gap lies in a page a range touches, so the
+/// store reads the ranges in runs of page-adjacent ranges, one call per run
+/// (`page_runs`); from 8192 a gap would skip a whole page, and each range
+/// is its own call (`per_range`).
 fn bench_sieve(c: &mut Criterion) {
-    use std::os::unix::fs::FileExt;
-
     const COUNT: u64 = 1024;
     const PIECE: u64 = 64;
     let dir = std::env::temp_dir().join(format!("dpfs-bench-sieve-{}", std::process::id()));
@@ -61,47 +60,30 @@ fn bench_sieve(c: &mut Criterion) {
     store
         .write_ranges(
             "/sieve",
-            &[(0, Bytes::from(vec![0x5Au8; (COUNT * 4096) as usize]))],
+            &[(0, Bytes::from(vec![0x5Au8; (COUNT * 16384) as usize]))],
         )
         .unwrap();
-    // The hull side reads the same local file the store wrote.
-    let file = std::fs::File::open(
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path(),
-    )
-    .unwrap();
-    for (label, stride) in [
-        ("1_64", 4096u64),
-        ("1_32", 2048),
-        ("1_16", 1024),
-        ("1_4", 256),
-        ("1_2", 128),
+    for (stride, reads) in [
+        (128u64, "page_runs"),
+        (256, "page_runs"),
+        (1024, "page_runs"),
+        (2048, "page_runs"),
+        (4096, "page_runs"),
+        (8192, "per_range"),
+        (16384, "per_range"),
     ] {
         let ranges: Vec<(u64, u64)> = (0..COUNT).map(|i| (i * stride, PIECE)).collect();
-        c.bench_function(&format!("sieve_per_range_1024x64_density_{label}"), |b| {
-            b.iter(|| {
-                store
-                    .read_ranges_coalesced("/sieve", black_box(&ranges))
-                    .unwrap()
-                    .len()
-            })
-        });
-        let hull = ((COUNT - 1) * stride + PIECE) as usize;
-        c.bench_function(&format!("sieve_hull_gather_1024x64_density_{label}"), |b| {
-            b.iter(|| {
-                let mut scratch = vec![0u8; hull];
-                file.read_exact_at(&mut scratch, 0).unwrap();
-                let mut out = Vec::with_capacity((COUNT * PIECE) as usize);
-                for &(off, len) in black_box(&ranges) {
-                    out.extend_from_slice(&scratch[off as usize..(off + len) as usize]);
-                }
-                out.len()
-            })
-        });
+        c.bench_function(
+            &format!("store_read_1024x64_stride_{stride}_{reads}"),
+            |b| {
+                b.iter(|| {
+                    store
+                        .read_ranges_coalesced("/sieve", black_box(&ranges))
+                        .unwrap()
+                        .len()
+                })
+            },
+        );
     }
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,7 +6,7 @@
 //! Which thread serves a request is the Flash server's rule (Pai et al.,
 //! USENIX ATC '99): the I/O shard that decoded it answers whatever it can
 //! without waiting — names, sizes, and reads the page cache holds, which
-//! the kernel tells apart (`sys::pread_nowait`) — and hands the rest to a
+//! the kernel tells apart (`sys::read_run`) — and hands the rest to a
 //! worker: writes, flushes, reads that would touch the device, and every
 //! read under a throttled [`PerfModel`].
 

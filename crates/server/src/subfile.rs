@@ -44,8 +44,8 @@ enum Access {
 /// only `&File`): they share the slot for their whole range list. Writes,
 /// `delete`, `rename`, `sync` and the lazy open take it exclusively, so
 /// `delete` and `rename` never interleave with a half-done range list.
-/// The I/O itself is positional (`pread`/`pwrite`): one syscall per range,
-/// no seek.
+/// The I/O itself is positional, with no seek: a write is one `pwrite` per
+/// range, a read one vectored read per run of page-adjacent ranges.
 pub struct SubfileStore {
     root: PathBuf,
     /// Open-handle cache: repeated brick requests hit the same descriptor.
@@ -90,26 +90,23 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// The one range loop of both reads: each range's bytes below the end of the
-/// file land in place in one zeroed buffer, the rest stays zero. `nowait`
-/// reads through [`sys::pread_nowait`], and a range the page cache cannot
-/// fill whole ends the read with `WouldBlock`.
+/// The one range loop of both reads: one [`sys::read_run`] per run of
+/// page-adjacent ranges, each appending its ranges' bytes below the end of
+/// the file to the reply, then zeros for whatever the run asked for past
+/// it. Only those zeros are written by hand; every other byte of the reply
+/// is written once, by the kernel. `nowait` reads only what the page cache
+/// holds, and a run it cannot fill whole ends the read with `WouldBlock`.
 fn read_coalesced(file: &File, ranges: &[(u64, u64)], nowait: bool) -> io::Result<Bytes> {
     let size = file.metadata()?.len();
     let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
-    let mut buf = vec![0u8; total];
-    let mut at = 0usize;
-    for &(off, len) in ranges {
-        if off < size {
-            let avail = ((size - off) as usize).min(len as usize);
-            let dst = &mut buf[at..at + avail];
-            if !nowait {
-                file.read_exact_at(dst, off)?;
-            } else if sys::pread_nowait(file, dst, off)? < avail {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-        }
-        at += len as usize;
+    let mut buf = Vec::with_capacity(total);
+    let mut rest = ranges;
+    while !rest.is_empty() {
+        let at = buf.len();
+        let n = sys::read_run(file, rest, size, &mut buf, nowait)?;
+        let asked: usize = rest[..n].iter().map(|&(_, len)| len as usize).sum();
+        buf.resize(at + asked, 0);
+        rest = &rest[n..];
     }
     Ok(Bytes::from(buf))
 }
@@ -889,25 +886,142 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// Read syscalls this thread has made so far (`syscr`), where the
+    /// kernel keeps the count.
+    fn syscr() -> Option<u64> {
+        let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+        io.lines()
+            .find_map(|line| line.strip_prefix("syscr:"))?
+            .trim()
+            .parse()
+            .ok()
+    }
+
+    /// The read syscalls `f` makes on this thread. Reading the counter
+    /// costs reads of its own, the same number every time, so the cost of
+    /// an empty interval is taken off.
+    fn reads_in(f: impl FnOnce()) -> u64 {
+        let a = syscr().unwrap();
+        let b = syscr().unwrap();
+        f();
+        let c = syscr().unwrap();
+        (c - b) - (b - a)
+    }
+
+    /// The count behind `strided_read`: an iond answers 1024 ranges of
+    /// 64 B at stride 4096 in two reads (512 ranges and their 511 gaps
+    /// fill an iovec array), not 1024. At stride 8192 a gap would skip a
+    /// page no range touches, so every range is its own read — the rule's
+    /// edge. Blocking and nowait reads make the same calls.
+    #[test]
+    fn a_strided_read_costs_one_read_per_run_of_pages_not_per_range() {
+        if syscr().is_none() {
+            eprintln!("subfile: no /proc/thread-self/io here; the syscall count did not run");
+            return;
+        }
+        let (s, dir) = store();
+        let data: Vec<u8> = (0..8 << 20).map(|i| (i * 7 % 251) as u8).collect();
+        s.write_ranges("/s", &[(0, Bytes::from(data.clone()))])
+            .unwrap();
+        s.read_ranges_coalesced("/s", &[(0, 8 << 20)]).unwrap();
+        let strided = |stride: u64| (0..1024u64).map(|i| (i * stride, 64)).collect::<Vec<_>>();
+        for (ranges, fewest, most) in [
+            (strided(4096), 1, 2),
+            (strided(8192), 1024, 1024),
+            (vec![(12_345, 1 << 20)], 1, 1),
+        ] {
+            let want: Vec<u8> = ranges
+                .iter()
+                .flat_map(|&(off, len)| &data[off as usize..(off + len) as usize])
+                .copied()
+                .collect();
+            let blocking = reads_in(|| {
+                assert!(s.read_ranges_coalesced("/s", &ranges).unwrap() == want);
+            });
+            let nowait = reads_in(|| {
+                let got = s.read_ranges_nowait("/s", &ranges).unwrap();
+                assert!(got.as_deref() == Some(&want[..]));
+            });
+            println!(
+                "{} ranges: {blocking} reads blocking, {nowait} nowait",
+                ranges.len()
+            );
+            assert!(
+                (fewest..=most).contains(&blocking),
+                "{blocking} reads, {fewest}..={most} wanted"
+            );
+            assert_eq!(nowait, blocking);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Range lists of every shape a request can carry: strided runs with
+    /// and without page-adjacent gaps (some longer than an iovec array), in
+    /// order or shuffled, arbitrary lists with overlaps and a repeated
+    /// tail, and lists near the end of the offset space. Lengths include
+    /// 0; the subfile ends below 80 KiB, so ranges cross it and lie past it.
+    fn range_lists() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        let strided = (
+            (0u64..96 << 10, 0u64..9_000, 0u64..600, 1u64..1_200),
+            any::<u64>(),
+        )
+            .prop_map(|((start, gap, len, count), seed)| {
+                let mut v: Vec<(u64, u64)> =
+                    (0..count).map(|i| (start + i * (len + gap), len)).collect();
+                // An odd seed shuffles: half the lists are out of order.
+                if seed % 2 == 1 {
+                    v.sort_by_key(|&(off, _)| (off ^ seed).wrapping_mul(seed));
+                }
+                v
+            });
+        let arbitrary =
+            proptest::collection::vec((0u64..96 << 10, 0u64..20_000), 1..40).prop_map(|mut v| {
+                let tail: Vec<_> = v.iter().rev().take(3).copied().collect();
+                v.extend(tail);
+                v
+            });
+        let far = proptest::collection::vec(
+            (
+                prop_oneof![0u64..96 << 10, (u64::MAX - (40 << 10))..=u64::MAX],
+                0u64..20_000,
+            ),
+            1..12,
+        );
+        prop_oneof![strided, arbitrary, far]
+    }
 
-        /// Both reads are one range loop: once the blocking read has been
-        /// through the ranges (and so brought every page into the cache),
-        /// the nonblocking read returns the same bytes — written ranges,
-        /// holes between them and ranges past the end alike.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Both reads are one range loop, and each range's bytes are what
+        /// a plain positional read of that range returns — zeros past the
+        /// end. Once the blocking read has been through the ranges (and so
+        /// brought every page into the cache), the nowait read returns the
+        /// same bytes and does not say "would wait".
         #[test]
         fn nowait_and_blocking_reads_return_the_same_bytes(
             writes in proptest::collection::vec((0u64..64 << 10, 1usize..9000, any::<u8>()), 1..6),
-            reads in proptest::collection::vec((0u64..96 << 10, 0u64..20_000), 1..12),
+            reads in range_lists(),
         ) {
             let (s, dir) = store();
             for (off, len, fill) in &writes {
                 s.write_ranges("/p", &[(*off, Bytes::from(vec![*fill; *len]))]).unwrap();
             }
+            let file = File::open(s.path_of("/p")).unwrap();
+            let size = file.metadata().unwrap().len();
+            let mut want = Vec::new();
+            for &(off, len) in &reads {
+                let mut range = vec![0u8; len as usize];
+                if off < size {
+                    let avail = (size - off).min(len) as usize;
+                    file.read_exact_at(&mut range[..avail], off).unwrap();
+                }
+                want.extend_from_slice(&range);
+            }
             let blocking = s.read_ranges_coalesced("/p", &reads).unwrap();
+            prop_assert!(blocking[..] == want[..], "blocking read differs from the per-range reads");
             let nowait = s.read_ranges_nowait("/p", &reads).unwrap();
             prop_assert!(nowait.as_ref() == Some(&blocking), "nowait read differs or would wait");
             std::fs::remove_dir_all(dir).unwrap();

@@ -125,11 +125,52 @@ fn one_mib_list_round_trips_stay_within_the_copy_budget() {
         .collect();
     assert!(data[..] == want[..], "enumerated read returned other bytes");
 
+    // `strided_read`'s per-server list: 1024 ranges of 64 B at stride 4096
+    // of a 4 MiB subfile. The server reads the 4 MiB of pages they touch,
+    // but only the 64 KiB reply may be allocated for them — not a scratch
+    // the size of their hull.
+    const REPLY: usize = 64 << 10;
+    let big = Bytes::from(
+        (0..4 * MIB)
+            .map(|i| (i * 13 % 251) as u8)
+            .collect::<Vec<u8>>(),
+    );
+    pool.rpc(
+        "ion00",
+        &Request::WriteList {
+            subfile: "/s".into(),
+            pattern: AccessPattern::from_runs(&[(0, big.len() as u64)]),
+            payload: big.clone(),
+        },
+    )
+    .unwrap();
+    let runs: Vec<(u64, u64)> = (0..1024u64).map(|i| (i * 4096, 64)).collect();
+    let strided = Request::ReadList {
+        subfile: "/s".into(),
+        pattern: AccessPattern::from_runs(&runs),
+    };
+    pool.rpc("ion00", &strided).unwrap();
+    let (resp, read_strided) = allocated_during(|| pool.rpc("ion00", &strided).unwrap());
+    let Response::DataList { data } = resp else {
+        panic!("expected DataList, got {resp:?}");
+    };
+    let want: Vec<u8> = runs
+        .iter()
+        .flat_map(|&(off, len)| big[off as usize..(off + len) as usize].iter().copied())
+        .collect();
+    assert!(data[..] == want[..], "strided read returned other bytes");
+
     // Write: the caller's payload goes out by reference; the server's read
     // buffer is the only payload-sized block. Read: one block per side.
     println!(
         "1 MiB WriteList allocated {wrote} bytes, 1 MiB ReadList {read_back} bytes, \
-         1 MiB Read of 4096 ranges {read_enumerated} bytes"
+         1 MiB Read of 4096 ranges {read_enumerated} bytes, \
+         64 KiB strided ReadList of 1024 ranges {read_strided} bytes"
+    );
+    assert!(
+        read_strided < 3 * REPLY + (64 << 10),
+        "64 KiB strided ReadList round trip allocated {read_strided} bytes: \
+         a buffer the size of the ranges' hull crept in"
     );
     assert!(
         wrote < 2 * MIB,
