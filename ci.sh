@@ -182,8 +182,15 @@ if git grep -nw 'fn pread_nowait' -- crates/ src/ tests/ examples/ ||
     echo "FAIL: a per-range read or a zero-filled reply buffer is back in the subfile store"
     exit 1
 fi
+# A write payload is built in piece order (`file.rs::gather`): nothing
+# zero-fills it first, so each payload byte is written once.
+writes=$(sed -n -e '/^    fn execute_writes(/,/^    }$/p' -e '/^fn gather(/,/^}$/p' crates/core/src/file.rs)
+if [ -z "$writes" ] || echo "$writes" | grep -nE 'vec!\[0(u8)?;'; then
+    echo "FAIL: execute_writes/gather are gone from crates/core/src/file.rs or zero-fill a write payload again"
+    exit 1
+fi
 # One checksum, and one function that picks its arm: only `crc32_update`
-# (codec.rs) calls the kernel.
+# (codec.rs) calls the kernels.
 kernel_callers=$(git grep -l 'clmul::' -- crates/ src/ tests/ examples/ | tr '\n' ' ')
 if [ "$kernel_callers" != "crates/meta/src/codec.rs " ]; then
     echo "FAIL: the CRC kernel is named in [$kernel_callers]; only crates/meta/src/codec.rs may call it"

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use crate::error::{DpfsError, Result};
 use crate::retry::RetryPolicy;
 use crate::trace;
-use crate::transport::{Pending, Transport, TransportStats};
+use crate::transport::{Landing, Pending, Transport, TransportStats};
 
 /// Maps server names to dial addresses. Empty = dial the name itself.
 #[derive(Debug, Clone, Default)]
@@ -123,6 +123,7 @@ impl ConnPool {
             self.rpc_timeout,
             self.retry,
             RetryPolicy::retryable,
+            None,
         )
     }
 
@@ -136,7 +137,8 @@ impl ConnPool {
     /// preserving the error class callers already match on. The predicate
     /// gates every attempt: requests that are only safe to replay after a
     /// subset of transport failures (metadata mutations) stop at the first
-    /// error outside it.
+    /// error outside it. A read's `landing` goes to every attempt: each
+    /// lands the same bytes again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn wait_retrying(
         &self,
@@ -147,8 +149,9 @@ impl ConnPool {
         timeout: Duration,
         policy: RetryPolicy,
         retryable: fn(&DpfsError) -> bool,
+        mut landing: Option<&mut Landing<'_>>,
     ) -> Result<Response> {
-        let mut res = first.and_then(|p| p.wait(timeout));
+        let mut res = first.and_then(|p| p.wait(timeout, landing.as_deref_mut()));
         for attempt in 1..policy.max_attempts {
             if !matches!(&res, Err(err) if retryable(err)) {
                 break;
@@ -159,7 +162,7 @@ impl ConnPool {
             let t0 = trace::now_ns();
             res = transport
                 .submit_traced(req, trace_id)
-                .and_then(|p| p.wait(timeout));
+                .and_then(|p| p.wait(timeout, landing.as_deref_mut()));
             trace::record_span(
                 trace::Side::Client,
                 trace_id,

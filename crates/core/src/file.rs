@@ -32,7 +32,7 @@ use crate::placement::BrickMap;
 use crate::plan::{plan_list, Granularity, ListRequest};
 use crate::retry::RetryPolicy;
 use crate::trace;
-use crate::transport::{Pending, DEFAULT_RPC_TIMEOUT};
+use crate::transport::{Landing, Pending, DEFAULT_RPC_TIMEOUT};
 
 /// Bytes of one subfile a re-protection round trip moves — per source read
 /// and per write, far under the frame limit whatever the subfile's size.
@@ -458,20 +458,12 @@ impl FileHandle {
         // Writes always use exact ranges: whole-brick granularity would
         // clobber bytes the caller never supplied.
         let reqs = self.plan(runs, Granularity::Exact);
-        // Gather each request's payload out of `data` up front, in piece
-        // order: where self-overlapping runs share payload bytes, the later
-        // piece wins. `Bytes` payloads are refcounted, so replica fan-out
-        // and enumerated-shape slicing reuse them without copying.
+        // Gather each request's payload out of `data` up front. `Bytes`
+        // payloads are refcounted, so replica fan-out and enumerated-shape
+        // slicing reuse them without copying.
         let payloads: Vec<Bytes> = reqs
             .iter()
-            .map(|req| {
-                let mut payload = vec![0u8; req.wire_bytes() as usize];
-                for p in &req.pieces {
-                    payload[p.payload_off as usize..(p.payload_off + p.len) as usize]
-                        .copy_from_slice(&data[p.buf_off as usize..(p.buf_off + p.len) as usize]);
-                }
-                Bytes::from(payload)
-            })
+            .map(|req| Bytes::from(gather(req, data)))
             .collect();
         let shaped: Vec<ListShape> = reqs.iter().map(list_shape).collect();
         // Copy 0 is the primary; every further copy is the same request at
@@ -719,25 +711,26 @@ impl FileHandle {
             trace::now_ns().saturating_sub(op_start),
             op_bytes,
         );
-        // Each reply is scattered, and its buffer dropped, before the next
-        // is awaited: the read holds one reply buffer at a time.
+        // Each reply lands in `buf` as it comes off the socket, or — read
+        // on another waiter's behalf, or not the expected `DataList` — is
+        // placed (or refused) whole before the next is awaited: the read
+        // holds at most one reply buffer at a time.
         let mut lost = Vec::new();
-        for (req, res) in reqs
-            .iter()
-            .zip(issue(&self.pool, &self.opts, work, trace_id))
-        {
+        let mut replies = issue(&self.pool, &self.opts, work, trace_id);
+        for req in &reqs {
+            let mut landing = Landing::new(&req.pieces, req.wire_bytes(), buf);
+            let res = replies
+                .next_landing(Some(&mut landing))
+                .expect("one reply per request");
             match res {
-                // The request's payload: its ranges' bytes back to back.
-                Ok(resp) => {
-                    let server = &self.servers[req.server];
-                    scatter(req, &expect_list_data(resp, req.wire_bytes(), server)?, buf);
-                }
+                Ok(resp) => landing.complete(resp, &self.servers[req.server])?,
                 Err(err) if RetryPolicy::retryable(&err) => lost.push((req, err)),
                 // Application errors always fail the read — the server
                 // processed the request and said no.
                 Err(err) => return Err(err),
             }
         }
+        drop(replies);
         // Terminal transport-class failure: read *around* the lost server —
         // the surviving mirror or the XOR of peers + parity rebuilds the
         // exact bytes. When that fails too (no redundancy, or a second
@@ -763,7 +756,7 @@ impl FileHandle {
                 trace::now_ns().saturating_sub(t0),
                 req.useful_bytes(),
             );
-            scatter(req, &payload, buf);
+            Landing::new(&req.pieces, req.wire_bytes(), buf).place_all(&payload);
         }
         self.stats.requests += reqs.len() as u64;
         self.stats.wire_read += reqs.iter().map(ListRequest::wire_bytes).sum::<u64>();
@@ -906,14 +899,27 @@ pub fn datatype_runs(lin: &LinearLayout, base: u64, dtype: &Datatype) -> Vec<Bri
     runs
 }
 
-/// Copy one read reply's payload — its request's ranges back to back —
-/// into `buf` through the request's pieces.
-fn scatter(req: &ListRequest, payload: &[u8], buf: &mut [u8]) {
+/// One write request's payload — its ranges' bytes back to back — built
+/// from `data` in piece order, with no zeroing pass first: a piece that
+/// continues the payload is appended, one that reaches back over bytes an
+/// earlier piece wrote (self-overlapping runs share payload bytes)
+/// overwrites them, so the later piece wins. A gap no piece covers would
+/// read as zeros; a plan leaves none.
+fn gather(req: &ListRequest, data: &[u8]) -> Vec<u8> {
+    let len = req.wire_bytes() as usize;
+    let mut payload = Vec::with_capacity(len);
     for p in &req.pieces {
         let at = p.payload_off as usize;
-        buf[p.buf_off as usize..(p.buf_off + p.len) as usize]
-            .copy_from_slice(&payload[at..at + p.len as usize]);
+        let src = &data[p.buf_off as usize..(p.buf_off + p.len) as usize];
+        if at > payload.len() {
+            payload.resize(at, 0);
+        }
+        let back = (payload.len() - at).min(src.len());
+        payload[at..at + back].copy_from_slice(&src[..back]);
+        payload.extend_from_slice(&src[back..]);
     }
+    payload.resize(len, 0);
+    payload
 }
 
 /// Issue one request per planned item; the raw responses come back in plan
@@ -980,10 +986,10 @@ pub(crate) struct Replies<'a> {
     submitted: std::vec::IntoIter<(&'a str, Request, Result<Pending>)>,
 }
 
-impl Iterator for Replies<'_> {
-    type Item = Result<Response>;
-
-    fn next(&mut self) -> Option<Result<Response>> {
+impl Replies<'_> {
+    /// The next reply, streamed into `landing` where it fits (see
+    /// [`Pending::wait`]).
+    fn next_landing(&mut self, landing: Option<&mut Landing<'_>>) -> Option<Result<Response>> {
         let (server, req, pending) = self.submitted.next()?;
         Some(self.pool.wait_retrying(
             server,
@@ -993,7 +999,16 @@ impl Iterator for Replies<'_> {
             self.opts.rpc_timeout,
             self.opts.retry,
             RetryPolicy::retryable,
+            landing,
         ))
+    }
+}
+
+impl Iterator for Replies<'_> {
+    type Item = Result<Response>;
+
+    fn next(&mut self) -> Option<Result<Response>> {
+        self.next_landing(None)
     }
 }
 
@@ -1129,6 +1144,8 @@ impl ListShape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::round_robin;
+    use proptest::prelude::*;
 
     fn req(ranges: Vec<(u64, u64)>) -> ListRequest {
         ListRequest {
@@ -1179,5 +1196,60 @@ mod tests {
             .map(|i| (i * 64, 16))
             .collect();
         assert!(matches!(list_shape(&req(huge)), ListShape::Enumerated));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A write payload built in piece order is the one the zero-filled
+        /// buffer and its gather gave, byte for byte: over random exact
+        /// plans on linear and multidimensional files, runs unsorted,
+        /// duplicated and self-overlapping.
+        #[test]
+        fn gathered_payloads_equal_zero_fill_and_gather(
+            multidim in proptest::bool::ANY,
+            servers in 1usize..5,
+            raw in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), 0u64..2048),
+                0..40,
+            ),
+        ) {
+            let layout = if multidim {
+                Layout::Multidim(
+                    crate::layout::MultidimLayout::new(
+                        crate::geometry::Shape::new(vec![64, 48]).unwrap(),
+                        crate::geometry::Shape::new(vec![16, 16]).unwrap(),
+                        1,
+                    )
+                    .unwrap(),
+                )
+            } else {
+                Layout::Linear(LinearLayout::new(512, 16 * 512).unwrap())
+            };
+            let bricks = layout.num_bricks();
+            let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
+            let runs: Vec<BrickRun> = raw
+                .iter()
+                .map(|&(b, off, len, buf_off)| {
+                    let brick = b % bricks;
+                    let brick_off = off % layout.brick_len(brick);
+                    BrickRun {
+                        brick,
+                        brick_off,
+                        buf_off,
+                        len: 1 + len % (layout.brick_len(brick) - brick_off),
+                    }
+                })
+                .collect();
+            let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
+            for req in plan_list(&runs, &map, &layout, Granularity::Exact, 0).unwrap() {
+                let mut want = vec![0u8; req.wire_bytes() as usize];
+                for p in &req.pieces {
+                    want[p.payload_off as usize..(p.payload_off + p.len) as usize]
+                        .copy_from_slice(&data[p.buf_off as usize..(p.buf_off + p.len) as usize]);
+                }
+                prop_assert_eq!(gather(&req, &data), want);
+            }
+        }
     }
 }

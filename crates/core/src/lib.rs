@@ -59,4 +59,4 @@ pub use meta_client::MetaClient;
 pub use placement::{greedy, round_robin, BrickMap};
 pub use plan::Granularity;
 pub use retry::RetryPolicy;
-pub use transport::{Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};
+pub use transport::{Landing, Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};

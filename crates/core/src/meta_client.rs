@@ -194,6 +194,7 @@ impl MetaClient {
                 pool.rpc_timeout(),
                 pool.retry_policy(),
                 retryable,
+                None,
             )
             .map_err(|e| remote_err(server, &e))?;
         match resp {

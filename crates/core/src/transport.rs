@@ -16,6 +16,14 @@
 //!   waiter still asleep, which reads next. So a round trip with nothing
 //!   else outstanding wakes one thread, the one that asked, straight from
 //!   the socket.
+//! - **Landing**: a read hands [`Pending::wait`] a [`Landing`] — the
+//!   caller's buffer and where each reply byte goes in it. When the reader
+//!   reaches its own `DataList` reply of the expected length, it streams
+//!   the data off the socket through one bounded buffer of its thread,
+//!   folding each chunk into the frame's CRC and placing it while it is
+//!   still in cache; the CRC is compared at the end of the frame. Every
+//!   other reply — another waiter's, an `Error`, a `DataList` of the wrong
+//!   length — is collected whole, as before.
 //! - **Deadlines**: [`Pending::wait`] bounds the wait. A timeout evicts the
 //!   waiter, poisons the connection (everything behind a stalled response
 //!   is suspect), and surfaces [`DpfsError::Timeout`]; the next submission
@@ -28,6 +36,7 @@
 //!   the socket without blocking, and a closed peer is redialed before a
 //!   request is written into it.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
@@ -36,12 +45,14 @@ use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use dpfs_obs::{HistSnapshot, Histogram};
 use dpfs_proto::{frame, Request, Response};
 use parking_lot::Mutex;
 
-use crate::conn::Resolver;
+use crate::conn::{expect_list_data, Resolver};
 use crate::error::{DpfsError, Result};
+use crate::plan::ListPiece;
 use crate::trace;
 
 /// Default per-request deadline. Generous: it exists to catch hung servers
@@ -152,8 +163,15 @@ impl Conn {
     /// arrives (returned), the deadline passes or the connection dies
     /// (`None`: the caller finds its verdict in the table, or times out).
     /// Every other frame goes to its waiter; one nobody waits for any
-    /// more — its request timed out or was abandoned — is dropped.
-    fn read_for(&self, id: u64, deadline: Instant) -> Option<Response> {
+    /// more — its request timed out or was abandoned — is dropped. `id`'s
+    /// own reply is streamed into `landing` when it fits (see
+    /// [`Conn::land`]).
+    fn read_for(
+        &self,
+        id: u64,
+        deadline: Instant,
+        mut landing: Option<&mut Landing<'_>>,
+    ) -> Option<Response> {
         let _seat = Seat(self);
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -164,9 +182,14 @@ impl Conn {
                 .stream
                 .set_read_timeout(Some(left))
                 .map_err(frame::FrameError::Io)
-                .and_then(|()| frame::read_frame_any(&mut &self.stream));
+                .and_then(|()| frame::read_header(&mut &self.stream))
+                .and_then(|header| match landing.as_deref_mut() {
+                    Some(landing) if header.corr_id == id => self.land(header, landing),
+                    _ => frame::read_payload(&mut &self.stream, header).map(Some),
+                });
             let frame = match read {
-                Ok(f) => f,
+                Ok(Some(f)) => f,
+                Ok(None) => return Some(Response::DataList { data: Bytes::new() }),
                 // The caller's deadline poisons with its own reason.
                 Err(_) if Instant::now() >= deadline => return None,
                 Err(e) => {
@@ -197,6 +220,175 @@ impl Conn {
             }
         }
     }
+
+    /// The payload of the reader's own reply, whose `header` was just
+    /// read: streamed into `landing` (`Ok(None)`) when it opens as a
+    /// `DataList` of exactly the bytes the landing expects, collected into
+    /// a frame otherwise. The first chunk is read before that is known, so
+    /// the head costs no read of its own; a collected frame starts from it.
+    fn land(
+        &self,
+        header: frame::Header,
+        landing: &mut Landing<'_>,
+    ) -> std::result::Result<Option<frame::Frame>, frame::FrameError> {
+        let head = Response::data_list_head(landing.len);
+        let fits = header.payload_len() as u64 == head.len() as u64 + landing.len;
+        CHUNK.with_borrow_mut(|chunk| {
+            let room = header.payload_len().min(LANDING_CHUNK);
+            if chunk.len() < room {
+                chunk.resize(room, 0);
+            }
+            let mut stream = &self.stream;
+            let mut body = frame::Body::new(&mut stream, header);
+            let first = body.next_chunk(chunk, head.len())?;
+            if !fits || !first.starts_with(&head) {
+                return body.collect(first).map(Some);
+            }
+            landing.restart();
+            let mut at = 0;
+            let mut data = &first[head.len()..];
+            loop {
+                landing.place(at, data);
+                at += data.len() as u64;
+                if body.remaining() == 0 {
+                    break;
+                }
+                data = body.next_chunk(chunk, 1)?;
+            }
+            // The chunk that completed the payload passed the CRC.
+            landing.landed = true;
+            Ok(None)
+        })
+    }
+}
+
+/// The most reply data one chunk of a landing holds: one `recv` fills it
+/// at most, and its bytes are checksummed and placed before the next. It
+/// stays in a core's cache alongside what is placed from it, and holds a
+/// whole 64 KiB `strided_read` reply. (256 KiB chunks cost `array_read`
+/// more system time per op in the `recv` copies; 64 KiB cost no less.)
+const LANDING_CHUNK: usize = 128 << 10;
+
+thread_local! {
+    /// The reading thread's landing chunk: grown to the largest reply the
+    /// thread has landed, up to [`LANDING_CHUNK`], and kept — so a thread
+    /// that only lands small replies holds no more than they need. Only
+    /// the thread that holds a reader's seat touches it.
+    static CHUNK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Where the data of one read reply goes: the caller's buffer, and the
+/// pieces that map the reply's data bytes into it (see
+/// [`crate::plan::ListRequest`]). [`Pending::wait`] streams a fitting
+/// reply straight into it; [`Landing::complete`] places any other.
+///
+/// Pieces are walked in payload-offset order, whatever order the plan
+/// lists them in; pieces that share payload bytes (self-overlapping runs)
+/// all get them.
+pub struct Landing<'a> {
+    /// Data bytes the reply carries.
+    len: u64,
+    pieces: &'a [ListPiece],
+    /// `pieces`' indices in payload-offset order, where the plan's order
+    /// is not already that.
+    order: Option<Vec<u32>>,
+    buf: &'a mut [u8],
+    /// The next piece (in payload order) no chunk has reached yet.
+    next: usize,
+    /// Pieces a chunk reached that go on past it.
+    open: Vec<usize>,
+    /// The reply's data has been placed and its CRC checked.
+    landed: bool,
+}
+
+impl<'a> Landing<'a> {
+    /// A landing for a reply of `len` data bytes that `pieces` map into
+    /// `buf`.
+    pub fn new(pieces: &'a [ListPiece], len: u64, buf: &'a mut [u8]) -> Landing<'a> {
+        let order = (!pieces.is_sorted_by_key(|p| p.payload_off)).then(|| {
+            let mut order: Vec<u32> = (0..pieces.len() as u32).collect();
+            order.sort_by_key(|&i| pieces[i as usize].payload_off);
+            order
+        });
+        Landing {
+            len,
+            pieces,
+            order,
+            buf,
+            next: 0,
+            open: Vec::new(),
+            landed: false,
+        }
+    }
+
+    /// Whether [`Pending::wait`] streamed the reply into the buffer.
+    pub fn landed(&self) -> bool {
+        self.landed
+    }
+
+    /// Put the reply that [`Pending::wait`] returned for this landing into
+    /// the buffer: a landed one is there already; any other is checked by
+    /// [`expect_list_data`] and placed whole.
+    pub fn complete(&mut self, resp: Response, server: &str) -> Result<()> {
+        if !self.landed {
+            let data = expect_list_data(resp, self.len, server)?;
+            self.place_all(&data);
+        }
+        Ok(())
+    }
+
+    /// Place a whole reply's data: its request's ranges back to back.
+    pub(crate) fn place_all(&mut self, data: &[u8]) {
+        self.restart();
+        self.place(0, data);
+    }
+
+    /// Start over from the first data byte (a new attempt's reply).
+    fn restart(&mut self) {
+        self.next = 0;
+        self.open.clear();
+        self.landed = false;
+    }
+
+    /// The `k`-th piece in payload order.
+    fn piece(&self, k: usize) -> ListPiece {
+        match &self.order {
+            Some(order) => self.pieces[order[k] as usize],
+            None => self.pieces[k],
+        }
+    }
+
+    /// Place `chunk`, the data bytes from offset `at` on: chunks come in
+    /// order, each starting where the last ended.
+    fn place(&mut self, at: u64, chunk: &[u8]) {
+        let end = at + chunk.len() as u64;
+        let mut open = std::mem::take(&mut self.open);
+        open.retain(|&k| copy_piece(self.piece(k), at, chunk, self.buf));
+        while self.next < self.pieces.len() {
+            let p = self.piece(self.next);
+            if p.payload_off >= end {
+                break;
+            }
+            if copy_piece(p, at, chunk, self.buf) {
+                open.push(self.next);
+            }
+            self.next += 1;
+        }
+        self.open = open;
+    }
+}
+
+/// Copy the part of piece `p` that `chunk` (data bytes from `at` on)
+/// holds into `buf`; whether `p` goes on past the chunk.
+fn copy_piece(p: ListPiece, at: u64, chunk: &[u8], buf: &mut [u8]) -> bool {
+    let end = at + chunk.len() as u64;
+    let (from, to) = (p.payload_off.max(at), (p.payload_off + p.len).min(end));
+    if from < to {
+        let dst = (p.buf_off + from - p.payload_off) as usize;
+        buf[dst..dst + (to - from) as usize]
+            .copy_from_slice(&chunk[(from - at) as usize..(to - at) as usize]);
+    }
+    p.payload_off + p.len > end
 }
 
 /// The reader's seat of one connection, taken by setting
@@ -492,12 +684,22 @@ impl Pending {
     /// Await the response for at most `timeout`, reading the connection
     /// while nobody else does and sleeping while somebody does.
     ///
+    /// With a `landing` (a read), a reply this caller reads itself and
+    /// that is a `DataList` of the landing's length is streamed into the
+    /// landing's buffer, and comes back as a `DataList` with empty `data`
+    /// ([`Landing::landed`] says so); [`Landing::complete`] places any
+    /// other reply.
+    ///
     /// On deadline: the waiter is evicted (a late response is discarded),
     /// the connection is poisoned — in-order framing means everything
     /// behind a stalled response is also stalled, and pending peers must
     /// get errors rather than hangs — and [`DpfsError::Timeout`] is
     /// returned. The next submission on this transport redials.
-    pub fn wait(self, timeout: Duration) -> Result<Response> {
+    pub fn wait(
+        self,
+        timeout: Duration,
+        mut landing: Option<&mut Landing<'_>>,
+    ) -> Result<Response> {
         // A timeout past what an `Instant` can hold waits a century.
         let now = Instant::now();
         let deadline = now
@@ -520,7 +722,10 @@ impl Pending {
                 reader
             };
             if reader {
-                if let Some(resp) = self.conn.read_for(self.id, deadline) {
+                if let Some(resp) = self
+                    .conn
+                    .read_for(self.id, deadline, landing.as_deref_mut())
+                {
                     break Some(Ok(resp));
                 }
             } else {
@@ -586,5 +791,81 @@ impl Drop for Pending {
         let mut infl = self.conn.inflight.lock();
         infl.waiters.remove(&self.id);
         infl.ready.remove(&self.id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{BrickRun, Layout, LinearLayout};
+    use crate::placement::{round_robin, BrickMap};
+    use crate::plan::{plan_list, Granularity};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A reply landed chunk by chunk, its pieces in any order, fills
+        /// the buffer exactly as the whole reply scattered piece by piece
+        /// did: over random exact read plans whose runs overlap in the file
+        /// (pieces sharing payload bytes, each gets them), chunks of any
+        /// size, and a landing restarted after a partial attempt.
+        #[test]
+        fn a_landed_reply_is_the_scattered_reply(
+            servers in 1usize..4,
+            raw in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..2048), 1..40),
+            cuts in proptest::collection::vec(1usize..700, 1..8),
+            shuffle in any::<u64>(),
+        ) {
+            let layout = Layout::Linear(LinearLayout::new(512, 16 * 512).unwrap());
+            let bricks = layout.num_bricks();
+            let map = BrickMap::from_assignment(round_robin(bricks, servers), servers);
+            // Each run fills its own part of the buffer.
+            let mut buf_off = 0;
+            let runs: Vec<BrickRun> = raw
+                .iter()
+                .map(|&(b, off, len)| {
+                    let brick = b % bricks;
+                    let brick_off = off % 512;
+                    let len = 1 + len % (512 - brick_off);
+                    buf_off += len;
+                    BrickRun { brick, brick_off, buf_off: buf_off - len, len }
+                })
+                .collect();
+            let total = buf_off as usize;
+            for req in plan_list(&runs, &map, &layout, Granularity::Exact, 0).unwrap() {
+                let len = req.wire_bytes();
+                let data: Vec<u8> = (0..len).map(|i| (i * 131 % 253) as u8 + 1).collect();
+                let mut want = vec![0u8; total];
+                for p in &req.pieces {
+                    want[p.buf_off as usize..(p.buf_off + p.len) as usize].copy_from_slice(
+                        &data[p.payload_off as usize..(p.payload_off + p.len) as usize],
+                    );
+                }
+                let mut pieces = req.pieces.clone();
+                let mut x = shuffle | 1;
+                for i in (1..pieces.len()).rev() {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    pieces.swap(i, (x % (i as u64 + 1)) as usize);
+                }
+                let mut buf = vec![0u8; total];
+                let mut landing = Landing::new(&pieces, len, &mut buf);
+                // A first attempt that stops part-way, then the whole.
+                landing.place(0, &data[..data.len() / 2]);
+                landing.restart();
+                let mut at = 0;
+                for &cut in cuts.iter().cycle() {
+                    let end = (at + cut).min(data.len());
+                    landing.place(at as u64, &data[at..end]);
+                    at = end;
+                    if at == data.len() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(&buf, &want);
+            }
+        }
     }
 }

@@ -245,22 +245,34 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 /// finish with a bitwise NOT, or use [`crc32`] for the one-shot case;
 /// folding a buffer in pieces gives the same state as folding it whole.
 ///
-/// Two arms, chosen here and nowhere else, from the input length and the
-/// CPU: the whole 16-byte blocks of an input of 64 bytes or more go
-/// through the carry-less-multiply kernel (`clmul.rs`, x86_64 with
-/// PCLMULQDQ) — about ten times the tables' speed on a large buffer;
-/// everything else (shorter inputs, the < 16-byte tail, other CPUs and
-/// targets) through slicing-by-16 table lookups. Both compute the same
-/// function: no caller, file or frame can tell which one ran.
+/// Three arms, chosen here and nowhere else, from the input length and the
+/// CPU: the whole 16-byte blocks of an input of [`WIDE_MIN`] bytes or more
+/// go through the wide carry-less-multiply kernel (`clmul.rs`, x86_64 with
+/// VPCLMULQDQ on 512-bit registers, 256 bytes a step), those of an input of
+/// 64 bytes or more (or on a CPU without it) through the narrow one
+/// (PCLMULQDQ, 64 bytes a step) — about ten times the tables' speed on a
+/// large buffer, and the wide one three times that; everything else
+/// (shorter inputs, the < 16-byte tail, other CPUs and targets) through
+/// slicing-by-16 table lookups. All compute the same function: no caller,
+/// file or frame can tell which one ran.
 pub fn crc32_update(mut crc: u32, mut data: &[u8]) -> u32 {
     if data.len() >= 64 {
         let (blocks, tail) = data.split_at(data.len() & !15);
-        if let Some(folded) = clmul::fold(crc, blocks) {
+        let folded = if blocks.len() >= WIDE_MIN {
+            clmul::fold_wide(crc, blocks).or_else(|| clmul::fold(crc, blocks))
+        } else {
+            clmul::fold(crc, blocks)
+        };
+        if let Some(folded) = folded {
             (crc, data) = (folded, tail);
         }
     }
     crc32_tables(crc, data)
 }
+
+/// Inputs from this long take the wide kernel: below it the 256-byte
+/// steps are too few to pay for folding four 512-bit registers down.
+const WIDE_MIN: usize = 512;
 
 /// The portable arm of [`crc32_update`]: 16 bytes per step with 16
 /// independent lookups, then a byte at a time.
@@ -386,27 +398,41 @@ mod tests {
         }
     }
 
-    /// Both arms of `crc32_update`, each called directly, against the
-    /// bitwise oracle: lengths on both sides of every loop boundary, every
-    /// start misalignment, non-trivial starting states, and cuts on both
-    /// sides of the 64-byte switch-over. On a CPU (or target) without
-    /// carry-less multiply the kernel must decline, and the test says so.
+    /// Every arm of `crc32_update`, each called directly, against the
+    /// bitwise oracle: lengths on both sides of every loop boundary and
+    /// arm switch-over (64, 256, 512, 1024), all 64 start misalignments,
+    /// non-trivial starting states, and cuts on both sides of the
+    /// switch-overs. On a CPU (or target) without a kernel that kernel must
+    /// decline; the test prints which arms ran.
     #[test]
-    fn crc32_both_arms_match_the_bitwise_oracle() {
+    fn crc32_every_arm_matches_the_bitwise_oracle() {
         #[cfg(target_arch = "x86_64")]
-        let has_kernel =
-            is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        let (has_narrow, has_wide) = {
+            let narrow =
+                is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+            let wide = narrow
+                && is_x86_feature_detected!("vpclmulqdq")
+                && is_x86_feature_detected!("avx512f");
+            (narrow, wide)
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let has_kernel = false;
-        if !has_kernel {
-            eprintln!("crc32: no PCLMULQDQ here — only the table arm is under test");
-        }
+        let (has_narrow, has_wide) = (false, false);
+        eprintln!(
+            "crc32 arms under test: tables{}{}",
+            if has_narrow { ", PCLMULQDQ" } else { "" },
+            if has_wide {
+                ", VPCLMULQDQ (512-bit)"
+            } else {
+                ""
+            }
+        );
 
-        const LENS: [usize; 17] = [
-            0, 1, 15, 16, 63, 64, 65, 79, 80, 127, 128, 129, 4095, 4096, 4097, 65_537, 1_048_576,
+        const LENS: [usize; 29] = [
+            0, 1, 15, 16, 63, 64, 65, 79, 80, 127, 128, 129, 255, 256, 257, 272, 511, 512, 513,
+            528, 767, 1023, 1024, 1025, 1040, 4095, 4096, 65_537, 1_048_576,
         ];
         let mut x = 0x9E37_79B9u32;
-        let buf: Vec<u8> = (0..1_048_576 + 16)
+        let buf: Vec<u8> = (0..1_048_576 + 64)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 17;
@@ -415,7 +441,9 @@ mod tests {
             })
             .collect();
         for (i, &len) in LENS.iter().enumerate() {
-            for off in 0..16 {
+            // The megabyte is the slow oracle's: a few offsets suffice.
+            let offs = if len > 65_537 { 0..4 } else { 0..64 };
+            for off in offs {
                 let data = &buf[off..off + len];
                 let seed = [u32::MAX, 0, 0xDEAD_BEEF, 1][(i + off) % 4];
                 let want = crc32_bitwise_update(seed, data);
@@ -429,19 +457,30 @@ mod tests {
                     want,
                     "update, len {len} off {off}"
                 );
+                let (blocks, tail) = data.split_at(len & !15);
                 if len >= 64 {
-                    let (blocks, tail) = data.split_at(len & !15);
                     let folded = clmul::fold(seed, blocks);
-                    assert_eq!(folded.is_some(), has_kernel, "kernel iff the CPU has it");
+                    assert_eq!(folded.is_some(), has_narrow, "kernel iff the CPU has it");
                     if let Some(state) = folded {
                         assert_eq!(
                             crc32_tables(state, tail),
                             want,
-                            "kernel, len {len} off {off}"
+                            "narrow kernel, len {len} off {off}"
                         );
                     }
                 }
-                for cut in [1, 16, 63, 64, 65, 100] {
+                if len >= 256 {
+                    let folded = clmul::fold_wide(seed, blocks);
+                    assert_eq!(folded.is_some(), has_wide, "wide kernel iff the CPU has it");
+                    if let Some(state) = folded {
+                        assert_eq!(
+                            crc32_tables(state, tail),
+                            want,
+                            "wide kernel, len {len} off {off}"
+                        );
+                    }
+                }
+                for cut in [1, 16, 63, 64, 65, 100, 255, 256, 511, 512, 513] {
                     if cut < len {
                         let piecewise =
                             crc32_update(crc32_update(seed, &data[..cut]), &data[cut..]);

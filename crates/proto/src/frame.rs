@@ -257,10 +257,13 @@ fn header_len(magic: [u8; 4]) -> Result<usize, FrameError> {
     }
 }
 
-/// What a frame header says about its frame.
-struct Header {
-    corr_id: u64,
-    trace_id: u64,
+/// What a frame header says about its frame: read off a stream by
+/// [`read_header`], before any of the payload.
+pub struct Header {
+    /// Correlation ID: a response echoes its request's.
+    pub corr_id: u64,
+    /// Trace ID (v3); 0 for a v2 frame.
+    pub trace_id: u64,
     /// Payload length, already checked against [`MAX_FRAME_LEN`].
     len: usize,
     crc: u32,
@@ -283,6 +286,11 @@ impl Header {
             len,
             crc: u32_at(h.len() - 4),
         })
+    }
+
+    /// The length of the payload that follows the header.
+    pub fn payload_len(&self) -> usize {
+        self.len
     }
 
     /// Checksum `payload` against the header and wrap it up as a frame.
@@ -364,58 +372,159 @@ pub fn decode_bytes(buf: &mut Bytes) -> Result<Option<Frame>, FrameError> {
     Ok(Some(frame))
 }
 
-/// Read exactly `buf.len()` bytes, distinguishing clean EOF before the
-/// first byte (`Closed`) from a torn read (`Io`). `at_frame_start` is true
-/// when no bytes of the current frame have been consumed yet.
-fn read_exactly<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    at_frame_start: bool,
-) -> Result<(), FrameError> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        let n = r.read(&mut buf[got..])?;
-        if n == 0 {
-            if got == 0 && at_frame_start {
-                return Err(FrameError::Closed);
-            }
-            return Err(FrameError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "torn frame header",
-            )));
+/// One `read` into `buf`, retried while a signal interrupts it. A stream
+/// with a receive timeout (`SO_RCVTIMEO`, as the client transport sets on
+/// every read) fails a `recv` with `EINTR` even under `SA_RESTART`, so a
+/// signal handler anywhere in the process must not look like a dead peer.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            other => return other,
         }
-        got += n;
     }
-    Ok(())
 }
 
-/// Read the frame that began with `magic` (already consumed from `r`).
-fn read_after_magic<R: Read>(r: &mut R, magic: [u8; 4]) -> Result<Frame, FrameError> {
-    let n = header_len(magic)?;
-    let mut h = [0u8; MAX_HEADER_LEN];
-    h[..4].copy_from_slice(&magic);
-    read_exactly(r, &mut h[4..n], false)?;
-    let header = Header::parse(&h[..n])?;
-    // The stream fills the payload's own allocation in place: no zeroing
-    // pass before it, no copy after it.
-    let mut payload = Vec::with_capacity(header.len);
-    r.take(header.len as u64).read_to_end(&mut payload)?;
-    if payload.len() < header.len {
-        return Err(FrameError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "torn frame payload",
-        )));
+/// The error of a stream that ended inside a frame.
+fn torn(what: &str) -> FrameError {
+    FrameError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        format!("torn frame {what}"),
+    ))
+}
+
+/// Read until `buf` is full or the stream ends; how many bytes came.
+fn read_upto<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
+    let mut got = 0usize;
+    while got < buf.len() {
+        match read_some(r, &mut buf[got..])? {
+            0 => break,
+            n => got += n,
+        }
     }
-    header.frame(Bytes::from(payload))
+    Ok(got)
+}
+
+/// Shortest header on the wire (v2), and so the shortest frame.
+const MIN_HEADER_LEN: usize = 20;
+
+/// Read one frame header of either version. The v2 header's 20 bytes are
+/// asked for in one read — no frame is shorter — and a v3 header's last 8
+/// in a second. `Err(Closed)` when the peer shut the stream down cleanly
+/// before a new frame began; a stream that ends inside a header is torn,
+/// unless the magic it got is no frame's (`BadMagic`).
+pub fn read_header<R: Read>(r: &mut R) -> Result<Header, FrameError> {
+    let mut h = [0u8; MAX_HEADER_LEN];
+    let got = read_upto(r, &mut h[..MIN_HEADER_LEN])?;
+    if got == 0 {
+        return Err(FrameError::Closed);
+    }
+    if got < 4 {
+        return Err(torn("header"));
+    }
+    let n = header_len(h[..4].try_into().unwrap())?;
+    if got < MIN_HEADER_LEN || read_upto(r, &mut h[MIN_HEADER_LEN..n])? < n - MIN_HEADER_LEN {
+        return Err(torn("header"));
+    }
+    Header::parse(&h[..n])
+}
+
+/// One frame's payload, read off the stream instead of collected: each
+/// chunk is folded into the frame's running CRC as it arrives, so a
+/// reader can place it while it is still in cache, and the read that
+/// completes the payload checks the CRC.
+pub struct Body<'r, R> {
+    r: &'r mut R,
+    header: Header,
+    /// Payload bytes read so far.
+    read: usize,
+    /// The running CRC register over them.
+    crc: u32,
+}
+
+impl<'r, R: Read> Body<'r, R> {
+    /// The payload that `header` (just read off `r`) announces.
+    pub fn new(r: &'r mut R, header: Header) -> Body<'r, R> {
+        Body {
+            r,
+            header,
+            read: 0,
+            crc: u32::MAX,
+        }
+    }
+
+    /// Payload bytes still to come.
+    pub fn remaining(&self) -> usize {
+        self.header.len - self.read
+    }
+
+    /// The next chunk of the payload, read into `buf`: at least `min`
+    /// bytes (fewer only where the payload ends first), at most `buf`'s
+    /// length, otherwise whatever the stream has ready. Empty once the
+    /// payload is done. The chunk that completes the payload is returned
+    /// only if the frame's CRC matches; otherwise `BadChecksum`, and the
+    /// chunks already returned were not the frame's bytes.
+    pub fn next_chunk<'b>(
+        &mut self,
+        buf: &'b mut [u8],
+        min: usize,
+    ) -> Result<&'b [u8], FrameError> {
+        let want = buf.len().min(self.remaining());
+        assert!(
+            want > 0 || self.remaining() == 0,
+            "no room for the next chunk"
+        );
+        let mut got = 0usize;
+        while got < want.min(min.max(1)) {
+            match read_some(self.r, &mut buf[got..want])? {
+                0 => return Err(torn("payload")),
+                n => got += n,
+            }
+        }
+        let chunk = &buf[..got];
+        self.crc = crc32_update(self.crc, chunk);
+        self.read += got;
+        if self.remaining() == 0 && !self.crc != self.header.crc {
+            return Err(FrameError::BadChecksum {
+                expected: self.header.crc,
+                actual: !self.crc,
+            });
+        }
+        Ok(chunk)
+    }
+
+    /// The whole frame after all: `consumed` — every chunk
+    /// [`Body::next_chunk`] returned, in order — then the rest of the
+    /// payload, collected and checked as [`read_frame_any`] does. For a
+    /// payload its reader chose, after its first chunk, not to stream.
+    pub fn collect(self, consumed: &[u8]) -> Result<Frame, FrameError> {
+        debug_assert_eq!(consumed.len(), self.read, "every chunk read so far");
+        // The stream fills the payload's own allocation in place: no
+        // zeroing pass before it, no copy after it.
+        let mut payload = Vec::with_capacity(self.header.len);
+        payload.extend_from_slice(consumed);
+        self.r
+            .take(self.remaining() as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < self.header.len {
+            return Err(torn("payload"));
+        }
+        self.header.frame(Bytes::from(payload))
+    }
+}
+
+/// Read the payload `header` (just read off `r`) announces, whole: the
+/// second half of [`read_frame_any`].
+pub fn read_payload<R: Read>(r: &mut R, header: Header) -> Result<Frame, FrameError> {
+    Body::new(r, header).collect(&[])
 }
 
 /// Read one frame of either version (a v2 frame's trace ID is 0).
 /// `Err(Closed)` when the peer shut the stream down cleanly before a new
 /// frame began.
 pub fn read_frame_any<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-    let mut magic = [0u8; 4];
-    read_exactly(r, &mut magic, true)?;
-    read_after_magic(r, magic)
+    let header = read_header(r)?;
+    read_payload(r, header)
 }
 
 #[cfg(test)]
@@ -809,6 +918,106 @@ mod tests {
             let frame = read_frame_any(&mut Cursor::new(&d.out)).unwrap();
             assert_eq!(&frame.payload[..], b"alphabeta-betag", "cap {cap}");
         }
+    }
+
+    /// A stream that fails every other `read` with `Interrupted` (as a
+    /// `recv` with a receive timeout does when a signal arrives) and hands
+    /// out at most `cap` bytes a call.
+    struct Interrupting<'a> {
+        data: &'a [u8],
+        cap: usize,
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.cap).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// A signal before every chunk costs nothing: the whole-frame read and
+    /// the streamed body both yield the frame.
+    #[test]
+    fn a_signal_before_every_chunk_still_yields_the_frame() {
+        let payload: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame_v3(&mut wire, 5, 6, &payload).unwrap();
+        for cap in [1, 3, 64, 1 << 20] {
+            let mut r = Interrupting {
+                data: &wire,
+                cap,
+                interrupt: false,
+            };
+            let f = read_frame_any(&mut r).unwrap();
+            assert_eq!((f.corr_id, f.trace_id), (5, 6), "cap {cap}");
+            assert_eq!(f.payload[..], payload[..], "cap {cap}");
+
+            let mut r = Interrupting {
+                data: &wire,
+                cap,
+                interrupt: false,
+            };
+            let header = read_header(&mut r).unwrap();
+            let mut body = Body::new(&mut r, header);
+            let mut chunk = [0u8; 700];
+            let mut got = Vec::new();
+            while body.remaining() > 0 {
+                got.extend_from_slice(body.next_chunk(&mut chunk, 1).unwrap());
+            }
+            assert_eq!(got, payload, "cap {cap}");
+        }
+    }
+
+    /// A streamed body: chunks no longer than the buffer, at least `min`
+    /// bytes where the payload has them, the CRC checked by the chunk that
+    /// completes it — and a body collected after its first chunk is the
+    /// frame `read_frame_any` reads.
+    #[test]
+    fn a_streamed_body_is_the_payload_and_checks_its_crc() {
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        write_frame_v2(&mut wire, 9, &payload).unwrap();
+
+        let mut r = Cursor::new(&wire);
+        let header = read_header(&mut r).unwrap();
+        assert_eq!((header.corr_id, header.payload_len()), (9, 3000));
+        let mut body = Body::new(&mut r, header);
+        let mut chunk = [0u8; 1024];
+        let first = body.next_chunk(&mut chunk, 9).unwrap().to_vec();
+        assert_eq!(first[..], payload[..1024]);
+        let f = body.collect(&first).unwrap();
+        assert_eq!((f.corr_id, &f.payload[..]), (9, &payload[..]));
+
+        // The last byte flipped: every chunk before it comes out, the one
+        // that completes the payload is refused.
+        let n = wire.len();
+        wire[n - 1] ^= 0x40;
+        let mut r = Cursor::new(&wire);
+        let header = read_header(&mut r).unwrap();
+        let mut body = Body::new(&mut r, header);
+        assert_eq!(body.next_chunk(&mut chunk, 1).unwrap().len(), 1024);
+        assert_eq!(body.next_chunk(&mut chunk, 1).unwrap().len(), 1024);
+        assert!(matches!(
+            body.next_chunk(&mut chunk, 1),
+            Err(FrameError::BadChecksum { .. })
+        ));
+
+        // A stream that ends inside the payload is torn, not short.
+        let mut r = Cursor::new(&wire[..n - 10]);
+        let header = read_header(&mut r).unwrap();
+        let mut body = Body::new(&mut r, header);
+        let mut big = vec![0u8; 4096];
+        assert!(matches!(
+            body.next_chunk(&mut big, 3000),
+            Err(FrameError::Io(_))
+        ));
     }
 
     #[test]

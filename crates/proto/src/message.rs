@@ -596,6 +596,20 @@ impl Response {
     pub fn decode(buf: Bytes) -> Result<Response, FrameError> {
         whole(buf)
     }
+
+    /// The bytes a `DataList` reply carrying `len` data bytes opens with:
+    /// its tag and the data's length prefix, as its `wire_enum!` row writes
+    /// them. A reader that knows how many bytes it asked for recognises its
+    /// reply by them, and can stream the data behind them instead of
+    /// collecting it.
+    pub fn data_list_head(len: u64) -> Vec<u8> {
+        // A byte payload travels as a `u64` length, then the bytes: an
+        // empty one's encoding ends in its zero length, where `len` goes.
+        let mut head = Response::DataList { data: Bytes::new() }.encode().to_vec();
+        let prefix = head.len() - 8;
+        head[prefix..].copy_from_slice(&len.to_le_bytes());
+        head
+    }
 }
 
 #[cfg(test)]
@@ -682,6 +696,21 @@ mod tests {
 
     fn glue(parts: &[Bytes]) -> Vec<u8> {
         parts.iter().flat_map(|p| p.iter().copied()).collect()
+    }
+
+    /// The head a reader recognises a `DataList` by is the front of its
+    /// encoding, whatever the length.
+    #[test]
+    fn data_list_head_is_the_front_of_the_encoding() {
+        for len in [0usize, 1, 1023, 1024, 70_000] {
+            let wire = Response::DataList {
+                data: Bytes::from(vec![0xC3; len]),
+            }
+            .encode();
+            let head = Response::data_list_head(len as u64);
+            assert_eq!(wire.len(), head.len() + len);
+            assert_eq!(wire[..head.len()], head[..], "len {len}");
+        }
     }
 
     #[test]

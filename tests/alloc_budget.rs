@@ -10,46 +10,56 @@
 //! count allocator *calls*, which repeat exactly: a regression test, not a
 //! timing.
 //!
+//!
+//! A live read is counted in bytes as well: besides its output and its own
+//! map → plan, a (*,BLOCK) column-block read through four I/O servers may
+//! allocate one landing chunk and 64 KiB — its replies land in the output
+//! as they come off the sockets, not in reply buffers of their own.
+//!
 //! Own test binary: the counting `#[global_allocator]` is process-wide
 //! (the count itself is per thread, so the tests may run in parallel).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dpfs::cluster::Testbed;
 use dpfs::core::file::datatype_runs;
 use dpfs::core::plan::{plan_list, Granularity};
 use dpfs::core::{
-    round_robin, BrickMap, BrickRun, Datatype, LinearLayout, MultidimLayout, Region, Shape,
+    round_robin, BrickMap, BrickRun, ClientOptions, Datatype, Hint, LinearLayout, MultidimLayout,
+    Region, Shape,
 };
 
-/// Counts this thread's calls into the system allocator; a `realloc`
-/// counts as one.
+/// Counts this thread's calls into the system allocator, and the bytes
+/// they ask for; a `realloc` counts as one call and its growth.
 struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell` with no destructor, so touching it neither allocates nor
+// `GlobalAlloc` contract; the counters are const-initialised thread-local
+// `Cell`s with no destructor, so touching them neither allocates nor
 // re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -65,6 +75,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.with(|c| c.get());
     let out = f();
     (out, CALLS.with(|c| c.get()) - before)
+}
+
+/// Bytes this thread asks the allocator for while `f` runs.
+fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(|c| c.get());
+    let out = f();
+    (out, BYTES.with(|c| c.get()) - before)
 }
 
 const SERVERS: usize = 4;
@@ -155,4 +172,40 @@ fn datatype_runs_allocate_a_constant_number_of_times() {
     println!("datatype_runs, 64 / 4096 ranges: {few} / {many} allocations");
     assert!(many <= 4, "{many} allocations for a 4096-range datatype");
     assert_eq!(few, many, "allocations grow with the range count");
+}
+
+/// The most one read's landing chunk holds (the transport's constant).
+const LANDING_CHUNK: u64 = 128 << 10;
+
+#[test]
+fn a_live_block_read_allocates_its_output_and_no_reply_buffers() {
+    let tb = Testbed::unthrottled(SERVERS).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    let (md, region) = array_block();
+    let hint = Hint::multidim(md.array.clone(), md.brick.clone(), 1);
+    let mut f = client.create("/block", &hint).unwrap();
+    let block: Vec<u8> = (0..region.volume()).map(|i| (i * 7 % 251) as u8).collect();
+    f.write_region(&region, &block).unwrap();
+    // Warm: every connection dialed, the reading thread's chunk in place.
+    assert!(f.read_region(&region).unwrap() == block);
+
+    // What the read's own map and plan allocate (bounded by call count
+    // above), measured the way the read runs them.
+    let layout = f.layout().clone();
+    let map = f.brick_map().clone();
+    let ((), plan) = bytes_allocated(|| {
+        let runs = md.map_region(&region).unwrap();
+        drop(plan_list(&runs, &map, &layout, Granularity::Brick, 0).unwrap());
+    });
+    let (got, bytes) = bytes_allocated(|| f.read_region(&region).unwrap());
+    assert!(got == block, "the read returned other bytes");
+    let output = got.len() as u64;
+    println!(
+        "2 MiB block read: {bytes} bytes allocated ({output} output, {plan} map + plan, {} else)",
+        bytes.saturating_sub(output + plan)
+    );
+    assert!(
+        bytes <= output + plan + LANDING_CHUNK + (64 << 10),
+        "{bytes} bytes for a {output}-byte read planned in {plan}: reply buffers are back"
+    );
 }

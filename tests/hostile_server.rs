@@ -9,6 +9,11 @@
 //! client returns [`DpfsError::ShortRead`] with the server's name attached.
 //! A reply in a retired shape does not decode at all.
 //!
+//! A read reply streams into the caller's buffer as it arrives, so a lie
+//! found only at the end of the frame — a CRC that does not match — must
+//! still fail the read, and an attempt cut off half-landed must not leave
+//! its bytes behind when a retry succeeds.
+//!
 //! A `Stats` reply is a peer's word too: one that is not the stats document
 //! — a retired format, or a section count the blob cannot hold — scrapes as
 //! unreachable instead of being read as one.
@@ -429,4 +434,121 @@ fn a_stats_reply_counting_more_rows_than_it_carries_scrapes_as_unreachable() {
     };
     assert_eq!(node.counters, vec![("scrape.unreachable".to_string(), 1)]);
     assert!(node.hists.is_empty() && node.gauges.is_empty());
+}
+
+/// The byte the raw server holds at subfile offset `off`.
+fn pattern(off: u64) -> u8 {
+    (off * 13 + off / 509) as u8
+}
+
+/// What the raw server sends for one `Read`: the frame bytes, and whether
+/// to go silent after them (holding the connection open).
+type RawForge = fn(conn: usize, corr_id: u64, data: Vec<u8>) -> (Vec<u8>, bool);
+
+/// A server that answers each `Read` with raw frame bytes `forge` makes
+/// of the connection's number, the correlation ID and the honest data;
+/// everything else as [`start_hostile_server`] does.
+fn start_raw_server(forge: RawForge) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for (conn, stream) in listener.incoming().enumerate() {
+            let Ok(mut stream) = stream else { return };
+            std::thread::spawn(move || {
+                while let Ok(f) = frame::read_frame_any(&mut stream) {
+                    let Ok(req) = Request::decode(f.payload) else {
+                        return;
+                    };
+                    let (wire, stall) = match req {
+                        Request::Read { ranges, .. } => {
+                            let data = ranges
+                                .iter()
+                                .flat_map(|&(off, len)| (off..off + len).map(pattern))
+                                .collect();
+                            forge(conn, f.corr_id, data)
+                        }
+                        _ => {
+                            let mut wire = Vec::new();
+                            frame::write_frame_v2(&mut wire, f.corr_id, &Response::Pong.encode())
+                                .unwrap();
+                            (wire, false)
+                        }
+                    };
+                    if std::io::Write::write_all(&mut stream, &wire).is_err() {
+                        return;
+                    }
+                    if stall {
+                        // Silent until the client severs the connection.
+                        let mut sink = [0u8; 4096];
+                        while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0)
+                        {
+                        }
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// `data` as one `DataList` frame under `corr_id`.
+fn data_list_frame(corr_id: u64, data: Vec<u8>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let reply = Response::DataList { data: data.into() }.encode();
+    frame::write_frame_v2(&mut wire, corr_id, &reply).unwrap();
+    wire
+}
+
+#[test]
+fn a_read_reply_whose_crc_fails_at_the_end_is_an_error_never_ok() {
+    // The right length and the right bytes under a wrong CRC: a reply that
+    // lands chunk by chunk before the mismatch shows.
+    let addr = start_raw_server(|_, id, data| {
+        let mut wire = data_list_frame(id, data);
+        wire[17] ^= 0x80;
+        (wire, false)
+    });
+    let client = hostile_client_opts("crc-late", addr, list_opts());
+    const LEN: u64 = 2 << 20;
+    let mut f = client.create("/crc.dat", &Hint::linear(LEN, LEN)).unwrap();
+    let err = f.read_bytes(0, LEN).unwrap_err();
+    match err {
+        DpfsError::Disconnected { server, reason } => {
+            assert_eq!(server, "hostile00");
+            assert!(reason.contains("checksum"), "{reason}");
+        }
+        other => panic!("expected Disconnected, got {other}"),
+    }
+    let t = client.pool().transport_stats("hostile00").unwrap();
+    assert_eq!(t.retries, 1, "the retry landed the same lie");
+    assert_eq!(t.disconnected, 2, "each attempt's connection is poisoned");
+}
+
+#[test]
+fn a_read_that_landed_then_timed_out_retries_to_the_exact_bytes() {
+    // The first connection sends the header and half the payload, then
+    // goes silent; every later one answers honestly. The first attempt
+    // lands half its bytes, times out; the retry lands them all again.
+    let addr = start_raw_server(|conn, id, data| {
+        let wire = data_list_frame(id, data);
+        if conn == 0 {
+            (wire[..wire.len() / 2].to_vec(), true)
+        } else {
+            (wire, false)
+        }
+    });
+    let deadline = Duration::from_millis(300);
+    let opts = ClientOptions {
+        rpc_timeout: deadline,
+        ..list_opts()
+    };
+    let client = hostile_client_opts("landed-timeout", addr, opts);
+    const LEN: u64 = 2 << 20;
+    let mut f = client.create("/half.dat", &Hint::linear(LEN, LEN)).unwrap();
+    let got = f.read_bytes(0, LEN).unwrap();
+    let want: Vec<u8> = (0..LEN).map(pattern).collect();
+    assert!(got == want, "the retried read returned other bytes");
+    let t = client.pool().transport_stats("hostile00").unwrap();
+    assert_eq!((t.timed_out, t.retries), (1, 1));
 }

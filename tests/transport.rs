@@ -10,7 +10,10 @@
 //!   them reads the socket, and a waiter's deadline fails the one reading;
 //! - a connection the peer closed while idle is redialed, not failed on;
 //! - `ping` counts any protocol-level answer — including
-//!   `Error { ShuttingDown }` — as *reachable*.
+//!   `Error { ShuttingDown }` — as *reachable*;
+//! - a read's reply lands in the caller's buffer exactly — whichever
+//!   caller reads it — and a reply that does not fit the landing (wrong
+//!   length, `Error`) or fails its CRC never passes for the data.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -18,8 +21,9 @@ use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use dpfs::cluster::{NodeSpec, Testbed};
+use dpfs::core::plan::ListPiece;
 use dpfs::core::{
-    ClientOptions, ConnPool, DpfsError, Hint, Resolver, RetryPolicy, DEFAULT_RPC_TIMEOUT,
+    ClientOptions, ConnPool, DpfsError, Hint, Landing, Resolver, RetryPolicy, DEFAULT_RPC_TIMEOUT,
 };
 use dpfs::proto::{frame, ErrorCode, Request, Response};
 use dpfs::server::PerfModel;
@@ -72,8 +76,8 @@ fn two_requests_pipeline_on_one_connection() {
     let p1 = pool.submit("ion00", &delayed_req()).unwrap();
     let p2 = pool.submit("ion00", &delayed_req()).unwrap();
     assert_ne!(p1.corr_id(), p2.corr_id(), "correlation IDs must be unique");
-    let r1 = p1.wait(Duration::from_secs(10)).unwrap();
-    let r2 = p2.wait(Duration::from_secs(10)).unwrap();
+    let r1 = p1.wait(Duration::from_secs(10), None).unwrap();
+    let r2 = p2.wait(Duration::from_secs(10), None).unwrap();
     let elapsed = start.elapsed();
 
     assert!(matches!(r1, Response::DataList { .. }), "got {r1:?}");
@@ -168,7 +172,7 @@ fn deadline_poisons_connection_and_next_rpc_redials() {
 
     // The first hits its deadline: typed Timeout, within bound.
     let start = Instant::now();
-    let err = p1.wait(timeout).unwrap_err();
+    let err = p1.wait(timeout, None).unwrap_err();
     let elapsed = start.elapsed();
     assert!(
         matches!(err, DpfsError::Timeout { .. }),
@@ -183,7 +187,7 @@ fn deadline_poisons_connection_and_next_rpc_redials() {
     // The timeout poisoned the connection: the pending peer is completed
     // with a transport error immediately — no hang until its own deadline.
     let start = Instant::now();
-    let err = p2.wait(Duration::from_secs(30)).unwrap_err();
+    let err = p2.wait(Duration::from_secs(30), None).unwrap_err();
     assert!(
         matches!(err, DpfsError::Disconnected { .. }),
         "expected Disconnected fan-out, got {err}"
@@ -281,7 +285,10 @@ fn callers_sharing_a_connection_each_get_their_own_reply() {
                     let req = Request::Stat {
                         subfile: size.to_string(),
                     };
-                    let resp = pool.submit(addr, &req).unwrap().wait(DEFAULT_RPC_TIMEOUT);
+                    let resp = pool
+                        .submit(addr, &req)
+                        .unwrap()
+                        .wait(DEFAULT_RPC_TIMEOUT, None);
                     assert_eq!(resp.unwrap(), Response::Stat { exists: true, size });
                 }
             });
@@ -317,7 +324,7 @@ fn callers_pipelining_on_one_connection_lose_no_reply() {
                         if rng.gen_range(0..8) == 0 {
                             drop(p);
                         } else {
-                            let resp = p.wait(Duration::from_secs(10));
+                            let resp = p.wait(Duration::from_secs(10), None);
                             assert_eq!(resp.unwrap(), Response::Pong);
                         }
                     }
@@ -343,8 +350,8 @@ fn a_waiters_deadline_fails_the_caller_reading_the_socket() {
     let short = pool.submit(&addr, &Request::Ping).unwrap();
     let start = Instant::now();
     let (long_res, short_res) = std::thread::scope(|s| {
-        let long = s.spawn(move || long.wait(Duration::from_secs(30)));
-        let short = short.wait(Duration::from_millis(100));
+        let long = s.spawn(move || long.wait(Duration::from_secs(30), None));
+        let short = short.wait(Duration::from_millis(100), None);
         (long.join().unwrap(), short)
     });
     assert!(
@@ -631,4 +638,271 @@ fn retries_wait_the_handles_deadline_not_the_mounts() {
         elapsed < deadline * 3 + retry.max_backoff * 2 + Duration::from_secs(2),
         "3 attempts took {elapsed:?}: a retry waited the mount's deadline"
     );
+}
+
+/// The byte a landing test's server holds at subfile offset `off`.
+fn pattern(off: u64) -> u8 {
+    (off * 7 + off / 251) as u8
+}
+
+/// What an honest server answers to a `Read` of `ranges`.
+fn honest_data(ranges: &[(u64, u64)]) -> Vec<u8> {
+    ranges
+        .iter()
+        .flat_map(|&(off, len)| (off..off + len).map(pattern))
+        .collect()
+}
+
+/// A read of `len` bytes from offset `off`, and the pieces that land its
+/// reply in a buffer of `len + 64` bytes: the second half first, the
+/// first half behind it, the last 64 bytes of the buffer untouched.
+fn swapped_read(off: u64, len: u64) -> (Request, Vec<ListPiece>) {
+    let half = len / 2;
+    let read = Request::Read {
+        subfile: "/land".into(),
+        ranges: vec![(off, len)],
+    };
+    let pieces = vec![
+        ListPiece {
+            payload_off: 0,
+            buf_off: len - half,
+            len: half,
+        },
+        ListPiece {
+            payload_off: half,
+            buf_off: 0,
+            len: len - half,
+        },
+    ];
+    (read, pieces)
+}
+
+/// What [`swapped_read`]'s buffer holds once its reply landed.
+fn swapped_want(off: u64, len: u64) -> Vec<u8> {
+    let half = len / 2;
+    let mut want = honest_data(&[(off + half, len - half), (off, half)]);
+    want.resize(len as usize + 64, 0xEE);
+    want
+}
+
+/// A server that answers every `Read` with the raw frame bytes `forge`
+/// makes of its correlation ID and the honest reply's data, and
+/// everything else with `Pong`.
+fn start_forging_server(forge: fn(u64, Vec<u8>) -> Vec<u8>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            std::thread::spawn(move || {
+                while let Ok(f) = frame::read_frame_any(&mut stream) {
+                    let wire = match Request::decode(f.payload) {
+                        Ok(Request::Read { ranges, .. }) => forge(f.corr_id, honest_data(&ranges)),
+                        _ => {
+                            let mut w = Vec::new();
+                            frame::write_frame_v2(&mut w, f.corr_id, &Response::Pong.encode())
+                                .unwrap();
+                            w
+                        }
+                    };
+                    if std::io::Write::write_all(&mut stream, &wire).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// One frame carrying `resp` under `corr_id`.
+fn framed(corr_id: u64, resp: &Response) -> Vec<u8> {
+    let mut wire = Vec::new();
+    frame::write_frame_v2(&mut wire, corr_id, &resp.encode()).unwrap();
+    wire
+}
+
+#[test]
+fn a_read_reply_whose_crc_fails_after_its_bytes_landed_is_an_error() {
+    // Honest data, one bit of the header's CRC flipped: the reply streams
+    // into the buffer chunk by chunk and only its last chunk finds out.
+    let addr = start_forging_server(|id, data| {
+        let mut wire = framed(id, &Response::DataList { data: data.into() });
+        wire[16] ^= 1;
+        wire
+    })
+    .to_string();
+    let pool = one_shot_pool();
+    const LEN: u64 = 4 << 20;
+    let (read, pieces) = swapped_read(0, LEN);
+    let mut buf = vec![0xEEu8; LEN as usize + 64];
+    let mut landing = Landing::new(&pieces, LEN, &mut buf);
+    let res = pool
+        .submit(&addr, &read)
+        .unwrap()
+        .wait(DEFAULT_RPC_TIMEOUT, Some(&mut landing));
+    assert!(!landing.landed());
+    match res {
+        Err(DpfsError::Disconnected { reason, .. }) => {
+            assert!(reason.contains("checksum"), "{reason}")
+        }
+        other => panic!("expected Disconnected, got {other:?}"),
+    }
+    let want = swapped_want(0, LEN);
+    assert!(
+        buf.iter().zip(&want).any(|(a, b)| a == b && *a != 0xEE),
+        "no byte landed before the CRC failed: the test tests nothing"
+    );
+    assert_eq!(buf[LEN as usize..], [0xEE; 64], "written past the pieces");
+    let stats = pool.transport_stats(&addr).unwrap();
+    assert_eq!(stats.disconnected, 1, "the connection is poisoned");
+}
+
+#[test]
+fn a_data_list_one_byte_off_is_a_short_read_and_lands_nothing() {
+    for (forge, got) in [
+        (
+            (|id, mut data: Vec<u8>| {
+                data.pop();
+                framed(id, &Response::DataList { data: data.into() })
+            }) as fn(u64, Vec<u8>) -> Vec<u8>,
+            4095,
+        ),
+        (
+            |id, mut data: Vec<u8>| {
+                data.push(9);
+                framed(id, &Response::DataList { data: data.into() })
+            },
+            4097,
+        ),
+    ] {
+        let addr = start_forging_server(forge).to_string();
+        let pool = one_shot_pool();
+        let (read, pieces) = swapped_read(100, 4096);
+        let mut buf = vec![0xEEu8; 4096 + 64];
+        let mut landing = Landing::new(&pieces, 4096, &mut buf);
+        let resp = pool
+            .submit(&addr, &read)
+            .unwrap()
+            .wait(DEFAULT_RPC_TIMEOUT, Some(&mut landing))
+            .unwrap();
+        assert!(!landing.landed());
+        let err = landing.complete(resp, &addr).unwrap_err();
+        assert!(
+            matches!(err, DpfsError::ShortRead { expected: 4096, got: g, .. } if g == got),
+            "expected ShortRead of {got}, got {err}"
+        );
+        assert!(buf.iter().all(|&b| b == 0xEE), "a refused reply wrote");
+        assert_eq!(pool.transport_stats(&addr).unwrap().disconnected, 0);
+    }
+}
+
+#[test]
+fn an_error_reply_to_a_landing_read_is_the_servers_error() {
+    let addr = start_forging_server(|id, _| {
+        framed(
+            id,
+            &Response::Error {
+                code: ErrorCode::IoFailure,
+                message: "no such subfile".into(),
+            },
+        )
+    })
+    .to_string();
+    let pool = one_shot_pool();
+    let (read, pieces) = swapped_read(0, 4096);
+    let mut buf = vec![0xEEu8; 4096 + 64];
+    let mut landing = Landing::new(&pieces, 4096, &mut buf);
+    let resp = pool
+        .submit(&addr, &read)
+        .unwrap()
+        .wait(DEFAULT_RPC_TIMEOUT, Some(&mut landing))
+        .unwrap();
+    let err = landing.complete(resp, &addr).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            DpfsError::Server {
+                code: ErrorCode::IoFailure,
+                ..
+            }
+        ),
+        "got {err}"
+    );
+    assert!(buf.iter().all(|&b| b == 0xEE), "an Error reply wrote");
+}
+
+/// [`start_reversing_server`] for reads: each round takes `callers`
+/// `Read`s, then answers them last first with the honest data.
+fn start_reversing_read_server(callers: usize, rounds: usize) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        for _ in 0..rounds {
+            let mut round = Vec::with_capacity(callers);
+            for _ in 0..callers {
+                let f = frame::read_frame_any(&mut stream).unwrap();
+                let Request::Read { ranges, .. } = Request::decode(f.payload).unwrap() else {
+                    panic!("expected Read");
+                };
+                round.push((f.corr_id, honest_data(&ranges)));
+            }
+            for (id, data) in round.into_iter().rev() {
+                let resp = Response::DataList { data: data.into() };
+                frame::write_frame_v2(&mut stream, id, &resp.encode()).unwrap();
+            }
+        }
+        swallow(stream);
+    });
+    addr
+}
+
+#[test]
+fn two_waiters_whose_read_replies_arrive_reversed_get_exact_bytes() {
+    const ROUNDS: usize = 20;
+    let addr = start_reversing_read_server(2, ROUNDS).to_string();
+    let pool = one_shot_pool();
+    let barrier = Barrier::new(2);
+    let landed: u32 = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2u64)
+            .map(|caller| {
+                let (pool, addr, barrier) = (&pool, &addr, &barrier);
+                s.spawn(move || {
+                    let mut landed = 0;
+                    for round in 0..ROUNDS as u64 {
+                        // Different lengths, so a reply landed in the
+                        // wrong buffer cannot fit it.
+                        let (off, len) = (round * 4096 + caller * 1000, 300_000 + caller * 4096);
+                        let (read, pieces) = swapped_read(off, len);
+                        let mut buf = vec![0xEEu8; len as usize + 64];
+                        let mut landing = Landing::new(&pieces, len, &mut buf);
+                        barrier.wait();
+                        let resp = pool
+                            .submit(addr, &read)
+                            .unwrap()
+                            .wait(DEFAULT_RPC_TIMEOUT, Some(&mut landing))
+                            .unwrap();
+                        landed += landing.landed() as u32;
+                        landing.complete(resp, addr).unwrap();
+                        assert!(
+                            buf == swapped_want(off, len),
+                            "round {round} caller {caller}"
+                        );
+                    }
+                    landed
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    // Every round, whoever reads takes the other's reply first (handed
+    // over whole) and lands its own.
+    assert!(
+        landed >= ROUNDS as u32,
+        "{landed} landings in {ROUNDS} rounds"
+    );
+    let stats = pool.transport_stats(&addr).unwrap();
+    assert_eq!((stats.dials, stats.disconnected), (1, 0));
 }
