@@ -32,7 +32,7 @@ fn bench_codec(c: &mut Criterion) {
     // Floor references for the byte path: what one checksum pass and one
     // trip through the framing layer cost per payload size. 64 B is where
     // `crc32_update` switches from its tables to the carry-less-multiply
-    // kernel, 512 B to its wide arm; WAL records and metadata frames sit
+    // kernel, 256 B to its wide arm; WAL records and metadata frames sit
     // around those sizes.
     for (name, len) in [("crc32_64", 64), ("crc32_256", 256), ("crc32_4k", 4 << 10)] {
         let block = vec![0xA5u8; len];
@@ -63,11 +63,16 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-/// The checksum on the byte path's sizes: a landing chunk's worth (64 KiB),
-/// one reply (1 MiB), and more than a core's cache holds (8 MiB), where
-/// the pass is bound by memory, not by the fold.
+/// The checksum on the byte path's sizes: the wide arm's shortest inputs
+/// (256, 384, 512 B: one step, one and a half, two — where it must
+/// already beat the narrow one), a `strided_read` reply (64 KiB), an
+/// `array_read` reply (1 MiB), and more than a core's cache holds
+/// (8 MiB), where the pass is bound by memory, not by the fold.
 fn bench_crc32(c: &mut Criterion) {
     for (name, len) in [
+        ("crc32/256", 256),
+        ("crc32/384", 384),
+        ("crc32/512", 512),
         ("crc32/64k", 64 << 10),
         ("crc32/1m", 1 << 20),
         ("crc32/8m", 8 << 20),

@@ -681,11 +681,12 @@ impl FileHandle {
     }
 
     /// The read path, three steps: plan the runs, `issue` one request per
-    /// planned item, scatter each reply's one payload into `buf` through
-    /// the request's pieces. There is no other way for a byte to reach the
-    /// caller — a handle holds no file data between calls, so a read
-    /// reflects every write acknowledged before it was issued, through any
-    /// handle.
+    /// planned item, land each reply in `buf` through its request's
+    /// [`Landing`] — streamed off the socket when this caller reads its
+    /// own reply, placed whole otherwise. There is no other way for a
+    /// byte to reach the caller — a handle holds no file data between
+    /// calls, so a read reflects every write acknowledged before it was
+    /// issued, through any handle.
     fn execute_reads(&mut self, runs: &[BrickRun], buf: &mut [u8]) -> Result<()> {
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id = trace_id;

@@ -38,7 +38,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -165,7 +165,7 @@ impl Conn {
     /// Every other frame goes to its waiter; one nobody waits for any
     /// more — its request timed out or was abandoned — is dropped. `id`'s
     /// own reply is streamed into `landing` when it fits (see
-    /// [`Conn::land`]).
+    /// [`land`]).
     fn read_for(
         &self,
         id: u64,
@@ -178,14 +178,18 @@ impl Conn {
             if left.is_zero() {
                 return None;
             }
+            let mut socket = Socket {
+                stream: &self.stream,
+                deadline,
+            };
             let read = self
                 .stream
                 .set_read_timeout(Some(left))
                 .map_err(frame::FrameError::Io)
-                .and_then(|()| frame::read_header(&mut &self.stream))
+                .and_then(|()| frame::read_header(&mut socket))
                 .and_then(|header| match landing.as_deref_mut() {
-                    Some(landing) if header.corr_id == id => self.land(header, landing),
-                    _ => frame::read_payload(&mut &self.stream, header).map(Some),
+                    Some(landing) if header.corr_id == id => land(&mut socket, header, landing),
+                    _ => frame::read_payload(&mut socket, header).map(Some),
                 });
             let frame = match read {
                 Ok(Some(f)) => f,
@@ -220,45 +224,78 @@ impl Conn {
             }
         }
     }
+}
 
-    /// The payload of the reader's own reply, whose `header` was just
-    /// read: streamed into `landing` (`Ok(None)`) when it opens as a
-    /// `DataList` of exactly the bytes the landing expects, collected into
-    /// a frame otherwise. The first chunk is read before that is known, so
-    /// the head costs no read of its own; a collected frame starts from it.
-    fn land(
-        &self,
-        header: frame::Header,
-        landing: &mut Landing<'_>,
-    ) -> std::result::Result<Option<frame::Frame>, frame::FrameError> {
-        let head = Response::data_list_head(landing.len);
-        let fits = header.payload_len() as u64 == head.len() as u64 + landing.len;
-        CHUNK.with_borrow_mut(|chunk| {
-            let room = header.payload_len().min(LANDING_CHUNK);
-            if chunk.len() < room {
-                chunk.resize(room, 0);
+/// The payload of the reader's own reply, whose `header` was just
+/// read: streamed into `landing` (`Ok(None)`) when it opens as a
+/// `DataList` of exactly the bytes the landing expects, collected into
+/// a frame otherwise. The first chunk is read before that is known, so
+/// the head costs no read of its own; a collected frame starts from it.
+fn land(
+    socket: &mut Socket<'_>,
+    header: frame::Header,
+    landing: &mut Landing<'_>,
+) -> std::result::Result<Option<frame::Frame>, frame::FrameError> {
+    let head = Response::data_list_head(landing.len);
+    let fits = header.payload_len() as u64 == head.len() as u64 + landing.len;
+    CHUNK.with_borrow_mut(|chunk| {
+        let room = header.payload_len().min(LANDING_CHUNK);
+        if chunk.len() < room {
+            chunk.resize(room, 0);
+        }
+        let mut body = frame::Body::new(socket, header);
+        let first = body.next_chunk(chunk, head.len())?;
+        if !fits || !first.starts_with(&head) {
+            return body.collect(first).map(Some);
+        }
+        landing.restart();
+        let mut at = 0;
+        let mut data = &first[head.len()..];
+        loop {
+            landing.place(at, data);
+            at += data.len() as u64;
+            if body.remaining() == 0 {
+                break;
             }
-            let mut stream = &self.stream;
-            let mut body = frame::Body::new(&mut stream, header);
-            let first = body.next_chunk(chunk, head.len())?;
-            if !fits || !first.starts_with(&head) {
-                return body.collect(first).map(Some);
-            }
-            landing.restart();
-            let mut at = 0;
-            let mut data = &first[head.len()..];
-            loop {
-                landing.place(at, data);
-                at += data.len() as u64;
-                if body.remaining() == 0 {
-                    break;
+            data = body.next_chunk(chunk, 1)?;
+        }
+        // The chunk that completed the payload passed the CRC.
+        landing.landed = true;
+        Ok(None)
+    })
+}
+
+/// The socket as its reader reads it, waiting until `deadline` and no
+/// longer. A `recv` that a signal interrupts fails with `EINTR` under
+/// `SO_RCVTIMEO`, even with `SA_RESTART`, and one whose timeout the
+/// kernel counted in its coarser ticks can give up short of it; either is
+/// retried with the time left, and fails `TimedOut` once none is. A retry
+/// with the whole timeout again would let signals arriving faster than it
+/// hold the reader past its deadline.
+struct Socket<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Socket<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
+                    ) =>
+                {
+                    let left = self.deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(ErrorKind::TimedOut.into());
+                    }
+                    self.stream.set_read_timeout(Some(left))?;
                 }
-                data = body.next_chunk(chunk, 1)?;
+                other => return other,
             }
-            // The chunk that completed the payload passed the CRC.
-            landing.landed = true;
-            Ok(None)
-        })
+        }
     }
 }
 

@@ -45,18 +45,21 @@ pub(crate) fn fold(state: u32, data: &[u8]) -> Option<u32> {
     None
 }
 
-/// [`fold`], 256 bytes a step. `None` when this CPU — or this target —
-/// has no VPCLMULQDQ on 512-bit registers: the caller runs [`fold`].
+/// [`fold`], 256 bytes a step. `None` when `data` is shorter than one
+/// step, or this CPU — or this target — has no VPCLMULQDQ on 512-bit
+/// registers: the caller runs [`fold`]. From one step on it is the faster
+/// of the two at every length (EXPERIMENTS.md).
 ///
 /// # Panics
-/// If `data.len()` is below 256 or not a multiple of 16.
+/// If `data.len()` is not a multiple of 16.
 pub(crate) fn fold_wide(state: u32, data: &[u8]) -> Option<u32> {
     assert!(
-        data.len() >= 256 && data.len().is_multiple_of(16),
-        "the wide kernel takes whole 16-byte blocks, at least sixteen"
+        data.len().is_multiple_of(16),
+        "the wide kernel takes whole 16-byte blocks"
     );
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("vpclmulqdq")
+    if data.len() >= 256
+        && is_x86_feature_detected!("vpclmulqdq")
         && is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("pclmulqdq")
         && is_x86_feature_detected!("sse4.1")

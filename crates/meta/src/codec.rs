@@ -246,8 +246,8 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 /// folding a buffer in pieces gives the same state as folding it whole.
 ///
 /// Three arms, chosen here and nowhere else, from the input length and the
-/// CPU: the whole 16-byte blocks of an input of [`WIDE_MIN`] bytes or more
-/// go through the wide carry-less-multiply kernel (`clmul.rs`, x86_64 with
+/// CPU: the whole 16-byte blocks of an input of 256 bytes or more go
+/// through the wide carry-less-multiply kernel (`clmul.rs`, x86_64 with
 /// VPCLMULQDQ on 512-bit registers, 256 bytes a step), those of an input of
 /// 64 bytes or more (or on a CPU without it) through the narrow one
 /// (PCLMULQDQ, 64 bytes a step) — about ten times the tables' speed on a
@@ -258,21 +258,12 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 pub fn crc32_update(mut crc: u32, mut data: &[u8]) -> u32 {
     if data.len() >= 64 {
         let (blocks, tail) = data.split_at(data.len() & !15);
-        let folded = if blocks.len() >= WIDE_MIN {
-            clmul::fold_wide(crc, blocks).or_else(|| clmul::fold(crc, blocks))
-        } else {
-            clmul::fold(crc, blocks)
-        };
-        if let Some(folded) = folded {
+        if let Some(folded) = clmul::fold_wide(crc, blocks).or_else(|| clmul::fold(crc, blocks)) {
             (crc, data) = (folded, tail);
         }
     }
     crc32_tables(crc, data)
 }
-
-/// Inputs from this long take the wide kernel: below it the 256-byte
-/// steps are too few to pay for folding four 512-bit registers down.
-const WIDE_MIN: usize = 512;
 
 /// The portable arm of [`crc32_update`]: 16 bytes per step with 16
 /// independent lookups, then a byte at a time.
@@ -427,9 +418,9 @@ mod tests {
             }
         );
 
-        const LENS: [usize; 29] = [
+        const LENS: [usize; 30] = [
             0, 1, 15, 16, 63, 64, 65, 79, 80, 127, 128, 129, 255, 256, 257, 272, 511, 512, 513,
-            528, 767, 1023, 1024, 1025, 1040, 4095, 4096, 65_537, 1_048_576,
+            528, 767, 1023, 1024, 1025, 1040, 4095, 4096, 4097, 65_537, 1_048_576,
         ];
         let mut x = 0x9E37_79B9u32;
         let buf: Vec<u8> = (0..1_048_576 + 64)
@@ -441,9 +432,7 @@ mod tests {
             })
             .collect();
         for (i, &len) in LENS.iter().enumerate() {
-            // The megabyte is the slow oracle's: a few offsets suffice.
-            let offs = if len > 65_537 { 0..4 } else { 0..64 };
-            for off in offs {
+            for off in 0..64 {
                 let data = &buf[off..off + len];
                 let seed = [u32::MAX, 0, 0xDEAD_BEEF, 1][(i + off) % 4];
                 let want = crc32_bitwise_update(seed, data);
@@ -469,9 +458,13 @@ mod tests {
                         );
                     }
                 }
-                if len >= 256 {
+                if len >= 64 {
                     let folded = clmul::fold_wide(seed, blocks);
-                    assert_eq!(folded.is_some(), has_wide, "wide kernel iff the CPU has it");
+                    assert_eq!(
+                        folded.is_some(),
+                        has_wide && len >= 256,
+                        "wide kernel iff the CPU has it and the input is a step long"
+                    );
                     if let Some(state) = folded {
                         assert_eq!(
                             crc32_tables(state, tail),

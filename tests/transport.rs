@@ -640,6 +640,72 @@ fn retries_wait_the_handles_deadline_not_the_mounts() {
     );
 }
 
+/// Run `wait` on a thread of its own while this one sends that thread
+/// `SIGUSR1` every 5 ms (a no-op handler, installed with `SA_RESTART` by
+/// `signal`), for at most `limit`: each `recv` it sits in fails `EINTR`,
+/// `SO_RCVTIMEO` being set. What `wait` returned, and how long it took.
+fn wait_under_signals(
+    wait: impl FnOnce() -> Result<Response, DpfsError> + Send + 'static,
+    limit: Duration,
+) -> (Result<Response, DpfsError>, Duration) {
+    use std::os::raw::c_int;
+    use std::os::unix::thread::{JoinHandleExt, RawPthread};
+    const SIGUSR1: c_int = 10;
+    extern "C" fn ignore(_: c_int) {}
+    extern "C" {
+        fn signal(sig: c_int, handler: extern "C" fn(c_int)) -> usize;
+        fn pthread_kill(thread: RawPthread, sig: c_int) -> c_int;
+    }
+    // SAFETY: the handler does nothing, so it is async-signal-safe.
+    unsafe { signal(SIGUSR1, ignore) };
+    let start = Instant::now();
+    let waiter = std::thread::spawn(wait);
+    while !waiter.is_finished() && start.elapsed() < limit {
+        // SAFETY: the thread is not joined yet, so its handle is live.
+        unsafe { pthread_kill(waiter.as_pthread_t(), SIGUSR1) };
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let got = waiter.join().unwrap();
+    (got, start.elapsed())
+}
+
+/// A signal must neither fail a wait nor stretch it. A `recv` under
+/// `SO_RCVTIMEO` fails `EINTR` even with `SA_RESTART`: a waiter that passed
+/// the error up lost a healthy connection to any signal handler, and one
+/// that retried with the whole timeout again never timed out while
+/// signals kept coming.
+#[test]
+fn signals_neither_fail_a_wait_nor_hold_it_past_its_deadline() {
+    let tb = one_delayed_server();
+    let addr = tb.server_addr(0).to_string();
+    let pool = Arc::new(one_shot_pool());
+    let p = Arc::clone(&pool);
+    let a = addr.clone();
+    let (got, took) = wait_under_signals(
+        move || {
+            p.submit(&a, &delayed_req())?
+                .wait(DEFAULT_RPC_TIMEOUT, None)
+        },
+        Duration::from_secs(10),
+    );
+    assert!(matches!(got, Ok(Response::DataList { .. })), "got {got:?}");
+    assert!(took >= DELAY, "answered in {took:?}");
+    assert_eq!(pool.transport_stats(&addr).unwrap().disconnected, 0);
+
+    let addr = start_stalled_server().to_string();
+    let deadline = Duration::from_millis(200);
+    let pool = one_shot_pool();
+    let (got, took) = wait_under_signals(
+        move || pool.submit(&addr, &Request::Ping)?.wait(deadline, None),
+        Duration::from_secs(3),
+    );
+    assert!(matches!(got, Err(DpfsError::Timeout { .. })), "got {got:?}");
+    assert!(
+        took < deadline + Duration::from_secs(1),
+        "a {deadline:?} wait took {took:?} under signals"
+    );
+}
+
 /// The byte a landing test's server holds at subfile offset `off`.
 fn pattern(off: u64) -> u8 {
     (off * 7 + off / 251) as u8
