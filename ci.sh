@@ -174,6 +174,21 @@ if [ "$nowait_homes" != "crates/server/src/sys.rs " ]; then
     echo "FAIL: preadv2/RWF_NOWAIT named in [$nowait_homes]; only crates/server/src/sys.rs may"
     exit 1
 fi
+# A long sparse run is gathered from a mapping of its subfile (`sys::Mapping`):
+# `mmap`, `munmap`, `madvise` and `mincore` are declared in sys.rs alone.
+map_homes=$(git grep -lE '\bfn (mmap|munmap|madvise|mincore) *\(|link_name *= *"(mmap|munmap|madvise|mincore)"' -- crates/ src/ tests/ examples/ | tr '\n' ' ')
+if [ "$map_homes" != "crates/server/src/sys.rs " ]; then
+    echo "FAIL: mmap/munmap/madvise/mincore declared in [$map_homes]; only crates/server/src/sys.rs may"
+    exit 1
+fi
+# A touched page of a mapping past the end of its file raises SIGBUS, so no
+# server path may shrink a subfile: no `File::set_len`, no truncating open.
+# (`Vec::set_len` on a read's reply buffer is the one `set_len` there.)
+if git grep -nE '\bset_len\b|\.truncate\(true\)' -- crates/server/src |
+    grep -vE '^[^:]+:[0-9]+: *//|\breply\.set_len\('; then
+    echo "FAIL: crates/server/src shrinks a file (set_len / truncate(true)); gathers map subfiles"
+    exit 1
+fi
 # A subfile read is one `preadv2` per run of page-adjacent ranges
 # (`sys::read_run`), written straight into a reply nothing zeroes first:
 # the per-range nowait read and the zero-filled reply buffer stay deleted.

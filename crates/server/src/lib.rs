@@ -42,3 +42,11 @@ pub use server::{IoServer, ServerConfig};
 pub use service::{Attempt, ServeConfig, ServeCore, Service};
 pub use stats::{ServerStats, StatsSnapshot};
 pub use subfile::{StoreError, SubfileStore};
+
+/// The store's two ways to read one run of page-adjacent ranges, named
+/// for the `subfile` bench alone, which sets them side by side:
+/// [`SubfileStore`] picks between them itself.
+#[doc(hidden)]
+pub mod sieve {
+    pub use crate::sys::{gather_run, preadv_run, Mapping, GATHER_MIN_PAGES, WINDOW};
+}

@@ -20,8 +20,36 @@ use parking_lot::{Mutex, RwLock};
 use crate::sys;
 
 /// One subfile's open-handle slot: `None` until first use and after
-/// `delete` or `rename` closes the descriptor.
-type HandleSlot = Arc<RwLock<Option<File>>>;
+/// `delete` or `rename` closes the descriptor (and drops its mapping).
+type HandleSlot = Arc<RwLock<Option<Handle>>>;
+
+/// An open subfile: its descriptor and, from its first gathered read on,
+/// a read-only mapping of it (`sys::read_run`). A gather holds the slot
+/// shared, so two may want the mapping remade at once: each takes the
+/// current one under `map`, and a replaced mapping is unmapped when the
+/// last gather using it lets go.
+struct Handle {
+    file: File,
+    map: Mutex<Option<Arc<sys::Mapping>>>,
+}
+
+impl Handle {
+    /// The mapping, made if there is none or the file has outgrown it
+    /// (`size`, the end of file the read was planned on). `None` if the
+    /// kernel refuses to map — the run is then read — and, for a thread
+    /// that must not wait (`nowait`), while another thread holds `map`.
+    fn mapping(&self, size: u64, nowait: bool) -> Option<Arc<sys::Mapping>> {
+        let mut map = if nowait {
+            self.map.try_lock()?
+        } else {
+            self.map.lock()
+        };
+        if !map.as_ref().is_some_and(|m| m.covers(size)) {
+            *map = Some(Arc::new(sys::Mapping::new(&self.file, size).ok()?));
+        }
+        map.clone()
+    }
+}
 
 /// How a request holds its subfile's slot across its local I/O.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -43,9 +71,11 @@ enum Access {
 /// proceed in parallel, and so do *reads* of one subfile (`pread` needs
 /// only `&File`): they share the slot for their whole range list. Writes,
 /// `delete`, `rename`, `sync` and the lazy open take it exclusively, so
-/// `delete` and `rename` never interleave with a half-done range list.
-/// The I/O itself is positional, with no seek: a write is one `pwrite` per
-/// range, a read one vectored read per run of page-adjacent ranges.
+/// `delete` and `rename` never interleave with a half-done range list,
+/// and no write runs under a gather from the subfile's mapping. The I/O
+/// itself is positional, with no seek: a write is one `pwrite` per range,
+/// a read one vectored read per run of page-adjacent ranges, or one gather
+/// from the mapping per long run with gaps.
 pub struct SubfileStore {
     root: PathBuf,
     /// Open-handle cache: repeated brick requests hit the same descriptor.
@@ -92,18 +122,21 @@ impl From<std::io::Error> for StoreError {
 
 /// The one range loop of both reads: one [`sys::read_run`] per run of
 /// page-adjacent ranges, each appending its ranges' bytes below the end of
-/// the file to the reply, then zeros for whatever the run asked for past
-/// it. Only those zeros are written by hand; every other byte of the reply
-/// is written once, by the kernel. `nowait` reads only what the page cache
-/// holds, and a run it cannot fill whole ends the read with `WouldBlock`.
-fn read_coalesced(file: &File, ranges: &[(u64, u64)], nowait: bool) -> io::Result<Bytes> {
-    let size = file.metadata()?.len();
+/// the file to the reply — read by the kernel, or gathered from the
+/// subfile's mapping where the run is long and sparse — then zeros for
+/// whatever the run asked for past it. Only those zeros are written by
+/// hand; every other byte of the reply is written once. `nowait` reads
+/// only what the page cache holds, and a run it cannot fill whole ends the
+/// read with `WouldBlock`.
+fn read_coalesced(handle: &Handle, ranges: &[(u64, u64)], nowait: bool) -> io::Result<Bytes> {
+    let size = handle.file.metadata()?.len();
     let total: usize = ranges.iter().map(|&(_, len)| len as usize).sum();
     let mut buf = Vec::with_capacity(total);
     let mut rest = ranges;
     while !rest.is_empty() {
         let at = buf.len();
-        let n = sys::read_run(file, rest, size, &mut buf, nowait)?;
+        let map = || handle.mapping(size, nowait);
+        let n = sys::read_run(&handle.file, map, rest, size, &mut buf, nowait)?;
         let asked: usize = rest[..n].iter().map(|&(_, len)| len as usize).sum();
         buf.resize(at + asked, 0);
         rest = &rest[n..];
@@ -175,12 +208,12 @@ impl SubfileStore {
         &self,
         subfile: &str,
         access: Access,
-        f: impl FnOnce(&File) -> Result<T, StoreError>,
+        f: impl FnOnce(&Handle) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let slot = self.slot(subfile);
         if access == Access::Shared {
-            if let Some(file) = slot.read().as_ref() {
-                return f(file);
+            if let Some(handle) = slot.read().as_ref() {
+                return f(handle);
             }
         }
         let mut handle = slot.write();
@@ -206,7 +239,10 @@ impl SubfileStore {
             if existed {
                 self.reopened.fetch_add(1, Ordering::Relaxed);
             }
-            *handle = Some(file);
+            *handle = Some(Handle {
+                file,
+                map: Mutex::new(None),
+            });
         }
         f(handle.as_ref().expect("just opened"))
     }
@@ -230,9 +266,9 @@ impl SubfileStore {
                 });
             }
         }
-        self.with_file(subfile, Access::Create, |file| {
+        self.with_file(subfile, Access::Create, |handle| {
             for (off, data) in ranges {
-                file.write_all_at(data, *off)?;
+                handle.file.write_all_at(data, *off)?;
             }
             Ok(total)
         })
@@ -247,8 +283,8 @@ impl SubfileStore {
         subfile: &str,
         ranges: &[(u64, u64)],
     ) -> Result<Bytes, StoreError> {
-        self.with_file(subfile, Access::Shared, |file| {
-            Ok(read_coalesced(file, ranges, false)?)
+        self.with_file(subfile, Access::Shared, |handle| {
+            Ok(read_coalesced(handle, ranges, false)?)
         })
     }
 
@@ -269,10 +305,10 @@ impl SubfileStore {
         let Some(handle) = slot.try_read() else {
             return Ok(None);
         };
-        let Some(file) = handle.as_ref() else {
+        let Some(handle) = handle.as_ref() else {
             return Ok(None);
         };
-        match read_coalesced(file, ranges, true) {
+        match read_coalesced(handle, ranges, true) {
             Ok(data) => Ok(Some(data)),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e.into()),
@@ -351,8 +387,8 @@ impl SubfileStore {
 
     /// Flush a subfile's data to stable storage.
     pub fn sync(&self, subfile: &str) -> Result<(), StoreError> {
-        self.with_file(subfile, Access::Exclusive, |file| {
-            file.sync_data()?;
+        self.with_file(subfile, Access::Exclusive, |handle| {
+            handle.file.sync_data()?;
             Ok(())
         })
     }
@@ -909,12 +945,15 @@ mod tests {
     }
 
     /// The count behind `strided_read`: an iond answers 1024 ranges of
-    /// 64 B at stride 4096 in two reads (512 ranges and their 511 gaps
-    /// fill an iovec array), not 1024. At stride 8192 a gap would skip a
-    /// page no range touches, so every range is its own read — the rule's
-    /// edge. Blocking and nowait reads make the same calls.
+    /// 64 B at stride 4096 without a read syscall — each half of the list
+    /// (512 ranges and their 511 gaps fill an iovec array) is a run of 512
+    /// pages with gaps, gathered from the mapping. At stride 128 a run's
+    /// hull is 16 pages, too few to gather: one read per run. At stride
+    /// 8192 a gap would skip a page no range touches, so every range is its
+    /// own read — the rule's edge. Blocking and nowait reads make the same
+    /// calls.
     #[test]
-    fn a_strided_read_costs_one_read_per_run_of_pages_not_per_range() {
+    fn a_strided_read_costs_one_read_per_short_run_of_pages_and_none_per_gathered_one() {
         if syscr().is_none() {
             eprintln!("subfile: no /proc/thread-self/io here; the syscall count did not run");
             return;
@@ -926,7 +965,8 @@ mod tests {
         s.read_ranges_coalesced("/s", &[(0, 8 << 20)]).unwrap();
         let strided = |stride: u64| (0..1024u64).map(|i| (i * stride, 64)).collect::<Vec<_>>();
         for (ranges, fewest, most) in [
-            (strided(4096), 1, 2),
+            (strided(4096), 0, 0),
+            (strided(128), 2, 2),
             (strided(8192), 1024, 1024),
             (vec![(12_345, 1 << 20)], 1, 1),
         ] {
@@ -955,13 +995,158 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// `len` bytes that differ from page to page and from `salt` to salt.
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 % 251) as u8 ^ salt).collect()
+    }
+
+    /// 64 B at stride 4096 over `pages` pages from `first`: a gathered run.
+    fn sparse(first: u64, pages: u64) -> Vec<(u64, u64)> {
+        (first..first + pages)
+            .map(|p| (p * 4096 + 64, 64))
+            .collect()
+    }
+
+    /// The bytes of `ranges` in `data`, one range after the other.
+    fn each(data: &[u8], ranges: &[(u64, u64)]) -> Vec<u8> {
+        ranges
+            .iter()
+            .flat_map(|&(off, len)| &data[off as usize..(off + len) as usize])
+            .copied()
+            .collect()
+    }
+
+    /// The mapping `subfile`'s handle holds, if any.
+    fn mapping_of(s: &SubfileStore, subfile: &str) -> Option<Arc<sys::Mapping>> {
+        let slot = s.slot(subfile);
+        let handle = slot.read();
+        let map = handle.as_ref()?.map.lock().clone();
+        map
+    }
+
+    /// A gather reads the inode the name holds now: `delete` and a
+    /// recreation under the same name, and `rename` over a name whose
+    /// subfile is mapped, leave no mapping of the old inode behind.
+    #[test]
+    fn a_gather_after_delete_or_rename_reads_the_names_new_bytes() {
+        const SIZE: usize = 1 << 20;
+        let (s, dir) = store();
+        let ranges = sparse(0, 256);
+        let (old, new) = (pattern(SIZE, 0), pattern(SIZE, 0xFF));
+        s.write_ranges("/m", &[(0, Bytes::from(old.clone()))])
+            .unwrap();
+        assert!(s.read_ranges_coalesced("/m", &ranges).unwrap() == each(&old, &ranges));
+        assert!(mapping_of(&s, "/m").is_some(), "the read was not gathered");
+        assert!(s.delete("/m").unwrap());
+        s.write_ranges("/m", &[(0, Bytes::from(new.clone()))])
+            .unwrap();
+        for _ in 0..2 {
+            assert!(
+                s.read_ranges_coalesced("/m", &ranges).unwrap() == each(&new, &ranges),
+                "a gather after delete and recreate read the unlinked inode"
+            );
+        }
+
+        s.write_ranges("/src", &[(0, Bytes::from(old.clone()))])
+            .unwrap();
+        assert!(s.read_ranges_coalesced("/m", &ranges).unwrap() == each(&new, &ranges));
+        assert!(s.rename("/src", "/m").unwrap());
+        for read in [
+            SubfileStore::read_ranges_coalesced,
+            |s: &SubfileStore, name: &str, ranges: &[(u64, u64)]| {
+                Ok(s.read_ranges_nowait(name, ranges)?.expect("cached"))
+            },
+        ] {
+            assert!(
+                read(&s, "/m", &ranges).unwrap() == each(&old, &ranges),
+                "a gather after a rename over a mapped name read the replaced inode"
+            );
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A write past the mapped length, then a gather of the new tail: the
+    /// mapping is remade to cover it, and the tail's bytes come back.
+    #[test]
+    fn a_gather_past_the_mapped_length_remaps_and_reads_the_new_tail() {
+        const SIZE: usize = 1 << 20;
+        let (s, dir) = store();
+        let data = pattern(2 * SIZE, 0);
+        s.write_ranges("/g", &[(0, Bytes::copy_from_slice(&data[..SIZE]))])
+            .unwrap();
+        let head = sparse(0, 256);
+        assert!(s.read_ranges_coalesced("/g", &head).unwrap() == each(&data, &head));
+        let first = mapping_of(&s, "/g").expect("the read was not gathered");
+        assert!(!first.covers(SIZE as u64 + 1));
+        s.write_ranges(
+            "/g",
+            &[(SIZE as u64, Bytes::copy_from_slice(&data[SIZE..]))],
+        )
+        .unwrap();
+        let tail = sparse(256, 256);
+        assert!(s.read_ranges_nowait("/g", &tail).unwrap().unwrap() == each(&data, &tail));
+        assert!(s.read_ranges_coalesced("/g", &tail).unwrap() == each(&data, &tail));
+        let remade = mapping_of(&s, "/g").unwrap();
+        assert!(
+            remade.covers(2 * SIZE as u64),
+            "the mapping was not remade when the file outgrew it"
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The `Rss` of the mapping at `addr`, from `/proc/self/smaps`.
+    fn mapped_rss_kb(addr: usize) -> Option<u64> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut lines = smaps
+            .lines()
+            .skip_while(|line| !line.starts_with(&format!("{addr:x}-")));
+        lines.next()?;
+        lines
+            .find_map(|line| line.strip_prefix("Rss:"))?
+            .trim()
+            .trim_end_matches("kB")
+            .trim()
+            .parse()
+            .ok()
+    }
+
+    /// A gathered read leaves no file page mapped: each window it touched
+    /// is released whole, with the pages a fault mapped around the one it
+    /// touched. Two sizes: a 4 MiB subfile, and one under the 2 MiB a
+    /// kernel may align a large file mapping to by itself.
+    #[test]
+    fn a_gathered_read_leaves_nothing_mapped() {
+        if mapped_rss_kb(0).is_none() && std::fs::metadata("/proc/self/smaps").is_err() {
+            eprintln!("subfile: no /proc/self/smaps here; the residency check did not run");
+            return;
+        }
+        let (s, dir) = store();
+        for (name, pages) in [("/r4", 1024u64), ("/r1", 300)] {
+            let data = pattern(pages as usize * 4096, 1);
+            s.write_ranges(name, &[(0, Bytes::from(data.clone()))])
+                .unwrap();
+            for ranges in [sparse(0, pages), sparse(pages / 3, pages / 2)] {
+                let want = each(&data, &ranges);
+                assert!(s.read_ranges_coalesced(name, &ranges).unwrap() == want);
+                assert!(s.read_ranges_nowait(name, &ranges).unwrap().unwrap() == want);
+                let map = mapping_of(&s, name).expect("the read was not gathered");
+                let rss = mapped_rss_kb(map.addr()).expect("the mapping is not in smaps");
+                assert_eq!(rss, 0, "{name}: {rss} kB of the subfile stayed mapped");
+            }
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     use proptest::prelude::*;
 
     /// Range lists of every shape a request can carry: strided runs with
     /// and without page-adjacent gaps (some longer than an iovec array), in
     /// order or shuffled, arbitrary lists with overlaps and a repeated
-    /// tail, and lists near the end of the offset space. Lengths include
-    /// 0; the subfile ends below 80 KiB, so ranges cross it and lie past it.
+    /// tail, lists near the end of the offset space, and long sorted
+    /// strided runs — gathered from the mapping — that start anywhere in
+    /// the first 1.2 MiB, cross window edges, reach past the end of the
+    /// subfile and hold empty ranges. Lengths include 0; the subfile ends
+    /// below 1.3 MiB, so ranges cross it and lie past it.
     fn range_lists() -> impl Strategy<Value = Vec<(u64, u64)>> {
         let strided = (
             (0u64..96 << 10, 0u64..9_000, 0u64..600, 1u64..1_200),
@@ -989,7 +1174,22 @@ mod tests {
             ),
             1..12,
         );
-        prop_oneof![strided, arbitrary, far]
+        let long = (
+            0u64..1200 << 10,
+            1u64..4_200,
+            0u64..200,
+            64u64..1_100,
+            0u64..8,
+        )
+            .prop_map(|(start, stride, len, count, empty)| {
+                (0..count)
+                    .map(|i| {
+                        let len = if empty > 0 && i % empty == 0 { 0 } else { len };
+                        (start + i * stride, len.min(stride))
+                    })
+                    .collect()
+            });
+        prop_oneof![strided, arbitrary, far, long]
     }
 
     proptest! {
@@ -1002,10 +1202,12 @@ mod tests {
         /// same bytes and does not say "would wait".
         #[test]
         fn nowait_and_blocking_reads_return_the_same_bytes(
+            base in 0usize..1300 << 10,
             writes in proptest::collection::vec((0u64..64 << 10, 1usize..9000, any::<u8>()), 1..6),
             reads in range_lists(),
         ) {
             let (s, dir) = store();
+            s.write_ranges("/p", &[(0, Bytes::from(pattern(base, 0)))]).unwrap();
             for (off, len, fill) in &writes {
                 s.write_ranges("/p", &[(*off, Bytes::from(vec![*fill; *len]))]).unwrap();
             }
