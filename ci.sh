@@ -161,6 +161,18 @@ if [ "$lifts" != "$want_unsafe " ] || [ "$users" != "$want_unsafe " ]; then
     echo "FAIL: allow(unsafe_code) in [$lifts], unsafe in [$users]; expected exactly [$want_unsafe]"
     exit 1
 fi
+# A trace span is recorded on every op: its way into the ring (the section
+# of ring.rs between its record-path and read-path rules) copies no name
+# into a `String` and takes no lock.
+record_path=$(sed -n '/^\/\/ -* the record path$/,/^\/\/ -* the read path$/p' crates/obs/src/ring.rs)
+if [ -z "$record_path" ] || ! printf '%s\n' "$record_path" | grep -q 'the read path$'; then
+    echo "FAIL: ring.rs lost its record-path or read-path section rule"
+    exit 1
+fi
+if printf '%s\n' "$record_path" | grep -nE 'to_string|String::from|Mutex'; then
+    echo "FAIL: the trace ring's record path allocates a String or takes a lock"
+    exit 1
+fi
 # Which thread answers a request is its service's `try_handle`: answer now
 # or hand it back. The per-kind `may_block` rule stays gone, and the
 # kernel's "would wait" (`preadv2` with `RWF_NOWAIT`) is asked in one

@@ -48,6 +48,8 @@ fn bench_subfile(c: &mut Criterion) {
                 .len()
         })
     });
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Strided reads of the store: 1024 ranges of 64 B at strides 128 to

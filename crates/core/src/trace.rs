@@ -10,9 +10,9 @@
 //! in-process testbed both sides land in the same ring and a single JSONL
 //! export ([`export_jsonl_to`]) shows the whole operation end to end.
 //!
-//! Recording is cheap (a `fetch_add` plus one short slot lock per event),
-//! so tracing stays on in benchmarks; the ablation harness exports it via
-//! `DPFS_TRACE_OUT`.
+//! Recording is cheap (a `fetch_add` and six atomic stores into a 48-byte
+//! slot per event: no lock, no allocation), so tracing stays on in
+//! benchmarks; the ablation harness exports it via `DPFS_TRACE_OUT`.
 //!
 //! The primitives live in `dpfs-obs` (shared with both daemons, which
 //! record their spans through the same [`record_span`]); this module

@@ -16,6 +16,9 @@
 //! allocate one landing chunk and 64 KiB — its replies land in the output
 //! as they come off the sockets, not in reply buffers of their own.
 //!
+//! A trace span, recorded on every op at the default sampling, allocates
+//! nothing once its names are interned.
+//!
 //! Own test binary: the counting `#[global_allocator]` is process-wide
 //! (the count itself is per thread, so the tests may run in parallel).
 
@@ -25,6 +28,7 @@ use std::cell::Cell;
 use dpfs::cluster::Testbed;
 use dpfs::core::file::datatype_runs;
 use dpfs::core::plan::{plan_list, Granularity};
+use dpfs::core::trace::{next_trace_id, record_span, Side};
 use dpfs::core::{
     round_robin, BrickMap, BrickRun, ClientOptions, Datatype, Hint, LinearLayout, MultidimLayout,
     Region, Shape,
@@ -208,4 +212,19 @@ fn a_live_block_read_allocates_its_output_and_no_reply_buffers() {
         bytes <= output + plan + LANDING_CHUNK + (64 << 10),
         "{bytes} bytes for a {output}-byte read planned in {plan}: reply buffers are back"
     );
+}
+
+#[test]
+fn a_recorded_span_allocates_nothing_once_its_names_are_interned() {
+    let id = next_trace_id();
+    // A server name lives in its daemon, not in the binary: pass one from
+    // the heap, as the daemons pass `&self.name`.
+    let server = String::from("ion07");
+    record_span(Side::Server, id, "handle", "read", &server, 0, 1, 64);
+    let ((), bytes) = bytes_allocated(|| {
+        for i in 0..10_000 {
+            record_span(Side::Server, id, "handle", "read", &server, i, 1, 64);
+        }
+    });
+    assert_eq!(bytes, 0, "10 000 spans allocated {bytes} bytes");
 }
