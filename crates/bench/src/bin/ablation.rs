@@ -8,7 +8,7 @@
 //! binary end to end as a smoke test.
 
 use dpfs_bench::ablation::*;
-use dpfs_bench::{FigScale, TraceSummary};
+use dpfs_bench::FigScale;
 use dpfs_core::trace::{export_jsonl_to, ring};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     } else {
         FigScale::from_env()
     };
-    // Scope trace export and the phase table to this run's events.
+    // Scope the trace export to this run's events.
     let trace_cursor = ring().cursor();
 
     print_points(
@@ -41,19 +41,6 @@ fn main() {
         "Ablation 8: metadata placement on an open/stat-heavy workload",
         &metadata_ablation(scale),
     );
-
-    // Per-phase latency table from the spans the run just recorded. The
-    // global ring keeps the last 65536 events, so at full scale this is
-    // the tail of the run, not the whole of it.
-    let events = ring().events_since(trace_cursor);
-    let mut summary = TraceSummary::new();
-    summary.add_events(&events);
-    println!(
-        "Phase latency summary ({} traced spans retained):",
-        events.len()
-    );
-    print!("{}", summary.render());
-    println!();
 
     if let Some(path) = std::env::var_os("DPFS_TRACE_OUT") {
         let path = std::path::PathBuf::from(path);

@@ -19,8 +19,6 @@
 pub mod ablation;
 pub mod figures;
 pub mod report;
-pub mod tracesum;
 
 pub use figures::{file_level_figure, striping_figure, FigScale, LevelRow, StripingRow};
 pub use report::{print_file_level_table, print_striping_table};
-pub use tracesum::{summarize_jsonl, summarize_jsonl_requiring, TraceSummary};

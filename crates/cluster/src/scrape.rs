@@ -7,9 +7,8 @@
 //! that document, one node long; the scrape keeps the node under the name
 //! it dialled. Because all nodes are read in one pass, the client-observed
 //! and server-side latencies in a scrape describe the same window of
-//! traffic: the scenario harness derives both sides of its percentile
-//! report from a single scrape rather than stitching together
-//! per-component dumps taken at different times.
+//! traffic: both sides of a percentile report come from a single scrape
+//! rather than from per-component dumps taken at different times.
 //!
 //! Metric names are dotted and stable; each is minted in one place:
 //! - iond nodes: `dpfs-server`'s `StatsSnapshot::node` — counters `io.*`,
@@ -179,10 +178,14 @@ mod tests {
 
         // Server-side and client-side views of the same traffic: both
         // write histograms saw the writes.
-        let server_w = snap.merged_hist(NodeRole::Iond, |n| n == "lat.write");
-        let client_w = snap.merged_hist(NodeRole::Client, |n| n == "lat.write");
-        assert!(server_w.count > 0);
-        assert!(client_w.count > 0);
+        let writes = |role| -> u64 {
+            snap.nodes_of(role)
+                .filter_map(|n| n.hist("lat.write"))
+                .map(|h| h.count)
+                .sum()
+        };
+        assert!(writes(NodeRole::Iond) > 0);
+        assert!(writes(NodeRole::Client) > 0);
 
         // The whole scrape survives the wire.
         let back = ClusterSnapshot::decode(&snap.encode()).unwrap();

@@ -20,6 +20,6 @@
 
 pub use dpfs_obs::{
     export_jsonl, export_jsonl_to, next_trace_id, now_ns, record_span, ring, sampled_trace_id,
-    set_trace_sample_every, slowlog, ClusterSnapshot, HistSnapshot, Histogram, NodeRole,
-    NodeSnapshot, Side, SlowLog, TraceEvent, TraceRing, HIST_BUCKETS,
+    slowlog, ClusterSnapshot, HistSnapshot, Histogram, NodeRole, NodeSnapshot, Side, SlowLog,
+    TraceEvent, TraceRing, HIST_BUCKETS,
 };

@@ -640,7 +640,6 @@ impl Transport {
             self.counters.list_io.fetch_add(1, Ordering::Relaxed);
         }
         Ok(Pending {
-            server: self.server.clone(),
             id,
             conn,
             counters: self.counters.clone(),
@@ -707,7 +706,6 @@ impl Transport {
 /// response on arrival. The connection is not poisoned — that stays
 /// [`Pending::wait`]'s deadline behaviour.
 pub struct Pending {
-    server: String,
     id: u64,
     conn: Arc<Conn>,
     counters: Arc<Counters>,
@@ -781,7 +779,7 @@ impl Pending {
                     self.trace_id,
                     "rpc",
                     self.kind,
-                    &self.server,
+                    &self.conn.server,
                     self.submitted_ns,
                     dur,
                     self.bytes,
@@ -789,7 +787,7 @@ impl Pending {
                 trace::slowlog().note(
                     trace::Side::Client,
                     self.kind,
-                    &self.server,
+                    &self.conn.server,
                     self.trace_id,
                     dur,
                     self.bytes,
@@ -797,7 +795,7 @@ impl Pending {
                 Ok(resp)
             }
             Some(Err(reason)) => Err(DpfsError::Disconnected {
-                server: self.server.clone(),
+                server: self.conn.server.clone(),
                 reason,
             }),
             None => {
@@ -806,7 +804,7 @@ impl Pending {
                 self.conn
                     .poison(&format!("request {} timed out after {timeout:?}", self.id));
                 Err(DpfsError::Timeout {
-                    server: self.server.clone(),
+                    server: self.conn.server.clone(),
                     timeout,
                 })
             }

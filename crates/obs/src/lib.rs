@@ -67,9 +67,8 @@ pub fn next_trace_id() -> u64 {
     }
 }
 
-/// Trace every Nth operation: `set_trace_sample_every(n)`, or env
-/// `DPFS_TRACE_SAMPLE` read on first use. 1 (the default) traces
-/// everything; 0 is treated as 1.
+/// Trace every Nth operation: env `DPFS_TRACE_SAMPLE`, read on first use.
+/// 1 (the default) traces everything; 0 is treated as 1.
 static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(0); // 0 = not yet initialized
 
 fn sample_every() -> u64 {
@@ -84,14 +83,6 @@ fn sample_every() -> u64 {
         .unwrap_or(1);
     SAMPLE_EVERY.store(every, Ordering::Relaxed);
     every
-}
-
-/// Set the trace sampling rate: one in `every` operations gets a trace
-/// ID, the rest run untraced (ID 0, which every recording hook treats as
-/// "skip"). Storm-scale runs drop this to 1-in-N so the ring holds a
-/// representative slice instead of wrapping thousands of times.
-pub fn set_trace_sample_every(every: u64) {
-    SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
 }
 
 /// A trace ID for a new operation, honoring the sampling rate: returns a
@@ -134,9 +125,9 @@ mod tests {
     fn sampling_keeps_one_in_n() {
         // Tests share the process-global knob; restore it afterwards so
         // always-trace tests elsewhere stay deterministic.
-        set_trace_sample_every(4);
+        SAMPLE_EVERY.store(4, Ordering::Relaxed);
         let traced = (0..400).filter(|_| sampled_trace_id() != 0).count();
-        set_trace_sample_every(1);
+        SAMPLE_EVERY.store(1, Ordering::Relaxed);
         assert_eq!(traced, 100);
         // Rate 1 means every op is traced.
         assert!((0..50).all(|_| sampled_trace_id() != 0));

@@ -179,21 +179,6 @@ impl ClusterSnapshot {
             .fold(0, u64::saturating_add)
     }
 
-    /// Merge every histogram matching `keep` on nodes of `role` into one
-    /// population (e.g. all server-side service-time histograms, for the
-    /// cluster-wide p99).
-    pub fn merged_hist(&self, role: NodeRole, keep: impl Fn(&str) -> bool) -> HistSnapshot {
-        let mut merged = HistSnapshot::default();
-        for node in self.nodes_of(role) {
-            for (name, h) in &node.hists {
-                if keep(name) {
-                    merged.merge(h);
-                }
-            }
-        }
-        merged
-    }
-
     /// Render the snapshot as one JSON document for machine consumers
     /// (`stats --json`): an array of node objects, counters and gauges as
     /// maps, histograms summarized to count/mean/p50/p95/p99 in
@@ -387,28 +372,5 @@ mod tests {
         let opens = json.matches('{').count() + json.matches('[').count();
         let closes = json.matches('}').count() + json.matches(']').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn merged_hist_spans_nodes_and_filters() {
-        let mut snap = sample();
-        let h = Histogram::new();
-        h.record(1_000);
-        snap.nodes.push(NodeSnapshot {
-            name: "ion01".into(),
-            role: NodeRole::Iond,
-            counters: vec![],
-            gauges: vec![],
-            hists: vec![
-                ("lat.read".into(), h.snapshot()),
-                ("lat.write".into(), h.snapshot()),
-            ],
-        });
-        let merged = snap.merged_hist(NodeRole::Iond, |n| n.starts_with("lat."));
-        assert_eq!(merged.count, 4); // 2 from ion00 + 2 from ion01
-        let reads = snap.merged_hist(NodeRole::Iond, |n| n == "lat.read");
-        assert_eq!(reads.count, 3);
-        let metad = snap.merged_hist(NodeRole::Metad, |_| true);
-        assert_eq!(metad.count, 0);
     }
 }

@@ -17,7 +17,9 @@
 //! as they come off the sockets, not in reply buffers of their own.
 //!
 //! A trace span, recorded on every op at the default sampling, allocates
-//! nothing once its names are interned.
+//! nothing once its names are interned, and a round trip's allocations do
+//! not grow with its server's name: the request reads the name off its
+//! connection.
 //!
 //! Own test binary: the counting `#[global_allocator]` is process-wide
 //! (the count itself is per thread, so the tests may run in parallel).
@@ -33,6 +35,7 @@ use dpfs::core::{
     round_robin, BrickMap, BrickRun, ClientOptions, Datatype, Hint, LinearLayout, MultidimLayout,
     Region, Shape,
 };
+use dpfs::proto::Request;
 
 /// Counts this thread's calls into the system allocator, and the bytes
 /// they ask for; a `realloc` counts as one call and its growth.
@@ -227,4 +230,31 @@ fn a_recorded_span_allocates_nothing_once_its_names_are_interned() {
         }
     });
     assert_eq!(bytes, 0, "10 000 spans allocated {bytes} bytes");
+}
+
+/// Allocator calls of one `Ping` round trip on a warm connection.
+const PING_ALLOCS: u64 = 9;
+
+#[test]
+fn a_ping_round_trip_allocates_no_copy_of_its_server_name() {
+    const TRIPS: u64 = 64;
+    let tb = Testbed::unthrottled(1).unwrap();
+    let client = tb.client_opts(ClientOptions::default());
+    let server = tb.specs()[0].name.clone();
+    let pool = client.pool();
+    // Warm: the connection dialed, the in-flight tables at their capacity.
+    for _ in 0..4 {
+        pool.rpc(&server, &Request::Ping).unwrap();
+    }
+    let ((), calls) = allocations(|| {
+        for _ in 0..TRIPS {
+            pool.rpc(&server, &Request::Ping).unwrap();
+        }
+    });
+    println!("{TRIPS} ping round trips: {calls} allocator calls");
+    assert_eq!(
+        calls,
+        PING_ALLOCS * TRIPS,
+        "{calls} allocator calls for {TRIPS} pings; {PING_ALLOCS} each expected"
+    );
 }

@@ -12,8 +12,8 @@
 //! - concurrent clients survive a kill/restart schedule and converge to a
 //!   consistent, byte-exact state once the faults stop.
 //!
-//! The first test also exports its trace slice to `DPFS_TRACE_OUT` (append
-//! mode) so CI can assert retry spans exist via `trace-summarize`.
+//! The first test asserts that its cuts were recorded as `retry` spans and
+//! exports its trace slice to `DPFS_TRACE_OUT` (append mode).
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -356,6 +356,67 @@ fn killed_server_replica2_reads_byte_exact() {
 #[test]
 fn killed_server_xor_parity_reads_byte_exact() {
     killed_server_reads_byte_exact(RedundancyPolicy::XorParity, "/xor", 1);
+}
+
+/// Degraded reads in parallel on one shared mount: redundant files
+/// (`Replica(2)` and `XorParity` alternating) striped over four servers
+/// behind two metadata shards, one server killed before any read, then
+/// eight threads open and read whole files at once. Every read rebuilds
+/// what the dead server held — from the mirror, or from the peers and the
+/// parity — while other threads rebuild theirs, and every read is
+/// byte-exact.
+#[test]
+fn killed_server_concurrent_reads_on_one_mount_are_byte_exact() {
+    const FILES: usize = 8;
+    const THREADS: usize = 8;
+    const READS: usize = 6;
+    const LEN: u64 = 64 << 10;
+    let mut tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
+    let client = tb.remote_client_opts(ClientOptions {
+        retry: fast_retry(),
+        ..ClientOptions::default()
+    });
+    let byte = |file: usize, j: usize| ((file + j) % 251) as u8 + 1;
+    for i in 0..FILES {
+        let policy = if i % 2 == 0 {
+            RedundancyPolicy::Replica(2)
+        } else {
+            RedundancyPolicy::XorParity
+        };
+        let data: Vec<u8> = (0..LEN as usize).map(|j| byte(i, j)).collect();
+        let hint = Hint::linear(8 << 10, LEN).with_redundancy(policy);
+        let mut f = client.create(&format!("/red{i}"), &hint).unwrap();
+        f.write_bytes(0, &data).unwrap();
+        f.sync().unwrap();
+    }
+    tb.kill_server(1);
+
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let client = &client;
+                s.spawn(move || {
+                    for k in 0..READS {
+                        let i = (t + k) % FILES;
+                        let path = format!("/red{i}");
+                        let back = client.open(&path).unwrap().read_bytes(0, LEN).unwrap();
+                        assert_eq!(back.len() as u64, LEN, "thread {t}: {path} short");
+                        if let Some(j) = (0..back.len()).find(|&j| back[j] != byte(i, j)) {
+                            panic!("thread {t}: byte {j} of {path} not reconstructed");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+    });
+    let stats = client.pool().transport_stats("ion01").unwrap();
+    assert!(
+        stats.reconstructs >= 1,
+        "no reconstruction recorded against ion01: {stats:?}"
+    );
 }
 
 /// Sever-mid-flight against a Replica(2) mount: partway through, the

@@ -133,6 +133,39 @@ fn sixteen_clients_disjoint_then_shared_read() {
     });
 }
 
+/// A checkpoint dump and restore by eight writers at once through one
+/// shared mount behind two metadata shards: each creates its own file,
+/// writes it, syncs it, reopens it and reads it back byte-exact while the
+/// others do the same.
+#[test]
+fn eight_concurrent_checkpoint_writers_restore_byte_exact() {
+    const WRITERS: usize = 8;
+    const LEN: usize = 256 << 10;
+    let tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
+    let fs = tb.remote_client_opts(ClientOptions::default());
+    fs.mkdir("/ckpt").unwrap();
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|rank| {
+                let fs = &fs;
+                s.spawn(move || {
+                    let path = format!("/ckpt/rank{rank}");
+                    let data = pattern_bytes(LEN, rank as u64);
+                    let mut f = fs.create(&path, &Hint::linear(64 << 10, 64 << 10)).unwrap();
+                    f.write_bytes(0, &data).unwrap();
+                    f.sync().unwrap();
+                    drop(f);
+                    let back = fs.open(&path).unwrap().read_bytes(0, LEN as u64).unwrap();
+                    assert!(back == data, "rank {rank}: restore differs from the dump");
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+    });
+}
+
 /// A handle holds no file data between calls: every read is answered by
 /// the servers, so it reflects every write acknowledged before it was
 /// issued, through any handle. Handle A reads a brick, handle B — opened

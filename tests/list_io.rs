@@ -325,7 +325,7 @@ proptest! {
 /// pattern descriptor is at least 5x smaller on the wire than the
 /// enumerated range list, and the descriptor is what the client sends
 /// (`rpc.req_bytes` moves by exactly its size, `rpc.list_io` by one per
-/// server).
+/// server) and what each server answers (`io.list_reads` moves by one).
 #[test]
 fn dense_stride_shrinks_request_bytes_at_least_5x() {
     const N: usize = 2;
@@ -377,9 +377,24 @@ fn dense_stride_shrinks_request_bytes_at_least_5x() {
          enumerated={enumerated_bytes} (want >= 5x)"
     );
 
+    let served = || -> Vec<u64> {
+        tb.server_stats()
+            .iter()
+            .map(|(_, s)| s.list_reads)
+            .collect()
+    };
+    let served_before = served();
     let sent_before = counter_sum(&client, N, |t| t.req_bytes);
     let list_before = counter_sum(&client, N, |t| t.list_io);
     assert_eq!(f.read_datatype(0, &dt).unwrap(), payload);
+    let served_after = served();
+    for (server, (after, before)) in served_after.iter().zip(&served_before).enumerate() {
+        assert_eq!(
+            after - before,
+            1,
+            "server {server} answered the column with one ReadList"
+        );
+    }
     assert_eq!(
         counter_sum(&client, N, |t| t.req_bytes) - sent_before,
         pattern_bytes,
