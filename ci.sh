@@ -347,10 +347,8 @@ tail -n 1 target/benchmark-quick.out
 echo "==> docs (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> chaos: fault-injection suite with trace export"
-rm -f target/trace-chaos.jsonl
-DPFS_TRACE_OUT="$PWD/target/trace-chaos.jsonl" \
-    cargo test --release -q --test chaos
+echo "==> chaos: fault-injection suite"
+cargo test --release -q --test chaos
 
 echo "==> ablation smoke (--quick) with trace export and slow-op log enabled"
 rm -f target/trace-quick.jsonl target/slowops.jsonl

@@ -193,18 +193,14 @@ fn detects_directory_anomalies() {
         populate(&r);
         let db = &r.db;
         // dangling file entry in /home
-        db.execute(
-            "UPDATE dpfs_directory SET files = concat(files, '\n/home/ghost') WHERE main_dir = '/home'",
-        )
-        .unwrap();
+        db.execute("INSERT INTO dpfs_dirent VALUES ('/home/ghost', '/home', 'file')")
+            .unwrap();
         // unreachable directory row
         db.execute("INSERT INTO dpfs_directory VALUES ('/island', '', '')")
             .unwrap();
         // file attr not listed anywhere: remove /home/a from its dir
-        db.execute(
-            "UPDATE dpfs_directory SET files = '/home/b\n/home/ghost' WHERE main_dir = '/home'",
-        )
-        .unwrap();
+        db.execute("DELETE FROM dpfs_dirent WHERE path = '/home/a'")
+            .unwrap();
         let report = fsck(&r.fs, false).unwrap();
         assert!(report
             .issues
@@ -285,13 +281,11 @@ fn repair_fixes_safe_issues() {
         db.execute("INSERT INTO dpfs_file_distribution VALUES ('x', 'node00', '/ghost', [0])")
             .unwrap();
         // dangling dir entry
-        db.execute("UPDATE dpfs_directory SET files = concat(files, '\n/home/phantom') WHERE main_dir = '/home'")
+        db.execute("INSERT INTO dpfs_dirent VALUES ('/home/phantom', '/home', 'file')")
             .unwrap();
         // unlisted file: unlink /home/a from /home
-        db.execute(
-            "UPDATE dpfs_directory SET files = '/home/b\n/home/phantom' WHERE main_dir = '/home'",
-        )
-        .unwrap();
+        db.execute("DELETE FROM dpfs_dirent WHERE path = '/home/a'")
+            .unwrap();
         // orphan directory with an existing parent
         db.execute("INSERT INTO dpfs_directory VALUES ('/home/lost', '', '')")
             .unwrap();
@@ -343,9 +337,10 @@ fn both_mounts_report_the_same_issues_for_the_same_corruption() {
             "INSERT INTO dpfs_file_distribution VALUES ('x', 'node00', '/ghost', [0])",
             "DELETE FROM dpfs_file_distribution WHERE filename = '/home/a'",
             "UPDATE dpfs_file_attr SET filelevel = 'cubic' WHERE filename = '/home/b'",
-            "UPDATE dpfs_directory SET files = '/home/phantom' WHERE main_dir = '/home'",
+            "DELETE FROM dpfs_dirent WHERE parent = '/home' AND kind = 'file'",
+            "INSERT INTO dpfs_dirent VALUES ('/home/phantom', '/home', 'file')",
             "INSERT INTO dpfs_directory VALUES ('/island', '', '')",
-            "UPDATE dpfs_directory SET sub_dirs = '/home\n/void' WHERE main_dir = '/'",
+            "INSERT INTO dpfs_dirent VALUES ('/void', '/', 'dir')",
         ] {
             db.execute(sql).unwrap();
         }

@@ -9,9 +9,13 @@
 //! - `dpfs_file_attr(filename, owner, permission, size, filelevel, dims,
 //!    dimsize, stripe_dims, stripe_size, pattern)`
 //!
-//! Deviation from the paper: POSTGRES has native array/text-list columns; our
-//! engine has INTLIST but no TEXTLIST, so `sub_dirs` and `files` are stored
-//! as `\n`-joined TEXT. Brick lists use INTLIST, as in the paper.
+//! Deviation from the paper: a directory's `sub_dirs` and `files` lists are
+//! not columns of its `dpfs_directory` row but rows of their own in
+//! `dpfs_dirent(path, parent, kind)`, one per child, keyed by the child's
+//! path and indexed by its parent. Creating or removing an entry then
+//! writes one small row, whatever the directory holds; the TEXT columns
+//! stay empty (a catalog that filled them is migrated when it is opened).
+//! Brick lists use INTLIST, as in the paper.
 //!
 //! Every statement here is a constant text with `?` placeholders; values
 //! travel as bound parameters, never as SQL. A name can therefore hold any
@@ -62,7 +66,8 @@ pub struct Distribution {
     pub bricklist: Vec<i64>,
 }
 
-/// Row of `dpfs_directory`.
+/// A directory as its `dpfs_directory` row and its `dpfs_dirent` rows give
+/// it: the children's full paths, each list in name order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
     pub main_dir: String,
@@ -171,6 +176,18 @@ pub struct Catalog {
     db: Arc<Database>,
 }
 
+/// One row per directory entry: the child's full path, its parent and
+/// whether it is a [`FILE`] or a [`DIR`].
+const DIRENT_TABLE: &str = "CREATE TABLE IF NOT EXISTS dpfs_dirent (
+        path TEXT PRIMARY KEY,
+        parent TEXT NOT NULL,
+        kind TEXT NOT NULL)";
+
+/// `dpfs_dirent.kind` of a file.
+const FILE: &str = "file";
+/// `dpfs_dirent.kind` of a sub-directory.
+const DIR: &str = "dir";
+
 /// The tables, and the secondary indexes behind every by-filename lookup
 /// that is not a primary-key lookup. Indexes are derived state the engine
 /// neither logs nor snapshots, so they are declared on every open — which
@@ -212,23 +229,32 @@ const SCHEMA: &[&str] = &[
         src TEXT NOT NULL,
         dst TEXT NOT NULL)",
     "CREATE TABLE IF NOT EXISTS dpfs_meta_gen (k TEXT PRIMARY KEY, gen INT NOT NULL)",
+    DIRENT_TABLE,
     "CREATE INDEX IF NOT EXISTS dpfs_file_distribution_by_filename
         ON dpfs_file_distribution (filename)",
     "CREATE INDEX IF NOT EXISTS dpfs_file_tags_by_filename ON dpfs_file_tags (filename)",
+    "CREATE INDEX IF NOT EXISTS dpfs_dirent_by_parent ON dpfs_dirent (parent)",
 ];
 
 impl Catalog {
     /// Wrap a database, creating the DPFS tables if they don't exist,
     /// declaring their indexes, and ensuring the root directory `/` and the
-    /// rename-intent sequence row are present.
+    /// rename-intent sequence row are present. A catalog that keeps its
+    /// directory entries in `dpfs_directory`'s TEXT lists moves them into
+    /// `dpfs_dirent` in one transaction, logged with the next write.
     pub fn new(db: Arc<Database>) -> Result<Catalog> {
+        let tables = db.table_names();
+        let has = |name: &str| tables.iter().any(|t| t == name);
+        if has("dpfs_directory") && !has("dpfs_dirent") {
+            db.transaction_deferred(migrate_listings)?;
+        }
         for ddl in SCHEMA {
             db.execute(ddl)?;
         }
         // One transaction, so concurrent first mounts race safely (one
         // seeds, the other sees it).
         db.transaction(|txn| {
-            if get_dir(txn, "/")?.is_none() {
+            if !dir_exists(txn, "/")? {
                 insert_dir(txn, "/")?;
             }
             if txn
@@ -521,16 +547,12 @@ impl Catalog {
         if path == "/" {
             return Err(MetaError::DuplicateKey("/ always exists".into()));
         }
-        let parent = parent_dir(&path).expect("non-root path has a parent");
         self.db.transaction(|txn| {
-            let dir = get_dir(txn, &parent)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
-            if dir.sub_dirs.iter().any(|d| d == &path) || get_dir(txn, &path)?.is_some() {
+            let parent = existing_parent(txn, &path)?;
+            if dir_exists(txn, &path)? {
                 return Err(MetaError::DuplicateKey(format!("directory {path} exists")));
             }
-            let mut subs = dir.sub_dirs;
-            subs.push(path.clone());
-            set_sub_dirs(txn, &parent, &subs)?;
+            link(txn, &path, &parent, DIR)?;
             insert_dir(txn, &path)
         })
     }
@@ -541,22 +563,22 @@ impl Catalog {
         if path == "/" {
             return Err(MetaError::Txn("cannot remove /".into()));
         }
-        let parent = parent_dir(&path).expect("non-root path has a parent");
         self.db.transaction(|txn| {
-            let dir = get_dir(txn, &path)?
-                .ok_or_else(|| MetaError::NoSuchTable(format!("directory {path}")))?;
-            if !dir.sub_dirs.is_empty() || !dir.files.is_empty() {
+            if !dir_exists(txn, &path)? {
+                return Err(MetaError::NoSuchTable(format!("directory {path}")));
+            }
+            let children = txn.execute_with(
+                "SELECT path FROM dpfs_dirent WHERE parent = ? LIMIT 1",
+                &[path.as_str().into()],
+            )?;
+            if !children.rows.is_empty() {
                 return Err(MetaError::Txn(format!("directory {path} not empty")));
             }
             txn.execute_with(
                 "DELETE FROM dpfs_directory WHERE main_dir = ?",
                 &[path.as_str().into()],
             )?;
-            if let Some(p) = get_dir(txn, &parent)? {
-                let subs: Vec<String> = p.sub_dirs.into_iter().filter(|d| d != &path).collect();
-                set_sub_dirs(txn, &parent, &subs)?;
-            }
-            Ok(())
+            unlink(txn, &path, DIR)
         })
     }
 
@@ -567,7 +589,9 @@ impl Catalog {
     }
 
     /// Rename a file within the same directory tree (metadata only).
-    /// Returns the entry that moved, under its new name.
+    /// Returns the entry that moved, under its new name. Each row of the
+    /// entry — attributes, distribution, tags, directory link — changes its
+    /// key in place.
     pub fn rename_file(&self, from: &str, to: &str) -> Result<FileEntry> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
@@ -580,15 +604,50 @@ impl Catalog {
             if file_exists(txn, &to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
-            let tags = list_tags(txn, &from)?;
-            // Unlink before linking: when both names share a directory the
-            // second rewrite of its file list must see the first.
-            remove_entry(txn, &from)?;
-            attr.filename = to.clone();
+            check_file_name(&to)?;
+            let parent = existing_parent(txn, &to)?;
+            txn.execute_with(
+                "UPDATE dpfs_file_attr SET filename = ? WHERE filename = ?",
+                &[to.as_str().into(), from.as_str().into()],
+            )?;
             for d in &mut dist {
+                txn.execute_with(
+                    "UPDATE dpfs_file_distribution SET dist_key = ?, filename = ? \
+                     WHERE dist_key = ?",
+                    &[
+                        composite_key(&[&d.server, &to]).into(),
+                        to.as_str().into(),
+                        composite_key(&[&d.server, &from]).into(),
+                    ],
+                )?;
                 d.filename = to.clone();
             }
-            create_entry(txn, &attr, &dist, &tags)?;
+            for (tag, _) in list_tags(txn, &from)? {
+                txn.execute_with(
+                    "UPDATE dpfs_file_tags SET tag_id = ?, filename = ? WHERE tag_id = ?",
+                    &[
+                        tag_key(&to, &tag).into(),
+                        to.as_str().into(),
+                        tag_key(&from, &tag).into(),
+                    ],
+                )?;
+            }
+            let moved = txn
+                .execute_with(
+                    "UPDATE dpfs_dirent SET path = ?, parent = ? WHERE path = ? AND kind = ?",
+                    &[
+                        to.as_str().into(),
+                        parent.as_str().into(),
+                        from.as_str().into(),
+                        FILE.into(),
+                    ],
+                )
+                .map_err(|e| taken(e, &to, FILE))?;
+            // A file no directory listed is listed under its new name.
+            if affected(&moved)? == 0 {
+                link(txn, &to, &parent, FILE)?;
+            }
+            attr.filename = to;
             Ok((attr, dist))
         })
     }
@@ -899,12 +958,10 @@ fn tag_key(filename: &str, tag: &str) -> String {
     composite_key(&[filename, tag])
 }
 
-fn split_list(s: &str) -> Vec<String> {
-    if s.is_empty() {
-        Vec::new()
-    } else {
-        s.split('\n').map(|x| x.to_string()).collect()
-    }
+/// The entries of a `\n`-joined TEXT list, as catalogs before
+/// `dpfs_dirent` kept them.
+fn split_list(s: &str) -> impl Iterator<Item = &str> {
+    s.split('\n').filter(|x| !x.is_empty())
 }
 
 // ---- statements shared by the accessors ----
@@ -978,19 +1035,35 @@ fn file_exists(txn: &Txn<'_>, filename: &str) -> Result<bool> {
     Ok(!rs.rows.is_empty())
 }
 
-fn get_dir(txn: &Txn<'_>, path: &str) -> Result<Option<DirEntry>> {
+fn dir_exists(txn: &Txn<'_>, path: &str) -> Result<bool> {
     let rs = txn.execute_with(
-        "SELECT main_dir, sub_dirs, files FROM dpfs_directory WHERE main_dir = ?",
+        "SELECT main_dir FROM dpfs_directory WHERE main_dir = ?",
         &[path.into()],
     )?;
-    match rs.rows.first() {
-        None => Ok(None),
-        Some(r) => Ok(Some(DirEntry {
-            main_dir: r[0].as_text()?.to_string(),
-            sub_dirs: split_list(r[1].as_text()?),
-            files: split_list(r[2].as_text()?),
-        })),
+    Ok(!rs.rows.is_empty())
+}
+
+fn get_dir(txn: &Txn<'_>, path: &str) -> Result<Option<DirEntry>> {
+    if !dir_exists(txn, path)? {
+        return Ok(None);
     }
+    let rs = txn.execute_with(
+        "SELECT path, kind FROM dpfs_dirent WHERE parent = ? ORDER BY path",
+        &[path.into()],
+    )?;
+    let (mut sub_dirs, mut files) = (Vec::new(), Vec::new());
+    for r in &rs.rows {
+        let child = r[0].as_text()?.to_string();
+        match r[1].as_text()? {
+            DIR => sub_dirs.push(child),
+            _ => files.push(child),
+        }
+    }
+    Ok(Some(DirEntry {
+        main_dir: path.to_string(),
+        sub_dirs,
+        files,
+    }))
 }
 
 fn get_distribution(txn: &Txn<'_>, filename: &str) -> Result<Vec<Distribution>> {
@@ -1022,19 +1095,71 @@ fn list_tags(txn: &Txn<'_>, filename: &str) -> Result<Vec<(String, String)>> {
         .collect()
 }
 
-fn set_dir_files(txn: &Txn<'_>, path: &str, files: &[String]) -> Result<()> {
+/// The parent directory of `path`, which must exist.
+fn existing_parent(txn: &Txn<'_>, path: &str) -> Result<String> {
+    let parent =
+        parent_dir(path).ok_or_else(|| MetaError::Txn(format!("path {path} has no parent")))?;
+    if !dir_exists(txn, &parent)? {
+        return Err(MetaError::NoSuchTable(format!("directory {parent}")));
+    }
+    Ok(parent)
+}
+
+/// `DuplicateKey` naming the entry `path` of `kind` for a key collision
+/// over it; any other error as it is.
+fn taken(e: MetaError, path: &str, kind: &str) -> MetaError {
+    match e {
+        MetaError::DuplicateKey(_) if kind == DIR => {
+            MetaError::DuplicateKey(format!("directory {path} exists"))
+        }
+        MetaError::DuplicateKey(_) => {
+            MetaError::DuplicateKey(format!("file {path} already exists"))
+        }
+        e => e,
+    }
+}
+
+/// List `path` in `parent` as a `kind` entry.
+fn link(txn: &Txn<'_>, path: &str, parent: &str, kind: &str) -> Result<()> {
     txn.execute_with(
-        "UPDATE dpfs_directory SET files = ? WHERE main_dir = ?",
-        &[files.join("\n").into(), path.into()],
+        "INSERT INTO dpfs_dirent VALUES (?, ?, ?)",
+        &[path.into(), parent.into(), kind.into()],
+    )
+    .map_err(|e| taken(e, path, kind))?;
+    Ok(())
+}
+
+/// Drop the `kind` entry `path` from its directory, if listed.
+fn unlink(txn: &Txn<'_>, path: &str, kind: &str) -> Result<()> {
+    txn.execute_with(
+        "DELETE FROM dpfs_dirent WHERE path = ? AND kind = ?",
+        &[path.into(), kind.into()],
     )?;
     Ok(())
 }
 
-fn set_sub_dirs(txn: &Txn<'_>, path: &str, subs: &[String]) -> Result<()> {
-    txn.execute_with(
-        "UPDATE dpfs_directory SET sub_dirs = ? WHERE main_dir = ?",
-        &[subs.join("\n").into(), path.into()],
-    )?;
+/// Move every entry a catalog written before `dpfs_dirent` keeps in
+/// `dpfs_directory`'s TEXT lists into rows of their own, leaving the lists
+/// empty. A name listed twice, or as both a directory and a file (which
+/// those catalogs allowed), keeps its first row, the directory's. Running
+/// it again finds nothing to move.
+fn migrate_listings(txn: &Txn<'_>) -> Result<()> {
+    txn.execute(DIRENT_TABLE)?;
+    let dirs = txn.execute("SELECT main_dir, sub_dirs, files FROM dpfs_directory")?;
+    for r in &dirs.rows {
+        let (dir, subs, files) = (r[0].as_text()?, r[1].as_text()?, r[2].as_text()?);
+        if subs.is_empty() && files.is_empty() {
+            continue;
+        }
+        let children = split_list(subs).map(|p| (p, DIR));
+        for (path, kind) in children.chain(split_list(files).map(|p| (p, FILE))) {
+            relink(txn, path, dir, kind)?;
+        }
+        txn.execute_with(
+            "UPDATE dpfs_directory SET sub_dirs = '', files = '' WHERE main_dir = ?",
+            &[dir.into()],
+        )?;
+    }
     Ok(())
 }
 
@@ -1055,12 +1180,20 @@ fn texts(rs: ResultSet) -> Result<BTreeSet<String>> {
         .collect()
 }
 
-/// The parent directory of `path` and its row, if both exist.
-fn parent_entry(txn: &Txn<'_>, path: &str) -> Result<Option<(String, DirEntry)>> {
-    let Some(parent) = parent_dir(path) else {
-        return Ok(None);
-    };
-    Ok(get_dir(txn, &parent)?.map(|entry| (parent, entry)))
+/// The parent directory of `path`, if it exists.
+fn parent_row(txn: &Txn<'_>, path: &str) -> Result<Option<String>> {
+    match parent_dir(path) {
+        Some(parent) if dir_exists(txn, &parent)? => Ok(Some(parent)),
+        _ => Ok(None),
+    }
+}
+
+/// [`link`], unless `path` is listed already.
+fn relink(txn: &Txn<'_>, path: &str, parent: &str, kind: &str) -> Result<()> {
+    match link(txn, path, parent, kind) {
+        Err(MetaError::DuplicateKey(_)) => Ok(()),
+        other => other,
+    }
 }
 
 /// Apply [`Catalog::audit`]'s safe repair for `issue`, if it has one (and
@@ -1075,35 +1208,25 @@ fn fix(txn: &Txn<'_>, issue: &Issue) -> Result<Option<String>> {
             format!("dropped orphan distribution row {server}:{filename}")
         }
         Issue::DanglingDirEntry { dir, name } => {
-            let Some(entry) = get_dir(txn, dir)? else {
-                return Ok(None);
-            };
-            let files: Vec<String> = entry.files.into_iter().filter(|f| f != name).collect();
-            set_dir_files(txn, dir, &files)?;
+            unlink(txn, name, FILE)?;
             format!("removed dangling entry {name} from {dir}")
         }
         Issue::UnlistedFile { filename } => {
-            let Some((parent, entry)) = parent_entry(txn, filename)? else {
+            let Some(parent) = parent_row(txn, filename)? else {
                 return Ok(None);
             };
-            let mut files = entry.files;
-            files.push(filename.clone());
-            set_dir_files(txn, &parent, &files)?;
+            relink(txn, filename, &parent, FILE)?;
             format!("re-linked {filename} into {parent}")
         }
         Issue::OrphanDirectory { dir } => {
-            let Some((parent, entry)) = parent_entry(txn, dir)? else {
+            let Some(parent) = parent_row(txn, dir)? else {
                 return Ok(None);
             };
-            let mut subs = entry.sub_dirs;
-            if !subs.contains(dir) {
-                subs.push(dir.clone());
-            }
-            set_sub_dirs(txn, &parent, &subs)?;
+            relink(txn, dir, &parent, DIR)?;
             format!("re-linked directory {dir} into {parent}")
         }
         // Two parents may list one missing child: create its row once.
-        Issue::MissingDirectory { dir, .. } if get_dir(txn, dir)?.is_none() => {
+        Issue::MissingDirectory { dir, .. } if !dir_exists(txn, dir)? => {
             insert_dir(txn, dir)?;
             format!("created missing directory row {dir}")
         }
@@ -1111,18 +1234,25 @@ fn fix(txn: &Txn<'_>, issue: &Issue) -> Result<Option<String>> {
     }))
 }
 
+/// Insert a file's distribution rows, all in one `INSERT`.
 fn insert_distribution(txn: &Txn<'_>, dist: &[Distribution]) -> Result<()> {
-    for d in dist {
-        txn.execute_with(
-            "INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)",
-            &[
-                composite_key(&[&d.server, &d.filename]).into(),
-                d.server.as_str().into(),
-                d.filename.as_str().into(),
-                d.bricklist.clone().into(),
-            ],
-        )?;
+    if dist.is_empty() {
+        return Ok(());
     }
+    let mut sql = String::from("INSERT INTO dpfs_file_distribution VALUES (?, ?, ?, ?)");
+    let mut params = Vec::with_capacity(4 * dist.len());
+    for (i, d) in dist.iter().enumerate() {
+        if i > 0 {
+            sql.push_str(", (?, ?, ?, ?)");
+        }
+        params.extend([
+            composite_key(&[&d.server, &d.filename]).into(),
+            d.server.as_str().into(),
+            d.filename.as_str().into(),
+            d.bricklist.clone().into(),
+        ]);
+    }
+    txn.execute_with(&sql, &params)?;
     Ok(())
 }
 
@@ -1157,16 +1287,10 @@ fn create_entry(
     tags: &[(String, String)],
 ) -> Result<()> {
     check_file_name(&attr.filename)?;
-    let parent = parent_dir(&attr.filename)
-        .ok_or_else(|| MetaError::Txn(format!("file path {} has no parent", attr.filename)))?;
-    let dir = get_dir(txn, &parent)?
-        .ok_or_else(|| MetaError::NoSuchTable(format!("directory {parent}")))?;
-    if dir.files.iter().any(|f| f == &attr.filename) || file_exists(txn, &attr.filename)? {
-        return Err(MetaError::DuplicateKey(format!(
-            "file {} already exists",
-            attr.filename
-        )));
-    }
+    let parent = existing_parent(txn, &attr.filename)?;
+    // A name taken by a listed entry or by an attribute row is refused by
+    // the insert that collides.
+    link(txn, &attr.filename, &parent, FILE)?;
     txn.execute_with(
         "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
         &[
@@ -1183,14 +1307,13 @@ fn create_entry(
             attr.placement.as_str().into(),
             attr.redundancy.as_str().into(),
         ],
-    )?;
+    )
+    .map_err(|e| taken(e, &attr.filename, FILE))?;
     insert_distribution(txn, dist)?;
     for (tag, value) in tags {
         insert_tag(txn, &attr.filename, tag, value)?;
     }
-    let mut files = dir.files;
-    files.push(attr.filename.clone());
-    set_dir_files(txn, &parent, &files)
+    Ok(())
 }
 
 /// Remove the entry `filename`: attributes, distribution, tags and the link
@@ -1208,13 +1331,7 @@ fn remove_entry(txn: &Txn<'_>, filename: &str) -> Result<()> {
         "DELETE FROM dpfs_file_tags WHERE filename = ?",
         &[filename.into()],
     )?;
-    if let Some(parent) = parent_dir(filename) {
-        if let Some(dir) = get_dir(txn, &parent)? {
-            let files: Vec<String> = dir.files.into_iter().filter(|f| f != filename).collect();
-            set_dir_files(txn, &parent, &files)?;
-        }
-    }
-    Ok(())
+    unlink(txn, filename, FILE)
 }
 
 #[cfg(test)]
@@ -1596,6 +1713,177 @@ mod tests {
         assert!(c.get_file_attr("/a/new").unwrap().is_some());
     }
 
+    /// A rename as it was done before keys moved in place: read the entry,
+    /// delete every row of it, insert them again under the new name.
+    fn rename_by_delete_and_insert(c: &Catalog, from: &str, to: &str) -> Result<FileEntry> {
+        c.db.transaction(|txn| {
+            let (mut attr, mut dist) = get_entry(txn, from)?
+                .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
+            if file_exists(txn, to)? {
+                return Err(MetaError::DuplicateKey(format!("file {to} exists")));
+            }
+            let tags = list_tags(txn, from)?;
+            remove_entry(txn, from)?;
+            attr.filename = to.to_string();
+            for d in &mut dist {
+                d.filename = to.to_string();
+            }
+            create_entry(txn, &attr, &dist, &tags)?;
+            Ok((attr, dist))
+        })
+    }
+
+    /// Everything a rename from `from` to `to` may have changed, as the
+    /// catalog answers it.
+    fn renamed_state(c: &Catalog, from: &str, to: &str) -> impl PartialEq + std::fmt::Debug {
+        let listing = |p: &str| parent_dir(p).map(|d| c.get_dir(&d).unwrap());
+        let entry = |p: &str| (c.open_file(p).unwrap(), c.list_tags(p).unwrap());
+        (
+            (listing(from), listing(to)),
+            (entry(from), entry(to)),
+            c.audit(false).unwrap().issues,
+        )
+    }
+
+    /// The in-place rename answers, and leaves behind, what deleting and
+    /// re-inserting the entry did: across directories, inside one, onto
+    /// taken and reserved names, into a missing directory, of a file no
+    /// directory lists. A refused rename changes neither listing.
+    #[test]
+    fn an_in_place_rename_answers_what_delete_and_insert_did() {
+        let (moved, reference) = (catalog(), catalog());
+        for c in [&moved, &reference] {
+            for d in ["/a", "/b", "/c"] {
+                c.mkdir(d).unwrap();
+            }
+            for name in ["/a/f", "/a/g", "/b/h", "/c/k", "/loose"] {
+                let dist: Vec<Distribution> = ["s0", "s1"]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, server)| Distribution {
+                        server: server.to_string(),
+                        filename: name.into(),
+                        bricklist: vec![i as i64, i as i64 + 2],
+                    })
+                    .collect();
+                c.create_file(&sample_attr(name), &dist).unwrap();
+                c.set_tag(name, "k", name).unwrap();
+            }
+            c.set_tag("/a/f", "j", "second").unwrap();
+            // A file its directory does not list.
+            c.db()
+                .execute("DELETE FROM dpfs_dirent WHERE path = '/loose'")
+                .unwrap();
+        }
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let names = [
+            "/a/f", "/a/g", "/a/x", "/b/h", "/b/y", "/c/k", "/c", "/loose", "/z/q", "/a/f#p",
+        ];
+        let scripted = [
+            ("/a/f", "/a/f2"),   // inside one directory
+            ("/a/f2", "/b/f"),   // across directories
+            ("/b/f", "/a/g"),    // destination exists
+            ("/b/f", "/z/f"),    // destination directory missing
+            ("/b/f", "/b/f#r1"), // reserved name
+            ("/b/f", "/b"),      // a directory's name
+            ("/nope", "/a/n"),   // no such source
+            ("/loose", "/c/l"),  // unlisted: listed under its new name
+        ];
+        let mut refused = 0;
+        for step in 0..200 {
+            let (from, to) = match scripted.get(step) {
+                Some(&(from, to)) => (from, to),
+                None => (names[draw(names.len())], names[draw(names.len())]),
+            };
+            let before = renamed_state(&moved, from, to);
+            let got = moved.rename_file(from, to);
+            let want = rename_by_delete_and_insert(&reference, from, to);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "step {step}: {from} -> {to}"
+            );
+            let after = renamed_state(&moved, from, to);
+            assert_eq!(after, renamed_state(&reference, from, to), "step {step}");
+            if got.is_err() {
+                assert_eq!(after, before, "step {step}: refused, yet changed");
+                refused += 1;
+            }
+            moved.db().assert_indexes_match_rows();
+        }
+        assert!(refused > 20 && refused < 180, "{refused} of 200 refused");
+        assert_eq!(moved.audit(false).unwrap(), reference.audit(false).unwrap());
+    }
+
+    /// A catalog that keeps its directory entries in `dpfs_directory`'s
+    /// TEXT lists opens with each entry a `dpfs_dirent` row and lists the
+    /// same; opening and reading write nothing, and the first mutation logs
+    /// the migration ahead of itself, so every later open finds it.
+    #[test]
+    fn text_listings_are_migrated_on_open_and_logged_with_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-migrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()));
+        {
+            let c = open().unwrap();
+            c.mkdir("/a").unwrap();
+            c.mkdir("/a/s").unwrap();
+            for f in ["/r", "/a/f", "/a/g"] {
+                c.create_file(&sample_attr(f), &[]).unwrap();
+            }
+            // The tables as such a catalog wrote them; `/a/s` is listed as
+            // a file too, which those catalogs allowed.
+            for sql in [
+                "DROP TABLE dpfs_dirent",
+                "UPDATE dpfs_directory SET sub_dirs = '/a', files = '/r' WHERE main_dir = '/'",
+                "UPDATE dpfs_directory SET sub_dirs = '/a/s', files = '/a/g\n/a/f\n/a/s' \
+                 WHERE main_dir = '/a'",
+            ] {
+                c.db().execute(sql).unwrap();
+            }
+            c.db().checkpoint().unwrap();
+        }
+        let on_disk = || ["snapshot.db", "wal.log"].map(|f| std::fs::read(dir.join(f)).unwrap());
+        let written = on_disk();
+        let s = |x: &[&str]| x.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        let check = |c: &Catalog, files: &[&str]| {
+            let root = c.get_dir("/").unwrap().unwrap();
+            assert_eq!((root.sub_dirs, root.files), (s(&["/a"]), s(&["/r"])));
+            let a = c.get_dir("/a").unwrap().unwrap();
+            assert_eq!((a.sub_dirs, a.files), (s(&["/a/s"]), s(files)));
+            let left = c
+                .db()
+                .execute("SELECT main_dir FROM dpfs_directory WHERE sub_dirs != '' OR files != ''")
+                .unwrap();
+            assert!(left.rows.is_empty(), "{left:?}");
+            let issues = c.audit(false).unwrap().issues;
+            let of_the_tree = |i: &Issue| !matches!(i, Issue::MissingDistribution { .. });
+            assert_eq!(
+                issues.into_iter().filter(of_the_tree).collect::<Vec<_>>(),
+                []
+            );
+        };
+        for _ in 0..2 {
+            let c = open().unwrap();
+            check(&c, &["/a/f", "/a/g"]);
+            assert!(
+                on_disk() == written,
+                "opening and reading wrote to the directory"
+            );
+        }
+        let c = open().unwrap();
+        c.create_file(&sample_attr("/a/h"), &[]).unwrap();
+        drop(c);
+        check(&open().unwrap(), &["/a/f", "/a/g", "/a/h"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn composite_keys_do_not_collide_on_separator_bytes() {
         // ("a\u{1}", "b") vs ("a", "\u{1}b") collide under naive joining.
@@ -1642,7 +1930,7 @@ mod tests {
         assert_eq!(d[0].bricklist, vec![1]);
     }
 
-    /// Directory entries are one `\n`-joined TEXT: a newline in a name used
+    /// Directory entries were one `\n`-joined TEXT: a newline in a name used
     /// to split its entry in two, neither of which `unlink` could remove, so
     /// the directory answered "not empty" for good.
     #[test]
@@ -1671,7 +1959,7 @@ mod tests {
             .unwrap();
         c.db()
             .execute_with(
-                "UPDATE dpfs_directory SET files = ? WHERE main_dir = '/d'",
+                "UPDATE dpfs_dirent SET path = ? WHERE path = '/d/keep'",
                 &[old.into()],
             )
             .unwrap();
@@ -1904,8 +2192,9 @@ mod tests {
         c.create_file(&sample_attr("/d/g"), &[]).unwrap();
         for sql in [
             "INSERT INTO dpfs_file_distribution VALUES ('k', 'gone', '/ghost', [0])",
-            "UPDATE dpfs_directory SET files = '/d/f\n/d/phantom' WHERE main_dir = '/d'",
-            "UPDATE dpfs_directory SET sub_dirs = '/a\n/d\n/void' WHERE main_dir = '/'",
+            "DELETE FROM dpfs_dirent WHERE path = '/d/g'",
+            "INSERT INTO dpfs_dirent VALUES ('/d/phantom', '/d', 'file')",
+            "INSERT INTO dpfs_dirent VALUES ('/void', '/', 'dir')",
             "INSERT INTO dpfs_directory VALUES ('/d/lost', '', '')",
         ] {
             c.db().execute(sql).unwrap();

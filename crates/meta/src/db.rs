@@ -114,6 +114,9 @@ pub(crate) struct Inner {
     next_txn: u64,
     txn: Option<TxnState>,
     sync_on_commit: bool,
+    /// Log records of committed [`Database::transaction_deferred`]
+    /// transactions, written ahead of the next transaction that writes.
+    deferred: Vec<WalRecord>,
 }
 
 /// A parsed statement and the number of `?` placeholders it binds.
@@ -170,6 +173,7 @@ impl Database {
             next_txn: 1,
             txn: None,
             sync_on_commit: false,
+            deferred: Vec::new(),
         })
     }
 
@@ -219,6 +223,7 @@ impl Database {
             next_txn,
             txn: None,
             sync_on_commit,
+            deferred: Vec::new(),
         };
         if wal_len > 1 << 20 {
             inner.checkpoint()?;
@@ -336,7 +341,7 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Commit => {
-                inner.commit()?;
+                inner.commit(false)?;
                 Ok(ResultSet::empty())
             }
             Statement::Rollback => {
@@ -351,7 +356,7 @@ impl Database {
                 let result = exec::execute(&mut inner, other, params);
                 if implicit {
                     match &result {
-                        Ok(_) => inner.commit()?,
+                        Ok(_) => inner.commit(false)?,
                         Err(_) => inner.rollback()?,
                     }
                 }
@@ -371,6 +376,24 @@ impl Database {
     /// [`Database::execute`] on the same database from inside the closure
     /// deadlocks by design rather than corrupting the transaction.
     pub fn transaction<T>(&self, f: impl FnOnce(&Txn<'_>) -> Result<T>) -> Result<T> {
+        self.run_transaction(false, f)
+    }
+
+    /// [`Database::transaction`] for a change derived wholly from what the
+    /// directory already holds, such as a format migration: its log records
+    /// are written ahead of the next transaction that writes (or folded into
+    /// the next checkpoint), not at its own commit. Opening and reading a
+    /// directory therefore writes nothing to it; a crash before the next
+    /// write loses only what the next open derives again.
+    pub fn transaction_deferred<T>(&self, f: impl FnOnce(&Txn<'_>) -> Result<T>) -> Result<T> {
+        self.run_transaction(true, f)
+    }
+
+    fn run_transaction<T>(
+        &self,
+        deferred: bool,
+        f: impl FnOnce(&Txn<'_>) -> Result<T>,
+    ) -> Result<T> {
         let _gate = self.txn_gate.lock().unwrap();
         let mut inner = self.inner.lock().unwrap();
         inner.begin()?;
@@ -378,7 +401,7 @@ impl Database {
         let txn = Txn { db: self };
         match f(&txn) {
             Ok(v) => {
-                self.inner.lock().unwrap().commit()?;
+                self.inner.lock().unwrap().commit(deferred)?;
                 Ok(v)
             }
             Err(e) => {
@@ -442,7 +465,9 @@ impl Inner {
         Ok(())
     }
 
-    fn commit(&mut self) -> Result<()> {
+    /// Commit the open transaction; a `deferred` one joins the records
+    /// held for the next write instead of being appended now.
+    fn commit(&mut self, deferred: bool) -> Result<()> {
         let mut txn = self
             .txn
             .take()
@@ -451,7 +476,12 @@ impl Inner {
         if let Some(wal) = &mut self.wal {
             // Skip writing read-only transactions (Begin+Commit only).
             if txn.redo.len() > 2 {
-                wal.append(&txn.redo)?;
+                self.deferred.append(&mut txn.redo);
+                if !deferred {
+                    let written = wal.append(&self.deferred);
+                    self.deferred.clear();
+                    written?;
+                }
             }
         }
         Ok(())
@@ -654,6 +684,7 @@ impl Inner {
         let wal_path = dir.join(WAL_FILE);
         std::fs::write(&wal_path, b"")?;
         self.wal = Some(WalWriter::open(&wal_path, self.sync_on_commit)?);
+        self.deferred.clear();
         Ok(())
     }
 }
@@ -767,6 +798,51 @@ fn load_snapshot(path: &Path) -> Result<(BTreeMap<String, Table>, u64)> {
 mod tests {
     use super::*;
     use crate::codec::crc32_bitwise;
+
+    /// A deferred transaction takes effect at once but reaches the log only
+    /// ahead of the next transaction that writes, or in a checkpoint: a
+    /// reopen before either finds it undone, one after finds it whole.
+    #[test]
+    fn a_deferred_transaction_is_logged_with_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-deferred-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || Database::open_with_sync(&dir, false).unwrap();
+        let wal_len = || std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+        let keys = |db: &Database| -> Vec<Value> {
+            let rs = db.execute("SELECT k FROM t ORDER BY k").unwrap();
+            rs.rows.into_iter().map(|r| r[0].clone()).collect()
+        };
+        let defer = |db: &Database, k: i64| {
+            db.transaction_deferred(|txn| {
+                txn.execute_with("INSERT INTO t VALUES (?)", &[k.into()])
+            })
+            .unwrap();
+        };
+        let db = open();
+        db.execute("CREATE TABLE t (k INT PRIMARY KEY)").unwrap();
+        let created = wal_len();
+        defer(&db, 1);
+        assert_eq!(keys(&db), [Value::Int(1)]);
+        db.execute("SELECT k FROM t").unwrap();
+        assert_eq!(
+            wal_len(),
+            created,
+            "a deferred commit and a read write nothing"
+        );
+        drop(db);
+        let db = open();
+        assert!(keys(&db).is_empty(), "never logged: undone");
+
+        defer(&db, 1);
+        db.execute("INSERT INTO t VALUES (2)").unwrap();
+        defer(&db, 3);
+        db.checkpoint().unwrap();
+        defer(&db, 4);
+        drop(db);
+        let db = open();
+        assert_eq!(keys(&db), [Value::Int(1), Value::Int(2), Value::Int(3)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// The on-disk format is frozen: a WAL and a snapshot whose checksums
     /// were stamped by the bit-at-a-time CRC (the implementation every

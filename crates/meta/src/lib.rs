@@ -21,7 +21,8 @@
 //!
 //! plus [`catalog::Catalog`], the typed facade over the paper's four DPFS
 //! tables (Figure 10): `DPFS-SERVER`, `DPFS-FILE-DISTRIBUTION`,
-//! `DPFS-DIRECTORY` and `DPFS-FILE-ATTR`.
+//! `DPFS-DIRECTORY` and `DPFS-FILE-ATTR`, with a directory's entries kept
+//! as rows of their own (`dpfs_dirent`).
 //!
 //! # Example
 //!

@@ -5,9 +5,10 @@
 //! lives on the shard `fnv1a(d) % shards`, so a `readdir`/`create`/`stat`
 //! storm over one directory talks to exactly one shard while distinct
 //! directories spread across the fleet. Directory *skeleton* rows (the
-//! `dpfs_directory` table) are replicated to every shard by the client so
-//! each shard can enforce "parent must exist" locally; a directory's
-//! authoritative file list lives only on its home shard.
+//! `dpfs_directory` table, and the `dpfs_dirent` rows that list
+//! sub-directories) are replicated to every shard by the client so each
+//! shard can enforce "parent must exist" locally; a directory's
+//! authoritative file entries live only on its home shard.
 //!
 //! The map itself is tiny — the shard count — and travels on the wire
 //! (`MetaOp::GetShardMap` / `MetaResult::ShardMap`) so clients can fetch and

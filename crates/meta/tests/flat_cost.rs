@@ -3,9 +3,9 @@
 //! served by an index, so a catalog of 16 384 files answers within 3× of
 //! one of 512 (the scanning engine this replaces was linear: 32×).
 //!
-//! Files are spread 64 to a directory in both catalogs, because a
-//! directory's entry list is one `\n`-joined TEXT value (the paper's
-//! `dpfs_directory` row) and rewriting it is linear in the *directory*.
+//! Files are spread 64 to a directory in both catalogs, so that only the
+//! catalog grows. What the size of the *directory* costs is counted in
+//! `flat_wal.rs`: each entry is a `dpfs_dirent` row of its own.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

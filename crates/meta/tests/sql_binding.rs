@@ -6,11 +6,9 @@
 //! composite keys or leaking into neighboring rows.
 //!
 //! Control characters are not a binding matter and stay out of *paths*:
-//! `dpfs_directory` keeps its entries as `\n`-joined TEXT (the catalog's
-//! stated deviation from the paper's text-list columns), so a newline
-//! inside a file name would split its directory entry — the catalog refuses
-//! any ASCII control character in a path, and the refusal leaves the
-//! directory as it was. Every other string (owner, server, tag, value) takes
+//! the catalog refuses any ASCII control character in a path (a newline
+//! split a directory entry in two while entries were `\n`-joined TEXT),
+//! and the refusal leaves the directory as it was. Every other string (owner, server, tag, value) takes
 //! them all.
 
 use proptest::prelude::*;

@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {row:?}");
     }
 
-    println!("\n== DPFS-DIRECTORY ==");
-    let rs = db.execute("SELECT main_dir, files FROM dpfs_directory ORDER BY main_dir")?;
+    println!("\n== DPFS-DIRECTORY: one dpfs_dirent row per entry ==");
+    let rs = db.execute("SELECT parent, path, kind FROM dpfs_dirent ORDER BY path")?;
     for row in &rs.rows {
         println!("  {row:?}");
     }

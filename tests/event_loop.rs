@@ -8,7 +8,7 @@
 //!   service, cost no CPU — catches a surviving timer and a level-triggered
 //!   spin alike;
 //! - *no lost wake-ups*: pipelined traffic on one shard and two workers
-//!   all finishes;
+//!   all finishes — every reply arrives, however long the box takes;
 //! - *cold wake latency*: a request after an idle gap is answered at
 //!   context-switch cost, not at a nap's;
 //! - *deferred flush*: a reply the socket would not take whole goes out
@@ -27,6 +27,7 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -63,10 +64,15 @@ fn start_ion(tag: &str, perf: PerfModel, shards: usize, workers: usize) -> IoSer
     IoServer::start(config).unwrap()
 }
 
+/// The hang watchdog: a read that waits this long for a reply fails its
+/// test. No reply here takes a thousandth of it, even on a loaded box;
+/// one that never comes (a lost wake-up) trips it.
+const HANG: Duration = Duration::from_secs(10);
+
 fn connect(addr: SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).unwrap();
     s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_read_timeout(Some(HANG)).unwrap();
     s
 }
 
@@ -170,6 +176,26 @@ fn idle_and_waiting_connections_cost_no_cpu() {
 const PER_CONN: u64 = 10_000;
 const DEPTH: u64 = 16;
 
+/// Fails the whole test binary if `answered` stays put for [`HANG`]
+/// before `stopped` is set: a lost wake-up strands a reply — or a server
+/// thread at `stop` — in `poll` for good, and a read timeout alone cannot
+/// end a wait that is not a read. Its thread returns once `stopped` is set.
+fn watchdog(answered: Arc<AtomicU64>, stopped: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let (mut seen, mut since) = (0, Instant::now());
+        while !stopped.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = answered.load(Ordering::SeqCst);
+            if now != seen {
+                (seen, since) = (now, Instant::now());
+            } else if since.elapsed() > HANG {
+                eprintln!("event_loop: hang: {now} replies, then none for {HANG:?}");
+                std::process::exit(1);
+            }
+        }
+    })
+}
+
 /// Stress connections alternate pings and small reads.
 fn is_ping(n: u64) -> bool {
     n.is_multiple_of(2)
@@ -204,6 +230,11 @@ fn no_wake_up_is_lost_under_contention() {
     let want: Vec<u8> = (0..64u8).collect();
     write_subfile(&mut connect(addr), "/stress.dat", &want);
 
+    let (answered, stopped) = (
+        Arc::new(AtomicU64::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let dog = watchdog(answered.clone(), stopped.clone());
     let started = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..8 {
@@ -222,11 +253,16 @@ fn no_wake_up_is_lost_under_contention() {
                 }
                 for done in 0..PER_CONN {
                     for (k, c) in conns.iter_mut().enumerate() {
-                        let f = frame::read_frame_any(c)
-                            .unwrap_or_else(|e| panic!("conn {k}, reply {done}: {e}"));
+                        let f = frame::read_frame_any(c).unwrap_or_else(|e| {
+                            panic!(
+                                "conn {k}, reply {done}: {e} \
+                                 (no reply within {HANG:?} is a lost wake-up)"
+                            )
+                        });
                         let n = f.corr_id;
                         assert!(outstanding[k].remove(&n), "conn {k}: stray reply {n}");
                         check_stress_reply(n, f.payload, &want);
+                        answered.fetch_add(1, Ordering::SeqCst);
                         let next = done + DEPTH;
                         if next < PER_CONN {
                             send(c, next);
@@ -240,10 +276,12 @@ fn no_wake_up_is_lost_under_contention() {
     });
     let took = started.elapsed();
     eprintln!("event_loop: 320 000 requests in {took:?}");
-    assert!(
-        took < Duration::from_secs(10),
-        "320 000 requests took {took:?}"
-    );
+    let answered = answered.load(Ordering::SeqCst);
+    assert_eq!(answered, 8 * 4 * PER_CONN, "every reply arrives");
+    // Stopping wakes every server thread; the watchdog covers that too.
+    drop(server);
+    stopped.store(true, Ordering::SeqCst);
+    dog.join().unwrap();
 }
 
 /// Median latency of 50 round trips of `req`, each after 5 ms of silence.
