@@ -592,14 +592,15 @@ impl MetaClient {
     }
 
     /// Create a directory (parent must exist). Directory skeletons are
-    /// replicated so every shard can check "parent exists" locally. Home
-    /// shard goes first — it owns the directory's file list and serializes
-    /// racing mkdirs of the same path; a replica that already has the
-    /// directory (an interrupted earlier broadcast, or a racing client that
-    /// won) is fine.
+    /// replicated so every shard can check "parent exists" locally. The
+    /// shard that lists the parent's files goes first: it alone can see a
+    /// file already holding the name, and refuses before any replica
+    /// changes; it also serializes racing mkdirs (and creates) of the same
+    /// path. A replica that already has the directory (an interrupted
+    /// earlier broadcast, or a racing client that won) is fine.
     pub fn mkdir(&self, path: &str) -> MetaResultT<()> {
         self.broadcast(
-            self.route_dir(path),
+            self.route_file(path),
             || MetaOp::Mkdir { path: path.into() },
             |e| matches!(e, MetaError::DuplicateKey(_)),
         )

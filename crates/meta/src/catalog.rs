@@ -552,7 +552,14 @@ impl Catalog {
             if dir_exists(txn, &path)? {
                 return Err(MetaError::DuplicateKey(format!("directory {path} exists")));
             }
-            link(txn, &path, &parent, DIR)?;
+            match link(txn, &path, &parent, DIR) {
+                // Not `DuplicateKey`: a sharded mkdir counts that from a
+                // replica as "has the directory already" and goes on.
+                Err(MetaError::DuplicateKey(_)) if listed_as_file(txn, &path)? => {
+                    return Err(MetaError::Txn(format!("path {path} is a file")));
+                }
+                linked => linked?,
+            }
             insert_dir(txn, &path)
         })
     }
@@ -884,8 +891,10 @@ pub fn normalize_path(p: &str) -> Result<String> {
 }
 
 /// Refuse a name no new entry may take: one holding an ASCII control
-/// character. Directory entries are one `\n`-joined TEXT, so a newline in a
-/// name would split its entry in two that no `unlink` could remove. Checked
+/// character. Directory entries were once one `\n`-joined TEXT, where a
+/// newline in a name split its entry in two that no `unlink` could remove;
+/// they are rows now, and the refusal stays as the contract the tests pin.
+/// Checked
 /// where an entry is made (`mkdir`, `create_entry`), not where one is
 /// looked up: a name an older catalog already holds can still be opened,
 /// renamed away and unlinked.
@@ -1129,6 +1138,18 @@ fn link(txn: &Txn<'_>, path: &str, parent: &str, kind: &str) -> Result<()> {
     Ok(())
 }
 
+/// Whether `path` is listed as a file.
+fn listed_as_file(txn: &Txn<'_>, path: &str) -> Result<bool> {
+    let rs = txn.execute_with(
+        "SELECT kind FROM dpfs_dirent WHERE path = ?",
+        &[path.into()],
+    )?;
+    match rs.rows.first() {
+        Some(r) => Ok(r[0].as_text()? == FILE),
+        None => Ok(false),
+    }
+}
+
 /// Drop the `kind` entry `path` from its directory, if listed.
 fn unlink(txn: &Txn<'_>, path: &str, kind: &str) -> Result<()> {
     txn.execute_with(
@@ -1188,11 +1209,13 @@ fn parent_row(txn: &Txn<'_>, path: &str) -> Result<Option<String>> {
     }
 }
 
-/// [`link`], unless `path` is listed already.
-fn relink(txn: &Txn<'_>, path: &str, parent: &str, kind: &str) -> Result<()> {
+/// [`link`], unless `path` is listed already (as either kind); whether it
+/// was linked.
+fn relink(txn: &Txn<'_>, path: &str, parent: &str, kind: &str) -> Result<bool> {
     match link(txn, path, parent, kind) {
-        Err(MetaError::DuplicateKey(_)) => Ok(()),
-        other => other,
+        Ok(()) => Ok(true),
+        Err(MetaError::DuplicateKey(_)) => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
@@ -1211,18 +1234,23 @@ fn fix(txn: &Txn<'_>, issue: &Issue) -> Result<Option<String>> {
             unlink(txn, name, FILE)?;
             format!("removed dangling entry {name} from {dir}")
         }
+        // A name an entry of the other kind holds cannot be re-linked.
         Issue::UnlistedFile { filename } => {
             let Some(parent) = parent_row(txn, filename)? else {
                 return Ok(None);
             };
-            relink(txn, filename, &parent, FILE)?;
+            if !relink(txn, filename, &parent, FILE)? {
+                return Ok(None);
+            }
             format!("re-linked {filename} into {parent}")
         }
         Issue::OrphanDirectory { dir } => {
             let Some(parent) = parent_row(txn, dir)? else {
                 return Ok(None);
             };
-            relink(txn, dir, &parent, DIR)?;
+            if !relink(txn, dir, &parent, DIR)? {
+                return Ok(None);
+            }
             format!("re-linked directory {dir} into {parent}")
         }
         // Two parents may list one missing child: create its row once.
@@ -1601,6 +1629,20 @@ mod tests {
         assert!(c.mkdir("/home").is_err());
         // missing parent rejected
         assert!(c.mkdir("/no/such/parent").is_err());
+        // a file's name refused, not as a duplicate directory
+        c.create_file(&sample_attr("/home/f"), &[]).unwrap();
+        let err = c.mkdir("/home/f").unwrap_err();
+        assert!(matches!(err, MetaError::Txn(_)), "{err:?}");
+        assert!(c.get_dir("/home/f").unwrap().is_none());
+        let home = c.get_dir("/home").unwrap().unwrap();
+        assert_eq!(
+            (home.sub_dirs, home.files),
+            (
+                vec!["/home/xhshen".to_string()],
+                vec!["/home/f".to_string()]
+            )
+        );
+        c.delete_file("/home/f").unwrap();
         // rmdir requires empty
         assert!(c.rmdir("/home").is_err());
         c.rmdir("/home/xhshen").unwrap();
@@ -2190,15 +2232,19 @@ mod tests {
         c.mkdir("/d").unwrap();
         c.create_file(&sample_attr("/d/f"), &[]).unwrap();
         c.create_file(&sample_attr("/d/g"), &[]).unwrap();
+        c.create_file(&sample_attr("/d/h"), &[]).unwrap();
         for sql in [
             "INSERT INTO dpfs_file_distribution VALUES ('k', 'gone', '/ghost', [0])",
             "DELETE FROM dpfs_dirent WHERE path = '/d/g'",
+            "DELETE FROM dpfs_dirent WHERE path = '/d/h'",
             "INSERT INTO dpfs_dirent VALUES ('/d/phantom', '/d', 'file')",
             "INSERT INTO dpfs_dirent VALUES ('/void', '/', 'dir')",
             "INSERT INTO dpfs_directory VALUES ('/d/lost', '', '')",
         ] {
             c.db().execute(sql).unwrap();
         }
+        // An unlisted file's name is free to a directory, and then taken.
+        c.mkdir("/d/h").unwrap();
         let s = |x: &str| x.to_string();
         let found = vec![
             Issue::OrphanDistribution {
@@ -2215,6 +2261,9 @@ mod tests {
             Issue::MissingDistribution {
                 filename: s("/d/g"),
             },
+            Issue::MissingDistribution {
+                filename: s("/d/h"),
+            },
             Issue::MissingDirectory {
                 dir: s("/void"),
                 parent: s("/"),
@@ -2227,18 +2276,27 @@ mod tests {
             Issue::UnlistedFile {
                 filename: s("/d/g"),
             },
+            Issue::UnlistedFile {
+                filename: s("/d/h"),
+            },
         ];
         let audit = c.audit(true).unwrap();
         assert_eq!(audit.issues, found);
-        assert_eq!(audit.files, vec![s("/d/f"), s("/d/g")]);
+        assert_eq!(audit.files, vec![s("/d/f"), s("/d/g"), s("/d/h")]);
         assert_eq!(audit.fixed.len(), 5, "{:?}", audit.fixed);
+        assert!(
+            !audit.fixed.iter().any(|f| f.contains("/d/h")),
+            "{:?}",
+            audit.fixed
+        );
         let after = c.audit(false).unwrap();
-        assert_eq!(after.issues, found[2..4].to_vec());
-        assert_eq!(after.dirs, 5, "/, /a, /d, /d/lost, /void");
+        let unfixable = [&found[2..5], &found[9..]].concat();
+        assert_eq!(after.issues, unfixable);
+        assert_eq!(after.dirs, 6, "/, /a, /d, /d/h, /d/lost, /void");
         let d = c.get_dir("/d").unwrap().unwrap();
         assert_eq!(
             (d.files, d.sub_dirs),
-            (vec![s("/d/f"), s("/d/g")], vec![s("/d/lost")])
+            (vec![s("/d/f"), s("/d/g")], vec![s("/d/h"), s("/d/lost")])
         );
     }
 

@@ -385,7 +385,10 @@ impl Database {
     /// the next checkpoint), not at its own commit. Opening and reading a
     /// directory therefore writes nothing to it; a crash before the next
     /// write loses only what the next open derives again.
-    pub fn transaction_deferred<T>(&self, f: impl FnOnce(&Txn<'_>) -> Result<T>) -> Result<T> {
+    pub(crate) fn transaction_deferred<T>(
+        &self,
+        f: impl FnOnce(&Txn<'_>) -> Result<T>,
+    ) -> Result<T> {
         self.run_transaction(true, f)
     }
 

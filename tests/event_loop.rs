@@ -177,23 +177,46 @@ const PER_CONN: u64 = 10_000;
 const DEPTH: u64 = 16;
 
 /// Fails the whole test binary if `answered` stays put for [`HANG`]
-/// before `stopped` is set: a lost wake-up strands a reply — or a server
-/// thread at `stop` — in `poll` for good, and a read timeout alone cannot
-/// end a wait that is not a read. Its thread returns once `stopped` is set.
-fn watchdog(answered: Arc<AtomicU64>, stopped: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let (mut seen, mut since) = (0, Instant::now());
-        while !stopped.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(100));
-            let now = answered.load(Ordering::SeqCst);
-            if now != seen {
-                (seen, since) = (now, Instant::now());
-            } else if since.elapsed() > HANG {
-                eprintln!("event_loop: hang: {now} replies, then none for {HANG:?}");
-                std::process::exit(1);
+/// while it lives: a lost wake-up strands a reply — or a server thread at
+/// `stop` — in `poll` for good, and a read timeout alone cannot end a wait
+/// that is not a read. Dropping it stops its thread, so a test that
+/// unwinds on a failed assertion reports that failure and not a hang.
+struct Watchdog {
+    stopped: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Watchdog {
+    fn start(answered: Arc<AtomicU64>) -> Watchdog {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let stop = stopped.clone();
+        let thread = std::thread::spawn(move || {
+            let (mut seen, mut since) = (0, Instant::now());
+            while !stop.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(100));
+                let now = answered.load(Ordering::SeqCst);
+                if now != seen {
+                    (seen, since) = (now, Instant::now());
+                } else if since.elapsed() > HANG {
+                    eprintln!("event_loop: hang: {now} replies, then none for {HANG:?}");
+                    std::process::exit(1);
+                }
             }
+        });
+        Watchdog {
+            stopped,
+            thread: Some(thread),
         }
-    })
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Stress connections alternate pings and small reads.
@@ -230,11 +253,8 @@ fn no_wake_up_is_lost_under_contention() {
     let want: Vec<u8> = (0..64u8).collect();
     write_subfile(&mut connect(addr), "/stress.dat", &want);
 
-    let (answered, stopped) = (
-        Arc::new(AtomicU64::new(0)),
-        Arc::new(AtomicBool::new(false)),
-    );
-    let dog = watchdog(answered.clone(), stopped.clone());
+    let answered = Arc::new(AtomicU64::new(0));
+    let dog = Watchdog::start(answered.clone());
     let started = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..8 {
@@ -280,8 +300,7 @@ fn no_wake_up_is_lost_under_contention() {
     assert_eq!(answered, 8 * 4 * PER_CONN, "every reply arrives");
     // Stopping wakes every server thread; the watchdog covers that too.
     drop(server);
-    stopped.store(true, Ordering::SeqCst);
-    dog.join().unwrap();
+    drop(dog);
 }
 
 /// Median latency of 50 round trips of `req`, each after 5 ms of silence.

@@ -462,6 +462,48 @@ fn dead_destination_shard_leaves_a_recoverable_intent() {
     );
 }
 
+/// `mkdir` over a file's name fails on a 2-shard plane and changes no
+/// shard, also where the name's directory home is not the shard that lists
+/// the file: were that home asked first, it would take the directory, and
+/// the listing shard's refusal would pass for a replica that has it.
+#[test]
+fn mkdir_over_a_file_fails_and_leaves_no_directory_on_any_shard() {
+    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let fs = tb.remote_client(0, true);
+    let (_, d1) = dirs_on_distinct_shards();
+    fs.mkdir(&d1).unwrap();
+    // Listed on shard 1, homed as a directory on shard 0 (`tb.db()`).
+    let x = (0..64)
+        .map(|i| format!("{d1}/x{i}"))
+        .find(|p| fs.meta().route_dir(p) == 0)
+        .expect("64 names cover both shards");
+    assert_eq!(fs.meta().route_file(&x), 1);
+    mk_file(&fs, &x);
+
+    let got = fs.mkdir(&x);
+    assert!(
+        matches!(got, Err(DpfsError::Meta(MetaError::Txn(_)))),
+        "{got:?}"
+    );
+    let rows = tb
+        .db()
+        .execute(&format!(
+            "SELECT main_dir FROM dpfs_directory WHERE main_dir = '{x}'"
+        ))
+        .unwrap();
+    assert!(rows.rows.is_empty(), "shard 0 took the directory");
+    let name = x.rsplit('/').next().unwrap().to_string();
+    assert_eq!(fs.readdir(&d1).unwrap(), (vec![], vec![name]));
+    let below = fs.mkdir(&format!("{x}/y"));
+    assert!(
+        matches!(below, Err(DpfsError::NoSuchDirectory(_))),
+        "{below:?}"
+    );
+    assert!(fs.exists(&x).unwrap());
+    let report = dpfs::core::fsck::fsck(&fs, false).unwrap();
+    assert!(report.clean(), "{:?}", report.issues);
+}
+
 #[test]
 fn concurrent_cross_client_mutations_serialize() {
     // Two remote clients race create/rename/delete on disjoint and shared
