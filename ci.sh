@@ -114,12 +114,22 @@ if git grep -nE 'MetaOp::Generation|last_gen_of|last_gens|fn generation\(|GEN_TA
     echo "FAIL: the metadata generation, EmbeddedMetaStore or the shard-map version is back"
     exit 1
 fi
-# `dpfs_meta_gen` is the rename-intent id sequence and nothing else: only
-# the schema, the seeding in `Catalog::new` and `next_intent_id` name it.
+# `dpfs_meta_gen` is the one sequence file ids and rename-intent ids are
+# drawn from, and nothing else: only the schema, the seeding in
+# `Catalog::for_shard` and `next_gen` name it.
 if sed -e '/^#\[cfg(test)\]/,$d' -e '/^const SCHEMA/,/^\];/d' \
-    -e '/^    pub fn new(db/,/^    }/d' -e '/^fn next_intent_id/,/^}/d' \
+    -e '/^    pub fn for_shard(db/,/^    }/d' -e '/^fn next_gen/,/^}/d' \
     crates/meta/src/catalog.rs | grep -v '^ *//' | grep -n 'dpfs_meta_gen'; then
-    echo "FAIL: catalog.rs touches dpfs_meta_gen outside the DDL, the seed row and next_intent_id"
+    echo "FAIL: catalog.rs touches dpfs_meta_gen outside the DDL, the seed row and next_gen"
+    exit 1
+fi
+# Subfiles are named by file id, so a rename never reaches an I/O server:
+# the subfile rename request and reply, the store's rename and the
+# cross-shard rename's marker tag stay gone.
+if git grep -nE 'Request::Rename\b|Response::Renamed|RENAME_INTENT_TAG' \
+    -- crates/ src/ tests/ 'examples/*.rs' ||
+    git grep -nF 'fn rename(' -- crates/server/src/subfile.rs; then
+    echo "FAIL: the subfile rename (Request::Rename, Response::Renamed, SubfileStore::rename) or the rename marker tag is back"
     exit 1
 fi
 # One failure path: a read returns the file's bytes (direct or rebuilt) or the
@@ -411,8 +421,8 @@ kill "$METAD0_PID" "$METAD1_PID" "$IOND_PID" 2>/dev/null || :
 trap - EXIT
 # The stats sections prove metadata went over TCP to *both* shards; the
 # broadcast mkdir row proves each daemon executed ops; cmp proves data
-# round-tripped through the real I/O daemon byte-for-byte — under the name
-# a server-side Rename gave its subfile.
+# round-tripped through the real I/O daemon byte-for-byte — after the `mv`,
+# which reached no I/O daemon: the subfile is named by the file's id.
 grep -q 'metadata: remote via metad0' target/metad-smoke/shell.out
 grep -q 'metadata: remote via metad1' target/metad-smoke/shell.out
 test "$(grep -c 'meta ops,' target/metad-smoke/shell.out)" -eq 2
@@ -449,9 +459,15 @@ red_sh() {
         --server ion1=127.0.0.1:17453 \
         --server ion2=127.0.0.1:17454
 }
-# Files under the three iond roots whose name contains $1.
+# Files under the three iond roots whose name contains $1 (all of them
+# without one).
 red_held() {
-    ls target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 | grep -c "$1" || :
+    find target/red-smoke/ion0 target/red-smoke/ion1 target/red-smoke/ion2 -type f -printf '%f\n' |
+        grep -c "$1" || :
+}
+# The id file $1's subfiles are named by, as `stat` prints it.
+red_id() {
+    echo "stat $1" | red_sh 2>&1 | grep -o 'id: *[0-9a-f]\{16\}' | grep -o '[0-9a-f]\{16\}'
 }
 # (`/sd1` is homed on metad shard 0 and `/sd0` on shard 1.)
 printf '%s\n' \
@@ -466,25 +482,30 @@ printf '%s\n' \
     'import README.md /sd1/one.md 1048576 replica:2' \
     | red_sh >target/red-smoke/shell1.out 2>&1
 grep -q 'redundancy: replica:2' target/red-smoke/shell1.out
-# `mv` and `rm` take the redundancy policy from the row their one metadata
-# call moved or removed: the mirrors follow the primaries, and a file that
-# was created, moved and removed leaves nothing on any iond root.
-test "$(red_held 'moved\.md')" -eq 6
-if [ "$(red_held 'short-lived')" -ne 0 ]; then
+# Subfiles are named by the file's id, which `mv` keeps; `rm` takes the id
+# and the redundancy policy from the row its one metadata call removed: the
+# mirrors sit beside the primaries, and a file that was created, moved and
+# removed leaves nothing on any iond root — the six subfiles of /moved.md
+# and the two of /sd1/one.md are all there is.
+MOVED_ID=$(red_id /moved.md)
+ONE_ID=$(red_id /sd1/one.md)
+test "$(red_held "$MOVED_ID")" -eq 6
+if [ "$(red_held '')" -ne 8 ]; then
     echo "FAIL: create / mv / rm of a replica:2 file left a subfile behind"
     exit 1
 fi
 # A file's subfiles are the servers its brick lists name: one brick is one
-# primary and one mirror on three ionds, under whichever name the catalog
-# holds — moved across metadata shards (the two-phase rename), then removed.
-test "$(red_held 'one\.md')" -eq 2
+# primary and one mirror on three ionds, under the file's id whichever name
+# the catalog holds — moved across metadata shards (the two-phase rename,
+# which keeps the id), then removed.
+test "$(red_held "$ONE_ID")" -eq 2
 echo 'mv /sd1/one.md /sd0/uno.md' | red_sh >target/red-smoke/shell-mv.out 2>&1
-test "$(red_held 'uno\.md')" -eq 2
-test "$(red_held 'one\.md')" -eq 0
+test "$(red_id /sd0/uno.md)" = "$ONE_ID"
+test "$(red_held "$ONE_ID")" -eq 2
 echo 'rm /sd0/uno.md' | red_sh >target/red-smoke/shell-rm.out 2>&1
-test "$(red_held 'uno\.md')" -eq 0
+test "$(red_held "$ONE_ID")" -eq 0
 # One I/O server goes dark; the export below must reconstruct its bricks
-# from the mirrors — renamed along with the primaries — and still
+# from the mirrors — which the rename never touched — and still
 # round-trip byte-for-byte.
 kill "$RION1_PID" 2>/dev/null || :
 echo 'export /moved.md target/red-smoke/readme.roundtrip' |
@@ -500,8 +521,8 @@ mkdir -p target/red-smoke/ion1
 RION1_PID=$!
 sleep 1
 echo 'fsck --repair' | red_sh >target/red-smoke/fsck-repair.out 2>&1
-grep -q 'fixed: rebuilt /moved.md on ion1' target/red-smoke/fsck-repair.out
-grep -q 'fixed: rebuilt /moved.md#r1 on ion1' target/red-smoke/fsck-repair.out
+grep -q "fixed: rebuilt $MOVED_ID of /moved.md on ion1" target/red-smoke/fsck-repair.out
+grep -q "fixed: rebuilt $MOVED_ID#r1 of /moved.md on ion1" target/red-smoke/fsck-repair.out
 grep -q ' 0 unfixable, 0 remaining issue(s)' target/red-smoke/fsck-repair.out
 echo 'fsck --online' | red_sh >target/red-smoke/fsck-online.out 2>&1
 grep -q '^clean' target/red-smoke/fsck-online.out

@@ -61,7 +61,7 @@ fn bench_catalog(c: &mut Criterion) {
         let (attr, dist) = (attr("/d1/probe"), dist("/d1/probe"));
         b.iter(|| {
             catalog.create_file(&attr, &dist).unwrap();
-            catalog.delete_file("/d1/probe").unwrap().1.len()
+            catalog.delete_file("/d1/probe").unwrap().dist.len()
         })
     });
     c.bench_function("rename_512", |b| {

@@ -25,7 +25,7 @@ use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result};
 use crate::geometry::Region;
 use crate::hints::{copy_home, holders, FileLevel, Placement, RedundancyPolicy, Subfile};
-pub use crate::hints::{mirror_subfile, parity_subfile};
+pub use crate::hints::{mirror_subfile, parity_subfile, primary_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::meta_client::MetaClient;
 use crate::placement::BrickMap;
@@ -86,6 +86,8 @@ pub struct ClientStats {
 /// An open DPFS file.
 pub struct FileHandle {
     path: String,
+    /// The file's catalog id, which names its subfiles on the I/O servers.
+    id: u64,
     meta: Arc<MetaClient>,
     pool: Arc<ConnPool>,
     /// Server names in catalog order; request `server` indices point here.
@@ -108,6 +110,7 @@ impl FileHandle {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         path: String,
+        id: u64,
         meta: Arc<MetaClient>,
         pool: Arc<ConnPool>,
         servers: Vec<String>,
@@ -120,6 +123,7 @@ impl FileHandle {
     ) -> FileHandle {
         FileHandle {
             path,
+            id,
             meta,
             pool,
             servers,
@@ -144,6 +148,12 @@ impl FileHandle {
     /// The file's DPFS path.
     pub fn path(&self) -> &str {
         &self.path
+    }
+
+    /// The file's catalog id: its subfiles on the I/O servers are named by
+    /// it ([`RedundancyPolicy::subfiles`]), not by its path.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The file's layout.
@@ -476,7 +486,7 @@ impl FileHandle {
         let mut expect: Vec<(usize, u64)> = Vec::with_capacity(reqs.len() * copies);
         for copy in 0..copies {
             for ((req, shape), payload) in reqs.iter().zip(&shaped).zip(&payloads) {
-                let (server, subfile) = copy_home(&self.path, req.server, copy, n);
+                let (server, subfile) = copy_home(self.id, req.server, copy, n);
                 work.push((
                     self.servers[server].as_str(),
                     shape.write(req, payload, subfile),
@@ -521,7 +531,7 @@ impl FileHandle {
     /// brick map says. The map is a snapshot another handle may have
     /// outgrown, an XOR group couples all data servers, and a member the
     /// catalog never gave a brick reads back as zeros; only the existence
-    /// enumerations (`sync` here, `unlink`/`rename`, fsck) go by brick lists.
+    /// enumerations (`sync` here, `unlink`, fsck) go by brick lists.
     fn every_server(&self) -> Vec<bool> {
         vec![true; self.servers.len()]
     }
@@ -558,7 +568,7 @@ impl FileHandle {
         if union.is_empty() {
             return Ok(());
         }
-        let mut data = self.redundancy.subfiles(&self.path, &self.every_server());
+        let mut data = self.redundancy.subfiles(self.id, &self.every_server());
         let parity = data.pop().expect("xor parity enumerates parity");
         self.restore(&parity, &data, &union, trace_id)
     }
@@ -693,12 +703,14 @@ impl FileHandle {
         let op_start = trace::now_ns();
         let op_bytes = buf.len() as u64;
         let reqs = self.plan(runs, self.opts.granularity);
+        let n = self.servers.len();
         let work: Vec<(&str, Request)> = reqs
             .iter()
             .map(|req| {
+                let (server, subfile) = copy_home(self.id, req.server, 0, n);
                 (
-                    self.servers[req.server].as_str(),
-                    list_shape(req).read(req, self.path.clone()),
+                    self.servers[server].as_str(),
+                    list_shape(req).read(req, subfile),
                 )
             })
             .collect();
@@ -738,10 +750,8 @@ impl FileHandle {
         // server down) the read fails with the error that lost the bytes.
         for (req, err) in lost {
             let t0 = trace::now_ns();
-            let gone = (req.server, self.path.clone());
-            let sources = self
-                .redundancy
-                .peers(&self.path, &self.every_server(), &gone);
+            let gone = copy_home(self.id, req.server, 0, self.servers.len());
+            let sources = self.redundancy.peers(self.id, &self.every_server(), &gone);
             let Ok(payload) = self.rebuild(&sources, &req.ranges, trace_id) else {
                 return Err(err);
             };
@@ -819,21 +829,21 @@ impl FileHandle {
                     (server.clone(), bricks)
                 })
                 .collect();
-            let (attr, dist) = self
+            let entry = self
                 .meta
                 .extend_distribution(&self.path, have as i64, &added)
                 .map_err(|e| match e {
                     MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(self.path.clone()),
                     other => other.into(),
                 })?;
-            if !dist.iter().map(|d| &d.server).eq(&self.servers) {
+            if entry.id != self.id {
                 return Err(DpfsError::InvalidArgument(format!(
                     "{} was replaced by another file while open",
                     self.path
                 )));
             }
-            self.map = brick_map(self.redundancy, &dist)?;
-            self.size = self.size.max(attr.size as u64);
+            self.map = brick_map(self.redundancy, &entry.dist)?;
+            self.size = self.size.max(entry.attr.size as u64);
         }
         if let Layout::Linear(lin) = &mut self.layout {
             lin.file_bytes = lin.file_bytes.max(self.map.num_bricks() * lin.brick_bytes);
@@ -850,10 +860,7 @@ impl FileHandle {
         self.last_trace_id = trace::sampled_trace_id();
         let work = self
             .redundancy
-            .subfiles(
-                &self.path,
-                &holders(self.servers.len(), self.map.bricklists()),
-            )
+            .subfiles(self.id, &holders(self.servers.len(), self.map.bricklists()))
             .into_iter()
             .map(|(s, subfile)| (self.servers[s].as_str(), Request::Sync { subfile }))
             .collect();
@@ -1028,7 +1035,7 @@ impl Drop for Replies<'_> {
     }
 }
 
-/// One whole-file operation `op` (`sync`, `unlink`, `rename`): `work` holds
+/// One whole-file operation `op` (`sync`, `unlink`): `work` holds
 /// one request per subfile. They go through [`issue`] like a read's — all
 /// on the wire before the first is awaited — and every one is attempted
 /// even when some fail: one dead server must not leave the others'

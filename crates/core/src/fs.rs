@@ -210,13 +210,14 @@ impl Dpfs {
                 bricklist: Vec::new(),
             });
         }
-        self.meta.create_file(&attr, &dist).map_err(|e| match e {
+        let id = self.meta.create_file(&attr, &dist).map_err(|e| match e {
             MetaError::DuplicateKey(_) => DpfsError::FileExists(path.clone()),
             other => other.into(),
         })?;
 
         Ok(FileHandle::new(
             path,
+            id,
             self.meta.clone(),
             self.pool.clone(),
             names,
@@ -254,7 +255,7 @@ impl Dpfs {
     pub(crate) fn open_entry(
         &self,
         path: String,
-        (attr, dist): &FileEntry,
+        FileEntry { id, attr, dist }: &FileEntry,
         opts: ClientOptions,
     ) -> std::result::Result<FileHandle, Issue> {
         let bad = |e: DpfsError| Issue::BadAttributes {
@@ -291,6 +292,7 @@ impl Dpfs {
         }
         Ok(FileHandle::new(
             path,
+            *id,
             self.meta.clone(),
             self.pool.clone(),
             dist.iter().map(|d| d.server.clone()).collect(),
@@ -309,16 +311,19 @@ impl Dpfs {
     /// per subfile, all servers at once. The entry the transaction removed
     /// says which subfiles there can be: its brick lists name the servers
     /// that were ever sent a byte, its policy the derived subfiles beside
-    /// them.
+    /// them, its id their names. A server that cannot be reached keeps its
+    /// subfiles, which no later file reads: a new file gets a new id.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = normalize_path(path)?;
-        let entry = self.meta.delete_file(&path).map_err(|e| match e {
+        let FileEntry { id, attr, dist } = self.meta.delete_file(&path).map_err(|e| match e {
             MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(path.clone()),
             other => other.into(),
         })?;
-        let work = subfiles_of(&entry, &path)?
+        let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
+        let work = RedundancyPolicy::parse(&attr.redundancy)?
+            .subfiles(id, &holds)
             .into_iter()
-            .map(|(server, subfile)| (server, Request::Delete { subfile }))
+            .map(|(s, subfile)| (dist[s].server.as_str(), Request::Delete { subfile }))
             .collect();
         let trace_id = trace::sampled_trace_id();
         // best effort: a dead server must not strand the namespace
@@ -379,17 +384,15 @@ impl Dpfs {
         Ok(self.meta.get_dir(path)?.is_some())
     }
 
-    /// Rename a file: metadata first (atomic in the catalog), then — since
-    /// subfiles are keyed by DPFS path — one server-side `Rename` per
-    /// subfile the moved entry's brick lists name, all servers at once.
-    /// Names move; no byte does. A server that cannot be reached keeps its
-    /// subfiles under the old name and is named in the returned
-    /// [`DpfsError::Aggregate`].
+    /// Rename a file: metadata only (atomic in the catalog, or the
+    /// two-phase protocol across shards). The file keeps its id, and the
+    /// I/O servers name its subfiles by the id, so no server is sent
+    /// anything and none needs to be up.
     pub fn rename(&self, from: &str, to: &str) -> Result<()> {
         let from_n = normalize_path(from)?;
         let to_n = normalize_path(to)?;
         let moved = self.meta.rename_file(&from_n, &to_n);
-        let entry = moved.map_err(|e| match e {
+        moved.map(drop).map_err(|e| match e {
             MetaError::DuplicateKey(_) => DpfsError::FileExists(to_n.clone()),
             // The catalog misses the source or the destination's directory;
             // a second look tells which.
@@ -398,32 +401,13 @@ impl Dpfs {
                 _ => DpfsError::NoSuchFile(from_n.clone()),
             },
             other => other.into(),
-        })?;
-        let work = subfiles_of(&entry, &from_n)?
-            .into_iter()
-            .zip(subfiles_of(&entry, &to_n)?)
-            .map(|((server, from), (_, to))| (server, Request::Rename { from, to }))
-            .collect();
-        let trace_id = trace::sampled_trace_id();
-        issue_all(&self.pool, &self.opts, "rename", work, trace_id)
+        })
     }
 
     /// Connection pool (the shell and tests reach through for pings).
     pub fn pool(&self) -> &Arc<ConnPool> {
         &self.pool
     }
-}
-
-/// The subfiles a catalog entry says its file can have, were it named
-/// `path`, as `(server name, subfile name)`: [`RedundancyPolicy::subfiles`]
-/// over the entry's brick lists.
-fn subfiles_of<'a>((attr, dist): &'a FileEntry, path: &str) -> Result<Vec<(&'a str, String)>> {
-    let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
-    let subfiles = RedundancyPolicy::parse(&attr.redundancy)?.subfiles(path, &holds);
-    Ok(subfiles
-        .into_iter()
-        .map(|(s, subfile)| (dist[s].server.as_str(), subfile))
-        .collect())
 }
 
 /// Build the catalog attribute row for a new file.

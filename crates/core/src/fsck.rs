@@ -20,7 +20,7 @@ pub use dpfs_meta::Issue;
 use crate::error::Result;
 use crate::file::{issue, FileHandle};
 use crate::fs::Dpfs;
-use crate::hints::{holders, RedundancyPolicy, Subfile};
+use crate::hints::{holders, primary_subfile, RedundancyPolicy, Subfile};
 use crate::layout::Layout;
 
 /// Result of a check run.
@@ -145,7 +145,8 @@ fn check(fs: &Dpfs, pass: Pass) -> Result<(FsckReport, RepairSummary)> {
         // reached — has no primary to stat.
         let policy = file.redundancy();
         let holds = holders(file.servers().len(), file.brick_map().bricklists());
-        let subfiles = policy.subfiles(filename, &holds);
+        let subfiles = policy.subfiles(file.id(), &holds);
+        let primary = primary_subfile(file.id());
         let stats = stat_all(fs, file.servers(), &subfiles);
         report.subfiles_checked += subfiles.len();
         // Missing-subfile inference is only sound when the admin asserts
@@ -153,7 +154,7 @@ fn check(fs: &Dpfs, pass: Pass) -> Result<(FsckReport, RepairSummary)> {
         // whose size attribute tracks the written extent.
         let fully_written = strict && matches!(file.layout(), Layout::Linear(_)) && file.size() > 0;
         for ((host, sub), stat) in subfiles.iter().zip(&stats) {
-            if sub != filename {
+            if *sub != primary {
                 continue;
             }
             let server = file.servers()[*host].clone();
@@ -181,7 +182,7 @@ fn check(fs: &Dpfs, pass: Pass) -> Result<(FsckReport, RepairSummary)> {
         // Every protection group (primary + mirrors under `Replica(k)`,
         // data + parity under `XorParity`) must be mutually consistent in
         // size.
-        for (group, sizes) in sized_groups(policy, filename, &holds, &stats) {
+        for (group, sizes) in sized_groups(policy, file.id(), &holds, &stats) {
             if pass == Pass::Reprotect {
                 reprotect_group(&mut file, &group, &sizes, &mut summary)?;
                 continue;
@@ -241,7 +242,7 @@ fn stat_all(fs: &Dpfs, servers: &[String], subfiles: &[Subfile]) -> Vec<Option<(
 /// groups are cut from, in order.
 fn sized_groups(
     policy: RedundancyPolicy,
-    filename: &str,
+    id: u64,
     holds: &[bool],
     stats: &[Option<(bool, u64)>],
 ) -> Vec<(Vec<Subfile>, Vec<Option<u64>>)> {
@@ -249,7 +250,7 @@ fn sized_groups(
         .iter()
         .map(|st| st.map(|(exists, size)| if exists { size } else { 0 }));
     policy
-        .groups(filename, holds)
+        .groups(id, holds)
         .into_iter()
         .map(|group| {
             let group_sizes = sizes.by_ref().take(group.len()).collect();
@@ -337,7 +338,10 @@ fn reprotect_group(
         }
         file.reprotect(&group[i], &sources, want)?;
         bad[i] = false;
-        summary.fixed.push(format!("rebuilt {subfile} on {server}"));
+        let path = file.path();
+        summary
+            .fixed
+            .push(format!("rebuilt {subfile} of {path} on {server}"));
     }
     Ok(())
 }

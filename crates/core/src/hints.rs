@@ -256,9 +256,9 @@ impl RedundancyPolicy {
         }
     }
 
-    /// Every subfile a file can have on its servers, as `(server index,
+    /// Every subfile file `id` can have on its servers, as `(server index,
     /// subfile name)` — *the* definition of "the subfiles of a file" that
-    /// sync, unlink, rename, parity, reconstruction and fsck all enumerate.
+    /// sync, unlink, parity, reconstruction and fsck all enumerate.
     /// `holds[s]` ([`holders`] of the catalog's brick lists) says whether
     /// the file's `s`-th server was ever assigned a brick: one that was not
     /// was never sent a byte, so it has no primary, its stripe has no
@@ -267,14 +267,14 @@ impl RedundancyPolicy {
     /// primary is followed by its `k - 1` mirrors; under `XorParity` the
     /// parity subfile comes last ([`RedundancyPolicy::groups`] cuts the list
     /// accordingly).
-    pub fn subfiles(self, path: &str, holds: &[bool]) -> Vec<Subfile> {
+    pub fn subfiles(self, id: u64, holds: &[bool]) -> Vec<Subfile> {
         let n = holds.len();
         let mut out: Vec<Subfile> = (0..self.data_servers(n))
             .filter(|&s| holds[s])
-            .flat_map(|s| (0..self.copies()).map(move |copy| copy_home(path, s, copy, n)))
+            .flat_map(|s| (0..self.copies()).map(move |copy| copy_home(id, s, copy, n)))
             .collect();
         if self == RedundancyPolicy::XorParity && !out.is_empty() {
-            out.push((n - 1, parity_subfile(path)));
+            out.push((n - 1, parity_subfile(id)));
         }
         out
     }
@@ -293,8 +293,8 @@ impl RedundancyPolicy {
     /// when it leaves one out: fsck passes the lists it just read; a
     /// [`FileHandle`](crate::FileHandle), whose brick map is a snapshot
     /// another handle may have outgrown, passes every server.
-    pub fn groups(self, path: &str, holds: &[bool]) -> Vec<Vec<Subfile>> {
-        let subfiles = self.subfiles(path, holds);
+    pub fn groups(self, id: u64, holds: &[bool]) -> Vec<Vec<Subfile>> {
+        let subfiles = self.subfiles(id, holds);
         match self {
             RedundancyPolicy::None => Vec::new(),
             RedundancyPolicy::Replica(k) => subfiles.chunks(k).map(<[_]>::to_vec).collect(),
@@ -305,9 +305,9 @@ impl RedundancyPolicy {
 
     /// The other members of `member`'s protection group — what its bytes can
     /// be rebuilt from (empty for a subfile no group protects).
-    pub fn peers(self, path: &str, holds: &[bool], member: &Subfile) -> Vec<Subfile> {
+    pub fn peers(self, id: u64, holds: &[bool], member: &Subfile) -> Vec<Subfile> {
         let mut group = self
-            .groups(path, holds)
+            .groups(id, holds)
             .into_iter()
             .find(|g| g.contains(member))
             .unwrap_or_default();
@@ -329,27 +329,34 @@ pub fn holders<B>(n: usize, bricklists: impl IntoIterator<Item = impl AsRef<[B]>
     holds
 }
 
-/// Subfile name of replica copy `copy` (1-based) of `path`. The scheme is
-/// purely name-derived so every client (and fsck) can find the mirrors
-/// without extra metadata rows; [`copy_home`] says which server holds it.
-pub fn mirror_subfile(path: &str, copy: usize) -> String {
-    format!("{path}#r{copy}")
+/// Subfile name of file `id`'s primary: its id, as 16 hex digits. The I/O
+/// servers never see a path, so a rename leaves every subfile where it is,
+/// and a file created later at the same path has subfiles of its own.
+pub fn primary_subfile(id: u64) -> String {
+    format!("{id:016x}")
 }
 
-/// Subfile name of the XOR parity sibling of `path`, held by the last
+/// Subfile name of replica copy `copy` (1-based) of file `id`. The scheme
+/// is purely name-derived so every client (and fsck) can find the mirrors
+/// without extra metadata rows; [`copy_home`] says which server holds it.
+pub fn mirror_subfile(id: u64, copy: usize) -> String {
+    format!("{id:016x}#r{copy}")
+}
+
+/// Subfile name of the XOR parity sibling of file `id`, held by the last
 /// server in the file's distribution: `parity[off]` is the XOR of every
 /// data subfile's byte at `off` (absent bytes count as zero).
-pub fn parity_subfile(path: &str) -> String {
-    format!("{path}#p")
+pub fn parity_subfile(id: u64) -> String {
+    format!("{id:016x}#p")
 }
 
-/// Where copy `copy` of server `s`'s subfile of `path` lives among the
-/// file's `n` servers: copy 0 is the primary, on `s` under the path itself;
-/// copy `i` rides on server `(s + i) mod n` under the mirror name.
-pub fn copy_home(path: &str, s: usize, copy: usize, n: usize) -> Subfile {
+/// Where copy `copy` of server `s`'s subfile of file `id` lives among the
+/// file's `n` servers: copy 0 is the primary, on `s`; copy `i` rides on
+/// server `(s + i) mod n` under the mirror name.
+pub fn copy_home(id: u64, s: usize, copy: usize, n: usize) -> Subfile {
     match copy {
-        0 => (s, path.to_string()),
-        _ => ((s + copy) % n, mirror_subfile(path, copy)),
+        0 => (s, primary_subfile(id)),
+        _ => ((s + copy) % n, mirror_subfile(id, copy)),
     }
 }
 
@@ -590,54 +597,63 @@ mod tests {
         );
     }
 
+    /// A file id whose subfile names are easy to read: `…0f`, `…0f#r1`,
+    /// `…0f#p`.
+    const ID: u64 = 0xf;
+
+    /// `(server, name)` of file [`ID`]'s subfile with name suffix `suffix`.
+    fn member(server: usize, suffix: &str) -> Subfile {
+        (server, format!("000000000000000f{suffix}"))
+    }
+
     #[test]
     fn subfiles_per_policy() {
         let named = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
-            v.iter().map(|&(s, name)| (s, name.to_string())).collect()
+            v.iter().map(|&(s, suffix)| member(s, suffix)).collect()
         };
         let all = [true; 3];
         assert_eq!(
-            RedundancyPolicy::None.subfiles("/f", &all),
-            named(&[(0, "/f"), (1, "/f"), (2, "/f")])
+            RedundancyPolicy::None.subfiles(ID, &all),
+            named(&[(0, ""), (1, ""), (2, "")])
         );
         // Copy groups are consecutive: primary, then its mirrors, wrapping.
         assert_eq!(
-            RedundancyPolicy::Replica(2).subfiles("/f", &all),
+            RedundancyPolicy::Replica(2).subfiles(ID, &all),
             named(&[
-                (0, "/f"),
-                (1, "/f#r1"),
-                (1, "/f"),
-                (2, "/f#r1"),
-                (2, "/f"),
-                (0, "/f#r1"),
+                (0, ""),
+                (1, "#r1"),
+                (1, ""),
+                (2, "#r1"),
+                (2, ""),
+                (0, "#r1"),
             ])
         );
         // The last server holds parity and no primary.
         assert_eq!(
-            RedundancyPolicy::XorParity.subfiles("/f", &[true, true, false]),
-            named(&[(0, "/f"), (1, "/f"), (2, "/f#p")])
+            RedundancyPolicy::XorParity.subfiles(ID, &[true, true, false]),
+            named(&[(0, ""), (1, ""), (2, "#p")])
         );
-        assert!(RedundancyPolicy::XorParity.subfiles("/f", &[]).is_empty());
+        assert!(RedundancyPolicy::XorParity.subfiles(ID, &[]).is_empty());
         // A lost member is rebuilt from the rest of its group: its stripe's
         // other copies, or every other data subfile plus parity.
         assert!(RedundancyPolicy::None
-            .peers("/f", &all, &(1, "/f".into()))
+            .peers(ID, &all, &member(1, ""))
             .is_empty());
         assert_eq!(
-            RedundancyPolicy::Replica(2).peers("/f", &all, &(2, "/f".into())),
-            named(&[(0, "/f#r1")])
+            RedundancyPolicy::Replica(2).peers(ID, &all, &member(2, "")),
+            named(&[(0, "#r1")])
         );
         assert_eq!(
-            RedundancyPolicy::Replica(2).peers("/f", &all, &(0, "/f#r1".into())),
-            named(&[(2, "/f")])
+            RedundancyPolicy::Replica(2).peers(ID, &all, &member(0, "#r1")),
+            named(&[(2, "")])
         );
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", &all, &(2, "/f#p".into())),
-            named(&[(0, "/f"), (1, "/f")])
+            RedundancyPolicy::XorParity.peers(ID, &all, &member(2, "#p")),
+            named(&[(0, ""), (1, "")])
         );
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", &all, &(0, "/f".into())),
-            named(&[(1, "/f"), (2, "/f#p")])
+            RedundancyPolicy::XorParity.peers(ID, &all, &member(0, "")),
+            named(&[(1, ""), (2, "#p")])
         );
         assert_eq!(RedundancyPolicy::XorParity.data_servers(4), 3);
         assert_eq!(RedundancyPolicy::Replica(3).data_servers(4), 4);
@@ -649,50 +665,44 @@ mod tests {
     #[test]
     fn subfiles_follow_the_brick_lists() {
         let named = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
-            v.iter().map(|&(s, name)| (s, name.to_string())).collect()
+            v.iter().map(|&(s, suffix)| member(s, suffix)).collect()
         };
         let one = [true, false, false, false];
+        assert_eq!(RedundancyPolicy::None.subfiles(ID, &one), named(&[(0, "")]));
         assert_eq!(
-            RedundancyPolicy::None.subfiles("/f", &one),
-            named(&[(0, "/f")])
+            RedundancyPolicy::Replica(2).subfiles(ID, &[false, false, false, true]),
+            named(&[(3, ""), (0, "#r1")])
         );
         assert_eq!(
-            RedundancyPolicy::Replica(2).subfiles("/f", &[false, false, false, true]),
-            named(&[(3, "/f"), (0, "/f#r1")])
-        );
-        assert_eq!(
-            RedundancyPolicy::Replica(2).groups("/f", &[true, false, true, false]),
-            vec![
-                named(&[(0, "/f"), (1, "/f#r1")]),
-                named(&[(2, "/f"), (3, "/f#r1")])
-            ]
+            RedundancyPolicy::Replica(2).groups(ID, &[true, false, true, false]),
+            vec![named(&[(0, ""), (1, "#r1")]), named(&[(2, ""), (3, "#r1")])]
         );
         assert!(RedundancyPolicy::Replica(2)
-            .peers("/f", &one, &(1, "/f".into()))
+            .peers(ID, &one, &member(1, ""))
             .is_empty());
         // The parity server's own row never holds bricks; whatever it says,
         // parity exists iff a data subfile does.
         for last in [false, true] {
             assert_eq!(
-                RedundancyPolicy::XorParity.subfiles("/f", &[true, false, false, last]),
-                named(&[(0, "/f"), (3, "/f#p")])
+                RedundancyPolicy::XorParity.subfiles(ID, &[true, false, false, last]),
+                named(&[(0, ""), (3, "#p")])
             );
             assert!(RedundancyPolicy::XorParity
-                .subfiles("/f", &[false, false, false, last])
+                .subfiles(ID, &[false, false, false, last])
                 .is_empty());
             assert!(RedundancyPolicy::XorParity
-                .groups("/f", &[false, false, false, last])
+                .groups(ID, &[false, false, false, last])
                 .is_empty());
         }
         // An absent XOR member is zeros: parity of a one-brick file is
         // rebuilt from the one data subfile, and that subfile from parity.
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", &one, &(3, "/f#p".into())),
-            named(&[(0, "/f")])
+            RedundancyPolicy::XorParity.peers(ID, &one, &member(3, "#p")),
+            named(&[(0, "")])
         );
         assert_eq!(
-            RedundancyPolicy::XorParity.peers("/f", &one, &(0, "/f".into())),
-            named(&[(3, "/f#p")])
+            RedundancyPolicy::XorParity.peers(ID, &one, &member(0, "")),
+            named(&[(3, "#p")])
         );
     }
 

@@ -51,8 +51,8 @@ pub use file::{ClientOptions, ClientStats, FileHandle};
 pub use fs::Dpfs;
 pub use geometry::{Region, Shape};
 pub use hints::{
-    mirror_subfile, parity_subfile, Dist, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy,
-    Striping,
+    mirror_subfile, parity_subfile, primary_subfile, Dist, FileLevel, Hint, HpfPattern, Placement,
+    RedundancyPolicy, Striping,
 };
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
 pub use meta_client::MetaClient;

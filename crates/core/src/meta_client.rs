@@ -58,7 +58,6 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dpfs_meta::catalog::RENAME_INTENT_TAG;
 use dpfs_meta::{
     Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError,
     Result as MetaResultT, ServerInfo, ShardMap,
@@ -270,17 +269,16 @@ impl MetaClient {
     /// ------------              -----------------
     /// RenamePrepare ──────────▶ (intent recorded, snapshot returned)
     ///                           RenameCommit  ◀── entry created under the
-    ///                                             new name + marker tag
+    ///                                             new name, same file id
     ///                                             (COMMIT POINT)
     /// RenameFinish  ──────────▶ (source entry + intent deleted)
-    ///                           RemoveTag     ◀── marker stripped
     /// ```
     ///
     /// Between commit and finish the entry is transiently visible at
     /// *both* paths — never at neither. If the commit's outcome is
-    /// unknown (timeout/disconnect), the marker tag on the destination is
-    /// the authority: present → roll forward, absent → abort. If even
-    /// that read fails, the intent stays recorded for
+    /// unknown (timeout/disconnect), the destination is the authority: an
+    /// entry there carrying the source's id → roll forward, anything else →
+    /// abort. If even that read fails, the intent stays recorded for
     /// [`MetaClient::recover_rename_intents`]. Returns the entry as
     /// committed on the destination shard.
     fn rename_across_shards(
@@ -291,7 +289,7 @@ impl MetaClient {
         to: &str,
     ) -> MetaResultT<FileEntry> {
         // Phase 1: intent + snapshot on the source shard.
-        let (intent, attr, dist, tags) = match self.call(
+        let (intent, mut moved, tags) = match self.call(
             src,
             MetaOp::RenamePrepare {
                 from: from.to_string(),
@@ -300,35 +298,22 @@ impl MetaClient {
         )? {
             MetaResult::RenamePrepared {
                 intent,
-                attr,
-                dist,
+                entry,
                 tags,
-            } => (intent, attr, dist, tags),
+            } => (intent, entry, tags),
             other => return Err(self.shape(src, &other)),
         };
-        // Rewrite the snapshot to the destination path. The subfiles on
-        // the I/O servers are keyed by path too; `Dpfs::rename` migrates
-        // them after the metadata rename, same as the single-shard path.
-        let mut moved = attr;
-        moved.filename = to.to_string();
-        let moved_dist: Vec<Distribution> = dist
-            .into_iter()
-            .map(|d| Distribution {
-                filename: to.to_string(),
-                ..d
-            })
-            .collect();
-        let tags: Vec<(String, String)> = tags
-            .into_iter()
-            .filter(|(k, _)| k != RENAME_INTENT_TAG)
-            .collect();
+        // Rewrite the snapshot to the destination path; the id, and with it
+        // every subfile on the I/O servers, stays.
+        moved.attr.filename = to.to_string();
+        for d in &mut moved.dist {
+            d.filename = to.to_string();
+        }
         // Phase 2: commit on the destination shard.
         match self.call(
             dst,
             MetaOp::RenameCommit {
-                intent,
-                attr: moved.clone(),
-                dist: moved_dist.clone(),
+                entry: moved.clone(),
                 tags,
             },
         ) {
@@ -339,19 +324,13 @@ impl MetaClient {
             }
             Err(MetaError::Remote(msg)) => {
                 // Outcome unknown (mutations are not replayed past the
-                // connect class). The destination marker is the authority;
-                // the resolving read retries under the full matrix.
-                match self.call(
-                    dst,
-                    MetaOp::GetTag {
-                        filename: to.to_string(),
-                        tag: RENAME_INTENT_TAG.to_string(),
-                    },
-                ) {
-                    Ok(MetaResult::MaybeString(Some(v))) if v == intent.to_string() => {
+                // connect class). The destination is the authority; the
+                // resolving read retries under the full matrix.
+                match self.holds(to, moved.id) {
+                    Ok(true) => {
                         // Committed — roll forward below.
                     }
-                    Ok(_) => {
+                    Ok(false) => {
                         // Did not commit (or a different rename owns the
                         // destination): undo the intent, surface the error.
                         let _ = self.call(src, MetaOp::RenameAbort { intent });
@@ -382,22 +361,20 @@ impl MetaClient {
             MetaResult::Unit => {}
             other => return Err(self.shape(src, &other)),
         }
-        // Best-effort marker cleanup; a leftover marker is harmless (the
-        // intent it points at no longer exists).
-        let _ = self.call(
-            dst,
-            MetaOp::RemoveTag {
-                filename: to.to_string(),
-                tag: RENAME_INTENT_TAG.to_string(),
-            },
-        );
-        Ok((moved, moved_dist))
+        Ok(moved)
+    }
+
+    /// Whether the entry at `path` carries file id `id` — the commit record
+    /// of a cross-shard rename to `path`. File ids are never reused, so no
+    /// other file's entry passes for the moved one.
+    fn holds(&self, path: &str, id: u64) -> MetaResultT<bool> {
+        Ok(self.open_file(path)?.is_some_and(|e| e.id == id))
     }
 
     /// Resolve every pending cross-shard rename intent left behind by a
-    /// crashed client: roll forward the ones whose destination marker
-    /// proves the commit happened, abort the rest. Returns how many
-    /// intents were resolved.
+    /// crashed client: roll forward the ones whose destination holds the
+    /// source's file id — the commit happened — and abort the rest. Returns
+    /// how many intents were resolved.
     pub fn recover_rename_intents(&self) -> MetaResultT<usize> {
         let mut resolved = 0;
         for src in 0..self.shard_count() {
@@ -405,34 +382,18 @@ impl MetaClient {
                 MetaResult::Intents(xs) => xs,
                 other => return Err(self.shape(src, &other)),
             };
-            for (intent, _from, to) in intents {
+            for (intent, from, to) in intents {
                 let dst = self.route_file(&to);
                 let committed = dst != src
-                    && matches!(
-                        self.call(
-                            dst,
-                            MetaOp::GetTag {
-                                filename: to.clone(),
-                                tag: RENAME_INTENT_TAG.to_string(),
-                            },
-                        )?,
-                        MetaResult::MaybeString(Some(ref v)) if *v == intent.to_string()
-                    );
-                if committed {
-                    match self.call(src, MetaOp::RenameFinish { intent })? {
-                        MetaResult::Unit => {}
-                        other => return Err(self.shape(src, &other)),
-                    }
-                    let _ = self.call(
-                        dst,
-                        MetaOp::RemoveTag {
-                            filename: to,
-                            tag: RENAME_INTENT_TAG.to_string(),
-                        },
-                    );
-                } else {
-                    self.call(src, MetaOp::RenameAbort { intent })?;
-                }
+                    && match self.open_file(&from)? {
+                        Some(source) => self.holds(&to, source.id)?,
+                        None => false,
+                    };
+                let op = match committed {
+                    true => MetaOp::RenameFinish { intent },
+                    false => MetaOp::RenameAbort { intent },
+                };
+                self.call(src, op)?;
                 resolved += 1;
             }
         }
@@ -490,13 +451,14 @@ impl MetaClient {
         expect!(self, self.registry_shard(), MetaOp::ListServers, MetaResult::Servers(xs) => xs)
     }
 
-    /// Create a file (attrs + distribution + directory link, atomically).
-    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<()> {
+    /// Create a file (id + attrs + distribution + directory link,
+    /// atomically); returns the id the file's shard minted.
+    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<u64> {
         expect!(
             self,
             self.route_file(&attr.filename),
             MetaOp::CreateFile { attr: attr.clone(), dist: dist.to_vec() },
-            MetaResult::Unit => ()
+            MetaResult::MaybeEntry(Some(entry)) => entry.id
         )
     }
     /// Delete a file; returns the removed entry.
@@ -788,20 +750,25 @@ mod tests {
             placement: "round_robin".into(),
             redundancy: String::new(),
         };
-        s.create_file(
-            &attr,
-            &[Distribution {
-                server: "s0".into(),
-                filename: "/home/f".into(),
-                bricklist: vec![0, 1],
-            }],
-        )
-        .unwrap();
+        let id = s
+            .create_file(
+                &attr,
+                &[Distribution {
+                    server: "s0".into(),
+                    filename: "/home/f".into(),
+                    bricklist: vec![0, 1],
+                }],
+            )
+            .unwrap();
         s.set_tag("/home/f", "k", "v").unwrap();
         assert_eq!(s.get_tag("/home/f", "k").unwrap().unwrap(), "v");
-        let (moved, dist) = s.rename_file("/home/f", "/home/g").unwrap();
-        assert_eq!((moved.filename.as_str(), dist.len()), ("/home/g", 1));
-        assert_eq!(s.open_file("/home/g").unwrap(), Some((moved, dist)));
+        let moved = s.rename_file("/home/f", "/home/g").unwrap();
+        assert_eq!(
+            (moved.attr.filename.as_str(), moved.dist.len()),
+            ("/home/g", 1)
+        );
+        assert_eq!(moved.id, id);
+        assert_eq!(s.open_file("/home/g").unwrap(), Some(moved));
         assert_eq!(s.open_file("/home/f").unwrap(), None);
         assert_eq!(s.server_brick_counts().unwrap(), vec![("s0".into(), 2)]);
         s.delete_file("/home/g").unwrap();

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use dpfs_core::{
-    parity_subfile, ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint, HpfPattern,
-    Placement, RedundancyPolicy, Region, Resolver, Shape,
+    parity_subfile, primary_subfile, ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint,
+    HpfPattern, Placement, RedundancyPolicy, Region, Resolver, Shape,
 };
 use dpfs_meta::{Database, ServerInfo};
 use dpfs_proto::{Request, Response};
@@ -169,9 +169,9 @@ fn xor_greedy_file_grows_and_parity_still_covers_the_data() {
             other => panic!("unexpected response {other:?}"),
         }
     };
-    let d0 = subfile("node00", "/xg".into());
-    let d1 = subfile("node01", "/xg".into());
-    let parity = subfile("node02", parity_subfile("/xg"));
+    let d0 = subfile("node00", primary_subfile(f.id()));
+    let d1 = subfile("node01", primary_subfile(f.id()));
+    let parity = subfile("node02", parity_subfile(f.id()));
     assert_eq!((d0.len(), d1.len(), parity.len()), (400, 400, 400));
     assert!(
         (0..400).all(|i| parity[i] == d0[i] ^ d1[i]),

@@ -241,12 +241,9 @@ fn online_detects_missing_subfile_and_dead_server() {
         let mut r = rig("online", mount);
         populate(&r);
         // delete /home/a's subfile behind DPFS's back on node00
-        for entry in std::fs::read_dir(r.root.join("node00")).unwrap() {
-            let p = entry.unwrap().path();
-            if p.file_name().unwrap().to_string_lossy().contains("home%sa") {
-                std::fs::remove_file(p).unwrap();
-            }
-        }
+        let id = r.fs.meta().open_file("/home/a").unwrap().unwrap().id;
+        let subfile = dpfs_core::primary_subfile(id);
+        std::fs::remove_file(r.root.join("node00").join(subfile)).unwrap();
         // non-strict online mode does not flag it (could be sparse)...
         let report = fsck(&r.fs, true).unwrap();
         assert!(report.clean(), "non-strict: {:?}", report.issues);

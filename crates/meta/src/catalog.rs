@@ -15,7 +15,10 @@
 //! path and indexed by its parent. Creating or removing an entry then
 //! writes one small row, whatever the directory holds; the TEXT columns
 //! stay empty (a catalog that filled them is migrated when it is opened).
-//! Brick lists use INTLIST, as in the paper.
+//! A second deviation: `dpfs_file_attr` carries a `file_id` column, the
+//! file's immutable id, by which the I/O servers name its subfiles — so a
+//! rename never reaches them (a catalog without the column gets ids when it
+//! is opened). Brick lists use INTLIST, as in the paper.
 //!
 //! Every statement here is a constant text with `?` placeholders; values
 //! travel as bound parameters, never as SQL. A name can therefore hold any
@@ -27,11 +30,6 @@ use std::sync::Arc;
 use crate::db::{Database, ResultSet, Txn};
 use crate::error::{MetaError, Result};
 use crate::value::Value;
-
-/// Marker tag written on the destination copy during a cross-shard rename.
-/// Its value is the intent id on the source shard; its presence is the
-/// commit record the two-phase protocol resolves against after a crash.
-pub const RENAME_INTENT_TAG: &str = "dpfs.rename-intent";
 
 /// A pending cross-shard rename recorded on the source shard: the entry at
 /// `src` is being moved to `dst` (owned by a different shard).
@@ -105,10 +103,19 @@ pub struct FileAttrRow {
     pub redundancy: String,
 }
 
-/// A file's catalog entry as `open`, `unlink` and `rename` need it: the
-/// attribute row and the per-server distribution, read (or removed, or moved)
-/// in one transaction.
-pub type FileEntry = (FileAttrRow, Vec<Distribution>);
+/// A file's catalog entry as `open`, `unlink` and `rename` need it: its id,
+/// the attribute row and the per-server distribution, read (or removed, or
+/// moved) in one transaction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileEntry {
+    /// Minted at `create` and never changed, a rename across shards
+    /// included: the I/O servers name the file's subfiles by it. The high
+    /// 16 bits are the creating shard, the low 48 that shard's sequence
+    /// value ([`Catalog::for_shard`]).
+    pub id: u64,
+    pub attr: FileAttrRow,
+    pub dist: Vec<Distribution>,
+}
 
 /// One consistency violation: fsck's vocabulary. [`Catalog::audit`] finds
 /// the ones the tables show on their own; the client finds the entries
@@ -174,6 +181,9 @@ pub struct Audit {
 #[derive(Clone)]
 pub struct Catalog {
     db: Arc<Database>,
+    /// The metadata shard this catalog serves (0 embedded): the high bits of
+    /// every file id it mints.
+    shard: u32,
 }
 
 /// One row per directory entry: the child's full path, its parent and
@@ -182,6 +192,22 @@ const DIRENT_TABLE: &str = "CREATE TABLE IF NOT EXISTS dpfs_dirent (
         path TEXT PRIMARY KEY,
         parent TEXT NOT NULL,
         kind TEXT NOT NULL)";
+
+/// A file's attributes, and the id its subfiles are named by.
+const FILE_ATTR_TABLE: &str = "CREATE TABLE IF NOT EXISTS dpfs_file_attr (
+        filename TEXT PRIMARY KEY,
+        owner TEXT NOT NULL,
+        permission INT NOT NULL,
+        size INT NOT NULL,
+        filelevel TEXT NOT NULL,
+        dims INT NOT NULL,
+        dimsize INTLIST NOT NULL,
+        stripe_dims INTLIST NOT NULL,
+        stripe_size INT NOT NULL,
+        pattern TEXT NOT NULL,
+        placement TEXT NOT NULL,
+        redundancy TEXT NOT NULL,
+        file_id INT NOT NULL)";
 
 /// `dpfs_dirent.kind` of a file.
 const FILE: &str = "file";
@@ -206,19 +232,7 @@ const SCHEMA: &[&str] = &[
         main_dir TEXT PRIMARY KEY,
         sub_dirs TEXT NOT NULL,
         files TEXT NOT NULL)",
-    "CREATE TABLE IF NOT EXISTS dpfs_file_attr (
-        filename TEXT PRIMARY KEY,
-        owner TEXT NOT NULL,
-        permission INT NOT NULL,
-        size INT NOT NULL,
-        filelevel TEXT NOT NULL,
-        dims INT NOT NULL,
-        dimsize INTLIST NOT NULL,
-        stripe_dims INTLIST NOT NULL,
-        stripe_size INT NOT NULL,
-        pattern TEXT NOT NULL,
-        placement TEXT NOT NULL,
-        redundancy TEXT NOT NULL)",
+    FILE_ATTR_TABLE,
     "CREATE TABLE IF NOT EXISTS dpfs_file_tags (
         tag_id TEXT PRIMARY KEY,
         filename TEXT NOT NULL,
@@ -237,12 +251,25 @@ const SCHEMA: &[&str] = &[
 ];
 
 impl Catalog {
-    /// Wrap a database, creating the DPFS tables if they don't exist,
-    /// declaring their indexes, and ensuring the root directory `/` and the
-    /// rename-intent sequence row are present. A catalog that keeps its
-    /// directory entries in `dpfs_directory`'s TEXT lists moves them into
-    /// `dpfs_dirent` in one transaction, logged with the next write.
+    /// [`Catalog::for_shard`] for shard 0: an embedded mount's catalog, or a
+    /// one-shard plane's.
     pub fn new(db: Arc<Database>) -> Result<Catalog> {
+        Catalog::for_shard(db, 0)
+    }
+
+    /// Wrap the database of metadata shard `shard`, creating the DPFS tables
+    /// if they don't exist, declaring their indexes, and ensuring the root
+    /// directory `/` and the sequence row are present. A catalog that keeps
+    /// its directory entries in `dpfs_directory`'s TEXT lists moves them into
+    /// `dpfs_dirent`, and one without file ids gives every file one; each in
+    /// one transaction, logged with the next write. `shard` must fit the 16
+    /// bits a file id keeps for it.
+    pub fn for_shard(db: Arc<Database>, shard: u32) -> Result<Catalog> {
+        if shard > 0xffff {
+            return Err(MetaError::Txn(format!(
+                "shard {shard} does not fit a file id"
+            )));
+        }
         let tables = db.table_names();
         let has = |name: &str| tables.iter().any(|t| t == name);
         if has("dpfs_directory") && !has("dpfs_dirent") {
@@ -266,7 +293,10 @@ impl Catalog {
             }
             Ok(())
         })?;
-        Ok(Catalog { db })
+        if !db.has_column("dpfs_file_attr", "file_id") {
+            db.transaction_deferred(|txn| migrate_file_ids(txn, shard))?;
+        }
+        Ok(Catalog { db, shard })
     }
 
     /// The underlying database (for raw SQL, checkpointing, inspection).
@@ -332,13 +362,16 @@ impl Catalog {
 
     // ---- file creation / deletion (transactional across all four tables) ----
 
-    /// Create a file: inserts its attributes, its per-server brick
-    /// distribution, and links it into its parent directory — atomically, in
-    /// one transaction (the consistency property the paper buys from the
-    /// database).
-    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<()> {
-        self.db
-            .transaction(|txn| create_entry(txn, attr, dist, &[]))
+    /// Create a file: mints its id, inserts its attributes, its per-server
+    /// brick distribution, and links it into its parent directory —
+    /// atomically, in one transaction (the consistency property the paper
+    /// buys from the database). Returns the id.
+    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<u64> {
+        self.db.transaction(|txn| {
+            let id = file_id(self.shard, next_gen(txn)?);
+            create_entry(txn, id, attr, dist, &[])?;
+            Ok(id)
+        })
     }
 
     /// Delete a file: removes attributes, distribution rows, and the
@@ -356,7 +389,8 @@ impl Catalog {
 
     /// Fetch a file's attribute row.
     pub fn get_file_attr(&self, filename: &str) -> Result<Option<FileAttrRow>> {
-        self.db.transaction(|txn| get_attr(txn, filename))
+        let entry = self.db.transaction(|txn| attr_row(txn, filename))?;
+        Ok(entry.map(|(_, attr)| attr))
     }
 
     /// Fetch a file's attribute row and distribution, consistent with each
@@ -501,11 +535,11 @@ impl Catalog {
         added: &[(String, Vec<i64>)],
     ) -> Result<FileEntry> {
         self.db.transaction(|txn| {
-            let (attr, mut dist) = get_entry(txn, filename)?
+            let mut entry = get_entry(txn, filename)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {filename}")))?;
-            let have: usize = dist.iter().map(|d| d.bricklist.len()).sum();
+            let have: usize = entry.dist.iter().map(|d| d.bricklist.len()).sum();
             if have as i64 != expected_bricks {
-                return Ok((attr, dist));
+                return Ok(entry);
             }
             let mut numbers: Vec<i64> = added.iter().flat_map(|(_, b)| b).copied().collect();
             numbers.sort_unstable();
@@ -519,7 +553,8 @@ impl Catalog {
                 )));
             }
             for (server, bricks) in added {
-                let row = dist
+                let row = entry
+                    .dist
                     .iter_mut()
                     .find(|d| d.server == *server)
                     .ok_or_else(|| {
@@ -534,7 +569,7 @@ impl Catalog {
                     ],
                 )?;
             }
-            Ok((attr, dist))
+            Ok(entry)
         })
     }
 
@@ -595,10 +630,10 @@ impl Catalog {
         self.db.transaction(|txn| get_dir(txn, &path))
     }
 
-    /// Rename a file within the same directory tree (metadata only).
-    /// Returns the entry that moved, under its new name. Each row of the
-    /// entry — attributes, distribution, tags, directory link — changes its
-    /// key in place.
+    /// Rename a file within the same directory tree (metadata only: the
+    /// file keeps its id, and with it its subfiles). Returns the entry that
+    /// moved, under its new name. Each row of the entry — attributes,
+    /// distribution, tags, directory link — changes its key in place.
     pub fn rename_file(&self, from: &str, to: &str) -> Result<FileEntry> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
@@ -606,18 +641,18 @@ impl Catalog {
             return Err(MetaError::Txn(format!("{from} has no parent")));
         }
         self.db.transaction(|txn| {
-            let (mut attr, mut dist) = get_entry(txn, &from)?
+            let mut entry = get_entry(txn, &from)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
             if file_exists(txn, &to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
-            check_file_name(&to)?;
+            check_chars(&to)?;
             let parent = existing_parent(txn, &to)?;
             txn.execute_with(
                 "UPDATE dpfs_file_attr SET filename = ? WHERE filename = ?",
                 &[to.as_str().into(), from.as_str().into()],
             )?;
-            for d in &mut dist {
+            for d in &mut entry.dist {
                 txn.execute_with(
                     "UPDATE dpfs_file_distribution SET dist_key = ?, filename = ? \
                      WHERE dist_key = ?",
@@ -654,8 +689,8 @@ impl Catalog {
             if affected(&moved)? == 0 {
                 link(txn, &to, &parent, FILE)?;
             }
-            attr.filename = to;
-            Ok((attr, dist))
+            entry.attr.filename = to;
+            Ok(entry)
         })
     }
 
@@ -665,59 +700,51 @@ impl Catalog {
     // transaction cannot cover both databases. The protocol is:
     //
     //   1. `rename_prepare` on the SOURCE shard records an intent row and
-    //      returns a snapshot of the entry (attrs, distribution, tags).
+    //      returns a snapshot of the entry (id, attrs, distribution, tags).
     //      The source entry stays visible.
     //   2. `rename_commit_dest` on the DESTINATION shard creates the entry
-    //      under the new name in one transaction, carrying a
-    //      `RENAME_INTENT_TAG` marker tag whose value is the intent id.
+    //      under the new name in one transaction, keeping the source's id.
     //      This is the commit point.
     //   3. `rename_finish` on the source shard deletes the source entry and
-    //      the intent; the client then strips the marker tag best-effort.
+    //      the intent.
     //
     // A crash between phases leaves the intent row resolvable: if the
-    // marker exists on the destination the rename committed (roll forward
-    // with `rename_finish`); otherwise it did not (`rename_abort`).
+    // destination holds an entry with the source's id the rename committed
+    // (roll forward with `rename_finish`); otherwise it did not
+    // (`rename_abort`). Ids are never reused, so no other file's entry can
+    // pass for the moved one.
 
-    /// Phase 1 on the source shard: record an intent and snapshot the entry.
-    /// The entry at `from` must exist and stays visible until `rename_finish`.
+    /// Phase 1 on the source shard: record an intent and snapshot the entry
+    /// and its tags. The entry at `from` must exist and stays visible until
+    /// `rename_finish`.
     #[allow(clippy::type_complexity)]
     pub fn rename_prepare(
         &self,
         from: &str,
         to: &str,
-    ) -> Result<(i64, FileAttrRow, Vec<Distribution>, Vec<(String, String)>)> {
+    ) -> Result<(i64, FileEntry, Vec<(String, String)>)> {
         let from = normalize_path(from)?;
         let to = normalize_path(to)?;
         self.db.transaction(|txn| {
-            let attr = get_attr(txn, &from)?
+            let entry = get_entry(txn, &from)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
-            let dist = get_distribution(txn, &from)?;
             let tags = list_tags(txn, &from)?;
-            let id = next_intent_id(txn)?;
+            let intent = next_gen(txn)?;
             txn.execute_with(
                 "INSERT INTO dpfs_rename_intent VALUES (?, ?, ?)",
-                &[Value::Int(id), from.as_str().into(), to.as_str().into()],
+                &[Value::Int(intent), from.as_str().into(), to.as_str().into()],
             )?;
-            Ok((id, attr, dist, tags))
+            Ok((intent, entry, tags))
         })
     }
 
-    /// Phase 2 on the destination shard: create the renamed entry (attrs,
-    /// distribution, tags, plus the `RENAME_INTENT_TAG` marker carrying
-    /// `intent`) in one transaction. `attr.filename` and each distribution
-    /// row must already carry the destination path. Fails with
-    /// `DuplicateKey` if the destination exists.
-    pub fn rename_commit_dest(
-        &self,
-        intent: i64,
-        attr: &FileAttrRow,
-        dist: &[Distribution],
-        tags: &[(String, String)],
-    ) -> Result<()> {
-        let mut tags = tags.to_vec();
-        tags.push((RENAME_INTENT_TAG.to_string(), intent.to_string()));
+    /// Phase 2 on the destination shard: create the renamed entry — its id,
+    /// attrs, distribution and tags — in one transaction. `entry.attr.filename`
+    /// and each distribution row must already carry the destination path.
+    /// Fails with `DuplicateKey` if the destination exists.
+    pub fn rename_commit_dest(&self, entry: &FileEntry, tags: &[(String, String)]) -> Result<()> {
         self.db
-            .transaction(|txn| create_entry(txn, attr, dist, &tags))
+            .transaction(|txn| create_entry(txn, entry.id, &entry.attr, &entry.dist, tags))
     }
 
     /// Phase 3 on the source shard: drop the source entry and its intent.
@@ -907,25 +934,6 @@ fn check_chars(p: &str) -> Result<()> {
     Ok(())
 }
 
-/// Refuse a name no new file may take: one [`check_chars`] refuses, or one
-/// shaped like a derived subfile name. The I/O servers key subfiles by DPFS
-/// path, and a redundant file's mirrors and parity live under
-/// `{path}#r<copy>` and `{path}#p`: a user file of that name would share —
-/// overwrite, and on `unlink` delete — another file's redundancy.
-fn check_file_name(filename: &str) -> Result<()> {
-    check_chars(filename)?;
-    let base = base_name(filename);
-    let mirror = base
-        .rsplit_once("#r")
-        .is_some_and(|(_, n)| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
-    if mirror || base.ends_with("#p") {
-        return Err(MetaError::InvalidName(format!(
-            "{filename} is reserved: names ending in #p or #r<digits> name derived subfiles"
-        )));
-    }
-    Ok(())
-}
-
 /// Parent directory of an absolute path (`None` for `/`).
 pub fn parent_dir(p: &str) -> Option<String> {
     if p == "/" {
@@ -980,14 +988,14 @@ fn affected(rs: &ResultSet) -> Result<i64> {
     rs.scalar()?.as_int()
 }
 
-/// The next rename-intent id: the one-row sequence in `dpfs_meta_gen`,
-/// advanced inside the caller's transaction. Ids are never reused, which is
-/// what makes a leftover marker tag harmless (the intent it names no longer
-/// exists); `MAX(intent_id) + 1` would reuse them after `rename_finish`. The
-/// table keeps the name every directory on disk knows it by (it began as a
-/// counter of all mutations), so an old directory opens without a migration
-/// and continues above every id it ever issued.
-fn next_intent_id(txn: &Txn<'_>) -> Result<i64> {
+/// The next value of the shard's one sequence, the one-row `dpfs_meta_gen`,
+/// advanced inside the caller's transaction: the low bits of a new file's id
+/// ([`file_id`]) and a rename intent's id. Values are never reused, which is
+/// what lets an id identify one file for good — `MAX(intent_id) + 1` would
+/// reuse them after `rename_finish`. The table keeps the name every
+/// directory on disk knows it by (it began as a counter of all mutations),
+/// so an old directory continues above every value it ever issued.
+fn next_gen(txn: &Txn<'_>) -> Result<i64> {
     txn.execute("UPDATE dpfs_meta_gen SET gen = gen + 1 WHERE k = 'g'")?;
     txn.execute("SELECT gen FROM dpfs_meta_gen WHERE k = 'g'")?
         .rows
@@ -1002,6 +1010,11 @@ fn server_from_row(r: &[Value]) -> Result<ServerInfo> {
         capacity: r[1].as_int()?,
         performance: r[2].as_int()?,
     })
+}
+
+/// The id of the file shard `shard` creates as its sequence value `gen`.
+fn file_id(shard: u32, gen: i64) -> u64 {
+    u64::from(shard) << 48 | (gen as u64 & ((1 << 48) - 1))
 }
 
 fn attr_from_row(r: &[Value]) -> Result<FileAttrRow> {
@@ -1021,17 +1034,23 @@ fn attr_from_row(r: &[Value]) -> Result<FileAttrRow> {
     })
 }
 
-fn get_attr(txn: &Txn<'_>, filename: &str) -> Result<Option<FileAttrRow>> {
+/// A file's id and attribute row.
+fn attr_row(txn: &Txn<'_>, filename: &str) -> Result<Option<(u64, FileAttrRow)>> {
     let rs = txn.execute_with(
         "SELECT * FROM dpfs_file_attr WHERE filename = ?",
         &[filename.into()],
     )?;
-    rs.rows.first().map(|r| attr_from_row(r)).transpose()
+    let row = |r: &Vec<Value>| Ok((r[12].as_int()? as u64, attr_from_row(r)?));
+    rs.rows.first().map(row).transpose()
 }
 
 fn get_entry(txn: &Txn<'_>, filename: &str) -> Result<Option<FileEntry>> {
-    match get_attr(txn, filename)? {
-        Some(attr) => Ok(Some((attr, get_distribution(txn, filename)?))),
+    match attr_row(txn, filename)? {
+        Some((id, attr)) => Ok(Some(FileEntry {
+            id,
+            attr,
+            dist: get_distribution(txn, filename)?,
+        })),
         None => Ok(None),
     }
 }
@@ -1184,6 +1203,21 @@ fn migrate_listings(txn: &Txn<'_>) -> Result<()> {
     Ok(())
 }
 
+/// Give every file of a catalog written before file ids one, minted as
+/// `create` mints it: rebuild `dpfs_file_attr` with the `file_id` column,
+/// in name order. Subfiles the I/O servers hold under the files' paths are
+/// not renamed: a format break.
+fn migrate_file_ids(txn: &Txn<'_>, shard: u32) -> Result<()> {
+    let rows = txn.execute("SELECT * FROM dpfs_file_attr ORDER BY filename")?;
+    txn.execute("DROP TABLE dpfs_file_attr")?;
+    txn.execute(FILE_ATTR_TABLE)?;
+    for r in rows.rows {
+        let attr = attr_from_row(&r)?;
+        insert_attr(txn, file_id(shard, next_gen(txn)?), &attr)?;
+    }
+    Ok(())
+}
+
 /// Insert an empty directory row for `path`.
 fn insert_dir(txn: &Txn<'_>, path: &str) -> Result<()> {
     txn.execute_with(
@@ -1305,22 +1339,33 @@ fn delete_intent(txn: &Txn<'_>, intent: i64) -> Result<bool> {
     Ok(affected(&rs)? > 0)
 }
 
-/// Create the entry `attr.filename`: attributes, distribution, tags and the
-/// link in its parent directory, which must exist. `DuplicateKey` if the
-/// name is taken, `InvalidName` if no file may take it.
+/// Create the entry `attr.filename` of file `id`: attributes, distribution,
+/// tags and the link in its parent directory, which must exist.
+/// `DuplicateKey` if the name is taken, `InvalidName` if no file may take it.
 fn create_entry(
     txn: &Txn<'_>,
+    id: u64,
     attr: &FileAttrRow,
     dist: &[Distribution],
     tags: &[(String, String)],
 ) -> Result<()> {
-    check_file_name(&attr.filename)?;
+    check_chars(&attr.filename)?;
     let parent = existing_parent(txn, &attr.filename)?;
     // A name taken by a listed entry or by an attribute row is refused by
     // the insert that collides.
     link(txn, &attr.filename, &parent, FILE)?;
+    insert_attr(txn, id, attr)?;
+    insert_distribution(txn, dist)?;
+    for (tag, value) in tags {
+        insert_tag(txn, &attr.filename, tag, value)?;
+    }
+    Ok(())
+}
+
+/// Insert file `id`'s attribute row.
+fn insert_attr(txn: &Txn<'_>, id: u64, attr: &FileAttrRow) -> Result<()> {
     txn.execute_with(
-        "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
         &[
             attr.filename.as_str().into(),
             attr.owner.as_str().into(),
@@ -1334,13 +1379,10 @@ fn create_entry(
             attr.pattern.as_str().into(),
             attr.placement.as_str().into(),
             attr.redundancy.as_str().into(),
+            Value::Int(id as i64),
         ],
     )
     .map_err(|e| taken(e, &attr.filename, FILE))?;
-    insert_distribution(txn, dist)?;
-    for (tag, value) in tags {
-        insert_tag(txn, &attr.filename, tag, value)?;
-    }
     Ok(())
 }
 
@@ -1404,29 +1446,20 @@ mod tests {
         src.create_file(&attr, &dist).unwrap();
         src.set_tag("/a/f", "k", "v").unwrap();
 
-        let (intent, snap_attr, snap_dist, tags) = src.rename_prepare("/a/f", "/b/f").unwrap();
+        let (intent, snap, tags) = src.rename_prepare("/a/f", "/b/f").unwrap();
         // source stays visible while prepared
         assert!(src.get_file_attr("/a/f").unwrap().is_some());
         assert_eq!(tags, vec![("k".to_string(), "v".to_string())]);
 
-        let mut moved = snap_attr.clone();
-        moved.filename = "/b/f".into();
-        let moved_dist: Vec<Distribution> = snap_dist
-            .iter()
-            .map(|d| Distribution {
-                filename: "/b/f".into(),
-                ..d.clone()
-            })
-            .collect();
-        dst.rename_commit_dest(intent, &moved, &moved_dist, &tags)
-            .unwrap();
-        // marker tag is the commit record
-        assert_eq!(
-            dst.get_tag("/b/f", RENAME_INTENT_TAG).unwrap().as_deref(),
-            Some(intent.to_string().as_str())
-        );
+        let mut moved = snap.clone();
+        moved.attr.filename = "/b/f".into();
+        for d in &mut moved.dist {
+            d.filename = "/b/f".into();
+        }
+        dst.rename_commit_dest(&moved, &tags).unwrap();
+        // the destination entry carrying the source's id is the commit record
+        assert_eq!(dst.open_file("/b/f").unwrap().unwrap().id, snap.id);
         src.rename_finish(intent).unwrap();
-        dst.remove_tag("/b/f", RENAME_INTENT_TAG).unwrap();
 
         assert!(src.get_file_attr("/a/f").unwrap().is_none());
         assert!(src.get_dir("/a").unwrap().unwrap().files.is_empty());
@@ -1456,13 +1489,14 @@ mod tests {
         src.create_file(&sample_attr("/a/f"), &[]).unwrap();
         dst.create_file(&sample_attr("/a/f"), &[]).unwrap();
 
-        let (intent, attr, dist, tags) = src.rename_prepare("/a/f", "/a/f").unwrap();
+        let (intent, entry, tags) = src.rename_prepare("/a/f", "/a/f").unwrap();
+        let occupant = dst.open_file("/a/f").unwrap();
         // destination already occupied → commit refuses atomically
         assert!(matches!(
-            dst.rename_commit_dest(intent, &attr, &dist, &tags),
+            dst.rename_commit_dest(&entry, &tags),
             Err(MetaError::DuplicateKey(_))
         ));
-        assert!(dst.get_tag("/a/f", RENAME_INTENT_TAG).unwrap().is_none());
+        assert_eq!(dst.open_file("/a/f").unwrap(), occupant);
         assert!(src.rename_abort(intent).unwrap());
         assert!(!src.rename_abort(intent).unwrap());
         assert!(src.get_file_attr("/a/f").unwrap().is_some());
@@ -1495,12 +1529,13 @@ mod tests {
         ));
     }
 
-    /// "A leftover marker is harmless (the intent it points at no longer
-    /// exists)" holds only if an intent id is never issued twice — not after
-    /// its intent finished or aborted, not after a reopen. Nothing but
-    /// `rename_prepare` draws from the sequence.
+    /// "An entry carrying the source's id is the commit record" and "a
+    /// subfile named by an id is that file's" hold only if no sequence value
+    /// is issued twice — not after its intent finished or aborted, not after
+    /// a reopen. A create draws the file's id from the same sequence as a
+    /// rename draws its intent id; nothing else draws from it.
     #[test]
-    fn intent_ids_only_grow_and_only_renames_consume_them() {
+    fn ids_only_grow_and_only_creates_and_renames_consume_them() {
         let dir = std::env::temp_dir().join(format!("dpfs-intent-ids-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let open = || Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()));
@@ -1544,10 +1579,12 @@ mod tests {
                     reopens += 1;
                 }
                 _ => {
-                    // Mutations that are not renames.
+                    // A create, then mutations that draw nothing.
                     let name = format!("/d/f{created}");
                     created += 1;
-                    c.create_file(&sample_attr(&name), &[]).unwrap();
+                    let id = c.create_file(&sample_attr(&name), &[]).unwrap();
+                    assert_eq!(id, last as u64 + 1, "step {step}: id reused or skipped");
+                    last = id as i64;
                     c.set_file_size(&name, step).unwrap();
                     c.set_tag(&name, "k", "v").unwrap();
                     assert!(c.remove_tag(&name, "k").unwrap());
@@ -1699,12 +1736,10 @@ mod tests {
             filename: "/f".into(),
             bricklist: vec![0, 1],
         }];
-        c.create_file(&attr, &dist).unwrap();
-        assert_eq!(
-            c.open_file("/f").unwrap(),
-            Some((attr.clone(), dist.clone()))
-        );
-        assert_eq!(c.delete_file("/f").unwrap(), (attr, dist));
+        let id = c.create_file(&attr, &dist).unwrap();
+        let entry = FileEntry { id, attr, dist };
+        assert_eq!(c.open_file("/f").unwrap(), Some(entry.clone()));
+        assert_eq!(c.delete_file("/f").unwrap(), entry);
         assert_eq!(c.open_file("/f").unwrap(), None);
         assert!(c.get_file_attr("/f").unwrap().is_none());
         assert!(c.get_distribution("/f").unwrap().is_empty());
@@ -1759,19 +1794,19 @@ mod tests {
     /// delete every row of it, insert them again under the new name.
     fn rename_by_delete_and_insert(c: &Catalog, from: &str, to: &str) -> Result<FileEntry> {
         c.db.transaction(|txn| {
-            let (mut attr, mut dist) = get_entry(txn, from)?
+            let mut entry = get_entry(txn, from)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {from}")))?;
             if file_exists(txn, to)? {
                 return Err(MetaError::DuplicateKey(format!("file {to} exists")));
             }
             let tags = list_tags(txn, from)?;
             remove_entry(txn, from)?;
-            attr.filename = to.to_string();
-            for d in &mut dist {
+            entry.attr.filename = to.to_string();
+            for d in &mut entry.dist {
                 d.filename = to.to_string();
             }
-            create_entry(txn, &attr, &dist, &tags)?;
-            Ok((attr, dist))
+            create_entry(txn, entry.id, &entry.attr, &entry.dist, &tags)?;
+            Ok(entry)
         })
     }
 
@@ -1789,8 +1824,8 @@ mod tests {
 
     /// The in-place rename answers, and leaves behind, what deleting and
     /// re-inserting the entry did: across directories, inside one, onto
-    /// taken and reserved names, into a missing directory, of a file no
-    /// directory lists. A refused rename changes neither listing.
+    /// taken names, into a missing directory, of a file no directory lists.
+    /// A refused rename changes neither listing.
     #[test]
     fn an_in_place_rename_answers_what_delete_and_insert_did() {
         let (moved, reference) = (catalog(), catalog());
@@ -1832,7 +1867,7 @@ mod tests {
             ("/a/f2", "/b/f"),   // across directories
             ("/b/f", "/a/g"),    // destination exists
             ("/b/f", "/z/f"),    // destination directory missing
-            ("/b/f", "/b/f#r1"), // reserved name
+            ("/b/f", "/b/f#r1"), // a mirror-like name
             ("/b/f", "/b"),      // a directory's name
             ("/nope", "/a/n"),   // no such source
             ("/loose", "/c/l"),  // unlisted: listed under its new name
@@ -1984,7 +2019,7 @@ mod tests {
         for bad in ["/d/a\nb", "/d/a\0b", "/d/\u{7}", "/d/a\rb/c"] {
             let refused =
                 |r: Result<()>| assert!(matches!(r, Err(MetaError::InvalidName(_))), "{bad:?}");
-            refused(c.create_file(&sample_attr(bad), &[]));
+            refused(c.create_file(&sample_attr(bad), &[]).map(|_| ()));
             refused(c.mkdir(bad));
             refused(c.rename_file("/d/keep", bad).map(|_| ()));
             assert_eq!(c.get_dir("/d").unwrap(), before, "{bad:?}");
@@ -2014,33 +2049,75 @@ mod tests {
     /// A redundant file's mirrors and parity are subfiles named
     /// `{path}#r<copy>` and `{path}#p` on the I/O servers; no file may be
     /// created under, or renamed to, a name of that shape.
+    /// `create` mints a file's id from its shard's sequence, the shard in
+    /// the high bits, and a rename keeps it. A name like a mirror's or the
+    /// parity's is an ordinary name: subfiles are named by id.
     #[test]
-    fn derived_subfile_names_are_reserved() {
-        let c = catalog();
-        c.create_file(&sample_attr("/f"), &[]).unwrap();
-        for reserved in ["/f#r1", "/f#r12", "/f#p", "/g#r1#p"] {
-            assert!(
-                matches!(
-                    c.create_file(&sample_attr(reserved), &[]),
-                    Err(MetaError::InvalidName(_))
-                ),
-                "{reserved}"
-            );
-            assert!(
-                matches!(
-                    c.rename_file("/f", reserved),
-                    Err(MetaError::InvalidName(_))
-                ),
-                "{reserved}"
-            );
-            // The refused rename rolled back whole.
-            assert!(c.get_file_attr("/f").unwrap().is_some());
+    fn a_file_keeps_the_id_create_minted() {
+        let c = Catalog::for_shard(Arc::new(Database::in_memory()), 3).unwrap();
+        let f = c.create_file(&sample_attr("/f"), &[]).unwrap();
+        let g = c.create_file(&sample_attr("/f#r1"), &[]).unwrap();
+        assert_eq!((f >> 48, g >> 48, g - f), (3, 3, 1));
+        c.rename_file("/f", "/f#p").unwrap();
+        assert_eq!(c.open_file("/f#p").unwrap().unwrap().id, f);
+        assert_eq!(c.delete_file("/f#r1").unwrap().id, g);
+        assert!(Catalog::for_shard(Arc::new(Database::in_memory()), 1 << 16).is_err());
+    }
+
+    /// A catalog written before file ids opens with every file given one,
+    /// distinct and above every value the sequence issued; opening and
+    /// reading write nothing, and the first mutation logs the ids ahead of
+    /// itself, so every later open finds the same ones.
+    #[test]
+    fn file_ids_are_minted_on_open_and_logged_with_the_next_write() {
+        let dir = std::env::temp_dir().join(format!("dpfs-meta-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open =
+            || Catalog::for_shard(Arc::new(Database::open_with_sync(&dir, false).unwrap()), 2);
+        let names = ["/a", "/b", "/c"];
+        {
+            let c = open().unwrap();
+            for f in names {
+                c.create_file(&sample_attr(f), &[]).unwrap();
+            }
+            // The table as such a catalog wrote it: no `file_id` column.
+            c.db()
+                .transaction(|txn| {
+                    let rows = txn.execute("SELECT * FROM dpfs_file_attr")?;
+                    txn.execute("DROP TABLE dpfs_file_attr")?;
+                    txn.execute(&FILE_ATTR_TABLE.replace(",\n        file_id INT NOT NULL", ""))?;
+                    for mut r in rows.rows {
+                        r.pop();
+                        txn.execute_with(
+                            "INSERT INTO dpfs_file_attr VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                            &r,
+                        )?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
+            c.db().checkpoint().unwrap();
         }
-        // Only the final component, and only the whole suffix, is reserved.
-        c.mkdir("/d#p").unwrap();
-        for fine in ["/d#p/f", "/f#r", "/f#rx", "/f#r1x", "/f#px", "/#q"] {
-            c.create_file(&sample_attr(fine), &[]).unwrap();
+        let on_disk = || ["snapshot.db", "wal.log"].map(|f| std::fs::read(dir.join(f)).unwrap());
+        let written = on_disk();
+        let ids = |c: &Catalog| names.map(|f| c.open_file(f).unwrap().unwrap().id);
+        // The three creates issued 2, 3 and 4; the migration 5, 6 and 7.
+        let minted = [5, 6, 7].map(|gen| 2 << 48 | gen);
+        for _ in 0..2 {
+            assert_eq!(ids(&open().unwrap()), minted);
+            assert!(
+                on_disk() == written,
+                "opening and reading wrote to the directory"
+            );
         }
+        let c = open().unwrap();
+        let d = c.create_file(&sample_attr("/d"), &[]).unwrap();
+        assert_eq!(d, 2 << 48 | 8);
+        drop(c);
+        let c = open().unwrap();
+        assert_eq!(ids(&c), minted);
+        assert_eq!(c.create_file(&sample_attr("/e"), &[]).unwrap(), 2 << 48 | 9);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2062,15 +2139,15 @@ mod tests {
         };
         // From one brick to four: the reply is the entry afterwards.
         let grown = vec![row("s0", &[0, 3]), row("s1", &[1]), row("s2", &[2])];
-        let (got, dist) = c
+        let got = c
             .extend_distribution("/f", 1, &added(&[("s1", &[1]), ("s2", &[2]), ("s0", &[3])]))
             .unwrap();
-        assert_eq!((got, &dist), (attr.clone(), &grown));
+        assert_eq!((got.attr, &got.dist), (attr.clone(), &grown));
         assert_eq!(c.get_distribution("/f").unwrap(), grown);
         // A handle that still believes in one brick changes nothing and
         // learns the four — however it would have numbered its own.
         for stale in [added(&[("s1", &[1])]), added(&[("s2", &[1]), ("s1", &[2])])] {
-            assert_eq!(c.extend_distribution("/f", 1, &stale).unwrap().1, grown);
+            assert_eq!(c.extend_distribution("/f", 1, &stale).unwrap().dist, grown);
             assert_eq!(c.get_distribution("/f").unwrap(), grown);
         }
         // At the right count, an extension must number the next bricks, each
@@ -2086,7 +2163,7 @@ mod tests {
             ));
             assert_eq!(c.get_distribution("/f").unwrap(), grown);
         }
-        assert_eq!(c.extend_distribution("/f", 4, &[]).unwrap().1, grown);
+        assert_eq!(c.extend_distribution("/f", 4, &[]).unwrap().dist, grown);
         assert!(matches!(
             c.extend_distribution("/missing", 0, &[]),
             Err(MetaError::NoSuchTable(_))
@@ -2209,12 +2286,12 @@ mod tests {
         c.get_tag("/a/f", "k").unwrap();
         c.list_tags("/a/f").unwrap();
         c.rename_file("/a/f", "/b/g").unwrap();
-        let (intent, mut attr, _, tags) = c.rename_prepare("/b/g", "/a/h").unwrap();
-        attr.filename = "/a/h".into();
-        c.rename_commit_dest(intent, &attr, &dist("/a/h"), &tags)
-            .unwrap();
+        let (intent, mut entry, tags) = c.rename_prepare("/b/g", "/a/h").unwrap();
+        entry.attr.filename = "/a/h".into();
+        entry.dist = dist("/a/h");
+        c.rename_commit_dest(&entry, &tags).unwrap();
         c.rename_finish(intent).unwrap();
-        c.remove_tag("/a/h", RENAME_INTENT_TAG).unwrap();
+        c.remove_tag("/a/h", "k").unwrap();
         let (intent, ..) = c.rename_prepare("/a/h", "/b/i").unwrap();
         c.rename_abort(intent).unwrap();
         c.delete_file("/a/h").unwrap();
@@ -2475,7 +2552,7 @@ mod tests {
             ("mkdir", Box::new(|| s.mkdir("/d"))),
             (
                 "create_file",
-                Box::new(|| s.create_file(&attr("/d/f"), &[dist("/d/f")])),
+                Box::new(|| s.create_file(&attr("/d/f"), &[dist("/d/f")]).map(|_| ())),
             ),
             ("set_file_size", Box::new(|| s.set_file_size("/d/f", 9))),
             ("set_file_owner", Box::new(|| s.set_file_owner("/d/f", "o"))),
@@ -2509,9 +2586,10 @@ mod tests {
             (
                 "rename 2pc",
                 Box::new(|| {
-                    let (intent, mut a, _, tags) = s.rename_prepare("/d/g", "/d/h")?;
-                    a.filename = "/d/h".into();
-                    s.rename_commit_dest(intent, &a, &[dist("/d/h")], &tags)?;
+                    let (intent, mut entry, tags) = s.rename_prepare("/d/g", "/d/h")?;
+                    entry.attr.filename = "/d/h".into();
+                    entry.dist = vec![dist("/d/h")];
+                    s.rename_commit_dest(&entry, &tags)?;
                     s.rename_finish(intent)
                 }),
             ),
@@ -2553,20 +2631,24 @@ mod tests {
         assert!(!s.rename_abort(99).unwrap());
         assert_eq!(std::fs::metadata(&wal).unwrap().len(), before);
 
-        // `rename_prepare`'s transaction holds the sequence step *and* the
-        // intent row: no crash can issue an id without recording its intent,
-        // or record an intent under an id the sequence may issue again.
-        let mut touched: std::collections::BTreeMap<u64, (bool, bool)> = Default::default();
+        // The sequence steps in the transaction of the row that records the
+        // value it issued — `create_file`'s attribute row, `rename_prepare`'s
+        // intent: no crash can issue a value without recording it, or record
+        // one the sequence may issue again. (The 2PC's commit inserts the
+        // moved file's row under the id it already has.)
+        let mut touched: std::collections::BTreeMap<u64, (bool, bool, bool)> = Default::default();
         for r in &commits().1 {
             let entry = touched.entry(r.txn()).or_default();
             match r {
                 WalRecord::Update { table, .. } if table == "dpfs_meta_gen" => entry.0 = true,
                 WalRecord::Insert { table, .. } if table == "dpfs_rename_intent" => entry.1 = true,
+                WalRecord::Insert { table, .. } if table == "dpfs_file_attr" => entry.2 = true,
                 _ => {}
             }
         }
-        let prepares: Vec<_> = touched.values().filter(|t| t.0 || t.1).collect();
-        assert_eq!(prepares, [&(true, true); 2], "{touched:?}");
+        let stepped: Vec<_> = touched.values().filter(|t| t.0 || t.1).collect();
+        let (create, prepare) = ((true, false, true), (true, true, false));
+        assert_eq!(stepped, [&create, &prepare, &prepare], "{touched:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -424,6 +424,13 @@ impl Database {
     pub fn table_names(&self) -> Vec<String> {
         self.inner.lock().unwrap().tables.keys().cloned().collect()
     }
+
+    /// Whether `table` has a column named `column`.
+    pub(crate) fn has_column(&self, table: &str, column: &str) -> bool {
+        let inner = self.inner.lock().unwrap();
+        let table = inner.tables.get(table);
+        table.is_some_and(|t| t.schema().column_index(column).is_ok())
+    }
 }
 
 /// Handle passed to [`Database::transaction`] closures.

@@ -56,7 +56,7 @@ fn pair_bytes(entries: usize) -> u64 {
     assert_eq!(c.get_dir("/d").unwrap().unwrap().files.len(), entries);
     let before = wal_len(&wal);
     c.create_file(&attr("/d/probe"), &dist("/d/probe")).unwrap();
-    assert_eq!(c.delete_file("/d/probe").unwrap().1.len(), 4);
+    assert_eq!(c.delete_file("/d/probe").unwrap().dist.len(), 4);
     let bytes = wal_len(&wal) - before;
     drop(c);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -2,7 +2,8 @@
 //! no index ever declared in it, `dpfs_meta_gen` advanced by every mutation
 //! in a transaction of its own — opens under this engine as it is: the on-disk formats did
 //! not change, `Catalog::new` builds the indexes the directory never had,
-//! and every answer is the one the old engine scanned for.
+//! gives every file the id it never had, and every answer is the one the
+//! old engine scanned for.
 //! `fixtures/pr13-dir/README.md` lists what was written.
 
 use std::path::PathBuf;
@@ -70,6 +71,13 @@ fn check_contents(c: &Catalog, f2_size: i64) {
         [("s0".to_string(), 12), ("s1".to_string(), 12)]
     );
     assert_eq!(c.get_server("s1").unwrap().unwrap().performance, 2);
+    // Each file got an id when the directory was first opened, in name
+    // order, above the 22 values the old engine issued; they stay.
+    let ids: Vec<u64> = ["/a/f2", "/a/f3", "/a/f4", "/a/it's", "/b/g1", "/b/late"]
+        .iter()
+        .map(|f| c.open_file(f).unwrap().unwrap().id)
+        .collect();
+    assert_eq!(ids, (23..29).collect::<Vec<u64>>());
 }
 
 #[test]
@@ -105,11 +113,12 @@ fn a_directory_of_the_parent_commit_opens_indexed_and_answers_the_same() {
     }
 
     // New work lands on top. The old engine left the sequence row at 22
-    // (it counted every mutation), so the next intent is 23: above every id
-    // the directory ever issued. An aborted id is never issued again, across
-    // a reopen by WAL replay over the old snapshot and one from a snapshot
-    // this engine wrote, and other mutations do not consume one.
-    let mut next_id = 23;
+    // (it counted every mutation) and the six file ids took 23 to 28, so the
+    // next intent is 29: above every id the directory ever issued. An
+    // aborted id is never issued again, across a reopen by WAL replay over
+    // the old snapshot and one from a snapshot this engine wrote, and other
+    // mutations than a create do not consume one.
+    let mut next_id = 29;
     let mut prepare_and_abort = |c: &Catalog| {
         let (intent, ..) = c.rename_prepare("/a/f4", "/elsewhere/f4").unwrap();
         assert_eq!(intent, next_id);

@@ -157,7 +157,7 @@ impl MetaHandler {
         Ok(MetaHandler {
             name: name.into(),
             fsyncs: db.syncs_on_commit(),
-            store: Catalog::new(db)?,
+            store: Catalog::for_shard(db, shard_id)?,
             stats: MetadStats::default(),
             shard_id,
             shard_map: ShardMap::new(shards),
@@ -485,7 +485,10 @@ mod tests {
                 }],
             },
         );
-        assert_eq!(r, MetaResult::Unit);
+        let MetaResult::MaybeEntry(Some(created)) = r else {
+            panic!("create answers with the entry it made, got {r:?}");
+        };
+        assert_eq!((created.id, created.attr.filename.as_str()), (2, "/d/f"));
         let r = meta(
             &h,
             MetaOp::GetFileAttr {
@@ -522,7 +525,10 @@ mod tests {
         let MetaResult::MaybeEntry(Some(moved)) = r else {
             panic!("rename answers with the entry it moved, got {r:?}");
         };
-        assert_eq!((moved.0.filename.as_str(), moved.1.len()), ("/d/g", 1));
+        assert_eq!(
+            (moved.id, moved.attr.filename.as_str(), moved.dist.len()),
+            (created.id, "/d/g", 1)
+        );
         let r = meta(
             &h,
             MetaOp::OpenFile {
@@ -654,6 +660,18 @@ mod tests {
         };
         assert_eq!(shard, 1);
         assert_eq!(shards, 4);
+        // The shard's number is the high bits of every file id it mints.
+        let created = meta(
+            &h,
+            MetaOp::CreateFile {
+                attr: attr("/f"),
+                dist: vec![],
+            },
+        );
+        let MetaResult::MaybeEntry(Some(entry)) = created else {
+            panic!("expected the created entry, got {created:?}");
+        };
+        assert_eq!(entry.id >> 48, 1);
         let snap = h.stats_snapshot();
         assert_eq!((snap.shard_id, snap.shards), (1, 4));
         let node = snap.node("metad1");
@@ -685,7 +703,7 @@ mod tests {
                 dist: vec![],
             },
         );
-        assert_eq!(r, MetaResult::Unit);
+        assert!(matches!(r, MetaResult::MaybeEntry(Some(_))), "{r:?}");
         let r = meta(
             &src,
             MetaOp::RenamePrepare {
@@ -694,23 +712,28 @@ mod tests {
             },
         );
         let MetaResult::RenamePrepared {
-            intent, attr: a, ..
+            intent, mut entry, ..
         } = r
         else {
             panic!("expected RenamePrepared, got {r:?}");
         };
-        let mut moved = a;
-        moved.filename = "/d/g".into();
+        entry.attr.filename = "/d/g".into();
         let r = meta(
             &dst,
             MetaOp::RenameCommit {
-                intent,
-                attr: moved,
-                dist: vec![],
+                entry: entry.clone(),
                 tags: vec![],
             },
         );
         assert_eq!(r, MetaResult::Unit);
+        // The file keeps the id shard 0 gave it on shard 1.
+        let r = meta(
+            &dst,
+            MetaOp::OpenFile {
+                filename: "/d/g".into(),
+            },
+        );
+        assert_eq!(r, MetaResult::MaybeEntry(Some(entry)));
         let r = meta(&src, MetaOp::ListRenameIntents);
         assert_eq!(
             r,

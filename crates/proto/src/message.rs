@@ -60,7 +60,9 @@ impl ErrorCode {
 }
 
 /// A client request. `subfile` names the server-local file holding this
-/// server's bricks of a DPFS file.
+/// server's bricks of a DPFS file: the file's id (`hints.rs` in `dpfs-core`
+/// derives the names), never its path, so no namespace operation reaches an
+/// I/O server.
 //
 // `Meta` dwarfs the I/O variants (a cross-shard rename prepare carries a
 // full attr row + distribution snapshot), but requests are per-RPC
@@ -120,9 +122,6 @@ pub enum Request {
         pattern: AccessPattern,
         payload: Bytes,
     },
-    /// Rename the subfile `from` to `to` in place, replacing whatever `to`
-    /// named (file rename: names move, no byte does).
-    Rename { from: String, to: String },
 }
 
 impl Request {
@@ -140,7 +139,6 @@ impl Request {
             Request::Meta { op } => op.op_str(),
             Request::ReadList { .. } => "read_list",
             Request::WriteList { .. } => "write_list",
-            Request::Rename { .. } => "rename",
         }
     }
 }
@@ -193,8 +191,6 @@ pub enum Response {
     /// sent, so it scatters straight from this buffer into the caller's.
     /// (Tag 3, a per-range chunk list, is retired.)
     DataList { data: Bytes },
-    /// Subfile renamed (`existed` tells whether there was one to rename).
-    Renamed { existed: bool },
 }
 
 // ---- the codec ----
@@ -476,9 +472,10 @@ macro_rules! wire_enum {
 
 pub(crate) use {wire_enum, wire_rows};
 
-// Request tag 6 (a subfile resize) and response tags 3 (a per-range chunk
-// list) and 6 (the resize's reply) are retired, not reassigned: an older
-// peer's message is refused instead of decoding to another verb or shape.
+// Request tags 6 (a subfile resize) and 13 (a subfile rename) and response
+// tags 3 (a per-range chunk list), 6 (the resize's reply) and 11 (the
+// rename's) are retired, not reassigned: an older peer's message is refused
+// instead of decoding to another verb or shape.
 wire_enum! { Request, "request",
     1 Ping
     2 Write { subfile, ranges }
@@ -491,7 +488,6 @@ wire_enum! { Request, "request",
     10 Meta { op }
     11 ReadList { subfile, pattern }
     12 WriteList { subfile, pattern, payload }
-    13 Rename { from, to }
 }
 
 wire_enum! { Response, "response",
@@ -503,7 +499,6 @@ wire_enum! { Response, "response",
     8 Stats { payload }
     9 Meta { shard, result }
     10 DataList { data }
-    11 Renamed { existed }
 }
 
 impl Request {
@@ -650,10 +645,6 @@ mod tests {
         });
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::Stats);
-        round_trip_req(Request::Rename {
-            from: "/a/f#r1".into(),
-            to: "/b/g#r1".into(),
-        });
     }
 
     fn strided_pattern() -> AccessPattern {
@@ -874,8 +865,6 @@ mod tests {
         round_trip_resp(Response::Stats {
             payload: Bytes::new(),
         });
-        round_trip_resp(Response::Renamed { existed: true });
-        round_trip_resp(Response::Renamed { existed: false });
     }
 
     #[test]
@@ -933,6 +922,19 @@ mod tests {
         old.extend_from_slice(&4096u64.to_le_bytes());
         assert!(Request::decode(Bytes::from(old)).is_err());
         assert!(Response::decode(Bytes::from_static(&[6])).is_err());
+    }
+
+    /// Tag 13 (rename a subfile) and its reply's tag 11 are retired, not
+    /// reassigned: subfiles are named by file id, so a rename never reaches
+    /// an I/O server, and an older peer's rename is refused.
+    #[test]
+    fn retired_rename_tags_are_rejected() {
+        let old = [13u8, 2, 0, 0, 0, b'/', b'a', 2, 0, 0, 0, b'/', b'b'];
+        assert!(Request::decode(Bytes::copy_from_slice(&old)).is_err());
+        assert!(Request::decode(Bytes::from_static(&[13])).is_err());
+        for existed in [0u8, 1] {
+            assert!(Response::decode(Bytes::copy_from_slice(&[11, existed])).is_err());
+        }
     }
 
     /// Tag 3 (one length-prefixed chunk per range, the old answer to an

@@ -29,6 +29,7 @@ pub enum MetaOp {
         info: ServerInfo,
     },
     ListServers,
+    /// Create a file; answers the created entry, its minted id with it.
     CreateFile {
         attr: FileAttrRow,
         dist: Vec<Distribution>,
@@ -108,11 +109,9 @@ pub enum MetaOp {
         to: String,
     },
     /// Cross-shard rename phase 2, sent to the *destination* shard: create
-    /// the renamed entry plus the intent marker tag in one transaction.
+    /// the renamed entry, under the source's id, in one transaction.
     RenameCommit {
-        intent: i64,
-        attr: FileAttrRow,
-        dist: Vec<Distribution>,
+        entry: FileEntry,
         tags: Vec<(String, String)>,
     },
     /// Cross-shard rename phase 3, sent to the source shard: delete the
@@ -144,9 +143,10 @@ pub enum MetaResult {
     MaybeAttr(Option<FileAttrRow>),
     MaybeDir(Option<DirEntry>),
     MaybeString(Option<String>),
-    /// A file's catalog entry, attribute row and distribution together:
-    /// what `OpenFile` found, what `DeleteFile` removed, what `RenameFile`
-    /// moved (under its new name), what `ExtendDistribution` left.
+    /// A file's catalog entry, id, attribute row and distribution together:
+    /// what `CreateFile` made, what `OpenFile` found, what `DeleteFile`
+    /// removed, what `RenameFile` moved (under its new name), what
+    /// `ExtendDistribution` left.
     MaybeEntry(Option<FileEntry>),
     Tags(Vec<(String, String)>),
     TagHits(Vec<(String, String, i64)>),
@@ -159,12 +159,11 @@ pub enum MetaResult {
     ShardMap {
         shards: u32,
     },
-    /// Reply to `RenamePrepare`: the intent id plus the entry snapshot the
-    /// client replays onto the destination shard.
+    /// Reply to `RenamePrepare`: the intent id plus the entry and tag
+    /// snapshot the client replays onto the destination shard.
     RenamePrepared {
         intent: i64,
-        attr: FileAttrRow,
-        dist: Vec<Distribution>,
+        entry: FileEntry,
         tags: Vec<(String, String)>,
     },
     /// Reply to `ListRenameIntents`: `(intent, src, dst)` triples.
@@ -245,7 +244,9 @@ impl MetaOp {
         match self {
             Op::RegisterServer { info } => s.register_server(&info).map(|()| R::Unit),
             Op::ListServers => s.list_servers().map(R::Servers),
-            Op::CreateFile { attr, dist } => s.create_file(&attr, &dist).map(|()| R::Unit),
+            Op::CreateFile { attr, dist } => s
+                .create_file(&attr, &dist)
+                .map(|id| R::MaybeEntry(Some(FileEntry { id, attr, dist }))),
             Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
             Op::RenameFile { from, to } => {
                 s.rename_file(&from, &to).map(|e| R::MaybeEntry(Some(e)))
@@ -287,21 +288,15 @@ impl MetaOp {
             Op::GetShardMap => Ok(R::ShardMap { shards: 1 }),
             Op::RenamePrepare { from, to } => {
                 s.rename_prepare(&from, &to)
-                    .map(|(intent, attr, dist, tags)| R::RenamePrepared {
+                    .map(|(intent, entry, tags)| R::RenamePrepared {
                         intent,
-                        attr,
-                        dist,
+                        entry,
                         tags,
                     })
             }
-            Op::RenameCommit {
-                intent,
-                attr,
-                dist,
-                tags,
-            } => s
-                .rename_commit_dest(intent, &attr, &dist, &tags)
-                .map(|()| R::Unit),
+            Op::RenameCommit { entry, tags } => {
+                s.rename_commit_dest(&entry, &tags).map(|()| R::Unit)
+            }
             Op::RenameFinish { intent } => s.rename_finish(intent).map(|()| R::Unit),
             Op::RenameAbort { intent } => s.rename_abort(intent).map(R::Bool),
             Op::ListRenameIntents => s
@@ -331,6 +326,7 @@ wire_rows! {
         pattern, placement, redundancy
     }
     Distribution { server, filename, bricklist }
+    FileEntry { id, attr, dist }
     DirEntry { main_dir, sub_dirs, files }
     Audit { issues, fixed, files, dirs }
 }
@@ -359,7 +355,7 @@ wire_enum! { MetaOp, "meta op",
     22 ServerBrickCounts
     24 GetShardMap
     25 RenamePrepare { from, to }
-    26 RenameCommit { intent, attr, dist, tags }
+    26 RenameCommit { entry, tags }
     27 RenameFinish { intent }
     28 RenameAbort { intent }
     29 ListRenameIntents
@@ -380,7 +376,7 @@ wire_enum! { MetaResult, "meta result",
     11 BrickCounts(value)
     12 Err { code, message }
     13 ShardMap { shards }
-    14 RenamePrepared { intent, attr, dist, tags }
+    14 RenamePrepared { intent, entry, tags }
     15 Intents(value)
     16 MaybeEntry(value)
     17 Audit(value)
@@ -437,6 +433,14 @@ mod tests {
                 bricklist: vec![1, 3],
             },
         ]
+    }
+
+    fn sample_entry() -> FileEntry {
+        FileEntry {
+            id: 1 << 48 | 7,
+            attr: sample_attr(),
+            dist: sample_dist(),
+        }
     }
 
     fn sample_extend() -> MetaOp {
@@ -537,9 +541,7 @@ mod tests {
             to: "/b/f".into(),
         });
         round_trip_op(MetaOp::RenameCommit {
-            intent: 7,
-            attr: sample_attr(),
-            dist: sample_dist(),
+            entry: sample_entry(),
             tags: vec![("k".into(), "v".into())],
         });
         round_trip_op(MetaOp::RenameFinish { intent: 7 });
@@ -629,8 +631,12 @@ mod tests {
         round_trip_result(MetaResult::MaybeString(None));
         round_trip_result(MetaResult::MaybeString(Some("v".into())));
         round_trip_result(MetaResult::MaybeEntry(None));
-        round_trip_result(MetaResult::MaybeEntry(Some((sample_attr(), sample_dist()))));
-        round_trip_result(MetaResult::MaybeEntry(Some((sample_attr(), vec![]))));
+        round_trip_result(MetaResult::MaybeEntry(Some(sample_entry())));
+        round_trip_result(MetaResult::MaybeEntry(Some(FileEntry {
+            id: u64::MAX,
+            attr: sample_attr(),
+            dist: vec![],
+        })));
         round_trip_result(MetaResult::Tags(vec![("k".into(), "v".into())]));
         round_trip_result(MetaResult::TagHits(vec![("/f".into(), "v".into(), 9)]));
         round_trip_result(MetaResult::BrickCounts(vec![("s0".into(), 3)]));
@@ -641,8 +647,7 @@ mod tests {
         round_trip_result(MetaResult::ShardMap { shards: 4 });
         round_trip_result(MetaResult::RenamePrepared {
             intent: 9,
-            attr: sample_attr(),
-            dist: sample_dist(),
+            entry: sample_entry(),
             tags: vec![("k".into(), "v".into()), ("k2".into(), "v2".into())],
         });
         round_trip_result(MetaResult::Intents(vec![
@@ -775,9 +780,7 @@ mod tests {
         }
         let enc = Request::Meta {
             op: MetaOp::RenameCommit {
-                intent: 3,
-                attr: sample_attr(),
-                dist: sample_dist(),
+                entry: sample_entry(),
                 tags: vec![("k".into(), "v".into())],
             },
         }
@@ -802,8 +805,7 @@ mod tests {
             shard: 1,
             result: MetaResult::RenamePrepared {
                 intent: 3,
-                attr: sample_attr(),
-                dist: sample_dist(),
+                entry: sample_entry(),
                 tags: vec![("k".into(), "v".into())],
             },
         }
@@ -816,7 +818,7 @@ mod tests {
         }
         let enc = Response::Meta {
             shard: 1,
-            result: MetaResult::MaybeEntry(Some((sample_attr(), sample_dist()))),
+            result: MetaResult::MaybeEntry(Some(sample_entry())),
         }
         .encode();
         for cut in 1..enc.len() {

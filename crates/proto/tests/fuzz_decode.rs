@@ -2,7 +2,7 @@
 //! the framing layer — they either parse or error.
 
 use bytes::Bytes;
-use dpfs_meta::{Distribution, FileAttrRow};
+use dpfs_meta::{Distribution, FileAttrRow, FileEntry};
 use dpfs_proto::{frame, AccessPattern, MetaOp, MetaResult, Request, Response};
 use proptest::prelude::*;
 
@@ -137,18 +137,19 @@ proptest! {
         let _ = Request::decode(Bytes::from(flipped));
     }
 
-    /// `Rename` round-trips for any pair of names, every strict prefix of
-    /// its encoding is refused (both strings are length-prefixed), trailing
-    /// garbage is refused, and a flipped `Renamed` never panics.
+    /// A rename is the metadata op `RenameFile`: it round-trips for any
+    /// pair of names, every strict prefix of its encoding is refused (both
+    /// strings are length-prefixed), trailing garbage is refused, and flipped
+    /// bytes never panic. The retired subfile rename (request tag 13) does
+    /// not decode, whatever names it carries.
     #[test]
     fn rename_round_trips_and_rejects_truncation_and_garbage(
         from in "[a-zA-Z0-9/_.%#-]{0,64}",
         to in "[a-zA-Z0-9/_.%#-]{0,64}",
         garbage in proptest::collection::vec(any::<u8>(), 1..16),
-        existed in any::<bool>(),
         x in 1u8..=255,
     ) {
-        let req = Request::Rename { from, to };
+        let req = Request::Meta { op: MetaOp::RenameFile { from: from.clone(), to: to.clone() } };
         let enc = req.encode();
         prop_assert_eq!(&Request::decode(enc.clone()).unwrap(), &req);
         for cut in 0..enc.len() {
@@ -157,16 +158,18 @@ proptest! {
         let mut long = enc.to_vec();
         long.extend_from_slice(&garbage);
         prop_assert!(Request::decode(Bytes::from(long)).is_err());
-
-        let resp = Response::Renamed { existed };
-        let enc = resp.encode().to_vec();
-        prop_assert_eq!(Response::decode(Bytes::from(enc.clone())).unwrap(), resp);
-        prop_assert!(Response::decode(Bytes::copy_from_slice(&enc[..1])).is_err());
         for i in 0..enc.len() {
-            let mut flipped = enc.clone();
+            let mut flipped = enc.to_vec();
             flipped[i] ^= x;
-            let _ = Response::decode(Bytes::from(flipped));
+            let _ = Request::decode(Bytes::from(flipped));
         }
+
+        let mut retired = vec![13u8];
+        for name in [&from, &to] {
+            retired.extend_from_slice(&(name.len() as u32).to_le_bytes());
+            retired.extend_from_slice(name.as_bytes());
+        }
+        prop_assert!(Request::decode(Bytes::from(retired)).is_err());
     }
 
     /// `DataList` responses survive the same treatment.
@@ -258,6 +261,7 @@ proptest! {
     #[test]
     fn open_file_and_its_entry_reply_survive_the_same_treatment(
         filename in "[a-zA-Z0-9/_.%#-]{0,48}",
+        id in any::<u64>(),
         dims in proptest::collection::vec(any::<i64>(), 0..4),
         rows in proptest::collection::vec(
             ("[a-z0-9.]{1,12}", proptest::collection::vec(any::<i64>(), 0..8)),
@@ -299,7 +303,7 @@ proptest! {
         let reply = |entry| Response::Meta { shard: 1, result: MetaResult::MaybeEntry(entry) };
         let none = reply(None);
         prop_assert_eq!(&Response::decode(none.encode()).unwrap(), &none);
-        let resp = reply(Some((attr.clone(), dist)));
+        let resp = reply(Some(FileEntry { id, attr: attr.clone(), dist }));
         let enc = resp.encode();
         prop_assert_eq!(&Response::decode(enc.clone()).unwrap(), &resp);
         for cut in 0..enc.len() {
@@ -314,7 +318,7 @@ proptest! {
         let _ = Response::decode(Bytes::from(flipped));
 
         // An empty distribution ends the message with its zero row count.
-        let mut lying = reply(Some((attr, Vec::new()))).encode().to_vec();
+        let mut lying = reply(Some(FileEntry { id, attr, dist: Vec::new() })).encode().to_vec();
         let at = lying.len() - 4;
         prop_assert_eq!(&lying[at..], &[0u8; 4]);
         lying[at..].copy_from_slice(&claimed.to_le_bytes());

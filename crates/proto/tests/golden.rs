@@ -5,7 +5,7 @@
 //! it does to round trips.
 
 use bytes::{Bytes, BytesMut};
-use dpfs_meta::{Distribution, FileAttrRow};
+use dpfs_meta::{Distribution, FileAttrRow, FileEntry};
 use dpfs_proto::{AccessPattern, ErrorCode, MetaOp, MetaResult, PatternSeg, Request, Response};
 
 /// Hex digits to bytes; whitespace between them is ignored.
@@ -68,6 +68,25 @@ fn dist() -> Vec<Distribution> {
         bricklist: vec![0, 2],
     }]
 }
+
+/// The file id 0x0001_0000_0000_0007 (shard 1, sequence value 7), then
+/// [`attr`] and [`dist`].
+fn entry() -> FileEntry {
+    FileEntry {
+        id: 1 << 48 | 7,
+        attr: attr(),
+        dist: dist(),
+    }
+}
+
+/// [`entry`]'s encoding: the id leads, eight bytes little-endian.
+const ENTRY: &str = "0700000000000100
+    02000000 2f66 01000000 6f a401000000000000 0010000000000000
+    06000000 6c696e656172 0100000000000000
+    01000000 0010000000000000 00000000 0004000000000000
+    00000000 02000000 7272 04000000 6e6f6e65
+    01000000 02000000 7330 02000000 2f66
+    02000000 0000000000000000 0200000000000000";
 
 fn requests() -> Vec<(&'static str, Request, Vec<u8>)> {
     vec![
@@ -159,12 +178,14 @@ fn requests() -> Vec<(&'static str, Request, Vec<u8>)> {
             .concat(),
         ),
         (
-            "Rename",
-            Request::Rename {
-                from: "/a".into(),
-                to: "/b".into(),
+            "Meta(RenameCommit)",
+            Request::Meta {
+                op: MetaOp::RenameCommit {
+                    entry: entry(),
+                    tags: vec![("k".into(), "v".into())],
+                },
             },
-            hex("0d 02000000 2f61 02000000 2f62"),
+            hex(&format!("0a 1a {ENTRY} 01000000 01000000 6b 01000000 76")),
         ),
     ]
 }
@@ -213,15 +234,21 @@ fn responses() -> Vec<(&'static str, Response, Vec<u8>)> {
             "Meta",
             Response::Meta {
                 shard: 3,
-                result: MetaResult::MaybeEntry(Some((attr(), dist()))),
+                result: MetaResult::MaybeEntry(Some(entry())),
             },
-            hex("09 03000000 10 01
-                 02000000 2f66 01000000 6f a401000000000000 0010000000000000
-                 06000000 6c696e656172 0100000000000000
-                 01000000 0010000000000000 00000000 0004000000000000
-                 00000000 02000000 7272 04000000 6e6f6e65
-                 01000000 02000000 7330 02000000 2f66
-                 02000000 0000000000000000 0200000000000000"),
+            hex(&format!("09 03000000 10 01 {ENTRY}")),
+        ),
+        (
+            "Meta(RenamePrepared)",
+            Response::Meta {
+                shard: 3,
+                result: MetaResult::RenamePrepared {
+                    intent: 9,
+                    entry: entry(),
+                    tags: vec![],
+                },
+            },
+            hex(&format!("09 03000000 0e 0900000000000000 {ENTRY} 00000000")),
         ),
         (
             "DataList",
@@ -229,11 +256,6 @@ fn responses() -> Vec<(&'static str, Response, Vec<u8>)> {
                 data: Bytes::from_static(b"xyz"),
             },
             hex("0a 0300000000000000 78797a"),
-        ),
-        (
-            "Renamed",
-            Response::Renamed { existed: false },
-            hex("0b 00"),
         ),
     ]
 }

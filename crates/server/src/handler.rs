@@ -285,10 +285,6 @@ impl Handler {
                 Ok(existed) => Response::Deleted { existed },
                 Err(e) => self.error_response(e),
             },
-            Request::Rename { from, to } => match self.store.rename(&from, &to) {
-                Ok(existed) => Response::Renamed { existed },
-                Err(e) => self.error_response(e),
-            },
             Request::Stat { subfile } => match self.store.stat(&subfile) {
                 Ok((exists, size)) => Response::Stat { exists, size },
                 Err(e) => self.error_response(e),
@@ -411,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn stat_rename_delete() {
+    fn stat_then_delete() {
         let (h, dir) = handler();
         h.handle(Request::Write {
             subfile: "/f".into(),
@@ -426,15 +422,6 @@ mod tests {
                 size: 4
             }
         );
-        let rename = |from: &str, to: &str| {
-            h.handle(Request::Rename {
-                from: from.into(),
-                to: to.into(),
-            })
-        };
-        assert_eq!(rename("/f", "/g"), Response::Renamed { existed: true });
-        assert_eq!(rename("/f", "/g"), Response::Renamed { existed: false });
-        assert_eq!(rename("/g", "/f"), Response::Renamed { existed: true });
         assert_eq!(
             h.handle(Request::Delete {
                 subfile: "/f".into()

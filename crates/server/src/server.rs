@@ -84,7 +84,6 @@ impl Service for Handler {
             | Request::Stats
             | Request::Stat { .. }
             | Request::Delete { .. }
-            | Request::Rename { .. }
             | Request::Meta { .. } => Attempt::Answered(self.handle_traced(req, trace_id)),
             Request::Read { .. } | Request::ReadList { .. } => self.read_nowait(req, trace_id),
             Request::Write { .. }

@@ -20,7 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::sys;
 
 /// One subfile's open-handle slot: `None` until first use and after
-/// `delete` or `rename` closes the descriptor (and drops its mapping).
+/// `delete` closes the descriptor (and drops its mapping).
 type HandleSlot = Arc<RwLock<Option<Handle>>>;
 
 /// An open subfile: its descriptor and, from its first gathered read on,
@@ -62,16 +62,16 @@ enum Access {
     Create,
 }
 
-/// Store rooted at a local directory; subfile names (DPFS paths) map to
-/// files under the root.
+/// Store rooted at a local directory; subfile names (derived from DPFS file
+/// ids) map to files under the root.
 ///
 /// Locking is per subfile: the store-wide map lock is held only to look up
 /// (or insert) a subfile's handle slot, and the slot's own reader-writer
 /// lock is held across the local I/O. Requests for *different* subfiles
 /// proceed in parallel, and so do *reads* of one subfile (`pread` needs
 /// only `&File`): they share the slot for their whole range list. Writes,
-/// `delete`, `rename`, `sync` and the lazy open take it exclusively, so
-/// `delete` and `rename` never interleave with a half-done range list,
+/// `delete`, `sync` and the lazy open take it exclusively, so `delete`
+/// never interleaves with a half-done range list,
 /// and no write runs under a gather from the subfile's mapping. The I/O
 /// itself is positional, with no seek: a write is one `pwrite` per range,
 /// a read one vectored read per run of page-adjacent ranges, or one gather
@@ -338,42 +338,12 @@ impl SubfileStore {
     /// exclusively, its descriptor closed — unless somebody queued on it
     /// meanwhile (clones are only handed out under the map lock, so 2 =
     /// the map's and the caller's): they keep the one slot per name, and a
-    /// later delete or rename forgets it.
+    /// later delete forgets it.
     fn forget(&self, subfile: &str, slot: &HandleSlot) {
         let mut handles = self.handles.lock();
         if Arc::strong_count(slot) == 2 {
             handles.remove(subfile);
         }
-    }
-
-    /// Rename the subfile `from` to `to`, replacing whatever `to` named;
-    /// returns whether `from` existed (an absent one creates nothing).
-    pub fn rename(&self, from: &str, to: &str) -> Result<bool, StoreError> {
-        if from == to {
-            return Ok(self.stat(from)?.0);
-        }
-        // `delete`'s discipline, on both names: each slot is held
-        // exclusively from closing its descriptor to the end of the
-        // rename, so no cached descriptor outlives the inode it named and
-        // whoever queued meanwhile reopens the *path* afterwards. The
-        // slots are taken in name order, so `rename(a, b)` and
-        // `rename(b, a)` cannot each hold the one the other waits for.
-        let (from_slot, to_slot) = (self.slot(from), self.slot(to));
-        let (first, second) = if from < to {
-            (&from_slot, &to_slot)
-        } else {
-            (&to_slot, &from_slot)
-        };
-        let (mut first, mut second) = (first.write(), second.write());
-        (*first, *second) = (None, None);
-        let renamed = match std::fs::rename(self.path_of(from), self.path_of(to)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        };
-        self.forget(from, &from_slot);
-        self.forget(to, &to_slot);
-        renamed
     }
 
     /// Stat the subfile: `(exists, size)`.
@@ -698,149 +668,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_moves_the_inode_and_replaces_the_destination() {
-        let (s, dir) = store();
-        s.write_ranges("/a", &[(0, Bytes::from_static(b"short"))])
-            .unwrap();
-        s.write_ranges("/b", &[(0, Bytes::from_static(b"a longer leftover"))])
-            .unwrap();
-        assert!(s.rename("/a", "/b").unwrap());
-        assert_eq!(s.stat("/a").unwrap(), (false, 0));
-        assert_eq!(s.stat("/b").unwrap(), (true, 5));
-        assert_eq!(
-            &s.read_ranges_coalesced("/b", &[(0, 5)]).unwrap()[..],
-            b"short"
-        );
-        // Both cached descriptors went with the rename: a write to the old
-        // name creates a new file instead of reaching the moved inode.
-        s.write_ranges("/a", &[(0, Bytes::from_static(b"new"))])
-            .unwrap();
-        assert_eq!(s.stat("/a").unwrap(), (true, 3));
-        assert_eq!(
-            &s.read_ranges_coalesced("/b", &[(0, 5)]).unwrap()[..],
-            b"short"
-        );
-        assert!(s.rename("/a", "/a").unwrap(), "a name renamed to itself");
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn rename_of_an_absent_subfile_creates_nothing() {
-        let (s, dir) = store();
-        assert!(!s.rename("/nope", "/other").unwrap());
-        assert!(!s.rename("/nope", "/nope").unwrap());
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        assert!(s.handles.lock().is_empty(), "slots of absent names leaked");
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn rename_keeps_hostile_names_inside_the_root() {
-        let (s, dir) = store();
-        let names = ["/a%b/c", "/a/b%c", "/../x", "..%s..%sy", "/p/../q"];
-        for (i, pair) in names.windows(2).enumerate() {
-            s.write_ranges(pair[0], &[(0, Bytes::from(vec![i as u8; 4]))])
-                .unwrap();
-            assert!(s.rename(pair[0], pair[1]).unwrap());
-            assert_eq!(s.stat(pair[0]).unwrap(), (false, 0));
-            assert_eq!(s.stat(pair[1]).unwrap(), (true, 4));
-            let on_disk: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name().into_string().unwrap())
-                .collect();
-            assert_eq!(on_disk, [local_name(pair[1])]);
-            s.delete(pair[1]).unwrap();
-        }
-        // `..` itself is the one name that is a path: the root's parent is a
-        // directory, so neither direction can move anything.
-        s.write_ranges("/f", &[(0, Bytes::from_static(b"kept"))])
-            .unwrap();
-        assert!(s.rename("/f", "..").is_err());
-        assert!(s.rename("..", "/g").is_err());
-        assert_eq!(s.stat("/f").unwrap(), (true, 4));
-        assert_eq!(s.stat("/g").unwrap(), (false, 0));
-        assert!(dir.is_dir());
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn opposite_renames_do_not_deadlock() {
-        let (s, dir) = store();
-        let s = &s;
-        s.write_ranges("/a", &[(0, Bytes::from_static(b"a"))])
-            .unwrap();
-        s.write_ranges("/b", &[(0, Bytes::from_static(b"b"))])
-            .unwrap();
-        std::thread::scope(|scope| {
-            for (from, to) in [("/a", "/b"), ("/b", "/a")] {
-                scope.spawn(move || {
-                    for _ in 0..1000 {
-                        s.rename(from, to).unwrap();
-                    }
-                });
-            }
-        });
-        // Every rename consumed one name, so exactly one file is left.
-        let left = s.stat("/a").unwrap().0 as u8 + s.stat("/b").unwrap().0 as u8;
-        assert_eq!(left, 1);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    /// A write that looks the source name up while `rename` is between
-    /// closing the descriptors and moving the inode must not end up holding
-    /// a descriptor the name no longer reaches: whatever order the two
-    /// finish in, the writer's bytes are readable under exactly one name.
-    #[test]
-    fn a_write_racing_a_rename_lands_under_exactly_one_name() {
-        use std::sync::mpsc;
-        use std::time::Duration;
-
-        let (s, dir) = store();
-        let s = &s;
-        s.write_ranges("/from", &[(0, Bytes::from_static(b"old bytes"))])
-            .unwrap();
-        // Holding the source slot shared parks the renamer inside `rename`,
-        // after its lookups and before the move.
-        let slot = s.slot("/from");
-        let reading = slot.read();
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            let renamer = scope.spawn(move || tx.send(s.rename("/from", "/to").unwrap()).unwrap());
-            assert!(
-                rx.recv_timeout(Duration::from_millis(200)).is_err(),
-                "rename went ahead under a reader"
-            );
-            let writer = scope.spawn(|| {
-                s.write_ranges("/from", &[(0, Bytes::from_static(b"NEW"))])
-                    .unwrap()
-            });
-            drop(reading);
-            assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap());
-            renamer.join().unwrap();
-            assert_eq!(writer.join().unwrap(), 3);
-        });
-        let head = |name: &str| match s.read_ranges_coalesced(name, &[(0, 3)]) {
-            Ok(data) => Some(data.to_vec()),
-            Err(StoreError::NotFound) => None,
-            Err(e) => panic!("{e}"),
-        };
-        match (head("/from"), head("/to")) {
-            // the write came first and moved with the inode
-            (None, Some(to)) => {
-                assert_eq!(to, b"NEW");
-                assert_eq!(s.stat("/to").unwrap(), (true, 9));
-            }
-            // the write came second: a fresh file under the old name
-            (Some(from), Some(to)) => {
-                assert_eq!((&from[..], &to[..]), (&b"NEW"[..], &b"old"[..]));
-                assert_eq!(s.stat("/from").unwrap(), (true, 3));
-            }
-            other => panic!("the writer's bytes are under no name: {other:?}"),
-        }
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn concurrent_readers_never_see_a_torn_range_list() {
         use std::sync::Barrier;
 
@@ -1025,10 +852,10 @@ mod tests {
     }
 
     /// A gather reads the inode the name holds now: `delete` and a
-    /// recreation under the same name, and `rename` over a name whose
-    /// subfile is mapped, leave no mapping of the old inode behind.
+    /// recreation under the same name leave no mapping of the old inode
+    /// behind, for a blocking and a `nowait` read alike.
     #[test]
-    fn a_gather_after_delete_or_rename_reads_the_names_new_bytes() {
+    fn a_gather_after_delete_reads_the_names_new_bytes() {
         const SIZE: usize = 1 << 20;
         let (s, dir) = store();
         let ranges = sparse(0, 256);
@@ -1040,17 +867,6 @@ mod tests {
         assert!(s.delete("/m").unwrap());
         s.write_ranges("/m", &[(0, Bytes::from(new.clone()))])
             .unwrap();
-        for _ in 0..2 {
-            assert!(
-                s.read_ranges_coalesced("/m", &ranges).unwrap() == each(&new, &ranges),
-                "a gather after delete and recreate read the unlinked inode"
-            );
-        }
-
-        s.write_ranges("/src", &[(0, Bytes::from(old.clone()))])
-            .unwrap();
-        assert!(s.read_ranges_coalesced("/m", &ranges).unwrap() == each(&new, &ranges));
-        assert!(s.rename("/src", "/m").unwrap());
         for read in [
             SubfileStore::read_ranges_coalesced,
             |s: &SubfileStore, name: &str, ranges: &[(u64, u64)]| {
@@ -1058,8 +874,8 @@ mod tests {
             },
         ] {
             assert!(
-                read(&s, "/m", &ranges).unwrap() == each(&old, &ranges),
-                "a gather after a rename over a mapped name read the replaced inode"
+                read(&s, "/m", &ranges).unwrap() == each(&new, &ranges),
+                "a gather after delete and recreate read the unlinked inode"
             );
         }
         std::fs::remove_dir_all(dir).unwrap();

@@ -42,9 +42,8 @@
 //!   no truncating open in `crates/server/src`; `ci.sh` greps for both), a
 //!   gather reads only pages below the end of file it was planned on, and
 //!   it holds its subfile's slot shared, so no writer of the store runs
-//!   during it. `delete` and `rename` unlink or replace a *name*: the
-//!   mapped inode lives on until the mapping is dropped with the
-//!   descriptor. Where the page cannot be brought in, `MADV_POPULATE_READ`
+//!   during it. `delete` unlinks a *name*: the mapped inode lives on
+//!   until the mapping is dropped with the descriptor. Where the page cannot be brought in, `MADV_POPULATE_READ`
 //!   fails with an error instead of the signal, and the read fails with it.
 //! - Nothing waits on a thread that must not: `mincore` must report every
 //!   page of the window cached before the first is touched. The kernel

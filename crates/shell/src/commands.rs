@@ -4,7 +4,8 @@ use std::fmt::Write as _;
 
 use dpfs_cluster::{scrape_cluster, UNREACHABLE};
 use dpfs_core::trace::{ClusterSnapshot, NodeRole};
-use dpfs_core::{Dpfs, DpfsError, FileLevel, Hint, Layout, Result};
+use dpfs_core::{primary_subfile, Dpfs, DpfsError, FileLevel, Hint, Layout, Result};
+use dpfs_meta::FileEntry;
 
 use crate::parse::{resolve_path, split_words};
 
@@ -165,13 +166,15 @@ impl Shell {
     fn cmd_stat(&mut self, args: &[String]) -> Result<String> {
         let p = self.one_arg(args, "stat <file>")?;
         let full = resolve_path(&self.cwd, p);
-        let (attr, dist) = self
+        let FileEntry { id, attr, dist } = self
             .fs
             .meta()
             .open_file(&full)?
             .ok_or(DpfsError::NoSuchFile(full))?;
         let mut out = String::new();
         writeln!(out, "file:       {}", attr.filename).unwrap();
+        // The name the I/O servers hold the file's subfiles under.
+        writeln!(out, "id:         {}", primary_subfile(id)).unwrap();
         writeln!(out, "owner:      {}", attr.owner).unwrap();
         writeln!(out, "permission: {:o}", attr.permission).unwrap();
         writeln!(out, "size:       {}", attr.size).unwrap();
@@ -1144,39 +1147,31 @@ mod tests {
             },
         );
         let MetaResult::RenamePrepared {
-            intent,
-            mut attr,
-            mut dist,
-            tags,
+            mut entry, tags, ..
         } = prepared
         else {
             panic!("expected RenamePrepared, got {prepared:?}");
         };
-        attr.filename = to.into();
-        dist.iter_mut().for_each(|d| d.filename = to.into());
-        let committed = meta(
-            dst,
-            MetaOp::RenameCommit {
-                intent,
-                attr,
-                dist,
-                tags,
-            },
-        );
+        entry.attr.filename = to.into();
+        entry.dist.iter_mut().for_each(|d| d.filename = to.into());
+        let committed = meta(dst, MetaOp::RenameCommit { entry, tags });
         assert_eq!(committed, MetaResult::Unit);
-        sh.exec(&format!("stat {from}")).unwrap();
-        sh.exec(&format!("stat {to}")).unwrap();
+        // Both names show the one file: the same id, and so the same
+        // subfiles.
+        let id = |stat: String| {
+            stat.lines()
+                .find(|l| l.starts_with("id:"))
+                .unwrap()
+                .to_string()
+        };
+        let before = id(sh.exec(&format!("stat {from}")).unwrap());
+        assert_eq!(id(sh.exec(&format!("stat {to}")).unwrap()), before);
 
         let out = sh.exec("fsck --repair").unwrap();
         assert!(out.contains("resolved 1 rename intent(s)"), "{out}");
         assert!(out.contains("0 remaining issue(s)"), "{out}");
         assert!(sh.exec(&format!("stat {from}")).is_err(), "source is gone");
-        sh.exec(&format!("stat {to}")).unwrap();
-        let marker = MetaOp::GetTag {
-            filename: to.into(),
-            tag: dpfs_meta::catalog::RENAME_INTENT_TAG.into(),
-        };
-        assert_eq!(meta(dst, marker), MetaResult::MaybeString(None));
+        assert_eq!(id(sh.exec(&format!("stat {to}")).unwrap()), before);
         assert_eq!(
             meta(src, MetaOp::ListRenameIntents),
             MetaResult::Intents(vec![])

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show where the chunks physically live.
     let entry = client.meta().open_file("/ckpt/step_000042")?;
-    for d in entry.map(|(_, dist)| dist).unwrap_or_default() {
+    for d in entry.map(|e| e.dist).unwrap_or_default() {
         println!("  {} stores chunk(s) {:?}", d.server, d.bricklist);
     }
     Ok(())

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         attr.owner, attr.size, attr.filelevel, attr.stripe_size
     );
     let entry = client.meta().open_file("/home/hello.dat")?;
-    for d in entry.map(|(_, dist)| dist).unwrap_or_default() {
+    for d in entry.map(|e| e.dist).unwrap_or_default() {
         println!("  {} holds {} bricks", d.server, d.bricklist.len());
     }
 

@@ -729,7 +729,7 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
     let marker = b"the last bytes of a long subfile";
     let marker_at = size - marker.len() as u64;
     let mark = Request::Write {
-        subfile: "/big".into(),
+        subfile: dpfs::core::primary_subfile(f.id()),
         ranges: vec![(marker_at, marker.to_vec().into())],
     };
     let pool = client.pool();
@@ -741,7 +741,7 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
     assert!(summary.unfixable.is_empty(), "unfixable: {summary:?}");
 
     // The mirror of ion02's primary is whole again, marker and all...
-    let mirror = dpfs::core::mirror_subfile("/big", 1);
+    let mirror = dpfs::core::mirror_subfile(f.id(), 1);
     let stat = Request::Stat {
         subfile: mirror.clone(),
     };

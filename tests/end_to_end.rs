@@ -325,7 +325,7 @@ fn greedy_file_distribution_matches_catalog() {
     assert!(loads[0] > 2 * loads[1], "loads {loads:?}");
     assert!(loads[2] > 2 * loads[3], "loads {loads:?}");
     // catalog rows agree with the in-memory map
-    let (_, dist) = client.meta().open_file("/g").unwrap().unwrap();
+    let dist = client.meta().open_file("/g").unwrap().unwrap().dist;
     for (d, load) in dist.iter().zip(&loads) {
         assert_eq!(d.bricklist.len(), *load);
     }

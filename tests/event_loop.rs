@@ -9,8 +9,9 @@
 //!   spin alike;
 //! - *no lost wake-ups*: pipelined traffic on one shard and two workers
 //!   all finishes — every reply arrives, however long the box takes;
-//! - *cold wake latency*: a request after an idle gap is answered at
-//!   context-switch cost, not at a nap's;
+//! - *cold wake cost*: a request after an idle gap is answered by a shard
+//!   that slept through the gap in one `poll`, counted in context switches,
+//!   not timed;
 //! - *deferred flush*: a reply the socket would not take whole goes out
 //!   through the shard, byte-exact, without holding up the shard's other
 //!   connections;
@@ -303,21 +304,48 @@ fn no_wake_up_is_lost_under_contention() {
     drop(dog);
 }
 
-/// Median latency of 50 round trips of `req`, each after 5 ms of silence.
-fn cold_rtt(addr: SocketAddr, req: &Request) -> Duration {
-    let mut c = connect(addr);
-    let mut rtts: Vec<Duration> = (0..50)
-        .map(|i| {
-            std::thread::sleep(Duration::from_millis(5));
-            let t0 = Instant::now();
-            rpc(&mut c, i, req);
-            t0.elapsed()
-        })
-        .collect();
-    rtts.sort();
-    rtts[rtts.len() / 2]
+/// Voluntary context switches summed over every live thread of this
+/// process, from `/proc/self`: each is one time a thread blocked.
+fn voluntary_switches() -> u64 {
+    let field = |status: String| -> Option<u64> {
+        let line = status
+            .lines()
+            .find(|l| l.starts_with("voluntary_ctxt_switches:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    };
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| field(std::fs::read_to_string(task.ok()?.path().join("status")).ok()?))
+        .sum()
 }
 
+/// Voluntary context switches of the whole process per round trip of
+/// `req`, each taken after 5 ms of silence, the silence included.
+fn switches_per_cold_trip(addr: SocketAddr, req: &Request) -> f64 {
+    const TRIPS: u64 = 50;
+    let mut c = connect(addr);
+    // Dial, and let every runtime thread reach its idle wait.
+    for i in 0..20 {
+        rpc(&mut c, i, req);
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let before = voluntary_switches();
+    for i in 0..TRIPS {
+        std::thread::sleep(Duration::from_millis(5));
+        rpc(&mut c, i, req);
+    }
+    (voluntary_switches() - before) as f64 / TRIPS as f64
+}
+
+/// A request after an idle gap is answered by a shard that slept through
+/// the gap in one `poll` and woke for the request: per gap and round trip
+/// the process blocks three times — the caller's sleep, its wait for the
+/// reply, the shard's return to `poll` — and no runtime thread wakes in
+/// the gap. Measured on a 2-core x86-64 VM: 3.00 for the iond (two shards,
+/// eight workers) and 3.00 for metad. Where every shard naps between polls
+/// (a `poll` timeout of 1 ms), each wakes about five times per gap, and
+/// the same run reads 21.7 for the iond and 21.9 for metad (the count is
+/// the whole process's: both servers' shards).
 #[test]
 fn a_request_after_an_idle_gap_is_answered_at_once() {
     let _guard = sequential();
@@ -330,12 +358,14 @@ fn a_request_after_an_idle_gap_is_answered_at_once() {
         ("iond", ion.addr(), Request::Ping),
         ("metad", metad.addr(), shard_map),
     ] {
-        // A server napping between polls takes a millisecond here.
-        let median = cold_rtt(addr, &req);
-        eprintln!("event_loop: {who} median round trip after a 5 ms gap: {median:?}");
+        let per_trip = switches_per_cold_trip(addr, &req);
+        eprintln!(
+            "event_loop: {who}: {per_trip:.2} voluntary context switches per cold round trip"
+        );
         assert!(
-            median < Duration::from_micros(500),
-            "{who}: median round trip after a 5 ms gap is {median:?}"
+            per_trip <= 3.5,
+            "{who}: {per_trip:.2} voluntary context switches per round trip after a 5 ms gap: \
+             a runtime thread wakes while idle"
         );
     }
 }
@@ -899,10 +929,6 @@ fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
         stat("/g"),
         Request::Delete {
             subfile: "/g".into(),
-        },
-        Request::Rename {
-            from: "/g".into(),
-            to: "/h".into(),
         },
         read_req("/f", 8),
         list_read.clone(),

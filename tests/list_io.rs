@@ -356,7 +356,7 @@ fn dense_stride_shrinks_request_bytes_at_least_5x() {
     assert_eq!(reqs.len(), N);
     let (mut pattern_bytes, mut enumerated_bytes) = (0u64, 0u64);
     for req in &reqs {
-        let subfile = "/dense".to_string();
+        let subfile = dpfs::core::primary_subfile(f.id());
         let pattern = AccessPattern::from_runs(&req.ranges);
         pattern_bytes += Request::ReadList {
             subfile: subfile.clone(),

@@ -18,7 +18,6 @@ use std::sync::atomic::Ordering;
 use dpfs::cluster::{metad_name, FaultProxy, Testbed, METAD_NAME};
 use dpfs::core::trace::{ring, Side};
 use dpfs::core::{ClientOptions, Dpfs, DpfsError, Hint, Placement};
-use dpfs::meta::catalog::RENAME_INTENT_TAG;
 use dpfs::meta::{Distribution, FileAttrRow, MetaError, ServerInfo, ShardMap};
 
 #[test]
@@ -353,9 +352,9 @@ fn rename_errors_are_typed_and_agree_across_mounts() {
 
 /// A sharded mount whose destination-shard daemon tears the connection on
 /// the `RenameCommit` *reply* (the commit itself lands): the client must
-/// resolve the ambiguity via the destination's intent marker and roll the
-/// rename forward — the entry ends fully at the destination, never lost,
-/// never duplicated.
+/// resolve the ambiguity by the destination's entry, which carries the
+/// source's file id, and roll the rename forward — the entry ends fully at
+/// the destination, never lost, never duplicated.
 #[test]
 fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
     let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
@@ -379,9 +378,10 @@ fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
     mk_file(&client, &from);
 
     let meta = client.meta();
+    let id = meta.open_file(&from).unwrap().unwrap().id;
     proxy.knobs().truncate_next.store(true, Ordering::Relaxed);
     meta.rename_file(&from, &to)
-        .expect("marker-based resolution must roll the committed rename forward");
+        .expect("id-based resolution must roll the committed rename forward");
 
     assert!(
         meta.get_file_attr(&from).unwrap().is_none(),
@@ -391,14 +391,10 @@ fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
         meta.get_file_attr(&to).unwrap().is_some(),
         "fully at destination"
     );
-    assert!(
-        meta.get_tag(&to, RENAME_INTENT_TAG).unwrap().is_none(),
-        "commit marker stripped after finish"
-    );
-    assert!(
-        !meta.open_file(&to).unwrap().unwrap().1.is_empty(),
-        "layout travelled with the rename"
-    );
+    let landed = meta.open_file(&to).unwrap().unwrap();
+    assert_eq!(landed.id, id, "the file kept its id");
+    assert!(!landed.dist.is_empty(), "layout travelled with the rename");
+    assert!(meta.list_tags(&to).unwrap().is_empty(), "no marker tag");
     let remote = client.remote_meta().unwrap();
     assert_eq!(
         remote.recover_rename_intents().unwrap(),
@@ -578,8 +574,9 @@ fn meta_script(fs: &Dpfs) -> Vec<(&'static str, Result<String, u8>)> {
         })
         .collect();
     let grow = [(servers[0].clone(), vec![2])];
+    // A control character is the one thing a file name may not hold.
     let bad_name = FileAttrRow {
-        filename: "/d/x#p".into(),
+        filename: "/d/x\u{7}".into(),
         ..attr.clone()
     };
     vec![

@@ -4,23 +4,26 @@
 //! costs more than everything the daemon does inside it — so each op is one
 //! trip wherever one transaction can answer it: `open` is `OpenFile` (the
 //! attribute row and the distribution, read together), `unlink` is
-//! `DeleteFile` and a same-shard `rename` is `RenameFile`, both answering
-//! with the entry they removed or moved, which is where the data-plane half
-//! gets its server list and its redundancy policy. A cross-shard `rename` is
-//! the four steps of its two-phase protocol and nothing else. The budgets
+//! `DeleteFile`, answering with the entry it removed, which is where the
+//! data-plane half gets its server list, its redundancy policy and the file
+//! id its subfiles are named by, and a same-shard `rename` is `RenameFile`.
+//! A cross-shard `rename` is the three steps of its two-phase protocol and
+//! nothing else: the moved entry keeps its id, and that id on the
+//! destination is the commit record, so there is no marker to strip. The budgets
 //! here are the daemons' own per-op counters
 //! (`MetadStatsSnapshot::op_latency` counts, summed over both shards of a
 //! 2-shard plane) around exactly one client call: they repeat exactly, so
 //! this is a regression test, not a timing. What is left to beat is
 //! `create`'s `list_servers` trip (ROADMAP item 5).
 //!
-//! The data-plane half is counted the same way at the I/O servers: `unlink`,
-//! `rename` and `sync` send one request per subfile the file's brick lists
-//! name — the servers' own request counters around the call, the kinds read
-//! off the `handle` events of the op's trace — whatever the file holds: a
-//! one-brick file on four servers costs one request, not four. What the
-//! servers hold on disk afterwards is compared with the policy's enumeration
-//! over the catalog.
+//! The data-plane half is counted the same way at the I/O servers: `unlink`
+//! and `sync` send one request per subfile the file's brick lists name —
+//! the servers' own request counters around the call, the kinds read off
+//! the `handle` events of the op's trace — whatever the file holds: a
+//! one-brick file on four servers costs one request, not four. `rename`
+//! sends none: subfiles are named by the file's id, which a rename keeps.
+//! What the servers hold on disk afterwards is compared with the policy's
+//! enumeration over the catalog.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,7 +79,8 @@ fn iond_spent(tb: &Testbed, op: &str, call: impl FnOnce()) -> ([u64; 3], Vec<&'s
     let cursor = ring().cursor();
     let sent = iond_counts(tb, call);
     let events = ring().events_since(cursor);
-    // Only one test of this file renames or unlinks, so the op span is ours.
+    // Only one test of this file unlinks a written file, so the op span is
+    // ours.
     let trace = events
         .iter()
         .find(|e| e.side == Side::Client && e.phase == "op" && e.kind == op)
@@ -215,7 +219,6 @@ fn create_unlink_and_rename_cost_what_was_measured() {
     assert_eq!(
         cross_shard,
         budget(&[
-            ("meta.remove_tag", 1),
             ("meta.rename_commit", 1),
             ("meta.rename_finish", 1),
             ("meta.rename_prepare", 1),
@@ -230,10 +233,12 @@ fn create_unlink_and_rename_cost_what_was_measured() {
     });
     assert_eq!(gone, budget(&[("meta.delete_file", 1)]));
 
-    // The I/O servers' side, on written files: one request per enumerated
-    // subfile, of the op's one kind, and no byte read or written. The policy
-    // comes from the row the metadata transaction moved or removed, so the
-    // derived subfiles (`#r1`, `#p`) follow the name and leave with it.
+    // The I/O servers' side, on written files: `unlink` sends one request
+    // per enumerated subfile, of the op's one kind, and no byte read or
+    // written; `rename` sends nothing at all. The subfiles are named by the
+    // file's id, which the row the metadata transaction moved keeps and the
+    // row it removed carries, so the derived ones (`#r1`, `#p`) stay put
+    // through every rename and leave with the unlink.
     let elsewhere = tb.on_disk();
     for (policy, subfiles) in [
         (RedundancyPolicy::None, 4),
@@ -241,24 +246,21 @@ fn create_unlink_and_rename_cost_what_was_measured() {
         (RedundancyPolicy::XorParity, 3 + 1),
     ] {
         let hint = Hint::linear(4096, 49152).with_redundancy(policy);
-        let held = |path: &str| -> BTreeSet<(usize, String)> {
-            let mut all = elsewhere.clone();
-            all.extend(policy.subfiles(path, &[true; 4]));
-            all
-        };
         // Within a shard (one `RenameFile`), then across (the 2PC).
         let mut old = format!("{d0}/w");
         let mut f = fs.create(&old, &hint).unwrap();
         f.write_bytes(0, &[6u8; 49152]).unwrap();
+        let id = f.id();
         f.close().unwrap();
-        assert_eq!(policy.subfiles(&old, &[true; 4]).len(), subfiles);
-        assert_eq!(tb.on_disk(), held(&old), "{policy:?} create");
+        let mut held = elsewhere.clone();
+        held.extend(policy.subfiles(id, &[true; 4]));
+        assert_eq!(policy.subfiles(id, &[true; 4]).len(), subfiles);
+        assert_eq!(tb.on_disk(), held, "{policy:?} create");
 
         for new in [format!("{d0}/v"), format!("{d1}/v")] {
-            let (sent, kinds) = iond_spent(&tb, "rename", || fs.rename(&old, &new).unwrap());
-            assert_eq!(sent, [subfiles as u64, 0, 0], "{policy:?} rename");
-            assert_eq!(kinds, vec!["rename"; subfiles], "{policy:?} rename");
-            assert_eq!(tb.on_disk(), held(&new), "{policy:?} rename to {new}");
+            let sent = iond_counts(&tb, || fs.rename(&old, &new).unwrap());
+            assert_eq!(sent, [0, 0, 0], "{policy:?} rename to {new}");
+            assert_eq!(tb.on_disk(), held, "{policy:?} rename to {new}");
             let mut f = fs.open(&new).unwrap();
             assert_eq!(f.read_bytes(0, 49152).unwrap(), [6u8; 49152]);
             old = new;
@@ -273,20 +275,22 @@ fn create_unlink_and_rename_cost_what_was_measured() {
 
 /// A file's subfiles are the servers its brick lists name: a one-brick file
 /// on four servers has one subfile (and its mirror, or its parity), and
-/// `sync`, `rename` — within a shard and across — and `unlink` each send
-/// exactly that many requests; the iond roots hold exactly that enumeration
-/// under whichever name the catalog holds. Every server used to get a
-/// request per op, three of them for a subfile that never existed.
+/// `sync` and `unlink` each send exactly that many requests, `rename` —
+/// within a shard and across — none; the iond roots hold exactly that
+/// enumeration under the file's id, whichever name the catalog holds. Every
+/// server used to get a request per op, three of them for a subfile that
+/// never existed.
 #[test]
 fn a_short_file_costs_its_subfiles_not_its_servers() {
     let (tb, fs, d0, d1) = rig();
     let elsewhere = tb.on_disk();
     let named = |path: &str| -> BTreeSet<(usize, String)> {
-        let (attr, dist) = fs.meta().open_file(path).unwrap().unwrap();
+        let entry = fs.meta().open_file(path).unwrap().unwrap();
+        let dist = &entry.dist;
         let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
-        let policy = RedundancyPolicy::parse(&attr.redundancy).unwrap();
+        let policy = RedundancyPolicy::parse(&entry.attr.redundancy).unwrap();
         let mut all = elsewhere.clone();
-        all.extend(policy.subfiles(path, &holds));
+        all.extend(policy.subfiles(entry.id, &holds));
         all
     };
     for (policy, subfiles) in [
@@ -316,7 +320,7 @@ fn a_short_file_costs_its_subfiles_not_its_servers() {
 
         for new in [format!("{d0}/uno"), format!("{d1}/uno")] {
             let sent = iond_counts(&tb, || fs.rename(&old, &new).unwrap());
-            assert_eq!(sent, [subfiles, 0, 0], "{policy:?} rename to {new}");
+            assert_eq!(sent, [0, 0, 0], "{policy:?} rename to {new}");
             assert_eq!(tb.on_disk(), named(&new), "{policy:?} rename to {new}");
             let mut f = fs.open(&new).unwrap();
             assert_eq!(f.read_bytes(0, 4096).unwrap(), [7u8; 4096]);

@@ -28,7 +28,7 @@ use dpfs::core::layout::bricks_for;
 use dpfs::core::{
     ClientOptions, CollectiveGroup, Dpfs, Hint, Placement, RedundancyPolicy, RetryPolicy,
 };
-use dpfs::meta::ServerInfo;
+use dpfs::meta::{FileEntry, ServerInfo};
 
 const SERVERS: usize = 4;
 const BRICK: u64 = 4096;
@@ -64,20 +64,20 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
 /// every server, so catalog row order is testbed order). Empty if the file
 /// is gone.
 fn enumeration(fs: &Dpfs, path: &str) -> BTreeSet<(usize, String)> {
-    let Some((attr, dist)) = fs.meta().open_file(path).unwrap() else {
+    let Some(FileEntry { id, attr, dist }) = fs.meta().open_file(path).unwrap() else {
         return BTreeSet::new();
     };
     assert_eq!(dist.len(), SERVERS);
     let holds = holders(dist.len(), dist.iter().map(|d| &d.bricklist));
     RedundancyPolicy::parse(&attr.redundancy)
         .unwrap()
-        .subfiles(path, &holds)
+        .subfiles(id, &holds)
         .into_iter()
         .collect()
 }
 
 fn catalog_bricks(fs: &Dpfs, path: &str) -> u64 {
-    let (_, dist) = fs.meta().open_file(path).unwrap().unwrap();
+    let dist = fs.meta().open_file(path).unwrap().unwrap().dist;
     dist.iter().map(|d| d.bricklist.len() as u64).sum()
 }
 

@@ -235,44 +235,46 @@ fn mirror_read_joins_the_reads_trace() {
     assert!(events.iter().any(|e| e.phase == "reconstruct"));
 }
 
+/// An unlink is one trace, its deletes submitted together and awaited
+/// together, not server by server. A rename is none: subfiles are named by
+/// the file's id, so it sends no I/O server anything.
 #[test]
-fn unlink_and_rename_are_one_trace_each() {
+fn unlink_is_one_trace_and_a_rename_reaches_no_server() {
     let tb = Testbed::unthrottled(4).unwrap();
     let client = tb.client_opts(ClientOptions::default());
     client
         .create("/ns", &Hint::linear(4096, 16 * 4096))
         .unwrap();
-    let rename = || client.rename("/ns", "/ns2").unwrap();
-    let unlink = || client.unlink("/ns2").unwrap();
-    let ops: [(&str, &dyn Fn()); 2] = [("rename", &rename), ("delete", &unlink)];
-    for (kind, op) in ops {
-        // No other test of this file renames or deletes.
-        let cursor = ring().cursor();
-        op();
-        let events: Vec<TraceEvent> = ring()
-            .events_since(cursor)
-            .into_iter()
-            .filter(|e| e.kind == kind)
+    let served = || -> u64 { tb.server_stats().iter().map(|(_, s)| s.requests).sum() };
+    let before = served();
+    client.rename("/ns", "/ns2").unwrap();
+    assert_eq!(served(), before, "rename reached an I/O server");
+
+    // No other test of this file deletes.
+    let cursor = ring().cursor();
+    client.unlink("/ns2").unwrap();
+    let events: Vec<TraceEvent> = ring()
+        .events_since(cursor)
+        .into_iter()
+        .filter(|e| e.kind == "delete")
+        .collect();
+    let traces: HashSet<u64> = events.iter().map(|e| e.trace_id).collect();
+    assert_eq!(traces.len(), 1, "one operation, one trace");
+    assert!(!traces.contains(&0));
+    let servers = |side: Side, phase: &str| -> Vec<&str> {
+        let mut servers: Vec<&str> = events
+            .iter()
+            .filter(|e| e.side == side && e.phase == phase)
+            .map(|e| e.server.as_str())
             .collect();
-        let traces: HashSet<u64> = events.iter().map(|e| e.trace_id).collect();
-        assert_eq!(traces.len(), 1, "{kind}: one operation, one trace");
-        assert!(!traces.contains(&0));
-        let servers = |side: Side, phase: &str| -> Vec<&str> {
-            let mut servers: Vec<&str> = events
-                .iter()
-                .filter(|e| e.side == side && e.phase == phase)
-                .map(|e| e.server.as_str())
-                .collect();
-            servers.sort_unstable();
-            servers
-        };
-        // Submitted together and awaited together, not server by server.
-        assert_eq!(servers(Side::Client, "submit"), [""], "{kind}");
-        assert_eq!(servers(Side::Client, "await"), [""], "{kind}");
-        let all = ["ion00", "ion01", "ion02", "ion03"];
-        assert_eq!(servers(Side::Client, "rpc"), all, "{kind}");
-        assert_eq!(servers(Side::Server, "handle"), all, "{kind}");
-    }
+        servers.sort_unstable();
+        servers
+    };
+    assert_eq!(servers(Side::Client, "submit"), [""]);
+    assert_eq!(servers(Side::Client, "await"), [""]);
+    let all = ["ion00", "ion01", "ion02", "ion03"];
+    assert_eq!(servers(Side::Client, "rpc"), all);
+    assert_eq!(servers(Side::Server, "handle"), all);
 }
 
 /// A v1 frame — `DPFS`, length, CRC, payload; no correlation ID — sent to
