@@ -69,6 +69,24 @@ for gone in crates/bench/src/bin/fig11.rs crates/bench/src/bin/fig12.rs \
         exit 1
     fi
 done
+# The second extension audit's deletions: two-phase collective I/O (its
+# file domains split one contiguous piece per rank into the same pieces
+# independent I/O sends), SQL-level transaction control (the engine has no
+# sessions: a transaction of several statements is a `Database::transaction`
+# closure) and the c10k bench binary (tests/c10k.rs asserts the same at
+# 1024 connections).
+for gone in crates/core/src/collective.rs crates/core/tests/collective.rs \
+    examples/collective_io.rs crates/bench/src/bin/c10k.rs; do
+    if [ -e "$gone" ]; then
+        echo "FAIL: $gone is back"
+        exit 1
+    fi
+done
+if git grep -nE 'collective\.rs|CollectiveGroup|write_collective|read_collective|collective_io|bin/c10k\.rs|Statement::(Begin|Commit|Rollback)|execute_script|parse_script' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: collective I/O, SQL transaction control, execute_script/parse_script or the c10k bench binary is back"
+    exit 1
+fi
 # One measuring stick: the benchmark (examples/benchmark) is the only harness
 # that gates a number. The storm runner, its committed baseline and gate, and
 # the JSONL trace summarizer stay deleted (`dpfs-load` keeps only `Zipf`).
@@ -373,9 +391,6 @@ grep -q '"trace":' target/slowops.jsonl
 
 echo "==> trace export must contain metadata RPC spans (ablation 8 remote mounts)"
 grep -q '"kind":"meta\.' target/trace-quick.jsonl
-
-echo "==> c10k smoke: 256 concurrent connections, flat thread budget, zero drops"
-cargo run --release -q -p dpfs-bench --bin c10k -- --connections 256
 
 echo "==> metad smoke: two real daemon shards fronted by dpfs-sh --metad"
 # The tier-1 build only covers the root package's dependency closure; the

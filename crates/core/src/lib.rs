@@ -26,7 +26,6 @@
 #![deny(unsafe_code)]
 
 pub mod api;
-pub mod collective;
 pub mod conn;
 pub mod datatype;
 pub mod error;
@@ -43,7 +42,6 @@ pub mod retry;
 pub mod trace;
 pub mod transport;
 
-pub use collective::{Collective, CollectiveGroup};
 pub use conn::{ConnPool, Resolver};
 pub use datatype::Datatype;
 pub use error::{DpfsError, Result};

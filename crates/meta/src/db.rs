@@ -6,8 +6,11 @@
 //! sets out, atomic durable transactions underneath.
 //!
 //! Concurrency model: the engine serializes all statements behind one lock
-//! (single-writer, like a single POSTGRES session). `transaction()` runs a
-//! closure atomically; plain `execute()` autocommits.
+//! (single-writer, like a single POSTGRES session). A transaction of several
+//! statements is a `transaction()` closure; any other statement is a
+//! transaction of its own. The SQL has no `BEGIN`/`COMMIT`/`ROLLBACK`: the
+//! engine has no sessions, so a transaction opened by one statement would
+//! belong to every caller of the database at once.
 //!
 //! Values travel beside the SQL text, not inside it: `execute_with(sql,
 //! params)` binds `params` to the statement's `?` placeholders. Each
@@ -46,7 +49,7 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Empty result (DDL, txn control).
+    /// Empty result (DDL).
     pub fn empty() -> Self {
         ResultSet {
             columns: Vec::new(),
@@ -236,8 +239,8 @@ impl Database {
         self.inner.lock().unwrap().sync_on_commit
     }
 
-    /// Execute one SQL statement that binds no parameters. Autocommits
-    /// unless a `BEGIN` transaction is open on this database.
+    /// Execute one SQL statement that binds no parameters, as a transaction
+    /// of its own.
     pub fn execute(&self, sql: &str) -> Result<ResultSet> {
         self.execute_with(sql, &[])
     }
@@ -312,57 +315,24 @@ impl Database {
         texts
     }
 
-    /// Execute a `;`-separated script; returns the result of the last
-    /// statement.
-    pub fn execute_script(&self, sql: &str) -> Result<ResultSet> {
-        let stmts = parser::parse_script(sql)?;
-        let mut last = ResultSet::empty();
-        for stmt in stmts {
-            last = self.execute_stmt(stmt)?;
-        }
-        Ok(last)
-    }
-
     /// Execute a pre-parsed statement that binds no parameters.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<ResultSet> {
         self.run(&stmt, &[])
     }
 
+    /// Run `stmt` as a transaction of its own, after any in-flight
+    /// `transaction()` so it cannot land inside another thread's atomic
+    /// section.
     fn run(&self, stmt: &Statement, params: &[Value]) -> Result<ResultSet> {
-        // Wait out any in-flight `transaction()` so this statement cannot
-        // land inside another thread's atomic section. An *explicit*
-        // SQL-level BEGIN left open by this same session is unaffected: the
-        // gate is released again after each statement.
         let _gate = self.txn_gate.lock().unwrap();
         let mut inner = self.inner.lock().unwrap();
-        match stmt {
-            Statement::Begin => {
-                inner.begin()?;
-                Ok(ResultSet::empty())
-            }
-            Statement::Commit => {
-                inner.commit(false)?;
-                Ok(ResultSet::empty())
-            }
-            Statement::Rollback => {
-                inner.rollback()?;
-                Ok(ResultSet::empty())
-            }
-            other => {
-                let implicit = inner.txn.is_none();
-                if implicit {
-                    inner.begin()?;
-                }
-                let result = exec::execute(&mut inner, other, params);
-                if implicit {
-                    match &result {
-                        Ok(_) => inner.commit(false)?,
-                        Err(_) => inner.rollback()?,
-                    }
-                }
-                result
-            }
+        inner.begin();
+        let result = exec::execute(&mut inner, stmt, params);
+        match &result {
+            Ok(_) => inner.commit(false)?,
+            Err(_) => inner.rollback(),
         }
+        result
     }
 
     /// Run `f` inside a transaction: committed if it returns `Ok`, rolled
@@ -399,7 +369,7 @@ impl Database {
     ) -> Result<T> {
         let _gate = self.txn_gate.lock().unwrap();
         let mut inner = self.inner.lock().unwrap();
-        inner.begin()?;
+        inner.begin();
         drop(inner);
         let txn = Txn { db: self };
         match f(&txn) {
@@ -408,8 +378,7 @@ impl Database {
                 Ok(v)
             }
             Err(e) => {
-                // rollback must not mask the original error
-                let _ = self.inner.lock().unwrap().rollback();
+                self.inner.lock().unwrap().rollback();
                 Err(e)
             }
         }
@@ -448,23 +417,16 @@ impl Txn<'_> {
     /// [`Database::execute_with`]) inside the enclosing transaction.
     pub fn execute_with(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
         let prepared = self.db.prepare(sql, params)?;
-        match &prepared.stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(MetaError::Txn(
-                "transaction control inside transaction() closure".into(),
-            )),
-            other => {
-                let mut inner = self.db.inner.lock().unwrap();
-                exec::execute(&mut inner, other, params)
-            }
-        }
+        let mut inner = self.db.inner.lock().unwrap();
+        exec::execute(&mut inner, &prepared.stmt, params)
     }
 }
 
 impl Inner {
-    fn begin(&mut self) -> Result<()> {
-        if self.txn.is_some() {
-            return Err(MetaError::Txn("nested BEGIN".into()));
-        }
+    /// Open a transaction. Callers hold the database's `txn_gate`, so none
+    /// is open yet.
+    fn begin(&mut self) {
+        debug_assert!(self.txn.is_none(), "nested transaction");
         let id = self.next_txn;
         self.next_txn += 1;
         self.txn = Some(TxnState {
@@ -472,7 +434,6 @@ impl Inner {
             redo: vec![WalRecord::Begin { txn: id }],
             undo: Vec::new(),
         });
-        Ok(())
     }
 
     /// Commit the open transaction; a `deferred` one joins the records
@@ -481,7 +442,7 @@ impl Inner {
         let mut txn = self
             .txn
             .take()
-            .ok_or_else(|| MetaError::Txn("COMMIT without BEGIN".into()))?;
+            .ok_or_else(|| MetaError::Txn("commit without a transaction".into()))?;
         txn.redo.push(WalRecord::Commit { txn: txn.id });
         if let Some(wal) = &mut self.wal {
             // Skip writing read-only transactions (Begin+Commit only).
@@ -497,11 +458,10 @@ impl Inner {
         Ok(())
     }
 
-    fn rollback(&mut self) -> Result<()> {
-        let txn = self
-            .txn
-            .take()
-            .ok_or_else(|| MetaError::Txn("ROLLBACK without BEGIN".into()))?;
+    fn rollback(&mut self) {
+        let Some(txn) = self.txn.take() else {
+            return;
+        };
         for op in txn.undo.into_iter().rev() {
             match op {
                 UndoOp::Insert { table, id } => {
@@ -527,7 +487,6 @@ impl Inner {
                 }
             }
         }
-        Ok(())
     }
 
     fn txn_mut(&mut self) -> Result<&mut TxnState> {
@@ -957,13 +916,12 @@ mod tests {
         let insert = "INSERT INTO t VALUES (?, ?)";
         db.execute_with(insert, &[Value::Int(1), "one".into()])
             .unwrap();
-        // arity, both ways, also inside a transaction and on txn control
+        // arity, both ways, also inside a transaction
         for params in [vec![], vec![Value::Int(2)], vec![Value::Int(2); 3]] {
             let err = db.execute_with(insert, &params).unwrap_err();
             assert!(matches!(err, MetaError::TypeError(_)), "{err}");
             assert!(db.transaction(|t| t.execute_with(insert, &params)).is_err());
         }
-        assert!(db.execute_with("BEGIN", &[Value::Int(1)]).is_err());
         assert!(db.execute_with("SELECT * FROM t", &[Value::Null]).is_err());
         // type: into a column, against an indexed key, into LIKE
         let err = db
@@ -978,7 +936,6 @@ mod tests {
         // a pre-parsed statement has nothing bound: an error, not a panic
         let stmt = parser::parse(by_key).unwrap();
         assert!(db.execute_stmt(stmt).is_err());
-        assert!(db.execute_script(by_key).is_err());
         // none of the refusals left anything behind
         let rs = db.execute_with(by_key, &[Value::Int(1)]).unwrap();
         assert_eq!(rs.scalar().unwrap(), &Value::from("one"));

@@ -10,14 +10,16 @@
 //!
 //! - a SQL subset (`CREATE/DROP TABLE`, `CREATE INDEX`, `INSERT`, `SELECT`
 //!   with `WHERE`/`ORDER BY`/`LIMIT`, aggregates and one inner join,
-//!   `UPDATE`, `DELETE`, `EXPLAIN`, `BEGIN`/`COMMIT`/`ROLLBACK`),
+//!   `UPDATE`, `DELETE`, `EXPLAIN`),
 //! - bound parameters (`?`) with each statement text parsed once,
 //! - an access-path planner: a primary-key or secondary-index lookup where
 //!   the `WHERE` clause pins an indexed column, a scan otherwise,
 //! - typed columns including `INTLIST` for the paper's brick lists,
 //! - write-ahead logging with CRC-protected records and crash recovery,
 //! - snapshot checkpointing,
-//! - atomic transactions with in-memory rollback,
+//! - atomic transactions with in-memory rollback: a transaction of several
+//!   statements is a [`db::Database::transaction`] closure, and any other
+//!   statement is a transaction of its own,
 //!
 //! plus [`catalog::Catalog`], the typed facade over the paper's four DPFS
 //! tables (Figure 10): `DPFS-SERVER`, `DPFS-FILE-DISTRIBUTION`,

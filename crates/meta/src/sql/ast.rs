@@ -37,12 +37,6 @@ pub enum Statement {
     },
     /// `DELETE FROM table [WHERE e]`
     Delete { table: String, filter: Option<Expr> },
-    /// `BEGIN [TRANSACTION]`
-    Begin,
-    /// `COMMIT`
-    Commit,
-    /// `ROLLBACK`
-    Rollback,
     /// `EXPLAIN stmt` — one row naming the access path `stmt` would take.
     Explain(Box<Statement>),
 }

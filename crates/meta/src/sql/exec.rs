@@ -403,9 +403,6 @@ pub(crate) fn execute(inner: &mut Inner, stmt: &Statement, params: &[Value]) -> 
             Ok(ResultSet::affected(n))
         }
         Statement::Explain(stmt) => explain(inner, stmt, params),
-        Statement::Begin | Statement::Commit | Statement::Rollback => {
-            unreachable!("transaction control handled by Database")
-        }
     }
 }
 

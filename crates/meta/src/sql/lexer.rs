@@ -44,51 +44,10 @@ pub enum Sym {
 }
 
 const KEYWORDS: &[&str] = &[
-    "SELECT",
-    "FROM",
-    "WHERE",
-    "INSERT",
-    "INTO",
-    "VALUES",
-    "UPDATE",
-    "SET",
-    "DELETE",
-    "CREATE",
-    "TABLE",
-    "DROP",
-    "PRIMARY",
-    "KEY",
-    "NOT",
-    "NULL",
-    "AND",
-    "OR",
-    "IN",
-    "LIKE",
-    "ORDER",
-    "BY",
-    "ASC",
-    "DESC",
-    "LIMIT",
-    "BEGIN",
-    "COMMIT",
-    "ROLLBACK",
-    "INT",
-    "TEXT",
-    "BLOB",
-    "INTLIST",
-    "COUNT",
-    "SUM",
-    "MIN",
-    "MAX",
-    "IF",
-    "EXISTS",
-    "IS",
-    "TRANSACTION",
-    "JOIN",
-    "ON",
-    "INNER",
-    "INDEX",
-    "EXPLAIN",
+    "SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE", "CREATE",
+    "TABLE", "DROP", "PRIMARY", "KEY", "NOT", "NULL", "AND", "OR", "IN", "LIKE", "ORDER", "BY",
+    "ASC", "DESC", "LIMIT", "INT", "TEXT", "BLOB", "INTLIST", "COUNT", "SUM", "MIN", "MAX", "IF",
+    "EXISTS", "IS", "JOIN", "ON", "INNER", "INDEX", "EXPLAIN",
 ];
 
 /// Tokenize `input` into a vector of tokens.

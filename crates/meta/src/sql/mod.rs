@@ -8,4 +8,4 @@ pub mod parser;
 mod planner_tests;
 
 pub use ast::Statement;
-pub use parser::{parse, parse_script};
+pub use parser::parse;

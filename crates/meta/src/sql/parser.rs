@@ -25,20 +25,6 @@ pub(crate) fn parse_counted(sql: &str) -> Result<(Statement, usize)> {
     Ok((stmt, p.params))
 }
 
-/// Parse a `;`-separated script into statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let mut p = Parser::new(lex(sql)?);
-    let mut stmts = Vec::new();
-    loop {
-        while p.eat_sym(Sym::Semicolon) {}
-        if p.pos == p.tokens.len() {
-            break;
-        }
-        stmts.push(p.statement()?);
-    }
-    Ok(stmts)
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -149,19 +135,6 @@ impl Parser {
                 "SELECT" => self.select().map(Statement::Select),
                 "UPDATE" => self.update(),
                 "DELETE" => self.delete(),
-                "BEGIN" => {
-                    self.pos += 1;
-                    self.eat_kw("TRANSACTION");
-                    Ok(Statement::Begin)
-                }
-                "COMMIT" => {
-                    self.pos += 1;
-                    Ok(Statement::Commit)
-                }
-                "ROLLBACK" => {
-                    self.pos += 1;
-                    Ok(Statement::Rollback)
-                }
                 other => Err(MetaError::Parse(format!("unexpected keyword {other}"))),
             },
             other => Err(MetaError::Parse(format!(
@@ -814,12 +787,13 @@ mod tests {
         assert!(matches!(s, Statement::Select(_)));
     }
 
+    /// A transaction of several statements is a `Database::transaction`
+    /// closure; the language has no transaction control.
     #[test]
     fn txn_statements() {
-        assert_eq!(parse("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(parse("BEGIN TRANSACTION;").unwrap(), Statement::Begin);
-        assert_eq!(parse("COMMIT").unwrap(), Statement::Commit);
-        assert_eq!(parse("ROLLBACK").unwrap(), Statement::Rollback);
+        for sql in ["BEGIN", "BEGIN TRANSACTION;", "COMMIT", "ROLLBACK"] {
+            assert!(parse(sql).is_err(), "{sql}");
+        }
     }
 
     #[test]
@@ -835,10 +809,11 @@ mod tests {
         assert!(parse("SELECT * FROM t garbage garbage").is_err());
     }
 
+    /// One text is one statement: a script of several is refused whole.
     #[test]
     fn script_parsing() {
-        let stmts = parse_script("BEGIN; INSERT INTO t VALUES (1); COMMIT;").unwrap();
-        assert_eq!(stmts.len(), 3);
+        assert!(parse("INSERT INTO t VALUES (1); INSERT INTO t VALUES (2);").is_err());
+        assert!(parse("INSERT INTO t VALUES (1);").is_ok());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! over a random schema (with or without a primary key and secondary
 //! indexes). After every step the statement's result, the table contents
 //! and the indexes (against a rebuild from the rows) are compared; the
-//! history includes rollbacks, primary-key-changing updates, NULL and
+//! history includes transactions of several statements, committed or rolled
+//! back (each a `Database::transaction` closure on each side, the closure
+//! returning `Err` to roll back), primary-key-changing updates, NULL and
 //! duplicate index keys, parameters and literals, and reopening both
 //! databases through WAL replay and snapshot load.
 
@@ -16,7 +18,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
 use crate::db::{Database, ResultSet};
-use crate::error::Result;
+use crate::error::{MetaError, Result};
 use crate::sql::exec::FORCE_SCAN;
 use crate::value::Value;
 
@@ -94,20 +96,23 @@ impl Pair {
         self.open();
     }
 
+    fn db(&self, side: usize) -> &Database {
+        self.dbs[side].as_ref().unwrap()
+    }
+
     /// Run one statement on both sides and hold them to the same outcome.
     fn both(&self, sql: &str, params: &[Value]) -> Result<ResultSet> {
-        let planned = self.dbs[0].as_ref().unwrap().execute_with(sql, params);
-        let oracle = forced(|| self.dbs[1].as_ref().unwrap().execute_with(sql, params));
-        match (&planned, &oracle) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "{sql} {params:?}"),
-            (Err(a), Err(b)) => assert_eq!(a.wire_code(), b.wire_code(), "{sql} {params:?}"),
-            _ => panic!("{sql} {params:?}: planned {planned:?}, scan {oracle:?}"),
-        }
-        planned
+        same(sql, params, |side, sql, params| {
+            self.db(side).execute_with(sql, params)
+        })
     }
 
     fn check_state(&self) {
         let _ = self.both("SELECT * FROM t", &[]);
+        self.check_indexes();
+    }
+
+    fn check_indexes(&self) {
         for db in self.dbs.iter().flatten() {
             db.assert_indexes_match_rows();
         }
@@ -236,6 +241,12 @@ impl Pair {
     }
 
     fn mutation(&mut self) {
+        let (sql, params) = self.mutation_sql();
+        let _ = self.both(&sql, &params);
+    }
+
+    /// One random `INSERT`, `UPDATE` or `DELETE` and its bound values.
+    fn mutation_sql(&mut self) -> (String, Vec<Value>) {
         let (mut sql, mut params) = (String::new(), Vec::new());
         match self.below(4) {
             0 | 1 => {
@@ -262,7 +273,7 @@ impl Pair {
                 self.where_clause(&mut sql, &mut params);
             }
         }
-        let _ = self.both(&sql, &params);
+        (sql, params)
     }
 
     fn query(&mut self) {
@@ -282,22 +293,39 @@ impl Pair {
         let _ = self.both(&sql, &params);
     }
 
+    /// Run `mutations` as one `Database::transaction` closure on each side,
+    /// comparing the sides after every statement; the closures return `Err`
+    /// to roll back unless `commit`.
+    fn transaction(&self, mutations: &[(String, Vec<Value>)], commit: bool) {
+        let outcome = self.db(0).transaction(|planned| {
+            self.db(1).transaction(|oracle| {
+                let txns = [planned, oracle];
+                let run =
+                    |side: usize, sql: &str, params: &[Value]| txns[side].execute_with(sql, params);
+                for (sql, params) in mutations {
+                    let _ = same(sql, params, run);
+                    let _ = same("SELECT * FROM t", &[], run);
+                    self.check_indexes();
+                }
+                if commit {
+                    Ok(())
+                } else {
+                    Err(MetaError::Txn("roll back".into()))
+                }
+            })
+        });
+        assert_eq!(outcome.is_ok(), commit, "{outcome:?}");
+    }
+
     fn step(&mut self) {
         match self.below(12) {
             0..=4 => self.mutation(),
             5..=8 => self.query(),
             9 | 10 => {
-                self.both("BEGIN", &[]).unwrap();
-                for _ in 0..self.below(4) {
-                    self.mutation();
-                    self.check_state();
-                }
-                let end = if self.below(3) == 0 {
-                    "COMMIT"
-                } else {
-                    "ROLLBACK"
-                };
-                self.both(end, &[]).unwrap();
+                let n = self.below(4);
+                let mutations: Vec<_> = (0..n).map(|_| self.mutation_sql()).collect();
+                let commit = self.below(3) == 0;
+                self.transaction(&mutations, commit);
             }
             _ => {
                 let checkpoint = self.below(2) == 0;
@@ -306,6 +334,23 @@ impl Pair {
         }
         self.check_state();
     }
+}
+
+/// Run one statement through `run` on the planned side (0) and, with the
+/// scan forced, on the oracle side (1), and hold them to the same outcome.
+fn same(
+    sql: &str,
+    params: &[Value],
+    run: impl Fn(usize, &str, &[Value]) -> Result<ResultSet>,
+) -> Result<ResultSet> {
+    let planned = run(0, sql, params);
+    let oracle = forced(|| run(1, sql, params));
+    match (&planned, &oracle) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "{sql} {params:?}"),
+        (Err(a), Err(b)) => assert_eq!(a.wire_code(), b.wire_code(), "{sql} {params:?}"),
+        _ => panic!("{sql} {params:?}: planned {planned:?}, scan {oracle:?}"),
+    }
+    planned
 }
 
 impl Drop for Pair {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dpfs_meta::{Database, Value};
+use dpfs_meta::{Database, MetaError, Value};
 
 /// Operations the model understands.
 #[derive(Debug, Clone)]
@@ -62,12 +62,14 @@ fn run_ops(db: &Database, ops: &[Op]) -> std::collections::BTreeMap<i64, i64> {
                 );
             }
             Op::Rollback(inserts) => {
-                db.execute("BEGIN").unwrap();
-                for (k, v) in inserts {
-                    // may fail on duplicates; either way the rollback wipes it
-                    let _ = db.execute(&format!("INSERT INTO t VALUES ({k}, {v})"));
-                }
-                db.execute("ROLLBACK").unwrap();
+                let outcome = db.transaction(|txn| {
+                    for (k, v) in inserts {
+                        // may fail on duplicates; either way the rollback wipes it
+                        let _ = txn.execute(&format!("INSERT INTO t VALUES ({k}, {v})"));
+                    }
+                    Err::<(), _>(MetaError::Txn("roll back".into()))
+                });
+                assert!(outcome.is_err());
                 // model unchanged
             }
         }

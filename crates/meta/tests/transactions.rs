@@ -1,17 +1,33 @@
-//! Transaction-control edge cases on the engine: DDL rollback, txn misuse,
-//! WAL economy for read-only transactions.
+//! Transactions on the engine: a transaction of several statements is a
+//! `Database::transaction` closure, committed when it returns `Ok` and
+//! rolled back when it returns `Err`; any other statement is a transaction
+//! of its own. Covers DDL rollback, WAL replay of a committed transaction,
+//! WAL economy for read-only transactions, and that the SQL has no
+//! transaction control of its own.
 
-use dpfs_meta::{Database, MetaError, Value};
+use std::sync::Arc;
+
+use dpfs_meta::{Catalog, Database, MetaError, Value};
+
+/// The `Err` a closure returns to roll its transaction back.
+fn roll_back<T>() -> Result<T, MetaError> {
+    Err(MetaError::Txn("rolled back by the test".into()))
+}
 
 #[test]
 fn rollback_undoes_drop_table() {
     let db = Database::in_memory();
     db.execute("CREATE TABLE t (k INT PRIMARY KEY)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-    db.execute("BEGIN").unwrap();
-    db.execute("DROP TABLE t").unwrap();
-    assert!(db.execute("SELECT * FROM t").is_err(), "dropped inside txn");
-    db.execute("ROLLBACK").unwrap();
+    let outcome = db.transaction(|txn| {
+        txn.execute("DROP TABLE t")?;
+        assert!(
+            txn.execute("SELECT * FROM t").is_err(),
+            "dropped inside txn"
+        );
+        roll_back::<()>()
+    });
+    assert!(matches!(outcome, Err(MetaError::Txn(_))), "{outcome:?}");
     let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(2), "rows restored with the table");
 }
@@ -19,28 +35,56 @@ fn rollback_undoes_drop_table() {
 #[test]
 fn rollback_undoes_create_table() {
     let db = Database::in_memory();
-    db.execute("BEGIN").unwrap();
-    db.execute("CREATE TABLE ephemeral (k INT PRIMARY KEY)")
-        .unwrap();
-    db.execute("INSERT INTO ephemeral VALUES (9)").unwrap();
-    db.execute("ROLLBACK").unwrap();
+    let outcome = db.transaction(|txn| {
+        txn.execute("CREATE TABLE ephemeral (k INT PRIMARY KEY)")?;
+        txn.execute("INSERT INTO ephemeral VALUES (9)")?;
+        roll_back::<()>()
+    });
+    assert!(outcome.is_err());
     assert!(db.execute("SELECT * FROM ephemeral").is_err());
     // creating it again works (no phantom name)
     db.execute("CREATE TABLE ephemeral (k INT PRIMARY KEY)")
         .unwrap();
 }
 
+/// `BEGIN`, `COMMIT` and `ROLLBACK` are not statements: the engine has no
+/// sessions, so a `BEGIN` would open one transaction for every caller of
+/// the database at once.
 #[test]
 fn txn_control_misuse_is_rejected() {
     let db = Database::in_memory();
-    assert!(matches!(db.execute("COMMIT"), Err(MetaError::Txn(_))));
-    assert!(matches!(db.execute("ROLLBACK"), Err(MetaError::Txn(_))));
-    db.execute("BEGIN").unwrap();
+    db.execute("CREATE TABLE t (k INT PRIMARY KEY)").unwrap();
+    for sql in ["BEGIN", "BEGIN TRANSACTION", "COMMIT", "ROLLBACK"] {
+        assert!(matches!(db.execute(sql), Err(MetaError::Parse(_))), "{sql}");
+        let inside = db.transaction(|txn| txn.execute(sql));
+        assert!(matches!(inside, Err(MetaError::Parse(_))), "{sql}");
+    }
+    // nothing was left open: a statement and a transaction still commit
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.transaction(|txn| txn.execute("INSERT INTO t VALUES (2)"))
+        .unwrap();
+    let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(rs.rows[0][0], Value::Int(2));
+}
+
+/// A `BEGIN` on the catalog's database leaves every catalog call working.
+/// (When it opened a database-wide transaction, the next `mkdir` failed
+/// with "nested BEGIN", and a `ROLLBACK` would have discarded whatever any
+/// caller wrote in between.)
+#[test]
+fn a_begin_statement_leaves_the_catalog_usable() {
+    let catalog = Catalog::new(Arc::new(Database::in_memory())).unwrap();
+    let begin = catalog.db().execute("BEGIN");
+    catalog.mkdir("/after-begin").unwrap();
+    let root = catalog.get_dir("/").unwrap().unwrap();
     assert!(
-        matches!(db.execute("BEGIN"), Err(MetaError::Txn(_))),
-        "nested BEGIN"
+        root.sub_dirs.iter().any(|d| d.contains("after-begin")),
+        "{root:?}"
     );
-    db.execute("COMMIT").unwrap();
+    assert!(catalog.get_dir("/after-begin").unwrap().is_some());
+    assert!(matches!(begin, Err(MetaError::Parse(_))), "{begin:?}");
+    assert!(catalog.db().execute("ROLLBACK").is_err());
+    assert!(catalog.get_dir("/after-begin").unwrap().is_some());
 }
 
 #[test]
@@ -51,17 +95,19 @@ fn explicit_txn_spans_multiple_statements_atomically() {
         let db = Database::open_with_sync(&dir, false).unwrap();
         db.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT)")
             .unwrap();
-        db.execute("BEGIN").unwrap();
-        for k in 0..10 {
-            db.execute(&format!("INSERT INTO t VALUES ({k}, {})", k * 10))
-                .unwrap();
-        }
-        db.execute("UPDATE t SET v = v + 1 WHERE k < 5").unwrap();
-        db.execute("COMMIT").unwrap();
-        // second txn left uncommitted at "crash"
-        db.execute("BEGIN").unwrap();
-        db.execute("DELETE FROM t WHERE k >= 0").unwrap();
-        // dropped without COMMIT
+        db.transaction(|txn| {
+            for k in 0..10 {
+                txn.execute(&format!("INSERT INTO t VALUES ({k}, {})", k * 10))?;
+            }
+            txn.execute("UPDATE t SET v = v + 1 WHERE k < 5")
+        })
+        .unwrap();
+        // a second transaction that deletes everything is rolled back
+        let outcome = db.transaction(|txn| {
+            txn.execute("DELETE FROM t WHERE k >= 0")?;
+            roll_back::<()>()
+        });
+        assert!(outcome.is_err());
     }
     {
         let db = Database::open_with_sync(&dir, false).unwrap();
@@ -85,9 +131,11 @@ fn read_only_transactions_write_nothing_to_the_wal() {
     for _ in 0..20 {
         db.execute("SELECT * FROM t WHERE k = 1").unwrap();
     }
-    db.execute("BEGIN").unwrap();
-    db.execute("SELECT COUNT(*) FROM t").unwrap();
-    db.execute("COMMIT").unwrap();
+    db.transaction(|txn| {
+        txn.execute("SELECT COUNT(*) FROM t")?;
+        txn.execute("SELECT * FROM t WHERE k = 1")
+    })
+    .unwrap();
     let after = std::fs::metadata(&wal).unwrap().len();
     assert_eq!(before, after, "reads must not grow the WAL");
     drop(db);
@@ -98,12 +146,13 @@ fn read_only_transactions_write_nothing_to_the_wal() {
 fn failed_statement_inside_explicit_txn_keeps_txn_usable() {
     let db = Database::in_memory();
     db.execute("CREATE TABLE t (k INT PRIMARY KEY)").unwrap();
-    db.execute("BEGIN").unwrap();
-    db.execute("INSERT INTO t VALUES (1)").unwrap();
-    // duplicate key fails the statement, not the transaction
-    assert!(db.execute("INSERT INTO t VALUES (1)").is_err());
-    db.execute("INSERT INTO t VALUES (2)").unwrap();
-    db.execute("COMMIT").unwrap();
+    db.transaction(|txn| {
+        txn.execute("INSERT INTO t VALUES (1)")?;
+        // duplicate key fails the statement, not the transaction
+        assert!(txn.execute("INSERT INTO t VALUES (1)").is_err());
+        txn.execute("INSERT INTO t VALUES (2)")
+    })
+    .unwrap();
     let rs = db.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(2));
 }
@@ -114,13 +163,15 @@ fn checkpoint_inside_txn_refused_but_fine_after() {
     let _ = std::fs::remove_dir_all(&dir);
     let db = Database::open_with_sync(&dir, false).unwrap();
     db.execute("CREATE TABLE t (k INT PRIMARY KEY)").unwrap();
-    db.execute("BEGIN").unwrap();
-    db.execute("INSERT INTO t VALUES (1)").unwrap();
-    assert!(
-        db.checkpoint().is_err(),
-        "checkpoint with open txn must fail"
-    );
-    db.execute("COMMIT").unwrap();
+    db.transaction(|txn| {
+        txn.execute("INSERT INTO t VALUES (1)")?;
+        assert!(
+            db.checkpoint().is_err(),
+            "checkpoint with open txn must fail"
+        );
+        Ok(())
+    })
+    .unwrap();
     db.checkpoint().unwrap();
     drop(db);
     let db = Database::open_with_sync(&dir, false).unwrap();

@@ -693,8 +693,8 @@ impl Shell {
     }
 
     /// `sql <statement>`: run one statement on the embedded metadata
-    /// database. `EXPLAIN <statement>` names the access path; `?`
-    /// placeholders may stay unbound there.
+    /// database, as a transaction of its own. `EXPLAIN <statement>` names
+    /// the access path; `?` placeholders may stay unbound there.
     fn cmd_sql(&mut self, statement: &str) -> Result<String> {
         let catalog = self.fs.catalog().ok_or_else(|| {
             DpfsError::InvalidArgument(
@@ -950,6 +950,26 @@ mod tests {
         assert!(out.contains("scan dpfs_file_attr"), "{out}");
         assert!(sh.exec("sql SELEKT").is_err());
         assert!(sh.exec("sql").is_err());
+    }
+
+    /// `sql` runs one statement, a transaction of its own: there is no
+    /// `BEGIN` to leave the mount's metadata database stuck in. (One used to
+    /// open a transaction for the whole database, and every namespace
+    /// command after it failed with "nested BEGIN".)
+    #[test]
+    fn sql_refuses_transaction_control_and_the_mount_keeps_working() {
+        let (mut sh, _tb) = shell();
+        let begin = sh.exec("sql BEGIN");
+        sh.exec("mkdir /after").unwrap();
+        sh.exec("mkdir /after/inner").unwrap();
+        let out = sh.exec("ls /after").unwrap();
+        assert!(out.contains("inner"), "{out}");
+        assert!(sh.exec("ls /").unwrap().contains("after"));
+        assert!(begin.is_err(), "{begin:?}");
+        for statement in ["COMMIT", "ROLLBACK"] {
+            assert!(sh.exec(&format!("sql {statement}")).is_err(), "{statement}");
+        }
+        assert!(sh.exec("ls /after").unwrap().contains("inner"));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! shard threads plus a shared worker pool, so the process thread count
 //! is a function of configuration, not load.
 
+mod common;
+
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -13,6 +15,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use dpfs::proto::{frame, Request, Response};
 use dpfs::server::{IoServer, PerfModel, ServerConfig};
+
+use common::Rooted;
 
 /// Serializes the tests in this binary: both measure process-wide state
 /// (`/proc/self/status` threads, wall-clock latency on one core).
@@ -28,10 +32,11 @@ fn process_threads() -> usize {
         .unwrap()
 }
 
-fn start_server(tag: &str) -> IoServer {
+fn start_server(tag: &str) -> Rooted<IoServer> {
     let root = std::env::temp_dir().join(format!("dpfs-c10k-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    IoServer::start(ServerConfig::new("c10k00", root, PerfModel::unthrottled())).unwrap()
+    let server = ServerConfig::new("c10k00", &root, PerfModel::unthrottled());
+    Rooted::new(root, IoServer::start(server).unwrap())
 }
 
 /// The 64-byte pattern connection `i` writes and expects back.

@@ -25,9 +25,12 @@
 //!   falls back to a worker and is counted once; a peer that pipelines a
 //!   thousand such requests does not starve its neighbour on the shard.
 
+mod common;
+
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -39,6 +42,8 @@ use dpfs::proto::{frame, AccessPattern, ErrorCode, MetaOp, Request, Response};
 use dpfs::server::{
     Attempt, IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service, StorageClass,
 };
+
+use common::Rooted;
 
 /// Serializes the tests in this binary: they measure process-wide CPU
 /// time and wall-clock latency.
@@ -52,17 +57,17 @@ fn sequential() -> MutexGuard<'static, ()> {
 /// An I/O server's root, on the disk the build is on rather than in a temp
 /// dir that may be `tmpfs`: the reads the shard answers need a file system
 /// that can tell whether a read would wait.
-fn ion_root(name: &str) -> std::path::PathBuf {
+fn ion_root(name: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}-{}", std::process::id()))
 }
 
-fn start_ion(tag: &str, perf: PerfModel, shards: usize, workers: usize) -> IoServer {
+fn start_ion(tag: &str, perf: PerfModel, shards: usize, workers: usize) -> Rooted<IoServer> {
     let root = ion_root(&format!("dpfs-evloop-{tag}"));
     let _ = std::fs::remove_dir_all(&root);
-    let mut config = ServerConfig::new("evloop00", root, perf);
+    let mut config = ServerConfig::new("evloop00", &root, perf);
     config.serve.shards = shards;
     config.serve.workers = workers;
-    IoServer::start(config).unwrap()
+    Rooted::new(root, IoServer::start(config).unwrap())
 }
 
 /// The hang watchdog: a read that waits this long for a reply fails its
@@ -480,10 +485,9 @@ fn stop_and_wire_shutdown_reach_sleeping_threads_at_once() {
         assert_eq!(ion.open_connections() + metad.open_connections(), 0);
         drop((idle_ion, idle_metad));
 
-        let root = std::env::temp_dir().join(format!("dpfs-evloop-stop-{}", std::process::id()));
-        let ion_cfg = ServerConfig::new("evloop00", root, PerfModel::unthrottled())
+        let ion_cfg = ServerConfig::new("evloop00", &ion.root, PerfModel::unthrottled())
             .bind(&ion.addr().to_string());
-        ion = IoServer::start(ion_cfg)
+        *ion = IoServer::start(ion_cfg)
             .unwrap_or_else(|e| panic!("round {round}: iond rebind failed: {e}"));
         let metad_cfg = MetadConfig::in_memory().bind(&metad.addr().to_string());
         metad = MetaServer::start(metad_cfg)
@@ -549,11 +553,11 @@ fn a_read_larger_than_a_frame_is_refused_and_the_server_lives() {
 #[test]
 fn a_write_past_the_offset_space_is_refused_and_the_server_lives() {
     let _guard = sequential();
-    let root = std::env::temp_dir().join(format!("dpfs-evloop-wrap-{}", std::process::id()));
+    let root = ion_root("dpfs-evloop-wrap");
     let _ = std::fs::remove_dir_all(&root);
-    let mut config = ServerConfig::new("evloop00", root, PerfModel::unthrottled());
+    let mut config = ServerConfig::new("evloop00", &root, PerfModel::unthrottled());
     config.capacity = 1 << 20;
-    let ion = IoServer::start(config).unwrap();
+    let ion = Rooted::new(root, IoServer::start(config).unwrap());
     let mut c = connect(ion.addr());
     let req = Request::Write {
         subfile: "/f".into(),
@@ -1005,9 +1009,8 @@ fn the_first_read_after_a_restart_opens_the_subfile_on_a_worker() {
     write_subfile(&mut connect(ion.addr()), "/f", b"survives");
     let addr = ion.addr();
     ion.stop();
-    let root = ion_root("dpfs-evloop-reopen");
-    let ion = IoServer::start(
-        ServerConfig::new("evloop00", root, PerfModel::unthrottled()).bind(&addr.to_string()),
+    *ion = IoServer::start(
+        ServerConfig::new("evloop00", &ion.root, PerfModel::unthrottled()).bind(&addr.to_string()),
     )
     .unwrap();
     let mut c = connect(ion.addr());
@@ -1034,6 +1037,7 @@ fn a_metad_whose_commits_fsync_answers_nothing_inline() {
     let _guard = sequential();
     let dir = std::env::temp_dir().join(format!("dpfs-evloop-fsync-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let _dir = Rooted::new(dir.clone(), ());
     let durable = MetadConfig {
         sync_on_commit: true,
         ..MetadConfig::in_memory().dir(&dir)
@@ -1071,5 +1075,4 @@ fn a_metad_whose_commits_fsync_answers_nothing_inline() {
         assert_eq!(queued.len(), 1);
         assert_eq!(queued[0] > 0, blocks, "queued for {} ns", queued[0]);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,8 @@
 //! — a retired format, or a section count the blob cannot hold — scrapes as
 //! unreachable instead of being read as one.
 
+mod common;
+
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -31,6 +33,8 @@ use dpfs::core::{
 use dpfs::meta::{Database, ServerInfo};
 use dpfs::proto::{frame, AccessPattern, Request, Response};
 use dpfs::server::{ServeCore, Service};
+
+use common::Rooted;
 
 /// How the hostile server answers an enumerated `Read` for `ranges`: the
 /// encoded reply, so it can be one no honest server sends.
@@ -129,14 +133,14 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
 }
 
 /// A client whose only I/O server is the hostile one.
-fn hostile_client(tag: &str, addr: SocketAddr) -> Dpfs {
+fn hostile_client(tag: &str, addr: SocketAddr) -> Rooted<Dpfs> {
     hostile_client_opts(tag, addr, ClientOptions::default())
 }
 
 /// Same, with caller-chosen options (the list-path tests need `Exact`
 /// granularity so a strided read stays strided on the wire, and tight
 /// retries so a connection-slamming peer fails fast).
-fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Dpfs {
+fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Rooted<Dpfs> {
     let dir = std::env::temp_dir().join(format!("dpfs-hostile-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Arc::new(Database::open(&dir).unwrap());
@@ -150,7 +154,7 @@ fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Dpfs
             performance: 1,
         })
         .unwrap();
-    client
+    Rooted::new(dir, client)
 }
 
 #[test]

@@ -25,9 +25,7 @@ use std::time::Duration;
 use dpfs::cluster::Testbed;
 use dpfs::core::hints::holders;
 use dpfs::core::layout::bricks_for;
-use dpfs::core::{
-    ClientOptions, CollectiveGroup, Dpfs, Hint, Placement, RedundancyPolicy, RetryPolicy,
-};
+use dpfs::core::{ClientOptions, Dpfs, Hint, Placement, RedundancyPolicy, RetryPolicy};
 use dpfs::meta::{FileEntry, ServerInfo};
 
 const SERVERS: usize = 4;
@@ -340,28 +338,31 @@ fn a_stale_handle_does_xor_algebra_over_every_data_server() {
     }
 }
 
-/// An extending collective write is the same path: every participant grows
-/// the file through its own handle.
+/// Four writers on four mounts grow one file together: every round each
+/// writes its 1000-byte piece of the round's new stretch (unaligned to the
+/// 256-byte bricks, several bricks each), and the round's four growths race
+/// through their own handles.
 #[test]
-fn an_extending_collective_write_loses_no_growth() {
+fn four_writers_growing_one_file_unaligned_lose_no_growth() {
     const RANKS: usize = 4;
     const ROUNDS: usize = 16;
     const PIECE: usize = 1000;
     for mount in MOUNTS {
         let tb = testbed(mount);
         let fs = client(&tb, mount, 0);
-        drop(fs.create("/coll", &Hint::linear(256, 256)).unwrap());
+        drop(fs.create("/grow", &Hint::linear(256, 256)).unwrap());
         let piece = |rank: usize, round: usize| pattern(PIECE, (rank * 16 + round) as u8);
+        let round_start = Barrier::new(RANKS);
         std::thread::scope(|scope| {
-            for (rank, coll) in CollectiveGroup::split(RANKS).into_iter().enumerate() {
+            for rank in 0..RANKS {
                 let fs = client(&tb, mount, rank);
-                let piece = &piece;
+                let (piece, round_start) = (&piece, &round_start);
                 scope.spawn(move || {
-                    let mut f = fs.open("/coll").unwrap();
+                    let mut f = fs.open("/grow").unwrap();
                     for round in 0..ROUNDS {
+                        round_start.wait();
                         let at = (round * RANKS + rank) * PIECE;
-                        coll.write_collective(&mut f, at as u64, &piece(rank, round))
-                            .unwrap();
+                        f.write_bytes(at as u64, &piece(rank, round)).unwrap();
                     }
                 });
             }
@@ -369,17 +370,17 @@ fn an_extending_collective_write_loses_no_growth() {
         let model: Vec<u8> = (0..ROUNDS * RANKS)
             .flat_map(|p| piece(p % RANKS, p / RANKS))
             .collect();
-        let mut fresh = fs.open("/coll").unwrap();
+        let mut fresh = fs.open("/grow").unwrap();
         assert_eq!(fresh.size(), model.len() as u64, "{mount:?}");
         assert!(
             fresh.read_bytes(0, model.len() as u64).unwrap() == model,
             "{mount:?}"
         );
         assert_eq!(
-            catalog_bricks(&fs, "/coll"),
+            catalog_bricks(&fs, "/grow"),
             bricks_for(model.len() as u64, 256),
             "{mount:?}"
         );
-        assert_eq!(tb.on_disk(), enumeration(&fs, "/coll"), "{mount:?}");
+        assert_eq!(tb.on_disk(), enumeration(&fs, "/grow"), "{mount:?}");
     }
 }
