@@ -1,8 +1,9 @@
 //! Ablation studies on DPFS design choices beyond the paper's figures:
 //! brick-size sweep, read granularity (brick vs exact), the staggered
-//! schedule, I/O-node scaling, and metadata placement.
+//! schedule and I/O-node scaling — computed by the class-3 cost model over
+//! the requests the servers received ([`crate::model`]) — and metadata
+//! placement, measured live.
 
-use std::sync::Barrier;
 use std::time::Instant;
 
 use dpfs_cluster::{run_clients, Testbed};
@@ -10,9 +11,15 @@ use dpfs_core::{Granularity, Hint, Region, Shape};
 use dpfs_server::StorageClass;
 
 use crate::figures::FigScale;
+use crate::model::{Recorded, Rig};
 
-/// One `(label, mbytes_per_sec)` data point.
+/// One `(label, value)` data point.
 pub type Point = (String, f64);
+
+/// Computed MB/s of `recorded` on class-3 servers.
+fn class3(recorded: &Recorded) -> f64 {
+    recorded.mbytes_per_sec(&vec![StorageClass::Class3.model(); recorded.servers.len()])
+}
 
 /// Brick-size sweep: contiguous block-per-client read over a linear file,
 /// combined requests, class-3 storage. Small bricks drown in per-request
@@ -31,7 +38,7 @@ pub fn brick_size_sweep(scale: FigScale) -> Vec<Point> {
         file_bytes / 32,
         file_bytes / 8,
     ] {
-        let tb = Testbed::homogeneous(4, StorageClass::Class3).unwrap();
+        let tb = Testbed::unthrottled(4).unwrap();
         let client0 = tb.client(0, true);
         client0
             .create("/sweep", &Hint::linear(brick, file_bytes))
@@ -40,14 +47,15 @@ pub fn brick_size_sweep(scale: FigScale) -> Vec<Point> {
             let mut f = c.open("/sweep").unwrap();
             f.write_bytes(rank as u64 * block, &vec![rank as u8; block as usize])
                 .unwrap();
-            block
         });
-        let bw = run_clients(&tb, clients, true, Granularity::Brick, |rank, c| {
+        let rig = Rig::new(tb);
+        let read = rig.record(clients, true, Granularity::Brick, |rank, c| {
             let mut f = c.open("/sweep").unwrap();
-            f.read_bytes(rank as u64 * block, block).unwrap();
-            block
+            let data = f.read_bytes(rank as u64 * block, block).unwrap();
+            assert_eq!(data, vec![rank as u8; block as usize]);
+            (block, f.last_trace_id())
         });
-        out.push((format!("brick={brick}B"), bw.mbytes_per_sec()));
+        out.push((format!("brick={brick}B"), class3(&read)));
     }
     out
 }
@@ -62,7 +70,7 @@ pub fn granularity_ablation(scale: FigScale) -> Vec<Point> {
         ("brick-granularity", Granularity::Brick),
         ("exact-ranges", Granularity::Exact),
     ] {
-        let tb = Testbed::homogeneous(4, StorageClass::Class3).unwrap();
+        let tb = Testbed::unthrottled(4).unwrap();
         let client0 = tb.client(0, true);
         client0.create("/g", &Hint::linear(n, n * n)).unwrap();
         {
@@ -76,7 +84,8 @@ pub fn granularity_ablation(scale: FigScale) -> Vec<Point> {
         let clients = 8;
         let cols = n / clients as u64;
         let shape = Shape::new(vec![n, n]).unwrap();
-        let bw = run_clients(&tb, clients, true, granularity, |rank, c| {
+        let rig = Rig::new(tb);
+        let read = rig.record(clients, true, granularity, |rank, c| {
             let mut f = c.open("/g").unwrap();
             let dt = dpfs_core::Datatype::subarray(
                 shape.clone(),
@@ -84,9 +93,11 @@ pub fn granularity_ablation(scale: FigScale) -> Vec<Point> {
                 1,
             )
             .unwrap();
-            f.read_datatype(0, &dt).unwrap().len() as u64
+            let data = f.read_datatype(0, &dt).unwrap();
+            assert!(data.iter().all(|&b| b == 7));
+            (data.len() as u64, f.last_trace_id())
         });
-        out.push((label.to_string(), bw.mbytes_per_sec()));
+        out.push((label.to_string(), class3(&read)));
     }
     out
 }
@@ -104,7 +115,7 @@ pub fn stagger_ablation(scale: FigScale) -> Vec<Point> {
         ("staggered", true),
         ("convoy (all start at server 0)", false),
     ] {
-        let tb = Testbed::homogeneous(8, StorageClass::Class3).unwrap();
+        let tb = Testbed::unthrottled(8).unwrap();
         let client0 = tb.client(0, true);
         client0
             .create("/st", &Hint::linear(file_bytes / 256, file_bytes))
@@ -113,32 +124,17 @@ pub fn stagger_ablation(scale: FigScale) -> Vec<Point> {
             let mut f = c.open("/st").unwrap();
             f.write_bytes(rank as u64 * block, &vec![1u8; block as usize])
                 .unwrap();
-            block
         });
-        // manual client pool so we control the rank used for staggering
-        let barrier = Barrier::new(clients + 1);
-        let mut elapsed = std::time::Duration::ZERO;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for rank in 0..clients {
-                let effective_rank = if stagger { rank } else { 0 };
-                let client = tb.client_with(effective_rank, true, Granularity::Brick);
-                let barrier = &barrier;
-                handles.push(scope.spawn(move || {
-                    barrier.wait();
-                    let mut f = client.open("/st").unwrap();
-                    f.read_bytes(rank as u64 * block, block).unwrap();
-                }));
-            }
-            barrier.wait();
-            let start = Instant::now();
-            for h in handles {
-                h.join().unwrap();
-            }
-            elapsed = start.elapsed();
+        let rig = Rig::new(tb);
+        let read = rig.record(clients, true, Granularity::Brick, |rank, staggered| {
+            // A convoy client plans as rank 0 does: it starts at server 0.
+            let convoy = (!stagger).then(|| rig.tb.client(0, true));
+            let mut f = convoy.as_ref().unwrap_or(staggered).open("/st").unwrap();
+            let data = f.read_bytes(rank as u64 * block, block).unwrap();
+            assert_eq!(data, vec![1u8; block as usize]);
+            (block, f.last_trace_id())
         });
-        let mbps = (block * clients as u64) as f64 / 1e6 / elapsed.as_secs_f64();
-        out.push((label.to_string(), mbps));
+        out.push((label.to_string(), class3(&read)));
     }
     out
 }
@@ -151,7 +147,7 @@ pub fn io_node_scaling(scale: FigScale) -> Vec<Point> {
     let shape = Shape::new(vec![n, n]).unwrap();
     let mut out = Vec::new();
     for servers in [1usize, 2, 4, 8] {
-        let tb = Testbed::homogeneous(servers, StorageClass::Class3).unwrap();
+        let tb = Testbed::unthrottled(servers).unwrap();
         let client0 = tb.client(0, true);
         client0
             .create(
@@ -166,15 +162,17 @@ pub fn io_node_scaling(scale: FigScale) -> Vec<Point> {
             let region = Region::new(vec![rank as u64 * rows, 0], vec![rows, n]).unwrap();
             f.write_region(&region, &vec![3u8; (rows * n) as usize])
                 .unwrap();
-            rows * n
         });
         let cols = n / clients as u64;
-        let bw = run_clients(&tb, clients, true, Granularity::Brick, |rank, c| {
+        let rig = Rig::new(tb);
+        let read = rig.record(clients, true, Granularity::Brick, |rank, c| {
             let mut f = c.open("/scale").unwrap();
             let region = Region::new(vec![0, rank as u64 * cols], vec![n, cols]).unwrap();
-            f.read_region(&region).unwrap().len() as u64
+            let data = f.read_region(&region).unwrap();
+            assert!(data.iter().all(|&b| b == 3));
+            (data.len() as u64, f.last_trace_id())
         });
-        out.push((format!("{servers} server(s)"), bw.mbytes_per_sec()));
+        out.push((format!("{servers} server(s)"), class3(&read)));
     }
     out
 }
@@ -246,14 +244,15 @@ pub fn print_points(title: &str, points: &[Point]) {
     println!();
 }
 
-/// Render a list of points whose values are operations per second.
+/// Render a list of points whose values are operations per second, on
+/// stderr: they are measured live, so no two runs print the same figures.
 pub fn print_ops_points(title: &str, points: &[Point]) {
-    println!("{title}");
+    eprintln!("{title}");
     let width = points.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     for (label, ops) in points {
-        println!("  {label:<width$}  {ops:>10.0} ops/s");
+        eprintln!("  {label:<width$}  {ops:>10.0} ops/s");
     }
-    println!();
+    eprintln!();
 }
 
 #[cfg(test)]

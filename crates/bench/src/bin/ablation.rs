@@ -2,7 +2,8 @@
 //! I/O-node scaling, metadata placement. Not paper figures — these probe
 //! the design choices DESIGN.md calls out. (Rows 5, 6, 7 and 9 compared
 //! code paths that no longer exist; their last numbers are frozen in
-//! EXPERIMENTS.md.)
+//! EXPERIMENTS.md.) Rows 1–4 are computed and go to stdout, the same on
+//! every run; row 8 is measured live and goes to stderr.
 //!
 //! `--quick` forces the small workload scale, so CI can run the real
 //! binary end to end as a smoke test.

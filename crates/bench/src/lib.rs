@@ -11,13 +11,16 @@
 //!
 //! `--bin figures` alone runs all four. Set `DPFS_BENCH_SCALE=quick` for a
 //! fast smoke-scale run (CI); the default `full` scale reproduces the
-//! paper's request-count ratios faithfully (scaled ~100× in wall-clock,
-//! see `dpfs-server::perf`).
+//! paper's request-count ratios faithfully.
+//!
+//! Every bandwidth is computed, not timed ([`model`]), so the same tree
+//! prints the same figures, bit for bit.
 
 #![deny(unsafe_code)]
 
 pub mod ablation;
 pub mod figures;
+pub mod model;
 pub mod report;
 
 pub use figures::{file_level_figure, striping_figure, FigScale, LevelRow, StripingRow};

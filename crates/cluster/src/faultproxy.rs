@@ -8,6 +8,11 @@
 //! layer must absorb — torn frames, dropped connections, and stalls —
 //! without ever corrupting a frame silently (the checksum still protects
 //! payload bytes end to end).
+//!
+//! A *recording* proxy ([`FaultProxy::recording`]) also writes down every
+//! data request it relays to its server, each connection's in the order it
+//! carried them: the request stream `dpfs-bench` evaluates the storage cost
+//! model over.
 
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -16,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dpfs_proto::{read_frame_any, write_frame_v2, write_frame_v3, Frame, FrameError};
+use dpfs_proto::{read_frame_any, write_frame_v2, write_frame_v3, Frame, FrameError, Request};
 
 /// Live-tunable fault injection knobs. All relaxed atomics: tests flip them
 /// while traffic is flowing.
@@ -37,8 +42,42 @@ pub struct FaultKnobs {
     pub refuse: AtomicBool,
 }
 
+/// One data request (`Read`, `ReadList`, `Write`, `WriteList`) a recording
+/// proxy relayed to its server.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Received {
+    /// Its frame's trace ID (0 = untraced).
+    pub trace_id: u64,
+    /// Ranges it names (a pattern's, expanded).
+    pub ranges: usize,
+    /// Bytes it reads or writes.
+    pub bytes: u64,
+}
+
+/// What `frame` asks of the server, if it is a data request.
+fn received(frame: &Frame) -> Option<Received> {
+    let req = Request::decode(frame.payload.clone()).ok()?;
+    let ranges = match &req {
+        Request::Read { ranges, .. } => ranges.len(),
+        Request::Write { ranges, .. } => ranges.len(),
+        Request::ReadList { pattern, .. } | Request::WriteList { pattern, .. } => {
+            pattern.num_ranges()
+        }
+        _ => return None,
+    };
+    let (trace_id, bytes) = (frame.trace_id, req.payload_bytes());
+    Some(Received {
+        trace_id,
+        ranges,
+        bytes,
+    })
+}
+
 struct Shared {
     knobs: FaultKnobs,
+    /// Whether relayed data requests go into `received`.
+    recording: AtomicBool,
+    received: Mutex<Vec<Received>>,
     /// Frames seen across all connections (drives `cut_every_frames`).
     frames: AtomicU64,
     connections: AtomicU64,
@@ -65,6 +104,8 @@ impl FaultProxy {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             knobs: FaultKnobs::default(),
+            recording: AtomicBool::new(false),
+            received: Mutex::new(Vec::new()),
             frames: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             cuts: AtomicU64::new(0),
@@ -81,6 +122,14 @@ impl FaultProxy {
             shared,
             accept_thread: Some(accept_thread),
         })
+    }
+
+    /// [`FaultProxy::start`], recording every data request it relays (see
+    /// [`FaultProxy::take_received`]).
+    pub fn recording(upstream: SocketAddr) -> io::Result<FaultProxy> {
+        let proxy = Self::start(upstream)?;
+        proxy.shared.recording.store(true, Ordering::Relaxed);
+        Ok(proxy)
     }
 
     /// The address clients should dial instead of the real server.
@@ -101,6 +150,13 @@ impl FaultProxy {
     /// Frames seen so far (relayed or dropped by a cut).
     pub fn frames(&self) -> u64 {
         self.shared.frames.load(Ordering::Relaxed)
+    }
+
+    /// The data requests relayed since the last call (none unless
+    /// [`FaultProxy::recording`]). A request is recorded before it is
+    /// relayed, so every request whose reply a client has is in.
+    pub fn take_received(&self) -> Vec<Received> {
+        std::mem::take(&mut *self.shared.received.lock().unwrap())
     }
 
     /// Connections deliberately severed (cuts + truncations).
@@ -256,6 +312,9 @@ fn pump(
             sever(&pair);
             return;
         }
+        if !server_to_client && shared.recording.load(Ordering::Relaxed) {
+            shared.received.lock().unwrap().extend(received(&frame));
+        }
         if encode_frame(&mut dst, &frame).is_err() {
             sever(&pair);
             return;
@@ -311,6 +370,50 @@ mod tests {
         }
         assert_eq!(proxy.connections(), 1);
         assert!(proxy.frames() >= 6, "both directions counted");
+    }
+
+    /// A recording proxy writes down the data requests it relays, in order,
+    /// with their trace IDs; nothing else.
+    #[test]
+    fn recording_notes_each_data_request_it_relays() {
+        use bytes::Bytes;
+        use dpfs_proto::AccessPattern;
+        let (upstream, _t) = pong_upstream();
+        let proxy = FaultProxy::recording(upstream).unwrap();
+        let send = |conn: &mut TcpStream, trace_id: u64, req: Request| {
+            write_frame_v3(conn, 1, trace_id, &req.encode()).unwrap();
+            read_frame_any(conn).unwrap();
+        };
+        let mut first = TcpStream::connect(proxy.addr()).unwrap();
+        send(&mut first, 7, Request::Ping);
+        let ranges = vec![(0, 10), (64, 6)];
+        send(
+            &mut first,
+            7,
+            Request::Read {
+                subfile: "/f".into(),
+                ranges,
+            },
+        );
+        let mut second = TcpStream::connect(proxy.addr()).unwrap();
+        let pattern = AccessPattern::from_runs(&[(0, 4), (16, 4), (32, 4)]);
+        send(
+            &mut second,
+            9,
+            Request::WriteList {
+                subfile: "/f".into(),
+                pattern,
+                payload: Bytes::from(vec![1u8; 12]),
+            },
+        );
+        let got = proxy.take_received();
+        let want = |trace_id, ranges, bytes| Received {
+            trace_id,
+            ranges,
+            bytes,
+        };
+        assert_eq!(got, [want(7, 2, 16), want(9, 3, 12)]);
+        assert!(proxy.take_received().is_empty(), "taken");
     }
 
     #[test]

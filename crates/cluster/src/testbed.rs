@@ -1,5 +1,6 @@
-//! Testbed: spin up N I/O servers with storage-class profiles, register
-//! them in a shared metadata database, and hand out DPFS clients.
+//! Testbed: spin up N I/O servers, register them with their storage class's
+//! performance number in a shared metadata database, and hand out DPFS
+//! clients.
 //!
 //! Two metadata modes: the default keeps the database in-process and
 //! clients mount embedded; [`Testbed::start_with_metad`] additionally runs
@@ -37,13 +38,11 @@ pub struct NodeSpec {
     /// Display name registered in the catalog. Keep names zero-padded so
     /// name order equals server-index order (`ion00`, `ion01`, ...).
     pub name: String,
-    /// Storage class (delay model + performance number).
+    /// Storage class: the performance number the server is registered
+    /// with, and the cost model `dpfs-bench` evaluates for it.
     pub class: StorageClass,
     /// Capacity cap in bytes (0 = unlimited).
     pub capacity: u64,
-    /// Explicit delay model, overriding the class's canned one (timing
-    /// tests use this to inject a precise per-request latency).
-    pub model: Option<PerfModel>,
 }
 
 impl NodeSpec {
@@ -53,16 +52,15 @@ impl NodeSpec {
             name: format!("ion{i:02}"),
             class,
             capacity: 0,
-            model: None,
         }
     }
 
-    /// Node named `ion{i:02}` with an explicit delay model.
-    pub fn with_model(i: usize, model: PerfModel) -> NodeSpec {
-        NodeSpec {
-            model: Some(model),
-            ..NodeSpec::numbered(i, StorageClass::Unthrottled)
-        }
+    /// This node's server configuration, its subfiles under `root`.
+    fn config(&self, root: &std::path::Path) -> ServerConfig {
+        let name = self.name.clone();
+        let mut config = ServerConfig::new(name, root.join(&self.name), PerfModel::unthrottled());
+        config.capacity = self.capacity;
+        config
     }
 }
 
@@ -110,59 +108,45 @@ impl Testbed {
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root)?;
 
-        let db = Arc::new(Database::in_memory());
-        let catalog = dpfs_meta::Catalog::new(db.clone())
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        // Every catalog — the shared one, and each further metadata shard's
+        // own — holds the whole server registry.
+        let other = |e: dpfs_meta::MetaError| std::io::Error::other(e.to_string());
+        let registry = |db: Database| -> std::io::Result<Arc<Database>> {
+            let db = Arc::new(db);
+            let catalog = dpfs_meta::Catalog::new(db.clone()).map_err(other)?;
+            for spec in specs {
+                let capacity = match spec.capacity {
+                    0 => i64::MAX,
+                    cap => cap as i64,
+                };
+                let performance = spec.class.performance_number();
+                let name = spec.name.clone();
+                catalog
+                    .register_server(&ServerInfo {
+                        name,
+                        capacity,
+                        performance,
+                    })
+                    .map_err(other)?;
+            }
+            Ok(db)
+        };
+        let db = registry(Database::in_memory())?;
 
         let mut servers = Vec::with_capacity(specs.len());
         let mut resolver = Resolver::direct();
         for spec in specs {
-            let mut config = ServerConfig::new(
-                spec.name.clone(),
-                root.join(&spec.name),
-                spec.model.unwrap_or_else(|| spec.class.model()),
-            );
-            config.capacity = spec.capacity;
-            let server = IoServer::start(config)?;
+            let server = IoServer::start(spec.config(&root))?;
             resolver.alias(&spec.name, &server.addr().to_string());
-            catalog
-                .register_server(&ServerInfo {
-                    name: spec.name.clone(),
-                    capacity: if spec.capacity == 0 {
-                        i64::MAX
-                    } else {
-                        spec.capacity as i64
-                    },
-                    performance: spec.class.performance_number(),
-                })
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
             servers.push(server);
         }
         let mut metads = Vec::with_capacity(metad_shards);
         for shard in 0..metad_shards {
             // Shard 0 serves the testbed's shared database; the others
-            // get their own catalogs, seeded with the same server
-            // registry (the registry is replicated across the plane).
-            let shard_db = if shard == 0 {
-                db.clone()
-            } else {
-                let shard_db = Arc::new(Database::in_memory());
-                let catalog = dpfs_meta::Catalog::new(shard_db.clone())
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                for spec in specs {
-                    catalog
-                        .register_server(&ServerInfo {
-                            name: spec.name.clone(),
-                            capacity: if spec.capacity == 0 {
-                                i64::MAX
-                            } else {
-                                spec.capacity as i64
-                            },
-                            performance: spec.class.performance_number(),
-                        })
-                        .map_err(|e| std::io::Error::other(e.to_string()))?;
-                }
-                shard_db
+            // get their own catalogs.
+            let shard_db = match shard {
+                0 => db.clone(),
+                _ => registry(Database::in_memory())?,
             };
             let name = metad_name(shard);
             let config = MetadConfig::in_memory()
@@ -206,12 +190,6 @@ impl Testbed {
         Self::start_with_metad_shards(&specs, shards)
     }
 
-    /// `n` nodes all of one class.
-    pub fn homogeneous(n: usize, class: StorageClass) -> std::io::Result<Testbed> {
-        let specs: Vec<NodeSpec> = (0..n).map(|i| NodeSpec::numbered(i, class)).collect();
-        Self::start(&specs)
-    }
-
     /// Alternating classes, e.g. half class 1 / half class 3 for the
     /// paper's Figure 13/14 ("Half of the storage is from class 1 and half
     /// from class 3").
@@ -225,6 +203,13 @@ impl Testbed {
     /// The shared metadata database.
     pub fn db(&self) -> Arc<Database> {
         self.db.clone()
+    }
+
+    /// Reach server `idx` at `addr` — a [`crate::FaultProxy`] in front of
+    /// it — from every client mounted from now on.
+    pub fn route_through(&mut self, idx: usize, addr: std::net::SocketAddr) {
+        self.resolver
+            .alias(&self.specs[idx].name, &addr.to_string());
     }
 
     /// A copy of the name resolver (server display name → localhost
@@ -370,14 +355,7 @@ impl Testbed {
     pub fn restart_server(&mut self, idx: usize) -> std::io::Result<()> {
         let addr = self.servers[idx].addr();
         self.servers[idx].stop();
-        let spec = &self.specs[idx];
-        let mut config = ServerConfig::new(
-            spec.name.clone(),
-            self.root.join(&spec.name),
-            spec.model.unwrap_or_else(|| spec.class.model()),
-        )
-        .bind(&addr.to_string());
-        config.capacity = spec.capacity;
+        let config = self.specs[idx].config(&self.root).bind(&addr.to_string());
         // std's listener sets SO_REUSEADDR, so the rebind normally succeeds
         // immediately; retry briefly in case the old socket lingers.
         let mut last_err = std::io::Error::other("restart_server: no attempts made");

@@ -1,89 +1,50 @@
-//! Parallel-client workload driver and bandwidth accounting.
+//! Parallel-client workload driver.
 
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
 
 use crate::testbed::Testbed;
 use dpfs_core::{Dpfs, Granularity};
 
-/// Aggregate bandwidth measurement: `useful_bytes` moved by all clients in
-/// `elapsed` wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bandwidth {
-    /// Useful payload bytes moved (excludes discarded brick padding).
-    pub useful_bytes: u64,
-    /// Wall-clock time from the post-barrier start to the last client's
-    /// finish.
-    pub elapsed: Duration,
-}
-
-impl Bandwidth {
-    /// MB/s (decimal megabytes, as the paper plots).
-    pub fn mbytes_per_sec(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return f64::INFINITY;
-        }
-        self.useful_bytes as f64 / 1e6 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// Run `nclients` compute nodes in parallel. Each thread gets its own DPFS
-/// client (rank = thread index) and runs `work(rank, client) ->
-/// useful_bytes`. All clients start together behind a barrier; the
-/// measurement window closes when the last finishes — matching how the
-/// paper reports aggregate I/O bandwidth over parallel processes.
+/// client (rank = thread index) and runs `work(rank, client)`; all start
+/// together behind a barrier, and what each returns comes back in rank
+/// order.
 ///
 /// Panics in worker threads propagate (test ergonomics).
-pub fn run_clients<F>(
+pub fn run_clients<T, F>(
     testbed: &Testbed,
     nclients: usize,
     combine: bool,
     granularity: Granularity,
     work: F,
-) -> Bandwidth
+) -> Vec<T>
 where
-    F: Fn(usize, &Dpfs) -> u64 + Sync,
+    T: Send,
+    F: Fn(usize, &Dpfs) -> T + Sync,
 {
-    let barrier = Barrier::new(nclients + 1);
-    let mut total_bytes = 0u64;
-    let mut elapsed = Duration::ZERO;
+    let barrier = Barrier::new(nclients);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nclients);
-        for rank in 0..nclients {
-            let barrier = &barrier;
-            let work = &work;
-            let client = testbed.client_with(rank, combine, granularity);
-            handles.push(scope.spawn(move || {
-                barrier.wait();
-                work(rank, &client)
-            }));
-        }
-        barrier.wait();
-        let start = Instant::now();
-        for h in handles {
-            total_bytes += h.join().expect("client thread panicked");
-        }
-        elapsed = start.elapsed();
-    });
-    Bandwidth {
-        useful_bytes: total_bytes,
-        elapsed,
-    }
+        let handles: Vec<_> = (0..nclients)
+            .map(|rank| {
+                let (barrier, work) = (&barrier, &work);
+                let client = testbed.client_with(rank, combine, granularity);
+                scope.spawn(move || {
+                    barrier.wait();
+                    work(rank, &client)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpfs_core::{Hint, Region, Shape};
-
-    #[test]
-    fn bandwidth_math() {
-        let b = Bandwidth {
-            useful_bytes: 10_000_000,
-            elapsed: Duration::from_secs(2),
-        };
-        assert!((b.mbytes_per_sec() - 5.0).abs() < 1e-9);
-    }
 
     #[test]
     fn parallel_clients_disjoint_row_bands() {
@@ -94,14 +55,14 @@ mod tests {
 
         let nclients = 4;
         let rows_per = 32 / nclients as u64;
-        let bw = run_clients(&tb, nclients, true, Granularity::Brick, |rank, client| {
+        let moved = run_clients(&tb, nclients, true, Granularity::Brick, |rank, client| {
             let mut f = client.open("/bands").unwrap();
             let region = Region::new(vec![rank as u64 * rows_per, 0], vec![rows_per, 32]).unwrap();
             let data = vec![rank as u8 + 1; (rows_per * 32) as usize];
             f.write_region(&region, &data).unwrap();
             data.len() as u64
         });
-        assert_eq!(bw.useful_bytes, 32 * 32);
+        assert_eq!(moved, vec![rows_per * 32; nclients]);
 
         // read everything back and verify band contents
         let mut f = tb.client(0, true).open("/bands").unwrap();

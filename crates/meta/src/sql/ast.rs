@@ -145,14 +145,3 @@ pub enum Expr {
     /// `remove(list, x)`.
     Call { func: String, args: Vec<Expr> },
 }
-
-impl Expr {
-    /// Convenience: `col = literal`.
-    pub fn col_eq(col: &str, v: impl Into<Value>) -> Expr {
-        Expr::Binary {
-            op: BinOp::Eq,
-            lhs: Box::new(Expr::Column(col.into())),
-            rhs: Box::new(Expr::Literal(v.into())),
-        }
-    }
-}

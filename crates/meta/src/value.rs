@@ -99,14 +99,6 @@ impl Value {
         }
     }
 
-    /// Extract a blob, or a type error.
-    pub fn as_blob(&self) -> Result<&[u8]> {
-        match self {
-            Value::Blob(b) => Ok(b),
-            other => Err(MetaError::TypeError(format!("expected BLOB, got {other}"))),
-        }
-    }
-
     /// SQL three-valued comparison: returns `None` when either side is NULL,
     /// `Some(ordering)` for comparable same-type values, and an error for
     /// cross-type comparisons.

@@ -242,14 +242,30 @@ mod tests {
     use crate::schema::Column;
     use crate::value::DataType;
 
-    fn tmpdir() -> std::path::PathBuf {
+    /// A directory of this test's own, removed with its contents when the
+    /// test ends, passed or failed.
+    struct TmpDir(std::path::PathBuf);
+
+    impl TmpDir {
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir() -> TmpDir {
         let d = std::env::temp_dir().join(format!(
             "dpfs-meta-wal-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TmpDir(d)
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -273,7 +289,8 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trip() {
-        let path = tmpdir().join("rt.wal");
+        let dir = tmpdir();
+        let path = dir.join("rt.wal");
         let _ = std::fs::remove_file(&path);
         let recs = sample_records();
         let mut w = WalWriter::open(&path, true).unwrap();
@@ -285,14 +302,16 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() {
-        let path = tmpdir().join("nonexistent.wal");
+        let dir = tmpdir();
+        let path = dir.join("nonexistent.wal");
         let _ = std::fs::remove_file(&path);
         assert!(read_wal(&path).unwrap().is_empty());
     }
 
     #[test]
     fn torn_tail_is_tolerated() {
-        let path = tmpdir().join("torn.wal");
+        let dir = tmpdir();
+        let path = dir.join("torn.wal");
         let _ = std::fs::remove_file(&path);
         let recs = sample_records();
         let mut w = WalWriter::open(&path, false).unwrap();
@@ -309,7 +328,8 @@ mod tests {
 
     #[test]
     fn corrupt_tail_crc_stops_replay() {
-        let path = tmpdir().join("crc.wal");
+        let dir = tmpdir();
+        let path = dir.join("crc.wal");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path, false).unwrap();
         w.append(&sample_records()).unwrap();

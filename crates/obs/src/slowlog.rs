@@ -134,8 +134,8 @@ mod tests {
     #[test]
     fn disabled_by_default_and_threshold_gates() {
         let log = SlowLog::new();
-        // Only run the default-disabled assertion when the env knob is
-        // not set (CI sets it for the ablation run).
+        // The default-disabled assertion holds only with the env knob
+        // unset.
         if std::env::var("DPFS_SLOW_OP_US").is_err() {
             assert_eq!(log.threshold_ns(), u64::MAX);
             log.note(Side::Client, "read", "ion0", 7, u64::MAX - 1, 0);

@@ -7,25 +7,21 @@
 //!
 //! ```text
 //! dpfs-iond --root /var/dpfs [--bind 0.0.0.0:7440] [--capacity BYTES]
-//!           [--class class1|class2|class3|unthrottled] [--name NAME]
+//!           [--name NAME] [--stats-interval SECS]
 //! ```
-//!
-//! `--class` enables the storage-class delay model (for experiments);
-//! production use leaves it `unthrottled`.
 //!
 //! Logging verbosity is controlled by the `DPFS_LOG` environment variable
 //! (`error`, `info` — the default — or `debug`).
 
 use std::time::Duration;
 
-use dpfs_obs::{log_debug, log_error, log_info};
-use dpfs_server::{IoServer, PerfModel, ServerConfig, StorageClass};
+use dpfs_obs::{log_error, log_info};
+use dpfs_server::{IoServer, PerfModel, ServerConfig};
 
 struct Args {
     root: String,
     bind: String,
     capacity: u64,
-    class: StorageClass,
     name: Option<String>,
     stats_interval: u64,
 }
@@ -35,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         root: String::new(),
         bind: "0.0.0.0:7440".to_string(),
         capacity: 0,
-        class: StorageClass::Unthrottled,
         name: None,
         stats_interval: 0,
     };
@@ -50,11 +45,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --capacity: {e}"))?
             }
-            "--class" => {
-                let v = value("--class")?;
-                args.class =
-                    StorageClass::parse(&v).ok_or_else(|| format!("unknown class {v:?}"))?;
-            }
             "--name" => args.name = Some(value("--name")?),
             "--stats-interval" => {
                 args.stats_interval = value("--stats-interval")?
@@ -64,7 +54,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: dpfs-iond --root DIR [--bind ADDR:PORT] [--capacity BYTES] \
-                     [--class CLASS] [--name NAME] [--stats-interval SECS]\n\
+                     [--name NAME] [--stats-interval SECS]\n\
                      set DPFS_LOG=error|info|debug to control log verbosity (default info)"
                 );
                 std::process::exit(0);
@@ -87,8 +77,8 @@ fn main() {
         }
     };
     let name = args.name.unwrap_or_else(|| args.bind.clone());
-    let perf: PerfModel = args.class.model();
-    let mut config = ServerConfig::new(name.clone(), &args.root, perf).bind(&args.bind);
+    let mut config =
+        ServerConfig::new(name.clone(), &args.root, PerfModel::unthrottled()).bind(&args.bind);
     config.capacity = args.capacity;
 
     let server = match IoServer::start(config) {
@@ -99,10 +89,9 @@ fn main() {
         }
     };
     log_info!(
-        "dpfs-iond `{name}` serving {} on {} (class {}, capacity {})",
+        "dpfs-iond `{name}` serving {} on {} (capacity {})",
         args.root,
         server.addr(),
-        args.class.name(),
         if args.capacity == 0 {
             "unlimited".to_string()
         } else {
@@ -133,7 +122,6 @@ fn main() {
                 s.read_latency.summary_us(),
                 s.write_latency.summary_us()
             );
-            log_debug!("stats: injected_delay_ns={}", s.injected_delay_ns);
         }
     }
 }

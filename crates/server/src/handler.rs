@@ -1,46 +1,34 @@
 //! Request dispatch: protocol request → subfile store operation → response.
 
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use bytes::Bytes;
 use dpfs_obs::{now_ns, record_span, ClusterSnapshot, Side};
 use dpfs_proto::{split_payload, ErrorCode, Request, Response};
-use parking_lot::Mutex;
 
-use crate::perf::PerfModel;
 use crate::service::Attempt;
 use crate::stats::ServerStats;
 use crate::subfile::{StoreError, SubfileStore};
 
 /// Shared per-server handler state. Connection threads and per-connection
-/// workers all dispatch through one `Handler`; the `device` lock serializes
-/// only the *device-bound* part of the injected delay (seeks + payload
-/// streaming), modeling the sequential storage device underneath concurrent
-/// request handling (paper §4.2) — the per-request overhead part overlaps
-/// across concurrent requests. The store I/O itself runs outside the device
-/// lock — per-subfile locks inside [`SubfileStore`] provide the necessary
-/// mutual exclusion, so unthrottled servers serve distinct subfiles fully
-/// in parallel.
+/// workers all dispatch through one `Handler`; per-subfile locks inside
+/// [`SubfileStore`] provide the mutual exclusion, so distinct subfiles are
+/// served fully in parallel.
 pub struct Handler {
     /// Server name, stamped on this server's trace events.
     name: String,
     store: SubfileStore,
-    perf: PerfModel,
     stats: ServerStats,
-    device: Mutex<()>,
 }
 
 impl Handler {
-    /// Build a handler over a store with a delay model. `name` labels this
-    /// server's trace events.
-    pub fn new(name: impl Into<String>, store: SubfileStore, perf: PerfModel) -> Self {
+    /// Build a handler over a store. `name` labels this server's trace
+    /// events.
+    pub fn new(name: impl Into<String>, store: SubfileStore) -> Self {
         Handler {
             name: name.into(),
             store,
-            perf,
             stats: ServerStats::default(),
-            device: Mutex::new(()),
         }
     }
 
@@ -68,59 +56,6 @@ impl Handler {
         snap
     }
 
-    /// Sleep out the modeled service time. The per-request overhead
-    /// (`request_latency`: network RTT, dispatch, thread handoff) sleeps
-    /// *outside* the device lock — concurrent requests overlap it, which is
-    /// what pipelined connections buy — while the device-bound part (seeks
-    /// plus payload streaming) sleeps *inside* the lock, so concurrent
-    /// requests to one server still queue for its (simulated) sequential
-    /// storage device. Unthrottled servers skip both entirely.
-    fn inject_delay(&self, ranges: usize, bytes: u64, trace_id: u64, kind: &'static str) {
-        if self.perf.is_unthrottled() {
-            return;
-        }
-        let overhead = self.perf.request_latency;
-        if overhead > Duration::ZERO {
-            self.stats
-                .injected_delay_ns
-                .fetch_add(overhead.as_nanos() as u64, Ordering::Relaxed);
-            let t0 = now_ns();
-            std::thread::sleep(overhead);
-            record_span(
-                Side::Server,
-                trace_id,
-                "delay",
-                kind,
-                &self.name,
-                t0,
-                now_ns().saturating_sub(t0),
-                bytes,
-            );
-        }
-        let dev = self.perf.device_time(ranges, bytes);
-        if dev > Duration::ZERO {
-            // The device span covers lock wait + hold: queueing for the
-            // (simulated) sequential device is device time from the
-            // request's point of view.
-            let t0 = now_ns();
-            let _dev = self.device.lock();
-            self.stats
-                .injected_delay_ns
-                .fetch_add(dev.as_nanos() as u64, Ordering::Relaxed);
-            std::thread::sleep(dev);
-            record_span(
-                Side::Server,
-                trace_id,
-                "device",
-                kind,
-                &self.name,
-                t0,
-                now_ns().saturating_sub(t0),
-                bytes,
-            );
-        }
-    }
-
     /// Handle one request, producing exactly one response. Never panics on
     /// malformed input; store errors map to protocol error codes.
     pub fn handle(&self, req: Request) -> Response {
@@ -128,22 +63,18 @@ impl Handler {
     }
 
     /// [`Handler::handle`] for a request stamped with `trace_id` (0 =
-    /// untraced): records a `handle` span plus `delay`/`device` sub-spans
-    /// into the global trace ring, the service time into the per-kind
-    /// histogram, and the in-flight gauge around the whole dispatch.
+    /// untraced): records a `handle` span into the global trace ring, the
+    /// service time into the per-kind histogram, and the in-flight gauge
+    /// around the whole dispatch.
     pub fn handle_traced(&self, req: Request, trace_id: u64) -> Response {
         self.serve(req, trace_id, now_ns(), None)
     }
 
     /// [`Handler::handle_traced`] of a `Read` or `ReadList` on a thread that
     /// must not wait — an I/O shard's: answered only from an open
-    /// descriptor and the page cache, and only when the model injects no
-    /// delay. A read that would wait is handed back before anything is
-    /// counted; whoever handles it then counts it, once.
+    /// descriptor and the page cache. A read that would wait is handed back
+    /// before anything is counted; whoever handles it then counts it, once.
     pub(crate) fn read_nowait(&self, req: Request, trace_id: u64) -> Attempt {
-        if !self.perf.is_unthrottled() {
-            return Attempt::HandedBack(req);
-        }
         let t0 = now_ns();
         let cached = match &req {
             Request::Read { subfile, ranges } => self.store.read_ranges_nowait(subfile, ranges),
@@ -171,7 +102,7 @@ impl Handler {
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         let kind = req.kind_str();
         let bytes = req.payload_bytes();
-        let resp = self.dispatch(req, trace_id, cached);
+        let resp = self.dispatch(req, cached);
         let dur = now_ns().saturating_sub(t0);
         self.stats.hist_for(kind).record(dur);
         record_span(
@@ -196,12 +127,7 @@ impl Handler {
         resp
     }
 
-    fn dispatch(
-        &self,
-        req: Request,
-        trace_id: u64,
-        cached: Option<Result<Bytes, StoreError>>,
-    ) -> Response {
+    fn dispatch(&self, req: Request, cached: Option<Result<Bytes, StoreError>>) -> Response {
         match req {
             Request::Ping => Response::Pong,
             // Every write, enumerated or pattern, lands alike: one range
@@ -209,7 +135,6 @@ impl Handler {
             // no copies on the way to disk. The request kind picks only the
             // counter and the labels.
             write @ (Request::Write { .. } | Request::WriteList { .. }) => {
-                let kind = write.kind_str();
                 let (subfile, ranges, writes) = match write {
                     Request::Write { subfile, ranges } => (subfile, ranges, &self.stats.writes),
                     Request::WriteList {
@@ -237,8 +162,6 @@ impl Handler {
                     }
                     _ => unreachable!("matched a write"),
                 };
-                let bytes: u64 = ranges.iter().map(|(_, d)| d.len() as u64).sum();
-                self.inject_delay(ranges.len(), bytes, trace_id, kind);
                 match self.store.write_ranges(&subfile, &ranges) {
                     Ok(n) => {
                         writes.fetch_add(1, Ordering::Relaxed);
@@ -253,7 +176,6 @@ impl Handler {
             // picks only the counter and the labels. A read a shard served
             // from the page cache arrives with its bytes (`cached`).
             read @ (Request::Read { .. } | Request::ReadList { .. }) => {
-                let kind = read.kind_str();
                 let bytes = read.payload_bytes();
                 let reads = match read {
                     Request::Read { .. } => &self.stats.reads,
@@ -265,7 +187,6 @@ impl Handler {
                         Request::ReadList { subfile, pattern } => (subfile, pattern.expand()),
                         _ => unreachable!("matched a read"),
                     };
-                    self.inject_delay(ranges.len(), bytes, trace_id, kind);
                     self.store.read_ranges_coalesced(&subfile, &ranges)
                 });
                 let data = match data {
@@ -344,7 +265,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = SubfileStore::open(&dir, 0).unwrap();
-        (Handler::new("test", store, PerfModel::unthrottled()), dir)
+        (Handler::new("test", store), dir)
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! server owns. Building on the local file system means DPFS inherits its
 //! caching and prefetching for free (paper §2, footnote 1).
 //!
-//! The [`perf`] module provides the calibrated storage-class delay model
-//! that stands in for the paper's heterogeneous 2001 testbed (classes 1-3);
-//! see DESIGN.md for the substitution argument.
+//! The [`perf`] module holds the calibrated storage-class cost model that
+//! stands in for the paper's heterogeneous 2001 testbed (classes 1-3) as
+//! data: the server never sleeps it out, `dpfs-bench` evaluates it over the
+//! requests the servers received. See DESIGN.md for the substitution
+//! argument.
 //!
 //! # Example
 //!

@@ -10,19 +10,20 @@
 //!   also metro-distant: ≈3× slower per brick than class 1 (§8.2).
 //!
 //! We don't have a 2001 metro network, so the substitution (DESIGN.md) is a
-//! calibrated delay model injected into the real server I/O path: each
-//! request pays a fixed per-request overhead (connection handling, thread
-//! spawn, RTT) plus `bytes / bandwidth`. Delays are applied *while holding
-//! the server's device lock*, reproducing the paper's observation that "the
-//! actual I/O has to be sequentialized locally due to the nature of
-//! sequential storage device" (§4.2). The figure shapes depend only on the
-//! ratios between classes and between per-request and per-byte costs, which
-//! this preserves; constants are ~100× faster than 2001 wall-clock so the
-//! suite runs in minutes.
+//! calibrated cost model: each request pays a fixed per-request overhead
+//! (connection handling, thread spawn, RTT), a seek per discontiguous range
+//! and `bytes / bandwidth`, the last two on a device that serves one request
+//! at a time — "the actual I/O has to be sequentialized locally due to the
+//! nature of sequential storage device" (§4.2). The server never sleeps it
+//! out: it is data, which `dpfs-bench` evaluates over the requests the
+//! servers actually received, and which the testbed turns into the greedy
+//! striping algorithm's performance numbers. The figure shapes depend only
+//! on the ratios between classes and between per-request and per-byte
+//! costs, which this preserves; constants are ~100× faster than 2001.
 
 use std::time::Duration;
 
-/// Delay model for one server: what it costs to service a request.
+/// Cost model for one server: what it costs to service a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PerfModel {
     /// Fixed cost paid once per framed request (network RTT, dispatch,
@@ -35,7 +36,7 @@ pub struct PerfModel {
 }
 
 impl PerfModel {
-    /// No injected delays: raw localhost speed. Used by correctness tests.
+    /// No modelled cost: the only model an I/O server runs under.
     pub const fn unthrottled() -> Self {
         PerfModel {
             request_latency: Duration::ZERO,
@@ -51,10 +52,10 @@ impl PerfModel {
     }
 
     /// The *device-bound* part of the service time — seeks plus payload
-    /// streaming — which the server serializes under its device lock
-    /// ("the actual I/O has to be sequentialized locally", §4.2). The
-    /// remaining `request_latency` models network RTT and dispatch
-    /// overhead, which concurrent requests overlap.
+    /// streaming — which one device serves a request at a time ("the
+    /// actual I/O has to be sequentialized locally", §4.2). The remaining
+    /// `request_latency` models network RTT and dispatch overhead, which
+    /// concurrent requests overlap.
     pub fn device_time(&self, ranges: usize, bytes: u64) -> Duration {
         let mut t = self.seek_latency * (ranges as u32);
         if self.bandwidth != u64::MAX && self.bandwidth > 0 {
@@ -62,11 +63,6 @@ impl PerfModel {
             t += Duration::from_secs_f64(secs);
         }
         t
-    }
-
-    /// True if this model injects no delay.
-    pub fn is_unthrottled(&self) -> bool {
-        *self == Self::unthrottled()
     }
 }
 
@@ -82,12 +78,12 @@ pub enum StorageClass {
     /// SUN @ NWU on 155 Mbit ATM over a metro network. ≈3× slower per brick
     /// than class 1 (paper §8.2).
     Class3,
-    /// No injected delay (functional tests).
+    /// No modelled cost (functional tests, the benchmark).
     Unthrottled,
 }
 
 impl StorageClass {
-    /// The calibrated delay model for this class.
+    /// The calibrated cost model for this class.
     ///
     /// Calibration: class 1 ≈ 3× faster than class 3 per brick (paper
     /// §8.2); class 2's shared 10 Mbit Ethernet makes it the slowest. The
@@ -135,18 +131,6 @@ impl StorageClass {
         (own.as_secs_f64() / base.as_secs_f64()).round().max(1.0) as i64
     }
 
-    /// Parse from the lower-case names used in configs: `class1`, `class2`,
-    /// `class3`, `unthrottled`.
-    pub fn parse(s: &str) -> Option<StorageClass> {
-        match s {
-            "class1" => Some(StorageClass::Class1),
-            "class2" => Some(StorageClass::Class2),
-            "class3" => Some(StorageClass::Class3),
-            "unthrottled" | "none" => Some(StorageClass::Unthrottled),
-            _ => None,
-        }
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -166,7 +150,6 @@ mod tests {
     fn unthrottled_is_zero_cost() {
         let m = PerfModel::unthrottled();
         assert_eq!(m.service_time(100, 1 << 30), Duration::ZERO);
-        assert!(m.is_unthrottled());
     }
 
     #[test]
@@ -209,19 +192,6 @@ mod tests {
         let t3 = StorageClass::Class3.model().service_time(1, brick);
         assert!(t1 < t3, "class1 must beat class3");
         assert!(t3 < t2, "class3 must beat class2 (10Mbit shared)");
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        for c in [
-            StorageClass::Class1,
-            StorageClass::Class2,
-            StorageClass::Class3,
-            StorageClass::Unthrottled,
-        ] {
-            assert_eq!(StorageClass::parse(c.name()), Some(c));
-        }
-        assert_eq!(StorageClass::parse("bogus"), None);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! USENIX ATC '99): the I/O shard that decoded it answers whatever it can
 //! without waiting — names, sizes, and reads the page cache holds, which
 //! the kernel tells apart (`sys::read_run`) — and hands the rest to a
-//! worker: writes, flushes, reads that would touch the device, and every
-//! read under a throttled [`PerfModel`].
+//! worker: writes, flushes and reads that would touch the device.
 
 use std::io;
 use std::net::SocketAddr;
@@ -34,7 +33,10 @@ pub struct ServerConfig {
     pub root: PathBuf,
     /// Capacity cap in bytes (0 = unlimited).
     pub capacity: u64,
-    /// Injected delay model (storage class).
+    /// Must be [`PerfModel::unthrottled`]: the server runs no cost model
+    /// (`dpfs-bench` evaluates one over the requests it logs), and
+    /// [`IoServer::start`] refuses any other. The field stays because
+    /// `examples/benchmark` passes one to [`ServerConfig::new`].
     pub perf: PerfModel,
     /// Listen address; `127.0.0.1:0` (ephemeral localhost port) by default.
     pub bind: String,
@@ -73,11 +75,10 @@ impl Service for Handler {
     }
 
     /// Names and sizes are answered where they were decoded, and so is a
-    /// read the page cache can serve whole from an open descriptor with no
-    /// delay modelled (`Handler::read_nowait`: the kernel says whether it
-    /// would wait). Any other read, and whatever writes file bytes or
-    /// flushes them, waits for a device — modelled (`inject_delay`) or
-    /// real — and belongs to a worker.
+    /// read the page cache can serve whole from an open descriptor
+    /// (`Handler::read_nowait`: the kernel says whether it would wait). Any
+    /// other read, and whatever writes file bytes or flushes them, waits
+    /// for the device and belongs to a worker.
     fn try_handle(&self, req: Request, trace_id: u64) -> Attempt {
         match req {
             Request::Ping
@@ -107,11 +108,16 @@ pub struct IoServer {
 
 impl IoServer {
     /// Bind the configured address (ephemeral localhost port by default)
-    /// and start serving.
+    /// and start serving. A `perf` other than [`PerfModel::unthrottled`]
+    /// is refused with `InvalidInput`.
     pub fn start(config: ServerConfig) -> io::Result<IoServer> {
+        if config.perf != PerfModel::unthrottled() {
+            let why = "an I/O server runs no cost model (dpfs-bench evaluates one)";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
         let store = SubfileStore::open(&config.root, config.capacity)
             .map_err(|e| io::Error::other(e.to_string()))?;
-        let handler = Arc::new(Handler::new(&config.name, store, config.perf));
+        let handler = Arc::new(Handler::new(&config.name, store));
         let core = ServeCore::start_with(&config.bind, handler.clone(), config.serve)?;
         Ok(IoServer {
             name: config.name,
@@ -216,6 +222,17 @@ mod tests {
         drop(c);
         drop(server);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The server runs no cost model: a config that asks for one is
+    /// refused before anything is bound or opened.
+    #[test]
+    fn a_throttled_model_is_refused() {
+        let dir = std::env::temp_dir().join(format!("dpfs-server-model-{}", std::process::id()));
+        let model = crate::StorageClass::Class1.model();
+        let err = IoServer::start(ServerConfig::new("test", &dir, model)).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
+        assert!(!dir.exists(), "a refused server created its root");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! answers it there if nothing has to be waited for — a name, a size, bytes
 //! the page cache holds — so the round trip is two thread wake-ups shorter,
 //! or hands it back. The shared worker pool serves what is handed back (a
-//! device, an fsync, a modelled delay), so a slow request never holds up a
-//! shard's other connections. Whoever handled the request
+//! device, an fsync), so a slow request never holds up a shard's other
+//! connections. Whoever handled the request
 //! writes its framed response to the owning connection's socket itself,
 //! leaving to the shard's flush only what the socket would not take.
 //! Whatever a sleeping thread cannot see on its descriptors reaches it
@@ -69,7 +69,7 @@ pub trait Service: Send + Sync + 'static {
     /// Answer `req` now, on the I/O shard thread that decoded it, or hand
     /// it back for the worker pool. Answering here is a promise that
     /// nothing is waited for — a device, an fsync, a lock held across
-    /// either, a modelled delay — so the cost is CPU in proportion to the
+    /// either — so the cost is CPU in proportion to the
     /// reply, which the shard charges, by its framed length, to the
     /// connection's per-pass fairness budget. A request handed back must be
     /// untouched and uncounted, so that the worker's

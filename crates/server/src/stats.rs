@@ -23,9 +23,6 @@ pub struct ServerStats {
     pub errors: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
-    /// Nanoseconds of injected model delay (to separate model time from
-    /// real I/O time in reports).
-    pub injected_delay_ns: AtomicU64,
     /// Requests currently being serviced (gauge).
     pub in_flight: AtomicU64,
     /// List-I/O reads handled (`ReadList`: one pattern descriptor expanded
@@ -51,7 +48,6 @@ pub struct StatsSnapshot {
     pub bytes_written: u64,
     pub errors: u64,
     pub connections: u64,
-    pub injected_delay_ns: u64,
     /// Requests being serviced at snapshot time (gauge).
     pub in_flight: u64,
     /// Subfiles re-opened from surviving on-disk data (restart recovery):
@@ -80,7 +76,6 @@ impl ServerStats {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
-            injected_delay_ns: self.injected_delay_ns.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             subfiles_reopened: 0,
             list_reads: self.list_reads.load(Ordering::Relaxed),
@@ -122,7 +117,6 @@ impl StatsSnapshot {
                 ("io.bytes_written", self.bytes_written),
                 ("io.connections", self.connections),
                 ("io.errors", self.errors),
-                ("io.injected_delay_ns", self.injected_delay_ns),
                 ("io.list_reads", self.list_reads),
                 ("io.list_writes", self.list_writes),
                 ("io.reads", self.reads),
@@ -207,7 +201,7 @@ mod tests {
         assert_eq!(back, sent);
         let node = &back.nodes[0];
         assert_eq!((node.name.as_str(), node.role), ("ion07", NodeRole::Iond));
-        assert_eq!(node.counters.len(), 11);
+        assert_eq!(node.counters.len(), 10);
         assert!(node.counters.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
         assert_eq!(node.counter("io.requests"), Some(7));
         assert_eq!(node.counter("io.reads"), Some(4));

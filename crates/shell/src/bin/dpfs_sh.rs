@@ -2,9 +2,9 @@
 //!
 //! Two ways to mount:
 //!
-//! - `dpfs-sh [num-servers] [class]` — ephemeral in-process testbed:
-//!   starts `num-servers` I/O servers (default 4, unthrottled) with an
-//!   embedded metadata catalog. Self-contained; nothing survives exit.
+//! - `dpfs-sh [num-servers]` — ephemeral in-process testbed: starts
+//!   `num-servers` I/O servers (default 4) with an embedded metadata
+//!   catalog. Self-contained; nothing survives exit.
 //! - `dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...` —
 //!   attach to running `dpfs-metad` daemons (and `dpfs-iond` I/O
 //!   servers): all metadata goes over TCP, and any `--server` not yet in
@@ -19,7 +19,6 @@ use std::io::{BufRead, Write};
 use dpfs_cluster::Testbed;
 use dpfs_core::{ClientOptions, Dpfs, Resolver};
 use dpfs_meta::ServerInfo;
-use dpfs_server::StorageClass;
 use dpfs_shell::Shell;
 
 /// Parsed `--metad` mode arguments.
@@ -31,7 +30,7 @@ struct RemoteArgs {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dpfs-sh [num-servers] [class]\n       \
+        "usage: dpfs-sh [num-servers]\n       \
          dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...\n       \
          (repeat --metad in shard order to mount a sharded metadata plane)"
     );
@@ -122,11 +121,7 @@ fn main() {
         },
         None => {
             let n: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
-            let class = args
-                .get(1)
-                .and_then(|s| StorageClass::parse(s))
-                .unwrap_or(StorageClass::Unthrottled);
-            let testbed = match Testbed::homogeneous(n, class) {
+            let testbed = match Testbed::unthrottled(n) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("failed to start testbed: {e}");
@@ -134,8 +129,7 @@ fn main() {
                 }
             };
             println!(
-                "DPFS shell — {n} {} I/O servers started. Type `help` for commands, ctrl-D to exit.",
-                class.name()
+                "DPFS shell — {n} I/O servers started. Type `help` for commands, ctrl-D to exit."
             );
             let client = testbed.client(0, true);
             _testbed = Some(testbed);

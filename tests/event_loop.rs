@@ -21,7 +21,7 @@
 //!   handed-back one ahead of it, never waiting for one on another
 //!   connection, in submission order, with the same trace events — and
 //!   nothing else ever runs there; for the I/O server that is names, sizes
-//!   and unthrottled reads the page cache holds, and a read that would wait
+//!   and reads the page cache holds, and a read that would wait
 //!   falls back to a worker and is counted once; a peer that pipelines a
 //!   thousand such requests does not starve its neighbour on the shard.
 
@@ -39,9 +39,7 @@ use bytes::Bytes;
 use dpfs::core::trace::{ring, Side, TraceEvent};
 use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, AccessPattern, ErrorCode, MetaOp, Request, Response};
-use dpfs::server::{
-    Attempt, IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service, StorageClass,
-};
+use dpfs::server::{Attempt, IoServer, PerfModel, ServeConfig, ServeCore, ServerConfig, Service};
 
 use common::Rooted;
 
@@ -132,13 +130,7 @@ fn idle_second_cpu() -> Duration {
 #[test]
 fn idle_and_waiting_connections_cost_no_cpu() {
     let _guard = sequential();
-    // Every request but a ping is held 1.5 s in service.
-    let slow = PerfModel {
-        request_latency: Duration::from_millis(1500),
-        bandwidth: u64::MAX,
-        seek_latency: Duration::ZERO,
-    };
-    let ion = start_ion("idle", slow, 2, 8);
+    let ion = start_ion("idle", PerfModel::unthrottled(), 2, 8);
     let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
     let mut idle: Vec<TcpStream> = Vec::new();
     for addr in [ion.addr(), metad.addr()] {
@@ -148,11 +140,15 @@ fn idle_and_waiting_connections_cost_no_cpu() {
             idle.push(c);
         }
     }
-    // A peer with a request in service for the whole second, and a ping
+    // A peer with a request held in service for the whole second (a `Sync`
+    // of the subfile `gate`, on a worker, until the gate opens), and a ping
     // pipelined behind it that overtakes it.
-    let mut waiting = connect(ion.addr());
-    frame::write_frame_v2(&mut waiting, 1, &read_req("/nothing", 1).encode()).unwrap();
-    frame::write_frame_v2(&mut waiting, 2, &Request::Ping.encode()).unwrap();
+    let held = Arc::new(Ruled(Recorder::default()));
+    let core = serve(held.clone(), 2);
+    let mut waiting = connect(core.addr());
+    send(&mut waiting, 1, &sync("gate"));
+    send(&mut waiting, 2, &Request::Ping);
+    held.0.wait_for_gate();
 
     let cpu = idle_second_cpu();
     eprintln!("event_loop: 129 quiet connections cost {cpu:?} of CPU in one second");
@@ -162,18 +158,13 @@ fn idle_and_waiting_connections_cost_no_cpu() {
          a timer survived, or poll is spinning on a descriptor nobody reads"
     );
 
-    // Both answers arrive, the quick one first.
-    let first = frame::read_frame_any(&mut waiting).unwrap();
-    assert_eq!(first.corr_id, 2);
-    assert_eq!(Response::decode(first.payload).unwrap(), Response::Pong);
-    let second = frame::read_frame_any(&mut waiting).unwrap();
-    assert_eq!(second.corr_id, 1);
-    let second = Response::decode(second.payload).unwrap();
-    assert!(
-        matches!(second, Response::DataList { .. }),
-        "got {second:?}"
-    );
-    assert_eq!(ion.open_connections(), 65);
+    // Both answers arrive, the quick one first, the held one once the gate
+    // opens.
+    assert_eq!(reply_id(&mut waiting), 2);
+    held.0.open_gate();
+    assert_eq!(reply_id(&mut waiting), 1);
+    assert_eq!(ion.open_connections(), 64);
+    assert_eq!(core.open_connections(), 1);
     assert_eq!(metad.open_connections(), 64);
 }
 
@@ -908,19 +899,14 @@ fn queued_ns(c: &mut TcpStream, req: &Request) -> u64 {
 }
 
 /// The I/O server's rule, request kind by request kind, and the events an
-/// inline request leaves: names, sizes and an unthrottled read the page
-/// cache holds are answered on the shard; writes, syncs and any read under
-/// a throttled model go to a worker.
+/// inline request leaves: names, sizes and a read the page cache holds are
+/// answered on the shard; writes and syncs go to a worker.
 #[test]
 fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
     let _guard = sequential();
     let ion = start_ion("rule", PerfModel::unthrottled(), 1, 2);
-    let throttled = start_ion("rule-throttled", StorageClass::Class1.model(), 1, 2);
-    for server in [&ion, &throttled] {
-        write_subfile(&mut connect(server.addr()), "/f", b"resident");
-    }
+    write_subfile(&mut connect(ion.addr()), "/f", b"resident");
     let rule = ion.handler().as_ref() as &dyn Service;
-    let slow = throttled.handler().as_ref() as &dyn Service;
     let payload = Bytes::from_static(b"x");
     let pattern = AccessPattern::from_runs(&[(0, 1)]);
     let list_read = Request::ReadList {
@@ -935,7 +921,7 @@ fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
             subfile: "/g".into(),
         },
         read_req("/f", 8),
-        list_read.clone(),
+        list_read,
     ];
     let queued = [
         Request::Write {
@@ -967,10 +953,6 @@ fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
     for req in queued {
         assert_eq!(rule.try_handle(req.clone(), 0), Attempt::HandedBack(req));
     }
-    // A modelled device is waited for whatever the page cache holds.
-    for req in [read_req("/f", 8), list_read] {
-        assert_eq!(slow.try_handle(req.clone(), 0), Attempt::HandedBack(req));
-    }
     let snap = ion.stats();
     assert_eq!((snap.writes, snap.list_writes), (1, 0));
     assert_eq!(
@@ -992,11 +974,8 @@ fn resident_reads_names_and_sizes_are_answered_inline_and_the_rest_are_not() {
     assert!(events.iter().all(|e| e.kind == "stat"));
     assert_eq!(events[1].dur_ns, 0, "an inline request waits in no queue");
 
-    // On the wire: a resident read waits in no queue; a throttled one
-    // waits for a worker.
+    // On the wire: a resident read waits in no queue.
     assert_eq!(queued_ns(&mut c, &read_req("/f", 8)), 0);
-    let mut slow_c = connect(throttled.addr());
-    assert!(queued_ns(&mut slow_c, &read_req("/f", 8)) > 0);
 }
 
 /// A subfile whose descriptor nobody has opened yet — after a restart — is

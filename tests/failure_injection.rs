@@ -55,13 +55,11 @@ fn capacity_exhaustion_surfaces_as_no_space() {
             name: "ion00".into(),
             class: dpfs::server::StorageClass::Unthrottled,
             capacity: 10_000,
-            model: None,
         },
         dpfs::cluster::NodeSpec {
             name: "ion01".into(),
             class: dpfs::server::StorageClass::Unthrottled,
             capacity: 10_000,
-            model: None,
         },
     ])
     .unwrap();

@@ -1,70 +1,123 @@
-//! Timing proof of parallel per-server dispatch: with four servers each
-//! injecting a 20 ms per-request delay, a combined access touching all four
-//! must cost about one server's delay, not the sum. And the shape of the
-//! paper's general approach (`combine = false`): one request per touched
-//! brick, submitted in ascending brick order whatever the client's rank.
+//! Parallel per-server dispatch, counted: a combined access touching four
+//! servers has every request on the wire before it awaits any, so a server
+//! that withholds its reply until the other three have received theirs is
+//! answered. And the shape of the paper's general approach (`combine =
+//! false`): one request per touched brick, submitted in ascending brick
+//! order whatever the client's rank.
 
+mod common;
+
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dpfs::cluster::{NodeSpec, Testbed};
+use dpfs::cluster::Testbed;
 use dpfs::core::trace::{ring, Side};
 use dpfs::core::{ClientOptions, FileHandle, Hint};
-use dpfs::server::PerfModel;
+use dpfs::proto::{Request, Response};
+use dpfs::server::{Handler, ServeConfig, ServeCore, Service, SubfileStore};
 
-const DELAY: Duration = Duration::from_millis(20);
+use common::Rooted;
+
 const SERVERS: usize = 4;
 
-fn delayed_testbed() -> Testbed {
-    let model = PerfModel {
-        request_latency: DELAY,
-        bandwidth: u64::MAX,
-        seek_latency: Duration::ZERO,
-    };
-    let specs: Vec<NodeSpec> = (0..SERVERS)
-        .map(|i| NodeSpec::with_model(i, model))
-        .collect();
-    Testbed::start(&specs).unwrap()
+/// The hang watchdog: how long the other servers may take to receive their
+/// requests while ion00 withholds its reply. They take microseconds; a
+/// client that awaits ion00's reply before it submits theirs never sends
+/// them.
+const HANG: Duration = Duration::from_secs(10);
+
+/// ion00's service: a subfile handler of its own that holds every data
+/// request at a gate until the test opens it.
+struct Gated {
+    handler: Handler,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Service for Gated {
+    fn name(&self) -> &str {
+        self.handler.name()
+    }
+
+    fn handle_traced(&self, req: Request, trace_id: u64) -> Response {
+        if req.payload_bytes() > 0 {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+        self.handler.handle_traced(req, trace_id)
+    }
+}
+
+impl Gated {
+    fn set(&self, open: bool) {
+        *self.open.lock().unwrap() = open;
+        self.opened.notify_all();
+    }
 }
 
 #[test]
 fn combined_access_overlaps_server_delays() {
-    let tb = delayed_testbed();
+    let mut tb = Testbed::unthrottled(SERVERS).unwrap();
+    let root = std::env::temp_dir().join(format!("dpfs-gated-ion00-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let gated = Arc::new(Gated {
+        handler: Handler::new("ion00", SubfileStore::open(&root, 0).unwrap()),
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    });
+    let ion00 = Rooted::new(
+        root,
+        ServeCore::start_with("127.0.0.1:0", gated.clone(), ServeConfig::default()).unwrap(),
+    );
+    tb.route_through(0, ion00.addr());
     let client = tb.client_opts(ClientOptions::default());
     // 64-byte bricks, one brick per server: each combined access becomes
-    // exactly one 20 ms request to each of the four servers. Scheduler
-    // noise on a loaded box can stretch any single measurement, so take
-    // the best of three — a regression to serial dispatch costs the full
-    // 80 ms on *every* attempt and still fails the 2x bound.
+    // exactly one request to each of the four servers, ion00's first.
     let mut f = client.create("/par", &Hint::linear(64, 0)).unwrap();
     let data: Vec<u8> = (0..64 * SERVERS).map(|x| x as u8).collect();
+    let others = || -> Vec<u64> {
+        tb.server_stats()[1..]
+            .iter()
+            .map(|(_, s)| s.requests)
+            .collect()
+    };
 
-    let mut write_elapsed = Duration::MAX;
-    let mut read_elapsed = Duration::MAX;
-    for _ in 0..3 {
-        let start = Instant::now();
-        f.write_bytes(0, &data).unwrap();
-        write_elapsed = write_elapsed.min(start.elapsed());
-
-        let start = Instant::now();
-        let back = f.read_bytes(0, data.len() as u64).unwrap();
-        read_elapsed = read_elapsed.min(start.elapsed());
-        assert_eq!(back, data);
-
-        if write_elapsed < DELAY * 2 && read_elapsed < DELAY * 2 {
-            break;
-        }
+    for op in ["write", "read"] {
+        let before = others();
+        gated.set(false);
+        std::thread::scope(|scope| {
+            let f = &mut f;
+            let data = &data;
+            let issued = scope.spawn(move || match op {
+                "write" => f.write_bytes(0, data),
+                _ => f
+                    .read_bytes(0, data.len() as u64)
+                    .map(|back| assert_eq!(&back, data)),
+            });
+            let deadline = Instant::now() + HANG;
+            while others().iter().zip(&before).any(|(now, was)| now == was) {
+                if Instant::now() > deadline {
+                    let stuck = others();
+                    gated.set(true);
+                    let _ = issued.join();
+                    panic!(
+                        "{op}: ion00 held its request for {HANG:?} and the other servers' \
+                         request counts stayed {before:?} -> {stuck:?}: the client awaits \
+                         one server before it submits to the next"
+                    );
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gated.set(true);
+            issued.join().unwrap().unwrap();
+        });
     }
-    assert!(
-        write_elapsed < DELAY * 2,
-        "combined write took {write_elapsed:?}; overlapped dispatch across \
-         {SERVERS} servers must stay under {:?}",
-        DELAY * 2
-    );
-    assert!(
-        read_elapsed < DELAY * 2,
-        "combined read took {read_elapsed:?}; overlapped dispatch across \
-         {SERVERS} servers must stay under {:?}",
-        DELAY * 2
+    assert_eq!(
+        gated.handler.stats().snapshot().requests,
+        2,
+        "ion00 served both"
     );
 }
 

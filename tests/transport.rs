@@ -1,7 +1,8 @@
 //! Transport-level proofs for the multiplexed wire protocol:
 //!
-//! - two requests pipelined on ONE server connection overlap their service
-//!   time (~D, not ~2D) — the point of correlation IDs;
+//! - two requests pipelined on ONE server connection are in service at
+//!   once: a server that answers neither until both have arrived answers
+//!   both — the point of correlation IDs;
 //! - a request that exceeds its deadline surfaces a typed `Timeout` within
 //!   bound, pending peers on the poisoned connection get transport errors
 //!   instead of hanging, and the next RPC redials successfully;
@@ -17,16 +18,16 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dpfs::cluster::{NodeSpec, Testbed};
+use dpfs::cluster::{FaultProxy, Testbed};
 use dpfs::core::plan::ListPiece;
 use dpfs::core::{
     ClientOptions, ConnPool, DpfsError, Hint, Landing, Resolver, RetryPolicy, DEFAULT_RPC_TIMEOUT,
 };
 use dpfs::proto::{frame, ErrorCode, Request, Response};
-use dpfs::server::PerfModel;
+use dpfs::server::{ServeConfig, ServeCore, Service};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,18 +45,18 @@ fn one_shot_pool() -> ConnPool {
     raw_pool(DEFAULT_RPC_TIMEOUT, RetryPolicy::disabled())
 }
 
-/// One server injecting `DELAY` of per-request (overlappable) latency.
-fn one_delayed_server() -> Testbed {
-    let model = PerfModel {
-        request_latency: DELAY,
-        bandwidth: u64::MAX,
-        seek_latency: Duration::ZERO,
-    };
-    Testbed::start(&[NodeSpec::with_model(0, model)]).unwrap()
+/// One server behind a proxy that holds every frame `DELAY`, each way.
+fn one_delayed_server() -> (Testbed, FaultProxy) {
+    let tb = Testbed::unthrottled(1).unwrap();
+    let proxy = FaultProxy::start(tb.server_addr(0)).unwrap();
+    proxy.knobs().delay_ms.store(
+        DELAY.as_millis() as u64,
+        std::sync::atomic::Ordering::Relaxed,
+    );
+    (tb, proxy)
 }
 
-/// A read of a (missing, hence zero-filled) subfile: unlike `Ping`, it pays
-/// the injected per-request delay.
+/// A read of a (missing, hence zero-filled) subfile.
 fn delayed_req() -> Request {
     Request::Read {
         subfile: "/probe".into(),
@@ -63,37 +64,71 @@ fn delayed_req() -> Request {
     }
 }
 
+/// A service that answers a `Read` only once two have arrived (zeros, or an
+/// `Error` after [`PAIR_HANG`] without a second), and anything else at once.
+#[derive(Default)]
+struct Pair {
+    arrived: Mutex<u32>,
+    second: Condvar,
+}
+
+/// How long [`Pair`] holds a lone read. The second one arrives within
+/// microseconds; a client that awaits the first reply before it sends the
+/// second never sends it.
+const PAIR_HANG: Duration = Duration::from_secs(10);
+
+impl Service for Pair {
+    fn name(&self) -> &str {
+        "pair"
+    }
+
+    fn handle_traced(&self, req: Request, _trace_id: u64) -> Response {
+        let Request::Read { ranges, .. } = req else {
+            return Response::Pong;
+        };
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.second.notify_all();
+        let (arrived, _) = self
+            .second
+            .wait_timeout_while(arrived, PAIR_HANG, |n| *n < 2)
+            .unwrap();
+        if *arrived < 2 {
+            return Response::Error {
+                code: ErrorCode::IoFailure,
+                message: "the second read never arrived".into(),
+            };
+        }
+        let len: u64 = ranges.iter().map(|&(_, len)| len).sum();
+        Response::DataList {
+            data: vec![0u8; len as usize].into(),
+        }
+    }
+}
+
 #[test]
 fn two_requests_pipeline_on_one_connection() {
-    let tb = one_delayed_server();
-    let client = tb.client_opts(ClientOptions::default());
-    let pool = client.pool();
-    // Warm up: dial once so the measurement below is pure service time.
-    // Ping pays no injected delay.
-    pool.rpc("ion00", &Request::Ping).unwrap();
+    let server = ServeCore::start_with(
+        "127.0.0.1:0",
+        Arc::new(Pair::default()),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let pool = one_shot_pool();
+    // Warm up: dial once, so both reads below share the connection.
+    pool.rpc(&addr, &Request::Ping).unwrap();
 
-    let start = Instant::now();
-    let p1 = pool.submit("ion00", &delayed_req()).unwrap();
-    let p2 = pool.submit("ion00", &delayed_req()).unwrap();
+    let p1 = pool.submit(&addr, &delayed_req()).unwrap();
+    let p2 = pool.submit(&addr, &delayed_req()).unwrap();
     assert_ne!(p1.corr_id(), p2.corr_id(), "correlation IDs must be unique");
-    let r1 = p1.wait(Duration::from_secs(10), None).unwrap();
-    let r2 = p2.wait(Duration::from_secs(10), None).unwrap();
-    let elapsed = start.elapsed();
-
+    let r1 = p1.wait(PAIR_HANG * 2, None).unwrap();
+    let r2 = p2.wait(PAIR_HANG * 2, None).unwrap();
+    // Each reply came only once both requests were in service together.
     assert!(matches!(r1, Response::DataList { .. }), "got {r1:?}");
     assert!(matches!(r2, Response::DataList { .. }), "got {r2:?}");
-    assert!(
-        elapsed >= DELAY,
-        "two delayed requests finished in {elapsed:?}, below one delay {DELAY:?}?"
-    );
-    assert!(
-        elapsed < DELAY * 2,
-        "two pipelined requests on one connection took {elapsed:?}; \
-         overlapped service must stay under {:?}",
-        DELAY * 2
-    );
 
-    let stats = pool.transport_stats("ion00").unwrap();
+    let stats = pool.transport_stats(&addr).unwrap();
     assert_eq!(stats.dials, 1, "both requests must share one connection");
     assert_eq!(stats.submitted, 3); // ping + two reads
     assert_eq!(stats.completed, 3);
@@ -105,14 +140,7 @@ fn two_requests_pipeline_on_one_connection() {
         "two overlapping reads must register an in-flight peak >= 2, got {}",
         stats.in_flight_peak
     );
-    // Both delayed reads landed in the read-latency histogram, and each
-    // took at least the injected delay.
     assert_eq!(stats.read_latency.count, 2);
-    assert!(
-        stats.read_latency.p50() >= DELAY.as_nanos() as u64,
-        "read p50 {}ns below injected delay",
-        stats.read_latency.p50()
-    );
 }
 
 /// A server whose FIRST connection swallows requests without ever replying;
@@ -676,8 +704,8 @@ fn wait_under_signals(
 /// signals kept coming.
 #[test]
 fn signals_neither_fail_a_wait_nor_hold_it_past_its_deadline() {
-    let tb = one_delayed_server();
-    let addr = tb.server_addr(0).to_string();
+    let (_tb, proxy) = one_delayed_server();
+    let addr = proxy.addr().to_string();
     let pool = Arc::new(one_shot_pool());
     let p = Arc::clone(&pool);
     let a = addr.clone();
