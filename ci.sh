@@ -36,6 +36,18 @@ if git grep -nE 'CachingMetaStore|meta_cache_ttl|stat_file_attr|note_meta_cache|
     echo "FAIL: the client-side metadata cache (or a piece of its plumbing) is back"
     exit 1
 fi
+# One way to mount: every client reaches its catalog through dpfs-metad;
+# the in-process catalog mount, its pipe and the testbed's second family
+# of constructors and mounts are gone.
+if git grep -nE 'Dpfs::mount\(|MetaClient::local|Pipe::Local|remote_client|unthrottled_with_metad\(|start_with_metad\(|metadata: embedded' \
+    -- crates/ src/ tests/ 'examples/*.rs'; then
+    echo "FAIL: the embedded metadata mount (or a piece of its plumbing) is back"
+    exit 1
+fi
+if git grep -nE '\bcatalog\(\)' -- crates/core/src; then
+    echo "FAIL: the client reaches a catalog in-process again (metadata goes through dpfs-metad)"
+    exit 1
+fi
 fields=$(sed -n '/^pub struct ClientOptions {/,/^}/p' crates/core/src/file.rs | grep -c '^    pub ')
 if [ "$fields" -ne 5 ]; then
     echo "FAIL: ClientOptions has $fields fields, expected 5 (an option needs two callers that differ)"
@@ -394,8 +406,7 @@ cargo build --release -q -p dpfs-bench --bins
 started=$(date +%s)
 for run in 1 2; do
     ./target/release/figures >target/figures-$run.txt
-    # Ablation 8 is measured live and goes to stderr, outside the gate.
-    ./target/release/ablation >target/ablation-$run.txt 2>target/ablation-$run.err
+    ./target/release/ablation >target/ablation-$run.txt
     for out in figures ablation; do
         if ! cmp "${out}_output.txt" "target/$out-$run.txt"; then
             diff "${out}_output.txt" "target/$out-$run.txt" || :
@@ -411,7 +422,7 @@ rm -f target/trace-quick.jsonl
 DPFS_TRACE_OUT=target/trace-quick.jsonl \
     cargo run --release -q -p dpfs-bench --bin ablation -- --quick
 
-echo "==> trace export must contain metadata RPC spans (ablation 8 remote mounts)"
+echo "==> trace export must contain metadata RPC spans (rows 1-4 mount through a metad)"
 grep -q '"kind":"meta\.' target/trace-quick.jsonl
 
 echo "==> metad smoke: two real daemon shards fronted by dpfs-sh --metad"

@@ -13,14 +13,14 @@ use dpfs_proto::{MetaOp, Request, Response};
 use std::sync::Arc;
 
 fn bench_rpc_floor(c: &mut Criterion) {
-    let tb = Testbed::unthrottled_with_metad(1).expect("testbed");
+    let tb = Testbed::unthrottled(1).expect("testbed");
     let pool = ConnPool::new(
         Arc::new(dpfs_core::Resolver::direct()),
         DEFAULT_RPC_TIMEOUT,
         RetryPolicy::disabled(),
     );
     let ion = tb.server_addr(0).to_string();
-    let metad = tb.metad_addr().expect("testbed has a metad").to_string();
+    let metad = tb.metad_addrs()[0].to_string();
     let rpc = |server: &str, req: &Request| pool.rpc(server, req).expect("rpc");
 
     // Back to back: the server's threads never get to sleep for long.

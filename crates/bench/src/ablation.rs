@@ -1,10 +1,7 @@
 //! Ablation studies on DPFS design choices beyond the paper's figures:
 //! brick-size sweep, read granularity (brick vs exact), the staggered
 //! schedule and I/O-node scaling — computed by the class-3 cost model over
-//! the requests the servers received ([`crate::model`]) — and metadata
-//! placement, measured live.
-
-use std::time::Instant;
+//! the requests the servers received ([`crate::model`]).
 
 use dpfs_cluster::{run_clients, Testbed};
 use dpfs_core::{Granularity, Hint, Region, Shape};
@@ -177,63 +174,6 @@ pub fn io_node_scaling(scale: FigScale) -> Vec<Point> {
     out
 }
 
-/// Metadata-service ablation: an open/stat-heavy workload (tiny files, no
-/// meaningful data transfer) against (a) the embedded in-process catalog
-/// and (b) a networked `dpfs-metad` — every open costs an attr and a
-/// distribution RPC, every stat an attr RPC. (A third row, the remote
-/// mount behind a client-side metadata cache, is frozen in EXPERIMENTS.md
-/// "Stateless metadata client".) Reported in metadata operations per
-/// second.
-pub fn metadata_ablation(scale: FigScale) -> Vec<Point> {
-    let files = match scale {
-        FigScale::Full => 24usize,
-        FigScale::Quick => 6,
-    };
-    let rounds = match scale {
-        FigScale::Full => 40u64,
-        FigScale::Quick => 12,
-    };
-    let stats_per_open = 8u64;
-    let mut out = Vec::new();
-    for (label, remote) in [
-        ("embedded catalog (in-process)", false),
-        ("remote metad", true),
-    ] {
-        let tb = if remote {
-            Testbed::unthrottled_with_metad(2).unwrap()
-        } else {
-            Testbed::unthrottled(2).unwrap()
-        };
-        let client = if remote {
-            tb.remote_client(0, true)
-        } else {
-            tb.client(0, true)
-        };
-        for i in 0..files {
-            let mut f = client
-                .create(&format!("/m{i}"), &Hint::linear(4096, 4096))
-                .unwrap();
-            f.write_bytes(0, &[1u8; 64]).unwrap();
-            f.close().unwrap();
-        }
-        let start = Instant::now();
-        let mut ops = 0u64;
-        for _ in 0..rounds {
-            for i in 0..files {
-                let path = format!("/m{i}");
-                client.open(&path).unwrap();
-                for _ in 0..stats_per_open {
-                    client.stat(&path).unwrap();
-                }
-                ops += 1 + stats_per_open;
-            }
-        }
-        let per_sec = ops as f64 / start.elapsed().as_secs_f64();
-        out.push((label.to_string(), per_sec));
-    }
-    out
-}
-
 /// Render a list of points as an aligned table.
 pub fn print_points(title: &str, points: &[Point]) {
     println!("{title}");
@@ -244,17 +184,6 @@ pub fn print_points(title: &str, points: &[Point]) {
     println!();
 }
 
-/// Render a list of points whose values are operations per second, on
-/// stderr: they are measured live, so no two runs print the same figures.
-pub fn print_ops_points(title: &str, points: &[Point]) {
-    eprintln!("{title}");
-    let width = points.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    for (label, ops) in points {
-        eprintln!("  {label:<width$}  {ops:>10.0} ops/s");
-    }
-    eprintln!();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,13 +191,6 @@ mod tests {
     #[test]
     fn granularity_ablation_runs() {
         let pts = granularity_ablation(FigScale::Quick);
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|(_, v)| *v > 0.0));
-    }
-
-    #[test]
-    fn metadata_ablation_runs() {
-        let pts = metadata_ablation(FigScale::Quick);
         assert_eq!(pts.len(), 2);
         assert!(pts.iter().all(|(_, v)| *v > 0.0));
     }

@@ -1,9 +1,8 @@
 //! Ablation studies: brick size, read granularity, staggered schedule,
-//! I/O-node scaling, metadata placement. Not paper figures — these probe
-//! the design choices DESIGN.md calls out. (Rows 5, 6, 7 and 9 compared
-//! code paths that no longer exist; their last numbers are frozen in
-//! EXPERIMENTS.md.) Rows 1–4 are computed and go to stdout, the same on
-//! every run; row 8 is measured live and goes to stderr.
+//! I/O-node scaling. Not paper figures — these probe the design choices
+//! DESIGN.md calls out. (Rows 5–9 compared code paths or metadata modes
+//! that no longer exist; their last numbers are frozen in EXPERIMENTS.md.)
+//! Every row is computed, so the output is the same on every run.
 //!
 //! `--quick` forces the small workload scale, so CI can run the real
 //! binary end to end as a smoke test.
@@ -37,10 +36,6 @@ fn main() {
     print_points(
         "Ablation 4: I/O-node scaling (8 clients, multidim (*, BLOCK) read)",
         &io_node_scaling(scale),
-    );
-    print_ops_points(
-        "Ablation 8: metadata placement on an open/stat-heavy workload",
-        &metadata_ablation(scale),
     );
 
     if let Some(path) = std::env::var_os("DPFS_TRACE_OUT") {

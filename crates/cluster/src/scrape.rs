@@ -81,22 +81,19 @@ fn client_node_for(fs: &Dpfs, server: &str) -> Option<NodeSnapshot> {
 }
 
 /// Scrape every node reachable through `fs` into one [`ClusterSnapshot`]:
-/// all catalog I/O servers, all metadata shards (when remote-mounted),
-/// the client's per-peer transport stats, and the client's process-wide
-/// trace-ring / slow-op counters.
+/// all catalog I/O servers, all metadata shards, the client's per-peer
+/// transport stats, and the client's process-wide trace-ring / slow-op
+/// counters.
 pub fn scrape_cluster(fs: &Dpfs) -> ClusterSnapshot {
     let mut peers: Vec<(String, NodeRole)> = Vec::new();
-    // I/O servers in catalog order, then metadata shards in shard order
-    // (embedded-catalog mounts have none).
-    if let Ok(servers) = fs.meta().list_servers() {
+    // I/O servers in catalog order, then metadata shards in shard order.
+    let meta = fs.meta();
+    if let Ok(servers) = meta.list_servers() {
         peers.extend(servers.into_iter().map(|s| (s.name, NodeRole::Iond)));
     }
-    if let Some(remote) = fs.remote_meta() {
-        peers.extend(
-            (0..remote.shard_count())
-                .map(|i| (remote.shard_server(i).to_string(), NodeRole::Metad)),
-        );
-    }
+    peers.extend(
+        (0..meta.shard_count()).map(|i| (meta.shard_server(i).to_string(), NodeRole::Metad)),
+    );
     let mut nodes: Vec<NodeSnapshot> = peers
         .iter()
         .map(|(name, role)| scrape_node(fs, name, *role))
@@ -131,8 +128,8 @@ mod tests {
 
     #[test]
     fn scrape_covers_ionds_metads_and_client() {
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).expect("testbed");
-        let client = tb.remote_client(0, true);
+        let tb = Testbed::unthrottled_sharded(2, 2).expect("testbed");
+        let client = tb.client(0, true);
         client
             .create("/scrape.dat", &Hint::linear(4096, 4096))
             .unwrap();
@@ -190,16 +187,5 @@ mod tests {
         // The whole scrape survives the wire.
         let back = ClusterSnapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn embedded_mount_scrapes_without_metad_section() {
-        let tb = Testbed::unthrottled(2).expect("testbed");
-        let client = tb.client(0, true);
-        client.create("/e.dat", &Hint::linear(4096, 4096)).unwrap();
-        let snap = scrape_cluster(&client);
-        assert_eq!(snap.nodes_of(NodeRole::Iond).count(), 2);
-        assert_eq!(snap.nodes_of(NodeRole::Metad).count(), 0);
-        assert!(snap.node("client").is_some());
     }
 }

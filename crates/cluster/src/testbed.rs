@@ -1,16 +1,13 @@
-//! Testbed: spin up N I/O servers, register them with their storage class's
-//! performance number in a shared metadata database, and hand out DPFS
-//! clients.
+//! Testbed: spin up N I/O servers and a metadata plane of one or more
+//! `dpfs-metad` shards (aliased `metad0`..`metad{N-1}`), register the
+//! servers with their storage class's performance number in every shard's
+//! catalog, and hand out DPFS clients.
 //!
-//! Two metadata modes: the default keeps the database in-process and
-//! clients mount embedded; [`Testbed::start_with_metad`] additionally runs
-//! a `dpfs-metad` daemon over the same database, and
-//! [`Testbed::remote_client`] mounts clients against it over TCP — the
-//! paper's real topology, where metadata crosses the wire like data does.
-//! [`Testbed::start_with_metad_shards`] generalizes the remote mode to a
-//! *partitioned* metadata plane: N daemons (aliased `metad0`..`metad{N-1}`),
-//! each owning its own catalog database with the full I/O-server registry,
-//! and remote clients route per-path across all of them.
+//! Every client reaches metadata over TCP through the shards, as in the
+//! paper's topology, where metadata crosses the wire like data does. Shard
+//! 0 serves the database [`Testbed::db`] returns; every other shard owns a
+//! catalog of its own with the same I/O-server registry, and clients route
+//! per path across all of them.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,52 +61,37 @@ impl NodeSpec {
     }
 }
 
-/// A running testbed: servers + shared metadata database, optionally
-/// fronted by a metadata daemon.
+/// A running testbed: servers + metadata daemons, shard 0 over the
+/// testbed's database.
 pub struct Testbed {
     servers: Vec<IoServer>,
     specs: Vec<NodeSpec>,
     db: Arc<Database>,
     resolver: Resolver,
     root: PathBuf,
-    /// Metadata daemons in shard order (empty = embedded-only testbed).
+    /// Metadata daemons in shard order (at least one).
     metads: Vec<MetaServer>,
 }
 
 impl Testbed {
-    /// Start one server per spec, register them all in a fresh in-memory
-    /// metadata database, and build the name resolver.
+    /// Start one server per spec and one metadata shard over a fresh
+    /// in-memory database that registers them all.
     pub fn start(specs: &[NodeSpec]) -> std::io::Result<Testbed> {
-        Self::start_inner(specs, 0)
+        Self::start_sharded(specs, 1)
     }
 
-    /// Like [`Testbed::start`], plus a `dpfs-metad` daemon serving the
-    /// same database over TCP, aliased as [`METAD_NAME`] in the resolver.
-    /// Clients from [`Testbed::remote_client`] reach metadata only through
-    /// it.
-    pub fn start_with_metad(specs: &[NodeSpec]) -> std::io::Result<Testbed> {
-        Self::start_inner(specs, 1)
-    }
-
-    /// Like [`Testbed::start_with_metad`], but the metadata plane is
-    /// partitioned across `shards` daemons (aliased `metad0`..). Shard 0
-    /// serves the testbed's shared database (so [`Testbed::db`] still
-    /// reads it); every other shard gets its own fresh catalog with the
-    /// same I/O-server registry. [`Testbed::remote_client`] then mounts
-    /// all shards and routes per path.
-    pub fn start_with_metad_shards(specs: &[NodeSpec], shards: usize) -> std::io::Result<Testbed> {
+    /// Like [`Testbed::start`], but the metadata plane is partitioned
+    /// across `shards` daemons. Shard 0 serves the testbed's database (so
+    /// [`Testbed::db`] reads it); every other shard gets its own fresh
+    /// catalog with the same I/O-server registry.
+    pub fn start_sharded(specs: &[NodeSpec], shards: usize) -> std::io::Result<Testbed> {
         assert!(shards >= 1, "at least one metadata shard");
-        Self::start_inner(specs, shards)
-    }
-
-    fn start_inner(specs: &[NodeSpec], metad_shards: usize) -> std::io::Result<Testbed> {
         let id = TESTBED_COUNTER.fetch_add(1, Ordering::Relaxed);
         let root = std::env::temp_dir().join(format!("dpfs-testbed-{}-{id}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root)?;
 
-        // Every catalog — the shared one, and each further metadata shard's
-        // own — holds the whole server registry.
+        // Every shard's catalog holds the whole server registry.
         let other = |e: dpfs_meta::MetaError| std::io::Error::other(e.to_string());
         let registry = |db: Database| -> std::io::Result<Arc<Database>> {
             let db = Arc::new(db);
@@ -140,10 +122,10 @@ impl Testbed {
             resolver.alias(&spec.name, &server.addr().to_string());
             servers.push(server);
         }
-        let mut metads = Vec::with_capacity(metad_shards);
-        for shard in 0..metad_shards {
-            // Shard 0 serves the testbed's shared database; the others
-            // get their own catalogs.
+        let mut metads = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            // Shard 0 serves the testbed's database; the others get their
+            // own catalogs.
             let shard_db = match shard {
                 0 => db.clone(),
                 _ => registry(Database::in_memory())?,
@@ -151,7 +133,7 @@ impl Testbed {
             let name = metad_name(shard);
             let config = MetadConfig::in_memory()
                 .name(&name)
-                .shard(shard as u32, metad_shards as u32);
+                .shard(shard as u32, shards as u32);
             let md = MetaServer::start_with_db(config, shard_db)?;
             resolver.alias(&name, &md.addr().to_string());
             metads.push(md);
@@ -168,26 +150,15 @@ impl Testbed {
 
     /// `n` unthrottled nodes (functional testing).
     pub fn unthrottled(n: usize) -> std::io::Result<Testbed> {
-        let specs: Vec<NodeSpec> = (0..n)
-            .map(|i| NodeSpec::numbered(i, StorageClass::Unthrottled))
-            .collect();
-        Self::start(&specs)
-    }
-
-    /// `n` unthrottled nodes plus a metadata daemon.
-    pub fn unthrottled_with_metad(n: usize) -> std::io::Result<Testbed> {
-        let specs: Vec<NodeSpec> = (0..n)
-            .map(|i| NodeSpec::numbered(i, StorageClass::Unthrottled))
-            .collect();
-        Self::start_with_metad(&specs)
+        Self::unthrottled_sharded(n, 1)
     }
 
     /// `n` unthrottled nodes plus a `shards`-wide metadata plane.
-    pub fn unthrottled_with_metad_shards(n: usize, shards: usize) -> std::io::Result<Testbed> {
+    pub fn unthrottled_sharded(n: usize, shards: usize) -> std::io::Result<Testbed> {
         let specs: Vec<NodeSpec> = (0..n)
             .map(|i| NodeSpec::numbered(i, StorageClass::Unthrottled))
             .collect();
-        Self::start_with_metad_shards(&specs, shards)
+        Self::start_sharded(&specs, shards)
     }
 
     /// Alternating classes, e.g. half class 1 / half class 3 for the
@@ -200,7 +171,8 @@ impl Testbed {
         Self::start(&specs)
     }
 
-    /// The shared metadata database.
+    /// The database metadata shard 0 serves (the whole catalog on a
+    /// one-shard testbed).
     pub fn db(&self) -> Arc<Database> {
         self.db.clone()
     }
@@ -212,9 +184,9 @@ impl Testbed {
             .alias(&self.specs[idx].name, &addr.to_string());
     }
 
-    /// A copy of the name resolver (server display name → localhost
-    /// address); lets callers mount clients against a *different* metadata
-    /// database while still reaching this testbed's servers.
+    /// A copy of the name resolver (server display name and `metad{i}` →
+    /// localhost address); lets callers mount clients through a proxy in
+    /// front of one daemon while still reaching the others.
     pub fn resolver(&self) -> Resolver {
         self.resolver.clone()
     }
@@ -244,62 +216,27 @@ impl Testbed {
         })
     }
 
-    /// A DPFS client with explicit [`ClientOptions`].
+    /// A DPFS client with explicit [`ClientOptions`], mounted across every
+    /// metadata shard.
     pub fn client_opts(&self, opts: ClientOptions) -> Dpfs {
-        Dpfs::mount(self.db.clone(), self.resolver.clone(), opts)
-            .expect("catalog already initialized")
+        let names: Vec<String> = (0..self.metads.len()).map(metad_name).collect();
+        Dpfs::mount_sharded(names, self.resolver.clone(), opts)
+            .expect("sharded mount verified against shard 0's map")
     }
 
-    /// A DPFS client mounted *remotely*: all metadata goes over TCP to the
-    /// testbed's metadata daemon. Requires [`Testbed::start_with_metad`].
-    pub fn remote_client(&self, rank: usize, combine: bool) -> Dpfs {
-        self.remote_client_opts(ClientOptions {
-            combine,
-            rank,
-            ..ClientOptions::default()
-        })
-    }
-
-    /// A remote-mounted client with explicit [`ClientOptions`].
-    pub fn remote_client_opts(&self, opts: ClientOptions) -> Dpfs {
-        assert!(
-            !self.metads.is_empty(),
-            "remote_client requires Testbed::start_with_metad"
-        );
-        if self.metads.len() == 1 {
-            Dpfs::mount_remote(METAD_NAME, self.resolver.clone(), opts)
-                .expect("remote mount sets up no I/O until used")
-        } else {
-            let names: Vec<String> = (0..self.metads.len()).map(metad_name).collect();
-            Dpfs::mount_sharded(names, self.resolver.clone(), opts)
-                .expect("sharded mount verified against shard 0's map")
-        }
-    }
-
-    /// Number of metadata shards (0 on embedded-only testbeds).
+    /// Number of metadata shards.
     pub fn metad_shards(&self) -> usize {
         self.metads.len()
     }
 
-    /// The metadata daemon's bound address, if one is running (e.g. to put
-    /// a [`crate::FaultProxy`] in front of it). Shard 0 when sharded.
-    pub fn metad_addr(&self) -> Option<std::net::SocketAddr> {
-        self.metads.first().map(|m| m.addr())
-    }
-
-    /// Bound addresses of every metadata shard, in shard order.
+    /// Bound addresses of every metadata shard, in shard order (e.g. to put
+    /// a [`crate::FaultProxy`] in front of one).
     pub fn metad_addrs(&self) -> Vec<std::net::SocketAddr> {
         self.metads.iter().map(|m| m.addr()).collect()
     }
 
-    /// The metadata daemon's statistics snapshot, if one is running
-    /// (shard 0 when sharded).
-    pub fn metad_stats(&self) -> Option<MetadStatsSnapshot> {
-        self.metads.first().map(|m| m.stats())
-    }
-
     /// Statistics snapshots of every metadata shard, in shard order.
-    pub fn metad_stats_all(&self) -> Vec<MetadStatsSnapshot> {
+    pub fn metad_stats(&self) -> Vec<MetadStatsSnapshot> {
         self.metads.iter().map(|m| m.stats()).collect()
     }
 
@@ -470,26 +407,29 @@ mod tests {
     }
 
     #[test]
-    fn remote_client_round_trips_through_metad() {
-        let tb = Testbed::unthrottled_with_metad(3).unwrap();
-        let client = tb.remote_client(0, true);
-        assert!(client.catalog().is_none(), "remote mounts hide the catalog");
+    fn every_client_round_trips_through_metad() {
+        let tb = Testbed::unthrottled(3).unwrap();
+        let client = tb.client(0, true);
         let mut f = client.create("/remote", &Hint::linear(64, 192)).unwrap();
         f.write_bytes(0, &[9u8; 192]).unwrap();
         f.close().unwrap();
         assert_eq!(client.stat("/remote").unwrap().size, 192);
         let back = client.open("/remote").unwrap().read_bytes(0, 192).unwrap();
         assert_eq!(back, vec![9u8; 192]);
-        let stats = tb.metad_stats().unwrap();
-        assert!(stats.meta_ops > 0, "metadata ops went through the daemon");
+        let stats = tb.metad_stats();
+        assert_eq!(stats.len(), 1);
+        assert!(
+            stats[0].meta_ops > 0,
+            "metadata ops went through the daemon"
+        );
     }
 
     #[test]
     fn sharded_testbed_serves_files_across_the_plane() {
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+        let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
         assert_eq!(tb.metad_shards(), 2);
         assert_eq!(tb.metad_addrs().len(), 2);
-        let client = tb.remote_client(0, true);
+        let client = tb.client(0, true);
         // Spread files over several directories so both shards own some.
         for d in 0..4 {
             let dir = format!("/d{d}");
@@ -508,7 +448,7 @@ mod tests {
                 .unwrap();
             assert_eq!(back, vec![d as u8; 64]);
         }
-        let stats = tb.metad_stats_all();
+        let stats = tb.metad_stats();
         assert_eq!(stats.len(), 2);
         assert_eq!((stats[0].shard_id, stats[0].shards), (0, 2));
         assert_eq!((stats[1].shard_id, stats[1].shards), (1, 2));
@@ -519,8 +459,8 @@ mod tests {
     #[test]
     fn fault_proxy_can_front_the_metad() {
         use crate::FaultProxy;
-        let tb = Testbed::unthrottled_with_metad(2).unwrap();
-        let proxy = FaultProxy::start(tb.metad_addr().unwrap()).unwrap();
+        let tb = Testbed::unthrottled(2).unwrap();
+        let proxy = FaultProxy::start(tb.metad_addrs()[0]).unwrap();
         // A resolver whose metad alias points at the proxy instead.
         let mut resolver = tb.resolver();
         resolver.alias(METAD_NAME, &proxy.addr().to_string());

@@ -1,21 +1,15 @@
 //! The DPFS client: file-system operations over a metadata client and
 //! the I/O servers.
 //!
-//! The metadata side is one [`MetaClient`]: [`Dpfs::mount`] gives it the
-//! in-process SQL catalog as a one-shard plane (embedded, the original
-//! mode), while [`Dpfs::mount_remote`] gives it metadata RPCs to a
-//! `dpfs-metad` daemon (paper §5's networked database server). The client
-//! holds no metadata between calls; a handle's layout is the one its `open`
-//! read. Everything above `MetaClient::call` — the typed metadata methods,
-//! create/open/rename/readdir and the I/O path — is identical in both
-//! modes.
+//! The metadata side is one [`MetaClient`] over one or more `dpfs-metad`
+//! shards (paper §5's networked database server): every metadata op is an
+//! RPC on the same pool as the data path. The client holds no metadata
+//! between calls; a handle's layout is the one its `open` read.
 
 use std::sync::Arc;
 
 use dpfs_meta::catalog::{base_name, normalize_path};
-use dpfs_meta::{
-    Catalog, Database, Distribution, FileAttrRow, FileEntry, Issue, MetaError, ServerInfo,
-};
+use dpfs_meta::{Distribution, FileAttrRow, FileEntry, Issue, MetaError, ServerInfo};
 use dpfs_proto::Request;
 
 use crate::conn::{ConnPool, Resolver};
@@ -29,7 +23,7 @@ use crate::placement::BrickMap;
 use crate::trace;
 
 /// A DPFS client instance. Cheap to create; each compute node (thread)
-/// makes its own, sharing the metadata database or daemon.
+/// makes its own, sharing the metadata daemons.
 pub struct Dpfs {
     meta: Arc<MetaClient>,
     pool: Arc<ConnPool>,
@@ -48,17 +42,6 @@ fn new_pool(resolver: Resolver, opts: &ClientOptions) -> Arc<ConnPool> {
 }
 
 impl Dpfs {
-    /// Mount DPFS embedded: wrap the metadata database in-process and set
-    /// up connections.
-    pub fn mount(db: Arc<Database>, resolver: Resolver, opts: ClientOptions) -> Result<Dpfs> {
-        let pool = new_pool(resolver, &opts);
-        Ok(Dpfs {
-            meta: Arc::new(MetaClient::local(Catalog::new(db)?)),
-            pool,
-            opts,
-        })
-    }
-
     /// Mount DPFS against a `dpfs-metad` daemon: every metadata operation
     /// becomes an RPC to `metad_server` (a name the resolver can dial),
     /// riding the same transport as I/O.
@@ -85,7 +68,7 @@ impl Dpfs {
         opts: ClientOptions,
     ) -> Result<Dpfs> {
         let pool = new_pool(resolver, &opts);
-        let meta = Arc::new(MetaClient::rpc(pool.clone(), metad_servers));
+        let meta = Arc::new(MetaClient::new(pool.clone(), metad_servers));
         if meta.shard_count() > 1 {
             let width = meta.fetch_shard_map(0).map_err(DpfsError::Meta)?;
             if width as usize != meta.shard_count() {
@@ -105,16 +88,10 @@ impl Dpfs {
         &self.meta
     }
 
-    /// The embedded metadata catalog, if this mount is embedded. Remote
-    /// mounts return `None` — the database lives in the daemon.
-    pub fn catalog(&self) -> Option<&Catalog> {
-        self.meta.catalog()
-    }
-
-    /// On remote mounts, the metadata client again (trace IDs, shard
-    /// routing); `None` on embedded mounts.
+    /// Always `Some(`[`Dpfs::meta`]`)`: every mount is remote. Exists only
+    /// because `examples/benchmark/src/{layers,workloads}.rs` call it.
     pub fn remote_meta(&self) -> Option<&Arc<MetaClient>> {
-        self.meta.catalog().is_none().then_some(&self.meta)
+        Some(&self.meta)
     }
 
     /// Always `None`: the client keeps no metadata cache. Exists only

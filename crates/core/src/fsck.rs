@@ -1,8 +1,8 @@
 //! File-system consistency checker (extension).
 //!
 //! The paper's pitch for database-backed metadata is easy, reliable
-//! consistency (§5). `fsck` makes that checkable on every mount, embedded or
-//! `--metad`, as one flow over the mount's metadata client:
+//! consistency (§5). `fsck` makes that checkable on every mount, as one flow
+//! over the mount's metadata client:
 //!
 //! 1. every metadata shard audits its own tables against each other
 //!    ([`dpfs_meta::Catalog::audit`], one `MetaOp::Audit` per shard) — and,

@@ -1,18 +1,14 @@
 //! The metadata client: every metadata call a mount makes, as one
-//! [`MetaOp`] down one of two pipes.
+//! [`MetaOp`] to a `dpfs-metad` shard.
 //!
 //! The paper's clients send every metadata query "to the database server"
 //! over the network (§5). [`MetaClient`] is that client on every mount:
-//! each typed method builds a [`MetaOp`] and hands it to `call`, the only
-//! code that differs between the pipes:
-//!
-//! - **local** — an embedded mount: one shard, whose op is applied to the
-//!   mount's own [`Catalog`] in-process by [`MetaOp::apply`], the function
-//!   `dpfs-metad` runs too. No transport, no retry, no trace ID.
-//! - **RPC** — a daemon mount: one retrying connection per `dpfs-metad`
-//!   shard, carried by the same multiplexed [`ConnPool`] transport as data
-//!   traffic — so metadata inherits correlation IDs, per-request deadlines,
-//!   the retry error-class matrix, and tracing unchanged.
+//! each typed method builds a [`MetaOp`] and hands it to `call`, which
+//! sends it down one retrying connection per `dpfs-metad` shard, carried by
+//! the same multiplexed [`ConnPool`] transport as data traffic — so
+//! metadata inherits correlation IDs, per-request deadlines, the retry
+//! error-class matrix, and tracing unchanged. The daemon answers it with
+//! [`MetaOp::apply`] over its catalog.
 //!
 //! # Sharding
 //!
@@ -32,17 +28,16 @@
 //! - a rename whose source and destination live on different shards runs
 //!   the two-phase intent protocol (see [`MetaClient::rename_file`]).
 //!
-//! The local pipe is a one-shard plane, so there a broadcast is the home
-//! shard, a fan-out is one call and a cross-shard rename cannot happen.
-//! Every daemon reply's envelope carries the shard id of the daemon that
+//! On a one-shard plane a broadcast is the home shard, a fan-out is one call
+//! and a cross-shard rename cannot happen. Every daemon reply's envelope carries the shard id of the daemon that
 //! served it, checked against the routing on every reply. Nothing is kept
 //! between calls — no attribute, layout or registry row outlives the call
 //! that fetched it.
 //!
 //! Errors: server-side `MetaError`s travel as wire codes and reconstruct
 //! into the exact variant ([`dpfs_meta::MetaError::from_wire`]), so
-//! callers' error mapping (duplicate key → file exists, ...) works
-//! identically for embedded and daemon mounts. Transport failures
+//! callers' error mapping (duplicate key → file exists, ...) sees what the
+//! catalog raised. Transport failures
 //! (connect, timeout, disconnect — after the pool's retries) surface as
 //! [`dpfs_meta::MetaError::Remote`].
 //!
@@ -59,8 +54,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dpfs_meta::{
-    Audit, Catalog, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError,
-    Result as MetaResultT, ServerInfo, ShardMap,
+    Audit, DirEntry, Distribution, FileAttrRow, FileEntry, MetaError, Result as MetaResultT,
+    ServerInfo, ShardMap,
 };
 use dpfs_proto::{MetaOp, MetaResult, Request, Response};
 
@@ -70,10 +65,14 @@ use crate::retry::RetryPolicy;
 use crate::trace;
 
 /// A mount's metadata client: the catalog surface as typed methods over
-/// the local pipe or the `dpfs-metad` shards.
+/// the `dpfs-metad` shards.
 pub struct MetaClient {
-    pipe: Pipe,
-    /// Routing map over the pipe's shards (one for the local pipe).
+    /// The pool the shards' connections ride (shared with the data path).
+    pool: Arc<ConnPool>,
+    /// Per-shard daemon server names (dial strings or testbed aliases),
+    /// indexed by shard id.
+    servers: Vec<String>,
+    /// Routing map over the shards.
     map: ShardMap,
     /// Round-robin cursor for replicated-registry reads.
     rr: AtomicUsize,
@@ -81,56 +80,24 @@ pub struct MetaClient {
     last_trace_id: AtomicU64,
 }
 
-/// Where [`MetaClient::call`] takes an op.
-enum Pipe {
-    /// An embedded mount's catalog, answered in-process.
-    Local(Catalog),
-    /// Per-shard daemon server names (dial strings or testbed aliases),
-    /// indexed by shard id, and the pool their connections ride.
-    Rpc {
-        pool: Arc<ConnPool>,
-        servers: Vec<String>,
-    },
-}
-
 impl MetaClient {
-    /// An embedded mount's client: one shard, `catalog` in-process.
-    pub(crate) fn local(catalog: Catalog) -> MetaClient {
-        MetaClient::over(Pipe::Local(catalog), 1)
-    }
-
-    /// A daemon mount's client routing across `servers`, where `servers[i]`
-    /// is the daemon serving shard `i`. The order must match the daemons'
+    /// A mount's client routing across `servers`, where `servers[i]` is the
+    /// daemon serving shard `i`. The order must match the daemons'
     /// `--shard` ids.
-    pub(crate) fn rpc(pool: Arc<ConnPool>, servers: Vec<String>) -> MetaClient {
+    pub(crate) fn new(pool: Arc<ConnPool>, servers: Vec<String>) -> MetaClient {
         assert!(!servers.is_empty(), "at least one metad shard required");
-        let width = servers.len() as u32;
-        MetaClient::over(Pipe::Rpc { pool, servers }, width)
-    }
-
-    fn over(pipe: Pipe, shards: u32) -> MetaClient {
         MetaClient {
-            pipe,
-            map: ShardMap::new(shards),
+            map: ShardMap::new(servers.len() as u32),
+            pool,
+            servers,
             rr: AtomicUsize::new(0),
             last_trace_id: AtomicU64::new(0),
         }
     }
 
-    /// The embedded catalog behind the local pipe; `None` on daemon mounts.
-    pub(crate) fn catalog(&self) -> Option<&Catalog> {
-        match &self.pipe {
-            Pipe::Local(catalog) => Some(catalog),
-            Pipe::Rpc { .. } => None,
-        }
-    }
-
-    /// The daemon serving shard `i` (`"embedded"` on the local pipe).
+    /// The daemon serving shard `i`.
     pub fn shard_server(&self, shard: usize) -> &str {
-        match &self.pipe {
-            Pipe::Local(_) => "embedded",
-            Pipe::Rpc { servers, .. } => &servers[shard],
-        }
+        &self.servers[shard]
     }
 
     /// Number of metadata shards this client routes across.
@@ -166,15 +133,11 @@ impl MetaClient {
 
     /// Issue one metadata op to `shard` and return its result. The result
     /// is never the `Err` variant — remote errors are reconstructed into
-    /// `MetaError` here. On the local pipe the op is applied in-process.
-    /// Over RPC, transient transport failures are retried under the pool's
-    /// policy, each retry traced like any other RPC; mutating ops retry
-    /// only the connect class (see [`mutation_retryable`]).
+    /// `MetaError` here. Transient transport failures are retried under the
+    /// pool's policy, each retry traced like any other RPC; mutating ops
+    /// retry only the connect class (see [`mutation_retryable`]).
     fn call(&self, shard: usize, op: MetaOp) -> Result<MetaResult, MetaError> {
-        let (pool, server) = match &self.pipe {
-            Pipe::Local(catalog) => return op.apply(catalog),
-            Pipe::Rpc { pool, servers } => (pool, &servers[shard]),
-        };
+        let (pool, server) = (&self.pool, &self.servers[shard]);
         let trace_id = trace::sampled_trace_id();
         self.last_trace_id.store(trace_id, Ordering::Relaxed);
         let retryable: fn(&DpfsError) -> bool = if op.is_mutation() {
@@ -666,7 +629,7 @@ impl MetaClient {
         Ok(counts.into_iter().collect())
     }
 
-    /// Audit every shard's tables ([`Catalog::audit`]) and merge the
+    /// Audit every shard's tables ([`dpfs_meta::Catalog::audit`]) and merge the
     /// answers: each shard holds its own files — their distribution rows and
     /// their parent's file list with them — and a replica of the directory
     /// skeleton, so each checks its own and the issues concatenate; the
@@ -720,61 +683,5 @@ mod tests {
             assert!(RetryPolicy::retryable(err), "{err} retries as a read");
             assert!(!mutation_retryable(err), "{err} must not replay a mutation");
         }
-    }
-
-    /// Every verb an embedded mount makes goes down the local pipe: one
-    /// shard, applied to the mount's own catalog, no RPC and no trace ID.
-    #[test]
-    fn local_pipe_covers_catalog_surface() {
-        let db = Arc::new(dpfs_meta::Database::in_memory());
-        let s = MetaClient::local(Catalog::new(db).unwrap());
-        s.register_server(&ServerInfo {
-            name: "s0".into(),
-            capacity: 1 << 30,
-            performance: 1,
-        })
-        .unwrap();
-        assert_eq!(s.list_servers().unwrap().len(), 1);
-        s.mkdir("/home").unwrap();
-        let attr = FileAttrRow {
-            filename: "/home/f".into(),
-            owner: "t".into(),
-            permission: 0o644,
-            size: 0,
-            filelevel: "linear".into(),
-            dims: 0,
-            dimsize: vec![],
-            stripe_dims: vec![],
-            stripe_size: 65536,
-            pattern: String::new(),
-            placement: "round_robin".into(),
-            redundancy: String::new(),
-        };
-        let id = s
-            .create_file(
-                &attr,
-                &[Distribution {
-                    server: "s0".into(),
-                    filename: "/home/f".into(),
-                    bricklist: vec![0, 1],
-                }],
-            )
-            .unwrap();
-        s.set_tag("/home/f", "k", "v").unwrap();
-        assert_eq!(s.get_tag("/home/f", "k").unwrap().unwrap(), "v");
-        let moved = s.rename_file("/home/f", "/home/g").unwrap();
-        assert_eq!(
-            (moved.attr.filename.as_str(), moved.dist.len()),
-            ("/home/g", 1)
-        );
-        assert_eq!(moved.id, id);
-        assert_eq!(s.open_file("/home/g").unwrap(), Some(moved));
-        assert_eq!(s.open_file("/home/f").unwrap(), None);
-        assert_eq!(s.server_brick_counts().unwrap(), vec![("s0".into(), 2)]);
-        s.delete_file("/home/g").unwrap();
-        assert!(s.get_file_attr("/home/g").unwrap().is_none());
-        assert!(s.catalog().is_some());
-        assert_eq!(s.fetch_shard_map(0).unwrap(), 1);
-        assert_eq!((s.shard_count(), s.last_trace_id()), (1, 0));
     }
 }

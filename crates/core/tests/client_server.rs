@@ -1,20 +1,20 @@
-//! Client-library integration tests against raw `IoServer`s (no testbed
-//! harness): exercise `Dpfs`/`FileHandle` wiring, option combinations, and
-//! error paths.
-
-use std::sync::Arc;
+//! Client-library integration tests against raw `IoServer`s and a raw
+//! `MetaServer` (no testbed harness): exercise `Dpfs`/`FileHandle` wiring,
+//! option combinations, and error paths.
 
 use dpfs_core::{
     parity_subfile, primary_subfile, ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint,
     HpfPattern, Placement, RedundancyPolicy, Region, Resolver, Shape,
 };
-use dpfs_meta::{Database, ServerInfo};
+use dpfs_meta::ServerInfo;
+use dpfs_metad::{MetaServer, MetadConfig};
 use dpfs_proto::{Request, Response};
 use dpfs_server::{IoServer, PerfModel, ServerConfig};
 
 struct Rig {
-    _servers: Vec<IoServer>,
     fs: Dpfs,
+    _metad: MetaServer,
+    _servers: Vec<IoServer>,
     root: std::path::PathBuf,
 }
 
@@ -33,8 +33,9 @@ fn rig(nservers: usize, tag: &str) -> Rig {
     let _ = std::fs::remove_dir_all(&root);
     let mut servers = Vec::new();
     let mut resolver = Resolver::direct();
-    let db = Arc::new(Database::in_memory());
-    let fs = Dpfs::mount(db, Resolver::direct(), ClientOptions::default()).unwrap();
+    let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
+    resolver.alias("metad0", &metad.addr().to_string());
+    let mut names = Vec::new();
     for i in 0..nservers {
         let name = format!("node{i:02}");
         let server = IoServer::start(ServerConfig::new(
@@ -44,20 +45,22 @@ fn rig(nservers: usize, tag: &str) -> Rig {
         ))
         .unwrap();
         resolver.alias(&name, &server.addr().to_string());
+        names.push(name);
+        servers.push(server);
+    }
+    let fs = Dpfs::mount_remote("metad0", resolver, ClientOptions::default()).unwrap();
+    for name in names {
         fs.register_server(&ServerInfo {
             name,
             capacity: i64::MAX,
             performance: 1,
         })
         .unwrap();
-        servers.push(server);
     }
-    // remount with the populated resolver
-    let db = fs.catalog().unwrap().db().clone();
-    let fs = Dpfs::mount(db, resolver, ClientOptions::default()).unwrap();
     Rig {
-        _servers: servers,
         fs,
+        _metad: metad,
+        _servers: servers,
         root,
     }
 }
@@ -92,7 +95,7 @@ fn io_node_hint_limits_servers() {
     assert_eq!(f.servers().len(), 2);
     assert_eq!(f.brick_map().num_servers(), 2);
     // distribution rows exist only for the two chosen servers
-    let dist = r.fs.catalog().unwrap().get_distribution("/two").unwrap();
+    let dist = r.fs.meta().open_file("/two").unwrap().unwrap().dist;
     assert_eq!(dist.len(), 2);
 }
 
@@ -107,7 +110,7 @@ fn linear_growth_extends_distribution() {
     assert_eq!(f.brick_map().num_bricks(), 11);
     assert_eq!(f.size(), 1050);
     // catalog reflects the growth
-    let dist = r.fs.catalog().unwrap().get_distribution("/g").unwrap();
+    let dist = r.fs.meta().open_file("/g").unwrap().unwrap().dist;
     let total: usize = dist.iter().map(|d| d.bricklist.len()).sum();
     assert_eq!(total, 11);
     // reopen sees everything
@@ -184,7 +187,6 @@ fn xor_greedy_file_grows_and_parity_still_covers_the_data() {
 #[test]
 fn exact_granularity_round_trip() {
     let r = rig(2, "exact");
-    let db = r.fs.catalog().unwrap().db().clone();
     let shape = Shape::new(vec![20, 20]).unwrap();
     let mut f =
         r.fs.create(
@@ -195,7 +197,6 @@ fn exact_granularity_round_trip() {
     let data: Vec<u8> = (0..800u32).map(|x| x as u8).collect();
     f.write_region(&shape.full_region(), &data).unwrap();
     drop(f);
-    let _ = db;
     // exact reads fetch only what's needed
     let opts = ClientOptions {
         combine: true,

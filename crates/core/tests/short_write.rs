@@ -3,10 +3,10 @@
 //! the acknowledged count away, silently accepting truncated writes.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 
 use dpfs_core::{ClientOptions, Dpfs, DpfsError, Hint, Resolver};
-use dpfs_meta::{Database, ServerInfo};
+use dpfs_meta::ServerInfo;
+use dpfs_metad::{MetaServer, MetadConfig};
 use dpfs_proto::{frame, Request, Response};
 
 /// A minimal protocol-speaking server that acknowledges every write with
@@ -47,17 +47,17 @@ fn serve(mut stream: TcpStream) {
 #[test]
 fn short_write_ack_surfaces_typed_error() {
     let addr = start_lying_server();
-    let db = Arc::new(Database::in_memory());
-    let fs = Dpfs::mount(db.clone(), Resolver::direct(), ClientOptions::default()).unwrap();
+    let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
+    let mut resolver = Resolver::direct();
+    resolver.alias("liar", &addr.to_string());
+    let metad_addr = metad.addr().to_string();
+    let fs = Dpfs::mount_remote(&metad_addr, resolver, ClientOptions::default()).unwrap();
     fs.register_server(&ServerInfo {
         name: "liar".into(),
         capacity: i64::MAX,
         performance: 1,
     })
     .unwrap();
-    let mut resolver = Resolver::direct();
-    resolver.alias("liar", &addr.to_string());
-    let fs = Dpfs::mount(db, resolver, ClientOptions::default()).unwrap();
 
     let mut f = fs.create("/f", &Hint::linear(64, 0)).unwrap();
     let err = f.write_bytes(0, &[9u8; 64]).unwrap_err();

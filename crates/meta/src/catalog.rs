@@ -181,7 +181,7 @@ pub struct Audit {
 #[derive(Clone)]
 pub struct Catalog {
     db: Arc<Database>,
-    /// The metadata shard this catalog serves (0 embedded): the high bits of
+    /// The metadata shard this catalog serves (0 on its own): the high bits of
     /// every file id it mints.
     shard: u32,
 }
@@ -251,8 +251,8 @@ const SCHEMA: &[&str] = &[
 ];
 
 impl Catalog {
-    /// [`Catalog::for_shard`] for shard 0: an embedded mount's catalog, or a
-    /// one-shard plane's.
+    /// [`Catalog::for_shard`] for shard 0: a one-shard plane's catalog (and a
+    /// wider plane's first).
     pub fn new(db: Arc<Database>) -> Result<Catalog> {
         Catalog::for_shard(db, 0)
     }

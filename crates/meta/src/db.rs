@@ -160,7 +160,7 @@ pub struct Database {
     /// autocommit statement would observe the open transaction and silently
     /// join its undo scope — a rollback would then discard the other
     /// thread's acknowledged write. Concurrent writers (metad's
-    /// per-connection workers, racing embedded clients) block here instead.
+    /// per-connection workers, racing in-process callers) block here instead.
     txn_gate: Mutex<()>,
     statements: Mutex<StatementCache>,
 }

@@ -507,6 +507,14 @@ mod tests {
         assert_eq!(r, MetaResult::Unit);
         let r = meta(
             &h,
+            MetaOp::GetTag {
+                filename: "/d/f".into(),
+                tag: "k".into(),
+            },
+        );
+        assert_eq!(r, MetaResult::MaybeString(Some("v".into())));
+        let r = meta(
+            &h,
             MetaOp::FindByTag {
                 tag: "k".into(),
                 pattern: "v".into(),
@@ -550,6 +558,15 @@ mod tests {
             },
         );
         assert_eq!(r, MetaResult::MaybeEntry(None));
+        let r = meta(
+            &h,
+            MetaOp::GetFileAttr {
+                filename: "/d/g".into(),
+            },
+        );
+        assert_eq!(r, MetaResult::MaybeAttr(None));
+        let r = meta(&h, MetaOp::GetShardMap);
+        assert_eq!(r, MetaResult::ShardMap { shards: 1 });
     }
 
     /// An audit reads every table, so no shard thread answers it, even on

@@ -5,9 +5,8 @@
 //! operation (§5); these messages are that conversation, carried inside the
 //! ordinary framed envelope as [`crate::Request::Meta`] /
 //! [`crate::Response::Meta`] so metadata traffic inherits the transport's
-//! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged. An
-//! embedded mount skips the envelope, not the op: it hands the same
-//! `MetaOp` to `apply` over its own catalog.
+//! correlation IDs, trace IDs, CRCs, deadlines and retries unchanged. The
+//! daemon hands each `MetaOp` it receives to `apply` over its catalog.
 //!
 //! How they travel is one row per type (`wire_rows!`, `wire_enum!` below):
 //! a variant's tag and its fields in wire order, from which the one wire
@@ -233,9 +232,8 @@ impl MetaOp {
     }
 
     /// Apply this op to `catalog`: the one mapping from a metadata verb to
-    /// the catalog, whether the op arrived over the wire (`dpfs-metad`) or
-    /// from an embedded mount in the same process. A catalog on its own is
-    /// a one-shard plane, so `GetShardMap` answers 1 here; a daemon serving
+    /// the catalog, which `dpfs-metad` runs on every op it receives. A
+    /// catalog on its own is a one-shard plane, so `GetShardMap` answers 1 here; a daemon serving
     /// a wider plane answers it with its own map instead.
     pub fn apply(self, catalog: &Catalog) -> Result<MetaResult, MetaError> {
         use MetaOp as Op;

@@ -3,8 +3,9 @@
 //! Two ways to mount:
 //!
 //! - `dpfs-sh [num-servers]` — ephemeral in-process testbed: starts
-//!   `num-servers` I/O servers (default 4) with an embedded metadata
-//!   catalog. Self-contained; nothing survives exit.
+//!   `num-servers` I/O servers (default 4) and one `dpfs-metad` shard, and
+//!   mounts through it; `sql` runs on that shard's database.
+//!   Self-contained; nothing survives exit.
 //! - `dpfs-sh --metad ADDR [--metad ADDR]... [--server NAME=ADDR]...` —
 //!   attach to running `dpfs-metad` daemons (and `dpfs-iond` I/O
 //!   servers): all metadata goes over TCP, and any `--server` not yet in
@@ -103,7 +104,7 @@ fn main() {
 
     // `_testbed` keeps the in-process servers alive for the session.
     let mut _testbed = None;
-    let client = match parse_remote(&args) {
+    let mut shell = match parse_remote(&args) {
         Some(ra) => match mount_remote(&ra) {
             Ok(c) => {
                 println!(
@@ -112,7 +113,7 @@ fn main() {
                     ra.metads.join(", "),
                     ra.servers.len()
                 );
-                c
+                Shell::new(c)
             }
             Err(e) => {
                 eprintln!("{e}");
@@ -129,14 +130,13 @@ fn main() {
                 }
             };
             println!(
-                "DPFS shell — {n} I/O servers started. Type `help` for commands, ctrl-D to exit."
+                "DPFS shell — {n} I/O servers and a metadata daemon started. Type `help` for commands, ctrl-D to exit."
             );
-            let client = testbed.client(0, true);
+            let shell = Shell::on_testbed(&testbed);
             _testbed = Some(testbed);
-            client
+            shell
         }
     };
-    let mut shell = Shell::new(client);
 
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();

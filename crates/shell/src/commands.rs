@@ -1,11 +1,12 @@
 //! The DPFS shell: command dispatch and implementations.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use dpfs_cluster::{scrape_cluster, UNREACHABLE};
+use dpfs_cluster::{scrape_cluster, Testbed, UNREACHABLE};
 use dpfs_core::trace::{ClusterSnapshot, NodeRole};
 use dpfs_core::{primary_subfile, Dpfs, DpfsError, FileLevel, Hint, Layout, Result};
-use dpfs_meta::FileEntry;
+use dpfs_meta::{Database, FileEntry};
 
 use crate::parse::{resolve_path, split_words};
 
@@ -16,14 +17,28 @@ pub const DEFAULT_IMPORT_BRICK: u64 = 64 * 1024;
 pub struct Shell {
     fs: Dpfs,
     cwd: String,
+    /// The database `sql` runs on: the testbed's, when the shell runs on
+    /// one; `None` on a `--metad` mount, whose databases live in the
+    /// daemons.
+    db: Option<Arc<Database>>,
 }
 
 impl Shell {
-    /// New shell rooted at `/`.
+    /// New shell over `fs`, rooted at `/`.
     pub fn new(fs: Dpfs) -> Shell {
         Shell {
             fs,
             cwd: "/".to_string(),
+            db: None,
+        }
+    }
+
+    /// New shell over a client of `tb`, rooted at `/`; `sql` runs on the
+    /// database of `tb`'s metadata shard 0.
+    pub fn on_testbed(tb: &Testbed) -> Shell {
+        Shell {
+            db: Some(tb.db()),
+            ..Shell::new(tb.client(0, true))
         }
     }
 
@@ -290,14 +305,10 @@ impl Shell {
         out
     }
 
-    /// The metadata half of `stats`: where metadata lives, and — on remote
-    /// mounts — each shard's daemon counters and per-op service-time
-    /// percentiles, one section per shard.
+    /// The metadata half of `stats`: each shard's daemon counters and
+    /// per-op service-time percentiles, one section per shard.
     fn metadata_section(snap: &ClusterSnapshot) -> String {
         let shards = snap.nodes_of(NodeRole::Metad).count();
-        if shards == 0 {
-            return "metadata: embedded (in-process catalog)\n".to_string();
-        }
         let mut out = String::new();
         for (shard, node) in snap.nodes_of(NodeRole::Metad).enumerate() {
             if shards == 1 {
@@ -692,16 +703,16 @@ impl Shell {
         Ok(out)
     }
 
-    /// `sql <statement>`: run one statement on the embedded metadata
+    /// `sql <statement>`: run one statement on the testbed's metadata
     /// database, as a transaction of its own. `EXPLAIN <statement>` names
     /// the access path; `?` placeholders may stay unbound there.
     fn cmd_sql(&mut self, statement: &str) -> Result<String> {
-        let catalog = self.fs.catalog().ok_or_else(|| {
+        let db = self.db.as_ref().ok_or_else(|| {
             DpfsError::InvalidArgument(
-                "sql: the metadata database of a remote mount lives in its daemon".into(),
+                "sql: the metadata databases of a --metad mount live in its daemons".into(),
             )
         })?;
-        let rs = catalog.db().execute(statement)?;
+        let rs = db.execute(statement)?;
         let mut out = rs.columns.join("\t");
         out.push('\n');
         for row in &rs.rows {
@@ -752,7 +763,7 @@ DPFS shell commands:
   tags <file>              list tags
   untag <file> <k>         remove a tag
   find <k> <pattern>       find files by tag value (LIKE pattern)
-  sql <statement>          run SQL on the embedded metadata database;
+  sql <statement>          run SQL on the testbed's metadata database;
                            EXPLAIN <statement> names its access path
   help                     this text
 ";
@@ -764,8 +775,7 @@ mod tests {
 
     fn shell() -> (Shell, Testbed) {
         let tb = Testbed::unthrottled(4).unwrap();
-        let shell = Shell::new(tb.client(0, true));
-        (shell, tb)
+        (Shell::on_testbed(&tb), tb)
     }
 
     #[test]
@@ -911,17 +921,14 @@ mod tests {
 
     #[test]
     fn fsck_command_reports_clean_and_dirty() {
-        let (mut sh, _tb) = shell();
+        let (mut sh, tb) = shell();
         let tmp = std::env::temp_dir().join(format!("dpfs-shell-fsck-{}", std::process::id()));
         std::fs::write(&tmp, vec![1u8; 100]).unwrap();
         sh.exec(&format!("import {} /f", tmp.display())).unwrap();
         let out = sh.exec("fsck --online").unwrap();
         assert!(out.contains("clean"), "{out}");
         // corrupt the catalog behind the shell's back
-        sh.fs()
-            .catalog()
-            .unwrap()
-            .db()
+        tb.db()
             .execute("DELETE FROM dpfs_file_distribution WHERE filename = '/f'")
             .unwrap();
         let out = sh.exec("fsck").unwrap();
@@ -1016,14 +1023,14 @@ mod tests {
             assert!(!row.contains("unreachable"), "{out}");
             assert!(!row.contains("-/-/-"), "{out}");
         }
-        assert!(out.contains("metadata: embedded"), "{out}");
+        assert!(out.contains("metadata: remote via metad0"), "{out}");
         std::fs::remove_file(tmp).unwrap();
     }
 
     #[test]
     fn stats_json_emits_the_unified_scrape() {
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+        let mut sh = Shell::new(tb.client(0, true));
         sh.exec("mkdir /j").unwrap();
         sh.exec("stat /j").ok();
         let tmp = std::env::temp_dir().join(format!("dpfs-stats-json-{}", std::process::id()));
@@ -1055,8 +1062,8 @@ mod tests {
 
     #[test]
     fn stats_reports_the_metadata_service_on_remote_mounts() {
-        let tb = Testbed::unthrottled_with_metad(2).unwrap();
-        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tb = Testbed::unthrottled(2).unwrap();
+        let mut sh = Shell::new(tb.client(0, true));
         sh.exec("mkdir /d").unwrap();
         sh.exec("stat /d").ok();
         sh.exec("ls").unwrap();
@@ -1064,12 +1071,15 @@ mod tests {
         assert!(out.contains("metadata: remote via metad0"), "{out}");
         assert!(out.contains("meta ops"), "{out}");
         assert!(out.contains("meta.mkdir"), "{out}");
+        // The shell of a bare mount, as `--metad` makes it, holds no
+        // database for `sql`.
+        assert!(sh.exec("sql SELECT * FROM dpfs_directory").is_err());
     }
 
     #[test]
     fn stats_reports_every_metadata_shard() {
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+        let mut sh = Shell::new(tb.client(0, true));
         sh.exec("mkdir /a").unwrap();
         sh.exec("mkdir /b").unwrap();
         sh.exec("stat /a").ok();
@@ -1092,8 +1102,8 @@ mod tests {
     /// agree on every iond's `io.requests` and every shard's `meta.ops`.
     #[test]
     fn stats_and_stats_json_render_one_scrape_alike() {
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+        let mut sh = Shell::new(tb.client(0, true));
         let tmp = std::env::temp_dir().join(format!("dpfs-stats-same-{}", std::process::id()));
         std::fs::write(&tmp, [9u8; 8192]).unwrap();
         sh.exec("mkdir /a").unwrap();
@@ -1136,8 +1146,8 @@ mod tests {
     #[test]
     fn fsck_repair_on_a_remote_mount_resolves_crashed_cross_shard_renames() {
         use dpfs_proto::{MetaOp, MetaResult, Request, Response};
-        let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-        let mut sh = Shell::new(tb.remote_client(0, true));
+        let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+        let mut sh = Shell::new(tb.client(0, true));
         let tmp = std::env::temp_dir().join(format!("dpfs-shell-intent-{}", std::process::id()));
         std::fs::write(&tmp, [3u8; 64]).unwrap();
         sh.exec("mkdir /sd0").unwrap();
@@ -1146,7 +1156,7 @@ mod tests {
             .unwrap();
         std::fs::remove_file(&tmp).unwrap();
         let (from, to) = ("/sd1/f", "/sd0/g");
-        let remote = sh.fs().remote_meta().unwrap().clone();
+        let remote = sh.fs().meta().clone();
         let pool = sh.fs().pool().clone();
         let (src, dst) = (remote.route_file(from), remote.route_file(to));
         assert_ne!(src, dst, "the two directories live on different shards");

@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_placement(Placement::Greedy),
     )?;
 
-    let db = client.catalog().expect("embedded mount").db();
+    // The database the testbed's metadata daemon serves.
+    let db = testbed.db();
 
     // The four tables of Figure 10, via standard SQL.
     println!("== DPFS-SERVER ==");

@@ -61,21 +61,15 @@ fn export_trace_slice(cursor: u64) {
 /// one recorded retry.
 #[test]
 fn flapping_server_write_read_back_with_retries() {
-    let tb = Testbed::unthrottled(4).unwrap();
+    let mut tb = Testbed::unthrottled(4).unwrap();
     let proxy = FaultProxy::start(tb.server_addr(1)).unwrap();
 
     // Re-route ion01 through the proxy; the other three are direct.
-    let mut resolver = tb.resolver();
-    resolver.alias("ion01", &proxy.addr().to_string());
-    let client = Dpfs::mount(
-        tb.db(),
-        resolver,
-        ClientOptions {
-            retry: chaos_retry(),
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
+    tb.route_through(1, proxy.addr());
+    let client = tb.client_opts(ClientOptions {
+        retry: chaos_retry(),
+        ..ClientOptions::default()
+    });
 
     let cursor = ring().cursor();
     // Sever (both directions of) the relay every 10 frames, dropping the
@@ -159,19 +153,13 @@ fn kill_restart_preserves_data_same_handle() {
 /// mid-workload, repeatedly, and the client still finishes byte-exact.
 #[test]
 fn mid_flight_severs_are_absorbed() {
-    let tb = Testbed::unthrottled(2).unwrap();
+    let mut tb = Testbed::unthrottled(2).unwrap();
     let proxy = FaultProxy::start(tb.server_addr(0)).unwrap();
-    let mut resolver = tb.resolver();
-    resolver.alias("ion00", &proxy.addr().to_string());
-    let client = Dpfs::mount(
-        tb.db(),
-        resolver,
-        ClientOptions {
-            retry: chaos_retry(),
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
+    tb.route_through(0, proxy.addr());
+    let client = tb.client_opts(ClientOptions {
+        retry: chaos_retry(),
+        ..ClientOptions::default()
+    });
 
     const TOTAL: usize = 256 << 10;
     let mut f = client
@@ -371,8 +359,8 @@ fn killed_server_concurrent_reads_on_one_mount_are_byte_exact() {
     const THREADS: usize = 8;
     const READS: usize = 6;
     const LEN: u64 = 64 << 10;
-    let mut tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
-    let client = tb.remote_client_opts(ClientOptions {
+    let mut tb = Testbed::unthrottled_sharded(4, 2).unwrap();
+    let client = tb.client_opts(ClientOptions {
         retry: fast_retry(),
         ..ClientOptions::default()
     });
@@ -425,19 +413,13 @@ fn killed_server_concurrent_reads_on_one_mount_are_byte_exact() {
 /// served by the surviving mirror.
 #[test]
 fn severed_server_replica2_reads_byte_exact() {
-    let tb = Testbed::unthrottled(3).unwrap();
+    let mut tb = Testbed::unthrottled(3).unwrap();
     let proxy = FaultProxy::start(tb.server_addr(1)).unwrap();
-    let mut resolver = tb.resolver();
-    resolver.alias("ion01", &proxy.addr().to_string());
-    let client = Dpfs::mount(
-        tb.db(),
-        resolver,
-        ClientOptions {
-            retry: fast_retry(),
-            ..ClientOptions::default()
-        },
-    )
-    .unwrap();
+    tb.route_through(1, proxy.addr());
+    let client = tb.client_opts(ClientOptions {
+        retry: fast_retry(),
+        ..ClientOptions::default()
+    });
 
     const TOTAL: usize = 1 << 20;
     let mut f = client
@@ -529,20 +511,12 @@ fn double_loss_replica2_fails_with_the_primarys_error() {
     assert!(back == data, "single loss after the double not byte-exact");
 }
 
-/// Where a test's mount finds its metadata: in-process, or on a two-shard
-/// `dpfs-metad` plane over TCP.
-#[derive(Debug, Clone, Copy)]
-enum Mount {
-    Embedded,
-    Metad,
-}
-
 /// A server comes back with an *empty disk* (lost subfiles); `fsck` flags
 /// the file under-protected, `fsck_reprotect` rebuilds the lost copies from
 /// the survivors, and a subsequent kill of a *different* server still reads
-/// byte-exact.
+/// byte-exact — on a `shards`-wide metadata plane.
 fn reprotect_after_empty_restart(
-    mount: Mount,
+    shards: usize,
     policy: RedundancyPolicy,
     path: &str,
     brick: u64,
@@ -554,18 +528,8 @@ fn reprotect_after_empty_restart(
         retry: fast_retry(),
         ..ClientOptions::default()
     };
-    let (mut tb, client) = match mount {
-        Mount::Embedded => {
-            let tb = Testbed::unthrottled(4).unwrap();
-            let client = tb.client_opts(opts);
-            (tb, client)
-        }
-        Mount::Metad => {
-            let tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
-            let client = tb.remote_client_opts(opts);
-            (tb, client)
-        }
-    };
+    let mut tb = Testbed::unthrottled_sharded(4, shards).unwrap();
+    let client = tb.client_opts(opts);
 
     let mut f = client
         .create(
@@ -621,9 +585,9 @@ fn reprotect_after_empty_restart(
 
 #[test]
 fn fsck_reprotects_replica2_after_empty_restart() {
-    for mount in [Mount::Embedded, Mount::Metad] {
+    for shards in [1, 2] {
         reprotect_after_empty_restart(
-            mount,
+            shards,
             RedundancyPolicy::Replica(2),
             "/reprotect-rep",
             16 << 10,
@@ -634,9 +598,9 @@ fn fsck_reprotects_replica2_after_empty_restart() {
 
 #[test]
 fn fsck_reprotects_xor_parity_after_empty_restart() {
-    for mount in [Mount::Embedded, Mount::Metad] {
+    for shards in [1, 2] {
         reprotect_after_empty_restart(
-            mount,
+            shards,
             RedundancyPolicy::XorParity,
             "/reprotect-xor",
             16 << 10,
@@ -770,7 +734,7 @@ fn fsck_reprotects_a_subfile_larger_than_a_frame() {
 #[test]
 fn fsck_reprotects_xor_parity_across_a_chunk_boundary() {
     reprotect_after_empty_restart(
-        Mount::Embedded,
+        1,
         RedundancyPolicy::XorParity,
         "/reprotect-chunks",
         3000,

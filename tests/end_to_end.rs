@@ -6,8 +6,7 @@ use dpfs::core::{
     ClientOptions, Datatype, Dpfs, Granularity, Hint, HpfPattern, Placement, RedundancyPolicy,
     Region, Resolver, Shape,
 };
-use dpfs::meta::Database;
-use std::sync::Arc;
+use dpfs::metad::{MetaServer, MetadConfig};
 
 fn pattern_bytes(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
@@ -141,8 +140,8 @@ fn sixteen_clients_disjoint_then_shared_read() {
 fn eight_concurrent_checkpoint_writers_restore_byte_exact() {
     const WRITERS: usize = 8;
     const LEN: usize = 256 << 10;
-    let tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
-    let fs = tb.remote_client_opts(ClientOptions::default());
+    let tb = Testbed::unthrottled_sharded(4, 2).unwrap();
+    let fs = tb.client_opts(ClientOptions::default());
     fs.mkdir("/ckpt").unwrap();
     std::thread::scope(|s| {
         let writers: Vec<_> = (0..WRITERS)
@@ -240,24 +239,19 @@ fn closing_a_handle_opened_before_a_growth_does_not_shrink_the_file() {
 #[test]
 fn a_short_write_through_a_stale_handle_does_not_shrink_the_file() {
     const LONG: usize = 8192;
-    let embedded = Testbed::unthrottled(2).unwrap();
-    let remote = Testbed::unthrottled_with_metad(2).unwrap();
-    for (mount, client) in [
-        ("embedded", embedded.client(0, true)),
-        ("--metad", remote.remote_client(0, true)),
-    ] {
-        drop(client.create("/f", &Hint::linear(64 << 10, 0)).unwrap());
-        let mut a = client.open("/f").unwrap();
-        let mut b = client.open("/f").unwrap();
-        assert_eq!((a.size(), b.size()), (0, 0));
-        let long = pattern_bytes(LONG, 21);
-        a.write_bytes(0, &long).unwrap();
-        b.write_bytes(0, &long[..100]).unwrap();
-        assert_eq!(client.stat("/f").unwrap().size, LONG as i64, "{mount}");
-        let mut c = client.open("/f").unwrap();
-        assert_eq!(c.size(), LONG as u64, "{mount}");
-        assert!(c.read_bytes(0, LONG as u64).unwrap() == long, "{mount}");
-    }
+    let tb = Testbed::unthrottled(2).unwrap();
+    let client = tb.client(0, true);
+    drop(client.create("/f", &Hint::linear(64 << 10, 0)).unwrap());
+    let mut a = client.open("/f").unwrap();
+    let mut b = client.open("/f").unwrap();
+    assert_eq!((a.size(), b.size()), (0, 0));
+    let long = pattern_bytes(LONG, 21);
+    a.write_bytes(0, &long).unwrap();
+    b.write_bytes(0, &long[..100]).unwrap();
+    assert_eq!(client.stat("/f").unwrap().size, LONG as i64);
+    let mut c = client.open("/f").unwrap();
+    assert_eq!(c.size(), LONG as u64);
+    assert!(c.read_bytes(0, LONG as u64).unwrap() == long);
 }
 
 #[test]
@@ -268,10 +262,16 @@ fn metadata_survives_database_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let tb = Testbed::unthrottled(4).unwrap();
-    // separate durable DB, servers registered manually
+    // A durable catalog of its own behind a daemon of its own, its servers
+    // registered by hand; the client reaches this testbed's I/O servers.
+    let mount = || {
+        let metad = MetaServer::start(MetadConfig::in_memory().dir(&dir)).unwrap();
+        let metad_addr = metad.addr().to_string();
+        let client = Dpfs::mount_remote(&metad_addr, tb.resolver(), ClientOptions::default());
+        (metad, client.unwrap())
+    };
     {
-        let db = Arc::new(Database::open(&dir).unwrap());
-        let client = Dpfs::mount(db, test_resolver(&tb), ClientOptions::default()).unwrap();
+        let (_metad, client) = mount();
         for (i, spec) in tb.specs().iter().enumerate() {
             client
                 .register_server(&dpfs::meta::ServerInfo {
@@ -290,8 +290,7 @@ fn metadata_survives_database_reopen() {
     }
     // reopen: WAL replay must reconstruct everything
     {
-        let db = Arc::new(Database::open(&dir).unwrap());
-        let client = Dpfs::mount(db, test_resolver(&tb), ClientOptions::default()).unwrap();
+        let (_metad, client) = mount();
         let attr = client.stat("/persist/f").unwrap();
         assert_eq!(attr.size, 100_000);
         let (dirs, files) = client.readdir("/persist").unwrap();
@@ -301,10 +300,6 @@ fn metadata_survives_database_reopen() {
         assert_eq!(f.read_bytes(0, 100_000).unwrap(), pattern_bytes(100_000, 3));
     }
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-fn test_resolver(tb: &Testbed) -> Resolver {
-    tb.resolver()
 }
 
 #[test]
@@ -338,11 +333,10 @@ fn default_mounts_draw_distinct_retry_jitter_streams() {
     // flapping server in lockstep is exactly the thundering herd jitter
     // exists to break up. Explicit seeds (tests, replayable runs) are
     // honoured verbatim.
-    let dir = std::env::temp_dir().join(format!("dpfs-it-jitter-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(Database::open(&dir).unwrap());
-    let a = Dpfs::mount(db.clone(), Resolver::direct(), ClientOptions::default()).unwrap();
-    let b = Dpfs::mount(db.clone(), Resolver::direct(), ClientOptions::default()).unwrap();
+    // A one-shard mount dials nothing until its first call.
+    let mount = |opts| Dpfs::mount_remote("metad0", Resolver::direct(), opts).unwrap();
+    let a = mount(ClientOptions::default());
+    let b = mount(ClientOptions::default());
     let (pa, pb) = (a.pool().retry_policy(), b.pool().retry_policy());
     assert!(pa.seed.is_some() && pb.seed.is_some(), "mounts must seed");
     assert_ne!(pa.seed, pb.seed, "default mounts shared a jitter seed");
@@ -355,8 +349,8 @@ fn default_mounts_draw_distinct_retry_jitter_streams() {
         retry: dpfs::core::RetryPolicy::default().with_seed(42),
         ..ClientOptions::default()
     };
-    let c = Dpfs::mount(db.clone(), Resolver::direct(), pinned).unwrap();
-    let d = Dpfs::mount(db, Resolver::direct(), pinned).unwrap();
+    let c = mount(pinned);
+    let d = mount(pinned);
     assert_eq!(c.pool().retry_policy().seed, Some(42));
     for n in 1..8 {
         assert_eq!(
@@ -365,5 +359,4 @@ fn default_mounts_draw_distinct_retry_jitter_streams() {
             "pinned seeds must replay exactly"
         );
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

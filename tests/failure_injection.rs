@@ -39,7 +39,7 @@ fn failed_create_leaves_no_metadata_residue() {
     let hint = Hint::linear(512, 1024);
     assert!(client.create("/no/such/dir/f", &hint).err().is_some());
     // ...and leaves no attr/distribution rows behind
-    let db = client.catalog().unwrap().db();
+    let db = tb.db();
     let rs = db.execute("SELECT COUNT(*) FROM dpfs_file_attr").unwrap();
     assert_eq!(rs.rows[0][0], dpfs::meta::Value::Int(0));
     let rs = db

@@ -18,8 +18,6 @@
 //! — a retired format, or a section count the blob cannot hold — scrapes as
 //! unreachable instead of being read as one.
 
-mod common;
-
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -30,11 +28,10 @@ use dpfs::core::trace::{ClusterSnapshot, NodeRole, NodeSnapshot};
 use dpfs::core::{
     ClientOptions, Datatype, Dpfs, DpfsError, Granularity, Hint, Resolver, RetryPolicy,
 };
-use dpfs::meta::{Database, ServerInfo};
+use dpfs::meta::ServerInfo;
+use dpfs::metad::{MetaServer, MetadConfig};
 use dpfs::proto::{frame, AccessPattern, Request, Response};
 use dpfs::server::{ServeCore, Service};
-
-use common::Rooted;
 
 /// How the hostile server answers an enumerated `Read` for `ranges`: the
 /// encoded reply, so it can be one no honest server sends.
@@ -132,21 +129,32 @@ fn start_list_server(forge: ListForge) -> SocketAddr {
     addr
 }
 
-/// A client whose only I/O server is the hostile one.
-fn hostile_client(tag: &str, addr: SocketAddr) -> Rooted<Dpfs> {
-    hostile_client_opts(tag, addr, ClientOptions::default())
+/// A client whose only I/O server is the hostile one, mounted through a
+/// metadata daemon of its own; the client drops first.
+struct HostileMount {
+    client: Dpfs,
+    _metad: MetaServer,
+}
+
+impl std::ops::Deref for HostileMount {
+    type Target = Dpfs;
+    fn deref(&self) -> &Dpfs {
+        &self.client
+    }
+}
+
+fn hostile_client(addr: SocketAddr) -> HostileMount {
+    hostile_client_opts(addr, ClientOptions::default())
 }
 
 /// Same, with caller-chosen options (the list-path tests need `Exact`
 /// granularity so a strided read stays strided on the wire, and tight
 /// retries so a connection-slamming peer fails fast).
-fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Rooted<Dpfs> {
-    let dir = std::env::temp_dir().join(format!("dpfs-hostile-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(Database::open(&dir).unwrap());
+fn hostile_client_opts(addr: SocketAddr, opts: ClientOptions) -> HostileMount {
+    let metad = MetaServer::start(MetadConfig::in_memory()).unwrap();
     let mut resolver = Resolver::direct();
     resolver.alias("hostile00", &addr.to_string());
-    let client = Dpfs::mount(db, resolver, opts).unwrap();
+    let client = Dpfs::mount_remote(&metad.addr().to_string(), resolver, opts).unwrap();
     client
         .register_server(&ServerInfo {
             name: "hostile00".into(),
@@ -154,14 +162,17 @@ fn hostile_client_opts(tag: &str, addr: SocketAddr, opts: ClientOptions) -> Root
             performance: 1,
         })
         .unwrap();
-    Rooted::new(dir, client)
+    HostileMount {
+        client,
+        _metad: metad,
+    }
 }
 
 #[test]
 fn short_chunk_is_a_typed_error_not_a_panic() {
     // The one payload comes back one byte short of the ranges' sum.
     let addr = start_hostile_server(|ranges| data_list(wanted(ranges) - 1, 7));
-    let client = hostile_client("short", addr);
+    let client = hostile_client(addr);
     let mut f = client.create("/lie.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_bytes(0, 256).unwrap_err();
     match err {
@@ -182,7 +193,7 @@ fn oversized_chunk_is_rejected_too() {
     // A payload *longer* than its ranges is just as much of a lie — and
     // silently truncating it would mask server bugs.
     let addr = start_hostile_server(|ranges| data_list(wanted(ranges) + 9, 7));
-    let client = hostile_client("long", addr);
+    let client = hostile_client(addr);
     let mut f = client.create("/pad.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_bytes(0, 256).unwrap_err();
     assert!(
@@ -207,7 +218,7 @@ fn a_peer_answering_a_read_with_retired_tag_3_is_a_typed_error_not_a_panic() {
         }
         reply.freeze()
     });
-    let client = hostile_client_opts("tag3", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/old.dat", &Hint::linear(128, 512)).unwrap();
     let err = f.read_bytes(0, 512).unwrap_err();
     match err {
@@ -225,7 +236,7 @@ fn honest_chunks_still_round_trip() {
     // the exact length) passes validation — the check rejects lies, not
     // well-formed replies.
     let addr = start_hostile_server(|ranges| data_list(wanted(ranges), 0));
-    let client = hostile_client("honest", addr);
+    let client = hostile_client(addr);
     let mut f = client.create("/ok.dat", &Hint::linear(256, 256)).unwrap();
     assert_eq!(f.read_bytes(0, 256).unwrap(), vec![0u8; 256]);
     let t = client.pool().transport_stats("hostile00").unwrap();
@@ -263,7 +274,7 @@ fn short_list_payload_is_a_typed_error_not_a_panic() {
             data: Bytes::from(vec![7u8; pattern.total_bytes() as usize - 1]),
         })
     });
-    let client = hostile_client_opts("list-short", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/ls.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_datatype(0, &strided()).unwrap_err();
     match err {
@@ -287,7 +298,7 @@ fn oversized_list_payload_is_rejected_too() {
             data: Bytes::from(vec![7u8; pattern.total_bytes() as usize + 9]),
         })
     });
-    let client = hostile_client_opts("list-long", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/ll.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_datatype(0, &strided()).unwrap_err();
     assert!(
@@ -302,7 +313,7 @@ fn old_peer_slamming_list_requests_is_a_typed_error() {
     // the connection. The client must surface a typed transport error
     // after its retries — never hang or panic.
     let addr = start_list_server(|_| None);
-    let client = hostile_client_opts("list-old", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/old.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_datatype(0, &strided()).unwrap_err();
     assert!(
@@ -324,7 +335,7 @@ fn old_peer_erroring_list_requests_is_a_typed_error() {
             message: "unknown request tag".into(),
         })
     });
-    let client = hostile_client_opts("list-err", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/err.dat", &Hint::linear(256, 256)).unwrap();
     let err = f.read_datatype(0, &strided()).unwrap_err();
     assert!(
@@ -342,7 +353,7 @@ fn honest_list_replies_still_round_trip() {
             data: Bytes::from(vec![0u8; pattern.total_bytes() as usize]),
         })
     });
-    let client = hostile_client_opts("list-honest", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     let mut f = client.create("/lok.dat", &Hint::linear(256, 256)).unwrap();
     assert_eq!(f.read_datatype(0, &strided()).unwrap(), vec![0u8; 128]);
     let t = client.pool().transport_stats("hostile00").unwrap();
@@ -371,7 +382,7 @@ impl Service for StatsForger {
 fn a_stats_payload_in_a_retired_format_scrapes_as_unreachable() {
     let forger = Arc::new(StatsForger(Mutex::new(Bytes::new())));
     let core = ServeCore::start("127.0.0.1:0", forger.clone()).unwrap();
-    let client = hostile_client("stats", core.addr());
+    let client = hostile_client(core.addr());
     let honest = ClusterSnapshot {
         nodes: vec![NodeSnapshot::new(
             "whatever-it-calls-itself",
@@ -431,7 +442,7 @@ fn a_stats_reply_counting_more_rows_than_it_carries_scrapes_as_unreachable() {
     lying.resize(64 << 10, 0);
     let forger = Arc::new(StatsForger(Mutex::new(Bytes::from(lying))));
     let core = ServeCore::start("127.0.0.1:0", forger).unwrap();
-    let client = hostile_client("stats-count", core.addr());
+    let client = hostile_client(core.addr());
     let snap = scrape_cluster(&client);
     let [node] = &snap.nodes_of(NodeRole::Iond).collect::<Vec<_>>()[..] else {
         panic!("one iond node");
@@ -513,7 +524,7 @@ fn a_read_reply_whose_crc_fails_at_the_end_is_an_error_never_ok() {
         wire[17] ^= 0x80;
         (wire, false)
     });
-    let client = hostile_client_opts("crc-late", addr, list_opts());
+    let client = hostile_client_opts(addr, list_opts());
     const LEN: u64 = 2 << 20;
     let mut f = client.create("/crc.dat", &Hint::linear(LEN, LEN)).unwrap();
     let err = f.read_bytes(0, LEN).unwrap_err();
@@ -547,7 +558,7 @@ fn a_read_that_landed_then_timed_out_retries_to_the_exact_bytes() {
         rpc_timeout: deadline,
         ..list_opts()
     };
-    let client = hostile_client_opts("landed-timeout", addr, opts);
+    let client = hostile_client_opts(addr, opts);
     const LEN: u64 = 2 << 20;
     let mut f = client.create("/half.dat", &Hint::linear(LEN, LEN)).unwrap();
     let got = f.read_bytes(0, LEN).unwrap();

@@ -1,6 +1,7 @@
 //! Acceptance test for the networked metadata service: two independent DPFS
-//! clients mount against one `dpfs-metad` daemon over TCP — neither holds
-//! the metadata database; every catalog operation is an RPC (paper §5).
+//! clients mount against one `dpfs-metad` daemon over TCP — the only way a
+//! client reaches the metadata database; every catalog operation is an RPC
+//! (paper §5).
 //!
 //! Proven here:
 //! - a striped file created by one client renames from the *other* client
@@ -10,8 +11,8 @@
 //!   span to the daemon's `handle` event;
 //! - a client holds no metadata between calls: every `stat`/`exists`/`open`
 //!   reflects what any other client committed before the call was issued;
-//! - there is one dispatch: an embedded mount and a daemon mount answer one
-//!   op script with equal results and the same error variants.
+//! - the plane's width is invisible: a one-shard and a two-shard plane
+//!   answer one op script with equal results and the same error variants.
 
 use std::sync::atomic::Ordering;
 
@@ -22,11 +23,9 @@ use dpfs::meta::{Distribution, FileAttrRow, MetaError, ServerInfo, ShardMap};
 
 #[test]
 fn two_clients_share_one_metad_over_tcp() {
-    let tb = Testbed::unthrottled_with_metad(3).unwrap();
-    let a = tb.remote_client(0, true);
-    let b = tb.remote_client(1, true);
-    assert!(a.catalog().is_none(), "remote mounts hold no database");
-    assert!(b.catalog().is_none());
+    let tb = Testbed::unthrottled(3).unwrap();
+    let a = tb.client(0, true);
+    let b = tb.client(1, true);
 
     // Client A creates and writes a striped file: 6 bricks over 3 servers.
     let file_bytes = 6 * 1024usize;
@@ -40,7 +39,7 @@ fn two_clients_share_one_metad_over_tcp() {
     // One metadata RPC, one trace ID, both sides of the wire.
     let cursor = ring().cursor();
     assert_eq!(a.stat("/shared.dat").unwrap().size, file_bytes as i64);
-    let trace = a.remote_meta().unwrap().last_trace_id();
+    let trace = a.meta().last_trace_id();
     assert_ne!(trace, 0, "metadata RPCs must be trace-stamped");
     let events: Vec<_> = ring()
         .events_since(cursor)
@@ -77,7 +76,7 @@ fn two_clients_share_one_metad_over_tcp() {
     assert_eq!(back, data, "bytes survive a cross-client rename");
 
     // The daemon really served all of this.
-    let stats = tb.metad_stats().unwrap();
+    let stats = &tb.metad_stats()[0];
     assert!(stats.meta_ops > 0);
     assert!(
         stats
@@ -100,8 +99,8 @@ fn two_clients_share_one_metad_over_tcp() {
 /// through the very same fault.
 #[test]
 fn ambiguous_mutation_failures_are_not_replayed() {
-    let tb = Testbed::unthrottled_with_metad(2).unwrap();
-    let proxy = FaultProxy::start(tb.metad_addr().unwrap()).unwrap();
+    let tb = Testbed::unthrottled(2).unwrap();
+    let proxy = FaultProxy::start(tb.metad_addrs()[0]).unwrap();
     let mut resolver = tb.resolver();
     resolver.alias(METAD_NAME, &proxy.addr().to_string());
     let client = Dpfs::mount_remote(METAD_NAME, resolver, ClientOptions::default()).unwrap();
@@ -138,9 +137,9 @@ fn ambiguous_mutation_failures_are_not_replayed() {
 /// absence or presence on `exists`.
 #[test]
 fn a_stat_or_exists_reflects_the_other_clients_last_commit() {
-    let tb = Testbed::unthrottled_with_metad(2).unwrap();
-    let a = tb.remote_client(0, true);
-    let b = tb.remote_client(1, true);
+    let tb = Testbed::unthrottled(2).unwrap();
+    let a = tb.client(0, true);
+    let b = tb.client(1, true);
     mk_file(&b, "/grow.dat");
     assert_eq!(a.stat("/grow.dat").unwrap().size, 256);
 
@@ -172,9 +171,9 @@ fn a_stat_or_exists_reflects_the_other_clients_last_commit() {
 /// grows.
 #[test]
 fn greedy_growth_through_a_remotely_opened_handle_keeps_the_ratio() {
-    let tb = Testbed::unthrottled_with_metad(2).unwrap();
-    let a = tb.remote_client(0, true);
-    let b = tb.remote_client(1, true);
+    let tb = Testbed::unthrottled(2).unwrap();
+    let a = tb.client(0, true);
+    let b = tb.client(1, true);
     // A heterogeneous (1 : 3) pair.
     for (i, performance) in [(0usize, 1i64), (1, 3)] {
         a.register_server(&ServerInfo {
@@ -223,9 +222,9 @@ fn mk_file(c: &Dpfs, name: &str) {
 /// other's, counted in the daemons' own `meta_ops`.
 #[test]
 fn two_clients_through_two_shards_see_each_other_and_each_shard_serves_only_its_own_files() {
-    let tb = Testbed::unthrottled_with_metad_shards(3, 2).unwrap();
-    let a = tb.remote_client(0, true);
-    let b = tb.remote_client(1, true);
+    let tb = Testbed::unthrottled_sharded(3, 2).unwrap();
+    let a = tb.client(0, true);
+    let b = tb.client(1, true);
     let (d0, d1) = dirs_on_distinct_shards();
     a.mkdir(&d0).unwrap();
     a.mkdir(&d1).unwrap();
@@ -246,7 +245,7 @@ fn two_clients_through_two_shards_see_each_other_and_each_shard_serves_only_its_
     // counted windows: its placement read of the replicated server
     // registry goes to whichever shard is next in the rotation.
     let ops = || {
-        let stats = tb.metad_stats_all();
+        let stats = tb.metad_stats();
         (stats[0].meta_ops, stats[1].meta_ops)
     };
     // B grows a file (open, write past the end, close) and A reads it back.
@@ -293,29 +292,29 @@ fn two_clients_through_two_shards_see_each_other_and_each_shard_serves_only_its_
     assert!(matches!(a.open(&fb2), Err(DpfsError::NoSuchFile(_))));
 
     // Both daemons genuinely served metadata, stamped with their ids.
-    let stats = tb.metad_stats_all();
+    let stats = tb.metad_stats();
     assert_eq!((stats[0].shard_id, stats[0].shards), (0, 2));
     assert_eq!((stats[1].shard_id, stats[1].shards), (1, 2));
     assert!(stats.iter().all(|s| s.meta_ops > 0), "{stats:?}");
 }
 
 /// `rename` answers in the client's own error vocabulary, like `create`
-/// and `unlink` do, and the same way on every kind of mount: embedded,
-/// remote within one shard, and remote across two.
+/// and `unlink` do, and the same way on every plane: one shard, two shards
+/// within one, and two shards across them.
 #[test]
 fn rename_errors_are_typed_and_agree_across_mounts() {
-    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
     let (d0, d1) = dirs_on_distinct_shards();
-    let remote = tb.remote_client(0, true);
-    remote.mkdir(&d0).unwrap();
-    remote.mkdir(&d1).unwrap();
-    // The embedded mount reads shard 0's database: give it the same shape
-    // inside one directory of that shard.
-    let embedded = tb.client(0, true);
+    let sharded = tb.client(0, true);
+    sharded.mkdir(&d0).unwrap();
+    sharded.mkdir(&d1).unwrap();
+    let single_tb = Testbed::unthrottled(2).unwrap();
+    let single = single_tb.client(0, true);
+    single.mkdir(&d0).unwrap();
     let cases = [
-        ("embedded", &embedded, d0.clone(), d0.clone()),
-        ("same shard", &remote, d1.clone(), d1.clone()),
-        ("cross shard", &remote, d0.clone(), d1.clone()),
+        ("one shard", &single, d0.clone(), d0.clone()),
+        ("same shard", &sharded, d1.clone(), d1.clone()),
+        ("cross shard", &sharded, d0.clone(), d1.clone()),
     ];
     for (mount, fs, src_dir, dst_dir) in cases {
         let (src, dst) = (
@@ -357,7 +356,7 @@ fn rename_errors_are_typed_and_agree_across_mounts() {
 /// the destination, never lost, never duplicated.
 #[test]
 fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
-    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
     let (d0, d1) = dirs_on_distinct_shards();
     // Fault-inject the destination shard (shard 1 — d1's home).
     let proxy = FaultProxy::start(tb.metad_addrs()[1]).unwrap();
@@ -395,7 +394,7 @@ fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
     assert_eq!(landed.id, id, "the file kept its id");
     assert!(!landed.dist.is_empty(), "layout travelled with the rename");
     assert!(meta.list_tags(&to).unwrap().is_empty(), "no marker tag");
-    let remote = client.remote_meta().unwrap();
+    let remote = client.meta();
     assert_eq!(
         remote.recover_rename_intents().unwrap(),
         0,
@@ -410,7 +409,7 @@ fn torn_commit_reply_rolls_a_cross_shard_rename_forward() {
 /// again — never lost, never duplicated.
 #[test]
 fn dead_destination_shard_leaves_a_recoverable_intent() {
-    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
+    let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
     let (d0, d1) = dirs_on_distinct_shards();
     let proxy = FaultProxy::start(tb.metad_addrs()[1]).unwrap();
     let mut resolver = tb.resolver();
@@ -444,7 +443,7 @@ fn dead_destination_shard_leaves_a_recoverable_intent() {
 
     // The shard comes back; recovery aborts the uncommitted intent.
     proxy.knobs().refuse.store(false, Ordering::Relaxed);
-    let remote = client.remote_meta().unwrap();
+    let remote = client.meta();
     assert_eq!(remote.recover_rename_intents().unwrap(), 1);
     assert!(meta.get_file_attr(&from).unwrap().is_some(), "still at src");
     assert!(
@@ -464,8 +463,8 @@ fn dead_destination_shard_leaves_a_recoverable_intent() {
 /// the listing shard's refusal would pass for a replica that has it.
 #[test]
 fn mkdir_over_a_file_fails_and_leaves_no_directory_on_any_shard() {
-    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-    let fs = tb.remote_client(0, true);
+    let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+    let fs = tb.client(0, true);
     let (_, d1) = dirs_on_distinct_shards();
     fs.mkdir(&d1).unwrap();
     // Listed on shard 1, homed as a directory on shard 0 (`tb.db()`).
@@ -504,9 +503,9 @@ fn mkdir_over_a_file_fails_and_leaves_no_directory_on_any_shard() {
 fn concurrent_cross_client_mutations_serialize() {
     // Two remote clients race create/rename/delete on disjoint and shared
     // names; the daemon serializes them and the namespace stays exact.
-    let tb = Testbed::unthrottled_with_metad(2).unwrap();
-    let a = tb.remote_client(0, false);
-    let b = tb.remote_client(1, false);
+    let tb = Testbed::unthrottled(2).unwrap();
+    let a = tb.client(0, false);
+    let b = tb.client(1, false);
     a.mkdir("/race").unwrap();
 
     let mk = |c: &dpfs::core::Dpfs, name: String| {
@@ -610,22 +609,21 @@ fn meta_script(fs: &Dpfs) -> Vec<(&'static str, Result<String, u8>)> {
     ]
 }
 
-/// There is one dispatch: an embedded mount applies each `MetaOp` to its
-/// own catalog, a daemon mount sends it to `dpfs-metad`, which applies it
-/// to its catalog — so one script, run through each on a fresh cluster,
-/// answers alike at every step, refusals included.
+/// The plane's width is invisible to the client: one script, run through a
+/// fresh one-shard and a fresh two-shard plane, answers alike at every
+/// step, refusals included.
 #[test]
-fn an_embedded_and_a_daemon_mount_answer_one_script_alike() {
-    let embedded = Testbed::unthrottled(2).unwrap();
-    let daemon = Testbed::unthrottled_with_metad(2).unwrap();
-    let local = meta_script(&embedded.client(0, true));
-    let remote = meta_script(&daemon.remote_client(0, true));
-    assert_eq!(local.len(), remote.len());
-    for ((name, l), (_, r)) in local.iter().zip(&remote) {
-        assert_eq!(l, r, "{name}: embedded vs daemon mount");
+fn a_one_shard_and_a_two_shard_plane_answer_one_script_alike() {
+    let single = Testbed::unthrottled(2).unwrap();
+    let sharded = Testbed::unthrottled_sharded(2, 2).unwrap();
+    let one = meta_script(&single.client(0, true));
+    let two = meta_script(&sharded.client(0, true));
+    assert_eq!(one.len(), two.len());
+    for ((name, l), (_, r)) in one.iter().zip(&two) {
+        assert_eq!(l, r, "{name}: one shard vs two");
     }
     // The script reaches the refusals it is meant to compare.
-    let code = |step: &str| local.iter().find(|(n, _)| *n == step).unwrap().1.clone();
+    let code = |step: &str| one.iter().find(|(n, _)| *n == step).unwrap().1.clone();
     let wire = |e: MetaError| Err(e.wire_code());
     assert_eq!(
         code("duplicate create"),
@@ -652,8 +650,8 @@ fn an_embedded_and_a_daemon_mount_answer_one_script_alike() {
 #[test]
 fn fsck_restores_a_directory_row_one_shard_lost() {
     use dpfs::core::fsck::{fsck, fsck_repair, Issue};
-    let tb = Testbed::unthrottled_with_metad_shards(2, 2).unwrap();
-    let fs = tb.remote_client(0, true);
+    let tb = Testbed::unthrottled_sharded(2, 2).unwrap();
+    let fs = tb.client(0, true);
     fs.mkdir("/sd0").unwrap();
     fs.mkdir("/sd1").unwrap();
     // `/sd1` is homed on shard 0, whose database the testbed holds.

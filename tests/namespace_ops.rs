@@ -7,8 +7,8 @@
 //! A file created at a path another file left keeps nothing of it: its id,
 //! and so every subfile name, is new. The tests list the servers' own
 //! directories — the client's enumeration of "the subfiles of a file" is
-//! compared with the disks, not with itself — on an embedded mount and on
-//! a two-shard `dpfs-metad` plane alike.
+//! compared with the disks, not with itself — on a one-shard and on a
+//! two-shard `dpfs-metad` plane alike.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -50,20 +50,13 @@ fn quick() -> ClientOptions {
 }
 
 fn rig() -> Rig {
-    mount(false)
+    mount(1)
 }
 
-/// An embedded mount, or (`remote`) one of a two-shard `dpfs-metad` plane.
-fn mount(remote: bool) -> Rig {
-    let (tb, fs) = if remote {
-        let tb = Testbed::unthrottled_with_metad_shards(SERVERS, 2).unwrap();
-        let fs = tb.remote_client_opts(quick());
-        (tb, fs)
-    } else {
-        let tb = Testbed::unthrottled(SERVERS).unwrap();
-        let fs = tb.client_opts(quick());
-        (tb, fs)
-    };
+/// A mount of a `shards`-wide `dpfs-metad` plane.
+fn mount(shards: usize) -> Rig {
+    let tb = Testbed::unthrottled_sharded(SERVERS, shards).unwrap();
+    let fs = tb.client_opts(quick());
     let map = ShardMap::new(2);
     let dirs = [0, 1].map(|shard| {
         (0..64)
@@ -163,9 +156,9 @@ fn a_leftover_under_the_destination_does_not_survive() {
 /// the dead one's bricks under the old name, and the file read holes there.)
 #[test]
 fn a_rename_with_a_server_down_reads_back_byte_exact_after_its_restart() {
-    for remote in [false, true] {
+    for shards in [1, 2] {
         for policy in [RedundancyPolicy::None, RedundancyPolicy::Replica(2)] {
-            let mut r = mount(remote);
+            let mut r = mount(shards);
             let [d0, d1] = r.dirs.clone();
             let id = r.written(&format!("{d0}/f"), policy, 16384, 3);
             let before = r.tb.on_disk();
@@ -173,7 +166,7 @@ fn a_rename_with_a_server_down_reads_back_byte_exact_after_its_restart() {
             r.fs.rename(&format!("{d0}/f"), &format!("{d0}/g")).unwrap();
             r.fs.rename(&format!("{d0}/g"), &format!("{d1}/h")).unwrap();
             r.tb.restart_server(1).unwrap();
-            let what = format!("remote={remote} {policy:?}");
+            let what = format!("{shards} shard(s) {policy:?}");
             assert_eq!(r.tb.on_disk(), before, "{what}");
             assert!(before.contains(&(1, primary_subfile(id))), "{what}");
             let mut f = r.fs.open(&format!("{d1}/h")).unwrap();
@@ -190,9 +183,9 @@ fn a_rename_with_a_server_down_reads_back_byte_exact_after_its_restart() {
 /// bricks to the new file's holes.)
 #[test]
 fn an_unlink_with_a_server_down_leaves_nothing_the_next_file_reads() {
-    for remote in [false, true] {
+    for shards in [1, 2] {
         for policy in [RedundancyPolicy::None, RedundancyPolicy::Replica(2)] {
-            let mut r = mount(remote);
+            let mut r = mount(shards);
             let path = format!("{}/f", r.dirs[0]);
             let old = r.written(&path, policy, 16384, 4);
             r.tb.kill_server(1);
@@ -204,7 +197,7 @@ fn an_unlink_with_a_server_down_leaves_nothing_the_next_file_reads() {
             // server 1, stays a hole.
             let mut f = r.fs.open(&path).unwrap();
             f.write_bytes(0, &[9u8; 4096]).unwrap();
-            let what = format!("remote={remote} {policy:?}");
+            let what = format!("{shards} shard(s) {policy:?}");
             assert_ne!(new, old, "{what}");
             assert!(
                 r.tb.on_disk().contains(&(1, primary_subfile(old))),
@@ -230,14 +223,14 @@ fn an_unlink_with_a_server_down_leaves_nothing_the_next_file_reads() {
 /// untouched.
 #[test]
 fn names_like_a_mirror_or_parity_are_ordinary_names() {
-    for remote in [false, true] {
+    for shards in [1, 2] {
         for policy in [RedundancyPolicy::Replica(2), RedundancyPolicy::XorParity] {
-            let mut r = mount(remote);
+            let mut r = mount(shards);
             let d = r.dirs[0].clone();
             let f = format!("{d}/f");
             r.written(&f, policy, 16384, 5);
             let before = r.tb.on_disk();
-            let what = format!("remote={remote} {policy:?}");
+            let what = format!("{shards} shard(s) {policy:?}");
             for (i, suffix) in ["#p", "#r1"].into_iter().enumerate() {
                 let other = format!("{f}{suffix}");
                 r.written(&other, RedundancyPolicy::None, 16384, 0xEE);
@@ -330,15 +323,9 @@ fn disk_contents_equal_the_enumeration() {
 /// and leaves the directory as it was.
 #[test]
 fn a_newline_in_a_name_is_refused_and_the_directory_survives() {
-    for remote in [false, true] {
-        let tb = match remote {
-            false => Testbed::unthrottled(SERVERS).unwrap(),
-            true => Testbed::unthrottled_with_metad(SERVERS).unwrap(),
-        };
-        let fs = match remote {
-            false => tb.client(0, true),
-            true => tb.remote_client(0, true),
-        };
+    for shards in [1, 2] {
+        let tb = Testbed::unthrottled_sharded(SERVERS, shards).unwrap();
+        let fs = tb.client(0, true);
         let hint = Hint::linear(4096, 4096);
         fs.mkdir("/d").unwrap();
         drop(fs.create("/d/keep", &hint).unwrap());
@@ -350,14 +337,14 @@ fn a_newline_in_a_name_is_refused_and_the_directory_survives() {
             ("create", fs.create("/d/tab\there", &hint).map(drop)),
         ];
         let _ = fs.unlink("/d/a\nb");
-        assert_eq!(fs.readdir("/d").unwrap(), listed, "remote={remote}");
+        assert_eq!(fs.readdir("/d").unwrap(), listed, "{shards} shard(s)");
         fs.unlink("/d/keep").unwrap();
         fs.rmdir("/d").unwrap();
-        assert_eq!(tb.on_disk(), BTreeSet::new(), "remote={remote}");
+        assert_eq!(tb.on_disk(), BTreeSet::new(), "{shards} shard(s)");
         for (what, answer) in answers {
             assert!(
                 matches!(answer, Err(DpfsError::InvalidArgument(_))),
-                "remote={remote}: {what} answered {answer:?}"
+                "{shards} shard(s): {what} answered {answer:?}"
             );
         }
     }

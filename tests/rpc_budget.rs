@@ -38,7 +38,7 @@ type Counts = BTreeMap<String, u64>;
 /// Calls per metadata op label, summed over every shard.
 fn served(tb: &Testbed) -> Counts {
     let mut out = Counts::new();
-    for shard in tb.metad_stats_all() {
+    for shard in tb.metad_stats() {
         for (op, hist) in shard.op_latency {
             *out.entry(op).or_insert(0) += hist.count;
         }
@@ -102,8 +102,8 @@ fn budget(ops: &[(&str, u64)]) -> Counts {
 /// A 4-server, 2-shard remote testbed with one directory homed on each
 /// shard and a striped file in the first.
 fn rig() -> (Testbed, Dpfs, String, String) {
-    let tb = Testbed::unthrottled_with_metad_shards(4, 2).unwrap();
-    let fs = tb.remote_client(0, true);
+    let tb = Testbed::unthrottled_sharded(4, 2).unwrap();
+    let fs = tb.client(0, true);
     let map = ShardMap::new(2);
     let dir_on = |shard: u32| {
         (0..64)

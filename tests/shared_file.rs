@@ -31,26 +31,11 @@ use dpfs::meta::{FileEntry, ServerInfo};
 const SERVERS: usize = 4;
 const BRICK: u64 = 4096;
 
-#[derive(Clone, Copy, Debug)]
-enum Mount {
-    Embedded,
-    Metad,
-}
+/// The metadata plane widths every history runs on.
+const PLANES: [usize; 2] = [1, 2];
 
-const MOUNTS: [Mount; 2] = [Mount::Embedded, Mount::Metad];
-
-fn testbed(mount: Mount) -> Testbed {
-    match mount {
-        Mount::Embedded => Testbed::unthrottled(SERVERS).unwrap(),
-        Mount::Metad => Testbed::unthrottled_with_metad(SERVERS).unwrap(),
-    }
-}
-
-fn client(tb: &Testbed, mount: Mount, rank: usize) -> Dpfs {
-    match mount {
-        Mount::Embedded => tb.client(rank, true),
-        Mount::Metad => tb.remote_client(rank, true),
-    }
+fn testbed(shards: usize) -> Testbed {
+    Testbed::unthrottled_sharded(SERVERS, shards).unwrap()
 }
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -85,9 +70,9 @@ fn catalog_bricks(fs: &Dpfs, path: &str) -> u64 {
 /// and the read below failed with "beyond file's 2 bricks".
 #[test]
 fn growth_through_one_handle_survives_a_smaller_growth_through_another() {
-    for mount in MOUNTS {
-        let tb = testbed(mount);
-        let fs = client(&tb, mount, 0);
+    for shards in PLANES {
+        let tb = testbed(shards);
+        let fs = tb.client(0, true);
         drop(fs.create("/g", &Hint::linear(BRICK, BRICK)).unwrap());
         let mut a = fs.open("/g").unwrap();
         let mut b = fs.open("/g").unwrap();
@@ -100,13 +85,16 @@ fn growth_through_one_handle_survives_a_smaller_growth_through_another() {
         model[4096..8192].copy_from_slice(&patch);
 
         let mut fresh = fs.open("/g").unwrap();
-        assert!(fresh.read_bytes(0, 16384).unwrap() == model, "{mount:?}");
-        assert_eq!(fresh.brick_map().num_bricks(), 4, "{mount:?}");
-        assert_eq!(fresh.size(), 16384, "{mount:?}");
-        assert_eq!(fs.stat("/g").unwrap().size, 16384, "{mount:?}");
+        assert!(
+            fresh.read_bytes(0, 16384).unwrap() == model,
+            "{shards} shard(s)"
+        );
+        assert_eq!(fresh.brick_map().num_bricks(), 4, "{shards} shard(s)");
+        assert_eq!(fresh.size(), 16384, "{shards} shard(s)");
+        assert_eq!(fs.stat("/g").unwrap().size, 16384, "{shards} shard(s)");
         // A lost the compare-and-set and learned B's map from the reply.
-        assert_eq!(a.brick_map(), b.brick_map(), "{mount:?}");
-        assert_eq!(tb.on_disk(), enumeration(&fs, "/g"), "{mount:?}");
+        assert_eq!(a.brick_map(), b.brick_map(), "{shards} shard(s)");
+        assert_eq!(tb.on_disk(), enumeration(&fs, "/g"), "{shards} shard(s)");
     }
 }
 
@@ -117,9 +105,9 @@ fn growth_through_one_handle_survives_a_smaller_growth_through_another() {
 /// none — `open` rebuilds the map from the brick lists and refuses either.
 #[test]
 fn two_greedy_handles_never_assign_one_brick_twice() {
-    for mount in MOUNTS {
-        let tb = testbed(mount);
-        let fs = client(&tb, mount, 0);
+    for shards in PLANES {
+        let tb = testbed(shards);
+        let fs = tb.client(0, true);
         let rate = |numbers: [i64; SERVERS]| {
             for (spec, performance) in tb.specs().iter().zip(numbers) {
                 fs.register_server(&ServerInfo {
@@ -149,18 +137,18 @@ fn two_greedy_handles_never_assign_one_brick_twice() {
         write(&mut b, 0, 7, 3);
         rate([3, 1, 3, 1]);
         write(&mut a, 3, 2, 4);
-        assert_eq!(a.brick_map(), b.brick_map(), "{mount:?}");
+        assert_eq!(a.brick_map(), b.brick_map(), "{shards} shard(s)");
         write(&mut a, 6, 4, 5);
         write(&mut b, 2, 3, 6);
 
         let mut fresh = fs.open("/g").unwrap();
-        assert_eq!(fresh.brick_map().num_bricks(), 10, "{mount:?}");
-        assert_eq!(fresh.brick_map(), a.brick_map(), "{mount:?}");
+        assert_eq!(fresh.brick_map().num_bricks(), 10, "{shards} shard(s)");
+        assert_eq!(fresh.brick_map(), a.brick_map(), "{shards} shard(s)");
         assert!(
             fresh.read_bytes(0, model.len() as u64).unwrap() == model,
-            "{mount:?}"
+            "{shards} shard(s)"
         );
-        assert_eq!(tb.on_disk(), enumeration(&fs, "/g"), "{mount:?}");
+        assert_eq!(tb.on_disk(), enumeration(&fs, "/g"), "{shards} shard(s)");
     }
 }
 
@@ -173,10 +161,10 @@ const RECORDS: usize = 256;
 /// appending interleaved one-brick records to one shared linear file that
 /// starts as a single brick (a header nobody writes). A third mount audits the I/O servers'
 /// directories against the catalog while each pair of writes is in flight.
-fn interleaved_appenders(mount: Mount, policy: RedundancyPolicy) {
-    let what = format!("{mount:?} {policy:?}");
-    let tb = testbed(mount);
-    let audit = client(&tb, mount, 2);
+fn interleaved_appenders(shards: usize, policy: RedundancyPolicy) {
+    let what = format!("{shards} shard(s) {policy:?}");
+    let tb = testbed(shards);
+    let audit = tb.client(2, true);
     let hint = Hint::linear(BRICK, BRICK).with_redundancy(policy);
     drop(audit.create("/shared", &hint).unwrap());
     let record =
@@ -189,7 +177,7 @@ fn interleaved_appenders(mount: Mount, policy: RedundancyPolicy) {
     std::thread::scope(|scope| {
         let writers: Vec<_> = (0..2)
             .map(|writer| {
-                let fs = client(&tb, mount, writer);
+                let fs = tb.client(writer, true);
                 let (step, record) = (&step, &record);
                 scope.spawn(move || {
                     let mut f = fs.open("/shared").unwrap();
@@ -267,8 +255,8 @@ fn interleaved_appenders(mount: Mount, policy: RedundancyPolicy) {
 
 #[test]
 fn interleaved_appenders_lose_no_growth() {
-    for mount in MOUNTS {
-        interleaved_appenders(mount, RedundancyPolicy::None);
+    for shards in PLANES {
+        interleaved_appenders(shards, RedundancyPolicy::None);
     }
 }
 
@@ -277,9 +265,9 @@ fn interleaved_appenders_lose_no_growth() {
 /// stripe is ROADMAP item 1(ii), and not asserted.)
 #[test]
 fn interleaved_appenders_under_redundancy_leave_the_enumerated_subfiles() {
-    for mount in MOUNTS {
+    for shards in PLANES {
         for policy in [RedundancyPolicy::Replica(2), RedundancyPolicy::XorParity] {
-            interleaved_appenders(mount, policy);
+            interleaved_appenders(shards, policy);
         }
     }
 }
@@ -303,37 +291,34 @@ fn a_stale_handle_does_xor_algebra_over_every_data_server() {
         },
         ..ClientOptions::default()
     };
-    for mount in MOUNTS {
-        let mut tb = testbed(mount);
-        let fs = match mount {
-            Mount::Embedded => tb.client_opts(quick()),
-            Mount::Metad => tb.remote_client_opts(quick()),
-        };
+    for shards in PLANES {
+        let mut tb = testbed(shards);
+        let fs = tb.client_opts(quick());
         let hint = Hint::linear(BRICK, BRICK).with_redundancy(RedundancyPolicy::XorParity);
         drop(fs.create("/x", &hint).unwrap());
         let mut a = fs.open("/x").unwrap();
         let mut b = fs.open("/x").unwrap();
         let mut model = pattern(3 * BRICK as usize, 1);
         b.write_bytes(0, &model).unwrap();
-        assert_eq!(a.brick_map().num_bricks(), 1, "{mount:?}");
-        assert_eq!(b.brick_map().num_bricks(), 3, "{mount:?}");
+        assert_eq!(a.brick_map().num_bricks(), 1, "{shards} shard(s)");
+        assert_eq!(b.brick_map().num_bricks(), 3, "{shards} shard(s)");
 
         tb.kill_server(0);
         assert!(
             a.read_bytes(0, BRICK).unwrap() == model[..BRICK as usize],
-            "{mount:?}: brick 0 rebuilt through the stale handle"
+            "{shards} shard(s): brick 0 rebuilt through the stale handle"
         );
         tb.restart_server(0).unwrap();
 
         let patch = pattern(BRICK as usize, 2);
         a.write_bytes(0, &patch).unwrap();
-        assert_eq!(a.brick_map().num_bricks(), 1, "{mount:?}");
+        assert_eq!(a.brick_map().num_bricks(), 1, "{shards} shard(s)");
         model[..BRICK as usize].copy_from_slice(&patch);
         tb.kill_server(1);
         let mut fresh = fs.open("/x").unwrap();
         assert!(
             fresh.read_bytes(0, 3 * BRICK).unwrap() == model,
-            "{mount:?}: brick 1 rebuilt after the stale handle's parity update"
+            "{shards} shard(s): brick 1 rebuilt after the stale handle's parity update"
         );
     }
 }
@@ -347,15 +332,15 @@ fn four_writers_growing_one_file_unaligned_lose_no_growth() {
     const RANKS: usize = 4;
     const ROUNDS: usize = 16;
     const PIECE: usize = 1000;
-    for mount in MOUNTS {
-        let tb = testbed(mount);
-        let fs = client(&tb, mount, 0);
+    for shards in PLANES {
+        let tb = testbed(shards);
+        let fs = tb.client(0, true);
         drop(fs.create("/grow", &Hint::linear(256, 256)).unwrap());
         let piece = |rank: usize, round: usize| pattern(PIECE, (rank * 16 + round) as u8);
         let round_start = Barrier::new(RANKS);
         std::thread::scope(|scope| {
             for rank in 0..RANKS {
-                let fs = client(&tb, mount, rank);
+                let fs = tb.client(rank, true);
                 let (piece, round_start) = (&piece, &round_start);
                 scope.spawn(move || {
                     let mut f = fs.open("/grow").unwrap();
@@ -371,16 +356,16 @@ fn four_writers_growing_one_file_unaligned_lose_no_growth() {
             .flat_map(|p| piece(p % RANKS, p / RANKS))
             .collect();
         let mut fresh = fs.open("/grow").unwrap();
-        assert_eq!(fresh.size(), model.len() as u64, "{mount:?}");
+        assert_eq!(fresh.size(), model.len() as u64, "{shards} shard(s)");
         assert!(
             fresh.read_bytes(0, model.len() as u64).unwrap() == model,
-            "{mount:?}"
+            "{shards} shard(s)"
         );
         assert_eq!(
             catalog_bricks(&fs, "/grow"),
             bricks_for(model.len() as u64, 256),
-            "{mount:?}"
+            "{shards} shard(s)"
         );
-        assert_eq!(tb.on_disk(), enumeration(&fs, "/grow"), "{mount:?}");
+        assert_eq!(tb.on_disk(), enumeration(&fs, "/grow"), "{shards} shard(s)");
     }
 }

@@ -316,7 +316,7 @@ fn a_slow_op_is_logged_with_its_trace_id() {
     // Read when the log writes its first line, which nothing in this binary
     // does before the threshold drops below.
     std::env::set_var("DPFS_SLOW_OP_OUT", &out);
-    let tb = Testbed::unthrottled_with_metad(1).unwrap();
+    let tb = Testbed::unthrottled(1).unwrap();
     let proxy = FaultProxy::start(tb.server_addr(0)).unwrap();
     let mut resolver = tb.resolver();
     resolver.alias("ion00", &proxy.addr().to_string());

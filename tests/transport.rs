@@ -627,10 +627,9 @@ fn start_stalled_server() -> SocketAddr {
 fn retries_wait_the_handles_deadline_not_the_mounts() {
     // One registered server whose name dials a listener that answers
     // nothing, on a mount with the default 30 s deadline.
-    let tb = Testbed::unthrottled(1).unwrap();
-    let mut resolver = tb.resolver();
-    resolver.alias("ion00", &start_stalled_server().to_string());
-    let stalled = dpfs::core::Dpfs::mount(tb.db(), resolver, ClientOptions::default()).unwrap();
+    let mut tb = Testbed::unthrottled(1).unwrap();
+    tb.route_through(0, start_stalled_server());
+    let stalled = tb.client_opts(ClientOptions::default());
     assert_eq!(stalled.pool().rpc_timeout(), DEFAULT_RPC_TIMEOUT);
     drop(stalled.create("/stall", &Hint::linear(4096, 4096)).unwrap());
 
