@@ -292,13 +292,24 @@ if git grep -nE 'GetDistribution|fn get_distribution' \
     echo "FAIL: MetaOp::GetDistribution / MetaClient::get_distribution is back (use open_file)"
     exit 1
 fi
-# A file's brick lists only grow, by compare-and-set (`ExtendDistribution`):
-# the blind whole-map overwrite is gone from the wire, the client and the
-# catalog — it is what let the catalog forget bricks, and the exact
-# enumeration of unlink/rename/sync believes the catalog.
+# A file's brick lists only grow, in the shard's one transaction
+# (`ExtendDistribution`): the blind whole-map overwrite is gone from the
+# wire, the client and the catalog — it is what let the catalog forget
+# bricks, and the exact enumeration of unlink/rename/sync believes the
+# catalog.
 if git grep -nE 'UpdateDistribution|fn update_distribution' \
     -- crates/proto/src crates/meta/src crates/core/src crates/metad/src crates/shell/src; then
     echo "FAIL: MetaOp::UpdateDistribution / update_distribution is back (grow with extend_distribution)"
+    exit 1
+fi
+# Placement is the metadata shard's, beside the registry it reads: `create`
+# leaves the servers unnamed and a growing write asks for a brick count, so
+# the client reads no registry on either path, keeps no copy of the
+# algorithm, and the wire carries no client-planned extension.
+if git grep -n 'list_servers' -- crates/core/src/fs.rs crates/core/src/file.rs ||
+    git grep -nE 'fn (greedy|round_robin|extend)\b' -- crates/core/src/placement.rs ||
+    git grep -nw 'expected_bricks' -- crates/proto/src; then
+    echo "FAIL: the client plans bricks again (placement lives in dpfs-meta, beside the registry)"
     exit 1
 fi
 # One stats document: both daemons answer `Stats` with their node of the

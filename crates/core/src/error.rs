@@ -141,7 +141,9 @@ impl std::error::Error for DpfsError {
 impl From<MetaError> for DpfsError {
     fn from(e: MetaError) -> Self {
         match e {
-            MetaError::InvalidName(m) => DpfsError::InvalidArgument(m),
+            MetaError::InvalidName(m) | MetaError::InvalidArgument(m) => {
+                DpfsError::InvalidArgument(m)
+            }
             other => DpfsError::Meta(other),
         }
     }

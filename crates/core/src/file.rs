@@ -24,7 +24,7 @@ use crate::conn::{expect_list_data, expect_written, ConnPool};
 use crate::datatype::Datatype;
 use crate::error::{DpfsError, Result};
 use crate::geometry::Region;
-use crate::hints::{copy_home, holders, FileLevel, Placement, RedundancyPolicy, Subfile};
+use crate::hints::{copy_home, holders, FileLevel, RedundancyPolicy, Subfile};
 pub use crate::hints::{mirror_subfile, parity_subfile, primary_subfile};
 use crate::layout::{bricks_for, BrickRun, Layout, LinearLayout};
 use crate::meta_client::MetaClient;
@@ -94,7 +94,6 @@ pub struct FileHandle {
     servers: Vec<String>,
     layout: Layout,
     map: BrickMap,
-    placement: Placement,
     /// Per-file redundancy: mirrors / parity written alongside the data,
     /// read back around a dead server.
     redundancy: RedundancyPolicy,
@@ -116,7 +115,6 @@ impl FileHandle {
         servers: Vec<String>,
         layout: Layout,
         map: BrickMap,
-        placement: Placement,
         redundancy: RedundancyPolicy,
         opts: ClientOptions,
         size: u64,
@@ -129,7 +127,6 @@ impl FileHandle {
             servers,
             layout,
             map,
-            placement,
             redundancy,
             opts,
             size,
@@ -786,64 +783,33 @@ impl FileHandle {
     }
 
     /// Grow a linear file's brick map to at least `needed` bricks. The
-    /// extension is a compare-and-set in the catalog, committed before this
-    /// returns — so before the first byte goes to a server the file had no
-    /// brick on — and answered with the file's entry as it now stands: this
-    /// handle's map is whatever the catalog says, its own plan if it won,
-    /// another handle's if that one got there first, extended again from
-    /// there if still short. Nothing else changes a brick list, so what the
-    /// I/O servers hold is always within [`RedundancyPolicy::subfiles`] over
-    /// the catalog.
+    /// file's shard places the new bricks by the file's own policy and
+    /// commits them before this returns — so before the first byte goes to
+    /// a server the file had no brick on — and answers with the file's
+    /// entry as it now stands: this handle's map is whatever the catalog
+    /// says, another handle's growth included if that one got there first.
+    /// Nothing else changes a brick list, so what the I/O servers hold is
+    /// always within [`RedundancyPolicy::subfiles`] over the catalog.
     fn grow_to(&mut self, needed: u64) -> Result<()> {
-        let perf = match self.placement {
-            Placement::RoundRobin => None,
-            Placement::Greedy => {
-                // The registry is read when a greedy file actually grows,
-                // for the numbers of the servers that hold its bricks (the
-                // parity server of an XOR file holds none).
-                let registry = self.meta.list_servers()?;
-                let number = |name: &String| {
-                    let found = registry.iter().find(|s| s.name == *name);
-                    found.map_or(1, |s| s.performance.max(1))
-                };
-                Some(
-                    self.servers[..self.map.num_servers()]
-                        .iter()
-                        .map(number)
-                        .collect::<Vec<i64>>(),
-                )
-            }
-        };
-        while self.map.num_bricks() < needed {
-            let have = self.map.num_bricks();
-            let mut planned = self.map.clone();
-            planned.extend(needed - have, perf.as_deref())?;
-            let added: Vec<(String, Vec<i64>)> = self
-                .servers
-                .iter()
-                .zip(planned.bricklists())
-                .zip(self.map.bricklists())
-                .filter(|((_, new), old)| new.len() > old.len())
-                .map(|((server, new), old)| {
-                    let bricks = new[old.len()..].iter().map(|&b| b as i64).collect();
-                    (server.clone(), bricks)
-                })
-                .collect();
-            let entry = self
-                .meta
-                .extend_distribution(&self.path, have as i64, &added)
-                .map_err(|e| match e {
-                    MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(self.path.clone()),
-                    other => other.into(),
-                })?;
-            if entry.id != self.id {
-                return Err(DpfsError::InvalidArgument(format!(
-                    "{} was replaced by another file while open",
-                    self.path
-                )));
-            }
-            self.map = brick_map(self.redundancy, &entry.dist)?;
-            self.size = self.size.max(entry.attr.size as u64);
+        let too_many = || DpfsError::InvalidArgument(format!("{needed} bricks for {}", self.path));
+        let bricks = i64::try_from(needed).map_err(|_| too_many())?;
+        let entry = self
+            .meta
+            .extend_distribution(&self.path, bricks)
+            .map_err(|e| match e {
+                MetaError::NoSuchTable(_) => DpfsError::NoSuchFile(self.path.clone()),
+                other => other.into(),
+            })?;
+        if entry.id != self.id {
+            return Err(DpfsError::InvalidArgument(format!(
+                "{} was replaced by another file while open",
+                self.path
+            )));
+        }
+        self.map = brick_map(self.redundancy, &entry.dist)?;
+        self.size = self.size.max(entry.attr.size as u64);
+        if self.map.num_bricks() < needed {
+            return Err(too_many());
         }
         if let Layout::Linear(lin) = &mut self.layout {
             lin.file_bytes = lin.file_bytes.max(self.map.num_bricks() * lin.brick_bytes);
@@ -1152,7 +1118,7 @@ impl ListShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::round_robin;
+    use dpfs_meta::placement::round_robin;
     use proptest::prelude::*;
 
     fn req(ranges: Vec<(u64, u64)>) -> ListRequest {

@@ -19,8 +19,12 @@ use crate::geometry::Shape;
 use crate::hints::{holders, FileLevel, Hint, HpfPattern, Placement, RedundancyPolicy, Striping};
 use crate::layout::Layout;
 use crate::meta_client::MetaClient;
-use crate::placement::BrickMap;
 use crate::trace;
+
+/// The most servers a `create` asks for by count (the shard stripes over
+/// at most as many as it has registered): more than a registry holds, and
+/// few enough unnamed rows to keep the request small.
+const MAX_IO_NODES: usize = 1 << 16;
 
 /// A DPFS client instance. Cheap to create; each compute node (thread)
 /// makes its own, sharing the metadata daemons.
@@ -114,97 +118,36 @@ impl Dpfs {
 
     /// Create a DPFS file per the hint (paper: `DPFS-Open` for writing with
     /// a hint structure). Returns an open handle.
+    ///
+    /// One metadata trip: the file's shard names its servers — the first
+    /// `io_nodes` of its registry by name, or every one — and places the
+    /// bricks over them inside the creating transaction; the handle is the
+    /// entry it answers, opened as [`Dpfs::open`] opens one.
     pub fn create(&self, path: &str, hint: &Hint) -> Result<FileHandle> {
         let path = normalize_path(path)?;
-        let all = self.meta.list_servers()?;
-        if all.is_empty() {
+        let layout = Layout::from_striping(&hint.striping)?;
+        // Byte-offset parity requires every data subfile to lay its bricks
+        // out uniformly; array-level chunks are variable.
+        if hint.redundancy == RedundancyPolicy::XorParity && layout.level() == FileLevel::Array {
             return Err(DpfsError::InvalidArgument(
-                "no I/O servers registered".into(),
+                "xor parity requires uniform bricks (linear or multidim level)".into(),
             ));
         }
-        let n = hint.io_nodes.unwrap_or(all.len()).clamp(1, all.len());
-        // Deterministic choice: first n servers in name order.
-        let chosen: Vec<ServerInfo> = all.into_iter().take(n).collect();
-        let names: Vec<String> = chosen.iter().map(|s| s.name.clone()).collect();
-
-        let layout = Layout::from_striping(&hint.striping)?;
-        // Under XOR parity the last-named server is dedicated to parity:
-        // data stripes over the remaining n - 1.
-        let data_servers = match hint.redundancy {
-            RedundancyPolicy::None => n,
-            RedundancyPolicy::Replica(k) => {
-                if k < 2 || k > n {
-                    return Err(DpfsError::InvalidArgument(format!(
-                        "replica policy needs 2 <= k <= {n} servers, got k = {k}"
-                    )));
-                }
-                n
-            }
-            RedundancyPolicy::XorParity => {
-                if n < 2 {
-                    return Err(DpfsError::InvalidArgument(
-                        "xor parity needs at least 2 servers (1 data + 1 parity)".into(),
-                    ));
-                }
-                // Byte-offset parity requires every data subfile to lay its
-                // bricks out uniformly; array-level chunks are variable.
-                if layout.level() == FileLevel::Array {
-                    return Err(DpfsError::InvalidArgument(
-                        "xor parity requires uniform bricks (linear or multidim level)".into(),
-                    ));
-                }
-                n - 1
-            }
-        };
-        let perf: Option<Vec<i64>> = match hint.placement {
-            Placement::RoundRobin => None,
-            Placement::Greedy => Some(
-                chosen[..data_servers]
-                    .iter()
-                    .map(|s| s.performance.max(1))
-                    .collect(),
-            ),
-        };
-        let mut map = BrickMap::from_assignment(Vec::new(), data_servers);
-        map.extend(layout.num_bricks(), perf.as_deref())?;
-
         let attr = attr_for(&path, hint, &layout);
-        let mut dist: Vec<Distribution> = names
-            .iter()
-            .zip(map.bricklists())
-            .map(|(server, bricks)| Distribution {
-                server: server.clone(),
-                filename: path.clone(),
-                bricklist: bricks.iter().map(|&b| b as i64).collect(),
-            })
-            .collect();
-        if hint.redundancy == RedundancyPolicy::XorParity {
-            // The parity server holds no bricks but must appear in the
-            // distribution so opens see the full server list.
-            dist.push(Distribution {
-                server: names[n - 1].clone(),
-                filename: path.clone(),
-                bricklist: Vec::new(),
-            });
-        }
-        let id = self.meta.create_file(&attr, &dist).map_err(|e| match e {
+        // One unnamed row per server asked for; none asks for every one.
+        let slot = Distribution {
+            server: String::new(),
+            filename: String::new(),
+            bricklist: Vec::new(),
+        };
+        let slots = hint.io_nodes.map_or(0, |k| k.clamp(1, MAX_IO_NODES));
+        let dist = vec![slot; slots];
+        let entry = self.meta.create_file(&attr, &dist).map_err(|e| match e {
             MetaError::DuplicateKey(_) => DpfsError::FileExists(path.clone()),
             other => other.into(),
         })?;
-
-        Ok(FileHandle::new(
-            path,
-            id,
-            self.meta.clone(),
-            self.pool.clone(),
-            names,
-            layout,
-            map,
-            hint.placement,
-            hint.redundancy,
-            self.opts,
-            attr.size as u64,
-        ))
+        self.open_entry(path, &entry, self.opts)
+            .map_err(|issue| DpfsError::InvalidArgument(format!("{issue:?}")))
     }
 
     // -------------------------------------------------------------- open
@@ -242,7 +185,9 @@ impl Dpfs {
         let layout = striping_from_attr(attr).and_then(|s| Layout::from_striping(&s));
         let layout = layout.map_err(bad)?;
         let redundancy = RedundancyPolicy::parse(&attr.redundancy).map_err(bad)?;
-        let placement = Placement::parse(&attr.placement).map_err(bad)?;
+        // Growth is placed by the shard, but a placement it cannot read
+        // would refuse every growth: such an entry is not trusted either.
+        Placement::parse(&attr.placement).map_err(bad)?;
         if dist.is_empty() {
             return Err(Issue::MissingDistribution { filename: path });
         }
@@ -275,7 +220,6 @@ impl Dpfs {
             dist.iter().map(|d| d.server.clone()).collect(),
             layout,
             map,
-            placement,
             redundancy,
             opts,
             attr.size as u64,

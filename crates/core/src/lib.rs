@@ -44,6 +44,7 @@ pub mod transport;
 
 pub use conn::{ConnPool, Resolver};
 pub use datatype::Datatype;
+pub use dpfs_meta::placement::{greedy, round_robin};
 pub use error::{DpfsError, Result};
 pub use file::{ClientOptions, ClientStats, FileHandle};
 pub use fs::Dpfs;
@@ -54,7 +55,7 @@ pub use hints::{
 };
 pub use layout::{ArrayLayout, BrickRun, Layout, LinearLayout, MultidimLayout};
 pub use meta_client::MetaClient;
-pub use placement::{greedy, round_robin, BrickMap};
+pub use placement::BrickMap;
 pub use plan::Granularity;
 pub use retry::RetryPolicy;
 pub use transport::{Landing, Pending, Transport, TransportStats, DEFAULT_RPC_TIMEOUT};

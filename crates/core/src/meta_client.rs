@@ -22,8 +22,9 @@
 //!   exist" locally (home shard first — it serializes racing creates and
 //!   owns the emptiness check; replicas treat duplicate/missing as
 //!   idempotent success),
-//! - the server registry is replicated to every shard (broadcast writes,
-//!   round-robin reads),
+//! - the server registry is replicated to every shard (broadcast writes;
+//!   each shard places the bricks of the files it creates and grows over
+//!   its own replica, and `list_servers` reads shard 0's),
 //! - `find_by_tag` / `server_brick_counts` / `audit` fan out and merge,
 //! - a rename whose source and destination live on different shards runs
 //!   the two-phase intent protocol (see [`MetaClient::rename_file`]).
@@ -50,7 +51,7 @@
 //! mutation surfaces as `MetaError::Remote` (outcome unknown) instead
 //! of being replayed into a spurious application error.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpfs_meta::{
@@ -74,8 +75,6 @@ pub struct MetaClient {
     servers: Vec<String>,
     /// Routing map over the shards.
     map: ShardMap,
-    /// Round-robin cursor for replicated-registry reads.
-    rr: AtomicUsize,
     /// Trace ID of the most recent metadata RPC (tests and diagnostics).
     last_trace_id: AtomicU64,
 }
@@ -90,7 +89,6 @@ impl MetaClient {
             map: ShardMap::new(servers.len() as u32),
             pool,
             servers,
-            rr: AtomicUsize::new(0),
             last_trace_id: AtomicU64::new(0),
         }
     }
@@ -188,13 +186,6 @@ impl MetaClient {
 
     fn shape(&self, shard: usize, got: &MetaResult) -> MetaError {
         shape_err(self.shard_server(shard), &format!("{got:?}"))
-    }
-
-    /// A round-robin shard for replicated-registry reads (`list_servers`):
-    /// every shard holds the full registry, and rotating spreads the
-    /// per-create `list_servers` load instead of hammering shard 0.
-    fn registry_shard(&self) -> usize {
-        self.rr.fetch_add(1, Ordering::Relaxed) % self.shard_count()
     }
 
     /// Run a mutating op on every shard, home shard first. `tolerate`
@@ -399,8 +390,8 @@ macro_rules! expect {
 /// The catalog surface: one typed method per metadata verb.
 impl MetaClient {
     /// Register an I/O server (or update capacity/performance in place).
-    /// The registry is replicated: every shard answers placement reads, so
-    /// registration broadcasts (an idempotent upsert — replaying it on
+    /// The registry is replicated: every shard places bricks over its own
+    /// replica, so registration broadcasts (an idempotent upsert — replaying it on
     /// every shard is safe).
     pub fn register_server(&self, info: &ServerInfo) -> MetaResultT<()> {
         self.broadcast(
@@ -409,19 +400,21 @@ impl MetaClient {
             |_| false,
         )
     }
-    /// All registered servers ordered by name.
+    /// All registered servers ordered by name (shard 0's replica).
     pub fn list_servers(&self) -> MetaResultT<Vec<ServerInfo>> {
-        expect!(self, self.registry_shard(), MetaOp::ListServers, MetaResult::Servers(xs) => xs)
+        expect!(self, 0, MetaOp::ListServers, MetaResult::Servers(xs) => xs)
     }
 
     /// Create a file (id + attrs + distribution + directory link,
-    /// atomically); returns the id the file's shard minted.
-    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<u64> {
+    /// atomically); returns the entry the file's shard made — the id it
+    /// minted, and the distribution it placed where `dist` left the servers
+    /// unnamed ([`dpfs_meta::Catalog::create_file`]).
+    pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> MetaResultT<FileEntry> {
         expect!(
             self,
             self.route_file(&attr.filename),
             MetaOp::CreateFile { attr: attr.clone(), dist: dist.to_vec() },
-            MetaResult::MaybeEntry(Some(entry)) => entry.id
+            MetaResult::MaybeEntry(Some(entry)) => entry
         )
     }
     /// Delete a file; returns the removed entry.
@@ -495,23 +488,13 @@ impl MetaClient {
         )
     }
 
-    /// Append `added` (per server, its new brick numbers) to a file's brick
-    /// lists iff it holds `expected_bricks` bricks; answers the entry as it
-    /// stands afterwards either way.
-    pub fn extend_distribution(
-        &self,
-        filename: &str,
-        expected_bricks: i64,
-        added: &[(String, Vec<i64>)],
-    ) -> MetaResultT<FileEntry> {
+    /// Grow a file's brick lists to at least `bricks` bricks, placed by its
+    /// shard; answers the entry as it stands afterwards either way.
+    pub fn extend_distribution(&self, filename: &str, bricks: i64) -> MetaResultT<FileEntry> {
         expect!(
             self,
             self.route_file(filename),
-            MetaOp::ExtendDistribution {
-                filename: filename.into(),
-                expected_bricks,
-                added: added.to_vec()
-            },
+            MetaOp::ExtendDistribution { filename: filename.into(), bricks },
             MetaResult::MaybeEntry(Some(entry)) => entry
         )
     }

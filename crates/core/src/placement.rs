@@ -1,43 +1,14 @@
-//! Striping algorithms: assigning bricks to servers (paper §4.1).
+//! Brick addressing: which server holds a brick, and where in its subfile.
 //!
-//! - [`round_robin`] — the classic baseline: brick `i` goes to server
-//!   `i mod S`.
-//! - [`greedy`] — the paper's Greedy Striping Algorithm (Figure 8): each
-//!   server carries a normalized performance number `P[k]` (1 = fastest);
-//!   brick `i` goes to the server minimizing `A[k] + P[k]`, the accumulated
-//!   weighted load, so fast storage receives proportionally more bricks.
-//!
-//! [`BrickMap`] holds the resulting assignment plus the per-server brick
-//! lists (the catalog's `bricklist` columns) and the inverse map from brick
-//! to `(server, subfile byte offset)`.
+//! Which server *gets* each brick — the paper's round-robin and greedy
+//! striping (§4.1) — is decided by the metadata shard, beside the registry
+//! those algorithms read (`dpfs_meta::placement`), and stored as per-server
+//! brick lists (the catalog's `bricklist` columns). [`BrickMap`] holds
+//! those lists plus the inverse map from brick to `(server, subfile byte
+//! offset)`.
 
 use crate::error::{DpfsError, Result};
 use crate::layout::Layout;
-
-/// Round-robin assignment of `num_bricks` bricks over `num_servers`.
-pub fn round_robin(num_bricks: u64, num_servers: usize) -> Vec<usize> {
-    assert!(num_servers > 0, "no servers");
-    let mut map = BrickMap::from_assignment(Vec::new(), num_servers);
-    map.extend(num_bricks, None)
-        .expect("no performance numbers");
-    map.assignment
-}
-
-/// The paper's greedy algorithm (Figure 8). `perf[k]` is server `k`'s
-/// normalized performance number (1 = fastest; larger = slower). Figure 8
-/// leaves ties unspecified; breaking them toward the *faster* server (then
-/// the lower index) reproduces the brick lists of Figure 9 exactly.
-pub fn greedy(num_bricks: u64, perf: &[i64]) -> Vec<usize> {
-    assert!(!perf.is_empty(), "no servers");
-    assert!(
-        perf.iter().all(|&p| p >= 1),
-        "performance numbers must be >= 1"
-    );
-    let mut map = BrickMap::from_assignment(Vec::new(), perf.len());
-    map.extend(num_bricks, Some(perf))
-        .expect("one number per server");
-    map.assignment
-}
 
 /// Brick-to-server map for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,50 +119,6 @@ impl BrickMap {
     pub fn loads(&self) -> Vec<usize> {
         self.per_server.iter().map(|l| l.len()).collect()
     }
-
-    /// Per-server *weighted* loads: brick count × performance number.
-    pub fn weighted_loads(&self, perf: &[i64]) -> Vec<i64> {
-        self.loads()
-            .iter()
-            .zip(perf)
-            .map(|(&n, &p)| n as i64 * p)
-            .collect()
-    }
-
-    /// Extend the map with `extra` bricks, continuing the algorithm from
-    /// the bricks already placed: round-robin from the next brick number,
-    /// greedy from each server's weighted load. `perf`, when given, holds
-    /// one performance number per server of this map and selects greedy.
-    /// [`round_robin`] and [`greedy`] are this, over an empty map.
-    pub fn extend(&mut self, extra: u64, perf: Option<&[i64]>) -> Result<()> {
-        let n = self.per_server.len();
-        if let Some(perf) = perf.filter(|perf| perf.len() != n) {
-            return Err(DpfsError::InvalidArgument(format!(
-                "greedy extension got {} performance numbers for {n} servers",
-                perf.len(),
-            )));
-        }
-        // Greedy's state A[k]: the weighted load server k carries so far.
-        let mut accumulated = self.weighted_loads(perf.unwrap_or(&[]));
-        let start = self.assignment.len() as u64;
-        for b in start..start + extra {
-            let s = match perf {
-                None => (b % n as u64) as usize,
-                Some(perf) => {
-                    // k minimizing A[k] + P[k]; ties prefer small P[k], then small k
-                    let k = (0..n)
-                        .min_by_key(|&k| (accumulated[k] + perf[k], perf[k], k))
-                        .expect("non-empty");
-                    accumulated[k] += perf[k];
-                    k
-                }
-            };
-            self.slot.push(self.per_server[s].len() as u64);
-            self.per_server[s].push(b);
-            self.assignment.push(s);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -200,65 +127,7 @@ mod tests {
     use crate::geometry::Shape;
     use crate::hints::HpfPattern;
     use crate::layout::{ArrayLayout, Layout, LinearLayout};
-
-    #[test]
-    fn round_robin_matches_paper_fig3() {
-        // Figure 3: 32 bricks over 4 devices; device 0 gets 0,4,8,...
-        let a = round_robin(32, 4);
-        let m = BrickMap::from_assignment(a, 4);
-        assert_eq!(m.bricklists()[0], vec![0, 4, 8, 12, 16, 20, 24, 28]);
-        assert_eq!(m.bricklists()[3], vec![3, 7, 11, 15, 19, 23, 27, 31]);
-        assert_eq!(m.loads(), vec![8, 8, 8, 8]);
-    }
-
-    #[test]
-    fn greedy_matches_paper_fig9() {
-        // Figure 9: the 32-brick file of Figure 3 striped by the greedy
-        // algorithm over two fast (P=1) and two slow (P=2) servers:
-        // server 0 gets 0,2,6,8,12,14,18,20,24,26,30 (11 bricks),
-        // server 1 gets 4,10,16,22,28 (5 bricks),
-        // server 2 gets 1,3,7,9,13,15,19,21,25,27,31 (11 bricks),
-        // server 3 gets 5,11,17,23,29 (5 bricks).
-        let a = greedy(32, &[1, 2, 1, 2]);
-        let m = BrickMap::from_assignment(a, 4);
-        assert_eq!(
-            m.bricklists()[0],
-            vec![0, 2, 6, 8, 12, 14, 18, 20, 24, 26, 30]
-        );
-        assert_eq!(m.bricklists()[1], vec![4, 10, 16, 22, 28]);
-        assert_eq!(
-            m.bricklists()[2],
-            vec![1, 3, 7, 9, 13, 15, 19, 21, 25, 27, 31]
-        );
-        assert_eq!(m.bricklists()[3], vec![5, 11, 17, 23, 29]);
-    }
-
-    #[test]
-    fn greedy_3x_ratio() {
-        // §8.2: "the greedy algorithm will assign class 1 storage as three
-        // times number of bricks as class 3" — P = [1, 3]
-        let a = greedy(120, &[1, 3]);
-        let m = BrickMap::from_assignment(a, 2);
-        assert_eq!(m.loads(), vec![90, 30]);
-    }
-
-    #[test]
-    fn greedy_uniform_perf_is_balanced() {
-        let a = greedy(100, &[1, 1, 1, 1]);
-        let m = BrickMap::from_assignment(a, 4);
-        assert_eq!(m.loads(), vec![25, 25, 25, 25]);
-    }
-
-    #[test]
-    fn greedy_weighted_loads_stay_balanced() {
-        // invariant: max weighted load - min weighted load <= max perf
-        let perf = [1i64, 2, 3, 7];
-        let a = greedy(500, &perf);
-        let m = BrickMap::from_assignment(a, 4);
-        let w = m.weighted_loads(&perf);
-        let spread = w.iter().max().unwrap() - w.iter().min().unwrap();
-        assert!(spread <= 7, "weighted spread {spread} > max perf");
-    }
+    use dpfs_meta::placement::{greedy, round_robin};
 
     #[test]
     fn slots_are_subfile_positions() {
@@ -319,33 +188,5 @@ mod tests {
         assert_eq!(m.subfile_offset(2, &layout), 12);
         assert_eq!(m.subfile_offset(1, &layout), 0);
         assert_eq!(m.subfile_offset(3, &layout), 12);
-    }
-
-    #[test]
-    fn extend_round_robin_continues_pattern() {
-        let mut m = BrickMap::from_assignment(round_robin(6, 4), 4);
-        m.extend(4, None).unwrap();
-        assert_eq!(m.num_bricks(), 10);
-        assert_eq!(m.server_of(6), 2);
-        assert_eq!(m.server_of(9), 1);
-        assert_eq!(m.slot_of(8), 2); // server 0: bricks 0, 4, 8
-    }
-
-    #[test]
-    fn extend_greedy_preserves_ratio() {
-        let perf = [1i64, 3];
-        let mut m = BrickMap::from_assignment(greedy(40, &perf), 2);
-        m.extend(40, Some(&perf)).unwrap();
-        assert_eq!(m.loads(), vec![60, 20]);
-    }
-
-    #[test]
-    fn extend_rejects_a_perf_list_of_the_wrong_length() {
-        // An XOR-parity file's map covers n - 1 data servers; handing it
-        // all n numbers used to index past the accumulated loads.
-        let mut m = BrickMap::from_assignment(greedy(10, &[1, 1]), 2);
-        assert!(m.extend(2, Some(&[1, 1, 1])).is_err());
-        assert!(m.extend(2, Some(&[1])).is_err());
-        assert_eq!(m.num_bricks(), 10);
     }
 }

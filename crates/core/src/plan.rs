@@ -218,7 +218,7 @@ mod tests {
     use crate::geometry::Shape;
     use crate::hints::{Dist, HpfPattern};
     use crate::layout::{ArrayLayout, LinearLayout, MultidimLayout, CHUNK_LEN_CALLS};
-    use crate::placement::{greedy, round_robin};
+    use dpfs_meta::placement::{greedy, round_robin};
 
     /// Figure 3 setting: 32-brick linear file round-robin over 4 servers.
     fn fig3() -> (Layout, BrickMap) {

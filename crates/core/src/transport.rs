@@ -833,8 +833,9 @@ impl Drop for Pending {
 mod tests {
     use super::*;
     use crate::layout::{BrickRun, Layout, LinearLayout};
-    use crate::placement::{round_robin, BrickMap};
+    use crate::placement::BrickMap;
     use crate::plan::{plan_list, Granularity};
+    use dpfs_meta::placement::round_robin;
     use proptest::prelude::*;
 
     proptest! {

@@ -29,6 +29,7 @@ use std::sync::Arc;
 
 use crate::db::{Database, ResultSet, Txn};
 use crate::error::{MetaError, Result};
+use crate::placement;
 use crate::value::Value;
 
 /// A pending cross-shard rename recorded on the source shard: the entry at
@@ -334,10 +335,7 @@ impl Catalog {
 
     /// All registered servers ordered by name.
     pub fn list_servers(&self) -> Result<Vec<ServerInfo>> {
-        let rs = self.db.execute(
-            "SELECT server_name, capacity, performance FROM dpfs_server ORDER BY server_name",
-        )?;
-        rs.rows.iter().map(|r| server_from_row(r)).collect()
+        self.db.transaction(list_servers)
     }
 
     /// Look up one server.
@@ -366,11 +364,57 @@ impl Catalog {
     /// brick distribution, and links it into its parent directory —
     /// atomically, in one transaction (the consistency property the paper
     /// buys from the database). Returns the id.
+    ///
+    /// `dist` is either the distribution itself or slots for the catalog to
+    /// fill. Rows that all name their server are stored as given. Rows none
+    /// of which names a server ask for that many servers, and no rows for
+    /// every registered one: the catalog takes the first that many servers
+    /// of its registry by name and places the file's bricks over them by
+    /// the attribute row's geometry and placement ([`placement`]), the last
+    /// one's row brickless under XOR parity. A policy the servers cannot
+    /// carry is refused as [`MetaError::InvalidArgument`].
     pub fn create_file(&self, attr: &FileAttrRow, dist: &[Distribution]) -> Result<u64> {
+        self.create(attr, dist).map(|(id, _)| id)
+    }
+
+    /// [`Catalog::create_file`], answering the entry it made: its id, and
+    /// the distribution as placed.
+    pub fn create_file_entry(
+        &self,
+        attr: FileAttrRow,
+        dist: Vec<Distribution>,
+    ) -> Result<FileEntry> {
+        let (id, placed) = self.create(&attr, &dist)?;
+        Ok(FileEntry {
+            id,
+            attr,
+            dist: placed.unwrap_or(dist),
+        })
+    }
+
+    /// Create a file; answers its id and, when the catalog named the
+    /// servers, the rows it placed.
+    fn create(
+        &self,
+        attr: &FileAttrRow,
+        dist: &[Distribution],
+    ) -> Result<(u64, Option<Vec<Distribution>>)> {
         self.db.transaction(|txn| {
             let id = file_id(self.shard, next_gen(txn)?);
-            create_entry(txn, id, attr, dist, &[])?;
-            Ok(id)
+            create_entry(txn, id, attr, &[], &[])?;
+            if dist.iter().any(|d| !d.server.is_empty()) {
+                if dist.iter().any(|d| d.server.is_empty()) {
+                    return Err(MetaError::InvalidArgument(format!(
+                        "the distribution of {} names some servers but not all",
+                        attr.filename
+                    )));
+                }
+                insert_distribution(txn, dist)?;
+                return Ok((id, None));
+            }
+            let placed = place(txn, attr, dist.len())?;
+            insert_distribution(txn, &placed)?;
+            Ok((id, Some(placed)))
         })
     }
 
@@ -521,51 +565,51 @@ impl Catalog {
         self.db.transaction(|txn| get_distribution(txn, filename))
     }
 
-    /// Extend a file's brick lists — compare-and-set on its brick count.
-    /// `added` names, per server, the new brick numbers to append to that
-    /// server's list; they are appended iff the file holds exactly
-    /// `expected_bricks` bricks now and `added` numbers the next bricks,
-    /// each once. Either way the answer is the file's entry as it stands
-    /// afterwards: the caller that lost a race adopts the winner's map from
-    /// the same reply. Brick lists only ever grow, and only here.
-    pub fn extend_distribution(
-        &self,
-        filename: &str,
-        expected_bricks: i64,
-        added: &[(String, Vec<i64>)],
-    ) -> Result<FileEntry> {
+    /// Grow a file's brick lists to at least `bricks` bricks, continuing the
+    /// file's own placement from its stored lists: round-robin from the
+    /// next brick number, greedy from each data server's weighted load with
+    /// the performance numbers of this shard's registry (1 for a server it
+    /// does not list). A file that already holds `bricks` is left as it is.
+    /// Either way the answer is the file's entry as it stands afterwards: a
+    /// caller that lost a race adopts the winner's map from the same reply.
+    /// Brick lists only ever grow, and only here.
+    pub fn extend_distribution(&self, filename: &str, bricks: i64) -> Result<FileEntry> {
         self.db.transaction(|txn| {
             let mut entry = get_entry(txn, filename)?
                 .ok_or_else(|| MetaError::NoSuchTable(format!("file {filename}")))?;
             let have: usize = entry.dist.iter().map(|d| d.bricklist.len()).sum();
-            if have as i64 != expected_bricks {
+            if have as i64 >= bricks {
                 return Ok(entry);
             }
-            let mut numbers: Vec<i64> = added.iter().flat_map(|(_, b)| b).copied().collect();
-            numbers.sort_unstable();
-            if !numbers
-                .iter()
-                .copied()
-                .eq(expected_bricks..expected_bricks + numbers.len() as i64)
-            {
-                return Err(MetaError::Txn(format!(
-                    "extension of {filename} does not number the bricks after {expected_bricks}"
-                )));
-            }
-            for (server, bricks) in added {
-                let row = entry
-                    .dist
-                    .iter_mut()
-                    .find(|d| d.server == *server)
-                    .ok_or_else(|| {
-                        MetaError::Txn(format!("file {filename} is not striped over {server}"))
-                    })?;
-                row.bricklist.extend(bricks);
+            let data = placement::data_servers(&entry.attr.redundancy, entry.dist.len())?;
+            let rows = &mut entry.dist[..data];
+            let perf = match placement::is_greedy(&entry.attr.placement)? {
+                false => None,
+                true => {
+                    let registry = list_servers(txn)?;
+                    let number = |name: &str| {
+                        let found = registry.iter().find(|s| s.name == name);
+                        found.map_or(1, |s| s.performance.max(1))
+                    };
+                    Some(rows.iter().map(|d| number(&d.server)).collect::<Vec<i64>>())
+                }
+            };
+            let mut lists: Vec<Vec<i64>> = rows
+                .iter_mut()
+                .map(|d| std::mem::take(&mut d.bricklist))
+                .collect();
+            let before: Vec<usize> = lists.iter().map(Vec::len).collect();
+            placement::extend(&mut lists, bricks as u64, perf.as_deref())?;
+            for ((row, list), before) in rows.iter_mut().zip(lists).zip(before) {
+                row.bricklist = list;
+                if row.bricklist.len() == before {
+                    continue;
+                }
                 txn.execute_with(
                     "UPDATE dpfs_file_distribution SET bricklist = ? WHERE dist_key = ?",
                     &[
                         row.bricklist.clone().into(),
-                        composite_key(&[server, filename]).into(),
+                        composite_key(&[&row.server, filename]).into(),
                     ],
                 )?;
             }
@@ -1004,6 +1048,51 @@ fn next_gen(txn: &Txn<'_>) -> Result<i64> {
         .as_int()
 }
 
+/// The registry, ordered by name.
+fn list_servers(txn: &Txn<'_>) -> Result<Vec<ServerInfo>> {
+    let rs = txn.execute(
+        "SELECT server_name, capacity, performance FROM dpfs_server ORDER BY server_name",
+    )?;
+    rs.rows.iter().map(|r| server_from_row(r)).collect()
+}
+
+/// The distribution of a new file asked for as `slots` servers (0: every
+/// registered one): the first that many servers of the registry by name,
+/// the bricks the attribute row's geometry needs placed over them by its
+/// placement, and under XOR parity the last server's row brickless.
+fn place(txn: &Txn<'_>, attr: &FileAttrRow, slots: usize) -> Result<Vec<Distribution>> {
+    let mut servers = list_servers(txn)?;
+    if servers.is_empty() {
+        return Err(MetaError::InvalidArgument(
+            "no I/O servers registered".into(),
+        ));
+    }
+    let n = match slots {
+        0 => servers.len(),
+        k => k.min(servers.len()),
+    };
+    servers.truncate(n);
+    let data = placement::data_servers(&attr.redundancy, n)?;
+    let perf: Option<Vec<i64>> = placement::is_greedy(&attr.placement)?.then(|| {
+        servers[..data]
+            .iter()
+            .map(|s| s.performance.max(1))
+            .collect()
+    });
+    let mut lists = vec![Vec::new(); data];
+    placement::extend(&mut lists, placement::bricks_for(attr)?, perf.as_deref())?;
+    lists.resize(n, Vec::new());
+    Ok(servers
+        .into_iter()
+        .zip(lists)
+        .map(|(server, bricklist)| Distribution {
+            server: server.name,
+            filename: attr.filename.clone(),
+            bricklist,
+        })
+        .collect())
+}
+
 fn server_from_row(r: &[Value]) -> Result<ServerInfo> {
     Ok(ServerInfo {
         name: r[0].as_text()?.to_string(),
@@ -1409,7 +1498,19 @@ mod tests {
     use super::*;
 
     fn catalog() -> Catalog {
-        Catalog::new(Arc::new(Database::in_memory())).unwrap()
+        with_server(Catalog::new(Arc::new(Database::in_memory())).unwrap())
+    }
+
+    /// `c` with one I/O server registered, so that a file created without
+    /// naming its servers has one to be placed on.
+    fn with_server(c: Catalog) -> Catalog {
+        let s0 = ServerInfo {
+            name: "s0".into(),
+            capacity: 1 << 30,
+            performance: 1,
+        };
+        c.register_server(&s0).unwrap();
+        c
     }
 
     fn sample_attr(name: &str) -> FileAttrRow {
@@ -1539,7 +1640,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dpfs-intent-ids-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let open = || Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()));
-        let mut c = open().unwrap();
+        let mut c = with_server(open().unwrap());
         c.mkdir("/d").unwrap();
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = |n: usize| {
@@ -1908,7 +2009,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let open = || Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap()));
         {
-            let c = open().unwrap();
+            let c = with_server(open().unwrap());
             c.mkdir("/a").unwrap();
             c.mkdir("/a/s").unwrap();
             for f in ["/r", "/a/f", "/a/g"] {
@@ -2054,7 +2155,7 @@ mod tests {
     /// parity's is an ordinary name: subfiles are named by id.
     #[test]
     fn a_file_keeps_the_id_create_minted() {
-        let c = Catalog::for_shard(Arc::new(Database::in_memory()), 3).unwrap();
+        let c = with_server(Catalog::for_shard(Arc::new(Database::in_memory()), 3).unwrap());
         let f = c.create_file(&sample_attr("/f"), &[]).unwrap();
         let g = c.create_file(&sample_attr("/f#r1"), &[]).unwrap();
         assert_eq!((f >> 48, g >> 48, g - f), (3, 3, 1));
@@ -2076,7 +2177,7 @@ mod tests {
             || Catalog::for_shard(Arc::new(Database::open_with_sync(&dir, false).unwrap()), 2);
         let names = ["/a", "/b", "/c"];
         {
-            let c = open().unwrap();
+            let c = with_server(open().unwrap());
             for f in names {
                 c.create_file(&sample_attr(f), &[]).unwrap();
             }
@@ -2120,52 +2221,76 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Growth asks for "at least N bricks", and the catalog places them by
+    /// the file's own policy from its stored lists, in the transaction that
+    /// reads them: whichever handle asks first grows the file, and a handle
+    /// that asks for no more than the file holds changes nothing and
+    /// learns the file as it stands.
     #[test]
     fn extend_distribution_is_a_compare_and_set_on_the_brick_count() {
         let c = catalog();
-        let row = |server: &str, bricks: &[i64]| Distribution {
+        let row = |file: &str, server: &str, bricks: &[i64]| Distribution {
             server: server.into(),
-            filename: "/f".into(),
+            filename: file.into(),
             bricklist: bricks.to_vec(),
         };
         let attr = sample_attr("/f");
-        c.create_file(&attr, &[row("s0", &[0]), row("s1", &[]), row("s2", &[])])
+        let f = |server, bricks| row("/f", server, bricks);
+        c.create_file(&attr, &[f("s0", &[0]), f("s1", &[]), f("s2", &[])])
             .unwrap();
-        let added = |pairs: &[(&str, &[i64])]| -> Vec<(String, Vec<i64>)> {
-            pairs
-                .iter()
-                .map(|(s, b)| (s.to_string(), b.to_vec()))
-                .collect()
-        };
-        // From one brick to four: the reply is the entry afterwards.
-        let grown = vec![row("s0", &[0, 3]), row("s1", &[1]), row("s2", &[2])];
-        let got = c
-            .extend_distribution("/f", 1, &added(&[("s1", &[1]), ("s2", &[2]), ("s0", &[3])]))
-            .unwrap();
+        // From one brick to four, round-robin from brick 1: the reply is the
+        // entry afterwards.
+        let grown = vec![f("s0", &[0, 3]), f("s1", &[1]), f("s2", &[2])];
+        let got = c.extend_distribution("/f", 4).unwrap();
         assert_eq!((got.attr, &got.dist), (attr.clone(), &grown));
         assert_eq!(c.get_distribution("/f").unwrap(), grown);
-        // A handle that still believes in one brick changes nothing and
-        // learns the four — however it would have numbered its own.
-        for stale in [added(&[("s1", &[1])]), added(&[("s2", &[1]), ("s1", &[2])])] {
-            assert_eq!(c.extend_distribution("/f", 1, &stale).unwrap().dist, grown);
+        // A handle that still believes in fewer bricks changes nothing and
+        // learns the four.
+        for stale in [0, 2, 4] {
+            assert_eq!(c.extend_distribution("/f", stale).unwrap().dist, grown);
             assert_eq!(c.get_distribution("/f").unwrap(), grown);
         }
-        // At the right count, an extension must number the next bricks, each
-        // once, onto servers the file is striped over.
-        for bad in [
-            added(&[("s1", &[5])]),
-            added(&[("s1", &[4]), ("s2", &[4])]),
-            added(&[("s9", &[4])]),
-        ] {
-            assert!(matches!(
-                c.extend_distribution("/f", 4, &bad),
-                Err(MetaError::Txn(_))
-            ));
-            assert_eq!(c.get_distribution("/f").unwrap(), grown);
-        }
-        assert_eq!(c.extend_distribution("/f", 4, &[]).unwrap().dist, grown);
+        // Greedy continues from each data server's weighted load, with the
+        // registry's numbers; under XOR parity the last row (by name) is the
+        // parity server's and stays brickless.
+        let slow = ServerInfo {
+            name: "s1".into(),
+            capacity: 1,
+            performance: 3,
+        };
+        c.register_server(&slow).unwrap();
+        let greedy_xor = FileAttrRow {
+            placement: "greedy".into(),
+            redundancy: "xor".into(),
+            ..sample_attr("/g")
+        };
+        let g = |server, bricks| row("/g", server, bricks);
+        c.create_file(&greedy_xor, &[g("s0", &[0]), g("s1", &[]), g("s2", &[])])
+            .unwrap();
+        let got = c.extend_distribution("/g", 8).unwrap().dist;
+        let want = [g("s0", &[0, 1, 2, 4, 5, 6]), g("s1", &[3, 7]), g("s2", &[])];
+        assert_eq!(got, want);
+        // More bricks than a reply can carry are refused, not placed.
         assert!(matches!(
-            c.extend_distribution("/missing", 0, &[]),
+            c.extend_distribution("/f", i64::MAX),
+            Err(MetaError::InvalidArgument(_))
+        ));
+        assert_eq!(c.get_distribution("/f").unwrap(), grown);
+        // A file with no data row to grow onto is refused, and changes
+        // nothing; a missing one is missing.
+        let parity_only = FileAttrRow {
+            redundancy: "xor".into(),
+            ..sample_attr("/h")
+        };
+        c.create_file(&parity_only, &[row("/h", "s0", &[])])
+            .unwrap();
+        assert!(matches!(
+            c.extend_distribution("/h", 1),
+            Err(MetaError::InvalidArgument(_))
+        ));
+        assert_eq!(c.get_distribution("/h").unwrap(), [row("/h", "s0", &[])]);
+        assert!(matches!(
+            c.extend_distribution("/missing", 0),
             Err(MetaError::NoSuchTable(_))
         ));
     }
@@ -2279,8 +2404,7 @@ mod tests {
         c.get_server("s0").unwrap();
         c.get_dir("/a").unwrap();
         c.set_file_size("/a/f", 1).unwrap();
-        c.extend_distribution("/a/f", 2, &[("s0".into(), vec![2])])
-            .unwrap();
+        c.extend_distribution("/a/f", 3).unwrap();
         c.set_tag("/a/f", "k", "v").unwrap();
         c.set_tag("/a/f", "k", "w").unwrap();
         c.get_tag("/a/f", "k").unwrap();
@@ -2311,6 +2435,8 @@ mod tests {
         c.create_file(&sample_attr("/d/g"), &[]).unwrap();
         c.create_file(&sample_attr("/d/h"), &[]).unwrap();
         for sql in [
+            // The three files lose their distribution.
+            "DELETE FROM dpfs_file_distribution WHERE server = 's0'",
             "INSERT INTO dpfs_file_distribution VALUES ('k', 'gone', '/ghost', [0])",
             "DELETE FROM dpfs_dirent WHERE path = '/d/g'",
             "DELETE FROM dpfs_dirent WHERE path = '/d/h'",
@@ -2562,17 +2688,11 @@ mod tests {
             ),
             (
                 "extend_distribution",
-                Box::new(|| {
-                    s.extend_distribution("/d/f", 1, &[("s0".into(), vec![1])])
-                        .map(|_| ())
-                }),
+                Box::new(|| s.extend_distribution("/d/f", 2).map(|_| ())),
             ),
             (
                 "stale extend_distribution",
-                Box::new(|| {
-                    s.extend_distribution("/d/f", 1, &[("s0".into(), vec![1])])
-                        .map(|_| ())
-                }),
+                Box::new(|| s.extend_distribution("/d/f", 2).map(|_| ())),
             ),
             ("set_tag", Box::new(|| s.set_tag("/d/f", "k", "v"))),
             (

@@ -31,7 +31,7 @@ use crate::sql::exec;
 use crate::sql::parser;
 use crate::table::{RowId, Table};
 use crate::value::Value;
-use crate::wal::{self, WalRecord, WalWriter};
+use crate::wal::{self, Redo, WalRecord, WalWriter};
 
 const SNAP_MAGIC: &[u8; 8] = b"DPFSSNAP";
 const SNAP_VERSION: u32 = 1;
@@ -106,7 +106,9 @@ pub(crate) enum UndoOp {
 
 struct TxnState {
     id: u64,
-    redo: Vec<WalRecord>,
+    /// The transaction's log records, encoded as they are made; `None`
+    /// when the database keeps no log.
+    redo: Option<Redo>,
     undo: Vec<UndoOp>,
 }
 
@@ -119,7 +121,9 @@ pub(crate) struct Inner {
     sync_on_commit: bool,
     /// Log records of committed [`Database::transaction_deferred`]
     /// transactions, written ahead of the next transaction that writes.
-    deferred: Vec<WalRecord>,
+    deferred: Redo,
+    /// The buffer the next transaction encodes its log records into.
+    spare: Redo,
 }
 
 /// A parsed statement and the number of `?` placeholders it binds.
@@ -176,7 +180,8 @@ impl Database {
             next_txn: 1,
             txn: None,
             sync_on_commit: false,
-            deferred: Vec::new(),
+            deferred: Redo::default(),
+            spare: Redo::default(),
         })
     }
 
@@ -208,8 +213,12 @@ impl Database {
             (BTreeMap::new(), 1)
         };
 
-        // Replay committed WAL transactions in log order.
-        let records = wal::read_wal(&wal_path)?;
+        // Replay committed WAL transactions in log order, and append behind
+        // the last intact record, not behind a torn tail.
+        let (records, intact) = wal::read_intact(&wal_path)?;
+        if wal_path.exists() {
+            wal::cut_torn_tail(&wal_path, intact)?;
+        }
         let committed = wal::committed_txns(&records);
         for rec in &records {
             next_txn = next_txn.max(rec.txn() + 1);
@@ -226,7 +235,8 @@ impl Database {
             next_txn,
             txn: None,
             sync_on_commit,
-            deferred: Vec::new(),
+            deferred: Redo::default(),
+            spare: Redo::default(),
         };
         if wal_len > 1 << 20 {
             inner.checkpoint()?;
@@ -429,9 +439,14 @@ impl Inner {
         debug_assert!(self.txn.is_none(), "nested transaction");
         let id = self.next_txn;
         self.next_txn += 1;
+        let redo = self.wal.is_some().then(|| {
+            let mut redo = std::mem::take(&mut self.spare);
+            redo.begin(id);
+            redo
+        });
         self.txn = Some(TxnState {
             id,
-            redo: vec![WalRecord::Begin { txn: id }],
+            redo,
             undo: Vec::new(),
         });
     }
@@ -439,29 +454,42 @@ impl Inner {
     /// Commit the open transaction; a `deferred` one joins the records
     /// held for the next write instead of being appended now.
     fn commit(&mut self, deferred: bool) -> Result<()> {
-        let mut txn = self
+        let txn = self
             .txn
             .take()
             .ok_or_else(|| MetaError::Txn("commit without a transaction".into()))?;
-        txn.redo.push(WalRecord::Commit { txn: txn.id });
-        if let Some(wal) = &mut self.wal {
-            // Skip writing read-only transactions (Begin+Commit only).
-            if txn.redo.len() > 2 {
-                self.deferred.append(&mut txn.redo);
-                if !deferred {
-                    let written = wal.append(&self.deferred);
-                    self.deferred.clear();
-                    written?;
-                }
+        let (Some(wal), Some(mut redo)) = (&mut self.wal, txn.redo) else {
+            return Ok(());
+        };
+        // Skip writing read-only transactions: every logged change has an
+        // undo entry.
+        let mut written = Ok(());
+        if !txn.undo.is_empty() {
+            redo.commit(txn.id);
+            if deferred || !self.deferred.is_empty() {
+                self.deferred.extend(&redo);
+            }
+            if !deferred {
+                written = match self.deferred.is_empty() {
+                    true => wal.append(&redo),
+                    false => wal.append(&self.deferred),
+                };
+                self.deferred.clear();
             }
         }
-        Ok(())
+        redo.clear();
+        self.spare = redo;
+        written
     }
 
     fn rollback(&mut self) {
-        let Some(txn) = self.txn.take() else {
+        let Some(mut txn) = self.txn.take() else {
             return;
         };
+        if let Some(mut redo) = txn.redo.take() {
+            redo.clear();
+            self.spare = redo;
+        }
         for op in txn.undo.into_iter().rev() {
             match op {
                 UndoOp::Insert { table, id } => {
@@ -489,12 +517,6 @@ impl Inner {
         }
     }
 
-    fn txn_mut(&mut self) -> Result<&mut TxnState> {
-        self.txn
-            .as_mut()
-            .ok_or_else(|| MetaError::Txn("no active transaction".into()))
-    }
-
     // ---- primitive mutations, called by the executor ----
 
     pub(crate) fn get_table(&self, name: &str) -> Result<&Table> {
@@ -511,18 +533,14 @@ impl Inner {
         if self.tables.contains_key(name) {
             return Err(MetaError::TableExists(name.to_string()));
         }
-        let id = self.txn_mut()?.id;
-        self.tables
-            .insert(name.to_string(), Table::new(schema.clone()));
-        let txn = self.txn_mut()?;
-        txn.redo.push(WalRecord::CreateTable {
-            txn: id,
-            name: name.to_string(),
-            schema,
-        });
+        let txn = self.txn.as_mut().ok_or_else(no_txn)?;
+        if let Some(redo) = &mut txn.redo {
+            redo.create_table(txn.id, name, &schema);
+        }
         txn.undo.push(UndoOp::Create {
             name: name.to_string(),
         });
+        self.tables.insert(name.to_string(), Table::new(schema));
         Ok(())
     }
 
@@ -553,37 +571,35 @@ impl Inner {
     }
 
     pub(crate) fn drop_table(&mut self, name: &str) -> Result<()> {
-        let id = self.txn_mut()?.id;
-        let table = self
+        let txn = self.txn.as_mut().ok_or_else(no_txn)?;
+        let (name, table) = self
             .tables
-            .remove(name)
+            .remove_entry(name)
             .ok_or_else(|| MetaError::NoSuchTable(name.to_string()))?;
-        let txn = self.txn_mut()?;
-        txn.redo.push(WalRecord::DropTable {
-            txn: id,
-            name: name.to_string(),
-        });
+        if let Some(redo) = &mut txn.redo {
+            redo.drop_table(txn.id, &name);
+        }
         txn.undo.push(UndoOp::Drop {
-            name: name.to_string(),
+            name,
             table: Box::new(table),
         });
         Ok(())
     }
 
+    // A row operation names its table once, for the undo log, and keeps one
+    // owned copy of a row, the table's: the redo record is encoded from it
+    // in place.
+
     pub(crate) fn insert_row(&mut self, table: &str, values: Vec<Value>) -> Result<RowId> {
-        let id = self.txn_mut()?.id;
+        let txn = self.txn.as_mut().ok_or_else(no_txn)?;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| MetaError::NoSuchTable(table.to_string()))?;
-        let row_id = t.insert(values.clone())?;
-        let txn = self.txn_mut()?;
-        txn.redo.push(WalRecord::Insert {
-            txn: id,
-            table: table.to_string(),
-            row_id,
-            values,
-        });
+        let row_id = t.insert(values)?;
+        if let Some(redo) = &mut txn.redo {
+            redo.insert(txn.id, table, row_id, t.get(row_id).expect("just inserted"));
+        }
         txn.undo.push(UndoOp::Insert {
             table: table.to_string(),
             id: row_id,
@@ -597,19 +613,15 @@ impl Inner {
         row_id: RowId,
         values: Vec<Value>,
     ) -> Result<()> {
-        let id = self.txn_mut()?.id;
+        let txn = self.txn.as_mut().ok_or_else(no_txn)?;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| MetaError::NoSuchTable(table.to_string()))?;
-        let old = t.update(row_id, values.clone())?;
-        let txn = self.txn_mut()?;
-        txn.redo.push(WalRecord::Update {
-            txn: id,
-            table: table.to_string(),
-            row_id,
-            values,
-        });
+        let old = t.update(row_id, values)?;
+        if let Some(redo) = &mut txn.redo {
+            redo.update(txn.id, table, row_id, t.get(row_id).expect("just updated"));
+        }
         txn.undo.push(UndoOp::Update {
             table: table.to_string(),
             id: row_id,
@@ -619,18 +631,15 @@ impl Inner {
     }
 
     pub(crate) fn delete_row(&mut self, table: &str, row_id: RowId) -> Result<()> {
-        let id = self.txn_mut()?.id;
+        let txn = self.txn.as_mut().ok_or_else(no_txn)?;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| MetaError::NoSuchTable(table.to_string()))?;
         let old = t.delete(row_id)?;
-        let txn = self.txn_mut()?;
-        txn.redo.push(WalRecord::Delete {
-            txn: id,
-            table: table.to_string(),
-            row_id,
-        });
+        if let Some(redo) = &mut txn.redo {
+            redo.delete(txn.id, table, row_id);
+        }
         txn.undo.push(UndoOp::Delete {
             table: table.to_string(),
             id: row_id,
@@ -656,6 +665,10 @@ impl Inner {
         self.deferred.clear();
         Ok(())
     }
+}
+
+fn no_txn() -> MetaError {
+    MetaError::Txn("no active transaction".into())
 }
 
 fn apply_record(tables: &mut BTreeMap<String, Table>, rec: &WalRecord) -> Result<()> {

@@ -33,6 +33,9 @@ pub enum MetaError {
     /// A path that cannot name a file or directory: relative, holding a
     /// control character, or shaped like a derived subfile name.
     InvalidName(String),
+    /// A request the catalog cannot carry out as asked: a placement hint the
+    /// registered servers cannot meet, or a file geometry with no bricks.
+    InvalidArgument(String),
 }
 
 impl MetaError {
@@ -54,6 +57,7 @@ impl MetaError {
             MetaError::Txn(_) => 11,
             MetaError::Remote(_) => 12,
             MetaError::InvalidName(_) => 13,
+            MetaError::InvalidArgument(_) => 14,
         }
     }
 
@@ -73,6 +77,7 @@ impl MetaError {
             10 => MetaError::Io(std::io::Error::other(message)),
             11 => MetaError::Txn(message),
             13 => MetaError::InvalidName(message),
+            14 => MetaError::InvalidArgument(message),
             _ => MetaError::Remote(message),
         }
     }
@@ -94,6 +99,9 @@ impl fmt::Display for MetaError {
             MetaError::Txn(m) => write!(f, "transaction error: {m}"),
             MetaError::Remote(m) => write!(f, "remote metadata error: {m}"),
             MetaError::InvalidName(m) => write!(f, "invalid name: {m}"),
+            // The whole sentence: it crosses the wire, and the client shows
+            // it as its own `InvalidArgument`.
+            MetaError::InvalidArgument(m) => f.write_str(m),
         }
     }
 }

@@ -50,6 +50,7 @@ mod clmul;
 pub mod codec;
 pub mod db;
 pub mod error;
+pub mod placement;
 pub mod schema;
 pub mod shard;
 pub mod sql;

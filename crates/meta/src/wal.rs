@@ -69,60 +69,6 @@ impl WalRecord {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WalRecord::Begin { txn } => {
-                buf.push(1);
-                codec::put_u64(buf, *txn);
-            }
-            WalRecord::Insert {
-                txn,
-                table,
-                row_id,
-                values,
-            } => {
-                buf.push(2);
-                codec::put_u64(buf, *txn);
-                codec::put_str(buf, table);
-                codec::put_u64(buf, row_id.0);
-                codec::put_row(buf, values);
-            }
-            WalRecord::Update {
-                txn,
-                table,
-                row_id,
-                values,
-            } => {
-                buf.push(3);
-                codec::put_u64(buf, *txn);
-                codec::put_str(buf, table);
-                codec::put_u64(buf, row_id.0);
-                codec::put_row(buf, values);
-            }
-            WalRecord::Delete { txn, table, row_id } => {
-                buf.push(4);
-                codec::put_u64(buf, *txn);
-                codec::put_str(buf, table);
-                codec::put_u64(buf, row_id.0);
-            }
-            WalRecord::CreateTable { txn, name, schema } => {
-                buf.push(5);
-                codec::put_u64(buf, *txn);
-                codec::put_str(buf, name);
-                codec::put_schema(buf, schema);
-            }
-            WalRecord::DropTable { txn, name } => {
-                buf.push(6);
-                codec::put_u64(buf, *txn);
-                codec::put_str(buf, name);
-            }
-            WalRecord::Commit { txn } => {
-                buf.push(7);
-                codec::put_u64(buf, *txn);
-            }
-        }
-    }
-
     fn decode(r: &mut Reader<'_>) -> Result<WalRecord> {
         match r.u8()? {
             1 => Ok(WalRecord::Begin { txn: r.u64()? }),
@@ -158,6 +104,90 @@ impl WalRecord {
     }
 }
 
+/// Log records encoded and framed as they are made, in the bytes
+/// [`WalWriter::append`] writes: the one encoder of every record. A row
+/// operation encodes its record from the table's own copy of the row, so
+/// the log keeps no copy of the row or of the table's name. Its buffer is
+/// reused: [`Redo::clear`] keeps the capacity.
+#[derive(Debug, Default)]
+pub struct Redo {
+    bytes: Vec<u8>,
+}
+
+impl Redo {
+    pub fn begin(&mut self, txn: u64) {
+        self.frame(1, txn, |_| {});
+    }
+
+    pub fn insert(&mut self, txn: u64, table: &str, row_id: RowId, values: &[Value]) {
+        self.frame(2, txn, |buf| {
+            codec::put_str(buf, table);
+            codec::put_u64(buf, row_id.0);
+            codec::put_row(buf, values);
+        });
+    }
+
+    /// A row replaced (the redo image only).
+    pub fn update(&mut self, txn: u64, table: &str, row_id: RowId, values: &[Value]) {
+        self.frame(3, txn, |buf| {
+            codec::put_str(buf, table);
+            codec::put_u64(buf, row_id.0);
+            codec::put_row(buf, values);
+        });
+    }
+
+    pub fn delete(&mut self, txn: u64, table: &str, row_id: RowId) {
+        self.frame(4, txn, |buf| {
+            codec::put_str(buf, table);
+            codec::put_u64(buf, row_id.0);
+        });
+    }
+
+    pub fn create_table(&mut self, txn: u64, name: &str, schema: &Schema) {
+        self.frame(5, txn, |buf| {
+            codec::put_str(buf, name);
+            codec::put_schema(buf, schema);
+        });
+    }
+
+    pub fn drop_table(&mut self, txn: u64, name: &str) {
+        self.frame(6, txn, |buf| codec::put_str(buf, name));
+    }
+
+    /// Seal transaction `txn`: its records become durable.
+    pub fn commit(&mut self, txn: u64) {
+        self.frame(7, txn, |_| {});
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Append `other`'s records after these.
+    pub fn extend(&mut self, other: &Redo) {
+        self.bytes.extend_from_slice(&other.bytes);
+    }
+
+    /// Forget every record, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+    }
+
+    /// One record: `[len: u32][crc32(payload): u32][payload]`, the payload
+    /// its tag, its transaction and what `fields` writes.
+    fn frame(&mut self, tag: u8, txn: u64, fields: impl FnOnce(&mut Vec<u8>)) {
+        let head = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 8]);
+        self.bytes.push(tag);
+        codec::put_u64(&mut self.bytes, txn);
+        fields(&mut self.bytes);
+        let payload = &self.bytes[head + 8..];
+        let (len, crc) = (payload.len() as u32, codec::crc32(payload));
+        self.bytes[head..head + 4].copy_from_slice(&len.to_le_bytes());
+        self.bytes[head + 4..head + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
 /// Appender for the WAL file.
 pub struct WalWriter {
     file: File,
@@ -174,20 +204,11 @@ impl WalWriter {
         })
     }
 
-    /// Append a batch of records; if the batch ends in `Commit` and syncing
-    /// is enabled, the file is fsynced so the commit is durable.
-    pub fn append(&mut self, records: &[WalRecord]) -> Result<()> {
-        let mut out = Vec::new();
-        let mut payload = Vec::new();
-        for rec in records {
-            payload.clear();
-            rec.encode(&mut payload);
-            codec::put_u32(&mut out, payload.len() as u32);
-            codec::put_u32(&mut out, codec::crc32(&payload));
-            out.extend_from_slice(&payload);
-        }
-        self.file.write_all(&out)?;
-        if self.sync_on_commit && matches!(records.last(), Some(WalRecord::Commit { .. })) {
+    /// Append a batch of committed transactions; with syncing enabled, the
+    /// file is fsynced so the commits are durable.
+    pub fn append(&mut self, redo: &Redo) -> Result<()> {
+        self.file.write_all(&redo.bytes)?;
+        if self.sync_on_commit {
             self.file.sync_data()?;
         }
         Ok(())
@@ -198,12 +219,18 @@ impl WalWriter {
 /// ends the scan without error (those records belong to an unfinished
 /// transaction by construction); corruption *before* the tail is reported.
 pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
+    read_intact(path).map(|(records, _)| records)
+}
+
+/// [`read_wal`], and the length of the log's intact prefix: the end of its
+/// last intact record, where the next append belongs.
+pub(crate) fn read_intact(path: &Path) -> Result<(Vec<WalRecord>, u64)> {
     let mut raw = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut raw)?;
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e.into()),
     }
     let mut records = Vec::new();
@@ -222,7 +249,19 @@ pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
         records.push(WalRecord::decode(&mut r)?);
         pos += 8 + len;
     }
-    Ok(records)
+    Ok((records, pos as u64))
+}
+
+/// Cut the log at `path` back to its first `intact` bytes, durably. A torn
+/// tail left in place would hide every record appended behind it from the
+/// next [`read_wal`], which stops where the tail starts.
+pub(crate) fn cut_torn_tail(path: &Path, intact: u64) -> Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    if file.metadata()?.len() > intact {
+        file.set_len(intact)?;
+        file.sync_data()?;
+    }
+    Ok(())
 }
 
 /// The set of transaction ids with a `Commit` record in `records`.
@@ -268,6 +307,35 @@ mod tests {
         TmpDir(d)
     }
 
+    /// `records`, encoded as the database encodes them.
+    fn redo_of(records: &[WalRecord]) -> Redo {
+        let mut redo = Redo::default();
+        for rec in records {
+            match rec {
+                WalRecord::Begin { txn } => redo.begin(*txn),
+                WalRecord::Insert {
+                    txn,
+                    table,
+                    row_id,
+                    values,
+                } => redo.insert(*txn, table, *row_id, values),
+                WalRecord::Update {
+                    txn,
+                    table,
+                    row_id,
+                    values,
+                } => redo.update(*txn, table, *row_id, values),
+                WalRecord::Delete { txn, table, row_id } => redo.delete(*txn, table, *row_id),
+                WalRecord::CreateTable { txn, name, schema } => {
+                    redo.create_table(*txn, name, schema)
+                }
+                WalRecord::DropTable { txn, name } => redo.drop_table(*txn, name),
+                WalRecord::Commit { txn } => redo.commit(*txn),
+            }
+        }
+        redo
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         let schema = Schema::new(vec![Column::new("k", DataType::Text).primary_key()]).unwrap();
         vec![
@@ -283,6 +351,21 @@ mod tests {
                 row_id: RowId(0),
                 values: vec!["a".into()],
             },
+            WalRecord::Update {
+                txn: 1,
+                table: "t".into(),
+                row_id: RowId(0),
+                values: vec!["b".into()],
+            },
+            WalRecord::Delete {
+                txn: 1,
+                table: "t".into(),
+                row_id: RowId(0),
+            },
+            WalRecord::DropTable {
+                txn: 1,
+                name: "t".into(),
+            },
             WalRecord::Commit { txn: 1 },
         ]
     }
@@ -294,7 +377,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let recs = sample_records();
         let mut w = WalWriter::open(&path, true).unwrap();
-        w.append(&recs).unwrap();
+        w.append(&redo_of(&recs)).unwrap();
         let back = read_wal(&path).unwrap();
         assert_eq!(back, recs);
         std::fs::remove_file(&path).unwrap();
@@ -315,7 +398,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let recs = sample_records();
         let mut w = WalWriter::open(&path, false).unwrap();
-        w.append(&recs).unwrap();
+        w.append(&redo_of(&recs)).unwrap();
         drop(w);
         // chop off the last 3 bytes: the final record (Commit) is torn
         let data = std::fs::read(&path).unwrap();
@@ -332,7 +415,7 @@ mod tests {
         let path = dir.join("crc.wal");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path, false).unwrap();
-        w.append(&sample_records()).unwrap();
+        w.append(&redo_of(&sample_records())).unwrap();
         drop(w);
         let mut data = std::fs::read(&path).unwrap();
         let last = data.len() - 1;

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow};
+use dpfs_meta::{Catalog, Database, Distribution, FileAttrRow, ServerInfo};
 
 fn attr(name: &str) -> FileAttrRow {
     FileAttrRow {
@@ -46,6 +46,13 @@ fn pair_bytes(entries: usize) -> u64 {
     let wal_len = |wal: &PathBuf| std::fs::metadata(wal).unwrap().len();
     let c = Catalog::new(Arc::new(Database::open_with_sync(&dir, false).unwrap())).unwrap();
     c.mkdir("/d").unwrap();
+    // The seeded files name no server: the catalog places them on this one.
+    let ion = ServerInfo {
+        name: "ion00".into(),
+        capacity: 1 << 30,
+        performance: 1,
+    };
+    c.register_server(&ion).unwrap();
     for k in 0..entries {
         c.create_file(&attr(&format!("/d/f{k:05}")), &[]).unwrap();
         // Keep the log short while seeding, whatever a create costs.

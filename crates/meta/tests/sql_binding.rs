@@ -144,8 +144,16 @@ fn a_name_that_is_sql_is_still_a_name() {
     let c = Catalog::new(std::sync::Arc::new(Database::in_memory())).unwrap();
     let name = "/it's a ?'; DROP TABLE dpfs_file_attr; --";
     let file = attr(name, "o'brien\n?");
+    // Placed by the catalog, so the name keys a distribution row too.
+    let server = ServerInfo {
+        name: "s'0".into(),
+        capacity: 1,
+        performance: 1,
+    };
+    c.register_server(&server).unwrap();
     c.create_file(&file, &[]).unwrap();
     assert_eq!(c.get_file_attr(name).unwrap().unwrap(), file);
+    assert_eq!(c.get_distribution(name).unwrap()[0].server, "s'0");
     c.set_tag(name, "t'?", "v'\n?").unwrap();
     c.rename_file(name, "/plain").unwrap();
     assert_eq!(c.get_tag("/plain", "t'?").unwrap().unwrap(), "v'\n?");

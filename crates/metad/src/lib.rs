@@ -449,6 +449,16 @@ mod tests {
         }
     }
 
+    /// Register one I/O server, for files created without naming theirs.
+    fn register(h: &MetaHandler) {
+        let info = ServerInfo {
+            name: "s0".into(),
+            capacity: 1 << 30,
+            performance: 1,
+        };
+        assert_eq!(meta(h, MetaOp::RegisterServer { info }), MetaResult::Unit);
+    }
+
     fn meta(h: &MetaHandler, op: MetaOp) -> MetaResult {
         match h.handle(Request::Meta { op }) {
             Response::Meta { result, .. } => result,
@@ -678,6 +688,7 @@ mod tests {
         assert_eq!(shard, 1);
         assert_eq!(shards, 4);
         // The shard's number is the high bits of every file id it mints.
+        register(&h);
         let created = meta(
             &h,
             MetaOp::CreateFile {
@@ -713,6 +724,7 @@ mod tests {
             let r = meta(h, MetaOp::Mkdir { path: "/d".into() });
             assert_eq!(r, MetaResult::Unit);
         }
+        register(&src);
         let r = meta(
             &src,
             MetaOp::CreateFile {
@@ -735,6 +747,9 @@ mod tests {
             panic!("expected RenamePrepared, got {r:?}");
         };
         entry.attr.filename = "/d/g".into();
+        for d in &mut entry.dist {
+            d.filename = "/d/g".into();
+        }
         let r = meta(
             &dst,
             MetaOp::RenameCommit {

@@ -28,7 +28,9 @@ pub enum MetaOp {
         info: ServerInfo,
     },
     ListServers,
-    /// Create a file; answers the created entry, its minted id with it.
+    /// Create a file; answers the created entry, its minted id with it. A
+    /// `dist` of rows with no server is slots the daemon names and places
+    /// bricks over ([`Catalog::create_file`]).
     CreateFile {
         attr: FileAttrRow,
         dist: Vec<Distribution>,
@@ -60,13 +62,11 @@ pub enum MetaOp {
         filename: String,
         owner: String,
     },
-    /// Compare-and-set growth of a file's brick lists: append `added` (per
-    /// server, its new brick numbers) iff the file holds `expected_bricks`
-    /// bricks. Answers the entry as it stands afterwards either way.
+    /// Grow a file's brick lists to at least `bricks` bricks, placed by the
+    /// daemon. Answers the entry as it stands afterwards either way.
     ExtendDistribution {
         filename: String,
-        expected_bricks: i64,
-        added: Vec<(String, Vec<i64>)>,
+        bricks: i64,
     },
     Mkdir {
         path: String,
@@ -243,8 +243,8 @@ impl MetaOp {
             Op::RegisterServer { info } => s.register_server(&info).map(|()| R::Unit),
             Op::ListServers => s.list_servers().map(R::Servers),
             Op::CreateFile { attr, dist } => s
-                .create_file(&attr, &dist)
-                .map(|id| R::MaybeEntry(Some(FileEntry { id, attr, dist }))),
+                .create_file_entry(attr, dist)
+                .map(|e| R::MaybeEntry(Some(e))),
             Op::DeleteFile { filename } => s.delete_file(&filename).map(|e| R::MaybeEntry(Some(e))),
             Op::RenameFile { from, to } => {
                 s.rename_file(&from, &to).map(|e| R::MaybeEntry(Some(e)))
@@ -263,12 +263,8 @@ impl MetaOp {
             Op::SetFileOwner { filename, owner } => {
                 s.set_file_owner(&filename, &owner).map(|()| R::Unit)
             }
-            Op::ExtendDistribution {
-                filename,
-                expected_bricks,
-                added,
-            } => s
-                .extend_distribution(&filename, expected_bricks, &added)
+            Op::ExtendDistribution { filename, bricks } => s
+                .extend_distribution(&filename, bricks)
                 .map(|e| R::MaybeEntry(Some(e))),
             Op::Mkdir { path } => s.mkdir(&path).map(|()| R::Unit),
             Op::Rmdir { path } => s.rmdir(&path).map(|()| R::Unit),
@@ -329,7 +325,7 @@ wire_rows! {
     Audit { issues, fixed, files, dirs }
 }
 
-// Op tags 3, 4, 12, 13 and 23 and result tags 4 and 8 are retired, not
+// Op tags 3, 4, 12, 13, 23 and 31 and result tags 4 and 8 are retired, not
 // reassigned: a message from an older peer is refused instead of decoding
 // to another verb or shape.
 wire_enum! { MetaOp, "meta op",
@@ -358,8 +354,8 @@ wire_enum! { MetaOp, "meta op",
     28 RenameAbort { intent }
     29 ListRenameIntents
     30 OpenFile { filename }
-    31 ExtendDistribution { filename, expected_bricks, added }
     32 Audit { repair }
+    33 ExtendDistribution { filename, bricks }
 }
 
 wire_enum! { MetaResult, "meta result",
@@ -444,8 +440,7 @@ mod tests {
     fn sample_extend() -> MetaOp {
         MetaOp::ExtendDistribution {
             filename: "/home/dpfs.test".into(),
-            expected_bricks: 5,
-            added: vec![("s1".into(), vec![5, 7]), ("s0".into(), vec![6])],
+            bricks: 8,
         }
     }
 
@@ -506,8 +501,7 @@ mod tests {
         round_trip_op(sample_extend());
         round_trip_op(MetaOp::ExtendDistribution {
             filename: "/f".into(),
-            expected_bricks: 0,
-            added: vec![],
+            bricks: 0,
         });
         round_trip_op(MetaOp::Mkdir { path: "/d".into() });
         round_trip_op(MetaOp::Rmdir { path: "/d".into() });
@@ -657,8 +651,9 @@ mod tests {
     }
 
     /// Op tags 4 (unregistering a server), 12 (the distribution-only
-    /// lookup), 13 (the blind whole-map distribution overwrite) and 23
-    /// (`Generation`) and result tag 8 (`Distributions`) are retired, not
+    /// lookup), 13 (the blind whole-map distribution overwrite), 23
+    /// (`Generation`) and 31 (the client-planned, compare-and-set
+    /// `ExtendDistribution`) and result tag 8 (`Distributions`) are retired, not
     /// reassigned: a message from an older peer is refused instead of
     /// decoding to another verb or shape.
     #[test]
@@ -668,7 +663,7 @@ mod tests {
         }
         .encode();
         assert_eq!(enc.last(), Some(&24));
-        for retired in [23u8, 13, 12, 4] {
+        for retired in [31u8, 23, 13, 12, 4] {
             let mut old = enc.to_vec();
             *old.last_mut().unwrap() = retired;
             // A filename, and (tag 13's body) an empty row list.

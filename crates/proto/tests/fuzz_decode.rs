@@ -327,24 +327,19 @@ proptest! {
 
     /// `ExtendDistribution` (its reply is the entry-carrying one above):
     /// round trip, every strict prefix and trailing garbage refused, a lying
-    /// row count refused without being believed, flipped bytes never panic.
+    /// name length refused without being believed, flipped bytes never panic.
     #[test]
     fn extend_distribution_survives_the_same_treatment(
         filename in "[a-zA-Z0-9/_.%#-]{0,48}",
-        expected_bricks in any::<i64>(),
-        added in proptest::collection::vec(
-            ("[a-z0-9.]{1,12}", proptest::collection::vec(any::<i64>(), 0..8)),
-            0..5,
-        ),
+        bricks in any::<i64>(),
         garbage in proptest::collection::vec(any::<u8>(), 1..16),
         claimed in 1u32..=u32::MAX,
         pos in any::<usize>(),
         x in 1u8..=255,
     ) {
-        let extend = |added| Request::Meta {
-            op: MetaOp::ExtendDistribution { filename: filename.clone(), expected_bricks, added },
+        let req = Request::Meta {
+            op: MetaOp::ExtendDistribution { filename: filename.clone(), bricks },
         };
-        let req = extend(added);
         let enc = req.encode();
         prop_assert_eq!(&Request::decode(enc.clone()).unwrap(), &req);
         for cut in 0..enc.len() {
@@ -358,11 +353,12 @@ proptest! {
         flipped[i] ^= x;
         let _ = Request::decode(Bytes::from(flipped));
 
-        // No rows: the message ends with its zero row count.
-        let mut lying = extend(Vec::new()).encode().to_vec();
-        let at = lying.len() - 4;
-        prop_assert_eq!(&lying[at..], &[0u8; 4]);
-        lying[at..].copy_from_slice(&claimed.to_le_bytes());
-        prop_assert!(Request::decode(Bytes::from(lying)).is_err());
+        // The name's length follows the two tags.
+        let mut lying = enc.to_vec();
+        prop_assert_eq!(&lying[2..6], &(filename.len() as u32).to_le_bytes());
+        if claimed as usize != filename.len() {
+            lying[2..6].copy_from_slice(&claimed.to_le_bytes());
+            prop_assert!(Request::decode(Bytes::from(lying)).is_err());
+        }
     }
 }

@@ -143,13 +143,10 @@ fn requests() -> Vec<(&'static str, Request, Vec<u8>)> {
             Request::Meta {
                 op: MetaOp::ExtendDistribution {
                     filename: "/f".into(),
-                    expected_bricks: 2,
-                    added: vec![("s1".into(), vec![2, 3])],
+                    bricks: 4,
                 },
             },
-            hex("0a 1f 02000000 2f66 0200000000000000
-                 01000000 02000000 7331
-                 02000000 0200000000000000 0300000000000000"),
+            hex("0a 21 02000000 2f66 0400000000000000"),
         ),
         (
             "ReadList",

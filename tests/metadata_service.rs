@@ -572,7 +572,12 @@ fn meta_script(fs: &Dpfs) -> Vec<(&'static str, Result<String, u8>)> {
             bricklist: vec![i as i64],
         })
         .collect();
-    let grow = [(servers[0].clone(), vec![2])];
+    // Servers left for the daemon to name: every registered one.
+    let placed = FileAttrRow {
+        filename: "/d/p".into(),
+        placement: "greedy".into(),
+        ..attr.clone()
+    };
     // A control character is the one thing a file name may not hold.
     let bad_name = FileAttrRow {
         filename: "/d/x\u{7}".into(),
@@ -583,14 +588,9 @@ fn meta_script(fs: &Dpfs) -> Vec<(&'static str, Result<String, u8>)> {
         ("create", step(m.create_file(&attr, &dist))),
         ("duplicate create", step(m.create_file(&attr, &dist))),
         ("open", step(m.open_file("/d/f"))),
-        (
-            "stale extend",
-            step(m.extend_distribution("/d/f", 5, &grow)),
-        ),
-        (
-            "fresh extend",
-            step(m.extend_distribution("/d/f", 2, &grow)),
-        ),
+        ("stale extend", step(m.extend_distribution("/d/f", 2))),
+        ("fresh extend", step(m.extend_distribution("/d/f", 3))),
+        ("placed create", step(m.create_file(&placed, &[]))),
         ("shrinking size", step(m.set_file_size("/d/f", 10))),
         ("chmod", step(m.set_file_permission("/d/f", 0o600))),
         ("chown", step(m.set_file_owner("/d/f", "other"))),

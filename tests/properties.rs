@@ -8,6 +8,7 @@ use dpfs::core::{
     greedy, round_robin, ArrayLayout, BrickMap, BrickRun, Datatype, Granularity, HpfPattern,
     Layout, LinearLayout, MultidimLayout, Region, Shape,
 };
+use dpfs::meta::placement;
 
 // ---------- layout coverage invariants ----------
 
@@ -169,7 +170,7 @@ proptest! {
         perf in proptest::collection::vec(1i64..10, 1..12),
     ) {
         let m = BrickMap::from_assignment(greedy(bricks, &perf), perf.len());
-        let w = m.weighted_loads(&perf);
+        let w: Vec<i64> = m.loads().iter().zip(&perf).map(|(&n, &p)| n as i64 * p).collect();
         let spread = w.iter().max().unwrap() - w.iter().min().unwrap();
         prop_assert!(spread <= *perf.iter().max().unwrap(),
             "spread {spread} perf {perf:?} loads {:?}", m.loads());
@@ -188,20 +189,32 @@ proptest! {
         prop_assert_eq!(m, back);
     }
 
-    /// Growing a map in two steps equals growing it in one.
+    /// Growing brick lists in steps equals growing them in one, under
+    /// either placement: the metadata shard grows a file from its stored
+    /// lists alone.
     #[test]
     fn extend_is_associative(
         first in 1u64..500,
         extra1 in 0u64..300,
         extra2 in 0u64..300,
-        servers in 1usize..8,
+        perf in proptest::collection::vec(1i64..5, 1..8),
     ) {
-        let mut two_step = BrickMap::from_assignment(round_robin(first, servers), servers);
-        two_step.extend(extra1, None).unwrap();
-        two_step.extend(extra2, None).unwrap();
-        let one_shot = BrickMap::from_assignment(
-            round_robin(first + extra1 + extra2, servers), servers);
-        prop_assert_eq!(two_step, one_shot);
+        let servers = perf.len();
+        let total = first + extra1 + extra2;
+        for perf in [None, Some(&perf[..])] {
+            let mut lists = vec![Vec::new(); servers];
+            for target in [first, first + extra1, total] {
+                placement::extend(&mut lists, target, perf).unwrap();
+            }
+            let one_shot = match perf {
+                None => round_robin(total, servers),
+                Some(perf) => greedy(total, perf),
+            };
+            prop_assert_eq!(
+                BrickMap::from_bricklists(&lists).unwrap(),
+                BrickMap::from_assignment(one_shot, servers)
+            );
+        }
     }
 }
 

@@ -13,8 +13,10 @@
 //! here are the daemons' own per-op counters
 //! (`MetadStatsSnapshot::op_latency` counts, summed over both shards of a
 //! 2-shard plane) around exactly one client call: they repeat exactly, so
-//! this is a regression test, not a timing. What is left to beat is
-//! `create`'s `list_servers` trip (ROADMAP item 5).
+//! this is a regression test, not a timing. `create` is one trip too:
+//! `CreateFile` leaves the servers unnamed, and the file's shard places the
+//! bricks over its own replica of the registry inside the creating
+//! transaction, as it places a growing write's.
 //!
 //! The data-plane half is counted the same way at the I/O servers: `unlink`
 //! and `sync` send one request per subfile the file's brick lists name —
@@ -30,7 +32,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dpfs::cluster::Testbed;
 use dpfs::core::hints::holders;
 use dpfs::core::trace::{ring, Side};
-use dpfs::core::{Dpfs, DpfsError, Hint, RedundancyPolicy};
+use dpfs::core::{Dpfs, DpfsError, Hint, Placement, RedundancyPolicy};
 use dpfs::meta::ShardMap;
 
 type Counts = BTreeMap<String, u64>;
@@ -173,10 +175,7 @@ fn create_unlink_and_rename_cost_what_was_measured() {
     let hint = Hint::linear(4096, 4096);
 
     let created = spent(&tb, || drop(fs.create(&format!("{d0}/n"), &hint).unwrap()));
-    assert_eq!(
-        created,
-        budget(&[("meta.create_file", 1), ("meta.list_servers", 1)])
-    );
+    assert_eq!(created, budget(&[("meta.create_file", 1)]));
 
     // A rename that cannot happen says why — which costs a second look only
     // where the catalog's one answer covers two cases.
@@ -332,11 +331,10 @@ fn a_short_file_costs_its_subfiles_not_its_servers() {
     }
 }
 
-/// A growing write is two metadata round trips — the compare-and-set
-/// extension, then the size — through the handle that wins a race and
-/// through the one that loses it: the loser's one `ExtendDistribution`
-/// answers with the winner's map (and size), so it re-plans without asking
-/// again.
+/// A growing write is two metadata round trips — the extension, placed by
+/// the file's shard, then the size — through the handle that wins a race
+/// and through the one that loses it: the loser's one `ExtendDistribution`
+/// answers with the winner's map (and size), so it asks nothing more.
 #[test]
 fn a_growing_write_is_two_round_trips_for_winner_and_loser() {
     let (tb, fs, d0, _) = rig();
@@ -349,8 +347,9 @@ fn a_growing_write_is_two_round_trips_for_winner_and_loser() {
         won,
         budget(&[("meta.extend_distribution", 1), ("meta.set_file_size", 1)])
     );
-    // Two bricks wanted, from a one-brick map: refused, four adopted. The
-    // reply's size already covers this write's end.
+    // Two bricks wanted, from a one-brick map: four are there already,
+    // nothing is placed, four adopted. The reply's size already covers this
+    // write's end.
     let lost = spent(&tb, || loser.write_bytes(4096, &[2u8; 4096]).unwrap());
     assert_eq!(lost, budget(&[("meta.extend_distribution", 1)]));
     assert_eq!(loser.brick_map(), winner.brick_map());
@@ -369,4 +368,25 @@ fn a_growing_write_is_two_round_trips_for_winner_and_loser() {
     expect[4096..8192].fill(2);
     expect[16384..].fill(3);
     assert_eq!(f.read_bytes(0, 20480).unwrap(), expect);
+}
+
+/// A growing write to a greedy file is the same two trips: the shard reads
+/// the performance numbers from its own replica of the registry inside the
+/// extension, so the client reads no registry first (a third trip,
+/// `list_servers`, before placement moved to the shard).
+#[test]
+fn a_greedy_growing_write_is_two_round_trips() {
+    let (tb, fs, d0, _) = rig();
+    let path = format!("{d0}/greedy");
+    let hint = Hint::linear(4096, 4096).with_placement(Placement::Greedy);
+    drop(fs.create(&path, &hint).unwrap());
+    let mut f = fs.open(&path).unwrap();
+    let grew = spent(&tb, || f.write_bytes(0, &[1u8; 16384]).unwrap());
+    assert_eq!(
+        grew,
+        budget(&[("meta.extend_distribution", 1), ("meta.set_file_size", 1)])
+    );
+    assert_eq!(f.brick_map().num_bricks(), 4);
+    assert_eq!(fs.open(&path).unwrap().brick_map(), f.brick_map());
+    assert_eq!(f.read_bytes(0, 16384).unwrap(), [1u8; 16384]);
 }

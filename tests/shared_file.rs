@@ -6,8 +6,9 @@
 //! overwrite of the catalog's brick lists with the handle's own, so the
 //! handle that grew the file *less* could leave the catalog holding the
 //! smaller map — acknowledged bytes unreachable from the next `open`, and
-//! subfiles on the I/O servers the catalog no longer named. The growth is a
-//! compare-and-set now, and the histories here are the ones that failed:
+//! subfiles on the I/O servers the catalog no longer named. The growth now
+//! asks the file's shard for at least the bricks a write needs, placed in one
+//! transaction, and the histories here are the ones that failed:
 //! sequential first (no threads needed), then two writers on separate mounts
 //! appending interleaved records to one shared file — the PVFS list-I/O
 //! paper's shared-file writers — checked against a `Vec<u8>` model and
@@ -92,7 +93,8 @@ fn growth_through_one_handle_survives_a_smaller_growth_through_another() {
         assert_eq!(fresh.brick_map().num_bricks(), 4, "{shards} shard(s)");
         assert_eq!(fresh.size(), 16384, "{shards} shard(s)");
         assert_eq!(fs.stat("/g").unwrap().size, 16384, "{shards} shard(s)");
-        // A lost the compare-and-set and learned B's map from the reply.
+        // A asked after B had grown the file and learned B's map from the
+        // reply.
         assert_eq!(a.brick_map(), b.brick_map(), "{shards} shard(s)");
         assert_eq!(tb.on_disk(), enumeration(&fs, "/g"), "{shards} shard(s)");
     }
